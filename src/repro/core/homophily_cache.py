@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.cache.base import CacheStats
+from repro.core.payload_store import LocalPayloadStore, PayloadStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 __all__ = ["HomophilyCache"]
@@ -28,6 +29,13 @@ __all__ = ["HomophilyCache"]
 class HomophilyCache:
     """FIFO cache of (high-degree node, payload, neighbor-ID list).
 
+    The layer owns the FIFO order, the neighbor lists, and the cover map;
+    node payloads live in ``store``
+    (:class:`~repro.core.payload_store.PayloadStore`, default an
+    in-process dict). Inserts are *payload first* (a failed ``store.put``
+    changes nothing), and a cached node whose payload the store cannot
+    produce is served as a miss.
+
     Thread-safe: one re-entrant lock (this layer's stripe of the
     :class:`~repro.core.semantic_cache.SemanticCache` lock set) keeps the
     FIFO order, the neighbor cover map, and the layer stats mutually
@@ -35,12 +43,13 @@ class HomophilyCache:
     so the elastic resize can hold it across several calls.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
-        # key -> (payload, neighbor id tuple); OrderedDict gives FIFO order.
-        self._entries: OrderedDict[int, Tuple[Any, Tuple[int, ...]]] = OrderedDict()
+        self.store: PayloadStore = LocalPayloadStore() if store is None else store
+        # key -> neighbor id tuple; OrderedDict gives FIFO order.
+        self._entries: OrderedDict[int, Tuple[int, ...]] = OrderedDict()
         # neighbor id -> set of cached node keys listing it.
         self._neighbor_of: Dict[int, Set[int]] = {}
         self.stats = CacheStats()
@@ -71,13 +80,18 @@ class HomophilyCache:
 
         Returns ``(node_key, payload)`` of the covering high-degree node —
         the *most recently inserted* cover, whose embedding neighborhood is
-        freshest — or ``None``. Records a substitute hit or miss.
+        freshest — or ``None``. Records a substitute hit or miss; a cover
+        whose payload the store cannot produce is a miss.
         """
         with self.lock:
             if index in self._entries:
                 # The high-degree node itself was requested: an exact hit.
+                payload = self.store.get(index)
+                if payload is None:
+                    self.stats.misses += 1
+                    return None
                 self.stats.hits += 1
-                return index, self._entries[index][0]
+                return index, payload
             covers = self._neighbor_of.get(index)
             if not covers:
                 self.stats.misses += 1
@@ -85,13 +99,17 @@ class HomophilyCache:
             # Most recent insert among the covering nodes.
             for key in reversed(self._entries):
                 if key in covers:
+                    payload = self.store.get(key, substitute=True)
+                    if payload is None:
+                        self.stats.misses += 1
+                        return None
                     self.stats.substitute_hits += 1
                     if self._obs.active:
                         self._obs.on_audit(
                             "substitute", key, "homophily",
                             requested_id=index, reason="neighbor_cover",
                         )
-                    return key, self._entries[key][0]
+                    return key, payload
             raise AssertionError("neighbor map out of sync with entries")
 
     # ------------------------------------------------------------------
@@ -99,7 +117,8 @@ class HomophilyCache:
         """Insert the batch's top-degree node (Alg. 1 line 22), FIFO-evicting.
 
         A node already cached is skipped (the paper only inserts nodes "not
-        previously in the Homophily Cache"). Returns True if inserted.
+        previously in the Homophily Cache"). Returns True if inserted,
+        False also when the store could not take the payload.
         """
         with self.lock:
             if self.capacity == 0:
@@ -107,10 +126,12 @@ class HomophilyCache:
             key = int(key)
             if key in self._entries:
                 return False
+            if not self.store.put(key, payload):
+                return False
             while len(self._entries) >= self.capacity:
                 self._evict_oldest("fifo")
             neigh = tuple(int(n) for n in neighbor_ids)
-            self._entries[key] = (payload, neigh)
+            self._entries[key] = neigh
             for n in neigh:
                 self._neighbor_of.setdefault(n, set()).add(key)
             self.stats.insertions += 1
@@ -120,7 +141,7 @@ class HomophilyCache:
 
     def _evict_oldest(self, reason: str = "fifo") -> int:
         # Callers hold self.lock (re-entrant).
-        key, (_, neigh) = self._entries.popitem(last=False)
+        key, neigh = self._entries.popitem(last=False)
         for n in neigh:
             owners = self._neighbor_of.get(n)
             if owners is not None:
@@ -130,6 +151,7 @@ class HomophilyCache:
         self.stats.evictions += 1
         if self._obs.active:
             self._obs.on_evict("homophily", key, reason)
+        self.store.delete(key)
         return key
 
     def shrink_to(self, capacity: int) -> List[int]:
@@ -159,7 +181,7 @@ class HomophilyCache:
     def neighbor_list(self, key: int) -> Tuple[int, ...]:
         """Neighbor IDs stored with a cached node (KeyError if absent)."""
         with self.lock:
-            return self._entries[key][1]
+            return self._entries[key]
 
     @property
     def covered_count(self) -> int:
@@ -170,26 +192,28 @@ class HomophilyCache:
             return len(covered)
 
     def newest_entry(self) -> Optional[Tuple[int, Any]]:
-        """(key, payload) of the most recently inserted node, or ``None``.
+        """(key, payload) of the most recently inserted node whose payload
+        is retrievable, or ``None``.
 
         The freshest node's embedding neighborhood is the best available
         stand-in when degraded mode must serve *something* for an uncovered
         request.
         """
         with self.lock:
-            if not self._entries:
-                return None
-            key = next(reversed(self._entries))
-            return key, self._entries[key][0]
+            for key in reversed(self._entries):
+                payload = self.store.peek(key)
+                if payload is not None:
+                    return key, payload
+            return None
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """Exact snapshot: FIFO order, payloads, neighbor lists, stats."""
         with self.lock:
-            keys = list(self._entries.keys())
+            keys = list(self._entries)
             if keys:
                 payloads = np.stack(
-                    [np.asarray(self._entries[k][0]) for k in keys]
+                    [np.asarray(p) for p in self.store.export(keys)]
                 )
             else:
                 payloads = np.empty((0,))
@@ -197,7 +221,7 @@ class HomophilyCache:
                 "capacity": self.capacity,
                 "keys": np.asarray(keys, dtype=np.int64),
                 "payloads": payloads,
-                "neighbors": [list(self._entries[k][1]) for k in keys],
+                "neighbors": [list(self._entries[k]) for k in keys],
                 "stats": self.stats.state_dict(),
             }
 
@@ -214,7 +238,10 @@ class HomophilyCache:
             self._neighbor_of = {}
             for i, k in enumerate(keys):
                 neigh = tuple(int(n) for n in neighbors[i])
-                self._entries[int(k)] = (np.asarray(payloads[i]), neigh)
+                self._entries[int(k)] = neigh
                 for n in neigh:
                     self._neighbor_of.setdefault(n, set()).add(int(k))
+            self.store.load(
+                {int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)}
+            )
             self.stats.load_state_dict(state["stats"])

@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.base import CacheStats
+from repro.core.payload_store import LocalPayloadStore, PayloadStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.utils.heap import IndexedMinHeap
 
@@ -24,20 +25,29 @@ __all__ = ["ImportanceCache"]
 class ImportanceCache:
     """Score-ordered cache over an indexed min-heap.
 
+    The layer owns the decisions and the metadata (heap, resident-key
+    order, stats); payload bytes live in ``store``
+    (:class:`~repro.core.payload_store.PayloadStore`, default an
+    in-process dict). Writes are *payload first*: an admission changes
+    metadata only after ``store.put`` landed, so a failing store can drop
+    an admit but never corrupt the heap, and a resident whose payload the
+    store cannot produce is served as a miss.
+
     Thread-safe: one re-entrant lock (this layer's stripe of the
     :class:`~repro.core.semantic_cache.SemanticCache` lock set) guards the
-    heap, the payload dict, and the layer stats, so concurrent loader
-    workers can never observe a heap/dict mismatch or overfill the
+    heap, the resident keys, and the layer stats, so concurrent loader
+    workers can never observe a heap/key mismatch or overfill the
     capacity. The lock is exposed as :attr:`lock` so compound operations
     (the elastic resize) can hold it across several calls.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
+        self.store: PayloadStore = LocalPayloadStore() if store is None else store
         self._heap = IndexedMinHeap()
-        self._values: Dict[int, Any] = {}
+        self._keys: Dict[int, None] = {}  # residents, admission order
         self.stats = CacheStats()
         self._obs = NULL_OBSERVER
         self.lock = threading.RLock()
@@ -48,16 +58,16 @@ class ImportanceCache:
 
     def __len__(self) -> int:
         with self.lock:
-            return len(self._values)
+            return len(self._keys)
 
     def __contains__(self, key: int) -> bool:
         with self.lock:
-            return key in self._values
+            return key in self._keys
 
     def get(self, key: int) -> Optional[Any]:
         """Cached payload or ``None`` (records hit/miss)."""
         with self.lock:
-            value = self._values.get(key)
+            value = self.store.get(key)  # non-residents were never put
             if value is None:
                 self.stats.misses += 1
             else:
@@ -75,25 +85,21 @@ class ImportanceCache:
         """Offer a freshly fetched sample (Fig. 9 cases 2/4).
 
         Returns True if the sample was cached (possibly evicting the current
-        minimum), False if rejected for scoring below the minimum.
+        minimum), False if rejected for scoring below the minimum or
+        dropped because the store could not take the payload.
         """
         obs = self._obs
         with self.lock:
             if self.capacity == 0:
                 return False
-            if key in self._values:
+            if key in self._keys:
                 # Already resident: refresh payload and score.
-                self._values[key] = value
+                if not self.store.put(key, value):
+                    return False
                 self._heap.update(key, score)
                 return True
-            if len(self._values) < self.capacity:
-                self._heap.push(key, score)
-                self._values[key] = value
-                self.stats.insertions += 1
-                if obs.active:
-                    obs.on_admit(key, score, True, None)
-                return True
-            if score <= self._heap.min_priority():
+            full = len(self._keys) >= self.capacity
+            if full and score <= self._heap.min_priority():
                 if obs.active:
                     obs.on_admit(key, score, False, None)
                     obs.on_audit(
@@ -102,18 +108,24 @@ class ImportanceCache:
                         reason="below_min_score",
                     )
                 return False
-            ev_score, evicted = self._heap.pop()
-            del self._values[evicted]
-            self.stats.evictions += 1
+            if not self.store.put(key, value):
+                return False
+            ev_score = evicted = None
+            if full:
+                ev_score, evicted = self._heap.pop()
+                del self._keys[evicted]
+                self.stats.evictions += 1
+                self.store.delete(evicted)
             self._heap.push(key, score)
-            self._values[key] = value
+            self._keys[key] = None
             self.stats.insertions += 1
             if obs.active:
                 obs.on_admit(key, score, True, evicted)
-                obs.on_audit(
-                    "evict", evicted, "importance", score=ev_score,
-                    threshold=score, requested_id=key, reason="displaced",
-                )
+                if full:
+                    obs.on_audit(
+                        "evict", evicted, "importance", score=ev_score,
+                        threshold=score, requested_id=key, reason="displaced",
+                    )
             return True
 
     def update_score(self, key: int, score: float) -> None:
@@ -123,7 +135,7 @@ class ImportanceCache:
         only some of which are cached).
         """
         with self.lock:
-            if key in self._values:
+            if key in self._keys:
                 self._heap.update(key, score)
 
     def shrink_to(self, capacity: int) -> List[int]:
@@ -137,12 +149,13 @@ class ImportanceCache:
         obs = self._obs
         evicted = []
         with self.lock:
-            while len(self._values) > capacity:
+            while len(self._keys) > capacity:
                 _, key = self._heap.pop()
-                del self._values[key]
+                del self._keys[key]
                 self.stats.evictions += 1
                 if obs.active:
                     obs.on_evict("importance", key, "shrink")
+                self.store.delete(key)
                 evicted.append(key)
             self.capacity = capacity
         return evicted
@@ -155,17 +168,18 @@ class ImportanceCache:
             self.capacity = capacity
 
     def keys(self) -> List[int]:
-        """Resident sample ids (arbitrary order)."""
+        """Resident sample ids in admission order."""
         with self.lock:
-            return list(self._values.keys())
+            return list(self._keys)
 
     def scores_snapshot(self) -> List[Tuple[int, float]]:
         """(key, score) for all residents (diagnostics)."""
         with self.lock:
-            return [(k, self._heap.priority(k)) for k in self._values]
+            return [(k, self._heap.priority(k)) for k in self._keys]
 
     def peek_min(self) -> Optional[Tuple[int, Any]]:
-        """(key, payload) of the least-important resident, or ``None``.
+        """(key, payload) of the least-important resident, or ``None``
+        when empty or its payload is unavailable.
 
         Degraded-mode serving uses this as a deterministic last-resort
         substitute source when the remote tier is down.
@@ -174,20 +188,23 @@ class ImportanceCache:
             if not self._heap:
                 return None
             _, key = self._heap.peek()
-            return key, self._values[key]
+            payload = self.store.peek(key)
+            return None if payload is None else (key, payload)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """Exact snapshot: payloads, heap layout, stats.
 
-        Residents are recorded in dict-insertion order; the heap snapshot
+        Residents are recorded in admission order; the heap snapshot
         keeps its array layout and tie-break counters so eviction order
         after a restore matches an uninterrupted run bit-for-bit.
         """
         with self.lock:
-            keys = list(self._values.keys())
+            keys = list(self._keys)
             if keys:
-                payloads = np.stack([np.asarray(self._values[k]) for k in keys])
+                payloads = np.stack(
+                    [np.asarray(p) for p in self.store.export(keys)]
+                )
             else:
                 payloads = np.empty((0,))
             return {
@@ -202,12 +219,13 @@ class ImportanceCache:
         """Restore a :meth:`state_dict` snapshot."""
         with self.lock:
             self.capacity = int(state["capacity"])
-            keys = np.asarray(state["keys"], dtype=np.int64)
+            keys = [int(k) for k in np.asarray(state["keys"], dtype=np.int64)]
             payloads = state["payloads"]
-            self._values = {
-                int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)
-            }
             self._heap.load_state_dict(state["heap"])
-            if set(self._heap.keys()) != set(self._values):
+            if set(self._heap.keys()) != set(keys):
                 raise ValueError("importance-cache snapshot heap/value mismatch")
+            self._keys = dict.fromkeys(keys)
+            self.store.load(
+                {k: np.asarray(payloads[i]) for i, k in enumerate(keys)}
+            )
             self.stats.load_state_dict(state["stats"])

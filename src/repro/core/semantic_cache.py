@@ -12,6 +12,15 @@ and lookups follow Fig. 9(b):
 
 The Homophily Cache is refreshed separately, once per batch, with the
 batch's top-degree node (:meth:`update_homophily`).
+
+This is the *only* implementation of that protocol. The layers decide
+and keep the metadata; payload bytes sit behind the
+:class:`~repro.core.payload_store.PayloadStore` each layer is built over
+(:meth:`SemanticCache._payload_store`). The sharded tier
+(:class:`~repro.dist.client.ShardedCacheClient`) is this class over a
+store that keeps payloads on remote shards, so it makes the same
+decisions by construction; a store failure can only turn a hit into a
+miss or drop an admit.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from typing import Any, Callable, List, Optional, Tuple, Type
 from repro.cache.base import CacheStats
 from repro.core.homophily_cache import HomophilyCache
 from repro.core.importance_cache import ImportanceCache
+from repro.core.payload_store import LocalPayloadStore, PayloadStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 __all__ = ["SemanticCache", "FetchSource", "FetchOutcome", "DegradedStats", "split_capacity"]
@@ -138,8 +148,10 @@ class SemanticCache:
         self.total_capacity = int(total_capacity)
         self._imp_ratio = float(imp_ratio)
         imp_cap = split_capacity(self.total_capacity, imp_ratio)
-        self.importance = ImportanceCache(imp_cap)
-        self.homophily = HomophilyCache(self.total_capacity - imp_cap)
+        self.importance = ImportanceCache(imp_cap, self._payload_store("imp"))
+        self.homophily = HomophilyCache(
+            self.total_capacity - imp_cap, self._payload_store("hom")
+        )
         self.stats = CacheStats()  # aggregate over both layers
         self._stats_lock = threading.Lock()  # aggregate-counter stripe
         # Degraded-mode serving: exception types from ``remote_get`` that
@@ -148,6 +160,11 @@ class SemanticCache:
         self.degrade_on: Tuple[Type[BaseException], ...] = ()
         self.degraded = DegradedStats()
         self._obs = NULL_OBSERVER
+
+    def _payload_store(self, layer: str) -> PayloadStore:
+        """Where the ``"imp"`` / ``"hom"`` layer keeps its payload bytes
+        (called once per layer at construction; subclasses override)."""
+        return LocalPayloadStore()
 
     def attach_observer(self, observer: Observer) -> None:
         """Publish fetch/admission/eviction activity to ``observer``.
@@ -259,10 +276,11 @@ class SemanticCache:
         """Close-enough-beats-nothing serving while the remote tier is down.
 
         Substitution is *widened* beyond the Fig. 9 protocol: any resident
-        homophily node (freshest first) may stand in for the request, and
-        failing that, the least-important Importance-Cache resident. Only
-        when both layers are empty is the sample skipped — the loader drops
-        it from the batch rather than aborting training.
+        homophily node (freshest first, skipping nodes whose payload the
+        store cannot produce) may stand in for the request, and failing
+        that, the least-important Importance-Cache resident. Only when
+        neither layer can serve is the sample skipped — the loader drops it
+        from the batch rather than aborting training.
 
         Accounting: degraded serves go to :class:`DegradedStats` and the
         dedicated ``stats.degraded_serves`` counter only. They do *not*

@@ -4,12 +4,14 @@ Partitions the two-layer :class:`~repro.core.semantic_cache.SemanticCache`
 across N :class:`~repro.dist.server.CacheShardServer` partitions behind a
 simulated RPC channel, fronted by a
 :class:`~repro.dist.client.ShardedCacheClient` that every data-parallel
-worker shares. The client keeps the *logical* cache state (importance
-heap, homophily FIFO + neighbor cover map, capacity split) locally and
-the payloads on the shards, which is what makes the service
+worker shares. The client *is* a ``SemanticCache`` — same layers, same
+``fetch`` — built over a store that keeps the payloads on the shards, so
+the *logical* cache state (importance heap, homophily FIFO + neighbor
+cover map, capacity split) stays local, which is what makes the service
 
 * **bit-identical** to the monolithic cache for any shard count when no
-  faults fire (the Hypothesis differential oracle in ``tests/dist``), and
+  faults fire (by construction; the Hypothesis differential oracle in
+  ``tests/dist`` guards placement independence), and
 * **gracefully degraded** when shards do fail: lookups become misses,
   admits become counted ``dropped_admits``, and the global
   capacity/eviction/FIFO invariants are never corrupted.

@@ -1,65 +1,63 @@
-"""Fault-tolerant sharded cache client (metadata here, payloads there).
+"""Fault-tolerant sharded cache client: the shard tier under the one
+Fig. 9 policy.
 
-:class:`ShardedCacheClient` presents the exact
-:class:`~repro.core.semantic_cache.SemanticCache` API to the trainer and
-the policy, but stores payload bytes on
-:class:`~repro.dist.server.CacheShardServer` partitions reached over a
-deadline-enforcing :class:`~repro.dist.rpc.Transport` — the simulated,
-fault-injected :class:`~repro.dist.rpc.SimRpcChannel` (deterministic
-oracle) or the wall-clock
-:class:`~repro.dist.transport.RealRpcTransport` (servers in real worker
-processes), selected by the ``transport`` parameter. All
-retry/breaker/anti-entropy machinery below is transport-agnostic.
-
-Design: **all policy state is client-side**. The client owns one
-:class:`~repro.utils.heap.IndexedMinHeap` (importance scores + global
-tiebreaks), the homophily FIFO with its neighbor cover map, both layers'
-stats, and the per-key location maps. Shards hold only payload bytes.
+:class:`ShardedCacheClient` *is* a
+:class:`~repro.core.semantic_cache.SemanticCache`: the same ``fetch``,
+the same :class:`~repro.core.importance_cache.ImportanceCache` and
+:class:`~repro.core.homophily_cache.HomophilyCache` objects making every
+admission/eviction/substitution decision and holding all metadata (heap,
+FIFO, cover map, stats). The only thing this module changes is where the
+payload *bytes* live: each layer is built over a :class:`ShardStore`,
+which keeps them on :class:`~repro.dist.server.CacheShardServer`
+partitions reached over a deadline-enforcing
+:class:`~repro.dist.rpc.Transport` — the simulated, fault-injected
+:class:`~repro.dist.rpc.SimRpcChannel` (deterministic oracle) or the
+wall-clock :class:`~repro.dist.transport.RealRpcTransport` (servers in
+real worker processes), selected by the ``transport`` parameter.
 Consequences:
 
-* every admission/eviction/substitution *decision* is identical to the
-  monolith's, so a fault-free sharded run is **bit-identical** (same
-  ``state_dict``, same stats) to a monolithic run for any shard count —
-  the differential oracle in ``tests/dist`` proves it for K in {1, 2, 4}
-  and across live ring resizes;
+* a fault-free sharded run is **bit-identical** (same served stream,
+  ``state_dict``, stats) to a monolithic run for any shard count and
+  across live ring resizes *by construction* — there is no second copy
+  of the policy to drift; the differential oracle in ``tests/dist``
+  checks that placement never leaks into it;
 * an RPC failure can only lose *payload availability*, never corrupt
-  policy state: failed lookups degrade to misses (served by the next
-  protocol stage), failed admits are counted as ``dropped_admits`` and
-  leave metadata untouched, so capacity/eviction/FIFO invariants hold
-  through arbitrary outage/brownout schedules.
+  policy state: a failed read makes the layer see a miss (the next
+  protocol stage serves, counted in ``degraded_lookups``), a failed put
+  is a ``dropped_admits`` the layer leaves its metadata untouched for,
+  so capacity/eviction/FIFO invariants hold through arbitrary
+  outage/brownout schedules.
 
-Each shard sits behind its own
-:class:`~repro.resilience.breaker.CircuitBreaker`; retries use the
-seeded-jitter backoff of :class:`~repro.dist.retry.RetryPolicy`. Write
-ordering is *payload first*: a put RPC must succeed before any metadata
-changes, and victim deletes afterwards are best-effort (failures park in
-a per-shard anti-entropy queue, flushed opportunistically after the next
-successful call to that shard).
+What lives here is the shard tier proper: the consistent-hash ring and
+the per-key location maps, one logical request = breaker gate + retries
+with the seeded-jitter backoff of :class:`~repro.dist.retry.RetryPolicy`
+(:meth:`ShardedCacheClient._call_with_retries`), a
+:class:`~repro.resilience.breaker.CircuitBreaker` per shard, and
+anti-entropy. Write ordering is *payload first* (the layers put before
+touching metadata); victim deletes afterwards are best-effort — failures
+park in a per-shard repair queue, flushed opportunistically after the
+next successful call to that shard.
 
-Live resizing: :meth:`resize` plans a key migration to a ring of the new
-size (see :mod:`repro.dist.migration`) and :meth:`continue_migration`
-drains it over the same faulty channel — interruptible, idempotent, and
-verified by :meth:`verify_placement`.
+Live resizing: :meth:`ShardedCacheClient.resize` plans a key migration
+to a ring of the new size (see :mod:`repro.dist.migration`) and
+:meth:`ShardedCacheClient.continue_migration` drains it over the same
+faulty channel — interruptible, idempotent, and verified by
+:meth:`ShardedCacheClient.verify_placement`.
 
-The client is single-threaded by design (one loader thread per worker in
-the simulated data-parallel trainer), so unlike the monolith it carries
-no lock stripes.
+The client is driven by one thread (one loader thread per worker in the
+simulated data-parallel trainer); the layer locks it inherits are
+uncontended.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, defaultdict
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from collections import Counter, defaultdict
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.cache.base import CacheStats
-from repro.core.semantic_cache import (
-    DegradedStats,
-    FetchOutcome,
-    FetchSource,
-    split_capacity,
-)
+from repro.core.payload_store import PayloadStore
+from repro.core.semantic_cache import FetchOutcome, SemanticCache
 from repro.dist.migration import (
     DEFAULT_BATCH_SIZE,
     MigrationState,
@@ -75,14 +73,13 @@ from repro.dist.rpc import (
     Transport,
 )
 from repro.dist.server import CacheShardServer
-from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.observer import Observer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import CircuitOpenError
 from repro.storage.clock import SimClock
 from repro.storage.latency import LatencyModel
-from repro.utils.heap import IndexedMinHeap
 
-__all__ = ["ShardedCacheClient", "ImportanceView", "HomophilyView"]
+__all__ = ["ShardedCacheClient", "ShardStore"]
 
 #: Failures after which a shard interaction degrades instead of raising:
 #: a burned retry budget (an ``RpcError`` subclass) or a fail-fast
@@ -92,80 +89,144 @@ _DEGRADE_ERRORS = (RpcError, CircuitOpenError)
 #: Single-attempt channel failures (retried / parked by the layers above).
 _ATTEMPT_ERRORS = (ShardOutageError, RpcTimeoutError)
 
+_LAYER_NAMES = {"imp": "importance", "hom": "homophily"}
 
-class ImportanceView:
-    """Importance-layer facade with the monolith ImportanceCache's
-    policy-facing API (capacity, membership, ``min_score``, ``admit``),
-    backed by the client's metadata and the shard tier's payloads."""
 
-    def __init__(self, client: "ShardedCacheClient", capacity: int) -> None:
-        self._client = client
-        self.capacity = int(capacity)
-        self.stats = CacheStats()
+class ShardStore(PayloadStore):
+    """One cache layer's payloads on the shard tier
+    (:class:`~repro.core.payload_store.PayloadStore` over RPC).
 
-    def __len__(self) -> int:
-        return len(self._client._imp_loc)
+    ``loc`` maps each key whose payload was put to the shard holding it;
+    a key absent from it costs no RPC. Every failure mode of the tier
+    surfaces as the port's soft answers — ``None`` / ``False`` — after
+    being counted on the client.
+    """
 
-    def __contains__(self, key: int) -> bool:
-        return int(key) in self._client._imp_loc
+    def __init__(
+        self, tier: "ShardedCacheClient", layer: str, loc: Dict[int, int]
+    ) -> None:
+        self._tier = tier
+        self._layer = layer  # "imp" / "hom": the server-method prefix
+        self.loc = loc
 
-    def min_score(self) -> Optional[float]:
-        """Score of the least-important resident, or ``None`` when empty."""
-        heap = self._client._heap
-        if not len(heap):
+    def get(self, key: int, substitute: bool = False) -> Optional[Any]:
+        """Payload read with retries; unreachable or lost is ``None``."""
+        shard = self.loc.get(key)
+        if shard is None:
             return None
-        return heap.min_priority()
+        tier, layer = self._tier, self._layer
+        args = (key,) if layer == "imp" else (key, substitute)
+        try:
+            payload = tier._call_with_retries(shard, f"{layer}_get", *args)
+        except _DEGRADE_ERRORS:
+            payload = None
+        if payload is None:
+            # Unreachable — or the shard lost a payload the metadata owns
+            # (only after external interference); either way a miss.
+            tier.degraded_lookups += 1
+            return None
+        kind = "substitute_hits" if substitute else "hits"
+        tier._shard_stats[shard][f"{layer}_{kind}"] += 1
+        return payload
 
-    def admit(self, key: int, value: Any, score: float) -> bool:
-        """Offer a sample; same decision rule as the monolith, but the
-        payload put must clear the RPC tier first (a failed put is a
-        dropped admit, not an exception)."""
-        return self._client._admit_importance(int(key), value, float(score))
+    def put(self, key: int, value: Any) -> bool:
+        """Payload put with retries; a failure is a *dropped admit*.
 
-    def keys(self) -> List[int]:
-        """Resident sample ids (metadata insertion order)."""
-        return list(self._client._imp_loc)
+        New keys land on the placement ring's shard, resident ones are
+        overwritten in place. An ambiguously timed-out put may have
+        executed server-side; the orphan payload is queued for
+        anti-entropy deletion so shard contents reconverge with the
+        metadata."""
+        tier, layer = self._tier, self._layer
+        key = int(key)
+        shard = self.loc.get(key)
+        if shard is None:
+            shard = tier._placement_ring().shard_for(key)
+        nbytes = int(np.asarray(value).nbytes)
+        try:
+            tier._call_with_retries(
+                shard, f"{layer}_put", key, value, nbytes=nbytes
+            )
+        except _DEGRADE_ERRORS:
+            tier.dropped_admits += 1
+            tier._shard_stats[shard]["dropped_admits"] += 1
+            tier._pending_deletes.setdefault(shard, []).append((layer, key))
+            if tier._obs.active:
+                tier._obs.on_audit(
+                    "drop", key, _LAYER_NAMES[layer], reason="rpc_failed"
+                )
+            return False
+        self.loc[key] = shard
+        return True
+
+    def delete(self, key: int) -> None:
+        """Forget ``key`` and delete its payload (single attempt; a
+        failure parks in the shard's repair queue)."""
+        shard = self.loc.pop(key, None)
+        if shard is not None:
+            self._tier._best_effort_delete(shard, self._layer, key)
+
+    def peek(self, key: int) -> Optional[Any]:
+        """Payload read that does not disturb the shard's hit counters
+        (uses the read-only ``migrate_out`` export); None on failure."""
+        shard = self.loc.get(key)
+        if shard is None:
+            return None
+        try:
+            out = self._tier._call_with_retries(
+                shard, "migrate_out", self._layer, [key]
+            )
+        except _DEGRADE_ERRORS:
+            self._tier.degraded_lookups += 1
+            return None
+        return out.get(key)
+
+    def export(self, keys: Sequence[int]) -> List[Any]:
+        """Payloads of ``keys`` via batched read-only exports, grouped per
+        owning shard. Raises on RPC failure or a missing payload — a
+        checkpoint must be exact or not taken at all."""
+        by_shard: Dict[int, List[int]] = {}
+        for k in keys:
+            by_shard.setdefault(self.loc[k], []).append(k)
+        out: Dict[int, Any] = {}
+        for shard, ks in by_shard.items():
+            out.update(
+                self._tier._call_with_retries(
+                    shard, "migrate_out", self._layer, ks
+                )
+            )
+        missing = [k for k in keys if k not in out]
+        if missing:
+            raise RuntimeError(
+                f"shard tier lost {len(missing)} {self._layer} payload(s) "
+                f"(e.g. key {missing[0]}); cannot snapshot"
+            )
+        return [out[k] for k in keys]
+
+    def load(self, entries: Dict[int, Any]) -> None:
+        """Replace the layer's payloads: drop current residents
+        (best-effort; leftovers become orphans that anti-entropy or
+        overwrites clean up), then place every entry per the current
+        ring. Raises if the shard tier is unreachable — a restore must
+        be complete or not happen."""
+        tier, layer = self._tier, self._layer
+        stale: Dict[int, List[Tuple[str, int]]] = {}
+        for k, shard in self.loc.items():
+            stale.setdefault(shard, []).append((layer, k))
+        for shard, dead in stale.items():
+            tier._bulk_delete(shard, dead)
+        self.loc.clear()
+        ring = tier._placement_ring()
+        placed: Dict[int, Dict[int, Any]] = {}
+        for k, payload in entries.items():
+            shard = self.loc[k] = ring.shard_for(k)
+            placed.setdefault(shard, {})[k] = payload
+        for shard, part in placed.items():
+            tier._call_with_retries(shard, "migrate_in", layer, part)
 
 
-class HomophilyView:
-    """Homophily-layer facade mirroring HomophilyCache's read API."""
-
-    def __init__(self, client: "ShardedCacheClient", capacity: int) -> None:
-        self._client = client
-        self.capacity = int(capacity)
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._client._hom_entries)
-
-    def __contains__(self, key: int) -> bool:
-        return int(key) in self._client._hom_entries
-
-    def covers(self, index: int) -> bool:
-        """True if ``index`` is a cached node or in a cached node's
-        neighbor list."""
-        c = self._client
-        return index in c._neighbor_of or index in c._hom_entries
-
-    def keys(self) -> List[int]:
-        """Cached high-degree node ids in FIFO order."""
-        return list(self._client._hom_entries)
-
-    def neighbor_list(self, key: int) -> Tuple[int, ...]:
-        """Neighbor IDs stored with a cached node (KeyError if absent)."""
-        return self._client._hom_entries[int(key)]
-
-    @property
-    def covered_count(self) -> int:
-        """Distinct sample ids currently servable (nodes + neighbors)."""
-        c = self._client
-        covered = set(c._neighbor_of)
-        covered.update(c._hom_entries)
-        return len(covered)
-
-
-class ShardedCacheClient:
-    """SemanticCache-compatible client over breaker-guarded shard RPCs.
+class ShardedCacheClient(SemanticCache):
+    """The semantic cache with its payloads on breaker-guarded shard RPCs.
 
     Parameters
     ----------
@@ -181,11 +242,13 @@ class ShardedCacheClient:
         real worker processes on a wall clock (``latency`` /
         ``fault_plans`` are rejected; chaos uses the transport's
         ``kill_shard``). A prebuilt :class:`~repro.dist.rpc.Transport`
-        instance is also accepted.
+        instance is also accepted; it already owns its clock, latency
+        model and fault plans, so passing any of those alongside it is
+        an error.
     clock / latency / deadline_s / fault_plans:
-        Forwarded to the transport (shared clock, per-call latency
-        model — sim only, per-call deadline, per-shard fault schedules —
-        sim only).
+        Forwarded to the transport built here (shared clock, per-call
+        latency model — sim only, per-call deadline, per-shard fault
+        schedules — sim only).
     retry:
         :class:`RetryPolicy` for every cache-protocol call; default
         policy retries twice with seeded-jitter exponential backoff.
@@ -197,6 +260,17 @@ class ShardedCacheClient:
         Consistent-hash ring geometry (see :mod:`repro.dist.ring`).
     migration_batch_size:
         Keys per migration transfer batch during a live resize.
+
+    Attributes
+    ----------
+    transport / ring / breakers:
+        The RPC carrier, the active consistent-hash ring, and the
+        ``{shard: CircuitBreaker}`` map.
+    migration:
+        The in-flight resize's :class:`MigrationState`, or ``None``.
+    dropped_admits / degraded_lookups / rpc_retries:
+        Failed payload puts (metadata untouched), failed payload reads
+        served as misses, and retried attempts.
     """
 
     def __init__(
@@ -217,26 +291,20 @@ class ShardedCacheClient:
         seed: int = DEFAULT_SEED,
         migration_batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if total_capacity < 0:
-            raise ValueError("total_capacity must be non-negative")
-        if not 0.0 <= imp_ratio <= 1.0:
-            raise ValueError("imp_ratio must be in [0, 1]")
+        # key -> shard holding the payload, per layer; owned here (the
+        # ring, anti-entropy and migration all read them), written by
+        # the layers' stores.
+        self._imp_loc: Dict[int, int] = {}
+        self._hom_loc: Dict[int, int] = {}
+        self._loc = {"imp": self._imp_loc, "hom": self._hom_loc}
+        super().__init__(total_capacity, imp_ratio)
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.total_capacity = int(total_capacity)
-        self._imp_ratio = float(imp_ratio)
-        imp_cap = split_capacity(self.total_capacity, imp_ratio)
-        self.importance = ImportanceView(self, imp_cap)
-        self.homophily = HomophilyView(self, self.total_capacity - imp_cap)
-        self.stats = CacheStats()
-        self.degraded = DegradedStats()
-        self.degrade_on: Tuple[type, ...] = ()
-
         self.n_shards = int(n_shards)
-        self._ring = ConsistentHashRing(self.n_shards, vnodes=vnodes, seed=seed)
+        self.ring = ConsistentHashRing(self.n_shards, vnodes=vnodes, seed=seed)
         if isinstance(transport, str):
             if transport == "sim":
-                self._transport: Transport = SimRpcChannel(
+                self.transport: Transport = SimRpcChannel(
                     clock=clock,
                     latency=latency,
                     deadline_s=deadline_s,
@@ -255,7 +323,7 @@ class ShardedCacheClient:
                     )
                 from repro.dist.transport import RealRpcTransport
 
-                self._transport = RealRpcTransport(
+                self.transport = RealRpcTransport(
                     clock=clock, deadline_s=deadline_s
                 )
             else:
@@ -264,91 +332,73 @@ class ShardedCacheClient:
                     "'real', or a Transport instance"
                 )
         else:
-            self._transport = transport
+            for name, value in (
+                ("clock", clock), ("latency", latency),
+                ("fault_plans", fault_plans),
+            ):
+                if value is not None:
+                    raise ValueError(
+                        f"{name}= would be ignored: a prebuilt Transport "
+                        "instance already carries its own; configure it there"
+                    )
+            self.transport = transport
         for sid in range(self.n_shards):
-            if not self._transport.has_shard(sid):
-                self._transport.add_shard(sid)
-        self.clock = self._transport.clock
+            if not self.transport.has_shard(sid):
+                self.transport.add_shard(sid)
+        self.clock = self.transport.clock
         self.retry = retry if retry is not None else RetryPolicy()
         self._breaker_kwargs = dict(
             failure_threshold=int(breaker_failure_threshold),
             cooldown_s=float(breaker_cooldown_s),
             close_threshold=int(breaker_close_threshold),
         )
-        self._breakers: Dict[int, CircuitBreaker] = {
+        self.breakers: Dict[int, CircuitBreaker] = {
             sid: CircuitBreaker(**self._breaker_kwargs)
             for sid in range(self.n_shards)
         }
 
-        # -- client-side policy state (the logical cache) ----------------
-        self._heap = IndexedMinHeap()  # importance scores + tiebreaks
-        self._imp_loc: Dict[int, int] = {}  # key -> shard holding payload
-        self._hom_entries: "OrderedDict[int, Tuple[int, ...]]" = OrderedDict()
-        self._hom_loc: Dict[int, int] = {}
-        self._neighbor_of: Dict[int, Set[int]] = {}
-
         # -- fault-tolerance bookkeeping ---------------------------------
         self._pending_deletes: Dict[int, List[Tuple[str, int]]] = {}
         self._shard_stats: Dict[int, Counter] = defaultdict(Counter)
-        self.dropped_admits = 0  # failed payload puts (metadata untouched)
-        self.degraded_lookups = 0  # failed payload reads served as misses
+        self.dropped_admits = 0
+        self.degraded_lookups = 0
         self.rpc_retries = 0
         self._rpc_seq = 0  # deterministic per-request id for jitter
 
         self.migration_batch_size = int(migration_batch_size)
-        self._migration: Optional[MigrationState] = None
+        self.migration: Optional[MigrationState] = None
         self.completed_resizes = 0
-        self._obs = NULL_OBSERVER
+
+    def _payload_store(self, layer: str) -> ShardStore:
+        return ShardStore(self, layer, self._loc[layer])
 
     # ------------------------------------------------------------------
     # wiring / introspection
     # ------------------------------------------------------------------
     def attach_observer(self, observer: Observer) -> None:
         """Publish RPC, breaker, and cache activity to ``observer``."""
-        self._obs = observer
-        self._transport.attach_observer(observer)
-        for sid, breaker in self._breakers.items():
+        super().attach_observer(observer)
+        self.transport.attach_observer(observer)
+        for sid, breaker in self.breakers.items():
             breaker.attach_observer(observer, label=f"shard{sid}")
-
-    @property
-    def transport(self) -> Transport:
-        return self._transport
-
-    @property
-    def channel(self) -> Transport:
-        """Back-compat alias for :attr:`transport`."""
-        return self._transport
-
-    @property
-    def ring(self) -> ConsistentHashRing:
-        return self._ring
 
     @property
     def servers(self) -> Dict[int, CacheShardServer]:
         """In-process server dict (sim transport only; the real
         transport's servers live in other processes)."""
-        return self._transport.servers
-
-    @property
-    def breakers(self) -> Dict[int, CircuitBreaker]:
-        return self._breakers
-
-    @property
-    def migration(self) -> Optional[MigrationState]:
-        """The in-flight resize, or ``None``."""
-        return self._migration
+        return self.transport.servers
 
     def set_fault_plan(self, shard: int, plan: Optional[Any]) -> None:
         """Install (or clear) one shard's fault schedule."""
-        self._transport.set_fault_plan(shard, plan)
+        self.transport.set_fault_plan(shard, plan)
 
     def _placement_ring(self) -> ConsistentHashRing:
         """Ring governing *new* placements: the migration target while a
         resize is in flight (so fresh admits land where they will end
         up), the active ring otherwise."""
-        if self._migration is not None:
-            return self._migration.target_ring
-        return self._ring
+        if self.migration is not None:
+            return self.migration.target_ring
+        return self.ring
 
     # ------------------------------------------------------------------
     # RPC machinery
@@ -363,7 +413,7 @@ class ShardedCacheClient:
         :class:`RetryBudgetExhausted`; callers degrade on both.
         """
         shard = int(shard)
-        breaker = self._breakers[shard]
+        breaker = self.breakers[shard]
         clock = self.clock
         obs = self._obs
         request_id = self._rpc_seq
@@ -371,7 +421,7 @@ class ShardedCacheClient:
         span = (
             obs.span_start(
                 "rpc", clock.total_seconds, shard=shard, method=method,
-                breaker=breaker.state.value, transport=self._transport.name,
+                breaker=breaker.state.value, transport=self.transport.name,
             )
             if obs.active else None
         )
@@ -391,7 +441,7 @@ class ShardedCacheClient:
                     f"rejecting {method}"
                 )
             try:
-                result = self._transport.call(shard, method, *args, nbytes=nbytes)
+                result = self.transport.call(shard, method, *args, nbytes=nbytes)
             except _ATTEMPT_ERRORS as exc:
                 last = exc
                 breaker.record_failure(clock.total_seconds)
@@ -400,7 +450,7 @@ class ShardedCacheClient:
                     self._shard_stats[shard]["rpc_retries"] += 1
                     t0 = clock.total_seconds
                     clock.advance(
-                        self._transport.STAGE,
+                        self.transport.STAGE,
                         self.retry.backoff_s(request_id, attempt),
                     )
                     if obs.active:
@@ -432,15 +482,15 @@ class ShardedCacheClient:
         harmless because deletes are idempotent)."""
         shard = int(shard)
         entry = (layer, int(key))
-        if not self._transport.has_shard(shard):
+        if not self.transport.has_shard(shard):
             return  # shard retired by a shrink resize; nothing to repair
-        breaker = self._breakers.get(shard)
+        breaker = self.breakers.get(shard)
         now = self.clock.total_seconds
         if breaker is not None and not breaker.allow(now):
             self._pending_deletes.setdefault(shard, []).append(entry)
             return
         try:
-            self._transport.call(shard, f"{layer}_delete", int(key))
+            self.transport.call(shard, f"{layer}_delete", int(key))
         except _ATTEMPT_ERRORS:
             if breaker is not None:
                 breaker.record_failure(self.clock.total_seconds)
@@ -448,6 +498,14 @@ class ShardedCacheClient:
         else:
             if breaker is not None:
                 breaker.record_success(self.clock.total_seconds)
+
+    def _bulk_delete(self, shard: int, entries: List[Tuple[str, int]]) -> None:
+        """Drop ``(layer, key)`` payloads nothing references any more:
+        one unguarded attempt; a failure parks them for anti-entropy."""
+        try:
+            self.transport.call(shard, "bulk_delete", entries)
+        except _ATTEMPT_ERRORS:
+            self._pending_deletes.setdefault(shard, []).extend(entries)
 
     def _flush_pending(self, shard: int) -> None:
         """Opportunistic anti-entropy: drain a shard's queued deletes
@@ -457,12 +515,10 @@ class ShardedCacheClient:
         queue = self._pending_deletes.get(shard)
         if not queue:
             return
-        live: List[Tuple[str, int]] = []
-        for layer, key in queue:
-            loc = self._imp_loc if layer == "imp" else self._hom_loc
-            if loc.get(key) == shard:
-                continue  # re-resident here; must NOT delete
-            live.append((layer, key))
+        live = [
+            (layer, key) for layer, key in queue
+            if self._loc[layer].get(key) != shard  # else re-resident here
+        ]
         self._pending_deletes[shard] = []
         if not live:
             return
@@ -476,7 +532,7 @@ class ShardedCacheClient:
         )
         repaired = True
         try:
-            self._transport.call(shard, "bulk_delete", live)
+            self.transport.call(shard, "bulk_delete", live)
         except _ATTEMPT_ERRORS:
             repaired = False
             self._pending_deletes[shard] = live + self._pending_deletes[shard]
@@ -484,7 +540,7 @@ class ShardedCacheClient:
             obs.span_end(span, self.clock.total_seconds, ok=repaired)
 
     # ------------------------------------------------------------------
-    # fetch protocol (Fig. 9, identical decisions to the monolith)
+    # request spans around the inherited protocol
     # ------------------------------------------------------------------
     def fetch(
         self,
@@ -492,26 +548,23 @@ class ShardedCacheClient:
         score: float,
         remote_get: Callable[[int], Any],
     ) -> FetchOutcome:
-        """Serve one sample request per the Fig. 9 protocol.
-
-        Decision-identical to :meth:`SemanticCache.fetch` in fault-free
-        runs; under faults, unreachable payloads degrade each stage to a
-        miss and the next stage takes over. With span tracing enabled
-        the whole request runs inside a ``fetch`` span — every RPC
-        attempt, backoff, breaker rejection, and repair it causes hangs
-        off that span in the trace.
+        """:meth:`SemanticCache.fetch`, unchanged; under faults,
+        unreachable payloads degrade each stage to a miss and the next
+        stage takes over. With span tracing enabled the whole request
+        runs inside a ``fetch`` span — every RPC attempt, backoff,
+        breaker rejection, and repair it causes hangs off that span in
+        the trace.
         """
+        index = int(index)
         obs = self._obs
         span = (
-            obs.span_start(
-                "fetch", self.clock.total_seconds, requested_id=int(index)
-            )
+            obs.span_start("fetch", self.clock.total_seconds, requested_id=index)
             if obs.active else None
         )
         if span is None:
-            return self._fetch_protocol(index, score, remote_get)
+            return super().fetch(index, score, remote_get)
         try:
-            out = self._fetch_protocol(index, score, remote_get)
+            out = super().fetch(index, score, remote_get)
         except BaseException as exc:
             obs.span_end(
                 span, self.clock.total_seconds, error=type(exc).__name__
@@ -523,376 +576,19 @@ class ShardedCacheClient:
         )
         return out
 
-    def _fetch_protocol(
-        self,
-        index: int,
-        score: float,
-        remote_get: Callable[[int], Any],
-    ) -> FetchOutcome:
-        """The Fig. 9 decision chain (importance -> homophily -> remote)."""
-        obs = self._obs
-        index = int(index)
-        payload = self._importance_get(index)
-        if payload is not None:
-            self.stats.hits += 1
-            if obs.active:
-                obs.on_fetch(index, index, FetchSource.IMPORTANCE)
-            return FetchOutcome(index, index, payload, FetchSource.IMPORTANCE)
-
-        sub = self._homophily_lookup(index)
-        if sub is not None:
-            node_key, node_payload = sub
-            if node_key == index:
-                self.stats.hits += 1
-            else:
-                self.stats.substitute_hits += 1
-            if obs.active:
-                obs.on_fetch(index, node_key, FetchSource.HOMOPHILY)
-            return FetchOutcome(
-                index, node_key, node_payload, FetchSource.HOMOPHILY
-            )
-
-        try:
-            payload = remote_get(index)
-        except self.degrade_on:
-            self.degraded.errors_absorbed += 1
-            return self._degraded_fetch(index)
-        self.stats.misses += 1
-        if obs.active:
-            obs.on_fetch(index, index, FetchSource.REMOTE)
-        self._admit_importance(index, payload, score)
-        return FetchOutcome(index, index, payload, FetchSource.REMOTE)
-
-    def _importance_get(self, index: int) -> Optional[Any]:
-        """Importance probe: metadata decides, the shard serves.
-
-        A metadata miss is a plain miss (no RPC — exactly the monolith's
-        dict probe). A metadata hit whose payload RPC fails degrades to a
-        miss and counts ``degraded_lookups``."""
-        shard = self._imp_loc.get(index)
-        if shard is None:
-            self.importance.stats.misses += 1
-            return None
-        try:
-            payload = self._call_with_retries(shard, "imp_get", index)
-        except _DEGRADE_ERRORS:
-            self.degraded_lookups += 1
-            self.importance.stats.misses += 1
-            return None
-        if payload is None:
-            # Shard lost a payload the metadata owns (possible only after
-            # invariant-violating external interference); degrade.
-            self.degraded_lookups += 1
-            self.importance.stats.misses += 1
-            return None
-        self.importance.stats.hits += 1
-        self._shard_stats[shard]["imp_hits"] += 1
-        return payload
-
-    def _hom_payload(self, key: int, substitute: bool) -> Optional[Any]:
-        """Fetch a homophily node's payload from its shard (None on RPC
-        failure — the caller degrades to a miss)."""
-        shard = self._hom_loc[key]
-        try:
-            payload = self._call_with_retries(shard, "hom_get", key, substitute)
-        except _DEGRADE_ERRORS:
-            self.degraded_lookups += 1
-            return None
-        if payload is None:
-            self.degraded_lookups += 1
-            return None
-        self._shard_stats[shard][
-            "hom_substitute_hits" if substitute else "hom_hits"
-        ] += 1
-        return payload
-
-    def _homophily_lookup(self, index: int) -> Optional[Tuple[int, Any]]:
-        """Homophily probe over the client-side cover map (Fig. 9 case 3);
-        serves the most recently inserted covering node, as the monolith
-        does."""
-        hstats = self.homophily.stats
-        if index in self._hom_entries:
-            payload = self._hom_payload(index, substitute=False)
-            if payload is None:
-                hstats.misses += 1
-                return None
-            hstats.hits += 1
-            return index, payload
-        covers = self._neighbor_of.get(index)
-        if not covers:
-            hstats.misses += 1
-            return None
-        for key in reversed(self._hom_entries):
-            if key in covers:
-                payload = self._hom_payload(key, substitute=True)
-                if payload is None:
-                    hstats.misses += 1
-                    return None
-                hstats.substitute_hits += 1
-                if self._obs.active:
-                    self._obs.on_audit(
-                        "substitute", key, "homophily",
-                        requested_id=index, reason="neighbor_cover",
-                    )
-                return key, payload
-        raise AssertionError("neighbor map out of sync with entries")
-
-    # ------------------------------------------------------------------
-    # admission / refresh (payload-put-first write ordering)
-    # ------------------------------------------------------------------
-    def _admit_importance(self, key: int, value: Any, score: float) -> bool:
-        """Monolith admission rule with RPC-first durability.
-
-        The payload put must succeed *before* any metadata changes; a
-        failed put is counted as a dropped admit and leaves the heap,
-        the location map, and every counter exactly as they were."""
-        obs = self._obs
-        imp = self.importance
-        if imp.capacity == 0:
-            return False
-        if key in self._imp_loc:
-            # Already resident: refresh payload and score.
-            if not self._shard_put(self._imp_loc[key], "imp_put", key, value):
-                return False
-            self._heap.update(key, score)
-            return True
-        if len(self._imp_loc) < imp.capacity:
-            shard = self._placement_ring().shard_for(key)
-            if not self._shard_put(shard, "imp_put", key, value):
-                return False
-            self._heap.push(key, score)
-            self._imp_loc[key] = shard
-            imp.stats.insertions += 1
-            if obs.active:
-                obs.on_admit(key, score, True, None)
-            return True
-        if score <= self._heap.min_priority():
-            if obs.active:
-                obs.on_admit(key, score, False, None)
-                obs.on_audit(
-                    "drop", key, "importance", score=score,
-                    threshold=self._heap.min_priority(),
-                    reason="below_min_score",
-                )
-            return False
-        shard = self._placement_ring().shard_for(key)
-        if not self._shard_put(shard, "imp_put", key, value):
-            return False
-        ev_score, evicted = self._heap.pop()
-        ev_shard = self._imp_loc.pop(evicted)
-        imp.stats.evictions += 1
-        self._best_effort_delete(ev_shard, "imp", evicted)
-        self._heap.push(key, score)
-        self._imp_loc[key] = shard
-        imp.stats.insertions += 1
-        if obs.active:
-            obs.on_admit(key, score, True, evicted)
-            obs.on_audit(
-                "evict", evicted, "importance", score=ev_score,
-                threshold=score, requested_id=key, reason="displaced",
-            )
-        return True
-
-    def _shard_put(self, shard: int, method: str, key: int, value: Any) -> bool:
-        """Payload put with retries; a failure is a *dropped admit*.
-
-        An ambiguously timed-out put may have executed server-side; the
-        orphan payload is queued for anti-entropy deletion so shard
-        contents reconverge with the metadata."""
-        nbytes = int(np.asarray(value).nbytes)
-        try:
-            self._call_with_retries(shard, method, key, value, nbytes=nbytes)
-        except _DEGRADE_ERRORS:
-            self.dropped_admits += 1
-            self._shard_stats[shard]["dropped_admits"] += 1
-            layer = "imp" if method.startswith("imp") else "hom"
-            self._pending_deletes.setdefault(shard, []).append((layer, key))
-            if self._obs.active:
-                self._obs.on_audit(
-                    "drop", key,
-                    "importance" if layer == "imp" else "homophily",
-                    reason="rpc_failed",
-                )
-            return False
-        return True
-
     def update_homophily(
         self, node_key: int, payload: Any, neighbor_ids: List[int]
     ) -> bool:
-        """Per-batch Homophily Cache refresh (FIFO), payload-put-first."""
+        """Per-batch Homophily Cache refresh, inside a ``put`` span."""
         obs = self._obs
         span = (
             obs.span_start("put", self.clock.total_seconds, key=int(node_key))
             if obs.active else None
         )
-        ok = self._update_homophily_inner(node_key, payload, neighbor_ids)
+        ok = super().update_homophily(node_key, payload, neighbor_ids)
         if span is not None:
             obs.span_end(span, self.clock.total_seconds, ok=ok)
         return ok
-
-    def _update_homophily_inner(
-        self, node_key: int, payload: Any, neighbor_ids: List[int]
-    ) -> bool:
-        hom = self.homophily
-        if hom.capacity == 0:
-            return False
-        key = int(node_key)
-        if key in self._hom_entries:
-            return False
-        shard = self._placement_ring().shard_for(key)
-        if not self._shard_put(shard, "hom_put", key, payload):
-            return False
-        obs = self._obs
-        while len(self._hom_entries) >= hom.capacity:
-            self._evict_oldest_hom("fifo")
-        neigh = tuple(int(n) for n in neighbor_ids)
-        self._hom_entries[key] = neigh
-        self._hom_loc[key] = shard
-        for n in neigh:
-            self._neighbor_of.setdefault(n, set()).add(key)
-        hom.stats.insertions += 1
-        if obs.active:
-            obs.on_homophily_insert(key, len(neigh))
-        return True
-
-    def _evict_oldest_hom(self, reason: str) -> int:
-        key, neigh = self._hom_entries.popitem(last=False)
-        for n in neigh:
-            owners = self._neighbor_of.get(n)
-            if owners is not None:
-                owners.discard(key)
-                if not owners:
-                    del self._neighbor_of[n]
-        shard = self._hom_loc.pop(key)
-        self.homophily.stats.evictions += 1
-        if self._obs.active:
-            self._obs.on_evict("homophily", key, reason)
-        self._best_effort_delete(shard, "hom", key)
-        return key
-
-    def update_score(self, index: int, score: float) -> None:
-        """Propagate a global-score change (pure metadata, no RPC)."""
-        if index in self._imp_loc:
-            self._heap.update(index, score)
-
-    # ------------------------------------------------------------------
-    # elastic split
-    # ------------------------------------------------------------------
-    @property
-    def imp_ratio(self) -> float:
-        return self._imp_ratio
-
-    def set_imp_ratio(self, ratio: float) -> None:
-        """Rebalance layer capacities (same split/ordering rules as the
-        monolith: shrink the losing layer first, then grow the other)."""
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError("imp_ratio must be in [0, 1]")
-        self._imp_ratio = float(ratio)
-        imp_cap = split_capacity(self.total_capacity, ratio)
-        hom_cap = self.total_capacity - imp_cap
-        if imp_cap < self.importance.capacity:
-            self._shrink_importance(imp_cap)
-            self.homophily.capacity = hom_cap
-        elif imp_cap > self.importance.capacity:
-            self._shrink_homophily(hom_cap)
-            self.importance.capacity = imp_cap
-
-    def _shrink_importance(self, capacity: int) -> List[int]:
-        obs = self._obs
-        evicted = []
-        while len(self._imp_loc) > capacity:
-            _, key = self._heap.pop()
-            shard = self._imp_loc.pop(key)
-            self.importance.stats.evictions += 1
-            if obs.active:
-                obs.on_evict("importance", key, "shrink")
-            self._best_effort_delete(shard, "imp", key)
-            evicted.append(key)
-        self.importance.capacity = int(capacity)
-        return evicted
-
-    def _shrink_homophily(self, capacity: int) -> List[int]:
-        evicted = []
-        while len(self._hom_entries) > capacity:
-            evicted.append(self._evict_oldest_hom("shrink"))
-        self.homophily.capacity = int(capacity)
-        return evicted
-
-    # ------------------------------------------------------------------
-    # degraded mode
-    # ------------------------------------------------------------------
-    def enable_degraded_mode(
-        self, errors: Optional[Tuple[type, ...]] = None
-    ) -> None:
-        """Serve degraded instead of raising when ``remote_get`` fails
-        (same default error set as the monolith)."""
-        if errors is None:
-            from repro.resilience.errors import DegradedModeError
-            from repro.storage.flaky import TransientFetchError
-
-            errors = (DegradedModeError, TransientFetchError)
-        self.degrade_on = tuple(errors)
-
-    def disable_degraded_mode(self) -> None:
-        """Restore strict fail-on-error fetch semantics."""
-        self.degrade_on = ()
-
-    def _degraded_fetch(self, index: int) -> FetchOutcome:
-        """Widened substitution while the remote tier is down.
-
-        Walks homophily entries newest-first until one's payload is
-        actually retrievable (fault-free this is exactly the monolith's
-        ``newest_entry``), then falls back to the importance minimum,
-        then skips — monolith accounting throughout."""
-        obs = self._obs
-        for key in reversed(self._hom_entries):
-            payload = self._neutral_read("hom", key)
-            if payload is None:
-                continue
-            self.stats.degraded_serves += 1
-            self.degraded.substituted_homophily += 1
-            if obs.active:
-                obs.on_degraded(index, key)
-                obs.on_fetch(index, key, FetchSource.DEGRADED)
-                obs.on_audit(
-                    "substitute", key, "homophily",
-                    requested_id=index, reason="degraded",
-                )
-            return FetchOutcome(index, key, payload, FetchSource.DEGRADED)
-        if len(self._heap):
-            min_score, key = self._heap.peek()
-            payload = self._neutral_read("imp", key)
-            if payload is not None:
-                self.stats.degraded_serves += 1
-                self.degraded.substituted_importance += 1
-                if obs.active:
-                    obs.on_degraded(index, key)
-                    obs.on_fetch(index, key, FetchSource.DEGRADED)
-                    obs.on_audit(
-                        "substitute", key, "importance", score=min_score,
-                        requested_id=index, reason="degraded",
-                    )
-                return FetchOutcome(index, key, payload, FetchSource.DEGRADED)
-        self.stats.misses += 1
-        self.degraded.skipped += 1
-        if obs.active:
-            obs.on_degraded(index, None)
-            obs.on_fetch(index, index, FetchSource.SKIPPED)
-        return FetchOutcome(index, index, None, FetchSource.SKIPPED)
-
-    def _neutral_read(self, layer: str, key: int) -> Optional[Any]:
-        """Payload read that does not disturb the shard's hit counters
-        (uses the read-only ``migrate_out`` export); None on failure."""
-        loc = self._imp_loc if layer == "imp" else self._hom_loc
-        shard = loc.get(key)
-        if shard is None:
-            return None
-        try:
-            out = self._call_with_retries(shard, "migrate_out", layer, [key])
-        except _DEGRADE_ERRORS:
-            self.degraded_lookups += 1
-            return None
-        return out.get(key)
 
     # ------------------------------------------------------------------
     # live ring resize + key migration
@@ -912,23 +608,23 @@ class ShardedCacheClient:
         new_n = int(new_shard_count)
         if new_n < 1:
             raise ValueError("new_shard_count must be >= 1")
-        if self._migration is not None and not self._migration.done:
+        if self.migration is not None and not self.migration.done:
             raise RuntimeError("a ring resize is already in progress")
-        old_n = self._ring.n_shards
+        old_n = self.ring.n_shards
         if new_n == old_n:
             return None
         for sid in range(old_n, new_n):
-            self._transport.add_shard(sid)
+            self.transport.add_shard(sid)
             breaker = CircuitBreaker(**self._breaker_kwargs)
             breaker.attach_observer(self._obs, label=f"shard{sid}")
-            self._breakers[sid] = breaker
+            self.breakers[sid] = breaker
         state = plan_migration(
             old_n,
-            self._ring.spawn(new_n),
+            self.ring.spawn(new_n),
             {"imp": dict(self._imp_loc), "hom": dict(self._hom_loc)},
             batch_size=self.migration_batch_size,
         )
-        self._migration = state
+        self.migration = state
         if self._obs.active:
             self._obs.on_resize(old_n, new_n, state.planned_moves)
         if drain:
@@ -947,7 +643,7 @@ class ShardedCacheClient:
         keys evicted or relocated since planning are silently skipped.
         Finalizes the resize (ring swap, retired-server teardown) once
         the queue is empty. Safe to call when no migration is active."""
-        state = self._migration
+        state = self.migration
         if state is None:
             return None
         budget = len(state.pending)
@@ -965,7 +661,7 @@ class ShardedCacheClient:
         while state.pending and budget > 0:
             budget -= 1
             batch = state.pending[0]
-            loc = self._imp_loc if batch.layer == "imp" else self._hom_loc
+            loc = self._loc[batch.layer]
             live = [k for k in batch.keys if loc.get(k) == batch.src]
             if not live:
                 state.pending.popleft()  # fully voided by eviction/churn
@@ -992,16 +688,9 @@ class ShardedCacheClient:
                 loc[k] = batch.dst  # point of no return: reads move over
             state.moved_keys += len(entries)
             if entries:
-                try:
-                    self._transport.call(
-                        batch.src,
-                        "bulk_delete",
-                        [(batch.layer, k) for k in entries],
-                    )
-                except _ATTEMPT_ERRORS:
-                    self._pending_deletes.setdefault(batch.src, []).extend(
-                        (batch.layer, k) for k in entries
-                    )
+                self._bulk_delete(
+                    batch.src, [(batch.layer, k) for k in entries]
+                )
         if span is not None:
             obs.span_end(
                 span, self.clock.total_seconds,
@@ -1013,17 +702,17 @@ class ShardedCacheClient:
         return state
 
     def _finalize_migration(self, state: MigrationState) -> None:
-        old_n = self._ring.n_shards
-        self._ring = state.target_ring
-        self.n_shards = self._ring.n_shards
+        old_n = self.ring.n_shards
+        self.ring = state.target_ring
+        self.n_shards = self.ring.n_shards
         for sid in range(self.n_shards, old_n):
             # Retired shards hold no referenced payloads any more; their
             # queued repairs die with them.
-            self._transport.remove_shard(sid)
-            self._breakers.pop(sid, None)
+            self.transport.remove_shard(sid)
+            self.breakers.pop(sid, None)
             self._pending_deletes.pop(sid, None)
         self.completed_resizes += 1
-        self._migration = None
+        self.migration = None
 
     def verify_placement(self) -> List[Tuple[str, int, int, Optional[int]]]:
         """Rebalance-correctness oracle; returns violations (empty = OK).
@@ -1036,19 +725,19 @@ class ShardedCacheClient:
         ring-disagreement entries."""
         ring = self._placement_ring()
         resident: Dict[Tuple[int, str], Set[int]] = {}
-        for sid in self._transport.shard_ids:
-            for layer in ("imp", "hom"):
+        for sid in self.transport.shard_ids:
+            for layer in self._loc:
                 try:
                     # Control-plane peek: no latency charge, no faults,
                     # no stats — the audit must not perturb the run.
-                    keys = self._transport.peek(sid, "keys", layer)
+                    keys = self.transport.peek(sid, "keys", layer)
                 except _ATTEMPT_ERRORS:
                     # Unreachable shard (real-transport outage): every
                     # payload it held is reported lost, which is true.
                     keys = ()
                 resident[(sid, layer)] = set(keys)
         bad: List[Tuple[str, int, int, Optional[int]]] = []
-        for layer, loc in (("imp", self._imp_loc), ("hom", self._hom_loc)):
+        for layer, loc in self._loc.items():
             for key, shard in loc.items():
                 expected = ring.shard_for(key)
                 if expected != shard:
@@ -1058,7 +747,7 @@ class ShardedCacheClient:
         return bad
 
     # ------------------------------------------------------------------
-    # snapshots / aggregate accounting
+    # snapshots / lifetime
     # ------------------------------------------------------------------
     def shard_snapshots(self) -> List[Dict[str, Any]]:
         """Per-shard service snapshot (pure-local: no RPCs, so snapshots
@@ -1066,9 +755,9 @@ class ShardedCacheClient:
         report's shards table."""
         imp_occ = Counter(self._imp_loc.values())
         hom_occ = Counter(self._hom_loc.values())
-        ch = self._transport
+        ch = self.transport
         snaps = []
-        for sid in sorted(self._transport.shard_ids):
+        for sid in sorted(ch.shard_ids):
             ss = self._shard_stats[sid]
             snaps.append(
                 {
@@ -1085,155 +774,18 @@ class ShardedCacheClient:
                     "rpc_retries": ss["rpc_retries"],
                     "rpc_fast_failures": ss["rpc_fast_failures"],
                     "dropped_admits": ss["dropped_admits"],
-                    "breaker": self._breakers[sid].state.value,
+                    "breaker": self.breakers[sid].state.value,
                 }
             )
         return snaps
 
-    @property
-    def hit_ratio(self) -> float:
-        """Total hit ratio including homophily substitutions."""
-        return self.stats.hit_ratio
-
-    def __len__(self) -> int:
-        return len(self._imp_loc) + len(self._hom_entries)
-
-    def reset_stats(self) -> None:
-        """Zero the aggregate and per-layer counters."""
-        self.stats.reset()
-        self.degraded.reset()
-        self.importance.stats.reset()
-        self.homophily.stats.reset()
-
     def close(self) -> None:
         """Release the transport (worker processes in real mode);
         idempotent, no-op for the in-process sim channel."""
-        self._transport.close()
+        self.transport.close()
 
     def __enter__(self) -> "ShardedCacheClient":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # checkpointing (SemanticCache-compatible state_dict)
-    # ------------------------------------------------------------------
-    def _gather(self, layer: str, keys: List[int]) -> List[np.ndarray]:
-        """Collect payloads for ``keys`` via batched read-only exports,
-        grouped per owning shard. Raises on RPC failure or a missing
-        payload — a checkpoint must be exact or not taken at all."""
-        loc = self._imp_loc if layer == "imp" else self._hom_loc
-        by_shard: Dict[int, List[int]] = {}
-        for k in keys:
-            by_shard.setdefault(loc[k], []).append(k)
-        out: Dict[int, Any] = {}
-        for shard, ks in by_shard.items():
-            out.update(self._call_with_retries(shard, "migrate_out", layer, ks))
-        missing = [k for k in keys if k not in out]
-        if missing:
-            raise RuntimeError(
-                f"shard tier lost {len(missing)} {layer} payload(s) "
-                f"(e.g. key {missing[0]}); cannot snapshot"
-            )
-        return [np.asarray(out[k]) for k in keys]
-
-    def state_dict(self) -> dict:
-        """Exact SemanticCache-format snapshot (payloads gathered from
-        the shards). Bit-identical to the monolith's after the same
-        fault-free workload — the differential oracle's equality check."""
-        imp_keys = list(self._imp_loc)
-        imp_payloads = (
-            np.stack(self._gather("imp", imp_keys))
-            if imp_keys
-            else np.empty((0,))
-        )
-        hom_keys = list(self._hom_entries)
-        hom_payloads = (
-            np.stack(self._gather("hom", hom_keys))
-            if hom_keys
-            else np.empty((0,))
-        )
-        return {
-            "total_capacity": self.total_capacity,
-            "imp_ratio": self._imp_ratio,
-            "stats": self.stats.state_dict(),
-            "degraded": self.degraded.state_dict(),
-            "importance": {
-                "capacity": self.importance.capacity,
-                "keys": np.asarray(imp_keys, dtype=np.int64),
-                "payloads": imp_payloads,
-                "heap": self._heap.state_dict(),
-                "stats": self.importance.stats.state_dict(),
-            },
-            "homophily": {
-                "capacity": self.homophily.capacity,
-                "keys": np.asarray(hom_keys, dtype=np.int64),
-                "payloads": hom_payloads,
-                "neighbors": [list(self._hom_entries[k]) for k in hom_keys],
-                "stats": self.homophily.stats.state_dict(),
-            },
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot: rebuild metadata, re-place every payload
-        per the current ring. Raises if the shard tier is unreachable —
-        a restore must be complete or not happen."""
-        if int(state["total_capacity"]) != self.total_capacity:
-            raise ValueError("sharded-cache snapshot capacity mismatch")
-        # Drop current residents first (best-effort; leftovers become
-        # orphans that anti-entropy or overwrites clean up).
-        stale: Dict[int, List[Tuple[str, int]]] = {}
-        for layer, loc in (("imp", self._imp_loc), ("hom", self._hom_loc)):
-            for k, s in loc.items():
-                stale.setdefault(s, []).append((layer, k))
-        for shard, entries in stale.items():
-            try:
-                self._transport.call(shard, "bulk_delete", entries)
-            except _ATTEMPT_ERRORS:
-                self._pending_deletes.setdefault(shard, []).extend(entries)
-
-        self._imp_ratio = float(state["imp_ratio"])
-        self.stats.load_state_dict(state["stats"])
-        self.degraded.load_state_dict(state["degraded"])
-        ring = self._placement_ring()
-
-        imp = state["importance"]
-        self.importance.capacity = int(imp["capacity"])
-        self.importance.stats.load_state_dict(imp["stats"])
-        self._heap.load_state_dict(imp["heap"])
-        imp_keys = [int(k) for k in np.asarray(imp["keys"], dtype=np.int64)]
-        payloads = imp["payloads"]
-        self._imp_loc = {}
-        placed: Dict[int, Dict[int, Any]] = {}
-        for i, k in enumerate(imp_keys):
-            shard = ring.shard_for(k)
-            self._imp_loc[k] = shard
-            placed.setdefault(shard, {})[k] = np.asarray(payloads[i])
-        if set(self._heap.keys()) != set(self._imp_loc):
-            raise ValueError("sharded-cache snapshot heap/location mismatch")
-        for shard, entries in placed.items():
-            self._call_with_retries(shard, "migrate_in", "imp", entries)
-
-        hom = state["homophily"]
-        self.homophily.capacity = int(hom["capacity"])
-        self.homophily.stats.load_state_dict(hom["stats"])
-        hom_keys = [int(k) for k in np.asarray(hom["keys"], dtype=np.int64)]
-        neighbors = hom["neighbors"]
-        if len(hom_keys) != len(neighbors):
-            raise ValueError("sharded-cache snapshot keys/neighbors mismatch")
-        payloads = hom["payloads"]
-        self._hom_entries = OrderedDict()
-        self._hom_loc = {}
-        self._neighbor_of = {}
-        placed = {}
-        for i, k in enumerate(hom_keys):
-            neigh = tuple(int(n) for n in neighbors[i])
-            self._hom_entries[k] = neigh
-            shard = ring.shard_for(k)
-            self._hom_loc[k] = shard
-            for n in neigh:
-                self._neighbor_of.setdefault(n, set()).add(k)
-            placed.setdefault(shard, {})[k] = np.asarray(payloads[i])
-        for shard, entries in placed.items():
-            self._call_with_retries(shard, "migrate_in", "hom", entries)

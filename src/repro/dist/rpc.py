@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.resilience.faults import FaultPlan
@@ -92,6 +92,7 @@ class Transport(abc.ABC):
     #: Clock stage charged per attempt.
     STAGE = "rpc"
 
+    clock: Any  # SimClock / WallClock every attempt is charged to
     calls: int
     failures: int
     timeouts: int
@@ -113,9 +114,56 @@ class Transport(abc.ABC):
         self._obs = observer
 
     # -- data plane ----------------------------------------------------
-    @abc.abstractmethod
     def call(self, shard: int, method: str, *args: Any, nbytes: int = 0) -> Any:
-        """One RPC attempt; returns the server method's result."""
+        """One RPC attempt; returns the server method's result.
+
+        Raises :class:`ShardOutageError` / :class:`RpcTimeoutError` per
+        the classification above. ``nbytes`` is the payload size (request
+        or response, whichever dominates). Counting, classification, and
+        observer emission happen here, once, for every backend; a backend
+        supplies only :meth:`_attempt`.
+        """
+        shard = int(shard)
+        if not self.has_shard(shard):
+            raise RpcError(shard, method, "unknown shard")
+        self.calls += 1
+        self.per_shard_calls[shard] += 1
+        now = self.clock.total_seconds
+        outcome, elapsed = self._attempt(shard, method, args, int(nbytes), now)
+        error = None
+        if isinstance(outcome, ShardOutageError):
+            error = "outage"
+            self.failures += 1
+            self.per_shard_failures[shard] += 1
+        elif isinstance(outcome, RpcTimeoutError):
+            error = "timeout"
+            self.timeouts += 1
+            self.per_shard_timeouts[shard] += 1
+        if self._obs.active:
+            self._obs.on_rpc(shard, method, elapsed, ok=error is None, error=error)
+            self._obs.span_record(
+                "rpc_attempt", now, now + elapsed,
+                shard=shard, method=method, ok=error is None,
+                **({} if error is None else {"error": error}),
+                transport=self.name,
+            )
+        if error is not None:
+            raise outcome
+        return outcome
+
+    @abc.abstractmethod
+    def _attempt(
+        self, shard: int, method: str, args: Tuple[Any, ...], nbytes: int,
+        now: float,
+    ) -> Tuple[Any, float]:
+        """Carry one attempt to a provisioned ``shard`` at clock time ``now``.
+
+        Returns ``(outcome, elapsed_s)`` after charging ``elapsed_s`` to
+        the clock's :attr:`STAGE`. ``outcome`` is the server method's
+        result, or — *returned, not raised* — the
+        :class:`ShardOutageError` / :class:`RpcTimeoutError` the attempt
+        ended in, so :meth:`call` can account for it before raising.
+        """
 
     @abc.abstractmethod
     def peek(self, shard: int, method: str, *args: Any) -> Any:
@@ -244,41 +292,22 @@ class SimRpcChannel(Transport):
         else:
             self.fault_plans[int(shard)] = plan
 
-    def call(self, shard: int, method: str, *args: Any, nbytes: int = 0) -> Any:
-        """One RPC attempt; returns the server method's result.
-
-        Raises :class:`ShardOutageError` / :class:`RpcTimeoutError` per
-        the classification above. ``nbytes`` is the simulated payload
-        size (request or response, whichever dominates).
-        """
-        shard = int(shard)
-        server = self.servers.get(shard)
-        if server is None:
-            raise RpcError(shard, method, "unknown shard")
-        self.calls += 1
-        self.per_shard_calls[shard] += 1
-        now = self.clock.total_seconds
+    def _attempt(
+        self, shard: int, method: str, args: Tuple[Any, ...], nbytes: int,
+        now: float,
+    ) -> Tuple[Any, float]:
+        server = self.servers[shard]
         plan = self.fault_plans.get(shard)
-        lat = self.latency.sample(int(nbytes) + RPC_OVERHEAD_NBYTES)
+        lat = self.latency.sample(nbytes + RPC_OVERHEAD_NBYTES)
         if plan is not None:
             if plan.outage_active(now):
                 # Connection refused: pay the (capped) round trip, no
                 # server-side effect.
                 charged = min(lat, self.deadline_s)
                 self.clock.advance(self.STAGE, charged)
-                self.failures += 1
-                self.per_shard_failures[shard] += 1
-                if self._obs.active:
-                    self._obs.on_rpc(shard, method, charged, ok=False,
-                                     error="outage")
-                    self._obs.span_record(
-                        "rpc_attempt", now, now + charged,
-                        shard=shard, method=method, ok=False, error="outage",
-                        transport=self.name,
-                    )
-                raise ShardOutageError(
+                return ShardOutageError(
                     shard, method, f"outage at t={now:.3f}s"
-                )
+                ), charged
             lat *= plan.latency_multiplier(now)
         if lat > self.deadline_s:
             # The caller abandons the call at the deadline, but the
@@ -286,27 +315,10 @@ class SimRpcChannel(Transport):
             # timeout — the result is simply lost).
             self.clock.advance(self.STAGE, self.deadline_s)
             getattr(server, method)(*args)
-            self.timeouts += 1
-            self.per_shard_timeouts[shard] += 1
-            if self._obs.active:
-                self._obs.on_rpc(shard, method, self.deadline_s, ok=False,
-                                 error="timeout")
-                self._obs.span_record(
-                    "rpc_attempt", now, now + self.deadline_s,
-                    shard=shard, method=method, ok=False, error="timeout",
-                    transport=self.name,
-                )
-            raise RpcTimeoutError(
+            return RpcTimeoutError(
                 shard, method,
                 f"latency {lat * 1e3:.2f}ms exceeded deadline "
                 f"{self.deadline_s * 1e3:.2f}ms",
-            )
+            ), self.deadline_s
         self.clock.advance(self.STAGE, lat)
-        result = getattr(server, method)(*args)
-        if self._obs.active:
-            self._obs.on_rpc(shard, method, lat)
-            self._obs.span_record(
-                "rpc_attempt", now, now + lat,
-                shard=shard, method=method, ok=True, transport=self.name,
-            )
-        return result
+        return getattr(server, method)(*args), lat

@@ -3,7 +3,7 @@
 A :class:`CacheShardServer` owns one partition of the payload bytes for
 both cache layers. It is deliberately *dumb*: all policy decisions
 (admission, eviction order, FIFO turnover, the capacity split, which
-node covers a request) live in the
+node covers a request) live in the cache layers of the
 :class:`~repro.dist.client.ShardedCacheClient`; the server is a keyed
 payload store with hit counters.
 

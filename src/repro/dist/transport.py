@@ -250,28 +250,19 @@ class RealRpcTransport(Transport):
         self._workers[shard] = _ShardWorker(shard, self._ctx)
 
     # -- data plane -----------------------------------------------------
-    def call(self, shard: int, method: str, *args: Any, nbytes: int = 0) -> Any:
-        shard = int(shard)
-        worker = self._workers.get(shard)
-        if worker is None:
-            raise RpcError(shard, method, "unknown shard")
-        self.calls += 1
-        self.per_shard_calls[shard] += 1
-        t0 = self.clock.total_seconds
+    def _attempt(
+        self, shard: int, method: str, args: Tuple[Any, ...], nbytes: int,
+        now: float,
+    ) -> Tuple[Any, float]:
         try:
-            result = worker.request(method, tuple(args), self.deadline_s)
-        except ShardOutageError:
-            self.failures += 1
-            self.per_shard_failures[shard] += 1
-            self._record(shard, method, t0, ok=False, error="outage")
-            raise
-        except RpcTimeoutError:
-            self.timeouts += 1
-            self.per_shard_timeouts[shard] += 1
-            self._record(shard, method, t0, ok=False, error="timeout")
-            raise
-        self._record(shard, method, t0, ok=True)
-        return result
+            outcome = self._workers[shard].request(method, args, self.deadline_s)
+        except (ShardOutageError, RpcTimeoutError) as exc:
+            outcome = exc
+        elapsed = max(self.clock.total_seconds - now, 0.0)
+        # Record (without sleeping) the measured attempt time against the
+        # rpc stage so breakdowns stay comparable with sim runs.
+        self.clock.advance_parallel(self.STAGE, [elapsed])
+        return outcome, elapsed
 
     def peek(self, shard: int, method: str, *args: Any) -> Any:
         """Control-plane read: same wire, but no stats and a generous
@@ -280,24 +271,6 @@ class RealRpcTransport(Transport):
         if worker is None:
             raise RpcError(int(shard), method, "unknown shard")
         return worker.request(method, tuple(args), max(self.deadline_s, 5.0))
-
-    def _record(self, shard: int, method: str, t0: float,
-                ok: bool, error: Optional[str] = None) -> None:
-        elapsed = max(self.clock.total_seconds - t0, 0.0)
-        # Record (without sleeping) the measured attempt time against the
-        # rpc stage so breakdowns stay comparable with sim runs.
-        self.clock.advance_parallel(self.STAGE, [elapsed])
-        if self._obs.active:
-            if ok:
-                self._obs.on_rpc(shard, method, elapsed)
-            else:
-                self._obs.on_rpc(shard, method, elapsed, ok=False, error=error)
-            self._obs.span_record(
-                "rpc_attempt", t0, t0 + elapsed,
-                shard=shard, method=method, ok=ok,
-                **({} if error is None else {"error": error}),
-                transport=self.name,
-            )
 
     # ------------------------------------------------------------------
     def close(self) -> None:

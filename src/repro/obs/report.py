@@ -289,12 +289,14 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
         lines.append("breaker transitions:")
         for ev in breaker:
             lines.append(f"  t={ev['at_s']:>9.3f}s {ev['old']} -> {ev['new']}")
-    # RPC spans tag which carrier served each attempt (sim oracle vs real
+    # Attempt spans tag which carrier served them (sim oracle vs real
     # worker processes), so a trace is self-describing about its mode.
+    # Only the ``rpc_attempt`` leaves count: the enclosing logical ``rpc``
+    # span carries the tag too and would double every attempt.
     rpc_by_transport: Dict[str, int] = {}
     for ev in events:
         if ev.get("kind") == "span" and "transport" in ev \
-                and str(ev.get("name", "")).startswith("rpc"):
+                and ev.get("name") == "rpc_attempt":
             t = str(ev["transport"])
             rpc_by_transport[t] = rpc_by_transport.get(t, 0) + 1
     if rpc_by_transport:

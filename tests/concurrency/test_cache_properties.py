@@ -124,12 +124,8 @@ def test_concurrent_commits_match_serial_replay(ops, workers):
             cs.insertions, cs.evictions) == (
         ss.hits, ss.misses, ss.substitute_hits, ss.insertions, ss.evictions
     )
-    assert list(concurrent_cache.importance._values) == list(
-        serial_cache.importance._values
-    )
+    assert concurrent_cache.importance.keys() == serial_cache.importance.keys()
     assert concurrent_cache.importance.scores_snapshot() == (
         serial_cache.importance.scores_snapshot()
     )
-    assert list(concurrent_cache.homophily._entries) == list(
-        serial_cache.homophily._entries
-    )
+    assert concurrent_cache.homophily.keys() == serial_cache.homophily.keys()

@@ -80,7 +80,7 @@ def test_bit_identical_to_serial_loader(workers, executor):
     assert (cs.hits, cs.misses, cs.substitute_hits) == (
         ss.hits, ss.misses, ss.substitute_hits
     )
-    assert list(cache.importance._values) == list(serial_cache.importance._values)
+    assert cache.importance.keys() == serial_cache.importance.keys()
 
 
 def test_overlap_charges_strictly_less_time():

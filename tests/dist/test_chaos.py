@@ -54,12 +54,12 @@ def check_invariants(cli):
     assert len(cli) <= cli.total_capacity
     assert len(cli.importance) <= cli.importance.capacity
     assert len(cli.homophily) <= cli.homophily.capacity
-    assert len(cli._heap) == len(cli._imp_loc)
-    assert set(cli._heap.keys()) == set(cli._imp_loc)
-    assert set(cli._hom_entries) == set(cli._hom_loc)
+    assert len(cli.importance._heap) == len(cli._imp_loc)
+    assert set(cli.importance._heap.keys()) == set(cli._imp_loc)
+    assert set(cli.homophily.keys()) == set(cli._hom_loc)
     snaps = cli.shard_snapshots()
     assert sum(s["imp_len"] for s in snaps) == len(cli._imp_loc)
-    assert sum(s["hom_len"] for s in snaps) == len(cli._hom_entries)
+    assert sum(s["hom_len"] for s in snaps) == len(cli.homophily)
 
 
 def drain(cli, max_passes=50):
@@ -137,7 +137,7 @@ def test_admits_during_outage_are_dropped_not_corrupting():
     cli = make_client(breaker_failure_threshold=1000)
     populate(cli)
     before_len = len(cli)
-    before_keys = set(cli._imp_loc) | set(cli._hom_entries)
+    before_keys = set(cli._imp_loc) | set(cli.homophily.keys())
     cli.set_fault_plan(0, OUTAGE)
     cli.set_fault_plan(1, OUTAGE)
     for k in range(100, 140):
@@ -145,7 +145,7 @@ def test_admits_during_outage_are_dropped_not_corrupting():
         cli.update_homophily(3000 + k, payload(k), [k])
     assert cli.dropped_admits == 80
     assert len(cli) == before_len  # metadata untouched
-    assert set(cli._imp_loc) | set(cli._hom_entries) == before_keys
+    assert set(cli._imp_loc) | set(cli.homophily.keys()) == before_keys
     check_invariants(cli)
     # Recovery: the cache works again and can admit.
     cli.set_fault_plan(0, None)
@@ -169,7 +169,7 @@ def test_brownout_timeouts_leave_shards_consistent():
     cli.set_fault_plan(1, plan)
     for k in range(20, 60):
         cli.fetch(k, float(k + 1), payload)
-    assert cli.channel.timeouts > 0  # the window did bite
+    assert cli.transport.timeouts > 0  # the window did bite
     check_invariants(cli)
     # Past the window (clock advanced via charged deadlines/backoffs),
     # traffic is clean again; drain the repair queues.

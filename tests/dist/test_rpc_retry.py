@@ -206,7 +206,7 @@ def test_retries_recover_from_a_transient_outage_window():
     assert out.source.value == "remote"
     assert cli.dropped_admits == 0 and 1 in cli.importance
     assert cli.rpc_retries == 2
-    assert cli.channel.failures == 2
+    assert cli.transport.failures == 2
 
 
 # ----------------------------------------------------------------------

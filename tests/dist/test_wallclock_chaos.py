@@ -93,7 +93,7 @@ def ledger(cli):
         "per_shard_calls": dict(cli.transport.per_shard_calls),
         "per_shard_failures": dict(cli.transport.per_shard_failures),
         "imp_keys": sorted(cli._imp_loc),
-        "hom_keys": sorted(cli._hom_entries),
+        "hom_keys": sorted(cli.homophily.keys()),
         "len": len(cli),
         "breakers": [b.state.value for b in cli.breakers.values()],
         "snapshots": snaps,

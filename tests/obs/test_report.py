@@ -161,3 +161,37 @@ def test_report_skips_consistency_check_after_restore(tmp_path):
     text = render_report(tmp_path)
     assert "consistency check skipped" in text
     assert "restore" in text
+
+
+def test_rpc_attempt_line_equals_the_rpc_calls_counter(tmp_path):
+    """The ``rpc transport:`` line counts attempts, not attempts plus the
+    logical ``rpc`` spans that enclose them."""
+    import re
+
+    from repro.train.data_parallel import DataParallelTrainer
+
+    ds = make_clustered_dataset(240, n_classes=4, dim=16, rng=0)
+    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    registry = MetricsRegistry()
+    dp = DataParallelTrainer(
+        model_factory=lambda: build_model("resnet18", train.dim,
+                                          train.num_classes, rng=2),
+        train_set=train,
+        test_set=test,
+        policy_factory=lambda rank: SpiderCachePolicy(cache_fraction=0.3, rng=3),
+        world_size=2,
+        shared_cache=True,
+        cache_shards=2,
+        config=TrainerConfig(epochs=2, batch_size=32),
+        observer=Observer(recorder=recorder, metrics=registry, span_seed=5),
+        rng=4,
+    )
+    result = dp.run()
+    recorder.close()
+    write_run_artifacts(result, tmp_path, metrics_snapshot=registry.snapshot())
+    calls = registry.counter("rpc.calls").value
+    assert calls > 0
+    match = re.search(r"rpc transport: sim=(\d+) attempt\(s\)",
+                      render_report(tmp_path))
+    assert match and int(match.group(1)) == calls

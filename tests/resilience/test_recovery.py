@@ -106,14 +106,12 @@ def test_exact_recovery_acceptance(build_run, tmp_path):
     # Importance-cache contents: same keys in the same order, same
     # payloads, same heap eviction order next.
     bi, pi = base_policy.cache.importance, policy.cache.importance
-    assert list(bi._values) == list(pi._values)
-    for k in bi._values:
-        np.testing.assert_array_equal(bi._values[k], pi._values[k])
+    assert bi.keys() == pi.keys()
+    for k in bi.keys():
+        np.testing.assert_array_equal(bi.store.peek(k), pi.store.peek(k))
     assert bi.peek_min()[0] == pi.peek_min()[0]
     # Homophily layer, score table, epoch metrics, and the clock too.
-    assert list(base_policy.cache.homophily._entries) == list(
-        policy.cache.homophily._entries
-    )
+    assert base_policy.cache.homophily.keys() == policy.cache.homophily.keys()
     np.testing.assert_array_equal(
         base_policy.score_table.scores, policy.score_table.scores
     )
@@ -222,9 +220,9 @@ def test_prefetch_recovery_is_exact(build_run, tmp_path):
     assert r0.epochs == r1.epochs
     assert base.clock.state_dict() == trainer.clock.state_dict()
     bi, pi = base_policy.cache.importance, policy.cache.importance
-    assert list(bi._values) == list(pi._values)
-    for k in bi._values:
-        np.testing.assert_array_equal(bi._values[k], pi._values[k])
+    assert bi.keys() == pi.keys()
+    for k in bi.keys():
+        np.testing.assert_array_equal(bi.store.peek(k), pi.store.peek(k))
     # Prefetch-vs-serial: learning identical, only load accounting differs.
     assert _params_equal(serial_model, model)
     for es, ep in zip(rs.epochs, r1.epochs):
@@ -233,6 +231,6 @@ def test_prefetch_recovery_is_exact(build_run, tmp_path):
         assert es.hit_ratio == ep.hit_ratio
         assert es.substitute_ratio == ep.substitute_ratio
     si = serial_policy.cache.importance
-    assert list(si._values) == list(pi._values)
+    assert si.keys() == pi.keys()
     trainer.loader.close()
     base.loader.close()
