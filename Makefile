@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench bench-csv bench-trajectory bench-tracing examples smoke faults concurrency dist load transport report all
+.PHONY: install test coverage bench bench-csv bench-trajectory bench-tracing perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist load transport report all
 
 # Where `make report` writes (and reads back) its traced demo run.
 REPORT_DIR ?= results/traced-run
@@ -34,6 +34,20 @@ bench-trajectory:
 # fails; `--write` refreshes the committed benchmarks/BENCH_TRACING.json.
 bench-tracing:
 	$(PYTHON) benchmarks/tracing_overhead.py --write
+
+# The repo's wall-clock benchmark (perfbench/README.md, BENCHMARK.json):
+# every workload, untraced + traced pass, one result file per commit.
+# `perfbench-compare A=parent.json B=change.json` prints the verdict per
+# workload and end-to-end metric; `perfbench-selftest` runs the same code
+# at tiny sizes.
+perfbench:
+	python3 -m perfbench run --seed 0 --out perfbench-$$(git rev-parse --short HEAD).json
+
+perfbench-compare:
+	python3 -m perfbench compare $(A) $(B)
+
+perfbench-selftest:
+	python3 -m pytest perfbench/tests -q
 
 # Same benches, also dumping every table as CSV into results/.
 bench-csv:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "squared_norms",
     "l2_distances",
     "l2_distance_matrix",
     "pairwise_l2",
@@ -32,6 +33,15 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a 2-D array.
+
+    The one kernel every ``||x||^2`` term below comes from, so an index that
+    caches it per row reproduces these distances to the bit.
+    """
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 def l2_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Euclidean distances from one query vector to each row of ``points``.
 
@@ -43,7 +53,7 @@ def l2_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: query has {query.shape[0]}, points have {points.shape[1]}"
         )
-    diff_sq = np.einsum("ij,ij->i", points, points) - 2.0 * (points @ query)
+    diff_sq = squared_norms(points) - 2.0 * (points @ query)
     diff_sq += query @ query
     np.maximum(diff_sq, 0.0, out=diff_sq)
     return np.sqrt(diff_sq)
@@ -57,11 +67,7 @@ def l2_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = _as_2d(a), _as_2d(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("dimension mismatch between a and b")
-    sq = (
-        np.einsum("ij,ij->i", a, a)[:, None]
-        + np.einsum("ij,ij->i", b, b)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    sq = squared_norms(a)[:, None] + squared_norms(b)[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq)
 

@@ -31,6 +31,12 @@ codes, and the final beam is re-ranked with exact distances.
 Dynamic updates (embeddings drift as the model trains) are supported by
 re-linking: ``update`` detaches the node from all its neighbors and
 re-inserts it with its new vector, preserving its id.
+
+Range queries (``neighbors_within*``, the scorer's only question) run the
+same layer-0 beam with a radius: ``ef_search`` wide while the beam's worst
+member is outside the radius, then as large as the in-radius set it finds
+(see :meth:`HNSWIndex._search_layer`), so the nodes visited follow the size
+of the answer rather than ``max_neighbors``.
 """
 
 from __future__ import annotations
@@ -109,8 +115,9 @@ class HNSWIndex:
         self._free: List[int] = []  # vacated rows available for reuse
         self._entry: Optional[int] = None  # external id of the entry point
         self._max_level = -1
-        # (row, layer) -> adjacency as an int64 array; cleared wholesale on
-        # any graph mutation so query workloads materialize each list once.
+        # (row, layer) -> adjacency as an int64 array. A mutation drops
+        # exactly the lists it changed, so queries and the insertion
+        # searches between mutations materialize each list once.
         self._adj_cache: Dict[Tuple[int, int], np.ndarray] = {}
         # Optional PQ/ADC candidate-scoring mode (see attach_pq).
         self._pq: Optional["ProductQuantizer"] = None
@@ -233,7 +240,9 @@ class HNSWIndex:
         """
         if table is not None:
             return self._pq.adc_lookup(table, self._codes[rows], squared=True)
-        sq = self._norms[rows] - 2.0 * (self._vectors[rows] @ query)
+        sq = self._vectors.take(rows, axis=0).dot(query)
+        sq *= -2.0
+        sq += self._norms.take(rows)
         sq += qq
         return sq
 
@@ -244,9 +253,10 @@ class HNSWIndex:
     def _adj_rows(self, row: int, layer: int) -> np.ndarray:
         """Adjacency of ``(row, layer)`` as a cached int64 row array.
 
-        The cache is invalidated wholesale on any graph mutation; during
-        pure query workloads each adjacency list is materialized exactly
-        once instead of being rebuilt on every hop.
+        Every write to ``_out[row][layer]`` pops that entry (``reorder``
+        relabels all rows and clears the lot), so an entry always equals
+        its list — :meth:`validate_invariants` checks it — and a list is
+        rebuilt only after it changed, not on every hop.
         """
         key = (row, layer)
         arr = self._adj_cache.get(key)
@@ -300,17 +310,31 @@ class HNSWIndex:
         layer: int,
         table: Optional[np.ndarray] = None,
         entry_dist: Optional[float] = None,
+        sq_radius: float = -math.inf,
+        cap: Optional[int] = None,
     ) -> List[Tuple[float, int, int]]:
-        """Beam search at one layer; returns up to ``ef`` triples of
+        """Beam search at one layer; returns the beam as triples of
         ``(squared dist, id, row)`` sorted ascending by ``(dist, id)``.
+
+        The beam holds ``ef`` members, and the search stops when the nearest
+        unexpanded candidate is farther than the beam's worst. ``sq_radius``
+        (squared) makes that a range query: a member inside the radius is
+        never evicted for width, only once the beam reaches ``cap``, so the
+        beam is ``ef`` wide while its worst lies outside the radius and
+        otherwise as large as the in-radius set it has found. Below ``cap``
+        every in-radius candidate is still a member, hence no farther than
+        the worst, hence expanded: the stop rule reads ``max(worst,
+        radius)``. The default ``-inf`` is plain k-NN; ``inf`` is a plain
+        beam of width ``cap``.
 
         Heap ordering ties break on the external id (never the row), so the
         result sequence is invariant under :meth:`reorder`. Per hop, the
         frontier filter is a vectorized mask over a row-indexed visited
-        array, and candidates that cannot beat the current beam worst are
-        dropped in bulk before the heap loop (exact: the worst only shrinks,
-        so a candidate at or beyond it can never be admitted later).
+        array, and candidates the beam cannot admit are dropped in bulk
+        before the heap loop.
         """
+        if cap is None:
+            cap = ef
         if entry_dist is None:
             entry_dist = float(
                 self._dists_rows(
@@ -328,8 +352,8 @@ class HNSWIndex:
         while candidates:
             cand_dist, _, cand_row = pop(candidates)
             worst = -results[0][0]
-            full = len(results) >= ef
-            if full and cand_dist > worst:
+            size = len(results)
+            if size >= ef and cand_dist > worst:
                 break
             adj = self._adj_rows(cand_row, layer)
             fresh = adj[~visited[adj]]
@@ -337,21 +361,27 @@ class HNSWIndex:
                 continue
             visited[fresh] = True
             dists = self._dists_rows(query, fresh, qq, table)
-            if full:
-                keep = dists < worst
-                if not keep.all():
-                    fresh = fresh[keep]
-                    if not fresh.size:
-                        continue
-                    dists = dists[keep]
+            if size >= ef:
+                if size < cap and worst <= sq_radius:
+                    keep = dists <= sq_radius
+                else:
+                    keep = dists < worst
+                fresh = fresh[keep]
+                if not fresh.size:
+                    continue
+                dists = dists[keep]
             for row, nd in zip(fresh.tolist(), dists.tolist()):
-                if nd < worst or len(results) < ef:
+                size = len(results)
+                if (
+                    size < ef
+                    or nd < -results[0][0]
+                    or (nd <= sq_radius and size < cap)
+                ):
                     nid = id_of[row]
                     push(candidates, (nd, nid, row))
                     push(results, (-nd, nid, row))
-                    if len(results) > ef:
+                    if size >= ef and (size >= cap or -results[0][0] > sq_radius):
                         pop(results)
-                    worst = -results[0][0]
         out = [(-d, i, r) for d, i, r in results]
         out.sort()
         return out
@@ -411,7 +441,6 @@ class HNSWIndex:
         vector = np.ascontiguousarray(np.asarray(vector, dtype=np.float64).ravel())
         if vector.shape[0] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {vector.shape[0]}")
-        self._adj_cache.clear()
         if item_id in self._row_of:
             level = self._levels[self._row_of[item_id]]
             self._detach(item_id)
@@ -439,19 +468,21 @@ class HNSWIndex:
             m = self.M0 if layer == 0 else self.M
             chosen = self._select_neighbors(candidates, m)
             self._out[row][layer] = list(chosen)
+            self._adj_cache.pop((row, layer), None)
+            overfull: List[int] = []
             for crow in chosen:
                 self._in[crow][layer].add(row)
                 self._in[row][layer].add(crow)
                 cadj = self._out[crow][layer]
                 cadj.append(row)
+                self._adj_cache.pop((crow, layer), None)
                 if len(cadj) > m:
-                    self._prune(crow, layer, m)
+                    overfull.append(crow)
+            # A prune reads and writes only its own node's list, so the
+            # overflowing neighbours can all be pruned after the linking.
+            self._prune_many(overfull, layer, m)
             if candidates:
                 entry_row = candidates[0][2]
-
-        # The layer searches above populate the adjacency cache from the
-        # pre-link graph; linking then mutates it, so flush again on exit.
-        self._adj_cache.clear()
 
         if level > self._max_level:
             self._max_level = level
@@ -460,7 +491,7 @@ class HNSWIndex:
     def _prune(self, row: int, layer: int, limit: int) -> None:
         """Shrink a node's adjacency list back to ``limit`` using the
         diversified selection heuristic, keeping reverse edges consistent."""
-        self._adj_cache.clear()
+        self._adj_cache.pop((row, layer), None)
         adj = self._out[row][layer]
         rows = self._rows_array(adj)
         dists = self._dists_rows(self._vectors[row], rows, self._norms[row])
@@ -472,13 +503,73 @@ class HNSWIndex:
         for other in dropped:
             self._in[other][layer].discard(row)
 
+    def _prune_many(self, rows: List[int], layer: int, limit: int) -> None:
+        """:meth:`_prune` for many nodes of one layer at once.
+
+        An insertion overflows each neighbour's list to exactly
+        ``limit + 1``; those lists are pruned together — one gather, one
+        batched GEMM for the candidate cross-distances, and the greedy rule
+        of :meth:`_select_neighbors` run in lockstep over candidate position
+        (nearest first). Lists of any other length take :meth:`_prune`.
+        """
+        width = limit + 1
+        batch = []
+        for row in rows:
+            if len(self._out[row][layer]) == width:
+                batch.append(row)
+            else:
+                self._prune(row, layer, limit)
+        if not batch:
+            return
+        own = self._rows_array(batch)
+        adj = np.array([self._out[row][layer] for row in batch], dtype=np.int64)
+        each = np.arange(len(batch))[:, None]
+        # Candidates nearest first, as _prune orders them.
+        dists = self._norms.take(adj) - 2.0 * np.matmul(
+            self._vectors.take(adj, axis=0),
+            self._vectors.take(own, axis=0)[:, :, None],
+        )[:, :, 0]
+        dists += self._norms.take(own)[:, None]
+        order = np.argsort(dists, axis=1, kind="stable")
+        adj = adj[each, order]
+        dists = dists[each, order]
+        vecs = self._vectors.take(adj, axis=0)  # (batch, width, dim)
+        norms = self._norms.take(adj)
+        dots = np.matmul(vecs, vecs.transpose(0, 2, 1))
+        dots *= 2.0
+        cross = norms[:, :, None] + norms[:, None, :]
+        cross -= dots
+        np.maximum(cross, 0.0, out=cross)
+        # closer[b, pos, j]: candidate j of node b is nearer to candidate pos
+        # than node b is, i.e. j (once selected) dominates pos.
+        closer = cross < dists[:, :, None]
+        selected = np.zeros(adj.shape, dtype=bool)
+        for pos in range(width):
+            dominated = (selected & closer[:, pos]).any(axis=1)
+            np.logical_not(dominated, out=selected[:, pos])
+        # The rule stops at ``limit`` selections, which with limit + 1
+        # candidates can only cost the last one its place.
+        selected[:, limit] &= ~selected[:, :limit].all(axis=1)
+        # kept = selected + skipped[:limit - n_selected], each nearest
+        # first: everything but the farthest skipped candidate.
+        adj = adj[each, np.argsort(~selected, axis=1, kind="stable")]
+        for row, kept, dropped in zip(
+            batch, adj[:, :limit].tolist(), adj[:, limit].tolist()
+        ):
+            self._in[dropped][layer].discard(row)
+            self._out[row][layer] = kept
+            self._adj_cache.pop((row, layer), None)
+
     def add_batch(self, item_ids: np.ndarray, vectors: np.ndarray) -> None:
         """Insert or update many vectors sequentially."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         item_ids = np.asarray(item_ids).ravel()
         if len(item_ids) != len(vectors):
             raise ValueError("item_ids and vectors length mismatch")
-        self._grow(len(self._row_of) + len(item_ids))
+        # Rows needed: the live ones plus the ids not indexed yet (an update
+        # re-uses the row it frees).
+        fresh = set(item_ids.tolist()) - self._row_of.keys()
+        self._grow(len(self._row_of) + len(fresh))
         for i, v in zip(item_ids, vectors):
             self.add(int(i), v)
 
@@ -491,7 +582,6 @@ class HNSWIndex:
         O(degree) via the reverse-edge sets: only the node's own out-edges
         and the nodes that link *to* it are visited, never the whole graph.
         """
-        self._adj_cache.clear()
         row = self._row_of[item_id]
         for layer in range(self._levels[row] + 1):
             for other in self._out[row][layer]:
@@ -501,8 +591,10 @@ class HNSWIndex:
                     self._out[other][layer].remove(row)
                 except ValueError:  # pragma: no cover - defensive
                     pass
+                self._adj_cache.pop((other, layer), None)
             self._out[row][layer] = []
             self._in[row][layer] = set()
+            self._adj_cache.pop((row, layer), None)
         if self._entry == item_id:
             self._entry = None
             self._max_level = -1
@@ -564,6 +656,24 @@ class HNSWIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _beam_limits(
+        self, k: int, ef: Optional[int], radius: Optional[float]
+    ) -> Tuple[int, int, float]:
+        """``(width, cap, squared radius)`` of a query's layer-0 beam.
+
+        k-NN (``radius=None``) needs a beam of ``max(ef, k)``. A range query
+        keeps the beam at ``ef`` while it is still outside the radius and
+        lets it grow to ``k`` over the in-radius set, so its cost follows
+        the number of neighbours it returns instead of ``k``.
+        """
+        width = int(ef if ef is not None else self.ef_search)
+        if radius is None:
+            width = max(width, k)
+            return width, width, -math.inf
+        # Traversal compares squared distances; the slack keeps a point the
+        # caller's ``d <= radius`` test accepts from rounding to "outside".
+        return width, max(width, k), radius * radius * (1.0 + 1e-9)
+
     def search(
         self,
         query: np.ndarray,
@@ -571,6 +681,7 @@ class HNSWIndex:
         ef: Optional[int] = None,
         exclude: Optional[int] = None,
         mode: Optional[str] = None,
+        radius: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Approximate k-NN. Returns ``(ids, distances)`` ascending.
 
@@ -578,6 +689,9 @@ class HNSWIndex:
         one slot so the exclusion cannot under-fill the k requested results.
         ``mode`` selects the candidate-scoring kernel: ``"exact"`` (default)
         or ``"pq"`` (ADC against the attached quantizer, exact re-rank).
+        ``radius`` turns the beam into a range query's (see
+        :meth:`_beam_limits`): up to ``k`` results, of which every one
+        within ``radius`` is kept; the caller filters the rest.
         """
         if self._entry is None:
             return np.empty(0, dtype=np.int64), np.empty(0)
@@ -585,17 +699,18 @@ class HNSWIndex:
         if query.shape[0] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {query.shape[0]}")
         k = int(k)
-        ef_eff = max(int(ef if ef is not None else self.ef_search), k)
+        width, cap, sq_radius = self._beam_limits(k, ef, radius)
         if exclude is not None:
             # The beam must hold k survivors plus the excluded id.
-            ef_eff += 1
+            width += 1
+            cap += 1
         table, uses_pq = self._resolve_mode(query, mode)
         qq = float(query @ query)
         entry_row, entry_dist = self._greedy_descend(
             query, qq, self._row_of[self._entry], self._max_level, 0, table
         )
         results = self._search_layer(
-            query, qq, entry_row, ef_eff, 0, table, entry_dist
+            query, qq, entry_row, width, 0, table, entry_dist, sq_radius, cap
         )
         if exclude is not None:
             excl = int(exclude)
@@ -622,10 +737,11 @@ class HNSWIndex:
         ef: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
         mode: Optional[str] = None,
+        radius: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """k-NN for many queries; same contract as brute-force
         ``search_batch``: ``(ids, dists)`` of shape ``(n_queries, k)``, rows
-        padded with ``-1``/``inf``.
+        padded with ``-1``/``inf``. ``radius`` as in :meth:`search`.
 
         Exact-mode batches run the layer-0 beams in *lockstep*: every
         macro-hop pops one candidate per still-active query, concatenates
@@ -661,7 +777,7 @@ class HNSWIndex:
                 if exclude is not None and exclude[qi] >= 0:
                     excl = int(exclude[qi])
                 ids, dists = self.search(
-                    queries[qi], k, ef=ef, exclude=excl, mode="pq"
+                    queries[qi], k, ef=ef, exclude=excl, mode="pq", radius=radius
                 )
                 out_ids[qi, : ids.shape[0]] = ids
                 out_d[qi, : ids.shape[0]] = dists
@@ -669,12 +785,13 @@ class HNSWIndex:
         if resolved != "exact":
             raise ValueError(f"unknown search mode {resolved!r}")
 
-        base_ef = max(int(ef if ef is not None else self.ef_search), k)
-        efs = np.full(nq, base_ef, dtype=np.int64)
+        width, cap, sq_radius = self._beam_limits(k, ef, radius)
+        efs = np.full(nq, width, dtype=np.int64)
         if exclude is not None:
             # Same widening as search(): the beam must hold k survivors
             # plus the excluded id — only for queries that exclude one.
             efs[exclude >= 0] += 1
+        caps = efs + (cap - width)
         qq = np.einsum("ij,ij->i", queries, queries)
         # Chunk so the (chunk, rows) visited matrix stays modest.
         n_rows = max(len(self._id_of), 1)
@@ -682,7 +799,8 @@ class HNSWIndex:
         for start in range(0, nq, chunk):
             stop = min(nq, start + chunk)
             per_query = self._search_layer0_batch(
-                queries[start:stop], qq[start:stop], efs[start:stop]
+                queries[start:stop], qq[start:stop], efs[start:stop],
+                caps[start:stop], sq_radius,
             )
             for off, results in enumerate(per_query):
                 qi = start + off
@@ -698,21 +816,28 @@ class HNSWIndex:
         return out_ids, out_d
 
     def _search_layer0_batch(
-        self, queries: np.ndarray, qq: np.ndarray, efs: np.ndarray
+        self,
+        queries: np.ndarray,
+        qq: np.ndarray,
+        efs: np.ndarray,
+        caps: np.ndarray,
+        sq_radius: float,
     ) -> List[List[Tuple[float, int, int]]]:
         """Lockstep layer-0 beam search for a chunk of queries.
 
         Per macro-round, one candidate is popped per active query; all their
         frontier adjacencies are scored in a single vectorized call. Each
         query's pop/admit sequence replays exactly what :meth:`_search_layer`
-        would do (queries share no state); the only difference from the
-        per-query path is the fused distance kernel's summation order, a
-        1-ulp-level effect on the returned distances.
+        would do with the same ``ef`` / ``cap`` / ``sq_radius`` (queries
+        share no state); the only difference from the per-query path is the
+        fused distance kernel's summation order, a 1-ulp-level effect on the
+        returned distances.
         """
         nq = queries.shape[0]
         id_of = self._id_of
         push, pop = heapq.heappush, heapq.heappop
-        ef_of = [int(e) for e in efs]
+        ef_of = efs.tolist()
+        cap_of = caps.tolist()
         entry_row = self._row_of[self._entry]
         visited = np.zeros((nq, len(id_of)), dtype=bool)
         candidates: List[List[Tuple[float, int, int]]] = []
@@ -725,7 +850,7 @@ class HNSWIndex:
             visited[i, row] = True
             candidates.append([(d, nid, row)])
             results.append([(-d, nid, row)])
-        worst_of = np.empty(nq)
+        bound_of = np.empty(nq)
         active = list(range(nq))
         while active:
             popped_q: List[int] = []
@@ -760,21 +885,36 @@ class HNSWIndex:
                 "ij,ij->i", gathered, queries[q_f]
             )
             sq += qq[q_f]
+            # Bulk drop of what no beam can admit (a superset of the exact
+            # per-item rule below, which settles ties with the worst).
             for i in popped_q:
                 res = results[i]
-                worst_of[i] = -res[0][0] if len(res) >= ef_of[i] else np.inf
-            keep = sq < worst_of[q_f]
+                size = len(res)
+                if size < ef_of[i]:
+                    bound_of[i] = np.inf
+                elif size < cap_of[i]:
+                    bound_of[i] = max(-res[0][0], sq_radius)
+                else:
+                    bound_of[i] = -res[0][0]
+            keep = sq <= bound_of[q_f]
             if not keep.all():
                 rows_f = rows_f[keep]
                 q_f = q_f[keep]
                 sq = sq[keep]
             for i, row, nd in zip(q_f.tolist(), rows_f.tolist(), sq.tolist()):
                 res = results[i]
-                if nd < -res[0][0] or len(res) < ef_of[i]:
+                size = len(res)
+                if (
+                    size < ef_of[i]
+                    or nd < -res[0][0]
+                    or (nd <= sq_radius and size < cap_of[i])
+                ):
                     nid = id_of[row]
                     push(candidates[i], (nd, nid, row))
                     push(res, (-nd, nid, row))
-                    if len(res) > ef_of[i]:
+                    if size >= ef_of[i] and (
+                        size >= cap_of[i] or -res[0][0] > sq_radius
+                    ):
                         pop(res)
         out: List[List[Tuple[float, int, int]]] = []
         for res in results:
@@ -792,12 +932,14 @@ class HNSWIndex:
         max_neighbors: int = 512,
         mode: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate range query: beam-search then filter by ``radius``.
+        """Approximate range query: radius-aware beam search, then filter.
 
-        ``max_neighbors`` caps the beam (paper's ``neighbormax``-scale bound).
+        Returns the nearest ``max_neighbors`` (paper's ``neighbormax``-scale
+        bound) of the points found within ``radius``, ascending.
         """
         ids, dists = self.search(
-            query, k=max_neighbors, ef=ef, exclude=exclude, mode=mode
+            query, k=max_neighbors, ef=ef, exclude=exclude, mode=mode,
+            radius=radius,
         )
         keep = dists <= radius
         return ids[keep], dists[keep]
@@ -817,10 +959,12 @@ class HNSWIndex:
         truncated to ``max_neighbors``; ``exclude[i]`` (if given, ``-1`` =
         none) removes one id from query ``i``'s results. Runs on the
         lockstep batched beam (see :meth:`search_batch`), so the whole
-        scorer sweep shares vectorized distance calls.
+        scorer sweep shares vectorized distance calls, with the radius-aware
+        beam of :meth:`_beam_limits`.
         """
         ids_mat, d_mat = self.search_batch(
-            queries, k=max_neighbors, ef=ef, exclude=exclude, mode=mode
+            queries, k=max_neighbors, ef=ef, exclude=exclude, mode=mode,
+            radius=radius,
         )
         results: List[Tuple[np.ndarray, np.ndarray]] = []
         for qi in range(ids_mat.shape[0]):
@@ -993,8 +1137,9 @@ class HNSWIndex:
         """Raise ``AssertionError`` if internal bookkeeping is inconsistent.
 
         Checks the id↔row bijection, the forward/reverse edge mirror, edge
-        endpoints' liveness and layer bounds, and the entry point's level.
-        Intended for tests; O(edges).
+        endpoints' liveness and layer bounds, the entry point's level, and
+        that no cached adjacency array is stale. Intended for tests;
+        O(edges).
         """
         live_rows = set(self._row_of.values())
         assert len(live_rows) == len(self._row_of), "row map is not injective"
@@ -1023,3 +1168,7 @@ class HNSWIndex:
             assert self._levels[entry_row] == self._max_level, (
                 "entry level != max_level"
             )
+        for (row, layer), cached in self._adj_cache.items():
+            assert layer < len(self._out[row]) and (
+                cached.tolist() == self._out[row][layer]
+            ), f"stale adjacency cache at row {row}, layer {layer}"

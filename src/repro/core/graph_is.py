@@ -30,7 +30,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.ann.brute import BruteForceIndex
+from repro.ann.distance import pairwise_l2
 from repro.ann.hnsw import HNSWIndex
+from repro.utils.rng import RngLike
 
 __all__ = ["GraphImportanceScorer", "NodeScore", "importance_score", "edge_radius"]
 
@@ -97,6 +99,9 @@ class GraphImportanceScorer:
     backend:
         ``"exact"`` (vectorized brute force; default for simulator-scale
         datasets) or ``"hnsw"`` (the paper's index; sublinear at scale).
+    rng:
+        Seed / generator for the HNSW index's level draws (the exact
+        backend draws nothing).
     """
 
     def __init__(
@@ -112,6 +117,7 @@ class GraphImportanceScorer:
         radius_scale: float = 0.85,
         ema_decay: float = 0.9,
         hnsw_kwargs: Optional[dict] = None,
+        rng: RngLike = None,
     ) -> None:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.lam = float(lam)
@@ -142,6 +148,7 @@ class GraphImportanceScorer:
             # Pre-size the flat vector matrix to the dataset so the index
             # never pays doubling-regrowth copies mid-training.
             kw.setdefault("capacity", max(len(self.labels), 64))
+            kw.setdefault("rng", rng)
             self.index = HNSWIndex(dim, **kw)
         else:
             raise ValueError(f"unknown backend {backend!r}")
@@ -176,8 +183,6 @@ class GraphImportanceScorer:
         n = embeddings.shape[0]
         if n < 2:
             return
-        from repro.ann.distance import pairwise_l2
-
         d = pairwise_l2(embeddings)
         iu = np.triu_indices(n, k=1)
         vals = d[iu]
@@ -203,12 +208,7 @@ class GraphImportanceScorer:
     def update_embeddings(self, indices: Sequence[int], embeddings: np.ndarray) -> None:
         """Algorithm 1 line 15: push the batch's fresh embeddings into the
         ANN index (insert or overwrite)."""
-        embeddings = np.atleast_2d(embeddings)
-        if self.backend == "exact":
-            self.index.add_batch(np.asarray(indices), embeddings)
-        else:
-            for i, e in zip(indices, embeddings):
-                self.index.update(int(i), e)
+        self.index.add_batch(np.asarray(indices), np.atleast_2d(embeddings))
 
     def _neighbor_lists(
         self, indices: np.ndarray, embeddings: np.ndarray
@@ -242,32 +242,35 @@ class GraphImportanceScorer:
         self.update_embeddings(indices, embeddings)
         neigh = self._neighbor_lists(indices, embeddings)
 
-        # Neighbor counts per sample (ragged lists force the small loop),
-        # then one vectorized Eq.-4 call over the whole batch.
-        n = indices.shape[0]
-        x_same = np.zeros(n, dtype=np.int64)
-        x_other = np.zeros(n, dtype=np.int64)
-        for j, (nid, _) in enumerate(neigh):
-            if nid.size:
-                same = int(np.sum(self.labels[nid] == self.labels[indices[j]]))
-                x_same[j] = same
-                x_other[j] = nid.size - same
+        if not neigh:
+            return []
+
+        # Neighbor counts per sample: one label gather over the concatenated
+        # (ragged) lists and a segmented sum, then one vectorized Eq.-4 call
+        # over the whole batch.
+        degree = np.fromiter(
+            (nid.size for nid, _ in neigh), dtype=np.int64, count=len(neigh)
+        )
+        same = self.labels[np.concatenate([nid for nid, _ in neigh])] == np.repeat(
+            self.labels[indices], degree
+        )
+        same_before = np.concatenate(([0], np.cumsum(same)))
+        ends = np.cumsum(degree)
+        x_same = same_before[ends] - same_before[ends - degree]
+        x_other = degree - x_same
         scores = importance_score(
             x_same, x_other, self.neighbormax, self.zero_same_part1
         )
-
-        results: List[NodeScore] = []
-        for j in range(n):
-            nid, nd = neigh[j]
-            results.append(
-                NodeScore(
-                    index=int(indices[j]), score=float(scores[j]),
-                    x_same=int(x_same[j]), x_other=int(x_other[j]),
-                    neighbor_ids=nid.astype(np.int64),
-                    neighbor_dists=np.asarray(nd, dtype=np.float64),
-                )
+        return [
+            NodeScore(
+                index=index, score=score, x_same=n_same, x_other=n_other,
+                neighbor_ids=nid, neighbor_dists=nd,
             )
-        return results
+            for index, score, n_same, n_other, (nid, nd) in zip(
+                indices.tolist(), scores.tolist(), x_same.tolist(),
+                x_other.tolist(), neigh,
+            )
+        ]
 
     @staticmethod
     def top_degree_node(scores: Sequence[NodeScore]) -> Optional[NodeScore]:

@@ -176,6 +176,10 @@ class SpiderCachePolicy(TrainingPolicy):
             alpha=self.alpha,
             neighbormax=self.neighbormax,
             backend=self.backend,
+            # Only the HNSW index draws (its level assignment); spawning a
+            # child leaves the sampler's stream untouched, and the exact
+            # backend must not even advance the spawn counter.
+            rng=self._rng.spawn(1)[0] if self.backend == "hnsw" else None,
         )
         capacity = int(round(self.cache_fraction * n))
         if self.cache_factory is not None:

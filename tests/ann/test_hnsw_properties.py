@@ -38,10 +38,14 @@ def test_property_hnsw_mirrors_reference_set(ops, seed):
         if op in ("add", "update"):
             hnsw.add(key, v)
             reference[key] = v
+            # A query between mutations fills the adjacency cache, so a
+            # later mutation that misses an invalidation leaves it stale.
+            hnsw.search(v, k=3)
         else:
             if key in reference:
                 hnsw.remove(key)
                 del reference[key]
+    hnsw.validate_invariants()  # incl. no stale cached adjacency list
     assert len(hnsw) == len(reference)
     assert set(hnsw.ids) == set(reference)
     for key, v in reference.items():

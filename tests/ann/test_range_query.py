@@ -1,0 +1,331 @@
+"""Range queries: the contract both neighbour-search backends meet.
+
+``neighbors_within_batch`` returns, per query, the stored points with
+``dist <= radius`` in ascending distance (ties in slot order for the exact
+backend, id order for HNSW), at most ``max_neighbors`` of them, minus one
+excluded id.
+
+* Exact backend: the flat scan must equal the formula it replaced —
+  ``l2_distance_matrix`` plus a per-row filter, kept here as the oracle —
+  to the byte, whatever the index went through first.
+* HNSW backend: the radius-aware beam reduces to the plain beam at
+  ``radius=inf``, agrees between the single and the batched entry point,
+  and keeps recall against the exact backend through update churn; the
+  batched prune it inserts with equals the sequential one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ann.brute import BruteForceIndex
+from repro.ann.distance import l2_distance_matrix
+from repro.ann.hnsw import HNSWIndex
+
+DIM = 3
+
+
+# ----------------------------------------------------------------------
+# Exact backend: byte-identical to the reference formula
+# ----------------------------------------------------------------------
+def reference_range_query(ids, data, queries, radius, exclude, max_neighbors):
+    """The pre-flat-scan ``BruteForceIndex.neighbors_within_batch``."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if len(ids) == 0:
+        return [(np.empty(0, dtype=np.int64), np.empty(0)) for _ in queries]
+    dmat = l2_distance_matrix(queries, data)
+    results = []
+    for qi in range(queries.shape[0]):
+        keep = dmat[qi] <= radius
+        if exclude is not None and exclude[qi] >= 0:
+            keep &= ids != int(exclude[qi])
+        rid = ids[keep]
+        rd = dmat[qi, keep]
+        order = np.argsort(rd, kind="stable")[:max_neighbors]
+        results.append((rid[order], rd[order]))
+    return results
+
+
+class SlotModel:
+    """What the index should hold: ids and vectors in slot order."""
+
+    def __init__(self):
+        self.ids = []
+        self.vectors = []
+
+    def put(self, item_id, vector):
+        if item_id in self.ids:
+            self.vectors[self.ids.index(item_id)] = vector
+        else:
+            self.ids.append(item_id)
+            self.vectors.append(vector)
+
+    def remove(self, item_id):
+        slot = self.ids.index(item_id)
+        self.ids[slot], self.vectors[slot] = self.ids[-1], self.vectors[-1]
+        self.ids.pop()
+        self.vectors.pop()
+
+    def arrays(self):
+        data = np.asarray(self.vectors, dtype=np.float64).reshape(-1, DIM)
+        return np.asarray(self.ids, dtype=np.int64), data
+
+
+# Small integers make duplicate points and exactly tied distances common;
+# the floats add the general case (and cancellation near zero).
+coordinate = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-4, 4, allow_nan=False, width=32),
+)
+vector = st.lists(coordinate, min_size=DIM, max_size=DIM)
+item_id = st.integers(0, 11)
+operation = st.one_of(
+    st.tuples(st.just("add"), item_id, vector),
+    # In-batch duplicate ids are likely with 12 ids and up to 6 rows.
+    st.tuples(
+        st.just("add_batch"),
+        st.lists(st.tuples(item_id, vector), min_size=1, max_size=6),
+    ),
+    st.tuples(st.just("remove"), item_id),
+    st.tuples(st.just("reload")),
+)
+range_query = st.fixed_dictionaries({
+    "queries": st.lists(vector, min_size=1, max_size=4),
+    "stored": st.lists(st.integers(0, 40), max_size=3),  # query *at* a slot
+    "radius": st.one_of(
+        st.just(0.0), st.floats(0.0, 7.0), st.just(float("inf"))
+    ),
+    # -1 = no exclusion; 0..11 may or may not be indexed; 99 never is.
+    "exclude": st.one_of(st.none(), st.lists(st.sampled_from(
+        [-1, 99] + list(range(12))), min_size=7, max_size=7)),
+    "max_neighbors": st.sampled_from([1, 2, 500]),
+})
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for (gi, gd), (wi, wd) in zip(got, want):
+        assert gi.dtype == wi.dtype and gd.dtype == wd.dtype
+        assert gi.tobytes() == wi.tobytes()
+        assert gd.tobytes() == wd.tobytes()
+
+
+def check_against_reference(index, model, query):
+    ids, data = model.arrays()
+    n = len(ids)
+    assert index.ids == ids.tolist()
+    # The cached squared norms are the ones the reference recomputes.
+    assert index._sq[:n].tobytes() == np.einsum(
+        "ij,ij->i", index._data[:n], index._data[:n]
+    ).tobytes()
+    np.testing.assert_array_equal(index._data[:n], data)
+
+    queries = [np.asarray(q) for q in query["queries"]]
+    queries += [data[s % n] for s in query["stored"] if n]
+    queries = np.asarray(queries, dtype=np.float64)
+    exclude = query["exclude"]
+    if exclude is not None:
+        exclude = np.asarray(exclude[: len(queries)], dtype=np.int64)
+    got = index.neighbors_within_batch(
+        queries, query["radius"], exclude=exclude,
+        max_neighbors=query["max_neighbors"],
+    )
+    want = reference_range_query(
+        ids, data, queries, query["radius"], exclude, query["max_neighbors"]
+    )
+    assert_same_bytes(got, want)
+    # The single-query entry point is the one-row case of the same scan.
+    one = index.neighbors_within(
+        queries[0], query["radius"],
+        exclude=None if exclude is None else int(exclude[0]),
+        max_neighbors=query["max_neighbors"],
+    )
+    assert_same_bytes([one], reference_range_query(
+        ids, data, queries[:1], query["radius"],
+        None if exclude is None else exclude[:1], query["max_neighbors"],
+    ))
+
+
+@given(
+    steps=st.lists(st.tuples(operation, range_query), min_size=1, max_size=12),
+    first_query=range_query,
+)
+@settings(max_examples=120, deadline=None)
+def test_exact_range_query_is_byte_identical_to_reference(steps, first_query):
+    # capacity=2: the third distinct id grows every slot array.
+    index = BruteForceIndex(DIM, capacity=2)
+    model = SlotModel()
+    check_against_reference(index, model, first_query)  # empty index
+    for op, query in steps:
+        if op[0] == "add":
+            index.add(op[1], np.asarray(op[2]))
+            model.put(op[1], op[2])
+        elif op[0] == "add_batch":
+            index.add_batch(
+                np.asarray([i for i, _ in op[1]]),
+                np.asarray([v for _, v in op[1]]),
+            )
+            for i, v in op[1]:
+                model.put(i, v)
+        elif op[0] == "remove":
+            if op[1] not in model.ids:
+                continue
+            index.remove(op[1])
+            model.remove(op[1])
+        else:
+            restored = BruteForceIndex(DIM, capacity=1)
+            restored.load_state_dict(index.state_dict())
+            index = restored
+        check_against_reference(index, model, query)
+
+
+def test_exact_range_query_byte_identical_at_scan_block_boundaries():
+    """More rows than one scan block holds, and a ragged last block."""
+    rng = np.random.default_rng(0)
+    n, dim = 700, 8
+    data = rng.normal(size=(n, dim))
+    data[100:120] = data[0]  # duplicates: exact ties, slot order decides
+    index = BruteForceIndex(dim, capacity=n)
+    index.add_batch(np.arange(n) * 3, data)
+    queries = np.concatenate([data[:150], rng.normal(size=(301, dim))])
+    exclude = np.concatenate([np.arange(150) * 3, np.full(301, -1)])
+    assert queries.shape[0] * n > 2 * (1 << 17)
+    for radius, max_neighbors in [(2.5, 500), (3.5, 20), (0.0, 500)]:
+        assert_same_bytes(
+            index.neighbors_within_batch(queries, radius, exclude, max_neighbors),
+            reference_range_query(
+                np.arange(n) * 3, data, queries, radius, exclude, max_neighbors
+            ),
+        )
+
+
+# ----------------------------------------------------------------------
+# HNSW backend: the radius-aware beam and the batched prune
+# ----------------------------------------------------------------------
+HDIM = 16
+
+
+def _clustered(n, rng, centers=6):
+    c = rng.normal(0.0, 4.0, (centers, HDIM))
+    return c[rng.integers(centers, size=n)] + rng.normal(0.0, 1.0, (n, HDIM))
+
+
+@pytest.fixture(scope="module")
+def pair():
+    """An HNSW index (default parameters) and its exact twin."""
+    rng = np.random.default_rng(7)
+    data = _clustered(600, rng)
+    hnsw = HNSWIndex(HDIM, rng=0, capacity=600)
+    brute = BruteForceIndex(HDIM, capacity=600)
+    hnsw.add_batch(np.arange(600), data)
+    brute.add_batch(np.arange(600), data)
+    return hnsw, brute, data
+
+
+@pytest.mark.parametrize("max_neighbors", [10, 80, 500])
+def test_infinite_radius_is_the_plain_beam(pair, max_neighbors):
+    """``radius=inf`` never evicts for width and never stops early: the
+    beam is exactly ``search_batch(k=max_neighbors)``'s."""
+    hnsw, _, data = pair
+    queries, exclude = data[:40], np.arange(40)
+    plain_ids, plain_d = hnsw.search_batch(queries, max_neighbors, exclude=exclude)
+    wide_ids, wide_d = hnsw.search_batch(
+        queries, max_neighbors, exclude=exclude, radius=np.inf
+    )
+    np.testing.assert_array_equal(wide_ids, plain_ids)
+    np.testing.assert_array_equal(wide_d, plain_d)
+    ranged = hnsw.neighbors_within_batch(
+        queries, np.inf, exclude=exclude, max_neighbors=max_neighbors
+    )
+    for qi, (ids, _) in enumerate(ranged):
+        np.testing.assert_array_equal(ids, plain_ids[qi][plain_ids[qi] >= 0])
+
+
+@pytest.mark.parametrize("radius,max_neighbors", [(3.0, 500), (4.5, 500), (6.0, 25)])
+def test_single_and_batched_range_query_agree(pair, radius, max_neighbors):
+    hnsw, _, data = pair
+    queries = data[100:130]
+    exclude = np.where(np.arange(30) % 3 == 0, -1, np.arange(100, 130))
+    batched = hnsw.neighbors_within_batch(
+        queries, radius, exclude=exclude, max_neighbors=max_neighbors
+    )
+    for qi, (ids, dists) in enumerate(batched):
+        s_ids, s_dists = hnsw.neighbors_within(
+            queries[qi], radius, max_neighbors=max_neighbors,
+            exclude=int(exclude[qi]) if exclude[qi] >= 0 else None,
+        )
+        np.testing.assert_array_equal(ids, s_ids)
+        np.testing.assert_allclose(dists, s_dists, rtol=1e-12, atol=1e-6)
+
+
+def _range_recall(hnsw, brute, queries, radius, exclude, max_neighbors):
+    found = expected = 0
+    approx = hnsw.neighbors_within_batch(
+        queries, radius, exclude=exclude, max_neighbors=max_neighbors
+    )
+    exact = brute.neighbors_within_batch(
+        queries, radius, exclude=exclude, max_neighbors=max_neighbors
+    )
+    for (a_ids, a_d), (e_ids, _) in zip(approx, exact):
+        assert len(a_ids) <= max_neighbors
+        assert np.all(np.diff(a_d) >= 0) and np.all(a_d <= radius)
+        found += np.intersect1d(a_ids, e_ids).size
+        expected += e_ids.size
+    return found / expected, exact
+
+
+def test_range_recall_against_exact_through_update_churn():
+    rng = np.random.default_rng(11)
+    data = _clustered(600, rng)
+    hnsw = HNSWIndex(HDIM, rng=1, capacity=600)
+    brute = BruteForceIndex(HDIM, capacity=600)
+    hnsw.add_batch(np.arange(600), data)
+    brute.add_batch(np.arange(600), data)
+    radius, cap = 5.5, 40
+    queries, exclude = data[:64], np.arange(64)
+
+    recall, exact = _range_recall(hnsw, brute, queries, radius, exclude, 500)
+    assert recall >= 0.99
+    # The cap binds for some query: more than ``cap`` points lie inside
+    # the radius, and the nearest ``cap`` of them come back, sorted.
+    assert max(ids.size for ids, _ in exact) > cap
+    capped, _ = _range_recall(hnsw, brute, queries, radius, exclude, cap)
+    assert capped >= 0.99
+
+    # Embedding drift: re-link a third of the points, batch by batch.
+    for start in range(0, 200, 50):
+        moved = rng.choice(600, size=50, replace=False)
+        data[moved] += rng.normal(0.0, 0.4, (50, HDIM))
+        hnsw.add_batch(moved, data[moved])
+        brute.add_batch(moved, data[moved])
+    hnsw.validate_invariants()
+    queries = data[:64]
+    recall, _ = _range_recall(hnsw, brute, queries, radius, exclude, 500)
+    assert recall >= 0.99
+    capped, _ = _range_recall(hnsw, brute, queries, radius, exclude, cap)
+    assert capped >= 0.99
+
+
+def test_prune_many_equals_sequential_prune():
+    """Insertion prunes its overflowing neighbours in one batch; the graph
+    must be the one sequential ``_prune`` calls would have left."""
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(500, HDIM))  # continuous: no exact ties
+
+    def build(batched):
+        idx = HNSWIndex(HDIM, M=6, ef_construction=40, rng=3, capacity=500)
+        if not batched:
+            def one_by_one(rows, layer, limit):
+                for row in rows:
+                    idx._prune(row, layer, limit)
+            idx._prune_many = one_by_one
+        idx.add_batch(np.arange(500), data)
+        for i in range(0, 500, 3):  # the dynamic-update path prunes too
+            idx.update(i, data[i] + 0.05)
+        idx.validate_invariants()
+        return idx
+
+    batched, sequential = build(True), build(False)
+    assert batched._out == sequential._out
+    assert batched._in == sequential._in

@@ -207,6 +207,21 @@ def test_mismatched_batch_rejected():
         s.score_batch(np.arange(3), emb[:2])
 
 
+def test_score_batch_counts_with_isolated_samples():
+    """Empty neighbour lists at the start, middle and end of a batch take
+    the zero-same cap and do not shift the other samples' counts."""
+    labels = np.array([0, 1, 1, 0, 0, 0])
+    emb = np.array([[50.0], [0.0], [0.1], [90.0], [0.2], [70.0]])
+    s = GraphImportanceScorer(1, labels, lam=1.0, alpha=0.5, auto_calibrate=False)
+    results = s.score_batch(np.arange(6), emb)
+    assert [(ns.x_same, ns.x_other) for ns in results] == [
+        (0, 0), (1, 1), (1, 1), (0, 0), (0, 2), (0, 0),
+    ]
+    assert results[0].score == results[3].score == results[5].score
+    assert results[0].neighbor_ids.dtype == np.int64
+    assert s.score_batch([], np.empty((0, 1))) == []
+
+
 def test_neighbormax_caps_range_results():
     rng = np.random.default_rng(2)
     labels = np.zeros(50, dtype=int)

@@ -53,3 +53,24 @@ def test_hnsw_index_tracks_dataset(runs):
     # Index holds one entry per distinct trained sample.
     assert policy.scorer.indexed_count <= 300
     assert policy.scorer.indexed_count > 100
+
+
+def test_hnsw_backend_is_reproducible_per_seed():
+    """The index's level draws come from the policy seed, so two same-seed
+    runs build the same graph and agree on every score and metric."""
+    ds = make_clustered_dataset(300, n_classes=4, dim=16, rng=0)
+    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    runs = []
+    for _ in range(2):
+        model = build_model("resnet18", train.dim, train.num_classes, rng=2)
+        policy = SpiderCachePolicy(cache_fraction=0.3, backend="hnsw", rng=3)
+        res = Trainer(model, train, test, policy,
+                      TrainerConfig(epochs=3, batch_size=32)).run()
+        runs.append((res, policy))
+    (res_a, pol_a), (res_b, pol_b) = runs
+    np.testing.assert_array_equal(
+        pol_a.score_table.scores, pol_b.score_table.scores
+    )
+    assert res_a.mean_hit_ratio == res_b.mean_hit_ratio
+    assert res_a.final_accuracy == res_b.final_accuracy
+    assert pol_a.scorer.index._levels == pol_b.scorer.index._levels
