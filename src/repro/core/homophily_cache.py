@@ -52,6 +52,10 @@ class HomophilyCache:
         self._entries: OrderedDict[int, Tuple[int, ...]] = OrderedDict()
         # neighbor id -> set of cached node keys listing it.
         self._neighbor_of: Dict[int, Set[int]] = {}
+        # key -> insertion counter (FIFO position without walking the
+        # FIFO): the newest of a request's covers is the max over them.
+        self._seq: Dict[int, int] = {}
+        self._next_seq = 0
         self.stats = CacheStats()
         self._obs = NULL_OBSERVER
         self.lock = threading.RLock()
@@ -75,42 +79,48 @@ class HomophilyCache:
         with self.lock:
             return index in self._neighbor_of or index in self._entries
 
-    def lookup(self, index: int) -> Optional[Tuple[int, Any]]:
-        """Serve ``index`` by substitution (Fig. 9 case 3).
-
-        Returns ``(node_key, payload)`` of the covering high-degree node —
-        the *most recently inserted* cover, whose embedding neighborhood is
-        freshest — or ``None``. Records a substitute hit or miss; a cover
-        whose payload the store cannot produce is a miss.
+    def cover_key(self, index: int) -> Optional[int]:
+        """Key of the entry a request for ``index`` would be served from:
+        ``index`` itself when it is a cached node, else the *most recently
+        inserted* node listing it — its embedding neighborhood is the
+        freshest — else ``None``. Pure metadata: no payload read, no stats.
         """
         with self.lock:
             if index in self._entries:
-                # The high-degree node itself was requested: an exact hit.
-                payload = self.store.get(index)
-                if payload is None:
-                    self.stats.misses += 1
-                    return None
-                self.stats.hits += 1
-                return index, payload
+                return index
             covers = self._neighbor_of.get(index)
             if not covers:
+                return None
+            return max(covers, key=self._seq.__getitem__)
+
+    def lookup(self, index: int) -> Optional[Tuple[int, Any]]:
+        """Serve ``index`` by substitution (Fig. 9 case 3).
+
+        Returns ``(node_key, payload)`` of :meth:`cover_key`'s entry, or
+        ``None``. Records an exact hit (the high-degree node itself was
+        requested), a substitute hit, or a miss; a cover whose payload the
+        store cannot produce is a miss.
+        """
+        with self.lock:
+            key = self.cover_key(index)
+            substitute = key != index
+            payload = (
+                None if key is None
+                else self.store.get(key, substitute=substitute)
+            )
+            if payload is None:
                 self.stats.misses += 1
                 return None
-            # Most recent insert among the covering nodes.
-            for key in reversed(self._entries):
-                if key in covers:
-                    payload = self.store.get(key, substitute=True)
-                    if payload is None:
-                        self.stats.misses += 1
-                        return None
-                    self.stats.substitute_hits += 1
-                    if self._obs.active:
-                        self._obs.on_audit(
-                            "substitute", key, "homophily",
-                            requested_id=index, reason="neighbor_cover",
-                        )
-                    return key, payload
-            raise AssertionError("neighbor map out of sync with entries")
+            if substitute:
+                self.stats.substitute_hits += 1
+                if self._obs.active:
+                    self._obs.on_audit(
+                        "substitute", key, "homophily",
+                        requested_id=index, reason="neighbor_cover",
+                    )
+            else:
+                self.stats.hits += 1
+            return key, payload
 
     # ------------------------------------------------------------------
     def update(self, key: int, payload: Any, neighbor_ids: List[int]) -> bool:
@@ -132,6 +142,8 @@ class HomophilyCache:
                 self._evict_oldest("fifo")
             neigh = tuple(int(n) for n in neighbor_ids)
             self._entries[key] = neigh
+            self._seq[key] = self._next_seq
+            self._next_seq += 1
             for n in neigh:
                 self._neighbor_of.setdefault(n, set()).add(key)
             self.stats.insertions += 1
@@ -142,6 +154,7 @@ class HomophilyCache:
     def _evict_oldest(self, reason: str = "fifo") -> int:
         # Callers hold self.lock (re-entrant).
         key, neigh = self._entries.popitem(last=False)
+        del self._seq[key]
         for n in neigh:
             owners = self._neighbor_of.get(n)
             if owners is not None:
@@ -241,6 +254,8 @@ class HomophilyCache:
                 self._entries[int(k)] = neigh
                 for n in neigh:
                     self._neighbor_of.setdefault(n, set()).add(int(k))
+            self._seq = {k: i for i, k in enumerate(self._entries)}
+            self._next_seq = len(self._seq)
             self.store.load(
                 {int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)}
             )

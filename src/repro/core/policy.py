@@ -17,7 +17,7 @@ trainer's policy protocol:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -272,6 +272,14 @@ class SpiderCachePolicy(TrainingPolicy):
         ctx = self._require_ctx()
         return self.cache.fetch(
             int(index), self.score_table.get(int(index)), ctx.store.get
+        )
+
+    def fetch_many(self, indices: Sequence[int]) -> List[FetchOutcome]:
+        assert self.cache is not None and self.score_table is not None
+        ctx = self._require_ctx()
+        ids = [int(i) for i in indices]
+        return self.cache.fetch_many(
+            ids, [self.score_table.get(i) for i in ids], ctx.store.get
         )
 
     def after_batch(

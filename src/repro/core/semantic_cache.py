@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from math import floor
-from typing import Any, Callable, List, Optional, Tuple, Type
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.cache.base import CacheStats
 from repro.core.homophily_cache import HomophilyCache
@@ -249,6 +249,15 @@ class SemanticCache:
             obs.on_fetch(index, index, FetchSource.REMOTE)
         self.importance.admit(index, payload, score)
         return FetchOutcome(index, index, payload, FetchSource.REMOTE)
+
+    def fetch_many(
+        self, indices: Sequence[int], scores: Sequence[float],
+        remote_get: Callable[[int], Any],
+    ) -> List[FetchOutcome]:
+        """Serve a batch of requests: by definition :meth:`fetch` per
+        request, in order. Subclasses may only make those reads cheaper
+        (the sharded tier reads ahead), never decide anything here."""
+        return [self.fetch(i, s, remote_get) for i, s in zip(indices, scores)]
 
     # ------------------------------------------------------------------
     def enable_degraded_mode(

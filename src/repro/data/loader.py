@@ -49,13 +49,21 @@ class DataLoader:
         ``index -> FetchOutcome`` (a policy's ``fetch``).
     batch_size:
         Mini-batch size; the final short batch is kept (not dropped).
+    fetch_many_fn:
+        ``ids -> [FetchOutcome]`` in request order (a policy's
+        ``fetch_many``): the batch entry :meth:`collate` calls once per
+        batch. Without one a batch is ``fetch_fn`` per id.
     """
 
-    def __init__(self, labels: np.ndarray, fetch_fn, batch_size: int = 128) -> None:
+    def __init__(
+        self, labels: np.ndarray, fetch_fn, batch_size: int = 128,
+        fetch_many_fn=None,
+    ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.labels = np.asarray(labels, dtype=np.int64)
         self.fetch_fn = fetch_fn
+        self.fetch_many_fn = fetch_many_fn
         self.batch_size = int(batch_size)
         # Samples dropped by degraded-mode serving (payload-less outcomes
         # with source SKIPPED); batches shrink rather than the run crashing.
@@ -71,7 +79,10 @@ class DataLoader:
         batch whose every sample was skipped collates to ``None``.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        outcomes = [self.fetch_fn(int(i)) for i in ids]
+        if self.fetch_many_fn is not None:
+            outcomes = self.fetch_many_fn(ids)
+        else:
+            outcomes = [self.fetch_fn(int(i)) for i in ids]
         return self._collate_outcomes(outcomes)
 
     def _collate_outcomes(self, outcomes: Sequence["FetchOutcome"]) -> Optional[Batch]:

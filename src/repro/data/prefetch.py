@@ -47,12 +47,14 @@ class PrefetchingDataLoader(DataLoader):
 
     Parameters
     ----------
-    labels, fetch_fn, batch_size:
+    labels, fetch_fn, batch_size, fetch_many_fn:
         As for :class:`~repro.data.loader.DataLoader`.
     workers:
         Worker-thread count; also the overlap-window width used for the
         max-of-window clock accounting. ``1`` degenerates to the serial
-        loader (no pool, no re-accounting).
+        loader (no pool, no re-accounting, the batch entry); more workers
+        fetch per slot through ``fetch_fn`` — a slot is the unit of
+        overlap, so there is no batch to hand over.
     clock:
         The run's :class:`~repro.storage.clock.SimClock`. When given,
         per-fetch charges to ``stage`` are captured and re-charged as
@@ -86,8 +88,11 @@ class PrefetchingDataLoader(DataLoader):
         observer: Optional[Observer] = None,
         executor: Union[str, SlotExecutor] = "threads",
         seed: int = 0,
+        fetch_many_fn=None,
     ) -> None:
-        super().__init__(labels, fetch_fn, batch_size=batch_size)
+        super().__init__(
+            labels, fetch_fn, batch_size=batch_size, fetch_many_fn=fetch_many_fn
+        )
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)

@@ -38,6 +38,14 @@ touching metadata); victim deletes afterwards are best-effort — failures
 park in a per-shard repair queue, flushed opportunistically after the
 next successful call to that shard.
 
+The loaders enter through :meth:`ShardedCacheClient.fetch_many`, which
+runs that same per-request protocol after one multi-key read frame per
+shard has put the payloads it will ask for into the stores' read-ahead
+buffers, and lets the batch's victim deletes ride later frames (deletes
+first, then the frame's own put/read). Both are batch-scoped — nothing
+outlives the call — so single ``fetch``, ``update_homophily``, migration
+and replays issue the per-key RPC sequence unchanged.
+
 Live resizing: :meth:`ShardedCacheClient.resize` plans a key migration
 to a ring of the new size (see :mod:`repro.dist.migration`) and
 :meth:`ShardedCacheClient.continue_migration` drains it over the same
@@ -100,6 +108,12 @@ class ShardStore(PayloadStore):
     a key absent from it costs no RPC. Every failure mode of the tier
     surfaces as the port's soft answers — ``None`` / ``False`` — after
     being counted on the client.
+
+    ``ahead`` is the read-ahead buffer: payloads
+    :meth:`ShardedCacheClient.fetch_many` already read for the batch it
+    is serving, empty outside such a call. :meth:`get` serves from it
+    after the ``loc`` check, a ``put`` / ``delete`` of the key drops the
+    entry, so a buffered payload is always the one the shard holds.
     """
 
     def __init__(
@@ -108,23 +122,30 @@ class ShardStore(PayloadStore):
         self._tier = tier
         self._layer = layer  # "imp" / "hom": the server-method prefix
         self.loc = loc
+        self.ahead: Dict[int, Any] = {}
+        self.unread: Set[int] = set()  # buffered keys no get() has served
 
     def get(self, key: int, substitute: bool = False) -> Optional[Any]:
-        """Payload read with retries; unreachable or lost is ``None``."""
+        """Payload read — read-ahead buffer, else one RPC with retries;
+        unreachable or lost is ``None``."""
         shard = self.loc.get(key)
         if shard is None:
             return None
         tier, layer = self._tier, self._layer
-        args = (key,) if layer == "imp" else (key, substitute)
-        try:
-            payload = tier._call_with_retries(shard, f"{layer}_get", *args)
-        except _DEGRADE_ERRORS:
-            payload = None
-        if payload is None:
-            # Unreachable — or the shard lost a payload the metadata owns
-            # (only after external interference); either way a miss.
-            tier.degraded_lookups += 1
-            return None
+        payload = self.ahead.get(key)
+        if payload is not None:
+            self.unread.discard(key)
+        else:
+            try:
+                payload = tier._call_with_retries(shard, f"{layer}_get", key)
+            except _DEGRADE_ERRORS:
+                payload = None
+            if payload is None:
+                # Unreachable — or the shard lost a payload the metadata
+                # owns (only after external interference); either way a
+                # miss.
+                tier.degraded_lookups += 1
+                return None
         kind = "substitute_hits" if substitute else "hits"
         tier._shard_stats[shard][f"{layer}_{kind}"] += 1
         return payload
@@ -136,12 +157,18 @@ class ShardStore(PayloadStore):
         overwritten in place. An ambiguously timed-out put may have
         executed server-side; the orphan payload is queued for
         anti-entropy deletion so shard contents reconverge with the
-        metadata."""
+        metadata. The put supersedes deletes of its own key still queued
+        for that shard: flushed after it, they would destroy the payload
+        that just landed."""
         tier, layer = self._tier, self._layer
         key = int(key)
+        self.ahead.pop(key, None)
         shard = self.loc.get(key)
         if shard is None:
             shard = tier._placement_ring().shard_for(key)
+        queue = tier._pending_deletes.get(shard)
+        if queue and (layer, key) in queue:
+            queue[:] = [e for e in queue if e != (layer, key)]
         nbytes = int(np.asarray(value).nbytes)
         try:
             tier._call_with_retries(
@@ -162,13 +189,14 @@ class ShardStore(PayloadStore):
     def delete(self, key: int) -> None:
         """Forget ``key`` and delete its payload (single attempt; a
         failure parks in the shard's repair queue)."""
+        self.ahead.pop(key, None)
         shard = self.loc.pop(key, None)
         if shard is not None:
             self._tier._best_effort_delete(shard, self._layer, key)
 
     def peek(self, key: int) -> Optional[Any]:
-        """Payload read that does not disturb the shard's hit counters
-        (uses the read-only ``migrate_out`` export); None on failure."""
+        """Payload read that moves no hit counter (uses the read-only
+        ``migrate_out`` export); None on failure."""
         shard = self.loc.get(key)
         if shard is None:
             return None
@@ -359,6 +387,9 @@ class ShardedCacheClient(SemanticCache):
 
         # -- fault-tolerance bookkeeping ---------------------------------
         self._pending_deletes: Dict[int, List[Tuple[str, int]]] = {}
+        # shard -> victim deletes parked while a fetch_many call is open
+        # (None outside one); they ride that shard's next frame.
+        self._parked: Optional[Dict[int, List[Tuple[str, int]]]] = None
         self._shard_stats: Dict[int, Counter] = defaultdict(Counter)
         self.dropped_admits = 0
         self.degraded_lookups = 0
@@ -410,9 +441,21 @@ class ShardedCacheClient(SemanticCache):
         ``retry.max_attempts`` channel attempts with seeded backoff.
 
         Raises :class:`CircuitOpenError` (fail-fast) or
-        :class:`RetryBudgetExhausted`; callers degrade on both.
+        :class:`RetryBudgetExhausted`; callers degrade on both. Victim
+        deletes parked for ``shard`` leave in the same frame, executed
+        *before* ``method``; if the request fails they move to the
+        shard's repair queue.
         """
         shard = int(shard)
+        parked = self._parked.pop(shard, None) if self._parked else None
+        if parked:
+            try:
+                return self._call_with_retries(
+                    shard, "after_deletes", parked, method, *args, nbytes=nbytes
+                )
+            except _DEGRADE_ERRORS:
+                self._pending_deletes.setdefault(shard, []).extend(parked)
+                raise
         breaker = self.breakers[shard]
         clock = self.clock
         obs = self._obs
@@ -476,25 +519,35 @@ class ShardedCacheClient(SemanticCache):
 
     def _best_effort_delete(self, shard: int, layer: str, key: int) -> None:
         """Victim/anti-entropy delete: single attempt, never raises.
-
-        Failures park the ``(layer, key)`` pair in the shard's repair
-        queue (a timed-out delete *executed* server-side; re-queueing is
-        harmless because deletes are idempotent)."""
+        While a :meth:`fetch_many` call is open the delete is parked
+        instead and rides the shard's next frame."""
         shard = int(shard)
         entry = (layer, int(key))
         if not self.transport.has_shard(shard):
             return  # shard retired by a shrink resize; nothing to repair
+        if self._parked is not None:
+            self._parked.setdefault(shard, []).append(entry)
+        else:
+            self._delete_once(shard, [entry], f"{layer}_delete", int(key))
+
+    def _delete_once(
+        self, shard: int, entries: List[Tuple[str, int]], method: str, *args: Any
+    ) -> None:
+        """One breaker-gated delete attempt for ``entries``. Failures
+        park them in the shard's repair queue (a timed-out delete
+        *executed* server-side; re-queueing is harmless because deletes
+        are idempotent)."""
         breaker = self.breakers.get(shard)
         now = self.clock.total_seconds
         if breaker is not None and not breaker.allow(now):
-            self._pending_deletes.setdefault(shard, []).append(entry)
+            self._pending_deletes.setdefault(shard, []).extend(entries)
             return
         try:
-            self.transport.call(shard, f"{layer}_delete", int(key))
+            self.transport.call(shard, method, *args)
         except _ATTEMPT_ERRORS:
             if breaker is not None:
                 breaker.record_failure(self.clock.total_seconds)
-            self._pending_deletes.setdefault(shard, []).append(entry)
+            self._pending_deletes.setdefault(shard, []).extend(entries)
         else:
             if breaker is not None:
                 breaker.record_success(self.clock.total_seconds)
@@ -575,6 +628,74 @@ class ShardedCacheClient(SemanticCache):
             served_id=out.served_id, source=out.source.value,
         )
         return out
+
+    def fetch_many(
+        self, indices: Sequence[int], scores: Sequence[float],
+        remote_get: Callable[[int], Any],
+    ) -> List[FetchOutcome]:
+        """:meth:`SemanticCache.fetch_many` (:meth:`fetch` per request —
+        that stays the definition) after reading ahead, in one
+        ``get_many`` frame per shard, what those requests would read one
+        RPC each. Purely an accelerator: a buffered payload whose key an
+        earlier request of the batch evicted is dropped unread, and a
+        frame that fails buffers nothing, so its keys take the per-key
+        path with its retries, degradation and counters. The batch's
+        victim deletes are parked (see :meth:`_call_with_retries`);
+        leftovers leave as one ``bulk_delete`` per shard. Both buffers
+        are empty again on return *and* on raise; with an observer the
+        whole call is one ``fetch_batch`` span.
+        """
+        indices = [int(i) for i in indices]
+        obs = self._obs
+        span = (
+            obs.span_start("fetch_batch", self.clock.total_seconds, n=len(indices))
+            if obs.active else None
+        )
+        stores = {"imp": self.importance.store, "hom": self.homophily.store}
+        frames = prefetched = 0
+        self._parked = {}
+        try:
+            for shard, entries in self._plan_reads(indices).items():
+                frames += 1
+                try:
+                    payloads = self._call_with_retries(shard, "get_many", entries)
+                except _DEGRADE_ERRORS:
+                    continue
+                for (layer, key), payload in zip(entries, payloads):
+                    if payload is not None:  # a lost one: per-key path
+                        stores[layer].ahead[key] = payload
+                        stores[layer].unread.add(key)
+                        prefetched += 1
+            return super().fetch_many(indices, scores, remote_get)
+        finally:
+            unused = sum(len(st.unread) for st in stores.values())
+            for st in stores.values():
+                st.ahead.clear()
+                st.unread.clear()
+            parked, self._parked = self._parked, None
+            for shard, entries in parked.items():
+                self._delete_once(shard, entries, "bulk_delete", entries)
+            if span is not None:
+                obs.span_end(
+                    span, self.clock.total_seconds, frames=frames,
+                    prefetched=prefetched, unused=unused,
+                )
+
+    def _plan_reads(
+        self, indices: Sequence[int]
+    ) -> Dict[int, List[Tuple[str, int]]]:
+        """``{shard: [(layer, key), ...]}``: from metadata alone, the
+        payload each request would read if served now — its importance
+        entry, else the homophily entry covering it."""
+        plan: Dict[int, Dict[Tuple[str, int], None]] = {}
+        for index in indices:
+            layer, key = "imp", index
+            if key not in self._imp_loc:
+                layer, key = "hom", self.homophily.cover_key(index)
+            shard = self._loc[layer].get(key)
+            if shard is not None:
+                plan.setdefault(shard, {})[layer, key] = None
+        return {shard: list(entries) for shard, entries in plan.items()}
 
     def update_homophily(
         self, node_key: int, payload: Any, neighbor_ids: List[int]

@@ -5,7 +5,8 @@ both cache layers. It is deliberately *dumb*: all policy decisions
 (admission, eviction order, FIFO turnover, the capacity split, which
 node covers a request) live in the cache layers of the
 :class:`~repro.dist.client.ShardedCacheClient`; the server is a keyed
-payload store with hit counters.
+payload store. It keeps no hit counters: what a read *served* is known
+only to the client, which may read ahead and discard.
 
 Every mutating method is **idempotent** — puts overwrite, deletes of
 absent keys are no-ops, migration imports overwrite — because the RPC
@@ -30,9 +31,6 @@ class CacheShardServer:
     def __init__(self, shard_id: int) -> None:
         self.shard_id = int(shard_id)
         self._stores: Dict[str, Dict[int, Any]] = {"imp": {}, "hom": {}}
-        self.imp_hits = 0
-        self.hom_hits = 0
-        self.hom_substitute_hits = 0
 
     def _store(self, layer: str) -> Dict[int, Any]:
         try:
@@ -44,10 +42,7 @@ class CacheShardServer:
     def imp_get(self, key: int) -> Optional[Any]:
         """Payload of ``key`` or ``None`` (the client treats ``None`` as
         a lost entry and degrades to a miss)."""
-        payload = self._stores["imp"].get(int(key))
-        if payload is not None:
-            self.imp_hits += 1
-        return payload
+        return self._stores["imp"].get(int(key))
 
     def imp_put(self, key: int, payload: Any) -> None:
         """Insert or overwrite (idempotent)."""
@@ -58,15 +53,9 @@ class CacheShardServer:
         self._stores["imp"].pop(int(key), None)
 
     # -- homophily layer ------------------------------------------------
-    def hom_get(self, key: int, substitute: bool = False) -> Optional[Any]:
-        """Payload of node ``key``; ``substitute`` only picks the counter."""
-        payload = self._stores["hom"].get(int(key))
-        if payload is not None:
-            if substitute:
-                self.hom_substitute_hits += 1
-            else:
-                self.hom_hits += 1
-        return payload
+    def hom_get(self, key: int) -> Optional[Any]:
+        """Payload of node ``key`` or ``None``."""
+        return self._stores["hom"].get(int(key))
 
     def hom_put(self, key: int, payload: Any) -> None:
         """Insert or overwrite (idempotent)."""
@@ -75,6 +64,21 @@ class CacheShardServer:
     def hom_delete(self, key: int) -> None:
         """Remove if present (idempotent)."""
         self._stores["hom"].pop(int(key), None)
+
+    # -- multi-key frames -------------------------------------------------
+    def get_many(self, entries: Iterable[Tuple[str, int]]) -> List[Optional[Any]]:
+        """Read-only: the payload (or ``None``) of each ``(layer, key)``,
+        in order, across both layers."""
+        return [self._store(layer).get(int(key)) for layer, key in entries]
+
+    def after_deletes(
+        self, deletes: Iterable[Tuple[str, int]], method: str, *args: Any
+    ) -> Any:
+        """One frame, explicit order: drop ``deletes``, *then* run
+        ``method(*args)`` — a put riding with the delete of its own key
+        survives. Idempotent when ``method`` is."""
+        self.bulk_delete(deletes)
+        return getattr(self, method)(*args)
 
     # -- bulk / migration ------------------------------------------------
     def bulk_delete(self, entries: Iterable[Tuple[str, int]]) -> None:
@@ -100,17 +104,6 @@ class CacheShardServer:
             store[int(k)] = payload
 
     # -- introspection ----------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        """Hit counters, fetchable over any transport (process-remote
-        servers can't expose bare attributes)."""
-        return {
-            "imp_hits": self.imp_hits,
-            "hom_hits": self.hom_hits,
-            "hom_substitute_hits": self.hom_substitute_hits,
-            "imp_len": len(self._stores["imp"]),
-            "hom_len": len(self._stores["hom"]),
-        }
-
     def occupancy(self, layer: str) -> int:
         """Number of payloads resident in one layer."""
         return len(self._store(layer))

@@ -204,7 +204,8 @@ class DataParallelTrainer:
                     )
                 )
             loader = DataLoader(
-                shard_set.y, policy.fetch, batch_size=per_worker_batch
+                shard_set.y, policy.fetch, batch_size=per_worker_batch,
+                fetch_many_fn=policy.fetch_many,
             )
             optimizer = SGD(
                 model.params(), lr=self.config.lr,

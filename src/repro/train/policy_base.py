@@ -12,7 +12,7 @@ a PyTorch DataLoader/Sampler swap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class TrainingPolicy:
         ctx = self._require_ctx()
         payload = ctx.store.get(index)
         return FetchOutcome(index, index, payload, FetchSource.REMOTE)
+
+    def fetch_many(self, indices: Sequence[int]) -> List[FetchOutcome]:
+        """Serve one batch of requests, in order (the loaders' entry;
+        default: :meth:`fetch` per id)."""
+        return [self.fetch(int(i)) for i in indices]
 
     def backprop_mask(
         self, indices: np.ndarray, losses: np.ndarray

@@ -229,10 +229,12 @@ class Trainer:
                     "threads" if self.config.clock_mode == "real"
                     else "deterministic"
                 ),
+                fetch_many_fn=policy.fetch_many,
             )
         else:
             self.loader = DataLoader(
-                train_set.y, policy.fetch, batch_size=self.config.batch_size
+                train_set.y, policy.fetch, batch_size=self.config.batch_size,
+                fetch_many_fn=policy.fetch_many,
             )
         self._val_accuracy = 0.0
         self._attach_observer()

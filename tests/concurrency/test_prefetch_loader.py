@@ -259,3 +259,31 @@ def test_executor_kind_is_surfaced():
 def test_rejects_nonpositive_workers():
     with pytest.raises(ValueError):
         PrefetchingDataLoader(np.zeros(4, dtype=np.int64), None, workers=0)
+
+
+def test_only_the_serial_width_uses_the_batch_entry():
+    """A slot is the unit of overlap: ``workers > 1`` keeps fetching per
+    slot through ``fetch_fn`` (the bit-exactness test above is about that
+    path); ``workers == 1`` is the serial loader and hands the whole
+    batch to ``fetch_many_fn``."""
+    labels = np.zeros(N, dtype=np.int64)
+    ids = np.arange(8, dtype=np.int64)
+    batches_seen = []
+
+    def make(workers):
+        clock = SimClock()
+        fetch, _ = _make_fetch(clock)
+
+        def fetch_many(batch_ids):
+            batches_seen.append(workers)
+            return [fetch(int(i)) for i in batch_ids]
+
+        return PrefetchingDataLoader(
+            labels, fetch, batch_size=8, workers=workers, clock=clock,
+            executor="deterministic", fetch_many_fn=fetch_many,
+        )
+
+    wide, serial = make(3), make(1)
+    np.testing.assert_array_equal(wide.collate(ids).X, serial.collate(ids).X)
+    assert batches_seen == [1]
+    assert wide.windows_committed == 3 and serial.windows_committed == 0

@@ -1,6 +1,9 @@
 """HomophilyCache tests."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.homophily_cache import HomophilyCache
 
@@ -120,3 +123,49 @@ def test_keys_in_fifo_order():
     c.update(3, "x", [1])
     c.update(1, "y", [2])
     assert c.keys() == [3, 1]
+
+
+def newest_cover_by_walking_the_fifo(cache, index):
+    """The rule ``cover_key`` replaces, kept as its reference: the node
+    itself, else the first cover met walking the FIFO newest-first."""
+    if index in cache._entries:
+        return index
+    covers = cache._neighbor_of.get(index, ())
+    return next((k for k in reversed(cache._entries) if k in covers), None)
+
+
+_key = st.integers(0, 11)
+_op = st.one_of(
+    st.tuples(st.just("update"), _key, st.lists(_key, max_size=4)),
+    st.tuples(st.just("shrink"), st.integers(0, 4)),
+    st.tuples(st.just("grow"), st.integers(4, 6)),
+    st.tuples(st.just("reload")),
+)
+
+
+@given(ops=st.lists(_op, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_cover_key_is_the_newest_cover_of_the_fifo_walk(ops):
+    """Insertion counters pick what the reversed FIFO walk picked —
+    through evictions, re-inserts of an evicted key, resizes, and a
+    ``state_dict`` round trip (which carries no counters: they are
+    rebuilt from FIFO order)."""
+    c = HomophilyCache(4)
+    for op in ops:
+        if op[0] == "update":
+            c.update(op[1], np.full(2, float(op[1])), op[2])
+        elif op[0] == "shrink":
+            c.shrink_to(op[1])
+        elif op[0] == "grow":
+            c.grow_to(max(op[1], c.capacity))
+        else:
+            state = c.state_dict()
+            assert set(state) == \
+                {"capacity", "keys", "payloads", "neighbors", "stats"}
+            c = HomophilyCache(4)
+            c.load_state_dict(state)
+        for index in range(12):
+            want = newest_cover_by_walking_the_fifo(c, index)
+            assert c.cover_key(index) == want
+            served = c.lookup(index)
+            assert (served[0] if served else None) == want

@@ -150,6 +150,21 @@ def test_stats_delegates_to_cache():
     assert s.hits == 1
 
 
+def test_fetch_many_is_the_fetch_loop():
+    """Same outcomes, same stats, same admissions as fetching one by one."""
+    ids = np.random.default_rng(0).integers(0, 40, size=120)
+    one, _ = _setup_policy(cache_fraction=0.1)
+    many, _ = _setup_policy(cache_fraction=0.1)
+    want = [one.fetch(int(i)) for i in ids]
+    got = []
+    for start in range(0, len(ids), 16):
+        got.extend(many.fetch_many(ids[start:start + 16]))
+    assert [(o.requested_id, o.served_id, o.source) for o in got] == \
+        [(o.requested_id, o.served_id, o.source) for o in want]
+    assert many.stats() == one.stats()
+    assert many.cache.importance.keys() == one.cache.importance.keys()
+
+
 def test_is_only_mode_zero_cache():
     p, ctx = _setup_policy(cache_fraction=0.0)
     out = p.fetch(5)

@@ -74,3 +74,21 @@ def test_sources_recorded():
 def test_empty_order_yields_nothing():
     dl = DataLoader(np.zeros(4, dtype=int), lambda i: None, batch_size=2)
     assert list(dl.iter_epoch(np.array([], dtype=int))) == []
+
+
+def test_collate_calls_the_batch_entry_once_per_batch():
+    payloads = np.arange(10.0)[:, None]
+    seen = []
+
+    def per_id(i):
+        raise AssertionError("the batch entry replaces the per-id loop")
+
+    def fetch_many(ids):
+        seen.append([int(i) for i in ids])
+        return [FetchOutcome(int(i), int(i), payloads[i], FetchSource.REMOTE)
+                for i in ids]
+
+    dl = DataLoader(np.arange(10), per_id, batch_size=4, fetch_many_fn=fetch_many)
+    batches = list(dl.iter_epoch(np.arange(10)))
+    assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    np.testing.assert_array_equal(batches[2].served, [8, 9])

@@ -60,6 +60,14 @@ def check_invariants(cli):
     snaps = cli.shard_snapshots()
     assert sum(s["imp_len"] for s in snaps) == len(cli._imp_loc)
     assert sum(s["hom_len"] for s in snaps) == len(cli.homophily)
+    # FIFO order, insertion counters and cover map describe one set.
+    hom = cli.homophily
+    assert sorted(hom._seq, key=hom._seq.get) == list(hom._entries)
+    cover = {}
+    for key, neigh in hom._entries.items():
+        for n in neigh:
+            cover.setdefault(n, set()).add(key)
+    assert hom._neighbor_of == cover
 
 
 def drain(cli, max_passes=50):
@@ -211,3 +219,104 @@ def test_total_blackout_degrades_every_stage_and_recovers():
     cli.clock.advance("compute", 1.0)
     out = cli.fetch(0, 1.0, payload)
     assert out.payload is not None and out.source.value == "importance"
+
+
+# ----------------------------------------------------------------------
+# the batch entry under faults: invariants, not equality — the extra
+# frame attempt moves the sim clock and the breaker's failure count, so
+# a faulted fetch_many run need not retrace the per-request run.
+# ----------------------------------------------------------------------
+FAULTS = {
+    "outage": OUTAGE,
+    # 5x a 1 ms call stays under the 10 ms deadline: slow, never failing.
+    "brownout": FaultPlan(brownouts=[BrownoutWindow(0.0, 1e9, 5.0)]),
+    # 20x does not: every call executes server-side, the reply is lost.
+    "timeout": FaultPlan(brownouts=[BrownoutWindow(0.0, 1e9, 20.0)]),
+}
+# Residents of both shards, neighbours two homophily nodes cover, a node
+# itself, repeats, and high-scored misses whose admits evict residents
+# requested later in the same batch.
+BATCH = [0, 1, 11000, 2, 100, 3, 3, 101, 11001, 1001, 4, 102, 0, 5, 103,
+         11000, 6, 104, 7]
+
+
+def assert_batch_closed(cli):
+    assert cli._parked is None
+    for store in (cli.importance.store, cli.homophily.store):
+        assert not store.ahead and not store.unread
+
+
+def assert_reconverges(cli):
+    """Faults over, breakers cooled, anti-entropy run: every shard holds
+    exactly the payloads the metadata places there — no victim delete
+    was lost on the way, no owned payload destroyed."""
+    for sid in cli.servers:
+        cli.set_fault_plan(sid, None)
+    cli.clock.advance("compute", 1.0)
+    for sid in cli.servers:
+        cli._flush_pending(sid)
+    assert not any(cli._pending_deletes.values())
+    assert cli.verify_placement() == []
+    for sid, server in cli.servers.items():
+        for layer, loc in cli._loc.items():
+            assert set(server.keys(layer)) == \
+                {k for k, s in loc.items() if s == sid}
+
+
+@pytest.mark.parametrize("when", ["before", "mid"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fetch_many_under_a_shard_fault(fault, when):
+    cli = make_client()
+    populate(cli)
+    served_before = cli.stats.requests
+    remote_calls = []
+
+    def remote(i):
+        remote_calls.append(i)
+        if when == "mid" and len(remote_calls) == 2:
+            cli.set_fault_plan(0, FAULTS[fault])
+        return payload(i)
+
+    if when == "before":
+        cli.set_fault_plan(0, FAULTS[fault])
+    outs = cli.fetch_many(BATCH, [float(i + 1) for i in BATCH], remote)
+
+    # Every request is served, by the next Fig. 9 stage if need be, with
+    # the bytes that belong to the id it reports.
+    assert [o.requested_id for o in outs] == BATCH
+    for o in outs:
+        np.testing.assert_array_equal(o.payload, payload(o.served_id))
+    st = cli.stats
+    assert st.hits + st.substitute_hits + st.misses + st.degraded_serves \
+        == served_before + len(BATCH)
+    assert st.misses - 20 == len(remote_calls)  # populate() missed 20x
+    if fault == "brownout":
+        assert cli.transport.failures == cli.transport.timeouts == 0
+        assert cli.degraded_lookups == cli.dropped_admits == 0
+    else:
+        assert cli.transport.failures + cli.transport.timeouts > 0
+        if when == "before":  # the frame failed: its keys fell back
+            assert cli.degraded_lookups > 0
+    assert_batch_closed(cli)
+    check_invariants(cli)
+    assert_reconverges(cli)
+    check_invariants(cli)
+
+
+def test_fetch_many_that_raises_leaves_nothing_behind():
+    """A strict-mode remote failure mid-batch propagates; the read-ahead
+    buffers are dropped and the victims parked so far still leave."""
+    cli = make_client()
+    populate(cli)
+
+    def remote(i):
+        if i == 102:
+            raise RuntimeError("remote tier down")
+        return payload(i)
+
+    with pytest.raises(RuntimeError, match="remote tier down"):
+        cli.fetch_many(BATCH, [float(i + 1) for i in BATCH], remote)
+    assert 100 in cli.importance and 101 in cli.importance  # got that far
+    assert_batch_closed(cli)
+    check_invariants(cli)
+    assert_reconverges(cli)

@@ -57,8 +57,7 @@ def store(request):
     client = make_client(kind, n_shards)
     try:
         yield client.importance.store, lambda: [
-            (s["imp_hits"], s["hom_hits"], s["hom_substitute_hits"],
-             client.transport.peek(s["shard"], "stats"))
+            (s["imp_hits"], s["hom_hits"], s["hom_substitute_hits"])
             for s in client.shard_snapshots()
         ]
     finally:
@@ -144,6 +143,27 @@ def test_get_after_a_failed_put_is_none(n_shards):
     client.clock.advance("compute", 1.0)  # let the breakers cool down
     assert st.get(2) is None
     np.testing.assert_array_equal(st.get(1), payload(1))
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_put_after_a_failed_put_of_the_same_key_keeps_its_payload(n_shards):
+    """The failed put queues an orphan delete for its key; the put that
+    follows supersedes it — flushed after that put landed, the delete
+    would destroy the live payload."""
+    client = make_client("sim", n_shards)
+    st = client.importance.store
+    for sid in range(n_shards):
+        client.set_fault_plan(sid, OUTAGE)
+    assert st.put(5, payload(5)) is False
+    assert sum(map(len, client._pending_deletes.values())) == 1
+    for sid in range(n_shards):
+        client.set_fault_plan(sid, None)
+    client.clock.advance("compute", 1.0)  # let the breakers cool down
+    assert st.put(5, payload(5)) is True
+    np.testing.assert_array_equal(st.get(5), payload(5))
+    assert client.degraded_lookups == 0
+    assert client.verify_placement() == []
+    assert not any(client._pending_deletes.values())
 
 
 # ----------------------------------------------------------------------

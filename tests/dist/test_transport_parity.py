@@ -8,7 +8,9 @@ change a single observable bit of a fault-free run — same served
 stream, same ``state_dict`` (heap tiebreaks included), same RPC call
 counts, same clean ``verify_placement`` — for any shard count and
 across a live mid-run resize. Hypothesis drives random workloads over
-every mutator in the shared API to prove it.
+every mutator in the shared API — single fetches and ``fetch_many``
+batches (multi-key read frames, deletes riding other frames) alike — to
+prove it.
 
 These tests spawn real processes and poll real pipes, so they carry the
 ``wallclock`` marker alongside ``dist``; CI runs them with a hard
@@ -59,6 +61,8 @@ _idx = st.integers(0, 59)
 _score = st.floats(0.1, 100.0, allow_nan=False)
 _op = st.one_of(
     st.tuples(st.just("fetch"), _idx, _score),
+    st.tuples(st.just("batch"),
+              st.lists(st.tuples(_idx, _score), min_size=1, max_size=8)),
     st.tuples(st.just("hom"), _idx, st.lists(_idx, max_size=4)),
     st.tuples(st.just("score"), _idx, _score),
     st.tuples(st.just("ratio"), st.floats(0.1, 0.9, allow_nan=False)),
@@ -72,6 +76,10 @@ def apply_op(cache, op):
     if kind == "fetch":
         out = cache.fetch(op[1], op[2], payload)
         return (out.requested_id, out.served_id, out.source.value)
+    if kind == "batch":  # the loaders' entry: read-ahead + parked deletes
+        outs = cache.fetch_many([i for i, _ in op[1]], [s for _, s in op[1]],
+                                payload)
+        return [(o.requested_id, o.served_id, o.source.value) for o in outs]
     if kind == "hom":
         return cache.update_homophily(op[1] + 1000, payload(op[1] + 1000),
                                       [n + 500 for n in op[2]])

@@ -46,6 +46,16 @@ def test_default_fetch_always_remote():
     assert ctx.store.fetch_count == 3
 
 
+def test_default_fetch_many_is_fetch_per_id_in_order():
+    p = TrainingPolicy(rng=0)
+    ctx = _ctx()
+    p.setup(ctx)
+    outs = p.fetch_many(np.array([7, 3, 7]))
+    assert [(o.requested_id, o.source) for o in outs] == \
+        [(7, FetchSource.REMOTE), (3, FetchSource.REMOTE), (7, FetchSource.REMOTE)]
+    assert ctx.store.fetch_count == 3
+
+
 def test_default_hooks_are_noops():
     p = TrainingPolicy(rng=0)
     p.setup(_ctx())
