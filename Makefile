@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench bench-csv bench-trajectory bench-tracing perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist load transport report all
+.PHONY: install test coverage shapes bench bench-csv bench-trajectory bench-tracing perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist load transport report all
 
 # Where `make report` writes (and reads back) its traced demo run.
 REPORT_DIR ?= results/traced-run
@@ -18,6 +18,12 @@ coverage:
 	$(PYTHON) -m pytest tests/ \
 		--cov=repro --cov-report=term-missing:skip-covered \
 		--cov-fail-under=80
+
+# The paper-shape claims (every figure/table test in benchmarks/), each
+# measurement run once, shape assertions kept — what the CI `shapes` job
+# gates merges on (~2 min).
+shapes:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -426,6 +426,9 @@ def _cmd_train(args) -> int:
     if args.resize_shards_at is not None and not args.cache_shards:
         print("--resize-shards-at requires --cache-shards", file=sys.stderr)
         return 2
+    if args.world_size > 1 and args.prefetch_workers > 0:
+        print("--prefetch-workers requires --world-size 1", file=sys.stderr)
+        return 2
     if args.rpc_deadline_ms is None:
         # Real IPC needs a far looser budget than the simulated channel.
         args.rpc_deadline_ms = 1000.0 if args.transport == "real" else 10.0

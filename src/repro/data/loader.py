@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -114,11 +114,3 @@ class DataLoader:
         order = np.asarray(order, dtype=np.int64)
         start = batch * self.batch_size
         return order[start : start + self.batch_size]
-
-    def iter_epoch(self, order: np.ndarray) -> Iterator[Batch]:
-        """Yield collated batches for one epoch's sample order."""
-        order = np.asarray(order, dtype=np.int64)
-        for start in range(0, order.shape[0], self.batch_size):
-            batch = self.collate(order[start : start + self.batch_size])
-            if batch is not None:
-                yield batch

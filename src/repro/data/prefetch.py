@@ -106,10 +106,6 @@ class PrefetchingDataLoader(DataLoader):
         self.windows_committed = 0
 
     # ------------------------------------------------------------------
-    def attach_observer(self, observer: Observer) -> None:
-        """Point window events at ``observer`` (runtime-only wiring)."""
-        self._obs = observer
-
     @property
     def executor_kind(self) -> str:
         """``"threads"`` or ``"deterministic"``."""

@@ -50,9 +50,10 @@ LOAD_FILE = "load.json"  # written by repro.load.replay.write_load_artifacts
 class EpochAggregate:
     """Per-epoch totals reconstructed from a trace.
 
-    Mirrors the accounting in ``Trainer._run_epoch``: degraded serves are
-    tracked separately and excluded from ``requests``/``hit_ratio`` (they
-    are availability events, not cache performance).
+    Mirrors the one-replica column of the epoch loop's stage accounting
+    (``repro.train.trainer.EpochRunner._epoch_metrics``): degraded serves
+    are tracked separately and excluded from ``requests``/``hit_ratio``
+    (they are availability events, not cache performance).
     """
 
     epoch: int
@@ -174,7 +175,7 @@ def aggregate_trace(
             a.is_visible_s += float(ev.get("is_visible_s", 0.0))
 
     # Prefetch runs replace the io_workers divisor with max-of-window
-    # accounting (mirrors Trainer._run_epoch's load_div); the raw stage
+    # accounting (mirrors EpochRunner._epoch_metrics' load_div); the raw stage
     # total those runs paid is the windows' charged time plus whatever
     # was charged outside a window (importance prefetches).
     workers = 1 if prefetch_workers > 0 else (io_workers if io_workers else 1)

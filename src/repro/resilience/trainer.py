@@ -135,15 +135,15 @@ class ResilientTrainer(Trainer):
                 e0, b0 = self._cursor
                 for epoch in range(e0, cfg.epochs):
                     if epoch == e0 and self._pending_order is not None:
-                        order, acc, start = self._pending_order, self._pending_acc, b0
+                        orders, acc, start = [self._pending_order], self._pending_acc, b0
                     else:
-                        order, acc, start = None, None, 0
+                        orders, acc, start = None, None, 0
                     self._pending_order = None
                     self._pending_acc = None
                     self._run_epoch(
                         epoch,
                         result,
-                        order=order,
+                        orders=orders,
                         start_batch=start,
                         acc=acc,
                         batch_hook=self._on_batch,
@@ -164,8 +164,9 @@ class ResilientTrainer(Trainer):
 
     # ------------------------------------------------------------------
     def _on_batch(
-        self, epoch: int, slot: int, order: np.ndarray, acc: EpochAccumulator
+        self, epoch: int, slot: int, orders: List[np.ndarray], acc: EpochAccumulator
     ) -> None:
+        (order,) = orders  # one replica; K>1 checkpoint payloads are a follow-up
         self._cursor = (epoch, slot + 1)
         self._batches_since_ckpt += 1
         # Preemption is checked *before* writing a due checkpoint, so a
@@ -200,10 +201,10 @@ class ResilientTrainer(Trainer):
             self.loader.drain()
         base = self._base_store()
         state = {
-            "format": 1,
+            "format": 2,
             "cursor": [int(epoch), int(batch)],
             "order": None if order is None else np.asarray(order, dtype=np.int64),
-            "acc": None if acc is None else acc.state_dict(),
+            "acc": None if acc is None else dataclasses.asdict(acc),
             "val_accuracy": float(self._val_accuracy),
             "model": {k: np.asarray(v) for k, v in self.model.state_dict().items()},
             "optim": {
@@ -242,11 +243,9 @@ class ResilientTrainer(Trainer):
         epoch, batch = state["cursor"]
         self._cursor = (int(epoch), int(batch))
         self._pending_order = state["order"]
-        self._pending_acc = None
-        if state["acc"] is not None:
-            acc = EpochAccumulator()
-            acc.load_state_dict(state["acc"])
-            self._pending_acc = acc
+        self._pending_acc = (
+            None if state["acc"] is None else EpochAccumulator(**state["acc"])
+        )
         self._val_accuracy = float(state["val_accuracy"])
         self.model.load_state_dict(state["model"])
         velocity = state["optim"]["velocity"]

@@ -1,8 +1,7 @@
-"""Training loop, policies, timing pipeline, multi-GPU simulation."""
+"""Training loop, policies, timing pipeline, data-parallel topology."""
 
 from repro.train.data_parallel import DataParallelTrainer, WorkerState
 from repro.train.metrics import EpochMetrics, TrainResult
-from repro.train.multigpu import MultiGPUSimulator
 from repro.train.pipeline import PipelineSimulator, StageCostModel
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.train.trainer import Trainer, TrainerConfig
@@ -18,5 +17,4 @@ __all__ = [
     "TrainResult",
     "StageCostModel",
     "PipelineSimulator",
-    "MultiGPUSimulator",
 ]

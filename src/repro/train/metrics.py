@@ -27,6 +27,7 @@ class EpochMetrics:
     imp_ratio: Optional[float] = None
     score_std: Optional[float] = None
     preprocess_s: float = 0.0
+    comm_s: float = 0.0  # gradient all-reduce (zero for one replica)
 
 
 @dataclass
@@ -87,6 +88,7 @@ class TrainResult:
             "compute_s": float(sum(e.compute_s for e in self.epochs)),
             "is_visible_s": float(sum(e.is_visible_s for e in self.epochs)),
             "preprocess_s": float(sum(e.preprocess_s for e in self.epochs)),
+            "comm_s": float(sum(e.comm_s for e in self.epochs)),
         }
 
     def summary(self) -> Dict[str, float]:

@@ -1,44 +1,43 @@
-"""Training loop with simulated-time accounting.
+"""The epoch loop — one, for every topology — with simulated-time accounting.
 
-Drives a NumPy model through a policy (SpiderCache or baseline) and charges
-simulated time per the Fig.-2 pipeline:
-
-* **data_load** — each remote miss costs the latency model's fetch time
-  (charged by :class:`~repro.storage.backends.RemoteStore` itself), divided
-  by ``io_workers`` concurrent loader processes; cache hits cost
-  ``hit_latency_s`` each.
-* **compute** — per batch: ``stage1 + stage2 * trained_fraction`` ms from
-  the model spec (selective backprop shrinks Stage2, iCache's compute win).
-* **is_visible** — the pipeline-overlap model's *visible* slice of the
-  policy's IS cost (hidden entirely for short-IS models, Fig. 12).
+This file owns the loop. :class:`EpochRunner` trains a list of replicas
+(:class:`WorkerState`) in lock step; the public trainers only build that
+list: :class:`Trainer` one replica,
+:class:`~repro.train.data_parallel.DataParallelTrainer` ``world_size`` of
+them, and ``world_size=1`` is the same arithmetic term for term. DESIGN.md
+§3.3 has the step order and the stage formula per topology. In short,
+simulated time follows the Fig.-2 pipeline: **data_load** (remote misses,
+charged by :class:`~repro.storage.backends.RemoteStore` and divided by
+``io_workers``, plus ``hit_latency_s`` per cache hit; a step waits for its
+slowest rank), **compute** (``stage1 + stage2 * trained_fraction`` ms from
+the model spec — selective backprop shrinks Stage2, iCache's compute win),
+**is_visible** (the slice of the policy's IS cost the Fig. 12 overlap does
+not hide), **preprocess** and, for several replicas, **comm**.
 
 Real wall-clock time is spent doing genuine forward/backward math — the
 learning dynamics are real; only I/O and GPU-relative speeds are simulated.
-
-The epoch loop is resumable: :meth:`Trainer._run_epoch` accepts a
-pre-drawn order, a starting batch slot, and a partially-filled
-:class:`EpochAccumulator`, and invokes a per-batch hook — the seams
-:class:`~repro.resilience.trainer.ResilientTrainer` uses to checkpoint
-mid-epoch and replay exactly after a simulated preemption. Compute and
-IS time are charged to the clock *per batch* (same epoch totals) so
-simulated time advances mid-epoch — letting outage windows end and
-circuit-breaker cool-downs elapse between batches rather than only at
-epoch boundaries.
+Compute, IS and preprocess are charged to the clock *per step* so simulated
+time advances mid-epoch — outage windows end and circuit-breaker cool-downs
+elapse between batches. The loop is resumable: :meth:`EpochRunner._run_epoch`
+accepts pre-drawn orders, a starting batch slot and a partially-filled
+:class:`EpochAccumulator`, and fires a per-slot hook — the seams
+:class:`~repro.resilience.trainer.ResilientTrainer` checkpoints and replays
+through.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.semantic_cache import FetchSource
-from repro.data.loader import DataLoader
+from repro.data.loader import Batch, DataLoader
 from repro.data.synthetic import SyntheticDataset
 from repro.nn.models import Model
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, CosineLR, StepLR
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
@@ -48,7 +47,15 @@ from repro.train.pipeline import StageCostModel
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.utils.rng import RngLike, resolve_rng
 
-__all__ = ["Trainer", "TrainerConfig", "EpochAccumulator"]
+__all__ = [
+    "Trainer", "TrainerConfig", "EpochRunner", "EpochAccumulator", "WorkerState",
+]
+
+#: SimClock stage the cache-protocol RPC tier charges. Mirrors
+#: ``repro.dist.rpc.SimRpcChannel.STAGE`` without importing it — the
+#: trainers must stay importable when the dist tier is absent or broken
+#: (``repro.dist`` is only imported lazily, at shard-client construction).
+RPC_STAGE = "rpc"
 
 
 @dataclass
@@ -99,8 +106,6 @@ class TrainerConfig:
 
     def build_schedule(self):
         """Resolve ``lr_schedule`` into a schedule object (or None)."""
-        from repro.nn.optim import CosineLR, StepLR
-
         if self.lr_schedule is None:
             return None
         if self.lr_schedule == "cosine":
@@ -113,55 +118,471 @@ class TrainerConfig:
 
 
 @dataclass
+class WorkerState:
+    """One rank's replica, shard, policy, and loader (ranks of a
+    shared-cache run alias one policy, store and clock)."""
+
+    rank: int
+    shard: np.ndarray  # global sample ids owned by this worker
+    model: Model
+    policy: TrainingPolicy
+    store: RemoteStore
+    clock: SimClock
+    loader: DataLoader
+    optimizer: SGD
+
+
+@dataclass
 class EpochAccumulator:
     """Mid-epoch running totals — the restartable part of an epoch.
 
-    Checkpointing this (plus the order array and the next batch slot) is
+    Checkpointing this (plus the order arrays and the next batch slot) is
     what lets a preempted run resume mid-epoch and emit the exact
     :class:`~repro.train.metrics.EpochMetrics` an uninterrupted run would.
     """
 
     loss: float = 0.0
     n_seen: int = 0
-    n_batches: int = 0  # non-empty (trained) batches
+    n_batches: int = 0  # steps in which at least one rank trained
     compute_s: float = 0.0
     preprocess_s: float = 0.0
-    hits: int = 0
-    load_before_s: float = 0.0  # raw data_load stage total at epoch start
-    stats_before: Tuple[int, int, int, int] = (0, 0, 0, 0)
+    hits: List[int] = field(default_factory=list)  # per rank: cache serves
+    # Per distinct clock: the raw data_load stage total at epoch start.
+    load_before_s: List[float] = field(default_factory=list)
+    rpc_before_s: float = 0.0
+    stats_before: Tuple[int, ...] = (0, 0, 0, 0)  # _request_counts() at epoch start
 
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the running totals."""
+
+class EpochRunner:
+    """Trains ``self.workers`` synchronously — the loop behind every trainer.
+
+    Subclasses build the topology (:meth:`_setup_policy` then
+    :meth:`_add_replica` per rank) and may override the epoch-boundary seams
+    below. The test set is evaluated on rank 0 every ``eval_every`` epochs;
+    policies receive the latest accuracy in ``after_epoch`` (the Elastic
+    Cache Manager's Accuracy Monitor input).
+    """
+
+    def __init__(
+        self, train_set: SyntheticDataset, test_set: SyntheticDataset,
+        config: Optional[TrainerConfig], observer: Optional[Observer],
+        rng: RngLike, world_size: int = 1, comm_ms_per_step: float = 0.0,
+    ) -> None:
+        self.train_set = train_set
+        self.test_set = test_set
+        self.config = cfg = config or TrainerConfig()
+        self.observer = observer if observer is not None else NULL_OBSERVER
+        self.comm_ms_per_step = float(comm_ms_per_step)
+        self.workers: List[WorkerState] = []
+        self._rng = resolve_rng(rng)
+        self._val_accuracy = 0.0
+        if cfg.clock_mode not in ("sim", "real"):
+            raise ValueError(
+                f"clock_mode must be 'sim' or 'real', got {cfg.clock_mode!r}"
+            )
+        if cfg.prefetch_workers > 0 and world_size > 1:
+            raise ValueError(
+                "prefetch_workers > 0 requires world_size == 1: the max-of-"
+                "window overlap model is defined for one loader per clock"
+            )
+
+    # -- topology ----------------------------------------------------------
+    def _setup_policy(
+        self, policy: TrainingPolicy, model: Model, dataset: SyntheticDataset,
+        batch_size: int, latency: Optional[LatencyModel], clock: SimClock,
+        rng: np.random.Generator,
+    ) -> RemoteStore:
+        """Bind ``policy`` to a new remote store over ``dataset``."""
+        store = RemoteStore(
+            dataset.X, item_nbytes=dataset.item_nbytes,
+            latency=latency or ConstantLatency(), clock=clock,
+        )
+        policy.setup(PolicyContext(
+            dataset=dataset, store=store, batch_size=batch_size,
+            total_epochs=self.config.epochs,
+            embedding_dim=model.embedding_dim, rng=rng,
+        ))
+        return store
+
+    def _add_replica(
+        self, shard: np.ndarray, model: Model, policy: TrainingPolicy,
+        store: RemoteStore, labels: np.ndarray, batch_size: int,
+    ) -> None:
+        """Append the next rank; its optimizer and loader follow the config."""
+        cfg = self.config
+        optimizer = SGD(
+            model.params(), lr=cfg.lr, momentum=cfg.momentum,
+            weight_decay=cfg.weight_decay, schedule=cfg.build_schedule(),
+        )
+        if cfg.prefetch_workers > 0:
+            from repro.data.prefetch import PrefetchingDataLoader
+
+            loader: DataLoader = PrefetchingDataLoader(
+                labels, policy.fetch, batch_size=batch_size,
+                workers=cfg.prefetch_workers, clock=store.clock,
+                stage=RemoteStore.STAGE, observer=self.observer,
+                # Deterministic (seeded-scheduler) slot execution in sim
+                # mode; real threads only when the run is wall-clock.
+                executor="threads" if cfg.clock_mode == "real" else "deterministic",
+                fetch_many_fn=policy.fetch_many,
+            )
+        else:
+            loader = DataLoader(
+                labels, policy.fetch, batch_size=batch_size,
+                fetch_many_fn=policy.fetch_many,
+            )
+        self.workers.append(WorkerState(
+            len(self.workers), shard, model, policy, store, store.clock,
+            loader, optimizer,
+        ))
+
+    def _attach_observer(self) -> None:
+        """Wire ``self.observer`` through the store stacks and policies (a
+        prefetching loader got it at construction).
+
+        Idempotent; re-run at the top of :meth:`run` because tests and
+        the resilience layer wrap a store after construction.
+        """
+        obs = self.observer
+        if not obs.active:
+            return
+        obs.hit_latency_s = self.config.hit_latency_s
+        for store in _unique(w.store for w in self.workers):
+            while True:
+                # Duck-typed walk (isinstance on resilience types would cycle
+                # imports): a wrapper owning a circuit breaker exposes it in
+                # its own __dict__; __getattr__ forwarding is bypassed so each
+                # breaker attaches exactly once.
+                breaker = store.__dict__.get("breaker")
+                if breaker is not None and hasattr(breaker, "attach_observer"):
+                    breaker.attach_observer(obs)
+                inner = store.__dict__.get("inner")
+                if inner is None:
+                    break
+                store = inner
+            if hasattr(store, "attach_observer"):
+                store.attach_observer(obs)
+        for policy in self._policies():
+            policy.attach_observer(obs)
+
+    def _policies(self) -> List[TrainingPolicy]:
+        return _unique(w.policy for w in self.workers)
+
+    def _clocks(self) -> List[SimClock]:
+        return _unique(w.clock for w in self.workers)
+
+    def _request_counts(self) -> np.ndarray:
+        """(requests, hits incl. substitutes, exact hits, substitute hits),
+        summed over the distinct policies."""
+        return np.sum([
+            (s.requests, s.hits + s.substitute_hits, s.hits, s.substitute_hits)
+            for s in (policy.stats() for policy in self._policies())
+        ], axis=0)
+
+    # -- seams a topology may override ---------------------------------------
+    def _on_epoch_start(self, epoch: int) -> None:
+        """After ``before_epoch``, before the epoch's accounting snapshot
+        (skipped, like ``before_epoch``, when an epoch is resumed)."""
+
+    def _on_epoch_end(self, epoch: int) -> None:
+        """After the epoch's metrics are recorded."""
+
+    def _rpc_seconds(self) -> float:
+        """Cache-protocol RPC time charged so far."""
+        return self.workers[0].clock.stage_seconds(RPC_STAGE)
+
+    def _run_meta(self, result: TrainResult) -> dict:
+        """The run configuration the trace's ``run_start`` event records
+        (aggregators need ``io_workers``/``hit_latency_s`` to reproduce
+        stage times)."""
+        cfg = self.config
         return {
-            "loss": self.loss,
-            "n_seen": self.n_seen,
-            "n_batches": self.n_batches,
-            "compute_s": self.compute_s,
-            "preprocess_s": self.preprocess_s,
-            "hits": self.hits,
-            "load_before_s": self.load_before_s,
-            "stats_before": list(self.stats_before),
+            "policy": self.workers[0].policy.name, "model": result.model_name,
+            "dataset": result.dataset_name, "epochs": cfg.epochs,
+            "batch_size": cfg.batch_size, "io_workers": cfg.io_workers,
+            "prefetch_workers": cfg.prefetch_workers,
+            "hit_latency_s": cfg.hit_latency_s,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        self.loss = float(state["loss"])
-        self.n_seen = int(state["n_seen"])
-        self.n_batches = int(state["n_batches"])
-        self.compute_s = float(state["compute_s"])
-        self.preprocess_s = float(state["preprocess_s"])
-        self.hits = int(state["hits"])
-        self.load_before_s = float(state["load_before_s"])
-        self.stats_before = tuple(int(x) for x in state["stats_before"])
+    def _new_result(self) -> TrainResult:
+        first = self.workers[0]
+        return TrainResult(
+            policy_name=first.policy.name,
+            model_name=first.model.spec.name if first.model.spec else "custom",
+            dataset_name=self.train_set.name,
+        )
+
+    # ------------------------------------------------------------------------
+    def _stage_costs(self) -> StageCostModel:
+        first = self.workers[0]
+        spec = first.model.spec
+        costs = (
+            StageCostModel.from_spec(spec) if spec is not None
+            else StageCostModel(42.0, 35.0, 16.0)
+        )
+        policy_is = first.policy.is_ms_per_batch  # None = defer to the spec
+        if policy_is is not None:
+            costs = dataclasses.replace(costs, is_ms=policy_is)
+        return costs
+
+    def run(self) -> TrainResult:
+        """Train for ``config.epochs`` epochs; returns the full run record."""
+        self._attach_observer()
+        obs = self.observer
+        clock = self.workers[0].clock
+        result = self._new_result()
+        run_span = None
+        if obs.active:
+            obs.on_run_start(self._run_meta(result))
+            run_span = obs.span_start(
+                "run", clock.total_seconds, policy=result.policy_name
+            )
+        for epoch in range(self.config.epochs):
+            self._run_epoch(epoch, result)
+        if run_span is not None:
+            obs.span_end(run_span, clock.total_seconds, epochs=len(result.epochs))
+        return result
+
+    def _run_epoch(
+        self, epoch: int, result: TrainResult,
+        orders: Optional[List[np.ndarray]] = None, start_batch: int = 0,
+        acc: Optional[EpochAccumulator] = None,
+        batch_hook: Optional[Callable] = None,
+    ) -> None:
+        """One epoch, optionally resumed from batch slot ``start_batch``.
+
+        A fresh epoch (``orders is None``) runs the policies' ``before_epoch``
+        hooks and draws each rank's order; a resumed one must pass the
+        checkpointed ``orders``/``acc`` (the hooks already ran in the original
+        timeline — their effects live in the restored policy state).
+        ``batch_hook`` fires after every batch slot — substituted or skipped
+        alike — with ``(epoch, slot, orders, acc)``; resilience layers preempt
+        and checkpoint from it.
+        """
+        workers, policies, clocks = self.workers, self._policies(), self._clocks()
+        clock = workers[0].clock
+        costs = self._stage_costs()
+        obs = self.observer
+        epoch_span = None
+        if obs.active:
+            obs.set_epoch(epoch)
+            epoch_span = obs.span_start("epoch", clock.total_seconds)
+        for w in workers:
+            w.optimizer.set_epoch(epoch)
+        if orders is None:
+            for policy in policies:
+                policy.before_epoch(epoch)
+            self._on_epoch_start(epoch)
+            # Ranks sharing a policy split its one global importance order
+            # round-robin.
+            orders = [np.empty(0, dtype=np.int64)] * len(workers)
+            for policy in policies:
+                ranks = [w.rank for w in workers if w.policy is policy]
+                order = policy.epoch_order(epoch)
+                for j, rank in enumerate(ranks):
+                    orders[rank] = order[j :: len(ranks)]
+        if acc is None:
+            acc = EpochAccumulator(
+                hits=[0] * len(workers),
+                load_before_s=[c.stage_seconds(RemoteStore.STAGE) for c in clocks],
+                rpc_before_s=self._rpc_seconds(),
+                stats_before=tuple(self._request_counts().tolist()),
+            )
+
+        n_slots = max(w.loader.n_batches(o) for w, o in zip(workers, orders))
+        for slot in range(start_batch, n_slots):
+            self._step(epoch, slot, orders, acc, costs)
+            if batch_hook is not None:
+                batch_hook(epoch, slot, orders, acc)
+
+        em = self._epoch_metrics(epoch, acc, costs)
+        result.epochs.append(em)
+        if obs.active:
+            obs.on_epoch_metrics(dataclasses.asdict(em))
+        self._on_epoch_end(epoch)
+        if epoch_span is not None:
+            obs.span_end(epoch_span, clock.total_seconds, batches=acc.n_batches)
+
+    def _step(
+        self, epoch: int, slot: int, orders: List[np.ndarray],
+        acc: EpochAccumulator, costs: StageCostModel,
+    ) -> None:
+        """Batch slot ``slot`` on every rank: collate, then train."""
+        workers, obs = self.workers, self.observer
+        clock = workers[0].clock  # the span timeline
+        batch_span = None
+        if obs.active:
+            t_slot = clock.total_seconds
+            batch_span = obs.span_start("batch", t_slot, slot=slot)
+        # Every rank collates before any rank trains: with a shared cache
+        # the fetch order across ranks decides hits and evictions. A rank
+        # whose order ran out (uneven tails) sits the step out.
+        live = []
+        for w, order in zip(workers, orders):
+            ids = w.loader.batch_ids(order, slot)
+            batch = w.loader.collate(ids) if len(ids) else None
+            if batch is not None:
+                live.append((w, batch))
+        if obs.active:
+            t_loaded = clock.total_seconds
+            if t_loaded > t_slot:
+                obs.span_record("data_load", t_slot, t_loaded, slot=slot)
+        if live:
+            self._train(epoch, slot, live, acc, costs)
+        if batch_span is not None:
+            obs.span_end(batch_span, clock.total_seconds)
+
+    def _train(
+        self, epoch: int, slot: int, live: List[Tuple[WorkerState, Batch]],
+        acc: EpochAccumulator, costs: StageCostModel,
+    ) -> None:
+        """The live ranks' forward/backward, one synchronized update, one
+        charge per clock."""
+        cfg, workers, obs = self.config, self.workers, self.observer
+        for w in workers:
+            w.optimizer.zero_grad()
+        # Ranks run in parallel: the step costs what its slowest rank costs.
+        compute_s = preprocess_s = 0.0
+        size = trained = 0
+        for w, batch in live:
+            x, n = batch.X, len(batch)
+            if cfg.transform is not None:
+                x = cfg.transform(x, training=True)
+                preprocess_s = max(
+                    preprocess_s, cfg.transform.cost_us_per_item * n / 1e6
+                )
+            # One forward/backward pass; policies that mask backprop (iCache)
+            # need the losses first, so their path re-runs the pass with the
+            # per-sample weights applied.
+            n_trained = n
+            losses, emb = w.model.train_batch(x, batch.y)
+            mask = w.policy.backprop_mask(batch.served, losses)
+            if mask is not None:
+                # Re-run with weights (the probe above already consumed the
+                # layer caches, so gradients must be rebuilt).
+                w.optimizer.zero_grad()
+                losses, emb = w.model.train_batch(x, batch.y, mask)
+                n_trained = int(np.count_nonzero(mask > 0))
+            w.policy.after_batch(batch.requested, batch.served, losses, emb, epoch)
+            acc.loss += float(losses.sum())
+            acc.n_seen += n
+            acc.hits[w.rank] += n - batch.sources.count(FetchSource.REMOTE)
+            scale = n / cfg.reference_batch
+            rank_compute_s = (
+                costs.stage1_ms + costs.stage2_ms * (n_trained / n)
+            ) / 1e3 * scale
+            compute_s = max(compute_s, rank_compute_s)
+            size += n
+            trained += n_trained
+        if len(workers) > 1:
+            _average_gradients(workers)
+        for w in workers:
+            w.optimizer.step()
+
+        is_visible_s = costs.visible_is_ms(costs.recommended_mode()) / 1e3
+        acc.n_batches += 1
+        acc.compute_s += compute_s
+        acc.preprocess_s += preprocess_s
+        t0 = workers[0].clock.total_seconds if obs.active else 0.0
+        for c in self._clocks():
+            c.advance("compute", compute_s)
+            c.advance("is_visible", is_visible_s)
+            if preprocess_s:
+                c.advance("preprocess", preprocess_s)
+        if obs.active:
+            # The advance amounts are known, so stage span bounds are
+            # derived arithmetically from one clock read.
+            t1 = t0 + compute_s
+            t2 = t1 + is_visible_s
+            obs.span_record("compute", t0, t1, slot=slot)
+            obs.span_record("is_visible", t1, t2, slot=slot)
+            if preprocess_s:
+                obs.span_record("preprocess", t2, t2 + preprocess_s, slot=slot)
+            obs.on_batch(
+                slot, size, trained / size, compute_s, preprocess_s, is_visible_s
+            )
+
+    def _epoch_metrics(
+        self, epoch: int, acc: EpochAccumulator, costs: StageCostModel
+    ) -> EpochMetrics:
+        """Close the epoch: the stage accounting (compute/IS/preprocess were
+        already charged to the clocks per step), evaluation, the policies'
+        ``after_epoch``, hit ratios."""
+        cfg, policies, clocks = self.config, self._policies(), self._clocks()
+        first = self.workers[0]
+        k = len(self.workers)
+        # With prefetching the raw total is already overlap-charged
+        # (max-of-window); dividing it by io_workers again would model
+        # the same parallelism twice.
+        load_div = 1 if cfg.prefetch_workers > 0 else cfg.io_workers
+        loads = [
+            (c.stage_seconds(RemoteStore.STAGE) - before) / load_div
+            + sum(acc.hits[w.rank] for w in self.workers if w.clock is c)
+            * cfg.hit_latency_s
+            for c, before in zip(clocks, acc.load_before_s)
+        ]
+        rpc_s = self._rpc_seconds() - acc.rpc_before_s
+        # A clock shared by m ranks holds their serial sum and they load in
+        # parallel (divide by m); the step waits for the slowest clock.
+        data_load_s = max(loads) / (k // len(clocks)) + rpc_s / k
+        is_visible_s = (
+            acc.n_batches * costs.visible_is_ms(costs.recommended_mode()) / 1e3
+        )
+        comm_s = acc.n_batches * self.comm_ms_per_step / 1e3 * (2 * (k - 1) / k)
+
+        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+            self._val_accuracy, _ = first.model.evaluate(
+                self.test_set.X, self.test_set.y
+            )
+        for policy in policies:
+            policy.after_epoch(epoch, self._val_accuracy)
+
+        d_req, d_hit, d_exact, d_sub = (
+            self._request_counts() - acc.stats_before
+        ).tolist()
+        score_std = None
+        table = getattr(first.policy, "score_table", None)
+        if table is not None and table.std_history:
+            score_std = table.std_history[-1]
+        return EpochMetrics(
+            epoch=epoch,
+            train_loss=acc.loss / max(acc.n_seen, 1),
+            val_accuracy=self._val_accuracy,
+            hit_ratio=d_hit / d_req if d_req else 0.0,
+            exact_hit_ratio=d_exact / d_req if d_req else 0.0,
+            substitute_ratio=d_sub / d_req if d_req else 0.0,
+            data_load_s=data_load_s,
+            compute_s=acc.compute_s,
+            is_visible_s=is_visible_s,
+            epoch_time_s=(
+                data_load_s + acc.compute_s + is_visible_s
+                + acc.preprocess_s + comm_s
+            ),
+            imp_ratio=first.policy.imp_ratio,
+            score_std=score_std,
+            preprocess_s=acc.preprocess_s,
+            comm_s=comm_s,
+        )
 
 
-class Trainer:
-    """Runs ``model`` over ``train_set`` under ``policy``.
+def _of_first(name: str) -> property:
+    """A replica-0 attribute, readable and assignable on the trainer."""
+    return property(
+        lambda self: getattr(self.workers[0], name),
+        lambda self, value: setattr(self.workers[0], name, value),
+    )
 
-    The test set is evaluated every ``eval_every`` epochs; policies receive
-    the latest accuracy in ``after_epoch`` (the Elastic Cache Manager's
-    Accuracy Monitor input).
-    """
+
+class Trainer(EpochRunner):
+    """Runs ``model`` over ``train_set`` under ``policy``: the one-replica
+    topology."""
+
+    model = _of_first("model")
+    policy = _of_first("policy")
+    store = _of_first("store")
+    clock = _of_first("clock")
+    loader = _of_first("loader")
+    optimizer = _of_first("optimizer")
 
     def __init__(
         self,
@@ -174,352 +595,33 @@ class Trainer:
         rng: RngLike = None,
         observer: Optional[Observer] = None,
     ) -> None:
-        self.model = model
-        self.train_set = train_set
-        self.test_set = test_set
-        self.policy = policy
-        self.config = config or TrainerConfig()
-        self._rng = resolve_rng(rng)
-        self.observer = observer if observer is not None else NULL_OBSERVER
-
-        self.clock = SimClock()
-        self.store = RemoteStore(
-            train_set.X,
-            item_nbytes=train_set.item_nbytes,
-            latency=latency or ConstantLatency(),
-            clock=self.clock,
-        )
-        self.optimizer = SGD(
-            model.params(),
-            lr=self.config.lr,
-            momentum=self.config.momentum,
-            weight_decay=self.config.weight_decay,
-            schedule=self.config.build_schedule(),
-        )
-        embedding_dim = model.embedding_dim
-        policy.setup(
-            PolicyContext(
-                dataset=train_set,
-                store=self.store,
-                batch_size=self.config.batch_size,
-                total_epochs=self.config.epochs,
-                embedding_dim=embedding_dim,
-                rng=self._rng,
-            )
-        )
-        if self.config.clock_mode not in ("sim", "real"):
+        super().__init__(train_set, test_set, config, observer, rng)
+        cfg = self.config
+        if cfg.shared_cache or cfg.cache_shards or cfg.resize_shards_at:
             raise ValueError(
-                f"clock_mode must be 'sim' or 'real', "
-                f"got {self.config.clock_mode!r}"
+                "shared_cache / cache_shards / resize_shards_at configure a "
+                "shared cache tier; use DataParallelTrainer(world_size=1, "
+                "...), which honours them"
             )
-        if self.config.prefetch_workers > 0:
-            from repro.data.prefetch import PrefetchingDataLoader
-
-            self.loader: DataLoader = PrefetchingDataLoader(
-                train_set.y,
-                policy.fetch,
-                batch_size=self.config.batch_size,
-                workers=self.config.prefetch_workers,
-                clock=self.clock,
-                stage=RemoteStore.STAGE,
-                observer=self.observer,
-                # Deterministic (seeded-scheduler) slot execution in sim
-                # mode; real threads only when the run is wall-clock.
-                executor=(
-                    "threads" if self.config.clock_mode == "real"
-                    else "deterministic"
-                ),
-                fetch_many_fn=policy.fetch_many,
-            )
-        else:
-            self.loader = DataLoader(
-                train_set.y, policy.fetch, batch_size=self.config.batch_size,
-                fetch_many_fn=policy.fetch_many,
-            )
-        self._val_accuracy = 0.0
+        store = self._setup_policy(
+            policy, model, train_set, cfg.batch_size, latency, SimClock(), self._rng
+        )
+        self._add_replica(
+            np.arange(len(train_set)), model, policy, store, train_set.y,
+            cfg.batch_size,
+        )
         self._attach_observer()
 
-    # ------------------------------------------------------------------
-    def _attach_observer(self) -> None:
-        """Wire ``self.observer`` through the store stack and the policy.
 
-        Idempotent; re-run at the top of :meth:`run` because tests and
-        the resilience layer wrap ``self.store`` after construction.
-        """
-        obs = self.observer
-        if not obs.active:
-            return
-        obs.hit_latency_s = self.config.hit_latency_s
-        store = self.store
-        while True:
-            # Duck-typed walk (isinstance on resilience types would cycle
-            # imports): a wrapper owning a circuit breaker exposes it in
-            # its own __dict__; __getattr__ forwarding is bypassed so each
-            # breaker attaches exactly once.
-            breaker = store.__dict__.get("breaker")
-            if breaker is not None and hasattr(breaker, "attach_observer"):
-                breaker.attach_observer(obs)
-            inner = store.__dict__.get("inner")
-            if inner is None:
-                break
-            store = inner
-        if hasattr(store, "attach_observer"):
-            store.attach_observer(obs)
-        if hasattr(self.loader, "attach_observer"):
-            self.loader.attach_observer(obs)
-        self.policy.attach_observer(obs)
-
-    # ------------------------------------------------------------------
-    def _stage_costs(self) -> StageCostModel:
-        spec = self.model.spec
-        policy_is = self.policy.is_ms_per_batch  # None = defer to the spec
-        if spec is not None:
-            costs = StageCostModel.from_spec(spec)
-            if policy_is is not None:
-                costs = StageCostModel(costs.stage1_ms, costs.stage2_ms,
-                                       policy_is)
-            return costs
-        return StageCostModel(42.0, 35.0,
-                              16.0 if policy_is is None else policy_is)
-
-    def _new_result(self) -> TrainResult:
-        return TrainResult(
-            policy_name=self.policy.name,
-            model_name=self.model.spec.name if self.model.spec else "custom",
-            dataset_name=self.train_set.name,
-        )
-
-    def _emit_run_start(self) -> None:
-        """Record the run configuration in the trace (aggregators need
-        ``io_workers``/``hit_latency_s`` to reproduce stage times)."""
-        if not self.observer.active:
-            return
-        cfg = self.config
-        self.observer.on_run_start({
-            "policy": self.policy.name,
-            "model": self.model.spec.name if self.model.spec else "custom",
-            "dataset": self.train_set.name,
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "io_workers": cfg.io_workers,
-            "prefetch_workers": cfg.prefetch_workers,
-            "hit_latency_s": cfg.hit_latency_s,
-        })
-
-    def run(self) -> TrainResult:
-        """Train for ``config.epochs`` epochs; returns the full run record."""
-        self._attach_observer()
-        obs = self.observer
-        run_span = None
-        if obs.active:
-            self._emit_run_start()
-            run_span = obs.span_start(
-                "run", self.clock.total_seconds, policy=self.policy.name
-            )
-        result = self._new_result()
-        for epoch in range(self.config.epochs):
-            self._run_epoch(epoch, result)
-        if run_span is not None:
-            obs.span_end(
-                run_span, self.clock.total_seconds, epochs=len(result.epochs)
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_epoch(
-        self,
-        epoch: int,
-        result: TrainResult,
-        order: Optional[np.ndarray] = None,
-        start_batch: int = 0,
-        acc: Optional[EpochAccumulator] = None,
-        batch_hook: Optional[
-            Callable[[int, int, np.ndarray, "EpochAccumulator"], None]
-        ] = None,
-    ) -> None:
-        """One epoch, optionally resumed from batch slot ``start_batch``.
-
-        A fresh epoch (``order is None``) runs the policy's ``before_epoch``
-        hook and draws the order; a resumed one must pass the checkpointed
-        ``order``/``acc`` (the hook already ran in the original timeline —
-        its effects live in the restored policy state). ``batch_hook`` fires
-        after every batch slot — substituted or skipped alike — with
-        ``(epoch, slot, order, acc)``; resilience layers preempt and
-        checkpoint from it.
-        """
-        cfg = self.config
-        costs = self._stage_costs()
-        visible_is_per_batch_ms = costs.visible_is_ms(costs.recommended_mode())
-
-        obs = self.observer
-        epoch_span = None
-        if obs.active:
-            obs.set_epoch(epoch)
-            epoch_span = obs.span_start("epoch", self.clock.total_seconds)
-        self.optimizer.set_epoch(epoch)
-        if order is None:
-            self.policy.before_epoch(epoch)
-            order = self.policy.epoch_order(epoch)
-        if acc is None:
-            acc = EpochAccumulator(
-                load_before_s=self.clock.stage_seconds(RemoteStore.STAGE),
-                stats_before=_snapshot(self.policy),
-            )
-
-        for slot in range(start_batch, self.loader.n_batches(order)):
-            batch_span = None
-            if obs.active:
-                t_slot = self.clock.total_seconds
-                batch_span = obs.span_start("batch", t_slot, slot=slot)
-            batch = self.loader.collate(self.loader.batch_ids(order, slot))
-            if obs.active:
-                t_loaded = self.clock.total_seconds
-                if t_loaded > t_slot:
-                    obs.span_record("data_load", t_slot, t_loaded, slot=slot)
-            if batch is not None:
-                self._train_batch(
-                    batch, epoch, acc, costs, visible_is_per_batch_ms,
-                    slot=slot,
-                )
-            if batch_span is not None:
-                obs.span_end(batch_span, self.clock.total_seconds)
-            if batch_hook is not None:
-                batch_hook(epoch, slot, order, acc)
-
-        # Stage accounting for the epoch (compute/IS/preprocess were
-        # already charged to the clock per batch).
-        raw_load_s = self.clock.stage_seconds(RemoteStore.STAGE) - acc.load_before_s
-        # With prefetching the raw total is already overlap-charged
-        # (max-of-window); dividing it by io_workers again would model
-        # the same parallelism twice.
-        load_div = 1 if cfg.prefetch_workers > 0 else cfg.io_workers
-        data_load_s = raw_load_s / load_div + acc.hits * cfg.hit_latency_s
-        is_visible_s = acc.n_batches * visible_is_per_batch_ms / 1e3
-
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            self._val_accuracy, _ = self.model.evaluate(
-                self.test_set.X, self.test_set.y
-            )
-        self.policy.after_epoch(epoch, self._val_accuracy)
-
-        stats_after = _snapshot(self.policy)
-        d_req = stats_after[0] - acc.stats_before[0]
-        d_hit = stats_after[1] - acc.stats_before[1]
-        d_exact = stats_after[2] - acc.stats_before[2]
-        d_sub = stats_after[3] - acc.stats_before[3]
-        hit_ratio = d_hit / d_req if d_req else 0.0
-        exact_ratio = d_exact / d_req if d_req else 0.0
-        sub_ratio = d_sub / d_req if d_req else 0.0
-
-        score_std = None
-        table = getattr(self.policy, "score_table", None)
-        if table is not None and table.std_history:
-            score_std = table.std_history[-1]
-
-        em = EpochMetrics(
-            epoch=epoch,
-            train_loss=acc.loss / max(acc.n_seen, 1),
-            val_accuracy=self._val_accuracy,
-            hit_ratio=hit_ratio,
-            exact_hit_ratio=exact_ratio,
-            substitute_ratio=sub_ratio,
-            data_load_s=data_load_s,
-            compute_s=acc.compute_s,
-            is_visible_s=is_visible_s,
-            epoch_time_s=(
-                data_load_s + acc.compute_s + is_visible_s
-                + acc.preprocess_s
-            ),
-            imp_ratio=self.policy.imp_ratio,
-            score_std=score_std,
-            preprocess_s=acc.preprocess_s,
-        )
-        result.epochs.append(em)
-        if obs.active:
-            obs.on_epoch_metrics(dataclasses.asdict(em))
-        if epoch_span is not None:
-            obs.span_end(
-                epoch_span, self.clock.total_seconds, batches=acc.n_batches
-            )
-
-    def _train_batch(
-        self,
-        batch,
-        epoch: int,
-        acc: EpochAccumulator,
-        costs: StageCostModel,
-        visible_is_per_batch_ms: float,
-        slot: int = 0,
-    ) -> None:
-        cfg = self.config
-        transform = cfg.transform
-        self.optimizer.zero_grad()
-        x = batch.X
-        batch_preprocess_s = 0.0
-        if transform is not None:
-            x = transform(x, training=True)
-            batch_preprocess_s = transform.cost_us_per_item * len(batch) / 1e6
-            acc.preprocess_s += batch_preprocess_s
-        trained_fraction = 1.0
-        # One forward/backward pass; policies that mask backprop (iCache)
-        # need the losses first, so their path re-runs the pass with the
-        # per-sample weights applied.
-        losses, emb = self.model.train_batch(x, batch.y)
-        mask = self.policy.backprop_mask(batch.served, losses)
-        if mask is not None:
-            # Re-run with weights (the probe above already consumed the
-            # layer caches, so gradients must be rebuilt).
-            self.optimizer.zero_grad()
-            losses, emb = self.model.train_batch(x, batch.y, mask)
-            trained_fraction = float(np.mean(mask > 0))
-        self.optimizer.step()
-
-        self.policy.after_batch(
-            batch.requested, batch.served, losses, emb, epoch
-        )
-
-        acc.loss += float(losses.sum())
-        acc.n_seen += len(batch)
-        acc.n_batches += 1
-        acc.hits += sum(1 for s in batch.sources if s != FetchSource.REMOTE)
-        scale = len(batch) / cfg.reference_batch
-        batch_compute_s = (
-            costs.stage1_ms + costs.stage2_ms * trained_fraction
-        ) / 1e3 * scale
-        acc.compute_s += batch_compute_s
-        obs = self.observer
-        t0 = self.clock.total_seconds if obs.active else 0.0
-        self.clock.advance("compute", batch_compute_s)
-        self.clock.advance("is_visible", visible_is_per_batch_ms / 1e3)
-        if batch_preprocess_s:
-            self.clock.advance("preprocess", batch_preprocess_s)
-        if obs.active:
-            # The advance amounts are known, so stage span bounds are
-            # derived arithmetically from one clock read.
-            t1 = t0 + batch_compute_s
-            t2 = t1 + visible_is_per_batch_ms / 1e3
-            obs.span_record("compute", t0, t1, slot=slot)
-            obs.span_record("is_visible", t1, t2, slot=slot)
-            if batch_preprocess_s:
-                obs.span_record(
-                    "preprocess", t2, t2 + batch_preprocess_s, slot=slot
-                )
-        if self.observer.active:
-            self.observer.on_batch(
-                slot,
-                len(batch),
-                trained_fraction,
-                batch_compute_s,
-                batch_preprocess_s,
-                visible_is_per_batch_ms / 1e3,
-            )
+def _unique(items: Iterable) -> list:
+    """``items`` without repeats of the same object, in first-seen order."""
+    return list({id(item): item for item in items}.values())
 
 
-def _snapshot(policy: TrainingPolicy):
-    s = policy.stats()
-    return (
-        s.requests,
-        s.hits + s.substitute_hits,
-        s.hits,
-        s.substitute_hits,
-    )
+def _average_gradients(workers: List[WorkerState]) -> None:
+    """All-reduce: every replica's gradients become the mean over all ranks
+    (a rank that sat the step out contributes zeros)."""
+    for grads in zip(*([g for _, g in w.model.params()] for w in workers)):
+        mean = np.mean(grads, axis=0)
+        for g in grads:
+            np.copyto(g, mean)

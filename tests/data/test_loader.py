@@ -7,6 +7,11 @@ from repro.core.semantic_cache import FetchOutcome, FetchSource
 from repro.data.loader import Batch, DataLoader
 
 
+def _batches(dl, order):
+    """Every batch slot of ``order``, collated (the epoch loop's walk)."""
+    return [dl.collate(dl.batch_ids(order, s)) for s in range(dl.n_batches(order))]
+
+
 def _identity_fetch(payloads):
     def fetch(i):
         return FetchOutcome(i, i, payloads[i], FetchSource.REMOTE)
@@ -18,7 +23,7 @@ def test_batching_sizes():
     payloads = np.arange(10.0)[:, None]
     labels = np.arange(10) % 3
     dl = DataLoader(labels, _identity_fetch(payloads), batch_size=4)
-    batches = list(dl.iter_epoch(np.arange(10)))
+    batches = _batches(dl, np.arange(10))
     assert [len(b) for b in batches] == [4, 4, 2]
 
 
@@ -27,7 +32,7 @@ def test_collation_matches_order():
     labels = np.arange(20)
     dl = DataLoader(labels, _identity_fetch(payloads), batch_size=8)
     order = np.array([5, 3, 9, 1, 0, 7, 2, 8])
-    (batch,) = list(dl.iter_epoch(order))
+    (batch,) = _batches(dl, order)
     np.testing.assert_array_equal(batch.requested, order)
     np.testing.assert_array_equal(batch.X[:, 0], order.astype(float))
     np.testing.assert_array_equal(batch.y, order)
@@ -43,7 +48,7 @@ def test_substitution_labels_follow_served():
         return FetchOutcome(i, served, payloads[served], FetchSource.HOMOPHILY)
 
     dl = DataLoader(labels, fetch, batch_size=4)
-    (b,) = list(dl.iter_epoch(np.array([1, 2, 3, 4])))
+    (b,) = _batches(dl, np.array([1, 2, 3, 4]))
     np.testing.assert_array_equal(b.served, [0, 2, 2, 4])
     np.testing.assert_array_equal(b.y, [0, 20, 20, 40])
     assert b.substitution_count == 2
@@ -62,7 +67,7 @@ def test_sources_recorded():
         return FetchOutcome(i, i, payloads[i], src)
 
     dl = DataLoader(np.zeros(4, dtype=int), fetch, batch_size=4)
-    (b,) = list(dl.iter_epoch(np.arange(4)))
+    (b,) = _batches(dl, np.arange(4))
     assert b.sources == [
         FetchSource.IMPORTANCE,
         FetchSource.IMPORTANCE,
@@ -73,7 +78,7 @@ def test_sources_recorded():
 
 def test_empty_order_yields_nothing():
     dl = DataLoader(np.zeros(4, dtype=int), lambda i: None, batch_size=2)
-    assert list(dl.iter_epoch(np.array([], dtype=int))) == []
+    assert _batches(dl, np.array([], dtype=int)) == []
 
 
 def test_collate_calls_the_batch_entry_once_per_batch():
@@ -89,6 +94,6 @@ def test_collate_calls_the_batch_entry_once_per_batch():
                 for i in ids]
 
     dl = DataLoader(np.arange(10), per_id, batch_size=4, fetch_many_fn=fetch_many)
-    batches = list(dl.iter_epoch(np.arange(10)))
+    batches = _batches(dl, np.arange(10))
     assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     np.testing.assert_array_equal(batches[2].served, [8, 9])

@@ -195,3 +195,48 @@ def test_rpc_attempt_line_equals_the_rpc_calls_counter(tmp_path):
     match = re.search(r"rpc transport: sim=(\d+) attempt\(s\)",
                       render_report(tmp_path))
     assert match and int(match.group(1)) == calls
+
+
+def test_data_parallel_report_stage_columns_equal_epoch_metrics(tmp_path):
+    """A traced K=2 shared run goes through the same step as ``Trainer``:
+    one ``batch`` event per step, IS charged from the policy's cost — so the
+    report's ``comp_s`` / ``is_s`` columns and the trace's batch events both
+    equal the run's ``EpochMetrics`` (the forked loop emitted no batch event
+    and charged no policy IS)."""
+    from repro.train.data_parallel import DataParallelTrainer
+
+    class SlowISPolicy(SpiderCachePolicy):
+        is_ms_per_batch = 100.0  # 23 ms outlast resnet18's 77 ms overlap window
+
+    ds = make_clustered_dataset(240, n_classes=4, dim=16, rng=0)
+    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    dp = DataParallelTrainer(
+        model_factory=lambda: build_model("resnet18", train.dim,
+                                          train.num_classes, rng=2),
+        train_set=train,
+        test_set=test,
+        policy_factory=lambda rank: SlowISPolicy(cache_fraction=0.3, rng=3),
+        world_size=2,
+        shared_cache=True,
+        config=TrainerConfig(epochs=2, batch_size=32),
+        observer=Observer(recorder=recorder, metrics=MetricsRegistry()),
+        rng=4,
+    )
+    result = dp.run()
+    recorder.close()
+    write_run_artifacts(result, tmp_path)
+
+    rows = render_report(tmp_path).splitlines()[3:3 + len(result.epochs)]
+    aggs = aggregate_trace(tmp_path / TRACE_FILE)
+    assert len(aggs) == len(result.epochs) == len(rows)
+    for row, a, em in zip(rows, aggs, result.epochs):
+        cols = row.split()
+        assert int(cols[0]) == em.epoch
+        assert cols[6] == f"{em.compute_s:.3f}" != "0.000"
+        assert cols[7] == f"{em.is_visible_s:.3f}" != "0.000"
+        assert a.n_batches == 6  # ceil(90 per rank / 16 per rank and step)
+        assert a.n_samples == len(train)
+        assert a.compute_s == pytest.approx(em.compute_s, abs=1e-9)
+        assert a.is_visible_s == pytest.approx(em.is_visible_s, abs=1e-9)
+        assert a.hit_ratio == pytest.approx(em.hit_ratio, abs=1e-12)

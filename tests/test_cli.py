@@ -77,6 +77,14 @@ def test_train_with_trace_dir_and_report(tmp_path, capsys):
     assert "trace vs per-epoch metrics: OK" in out
 
 
+def test_train_rejects_prefetch_with_several_workers(capsys):
+    """The overlap model is defined for one loader per clock; the
+    data-parallel run used to build a serial loader without a word."""
+    flags = ["--world-size", "2", "--prefetch-workers", "4"]
+    assert main(["train"] + flags + FAST) == 2
+    assert "--prefetch-workers requires --world-size 1" in capsys.readouterr().err
+
+
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nothing")]) == 2
     assert "not found" in capsys.readouterr().err

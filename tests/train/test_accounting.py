@@ -1,28 +1,28 @@
 """Stage-accounting invariants for clean and fault-recovered runs.
 
-The per-epoch identity (``epoch_time_s`` is exactly the sum of its four
+The per-epoch identity (``epoch_time_s`` is exactly the sum of its five
 stage components) and the run-level consistency between
-``TrainResult.stage_totals()`` and the trainer's ``SimClock`` breakdown
-are what every time-related figure rests on — they must hold for a plain
-``Trainer`` and for a ``ResilientTrainer`` that restored mid-epoch.
+``TrainResult.stage_totals()`` and the trainers' ``SimClock`` breakdown
+are what every time-related figure rests on — they must hold at every
+topology the one epoch loop runs, and for a ``ResilientTrainer`` that
+restored mid-epoch.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.policy import SpiderCachePolicy
-from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.data.transforms import Compose, GaussianNoise
 from repro.nn.models import build_model
 from repro.resilience.preemption import PreemptionSchedule
 from repro.resilience.trainer import ResilientTrainer
 from repro.storage.backends import RemoteStore
-from repro.train.trainer import Trainer, TrainerConfig
+from repro.train.trainer import RPC_STAGE, Trainer, TrainerConfig
+from tests.train import topologies
 
 
 def _build(cls=Trainer, epochs=3, transform=None, **kw):
-    ds = make_clustered_dataset(240, n_classes=4, dim=16, rng=0)
-    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    train, test = topologies.dataset()
     model = build_model("resnet18", train.dim, train.num_classes, rng=2)
     policy = SpiderCachePolicy(cache_fraction=0.25, rng=3)
     cfg = TrainerConfig(epochs=epochs, batch_size=32, transform=transform)
@@ -31,40 +31,60 @@ def _build(cls=Trainer, epochs=3, transform=None, **kw):
 
 def _assert_invariants(trainer, result):
     cfg = trainer.config
-    clock = trainer.clock
+    workers = trainer.workers
+    k = len(workers)
     for e in result.epochs:
         # Per-epoch identity: the reported epoch time is exactly its parts.
         assert e.epoch_time_s == pytest.approx(
-            e.data_load_s + e.compute_s + e.is_visible_s + e.preprocess_s,
+            e.data_load_s + e.compute_s + e.is_visible_s + e.preprocess_s
+            + e.comm_s,
             abs=1e-12,
         )
     totals = result.stage_totals()
     assert set(totals) == {
-        "data_load_s", "compute_s", "is_visible_s", "preprocess_s"
+        "data_load_s", "compute_s", "is_visible_s", "preprocess_s", "comm_s"
     }
-    # Run totals reconcile with the simulated clock: compute and
-    # preprocess are charged per batch as-is; raw data_load divides over
-    # the io_workers plus one hit latency per cache serve.
-    assert totals["compute_s"] == pytest.approx(
-        clock.stage_seconds("compute"), abs=1e-9
-    )
-    assert totals["preprocess_s"] == pytest.approx(
-        clock.stage_seconds("preprocess"), abs=1e-9
-    )
-    assert totals["is_visible_s"] == pytest.approx(
-        clock.stage_seconds("is_visible"), abs=1e-9
-    )
-    stats = trainer.policy.stats()
-    hits = stats.hits + stats.substitute_hits + stats.degraded_serves
-    expected_load = (
-        clock.stage_seconds(RemoteStore.STAGE) / cfg.io_workers
-        + hits * cfg.hit_latency_s
-    )
-    assert totals["data_load_s"] == pytest.approx(expected_load, abs=1e-9)
+    # Run totals reconcile with every replica's simulated clock: compute,
+    # IS and preprocess are charged per step as-is.
+    for w in workers:
+        for stage in ("compute", "is_visible", "preprocess"):
+            assert totals[f"{stage}_s"] == pytest.approx(
+                w.clock.stage_seconds(stage), abs=1e-9
+            ), (w.rank, stage)
+    # Raw data_load divides over the io_workers plus one hit latency per
+    # cache serve; ranks load in parallel, the slowest clock sets the pace.
+    per_clock = {}
+    for w in workers:
+        stats = w.policy.stats()
+        hits = stats.hits + stats.substitute_hits + stats.degraded_serves
+        per_clock[id(w.clock)] = (
+            w.clock.stage_seconds(RemoteStore.STAGE) / cfg.io_workers
+            + hits * cfg.hit_latency_s
+            + w.clock.stage_seconds(RPC_STAGE)
+        )
+    loads = list(per_clock.values())
+    if len(loads) == 1:
+        assert totals["data_load_s"] == pytest.approx(loads[0] / k, abs=1e-9)
+    else:  # per-epoch straggler max: between the slowest clock and the sum
+        assert max(loads) - 1e-9 <= totals["data_load_s"] <= sum(loads) + 1e-9
+    assert (totals["comm_s"] > 0) == (k > 1)
     # Total time identity at the run level.
     assert result.total_time_s == pytest.approx(
         sum(totals.values()), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("topology", topologies.TOPOLOGIES)
+def test_stage_accounting_invariants_at_every_topology(topology):
+    transform = Compose([GaussianNoise(0.05, rng=5)])
+    trainer = topologies.build(
+        topology, topologies.dataset(),
+        TrainerConfig(epochs=3, batch_size=32, transform=transform),
+    )
+    result = trainer.run()
+    assert all(e.preprocess_s > 0 for e in result.epochs)
+    assert all(e.score_std is not None for e in result.epochs)
+    _assert_invariants(trainer, result)
 
 
 def test_trainer_stage_accounting_invariants():

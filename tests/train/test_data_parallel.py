@@ -103,3 +103,29 @@ def test_spider_policy_per_worker_caches(data):
 def test_policy_name_tagged(data):
     res = _dp(data, 2, epochs=1).run()
     assert res.policy_name == "baseline-lru@dp2"
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-worker", "shared"])
+def test_batch_hook_fires_once_per_step_with_the_epochs_accumulator(data, shared):
+    """ResilientTrainer's seams exist at any world size: the hook sees every
+    slot, each rank's order, and the accumulator EpochMetrics is built from."""
+    dp = _dp(data, 2, epochs=1, shared_cache=shared)
+    result = dp._new_result()
+    calls = []
+
+    def hook(epoch, slot, orders, acc):
+        calls.append((epoch, slot, acc, acc.n_batches))
+        assert len(orders) == 2
+        assert all(len(o) == len(data[0]) // 2 for o in orders)
+
+    dp._run_epoch(0, result, batch_hook=hook)
+    per_rank = len(data[0]) // 2
+    n_steps = -(-per_rank // dp.workers[0].loader.batch_size)
+    assert [(e, s) for e, s, _, _ in calls] == [(0, s) for s in range(n_steps)]
+    assert [n for _, _, _, n in calls] == list(range(1, n_steps + 1))
+    acc = calls[0][2]
+    assert all(a is acc for _, _, a, _ in calls)
+    (em,) = result.epochs
+    assert em.compute_s == acc.compute_s
+    assert em.train_loss == acc.loss / acc.n_seen == acc.loss / len(data[0])
+    assert em.comm_s == pytest.approx(n_steps * dp.comm_ms_per_step / 1e3)
