@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage shapes bench bench-csv bench-trajectory bench-tracing perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist load transport report all
+.PHONY: install test coverage shapes bench perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist load transport report all
 
 # Where `make report` writes (and reads back) its traced demo run.
 REPORT_DIR ?= results/traced-run
@@ -28,19 +28,6 @@ shapes:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Perf trajectory: measure hot-path throughput, write BENCH_<date>.json at
-# the repo root, and soft-gate against the last committed baseline (warns
-# on >20% regressions, never fails). Commit the new file to move the
-# baseline forward; see EXPERIMENTS.md "Performance trajectory".
-bench-trajectory:
-	$(PYTHON) -m repro bench --check
-
-# Tracing-overhead soft gate: full observability (JSONL + spans) vs
-# NULL_OBSERVER on the same seeded run. Warns past the 3x budget, never
-# fails; `--write` refreshes the committed benchmarks/BENCH_TRACING.json.
-bench-tracing:
-	$(PYTHON) benchmarks/tracing_overhead.py --write
-
 # The repo's wall-clock benchmark (perfbench/README.md, BENCHMARK.json):
 # every workload, untraced + traced pass, one result file per commit.
 # `perfbench-compare A=parent.json B=change.json` prints the verdict per
@@ -54,11 +41,6 @@ perfbench-compare:
 
 perfbench-selftest:
 	python3 -m pytest perfbench/tests -q
-
-# Same benches, also dumping every table as CSV into results/.
-bench-csv:
-	mkdir -p results
-	REPRO_BENCH_CSV_DIR=results $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done

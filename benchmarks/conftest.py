@@ -13,7 +13,6 @@ crossovers, rough factors — are what the benches assert.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional
 
 import pytest
@@ -73,12 +72,7 @@ def run_policy(
 
 
 def print_table(title: str, header: list, rows: list) -> None:
-    """Render one experiment table to stdout.
-
-    When the ``REPRO_BENCH_CSV_DIR`` environment variable is set, the same
-    rows are also written as CSV into that directory (one file per table,
-    named from a slug of the title) for downstream plotting.
-    """
+    """Render one experiment table to stdout."""
     widths = [
         max(len(str(header[i])), max((len(str(r[i])) for r in rows), default=0))
         for i in range(len(header))
@@ -87,15 +81,6 @@ def print_table(title: str, header: list, rows: list) -> None:
     print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
     for r in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
-
-    csv_dir = os.environ.get("REPRO_BENCH_CSV_DIR")
-    if csv_dir:
-        from repro.analysis.export import write_rows_csv
-
-        slug = "".join(
-            ch if ch.isalnum() else "_" for ch in title.lower()
-        ).strip("_")[:80]
-        write_rows_csv(header, rows, os.path.join(csv_dir, f"{slug}.csv"))
 
 
 @pytest.fixture

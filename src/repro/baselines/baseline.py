@@ -1,4 +1,4 @@
-"""Classic-cache baselines: random sampling over LRU/LFU/FIFO.
+"""Classic-cache baselines: random sampling over LRU/LFU.
 
 The paper's end-to-end "Baseline" is exactly random sampling + LRU; Fig. 3(b)
 additionally sweeps LFU. Random sampling visits every sample once per epoch

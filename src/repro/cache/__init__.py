@@ -1,12 +1,10 @@
 """Generic cache substrate + classic eviction policies.
 
 LRU/LFU are the Fig. 3(b) baselines the paper shows failing under random
-sampling; MinIO is CoorDL's never-evict cache; FIFO backs the Homophily
-Cache's update rule.
+sampling; MinIO is CoorDL's never-evict cache.
 """
 
 from repro.cache.base import Cache, CacheStats
-from repro.cache.fifo import FIFOCache
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
@@ -17,7 +15,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "LFUCache",
-    "FIFOCache",
     "MinIOCache",
     "AccessTrace",
     "record_trace",

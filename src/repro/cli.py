@@ -10,7 +10,6 @@ Usage::
     python -m repro trace --policy spidercache --epochs 6 --capacity 0.2
     python -m repro train --policy spidercache --trace-dir runs/demo
     python -m repro report runs/demo
-    python -m repro bench --check
     python -m repro load --requests 100000 --arrivals bursty \\
         --trace-dir runs/load-demo
 
@@ -170,63 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="replay-cache capacity as a dataset fraction")
     add_common(trace_p)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the perf trajectory, write BENCH_<date>.json, "
-             "optionally soft-gate against the last committed baseline",
-    )
-    bench_p.add_argument(
-        "--out-dir", default=".",
-        help="where BENCH_<date>.json is written (default: repo root)",
-    )
-    bench_p.add_argument(
-        "--baseline-root", default=".",
-        help="directory searched for the committed baseline BENCH_*.json",
-    )
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="reduced workload sizes (CI smoke; not comparable to the "
-             "committed full-scale baseline)",
-    )
-    bench_p.add_argument(
-        "--check", action="store_true",
-        help="compare against the newest committed BENCH_*.json and warn "
-             "on regressions past the threshold (soft gate: exit 0)",
-    )
-    bench_p.add_argument(
-        "--strict", action="store_true",
-        help="with --check: exit nonzero when a regression is detected",
-    )
-    bench_p.add_argument(
-        "--threshold", type=float, default=0.2,
-        help="relative regression tolerance for the soft gate (default 0.2)",
-    )
-    bench_p.add_argument(
-        "--no-write", action="store_true",
-        help="measure and report without writing a BENCH file",
-    )
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument(
-        "--hnsw-n", type=int, default=None,
-        help="override HNSW micro-benchmark vector count",
-    )
-    bench_p.add_argument(
-        "--queries", type=int, default=None,
-        help="override HNSW query count",
-    )
-    bench_p.add_argument(
-        "--cache-ops", type=int, default=None,
-        help="override cache op count",
-    )
-    bench_p.add_argument(
-        "--samples", type=int, default=None,
-        help="override end-to-end epoch sample count",
-    )
-    bench_p.add_argument(
-        "--epochs", type=int, default=None,
-        help="override end-to-end epoch count",
-    )
-
     load_p = sub.add_parser(
         "load",
         help="replay a synthetic request trace against the sharded tier "
@@ -363,8 +305,8 @@ def _cmd_info(args) -> int:
 
 
 def _make_dp_run(args, policy_name: str, observer=None):
-    """Build a DataParallelTrainer for ``--world-size > 1`` (or
-    ``--shared-cache``) train invocations."""
+    """Build a DataParallelTrainer for ``--world-size > 1`` (or any
+    shard-tier flag) train invocations."""
     from repro.train.data_parallel import DataParallelTrainer
 
     data = make_dataset(args.preset, rng=args.seed, n_samples=args.samples)
@@ -416,18 +358,15 @@ def _parse_resize_at(spec):
     return epoch, count
 
 
+def _reject(exc: ValueError) -> int:
+    """A configuration the constructors refused: message on stderr, exit 2."""
+    print(exc, file=sys.stderr)
+    return 2
+
+
 def _cmd_train(args) -> int:
-    if args.cache_shards and not args.shared_cache:
-        print("--cache-shards requires --shared-cache", file=sys.stderr)
-        return 2
     if args.shared_cache and args.world_size < 2:
         print("--shared-cache requires --world-size >= 2", file=sys.stderr)
-        return 2
-    if args.resize_shards_at is not None and not args.cache_shards:
-        print("--resize-shards-at requires --cache-shards", file=sys.stderr)
-        return 2
-    if args.world_size > 1 and args.prefetch_workers > 0:
-        print("--prefetch-workers requires --world-size 1", file=sys.stderr)
         return 2
     if args.rpc_deadline_ms is None:
         # Real IPC needs a far looser budget than the simulated channel.
@@ -457,10 +396,16 @@ def _cmd_train(args) -> int:
         observer = Observer(
             recorder=recorder, metrics=registry, span_seed=args.seed
         )
-    if args.world_size > 1:
-        trainer = _make_dp_run(args, args.policy, observer=observer)
-    else:
-        trainer, policy, _ = _make_run(args, args.policy, observer=observer)
+    # Any shard-tier flag goes to the builder that owns those knobs, so
+    # its constructor is what rejects a combination it cannot honour.
+    sharded = args.cache_shards or args.resize_shards_at is not None
+    try:
+        if args.world_size > 1 or sharded:
+            trainer = _make_dp_run(args, args.policy, observer=observer)
+        else:
+            trainer, _, _ = _make_run(args, args.policy, observer=observer)
+    except ValueError as exc:
+        return _reject(exc)
     result = trainer.run()
     print(f"{'epoch':>5} {'acc':>7} {'hit':>6} {'subst':>6} {'time':>7}")
     for e in result.epochs:
@@ -575,71 +520,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.bench.trajectory import (
-        BenchConfig,
-        compare_reports,
-        format_report,
-        latest_baseline,
-        run_trajectory,
-        validate_report,
-    )
-
-    overrides = {}
-    for arg_name, field in [
-        ("hnsw_n", "hnsw_n"), ("queries", "n_queries"),
-        ("cache_ops", "cache_ops"), ("samples", "epoch_samples"),
-        ("epochs", "epochs"),
-    ]:
-        val = getattr(args, arg_name)
-        if val is not None:
-            if val < 1:
-                print(f"--{arg_name.replace('_', '-')} must be >= 1",
-                      file=sys.stderr)
-                return 2
-            overrides[field] = val
-    overrides["seed"] = args.seed
-    cfg = BenchConfig.quick(**overrides) if args.quick else BenchConfig(**overrides)
-
-    # Resolve the baseline *before* writing, so a fresh BENCH file in the
-    # same directory can't become its own baseline.
-    baseline_path = latest_baseline(Path(args.baseline_root))
-
-    out_dir = None if args.no_write else args.out_dir
-    report, path = run_trajectory(cfg, out_dir=out_dir)
-    problems = validate_report(report)
-    if problems:  # pragma: no cover - harness bug guard
-        for p in problems:
-            print(f"schema problem: {p}", file=sys.stderr)
-        return 1
-    print(format_report(report))
-    if path is not None:
-        print(f"\nwrote {path}")
-
-    if args.check:
-        if baseline_path is None:
-            print("soft gate: no committed BENCH_*.json baseline found; "
-                  "nothing to compare against")
-            return 0
-        import json as _json
-
-        baseline = _json.loads(baseline_path.read_text())
-        warnings = compare_reports(report, baseline,
-                                   threshold=args.threshold)
-        if not warnings:
-            print(f"soft gate: OK vs {baseline_path.name} "
-                  f"(threshold {args.threshold:.0%})")
-        else:
-            for w in warnings:
-                print(f"soft gate WARNING vs {baseline_path.name}: {w}",
-                      file=sys.stderr)
-            if args.strict:
-                return 1
-    return 0
-
-
 def _build_arrivals(args):
     """Map the ``--arrivals`` flag (plus rate knobs) to an ArrivalProcess."""
     from repro.load import (
@@ -678,8 +558,8 @@ def _cmd_load(args) -> int:
         (args.requests < 1, "--requests must be >= 1"),
         (args.keys < 8, "--keys must be >= 8"),
         (args.zipf_skew < 0, "--zipf-skew must be >= 0"),
-        (not 0.0 <= args.put_fraction <= 1.0,
-         "--put-fraction must be in [0, 1]"),
+        (not 0.0 <= args.put_fraction < 1.0,
+         "--put-fraction must be in [0, 1)"),
         (args.base_rate <= 0, "--base-rate must be positive"),
         (args.burst_rate <= 0, "--burst-rate must be positive"),
         (args.mean_on_s <= 0 or args.mean_off_s <= 0,
@@ -721,16 +601,46 @@ def _cmd_load(args) -> int:
         write_load_artifacts,
     )
 
-    trace = make_trace(
-        TraceConfig(
-            n_requests=args.requests,
-            n_keys=args.keys,
-            zipf_exponent=args.zipf_skew,
-            put_fraction=args.put_fraction,
-        ),
-        _build_arrivals(args),
-        seed=args.seed,
-    )
+    # Construction only: what the table above does not cover (e.g. burst
+    # rate below base rate) the config classes reject; a ValueError out
+    # of ``harness.run`` below is a bug and keeps its traceback.
+    try:
+        trace = make_trace(
+            TraceConfig(
+                n_requests=args.requests,
+                n_keys=args.keys,
+                zipf_exponent=args.zipf_skew,
+                put_fraction=args.put_fraction,
+            ),
+            _build_arrivals(args),
+            seed=args.seed,
+        )
+        autoscaler = None
+        if not args.no_autoscale:
+            autoscaler = Autoscaler(AutoscalerConfig(
+                min_shards=args.min_shards,
+                max_shards=args.max_shards,
+                p99_high_s=args.p99_high_ms / 1e3,
+                p99_low_s=args.p99_low_ms / 1e3,
+                util_high=args.util_high,
+                util_low=args.util_low,
+                breach_windows=args.breach_windows,
+                cooldown_windows=args.cooldown_windows,
+                growth_factor=args.growth_factor,
+            ))
+        config = ReplayConfig(
+            total_capacity=args.capacity,
+            imp_ratio=args.imp_ratio,
+            n_shards=args.shards,
+            transport=args.transport,
+            window_requests=args.window,
+            slo=SloPolicy(target_s=args.slo_ms / 1e3, goal=args.slo_goal),
+            miss_latency_s=args.miss_ms / 1e3,
+            service_rate_per_shard=args.service_rate,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        return _reject(exc)
     print(f"trace: {len(trace)} requests over {trace.duration_s:.2f}s "
           f"({trace.offered_rps:.1f} req/s, {args.arrivals} arrivals, "
           f"zipf {args.zipf_skew:g}, checksum {trace.checksum()})",
@@ -754,34 +664,10 @@ def _cmd_load(args) -> int:
             recorder=recorder, metrics=registry, span_seed=args.seed
         )
 
-    autoscaler = None
-    if not args.no_autoscale:
-        autoscaler = Autoscaler(AutoscalerConfig(
-            min_shards=args.min_shards,
-            max_shards=args.max_shards,
-            p99_high_s=args.p99_high_ms / 1e3,
-            p99_low_s=args.p99_low_ms / 1e3,
-            util_high=args.util_high,
-            util_low=args.util_low,
-            breach_windows=args.breach_windows,
-            cooldown_windows=args.cooldown_windows,
-            growth_factor=args.growth_factor,
-        ))
-    harness = ReplayHarness(
-        ReplayConfig(
-            total_capacity=args.capacity,
-            imp_ratio=args.imp_ratio,
-            n_shards=args.shards,
-            transport=args.transport,
-            window_requests=args.window,
-            slo=SloPolicy(target_s=args.slo_ms / 1e3, goal=args.slo_goal),
-            miss_latency_s=args.miss_ms / 1e3,
-            service_rate_per_shard=args.service_rate,
-            seed=args.seed,
-        ),
-        autoscaler=autoscaler,
-        observer=observer,
-    )
+    try:
+        harness = ReplayHarness(config, autoscaler=autoscaler, observer=observer)
+    except ValueError as exc:
+        return _reject(exc)
     try:
         result = harness.run(trace)
     finally:
@@ -889,7 +775,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "faults": _cmd_faults,
         "report": _cmd_report,
         "metrics": _cmd_metrics,
-        "bench": _cmd_bench,
     }[args.command](args)
 
 

@@ -1,8 +1,8 @@
-"""Fault models richer than per-fetch coin flips.
+"""Correlated storage-fault models.
 
-:class:`FlakyStore` models independent transient failures; real remote
-tiers also fail in *correlated* ways. This module adds the two the spot-VM
-literature cares about, both driven by the run's own
+Real remote tiers fail in *correlated* ways, not by independent per-fetch
+coin flips. This module models the two the spot-VM literature cares
+about, both driven by the run's own
 :class:`~repro.storage.clock.SimClock` so fault timing is deterministic and
 reproducible:
 

@@ -7,8 +7,7 @@ fetch-latency vs per-batch compute cost, which these models provide.
 
 from repro.storage.backends import InMemoryStore, RemoteStore
 from repro.storage.clock import SimClock
-from repro.storage.flaky import FlakyStore, RetryingStore, TransientFetchError
-from repro.storage.kvstore import ByteLRUCache, CapacityError, InMemoryKVStore
+from repro.storage.flaky import TransientFetchError
 from repro.storage.latency import (
     ConstantLatency,
     LatencyModel,
@@ -26,10 +25,5 @@ __all__ = [
     "ConstantLatency",
     "LognormalLatency",
     "ParetoTailLatency",
-    "FlakyStore",
-    "RetryingStore",
     "TransientFetchError",
-    "InMemoryKVStore",
-    "ByteLRUCache",
-    "CapacityError",
 ]

@@ -1,91 +1,17 @@
-"""Failure injection: transient fetch errors and retry handling.
+"""The transient fetch-failure type.
 
 The paper's deployment model — spot VMs reading from remote cloud storage —
-sees transient fetch failures (connection resets, NFS timeouts). This
-module provides:
-
-* :class:`TransientFetchError` — the injected failure type;
-* :class:`FlakyStore` — wraps any store, failing each ``get`` independently
-  with probability ``failure_prob`` (deterministic given a seed);
-* :class:`RetryingStore` — wraps any store with bounded exponential-backoff
-  retries, charging the backoff wait to the simulated clock. Training
-  through a retrying store over a flaky backend must produce *identical
-  learning results* to a clean run — only the simulated time grows — which
-  the tests assert.
-
-Richer fault models (fail-stop outage windows, latency brownouts, circuit
-breaking) live in :mod:`repro.resilience`.
+sees transient fetch failures (connection resets, NFS timeouts).
+:class:`TransientFetchError` is what a store raises for one; the fault
+models that raise it (fail-stop outage windows, latency brownouts) and the
+circuit breaker that absorbs it live in :mod:`repro.resilience`, and the
+RPC side's bounded backoff in :mod:`repro.dist.retry`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.storage.wrappers import StoreWrapper
-from repro.utils.rng import RngLike, resolve_rng
-
-__all__ = ["TransientFetchError", "FlakyStore", "RetryingStore"]
+__all__ = ["TransientFetchError"]
 
 
 class TransientFetchError(RuntimeError):
     """A fetch failed transiently; retrying may succeed."""
-
-
-class FlakyStore(StoreWrapper):
-    """Store wrapper that injects independent per-fetch failures."""
-
-    def __init__(self, inner, failure_prob: float = 0.05, rng: RngLike = None) -> None:
-        if not 0.0 <= failure_prob < 1.0:
-            raise ValueError("failure_prob must be in [0, 1)")
-        super().__init__(inner)
-        self.failure_prob = float(failure_prob)
-        self._rng = resolve_rng(rng)
-        self.failures_injected = 0
-
-    def get(self, index: int) -> np.ndarray:
-        """Fetch, raising :class:`TransientFetchError` on injected failure."""
-        if self.failure_prob and self._rng.random() < self.failure_prob:
-            self.failures_injected += 1
-            raise TransientFetchError(f"injected failure fetching {index}")
-        return self.inner.get(index)
-
-    def _reset_own_counters(self) -> None:
-        self.failures_injected = 0
-
-
-class RetryingStore(StoreWrapper):
-    """Store wrapper with bounded exponential-backoff retries.
-
-    Each retry waits ``backoff_s * 2**attempt`` of *simulated* time (charged
-    to the clock's ``data_load`` stage — stalled loaders are stalled
-    training). After ``max_retries`` consecutive failures the final
-    :class:`TransientFetchError` propagates.
-    """
-
-    STAGE = "data_load"
-
-    def __init__(self, inner, max_retries: int = 3, backoff_s: float = 0.01) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
-        super().__init__(inner)
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
-        self.retries_used = 0
-
-    def get(self, index: int) -> np.ndarray:
-        """Fetch with retries; the final failure propagates."""
-        attempt = 0
-        while True:
-            try:
-                return self.inner.get(index)
-            except TransientFetchError:
-                if attempt >= self.max_retries:
-                    raise
-                self.clock.advance(self.STAGE, self.backoff_s * (2**attempt))
-                self.retries_used += 1
-                attempt += 1
-
-    def _reset_own_counters(self) -> None:
-        self.retries_used = 0

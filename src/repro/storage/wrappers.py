@@ -1,13 +1,13 @@
 """Shared base class for store wrappers.
 
-Store wrappers (failure injection, retries, fault windows, circuit
-breakers) stack: ``CircuitBreakerStore(RetryingStore(FlakyStore(remote)))``
-is a typical resilient read path. Every wrapper must expose the full store
-interface — ``__len__``, ``get``, ``peek``, ``size_of``, ``clock``,
-``fetch_count``, ``bytes_fetched``, ``reset_counters`` — plus whatever
-counters *inner* wrappers accumulate (``failures_injected``,
-``retries_used``, ...), otherwise wrapped stacks silently under-report I/O
-accounting. :class:`StoreWrapper` centralizes the forwarding so each
+Store wrappers (fault windows, circuit breakers) stack:
+``CircuitBreakerStore(FaultInjectingStore(remote, plan))`` is the
+resilient read path ``repro faults`` builds. Every wrapper must expose the
+full store interface — ``__len__``, ``get``, ``peek``, ``size_of``,
+``clock``, ``fetch_count``, ``bytes_fetched``, ``reset_counters`` — plus
+whatever counters *inner* wrappers accumulate (``outage_failures``,
+``brownout_fetches``, ...), otherwise wrapped stacks silently under-report
+I/O accounting. :class:`StoreWrapper` centralizes the forwarding so each
 wrapper only overrides the behaviour it changes.
 """
 
@@ -57,7 +57,7 @@ class StoreWrapper:
 
     def __getattr__(self, name: str) -> Any:
         # Only called when normal lookup fails: forward inner wrappers'
-        # counters (failures_injected, retries_used, breaker, ...) up the
+        # counters (outage_failures, brownout_fetches, breaker, ...) up the
         # stack. ``inner`` itself missing means __init__ hasn't run.
         if name == "inner":
             raise AttributeError(name)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.baseline import ClassicCachePolicy, LFUPolicy, LRUBaselinePolicy
 from repro.baselines.coordl import CoorDLPolicy
-from repro.cache.fifo import FIFOCache
+from repro.cache.minio import MinIOCache
 from repro.core.semantic_cache import FetchSource
 from repro.data.synthetic import make_clustered_dataset
 from repro.storage.backends import RemoteStore
@@ -29,9 +29,9 @@ def test_lru_baseline_name_and_cache():
 
 
 def test_classic_policy_custom_cache():
-    p = ClassicCachePolicy(FIFOCache, cache_fraction=0.1, rng=0)
+    p = ClassicCachePolicy(MinIOCache, cache_fraction=0.1, rng=0)
     p.setup(_ctx())
-    assert p.name == "fifo-baseline"
+    assert p.name == "minio-baseline"
 
 
 def test_invalid_fraction():

@@ -1,4 +1,4 @@
-"""Classic cache policy tests: LRU, LFU, FIFO, MinIO + shared stats."""
+"""Classic cache policy tests: LRU, LFU, MinIO + shared stats."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.base import CacheStats
-from repro.cache.fifo import FIFOCache
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
@@ -122,43 +121,6 @@ def test_lfu_update_refreshes_value_and_freq():
 
 
 # ----------------------------------------------------------------------
-# FIFO
-# ----------------------------------------------------------------------
-def test_fifo_evicts_in_insertion_order():
-    c = FIFOCache(2)
-    c.put("a", 1)
-    c.put("b", 2)
-    c.get("a")  # access must NOT refresh position
-    c.put("c", 3)
-    assert "a" not in c and "b" in c and "c" in c
-
-
-def test_fifo_oldest_peek():
-    c = FIFOCache(3)
-    assert c.oldest() is None
-    c.put("x", 1)
-    c.put("y", 2)
-    assert c.oldest() == ("x", 1)
-
-
-def test_fifo_refresh_keeps_position():
-    c = FIFOCache(2)
-    c.put("a", 1)
-    c.put("b", 2)
-    c.put("a", 9)  # refresh value, position unchanged
-    c.put("c", 3)  # still evicts a
-    assert "a" not in c
-
-
-def test_fifo_items_keys():
-    c = FIFOCache(3)
-    c.put(1, "x")
-    c.put(2, "y")
-    assert c.keys() == [1, 2]
-    assert c.items() == [(1, "x"), (2, "y")]
-
-
-# ----------------------------------------------------------------------
 # MinIO
 # ----------------------------------------------------------------------
 def test_minio_never_evicts():
@@ -204,7 +166,7 @@ def test_minio_steady_state_hit_ratio():
 # ----------------------------------------------------------------------
 # Property tests shared across policies
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls", [LRUCache, LFUCache, FIFOCache])
+@pytest.mark.parametrize("cls", [LRUCache, LFUCache])
 @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 30)), max_size=200),
        cap=st.integers(1, 10))
 @settings(max_examples=50, deadline=None)
@@ -218,7 +180,7 @@ def test_property_capacity_never_exceeded(cls, ops, cap):
         assert len(c) <= cap
 
 
-@pytest.mark.parametrize("cls", [LRUCache, LFUCache, FIFOCache, MinIOCache])
+@pytest.mark.parametrize("cls", [LRUCache, LFUCache, MinIOCache])
 @given(keys=st.lists(st.integers(0, 20), min_size=1, max_size=100))
 @settings(max_examples=50, deadline=None)
 def test_property_get_after_put_consistent(cls, keys):

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.resilience.breaker import CircuitBreaker, CircuitBreakerStore
+from repro.resilience.errors import StorageOutageError
+from repro.resilience.faults import (
+    BrownoutWindow,
+    FaultInjectingStore,
+    FaultPlan,
+    OutageWindow,
+)
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
-from repro.storage.flaky import FlakyStore, RetryingStore
 from repro.storage.latency import ConstantLatency
 from repro.storage.wrappers import StoreWrapper
 
@@ -27,37 +34,56 @@ def test_wrapper_forwards_core_interface():
     np.testing.assert_array_equal(w.peek(7), base.peek(7))
 
 
+def _stack(base, plan=None):
+    """The read path ``repro faults`` composes: breaker over fault plan."""
+    faulty = FaultInjectingStore(base, plan or FaultPlan())
+    breaker = CircuitBreaker(failure_threshold=100)
+    return CircuitBreakerStore(faulty, breaker), faulty
+
+
 def test_counters_visible_through_stack():
     base = _store()
-    flaky = FlakyStore(base, failure_prob=0.3, rng=0)
-    retry = RetryingStore(flaky, max_retries=8)
+    # ~1 ms fetches: two fail in the outage, then a brownout slows four.
+    plan = FaultPlan(
+        outages=[OutageWindow(0.0, 0.001)],
+        brownouts=[BrownoutWindow(0.002, 0.012, latency_multiplier=3.0)],
+    )
+    guarded, faulty = _stack(base, plan)
+    for _ in range(2):
+        with pytest.raises(StorageOutageError):
+            guarded.get(0)
+    base.clock.advance("compute", 0.002)
     for i in range(10):
-        retry.get(i)
+        guarded.get(i)
     # Inner-wrapper counters surface through the outer wrapper.
-    assert retry.failures_injected == flaky.failures_injected > 0
-    assert retry.retries_used == flaky.failures_injected
+    assert guarded.outage_failures == faulty.outage_failures == 2
+    assert guarded.brownout_fetches == faulty.brownout_fetches == 4
+    assert guarded.brownout_extra_s == faulty.brownout_extra_s > 0
+    assert guarded.plan is plan
     # Base-store counters surface through both wrappers.
-    assert retry.fetch_count == base.fetch_count == 10
-    assert retry.bytes_fetched == base.bytes_fetched == 10 * 1024
+    assert guarded.fetch_count == base.fetch_count == 10
+    assert guarded.bytes_fetched == base.bytes_fetched == 10 * 1024
 
 
 def test_reset_counters_cascades():
     base = _store()
-    flaky = FlakyStore(base, failure_prob=0.5, rng=1)
-    retry = RetryingStore(flaky, max_retries=6)
+    guarded, faulty = _stack(
+        base, FaultPlan(brownouts=[BrownoutWindow(0.0, 1.0)])
+    )
     for i in range(5):
-        retry.get(i)
-    retry.reset_counters()
-    assert retry.retries_used == 0
-    assert flaky.failures_injected == 0
+        guarded.get(i)
+    assert faulty.brownout_fetches == 5
+    guarded.reset_counters()
+    assert faulty.brownout_fetches == 0
+    assert faulty.brownout_extra_s == 0.0
     assert base.fetch_count == 0
     assert base.bytes_fetched == 0
 
 
 def test_unwrap_returns_base_store():
     base = _store()
-    stacked = RetryingStore(FlakyStore(base, failure_prob=0.0), max_retries=2)
-    assert stacked.unwrap() is base
+    guarded, _ = _stack(base)
+    assert guarded.unwrap() is base
 
 
 def test_unknown_attribute_raises():
@@ -68,6 +94,6 @@ def test_unknown_attribute_raises():
 
 def test_size_of_forwards_and_len():
     base = _store(17)
-    w = RetryingStore(FlakyStore(base, failure_prob=0.0), max_retries=2)
+    w, _ = _stack(base)
     assert len(w) == 17
     assert w.size_of(0) == base.size_of(0)

@@ -82,7 +82,23 @@ def test_train_rejects_prefetch_with_several_workers(capsys):
     data-parallel run used to build a serial loader without a word."""
     flags = ["--world-size", "2", "--prefetch-workers", "4"]
     assert main(["train"] + flags + FAST) == 2
-    assert "--prefetch-workers requires --world-size 1" in capsys.readouterr().err
+    assert "prefetch_workers > 0 requires world_size == 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--cache-shards", "2"], "cache_shards requires shared_cache"),
+        (["--world-size", "2", "--cache-shards", "2"],
+         "cache_shards requires shared_cache"),
+        (["--resize-shards-at", "1:4"], "resize_shards_at requires cache_shards"),
+    ],
+)
+def test_train_shard_tier_rejections_come_from_the_constructor(
+    flags, message, capsys
+):
+    assert main(["train"] + flags + FAST) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_report_missing_dir(tmp_path, capsys):
@@ -211,8 +227,24 @@ def test_metrics_command_without_snapshot(tmp_path, capsys):
         (["--util-high", "0.2", "--util-low", "0.3"], "hysteresis"),
         (["--breach-windows", "0"], "--breach-windows"),
         (["--growth-factor", "1.0"], "--growth-factor"),
+        (["--put-fraction", "1.0"], "--put-fraction"),
+        # No CLI row: BurstyArrivals' own check, via the construction boundary.
+        (["--burst-rate", "10", "--base-rate", "300"], "rate_high"),
     ],
 )
 def test_load_rejects_bad_flags(flags, message, capsys):
     assert main(["load"] + flags) == 2
     assert message in capsys.readouterr().err
+
+
+def test_load_does_not_swallow_errors_from_the_run(monkeypatch):
+    """Only construction is a rejection boundary: a ``ValueError`` out of
+    ``run()`` is a bug and must keep its traceback."""
+    from repro.load import ReplayHarness
+
+    def boom(self, trace):
+        raise ValueError("raised inside run")
+
+    monkeypatch.setattr(ReplayHarness, "run", boom)
+    with pytest.raises(ValueError, match="raised inside run"):
+        main(LOAD_FAST)
