@@ -11,8 +11,18 @@ else; no events are built, no metrics are touched.
 A live observer does two things per hook:
 
 * increments/updates the relevant :class:`~repro.obs.metrics.MetricsRegistry`
-  instruments (always, when active);
+  instruments (always, when active). Each hook binds the instruments it
+  publishes into on first use, so the per-request hooks pay a dict
+  subscript, not a name format plus a get-or-create, per event — and an
+  instrument still only exists once something has happened to it;
 * emits a structured trace event (only when its recorder is enabled).
+  The per-request hooks (``fetch``, ``prefetch``, ``importance_admit``,
+  ``evict``, ``audit`` — the kinds of
+  :data:`~repro.obs.trace.ROW_SCHEMA`) hand the sink a positional tuple
+  through :meth:`~repro.obs.trace.TraceRecorder.emit_row`; every other
+  hook builds the flat dict in :meth:`Observer.emit`. What a sink does
+  with a row is its business: in-memory sinks expand it to the same
+  flat dict immediately, the JSONL sink packs rows into block lines.
 
 The observer also carries the little cross-component context the event
 schema needs: the trainer's current epoch, the configured cache-hit
@@ -22,13 +32,42 @@ latency, and the simulated latency of the most recent remote store fetch
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import SPAN_BUCKETS_S, MetricsRegistry
+from repro.obs.metrics import (
+    LATENCY_BUCKETS_S,
+    SPAN_BUCKETS_S,
+    Counter,
+    MetricsRegistry,
+)
 from repro.obs.spans import Span, SpanTracker
 from repro.obs.trace import NullRecorder, TraceRecorder
 
 __all__ = ["Observer", "NULL_OBSERVER"]
+
+#: Bucket bounds of the histograms that do not use the I/O-latency default.
+_HISTOGRAM_BOUNDS = {
+    "rpc.latency_s": (1e-5, 1e-4, 1e-3, 1e-2, 1e-1),
+    "train.epoch_time_s": (0.1, 1.0, 10.0, 60.0, 600.0, 3600.0),
+}
+
+
+class _Bound(dict):
+    """Instrument handles by key, each made on first use and then kept.
+
+    ``bound[key]`` is one dict subscript once the handle exists;
+    ``make(key)`` — a registry get-or-create — runs on the first miss
+    only, so binding never creates an instrument before the first event
+    that touches it.
+    """
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: Any) -> Any:
+        handle = self[key] = self._make(key)
+        return handle
 
 
 class Observer:
@@ -68,15 +107,49 @@ class Observer:
         self.spans: Optional[SpanTracker] = None
         if span_seed is not None:
             self.enable_spans(span_seed)
+        # Instruments bound on first use (see the module docstring);
+        # keyed by full name, or by the part of the name a hook varies.
+        m = self.metrics
+        self._counter = _Bound(m.counter)
+        self._histogram = _Bound(
+            lambda name: m.histogram(
+                name, bounds=_HISTOGRAM_BOUNDS.get(name, LATENCY_BUCKETS_S)
+            )
+        )
+        self._span_histogram = _Bound(
+            lambda name: m.histogram(f"span.{name}_s", bounds=SPAN_BUCKETS_S)
+        )
+
+        def bind_fetch_source(source: Any) -> Tuple[str, Counter]:
+            src = getattr(source, "value", str(source))
+            return src, m.counter(f"cache.fetch.{src}")
+
+        #: FetchSource -> (its wire name, its per-source counter)
+        self._fetch_source = _Bound(bind_fetch_source)
+        self._layer_evictions = _Bound(lambda layer: m.counter(f"{layer}.evictions"))
+        self._audit_action = _Bound(lambda action: m.counter(f"audit.{action}"))
+        self._rpc_shard_calls = _Bound(
+            lambda shard: m.counter(f"rpc.shard{int(shard)}.calls")
+        )
+        self._rpc_shard_failures = _Bound(
+            lambda shard: m.counter(f"rpc.shard{int(shard)}.failures")
+        )
+        self._rpc_error = _Bound(lambda error: m.counter(f"rpc.errors.{error}"))
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: Any) -> None:
-        """Emit one trace event stamped with the current epoch.
+        """Emit one flat trace event stamped with the current epoch.
 
         With span tracing enabled, every event is additionally stamped
         with the trace ID and the innermost open span on the calling
         thread — the correlation that ties breaker trips, audit
         decisions, and window stats back to the request causing them.
+
+        This is the cold path (a kwargs dict per event): the hooks whose
+        volume grows with the number of requests go through
+        :meth:`_emit_row` instead. ``self.recorder.emit`` is looked up
+        here, at call time — an external timer may shadow it on the
+        instance.
         """
         if self.recorder.enabled:
             event: Dict[str, Any] = {"kind": kind, "epoch": self.epoch}
@@ -88,6 +161,18 @@ class Observer:
                     event["span"] = current
             event.update(fields)
             self.recorder.emit(event)
+
+    def _emit_row(self, row: Tuple[Any, ...]) -> None:
+        """Hand the (enabled) recorder one per-request row, stamped like
+        :meth:`emit` stamps a flat event: the current epoch, the trace
+        ID, and the innermost open span *on the calling thread*."""
+        tracker = self.spans
+        if tracker is None:
+            self.recorder.emit_row(self.epoch, None, None, row)
+        else:
+            self.recorder.emit_row(
+                self.epoch, tracker.trace_id, tracker.current_id(), row
+            )
 
     def set_epoch(self, epoch: int) -> None:
         """Advance the epoch stamp applied to subsequent events."""
@@ -124,9 +209,9 @@ class Observer:
         if tracker is None or span is None:
             return
         tracker.finish(span, t1_s, **attrs)
-        self.metrics.histogram(
-            f"span.{span.name}_s", bounds=SPAN_BUCKETS_S
-        ).observe(max(0.0, float(t1_s) - span.t0_s))
+        self._span_histogram[span.name].observe(
+            max(0.0, float(t1_s) - span.t0_s)
+        )
 
     def span_record(self, name: str, t0_s: float, t1_s: float,
                     key: Optional[int] = None, **attrs: Any) -> None:
@@ -135,9 +220,9 @@ class Observer:
         if tracker is None:
             return
         tracker.record(name, t0_s, t1_s, key=key, **attrs)
-        self.metrics.histogram(
-            f"span.{name}_s", bounds=SPAN_BUCKETS_S
-        ).observe(max(0.0, float(t1_s) - float(t0_s)))
+        self._span_histogram[name].observe(
+            max(0.0, float(t1_s) - float(t0_s))
+        )
 
     # -- store ----------------------------------------------------------
     def on_store_fetch(self, index: int, nbytes: int, latency_s: float) -> None:
@@ -147,10 +232,10 @@ class Observer:
         prefetch) consumes it, so retry stacks charging multiple inner
         fetches per logical request aggregate correctly.
         """
-        m = self.metrics
-        m.counter("store.fetches").inc()
-        m.counter("store.bytes_fetched").inc(nbytes)
-        m.histogram("store.fetch_latency_s").observe(latency_s)
+        counter = self._counter
+        counter["store.fetches"].inc()
+        counter["store.bytes_fetched"].inc(nbytes)
+        self._histogram["store.fetch_latency_s"].observe(latency_s)
         self._pending_store_latency_s += latency_s
 
     def take_store_latency(self) -> float:
@@ -167,33 +252,27 @@ class Observer:
         remote fetches attach the store latency accumulated since the
         last consume, cache serves attach the configured hit latency.
         """
-        src = getattr(source, "value", str(source))
+        src, by_source = self._fetch_source[source]
         if src == "remote":
             latency_s = self.take_store_latency()
         elif src == "skipped":
             latency_s = 0.0
         else:
             latency_s = self.hit_latency_s
-        m = self.metrics
-        m.counter("cache.fetches").inc()
-        m.counter(f"cache.fetch.{src}").inc()
-        m.histogram("cache.fetch_latency_s").observe(latency_s)
-        self.emit(
-            "fetch",
-            requested_id=int(requested_id),
-            served_id=int(served_id),
-            source=src,
-            latency_s=latency_s,
-        )
+        self._counter["cache.fetches"].inc()
+        by_source.inc()
+        self._histogram["cache.fetch_latency_s"].observe(latency_s)
+        if self.recorder.enabled:
+            self._emit_row(
+                ("fetch", int(requested_id), int(served_id), src, latency_s)
+            )
 
     def on_prefetch(self, index: int, admitted: bool) -> None:
         """An importance-driven prefetch fetched (and possibly admitted)."""
         latency_s = self.take_store_latency()
-        self.metrics.counter("cache.prefetches").inc()
-        self.emit(
-            "prefetch", index=int(index), admitted=bool(admitted),
-            latency_s=latency_s,
-        )
+        self._counter["cache.prefetches"].inc()
+        if self.recorder.enabled:
+            self._emit_row(("prefetch", int(index), bool(admitted), latency_s))
 
     def on_prefetch_window(
         self, size: int, sum_s: float, charged_s: float
@@ -224,23 +303,22 @@ class Observer:
         evicted_key: Optional[int],
     ) -> None:
         """The Importance Cache decided on a freshly fetched sample."""
-        m = self.metrics
-        m.counter("importance.admitted" if admitted else "importance.rejected").inc()
+        counter = self._counter
+        counter["importance.admitted" if admitted else "importance.rejected"].inc()
         if evicted_key is not None:
-            m.counter("importance.evictions").inc()
-        self.emit(
-            "importance_admit",
-            key=int(key),
-            score=float(score),
-            admitted=bool(admitted),
-            evicted_key=None if evicted_key is None else int(evicted_key),
-        )
+            counter["importance.evictions"].inc()
+        if self.recorder.enabled:
+            self._emit_row((
+                "importance_admit", int(key), float(score), bool(admitted),
+                None if evicted_key is None else int(evicted_key),
+            ))
 
     def on_evict(self, layer: str, key: int, reason: str) -> None:
         """A cache layer evicted a resident outside the admit path
         (FIFO turnover, elastic shrink)."""
-        self.metrics.counter(f"{layer}.evictions").inc()
-        self.emit("evict", layer=layer, key=int(key), reason=reason)
+        self._layer_evictions[layer].inc()
+        if self.recorder.enabled:
+            self._emit_row(("evict", layer, int(key), reason))
 
     def on_homophily_insert(self, key: int, n_neighbors: int) -> None:
         """The Homophily Cache inserted a batch's top-degree node."""
@@ -277,20 +355,15 @@ class Observer:
         decision — the per-decision dataset the calibrated-substitution
         work (ROADMAP item 3) consumes.
         """
-        m = self.metrics
-        m.counter(f"audit.{action}").inc()
-        fields: Dict[str, Any] = {
-            "action": action, "key": int(key), "layer": layer,
-        }
-        if score is not None:
-            fields["score"] = float(score)
-        if threshold is not None:
-            fields["threshold"] = float(threshold)
-        if requested_id is not None:
-            fields["requested_id"] = int(requested_id)
-        if reason is not None:
-            fields["reason"] = reason
-        self.emit("audit", **fields)
+        self._audit_action[action].inc()
+        if self.recorder.enabled:
+            self._emit_row((
+                "audit", action, int(key), layer,
+                None if score is None else float(score),
+                None if threshold is None else float(threshold),
+                None if requested_id is None else int(requested_id),
+                reason,
+            ))
 
     # -- elastic manager -------------------------------------------------
     def on_elastic(self, epoch: int, beta: int, u: float, imp_ratio: float) -> None:
@@ -323,17 +396,15 @@ class Observer:
         classification (``"outage"`` — the call never executed — or
         ``"timeout"`` — ambiguous, it may have executed server-side).
         """
-        m = self.metrics
-        m.counter("rpc.calls").inc()
-        m.counter(f"rpc.shard{int(shard)}.calls").inc()
+        counter = self._counter
+        counter["rpc.calls"].inc()
+        self._rpc_shard_calls[shard].inc()
         if not ok:
-            m.counter("rpc.failures").inc()
-            m.counter(f"rpc.shard{int(shard)}.failures").inc()
+            counter["rpc.failures"].inc()
+            self._rpc_shard_failures[shard].inc()
             if error:
-                m.counter(f"rpc.errors.{error}").inc()
-        m.histogram(
-            "rpc.latency_s", bounds=(1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
-        ).observe(float(latency_s))
+                self._rpc_error[error].inc()
+        self._histogram["rpc.latency_s"].observe(float(latency_s))
 
     def on_resize(self, old_n: int, new_n: int, planned_moves: int) -> None:
         """A live ring resize began (key migration planned)."""
@@ -514,9 +585,9 @@ class Observer:
     def on_epoch_metrics(self, metrics: Dict[str, Any]) -> None:
         """An epoch completed; ``metrics`` is the EpochMetrics as a dict."""
         m = self.metrics
-        m.histogram(
-            "train.epoch_time_s", bounds=(0.1, 1.0, 10.0, 60.0, 600.0, 3600.0)
-        ).observe(float(metrics.get("epoch_time_s", 0.0)))
+        self._histogram["train.epoch_time_s"].observe(
+            float(metrics.get("epoch_time_s", 0.0))
+        )
         for key in ("val_accuracy", "hit_ratio", "train_loss"):
             if metrics.get(key) is not None:
                 m.gauge(f"train.{key}").set(float(metrics[key]))

@@ -549,11 +549,28 @@ def render_report(run_dir: Union[str, Path]) -> str:
         )
     lines.extend(_epoch_rows(epochs))
 
+    # The stage terms of EpochMetrics' five-term identity, then their sum.
+    # comm_s (the gradient all-reduce) is zero for one replica and only
+    # printed when a run has it; an export that predates the field
+    # carries it inside epoch_time_s alone, so there it is the residual.
+    stages = ("data_load_s", "compute_s", "is_visible_s", "preprocess_s")
+
+    def stage_sum(e: Dict[str, Any]) -> float:
+        return sum(float(e.get(k, 0.0) or 0.0) for k in stages)
+
     totals = {
-        k: sum(float(e.get(k, 0.0) or 0.0) for e in epochs)
-        for k in ("data_load_s", "compute_s", "is_visible_s", "preprocess_s",
-                  "epoch_time_s")
+        k: sum(float(e.get(k, 0.0) or 0.0) for e in epochs) for k in stages
     }
+    comm_s = sum(
+        float(e["comm_s"]) if "comm_s" in e
+        else float(e.get("epoch_time_s", 0.0)) - stage_sum(e)
+        for e in epochs
+    )
+    if comm_s:
+        totals["comm_s"] = comm_s
+    totals["epoch_time_s"] = sum(
+        float(e.get("epoch_time_s", 0.0)) for e in epochs
+    )
     lines.append(
         "stage totals: "
         + "  ".join(f"{k}={v:.3f}" for k, v in totals.items())

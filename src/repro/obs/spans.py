@@ -33,7 +33,13 @@ Span event schema (see README "Observability" for the full table)::
 :class:`SpanTracker` also stamps the ambient span onto every *flat*
 event the observer emits (``trace``/``span`` fields), which is what
 correlates breaker trips, audit decisions, and RPC counters back to the
-request that caused them.
+request that caused them. The stamp is the innermost open span *on the
+emitting thread* (:meth:`SpanTracker.current_id`; the stacks are
+per-thread, so a prefetch pool worker's events carry no ``span``), for
+per-request rows exactly as for flat events. That stamp is also the
+JSONL sink's block boundary — a row whose stamp differs from the open
+block's closes it — so opening or finishing a span needs no hook into
+the sink: the next row simply arrives under another span.
 
 Reconstruction helpers (:func:`build_span_forest`, :func:`find_spans`,
 :func:`format_span_tree`) turn a trace back into navigable trees; the

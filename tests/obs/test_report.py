@@ -23,6 +23,8 @@ from repro.obs import (
 )
 from repro.obs.report import EPOCHS_FILE, SUMMARY_FILE, TRACE_FILE
 from repro.train.trainer import Trainer, TrainerConfig
+from tests.train import topologies
+from tests.train.topologies import TOPOLOGIES
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +242,26 @@ def test_data_parallel_report_stage_columns_equal_epoch_metrics(tmp_path):
         assert a.compute_s == pytest.approx(em.compute_s, abs=1e-9)
         assert a.is_visible_s == pytest.approx(em.is_visible_s, abs=1e-9)
         assert a.hit_ratio == pytest.approx(em.hit_ratio, abs=1e-12)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_stage_totals_line_adds_up_on_every_topology(topology, tmp_path):
+    """``stage totals:`` prints every term of the epoch-time identity —
+    ``comm_s`` included where replicas all-reduce — so the printed stages
+    sum to the printed ``epoch_time_s`` (to the three printed decimals)."""
+    trainer = topologies.build(topology, topologies.dataset())
+    result = trainer.run()
+    write_run_artifacts(result, tmp_path)
+    (line,) = [ln for ln in render_report(tmp_path).splitlines()
+               if ln.startswith("stage totals: ")]
+    terms = {k: float(v) for k, v in
+             (term.split("=") for term in line.split(": ", 1)[1].split())}
+    total = terms.pop("epoch_time_s")
+    assert list(terms)[:4] == [
+        "data_load_s", "compute_s", "is_visible_s", "preprocess_s"]
+    assert ("comm_s" in terms) == (len(trainer.workers) > 1)
+    assert sum(terms.values()) == pytest.approx(total, abs=0.0005 * 6)
+    assert total == pytest.approx(result.total_time_s, abs=0.0005)
+    if "comm_s" in terms:
+        assert terms["comm_s"] == pytest.approx(
+            sum(e.comm_s for e in result.epochs), abs=0.0005)
