@@ -21,8 +21,8 @@ import tempfile
 from repro import SpiderCachePolicy, TrainerConfig
 from repro.data import make_dataset, train_test_split
 from repro.nn import build_model
+from repro.resilience import load_state, save_state
 from repro.train import DataParallelTrainer
-from repro.train.checkpoint import load_checkpoint, restore_into, save_checkpoint
 
 WORLD_SIZE = 4
 EPOCHS = 6
@@ -69,11 +69,11 @@ def main() -> None:
     dp.run()
     w0 = dp.workers[0]
     with tempfile.TemporaryDirectory() as tmp:
-        path = save_checkpoint(Path(tmp) / "dp.npz", w0.model, w0.optimizer,
-                               epoch=3, metadata={"world_size": 2})
-        ck = load_checkpoint(path)
+        path = save_state(Path(tmp) / "dp.npz", {
+            "model": w0.model.state_dict(), "epoch": 3, "world_size": 2,
+        })
         fresh = build_model("resnet18", train.dim, train.num_classes, rng=99)
-        restore_into(ck, fresh)
+        fresh.load_state_dict(load_state(path)["model"])
         acc_saved, _ = w0.model.evaluate(test.X, test.y)
         acc_restored, _ = fresh.evaluate(test.X, test.y)
         print(f"  saved-model accuracy    {acc_saved:.3f}")

@@ -23,20 +23,19 @@ descending layer-0 degree — so graph-adjacent nodes become memory-adjacent
 Neighbor Search*). Search results are unchanged by construction: every
 traversal orders ties by ``(distance, external id)``, never by row.
 
-:meth:`HNSWIndex.attach_pq` plugs a trained
-:class:`~repro.ann.pq.ProductQuantizer` in as an optional candidate-scoring
-mode (paper §5): traversal distances come from ADC lookup tables over uint8
-codes, and the final beam is re-ranked with exact distances.
-
 Dynamic updates (embeddings drift as the model trains) are supported by
 re-linking: ``update`` detaches the node from all its neighbors and
 re-inserts it with its new vector, preserving its id.
 
-Range queries (``neighbors_within*``, the scorer's only question) run the
-same layer-0 beam with a radius: ``ef_search`` wide while the beam's worst
-member is outside the radius, then as large as the in-radius set it finds
-(see :meth:`HNSWIndex._search_layer`), so the nodes visited follow the size
-of the answer rather than ``max_neighbors``.
+Queries have one path: a single ``search`` / ``neighbors_within`` is a batch
+of one over the lockstep layer-0 beam. Range queries (``neighbors_within*``,
+the scorer's only question) run that beam with a radius: ``ef_search`` wide
+while the beam's worst member is outside the radius, then as large as the
+in-radius set it finds (see :meth:`HNSWIndex._search_layer0_batch`), so the
+nodes visited follow the size of the answer rather than ``max_neighbors``.
+Insertion keeps the textbook fixed-width beam, :meth:`HNSWIndex._search_layer`.
+:meth:`HNSWIndex.state_dict` snapshots everything later behaviour depends on,
+level-draw rng included, so a restored index continues exactly as the original.
 """
 
 from __future__ import annotations
@@ -44,15 +43,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.ann.distance import l2_distances
 from repro.utils.rng import RngLike, resolve_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.ann.pq import ProductQuantizer
 
 __all__ = ["HNSWIndex"]
 
@@ -119,10 +114,6 @@ class HNSWIndex:
         # exactly the lists it changed, so queries and the insertion
         # searches between mutations materialize each list once.
         self._adj_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        # Optional PQ/ADC candidate-scoring mode (see attach_pq).
-        self._pq: Optional["ProductQuantizer"] = None
-        self._codes: Optional[np.ndarray] = None
-        self._pq_default = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -165,11 +156,6 @@ class HNSWIndex:
             return []
         return [self._id_of[r] for r in self._out[row][layer]]
 
-    @property
-    def pq_enabled(self) -> bool:
-        """Whether a ProductQuantizer is attached for ADC candidate scoring."""
-        return self._pq is not None
-
     # ------------------------------------------------------------------
     # Row allocation
     # ------------------------------------------------------------------
@@ -186,10 +172,6 @@ class HNSWIndex:
         norms = np.empty(new_cap, dtype=np.float64)
         norms[:used] = self._norms[:used]
         self._norms = norms
-        if self._codes is not None:
-            codes = np.zeros((new_cap, self._codes.shape[1]), dtype=np.uint8)
-            codes[:used] = self._codes[:used]
-            self._codes = codes
 
     def _alloc_row(self, item_id: int, vector: np.ndarray, level: int) -> int:
         """Place ``vector`` in a row (reusing freed rows first)."""
@@ -209,8 +191,6 @@ class HNSWIndex:
             self._in.append([set() for _ in range(level + 1)])
         self._vectors[row] = vector
         self._norms[row] = float(vector @ vector)
-        if self._pq is not None:
-            self._codes[row] = self._pq.encode(vector[None, :])[0]
         self._row_of[item_id] = row
         return row
 
@@ -223,23 +203,16 @@ class HNSWIndex:
     # Distance helpers
     # ------------------------------------------------------------------
     def _dists_rows(
-        self,
-        query: np.ndarray,
-        rows: np.ndarray,
-        qq: float,
-        table: Optional[np.ndarray] = None,
+        self, query: np.ndarray, rows: np.ndarray, qq: float
     ) -> np.ndarray:
         """*Squared* distances from ``query`` to stored rows — the hot path.
 
         One fancy-index + GEMV per call, via the norm expansion
         ``||v-q||^2 = ||v||^2 - 2 v·q + ||q||^2`` with ``||v||^2`` cached
-        (``qq`` is the precomputed squared query norm). ``table`` switches
-        the kernel to ADC lookups against the attached PQ codes. Squared L2
-        is monotonic in true L2, so every traversal comparison is unchanged;
+        (``qq`` is the precomputed squared query norm). Squared L2 is
+        monotonic in true L2, so every traversal comparison is unchanged;
         public entry points take one square root at the API boundary.
         """
-        if table is not None:
-            return self._pq.adc_lookup(table, self._codes[rows], squared=True)
         sq = self._vectors.take(rows, axis=0).dot(query)
         sq *= -2.0
         sq += self._norms.take(rows)
@@ -269,13 +242,7 @@ class HNSWIndex:
     # Core search
     # ------------------------------------------------------------------
     def _greedy_descend(
-        self,
-        query: np.ndarray,
-        qq: float,
-        start: int,
-        top: int,
-        stop: int,
-        table: Optional[np.ndarray] = None,
+        self, query: np.ndarray, qq: float, start: int, top: int, stop: int
     ) -> Tuple[int, float]:
         """Greedy single-entry search from layer ``top`` down to ``stop+1``.
 
@@ -284,7 +251,7 @@ class HNSWIndex:
         """
         current = start
         cur_dist = float(
-            self._dists_rows(query, np.asarray([current], dtype=np.int64), qq, table)[0]
+            self._dists_rows(query, np.asarray([current], dtype=np.int64), qq)[0]
         )
         for layer in range(top, stop, -1):
             improved = True
@@ -293,7 +260,7 @@ class HNSWIndex:
                 neigh = self._adj_rows(current, layer)
                 if not neigh.size:
                     continue
-                dists = self._dists_rows(query, neigh, qq, table)
+                dists = self._dists_rows(query, neigh, qq)
                 best = int(np.argmin(dists))
                 if dists[best] < cur_dist:
                     cur_dist = float(dists[best])
@@ -302,30 +269,14 @@ class HNSWIndex:
         return current, cur_dist
 
     def _search_layer(
-        self,
-        query: np.ndarray,
-        qq: float,
-        entry_row: int,
-        ef: int,
-        layer: int,
-        table: Optional[np.ndarray] = None,
-        entry_dist: Optional[float] = None,
-        sq_radius: float = -math.inf,
-        cap: Optional[int] = None,
+        self, query: np.ndarray, qq: float, entry_row: int, ef: int, layer: int
     ) -> List[Tuple[float, int, int]]:
-        """Beam search at one layer; returns the beam as triples of
-        ``(squared dist, id, row)`` sorted ascending by ``(dist, id)``.
+        """Insertion's beam search at one layer; returns the beam as triples
+        of ``(squared dist, id, row)`` sorted ascending by ``(dist, id)``.
 
-        The beam holds ``ef`` members, and the search stops when the nearest
-        unexpanded candidate is farther than the beam's worst. ``sq_radius``
-        (squared) makes that a range query: a member inside the radius is
-        never evicted for width, only once the beam reaches ``cap``, so the
-        beam is ``ef`` wide while its worst lies outside the radius and
-        otherwise as large as the in-radius set it has found. Below ``cap``
-        every in-radius candidate is still a member, hence no farther than
-        the worst, hence expanded: the stop rule reads ``max(worst,
-        radius)``. The default ``-inf`` is plain k-NN; ``inf`` is a plain
-        beam of width ``cap``.
+        The textbook fixed-width beam: it holds ``ef`` members, and the
+        search stops when the nearest unexpanded candidate is farther than
+        the beam's worst. Queries run :meth:`_search_layer0_batch` instead.
 
         Heap ordering ties break on the external id (never the row), so the
         result sequence is invariant under :meth:`reorder`. Per hop, the
@@ -333,14 +284,9 @@ class HNSWIndex:
         array, and candidates the beam cannot admit are dropped in bulk
         before the heap loop.
         """
-        if cap is None:
-            cap = ef
-        if entry_dist is None:
-            entry_dist = float(
-                self._dists_rows(
-                    query, np.asarray([entry_row], dtype=np.int64), qq, table
-                )[0]
-            )
+        entry_dist = float(
+            self._dists_rows(query, np.asarray([entry_row], dtype=np.int64), qq)[0]
+        )
         entry_id = self._id_of[entry_row]
         visited = np.zeros(len(self._id_of), dtype=bool)
         visited[entry_row] = True
@@ -352,39 +298,30 @@ class HNSWIndex:
         while candidates:
             cand_dist, _, cand_row = pop(candidates)
             worst = -results[0][0]
-            size = len(results)
-            if size >= ef and cand_dist > worst:
+            full = len(results) >= ef
+            if full and cand_dist > worst:
                 break
             adj = self._adj_rows(cand_row, layer)
             fresh = adj[~visited[adj]]
             if not fresh.size:
                 continue
             visited[fresh] = True
-            dists = self._dists_rows(query, fresh, qq, table)
-            if size >= ef:
-                if size < cap and worst <= sq_radius:
-                    keep = dists <= sq_radius
-                else:
-                    keep = dists < worst
+            dists = self._dists_rows(query, fresh, qq)
+            if full:
+                keep = dists < worst
                 fresh = fresh[keep]
                 if not fresh.size:
                     continue
                 dists = dists[keep]
             for row, nd in zip(fresh.tolist(), dists.tolist()):
-                size = len(results)
-                if (
-                    size < ef
-                    or nd < -results[0][0]
-                    or (nd <= sq_radius and size < cap)
-                ):
+                full = len(results) >= ef
+                if not full or nd < -results[0][0]:
                     nid = id_of[row]
                     push(candidates, (nd, nid, row))
                     push(results, (-nd, nid, row))
-                    if size >= ef and (size >= cap or -results[0][0] > sq_radius):
+                    if full:
                         pop(results)
-        out = [(-d, i, r) for d, i, r in results]
-        out.sort()
-        return out
+        return sorted((-d, i, r) for d, i, r in results)
 
     # ------------------------------------------------------------------
     # Neighbor selection (simple heuristic from the paper's Algorithm 4)
@@ -612,67 +549,74 @@ class HNSWIndex:
         self._release_row(item_id)
 
     # ------------------------------------------------------------------
-    # Product-Quantization candidate scoring
-    # ------------------------------------------------------------------
-    def attach_pq(self, pq: "ProductQuantizer", default: bool = False) -> None:
-        """Attach a *trained* ProductQuantizer for ADC candidate scoring.
-
-        Every stored vector is encoded to uint8 codes (kept in sync on
-        add/update); ``search(..., mode="pq")`` then scores traversal
-        candidates via ADC lookup tables and re-ranks the final beam with
-        exact distances. ``default=True`` makes ``mode=None`` searches use
-        PQ scoring without callers opting in per query.
-        """
-        if not pq.is_trained:
-            raise RuntimeError("attach_pq requires a trained ProductQuantizer")
-        if pq.dim != self.dim:
-            raise ValueError(f"PQ dim {pq.dim} != index dim {self.dim}")
-        self._pq = pq
-        self._pq_default = bool(default)
-        self._codes = np.zeros((self._vectors.shape[0], pq.m), dtype=np.uint8)
-        live = [row for row in self._row_of.values()]
-        if live:
-            rows = self._rows_array(live)
-            self._codes[rows] = pq.encode(self._vectors[rows])
-
-    def detach_pq(self) -> None:
-        """Drop the attached quantizer; searches revert to exact scoring."""
-        self._pq = None
-        self._codes = None
-        self._pq_default = False
-
-    def _resolve_mode(self, query: np.ndarray, mode: Optional[str]):
-        """Map a search ``mode`` to ``(adc_table_or_None, uses_pq)``."""
-        if mode is None:
-            mode = "pq" if (self._pq is not None and self._pq_default) else "exact"
-        if mode == "exact":
-            return None, False
-        if mode == "pq":
-            if self._pq is None:
-                raise RuntimeError("mode='pq' requires attach_pq() first")
-            return self._pq.adc_table(query), True
-        raise ValueError(f"unknown search mode {mode!r}")
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _beam_limits(
-        self, k: int, ef: Optional[int], radius: Optional[float]
-    ) -> Tuple[int, int, float]:
-        """``(width, cap, squared radius)`` of a query's layer-0 beam.
+    def _query(
+        self,
+        queries: np.ndarray,
+        k: int,
+        ef: Optional[int],
+        exclude: Optional[np.ndarray],
+        radius: Optional[float],
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The one query path: per query, up to ``k`` ``(ids, distances)``
+        ascending, off the lockstep layer-0 beam.
 
         k-NN (``radius=None``) needs a beam of ``max(ef, k)``. A range query
         keeps the beam at ``ef`` while it is still outside the radius and
         lets it grow to ``k`` over the in-radius set, so its cost follows
-        the number of neighbours it returns instead of ``k``.
+        the number of neighbours it returns instead of ``k``; of its up to
+        ``k`` results every one within ``radius`` is kept, and the caller
+        filters the rest. ``exclude[i]`` (ids, ``-1`` = none) drops one id
+        from query ``i``'s results; that query's beam is widened by one slot
+        so the exclusion cannot under-fill the ``k`` requested results.
         """
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        nq = queries.shape[0]
+        if exclude is not None:
+            exclude = np.asarray(exclude).ravel()
+            if exclude.shape[0] != nq:
+                raise ValueError("exclude and queries length mismatch")
+        if self._entry is None or nq == 0:
+            return [(np.empty(0, dtype=np.int64), np.empty(0)) for _ in range(nq)]
+        if queries.shape[1] != self.dim:
+            raise ValueError(f"expected dim {self.dim}, got {queries.shape[1]}")
         width = int(ef if ef is not None else self.ef_search)
         if radius is None:
-            width = max(width, k)
-            return width, width, -math.inf
-        # Traversal compares squared distances; the slack keeps a point the
-        # caller's ``d <= radius`` test accepts from rounding to "outside".
-        return width, max(width, k), radius * radius * (1.0 + 1e-9)
+            width = cap = max(width, k)
+            sq_radius = -math.inf
+        else:
+            cap = max(width, k)
+            # Traversal compares squared distances; the slack keeps a point the
+            # caller's ``d <= radius`` test accepts from rounding to "outside".
+            sq_radius = radius * radius * (1.0 + 1e-9)
+        efs = np.full(nq, width, dtype=np.int64)
+        if exclude is not None:
+            # The beam must hold k survivors plus the excluded id — only
+            # for queries that exclude one.
+            efs[exclude >= 0] += 1
+        caps = efs + (cap - width)
+        qq = np.einsum("ij,ij->i", queries, queries)
+        # Chunk so the (chunk, rows) visited matrix stays modest.
+        n_rows = max(len(self._id_of), 1)
+        chunk = max(1, min(256, (32 << 20) // n_rows))
+        found: List[Tuple[np.ndarray, np.ndarray]] = []
+        for start in range(0, nq, chunk):
+            stop = min(nq, start + chunk)
+            beams = self._search_layer0_batch(
+                queries[start:stop], qq[start:stop], efs[start:stop],
+                caps[start:stop], sq_radius,
+            )
+            for qi, beam in enumerate(beams, start):
+                if exclude is not None and exclude[qi] >= 0:
+                    excl = int(exclude[qi])
+                    beam = [t for t in beam if t[1] != excl]
+                ids = np.asarray([i for _, i, _ in beam[:k]], dtype=np.int64)
+                # Traversal works in squared L2; convert once, here.
+                sq = np.asarray([d for d, _, _ in beam[:k]], dtype=np.float64)
+                np.maximum(sq, 0.0, out=sq)
+                found.append((ids, np.sqrt(sq)))
+        return found
 
     def search(
         self,
@@ -680,55 +624,13 @@ class HNSWIndex:
         k: int,
         ef: Optional[int] = None,
         exclude: Optional[int] = None,
-        mode: Optional[str] = None,
         radius: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate k-NN. Returns ``(ids, distances)`` ascending.
-
-        ``exclude`` drops one id from the results; the beam is widened by
-        one slot so the exclusion cannot under-fill the k requested results.
-        ``mode`` selects the candidate-scoring kernel: ``"exact"`` (default)
-        or ``"pq"`` (ADC against the attached quantizer, exact re-rank).
-        ``radius`` turns the beam into a range query's (see
-        :meth:`_beam_limits`): up to ``k`` results, of which every one
-        within ``radius`` is kept; the caller filters the rest.
-        """
-        if self._entry is None:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        query = np.asarray(query, dtype=np.float64).ravel()
-        if query.shape[0] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {query.shape[0]}")
-        k = int(k)
-        width, cap, sq_radius = self._beam_limits(k, ef, radius)
-        if exclude is not None:
-            # The beam must hold k survivors plus the excluded id.
-            width += 1
-            cap += 1
-        table, uses_pq = self._resolve_mode(query, mode)
-        qq = float(query @ query)
-        entry_row, entry_dist = self._greedy_descend(
-            query, qq, self._row_of[self._entry], self._max_level, 0, table
-        )
-        results = self._search_layer(
-            query, qq, entry_row, width, 0, table, entry_dist, sq_radius, cap
-        )
-        if exclude is not None:
-            excl = int(exclude)
-            results = [t for t in results if t[1] != excl]
-        if uses_pq and results:
-            # Re-rank the surviving beam with exact (squared) distances.
-            rows = self._rows_array([r for _, _, r in results])
-            exact = self._dists_rows(query, rows, qq)
-            results = sorted(
-                (float(d), i, r)
-                for d, (_, i, r) in zip(exact, results)
-            )
-        k = min(k, len(results))
-        ids = np.asarray([i for _, i, _ in results[:k]], dtype=np.int64)
-        # Traversal works in squared L2; convert once at the API boundary.
-        sq = np.asarray([d for d, _, _ in results[:k]], dtype=np.float64)
-        np.maximum(sq, 0.0, out=sq)
-        return ids, np.sqrt(sq)
+        """Approximate k-NN. Returns ``(ids, distances)`` ascending: the
+        one-row case of :meth:`search_batch`, without the padding."""
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        excl = None if exclude is None else np.asarray([exclude])
+        return self._query(query, int(k), ef, excl, radius)[0]
 
     def search_batch(
         self,
@@ -736,83 +638,27 @@ class HNSWIndex:
         k: int,
         ef: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
-        mode: Optional[str] = None,
         radius: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """k-NN for many queries; same contract as brute-force
         ``search_batch``: ``(ids, dists)`` of shape ``(n_queries, k)``, rows
-        padded with ``-1``/``inf``. ``radius`` as in :meth:`search`.
+        padded with ``-1``/``inf``. ``exclude`` and ``radius`` as in
+        :meth:`_query`.
 
-        Exact-mode batches run the layer-0 beams in *lockstep*: every
-        macro-hop pops one candidate per still-active query, concatenates
-        their frontier adjacencies, and scores them in a single gather +
-        einsum call — amortizing the per-hop numpy dispatch overhead over
-        the whole batch. Queries are independent, so lockstep is pure
-        scheduling: each row of the output matches calling :meth:`search`
-        on that query alone (distances agree up to floating-point summation
-        order in the fused kernel; ids are identical away from exact ties).
-        ``exclude[i]`` (ids, ``-1`` = none) mirrors the batched brute-force
-        semantics. PQ mode builds one ADC table per query and stays on the
-        per-query path.
+        The layer-0 beams run in *lockstep*: every macro-hop pops one
+        candidate per still-active query, concatenates their frontier
+        adjacencies, and scores them in a single gather + einsum call —
+        amortizing the per-hop numpy dispatch overhead over the whole
+        batch. Queries are independent, so lockstep is pure scheduling: a
+        batch of N is N batches of one.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        nq = queries.shape[0]
         k = int(k)
-        if exclude is not None:
-            exclude = np.asarray(exclude).ravel()
-            if exclude.shape[0] != nq:
-                raise ValueError("exclude and queries length mismatch")
-        out_ids = np.full((nq, k), -1, dtype=np.int64)
-        out_d = np.full((nq, k), np.inf)
-        if self._entry is None or nq == 0:
-            return out_ids, out_d
-        if queries.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {queries.shape[1]}")
-        resolved = mode
-        if resolved is None:
-            resolved = "pq" if (self._pq is not None and self._pq_default) else "exact"
-        if resolved == "pq":
-            for qi in range(nq):
-                excl = None
-                if exclude is not None and exclude[qi] >= 0:
-                    excl = int(exclude[qi])
-                ids, dists = self.search(
-                    queries[qi], k, ef=ef, exclude=excl, mode="pq", radius=radius
-                )
-                out_ids[qi, : ids.shape[0]] = ids
-                out_d[qi, : ids.shape[0]] = dists
-            return out_ids, out_d
-        if resolved != "exact":
-            raise ValueError(f"unknown search mode {resolved!r}")
-
-        width, cap, sq_radius = self._beam_limits(k, ef, radius)
-        efs = np.full(nq, width, dtype=np.int64)
-        if exclude is not None:
-            # Same widening as search(): the beam must hold k survivors
-            # plus the excluded id — only for queries that exclude one.
-            efs[exclude >= 0] += 1
-        caps = efs + (cap - width)
-        qq = np.einsum("ij,ij->i", queries, queries)
-        # Chunk so the (chunk, rows) visited matrix stays modest.
-        n_rows = max(len(self._id_of), 1)
-        chunk = max(1, min(256, (32 << 20) // n_rows))
-        for start in range(0, nq, chunk):
-            stop = min(nq, start + chunk)
-            per_query = self._search_layer0_batch(
-                queries[start:stop], qq[start:stop], efs[start:stop],
-                caps[start:stop], sq_radius,
-            )
-            for off, results in enumerate(per_query):
-                qi = start + off
-                if exclude is not None and exclude[qi] >= 0:
-                    excl = int(exclude[qi])
-                    results = [t for t in results if t[1] != excl]
-                m = min(k, len(results))
-                if m:
-                    out_ids[qi, :m] = [i for _, i, _ in results[:m]]
-                    sq = np.asarray([d for d, _, _ in results[:m]])
-                    np.maximum(sq, 0.0, out=sq)
-                    out_d[qi, :m] = np.sqrt(sq)
+        found = self._query(queries, k, ef, exclude, radius)
+        out_ids = np.full((len(found), k), -1, dtype=np.int64)
+        out_d = np.full((len(found), k), np.inf)
+        for qi, (ids, dists) in enumerate(found):
+            out_ids[qi, : ids.shape[0]] = ids
+            out_d[qi, : ids.shape[0]] = dists
         return out_ids, out_d
 
     def _search_layer0_batch(
@@ -823,15 +669,21 @@ class HNSWIndex:
         caps: np.ndarray,
         sq_radius: float,
     ) -> List[List[Tuple[float, int, int]]]:
-        """Lockstep layer-0 beam search for a chunk of queries.
+        """Lockstep layer-0 beam search for a chunk of queries; returns one
+        beam per query as ``(squared dist, id, row)`` triples sorted
+        ascending by ``(dist, id)``.
 
-        Per macro-round, one candidate is popped per active query; all their
-        frontier adjacencies are scored in a single vectorized call. Each
-        query's pop/admit sequence replays exactly what :meth:`_search_layer`
-        would do with the same ``ef`` / ``cap`` / ``sq_radius`` (queries
-        share no state); the only difference from the per-query path is the
-        fused distance kernel's summation order, a 1-ulp-level effect on the
-        returned distances.
+        A query's beam holds ``ef`` members and its search stops when the
+        nearest unexpanded candidate is farther than the beam's worst.
+        ``sq_radius`` (squared) makes that a range query: a member inside
+        the radius is never evicted for width, only once the beam reaches
+        ``cap``, so the beam is ``ef`` wide while its worst lies outside the
+        radius and otherwise as large as the in-radius set it has found.
+        Below ``cap`` every in-radius candidate is still a member, hence no
+        farther than the worst, hence expanded: the stop rule reads
+        ``max(worst, radius)``. ``-inf`` is plain k-NN; ``inf`` is a plain
+        beam of width ``cap``. Heap ties break on the external id (never
+        the row), so results are invariant under :meth:`reorder`.
         """
         nq = queries.shape[0]
         id_of = self._id_of
@@ -916,12 +768,7 @@ class HNSWIndex:
                         size >= cap_of[i] or -res[0][0] > sq_radius
                     ):
                         pop(res)
-        out: List[List[Tuple[float, int, int]]] = []
-        for res in results:
-            triples = [(-d, i, r) for d, i, r in res]
-            triples.sort()
-            out.append(triples)
-        return out
+        return [sorted((-d, i, r) for d, i, r in res) for res in results]
 
     def neighbors_within(
         self,
@@ -930,19 +777,12 @@ class HNSWIndex:
         ef: Optional[int] = None,
         exclude: Optional[int] = None,
         max_neighbors: int = 512,
-        mode: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate range query: radius-aware beam search, then filter.
-
-        Returns the nearest ``max_neighbors`` (paper's ``neighbormax``-scale
-        bound) of the points found within ``radius``, ascending.
-        """
-        ids, dists = self.search(
-            query, k=max_neighbors, ef=ef, exclude=exclude, mode=mode,
-            radius=radius,
-        )
-        keep = dists <= radius
-        return ids[keep], dists[keep]
+        """Approximate range query: the one-row case of
+        :meth:`neighbors_within_batch`."""
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        excl = None if exclude is None else np.asarray([exclude])
+        return self.neighbors_within_batch(query, radius, excl, max_neighbors, ef)[0]
 
     def neighbors_within_batch(
         self,
@@ -951,26 +791,21 @@ class HNSWIndex:
         exclude: Optional[np.ndarray] = None,
         max_neighbors: int = 512,
         ef: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Batched range query with the brute-force backend's signature.
 
-        Returns one ``(ids, dists)`` pair per query, distance-sorted and
-        truncated to ``max_neighbors``; ``exclude[i]`` (if given, ``-1`` =
-        none) removes one id from query ``i``'s results. Runs on the
-        lockstep batched beam (see :meth:`search_batch`), so the whole
-        scorer sweep shares vectorized distance calls, with the radius-aware
-        beam of :meth:`_beam_limits`.
+        Returns one ``(ids, dists)`` pair per query: the nearest
+        ``max_neighbors`` (paper's ``neighbormax``-scale bound) of the points
+        the radius-aware beam of :meth:`_query` found within
+        ``radius``, ascending; ``exclude[i]`` (if given, ``-1`` = none)
+        removes one id from query ``i``'s results. The whole scorer sweep
+        shares the lockstep beam's vectorized distance calls.
         """
-        ids_mat, d_mat = self.search_batch(
-            queries, k=max_neighbors, ef=ef, exclude=exclude, mode=mode,
-            radius=radius,
-        )
-        results: List[Tuple[np.ndarray, np.ndarray]] = []
-        for qi in range(ids_mat.shape[0]):
-            keep = (ids_mat[qi] >= 0) & (d_mat[qi] <= radius)
-            results.append((ids_mat[qi][keep], d_mat[qi][keep]))
-        return results
+        within = []
+        for ids, dists in self._query(queries, int(max_neighbors), ef, exclude, radius):
+            keep = dists <= radius
+            within.append((ids[keep], dists[keep]))
+        return within
 
     # ------------------------------------------------------------------
     # Graph reordering (cache locality)
@@ -1018,10 +853,6 @@ class HNSWIndex:
         rows_arr = self._rows_array(order)
         vectors[:n] = self._vectors[rows_arr]
         norms[:n] = self._norms[rows_arr]
-        if self._codes is not None:
-            codes = np.zeros_like(self._codes)
-            codes[:n] = self._codes[rows_arr]
-            self._codes = codes
         self._levels = [self._levels[old] for old in order]
         self._out = [
             [[new_of_old[t] for t in adj] for adj in self._out[old]]
@@ -1041,83 +872,78 @@ class HNSWIndex:
         return np.asarray(self._id_of, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Snapshot
     # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        """Serialize the index to an ``.npz`` archive.
+    def state_dict(self) -> dict:
+        """Exact snapshot: everything later behaviour depends on.
 
-        Stores vectors, per-node levels, flattened adjacency, and the
-        construction parameters. The RNG state and any attached quantizer
-        are not saved: a loaded index continues with fresh level draws and
-        exact scoring, which only affects *future* inserts' layer
-        assignment, not correctness.
+        The row layout (free rows and their reuse order included, so a later
+        insert lands in the row the original would use), the live rows in id
+        order (it backs :attr:`ids` and the entry-point repair), levels,
+        per-layer out-lists in list order, the entry point, the level-draw
+        rng and the construction parameters; reverse-edge sets and norms are
+        derived on load. :func:`repro.resilience.state.save_state` takes it.
         """
-        import json
-        from pathlib import Path
-
-        ids = list(self._row_of)
-        rows = [self._row_of[i] for i in ids]
-        vectors = (
-            self._vectors[self._rows_array(rows)]
-            if ids else np.empty((0, self.dim))
-        )
-        levels = np.asarray([self._levels[r] for r in rows], dtype=np.int64)
-        # Flatten adjacency as (node_pos, layer, neighbor_id) triples.
-        triples = []
-        for pos, r in enumerate(rows):
-            for layer, neigh in enumerate(self._out[r]):
-                for nrow in neigh:
-                    triples.append((pos, layer, self._id_of[nrow]))
-        adjacency = (
-            np.asarray(triples, dtype=np.int64)
-            if triples else np.empty((0, 3), dtype=np.int64)
-        )
-        header = json.dumps({
-            "dim": self.dim, "M": self.M,
+        lists = [adj for layers in self._out for adj in layers]
+        return {
+            "dim": self.dim,
+            "M": self.M,
             "ef_construction": self.ef_construction,
             "ef_search": self.ef_search,
-            "entry": self._entry, "max_level": self._max_level,
-        })
-        np.savez(
-            Path(path),
-            ids=np.asarray(ids, dtype=np.int64),
-            vectors=vectors,
-            levels=levels,
-            adjacency=adjacency,
-            header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-        )
+            "vectors": self._vectors[: len(self._id_of)].copy(),
+            "row_ids": np.asarray(self._id_of, dtype=np.int64),
+            "live_rows": np.asarray(list(self._row_of.values()), dtype=np.int64),
+            "free_rows": np.asarray(self._free, dtype=np.int64),
+            "levels": np.asarray(self._levels, dtype=np.int64),
+            "degrees": np.asarray([len(adj) for adj in lists], dtype=np.int64),
+            "edges": np.asarray([t for adj in lists for t in adj], dtype=np.int64),
+            "entry": self._entry,
+            "max_level": self._max_level,
+            "rng": self._rng.bit_generator.state,
+        }
 
-    @classmethod
-    def load(cls, path, rng: RngLike = None) -> "HNSWIndex":
-        """Reconstruct an index saved with :meth:`save`."""
-        import json
-        from pathlib import Path
-
-        with np.load(Path(path)) as data:
-            header = json.loads(bytes(data["header"]).decode("utf-8"))
-            ids = data["ids"]
-            idx = cls(
-                header["dim"], M=header["M"],
-                ef_construction=header["ef_construction"],
-                ef_search=header["ef_search"], rng=rng,
-                capacity=max(len(ids), 1),
-            )
-            vectors = data["vectors"]
-            levels = data["levels"]
-            for i, v, lvl in zip(ids, vectors, levels):
-                idx._alloc_row(
-                    int(i),
-                    np.ascontiguousarray(v, dtype=np.float64),
-                    int(lvl),
-                )
-            for pos, layer, nid in data["adjacency"]:
-                srow = idx._row_of[int(ids[pos])]
-                trow = idx._row_of[int(nid)]
-                idx._out[srow][int(layer)].append(trow)
-                idx._in[trow][int(layer)].add(srow)
-            idx._entry = header["entry"]
-            idx._max_level = header["max_level"]
-        return idx
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot, replacing the contents
+        (construction parameters included; ``dim`` must match)."""
+        vectors = np.asarray(state["vectors"], dtype=np.float64)
+        row_ids = np.asarray(state["row_ids"], dtype=np.int64).tolist()
+        levels = np.asarray(state["levels"], dtype=np.int64).tolist()
+        degrees = np.asarray(state["degrees"], dtype=np.int64).tolist()
+        edges = np.asarray(state["edges"], dtype=np.int64).tolist()
+        n = len(row_ids)
+        if int(state["dim"]) != self.dim or vectors.shape != (n, self.dim):
+            raise ValueError("vector snapshot does not match index dim")
+        shape = (len(levels), len(degrees), sum(degrees))
+        if shape != (n, n + sum(levels), len(edges)):
+            raise ValueError("snapshot rows, levels and out-lists do not align")
+        self.M = int(state["M"])
+        self.M0 = 2 * self.M
+        self._mL = 1.0 / math.log(self.M)
+        self.ef_construction = int(state["ef_construction"])
+        self.ef_search = int(state["ef_search"])
+        self._id_of = []  # the old contents go: growing carries nothing over
+        self._grow(n)
+        self._vectors[:n] = vectors
+        for row in range(n):  # the expression _alloc_row cached, bit for bit
+            self._norms[row] = float(vectors[row] @ vectors[row])
+        self._id_of = row_ids
+        self._levels = levels
+        live = np.asarray(state["live_rows"], dtype=np.int64).tolist()
+        self._row_of = {row_ids[row]: row for row in live}
+        self._free = np.asarray(state["free_rows"], dtype=np.int64).tolist()
+        ends = np.cumsum(degrees).tolist()
+        lists = (edges[end - deg : end] for deg, end in zip(degrees, ends))
+        self._out = [[next(lists) for _ in range(level + 1)] for level in levels]
+        self._in = [[set() for _ in layers] for layers in self._out]
+        for row, layers in enumerate(self._out):
+            for layer, adj in enumerate(layers):
+                for target in adj:
+                    self._in[target][layer].add(row)
+        entry = state["entry"]
+        self._entry = None if entry is None else int(entry)
+        self._max_level = int(state["max_level"])
+        self._rng.bit_generator.state = state["rng"]
+        self._adj_cache.clear()
 
     # ------------------------------------------------------------------
     # Diagnostics

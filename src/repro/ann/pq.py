@@ -174,12 +174,12 @@ class ProductQuantizer:
             out[:, j * self.dsub : (j + 1) * self.dsub] = books[j][codes[:, j]]
         return out
 
-    def adc_table(self, query: np.ndarray) -> np.ndarray:
-        """Per-query ``(m, ksub)`` table of squared subspace distances.
+    def adc_distances(self, query: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Asymmetric distances (query vs encoded DB) via lookup tables.
 
-        Split out from :meth:`adc_distances` so a caller scoring many
-        candidate batches against one query (e.g. an HNSW traversal in PQ
-        mode) builds the table once and reuses it via :meth:`adc_lookup`.
+        Builds the per-query ``(m, ksub)`` table of squared subspace
+        distances, then sums table entries per code — the standard ADC trick
+        that makes PQ search O(n·m) instead of O(n·dim).
         """
         books = self._require_trained()
         query = np.asarray(query, dtype=np.float64).ravel()
@@ -190,28 +190,10 @@ class ProductQuantizer:
             qsub = query[j * self.dsub : (j + 1) * self.dsub]
             diff = books[j] - qsub
             table[j] = np.einsum("ij,ij->i", diff, diff)
-        return table
-
-    def adc_lookup(
-        self, table: np.ndarray, codes: np.ndarray, squared: bool = False
-    ) -> np.ndarray:
-        """Asymmetric distances from a precomputed :meth:`adc_table`.
-
-        Sums table entries per code — the standard ADC trick that makes PQ
-        search O(n·m) instead of O(n·dim). ``squared=True`` skips the final
-        square root for callers that only compare distances (e.g. graph
-        traversal, where squared L2 preserves the ordering).
-        """
         codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
         sq = table[np.arange(self.m)[None, :], codes].sum(axis=1)
-        if squared:
-            return sq
         np.maximum(sq, 0.0, out=sq)
         return np.sqrt(sq)
-
-    def adc_distances(self, query: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Asymmetric distances (query vs encoded DB) via lookup tables."""
-        return self.adc_lookup(self.adc_table(query), codes)
 
     def quantization_error(self, data: np.ndarray) -> float:
         """Mean L2 reconstruction error over ``data``."""

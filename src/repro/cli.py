@@ -553,37 +553,20 @@ def _build_arrivals(args):
 
 
 def _cmd_load(args) -> int:
-    # Validate up front with clear messages (exit 2, like other commands).
+    # Only what no constructor below checks for every invocation: where the
+    # CLI is stricter than the config classes (a trace needs a request; the
+    # key space must cover the smallest ring), and the rate knobs that only
+    # some --arrivals choices consume (an invalid flag is never a silently
+    # ignored one). Every other flag reaches a constructor that rejects it.
     checks = [
         (args.requests < 1, "--requests must be >= 1"),
         (args.keys < 8, "--keys must be >= 8"),
-        (args.zipf_skew < 0, "--zipf-skew must be >= 0"),
-        (not 0.0 <= args.put_fraction < 1.0,
-         "--put-fraction must be in [0, 1)"),
-        (args.base_rate <= 0, "--base-rate must be positive"),
         (args.burst_rate <= 0, "--burst-rate must be positive"),
         (args.mean_on_s <= 0 or args.mean_off_s <= 0,
          "--mean-on-s and --mean-off-s must be positive"),
         (not 0.0 <= args.diurnal_amplitude < 1.0,
          "--diurnal-amplitude must be in [0, 1)"),
         (args.diurnal_period_s <= 0, "--diurnal-period-s must be positive"),
-        (args.capacity < 1, "--capacity must be >= 1"),
-        (not 0.0 <= args.imp_ratio <= 1.0, "--imp-ratio must be in [0, 1]"),
-        (args.shards < 1, "--shards must be >= 1"),
-        (args.window < 1, "--window must be >= 1"),
-        (args.slo_ms <= 0, "--slo-ms must be positive"),
-        (not 0.0 < args.slo_goal <= 1.0, "--slo-goal must be in (0, 1]"),
-        (args.service_rate <= 0, "--service-rate must be positive"),
-        (args.miss_ms < 0, "--miss-ms must be >= 0"),
-        (args.min_shards < 1 or args.max_shards < args.min_shards,
-         "need 1 <= --min-shards <= --max-shards"),
-        (args.p99_low_ms <= 0 or args.p99_high_ms <= args.p99_low_ms,
-         "need 0 < --p99-low-ms < --p99-high-ms (hysteresis band)"),
-        (args.util_low < 0 or args.util_high <= args.util_low,
-         "need 0 <= --util-low < --util-high (hysteresis band)"),
-        (args.breach_windows < 1, "--breach-windows must be >= 1"),
-        (args.cooldown_windows < 0, "--cooldown-windows must be >= 0"),
-        (args.growth_factor <= 1.0, "--growth-factor must be > 1"),
     ]
     for bad, msg in checks:
         if bad:
@@ -601,9 +584,9 @@ def _cmd_load(args) -> int:
         write_load_artifacts,
     )
 
-    # Construction only: what the table above does not cover (e.g. burst
-    # rate below base rate) the config classes reject; a ValueError out
-    # of ``harness.run`` below is a bug and keeps its traceback.
+    # Construction only: the config and arrival classes reject what they
+    # are handed (exit 2 through ``_reject``); a ValueError out of
+    # ``harness.run`` below is a bug and keeps its traceback.
     try:
         trace = make_trace(
             TraceConfig(
@@ -615,19 +598,19 @@ def _cmd_load(args) -> int:
             _build_arrivals(args),
             seed=args.seed,
         )
-        autoscaler = None
-        if not args.no_autoscale:
-            autoscaler = Autoscaler(AutoscalerConfig(
-                min_shards=args.min_shards,
-                max_shards=args.max_shards,
-                p99_high_s=args.p99_high_ms / 1e3,
-                p99_low_s=args.p99_low_ms / 1e3,
-                util_high=args.util_high,
-                util_low=args.util_low,
-                breach_windows=args.breach_windows,
-                cooldown_windows=args.cooldown_windows,
-                growth_factor=args.growth_factor,
-            ))
+        # Built (hence checked) under --no-autoscale too.
+        scaling = AutoscalerConfig(
+            min_shards=args.min_shards,
+            max_shards=args.max_shards,
+            p99_high_s=args.p99_high_ms / 1e3,
+            p99_low_s=args.p99_low_ms / 1e3,
+            util_high=args.util_high,
+            util_low=args.util_low,
+            breach_windows=args.breach_windows,
+            cooldown_windows=args.cooldown_windows,
+            growth_factor=args.growth_factor,
+        )
+        autoscaler = None if args.no_autoscale else Autoscaler(scaling)
         config = ReplayConfig(
             total_capacity=args.capacity,
             imp_ratio=args.imp_ratio,

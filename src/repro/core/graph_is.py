@@ -287,17 +287,8 @@ class GraphImportanceScorer:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Exact snapshot: calibration EMA plus indexed embeddings.
-
-        Only the ``"exact"`` backend supports this — an HNSW graph's layout
-        depends on its insertion-time level draws, so it cannot be restored
-        bit-identically from vectors alone.
-        """
-        if not isinstance(self.index, BruteForceIndex):
-            raise NotImplementedError(
-                "exact scorer checkpointing requires backend='exact'; "
-                "the HNSW graph is not bit-reproducible from a snapshot"
-            )
+        """Exact snapshot: calibration EMA plus the ANN index's own
+        ``state_dict`` (either backend restores bit-identically)."""
         return {
             "dist_ema": self._dist_ema,
             "index": self.index.state_dict(),
@@ -305,10 +296,6 @@ class GraphImportanceScorer:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot."""
-        if not isinstance(self.index, BruteForceIndex):
-            raise NotImplementedError(
-                "exact scorer checkpointing requires backend='exact'"
-            )
         ema = state["dist_ema"]
         self._dist_ema = None if ema is None else float(ema)
         self.index.load_state_dict(state["index"])

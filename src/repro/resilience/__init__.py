@@ -42,7 +42,7 @@ from repro.resilience.faults import (
     OutageWindow,
 )
 from repro.resilience.preemption import PreemptionSchedule
-from repro.resilience.state import load_state, save_state
+from repro.resilience.state import CheckpointError, load_state, save_state
 from repro.resilience.trainer import RECOVERY_STAGE, RecoveryStats, ResilientTrainer
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "FaultPlan",
     "OutageWindow",
     "PreemptionSchedule",
+    "CheckpointError",
     "load_state",
     "save_state",
     "RECOVERY_STAGE",

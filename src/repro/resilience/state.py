@@ -1,10 +1,9 @@
 """Nested-state serialization for full-runtime checkpoints.
 
-The resilient trainer's checkpoint is a deeply nested dict — model arrays,
-heap snapshots, RNG bit-generator state, per-stage clock totals — far
-richer than the flat model/optimizer archives in
-:mod:`repro.train.checkpoint`. This module flattens an arbitrary tree of
-dicts/lists/scalars/ndarrays into one ``.npz``: arrays are stored under
+The one on-disk checkpoint format. The resilient trainer's checkpoint is a
+deeply nested dict — model arrays, heap snapshots, RNG bit-generator state,
+per-stage clock totals, the ANN index. This module flattens an arbitrary tree
+of dicts/lists/scalars/ndarrays into one ``.npz``: arrays are stored under
 sequential keys and the remaining structure goes into a JSON header with
 placeholders pointing back at them. Round-tripping is exact — dtypes,
 shapes, big ints (PCG64 carries 128-bit state words), ``None`` — which the
@@ -19,12 +18,20 @@ from typing import Any, Dict, List, Union
 
 import numpy as np
 
-from repro.train.checkpoint import CheckpointError
-
-__all__ = ["save_state", "load_state"]
+__all__ = ["CheckpointError", "save_state", "load_state"]
 
 _ARRAY_KEY = "__ndarray__"
 _TUPLE_KEY = "__tuple__"
+
+
+class CheckpointError(RuntimeError, ValueError):
+    """A checkpoint file is unreadable or malformed.
+
+    Raised with a message naming the file and the specific defect
+    (truncated archive, missing or undecodable state tree) so operators can
+    tell a corrupt checkpoint from a code bug. Subclasses ``ValueError`` too
+    for callers that predate the dedicated type.
+    """
 
 
 def _flatten(obj: Any, arrays: List[np.ndarray]) -> Any:
@@ -81,8 +88,8 @@ def save_state(path: Union[str, Path], state: dict) -> Path:
 def load_state(path: Union[str, Path]) -> dict:
     """Read a :func:`save_state` archive back into the original tree.
 
-    Raises :class:`~repro.train.checkpoint.CheckpointError` for truncated
-    or non-npz files and archives without a state tree.
+    Raises :class:`CheckpointError` for truncated or non-npz files and
+    archives without a state tree.
     """
     path = Path(path)
     try:

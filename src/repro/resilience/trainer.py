@@ -117,9 +117,10 @@ class ResilientTrainer(Trainer):
         self._batches_since_ckpt = 0
 
     # ------------------------------------------------------------------
-    def run(self) -> TrainResult:
-        cfg = self.config
-        result = self._new_result()
+    def _run_epochs(self, result: TrainResult) -> None:
+        """The base loop from the cursor, restored and retried on each
+        preemption (``run`` itself — ``run_start``, the run span — is the
+        base class's, once per call however many restarts happen)."""
         self._result = result
         if self._resume:
             latest = self.latest_checkpoint()
@@ -131,25 +132,11 @@ class ResilientTrainer(Trainer):
             # checkpoint still has something to restore.
             self._write_checkpoint()
         while True:
+            orders = None if self._pending_order is None else [self._pending_order]
             try:
-                e0, b0 = self._cursor
-                for epoch in range(e0, cfg.epochs):
-                    if epoch == e0 and self._pending_order is not None:
-                        orders, acc, start = [self._pending_order], self._pending_acc, b0
-                    else:
-                        orders, acc, start = None, None, 0
-                    self._pending_order = None
-                    self._pending_acc = None
-                    self._run_epoch(
-                        epoch,
-                        result,
-                        orders=orders,
-                        start_batch=start,
-                        acc=acc,
-                        batch_hook=self._on_batch,
-                    )
-                    self._cursor = (epoch + 1, 0)
-                return result
+                return super()._run_epochs(
+                    result, self._cursor, orders, self._pending_acc, self._on_batch
+                )
             except PreemptionError:
                 self.recovery.restarts += 1
                 self.recovery.lost_s += max(

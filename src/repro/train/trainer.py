@@ -18,11 +18,11 @@ Real wall-clock time is spent doing genuine forward/backward math — the
 learning dynamics are real; only I/O and GPU-relative speeds are simulated.
 Compute, IS and preprocess are charged to the clock *per step* so simulated
 time advances mid-epoch — outage windows end and circuit-breaker cool-downs
-elapse between batches. The loop is resumable: :meth:`EpochRunner._run_epoch`
-accepts pre-drawn orders, a starting batch slot and a partially-filled
-:class:`EpochAccumulator`, and fires a per-slot hook — the seams
-:class:`~repro.resilience.trainer.ResilientTrainer` checkpoints and replays
-through.
+elapse between batches. The loop is resumable: :meth:`EpochRunner._run_epochs`
+starts from an ``(epoch, batch slot)`` cursor with pre-drawn orders and a
+partially-filled :class:`EpochAccumulator`, and fires a per-slot hook — the
+seams :class:`~repro.resilience.trainer.ResilientTrainer` checkpoints and
+replays through, inside the one :meth:`EpochRunner.run`.
 """
 
 from __future__ import annotations
@@ -337,11 +337,27 @@ class EpochRunner:
             run_span = obs.span_start(
                 "run", clock.total_seconds, policy=result.policy_name
             )
-        for epoch in range(self.config.epochs):
-            self._run_epoch(epoch, result)
+        self._run_epochs(result)
         if run_span is not None:
             obs.span_end(run_span, clock.total_seconds, epochs=len(result.epochs))
         return result
+
+    def _run_epochs(
+        self, result: TrainResult, cursor: Tuple[int, int] = (0, 0),
+        orders: Optional[List[np.ndarray]] = None,
+        acc: Optional[EpochAccumulator] = None,
+        batch_hook: Optional[Callable] = None,
+    ) -> None:
+        """The epochs from ``cursor = (epoch, batch slot)`` to the last —
+        the seam a resilience layer restores and retries around.
+
+        A cursor inside an epoch resumes it with the checkpointed
+        ``orders``/``acc``; the epochs after it start fresh.
+        """
+        first, start_batch = cursor
+        for epoch in range(first, self.config.epochs):
+            self._run_epoch(epoch, result, orders, start_batch, acc, batch_hook)
+            orders, start_batch, acc = None, 0, None
 
     def _run_epoch(
         self, epoch: int, result: TrainResult,

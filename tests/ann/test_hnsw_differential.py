@@ -12,7 +12,6 @@ These pin the tentpole's behavioral contracts:
   the same ids as per-query ``search`` calls, with distances equal up to
   the fused kernel's floating-point summation order.
 * ``validate_invariants`` holds after arbitrary mutation sequences.
-* PQ-mode search stays close to exact-mode on easy data.
 """
 
 import numpy as np
@@ -20,7 +19,6 @@ import pytest
 
 from repro.ann.brute import BruteForceIndex
 from repro.ann.hnsw import HNSWIndex
-from repro.ann.pq import ProductQuantizer
 
 DIM = 16
 
@@ -198,23 +196,3 @@ def test_invariants_after_mutation_storm():
         k = min(5, len(live))
         ids, _ = idx.search(rng.normal(size=DIM), k=k, ef=32)
         assert len(ids) == k
-
-
-def test_pq_mode_close_to_exact(built):
-    idx, _, data, rng = built
-    pq = ProductQuantizer(dim=DIM, m=4, nbits=8)
-    pq.train(data, rng=5)
-    idx.attach_pq(pq)
-    assert idx.pq_enabled
-    queries = _clustered(20, rng)
-    overlaps = []
-    for q in queries:
-        e_ids, _ = idx.search(q, k=10, ef=60, mode="exact")
-        p_ids, p_d = idx.search(q, k=10, ef=60, mode="pq")
-        assert len(p_ids) == 10
-        # Re-ranked distances are exact, hence sorted and non-negative.
-        assert np.all(np.diff(p_d) >= 0) and np.all(p_d >= 0)
-        overlaps.append(len(set(e_ids) & set(p_ids)) / 10)
-    assert float(np.mean(overlaps)) >= 0.5
-    idx.detach_pq()
-    assert not idx.pq_enabled

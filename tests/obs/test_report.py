@@ -165,6 +165,32 @@ def test_report_skips_consistency_check_after_restore(tmp_path):
     assert "restore" in text
 
 
+def test_resilient_trainer_report_is_consistent_without_preemptions(tmp_path):
+    """A traced ``ResilientTrainer`` goes through ``EpochRunner.run``: one
+    ``run_start`` (the report reads ``io_workers`` / ``hit_latency_s`` from
+    it) and one ``run`` span, so a clean run checks out like ``Trainer``'s."""
+    from repro.obs import read_jsonl
+    from repro.resilience import ResilientTrainer
+
+    ds = make_clustered_dataset(600, n_classes=4, dim=16, rng=0)
+    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    trainer = ResilientTrainer(
+        build_model("resnet18", train.dim, train.num_classes, rng=2),
+        train, test, SpiderCachePolicy(cache_fraction=0.3, rng=3),
+        TrainerConfig(epochs=2, batch_size=64),
+        observer=Observer(recorder=recorder, metrics=MetricsRegistry(), span_seed=5),
+        rng=4, checkpoint_dir=tmp_path / "ckpts",
+    )
+    result = trainer.run()
+    recorder.close()
+    write_run_artifacts(result, tmp_path)
+    events = read_jsonl(tmp_path / TRACE_FILE)
+    assert sum(e["kind"] == "run_start" for e in events) == 1
+    assert sum(e["kind"] == "span" and e["name"] == "run" for e in events) == 1
+    assert "trace vs per-epoch metrics: OK" in render_report(tmp_path)
+
+
 def test_rpc_attempt_line_equals_the_rpc_calls_counter(tmp_path):
     """The ``rpc transport:`` line counts attempts, not attempts plus the
     logical ``rpc`` spans that enclose them."""

@@ -19,11 +19,11 @@ def build_run():
     """
 
     def _build(cls=Trainer, epochs=3, n_samples=160, batch_size=16,
-               prefetch_workers=0, **kw):
+               prefetch_workers=0, backend="exact", **kw):
         data = make_dataset("cifar10-like", rng=0, n_samples=n_samples)
         train, test = train_test_split(data, test_fraction=0.25, rng=1)
         model = build_model("resnet18", train.dim, train.num_classes, rng=2)
-        policy = SpiderCachePolicy(cache_fraction=0.2, rng=3)
+        policy = SpiderCachePolicy(cache_fraction=0.2, rng=3, backend=backend)
         cfg = TrainerConfig(epochs=epochs, batch_size=batch_size,
                             prefetch_workers=prefetch_workers)
         return cls(model, train, test, policy, cfg, **kw), model, policy

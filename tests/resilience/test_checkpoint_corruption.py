@@ -1,0 +1,47 @@
+"""Corrupt-checkpoint handling: clear errors instead of stack-trace soup."""
+
+import numpy as np
+import pytest
+
+from repro.resilience.state import CheckpointError, load_state, save_state
+
+
+def test_state_archive_garbage_raises(tmp_path):
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(b"\x00\x01\x02 nothing useful here")
+    with pytest.raises(CheckpointError, match="truncated or corrupt"):
+        load_state(bad)
+
+
+def test_state_archive_missing_tree_raises(tmp_path):
+    bad = tmp_path / "noTree.npz"
+    np.savez(bad, a0=np.arange(3))
+    with pytest.raises(CheckpointError, match="__tree__"):
+        load_state(bad)
+
+
+def test_state_archive_unreadable_tree_raises(tmp_path):
+    bad = tmp_path / "badtree.npz"
+    np.savez(bad, __tree__=np.frombuffer(b"\xff\xfenot json", dtype=np.uint8))
+    with pytest.raises(CheckpointError, match="JSON"):
+        load_state(bad)
+
+
+def test_state_archive_truncated_raises(tmp_path):
+    path = save_state(tmp_path / "s.npz", {"x": np.arange(10), "y": 3})
+    blob = path.read_bytes()
+    bad = tmp_path / "strunc.npz"
+    bad.write_bytes(blob[: len(blob) // 3])
+    with pytest.raises(CheckpointError):
+        load_state(bad)
+
+
+def test_missing_file_still_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_state(tmp_path / "nope.npz")
+
+
+def test_checkpoint_error_is_also_value_error():
+    # Pre-CheckpointError callers caught ValueError; keep that working.
+    assert issubclass(CheckpointError, ValueError)
+    assert issubclass(CheckpointError, RuntimeError)

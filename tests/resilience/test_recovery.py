@@ -85,13 +85,17 @@ def test_schedule_time_trigger():
 # Acceptance: exact recovery
 
 
-def test_exact_recovery_acceptance(build_run, tmp_path):
+BACKENDS = pytest.mark.parametrize("backend", ["exact", "hnsw"])
+
+
+@BACKENDS
+def test_exact_recovery_acceptance(build_run, tmp_path, backend):
     """Preempted twice mid-run; trajectory identical to uninterrupted."""
-    base, base_model, base_policy = build_run(Trainer, epochs=3)
+    base, base_model, base_policy = build_run(Trainer, epochs=3, backend=backend)
     r0 = base.run()
 
     trainer, model, policy = build_run(
-        ResilientTrainer, epochs=3,
+        ResilientTrainer, epochs=3, backend=backend,
         checkpoint_dir=tmp_path / "ckpts",
         checkpoint_every_batches=3,
         preemptions=PreemptionSchedule(at=[(1, 2), (2, 4)]),
@@ -117,15 +121,17 @@ def test_exact_recovery_acceptance(build_run, tmp_path):
     )
     assert r0.epochs == r1.epochs
     assert base.clock.state_dict() == trainer.clock.state_dict()
+    assert base_policy.stats() == policy.stats()
 
 
-def test_fresh_process_resume_is_exact(build_run, tmp_path):
+@BACKENDS
+def test_fresh_process_resume_is_exact(build_run, tmp_path, backend):
     """Kill the process (max_restarts=0), resume in a fresh trainer."""
-    base, base_model, _ = build_run(Trainer, epochs=3)
+    base, base_model, base_policy = build_run(Trainer, epochs=3, backend=backend)
     r0 = base.run()
 
     first, _, _ = build_run(
-        ResilientTrainer, epochs=3,
+        ResilientTrainer, epochs=3, backend=backend,
         checkpoint_dir=tmp_path / "ckpts",
         checkpoint_every_batches=4,
         preemptions=PreemptionSchedule(at=[(1, 5)]),
@@ -134,8 +140,8 @@ def test_fresh_process_resume_is_exact(build_run, tmp_path):
     with pytest.raises(PreemptionError):
         first.run()
 
-    second, model, _ = build_run(
-        ResilientTrainer, epochs=3,
+    second, model, policy = build_run(
+        ResilientTrainer, epochs=3, backend=backend,
         checkpoint_dir=tmp_path / "ckpts",
         checkpoint_every_batches=4,
         resume=True,
@@ -144,6 +150,7 @@ def test_fresh_process_resume_is_exact(build_run, tmp_path):
     assert _params_equal(base_model, model)
     assert r0.epochs == r2.epochs
     assert base.clock.state_dict() == second.clock.state_dict()
+    assert base_policy.stats() == policy.stats()
 
 
 def test_restart_penalty_charged_to_recovery_stage(build_run, tmp_path):

@@ -73,6 +73,8 @@ def test_train_package_imports_without_dist():
 KEPT_WITHOUT_SRC_IMPORTER = {
     "repro.ann.index_stats":
         "Table 2 (benchmarks/test_table2_index_storage.py)",
+    "repro.ann.pq":
+        "Table 2's PQ codec (benchmarks/test_table2_index_storage.py)",
     "repro.data.images":
         "E-CNN (benchmarks/test_cnn_image_path.py, tests/test_integration.py)",
     "repro.data.transforms":
