@@ -16,10 +16,12 @@ from repro.ann.distance import (
 from repro.ann.hnsw import HNSWIndex
 from repro.ann.index_stats import IndexStorageModel, estimate_index_size_bytes
 from repro.ann.pq import ProductQuantizer
+from repro.ann.range_result import RangeResult
 
 __all__ = [
     "BruteForceIndex",
     "HNSWIndex",
+    "RangeResult",
     "ProductQuantizer",
     "IndexStorageModel",
     "estimate_index_size_bytes",

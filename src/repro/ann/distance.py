@@ -19,6 +19,7 @@ __all__ = [
     "squared_norms",
     "l2_distances",
     "l2_distance_matrix",
+    "paired_l2",
     "pairwise_l2",
     "cosine_distance_matrix",
 ]
@@ -70,6 +71,19 @@ def l2_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sq = squared_norms(a)[:, None] + squared_norms(b)[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq)
+
+
+def paired_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between matching rows of ``a`` and ``b`` (either
+    may be one vector, broadcast), by direct difference.
+
+    ``sqrt(sum((a - b)^2))`` never subtracts two large numbers to get a
+    small one, so unlike the GEMM expansion above its relative error is a
+    few ulps at any distance — the form the exact range query refines and
+    reports with. ``dim`` times the cost of a GEMM entry: for short lists.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(squared_norms(np.asarray(a) - np.asarray(b)))
 
 
 def pairwise_l2(points: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.ann.range_result import RangeResult
 from repro.utils.rng import RngLike, resolve_rng
 
 __all__ = ["HNSWIndex"]
@@ -791,21 +792,29 @@ class HNSWIndex:
         exclude: Optional[np.ndarray] = None,
         max_neighbors: int = 512,
         ef: Optional[int] = None,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batched range query with the brute-force backend's signature.
+    ) -> RangeResult:
+        """Batched range query with the brute-force backend's signature and
+        result type.
 
-        Returns one ``(ids, dists)`` pair per query: the nearest
+        Reads as one ``(ids, dists)`` pair per query: the nearest
         ``max_neighbors`` (paper's ``neighbormax``-scale bound) of the points
         the radius-aware beam of :meth:`_query` found within
         ``radius``, ascending; ``exclude[i]`` (if given, ``-1`` = none)
         removes one id from query ``i``'s results. The whole scorer sweep
-        shares the lockstep beam's vectorized distance calls.
+        shares the lockstep beam's vectorized distance calls. The beam
+        leaves every row measured and sorted, so rows stay readable after
+        later writes to the index.
         """
         within = []
         for ids, dists in self._query(queries, int(max_neighbors), ef, exclude, radius):
             keep = dists <= radius
             within.append((ids[keep], dists[keep]))
-        return within
+        sizes = [ids.size for ids, _ in within]
+        return RangeResult(
+            np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            np.concatenate([np.empty(0, dtype=np.int64)] + [ids for ids, _ in within]),
+            within.__getitem__,
+        )
 
     # ------------------------------------------------------------------
     # Graph reordering (cache locality)

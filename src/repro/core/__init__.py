@@ -7,7 +7,12 @@ from repro.core.elastic import (
     ImportanceMonitor,
     RatioController,
 )
-from repro.core.graph_is import GraphImportanceScorer, NodeScore, importance_score
+from repro.core.graph_is import (
+    BatchScores,
+    GraphImportanceScorer,
+    NodeScore,
+    importance_score,
+)
 from repro.core.homophily_cache import HomophilyCache
 from repro.core.importance_cache import ImportanceCache
 from repro.core.policy import SpiderCachePolicy
@@ -17,6 +22,7 @@ from repro.core.semantic_cache import FetchSource, SemanticCache
 
 __all__ = [
     "GraphImportanceScorer",
+    "BatchScores",
     "NodeScore",
     "importance_score",
     "GlobalScoreTable",

@@ -12,8 +12,13 @@ For node x with ``x_same`` same-class and ``x_other`` other-class neighbors:
 
 Part 1 rewards intra-class rarity (isolated samples), Part 2 rewards
 inter-class proximity (boundary/misclassified samples); the log smooths the
-distribution. The graph itself is transient (paper §5): only the scores and
-the current batch's top-degree node's neighbor list survive scoring.
+distribution. The graph itself is transient (paper §5), and so is what
+scoring computes of it: Eq. 4 needs each node's neighbour *set* — the index
+answers with one flat id array (:class:`repro.ann.range_result.RangeResult`)
+and the counts are one label gather over it — while distances and order are
+needed for one node per batch, the top-degree one whose list seeds the
+homophily cache, and are computed when that row is read. Only the scores and
+that one list survive scoring.
 
 Edge case the paper leaves implicit: ``x_same = 0`` makes Part 1 infinite.
 We cap it at ``zero_same_part1`` (default 2.0, strictly above the
@@ -24,17 +29,25 @@ one-neighbor samples without producing infinities.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ann.brute import BruteForceIndex
 from repro.ann.distance import pairwise_l2
 from repro.ann.hnsw import HNSWIndex
+from repro.ann.range_result import RangeResult
 from repro.utils.rng import RngLike
 
-__all__ = ["GraphImportanceScorer", "NodeScore", "importance_score", "edge_radius"]
+__all__ = [
+    "GraphImportanceScorer",
+    "BatchScores",
+    "NodeScore",
+    "importance_score",
+    "edge_radius",
+]
 
 IndexBackend = Union[BruteForceIndex, HNSWIndex]
 
@@ -84,13 +97,44 @@ class NodeScore:
         return self.x_same + self.x_other
 
 
+@dataclass(eq=False)
+class BatchScores(Sequence):
+    """Scoring result for one batch: one array per field, aligned with
+    ``indices``, plus the range query's answer.
+
+    Reads as the sequence of per-sample :class:`NodeScore` records;
+    building one reads that sample's row of ``neighbors`` (sorted ids and
+    distances), so take rows before the scorer sees its next batch.
+    """
+
+    indices: np.ndarray
+    scores: np.ndarray
+    x_same: np.ndarray
+    x_other: np.ndarray
+    neighbors: RangeResult
+
+    def __len__(self) -> int:
+        return self.indices.shape[0]
+
+    def __getitem__(self, i: int) -> NodeScore:
+        ids, dists = self.neighbors[i]
+        return NodeScore(
+            index=int(self.indices[i]), score=float(self.scores[i]),
+            x_same=int(self.x_same[i]), x_other=int(self.x_other[i]),
+            neighbor_ids=ids, neighbor_dists=dists,
+        )
+
+
 class GraphImportanceScorer:
     """Maintains the ANN index over embeddings and scores batches.
 
     Parameters
     ----------
-    num_classes-agnostic ``labels``:
-        Full label array; neighbor class comparison is a lookup into it.
+    dim:
+        Embedding dimensionality.
+    labels:
+        Full label array, indexed by sample id; neighbor class comparison
+        is a lookup into it (the number of classes is never needed).
     lam, alpha:
         Similarity decay and edge threshold (Eq. 2-3).
     neighbormax:
@@ -139,6 +183,8 @@ class GraphImportanceScorer:
         self.radius_scale = float(radius_scale)
         self.ema_decay = float(ema_decay)
         self._dist_ema: Optional[float] = None
+        # np.triu_indices per batch size seen (at most batch_size entries).
+        self._pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.neighbormax = int(neighbormax)
         self.zero_same_part1 = float(zero_same_part1)
         if backend == "exact":
@@ -157,8 +203,9 @@ class GraphImportanceScorer:
     # ------------------------------------------------------------------
     @property
     def radius(self) -> float:
-        """Current edge radius (fixed, or EMA-calibrated to the embedding
-        scale before the first batch arrives falls back to the fixed one)."""
+        """Current edge radius: ``radius_scale`` times the EMA of the batch
+        distance scale when auto-calibrating, the fixed ``-ln(alpha)/lam``
+        otherwise and until the first batch has been observed."""
         if self.auto_calibrate and self._dist_ema is not None:
             return self.radius_scale * self._dist_ema
         return self._fixed_radius
@@ -184,7 +231,9 @@ class GraphImportanceScorer:
         if n < 2:
             return
         d = pairwise_l2(embeddings)
-        iu = np.triu_indices(n, k=1)
+        iu = self._pairs.get(n)
+        if iu is None:
+            iu = self._pairs[n] = np.triu_indices(n, k=1)
         vals = d[iu]
         if batch_labels is not None:
             same = (batch_labels[:, None] == batch_labels[None, :])[iu]
@@ -210,28 +259,16 @@ class GraphImportanceScorer:
         ANN index (insert or overwrite)."""
         self.index.add_batch(np.asarray(indices), np.atleast_2d(embeddings))
 
-    def _neighbor_lists(
-        self, indices: np.ndarray, embeddings: np.ndarray
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Range-query each batch sample, excluding the sample itself.
-
-        Both backends expose the same batched range-query API; the HNSW
-        backend shares its vectorized row-distance kernel across every hop
-        of every query in the batch.
-        """
-        return self.index.neighbors_within_batch(
-            embeddings, self.radius, exclude=indices, max_neighbors=self.neighbormax
-        )
-
     def score_batch(
         self, indices: Sequence[int], embeddings: np.ndarray
-    ) -> List[NodeScore]:
+    ) -> BatchScores:
         """Score one batch (Algorithm 1 lines 15-21).
 
-        Updates the index with the new embeddings first, then computes each
-        sample's neighbor counts and Eq.-4 score. Returns per-sample
-        :class:`NodeScore` records including neighbor lists (callers keep
-        only the top-degree node's list, discarding the transient graph).
+        Updates the index with the new embeddings first, then range-queries
+        every sample (itself excluded; both backends share one batched API)
+        and computes its neighbor counts and Eq.-4 score. Returns the
+        batch's :class:`BatchScores` (callers keep only the top-degree
+        node's list, discarding the transient graph).
         """
         indices = np.asarray(indices, dtype=np.int64)
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
@@ -240,46 +277,29 @@ class GraphImportanceScorer:
         if self.auto_calibrate:
             self._observe_scale(embeddings, self.labels[indices])
         self.update_embeddings(indices, embeddings)
-        neigh = self._neighbor_lists(indices, embeddings)
-
-        if not neigh:
-            return []
-
-        # Neighbor counts per sample: one label gather over the concatenated
-        # (ragged) lists and a segmented sum, then one vectorized Eq.-4 call
-        # over the whole batch.
-        degree = np.fromiter(
-            (nid.size for nid, _ in neigh), dtype=np.int64, count=len(neigh)
+        neighbors = self.index.neighbors_within_batch(
+            embeddings, self.radius, exclude=indices, max_neighbors=self.neighbormax
         )
-        same = self.labels[np.concatenate([nid for nid, _ in neigh])] == np.repeat(
-            self.labels[indices], degree
-        )
+        # Neighbor counts per sample: one label gather over the flat id
+        # array and a segmented sum, then one vectorized Eq.-4 call.
+        offsets = neighbors.offsets
+        degree = np.diff(offsets)
+        same = self.labels[neighbors.ids] == np.repeat(self.labels[indices], degree)
         same_before = np.concatenate(([0], np.cumsum(same)))
-        ends = np.cumsum(degree)
-        x_same = same_before[ends] - same_before[ends - degree]
+        x_same = same_before[offsets[1:]] - same_before[offsets[:-1]]
         x_other = degree - x_same
         scores = importance_score(
             x_same, x_other, self.neighbormax, self.zero_same_part1
         )
-        return [
-            NodeScore(
-                index=index, score=score, x_same=n_same, x_other=n_other,
-                neighbor_ids=nid, neighbor_dists=nd,
-            )
-            for index, score, n_same, n_other, (nid, nd) in zip(
-                indices.tolist(), scores.tolist(), x_same.tolist(),
-                x_other.tolist(), neigh,
-            )
-        ]
+        return BatchScores(indices, scores, x_same, x_other, neighbors)
 
     @staticmethod
-    def top_degree_node(scores: Sequence[NodeScore]) -> Optional[NodeScore]:
-        """Algorithm 1 lines 18-20: the batch's highest-degree node."""
-        best: Optional[NodeScore] = None
-        for ns in scores:
-            if best is None or ns.degree > best.degree:
-                best = ns
-        return best
+    def top_degree_node(scores: BatchScores) -> Optional[NodeScore]:
+        """Algorithm 1 lines 18-20: the batch's highest-degree node (the
+        first one, of several)."""
+        if len(scores) == 0:
+            return None
+        return scores[int(np.argmax(scores.x_same + scores.x_other))]
 
     @property
     def indexed_count(self) -> int:

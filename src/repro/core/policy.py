@@ -301,15 +301,12 @@ class SpiderCachePolicy(TrainingPolicy):
         _, last_pos = np.unique(served[::-1], return_index=True)
         pos = len(served) - 1 - last_pos
         uniq_ids = served[pos]
-        node_scores = self.scorer.score_batch(uniq_ids, embeddings[pos])
+        scores = self.scorer.score_batch(uniq_ids, embeddings[pos])
+        self.score_table.update(scores.indices, scores.scores, epoch=epoch)
+        for index, score in zip(scores.indices.tolist(), scores.scores.tolist()):
+            self.cache.update_score(index, score)
 
-        ids = np.asarray([ns.index for ns in node_scores])
-        scores = np.asarray([ns.score for ns in node_scores])
-        self.score_table.update(ids, scores, epoch=epoch)
-        for ns in node_scores:
-            self.cache.update_score(ns.index, ns.score)
-
-        top = self.scorer.top_degree_node(node_scores)
+        top = self.scorer.top_degree_node(scores)
         if top is not None and top.degree > 0 and top.index not in self.cache.homophily:
             neigh = top.neighbor_ids
             # Near-duplicates only: inside a fraction of the edge radius...

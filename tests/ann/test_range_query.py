@@ -5,22 +5,27 @@
 backend, id order for HNSW), at most ``max_neighbors`` of them, minus one
 excluded id.
 
-* Exact backend: the flat scan must equal the formula it replaced —
-  ``l2_distance_matrix`` plus a per-row filter, kept here as the oracle —
-  to the byte, whatever the index went through first.
+* Exact backend: the answer is *defined* by float64 direct-difference
+  distances — ``sqrt(sum((q - v)^2))``, filter, stable sort, cap, kept here
+  as the oracle — and the filter-and-refine scan must equal it to the byte,
+  whatever the index went through first, at any coordinate scale, on the
+  knife edge of the radius and of the cap, and whatever way its float32
+  screen happened to round.
 * HNSW backend: the radius-aware beam reduces to the plain beam at
   ``radius=inf``, agrees between the single and the batched entry point,
   and keeps recall against the exact backend through update churn; the
   batched prune it inserts with equals the sequential one.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann.brute import BruteForceIndex
-from repro.ann.distance import l2_distance_matrix
+import repro.ann.brute as brute_module
+from repro.ann.brute import BruteForceIndex, _screen_operand
 from repro.ann.hnsw import HNSWIndex
 
 DIM = 3
@@ -30,21 +35,31 @@ DIM = 3
 # Exact backend: byte-identical to the reference formula
 # ----------------------------------------------------------------------
 def reference_range_query(ids, data, queries, radius, exclude, max_neighbors):
-    """The pre-flat-scan ``BruteForceIndex.neighbors_within_batch``."""
+    """The contract, one query at a time and all in float64."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if len(ids) == 0:
-        return [(np.empty(0, dtype=np.int64), np.empty(0)) for _ in queries]
-    dmat = l2_distance_matrix(queries, data)
     results = []
-    for qi in range(queries.shape[0]):
-        keep = dmat[qi] <= radius
+    for qi, query in enumerate(queries):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = query - data
+            dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = dists <= radius
         if exclude is not None and exclude[qi] >= 0:
             keep &= ids != int(exclude[qi])
         rid = ids[keep]
-        rd = dmat[qi, keep]
+        rd = dists[keep]
         order = np.argsort(rd, kind="stable")[:max_neighbors]
         results.append((rid[order], rd[order]))
     return results
+
+
+def perturb_screen(index, rng):
+    """Move every entry of the float32 screen operand by up to one ulp —
+    what another BLAS, or another rounding of the operand, would do."""
+    n = len(index)
+    live = index._aug[:, :n]
+    toward = rng.choice(np.array([-np.inf, 0.0, np.inf], dtype=np.float32), live.shape)
+    with np.errstate(over="ignore"):
+        index._aug[:, :n] = np.where(toward == 0, live, np.nextafter(live, toward))
 
 
 class SlotModel:
@@ -120,6 +135,9 @@ def check_against_reference(index, model, query):
         "ij,ij->i", index._data[:n], index._data[:n]
     ).tobytes()
     np.testing.assert_array_equal(index._data[:n], data)
+    # So is the float32 screen operand: a rebuild from the float64 state.
+    screen = _screen_operand(index._data[:n], index._sq[:n])
+    np.testing.assert_array_equal(index._aug[:, :n], screen)
 
     queries = [np.asarray(q) for q in query["queries"]]
     queries += [data[s % n] for s in query["stored"] if n]
@@ -145,6 +163,13 @@ def check_against_reference(index, model, query):
         ids, data, queries[:1], query["radius"],
         None if exclude is None else exclude[:1], query["max_neighbors"],
     ))
+    # The answer does not depend on how the screen rounded.
+    perturb_screen(index, np.random.default_rng(n))
+    assert_same_bytes(index.neighbors_within_batch(
+        queries, query["radius"], exclude=exclude,
+        max_neighbors=query["max_neighbors"],
+    ), want)
+    index._aug[:, :n] = screen
 
 
 @given(
@@ -180,8 +205,9 @@ def test_exact_range_query_is_byte_identical_to_reference(steps, first_query):
         check_against_reference(index, model, query)
 
 
-def test_exact_range_query_byte_identical_at_scan_block_boundaries():
-    """More rows than one scan block holds, and a ragged last block."""
+def test_exact_range_query_byte_identical_on_a_wide_batch():
+    """Hundreds of queries by hundreds of rows: exact ties, a cap that binds
+    and a zero radius, on one screen product."""
     rng = np.random.default_rng(0)
     n, dim = 700, 8
     data = rng.normal(size=(n, dim))
@@ -190,14 +216,137 @@ def test_exact_range_query_byte_identical_at_scan_block_boundaries():
     index.add_batch(np.arange(n) * 3, data)
     queries = np.concatenate([data[:150], rng.normal(size=(301, dim))])
     exclude = np.concatenate([np.arange(150) * 3, np.full(301, -1)])
-    assert queries.shape[0] * n > 2 * (1 << 17)
     for radius, max_neighbors in [(2.5, 500), (3.5, 20), (0.0, 500)]:
-        assert_same_bytes(
-            index.neighbors_within_batch(queries, radius, exclude, max_neighbors),
-            reference_range_query(
-                np.arange(n) * 3, data, queries, radius, exclude, max_neighbors
-            ),
+        want = reference_range_query(
+            np.arange(n) * 3, data, queries, radius, exclude, max_neighbors
         )
+        for _ in range(2):
+            assert_same_bytes(
+                index.neighbors_within_batch(queries, radius, exclude, max_neighbors),
+                want,
+            )
+            perturb_screen(index, rng)
+    assert max(ids.size for ids, _ in want) == 20  # slot 0 and its twenty twins
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-22, 1.0, 1e10, 1e19, 1e25, "mixed"])
+def test_exact_range_query_at_any_coordinate_scale(scale):
+    """Float32 underflows below ~1e-19 per coordinate and overflows above
+    ~1e19: the screen must notice and leave those pairs to float64, without
+    a RuntimeWarning escaping."""
+    rng = np.random.default_rng(3)
+    n, dim = 80, 5
+    data = rng.normal(size=(n, dim))
+    data[10:14] = data[2]
+    if scale == "mixed":
+        data *= rng.choice([1e-30, 1.0, 1e19], size=(n, 1))
+        radii = [0.0, 1e-30, 2.0, 3e19, np.inf]
+    else:
+        data *= scale
+        radii = [0.0, 1.5 * scale, 2.5 * scale, np.inf]
+    queries = np.concatenate([data[:12], data[40:44] * 1.0000001, rng.normal(size=(4, dim))])
+    exclude = np.concatenate([np.arange(12), np.full(8, -1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = BruteForceIndex(dim, capacity=4)
+        index.add_batch(np.arange(n), data)
+        for radius in radii:
+            for max_neighbors in (3, 500):
+                got = list(
+                    index.neighbors_within_batch(queries, radius, exclude, max_neighbors)
+                )
+                assert_same_bytes(got, reference_range_query(
+                    np.arange(n), data, queries, radius, exclude, max_neighbors
+                ))
+
+
+@pytest.mark.parametrize("dim", [3, 16, 128])
+def test_exact_range_query_on_the_knife_edge(dim):
+    """Points a relative 1e-9 and 1e-5 inside and outside the radius, and
+    duplicate points straddling the ``max_neighbors`` cut."""
+    rng = np.random.default_rng(dim)
+    radius = 3.7
+    query = rng.normal(size=dim)
+    directions = rng.normal(size=(40, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    factors = np.tile([1 - 1e-5, 1 - 1e-9, 1 + 1e-9, 1 + 1e-5], 10)
+    edge = query + radius * factors[:, None] * directions
+    inner = query + 0.5 * radius * directions[:6]
+    twins = np.repeat(inner[:1] * (1 + 1e-12), 5, axis=0)  # one point, five slots
+    data = np.concatenate([edge, inner, twins, np.repeat(inner[:1], 4, axis=0)])
+    ids = np.arange(len(data)) + 100
+    index = BruteForceIndex(dim, capacity=len(data))
+    index.add_batch(ids, data)
+    queries = np.stack([query, query + 1e-13, inner[0]])
+
+    want = reference_range_query(ids, data, queries, radius, None, 500)
+    # The oracle resolves the edge: the inside points are in, the outside out.
+    assert set(ids[:40][factors < 1]) <= set(want[0][0].tolist())
+    assert not set(ids[:40][factors > 1]) & set(want[0][0].tolist())
+    assert_same_bytes(index.neighbors_within_batch(queries, radius), want)
+    # Caps that cut through the ten-fold tie at 0.5 * radius from the query.
+    for max_neighbors in (1, 3, 7, 12, 17, 30):
+        assert_same_bytes(
+            index.neighbors_within_batch(queries, radius, None, max_neighbors),
+            reference_range_query(ids, data, queries, radius, None, max_neighbors),
+        )
+        perturb_screen(index, rng)
+
+
+def test_reading_a_row_after_a_write_raises():
+    """Rows are measured on demand, so a result outlives no write."""
+    data = np.random.default_rng(1).normal(size=(6, DIM))
+    writes = {
+        "add": lambda ix: ix.add(2, data[5]),
+        "add_batch": lambda ix: ix.add_batch([9], data[:1]),
+        "remove": lambda ix: ix.remove(0),
+        "load": lambda ix: ix.load_state_dict(ix.state_dict()),
+    }
+    for write in writes.values():
+        index = BruteForceIndex(DIM)
+        index.add_batch(np.arange(6), data)
+        result = index.neighbors_within_batch(data[:2], 10.0)
+        assert result[0][0].size == 6 and result.ids.size == 12
+        write(index)
+        with pytest.raises(RuntimeError, match="written to"):
+            result[0]
+        with pytest.raises(RuntimeError, match="written to"):
+            list(result)
+        # The CSR arrays were complete at scan time and stay readable.
+        assert result.offsets.tolist() == [0, 6, 12]
+
+
+def test_the_screen_still_screens(monkeypatch):
+    """The float64 helper sees a small share of the pairs a scan returns.
+
+    Exactness tests pass just as well if the band grows until every pair
+    is re-checked in float64; this one does not."""
+    rng = np.random.default_rng(5)
+    n, dim, classes, batch = 4000, 64, 10, 64
+    labels = rng.integers(classes, size=n)
+    centers = rng.normal(0.0, 1.0, (classes, dim))
+    spread = rng.uniform(0.4, 1.6, (n, 1))  # uneven density, as embeddings have
+    data = centers[labels] + spread * rng.normal(0.0, 1.0, (n, dim))
+    index = BruteForceIndex(dim, capacity=n)
+    index.add_batch(np.arange(n), data)
+    picked = rng.choice(n, size=batch, replace=False)
+    queries = data[picked]
+    same = labels[picked][:, None] == labels[picked][None, :]
+    pair = np.linalg.norm(queries[:, None] - queries[None, :], axis=2)
+    radius = 0.85 * np.median(pair[np.triu(same, 1)])
+
+    asked = []
+    real = brute_module.paired_l2
+    monkeypatch.setattr(
+        brute_module, "paired_l2",
+        lambda a, b: asked.append(len(b)) or real(a, b),
+    )
+    for max_neighbors in (500, 40):  # 40: the cap's re-ranking counts too
+        asked.clear()
+        result = index.neighbors_within_batch(queries, radius, picked, max_neighbors)
+        returned = result.ids.size
+        assert returned > 20 * batch
+        assert sum(asked) <= 0.10 * returned
 
 
 # ----------------------------------------------------------------------

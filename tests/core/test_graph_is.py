@@ -219,7 +219,7 @@ def test_score_batch_counts_with_isolated_samples():
     ]
     assert results[0].score == results[3].score == results[5].score
     assert results[0].neighbor_ids.dtype == np.int64
-    assert s.score_batch([], np.empty((0, 1))) == []
+    assert len(s.score_batch([], np.empty((0, 1)))) == 0
 
 
 def test_neighbormax_caps_range_results():
