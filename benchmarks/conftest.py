@@ -13,36 +13,14 @@ crossovers, rough factors — are what the benches assert.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
 import pytest
 
-from repro.baselines.baseline import LFUPolicy, LRUBaselinePolicy
-from repro.baselines.coordl import CoorDLPolicy
-from repro.baselines.gradnorm import GradNormISPolicy
-from repro.baselines.icache import ICacheFullPolicy, ICacheImpPolicy
-from repro.baselines.shade import ShadePolicy
-from repro.core.policy import SpiderCachePolicy
+from repro.baselines import POLICIES
 from repro.data.registry import make_dataset
 from repro.data.synthetic import train_test_split
 from repro.nn.models import build_model
 from repro.train.metrics import TrainResult
 from repro.train.trainer import Trainer, TrainerConfig
-
-# Policy factories keyed by the names used throughout the paper's figures.
-POLICY_FACTORIES: Dict[str, Callable[..., object]] = {
-    "spidercache": lambda frac, rng: SpiderCachePolicy(cache_fraction=frac, rng=rng),
-    "spidercache-imp": lambda frac, rng: SpiderCachePolicy(
-        cache_fraction=frac, r_start=1.0, r_end=1.0, elastic=False, rng=rng
-    ),
-    "shade": lambda frac, rng: ShadePolicy(cache_fraction=frac, rng=rng),
-    "gradnorm": lambda frac, rng: GradNormISPolicy(cache_fraction=frac, rng=rng),
-    "icache": lambda frac, rng: ICacheFullPolicy(cache_fraction=frac, rng=rng),
-    "icache-imp": lambda frac, rng: ICacheImpPolicy(cache_fraction=frac, rng=rng),
-    "coordl": lambda frac, rng: CoorDLPolicy(cache_fraction=frac, rng=rng),
-    "baseline": lambda frac, rng: LRUBaselinePolicy(cache_fraction=frac, rng=rng),
-    "lfu": lambda frac, rng: LFUPolicy(cache_fraction=frac, rng=rng),
-}
 
 
 def make_split(preset: str = "cifar10-like", n_samples: int = 1200, seed: int = 0,
@@ -66,7 +44,7 @@ def run_policy(
     """One full training run of a named policy."""
     train, test = split if split is not None else make_split(preset, n_samples, seed)
     model = build_model(model_name, train.dim, train.num_classes, rng=seed + 2)
-    policy = POLICY_FACTORIES[policy_name](cache_fraction, seed + 3)
+    policy = POLICIES[policy_name](cache_fraction, seed + 3)
     cfg = TrainerConfig(epochs=epochs, batch_size=batch_size)
     return Trainer(model, train, test, policy, cfg).run()
 

@@ -7,13 +7,14 @@ SHADE; CoorDL tracks the cache fraction; LRU is worst.
 """
 
 import numpy as np
-from conftest import POLICY_FACTORIES, make_split, print_table
+from conftest import make_split, print_table
 
+from repro.baselines import POLICIES
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
 
 CACHE_FRACTIONS = [0.10, 0.25, 0.50, 0.75]
-POLICIES = [
+NAMES = [
     "baseline", "coordl", "icache-imp", "shade",
     "icache", "spidercache-imp", "spidercache",
 ]
@@ -25,7 +26,7 @@ N = 900
 def _run_cell(model_name, policy_name, frac, split, seed=0):
     train, test = split
     model = build_model(model_name, train.dim, train.num_classes, rng=seed)
-    policy = POLICY_FACTORIES[policy_name](frac, seed + 1)
+    policy = POLICIES[policy_name](frac, seed + 1)
     res = Trainer(model, train, test, policy,
                   TrainerConfig(epochs=EPOCHS, batch_size=64)).run()
     return res.mean_hit_ratio
@@ -35,7 +36,7 @@ def _sweep():
     results = {}  # (model, policy, frac) -> hit
     split = make_split(n_samples=N, seed=0)
     for m in MODELS:
-        for p in POLICIES:
+        for p in NAMES:
             for f in CACHE_FRACTIONS:
                 results[(m, p, f)] = _run_cell(m, p, f, split)
     return results
@@ -46,7 +47,7 @@ def test_fig14_hit_rates(once, benchmark):
     for m in MODELS:
         rows = [
             (p, *[f"{results[(m, p, f)]:.3f}" for f in CACHE_FRACTIONS])
-            for p in POLICIES
+            for p in NAMES
         ]
         print_table(
             f"Fig 14 [{m}]: mean epoch hit ratio vs cache size",
@@ -55,13 +56,13 @@ def test_fig14_hit_rates(once, benchmark):
         )
     benchmark.extra_info["cells"] = {
         f"{m}/{p}/{f}": results[(m, p, f)]
-        for m in MODELS for p in POLICIES for f in CACHE_FRACTIONS
+        for m in MODELS for p in NAMES for f in CACHE_FRACTIONS
     }
 
     improvements = []
     for m in MODELS:
         for f in CACHE_FRACTIONS:
-            cell = {p: results[(m, p, f)] for p in POLICIES}
+            cell = {p: results[(m, p, f)] for p in NAMES}
             spider = cell["spidercache"]
             # Everything beats the LRU baseline; SHADE beats the
             # static/uninformed policies.

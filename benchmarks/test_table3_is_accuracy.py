@@ -11,8 +11,9 @@ near-optimal, so CoorDL lands within noise of the IS methods rather than
 """
 
 import numpy as np
-from conftest import POLICY_FACTORIES, make_split, print_table
+from conftest import make_split, print_table
 
+from repro.baselines import POLICIES
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
 
@@ -22,20 +23,20 @@ DATASETS = [
     ("cifar100-like", 1500, {"n_classes": 30}, "resnet18", 15),
     ("imagenet-like", 1600, {"n_classes": 25}, "resnet50", 12),
 ]
-POLICIES = ["spidercache", "shade", "gradnorm", "icache-imp", "coordl"]
+NAMES = ["spidercache", "shade", "gradnorm", "icache-imp", "coordl"]
 SEEDS = [0, 1]
 
 
 def _measure():
     results = {}
     for preset, n, overrides, model_name, epochs in DATASETS:
-        for policy_name in POLICIES:
+        for policy_name in NAMES:
             accs, losses = [], []
             for seed in SEEDS:
                 train, test = make_split(preset, n, seed, **overrides)
                 model = build_model(model_name, train.dim, train.num_classes,
                                     rng=seed + 2)
-                policy = POLICY_FACTORIES[policy_name](0.0, seed + 3)
+                policy = POLICIES[policy_name](0.0, seed + 3)
                 res = Trainer(model, train, test, policy,
                               TrainerConfig(epochs=epochs, batch_size=64)).run()
                 accs.append(res.final_accuracy)
@@ -52,18 +53,18 @@ def test_table3_is_accuracy(once, benchmark):
     for preset, _, _, model_name, _ in DATASETS:
         rows.append(
             (preset, model_name)
-            + tuple(f"{results[(preset, p)][0]:.3f}" for p in POLICIES)
+            + tuple(f"{results[(preset, p)][0]:.3f}" for p in NAMES)
         )
     print_table(
         "Table 3 / Fig 13: Top-1 accuracy, IS only (caches disabled)",
-        ["dataset", "model"] + POLICIES,
+        ["dataset", "model"] + NAMES,
         rows,
     )
     loss_rows = [
-        (preset,) + tuple(f"{results[(preset, p)][1]:.3f}" for p in POLICIES)
+        (preset,) + tuple(f"{results[(preset, p)][1]:.3f}" for p in NAMES)
         for preset, *_ in DATASETS
     ]
-    print_table("Fig 13(d-f): final training loss", ["dataset"] + POLICIES,
+    print_table("Fig 13(d-f): final training loss", ["dataset"] + NAMES,
                 loss_rows)
     benchmark.extra_info["accuracy"] = {
         f"{k[0]}/{k[1]}": v[0] for k, v in results.items()
@@ -72,7 +73,7 @@ def test_table3_is_accuracy(once, benchmark):
         spider = results[(preset, "spidercache")][0]
         shade = results[(preset, "shade")][0]
         icache = results[(preset, "icache-imp")][0]
-        best = max(results[(preset, p)][0] for p in POLICIES)
+        best = max(results[(preset, p)][0] for p in NAMES)
         # SpiderCache matches the best IS algorithm (within seed noise,
         # ±0.03 at this scale) and lands close to the overall best. The
         # paper's +1-2 point IS-over-random margin does not reproduce on the

@@ -7,8 +7,9 @@ iCache faster than SHADE but loses accuracy; CoorDL and Baseline slowest.
 """
 
 import numpy as np
-from conftest import POLICY_FACTORIES, make_split, print_table
+from conftest import make_split, print_table
 
+from repro.baselines import POLICIES
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
 
@@ -20,20 +21,20 @@ DATASETS = [
     ("cifar100-like", 1500, {"n_classes": 30}, "resnet18", 15),
     ("imagenet-like", 1600, {"n_classes": 25}, "resnet50", 12),
 ]
-POLICIES = ["spidercache", "shade", "icache", "coordl", "baseline"]
+NAMES = ["spidercache", "shade", "icache", "coordl", "baseline"]
 SEEDS = [0, 1]
 
 
 def _measure():
     results = {}
     for preset, n, overrides, model_name, epochs in DATASETS:
-        for policy_name in POLICIES:
+        for policy_name in NAMES:
             accs, times = [], []
             for seed in SEEDS:
                 train, test = make_split(preset, n, seed, **overrides)
                 model = build_model(model_name, train.dim, train.num_classes,
                                     rng=seed + 2)
-                policy = POLICY_FACTORIES[policy_name](0.2, seed + 3)
+                policy = POLICIES[policy_name](0.2, seed + 3)
                 res = Trainer(model, train, test, policy,
                               TrainerConfig(epochs=epochs, batch_size=64)).run()
                 accs.append(res.final_accuracy)
@@ -50,21 +51,21 @@ def test_table4_5_end_to_end(once, benchmark):
     for preset, *_ in DATASETS:
         time_rows.append(
             (preset,)
-            + tuple(f"{results[(preset, p)][0]:.1f}s" for p in POLICIES)
+            + tuple(f"{results[(preset, p)][0]:.1f}s" for p in NAMES)
         )
         acc_rows.append(
             (preset,)
-            + tuple(f"{results[(preset, p)][1]:.3f}" for p in POLICIES)
+            + tuple(f"{results[(preset, p)][1]:.3f}" for p in NAMES)
         )
     print_table("Table 4: total (simulated) training time",
-                ["dataset"] + POLICIES, time_rows)
+                ["dataset"] + NAMES, time_rows)
     print_table("Table 5: end-to-end Top-1 accuracy",
-                ["dataset"] + POLICIES, acc_rows)
+                ["dataset"] + NAMES, acc_rows)
 
     speedups = []
     for preset, *_ in DATASETS:
-        t = {p: results[(preset, p)][0] for p in POLICIES}
-        a = {p: results[(preset, p)][1] for p in POLICIES}
+        t = {p: results[(preset, p)][0] for p in NAMES}
+        a = {p: results[(preset, p)][1] for p in NAMES}
         # Time shape: SpiderCache fastest (iCache's skipped-backprop compute
         # discount keeps it within a few percent), Baseline slowest.
         assert t["spidercache"] <= 1.03 * min(t.values()), preset

@@ -1,25 +1,30 @@
-"""Classic-cache baselines: random sampling over LRU/LFU.
+"""Classic-cache baselines: random sampling over LRU/LFU/MinIO.
 
 The paper's end-to-end "Baseline" is exactly random sampling + LRU; Fig. 3(b)
 additionally sweeps LFU. Random sampling visits every sample once per epoch
 in fresh random order, which destroys the reuse locality these policies need
 — the effect the whole paper is built on.
+
+CoorDL (Mohan et al., 2020) is random sampling plus the MinIO static cache:
+the cache fills during the first epoch and never changes afterwards, yielding
+a hit ratio equal to the cache fraction in steady state — the best any policy
+can do under pure random sampling, and the floor every IS-aware policy must
+beat.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Type
-
-import numpy as np
+from typing import Type
 
 from repro.cache.base import Cache, CacheStats
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
+from repro.cache.minio import MinIOCache
 from repro.core.semantic_cache import FetchOutcome, FetchSource
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.utils.rng import RngLike
 
-__all__ = ["ClassicCachePolicy", "LRUBaselinePolicy", "LFUPolicy"]
+__all__ = ["ClassicCachePolicy", "LRUBaselinePolicy", "LFUPolicy", "CoorDLPolicy"]
 
 
 class ClassicCachePolicy(TrainingPolicy):
@@ -29,7 +34,6 @@ class ClassicCachePolicy(TrainingPolicy):
         self,
         cache_cls: Type[Cache],
         cache_fraction: float = 0.2,
-        name: str | None = None,
         rng: RngLike = None,
     ) -> None:
         super().__init__(rng=rng)
@@ -37,11 +41,12 @@ class ClassicCachePolicy(TrainingPolicy):
             raise ValueError("cache_fraction must be in [0, 1]")
         self.cache_cls = cache_cls
         self.cache_fraction = float(cache_fraction)
-        if name is not None:
-            self.name = name
-        else:
-            self.name = f"{cache_cls.__name__.replace('Cache', '').lower()}-baseline"
         self.cache: Cache | None = None
+
+    @property
+    def name(self) -> str:
+        """Derived from the cache class; subclasses name themselves."""
+        return f"{self.cache_cls.__name__.replace('Cache', '').lower()}-baseline"
 
     def setup(self, ctx: PolicyContext) -> None:
         """Build the cache sized to ``cache_fraction`` of the dataset."""
@@ -60,6 +65,19 @@ class ClassicCachePolicy(TrainingPolicy):
         self.cache.put(index, payload)
         return FetchOutcome(index, index, payload, FetchSource.REMOTE)
 
+    def state_dict(self) -> dict:
+        """The shuffle RNG and the cache, eviction order included."""
+        assert self.cache is not None
+        state = super().state_dict()
+        state["cache"] = self.cache.state_dict()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (call after ``setup``)."""
+        assert self.cache is not None
+        super().load_state_dict(state)
+        self.cache.load_state_dict(state["cache"])
+
     def stats(self) -> CacheStats:
         """The underlying cache's counters."""
         assert self.cache is not None
@@ -69,12 +87,25 @@ class ClassicCachePolicy(TrainingPolicy):
 class LRUBaselinePolicy(ClassicCachePolicy):
     """The paper's Baseline: LRU eviction + random sampling."""
 
+    name = "baseline-lru"
+
     def __init__(self, cache_fraction: float = 0.2, rng: RngLike = None) -> None:
-        super().__init__(LRUCache, cache_fraction, name="baseline-lru", rng=rng)
+        super().__init__(LRUCache, cache_fraction, rng=rng)
 
 
 class LFUPolicy(ClassicCachePolicy):
     """LFU eviction + random sampling (Fig. 3(b))."""
 
+    name = "lfu"
+
     def __init__(self, cache_fraction: float = 0.2, rng: RngLike = None) -> None:
-        super().__init__(LFUCache, cache_fraction, name="lfu", rng=rng)
+        super().__init__(LFUCache, cache_fraction, rng=rng)
+
+
+class CoorDLPolicy(ClassicCachePolicy):
+    """Random sampling + MinIO static cache (CoorDL)."""
+
+    name = "coordl"
+
+    def __init__(self, cache_fraction: float = 0.2, rng: RngLike = None) -> None:
+        super().__init__(MinIOCache, cache_fraction, rng=rng)

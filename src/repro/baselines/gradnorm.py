@@ -14,17 +14,9 @@ Included as an additional comparator beyond the paper's four systems.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.cache.base import CacheStats
-from repro.core.importance_cache import ImportanceCache
-from repro.core.sampler import MultinomialSampler
-from repro.core.scores import GlobalScoreTable
-from repro.core.semantic_cache import FetchOutcome, FetchSource
-from repro.train.policy_base import PolicyContext, TrainingPolicy
-from repro.utils.rng import RngLike
+from repro.baselines.loss_is import LossISPolicy
 
 __all__ = ["GradNormISPolicy", "gradnorm_scores"]
 
@@ -37,68 +29,10 @@ def gradnorm_scores(losses: np.ndarray) -> np.ndarray:
     return 1.0 - np.exp(-losses)
 
 
-class GradNormISPolicy(TrainingPolicy):
+class GradNormISPolicy(LossISPolicy):
     """Gradient-norm IS + importance-score caching."""
 
     name = "gradnorm"
 
-    def __init__(self, cache_fraction: float = 0.2, rng: RngLike = None) -> None:
-        super().__init__(rng=rng)
-        if not 0.0 <= cache_fraction <= 1.0:
-            raise ValueError("cache_fraction must be in [0, 1]")
-        self.cache_fraction = float(cache_fraction)
-        self.score_table: Optional[GlobalScoreTable] = None
-        self.cache: Optional[ImportanceCache] = None
-        self.sampler: Optional[MultinomialSampler] = None
-
-    def setup(self, ctx: PolicyContext) -> None:
-        super().setup(ctx)
-        n = ctx.num_samples
-        self.score_table = GlobalScoreTable(n)
-        self.cache = ImportanceCache(int(round(self.cache_fraction * n)))
-        self.sampler = MultinomialSampler(
-            n, weight_fn=self.score_table.sampling_weights, rng=self._rng
-        )
-
-    def epoch_order(self, epoch: int) -> np.ndarray:
-        assert self.sampler is not None
-        return self.sampler.epoch_order(epoch)
-
-    def fetch(self, index: int) -> FetchOutcome:
-        assert self.cache is not None and self.score_table is not None
-        ctx = self._require_ctx()
-        payload = self.cache.get(index)
-        if payload is not None:
-            return FetchOutcome(index, index, payload, FetchSource.IMPORTANCE)
-        payload = ctx.store.get(index)
-        self.cache.admit(index, payload, self.score_table.get(index))
-        return FetchOutcome(index, index, payload, FetchSource.REMOTE)
-
-    def after_batch(
-        self,
-        requested: np.ndarray,
-        served: np.ndarray,
-        losses: np.ndarray,
-        embeddings: np.ndarray,
-        epoch: int,
-    ) -> None:
-        assert self.score_table is not None and self.cache is not None
-        served = np.asarray(served, dtype=np.int64)
-        scores = gradnorm_scores(losses)
-        _, last_pos = np.unique(served[::-1], return_index=True)
-        pos = len(served) - 1 - last_pos
-        self.score_table.update(served[pos], scores[pos], epoch=epoch)
-        for i, s in zip(served[pos], scores[pos]):
-            self.cache.update_score(int(i), float(s))
-
-    def after_epoch(self, epoch: int, val_accuracy: float) -> None:
-        assert self.score_table is not None
-        self.score_table.snapshot_std()
-
-    def stats(self) -> CacheStats:
-        assert self.cache is not None
-        return self.cache.stats
-
-    @property
-    def is_ms_per_batch(self) -> float:
-        return 1.0
+    def batch_scores(self, losses: np.ndarray) -> np.ndarray:
+        return gradnorm_scores(losses)

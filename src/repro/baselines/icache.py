@@ -19,22 +19,21 @@ Two cache variants match the paper's §6.3 split:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.baselines.loss_is import LossISPolicy
 from repro.cache.base import CacheStats
-from repro.core.importance_cache import ImportanceCache
-from repro.core.sampler import MultinomialSampler
-from repro.core.scores import GlobalScoreTable
+from repro.cache.random_replacement import RandomReplacementCache
 from repro.core.semantic_cache import FetchOutcome, FetchSource
-from repro.train.policy_base import PolicyContext, TrainingPolicy
+from repro.train.policy_base import PolicyContext
 from repro.utils.rng import RngLike
 
 __all__ = ["ICacheImpPolicy", "ICacheFullPolicy"]
 
 
-class ICacheImpPolicy(TrainingPolicy):
+class ICacheImpPolicy(LossISPolicy):
     """Importance-cache-only iCache with compute-bound loss IS.
 
     ``skip_quantile`` is the fraction of lowest-loss samples per batch whose
@@ -50,14 +49,11 @@ class ICacheImpPolicy(TrainingPolicy):
         uniform_mix: float = 0.7,
         rng: RngLike = None,
     ) -> None:
-        super().__init__(rng=rng)
-        if not 0.0 <= cache_fraction <= 1.0:
-            raise ValueError("cache_fraction must be in [0, 1]")
+        super().__init__(cache_fraction, rng=rng)
         if not 0.0 <= skip_quantile < 1.0:
             raise ValueError("skip_quantile must be in [0, 1)")
         if not 0.0 <= uniform_mix <= 1.0:
             raise ValueError("uniform_mix must be in [0, 1]")
-        self.cache_fraction = float(cache_fraction)
         self.skip_quantile = float(skip_quantile)
         # Compute-bound IS still forward-passes (hence fetches) nearly every
         # sample — its savings come from skipping backprop, not I/O. The
@@ -65,38 +61,15 @@ class ICacheImpPolicy(TrainingPolicy):
         # p = uniform_mix * uniform + (1 - uniform_mix) * loss-weighted.
         # This is why iCache-imp's hit ratio lands below SHADE's (paper §6.3).
         self.uniform_mix = float(uniform_mix)
-        self.score_table: Optional[GlobalScoreTable] = None
-        self.cache: Optional[ImportanceCache] = None
-        self.sampler: Optional[MultinomialSampler] = None
 
-    def _mixed_weights(self) -> np.ndarray:
-        assert self.score_table is not None
-        w = self.score_table.sampling_weights()
-        n = w.shape[0]
-        return self.uniform_mix / n + (1.0 - self.uniform_mix) * w
+    def _sampling_weights(self) -> np.ndarray:
+        w = super()._sampling_weights()
+        return self.uniform_mix / w.shape[0] + (1.0 - self.uniform_mix) * w
 
-    def setup(self, ctx: PolicyContext) -> None:
-        super().setup(ctx)
-        n = ctx.num_samples
-        self.score_table = GlobalScoreTable(n)
-        self.cache = ImportanceCache(int(round(self.cache_fraction * n)))
-        self.sampler = MultinomialSampler(
-            n, weight_fn=self._mixed_weights, rng=self._rng
-        )
-
-    def epoch_order(self, epoch: int) -> np.ndarray:
-        assert self.sampler is not None
-        return self.sampler.epoch_order(epoch)
-
-    def fetch(self, index: int) -> FetchOutcome:
-        assert self.cache is not None and self.score_table is not None
-        ctx = self._require_ctx()
-        payload = self.cache.get(index)
-        if payload is not None:
-            return FetchOutcome(index, index, payload, FetchSource.IMPORTANCE)
-        payload = ctx.store.get(index)
-        self.cache.admit(index, payload, self.score_table.get(index))
-        return FetchOutcome(index, index, payload, FetchSource.REMOTE)
+    def batch_scores(self, losses: np.ndarray) -> np.ndarray:
+        # Raw losses as scores — the compute-bound IS choice the paper
+        # criticizes: scales shift epoch to epoch as the model learns.
+        return np.asarray(losses, dtype=np.float64)
 
     def backprop_mask(
         self, indices: np.ndarray, losses: np.ndarray
@@ -108,44 +81,14 @@ class ICacheImpPolicy(TrainingPolicy):
         threshold = np.quantile(losses, self.skip_quantile)
         return (losses > threshold).astype(np.float64)
 
-    def after_batch(
-        self,
-        requested: np.ndarray,
-        served: np.ndarray,
-        losses: np.ndarray,
-        embeddings: np.ndarray,
-        epoch: int,
-    ) -> None:
-        assert self.score_table is not None and self.cache is not None
-        served = np.asarray(served, dtype=np.int64)
-        # Raw losses as scores — the compute-bound IS choice the paper
-        # criticizes: scales shift epoch to epoch as the model learns.
-        scores = np.asarray(losses, dtype=np.float64)
-        _, last_pos = np.unique(served[::-1], return_index=True)
-        pos = len(served) - 1 - last_pos
-        self.score_table.update(served[pos], scores[pos], epoch=epoch)
-        for i, s in zip(served[pos], scores[pos]):
-            self.cache.update_score(int(i), float(s))
-
-    def after_epoch(self, epoch: int, val_accuracy: float) -> None:
-        assert self.score_table is not None
-        self.score_table.snapshot_std()
-
-    def stats(self) -> CacheStats:
-        assert self.cache is not None
-        return self.cache.stats
-
-    @property
-    def is_ms_per_batch(self) -> float:
-        return 1.0
-
 
 class ICacheFullPolicy(ICacheImpPolicy):
     """Full iCache: H/L sample split with random L-replacement.
 
-    ``h_fraction`` of the cache budget holds H-samples (importance cache);
-    the rest is the L-section. An L-sample request that misses is served a
-    random resident L-sample with probability ``substitute_prob``.
+    ``h_fraction`` of the cache budget holds H-samples (the importance
+    cache); the rest is the L-section, a random-replacement cache. An
+    L-sample request that misses is served a random resident L-sample with
+    probability ``substitute_prob``.
     """
 
     name = "icache"
@@ -166,22 +109,17 @@ class ICacheFullPolicy(ICacheImpPolicy):
             raise ValueError("substitute_prob must be in [0, 1]")
         self.h_fraction = float(h_fraction)
         self.substitute_prob = float(substitute_prob)
-        self._l_keys: List[int] = []
-        self._l_values: Dict[int, np.ndarray] = {}
-        self._l_capacity = 0
-        self._l_stats = CacheStats()
+        self.l_section: Optional[RandomReplacementCache] = None
 
     def setup(self, ctx: PolicyContext) -> None:
-        TrainingPolicy.setup(self, ctx)
-        n = ctx.num_samples
-        total = int(round(self.cache_fraction * n))
+        super().setup(ctx)
+        assert self.cache is not None
+        # The budget the base sized the (still empty) importance cache to
+        # splits into the H-section and the L-section.
+        total = self.cache.capacity
         h_cap = int(round(total * self.h_fraction))
-        self._l_capacity = total - h_cap
-        self.score_table = GlobalScoreTable(n)
-        self.cache = ImportanceCache(h_cap)
-        self.sampler = MultinomialSampler(
-            n, weight_fn=self._mixed_weights, rng=self._rng
-        )
+        self.cache.shrink_to(h_cap)
+        self.l_section = RandomReplacementCache(total - h_cap, rng=self._rng)
 
     def _h_threshold(self) -> float:
         """Score above which a sample counts as an H-sample: the importance
@@ -190,54 +128,50 @@ class ICacheFullPolicy(ICacheImpPolicy):
         m = self.cache.min_score()
         return m if m is not None else 0.0
 
-    def _l_put(self, index: int, payload: np.ndarray) -> None:
-        if self._l_capacity == 0 or index in self._l_values:
-            return
-        if len(self._l_keys) >= self._l_capacity:
-            # Random replacement: evict a uniformly random resident.
-            victim_pos = int(self._rng.integers(len(self._l_keys)))
-            victim = self._l_keys[victim_pos]
-            self._l_keys[victim_pos] = index
-            del self._l_values[victim]
-            self._l_stats.evictions += 1
-        else:
-            self._l_keys.append(index)
-        self._l_values[index] = payload
-        self._l_stats.insertions += 1
-
-    def fetch(self, index: int) -> FetchOutcome:
+    def _fetch_miss(self, index: int) -> FetchOutcome:
+        """L-section exact hit, else a random L-resident for a sample at or
+        below the H threshold (with ``substitute_prob``), else remote; a
+        sample the H-section refuses enters the L-section."""
         assert self.cache is not None and self.score_table is not None
-        ctx = self._require_ctx()
-        payload = self.cache.get(index)
-        if payload is not None:
-            return FetchOutcome(index, index, payload, FetchSource.IMPORTANCE)
-        # L-section exact hit.
-        payload = self._l_values.get(index)
-        if payload is not None:
-            self._l_stats.hits += 1
-            return FetchOutcome(index, index, payload, FetchSource.HOMOPHILY)
-        # L-section random substitution.
+        l_section = self.l_section
+        assert l_section is not None
+        if index in l_section:
+            return FetchOutcome(
+                index, index, l_section.get(index), FetchSource.HOMOPHILY
+            )
         if (
-            self._l_keys
+            len(l_section)
             and self.score_table.get(index) <= self._h_threshold()
             and self._rng.random() < self.substitute_prob
         ):
-            sub = self._l_keys[int(self._rng.integers(len(self._l_keys)))]
-            self._l_stats.substitute_hits += 1
-            return FetchOutcome(index, sub, self._l_values[sub], FetchSource.HOMOPHILY)
-        self._l_stats.misses += 1
-        payload = ctx.store.get(index)
-        score = self.score_table.get(index)
-        if not self.cache.admit(index, payload, score):
-            self._l_put(index, payload)
-        return FetchOutcome(index, index, payload, FetchSource.REMOTE)
+            sub, payload = l_section.choice()
+            l_section.stats.substitute_hits += 1
+            return FetchOutcome(index, sub, payload, FetchSource.HOMOPHILY)
+        l_section.stats.misses += 1
+        outcome = super()._fetch_miss(index)
+        if index not in self.cache:
+            l_section.put(index, outcome.payload)
+        return outcome
+
+    def state_dict(self) -> dict:
+        """The base snapshot plus the L-section."""
+        assert self.l_section is not None
+        state = super().state_dict()
+        state["l_section"] = self.l_section.state_dict()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (call after ``setup``)."""
+        assert self.l_section is not None
+        super().load_state_dict(state)
+        self.l_section.load_state_dict(state["l_section"])
 
     def stats(self) -> CacheStats:
-        assert self.cache is not None
+        assert self.cache is not None and self.l_section is not None
         agg = CacheStats()
         agg.merge(self.cache.stats)
-        agg.merge(self._l_stats)
+        agg.merge(self.l_section.stats)
         # ImportanceCache.get counts a miss for every probe that falls
         # through to the L-section; those requests are re-counted there.
-        agg.misses -= self._l_stats.requests
+        agg.misses -= self.l_section.stats.requests
         return agg

@@ -10,7 +10,9 @@ toward the total hit ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 __all__ = ["Cache", "CacheStats"]
 
@@ -99,8 +101,11 @@ class CacheStats:
 class Cache:
     """Abstract keyed cache with item-count capacity.
 
-    Subclasses implement ``_lookup`` (policy bookkeeping on access) and
-    ``_insert``/``_evict_one``. ``get``/``put`` maintain the shared stats.
+    Residents live in ``_items`` (key -> value). Subclasses implement
+    ``_lookup`` (policy bookkeeping on access) and ``_insert``/``_evict_one``,
+    and snapshot any eviction-order state ``_items`` does not already
+    carry through ``_order_state``/``_load_order``. ``get``/``put``
+    maintain the shared stats.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -108,6 +113,7 @@ class Cache:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
         self.stats = CacheStats()
+        self._items: Dict[Any, Any] = {}
 
     # -- required policy hooks -----------------------------------------
     def _lookup(self, key: Any) -> Optional[Any]:
@@ -120,13 +126,24 @@ class Cache:
         """Remove one item per policy; returns the evicted key."""
         raise NotImplementedError
 
-    def __len__(self) -> int:
-        raise NotImplementedError
+    def _order_state(self) -> Any:
+        """Eviction-order state beyond ``_items``' own order (default none)."""
+        return None
 
-    def __contains__(self, key: Any) -> bool:
-        raise NotImplementedError
+    def _load_order(self, state: Any) -> None:
+        """Restore what :meth:`_order_state` returned."""
 
     # -- shared interface ----------------------------------------------
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self._items
+
+    def keys(self) -> List[Any]:
+        """Resident keys in ``_items`` order (LRU: least recent first)."""
+        return list(self._items)
+
     def get(self, key: Any) -> Optional[Any]:
         """Return the cached value or ``None``; updates stats."""
         value = self._lookup(key)
@@ -152,6 +169,24 @@ class Cache:
         self._insert(key, value)
         self.stats.insertions += 1
 
-    @property
-    def is_full(self) -> bool:
-        return len(self) >= self.capacity
+    # -- checkpointing -------------------------------------------------
+    def state_dict(self) -> Dict[str, Any]:
+        """Exact snapshot: residents and values in ``_items`` order, the
+        subclass's eviction-order state, and the stats — so a restored
+        cache evicts what the uninterrupted one would."""
+        keys = list(self._items)
+        values = [np.asarray(v) for v in self._items.values()]
+        return {
+            "capacity": self.capacity,
+            "keys": keys,
+            "values": np.stack(values) if values else np.empty((0,)),
+            "order": self._order_state(),
+            "stats": self.stats.state_dict(),
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore a :meth:`state_dict` snapshot."""
+        self.capacity = int(state["capacity"])
+        self._items = type(self._items)(zip(state["keys"], state["values"]))
+        self._load_order(state["order"])
+        self.stats.load_state_dict(state["stats"])

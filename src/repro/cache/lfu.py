@@ -19,16 +19,9 @@ class LFUCache(Cache):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._values: Dict[Any, Any] = {}
         self._freq: Dict[Any, int] = {}
         self._buckets: Dict[int, OrderedDict] = defaultdict(OrderedDict)
         self._min_freq = 0
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._values
 
     def _bump(self, key: Any) -> None:
         f = self._freq[key]
@@ -41,17 +34,17 @@ class LFUCache(Cache):
         self._buckets[f + 1][key] = None
 
     def _lookup(self, key: Any) -> Optional[Any]:
-        if key not in self._values:
+        if key not in self._items:
             return None
         self._bump(key)
-        return self._values[key]
+        return self._items[key]
 
     def _insert(self, key: Any, value: Any) -> None:
-        if key in self._values:
-            self._values[key] = value
+        if key in self._items:
+            self._items[key] = value
             self._bump(key)
             return
-        self._values[key] = value
+        self._items[key] = value
         self._freq[key] = 1
         self._buckets[1][key] = None
         self._min_freq = 1
@@ -61,14 +54,28 @@ class LFUCache(Cache):
         key, _ = bucket.popitem(last=False)
         if not bucket:
             del self._buckets[self._min_freq]
-        del self._values[key]
+        del self._items[key]
         del self._freq[key]
         return key
+
+    def _order_state(self) -> dict:
+        # Buckets in ascending frequency, each least-recent first: the
+        # order ``_evict_one`` walks.
+        order = [k for f in sorted(self._buckets) for k in self._buckets[f]]
+        return {
+            "keys": order,
+            "freq": [self._freq[k] for k in order],
+            "min_freq": self._min_freq,
+        }
+
+    def _load_order(self, state: dict) -> None:
+        self._freq = {}
+        self._buckets = defaultdict(OrderedDict)
+        for key, f in zip(state["keys"], state["freq"]):
+            self._freq[key] = int(f)
+            self._buckets[int(f)][key] = None
+        self._min_freq = int(state["min_freq"])
 
     def frequency(self, key: Any) -> int:
         """Current access count of a cached key (KeyError if absent)."""
         return self._freq[key]
-
-    def keys(self):
-        """Resident keys (arbitrary order)."""
-        return list(self._values.keys())

@@ -17,12 +17,6 @@ class LRUCache(Cache):
         super().__init__(capacity)
         self._items: OrderedDict[Any, Any] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._items
-
     def _lookup(self, key: Any) -> Optional[Any]:
         if key not in self._items:
             return None
@@ -36,7 +30,3 @@ class LRUCache(Cache):
     def _evict_one(self) -> Any:
         key, _ = self._items.popitem(last=False)
         return key
-
-    def keys(self):
-        """Resident keys, least-recently-used first."""
-        return list(self._items.keys())

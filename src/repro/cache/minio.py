@@ -9,7 +9,7 @@ items that were just used). MinIO therefore fills once and never evicts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.cache.base import Cache
 
@@ -18,16 +18,6 @@ __all__ = ["MinIOCache"]
 
 class MinIOCache(Cache):
     """Insert-until-full, never evict, never replace."""
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._items: Dict[Any, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._items
 
     def _lookup(self, key: Any) -> Optional[Any]:
         return self._items.get(key)
@@ -46,7 +36,3 @@ class MinIOCache(Cache):
             return
         self._items[key] = value
         self.stats.insertions += 1
-
-    def keys(self):
-        """Resident keys (the static cached set)."""
-        return list(self._items.keys())

@@ -32,35 +32,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.baselines.baseline import LFUPolicy, LRUBaselinePolicy
-from repro.baselines.coordl import CoorDLPolicy
-from repro.baselines.gradnorm import GradNormISPolicy
-from repro.baselines.icache import ICacheFullPolicy, ICacheImpPolicy
-from repro.baselines.shade import ShadePolicy
+from repro.baselines import POLICIES
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.trace import AccessTrace, belady_hit_ratio, replay
-from repro.core.policy import SpiderCachePolicy
 from repro.data.registry import DATASET_PRESETS, make_dataset
 from repro.data.synthetic import train_test_split
 from repro.nn.models import MODEL_ZOO, build_model
 from repro.train.trainer import Trainer, TrainerConfig
 
 __all__ = ["main", "POLICIES"]
-
-POLICIES = {
-    "spidercache": lambda frac, rng: SpiderCachePolicy(cache_fraction=frac, rng=rng),
-    "spidercache-imp": lambda frac, rng: SpiderCachePolicy(
-        cache_fraction=frac, r_start=1.0, r_end=1.0, elastic=False, rng=rng
-    ),
-    "shade": lambda frac, rng: ShadePolicy(cache_fraction=frac, rng=rng),
-    "gradnorm": lambda frac, rng: GradNormISPolicy(cache_fraction=frac, rng=rng),
-    "icache": lambda frac, rng: ICacheFullPolicy(cache_fraction=frac, rng=rng),
-    "icache-imp": lambda frac, rng: ICacheImpPolicy(cache_fraction=frac, rng=rng),
-    "coordl": lambda frac, rng: CoorDLPolicy(cache_fraction=frac, rng=rng),
-    "baseline": lambda frac, rng: LRUBaselinePolicy(cache_fraction=frac, rng=rng),
-    "lfu": lambda frac, rng: LFUPolicy(cache_fraction=frac, rng=rng),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:

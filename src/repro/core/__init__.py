@@ -16,7 +16,7 @@ from repro.core.graph_is import (
 from repro.core.homophily_cache import HomophilyCache
 from repro.core.importance_cache import ImportanceCache
 from repro.core.policy import SpiderCachePolicy
-from repro.core.sampler import MultinomialSampler, SequentialSampler, UniformSampler
+from repro.core.sampler import MultinomialSampler
 from repro.core.scores import GlobalScoreTable
 from repro.core.semantic_cache import FetchSource, SemanticCache
 
@@ -34,8 +34,6 @@ __all__ = [
     "AccuracyMonitor",
     "RatioController",
     "ElasticCacheManager",
-    "UniformSampler",
-    "SequentialSampler",
     "MultinomialSampler",
     "SpiderCachePolicy",
 ]

@@ -25,7 +25,7 @@ from repro.cache.base import CacheStats
 from repro.core.elastic import ElasticCacheManager
 from repro.core.graph_is import GraphImportanceScorer
 from repro.core.sampler import MultinomialSampler
-from repro.core.scores import GlobalScoreTable
+from repro.core.scores import GlobalScoreTable, last_occurrences
 from repro.core.semantic_cache import FetchOutcome, SemanticCache
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.utils.rng import RngLike
@@ -298,11 +298,9 @@ class SpiderCachePolicy(TrainingPolicy):
         # With-replacement sampling can repeat an id within a batch; keep the
         # last occurrence of each.
         served = np.asarray(served, dtype=np.int64)
-        _, last_pos = np.unique(served[::-1], return_index=True)
-        pos = len(served) - 1 - last_pos
-        uniq_ids = served[pos]
-        scores = self.scorer.score_batch(uniq_ids, embeddings[pos])
-        self.score_table.update(scores.indices, scores.scores, epoch=epoch)
+        pos = last_occurrences(served)
+        scores = self.scorer.score_batch(served[pos], embeddings[pos])
+        self.score_table.update(scores.indices, scores.scores)
         for index, score in zip(scores.indices.tolist(), scores.scores.tolist()):
             self.cache.update_score(index, score)
 

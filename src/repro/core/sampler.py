@@ -1,11 +1,11 @@
-"""Epoch samplers.
+"""The importance-sampling epoch sampler.
 
 ``MultinomialSampler`` is the paper's biased draw ("using the biased
 sampling method torch.multinomial from PyTorch", §4.1): each epoch draws
 ``n`` sample ids *with replacement*, weighted by importance — so important
 samples repeat within an epoch (the Fig.-5 frequency skew that makes
-importance-aware caching work). ``UniformSampler`` is the random-shuffle
-default; ``SequentialSampler`` is for deterministic tests.
+importance-aware caching work). Random-shuffle policies draw their
+permutation in :meth:`TrainingPolicy.epoch_order` directly.
 """
 
 from __future__ import annotations
@@ -16,34 +16,7 @@ import numpy as np
 
 from repro.utils.rng import RngLike, resolve_rng
 
-__all__ = ["UniformSampler", "SequentialSampler", "MultinomialSampler"]
-
-
-class UniformSampler:
-    """Random permutation per epoch (PyTorch's default shuffle)."""
-
-    def __init__(self, n_samples: int, rng: RngLike = None) -> None:
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        self.n_samples = int(n_samples)
-        self._rng = resolve_rng(rng)
-
-    def epoch_order(self, epoch: int) -> np.ndarray:
-        """Fresh random permutation of all sample ids."""
-        return self._rng.permutation(self.n_samples)
-
-
-class SequentialSampler:
-    """Identity order every epoch."""
-
-    def __init__(self, n_samples: int) -> None:
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        self.n_samples = int(n_samples)
-
-    def epoch_order(self, epoch: int) -> np.ndarray:
-        """Identity order ``0..n-1``."""
-        return np.arange(self.n_samples)
+__all__ = ["MultinomialSampler"]
 
 
 class MultinomialSampler:

@@ -10,15 +10,26 @@ Fig. 6(c)).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-__all__ = ["GlobalScoreTable"]
+__all__ = ["GlobalScoreTable", "last_occurrences"]
+
+
+def last_occurrences(ids: np.ndarray) -> np.ndarray:
+    """Positions of each distinct id's last occurrence, in ascending id order.
+
+    With-replacement sampling can repeat an id within a batch; a batch's
+    score update keeps the last occurrence of each.
+    """
+    ids = np.asarray(ids)
+    _, last_pos = np.unique(ids[::-1], return_index=True)
+    return len(ids) - 1 - last_pos
 
 
 class GlobalScoreTable:
-    """Per-sample importance scores with staleness stamps.
+    """Per-sample importance scores.
 
     Scores start at ``initial_score`` (> 0 so unseen samples still get
     sampled; the paper's IS "does not update every sample's score in each
@@ -33,7 +44,6 @@ class GlobalScoreTable:
             raise ValueError("initial_score must be positive for sampling")
         self.n_samples = int(n_samples)
         self._scores = np.full(n_samples, float(initial_score))
-        self._last_update_epoch = np.full(n_samples, -1, dtype=np.int64)
         self._ever_updated = np.zeros(n_samples, dtype=bool)
         self.std_history: List[float] = []
 
@@ -51,7 +61,7 @@ class GlobalScoreTable:
         """Current score of one sample."""
         return float(self._scores[index])
 
-    def update(self, indices: np.ndarray, scores: np.ndarray, epoch: int = 0) -> None:
+    def update(self, indices: np.ndarray, scores: np.ndarray) -> None:
         """Write new scores for the given samples."""
         indices = np.asarray(indices, dtype=np.int64)
         scores = np.asarray(scores, dtype=np.float64)
@@ -60,15 +70,7 @@ class GlobalScoreTable:
         if np.any(scores < 0):
             raise ValueError("importance scores must be non-negative")
         self._scores[indices] = scores
-        self._last_update_epoch[indices] = epoch
         self._ever_updated[indices] = True
-
-    def staleness(self, epoch: int) -> np.ndarray:
-        """Epochs since each sample's score was last refreshed.
-
-        Never-updated samples report ``epoch + 1``.
-        """
-        return epoch - self._last_update_epoch
 
     @property
     def coverage(self) -> float:
@@ -94,10 +96,9 @@ class GlobalScoreTable:
         return std
 
     def state_dict(self) -> dict:
-        """Exact snapshot of scores, staleness stamps, and std history."""
+        """Exact snapshot of scores, coverage, and std history."""
         return {
             "scores": self._scores.copy(),
-            "last_update_epoch": self._last_update_epoch.copy(),
             "ever_updated": self._ever_updated.copy(),
             "std_history": list(self.std_history),
         }
@@ -108,25 +109,5 @@ class GlobalScoreTable:
         if scores.shape[0] != self.n_samples:
             raise ValueError("score snapshot does not match table size")
         self._scores = scores.copy()
-        self._last_update_epoch = np.asarray(
-            state["last_update_epoch"], dtype=np.int64
-        ).copy()
         self._ever_updated = np.asarray(state["ever_updated"], dtype=bool).copy()
         self.std_history = [float(s) for s in state["std_history"]]
-
-    def recent_std_slope(self, window: int = 5) -> Optional[float]:
-        """Least-squares slope over the last ``window`` std snapshots.
-
-        Returns ``None`` until enough history exists. This is the
-        d(sigma)/dt the Importance Monitor thresholds (Eq. 5).
-        """
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        h = self.std_history
-        if len(h) < window:
-            return None
-        y = np.asarray(h[-window:])
-        x = np.arange(window, dtype=np.float64)
-        x -= x.mean()
-        denom = float(x @ x)
-        return float(x @ (y - y.mean()) / denom)

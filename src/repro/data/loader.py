@@ -32,10 +32,6 @@ class Batch:
     def __len__(self) -> int:
         return self.requested.shape[0]
 
-    @property
-    def substitution_count(self) -> int:
-        return int(np.sum(self.requested != self.served))
-
 
 class DataLoader:
     """Batches an epoch order through a fetch function.

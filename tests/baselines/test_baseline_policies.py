@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines.baseline import ClassicCachePolicy, LFUPolicy, LRUBaselinePolicy
-from repro.baselines.coordl import CoorDLPolicy
+from repro.baselines.baseline import (
+    ClassicCachePolicy,
+    CoorDLPolicy,
+    LFUPolicy,
+    LRUBaselinePolicy,
+)
 from repro.cache.minio import MinIOCache
 from repro.core.semantic_cache import FetchSource
 from repro.data.synthetic import make_clustered_dataset

@@ -77,7 +77,7 @@ def test_full_sections_split_budget():
     ctx = _ctx(n=100)
     p.setup(ctx)
     assert p.cache.capacity == 28
-    assert p._l_capacity == 12
+    assert p.l_section.capacity == 12
 
 
 def test_full_l_section_exact_hit():
@@ -85,9 +85,9 @@ def test_full_l_section_exact_hit():
                          substitute_prob=0.0, rng=0)
     p.setup(_ctx())
     # Prime scores so sample 1 is low-importance.
-    p.score_table.update(np.arange(100), np.full(100, 0.001), epoch=0)
+    p.score_table.update(np.arange(100), np.full(100, 0.001))
     # Fill the H cache with higher-importance items first.
-    p.score_table.update(np.arange(50, 80), np.full(30, 10.0), epoch=0)
+    p.score_table.update(np.arange(50, 80), np.full(30, 10.0))
     for i in range(50, 70):
         p.fetch(i)
     o = p.fetch(1)  # low score -> lands in L section
@@ -102,8 +102,8 @@ def test_full_random_substitution():
     p = ICacheFullPolicy(cache_fraction=0.4, h_fraction=0.5,
                          substitute_prob=1.0, rng=0)
     p.setup(_ctx())
-    p.score_table.update(np.arange(100), np.full(100, 0.001), epoch=0)
-    p.score_table.update(np.arange(50, 80), np.full(30, 10.0), epoch=0)
+    p.score_table.update(np.arange(100), np.full(100, 0.001))
+    p.score_table.update(np.arange(50, 80), np.full(30, 10.0))
     for i in range(50, 70):  # fill H
         p.fetch(i)
     p.fetch(1)  # seeds the L section
@@ -136,11 +136,11 @@ def test_full_random_replacement_evicts():
     p = ICacheFullPolicy(cache_fraction=0.1, h_fraction=0.5,
                          substitute_prob=0.0, rng=0)
     p.setup(_ctx(n=100))  # L capacity = 5
-    p.score_table.update(np.arange(100), np.full(100, 0.001), epoch=0)
-    p.score_table.update(np.arange(50, 60), np.full(10, 5.0), epoch=0)
+    p.score_table.update(np.arange(100), np.full(100, 0.001))
+    p.score_table.update(np.arange(50, 60), np.full(10, 5.0))
     for i in range(50, 55):  # fill H (capacity 5)
         p.fetch(i)
     for i in range(20):  # churn L
         p.fetch(i)
-    assert len(p._l_keys) <= 5
-    assert p._l_stats.evictions > 0
+    assert len(p.l_section) <= 5
+    assert p.l_section.stats.evictions > 0

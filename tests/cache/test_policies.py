@@ -9,6 +9,8 @@ from repro.cache.base import CacheStats
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
+from repro.cache.random_replacement import RandomReplacementCache
+from repro.resilience.state import load_state, save_state
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +163,100 @@ def test_minio_steady_state_hit_ratio():
             if c.get(int(i)) is None:
                 c.put(int(i), i)
     assert c.stats.hit_ratio == pytest.approx(cap / n, abs=0.001)
+
+
+# ----------------------------------------------------------------------
+# Random replacement (iCache's L-section)
+# ----------------------------------------------------------------------
+def test_random_replacement_newcomer_takes_the_victims_slot():
+    c = RandomReplacementCache(3, rng=np.random.default_rng(0))
+    for k in "abc":
+        c.put(k, k)
+    victim_slot = int(np.random.default_rng(0).integers(3))
+    c.put("d", "d")
+    assert len(c) == 3 and "d" in c
+    assert c._slots[victim_slot] == "d"
+    assert sorted(c.keys()) == sorted(c._slots)
+    assert c.stats.evictions == 1 and c.stats.insertions == 4
+
+
+def test_random_replacement_choice_draws_a_resident_without_counting():
+    c = RandomReplacementCache(4, rng=np.random.default_rng(1))
+    for k in range(4):
+        c.put(k, k * 10)
+    draws = {c.choice() for _ in range(50)}
+    assert draws == {(k, k * 10) for k in range(4)}
+    assert c.stats.requests == 0
+
+
+# ----------------------------------------------------------------------
+# Checkpointing: a restored cache evicts what the original would
+# ----------------------------------------------------------------------
+def _make(cls, seed=0):
+    if cls is RandomReplacementCache:
+        return cls(4, rng=np.random.default_rng(seed))
+    return cls(4)
+
+
+def _clone_rng(cache, restored):
+    if isinstance(cache, RandomReplacementCache):
+        restored._rng.bit_generator.state = cache._rng.bit_generator.state
+
+
+ALL_CACHES = [LRUCache, LFUCache, MinIOCache, RandomReplacementCache]
+
+
+@pytest.mark.parametrize("cls", ALL_CACHES)
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=120),
+       cut=st.integers(0, 120))
+@settings(max_examples=50, deadline=None)
+def test_property_restored_cache_continues_identically(cls, ops, cut):
+    """Snapshot mid-sequence, restore into a fresh cache, replay the rest
+    on both: same residents in the same order, same values, same stats."""
+    original = _make(cls)
+
+    def step(c, is_put, key):
+        if is_put:
+            c.put(key, np.full(2, key))
+        else:
+            c.get(key)
+
+    for is_put, key in ops[:cut]:
+        step(original, is_put, key)
+    restored = _make(cls, seed=99)
+    restored.load_state_dict(original.state_dict())
+    _clone_rng(original, restored)
+    for is_put, key in ops[cut:]:
+        step(original, is_put, key)
+        step(restored, is_put, key)
+    assert restored.keys() == original.keys()
+    for k in original.keys():
+        np.testing.assert_array_equal(restored._items[k], original._items[k])
+    assert restored.stats == original.stats
+    assert restored._order_state() == original._order_state()
+
+
+@pytest.mark.parametrize("cls", ALL_CACHES)
+def test_cache_state_survives_the_checkpoint_archive(cls, tmp_path):
+    c = _make(cls)
+    for k in [3, 1, 3, 7, 9, 1, 11, 3]:
+        if c.get(k) is None:
+            c.put(k, np.arange(3.0) + k)
+    path = save_state(tmp_path / "cache.npz", c.state_dict())
+    restored = _make(cls)
+    restored.load_state_dict(load_state(path))
+    assert restored.keys() == c.keys()
+    assert restored.capacity == c.capacity and restored.stats == c.stats
+    assert restored._order_state() == c._order_state()
+    for k in c.keys():
+        np.testing.assert_array_equal(restored._items[k], c._items[k])
+
+
+def test_empty_cache_round_trips():
+    c = LFUCache(3)
+    restored = LFUCache(3)
+    restored.load_state_dict(c.state_dict())
+    assert len(restored) == 0 and restored._min_freq == 0
 
 
 # ----------------------------------------------------------------------

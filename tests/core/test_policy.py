@@ -180,9 +180,7 @@ def test_mixed_weights_all_zero_scores_uniform_fallback():
     with NaNs."""
     p, ctx = _setup_policy(score_floor=0.0)
     n = ctx.num_samples
-    p.score_table.update(
-        np.arange(n), np.zeros(n), epoch=0
-    )
+    p.score_table.update(np.arange(n), np.zeros(n))
     w = p._mixed_weights()
     assert np.all(np.isfinite(w))
     np.testing.assert_allclose(w, np.full(n, 1.0 / n))
@@ -195,7 +193,7 @@ def test_mixed_weights_normal_scores_sum_to_one():
     p, ctx = _setup_policy()
     n = ctx.num_samples
     rng = np.random.default_rng(0)
-    p.score_table.update(np.arange(n), rng.random(n) + 0.1, epoch=0)
+    p.score_table.update(np.arange(n), rng.random(n) + 0.1)
     w = p._mixed_weights()
     assert np.all(w > 0)
     assert w.sum() == pytest.approx(1.0)

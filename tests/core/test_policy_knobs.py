@@ -42,7 +42,7 @@ def test_uniform_mix_one_is_uniform():
     p = SpiderCachePolicy(uniform_mix=1.0, rng=0)
     p.setup(_ctx())
     # Skew the scores heavily; mix=1.0 must ignore them.
-    p.score_table.update(np.array([0]), np.array([100.0]), epoch=0)
+    p.score_table.update(np.array([0]), np.array([100.0]))
     w = p._mixed_weights()
     np.testing.assert_allclose(w, 1.0 / 200, atol=1e-12)
 
@@ -52,7 +52,7 @@ def test_score_floor_bounds_oversampling():
     p.setup(_ctx())
     scores = np.full(200, 0.001)
     scores[0] = 1.0
-    p.score_table.update(np.arange(200), scores, epoch=0)
+    p.score_table.update(np.arange(200), scores)
     w = p._mixed_weights()
     # Floor guarantees max/min ratio <= 1/score_floor.
     assert w.max() / w.min() <= 1.0 / 0.1 + 1e-9
@@ -63,7 +63,7 @@ def test_score_floor_zero_keeps_raw_ratio():
     p.setup(_ctx())
     scores = np.full(200, 0.001)
     scores[0] = 1.0
-    p.score_table.update(np.arange(200), scores, epoch=0)
+    p.score_table.update(np.arange(200), scores)
     w = p._mixed_weights()
     assert w.max() / w.min() > 100
 
@@ -140,11 +140,11 @@ def test_icache_uniform_mix_validation():
         ICacheImpPolicy(uniform_mix=-0.1)
     p = ICacheImpPolicy(uniform_mix=0.7, rng=0)
     p.setup(_ctx())
-    w = p._mixed_weights()
+    w = p._sampling_weights()
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
     # The uniform component floors every weight at 0.7/n, and the
     # importance component is bounded by 0.3 even for an extreme score.
-    p.score_table.update(np.array([0]), np.array([50.0]), epoch=0)
-    w = p._mixed_weights()
+    p.score_table.update(np.array([0]), np.array([50.0]))
+    w = p._sampling_weights()
     assert w.min() >= 0.7 / 200 - 1e-12
     assert w.max() <= 0.3 + 0.7 / 200 + 1e-12

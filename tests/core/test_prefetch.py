@@ -39,7 +39,7 @@ def test_prefetch_fills_with_top_scores():
     ctx = _ctx()
     p.setup(ctx)
     scores = np.linspace(0.01, 1.0, 200)
-    p.score_table.update(np.arange(200), scores, epoch=0)
+    p.score_table.update(np.arange(200), scores)
     p.before_epoch(1)
     imp = p.cache.importance
     assert len(imp) == imp.capacity
@@ -54,7 +54,7 @@ def test_prefetch_budget_respected():
     p = SpiderCachePolicy(cache_fraction=0.5, prefetch_fraction=0.2, rng=0)
     ctx = _ctx()
     p.setup(ctx)
-    p.score_table.update(np.arange(200), np.linspace(0.01, 1.0, 200), epoch=0)
+    p.score_table.update(np.arange(200), np.linspace(0.01, 1.0, 200))
     p.before_epoch(1)
     assert p.prefetch_count == int(0.2 * p.cache.importance.capacity)
 
@@ -63,7 +63,7 @@ def test_prefetch_skips_resident_samples():
     p = SpiderCachePolicy(cache_fraction=0.5, prefetch_fraction=1.0, rng=0)
     ctx = _ctx()
     p.setup(ctx)
-    p.score_table.update(np.arange(200), np.linspace(0.01, 1.0, 200), epoch=0)
+    p.score_table.update(np.arange(200), np.linspace(0.01, 1.0, 200))
     p.fetch(199)  # already resident with top score
     before = ctx.store.fetch_count
     p.before_epoch(1)
@@ -76,7 +76,7 @@ def test_prefetch_zero_fraction_noop():
     p = SpiderCachePolicy(cache_fraction=0.5, prefetch_fraction=0.0, rng=0)
     ctx = _ctx()
     p.setup(ctx)
-    p.score_table.update(np.arange(200), np.linspace(0.01, 1.0, 200), epoch=0)
+    p.score_table.update(np.arange(200), np.linspace(0.01, 1.0, 200))
     p.before_epoch(3)
     assert ctx.store.fetch_count == 0
 

@@ -3,28 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sampler import MultinomialSampler, SequentialSampler, UniformSampler
-
-
-def test_uniform_is_permutation():
-    s = UniformSampler(100, rng=0)
-    order = s.epoch_order(0)
-    assert sorted(order.tolist()) == list(range(100))
-
-
-def test_uniform_differs_across_epochs():
-    s = UniformSampler(50, rng=0)
-    assert not np.array_equal(s.epoch_order(0), s.epoch_order(1))
-
-
-def test_uniform_invalid():
-    with pytest.raises(ValueError):
-        UniformSampler(0)
-
-
-def test_sequential_identity():
-    s = SequentialSampler(10)
-    np.testing.assert_array_equal(s.epoch_order(3), np.arange(10))
+from repro.core.sampler import MultinomialSampler
 
 
 def test_multinomial_respects_weights():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.scores import GlobalScoreTable
+from repro.core.scores import GlobalScoreTable, last_occurrences
 
 
 def test_initial_scores_uniform():
@@ -22,7 +22,7 @@ def test_invalid_init():
 
 def test_update_and_get():
     t = GlobalScoreTable(5)
-    t.update(np.array([1, 3]), np.array([0.5, 2.0]), epoch=0)
+    t.update(np.array([1, 3]), np.array([0.5, 2.0]))
     assert t.get(1) == 0.5
     assert t.get(3) == 2.0
     assert t.get(0) == 1.0
@@ -47,17 +47,9 @@ def test_scores_view_readonly():
         t.scores[0] = 2.0
 
 
-def test_staleness():
-    t = GlobalScoreTable(4)
-    t.update(np.array([0]), np.array([1.0]), epoch=2)
-    st = t.staleness(epoch=5)
-    assert st[0] == 3
-    assert st[1] == 6  # never updated: epoch + 1
-
-
 def test_sampling_weights_normalized():
     t = GlobalScoreTable(8)
-    t.update(np.arange(8), np.linspace(0.1, 2.0, 8), epoch=0)
+    t.update(np.arange(8), np.linspace(0.1, 2.0, 8))
     w = t.sampling_weights()
     assert w.sum() == pytest.approx(1.0)
     assert np.all(w > 0)
@@ -66,7 +58,7 @@ def test_sampling_weights_normalized():
 
 def test_sampling_weights_floor():
     t = GlobalScoreTable(3)
-    t.update(np.array([0]), np.array([0.0]), epoch=0)
+    t.update(np.array([0]), np.array([0.0]))
     w = t.sampling_weights(floor=1e-6)
     assert w[0] > 0
 
@@ -75,23 +67,15 @@ def test_snapshot_std_only_updated():
     t = GlobalScoreTable(10)
     # Before any update: zero (all defaults).
     assert t.snapshot_std() == 0.0
-    t.update(np.array([0, 1]), np.array([1.0, 3.0]), epoch=0)
+    t.update(np.array([0, 1]), np.array([1.0, 3.0]))
     std = t.snapshot_std()
     assert std == pytest.approx(1.0)  # std of [1, 3]
     assert t.std_history == [0.0, std]
 
 
-def test_recent_std_slope():
-    t = GlobalScoreTable(2)
-    t.std_history.extend([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert t.recent_std_slope(window=5) == pytest.approx(1.0)
-    t.std_history.extend([4.0, 3.0, 2.0, 1.0, 0.0])
-    assert t.recent_std_slope(window=5) == pytest.approx(-1.0)
-
-
-def test_recent_std_slope_insufficient():
-    t = GlobalScoreTable(2)
-    t.std_history.append(1.0)
-    assert t.recent_std_slope(window=5) is None
-    with pytest.raises(ValueError):
-        t.recent_std_slope(window=1)
+def test_last_occurrences_keeps_the_last_of_each_id_in_id_order():
+    ids = np.array([7, 2, 7, 5, 2, 7])
+    pos = last_occurrences(ids)
+    np.testing.assert_array_equal(pos, [4, 3, 5])  # ids 2, 5, 7
+    np.testing.assert_array_equal(ids[pos], [2, 5, 7])
+    assert last_occurrences(np.array([], dtype=np.int64)).size == 0

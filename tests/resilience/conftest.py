@@ -2,11 +2,20 @@
 
 import pytest
 
+from repro.baselines import POLICIES
 from repro.core.policy import SpiderCachePolicy
 from repro.data.registry import make_dataset
 from repro.data.synthetic import train_test_split
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
+
+#: Every registry policy, plus SpiderCache on the paper's HNSW backend.
+POLICY_CASES = {
+    **POLICIES,
+    "spidercache-hnsw": lambda frac, rng: SpiderCachePolicy(
+        cache_fraction=frac, rng=rng, backend="hnsw"
+    ),
+}
 
 
 @pytest.fixture
@@ -19,13 +28,13 @@ def build_run():
     """
 
     def _build(cls=Trainer, epochs=3, n_samples=160, batch_size=16,
-               prefetch_workers=0, backend="exact", **kw):
+               prefetch_workers=0, policy="spidercache", **kw):
         data = make_dataset("cifar10-like", rng=0, n_samples=n_samples)
         train, test = train_test_split(data, test_fraction=0.25, rng=1)
         model = build_model("resnet18", train.dim, train.num_classes, rng=2)
-        policy = SpiderCachePolicy(cache_fraction=0.2, rng=3, backend=backend)
+        built = POLICY_CASES[policy](0.2, 3)
         cfg = TrainerConfig(epochs=epochs, batch_size=batch_size,
                             prefetch_workers=prefetch_workers)
-        return cls(model, train, test, policy, cfg, **kw), model, policy
+        return cls(model, train, test, built, cfg, **kw), model, built
 
     return _build

@@ -16,6 +16,7 @@ from repro.resilience import (
     save_state,
 )
 from repro.train.trainer import Trainer
+from tests.resilience.conftest import POLICY_CASES
 
 
 def _params_equal(a, b):
@@ -85,17 +86,36 @@ def test_schedule_time_trigger():
 # Acceptance: exact recovery
 
 
-BACKENDS = pytest.mark.parametrize("backend", ["exact", "hnsw"])
+#: Every registry policy, plus SpiderCache on the HNSW backend.
+EVERY_POLICY = pytest.mark.parametrize("policy_name", sorted(POLICY_CASES))
 
 
-@BACKENDS
-def test_exact_recovery_acceptance(build_run, tmp_path, backend):
+def _assert_same_state(a, b, path="policy"):
+    """Two ``state_dict`` trees are equal leaf for leaf (arrays by value
+    and dtype): caches in eviction order, score tables, RNG streams."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            _assert_same_state(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_state(x, y, f"{path}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+@EVERY_POLICY
+def test_exact_recovery_acceptance(build_run, tmp_path, policy_name):
     """Preempted twice mid-run; trajectory identical to uninterrupted."""
-    base, base_model, base_policy = build_run(Trainer, epochs=3, backend=backend)
+    base, base_model, base_policy = build_run(Trainer, epochs=3, policy=policy_name)
     r0 = base.run()
 
     trainer, model, policy = build_run(
-        ResilientTrainer, epochs=3, backend=backend,
+        ResilientTrainer, epochs=3, policy=policy_name,
         checkpoint_dir=tmp_path / "ckpts",
         checkpoint_every_batches=3,
         preemptions=PreemptionSchedule(at=[(1, 2), (2, 4)]),
@@ -107,31 +127,24 @@ def test_exact_recovery_acceptance(build_run, tmp_path, backend):
     assert trainer.recovery.checkpoints_written > 0
     # Parameter trajectory: bit-for-bit.
     assert _params_equal(base_model, model)
-    # Importance-cache contents: same keys in the same order, same
-    # payloads, same heap eviction order next.
-    bi, pi = base_policy.cache.importance, policy.cache.importance
-    assert bi.keys() == pi.keys()
-    for k in bi.keys():
-        np.testing.assert_array_equal(bi.store.peek(k), pi.store.peek(k))
-    assert bi.peek_min()[0] == pi.peek_min()[0]
-    # Homophily layer, score table, epoch metrics, and the clock too.
-    assert base_policy.cache.homophily.keys() == policy.cache.homophily.keys()
-    np.testing.assert_array_equal(
-        base_policy.score_table.scores, policy.score_table.scores
-    )
+    # Epoch metrics, the clock, the cache counters.
     assert r0.epochs == r1.epochs
     assert base.clock.state_dict() == trainer.clock.state_dict()
     assert base_policy.stats() == policy.stats()
+    # Every decision the policy carries forward: cache contents in eviction
+    # order (heap layout, recency, frequency buckets, random-replacement
+    # slots), payloads, score table, sampling RNG.
+    _assert_same_state(base_policy.state_dict(), policy.state_dict())
 
 
-@BACKENDS
-def test_fresh_process_resume_is_exact(build_run, tmp_path, backend):
+@EVERY_POLICY
+def test_fresh_process_resume_is_exact(build_run, tmp_path, policy_name):
     """Kill the process (max_restarts=0), resume in a fresh trainer."""
-    base, base_model, base_policy = build_run(Trainer, epochs=3, backend=backend)
+    base, base_model, base_policy = build_run(Trainer, epochs=3, policy=policy_name)
     r0 = base.run()
 
     first, _, _ = build_run(
-        ResilientTrainer, epochs=3, backend=backend,
+        ResilientTrainer, epochs=3, policy=policy_name,
         checkpoint_dir=tmp_path / "ckpts",
         checkpoint_every_batches=4,
         preemptions=PreemptionSchedule(at=[(1, 5)]),
@@ -141,7 +154,7 @@ def test_fresh_process_resume_is_exact(build_run, tmp_path, backend):
         first.run()
 
     second, model, policy = build_run(
-        ResilientTrainer, epochs=3, backend=backend,
+        ResilientTrainer, epochs=3, policy=policy_name,
         checkpoint_dir=tmp_path / "ckpts",
         checkpoint_every_batches=4,
         resume=True,
@@ -151,6 +164,7 @@ def test_fresh_process_resume_is_exact(build_run, tmp_path, backend):
     assert r0.epochs == r2.epochs
     assert base.clock.state_dict() == second.clock.state_dict()
     assert base_policy.stats() == policy.stats()
+    _assert_same_state(base_policy.state_dict(), policy.state_dict())
 
 
 def test_restart_penalty_charged_to_recovery_stage(build_run, tmp_path):

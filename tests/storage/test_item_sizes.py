@@ -47,7 +47,7 @@ def test_item_sizes_validation():
 def test_heterogeneous_training_run():
     """End to end: a store with 10x size spread still trains normally and
     bytes_fetched reflects the skew."""
-    from repro.baselines.coordl import CoorDLPolicy
+    from repro.baselines.baseline import CoorDLPolicy
     from repro.data.synthetic import make_clustered_dataset, train_test_split
     from repro.nn.models import build_model
     from repro.train.trainer import Trainer, TrainerConfig

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import baselines
 from repro.cli import POLICIES, main
+from repro.resilience.campaign import DEFAULT_SCENARIOS
 
 FAST = ["--samples", "300", "--epochs", "2", "--batch-size", "64"]
 
@@ -18,6 +20,24 @@ def test_info(capsys):
 def test_policies_registry_complete():
     assert {"spidercache", "shade", "icache", "icache-imp", "coordl",
             "baseline", "lfu", "spidercache-imp"} <= set(POLICIES)
+    # One table: the CLI serves the registry beside the policy classes.
+    assert POLICIES is baselines.POLICIES
+
+
+def test_faults_preemption_costs_only_the_restart_penalty(tmp_path, capsys):
+    """Every policy checkpoints what it decided, so a preempted run resumes
+    bit-exactly: the accuracy is untouched and the only extra time is the
+    restart penalty the scenario charges."""
+    (preempt,) = [s for s in DEFAULT_SCENARIOS if s.name == "preempt"]
+    assert main(["faults", "--policy", "shade", "--scenarios", "preempt",
+                 "--samples", "600", "--epochs", "3",
+                 "--checkpoint-dir", str(tmp_path)]) == 0
+    (row,) = [line.split() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("preempt ")]
+    scenario, ok, acc, d_acc, time, d_time = row[:6]
+    assert ok == "y"
+    assert d_acc == "+0.000"
+    assert d_time == f"{preempt.restart_penalty_s:+.1f}s" == "+5.0s"
 
 
 def test_train_command(capsys):

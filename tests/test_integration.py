@@ -4,8 +4,7 @@ at small scale (the benchmarks rerun them at full scale)."""
 import numpy as np
 import pytest
 
-from repro.baselines.baseline import LRUBaselinePolicy
-from repro.baselines.coordl import CoorDLPolicy
+from repro.baselines.baseline import CoorDLPolicy, LRUBaselinePolicy
 from repro.baselines.icache import ICacheFullPolicy
 from repro.baselines.shade import ShadePolicy
 from repro.core.policy import SpiderCachePolicy

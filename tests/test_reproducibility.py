@@ -5,8 +5,7 @@ deterministic reruns."""
 import numpy as np
 import pytest
 
-from repro.baselines.baseline import LRUBaselinePolicy
-from repro.baselines.coordl import CoorDLPolicy
+from repro.baselines.baseline import CoorDLPolicy, LRUBaselinePolicy
 from repro.baselines.gradnorm import GradNormISPolicy
 from repro.baselines.icache import ICacheFullPolicy
 from repro.baselines.shade import ShadePolicy

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.coordl import CoorDLPolicy
+from repro.baselines.baseline import CoorDLPolicy
 from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.nn.models import build_model

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.baseline import LRUBaselinePolicy
-from repro.baselines.coordl import CoorDLPolicy
+from repro.baselines.baseline import CoorDLPolicy, LRUBaselinePolicy
 from repro.baselines.icache import ICacheImpPolicy
 from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
