@@ -360,11 +360,10 @@ def _cmd_train(args) -> int:
         return 2
     observer = None
     recorder = None
-    registry = None
     if args.trace_dir is not None:
         from pathlib import Path
 
-        from repro.obs import JsonlRecorder, MetricsRegistry, Observer
+        from repro.obs import JsonlRecorder, Observer
         from repro.obs.report import TRACE_FILE
 
         out = Path(args.trace_dir)
@@ -373,10 +372,7 @@ def _cmd_train(args) -> int:
         # checkpoint-resumed run can extend it; a new run must not).
         (out / TRACE_FILE).unlink(missing_ok=True)
         recorder = JsonlRecorder(out / TRACE_FILE)
-        registry = MetricsRegistry()
-        observer = Observer(
-            recorder=recorder, metrics=registry, span_seed=args.seed
-        )
+        observer = Observer(recorder=recorder, span_seed=args.seed)
     # Any shard-tier flag goes to the builder that owns those knobs, so
     # its constructor is what rejects a combination it cannot honour.
     sharded = args.cache_shards or args.resize_shards_at is not None
@@ -403,7 +399,7 @@ def _cmd_train(args) -> int:
         write_run_artifacts(
             result,
             args.trace_dir,
-            metrics_snapshot=registry.snapshot(),
+            metrics_snapshot=observer.snapshot(),
             meta={
                 "policy": args.policy,
                 "preset": args.preset,
@@ -612,21 +608,17 @@ def _cmd_load(args) -> int:
 
     observer = None
     recorder = None
-    registry = None
     if args.trace_dir is not None:
         from pathlib import Path
 
-        from repro.obs import JsonlRecorder, MetricsRegistry, Observer
+        from repro.obs import JsonlRecorder, Observer
         from repro.obs.report import TRACE_FILE
 
         out = Path(args.trace_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / TRACE_FILE).unlink(missing_ok=True)
         recorder = JsonlRecorder(out / TRACE_FILE)
-        registry = MetricsRegistry()
-        observer = Observer(
-            recorder=recorder, metrics=registry, span_seed=args.seed
-        )
+        observer = Observer(recorder=recorder, span_seed=args.seed)
 
     try:
         harness = ReplayHarness(config, autoscaler=autoscaler, observer=observer)
@@ -670,9 +662,7 @@ def _cmd_load(args) -> int:
     if args.trace_dir is not None:
         write_load_artifacts(
             result, args.trace_dir,
-            metrics_snapshot=(
-                registry.snapshot() if registry is not None else None
-            ),
+            metrics_snapshot=observer.snapshot(),
         )
         print(f"run artifacts written to {args.trace_dir}/ "
               f"(view with `repro report {args.trace_dir}`)")

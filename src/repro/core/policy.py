@@ -17,7 +17,7 @@ trainer's policy protocol:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class SpiderCachePolicy(TrainingPolicy):
         # sample importance scores"): at each epoch start, up to this
         # fraction of the Importance Cache's capacity is refilled with the
         # top-scored uncached samples. The fetch latency is charged like any
-        # other remote read (prefetches are real I/O).
+        # other remote read (prefetches are real I/O; prefetch_count counts each).
         if not 0.0 <= prefetch_fraction <= 1.0:
             raise ValueError("prefetch_fraction must be in [0, 1]")
         self.prefetch_fraction = float(prefetch_fraction)
@@ -200,8 +200,9 @@ class SpiderCachePolicy(TrainingPolicy):
 
     def attach_observer(self, observer) -> None:
         """Cascade the run observer into the cache layers and the elastic
-        manager (call after ``setup``)."""
+        manager (call after ``setup``); register :meth:`counters`."""
         super().attach_observer(observer)
+        observer.register(self)
         if self.cache is not None:
             self.cache.attach_observer(observer)
         if self.manager is not None:
@@ -254,12 +255,12 @@ class SpiderCachePolicy(TrainingPolicy):
                 # whatever is already resident.
                 self.cache.degraded.errors_absorbed += 1
                 break
+            self.prefetch_count += 1
             admitted = imp.admit(idx, payload, score)
             if self._obs.active:
                 self._obs.on_prefetch(idx, admitted)
             if admitted:
                 fetched += 1
-                self.prefetch_count += 1
             else:
                 break
 
@@ -366,6 +367,10 @@ class SpiderCachePolicy(TrainingPolicy):
     def stats(self) -> CacheStats:
         assert self.cache is not None
         return self.cache.stats
+
+    def counters(self) -> Dict[str, int]:
+        """Prefetch reads under the metrics name."""
+        return {"cache.prefetches": self.prefetch_count}
 
     @property
     def is_ms_per_batch(self) -> Optional[float]:

@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from math import floor
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.cache.base import CacheStats
 from repro.core.homophily_cache import HomophilyCache
@@ -169,10 +169,11 @@ class SemanticCache:
     def attach_observer(self, observer: Observer) -> None:
         """Publish fetch/admission/eviction activity to ``observer``.
 
-        Cascades to both layers. Observer wiring is runtime-only state —
-        it is never part of :meth:`state_dict`.
+        Cascades to both layers and registers :meth:`counters`. Observer
+        wiring is runtime-only state — it is never part of :meth:`state_dict`.
         """
         self._obs = observer
+        observer.register(self)
         self.importance.attach_observer(observer)
         self.homophily.attach_observer(observer)
 
@@ -305,7 +306,6 @@ class SemanticCache:
                 self.stats.degraded_serves += 1
                 self.degraded.substituted_homophily += 1
             if obs.active:
-                obs.on_degraded(index, key)
                 obs.on_fetch(index, key, FetchSource.DEGRADED)
                 obs.on_audit(
                     "substitute", key, "homophily",
@@ -319,7 +319,6 @@ class SemanticCache:
                 self.stats.degraded_serves += 1
                 self.degraded.substituted_importance += 1
             if obs.active:
-                obs.on_degraded(index, key)
                 obs.on_fetch(index, key, FetchSource.DEGRADED)
                 obs.on_audit(
                     "substitute", key, "importance",
@@ -331,7 +330,6 @@ class SemanticCache:
             self.stats.misses += 1
             self.degraded.skipped += 1
         if obs.active:
-            obs.on_degraded(index, None)
             obs.on_fetch(index, index, FetchSource.SKIPPED)
         return FetchOutcome(index, index, None, FetchSource.SKIPPED)
 
@@ -353,6 +351,27 @@ class SemanticCache:
 
     def __len__(self) -> int:
         return len(self.importance) + len(self.homophily)
+
+    def counters(self) -> Dict[str, int]:
+        """Requests by where they were served, and each layer's admissions
+        and evictions, under the metrics names (read by
+        :meth:`~repro.obs.observer.Observer.snapshot`)."""
+        stats, degraded = self.stats, self.degraded
+        imp, hom = self.importance.stats, self.homophily.stats
+        return {
+            "cache.fetches": stats.requests + stats.degraded_serves,
+            "cache.fetch.importance": imp.hits,
+            "cache.fetch.homophily": hom.hits + hom.substitute_hits,
+            "cache.fetch.remote": stats.misses - degraded.skipped,
+            "cache.fetch.degraded": degraded.substituted,
+            "cache.fetch.skipped": degraded.skipped,
+            "degraded.substituted": degraded.substituted,
+            "degraded.skipped": degraded.skipped,
+            "importance.admitted": imp.insertions,
+            "importance.evictions": imp.evictions,
+            "homophily.insertions": hom.insertions,
+            "homophily.evictions": hom.evictions,
+        }
 
     def reset_stats(self) -> None:
         """Zero the aggregate and per-layer counters."""

@@ -175,7 +175,6 @@ class ShardStore(PayloadStore):
                 shard, f"{layer}_put", key, value, nbytes=nbytes
             )
         except _DEGRADE_ERRORS:
-            tier.dropped_admits += 1
             tier._shard_stats[shard]["dropped_admits"] += 1
             tier._pending_deletes.setdefault(shard, []).append((layer, key))
             if tier._obs.active:
@@ -391,9 +390,7 @@ class ShardedCacheClient(SemanticCache):
         # (None outside one); they ride that shard's next frame.
         self._parked: Optional[Dict[int, List[Tuple[str, int]]]] = None
         self._shard_stats: Dict[int, Counter] = defaultdict(Counter)
-        self.dropped_admits = 0
         self.degraded_lookups = 0
-        self.rpc_retries = 0
         self._rpc_seq = 0  # deterministic per-request id for jitter
 
         self.migration_batch_size = int(migration_batch_size)
@@ -402,6 +399,17 @@ class ShardedCacheClient(SemanticCache):
 
     def _payload_store(self, layer: str) -> ShardStore:
         return ShardStore(self, layer, self._loc[layer])
+
+    @property
+    def dropped_admits(self) -> int:
+        """Failed payload puts: the per-shard ledger's sum (never pruned,
+        so retired shards still count)."""
+        return sum(ss["dropped_admits"] for ss in self._shard_stats.values())
+
+    @property
+    def rpc_retries(self) -> int:
+        """Retried attempts: the per-shard ledger's sum."""
+        return sum(ss["rpc_retries"] for ss in self._shard_stats.values())
 
     # ------------------------------------------------------------------
     # wiring / introspection
@@ -473,7 +481,6 @@ class ShardedCacheClient(SemanticCache):
             now = clock.total_seconds
             if not breaker.allow(now):
                 breaker.fast_failures += 1
-                self._shard_stats[shard]["rpc_fast_failures"] += 1
                 if span is not None:
                     obs.span_end(
                         span, now, ok=False, error="circuit_open",
@@ -489,7 +496,6 @@ class ShardedCacheClient(SemanticCache):
                 last = exc
                 breaker.record_failure(clock.total_seconds)
                 if attempt + 1 < self.retry.max_attempts:
-                    self.rpc_retries += 1
                     self._shard_stats[shard]["rpc_retries"] += 1
                     t0 = clock.total_seconds
                     clock.advance(
@@ -796,10 +802,20 @@ class ShardedCacheClient(SemanticCache):
                     nbytes = sum(
                         int(np.asarray(v).nbytes) for v in entries.values()
                     )
-                    self._call_with_retries(
-                        batch.dst, "migrate_in", batch.layer, entries,
-                        nbytes=nbytes,
-                    )
+                    # The put's rule: landing payloads supersede dst's queued
+                    # deletes of them (kept if the batch fails).
+                    queue = self._pending_deletes.setdefault(batch.dst, [])
+                    held = [e for e in queue
+                            if e[0] == batch.layer and e[1] in entries]
+                    queue[:] = [e for e in queue if e not in held]
+                    try:
+                        self._call_with_retries(
+                            batch.dst, "migrate_in", batch.layer, entries,
+                            nbytes=nbytes,
+                        )
+                    except _DEGRADE_ERRORS:
+                        self._pending_deletes[batch.dst].extend(held)
+                        raise
             except _DEGRADE_ERRORS:
                 state.failed_batches += 1
                 state.pending.rotate(-1)
@@ -893,7 +909,7 @@ class ShardedCacheClient(SemanticCache):
                     + ch.per_shard_timeouts.get(sid, 0),
                     "rpc_timeouts": ch.per_shard_timeouts.get(sid, 0),
                     "rpc_retries": ss["rpc_retries"],
-                    "rpc_fast_failures": ss["rpc_fast_failures"],
+                    "rpc_fast_failures": self.breakers[sid].fast_failures,
                     "dropped_admits": ss["dropped_admits"],
                     "breaker": self.breakers[sid].state.value,
                 }

@@ -110,8 +110,22 @@ class Transport(abc.ABC):
         self._obs = NULL_OBSERVER
 
     def attach_observer(self, observer: Observer) -> None:
-        """Publish per-attempt latency/outcome to ``observer``."""
+        """Publish per-attempt latency and :meth:`counters` to ``observer``."""
         self._obs = observer
+        observer.register(self)
+
+    def counters(self) -> Dict[str, int]:
+        """Attempts and failed attempts — fleet-wide, by classification,
+        per shard (retired ones too) — under the metrics names."""
+        failed = self.per_shard_failures + self.per_shard_timeouts
+        return {
+            "rpc.calls": self.calls,
+            "rpc.failures": self.failures + self.timeouts,
+            "rpc.errors.outage": self.failures,
+            "rpc.errors.timeout": self.timeouts,
+            **{f"rpc.shard{s}.calls": n for s, n in self.per_shard_calls.items()},
+            **{f"rpc.shard{s}.failures": n for s, n in failed.items()},
+        }
 
     # -- data plane ----------------------------------------------------
     def call(self, shard: int, method: str, *args: Any, nbytes: int = 0) -> Any:
@@ -140,7 +154,7 @@ class Transport(abc.ABC):
             self.timeouts += 1
             self.per_shard_timeouts[shard] += 1
         if self._obs.active:
-            self._obs.on_rpc(shard, method, elapsed, ok=error is None, error=error)
+            self._obs.on_rpc(elapsed)
             self._obs.span_record(
                 "rpc_attempt", now, now + elapsed,
                 shard=shard, method=method, ok=error is None,

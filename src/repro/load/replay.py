@@ -296,8 +296,8 @@ def write_load_artifacts(
     """Export ``load.json`` under ``out_dir`` (consumed by ``repro
     report``'s load / SLO section). Returns the file path.
 
-    ``metrics_snapshot`` (a
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`) is embedded
+    ``metrics_snapshot`` (an
+    :meth:`~repro.obs.observer.Observer.snapshot`) is embedded
     under ``"metrics"`` so ``repro metrics`` can re-export the run in
     Prometheus text format; it is *not* part of the digest.
     """

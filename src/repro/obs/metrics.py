@@ -2,8 +2,9 @@
 
 The Prometheus-shaped trio, sized for a simulation harness: no labels, no
 locks, no background export — just named instruments a component publishes
-into and a :meth:`MetricsRegistry.snapshot` that serializes everything for
-``summary.json`` / ``repro report``. Instruments are get-or-create by
+into and a :meth:`MetricsRegistry.snapshot` that serializes them (the
+run's export, :meth:`~repro.obs.observer.Observer.snapshot`, adds the
+counts components keep themselves). Instruments are get-or-create by
 name, so publishers and readers never need to coordinate registration
 order.
 """
@@ -114,29 +115,6 @@ class Histogram:
         self.count += 1
         self.total += value
 
-    @property
-    def mean(self) -> float:
-        """Mean of all observations (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile from the bucket counts.
-
-        Returns the upper bound of the bucket containing the quantile
-        rank (the overflow bucket reports the largest finite bound).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= rank:
-                return self.bounds[min(i, len(self.bounds) - 1)]
-        return self.bounds[-1]
-
 
 class MetricsRegistry:
     """Name-keyed collection of instruments with get-or-create access."""
@@ -190,12 +168,6 @@ class MetricsRegistry:
                 for n, h in sorted(self._histograms.items())
             },
         }
-
-    def reset(self) -> None:
-        """Drop every instrument (a fresh registry)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
 
 # ----------------------------------------------------------------------

@@ -8,21 +8,20 @@ manager, the circuit breaker, both trainers) hold an ``Observer`` reference
 un-instrumented run pays one attribute read per operation and nothing
 else; no events are built, no metrics are touched.
 
-A live observer does two things per hook:
+A hook emits a structured trace event (only when its recorder is
+enabled). The per-request hooks (``fetch``, ``prefetch``,
+``importance_admit``, ``evict``, ``audit`` — the kinds of
+:data:`~repro.obs.trace.ROW_SCHEMA`) hand the sink a positional tuple
+through :meth:`~repro.obs.trace.TraceRecorder.emit_row`; every other hook
+builds the flat dict in :meth:`Observer.emit`. What a sink does with a
+row is its business: in-memory sinks expand it to the same flat dict
+immediately, the JSONL sink packs rows into block lines.
 
-* increments/updates the relevant :class:`~repro.obs.metrics.MetricsRegistry`
-  instruments (always, when active). Each hook binds the instruments it
-  publishes into on first use, so the per-request hooks pay a dict
-  subscript, not a name format plus a get-or-create, per event — and an
-  instrument still only exists once something has happened to it;
-* emits a structured trace event (only when its recorder is enabled).
-  The per-request hooks (``fetch``, ``prefetch``, ``importance_admit``,
-  ``evict``, ``audit`` — the kinds of
-  :data:`~repro.obs.trace.ROW_SCHEMA`) hand the sink a positional tuple
-  through :meth:`~repro.obs.trace.TraceRecorder.emit_row`; every other
-  hook builds the flat dict in :meth:`Observer.emit`. What a sink does
-  with a row is its business: in-memory sinks expand it to the same
-  flat dict immediately, the JSONL sink packs rows into block lines.
+Counts are kept once, by their owner: a component that already counts
+(cache, policy, store, transport, breaker) registers itself on attach,
+and :meth:`Observer.snapshot` reads its ``counters()``. Hooks feed the
+:class:`~repro.obs.metrics.MetricsRegistry` only what no owner keeps,
+binding each instrument on first use.
 
 The observer also carries the little cross-component context the event
 schema needs: the trainer's current epoch, the configured cache-hit
@@ -34,12 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_S,
-    SPAN_BUCKETS_S,
-    Counter,
-    MetricsRegistry,
-)
+from repro.obs.metrics import LATENCY_BUCKETS_S, SPAN_BUCKETS_S, MetricsRegistry
 from repro.obs.spans import Span, SpanTracker
 from repro.obs.trace import NullRecorder, TraceRecorder
 
@@ -72,6 +66,15 @@ class _Bound(dict):
 
 class Observer:
     """Bundles a :class:`TraceRecorder` and a :class:`MetricsRegistry`.
+
+    :meth:`snapshot` is the run's metrics export: the registry merged
+    with the counts of every registered owner. Owner counts are the
+    owners' own state, so a checkpoint-resumed run exports what an
+    uninterrupted one would. What stays live in the registry is a
+    *journal tally* that includes replayed work after a restore:
+    ``importance.rejected``, ``audit.*``, ``train.*``, ``prefetch.*``,
+    ``checkpoint.*``, ``resize.*``, ``load.*`` / ``autoscale.*`` /
+    ``alerts.*``, and every gauge and histogram.
 
     Parameters
     ----------
@@ -107,10 +110,11 @@ class Observer:
         self.spans: Optional[SpanTracker] = None
         if span_seed is not None:
             self.enable_spans(span_seed)
+        # Components whose counters() the snapshot reads, by identity.
+        self._owners: Dict[int, Any] = {}
         # Instruments bound on first use (see the module docstring);
         # keyed by full name, or by the part of the name a hook varies.
         m = self.metrics
-        self._counter = _Bound(m.counter)
         self._histogram = _Bound(
             lambda name: m.histogram(
                 name, bounds=_HISTOGRAM_BOUNDS.get(name, LATENCY_BUCKETS_S)
@@ -119,22 +123,26 @@ class Observer:
         self._span_histogram = _Bound(
             lambda name: m.histogram(f"span.{name}_s", bounds=SPAN_BUCKETS_S)
         )
-
-        def bind_fetch_source(source: Any) -> Tuple[str, Counter]:
-            src = getattr(source, "value", str(source))
-            return src, m.counter(f"cache.fetch.{src}")
-
-        #: FetchSource -> (its wire name, its per-source counter)
-        self._fetch_source = _Bound(bind_fetch_source)
-        self._layer_evictions = _Bound(lambda layer: m.counter(f"{layer}.evictions"))
         self._audit_action = _Bound(lambda action: m.counter(f"audit.{action}"))
-        self._rpc_shard_calls = _Bound(
-            lambda shard: m.counter(f"rpc.shard{int(shard)}.calls")
-        )
-        self._rpc_shard_failures = _Bound(
-            lambda shard: m.counter(f"rpc.shard{int(shard)}.failures")
-        )
-        self._rpc_error = _Bound(lambda error: m.counter(f"rpc.errors.{error}"))
+
+    # ------------------------------------------------------------------
+    def register(self, owner: Any) -> None:
+        """Read ``owner.counters()`` into every :meth:`snapshot` (once per
+        object however often it attaches; never on an inactive observer)."""
+        if self.active:
+            self._owners.setdefault(id(owner), owner)
+
+    def snapshot(self) -> Dict[str, Dict]:
+        """The registry's snapshot plus the owners' counts, summed by name;
+        like a registry counter, a read count appears once it is non-zero."""
+        snap = self.metrics.snapshot()
+        counters = snap["counters"]
+        for owner in self._owners.values():
+            for name, value in owner.counters().items():
+                if value:
+                    counters[name] = counters.get(name, 0) + value
+        snap["counters"] = dict(sorted(counters.items()))
+        return snap
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: Any) -> None:
@@ -225,16 +233,13 @@ class Observer:
         )
 
     # -- store ----------------------------------------------------------
-    def on_store_fetch(self, index: int, nbytes: int, latency_s: float) -> None:
+    def on_store_fetch(self, latency_s: float) -> None:
         """A remote-store fetch completed (real simulated I/O).
 
         The latency accumulates until the enclosing cache fetch (or
         prefetch) consumes it, so retry stacks charging multiple inner
         fetches per logical request aggregate correctly.
         """
-        counter = self._counter
-        counter["store.fetches"].inc()
-        counter["store.bytes_fetched"].inc(nbytes)
         self._histogram["store.fetch_latency_s"].observe(latency_s)
         self._pending_store_latency_s += latency_s
 
@@ -252,15 +257,13 @@ class Observer:
         remote fetches attach the store latency accumulated since the
         last consume, cache serves attach the configured hit latency.
         """
-        src, by_source = self._fetch_source[source]
+        src = getattr(source, "value", source)
         if src == "remote":
             latency_s = self.take_store_latency()
         elif src == "skipped":
             latency_s = 0.0
         else:
             latency_s = self.hit_latency_s
-        self._counter["cache.fetches"].inc()
-        by_source.inc()
         self._histogram["cache.fetch_latency_s"].observe(latency_s)
         if self.recorder.enabled:
             self._emit_row(
@@ -270,7 +273,6 @@ class Observer:
     def on_prefetch(self, index: int, admitted: bool) -> None:
         """An importance-driven prefetch fetched (and possibly admitted)."""
         latency_s = self.take_store_latency()
-        self._counter["cache.prefetches"].inc()
         if self.recorder.enabled:
             self._emit_row(("prefetch", int(index), bool(admitted), latency_s))
 
@@ -302,11 +304,10 @@ class Observer:
         admitted: bool,
         evicted_key: Optional[int],
     ) -> None:
-        """The Importance Cache decided on a freshly fetched sample."""
-        counter = self._counter
-        counter["importance.admitted" if admitted else "importance.rejected"].inc()
-        if evicted_key is not None:
-            counter["importance.evictions"].inc()
+        """The Importance Cache decided on a freshly fetched sample
+        (admissions and evictions are the cache's own counts)."""
+        if not admitted:
+            self.metrics.counter("importance.rejected").inc()
         if self.recorder.enabled:
             self._emit_row((
                 "importance_admit", int(key), float(score), bool(admitted),
@@ -316,24 +317,14 @@ class Observer:
     def on_evict(self, layer: str, key: int, reason: str) -> None:
         """A cache layer evicted a resident outside the admit path
         (FIFO turnover, elastic shrink)."""
-        self._layer_evictions[layer].inc()
         if self.recorder.enabled:
             self._emit_row(("evict", layer, int(key), reason))
 
     def on_homophily_insert(self, key: int, n_neighbors: int) -> None:
         """The Homophily Cache inserted a batch's top-degree node."""
-        self.metrics.counter("homophily.insertions").inc()
         self.emit(
             "homophily_insert", key=int(key), n_neighbors=int(n_neighbors)
         )
-
-    def on_degraded(self, requested_id: int, served_id: Optional[int]) -> None:
-        """Degraded mode served a widened substitute (or skipped)."""
-        m = self.metrics
-        if served_id is None:
-            m.counter("degraded.skipped").inc()
-        else:
-            m.counter("degraded.substituted").inc()
 
     def on_audit(
         self,
@@ -378,32 +369,11 @@ class Observer:
         )
 
     # -- sharded cache service -------------------------------------------
-    def on_rpc(
-        self,
-        shard: int,
-        method: str,
-        latency_s: float,
-        ok: bool = True,
-        error: Optional[str] = None,
-    ) -> None:
-        """One cache-protocol RPC attempt finished (metrics only: flat
-        per-call trace events would dwarf the fetch stream — with span
-        tracing enabled the channel records per-attempt ``rpc_attempt``
-        spans instead, which carry the same classification plus causal
-        context).
-
-        ``ok=False`` marks a failed attempt; ``error`` carries its
-        classification (``"outage"`` — the call never executed — or
-        ``"timeout"`` — ambiguous, it may have executed server-side).
-        """
-        counter = self._counter
-        counter["rpc.calls"].inc()
-        self._rpc_shard_calls[shard].inc()
-        if not ok:
-            counter["rpc.failures"].inc()
-            self._rpc_shard_failures[shard].inc()
-            if error:
-                self._rpc_error[error].inc()
+    def on_rpc(self, latency_s: float) -> None:
+        """One cache-protocol RPC attempt finished (its latency histogram
+        only: the transport counts attempts and their classification, and
+        with span tracing enabled records a per-attempt ``rpc_attempt``
+        span — flat per-call trace events would dwarf the fetch stream)."""
         self._histogram["rpc.latency_s"].observe(float(latency_s))
 
     def on_resize(self, old_n: int, new_n: int, planned_moves: int) -> None:
@@ -527,10 +497,6 @@ class Observer:
         the owner labeled its breaker; with span tracing on, the emitted
         event's trace/span stamp ties the trip to the RPC that caused it.
         """
-        m = self.metrics
-        m.counter("breaker.transitions").inc()
-        if new == "open":
-            m.counter("breaker.opens").inc()
         if where is None:
             self.emit("breaker", old=old, new=new, at_s=float(at_s))
         else:

@@ -199,8 +199,8 @@ def write_run_artifacts(
 ) -> Path:
     """Export a run as ``epochs.jsonl`` + ``summary.json`` under ``out_dir``.
 
-    Returns the output directory. ``metrics_snapshot`` is a
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; ``meta`` holds
+    Returns the output directory. ``metrics_snapshot`` is an
+    :meth:`~repro.obs.observer.Observer.snapshot`; ``meta`` holds
     provenance (seed, argv, preset) for the reproducibility report.
     """
     out = Path(out_dir)
@@ -581,13 +581,9 @@ def render_report(run_dir: Union[str, Path]) -> str:
         summary = json.loads(summary_path.read_text())
         counters = summary.get("metrics", {}).get("counters", {})
         if counters:
-            interesting = {
-                k: v for k, v in counters.items()
-                if not k.startswith("cache.fetch.") or v
-            }
             lines.append(
                 "counters: "
-                + "  ".join(f"{k}={v}" for k, v in sorted(interesting.items()))
+                + "  ".join(f"{k}={v}" for k, v in sorted(counters.items()))
             )
         meta = summary.get("meta")
         if meta:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -86,10 +86,19 @@ class CircuitBreaker:
 
         ``label`` (e.g. ``"shard3"``) is attached to every transition
         event so multi-breaker owners stay distinguishable in the trace.
+        Registers :meth:`counters` with ``observer``.
         """
         self._obs = observer
+        observer.register(self)
         if label is not None:
             self.label = str(label)
+
+    def counters(self) -> Dict[str, int]:
+        """Transitions, and those into open, under the metrics names."""
+        return {
+            "breaker.opens": sum(e.new is BreakerState.OPEN for e in self.events),
+            "breaker.transitions": len(self.events),
+        }
 
     # ------------------------------------------------------------------
     def _transition(self, new: BreakerState, now: float) -> None:

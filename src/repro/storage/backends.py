@@ -8,7 +8,7 @@ IS-only experiments where caching is disabled but I/O time is irrelevant.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -62,8 +62,16 @@ class RemoteStore:
         self._obs = NULL_OBSERVER
 
     def attach_observer(self, observer: Observer) -> None:
-        """Publish per-fetch latency/bytes to ``observer``."""
+        """Publish per-fetch latency and :meth:`counters` to ``observer``."""
         self._obs = observer
+        observer.register(self)
+
+    def counters(self) -> Dict[str, int]:
+        """Fetches and bytes under the metrics names."""
+        return {
+            "store.fetches": self.fetch_count,
+            "store.bytes_fetched": self.bytes_fetched,
+        }
 
     def __len__(self) -> int:
         return self._payloads.shape[0]
@@ -84,7 +92,7 @@ class RemoteStore:
         latency_s = self.latency.sample(nbytes)
         self.clock.advance(self.STAGE, latency_s)
         if self._obs.active:
-            self._obs.on_store_fetch(index, nbytes, latency_s)
+            self._obs.on_store_fetch(latency_s)
         return self._payloads[index]
 
     def peek(self, index: int) -> np.ndarray:
@@ -107,9 +115,9 @@ class InMemoryStore:
         self.clock = SimClock()
         self._obs = NULL_OBSERVER
 
-    def attach_observer(self, observer: Observer) -> None:
-        """Publish per-fetch activity to ``observer`` (zero latency)."""
-        self._obs = observer
+    # The remote tier's counters and observer wiring (zero latency here).
+    attach_observer = RemoteStore.attach_observer
+    counters = RemoteStore.counters
 
     def __len__(self) -> int:
         return self._payloads.shape[0]
@@ -123,8 +131,9 @@ class InMemoryStore:
         if not 0 <= index < len(self):
             raise IndexError(f"sample index {index} out of range")
         self.fetch_count += 1
+        self.bytes_fetched += self.size_of(index)
         if self._obs.active:
-            self._obs.on_store_fetch(index, self.size_of(index), 0.0)
+            self._obs.on_store_fetch(0.0)
         return self._payloads[index]
 
     def peek(self, index: int) -> np.ndarray:

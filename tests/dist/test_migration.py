@@ -206,6 +206,39 @@ def test_migrate_in_replay_is_idempotent():
     assert cli.verify_placement() == []
 
 
+def test_migrate_in_survives_a_delete_queued_on_its_target():
+    """Ring round trip 1 -> 2 -> 1 with shard 0 down through the first
+    leg: a key evicted from shard 0 (then re-admitted on shard 1) leaves a
+    delete queued there. Moving the key back lands it on shard 0, and the
+    flush that the landing call's success triggers must not destroy it; a
+    move that fails keeps the queued delete."""
+    cli = make_client(n_shards=1, total=4)
+    key = next(k for k in range(100) if cli.ring.spawn(2).shard_for(k) == 1)
+    cli.fetch(key, 1.0, payload)
+    assert cli._imp_loc[key] == 0
+    cli.resize(2, drain=False)
+    cli.set_fault_plan(0, OUTAGE)
+    cli.importance.shrink_to(0)  # the delete on shard 0 fails: queued
+    assert ("imp", key) in cli._pending_deletes[0]
+    cli.importance.grow_to(2)
+    cli.fetch(key, 1.0, payload)  # re-admitted on the target ring's shard 1
+    assert cli._imp_loc[key] == 1
+    cli.continue_migration()  # the key's batch is void: nothing left on 0
+    assert cli.migration is None and cli.n_shards == 2
+
+    cli.resize(1, drain=False)
+    cli.continue_migration()  # shard 0 still down: the batch fails...
+    assert ("imp", key) in cli._pending_deletes[0]  # ...and keeps its repair
+    cli.set_fault_plan(0, None)
+    cli.clock.advance("compute", 1.0)  # past shard 0's breaker cool-down
+    cli.continue_migration()  # moves the key back onto shard 0
+    assert cli.migration is None
+    assert cli.verify_placement() == []
+    out = cli.fetch(key, 1.0, payload)
+    assert out.source.value == "importance"
+    np.testing.assert_array_equal(out.payload, payload(key))
+
+
 def test_continue_migration_without_resize_is_a_noop():
     cli = make_client()
     assert cli.continue_migration() is None

@@ -144,3 +144,4 @@ def test_inactive_observer_run_emits_nothing_and_allocates_no_spans(
     assert allocations == []
     snap = obs.metrics.snapshot()
     assert snap["counters"] == {} and snap["histograms"] == {}
+    assert obs.snapshot() == snap  # and no component registered its counts

@@ -29,20 +29,7 @@ def test_histogram_bucketing():
     # Inclusive upper edges; 1000 overflows.
     assert h.counts == [2, 1, 1, 1]
     assert h.count == 5
-    assert h.mean == pytest.approx(1056.5 / 5)
-
-
-def test_histogram_quantile_and_empty():
-    h = Histogram("lat", bounds=(1.0, 10.0, 100.0))
-    assert h.mean == 0.0
-    assert h.quantile(0.5) == 0.0
-    for _ in range(9):
-        h.observe(0.5)
-    h.observe(500.0)
-    assert h.quantile(0.5) == 1.0
-    assert h.quantile(1.0) == 100.0  # overflow reports largest finite bound
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
+    assert h.total == 1056.5
 
 
 def test_histogram_rejects_unsorted_bounds():
@@ -62,7 +49,7 @@ def test_registry_get_or_create():
     assert reg.histogram("h") is reg.histogram("h")
 
 
-def test_registry_snapshot_and_reset():
+def test_registry_snapshot():
     reg = MetricsRegistry()
     reg.counter("c").inc(7)
     reg.gauge("g").set(0.9)
@@ -72,5 +59,3 @@ def test_registry_snapshot_and_reset():
     assert snap["gauges"] == {"g": 0.9}
     assert snap["histograms"]["h"]["count"] == 1
     assert snap["histograms"]["h"]["counts"] == [1, 0]
-    reg.reset()
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}

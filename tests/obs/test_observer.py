@@ -9,6 +9,7 @@ from repro.obs import NULL_OBSERVER, InMemoryRecorder, MetricsRegistry, Observer
 from repro.resilience import CircuitBreaker
 from repro.resilience.errors import DegradedModeError
 from repro.storage.backends import RemoteStore
+from repro.train.trainer import TrainerConfig
 
 
 def _observer():
@@ -33,7 +34,7 @@ def test_components_default_to_null_observer():
 
 
 def test_store_latency_consumed_by_fetch_event():
-    obs, rec, reg = _observer()
+    obs, rec, _ = _observer()
     store = RemoteStore(np.zeros((4, 2)), item_nbytes=1024)
     store.attach_observer(obs)
     cache = SemanticCache(total_capacity=8)
@@ -48,8 +49,9 @@ def test_store_latency_consumed_by_fetch_event():
     assert ev["latency_s"] > 0
     # Consumed: nothing pending for the next event.
     assert obs.take_store_latency() == 0.0
-    assert reg.counter("store.fetches").value == 1
-    assert reg.counter("cache.fetch.remote").value == 1
+    counters = obs.snapshot()["counters"]
+    assert counters["store.fetches"] == 1
+    assert counters["cache.fetch.remote"] == 1
 
 
 def test_cache_hit_uses_hit_latency():
@@ -66,7 +68,7 @@ def test_cache_hit_uses_hit_latency():
 
 
 def test_importance_admission_events():
-    obs, rec, reg = _observer()
+    obs, rec, _ = _observer()
     cache = SemanticCache(total_capacity=4, imp_ratio=1.0)
     cache.attach_observer(obs)
     imp = cache.importance
@@ -78,13 +80,14 @@ def test_importance_admission_events():
     assert len(admits) == 6
     assert admits[4]["admitted"] is False
     assert admits[5]["admitted"] is True and admits[5]["evicted_key"] is not None
-    assert reg.counter("importance.admitted").value == 5
-    assert reg.counter("importance.rejected").value == 1
-    assert reg.counter("importance.evictions").value == 1
+    counters = obs.snapshot()["counters"]
+    assert counters["importance.admitted"] == 5
+    assert counters["importance.rejected"] == 1
+    assert counters["importance.evictions"] == 1
 
 
 def test_degraded_serve_events():
-    obs, rec, reg = _observer()
+    obs, rec, _ = _observer()
     cache = SemanticCache(total_capacity=10, imp_ratio=0.5)
     cache.attach_observer(obs)
     cache.update_homophily(3, np.full(4, 3.0), [30])
@@ -97,11 +100,11 @@ def test_degraded_serve_events():
     assert out.source is FetchSource.DEGRADED
     (ev,) = rec.of_kind("fetch")
     assert ev["source"] == "degraded"
-    assert reg.counter("degraded.substituted").value == 1
+    assert obs.snapshot()["counters"]["degraded.substituted"] == 1
 
 
 def test_breaker_transition_events():
-    obs, rec, reg = _observer()
+    obs, rec, _ = _observer()
     br = CircuitBreaker(failure_threshold=2, cooldown_s=1.0)
     br.attach_observer(obs)
     br.record_failure(0.0)
@@ -112,8 +115,60 @@ def test_breaker_transition_events():
     assert kinds == [
         ("closed", "open"), ("open", "half_open"), ("half_open", "closed")
     ]
-    assert reg.counter("breaker.opens").value == 1
-    assert reg.counter("breaker.transitions").value == 3
+    counters = obs.snapshot()["counters"]
+    assert counters["breaker.opens"] == 1
+    assert counters["breaker.transitions"] == 3
+
+
+def test_snapshot_reads_each_owner_once_and_only_non_zero_counts():
+    obs, _, reg = _observer()
+    store, other = RemoteStore(np.zeros((4, 2))), RemoteStore(np.zeros((4, 2)))
+    for s in (store, store, other):  # re-attaching registers nothing new
+        s.attach_observer(obs)
+    CircuitBreaker().attach_observer(obs)  # registered, never transitions
+    store.get(0)
+    store.get(1)
+    other.get(2)
+    assert obs.snapshot()["counters"] == {
+        "store.bytes_fetched": 3 * 3 * 1024, "store.fetches": 3,
+    }
+    assert reg.snapshot()["counters"] == {}
+    # The shared null observer registers nothing.
+    store.attach_observer(NULL_OBSERVER)
+    assert NULL_OBSERVER.snapshot()["counters"] == {}
+
+
+def test_no_hook_counts_what_an_owner_keeps():
+    """After a traced sharded run every owner's count is exported, and
+    the registry itself holds none of those names."""
+    from repro.core.policy import SpiderCachePolicy
+    from repro.data.synthetic import make_clustered_dataset, train_test_split
+    from repro.nn.models import build_model
+    from repro.train.data_parallel import DataParallelTrainer
+
+    ds = make_clustered_dataset(240, n_classes=4, dim=16, rng=0)
+    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    obs, _, reg = _observer()
+    dp = DataParallelTrainer(
+        model_factory=lambda: build_model("resnet18", train.dim,
+                                          train.num_classes, rng=2),
+        train_set=train, test_set=test,
+        policy_factory=lambda rank: SpiderCachePolicy(cache_fraction=0.3, rng=3),
+        world_size=2, shared_cache=True, cache_shards=2,
+        config=TrainerConfig(epochs=2, batch_size=32), observer=obs, rng=4,
+    )
+    dp.run()
+    worker = dp.workers[0]
+    client = worker.policy.cache
+    owners = [worker.policy, worker.store, client, client.transport,
+              *client.breakers.values()]
+    owned = {name for owner in owners for name in owner.counters()}
+    live = reg.snapshot()["counters"]
+    assert live and not owned & set(live)
+    exported = obs.snapshot()["counters"]
+    assert exported["cache.fetches"] == client.stats.requests
+    assert exported["rpc.calls"] == client.transport.calls
+    assert exported["store.fetches"] == worker.store.fetch_count
 
 
 def test_elastic_decision_events():
@@ -140,7 +195,7 @@ def test_metrics_only_observer_skips_trace():
     reg = MetricsRegistry()
     obs = Observer(metrics=reg)  # NullRecorder by default
     obs.on_fetch(0, 0, FetchSource.REMOTE)
-    assert reg.counter("cache.fetches").value == 1
+    assert reg.snapshot()["histograms"]["cache.fetch_latency_s"]["count"] == 1
     assert obs.recorder.enabled is False
 
 

@@ -29,14 +29,13 @@ from tests.train.topologies import TOPOLOGIES
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """One traced SpiderCache run: (result, events, registry, run_dir)."""
+    """One traced SpiderCache run: (result, events, observer, run_dir)."""
     out = tmp_path_factory.mktemp("traced-run")
     ds = make_clustered_dataset(400, n_classes=4, dim=16, rng=0)
     train, test = train_test_split(ds, test_fraction=0.25, rng=1)
     model = build_model("resnet18", train.dim, train.num_classes, rng=2)
     recorder = JsonlRecorder(out / TRACE_FILE)
-    registry = MetricsRegistry()
-    observer = Observer(recorder=recorder, metrics=registry)
+    observer = Observer(recorder=recorder)
     policy = SpiderCachePolicy(cache_fraction=0.3, rng=3)
     trainer = Trainer(
         model, train, test, policy,
@@ -46,12 +45,12 @@ def traced_run(tmp_path_factory):
     result = trainer.run()
     recorder.close()
     write_run_artifacts(
-        result, out, metrics_snapshot=registry.snapshot(),
+        result, out, metrics_snapshot=observer.snapshot(),
         meta={"seed": 0},
     )
     from repro.obs import read_jsonl
 
-    return result, read_jsonl(out / TRACE_FILE), registry, out
+    return result, read_jsonl(out / TRACE_FILE), observer, out
 
 
 def test_trace_aggregation_reproduces_epoch_metrics(traced_run):
@@ -70,9 +69,9 @@ def test_trace_aggregation_reproduces_epoch_metrics(traced_run):
 
 
 def test_trace_fetch_counts_match_metrics(traced_run):
-    _, events, registry, _ = traced_run
+    _, events, observer, _ = traced_run
     fetches = [e for e in events if e["kind"] == "fetch"]
-    full = registry.snapshot()
+    full = observer.snapshot()
     snap = full["counters"]
     assert len(fetches) == snap["cache.fetches"]
     remote = sum(1 for e in fetches if e["source"] == "remote")
@@ -201,7 +200,6 @@ def test_rpc_attempt_line_equals_the_rpc_calls_counter(tmp_path):
     ds = make_clustered_dataset(240, n_classes=4, dim=16, rng=0)
     train, test = train_test_split(ds, test_fraction=0.25, rng=1)
     recorder = JsonlRecorder(tmp_path / TRACE_FILE)
-    registry = MetricsRegistry()
     dp = DataParallelTrainer(
         model_factory=lambda: build_model("resnet18", train.dim,
                                           train.num_classes, rng=2),
@@ -212,13 +210,13 @@ def test_rpc_attempt_line_equals_the_rpc_calls_counter(tmp_path):
         shared_cache=True,
         cache_shards=2,
         config=TrainerConfig(epochs=2, batch_size=32),
-        observer=Observer(recorder=recorder, metrics=registry, span_seed=5),
+        observer=Observer(recorder=recorder, span_seed=5),
         rng=4,
     )
     result = dp.run()
     recorder.close()
-    write_run_artifacts(result, tmp_path, metrics_snapshot=registry.snapshot())
-    calls = registry.counter("rpc.calls").value
+    write_run_artifacts(result, tmp_path)
+    calls = dp.workers[0].policy.cache.transport.calls
     assert calls > 0
     match = re.search(r"rpc transport: sim=(\d+) attempt\(s\)",
                       render_report(tmp_path))

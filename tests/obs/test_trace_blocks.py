@@ -118,7 +118,7 @@ def test_observer_hooks_emit_schema_rows(tmp_path):
     the same hooks on an in-memory sink (flat and immediate)."""
     def drive(obs):
         obs.set_epoch(2)
-        obs.on_store_fetch(1, 100, 0.004)
+        obs.on_store_fetch(0.004)
         obs.on_fetch(1, 1, "remote")
         obs.on_admit(1, 0.5, True, None)
         obs.on_admit(2, 0.7, True, 1)
@@ -126,7 +126,7 @@ def test_observer_hooks_emit_schema_rows(tmp_path):
                      requested_id=2, reason="displaced")
         obs.on_audit("substitute", 4, "homophily", requested_id=9)
         obs.on_evict("homophily", 4, "fifo")
-        obs.on_store_fetch(3, 100, 0.002)
+        obs.on_store_fetch(0.002)
         obs.on_prefetch(3, False)
         obs.close()
 

@@ -8,6 +8,7 @@ epoch metrics, and simulated clock as a run that was never interrupted.
 import numpy as np
 import pytest
 
+from repro.obs import Observer
 from repro.resilience import (
     PreemptionError,
     PreemptionSchedule,
@@ -135,6 +136,30 @@ def test_exact_recovery_acceptance(build_run, tmp_path, policy_name):
     # order (heap layout, recency, frequency buckets, random-replacement
     # slots), payloads, score table, sampling RNG.
     _assert_same_state(base_policy.state_dict(), policy.state_dict())
+
+
+def test_resumed_run_exports_the_uninterrupted_runs_counts(build_run, tmp_path):
+    """The counts a component keeps are checkpointed with it, so the
+    metrics export of a twice-preempted run reads what an uninterrupted
+    run reads — replayed batches are not counted twice."""
+    base_obs, resumed_obs = Observer(), Observer()
+    build_run(Trainer, observer=base_obs)[0].run()
+    trainer = build_run(
+        ResilientTrainer, observer=resumed_obs,
+        checkpoint_dir=tmp_path / "ckpts", checkpoint_every_batches=3,
+        preemptions=PreemptionSchedule(at=[(1, 2), (2, 4)]),
+    )[0]
+    trainer.run()
+    assert trainer.recovery.replayed_batches > 0
+
+    def owner_counts(obs):
+        live = obs.metrics.snapshot()["counters"]
+        return {k: v for k, v in obs.snapshot()["counters"].items()
+                if k not in live}
+
+    want = owner_counts(base_obs)
+    assert {"cache.fetches", "store.fetches", "importance.admitted"} <= set(want)
+    assert owner_counts(resumed_obs) == want
 
 
 @EVERY_POLICY

@@ -65,6 +65,14 @@ def test_in_memory_store_no_latency():
         s.get(10)
 
 
+def test_in_memory_store_counts_the_bytes_it_serves():
+    s = InMemoryStore(np.arange(10.0).reshape(5, 2))
+    s.get(1)
+    s.get(3)
+    assert s.bytes_fetched == 2 * s.size_of(0) == 32
+    assert s.counters() == {"store.fetches": 2, "store.bytes_fetched": 32}
+
+
 def test_default_clock_created():
     s = RemoteStore(np.zeros((3, 1)))
     s.get(0)
