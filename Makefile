@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage shapes bench perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist load transport report all
+.PHONY: install test coverage shapes bench perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist transport report all
 
 # Where `make report` writes (and reads back) its traced demo run.
 REPORT_DIR ?= results/traced-run
@@ -69,26 +69,15 @@ dist:
 		--world-size 2 --shared-cache --cache-shards 2 \
 		--resize-shards-at 1:4
 
-# Load-harness suite (-m load: trace properties, replay differential,
-# autoscaler, burn-rate alerts, golden report) under the increased
-# Hypothesis budget, plus a small autoscaled replay smoke tuned to
-# exercise one grow and one shrink, with an SLO tight enough to fire the
-# burn-rate alerts (the golden-fixture recipe; see tests/load/).
-load:
-	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -m load
-	$(PYTHON) -m repro load --requests 6000 --keys 400 --capacity 200 \
-		--window 300 --base-rate 300 --slo-ms 2 --seed 7
-
 # Wall-clock transport suite (-m wallclock: sim/real parity oracle +
 # real-process chaos) with a hard timeout and NO retries — these tests
 # spawn real worker processes, and a flake here is a bug, not weather.
-# Plus a real-transport train + load smoke, exactly what CI runs.
+# Plus a real-transport train smoke with a live ring resize.
 transport:
 	timeout 300 $(PYTHON) -m pytest -m wallclock -p no:cacheprovider
 	timeout 120 $(PYTHON) -m repro train --policy spidercache --samples 600 \
 		--epochs 2 --world-size 2 --shared-cache --cache-shards 2 \
-		--transport real
-	timeout 120 $(PYTHON) -m repro load --requests 8000 --transport real
+		--resize-shards-at 1:4 --transport real
 
 # Tier-2 fault-injection suite plus the scenario sweep CLI.
 faults:

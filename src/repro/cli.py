@@ -10,8 +10,6 @@ Usage::
     python -m repro trace --policy spidercache --epochs 6 --capacity 0.2
     python -m repro train --policy spidercache --trace-dir runs/demo
     python -m repro report runs/demo
-    python -m repro load --requests 100000 --arrivals bursty \\
-        --trace-dir runs/load-demo
 
 ``train`` runs one policy and prints per-epoch metrics (with
 ``--trace-dir`` it also records a structured event trace and exports the
@@ -19,9 +17,7 @@ run artifacts); ``compare`` runs several policies on the identical
 dataset/model and prints the Fig.-1 triangle (hit ratio / accuracy /
 time); ``trace`` records the policy's access trace and reports LRU /
 MinIO / Belady-OPT hit ratios on it; ``report`` renders the tables for
-an exported run directory; ``load`` replays a seeded synthetic request
-trace against the sharded cache tier, with windowed tail-latency / SLO
-stats and an optional autoscaler growing and shrinking the ring live.
+an exported run directory and ``metrics`` exports its metrics snapshot.
 """
 
 from __future__ import annotations
@@ -128,9 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "text-format exposition",
     )
     metrics_p.add_argument(
-        "run_dir",
-        help="directory written by `repro train --trace-dir` or "
-             "`repro load --trace-dir`",
+        "run_dir", help="directory written by `repro train --trace-dir`"
     )
     metrics_p.add_argument(
         "--prefix", default="repro_",
@@ -149,85 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--capacity", type=float, default=0.2,
                          help="replay-cache capacity as a dataset fraction")
     add_common(trace_p)
-
-    load_p = sub.add_parser(
-        "load",
-        help="replay a synthetic request trace against the sharded tier "
-             "with tail-latency/SLO reporting and optional autoscaling",
-    )
-    load_p.add_argument("--requests", type=int, default=100000,
-                        help="trace length in requests")
-    load_p.add_argument("--keys", type=int, default=2000,
-                        help="keyspace size (sample ids)")
-    load_p.add_argument("--zipf-skew", type=float, default=1.1,
-                        help="zipfian popularity exponent (0 = uniform)")
-    load_p.add_argument("--put-fraction", type=float, default=0.05,
-                        help="fraction of requests that are homophily PUTs")
-    load_p.add_argument(
-        "--arrivals", default="bursty",
-        choices=["constant", "bursty", "diurnal", "bursty-diurnal"],
-        help="arrival-process shape",
-    )
-    load_p.add_argument("--base-rate", type=float, default=1200.0,
-                        help="baseline arrival rate (req/s; bursty off-rate)")
-    load_p.add_argument("--burst-rate", type=float, default=7000.0,
-                        help="bursty on-phase arrival rate (req/s)")
-    load_p.add_argument("--mean-on-s", type=float, default=1.5,
-                        help="mean burst duration (s)")
-    load_p.add_argument("--mean-off-s", type=float, default=3.0,
-                        help="mean quiet-phase duration (s)")
-    load_p.add_argument("--diurnal-amplitude", type=float, default=0.6,
-                        help="diurnal modulation amplitude in [0, 1)")
-    load_p.add_argument("--diurnal-period-s", type=float, default=30.0,
-                        help="diurnal modulation period (s)")
-    load_p.add_argument("--capacity", type=int, default=512,
-                        help="total cache capacity across shards (keys)")
-    load_p.add_argument("--imp-ratio", type=float, default=0.8,
-                        help="importance-tier fraction of capacity")
-    load_p.add_argument("--shards", type=int, default=2,
-                        help="initial shard count")
-    load_p.add_argument("--window", type=int, default=1000,
-                        help="requests per stats/autoscaler window")
-    load_p.add_argument("--slo-ms", type=float, default=20.0,
-                        help="SLO latency target (ms)")
-    load_p.add_argument("--slo-goal", type=float, default=0.99,
-                        help="SLO attainment goal in (0, 1]")
-    load_p.add_argument("--service-rate", type=float, default=2000.0,
-                        help="per-shard service capacity (req/s) for the "
-                             "congestion model")
-    load_p.add_argument("--miss-ms", type=float, default=1.0,
-                        help="backing-store fetch latency on a miss (ms)")
-    load_p.add_argument("--no-autoscale", action="store_true",
-                        help="replay at the fixed initial shard count")
-    load_p.add_argument("--min-shards", type=int, default=1)
-    load_p.add_argument("--max-shards", type=int, default=8)
-    load_p.add_argument("--p99-high-ms", type=float, default=8.0,
-                        help="grow when windowed p99 exceeds this (ms)")
-    load_p.add_argument("--p99-low-ms", type=float, default=3.0,
-                        help="shrink only when windowed p99 is under this (ms)")
-    load_p.add_argument("--util-high", type=float, default=0.85,
-                        help="grow when utilization exceeds this")
-    load_p.add_argument("--util-low", type=float, default=0.30,
-                        help="shrink only when utilization is under this")
-    load_p.add_argument("--breach-windows", type=int, default=2,
-                        help="consecutive breach windows before acting")
-    load_p.add_argument("--cooldown-windows", type=int, default=3,
-                        help="windows to sleep after any scaling decision")
-    load_p.add_argument("--growth-factor", type=float, default=2.0,
-                        help="multiplicative grow/shrink step (> 1)")
-    load_p.add_argument(
-        "--transport", choices=("sim", "real"), default="sim",
-        help="'sim' (default): simulated clock + congestion model, paced "
-             "open-loop from the trace timeline; 'real': shard servers in "
-             "worker processes, driven closed-loop at wall-clock speed "
-             "(measured latencies, congestion model bypassed)",
-    )
-    load_p.add_argument("--seed", type=int, default=0)
-    load_p.add_argument(
-        "--trace-dir", default=None,
-        help="write load.json (+ structured trace.jsonl) here; view with "
-             "`repro report <dir>`",
-    )
 
     faults_p = sub.add_parser(
         "faults", help="sweep fault scenarios (outage/brownout/preemption)"
@@ -436,20 +351,17 @@ def _cmd_metrics(args) -> int:
     from pathlib import Path
 
     from repro.obs import render_prometheus
-    from repro.obs.report import LOAD_FILE, SUMMARY_FILE
+    from repro.obs.report import SUMMARY_FILE
 
     run_dir = Path(args.run_dir)
+    path = run_dir / SUMMARY_FILE
     snapshot = None
-    for name in (SUMMARY_FILE, LOAD_FILE):
-        path = run_dir / name
-        if path.is_file():
-            snapshot = json.loads(path.read_text()).get("metrics")
-            if snapshot is not None:
-                break
+    if path.is_file():
+        snapshot = json.loads(path.read_text()).get("metrics")
     if snapshot is None:
         print(
             f"no metrics snapshot found under {run_dir}/ — run "
-            "`repro train --trace-dir` or `repro load --trace-dir` first",
+            "`repro train --trace-dir` first",
             file=sys.stderr,
         )
         return 2
@@ -494,178 +406,6 @@ def _cmd_trace(args) -> int:
     print(f"  LRU        {lru:.3f}")
     print(f"  MinIO      {minio:.3f}")
     print(f"  Belady OPT {opt:.3f}")
-    return 0
-
-
-def _build_arrivals(args):
-    """Map the ``--arrivals`` flag (plus rate knobs) to an ArrivalProcess."""
-    from repro.load import (
-        BurstyArrivals,
-        ConstantArrivals,
-        DiurnalArrivals,
-        ModulatedArrivals,
-    )
-
-    if args.arrivals == "constant":
-        return ConstantArrivals(rate=args.base_rate)
-    if args.arrivals == "diurnal":
-        return DiurnalArrivals(
-            base_rate=args.base_rate,
-            amplitude=args.diurnal_amplitude,
-            period_s=args.diurnal_period_s,
-        )
-    bursty = BurstyArrivals(
-        rate_low=args.base_rate,
-        rate_high=args.burst_rate,
-        mean_on_s=args.mean_on_s,
-        mean_off_s=args.mean_off_s,
-    )
-    if args.arrivals == "bursty-diurnal":
-        return ModulatedArrivals(
-            bursty,
-            amplitude=args.diurnal_amplitude,
-            period_s=args.diurnal_period_s,
-        )
-    return bursty
-
-
-def _cmd_load(args) -> int:
-    # Only what no constructor below checks for every invocation: where the
-    # CLI is stricter than the config classes (a trace needs a request; the
-    # key space must cover the smallest ring), and the rate knobs that only
-    # some --arrivals choices consume (an invalid flag is never a silently
-    # ignored one). Every other flag reaches a constructor that rejects it.
-    checks = [
-        (args.requests < 1, "--requests must be >= 1"),
-        (args.keys < 8, "--keys must be >= 8"),
-        (args.burst_rate <= 0, "--burst-rate must be positive"),
-        (args.mean_on_s <= 0 or args.mean_off_s <= 0,
-         "--mean-on-s and --mean-off-s must be positive"),
-        (not 0.0 <= args.diurnal_amplitude < 1.0,
-         "--diurnal-amplitude must be in [0, 1)"),
-        (args.diurnal_period_s <= 0, "--diurnal-period-s must be positive"),
-    ]
-    for bad, msg in checks:
-        if bad:
-            print(msg, file=sys.stderr)
-            return 2
-
-    from repro.load import (
-        Autoscaler,
-        AutoscalerConfig,
-        ReplayConfig,
-        ReplayHarness,
-        SloPolicy,
-        TraceConfig,
-        make_trace,
-        write_load_artifacts,
-    )
-
-    # Construction only: the config and arrival classes reject what they
-    # are handed (exit 2 through ``_reject``); a ValueError out of
-    # ``harness.run`` below is a bug and keeps its traceback.
-    try:
-        trace = make_trace(
-            TraceConfig(
-                n_requests=args.requests,
-                n_keys=args.keys,
-                zipf_exponent=args.zipf_skew,
-                put_fraction=args.put_fraction,
-            ),
-            _build_arrivals(args),
-            seed=args.seed,
-        )
-        # Built (hence checked) under --no-autoscale too.
-        scaling = AutoscalerConfig(
-            min_shards=args.min_shards,
-            max_shards=args.max_shards,
-            p99_high_s=args.p99_high_ms / 1e3,
-            p99_low_s=args.p99_low_ms / 1e3,
-            util_high=args.util_high,
-            util_low=args.util_low,
-            breach_windows=args.breach_windows,
-            cooldown_windows=args.cooldown_windows,
-            growth_factor=args.growth_factor,
-        )
-        autoscaler = None if args.no_autoscale else Autoscaler(scaling)
-        config = ReplayConfig(
-            total_capacity=args.capacity,
-            imp_ratio=args.imp_ratio,
-            n_shards=args.shards,
-            transport=args.transport,
-            window_requests=args.window,
-            slo=SloPolicy(target_s=args.slo_ms / 1e3, goal=args.slo_goal),
-            miss_latency_s=args.miss_ms / 1e3,
-            service_rate_per_shard=args.service_rate,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        return _reject(exc)
-    print(f"trace: {len(trace)} requests over {trace.duration_s:.2f}s "
-          f"({trace.offered_rps:.1f} req/s, {args.arrivals} arrivals, "
-          f"zipf {args.zipf_skew:g}, checksum {trace.checksum()})",
-          file=sys.stderr)
-
-    observer = None
-    recorder = None
-    if args.trace_dir is not None:
-        from pathlib import Path
-
-        from repro.obs import JsonlRecorder, Observer
-        from repro.obs.report import TRACE_FILE
-
-        out = Path(args.trace_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / TRACE_FILE).unlink(missing_ok=True)
-        recorder = JsonlRecorder(out / TRACE_FILE)
-        observer = Observer(recorder=recorder, span_seed=args.seed)
-
-    try:
-        harness = ReplayHarness(config, autoscaler=autoscaler, observer=observer)
-    except ValueError as exc:
-        return _reject(exc)
-    try:
-        result = harness.run(trace)
-    finally:
-        harness.close()
-    if recorder is not None:
-        recorder.close()
-
-    lat = result.overall
-    print(f"replayed {result.n_requests} requests: "
-          f"p50 {lat.p50_s * 1e3:.3f}ms  p99 {lat.p99_s * 1e3:.3f}ms  "
-          f"p999 {lat.p999_s * 1e3:.3f}ms  max {lat.max_s * 1e3:.3f}ms")
-    verdict = "MET" if result.slo_met else "MISSED"
-    print(f"SLO: {result.attainment * 100:.3f}% within {args.slo_ms:g}ms "
-          f"(goal {args.slo_goal * 100:g}%) -> {verdict}")
-    print(f"cache: hit_ratio {result.cache['hit_ratio']:.3f}  "
-          f"dropped {result.cache['dropped_admits']}  "
-          f"degraded {result.cache['degraded_lookups']}")
-    print(f"autoscaler: {result.grows} grow(s), {result.shrinks} shrink(s); "
-          f"shards {result.initial_shards} -> {result.final_shards} "
-          f"({result.resizes_verified} resize(s) verified, "
-          f"{result.moved_keys} key(s) moved)")
-    for d in result.decisions:
-        print(f"  window {d.window:>4}: {d.action:<6} {d.old_n} -> {d.new_n}"
-              f"  ({d.reason})")
-    alerts = result.alerts
-    firing = alerts.get("firing", [])
-    events = alerts.get("events", [])
-    status = "FIRING: " + ", ".join(firing) if firing else "none firing"
-    print(f"burn-rate alerts: {status} "
-          f"({len(events)} transition(s))")
-    for ev in events:
-        print(f"  window {ev['window']:>4}: {ev['rule']:<5} "
-              f"{ev['state']:<9} burn short={ev['burn_short']:.2f}x "
-              f"long={ev['burn_long']:.2f}x (thr {ev['threshold']:g}x)")
-    print(f"digest: {result.digest()}")
-    if args.trace_dir is not None:
-        write_load_artifacts(
-            result, args.trace_dir,
-            metrics_snapshot=observer.snapshot(),
-        )
-        print(f"run artifacts written to {args.trace_dir}/ "
-              f"(view with `repro report {args.trace_dir}`)")
     return 0
 
 
@@ -725,7 +465,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "train": _cmd_train,
         "compare": _cmd_compare,
         "trace": _cmd_trace,
-        "load": _cmd_load,
         "faults": _cmd_faults,
         "report": _cmd_report,
         "metrics": _cmd_metrics,

@@ -1,6 +1,6 @@
 """Critical-path analysis over reconstructed span trees.
 
-Answers "what actually bounds epoch (or window) time?". For each root
+Answers "what actually bounds epoch time?". For each root
 span, walk backwards from its end: the child that finishes last before
 the cursor is on the critical path; recurse into it, then continue from
 its start. Intervals not covered by any child are the parent's *self
@@ -91,32 +91,25 @@ def _fmt_breakdown(total: float, breakdown: Dict[str, float], top: int) -> str:
 
 def critpath_lines(
     events: Iterable[Dict],
-    group_names: Tuple[str, ...] = ("epoch", "window"),
     top: int = 4,
     max_rows: int = 8,
 ) -> List[str]:
     """The ``repro report`` critical-path section body (no header).
 
-    Groups by the first name in ``group_names`` that occurs in the trace
-    (epochs for training runs, windows for load runs); one row per group
-    plus an all-groups aggregate. Returns ``[]`` when the trace has no
-    span events — the report omits the section for pre-span traces.
+    One row per ``epoch`` span plus an all-epochs aggregate; a trace
+    without epoch spans is analyzed per root. Returns ``[]`` when the
+    trace has no span events — the report omits the section for
+    pre-span traces.
     """
     roots, by_id = build_span_forest(events)
     if not by_id:
         return []
-    group_name = next(
-        (g for g in group_names
-         if any(n.name == g for n in by_id.values())),
-        None,
+    epochs = sorted(
+        (n for n in by_id.values() if n.name == "epoch"),
+        key=lambda n: (n.t0_s, n.span_id),
     )
-    if group_name is None:
-        groups = roots  # no epoch/window tier: analyze the roots directly
-    else:
-        groups = sorted(
-            (n for n in by_id.values() if n.name == group_name),
-            key=lambda n: (n.t0_s, n.span_id),
-        )
+    group_name = "epoch" if epochs else "root"
+    groups = epochs or roots
     lines: List[str] = []
     combined: Dict[str, float] = {}
     combined_total = 0.0
@@ -128,7 +121,7 @@ def critpath_lines(
         for name, secs in breakdown.items():
             combined[name] = combined.get(name, 0.0) + secs
         if i < n_shown:
-            idx = g.event.get(g.name, i)  # e.g. {"epoch": 0} / {"window": 3}
+            idx = g.event.get(g.name, i)  # e.g. {"epoch": 0}
             lines.append(
                 "  %s %-3s %.4fs: %s"
                 % (g.name, idx, g.dur_s, _fmt_breakdown(g.dur_s, breakdown, top))
@@ -141,7 +134,7 @@ def critpath_lines(
             "  total %d %s(s) %.4fs: %s"
             % (
                 len(groups),
-                group_name or "root",
+                group_name,
                 combined_total,
                 _fmt_breakdown(combined_total, ordered, top),
             )

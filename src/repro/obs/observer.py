@@ -73,8 +73,7 @@ class Observer:
     uninterrupted one would. What stays live in the registry is a
     *journal tally* that includes replayed work after a restore:
     ``importance.rejected``, ``audit.*``, ``train.*``, ``prefetch.*``,
-    ``checkpoint.*``, ``resize.*``, ``load.*`` / ``autoscale.*`` /
-    ``alerts.*``, and every gauge and histogram.
+    ``checkpoint.*``, ``resize.*``, and every gauge and histogram.
 
     Parameters
     ----------
@@ -150,8 +149,8 @@ class Observer:
 
         With span tracing enabled, every event is additionally stamped
         with the trace ID and the innermost open span on the calling
-        thread — the correlation that ties breaker trips, audit
-        decisions, and window stats back to the request causing them.
+        thread — the correlation that ties breaker trips and audit
+        decisions back to the request causing them.
 
         This is the cold path (a kwargs dict per event): the hooks whose
         volume grows with the number of requests go through
@@ -395,97 +394,6 @@ class Observer:
             m.gauge(f"shard{sid}.imp_len").set(snap["imp_len"])
             m.gauge(f"shard{sid}.hom_len").set(snap["hom_len"])
         self.emit("shards", shards=list(snapshots))
-
-    # -- load harness ----------------------------------------------------
-    def on_load_window(
-        self,
-        window: int,
-        n: int,
-        p50_s: float,
-        p99_s: float,
-        p999_s: float,
-        attainment: float,
-        offered_rps: float,
-        utilization: float,
-        n_shards: int,
-    ) -> None:
-        """The replay harness closed one request window."""
-        m = self.metrics
-        m.counter("load.windows").inc()
-        m.counter("load.requests").inc(n)
-        m.gauge("load.p99_s").set(p99_s)
-        m.gauge("load.attainment").set(attainment)
-        m.gauge("load.utilization").set(utilization)
-        m.gauge("load.n_shards").set(n_shards)
-        self.emit(
-            "load_window",
-            window=int(window),
-            n=int(n),
-            p50_s=float(p50_s),
-            p99_s=float(p99_s),
-            p999_s=float(p999_s),
-            attainment=float(attainment),
-            offered_rps=float(offered_rps),
-            utilization=float(utilization),
-            n_shards=int(n_shards),
-        )
-
-    def on_autoscale(
-        self,
-        action: str,
-        old_n: int,
-        new_n: int,
-        window: int,
-        reason: str,
-        p99_s: float,
-        utilization: float,
-    ) -> None:
-        """The autoscaler issued a grow/shrink decision during replay."""
-        m = self.metrics
-        m.counter("autoscale.decisions").inc()
-        m.counter(f"autoscale.{action}").inc()
-        m.gauge("autoscale.n_shards").set(new_n)
-        self.emit(
-            "autoscale",
-            action=action,
-            old_n_shards=int(old_n),
-            new_n_shards=int(new_n),
-            window=int(window),
-            reason=reason,
-            p99_s=float(p99_s),
-            utilization=float(utilization),
-        )
-
-    def on_alert(
-        self,
-        rule: str,
-        state: str,
-        window: int,
-        burn_short: float,
-        burn_long: float,
-        threshold: float,
-    ) -> None:
-        """A burn-rate alert rule changed state during load replay.
-
-        ``state`` is ``"firing"`` or ``"resolved"``; the burn rates are
-        the short- and long-lookback error-budget consumption multiples
-        that crossed (or fell back under) the rule's threshold.
-        """
-        m = self.metrics
-        m.counter("alerts.transitions").inc()
-        if state == "firing":
-            m.counter(f"alerts.{rule}.firing").inc()
-        m.gauge(f"alerts.{rule}.burn_short").set(burn_short)
-        m.gauge(f"alerts.{rule}.burn_long").set(burn_long)
-        self.emit(
-            "alert",
-            rule=rule,
-            state=state,
-            window=int(window),
-            burn_short=float(burn_short),
-            burn_long=float(burn_long),
-            threshold=float(threshold),
-        )
 
     # -- resilience ------------------------------------------------------
     def on_breaker(

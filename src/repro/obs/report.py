@@ -37,13 +37,11 @@ __all__ = [
     "TRACE_FILE",
     "EPOCHS_FILE",
     "SUMMARY_FILE",
-    "LOAD_FILE",
 ]
 
 TRACE_FILE = "trace.jsonl"
 EPOCHS_FILE = "epochs.jsonl"
 SUMMARY_FILE = "summary.json"
-LOAD_FILE = "load.json"  # written by repro.load.replay.write_load_artifacts
 
 
 @dataclass
@@ -376,8 +374,7 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
             )
 
     if not epochs:
-        # Load-only run directory: no per-epoch metrics to check against.
-        return lines
+        return lines  # no per-epoch metrics to check against
 
     restores = by_kind.get("restore", 0)
     if restores:
@@ -418,123 +415,17 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
     return lines
 
 
-def _load_section(doc: Dict[str, Any]) -> List[str]:
-    """Render the load / SLO section from a ``load.json`` document.
-
-    Pure dict-in, lines-out — the report never imports ``repro.load``
-    (which itself imports this module for the artifact filename).
-    """
-    lines = ["load / SLO:"]
-    trace = doc.get("trace", {})
-    shape = trace.get("arrivals", trace.get("kind", "?"))
-    if isinstance(shape, dict):
-        shape = shape.get("kind", "?")
-    lines.append(
-        f"  workload: {doc.get('requests', 0)} requests over "
-        f"{doc.get('duration_s', 0.0):.2f}s "
-        f"({doc.get('offered_rps', 0.0):.1f} req/s offered, "
-        f"arrivals={shape})"
-    )
-    lat = doc.get("latency", {})
-    lines.append(
-        "  latency: "
-        f"p50={lat.get('p50_s', 0.0) * 1e3:.3f}ms "
-        f"p99={lat.get('p99_s', 0.0) * 1e3:.3f}ms "
-        f"p999={lat.get('p999_s', 0.0) * 1e3:.3f}ms "
-        f"max={lat.get('max_s', 0.0) * 1e3:.3f}ms "
-        f"mean={lat.get('mean_s', 0.0) * 1e3:.3f}ms"
-    )
-    slo = doc.get("slo", {})
-    verdict = "MET" if slo.get("met") else "MISSED"
-    lines.append(
-        f"  SLO: {slo.get('attainment', 0.0) * 100:.3f}% within "
-        f"{slo.get('target_s', 0.0) * 1e3:.1f}ms "
-        f"(goal {slo.get('goal', 0.0) * 100:.1f}%) -> {verdict}"
-    )
-    cache = doc.get("cache", {})
-    if cache:
-        lines.append(
-            f"  cache: hit_ratio={cache.get('hit_ratio', 0.0):.3f} "
-            f"hits={cache.get('hits', 0)} "
-            f"subst={cache.get('substitute_hits', 0)} "
-            f"misses={cache.get('misses', 0)} "
-            f"dropped={cache.get('dropped_admits', 0)} "
-            f"degraded={cache.get('degraded_lookups', 0)} "
-            f"retries={cache.get('rpc_retries', 0)}"
-        )
-    alerts = doc.get("alerts")
-    if alerts:
-        firing = alerts.get("firing", [])
-        status = (
-            "FIRING: " + ", ".join(firing) if firing else "none firing"
-        )
-        lines.append(
-            f"  burn-rate alerts (goal "
-            f"{alerts.get('goal', 0.0) * 100:.1f}%): {status}"
-        )
-        max_burn = alerts.get("max_burn", {})
-        for rule in alerts.get("rules", []):
-            name = rule.get("name", "?")
-            lines.append(
-                f"    rule {name}: >= {rule.get('threshold', 0.0):g}x over "
-                f"{rule.get('long_windows', '?')}w/"
-                f"{rule.get('short_windows', '?')}w, "
-                f"max burn {max_burn.get(name, 0.0):.2f}x"
-            )
-        for ev in alerts.get("events", []):
-            lines.append(
-                f"    window {ev.get('window', '?'):>4}: "
-                f"{ev.get('rule', '?'):<5} {ev.get('state', '?'):<9} "
-                f"burn short={ev.get('burn_short', 0.0):.2f}x "
-                f"long={ev.get('burn_long', 0.0):.2f}x "
-                f"(thr {ev.get('threshold', 0.0):g}x)"
-            )
-    auto = doc.get("autoscaler", {})
-    decisions = auto.get("decisions", [])
-    lines.append(
-        f"  autoscaler: {auto.get('grows', 0)} grow(s), "
-        f"{auto.get('shrinks', 0)} shrink(s); shards "
-        f"{auto.get('initial_shards', '?')} -> {auto.get('final_shards', '?')} "
-        f"({auto.get('resizes_verified', 0)} resize(s) verified, "
-        f"{auto.get('moved_keys', 0)} key(s) moved)"
-    )
-    for d in decisions:
-        lines.append(
-            f"    window {d.get('window', '?'):>4}: {d.get('action', '?'):<6} "
-            f"{d.get('old_n', '?')} -> {d.get('new_n', '?')}  "
-            f"({d.get('reason', '')})"
-        )
-    windows = doc.get("windows", [])
-    if windows:
-        worst = max(windows, key=lambda w: w.get("latency", {}).get("p99_s", 0.0))
-        lines.append(
-            f"  windows: {len(windows)} "
-            f"(worst p99 {worst.get('latency', {}).get('p99_s', 0.0) * 1e3:.3f}ms "
-            f"in window {worst.get('window', '?')} at "
-            f"util {worst.get('utilization', 0.0):.2f})"
-        )
-    return lines
-
-
 def render_report(run_dir: Union[str, Path]) -> str:
     """Render the full ``repro report`` text for one run directory.
 
-    Expects ``epochs.jsonl`` (from a training run) and/or ``load.json``
-    (from a ``repro load`` replay) plus optional ``summary.json`` and
-    ``trace.jsonl`` as written by :func:`write_run_artifacts` and a
+    Expects ``epochs.jsonl`` from a training run plus optional
+    ``summary.json`` and ``trace.jsonl`` as written by
+    :func:`write_run_artifacts` and a
     :class:`~repro.obs.trace.JsonlRecorder`.
     """
     run_dir = Path(run_dir)
     epochs_path = run_dir / EPOCHS_FILE
-    load_path = run_dir / LOAD_FILE
     if not epochs_path.is_file():
-        if load_path.is_file():
-            # Load-only run directory: no training epochs to tabulate.
-            lines = _load_section(json.loads(load_path.read_text()))
-            trace_path = run_dir / TRACE_FILE
-            if trace_path.is_file():
-                lines.extend(_trace_section(trace_path, []))
-            return "\n".join(lines)
         raise FileNotFoundError(
             f"{epochs_path} not found — export a run with "
             "`repro train --trace-dir` or write_run_artifacts()"
@@ -591,9 +482,6 @@ def render_report(run_dir: Union[str, Path]) -> str:
                 "repro: "
                 + "  ".join(f"{k}={v}" for k, v in sorted(meta.items()))
             )
-
-    if load_path.is_file():
-        lines.extend(_load_section(json.loads(load_path.read_text())))
 
     trace_path = run_dir / TRACE_FILE
     if trace_path.is_file():

@@ -5,8 +5,8 @@ unit every distributed tracer (Dapper, Jaeger, OpenTelemetry) uses to
 answer "why was this request slow?". The repo's flat events say *that* a
 fetch missed or an RPC failed; spans say *where inside which request*:
 
-    run -> epoch -> batch -> data_load            (training topology)
-    run -> window -> fetch -> rpc -> rpc_attempt  (load-harness topology)
+    run -> epoch -> batch -> data_load                          (training)
+    batch -> fetch_batch -> fetch -> rpc -> rpc_attempt         (shard tier)
 
 Design constraints, in order:
 
@@ -321,7 +321,7 @@ def find_spans(
 
     ``attrs`` match against the raw event dict, so e.g.
     ``find_spans(roots, "fetch", requested_id=17)`` pinpoints one
-    request's tree in a load run.
+    request's tree in a sharded run.
     """
     out: List[SpanNode] = []
     for root in roots:

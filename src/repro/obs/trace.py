@@ -18,7 +18,7 @@ remaining fields are kind-specific; see the README "Observability"
 section for the full schema.
 
 Two tiers of event reach a sink. *Cold* events (``batch``, ``epoch``,
-``span``, ``breaker``, ``alert``, ``checkpoint``, ...) arrive as flat
+``span``, ``breaker``, ``checkpoint``, ...) arrive as flat
 dicts through :meth:`TraceRecorder.emit`. The *per-request* kinds in
 :data:`ROW_SCHEMA` — the stream whose volume scales with the number of
 samples — arrive as positional tuples through

@@ -8,12 +8,7 @@ fetch-latency vs per-batch compute cost, which these models provide.
 from repro.storage.backends import InMemoryStore, RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.flaky import TransientFetchError
-from repro.storage.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LognormalLatency,
-    ParetoTailLatency,
-)
+from repro.storage.latency import ConstantLatency, LatencyModel
 from repro.storage.wrappers import StoreWrapper
 
 __all__ = [
@@ -23,7 +18,5 @@ __all__ = [
     "SimClock",
     "LatencyModel",
     "ConstantLatency",
-    "LognormalLatency",
-    "ParetoTailLatency",
     "TransientFetchError",
 ]

@@ -1,7 +1,7 @@
 """Per-fetch latency models.
 
 Each model maps an item size to a simulated fetch time:
-``latency = base + nbytes / bandwidth (+ noise)``. The defaults approximate
+``latency = base + nbytes / bandwidth``. The defaults approximate
 the paper's environment — NFS within a datacenter over 10 Gbps Ethernet,
 where each small-file read costs ~8 ms (RTT + metadata + server queueing;
 sequential bandwidth ~1.1 GB/s only matters for large items) — producing
@@ -12,16 +12,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
-from repro.utils.rng import RngLike, resolve_rng
-
-__all__ = [
-    "LatencyModel",
-    "ConstantLatency",
-    "LognormalLatency",
-    "ParetoTailLatency",
-]
+__all__ = ["LatencyModel", "ConstantLatency"]
 
 
 class LatencyModel(Protocol):
@@ -48,72 +39,3 @@ class ConstantLatency:
     def mean(self, nbytes: int) -> float:
         """Expected fetch time (same as :meth:`sample` here)."""
         return self.sample(nbytes)
-
-
-class LognormalLatency:
-    """Lognormal jitter around a deterministic mean (typical NFS behaviour)."""
-
-    def __init__(
-        self,
-        base_s: float = 8e-3,
-        bandwidth_bps: float = 1.1e9,
-        sigma: float = 0.25,
-        rng: RngLike = None,
-    ) -> None:
-        if sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        self._det = ConstantLatency(base_s, bandwidth_bps)
-        self.sigma = sigma
-        self._rng = resolve_rng(rng)
-
-    def sample(self, nbytes: int) -> float:
-        """Draw one lognormal fetch time around the deterministic mean."""
-        mean = self._det.sample(nbytes)
-        if self.sigma == 0:
-            return mean
-        # mu chosen so the lognormal's mean equals the deterministic mean.
-        mu = np.log(mean) - 0.5 * self.sigma**2
-        return float(self._rng.lognormal(mu, self.sigma))
-
-    def mean(self, nbytes: int) -> float:
-        """Expected fetch time (the deterministic mean)."""
-        return self._det.sample(nbytes)
-
-
-class ParetoTailLatency:
-    """Heavy-tailed latency: deterministic mean plus occasional Pareto spikes.
-
-    Models the stragglers that make remote-storage p99 much worse than the
-    median (spot-VM contention, NFS server queueing).
-    """
-
-    def __init__(
-        self,
-        base_s: float = 8e-3,
-        bandwidth_bps: float = 1.1e9,
-        spike_prob: float = 0.01,
-        spike_scale_s: float = 5e-3,
-        alpha: float = 2.0,
-        rng: RngLike = None,
-    ) -> None:
-        if not 0 <= spike_prob <= 1:
-            raise ValueError("spike_prob must be in [0, 1]")
-        if alpha <= 1.0:
-            raise ValueError("alpha must be > 1 for a finite mean")
-        self._det = ConstantLatency(base_s, bandwidth_bps)
-        self.spike_prob = spike_prob
-        self.spike_scale_s = spike_scale_s
-        self.alpha = alpha
-        self._rng = resolve_rng(rng)
-
-    def sample(self, nbytes: int) -> float:
-        """Deterministic base plus an occasional Pareto spike."""
-        t = self._det.sample(nbytes)
-        if self.spike_prob and self._rng.random() < self.spike_prob:
-            t += self.spike_scale_s * (self._rng.pareto(self.alpha) + 1.0)
-        return t
-
-    def mean(self, nbytes: int) -> float:
-        """Expected fetch time including the spike tail's mean."""
-        spike_mean = self.spike_scale_s * self.alpha / (self.alpha - 1.0)
-        return self._det.sample(nbytes) + self.spike_prob * spike_mean

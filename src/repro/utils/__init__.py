@@ -1,6 +1,6 @@
 """Shared low-level utilities: indexed heap, RNG plumbing."""
 
 from repro.utils.heap import IndexedMinHeap
-from repro.utils.rng import resolve_rng, spawn_rngs
+from repro.utils.rng import resolve_rng
 
-__all__ = ["IndexedMinHeap", "resolve_rng", "spawn_rngs"]
+__all__ = ["IndexedMinHeap", "resolve_rng"]

@@ -2,18 +2,17 @@
 
 Every stochastic component (samplers, dataset generators, HNSW level draws,
 latency models) accepts either a seed, an existing ``numpy.random.Generator``,
-or ``None``. Centralizing the coercion keeps experiments reproducible: a
-single integer seed at the top of a benchmark deterministically derives every
-downstream stream via ``spawn_rngs``.
+or ``None``. Centralizing the coercion keeps experiments reproducible: the
+same integer seed always yields the same stream.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["resolve_rng", "spawn_rngs", "RngLike"]
+__all__ = ["resolve_rng", "RngLike"]
 
 RngLike = Union[None, int, np.random.Generator]
 
@@ -31,15 +30,3 @@ def resolve_rng(rng: RngLike = None) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng))
     raise TypeError(f"cannot make an RNG from {type(rng).__name__}")
-
-
-def spawn_rngs(rng: RngLike, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``.
-
-    Uses ``Generator.spawn`` so the children's streams are statistically
-    independent regardless of how much the parent has been consumed.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    parent = resolve_rng(rng)
-    return list(parent.spawn(n))

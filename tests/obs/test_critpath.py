@@ -108,14 +108,13 @@ def test_critpath_lines_groups_by_epoch():
     assert "batch 1.3000s (65%)" in lines[2]
 
 
-def test_critpath_lines_prefers_window_groups_for_load_traces():
+def test_critpath_lines_analyzes_the_roots_without_epochs():
     events = [
-        _span("r", None, "load_run", 0.0, 1.0),
-        _span("w0", "r", "window", 0.0, 1.0, window=0),
-        _span("f", "w0", "fetch", 0.2, 0.9),
+        _span("r", None, "run", 0.0, 1.0),
+        _span("f", "r", "fetch", 0.2, 0.9),
     ]
     lines = critpath_lines(events)
-    assert lines[0].startswith("  window 0")
+    assert lines[0].startswith("  run 0")
     assert "fetch 0.7000s (70%)" in lines[0]
 
 

@@ -3,10 +3,9 @@
 The golden report fixtures (``test_report_golden.py``) render checked-in
 artifacts; their traces predate row blocks and are kept as the test of
 reading old traces. This module instead *re-runs* the two EXPERIMENTS.md
-fixture recipes and the CI load recipe into a temporary directory and
-compares what they write — ``summary.json`` (metrics snapshot included)
-or ``load.json``, and the ``repro report`` text rendered from it — with
-pinned copies. A change to what a run counts, or to how the snapshot is
+fixture recipes into a temporary directory and compares what they write
+— ``summary.json`` (metrics snapshot included) and the ``repro report``
+text rendered from it — with pinned copies. A change to what a run counts, or to how the snapshot is
 assembled, shows up here as a diff.
 
 The pins are float-exact. Regenerate them only for a deliberate change,
@@ -14,8 +13,6 @@ from the repo root with ``PYTHONPATH=src``: run each recipe in
 :data:`TRAIN_RECIPES` as ``python -m repro train <args> --trace-dir D``,
 then copy ``D/summary.json`` to ``fixtures/exports/<name>.summary.json``
 and ``python -m repro report D`` to ``fixtures/exports/<name>.report.txt``.
-The load pins are ``tests/load/fixtures/``; EXPERIMENTS.md "Golden load
-fixture" regenerates them.
 """
 
 from pathlib import Path
@@ -25,7 +22,6 @@ import pytest
 from repro.cli import main
 
 PINS = Path(__file__).parent / "fixtures" / "exports"
-LOAD_PINS = Path(__file__).parents[1] / "load" / "fixtures"
 
 COMMON = [
     "--policy", "spidercache", "--samples", "120", "--epochs", "2",
@@ -40,13 +36,6 @@ TRAIN_RECIPES = {
         "--world-size", "2", "--shared-cache", "--cache-shards", "2",
     ],
 }
-
-#: The CI load smoke (and golden load fixture) recipe.
-LOAD_RECIPE = [
-    "--requests", "6000", "--keys", "400", "--capacity", "200",
-    "--window", "300", "--base-rate", "300", "--slo-ms", "2", "--seed", "7",
-]
-
 
 def _report(run_dir: Path, capsys) -> str:
     capsys.readouterr()
@@ -63,14 +52,3 @@ def test_train_recipe_exports_the_pinned_bytes(name, tmp_path, capsys):
         PINS / f"{name}.summary.json"
     ).read_text()
     assert report == (PINS / f"{name}.report.txt").read_text()
-
-
-def test_load_recipe_exports_the_pinned_bytes(tmp_path, capsys):
-    out = tmp_path / "load"
-    assert main(["load", *LOAD_RECIPE, "--trace-dir", str(out)]) == 0
-    (out / "trace.jsonl").unlink()  # the pinned report renders load.json alone
-    report = _report(out, capsys)
-    assert (out / "load.json").read_text() == (
-        LOAD_PINS / "golden-load-run" / "load.json"
-    ).read_text()
-    assert report == (LOAD_PINS / "golden-load-report.txt").read_text()

@@ -10,21 +10,20 @@ Three angles:
 * a differential over real runs: a tee records the flat event of every
   ``emit`` / ``emit_row`` call at call time, next to the real sink — every
   trainer topology, a real-thread prefetch run (rows from worker threads
-  that have no open span), a load replay, a faulted replay with breaker
-  trips;
+  that have no open span), a request stream straight at the shard tier,
+  the same stream through a shard outage with breaker trips;
 * a Hypothesis round trip over arbitrary interleavings of rows, stamps
   and cold events.
 """
 
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.policy import SpiderCachePolicy
-from repro.load.replay import ReplayConfig, ReplayHarness
-from repro.load.slo import SloPolicy
-from repro.load.traces import BurstyArrivals, TraceConfig, make_trace
+from repro.dist.client import ShardedCacheClient
 from repro.nn.models import build_model
 from repro.obs import (
     InMemoryRecorder,
@@ -41,6 +40,7 @@ from repro.obs.trace import (
     expand_row,
 )
 from repro.resilience.faults import FaultPlan, OutageWindow
+from repro.storage.clock import SimClock
 from repro.train.trainer import Trainer, TrainerConfig
 from tests.train import topologies
 from tests.train.topologies import TOPOLOGIES
@@ -236,28 +236,33 @@ def test_blocks_equal_flat_with_real_prefetch_threads(tmp_path):
     assert all("span" in e for e in loaded if e["kind"] == "batch")
 
 
-@pytest.mark.load
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "outage"])
 def test_blocks_equal_flat_on_a_load_replay(faulted, tmp_path):
+    """A seeded request stream straight at a sim ``ShardedCacheClient``:
+    rows interleave with RPC spans and, under an outage on shard 0, with
+    breaker trips."""
     tee = TeeRecorder(tmp_path / "trace.jsonl")
-    trace = make_trace(
-        TraceConfig(n_requests=1500, n_keys=300, zipf_exponent=1.1,
-                    put_fraction=0.05),
-        BurstyArrivals(rate_low=300.0, rate_high=5000.0,
-                       mean_on_s=1.0, mean_off_s=2.0),
-        seed=7,
-    )
+    clock = SimClock()
     plans = {0: FaultPlan([OutageWindow(start_s=0.1, end_s=3.0)])}
-    harness = ReplayHarness(
-        ReplayConfig(total_capacity=128, imp_ratio=0.8, n_shards=2,
-                     window_requests=500, slo=SloPolicy(target_s=0.02)),
+    client = ShardedCacheClient(
+        128, imp_ratio=0.8, n_shards=2, clock=clock,
         fault_plans=plans if faulted else None,
-        observer=Observer(tee, MetricsRegistry(), span_seed=7),
     )
-    try:
-        harness.run(trace)
-    finally:
-        harness.close()
+    client.attach_observer(Observer(tee, MetricsRegistry(), span_seed=7))
+    n_keys = 300
+
+    def remote_get(key):
+        clock.advance("miss", 1e-3)
+        return np.full(16, float(key), dtype=np.float32)
+
+    rng = np.random.default_rng(7)
+    for key in (rng.zipf(1.1, size=1500) % n_keys).tolist():
+        if rng.random() < 0.05:
+            neighbors = [(key + j) % n_keys for j in (1, 2, 3)]
+            client.update_homophily(key, remote_get(key), neighbors)
+        else:
+            client.fetch(key, float(rng.random()), remote_get)
+    client.close()
     loaded = _assert_blocks_equal_flat(tee)
     opens = [e for e in loaded if e["kind"] == "breaker" and e["new"] == "open"]
     assert bool(opens) == faulted

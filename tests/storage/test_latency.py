@@ -1,9 +1,8 @@
 """Latency model tests."""
 
-import numpy as np
 import pytest
 
-from repro.storage.latency import ConstantLatency, LognormalLatency, ParetoTailLatency
+from repro.storage.latency import ConstantLatency
 
 
 def test_constant_formula():
@@ -22,51 +21,3 @@ def test_constant_invalid():
         ConstantLatency(base_s=-1)
     with pytest.raises(ValueError):
         ConstantLatency(bandwidth_bps=0)
-
-
-def test_lognormal_mean_preserved():
-    lat = LognormalLatency(base_s=1e-3, bandwidth_bps=1e9, sigma=0.5, rng=0)
-    samples = np.array([lat.sample(1024) for _ in range(5000)])
-    assert samples.mean() == pytest.approx(lat.mean(1024), rel=0.05)
-    assert np.all(samples > 0)
-
-
-def test_lognormal_sigma_zero_deterministic():
-    lat = LognormalLatency(sigma=0.0, rng=0)
-    assert lat.sample(1024) == lat.sample(1024)
-
-
-def test_lognormal_invalid_sigma():
-    with pytest.raises(ValueError):
-        LognormalLatency(sigma=-0.1)
-
-
-def test_pareto_tail_spikes():
-    lat = ParetoTailLatency(spike_prob=1.0, spike_scale_s=1.0, alpha=2.0, rng=0)
-    base = ConstantLatency().sample(1024)
-    s = lat.sample(1024)
-    assert s > base + 0.5  # spike always fires
-
-
-def test_pareto_no_spikes():
-    lat = ParetoTailLatency(spike_prob=0.0, rng=0)
-    assert lat.sample(1024) == pytest.approx(ConstantLatency().sample(1024))
-
-
-def test_pareto_mean_includes_tail():
-    lat = ParetoTailLatency(spike_prob=0.01, spike_scale_s=5e-3, alpha=2.0, rng=1)
-    det = ConstantLatency().sample(1024)
-    assert lat.mean(1024) > det
-
-
-def test_pareto_invalid():
-    with pytest.raises(ValueError):
-        ParetoTailLatency(spike_prob=1.5)
-    with pytest.raises(ValueError):
-        ParetoTailLatency(alpha=1.0)
-
-
-def test_pareto_empirical_mean():
-    lat = ParetoTailLatency(spike_prob=0.5, spike_scale_s=1e-3, alpha=3.0, rng=2)
-    samples = np.array([lat.sample(1024) for _ in range(20000)])
-    assert samples.mean() == pytest.approx(lat.mean(1024), rel=0.1)

@@ -37,7 +37,7 @@ def test_the_walk_found_the_tree():
     assert "repro.core.semantic_cache" in MODULES
     assert "repro.dist.client" in MODULES
     assert "repro.train.data_parallel" in MODULES
-    assert "repro.load.replay" in MODULES
+    assert "repro.obs.report" in MODULES
     assert "repro.dist.transport" in MODULES
     assert "repro.concurrency.executor" in MODULES
 

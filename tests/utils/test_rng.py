@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import resolve_rng, spawn_rngs
+from repro.utils.rng import resolve_rng
 
 
 def test_resolve_from_seed_is_deterministic():
@@ -28,27 +28,3 @@ def test_resolve_numpy_integer():
 def test_resolve_rejects_bad_type():
     with pytest.raises(TypeError):
         resolve_rng("seed")
-
-
-def test_spawn_independent_streams():
-    children = spawn_rngs(0, 3)
-    assert len(children) == 3
-    draws = [c.random(4) for c in children]
-    assert not np.array_equal(draws[0], draws[1])
-    assert not np.array_equal(draws[1], draws[2])
-
-
-def test_spawn_deterministic():
-    a = [g.random(3) for g in spawn_rngs(5, 2)]
-    b = [g.random(3) for g in spawn_rngs(5, 2)]
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def test_spawn_zero():
-    assert spawn_rngs(0, 0) == []
-
-
-def test_spawn_negative_raises():
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
