@@ -54,11 +54,11 @@ report:
 		--trace-dir $(REPORT_DIR)
 	$(PYTHON) -m repro report $(REPORT_DIR)
 
-# Tier-2 threaded stress tests (-m concurrency) plus the deterministic
-# scheduler/race/property suite under an increased Hypothesis budget.
+# Tier-2 threaded lock stress tests (-m concurrency) plus the scheduler
+# harness, race regressions and prefetch-loader suite in tests/concurrency/.
 concurrency:
 	$(PYTHON) -m pytest tests/ -m concurrency
-	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/concurrency/
+	$(PYTHON) -m pytest tests/concurrency/
 
 # Sharded cache-service suite — every dist-marked test (differential
 # oracle, retry/backoff, migration, chaos) under the increased

@@ -87,8 +87,6 @@ def _measure_workers():
                           hit=res.mean_hit_ratio)
         rows.append((str(w), f"{load:.3f}", f"{res.final_accuracy:.3f}",
                      f"{res.mean_hit_ratio:.3f}"))
-        if hasattr(trainer.loader, "close"):
-            trainer.loader.close()
     return rows, metrics
 
 

@@ -59,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--prefetch-workers", type=int, default=0,
-            help="prefetching loader threads (0 = serial loader); results "
-                 "are bit-identical, only data-load time overlaps",
+            help="prefetching loader overlap-window width (0 = serial "
+                 "loader); results are bit-identical, only the simulated "
+                 "data-load time of each window overlaps",
         )
 
     train_p = sub.add_parser("train", help="run one policy")
@@ -93,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     train_p.add_argument(
         "--transport", choices=("sim", "real"), default="sim",
-        help="execution mode: 'sim' (deterministic — simulated RPC tier and "
-             "seeded-scheduler prefetching; default) or 'real' (wall-clock — "
-             "shard servers in worker processes, prefetching on real "
-             "threads; timings are measured, not modelled)",
+        help="shard-tier transport: 'sim' (simulated RPC channel, "
+             "deterministic; default) or 'real' (shard servers in worker "
+             "processes, RPC time measured, not modelled); 'real' requires "
+             "--cache-shards",
     )
     train_p.add_argument(
         "--rpc-deadline-ms", type=float, default=None,

@@ -63,8 +63,8 @@ class DataLoader:
         self.batch_size = int(batch_size)
         # Samples dropped by degraded-mode serving (payload-less outcomes
         # with source SKIPPED); batches shrink rather than the run crashing.
-        # The ``+=`` below is a read-modify-write — guarded so concurrent
-        # collates (prefetch workers) can't lose updates.
+        # The ``+=`` below is a read-modify-write — guarded so collates
+        # on several threads can't lose updates.
         self.skipped_count = 0
         self._skip_lock = threading.Lock()
 

@@ -35,7 +35,7 @@ event the observer emits (``trace``/``span`` fields), which is what
 correlates breaker trips, audit decisions, and RPC counters back to the
 request that caused them. The stamp is the innermost open span *on the
 emitting thread* (:meth:`SpanTracker.current_id`; the stacks are
-per-thread, so a prefetch pool worker's events carry no ``span``), for
+per-thread, so a thread with no open span emits no ``span``), for
 per-request rows exactly as for flat events. That stamp is also the
 JSONL sink's block boundary — a row whose stamp differs from the open
 block's closes it — so opening or finishing a span needs no hook into

@@ -253,8 +253,7 @@ class JsonlRecorder(TraceRecorder):
         self.path = Path(path)
         self._fh = None
         self.emitted = 0
-        # Rows arrive from whichever thread served the request (the
-        # prefetch pool's workers have no open span of their own).
+        # Rows arrive from whichever thread served the request.
         self._lock = threading.RLock()
         self._stamp: Optional[Tuple[int, Optional[str], Optional[str]]] = None
         self._rows: List[Tuple[Any, ...]] = []

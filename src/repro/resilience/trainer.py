@@ -181,11 +181,6 @@ class ResilientTrainer(Trainer):
         acc: Optional[EpochAccumulator] = None,
     ) -> Path:
         epoch, batch = self._cursor
-        # A prefetching loader must have no fetch in flight while we
-        # snapshot cache/clock/store state (windows never span a batch,
-        # but the drain makes the invariant explicit and checked).
-        if hasattr(self.loader, "drain"):
-            self.loader.drain()
         base = self._base_store()
         state = {
             "format": 2,
@@ -224,8 +219,6 @@ class ResilientTrainer(Trainer):
         return path
 
     def _restore(self, path: Union[str, Path]) -> None:
-        if hasattr(self.loader, "drain"):
-            self.loader.drain()
         state = load_state(path)
         epoch, batch = state["cursor"]
         self._cursor = (int(epoch), int(batch))

@@ -6,8 +6,7 @@ accumulates simulated seconds per named stage so experiments can report both
 breakdowns (Fig. 3(a), Table 1) and end-to-end totals (Table 4).
 
 Thread-safety: the clock is shared by every component of a run — the
-remote store charges it from whatever thread performs a fetch. With the
-concurrent prefetching loader, that means real worker threads, so every
+remote store charges it from whatever thread performs a fetch — so every
 read-modify-write on the per-stage totals is guarded by a lock
 (``advance``'s unguarded ``+=`` was a lost-update race;
 ``tests/concurrency`` replays it deterministically).

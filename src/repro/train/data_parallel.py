@@ -32,7 +32,9 @@ from repro.storage.clock import SimClock
 from repro.storage.latency import LatencyModel
 from repro.train.metrics import TrainResult
 from repro.train.policy_base import TrainingPolicy
-from repro.train.trainer import RPC_STAGE, EpochRunner, TrainerConfig, WorkerState
+from repro.train.trainer import (
+    RPC_STAGE, UNSHARDED_REAL, EpochRunner, TrainerConfig, WorkerState,
+)
 from repro.utils.rng import RngLike
 
 __all__ = ["DataParallelTrainer", "WorkerState"]
@@ -93,6 +95,8 @@ class DataParallelTrainer(EpochRunner):
             raise ValueError("cache_shards requires shared_cache=True")
         if cfg.resize_shards_at is not None and not cache_shards:
             raise ValueError("resize_shards_at requires cache_shards > 0")
+        if cfg.clock_mode == "real" and not cache_shards:
+            raise ValueError(UNSHARDED_REAL)
         self.world_size = int(world_size)
         self.cache_shards = int(cache_shards)
         self.shared_cache = bool(shared_cache)

@@ -57,6 +57,13 @@ __all__ = [
 #: (``repro.dist`` is only imported lazily, at shard-client construction).
 RPC_STAGE = "rpc"
 
+#: ``clock_mode="real"`` selects the shard transport; a run without a
+#: sharded cache has none, so both trainers reject it with this message.
+UNSHARDED_REAL = (
+    "clock_mode='real' selects the shard-tier transport and needs "
+    "cache_shards > 0 (--transport real needs --cache-shards)"
+)
+
 
 @dataclass
 class TrainerConfig:
@@ -64,12 +71,12 @@ class TrainerConfig:
 
     epochs: int = 30
     batch_size: int = 128
-    # "sim" (default): deterministic mode — SimClock time, the seeded
-    # DeterministicScheduler executes prefetch slots, shard RPCs cross
-    # the simulated channel; every run is bit-reproducible. "real":
-    # wall-clock mode — prefetch slots run on real threads and the
-    # shared sharded cache (if any) runs on real worker processes behind
-    # RealRpcTransport; timings are measured, not modelled.
+    # Shard-tier transport. "sim" (default): shard RPCs cross the
+    # simulated channel on SimClock time; every run is bit-reproducible.
+    # "real": the shard servers run in worker processes behind
+    # RealRpcTransport and RPC time is measured, not modelled. Only a
+    # sharded cache (cache_shards > 0) has a transport to select, so
+    # "real" without one is rejected.
     clock_mode: str = "sim"
     lr: float = 0.05
     momentum: float = 0.9
@@ -81,9 +88,10 @@ class TrainerConfig:
     # its declared per-item cost is charged to the "preprocess" stage.
     transform: Optional[object] = None
     io_workers: int = 4  # concurrent loader processes dividing fetch latency
-    # Prefetching loader threads; 0 keeps the serial DataLoader. When >0,
-    # fetch latency is modelled by max-of-window overlap accounting instead
-    # of the io_workers divisor (never both — that would double-count).
+    # Prefetching loader overlap-window width; 0 keeps the serial
+    # DataLoader. When >0, fetch latency is modelled by max-of-window
+    # overlap accounting instead of the io_workers divisor (never both —
+    # that would double-count).
     prefetch_workers: int = 0
     hit_latency_s: float = 20e-6  # in-memory cache hit cost
     eval_every: int = 1
@@ -220,11 +228,7 @@ class EpochRunner:
             loader: DataLoader = PrefetchingDataLoader(
                 labels, policy.fetch, batch_size=batch_size,
                 workers=cfg.prefetch_workers, clock=store.clock,
-                stage=RemoteStore.STAGE, observer=self.observer,
-                # Deterministic (seeded-scheduler) slot execution in sim
-                # mode; real threads only when the run is wall-clock.
-                executor="threads" if cfg.clock_mode == "real" else "deterministic",
-                fetch_many_fn=policy.fetch_many,
+                observer=self.observer, fetch_many_fn=policy.fetch_many,
             )
         else:
             loader = DataLoader(
@@ -619,6 +623,8 @@ class Trainer(EpochRunner):
                 "shared cache tier; use DataParallelTrainer(world_size=1, "
                 "...), which honours them"
             )
+        if cfg.clock_mode == "real":
+            raise ValueError(UNSHARDED_REAL)
         store = self._setup_policy(
             policy, model, train_set, cfg.batch_size, latency, SimClock(), self._rng
         )

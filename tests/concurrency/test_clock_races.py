@@ -13,10 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.concurrency import DeterministicScheduler
 from repro.core.semantic_cache import FetchOutcome, FetchSource
 from repro.data.loader import DataLoader
 from repro.storage.clock import SimClock
+from tests.concurrency.scheduler import DeterministicScheduler
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
 """PrefetchingDataLoader: bit-identical results, overlapped accounting."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
-from repro.concurrency import Sequencer, SequencerAborted
-from repro.core.semantic_cache import SemanticCache
+from repro.core.semantic_cache import FetchOutcome, FetchSource, SemanticCache
 from repro.data.loader import DataLoader
 from repro.data.prefetch import PrefetchingDataLoader
 from repro.obs.metrics import MetricsRegistry
@@ -45,12 +42,10 @@ def _run(loader):
     return batches
 
 
-@pytest.mark.parametrize("executor", ["threads", "deterministic"])
 @pytest.mark.parametrize("workers", [2, 3, 5])
-def test_bit_identical_to_serial_loader(workers, executor):
-    """The loader's core promise, proven under BOTH slot executors: real
-    threads and the seeded deterministic scheduler must each land on the
-    serial loader's exact bits."""
+def test_bit_identical_to_serial_loader(workers):
+    """The loader's core promise: overlap changes only the clock, never
+    the serial loader's batches, substitutions or cache state."""
     labels = np.arange(N, dtype=np.int64) % 4
 
     serial_clock = SimClock()
@@ -62,12 +57,8 @@ def test_bit_identical_to_serial_loader(workers, executor):
     fetch, cache = _make_fetch(clock)
     loader = PrefetchingDataLoader(
         labels, fetch, batch_size=16, workers=workers, clock=clock,
-        executor=executor, seed=workers,
     )
-    try:
-        batches = _run(loader)
-    finally:
-        loader.close()
+    batches = _run(loader)
 
     assert len(batches) == len(serial_batches)
     for b, sb in zip(batches, serial_batches):
@@ -91,16 +82,10 @@ def test_overlap_charges_strictly_less_time():
     serial_s = serial_clock.stage_seconds("data_load")
 
     clock = SimClock()
-    # Pinned to the deterministic executor: the assertion is exact charge
-    # math, so keep the OS thread scheduler out of the loop entirely.
     loader = PrefetchingDataLoader(
         labels, _make_fetch(clock)[0], batch_size=16, workers=4, clock=clock,
-        executor="deterministic",
     )
-    try:
-        _run(loader)
-    finally:
-        loader.close()
+    _run(loader)
     overlapped_s = clock.stage_seconds("data_load")
 
     assert overlapped_s < serial_s
@@ -113,12 +98,8 @@ def test_workers_one_degenerates_to_serial_accounting():
     clock = SimClock()
     loader = PrefetchingDataLoader(
         labels, _make_fetch(clock)[0], batch_size=16, workers=1, clock=clock,
-        executor="deterministic",
     )
-    try:
-        _run(loader)
-    finally:
-        loader.close()
+    _run(loader)
     serial_clock = SimClock()
     serial = DataLoader(labels, _make_fetch(serial_clock)[0], batch_size=16)
     _run(serial)
@@ -132,15 +113,11 @@ def test_observer_sees_windows():
     labels = np.zeros(N, dtype=np.int64)
     clock = SimClock()
     obs = Observer(recorder=InMemoryRecorder(), metrics=MetricsRegistry())
-    # Pinned: the exact event stream is the assertion, so run it seeded.
     loader = PrefetchingDataLoader(
         labels, _make_fetch(clock)[0], batch_size=16, workers=4,
-        clock=clock, observer=obs, executor="deterministic",
+        clock=clock, observer=obs,
     )
-    try:
-        _run(loader)
-    finally:
-        loader.close()
+    _run(loader)
     events = [e for e in obs.recorder.events if e["kind"] == "prefetch_window"]
     assert len(events) == loader.windows_committed
     saved = sum(e["saved_s"] for e in events)
@@ -151,114 +128,34 @@ def test_observer_sees_windows():
     assert obs.metrics.counter("prefetch.windows").value == len(events)
 
 
-@pytest.mark.parametrize("executor", ["threads", "deterministic"])
-def test_fetch_error_propagates_and_aborts_later_slots(executor):
-    """Abort shape is part of the SlotExecutor contract — check it on
-    both implementations."""
+def test_fetch_error_propagates_and_aborts_later_slots():
+    """The failing slot's error surfaces and later slots are never fetched
+    (the serial loader's abort shape); the batch's captured charges are
+    dropped."""
     labels = np.zeros(N, dtype=np.int64)
+    clock = SimClock()
     calls = []
 
     def fetch(i):
         calls.append(i)
+        clock.advance("data_load", 0.01)
         if i == 5:
             raise KeyError("boom")
-        from repro.core.semantic_cache import FetchOutcome, FetchSource
         return FetchOutcome(i, i, np.zeros(2), FetchSource.REMOTE)
 
     loader = PrefetchingDataLoader(labels, fetch, batch_size=16, workers=4,
-                                   executor=executor)
-    ids = np.array([1, 2, 5, 7, 8, 9], dtype=np.int64)
-    try:
-        with pytest.raises(KeyError):
-            loader.collate(ids)
-    finally:
-        loader.close()
-    # Slots after the failed one never ran their fetch (serial semantics:
-    # the loop would have stopped at id 5).
-    assert set(calls) <= {1, 2, 5}
-
-
-def test_sequencer_orders_and_aborts():
-    seq = Sequencer()
-    committed = []
-
-    def slot(i):
-        if i == 3:
-            with pytest.raises(SequencerAborted):
-                with seq.turn(i):
-                    pass  # never runs
-            return
-        try:
-            with seq.turn(i):
-                committed.append(i)
-                if i == 2:
-                    raise ValueError("slot 2 fails")
-        except ValueError:
-            pass
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for f in [pool.submit(slot, i) for i in range(4)]:
-            f.result()
-    assert committed == [0, 1, 2]
-    assert seq.aborted
-
-
-def test_close_is_idempotent_and_pool_restarts():
-    labels = np.zeros(N, dtype=np.int64)
-    clock = SimClock()
-    loader = PrefetchingDataLoader(
-        labels, _make_fetch(clock)[0], batch_size=8, workers=2, clock=clock
-    )
-    assert loader.collate(np.arange(8, dtype=np.int64)) is not None
-    loader.drain()
-    loader.close()
-    loader.close()
-    # A post-close collate lazily rebuilds the pool.
-    assert loader.collate(np.arange(8, dtype=np.int64)) is not None
-    loader.close()
-
-
-def test_deterministic_executor_is_seed_reproducible():
-    """Same seed -> same interleaving trace AND same batches; different
-    seed -> possibly different interleaving, *provably* same batches
-    (the slot-order commit protocol, not luck, carries the bits)."""
-    labels = np.zeros(N, dtype=np.int64)
-
-    def run_once(seed):
-        clock = SimClock()
-        loader = PrefetchingDataLoader(
-            labels, _make_fetch(clock)[0], batch_size=16, workers=4,
-            clock=clock, executor="deterministic", seed=seed,
-        )
-        batches = _run(loader)
-        return batches, list(loader._executor.last_trace)
-
-    b1, t1 = run_once(seed=7)
-    b2, t2 = run_once(seed=7)
-    b3, t3 = run_once(seed=8)
-    assert t1 == t2
-    for a, b in zip(b1, b2):
-        np.testing.assert_array_equal(a.X, b.X)
-        assert a.sources == b.sources
-    for a, b in zip(b1, b3):
-        np.testing.assert_array_equal(a.X, b.X)
-        assert a.sources == b.sources
-
-
-def test_executor_kind_is_surfaced():
-    labels = np.zeros(4, dtype=np.int64)
-    ld = PrefetchingDataLoader(labels, None, workers=2)
-    assert ld.executor_kind == "threads"
-    ld = PrefetchingDataLoader(labels, None, workers=2,
-                               executor="deterministic")
-    assert ld.executor_kind == "deterministic"
-    with pytest.raises(ValueError):
-        PrefetchingDataLoader(labels, None, workers=2, executor="bogus")
+                                   clock=clock)
+    with pytest.raises(KeyError):
+        loader.collate(np.array([1, 2, 5, 7, 8, 9], dtype=np.int64))
+    assert calls == [1, 2, 5]
+    assert clock.stage_seconds("data_load") == 0.0
+    assert loader.windows_committed == 0
 
 
 def test_rejects_nonpositive_workers():
     with pytest.raises(ValueError):
-        PrefetchingDataLoader(np.zeros(4, dtype=np.int64), None, workers=0)
+        PrefetchingDataLoader(np.zeros(4, dtype=np.int64), None, workers=0,
+                              clock=SimClock())
 
 
 def test_only_the_serial_width_uses_the_batch_entry():
@@ -280,7 +177,7 @@ def test_only_the_serial_width_uses_the_batch_entry():
 
         return PrefetchingDataLoader(
             labels, fetch, batch_size=8, workers=workers, clock=clock,
-            executor="deterministic", fetch_many_fn=fetch_many,
+            fetch_many_fn=fetch_many,
         )
 
     wide, serial = make(3), make(1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.concurrency import (
+from tests.concurrency.scheduler import (
     CooperativeLock,
     DeterministicScheduler,
     SchedulerDeadlock,

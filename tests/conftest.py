@@ -2,8 +2,8 @@
 
 Registers Hypothesis profiles when Hypothesis is installed (a job that
 installs only numpy+pytest still collects; its property tests importorskip).
-Select a profile with ``REPRO_HYPOTHESIS_PROFILE=ci`` — the CI ANN, dist
-and concurrency steps use the bigger example budget. A test that pins
+Select a profile with ``REPRO_HYPOTHESIS_PROFILE=ci`` — the CI ANN and
+dist steps use the bigger example budget. A test that pins
 its own ``max_examples`` keeps it under either profile.
 """
 

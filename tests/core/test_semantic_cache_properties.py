@@ -67,6 +67,14 @@ def test_property_semantic_cache_invariants(ops, capacity, start_ratio):
     s = cache.stats
     assert s.requests == fetches
     assert s.misses == remote_calls[0]
+    # The importance layer's heap: occupancy is admissions net of
+    # evictions, and its minimum is the true minimum resident score.
+    imp = cache.importance
+    assert imp.stats.insertions - imp.stats.evictions == len(imp)
+    snapshot = imp.scores_snapshot()
+    assert imp.min_score() == (
+        min(score for _, score in snapshot) if snapshot else None
+    )
 
 
 @given(

@@ -9,14 +9,12 @@ Three angles:
   reader uses, so the field names themselves need an outside oracle);
 * a differential over real runs: a tee records the flat event of every
   ``emit`` / ``emit_row`` call at call time, next to the real sink — every
-  trainer topology, a real-thread prefetch run (rows from worker threads
-  that have no open span), a request stream straight at the shard tier,
-  the same stream through a shard outage with breaker trips;
+  trainer topology, a prefetching run (rows under overlapped windows), a
+  request stream straight at the shard tier, the same stream through a
+  shard outage with breaker trips;
 * a Hypothesis round trip over arbitrary interleavings of rows, stamps
   and cold events.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -150,7 +148,7 @@ def test_observer_hooks_emit_schema_rows(tmp_path):
 
 class TeeRecorder(TraceRecorder):
     """Forwards to a real :class:`JsonlRecorder` and keeps, beside it,
-    ``(thread id, flat event)`` for every call as it is made."""
+    the flat event of every call as it is made."""
 
     enabled = True
 
@@ -159,13 +157,11 @@ class TeeRecorder(TraceRecorder):
         self.flat = []
 
     def emit(self, event):
-        self.flat.append((threading.get_ident(), dict(event)))
+        self.flat.append(dict(event))
         self.sink.emit(event)
 
     def emit_row(self, epoch, trace, span, row):
-        self.flat.append(
-            (threading.get_ident(), expand_row(epoch, trace, span, row))
-        )
+        self.flat.append(expand_row(epoch, trace, span, row))
         self.sink.emit_row(epoch, trace, span, row)
 
     def close(self):
@@ -180,12 +176,10 @@ def _payload(events):
 def _assert_blocks_equal_flat(tee):
     tee.close()
     loaded = _payload(read_jsonl(tee.sink.path))
-    flat = [e for _, e in tee.flat]
+    flat = tee.flat
     assert ROWS_KIND not in {e["kind"] for e in loaded}
-    # Emission is serialized (the prefetch sequencer commits one slot at a
-    # time), so the file holds the global call order — which implies the
-    # per-thread order and the multiset, and the presence or absence of
-    # ``trace`` / ``span`` on every single event.
+    # The file holds the call order — which implies the multiset, and the
+    # presence or absence of ``trace`` / ``span`` on every single event.
     assert loaded == flat
     assert [list(e) for e in loaded] == [list(e) for e in flat]
     # The run did go through blocks: fewer lines than events (how many
@@ -208,32 +202,25 @@ def test_blocks_equal_flat_on_every_topology(topology, tmp_path):
     assert all("span" in e for e in loaded if e["kind"] == "fetch")
 
 
-def test_blocks_equal_flat_with_real_prefetch_threads(tmp_path):
-    """``--transport real --prefetch-workers 4``: fetches run on pool
-    threads whose span stack is empty, so their events carry no ``span`` —
-    a row buffer shared across threads would stamp them with the draining
-    thread's ``batch`` span."""
+def test_blocks_equal_flat_with_prefetch_workers(tmp_path):
+    """``--prefetch-workers 4``: every slot is fetched on the trainer
+    thread inside the batch span, so each fetch row carries that span
+    while ``prefetch_window`` spans interleave with the rows."""
     train, test = topologies.dataset()
     tee = TeeRecorder(tmp_path / "trace.jsonl")
     trainer = Trainer(
         build_model("resnet18", train.dim, train.num_classes, rng=2),
         train, test, SpiderCachePolicy(cache_fraction=0.25, rng=3),
-        TrainerConfig(epochs=2, batch_size=32, prefetch_workers=4,
-                      clock_mode="real"),
+        TrainerConfig(epochs=2, batch_size=32, prefetch_workers=4),
         observer=Observer(tee, MetricsRegistry(), span_seed=5), rng=4,
     )
     trainer.run()
-    trainer.loader.close()
     loaded = _assert_blocks_equal_flat(tee)
-    main = threading.get_ident()
-    from_workers = [e for tid, e in tee.flat if tid != main]
-    assert {e["kind"] for e in from_workers} >= {"fetch", "importance_admit"}
-    assert all("trace" in e and "span" not in e for e in from_workers)
     fetches = [e for e in loaded if e["kind"] == "fetch"]
     assert len(fetches) == 2 * len(train)
-    assert not any("span" in e for e in fetches)
-    # ... while the main thread's own events keep their span.
-    assert all("span" in e for e in loaded if e["kind"] == "batch")
+    assert all("span" in e for e in fetches)
+    assert any(e["kind"] == "span" and e["name"] == "prefetch_window"
+               for e in loaded)
 
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "outage"])

@@ -278,5 +278,3 @@ def test_prefetch_recovery_is_exact(build_run, tmp_path):
         assert es.substitute_ratio == ep.substitute_ratio
     si = serial_policy.cache.importance
     assert si.keys() == pi.keys()
-    trainer.loader.close()
-    base.loader.close()

@@ -112,6 +112,8 @@ def test_train_rejects_prefetch_with_several_workers(capsys):
         (["--world-size", "2", "--cache-shards", "2"],
          "cache_shards requires shared_cache"),
         (["--resize-shards-at", "1:4"], "resize_shards_at requires cache_shards"),
+        (["--transport", "real"], "needs cache_shards > 0"),
+        (["--world-size", "2", "--transport", "real"], "needs cache_shards > 0"),
     ],
 )
 def test_train_shard_tier_rejections_come_from_the_constructor(
