@@ -159,6 +159,56 @@ def test_add_batch():
     assert len(idx) == 40
 
 
+def test_bad_batch_changes_nothing():
+    """Every row is checked before the index changes: a batch that would
+    re-link stored ids and insert new ones, with one bad row in the
+    middle, raises and leaves the snapshot byte-identical."""
+    idx, _ = _build(40)
+    before = idx.state_dict()
+    rows = np.random.default_rng(1).normal(size=(5, 8))
+    ids = [3, 100, 101, 102, 7]
+    for bad in (np.nan, np.inf):
+        batch = rows.copy()
+        batch[2, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            idx.add_batch(ids, batch)
+    with pytest.raises(ValueError):  # ragged: one row one short
+        idx.add_batch(ids, [rows[0], rows[1], rows[2, :7], rows[3], rows[4]])
+    with pytest.raises(ValueError, match="dim"):
+        idx.add_batch(ids, rows[:, :7])
+    with pytest.raises(ValueError, match="length"):
+        idx.add_batch(ids[:4], rows)
+    after = idx.state_dict()
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert after[key].tobytes() == value.tobytes(), key
+        else:
+            assert after[key] == value, key
+
+
+def test_in_batch_duplicates_keep_the_last_row():
+    """A repeated id keeps its last row, and each distinct new id draws one
+    level, in first-occurrence order: the rng use, levels and id order of
+    the same rows added one by one."""
+    ids = [5, 1, 7, 5, 9, 1, 5, 12]  # 1 is stored already; 5 comes thrice
+    rows = np.random.default_rng(2).normal(size=(len(ids), 8))
+    batched, _ = _build(3)
+    one_by_one, _ = _build(3)
+    batched.add_batch(ids, rows)
+    for item_id, row in zip(ids, rows):
+        one_by_one.add(item_id, row)
+    batched.validate_invariants()
+    assert len(batched) == 3 + 4
+    for item_id, row in dict(zip(ids, rows)).items():  # each id's last row
+        np.testing.assert_array_equal(batched.vector(item_id), row)
+    assert batched._rng.bit_generator.state == one_by_one._rng.bit_generator.state
+    assert batched.ids == one_by_one.ids
+    assert [batched.node_level(i) for i in batched.ids] == [
+        one_by_one.node_level(i) for i in one_by_one.ids
+    ]
+
+
 def test_deterministic_given_seed():
     a, _ = _build(80, seed=5)
     b, _ = _build(80, seed=5)

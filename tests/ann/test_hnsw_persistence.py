@@ -94,6 +94,33 @@ def test_params_preserved(tmp_path):
         HNSWIndex(6).load_state_dict(idx.state_dict())
 
 
+def test_snapshot_between_two_batches_continues_like_its_twin(tmp_path):
+    """The path training takes: a snapshot between two ``add_batch`` calls,
+    then batches of new ids, re-inserts and in-batch duplicates. The
+    restored index reaches its un-snapshotted twin's state byte for byte
+    (graph, rows, rng) and answers alike."""
+    rng = np.random.default_rng(4)
+    twin = HNSWIndex(6, M=8, ef_construction=48, rng=9, capacity=16)
+    for start in range(0, 192, 64):
+        twin.add_batch(np.arange(start, start + 64), rng.normal(size=(64, 6)))
+    loaded = _restored(twin, tmp_path / "mid.npz", capacity=4)
+    for _ in range(3):
+        ids, rows = rng.integers(0, 300, size=64), rng.normal(size=(64, 6))
+        twin.add_batch(ids, rows)
+        loaded.add_batch(ids, rows)
+    loaded.validate_invariants()
+    want, got = twin.state_dict(), loaded.state_dict()
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].tobytes() == value.tobytes(), key
+        else:
+            assert got[key] == value, key
+    queries = rng.normal(size=(20, 6))
+    for a, b in zip(loaded.search_batch(queries, k=5), twin.search_batch(queries, k=5)):
+        np.testing.assert_array_equal(a, b)
+
+
 operation = st.tuples(
     st.sampled_from(["add", "add", "remove"]),  # add doubles as update
     st.integers(0, 25),

@@ -13,8 +13,9 @@ excluded id.
   screen happened to round.
 * HNSW backend: the radius-aware beam reduces to the plain beam at
   ``radius=inf``, agrees between the single and the batched entry point,
-  and keeps recall against the exact backend through update churn; the
-  batched prune it inserts with equals the sequential one.
+  and keeps recall against the exact backend through update churn and a
+  batched build; the selection kernel it inserts with equals a scalar
+  Algorithm 4.
 """
 
 import warnings
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ann.brute as brute_module
+import repro.ann.hnsw as hnsw_module
 from repro.ann.brute import BruteForceIndex, _screen_operand
 from repro.ann.hnsw import HNSWIndex
 
@@ -350,7 +352,7 @@ def test_the_screen_still_screens(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# HNSW backend: the radius-aware beam and the batched prune
+# HNSW backend: the radius-aware beam and the selection kernel
 # ----------------------------------------------------------------------
 HDIM = 16
 
@@ -456,25 +458,75 @@ def test_range_recall_against_exact_through_update_churn():
     assert capped >= 0.99
 
 
-def test_prune_many_equals_sequential_prune():
-    """Insertion prunes its overflowing neighbours in one batch; the graph
-    must be the one sequential ``_prune`` calls would have left."""
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=(500, HDIM))  # continuous: no exact ties
+def test_knn_recall_after_batched_build_and_a_drift_pass():
+    """Insertion quality on the path training takes: 64 rows per
+    ``add_batch``, then every point re-inserted once with drift, 64 at a
+    time in random order. kNN@10 still matches the exact backend."""
+    rng = np.random.default_rng(13)
+    data = _clustered(600, rng)
+    hnsw = HNSWIndex(HDIM, rng=2, capacity=600)
+    for start in range(0, 600, 64):
+        ids = np.arange(start, min(start + 64, 600))
+        hnsw.add_batch(ids, data[ids])
+    data += rng.normal(0.0, 0.4, data.shape)
+    order = rng.permutation(600)
+    for start in range(0, 600, 64):
+        ids = order[start : start + 64]
+        hnsw.add_batch(ids, data[ids])
+    hnsw.validate_invariants()
+    brute = BruteForceIndex(HDIM, capacity=600)
+    brute.add_batch(np.arange(600), data)
+    queries = data[:100] + rng.normal(0.0, 0.3, (100, HDIM))
+    got, _ = hnsw.search_batch(queries, 10)
+    want, _ = brute.search_batch(queries, 10)
+    recall = np.mean([np.intersect1d(g, w).size / 10 for g, w in zip(got, want)])
+    assert recall >= 0.99
 
-    def build(batched):
-        idx = HNSWIndex(HDIM, M=6, ef_construction=40, rng=3, capacity=500)
-        if not batched:
-            def one_by_one(rows, layer, limit):
-                for row in rows:
-                    idx._prune(row, layer, limit)
-            idx._prune_many = one_by_one
-        idx.add_batch(np.arange(500), data)
-        for i in range(0, 500, 3):  # the dynamic-update path prunes too
-            idx.update(i, data[i] + 0.05)
-        idx.validate_invariants()
-        return idx
 
-    batched, sequential = build(True), build(False)
-    assert batched._out == sequential._out
-    assert batched._in == sequential._in
+def select_reference(index, owner, cands, limit):
+    """Algorithm 4's simple heuristic for one node, a candidate at a time:
+    nearest first by (distance, id), keep one unless a kept one is nearer
+    to it than the node is, then fill with the skipped, nearest first."""
+    vec = index._vectors
+
+    def sq(a, b):
+        return float(np.sum((vec[a] - vec[b]) ** 2))
+
+    kept, skipped = [], []
+    for row in sorted(cands, key=lambda r: (sq(owner, r), index._id_of[r])):
+        if len(kept) == limit:
+            break
+        if any(sq(row, k) < sq(owner, row) for k in kept):
+            skipped.append(row)
+        else:
+            kept.append(row)
+    return (kept + skipped)[:limit]
+
+
+def test_select_many_equals_scalar_algorithm_4(monkeypatch):
+    """The one kernel that picks new nodes' neighbours and prunes overfull
+    lists is the scalar rule, node for node. Coordinates in -2..2 make
+    every distance exact, so ties are exact and fall to the id (not the
+    row order here); rows run from empty to wider than ``limit``; a small
+    block splits them across block boundaries."""
+    rng = np.random.default_rng(0)
+    n, dim, width = 80, 4, 12
+    index = HNSWIndex(dim, rng=0, capacity=n)
+    index.add_batch(rng.permutation(10 * n)[:n], rng.integers(-2, 3, (n, dim)))
+    owners = rng.integers(n, size=41)
+    lists = [
+        rng.choice(np.delete(np.arange(n), o), rng.integers(width + 1), replace=False)
+        for o in owners
+    ]
+    cands = np.full((len(owners), width), -1, dtype=np.int64)
+    for g, cand in enumerate(lists):
+        cands[g, : len(cand)] = cand
+    for limit in (1, 4, 8):
+        want = [
+            select_reference(index, o, cand.tolist(), limit)
+            for o, cand in zip(owners, lists)
+        ]
+        assert index._select_many(owners, cands, limit) == want
+        with monkeypatch.context() as patch:  # three nodes per block
+            patch.setattr(hnsw_module, "_BLOCK_BYTES", 3 * 8 * width * (dim + width))
+            assert index._select_many(owners, cands, limit) == want
