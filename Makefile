@@ -55,7 +55,7 @@ report:
 	$(PYTHON) -m repro report $(REPORT_DIR)
 
 # Tier-2 threaded lock stress tests (-m concurrency) plus the scheduler
-# harness, race regressions and prefetch-loader suite in tests/concurrency/.
+# harness and race regressions in tests/concurrency/.
 concurrency:
 	$(PYTHON) -m pytest tests/ -m concurrency
 	$(PYTHON) -m pytest tests/concurrency/

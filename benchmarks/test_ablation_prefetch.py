@@ -61,51 +61,3 @@ def test_ablation_prefetch(once, benchmark):
     # But prefetches are real fetches: total I/O volume grows with the
     # fraction, so aggressive prefetching is not free.
     assert metrics[1.0]["fetches"] > metrics[0.0]["fetches"]
-
-# ---------------------------------------------------------------------------
-# A5b — Concurrent prefetching loader (worker-overlap ablation)
-
-WORKERS = [0, 2, 4, 8]
-
-
-def _measure_workers():
-    rows = []
-    metrics = {}
-    for w in WORKERS:
-        train, test = make_split("cifar10-like", 600, 0)
-        model = build_model("resnet18", train.dim, train.num_classes, rng=2)
-        policy = SpiderCachePolicy(cache_fraction=0.2, rng=3)
-        # io_workers=1 so the serial run charges the full fetch sum — the
-        # overlap ablation then isolates the loader's window accounting.
-        trainer = Trainer(model, train, test, policy,
-                          TrainerConfig(epochs=6, batch_size=64,
-                                        io_workers=1, prefetch_workers=w))
-        res = trainer.run()
-        load = float(sum(e.data_load_s for e in res.epochs))
-        metrics[w] = dict(load=load,
-                          acc=res.final_accuracy,
-                          hit=res.mean_hit_ratio)
-        rows.append((str(w), f"{load:.3f}", f"{res.final_accuracy:.3f}",
-                     f"{res.mean_hit_ratio:.3f}"))
-    return rows, metrics
-
-
-def test_ablation_prefetch_workers(once, benchmark):
-    rows, metrics = once(_measure_workers)
-    print_table(
-        "A5b: prefetching loader workers (io_workers=1)",
-        ["workers", "data_load_s", "final acc", "mean hit"],
-        rows,
-    )
-    benchmark.extra_info["rows"] = rows
-    # Bit-identical training under every worker count: overlap changes
-    # only the simulated load time, never the learning trajectory.
-    for w in WORKERS[1:]:
-        assert metrics[w]["acc"] == metrics[0]["acc"]
-        assert metrics[w]["hit"] == metrics[0]["hit"]
-    # Overlap wins: simulated data-load time strictly below the serial
-    # sum for every concurrent width, and wider windows never lose.
-    for w in [2, 4, 8]:
-        assert metrics[w]["load"] < metrics[0]["load"]
-    assert metrics[4]["load"] <= metrics[2]["load"]
-    assert metrics[8]["load"] <= metrics[4]["load"]

@@ -49,9 +49,9 @@ def _run(train, test, world_size, shared_cache, cache_shards,
         ),
         world_size=world_size,
         config=TrainerConfig(epochs=EPOCHS, batch_size=64,
+                             shared_cache=shared_cache,
+                             cache_shards=cache_shards,
                              resize_shards_at=resize_shards_at),
-        shared_cache=shared_cache,
-        cache_shards=cache_shards,
         rng=5,
     )
     res = dp.run()

@@ -43,8 +43,8 @@ def main() -> None:
             policy_factory=lambda rank: SpiderCachePolicy(
                 cache_fraction=0.2, rng=100 + rank),
             world_size=WORLD_SIZE,
-            shared_cache=shared,
-            config=TrainerConfig(epochs=EPOCHS, batch_size=64),
+            config=TrainerConfig(epochs=EPOCHS, batch_size=64,
+                                 shared_cache=shared),
             rng=5,
         )
         res = dp.run()

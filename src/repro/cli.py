@@ -57,12 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", type=int, default=64)
         p.add_argument("--cache-fraction", type=float, default=0.2)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--prefetch-workers", type=int, default=0,
-            help="prefetching loader overlap-window width (0 = serial "
-                 "loader); results are bit-identical, only the simulated "
-                 "data-load time of each window overlaps",
-        )
 
     train_p = sub.add_parser("train", help="run one policy")
     train_p.add_argument("--policy", default="spidercache",
@@ -78,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     train_p.add_argument(
         "--shared-cache", action="store_true",
-        help="multi-worker runs share ONE logical cache instead of "
-             "per-worker caches",
+        help="every worker fetches through ONE logical cache instead of "
+             "per-worker caches (any --world-size)",
     )
     train_p.add_argument(
         "--cache-shards", type=int, default=0,
@@ -166,18 +160,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_run(args, policy_name: str, observer=None):
+def _build_parts(args, policy_name: str):
+    """The train/test split plus model and policy factories, seeded from
+    ``--seed`` the same way for every subcommand: dataset ``seed``, split
+    ``seed+1``, model ``seed+2``, policy ``seed+3+offset``."""
     data = make_dataset(args.preset, rng=args.seed, n_samples=args.samples)
     train, test = train_test_split(data, test_fraction=0.25, rng=args.seed + 1)
-    model = build_model(args.model, train.dim, train.num_classes,
-                        rng=args.seed + 2)
-    policy = POLICIES[policy_name](args.cache_fraction, args.seed + 3)
+
+    def make_model():
+        # Fresh rng per call: every replica starts from identical weights.
+        return build_model(args.model, train.dim, train.num_classes,
+                           rng=args.seed + 2)
+
+    def make_policy(offset: int = 0):
+        return POLICIES[policy_name](args.cache_fraction, args.seed + 3 + offset)
+
+    return train, test, make_model, make_policy
+
+
+def _make_run(args, policy_name: str, observer=None):
+    train, test, make_model, make_policy = _build_parts(args, policy_name)
+    model = make_model()
+    policy = make_policy()
     trainer = Trainer(
         model, train, test, policy,
         TrainerConfig(
             epochs=args.epochs,
             batch_size=args.batch_size,
-            prefetch_workers=getattr(args, "prefetch_workers", 0),
             clock_mode=getattr(args, "transport", "sim"),
         ),
         observer=observer,
@@ -203,28 +212,21 @@ def _cmd_info(args) -> int:
 
 def _make_dp_run(args, policy_name: str, observer=None):
     """Build a DataParallelTrainer for ``--world-size > 1`` (or any
-    shard-tier flag) train invocations."""
+    shared-cache-tier flag) train invocations."""
     from repro.train.data_parallel import DataParallelTrainer
 
-    data = make_dataset(args.preset, rng=args.seed, n_samples=args.samples)
-    train, test = train_test_split(data, test_fraction=0.25, rng=args.seed + 1)
-
-    def model_factory():
-        # Fresh rng per call: every replica starts from identical weights.
-        return build_model(args.model, train.dim, train.num_classes,
-                           rng=args.seed + 2)
+    train, test, make_model, make_policy = _build_parts(args, policy_name)
 
     def policy_factory(rank: int):
-        seed = args.seed + 3 if args.shared_cache else args.seed + 3 + rank
-        return POLICIES[policy_name](args.cache_fraction, seed)
+        # One shared tier sees one stream: every rank gets the same seed.
+        return make_policy(0 if args.shared_cache else rank)
 
     return DataParallelTrainer(
-        model_factory, train, test, policy_factory,
+        make_model, train, test, policy_factory,
         world_size=args.world_size,
         config=TrainerConfig(
             epochs=args.epochs,
             batch_size=args.batch_size,
-            prefetch_workers=getattr(args, "prefetch_workers", 0),
             clock_mode=args.transport,
             shared_cache=args.shared_cache,
             cache_shards=args.cache_shards,
@@ -262,9 +264,6 @@ def _reject(exc: ValueError) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.shared_cache and args.world_size < 2:
-        print("--shared-cache requires --world-size >= 2", file=sys.stderr)
-        return 2
     if args.rpc_deadline_ms is None:
         # Real IPC needs a far looser budget than the simulated channel.
         args.rpc_deadline_ms = 1000.0 if args.transport == "real" else 10.0
@@ -289,11 +288,14 @@ def _cmd_train(args) -> int:
         (out / TRACE_FILE).unlink(missing_ok=True)
         recorder = JsonlRecorder(out / TRACE_FILE)
         observer = Observer(recorder=recorder, span_seed=args.seed)
-    # Any shard-tier flag goes to the builder that owns those knobs, so
-    # its constructor is what rejects a combination it cannot honour.
-    sharded = args.cache_shards or args.resize_shards_at is not None
+    # Any shared-cache-tier flag goes to the builder that owns those knobs,
+    # so its constructor is what rejects a combination it cannot honour.
+    shared_tier = (
+        args.shared_cache or args.cache_shards
+        or args.resize_shards_at is not None
+    )
     try:
-        if args.world_size > 1 or sharded:
+        if args.world_size > 1 or shared_tier:
             trainer = _make_dp_run(args, args.policy, observer=observer)
         else:
             trainer, _, _ = _make_run(args, args.policy, observer=observer)
@@ -432,19 +434,11 @@ def _cmd_faults(args) -> int:
     )
 
     def make_trainer(checkpoint_dir, preemptions, restart_penalty_s):
-        data = make_dataset(args.preset, rng=args.seed, n_samples=args.samples)
-        train, test = train_test_split(data, test_fraction=0.25,
-                                       rng=args.seed + 1)
-        model = build_model(args.model, train.dim, train.num_classes,
-                            rng=args.seed + 2)
-        policy = POLICIES[args.policy](args.cache_fraction, args.seed + 3)
+        train, test, make_model, make_policy = _build_parts(args, args.policy)
+        model = make_model()
         return ResilientTrainer(
-            model, train, test, policy,
-            TrainerConfig(
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                prefetch_workers=getattr(args, "prefetch_workers", 0),
-            ),
+            model, train, test, make_policy(),
+            TrainerConfig(epochs=args.epochs, batch_size=args.batch_size),
             checkpoint_dir=checkpoint_dir,
             checkpoint_every_batches=args.checkpoint_every,
             preemptions=preemptions,

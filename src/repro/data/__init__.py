@@ -8,7 +8,6 @@ points, and mislabeled points, in controllable proportions.
 
 from repro.data.images import ProceduralImageDataset, make_image_dataset
 from repro.data.loader import Batch, DataLoader
-from repro.data.prefetch import PrefetchingDataLoader
 from repro.data.registry import DATASET_PRESETS, make_dataset
 from repro.data.transforms import (
     Compose,
@@ -39,7 +38,6 @@ __all__ = [
     "DATASET_PRESETS",
     "make_dataset",
     "DataLoader",
-    "PrefetchingDataLoader",
     "Batch",
     "KIND_WELL",
     "KIND_BOUNDARY",

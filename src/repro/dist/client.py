@@ -52,9 +52,8 @@ to a ring of the new size (see :mod:`repro.dist.migration`) and
 faulty channel — interruptible, idempotent, and verified by
 :meth:`ShardedCacheClient.verify_placement`.
 
-The client is driven by one thread (one loader thread per worker in the
-simulated data-parallel trainer); the layer locks it inherits are
-uncontended.
+The client is driven by one thread — the epoch loop collates every
+rank's batch in turn — so the layer locks it inherits are uncontended.
 """
 
 from __future__ import annotations

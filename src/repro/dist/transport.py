@@ -261,7 +261,7 @@ class RealRpcTransport(Transport):
         elapsed = max(self.clock.total_seconds - now, 0.0)
         # Record (without sleeping) the measured attempt time against the
         # rpc stage so breakdowns stay comparable with sim runs.
-        self.clock.advance_parallel(self.STAGE, [elapsed])
+        self.clock.record(self.STAGE, elapsed)
         return outcome, elapsed
 
     def peek(self, shard: int, method: str, *args: Any) -> Any:

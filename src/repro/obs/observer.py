@@ -275,27 +275,6 @@ class Observer:
         if self.recorder.enabled:
             self._emit_row(("prefetch", int(index), bool(admitted), latency_s))
 
-    def on_prefetch_window(
-        self, size: int, sum_s: float, charged_s: float
-    ) -> None:
-        """The prefetching loader committed one overlapped fetch window.
-
-        ``sum_s`` is what the window's fetches would have cost serially;
-        ``charged_s`` (the max) is what the clock actually paid. The gap
-        is the overlap saving (Fig. 12's pipelining win).
-        """
-        m = self.metrics
-        m.counter("prefetch.windows").inc()
-        m.counter("prefetch.overlap_saved_s").inc(sum_s - charged_s)
-        m.gauge("prefetch.window_size").set(size)
-        self.emit(
-            "prefetch_window",
-            size=int(size),
-            sum_s=float(sum_s),
-            charged_s=float(charged_s),
-            saved_s=float(sum_s - charged_s),
-        )
-
     def on_admit(
         self,
         key: int,

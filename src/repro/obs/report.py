@@ -5,8 +5,9 @@ Three layers:
 * :func:`aggregate_trace` folds a trace's ``fetch``/``prefetch``/``batch``
   events into per-epoch totals that reproduce the trainer's
   :class:`~repro.train.metrics.EpochMetrics` numbers exactly (hit ratios
-  from fetch sources; stage times from per-batch costs plus the run's
-  ``io_workers``/``hit_latency_s`` recorded in the ``run_start`` event);
+  from fetch sources; stage times from per-batch costs, and ``data_load``
+  from the trainer's own :func:`~repro.train.metrics.data_load_seconds`
+  over the ``io_workers``/``hit_latency_s`` recorded in ``run_start``);
 * :func:`write_run_artifacts` exports a finished run as ``epochs.jsonl``
   (one JSON object per epoch) and ``summary.json`` (run summary + metrics
   registry snapshot + provenance metadata) next to the optional
@@ -27,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.critpath import critpath_lines
 from repro.obs.trace import SEGMENT_KIND, read_jsonl
-from repro.train.metrics import TrainResult
+from repro.train.metrics import TrainResult, data_load_seconds
 
 __all__ = [
     "EpochAggregate",
@@ -64,15 +65,11 @@ class EpochAggregate:
     n_batches: int = 0
     n_samples: int = 0
     remote_latency_s: float = 0.0
-    prefetch_latency_s: float = 0.0  # importance-prefetch slice of the above
-    prefetch_windows: int = 0  # overlapped windows (prefetching loader)
-    overlap_charged_s: float = 0.0  # max-of-window charges actually paid
-    overlap_saved_s: float = 0.0  # serial sum minus charged
     hit_serves: int = 0  # serves charged the in-memory hit latency
     compute_s: float = 0.0
     preprocess_s: float = 0.0
     is_visible_s: float = 0.0
-    data_load_s: float = 0.0  # derived; needs io_workers + hit latency
+    data_load_s: float = 0.0  # derived by data_load_seconds
 
     @property
     def requests(self) -> int:
@@ -118,7 +115,6 @@ def aggregate_trace(
     if isinstance(events, (str, Path)):
         events = read_jsonl(events)
     per_epoch: Dict[int, EpochAggregate] = {}
-    prefetch_workers = 0
 
     def agg(epoch: int) -> EpochAggregate:
         a = per_epoch.get(epoch)
@@ -133,8 +129,6 @@ def aggregate_trace(
                 io_workers = int(ev["io_workers"])
             if hit_latency_s is None and "hit_latency_s" in ev:
                 hit_latency_s = float(ev["hit_latency_s"])
-            if "prefetch_workers" in ev:
-                prefetch_workers = int(ev["prefetch_workers"])
             continue
         a = agg(int(ev.get("epoch", -1)))
         if kind == "fetch":
@@ -160,11 +154,6 @@ def aggregate_trace(
         elif kind == "prefetch":
             a.prefetches += 1
             a.remote_latency_s += float(ev.get("latency_s", 0.0))
-            a.prefetch_latency_s += float(ev.get("latency_s", 0.0))
-        elif kind == "prefetch_window":
-            a.prefetch_windows += 1
-            a.overlap_charged_s += float(ev.get("charged_s", 0.0))
-            a.overlap_saved_s += float(ev.get("saved_s", 0.0))
         elif kind == "batch":
             a.n_batches += 1
             a.n_samples += int(ev.get("size", 0))
@@ -172,19 +161,12 @@ def aggregate_trace(
             a.preprocess_s += float(ev.get("preprocess_s", 0.0))
             a.is_visible_s += float(ev.get("is_visible_s", 0.0))
 
-    # Prefetch runs replace the io_workers divisor with max-of-window
-    # accounting (mirrors EpochRunner._epoch_metrics' load_div); the raw stage
-    # total those runs paid is the windows' charged time plus whatever
-    # was charged outside a window (importance prefetches).
-    workers = 1 if prefetch_workers > 0 else (io_workers if io_workers else 1)
-    hit_lat = hit_latency_s if hit_latency_s is not None else 0.0
     out = [per_epoch[e] for e in sorted(per_epoch) if e >= 0]
     for a in out:
-        if a.prefetch_windows:
-            raw = a.overlap_charged_s + a.prefetch_latency_s
-        else:
-            raw = a.remote_latency_s / workers
-        a.data_load_s = raw + a.hit_serves * hit_lat
+        a.data_load_s = data_load_seconds(
+            a.remote_latency_s, a.hit_serves, io_workers or 1,
+            hit_latency_s or 0.0,
+        )
     return out
 
 
@@ -315,15 +297,6 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
     if degraded or skipped:
         lines.append(f"degraded serving: {degraded} substituted, {skipped} skipped "
                      "(excluded from hit ratios)")
-    windows = [e for e in events if e.get("kind") == "prefetch_window"]
-    if windows:
-        charged = sum(float(e.get("charged_s", 0.0)) for e in windows)
-        saved = sum(float(e.get("saved_s", 0.0)) for e in windows)
-        lines.append(
-            f"prefetch overlap: {len(windows)} window(s), "
-            f"charged {charged:.3f}s, saved {saved:.3f}s"
-        )
-
     audits = [e for e in events if e.get("kind") == "audit"]
     if audits:
         by_action: Dict[str, int] = {}

@@ -11,14 +11,9 @@ read-modify-write on the per-stage totals is guarded by a lock
 (``advance``'s unguarded ``+=`` was a lost-update race;
 ``tests/concurrency`` replays it deterministically).
 
-Two primitives support overlapped accounting (Fig. 12's pipelining):
-
-* :meth:`advance_parallel` charges ``max(durations)`` for a window of
-  concurrent operations — the window takes as long as its slowest member,
-  not the sum;
-* :meth:`deferred` captures this thread's charges to one stage into a
-  buffer instead of the totals, so a loader can re-account a window of
-  individually-charged fetches through :meth:`advance_parallel`.
+Concurrent loader processes are modelled by the epoch loop, not here: the
+``data_load`` stage total is divided by ``io_workers`` when an epoch closes
+(:func:`repro.train.metrics.data_load_seconds`).
 """
 
 from __future__ import annotations
@@ -26,20 +21,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator
+from typing import Dict
 
-__all__ = ["SimClock", "WallClock", "DeferredCharge"]
-
-
-class DeferredCharge:
-    """Accumulator for charges captured by :meth:`SimClock.deferred`."""
-
-    __slots__ = ("stage", "seconds")
-
-    def __init__(self, stage: str) -> None:
-        self.stage = stage
-        self.seconds = 0.0
+__all__ = ["SimClock", "WallClock"]
 
 
 class SimClock:
@@ -48,64 +32,14 @@ class SimClock:
     def __init__(self) -> None:
         self._stage_s: Dict[str, float] = defaultdict(float)
         self._lock = threading.Lock()
-        self._deferral = threading.local()  # per-thread capture stacks
 
     # ------------------------------------------------------------------
-    def _deferral_stacks(self) -> Dict[str, list]:
-        stacks = getattr(self._deferral, "stacks", None)
-        if stacks is None:
-            stacks = self._deferral.stacks = {}
-        return stacks
-
     def advance(self, stage: str, seconds: float) -> None:
         """Charge ``seconds`` of simulated time to ``stage``."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        stack = self._deferral_stacks().get(stage)
-        if stack:
-            stack[-1].seconds += seconds
-            return
         with self._lock:
             self._stage_s[stage] += seconds
-
-    def advance_parallel(self, stage: str, durations: Iterable[float]) -> float:
-        """Charge one *overlapped* window of concurrent durations.
-
-        ``durations`` are the individual costs of operations that ran
-        concurrently; the window's wall time is their maximum, which is
-        what gets charged. Returns the charged seconds (0.0 for an empty
-        window).
-        """
-        durations = [float(d) for d in durations]
-        if any(d < 0 for d in durations):
-            raise ValueError("cannot advance the clock backwards")
-        if not durations:
-            return 0.0
-        charge = max(durations)
-        self.advance(stage, charge)
-        return charge
-
-    @contextmanager
-    def deferred(self, stage: str) -> Iterator[DeferredCharge]:
-        """Capture this thread's charges to ``stage`` instead of totals.
-
-        Charges issued by the *current thread* to ``stage`` inside the
-        scope accumulate in the yielded :class:`DeferredCharge` rather
-        than the clock; the caller decides how to re-account them
-        (typically via :meth:`advance_parallel` over a window of cells).
-        Scopes nest (innermost wins) and never affect other threads or
-        other stages.
-        """
-        stacks = self._deferral_stacks()
-        cell = DeferredCharge(stage)
-        stack = stacks.setdefault(stage, [])
-        stack.append(cell)
-        try:
-            yield cell
-        finally:
-            stack.pop()
-            if not stack:
-                del stacks[stage]
 
     # ------------------------------------------------------------------
     def stage_seconds(self, stage: str) -> float:
@@ -167,13 +101,11 @@ class WallClock:
     * :meth:`advance` actually **sleeps** — a retry backoff charge becomes
       a real delay — while still recording per-stage totals so
       :meth:`breakdown` stays meaningful;
-    * :meth:`advance_parallel` only records (``max`` of the window): the
-      overlap already happened in real time, sleeping again would
-      double-pay it.
+    * :meth:`record` only records: a measured duration already happened
+      in real time, sleeping again would double-pay it.
 
-    There is no :meth:`deferred` capture and no ``state_dict`` — wall
-    time cannot be checkpointed or replayed; deterministic runs use
-    :class:`SimClock`.
+    There is no ``state_dict`` — wall time cannot be checkpointed or
+    replayed; deterministic runs use :class:`SimClock`.
     """
 
     def __init__(self) -> None:
@@ -187,24 +119,16 @@ class WallClock:
 
     def advance(self, stage: str, seconds: float) -> None:
         """Really sleep ``seconds`` and record them against ``stage``."""
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
         if seconds > 0:
             time.sleep(seconds)
+        self.record(stage, seconds)
+
+    def record(self, stage: str, seconds: float) -> None:
+        """Record (not sleep) ``seconds`` already spent against ``stage``."""
+        if seconds < 0:
+            raise ValueError("cannot advance the clock backwards")
         with self._lock:
             self._stage_s[stage] += seconds
-
-    def advance_parallel(self, stage: str, durations: Iterable[float]) -> float:
-        """Record (not sleep) an overlapped window; returns max duration."""
-        durations = [float(d) for d in durations]
-        if any(d < 0 for d in durations):
-            raise ValueError("cannot advance the clock backwards")
-        if not durations:
-            return 0.0
-        charge = max(durations)
-        with self._lock:
-            self._stage_s[stage] += charge
-        return charge
 
     def stage_seconds(self, stage: str) -> float:
         """Seconds explicitly recorded against one stage (not elapsed wall)."""

@@ -54,12 +54,12 @@ class DataParallelTrainer(EpochRunner):
         worker (``shared_cache=True``).
     comm_ms_per_step:
         All-reduce cost at 2 workers; scaled by ``2 (K-1)/K``.
-    shared_cache, cache_shards:
-        Default to the config's fields; explicit arguments win. With
-        ``shared_cache=True`` and ``cache_shards > 0``, the shared tier
-        becomes a :class:`~repro.dist.client.ShardedCacheClient` over that
-        many shard servers; RPC latency is charged to the shared clock's
-        ``"rpc"`` stage. ``0`` keeps the in-process monolithic cache.
+
+    The cache topology comes from the config: with ``shared_cache=True``
+    and ``cache_shards > 0``, the shared tier becomes a
+    :class:`~repro.dist.client.ShardedCacheClient` over that many shard
+    servers; RPC latency is charged to the shared clock's ``"rpc"`` stage.
+    ``cache_shards=0`` keeps the in-process monolithic cache.
     """
 
     def __init__(
@@ -72,8 +72,6 @@ class DataParallelTrainer(EpochRunner):
         config: Optional[TrainerConfig] = None,
         latency: Optional[LatencyModel] = None,
         comm_ms_per_step: float = 8.0,
-        shared_cache: Optional[bool] = None,
-        cache_shards: Optional[int] = None,
         rpc_latency: Optional[LatencyModel] = None,
         observer: Optional[Observer] = None,
         rng: RngLike = None,
@@ -81,25 +79,20 @@ class DataParallelTrainer(EpochRunner):
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         super().__init__(
-            train_set, test_set, config, observer, rng, world_size,
-            comm_ms_per_step,
+            train_set, test_set, config, observer, rng, comm_ms_per_step
         )
         cfg = self.config
-        if shared_cache is None:
-            shared_cache = cfg.shared_cache
-        if cache_shards is None:
-            cache_shards = cfg.cache_shards
-        if cache_shards < 0:
+        if cfg.cache_shards < 0:
             raise ValueError("cache_shards must be non-negative")
-        if cache_shards and not shared_cache:
+        if cfg.cache_shards and not cfg.shared_cache:
             raise ValueError("cache_shards requires shared_cache=True")
-        if cfg.resize_shards_at is not None and not cache_shards:
+        if cfg.resize_shards_at is not None and not cfg.cache_shards:
             raise ValueError("resize_shards_at requires cache_shards > 0")
-        if cfg.clock_mode == "real" and not cache_shards:
+        if cfg.clock_mode == "real" and not cfg.cache_shards:
             raise ValueError(UNSHARDED_REAL)
         self.world_size = int(world_size)
-        self.cache_shards = int(cache_shards)
-        self.shared_cache = bool(shared_cache)
+        self.cache_shards = int(cfg.cache_shards)
+        self.shared_cache = bool(cfg.shared_cache)
         self._shared_clock = SimClock()
         self._rpc_latency = rpc_latency
 

@@ -7,7 +7,20 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["EpochMetrics", "TrainResult"]
+__all__ = ["EpochMetrics", "TrainResult", "data_load_seconds"]
+
+
+def data_load_seconds(
+    remote_s: float, hit_serves: int, io_workers: int, hit_latency_s: float
+) -> float:
+    """One loader's Fig.-2 data-load time: remote fetch time shared by
+    ``io_workers`` concurrent loader processes, plus ``hit_latency_s`` per
+    sample served from memory.
+
+    The one formula behind ``EpochMetrics.data_load_s`` (per clock, in the
+    epoch loop) and the trace report's per-epoch aggregate.
+    """
+    return remote_s / io_workers + hit_serves * hit_latency_s
 
 
 @dataclass

@@ -42,7 +42,7 @@ from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency, LatencyModel
-from repro.train.metrics import EpochMetrics, TrainResult
+from repro.train.metrics import EpochMetrics, TrainResult, data_load_seconds
 from repro.train.pipeline import StageCostModel
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.utils.rng import RngLike, resolve_rng
@@ -88,11 +88,6 @@ class TrainerConfig:
     # its declared per-item cost is charged to the "preprocess" stage.
     transform: Optional[object] = None
     io_workers: int = 4  # concurrent loader processes dividing fetch latency
-    # Prefetching loader overlap-window width; 0 keeps the serial
-    # DataLoader. When >0, fetch latency is modelled by max-of-window
-    # overlap accounting instead of the io_workers divisor (never both —
-    # that would double-count).
-    prefetch_workers: int = 0
     hit_latency_s: float = 20e-6  # in-memory cache hit cost
     eval_every: int = 1
     reference_batch: int = 128  # batch size the Table-1 ms costs assume
@@ -174,7 +169,7 @@ class EpochRunner:
     def __init__(
         self, train_set: SyntheticDataset, test_set: SyntheticDataset,
         config: Optional[TrainerConfig], observer: Optional[Observer],
-        rng: RngLike, world_size: int = 1, comm_ms_per_step: float = 0.0,
+        rng: RngLike, comm_ms_per_step: float = 0.0,
     ) -> None:
         self.train_set = train_set
         self.test_set = test_set
@@ -187,11 +182,6 @@ class EpochRunner:
         if cfg.clock_mode not in ("sim", "real"):
             raise ValueError(
                 f"clock_mode must be 'sim' or 'real', got {cfg.clock_mode!r}"
-            )
-        if cfg.prefetch_workers > 0 and world_size > 1:
-            raise ValueError(
-                "prefetch_workers > 0 requires world_size == 1: the max-of-"
-                "window overlap model is defined for one loader per clock"
             )
 
     # -- topology ----------------------------------------------------------
@@ -222,27 +212,17 @@ class EpochRunner:
             model.params(), lr=cfg.lr, momentum=cfg.momentum,
             weight_decay=cfg.weight_decay, schedule=cfg.build_schedule(),
         )
-        if cfg.prefetch_workers > 0:
-            from repro.data.prefetch import PrefetchingDataLoader
-
-            loader: DataLoader = PrefetchingDataLoader(
-                labels, policy.fetch, batch_size=batch_size,
-                workers=cfg.prefetch_workers, clock=store.clock,
-                observer=self.observer, fetch_many_fn=policy.fetch_many,
-            )
-        else:
-            loader = DataLoader(
-                labels, policy.fetch, batch_size=batch_size,
-                fetch_many_fn=policy.fetch_many,
-            )
+        loader = DataLoader(
+            labels, policy.fetch, batch_size=batch_size,
+            fetch_many_fn=policy.fetch_many,
+        )
         self.workers.append(WorkerState(
             len(self.workers), shard, model, policy, store, store.clock,
             loader, optimizer,
         ))
 
     def _attach_observer(self) -> None:
-        """Wire ``self.observer`` through the store stacks and policies (a
-        prefetching loader got it at construction).
+        """Wire ``self.observer`` through the store stacks and policies.
 
         Idempotent; re-run at the top of :meth:`run` because tests and
         the resilience layer wrap a store after construction.
@@ -304,7 +284,6 @@ class EpochRunner:
             "policy": self.workers[0].policy.name, "model": result.model_name,
             "dataset": result.dataset_name, "epochs": cfg.epochs,
             "batch_size": cfg.batch_size, "io_workers": cfg.io_workers,
-            "prefetch_workers": cfg.prefetch_workers,
             "hit_latency_s": cfg.hit_latency_s,
         }
 
@@ -531,14 +510,12 @@ class EpochRunner:
         cfg, policies, clocks = self.config, self._policies(), self._clocks()
         first = self.workers[0]
         k = len(self.workers)
-        # With prefetching the raw total is already overlap-charged
-        # (max-of-window); dividing it by io_workers again would model
-        # the same parallelism twice.
-        load_div = 1 if cfg.prefetch_workers > 0 else cfg.io_workers
         loads = [
-            (c.stage_seconds(RemoteStore.STAGE) - before) / load_div
-            + sum(acc.hits[w.rank] for w in self.workers if w.clock is c)
-            * cfg.hit_latency_s
+            data_load_seconds(
+                c.stage_seconds(RemoteStore.STAGE) - before,
+                sum(acc.hits[w.rank] for w in self.workers if w.clock is c),
+                cfg.io_workers, cfg.hit_latency_s,
+            )
             for c, before in zip(clocks, acc.load_before_s)
         ]
         rpc_s = self._rpc_seconds() - acc.rpc_before_s

@@ -7,7 +7,6 @@ threaded tests hammer the fixed, locked implementations with real threads
 and assert exact totals.
 """
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -132,68 +131,3 @@ def test_locked_skip_count_exact_under_threads():
         for f in [pool.submit(hammer) for _ in range(8)]:
             f.result()
     assert loader.skipped_count == 8 * 500
-
-
-# ---------------------------------------------------------------------------
-# advance_parallel / deferred semantics
-
-
-def test_advance_parallel_charges_window_max():
-    clock = SimClock()
-    charged = clock.advance_parallel("data_load", [0.2, 0.9, 0.4])
-    assert charged == pytest.approx(0.9)
-    assert clock.stage_seconds("data_load") == pytest.approx(0.9)
-
-
-def test_advance_parallel_empty_and_negative():
-    clock = SimClock()
-    assert clock.advance_parallel("data_load", []) == 0.0
-    assert clock.total_seconds == 0.0
-    with pytest.raises(ValueError):
-        clock.advance_parallel("data_load", [0.1, -0.1])
-
-
-def test_deferred_captures_instead_of_charging():
-    clock = SimClock()
-    with clock.deferred("data_load") as cell:
-        clock.advance("data_load", 1.5)
-        clock.advance("data_load", 0.5)
-        clock.advance("compute", 2.0)  # other stages charge normally
-    assert cell.seconds == pytest.approx(2.0)
-    assert clock.stage_seconds("data_load") == 0.0
-    assert clock.stage_seconds("compute") == pytest.approx(2.0)
-    clock.advance("data_load", 1.0)  # capture scope is over
-    assert clock.stage_seconds("data_load") == pytest.approx(1.0)
-
-
-def test_deferred_nests_innermost_wins():
-    clock = SimClock()
-    with clock.deferred("s") as outer:
-        clock.advance("s", 1.0)
-        with clock.deferred("s") as inner:
-            clock.advance("s", 2.0)
-        clock.advance("s", 4.0)
-    assert inner.seconds == pytest.approx(2.0)
-    assert outer.seconds == pytest.approx(5.0)
-    assert clock.stage_seconds("s") == 0.0
-
-
-def test_deferred_is_thread_local():
-    clock = SimClock()
-    started = threading.Event()
-    release = threading.Event()
-
-    def other_thread():
-        started.set()
-        release.wait(timeout=5)
-        clock.advance("s", 3.0)  # must NOT land in main thread's cell
-
-    t = threading.Thread(target=other_thread)
-    with clock.deferred("s") as cell:
-        t.start()
-        started.wait(timeout=5)
-        clock.advance("s", 1.0)
-        release.set()
-        t.join(timeout=5)
-    assert cell.seconds == pytest.approx(1.0)
-    assert clock.stage_seconds("s") == pytest.approx(3.0)

@@ -154,8 +154,10 @@ def test_no_hook_counts_what_an_owner_keeps():
                                           train.num_classes, rng=2),
         train_set=train, test_set=test,
         policy_factory=lambda rank: SpiderCachePolicy(cache_fraction=0.3, rng=3),
-        world_size=2, shared_cache=True, cache_shards=2,
-        config=TrainerConfig(epochs=2, batch_size=32), observer=obs, rng=4,
+        world_size=2,
+        config=TrainerConfig(epochs=2, batch_size=32, shared_cache=True,
+                             cache_shards=2),
+        observer=obs, rng=4,
     )
     dp.run()
     worker = dp.workers[0]

@@ -207,9 +207,8 @@ def test_rpc_attempt_line_equals_the_rpc_calls_counter(tmp_path):
         test_set=test,
         policy_factory=lambda rank: SpiderCachePolicy(cache_fraction=0.3, rng=3),
         world_size=2,
-        shared_cache=True,
-        cache_shards=2,
-        config=TrainerConfig(epochs=2, batch_size=32),
+        config=TrainerConfig(epochs=2, batch_size=32, shared_cache=True,
+                             cache_shards=2),
         observer=Observer(recorder=recorder, span_seed=5),
         rng=4,
     )
@@ -244,8 +243,7 @@ def test_data_parallel_report_stage_columns_equal_epoch_metrics(tmp_path):
         test_set=test,
         policy_factory=lambda rank: SlowISPolicy(cache_fraction=0.3, rng=3),
         world_size=2,
-        shared_cache=True,
-        config=TrainerConfig(epochs=2, batch_size=32),
+        config=TrainerConfig(epochs=2, batch_size=32, shared_cache=True),
         observer=Observer(recorder=recorder, metrics=MetricsRegistry()),
         rng=4,
     )

@@ -1,10 +1,16 @@
 """Golden regression test for the ``repro report`` CLI.
 
-The fixture under ``fixtures/golden-run/`` is a checked-in artifact set
-from a small traced prefetching run (``repro train --policy spidercache
---samples 120 --epochs 2 --batch-size 32 --prefetch-workers 3 --seed 7
---trace-dir ...``); ``golden-report.txt`` is the report it rendered at
-the time. Any change to the report layout, the trace aggregation, or the
+The fixtures under ``fixtures/`` are checked-in artifact sets with the
+report each rendered at the time (EXPERIMENTS.md "Golden report fixtures"
+has the recipes). ``golden-run/`` is a small traced single-worker run
+(``repro train --policy spidercache --samples 120 --epochs 2 --batch-size
+32 --seed 7 --trace-dir ...``) in the row-block trace format.
+``golden-shard-run/`` is a two-worker sharded run kept in the older
+one-line-per-event format, written before row blocks existed; its
+``run_start`` still carries a loader knob the trainer no longer has, so
+it also covers a trace from an older writer reading and rendering
+unchanged.
+Any change to the report layout, the trace aggregation, or the
 consistency check shows up here as a diff — update the golden file
 deliberately, with the rendered output, when the change is intended.
 """
@@ -24,10 +30,10 @@ def test_report_cli_matches_golden_fixture(capsys):
 
 
 def test_golden_fixture_consistency_check_passes():
-    """The checked-in prefetch trace reconciles with its epoch metrics."""
+    """The checked-in single-worker trace reconciles with its epoch
+    metrics."""
     golden = (FIXTURES / "golden-report.txt").read_text()
     assert "trace vs per-epoch metrics: OK" in golden
-    assert "prefetch overlap:" in golden
 
 
 def test_report_cli_matches_golden_shard_fixture(capsys):

@@ -1,8 +1,8 @@
 """What a fresh run exports, pinned byte for byte.
 
 The golden report fixtures (``test_report_golden.py``) render checked-in
-artifacts; their traces predate row blocks and are kept as the test of
-reading old traces. This module instead *re-runs* the two EXPERIMENTS.md
+artifacts; the sharded one's trace predates row blocks and is kept as the
+test of reading old traces. This module instead *re-runs* the two EXPERIMENTS.md
 fixture recipes into a temporary directory and compares what they write
 — ``summary.json`` (metrics snapshot included) and the ``repro report``
 text rendered from it — with pinned copies. A change to what a run counts, or to how the snapshot is
@@ -28,10 +28,10 @@ COMMON = [
     "--batch-size", "32", "--seed", "7",
 ]
 
-#: EXPERIMENTS.md "Golden report fixtures": a single-worker prefetching
-#: run and a two-worker run over a two-shard shared cache.
+#: EXPERIMENTS.md "Golden report fixtures": a single-worker run and a
+#: two-worker run over a two-shard shared cache.
 TRAIN_RECIPES = {
-    "run": COMMON + ["--prefetch-workers", "3"],
+    "run": COMMON,
     "shard-run": COMMON + [
         "--world-size", "2", "--shared-cache", "--cache-shards", "2",
     ],

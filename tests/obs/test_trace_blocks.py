@@ -9,9 +9,8 @@ Three angles:
   reader uses, so the field names themselves need an outside oracle);
 * a differential over real runs: a tee records the flat event of every
   ``emit`` / ``emit_row`` call at call time, next to the real sink — every
-  trainer topology, a prefetching run (rows under overlapped windows), a
-  request stream straight at the shard tier, the same stream through a
-  shard outage with breaker trips;
+  trainer topology, a request stream straight at the shard tier, the
+  same stream through a shard outage with breaker trips;
 * a Hypothesis round trip over arbitrary interleavings of rows, stamps
   and cold events.
 """
@@ -20,9 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.policy import SpiderCachePolicy
 from repro.dist.client import ShardedCacheClient
-from repro.nn.models import build_model
 from repro.obs import (
     InMemoryRecorder,
     JsonlRecorder,
@@ -39,7 +36,6 @@ from repro.obs.trace import (
 )
 from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
-from repro.train.trainer import Trainer, TrainerConfig
 from tests.train import topologies
 from tests.train.topologies import TOPOLOGIES
 
@@ -200,27 +196,6 @@ def test_blocks_equal_flat_on_every_topology(topology, tmp_path):
     assert {"fetch", "importance_admit", "audit", "batch", "span"} <= kinds
     # Every per-request event of a training run sits under a span.
     assert all("span" in e for e in loaded if e["kind"] == "fetch")
-
-
-def test_blocks_equal_flat_with_prefetch_workers(tmp_path):
-    """``--prefetch-workers 4``: every slot is fetched on the trainer
-    thread inside the batch span, so each fetch row carries that span
-    while ``prefetch_window`` spans interleave with the rows."""
-    train, test = topologies.dataset()
-    tee = TeeRecorder(tmp_path / "trace.jsonl")
-    trainer = Trainer(
-        build_model("resnet18", train.dim, train.num_classes, rng=2),
-        train, test, SpiderCachePolicy(cache_fraction=0.25, rng=3),
-        TrainerConfig(epochs=2, batch_size=32, prefetch_workers=4),
-        observer=Observer(tee, MetricsRegistry(), span_seed=5), rng=4,
-    )
-    trainer.run()
-    loaded = _assert_blocks_equal_flat(tee)
-    fetches = [e for e in loaded if e["kind"] == "fetch"]
-    assert len(fetches) == 2 * len(train)
-    assert all("span" in e for e in fetches)
-    assert any(e["kind"] == "span" and e["name"] == "prefetch_window"
-               for e in loaded)
 
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "outage"])

@@ -28,13 +28,12 @@ def build_run():
     """
 
     def _build(cls=Trainer, epochs=3, n_samples=160, batch_size=16,
-               prefetch_workers=0, policy="spidercache", **kw):
+               policy="spidercache", **kw):
         data = make_dataset("cifar10-like", rng=0, n_samples=n_samples)
         train, test = train_test_split(data, test_fraction=0.25, rng=1)
         model = build_model("resnet18", train.dim, train.num_classes, rng=2)
         built = POLICY_CASES[policy](0.2, 3)
-        cfg = TrainerConfig(epochs=epochs, batch_size=batch_size,
-                            prefetch_workers=prefetch_workers)
+        cfg = TrainerConfig(epochs=epochs, batch_size=batch_size)
         return cls(model, train, test, built, cfg, **kw), model, built
 
     return _build

@@ -230,51 +230,3 @@ def test_max_restarts_reraises(build_run, tmp_path):
     )
     with pytest.raises(PreemptionError):
         trainer.run()
-
-
-# ---------------------------------------------------------------------------
-# Prefetching loader under preemption
-
-
-def test_prefetch_recovery_is_exact(build_run, tmp_path):
-    """Mid-epoch preemption with the prefetching loader resumes bit-exact.
-
-    Windows never span a batch slot, so every checkpoint lands with no
-    fetch in flight; the preempted prefetch run must match an
-    uninterrupted prefetch run on everything, and an uninterrupted
-    *serial* run on everything except the overlap-charged load times.
-    """
-    serial, serial_model, serial_policy = build_run(Trainer, epochs=3)
-    rs = serial.run()
-
-    base, base_model, base_policy = build_run(
-        Trainer, epochs=3, prefetch_workers=3
-    )
-    r0 = base.run()
-
-    trainer, model, policy = build_run(
-        ResilientTrainer, epochs=3, prefetch_workers=3,
-        checkpoint_dir=tmp_path / "ckpts",
-        checkpoint_every_batches=3,
-        preemptions=PreemptionSchedule(at=[(1, 2), (2, 4)]),
-    )
-    r1 = trainer.run()
-
-    assert trainer.recovery.restarts == 2
-    # Prefetch-vs-prefetch: fully identical (params, metrics, clock, caches).
-    assert _params_equal(base_model, model)
-    assert r0.epochs == r1.epochs
-    assert base.clock.state_dict() == trainer.clock.state_dict()
-    bi, pi = base_policy.cache.importance, policy.cache.importance
-    assert bi.keys() == pi.keys()
-    for k in bi.keys():
-        np.testing.assert_array_equal(bi.store.peek(k), pi.store.peek(k))
-    # Prefetch-vs-serial: learning identical, only load accounting differs.
-    assert _params_equal(serial_model, model)
-    for es, ep in zip(rs.epochs, r1.epochs):
-        assert es.val_accuracy == ep.val_accuracy
-        assert es.train_loss == ep.train_loss
-        assert es.hit_ratio == ep.hit_ratio
-        assert es.substitute_ratio == ep.substitute_ratio
-    si = serial_policy.cache.importance
-    assert si.keys() == pi.keys()

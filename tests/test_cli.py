@@ -97,14 +97,6 @@ def test_train_with_trace_dir_and_report(tmp_path, capsys):
     assert "trace vs per-epoch metrics: OK" in out
 
 
-def test_train_rejects_prefetch_with_several_workers(capsys):
-    """The overlap model is defined for one loader per clock; the
-    data-parallel run used to build a serial loader without a word."""
-    flags = ["--world-size", "2", "--prefetch-workers", "4"]
-    assert main(["train"] + flags + FAST) == 2
-    assert "prefetch_workers > 0 requires world_size == 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "flags,message",
     [
@@ -121,6 +113,14 @@ def test_train_shard_tier_rejections_come_from_the_constructor(
 ):
     assert main(["train"] + flags + FAST) == 2
     assert message in capsys.readouterr().err
+
+
+def test_train_shared_cache_on_one_worker(capsys):
+    """``DataParallelTrainer(world_size=1)`` honours a shared, sharded
+    cache, so the CLI routes the flags there instead of refusing them."""
+    flags = ["--shared-cache", "--cache-shards", "2", "--world-size", "1"]
+    assert main(["train"] + flags + FAST) == 0
+    assert "mean hit" in capsys.readouterr().out
 
 
 def test_report_missing_dir(tmp_path, capsys):

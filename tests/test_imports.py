@@ -39,7 +39,7 @@ def test_the_walk_found_the_tree():
     assert "repro.train.data_parallel" in MODULES
     assert "repro.obs.report" in MODULES
     assert "repro.dist.transport" in MODULES
-    assert "repro.data.prefetch" in MODULES
+    assert "repro.data.loader" in MODULES
 
 
 @pytest.mark.parametrize("name", MODULES)

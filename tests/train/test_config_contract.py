@@ -17,7 +17,6 @@ import pytest
 
 from repro.baselines.icache import ICacheImpPolicy
 from repro.core.policy import SpiderCachePolicy
-from repro.data.prefetch import PrefetchingDataLoader
 from repro.data.transforms import Compose, GaussianNoise
 from repro.train.trainer import TrainerConfig
 from tests.train import topologies
@@ -26,7 +25,6 @@ from tests.train.topologies import TOPOLOGIES
 BASE = TrainerConfig(epochs=3, batch_size=32)
 SHARDED = ("dp2-shared-2shards",)
 UNSHARDED = tuple(t for t in TOPOLOGIES if t not in SHARDED)
-MULTI = tuple(t for t in TOPOLOGIES if t.startswith("dp2"))
 
 
 @dataclasses.dataclass
@@ -94,14 +92,6 @@ CONTRACT = {
     "io_workers": Row(1, lambda run, base: (
         _total(run[1], "data_load_s") > 2 * _total(base[1], "data_load_s")
     )),
-    "prefetch_workers": Row(
-        2,
-        lambda run, base: all(
-            isinstance(w.loader, PrefetchingDataLoader)
-            and w.loader.windows_committed > 0 for w in run[0].workers
-        ),
-        rejected_at=MULTI,
-    ),
     "hit_latency_s": Row(1e-3, lambda run, base: (
         _total(run[1], "data_load_s") > _total(base[1], "data_load_s") + 1e-3
     )),

@@ -17,7 +17,8 @@ def data():
     return train_test_split(ds, test_fraction=0.25, rng=1)
 
 
-def _dp(data, world_size, policy_cls=LRUBaselinePolicy, epochs=4, **kw):
+def _dp(data, world_size, policy_cls=LRUBaselinePolicy, epochs=4,
+        shared_cache=False):
     train, test = data
     return DataParallelTrainer(
         model_factory=lambda: build_model("resnet18", train.dim,
@@ -27,9 +28,9 @@ def _dp(data, world_size, policy_cls=LRUBaselinePolicy, epochs=4, **kw):
         policy_factory=lambda rank: policy_cls(cache_fraction=0.3,
                                                rng=100 + rank),
         world_size=world_size,
-        config=TrainerConfig(epochs=epochs, batch_size=64),
+        config=TrainerConfig(epochs=epochs, batch_size=64,
+                             shared_cache=shared_cache),
         rng=5,
-        **kw,
     )
 
 

@@ -27,8 +27,7 @@ def _dp(data, world_size, shared, policy_cls=SpiderCachePolicy, epochs=5):
         policy_factory=lambda rank: policy_cls(cache_fraction=0.2,
                                                rng=100 + rank),
         world_size=world_size,
-        shared_cache=shared,
-        config=TrainerConfig(epochs=epochs, batch_size=64),
+        config=TrainerConfig(epochs=epochs, batch_size=64, shared_cache=shared),
         rng=5,
     )
 

@@ -87,13 +87,11 @@ def test_spider_policy_full_integration(data):
     assert res.final_accuracy > 0.4
 
 
-@pytest.mark.parametrize("prefetch_workers", [0, 1, 4])
-def test_loader_is_wired_to_the_policys_batch_entry(data, prefetch_workers):
+def test_loader_is_wired_to_the_policys_batch_entry(data):
     train, test = data
     policy = SpiderCachePolicy(cache_fraction=0.3, rng=3)
     model = build_model("resnet18", train.dim, train.num_classes, rng=2)
-    cfg = TrainerConfig(epochs=1, batch_size=64,
-                        prefetch_workers=prefetch_workers)
+    cfg = TrainerConfig(epochs=1, batch_size=64)
     trainer = Trainer(model, train, test, policy, cfg)
     assert trainer.loader.fetch_many_fn == policy.fetch_many
     assert trainer.loader.fetch_fn == policy.fetch
