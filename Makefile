@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage shapes bench perfbench perfbench-compare perfbench-selftest examples smoke faults concurrency dist transport report all
+.PHONY: install test coverage shapes bench perfbench perfbench-compare perfbench-selftest examples smoke faults dist transport report all
 
 # Where `make report` writes (and reads back) its traced demo run.
 REPORT_DIR ?= results/traced-run
@@ -53,12 +53,6 @@ report:
 	$(PYTHON) -m repro train --policy spidercache --samples 600 --epochs 3 \
 		--trace-dir $(REPORT_DIR)
 	$(PYTHON) -m repro report $(REPORT_DIR)
-
-# Tier-2 threaded lock stress tests (-m concurrency) plus the scheduler
-# harness and race regressions in tests/concurrency/.
-concurrency:
-	$(PYTHON) -m pytest tests/ -m concurrency
-	$(PYTHON) -m pytest tests/concurrency/
 
 # Sharded cache-service suite — every dist-marked test (differential
 # oracle, retry/backoff, migration, chaos) under the increased

@@ -13,7 +13,6 @@ fostering greater diversity in the training data").
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -35,12 +34,6 @@ class HomophilyCache:
     in-process dict). Inserts are *payload first* (a failed ``store.put``
     changes nothing), and a cached node whose payload the store cannot
     produce is served as a miss.
-
-    Thread-safe: one re-entrant lock (this layer's stripe of the
-    :class:`~repro.core.semantic_cache.SemanticCache` lock set) keeps the
-    FIFO order, the neighbor cover map, and the layer stats mutually
-    consistent under concurrent loader workers. Exposed as :attr:`lock`
-    so the elastic resize can hold it across several calls.
     """
 
     def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
@@ -58,26 +51,22 @@ class HomophilyCache:
         self._next_seq = 0
         self.stats = CacheStats()
         self._obs = NULL_OBSERVER
-        self.lock = threading.RLock()
 
     def attach_observer(self, observer: Observer) -> None:
         """Publish insert/evict activity to ``observer``."""
         self._obs = observer
 
     def __len__(self) -> int:
-        with self.lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: int) -> bool:
-        with self.lock:
-            return key in self._entries
+        return key in self._entries
 
     # ------------------------------------------------------------------
     def covers(self, index: int) -> bool:
         """True if ``index`` appears in any cached node's neighbor list
         (Alg. 1 line 7: ``neighbor_list.contains(index)``)."""
-        with self.lock:
-            return index in self._neighbor_of or index in self._entries
+        return index in self._neighbor_of or index in self._entries
 
     def cover_key(self, index: int) -> Optional[int]:
         """Key of the entry a request for ``index`` would be served from:
@@ -85,13 +74,12 @@ class HomophilyCache:
         inserted* node listing it — its embedding neighborhood is the
         freshest — else ``None``. Pure metadata: no payload read, no stats.
         """
-        with self.lock:
-            if index in self._entries:
-                return index
-            covers = self._neighbor_of.get(index)
-            if not covers:
-                return None
-            return max(covers, key=self._seq.__getitem__)
+        if index in self._entries:
+            return index
+        covers = self._neighbor_of.get(index)
+        if not covers:
+            return None
+        return max(covers, key=self._seq.__getitem__)
 
     def lookup(self, index: int) -> Optional[Tuple[int, Any]]:
         """Serve ``index`` by substitution (Fig. 9 case 3).
@@ -101,26 +89,25 @@ class HomophilyCache:
         requested), a substitute hit, or a miss; a cover whose payload the
         store cannot produce is a miss.
         """
-        with self.lock:
-            key = self.cover_key(index)
-            substitute = key != index
-            payload = (
-                None if key is None
-                else self.store.get(key, substitute=substitute)
-            )
-            if payload is None:
-                self.stats.misses += 1
-                return None
-            if substitute:
-                self.stats.substitute_hits += 1
-                if self._obs.active:
-                    self._obs.on_audit(
-                        "substitute", key, "homophily",
-                        requested_id=index, reason="neighbor_cover",
-                    )
-            else:
-                self.stats.hits += 1
-            return key, payload
+        key = self.cover_key(index)
+        substitute = key != index
+        payload = (
+            None if key is None
+            else self.store.get(key, substitute=substitute)
+        )
+        if payload is None:
+            self.stats.misses += 1
+            return None
+        if substitute:
+            self.stats.substitute_hits += 1
+            if self._obs.active:
+                self._obs.on_audit(
+                    "substitute", key, "homophily",
+                    requested_id=index, reason="neighbor_cover",
+                )
+        else:
+            self.stats.hits += 1
+        return key, payload
 
     # ------------------------------------------------------------------
     def update(self, key: int, payload: Any, neighbor_ids: List[int]) -> bool:
@@ -130,29 +117,27 @@ class HomophilyCache:
         previously in the Homophily Cache"). Returns True if inserted,
         False also when the store could not take the payload.
         """
-        with self.lock:
-            if self.capacity == 0:
-                return False
-            key = int(key)
-            if key in self._entries:
-                return False
-            if not self.store.put(key, payload):
-                return False
-            while len(self._entries) >= self.capacity:
-                self._evict_oldest("fifo")
-            neigh = tuple(int(n) for n in neighbor_ids)
-            self._entries[key] = neigh
-            self._seq[key] = self._next_seq
-            self._next_seq += 1
-            for n in neigh:
-                self._neighbor_of.setdefault(n, set()).add(key)
-            self.stats.insertions += 1
-            if self._obs.active:
-                self._obs.on_homophily_insert(key, len(neigh))
-            return True
+        if self.capacity == 0:
+            return False
+        key = int(key)
+        if key in self._entries:
+            return False
+        if not self.store.put(key, payload):
+            return False
+        while len(self._entries) >= self.capacity:
+            self._evict_oldest("fifo")
+        neigh = tuple(int(n) for n in neighbor_ids)
+        self._entries[key] = neigh
+        self._seq[key] = self._next_seq
+        self._next_seq += 1
+        for n in neigh:
+            self._neighbor_of.setdefault(n, set()).add(key)
+        self.stats.insertions += 1
+        if self._obs.active:
+            self._obs.on_homophily_insert(key, len(neigh))
+        return True
 
     def _evict_oldest(self, reason: str = "fifo") -> int:
-        # Callers hold self.lock (re-entrant).
         key, neigh = self._entries.popitem(last=False)
         del self._seq[key]
         for n in neigh:
@@ -172,37 +157,32 @@ class HomophilyCache:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         evicted = []
-        with self.lock:
-            while len(self._entries) > capacity:
-                evicted.append(self._evict_oldest("shrink"))
-            self.capacity = capacity
+        while len(self._entries) > capacity:
+            evicted.append(self._evict_oldest("shrink"))
+        self.capacity = capacity
         return evicted
 
     def grow_to(self, capacity: int) -> None:
         """Raise capacity (no eviction needed)."""
-        with self.lock:
-            if capacity < self.capacity:
-                raise ValueError("grow_to cannot shrink; use shrink_to")
-            self.capacity = capacity
+        if capacity < self.capacity:
+            raise ValueError("grow_to cannot shrink; use shrink_to")
+        self.capacity = capacity
 
     # ------------------------------------------------------------------
     def keys(self) -> List[int]:
         """Cached high-degree node ids in FIFO order."""
-        with self.lock:
-            return list(self._entries.keys())
+        return list(self._entries.keys())
 
     def neighbor_list(self, key: int) -> Tuple[int, ...]:
         """Neighbor IDs stored with a cached node (KeyError if absent)."""
-        with self.lock:
-            return self._entries[key]
+        return self._entries[key]
 
     @property
     def covered_count(self) -> int:
         """Number of distinct sample ids currently servable (nodes + neighbors)."""
-        with self.lock:
-            covered = set(self._neighbor_of)
-            covered.update(self._entries)
-            return len(covered)
+        covered = set(self._neighbor_of)
+        covered.update(self._entries)
+        return len(covered)
 
     def newest_entry(self) -> Optional[Tuple[int, Any]]:
         """(key, payload) of the most recently inserted node whose payload
@@ -212,51 +192,48 @@ class HomophilyCache:
         stand-in when degraded mode must serve *something* for an uncovered
         request.
         """
-        with self.lock:
-            for key in reversed(self._entries):
-                payload = self.store.peek(key)
-                if payload is not None:
-                    return key, payload
-            return None
+        for key in reversed(self._entries):
+            payload = self.store.peek(key)
+            if payload is not None:
+                return key, payload
+        return None
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """Exact snapshot: FIFO order, payloads, neighbor lists, stats."""
-        with self.lock:
-            keys = list(self._entries)
-            if keys:
-                payloads = np.stack(
-                    [np.asarray(p) for p in self.store.export(keys)]
-                )
-            else:
-                payloads = np.empty((0,))
-            return {
-                "capacity": self.capacity,
-                "keys": np.asarray(keys, dtype=np.int64),
-                "payloads": payloads,
-                "neighbors": [list(self._entries[k]) for k in keys],
-                "stats": self.stats.state_dict(),
-            }
+        keys = list(self._entries)
+        if keys:
+            payloads = np.stack(
+                [np.asarray(p) for p in self.store.export(keys)]
+            )
+        else:
+            payloads = np.empty((0,))
+        return {
+            "capacity": self.capacity,
+            "keys": np.asarray(keys, dtype=np.int64),
+            "payloads": payloads,
+            "neighbors": [list(self._entries[k]) for k in keys],
+            "stats": self.stats.state_dict(),
+        }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`state_dict` snapshot (rebuilds the cover map)."""
-        with self.lock:
-            self.capacity = int(state["capacity"])
-            keys = np.asarray(state["keys"], dtype=np.int64)
-            payloads = state["payloads"]
-            neighbors = state["neighbors"]
-            if len(keys) != len(neighbors):
-                raise ValueError("homophily snapshot keys/neighbors mismatch")
-            self._entries = OrderedDict()
-            self._neighbor_of = {}
-            for i, k in enumerate(keys):
-                neigh = tuple(int(n) for n in neighbors[i])
-                self._entries[int(k)] = neigh
-                for n in neigh:
-                    self._neighbor_of.setdefault(n, set()).add(int(k))
-            self._seq = {k: i for i, k in enumerate(self._entries)}
-            self._next_seq = len(self._seq)
-            self.store.load(
-                {int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)}
-            )
-            self.stats.load_state_dict(state["stats"])
+        self.capacity = int(state["capacity"])
+        keys = np.asarray(state["keys"], dtype=np.int64)
+        payloads = state["payloads"]
+        neighbors = state["neighbors"]
+        if len(keys) != len(neighbors):
+            raise ValueError("homophily snapshot keys/neighbors mismatch")
+        self._entries = OrderedDict()
+        self._neighbor_of = {}
+        for i, k in enumerate(keys):
+            neigh = tuple(int(n) for n in neighbors[i])
+            self._entries[int(k)] = neigh
+            for n in neigh:
+                self._neighbor_of.setdefault(n, set()).add(int(k))
+        self._seq = {k: i for i, k in enumerate(self._entries)}
+        self._next_seq = len(self._seq)
+        self.store.load(
+            {int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)}
+        )
+        self.stats.load_state_dict(state["stats"])

@@ -9,7 +9,6 @@ score beats the current minimum (Fig. 9 cases 2 vs 4).
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,13 +31,6 @@ class ImportanceCache:
     metadata only after ``store.put`` landed, so a failing store can drop
     an admit but never corrupt the heap, and a resident whose payload the
     store cannot produce is served as a miss.
-
-    Thread-safe: one re-entrant lock (this layer's stripe of the
-    :class:`~repro.core.semantic_cache.SemanticCache` lock set) guards the
-    heap, the resident keys, and the layer stats, so concurrent loader
-    workers can never observe a heap/key mismatch or overfill the
-    capacity. The lock is exposed as :attr:`lock` so compound operations
-    (the elastic resize) can hold it across several calls.
     """
 
     def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
@@ -50,36 +42,31 @@ class ImportanceCache:
         self._keys: Dict[int, None] = {}  # residents, admission order
         self.stats = CacheStats()
         self._obs = NULL_OBSERVER
-        self.lock = threading.RLock()
 
     def attach_observer(self, observer: Observer) -> None:
         """Publish admission/rejection/eviction activity to ``observer``."""
         self._obs = observer
 
     def __len__(self) -> int:
-        with self.lock:
-            return len(self._keys)
+        return len(self._keys)
 
     def __contains__(self, key: int) -> bool:
-        with self.lock:
-            return key in self._keys
+        return key in self._keys
 
     def get(self, key: int) -> Optional[Any]:
         """Cached payload or ``None`` (records hit/miss)."""
-        with self.lock:
-            value = self.store.get(key)  # non-residents were never put
-            if value is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-            return value
+        value = self.store.get(key)  # non-residents were never put
+        if value is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return value
 
     def min_score(self) -> Optional[float]:
         """Score of the least-important resident, or ``None`` when empty."""
-        with self.lock:
-            if not self._heap:
-                return None
-            return self._heap.min_priority()
+        if not self._heap:
+            return None
+        return self._heap.min_priority()
 
     def admit(self, key: int, value: Any, score: float) -> bool:
         """Offer a freshly fetched sample (Fig. 9 cases 2/4).
@@ -89,44 +76,43 @@ class ImportanceCache:
         dropped because the store could not take the payload.
         """
         obs = self._obs
-        with self.lock:
-            if self.capacity == 0:
-                return False
-            if key in self._keys:
-                # Already resident: refresh payload and score.
-                if not self.store.put(key, value):
-                    return False
-                self._heap.update(key, score)
-                return True
-            full = len(self._keys) >= self.capacity
-            if full and score <= self._heap.min_priority():
-                if obs.active:
-                    obs.on_admit(key, score, False, None)
-                    obs.on_audit(
-                        "drop", key, "importance", score=score,
-                        threshold=self._heap.min_priority(),
-                        reason="below_min_score",
-                    )
-                return False
+        if self.capacity == 0:
+            return False
+        if key in self._keys:
+            # Already resident: refresh payload and score.
             if not self.store.put(key, value):
                 return False
-            ev_score = evicted = None
-            if full:
-                ev_score, evicted = self._heap.pop()
-                del self._keys[evicted]
-                self.stats.evictions += 1
-                self.store.delete(evicted)
-            self._heap.push(key, score)
-            self._keys[key] = None
-            self.stats.insertions += 1
-            if obs.active:
-                obs.on_admit(key, score, True, evicted)
-                if full:
-                    obs.on_audit(
-                        "evict", evicted, "importance", score=ev_score,
-                        threshold=score, requested_id=key, reason="displaced",
-                    )
+            self._heap.update(key, score)
             return True
+        full = len(self._keys) >= self.capacity
+        if full and score <= self._heap.min_priority():
+            if obs.active:
+                obs.on_admit(key, score, False, None)
+                obs.on_audit(
+                    "drop", key, "importance", score=score,
+                    threshold=self._heap.min_priority(),
+                    reason="below_min_score",
+                )
+            return False
+        if not self.store.put(key, value):
+            return False
+        ev_score = evicted = None
+        if full:
+            ev_score, evicted = self._heap.pop()
+            del self._keys[evicted]
+            self.stats.evictions += 1
+            self.store.delete(evicted)
+        self._heap.push(key, score)
+        self._keys[key] = None
+        self.stats.insertions += 1
+        if obs.active:
+            obs.on_admit(key, score, True, evicted)
+            if full:
+                obs.on_audit(
+                    "evict", evicted, "importance", score=ev_score,
+                    threshold=score, requested_id=key, reason="displaced",
+                )
+        return True
 
     def update_score(self, key: int, score: float) -> None:
         """Refresh a resident's priority after a global-score update.
@@ -134,9 +120,8 @@ class ImportanceCache:
         No-op for absent keys (scores update for many samples per batch,
         only some of which are cached).
         """
-        with self.lock:
-            if key in self._keys:
-                self._heap.update(key, score)
+        if key in self._keys:
+            self._heap.update(key, score)
 
     def shrink_to(self, capacity: int) -> List[int]:
         """Reduce capacity, evicting least-important residents first.
@@ -148,34 +133,30 @@ class ImportanceCache:
             raise ValueError("capacity must be non-negative")
         obs = self._obs
         evicted = []
-        with self.lock:
-            while len(self._keys) > capacity:
-                _, key = self._heap.pop()
-                del self._keys[key]
-                self.stats.evictions += 1
-                if obs.active:
-                    obs.on_evict("importance", key, "shrink")
-                self.store.delete(key)
-                evicted.append(key)
-            self.capacity = capacity
+        while len(self._keys) > capacity:
+            _, key = self._heap.pop()
+            del self._keys[key]
+            self.stats.evictions += 1
+            if obs.active:
+                obs.on_evict("importance", key, "shrink")
+            self.store.delete(key)
+            evicted.append(key)
+        self.capacity = capacity
         return evicted
 
     def grow_to(self, capacity: int) -> None:
         """Raise capacity (no eviction needed)."""
-        with self.lock:
-            if capacity < self.capacity:
-                raise ValueError("grow_to cannot shrink; use shrink_to")
-            self.capacity = capacity
+        if capacity < self.capacity:
+            raise ValueError("grow_to cannot shrink; use shrink_to")
+        self.capacity = capacity
 
     def keys(self) -> List[int]:
         """Resident sample ids in admission order."""
-        with self.lock:
-            return list(self._keys)
+        return list(self._keys)
 
     def scores_snapshot(self) -> List[Tuple[int, float]]:
         """(key, score) for all residents (diagnostics)."""
-        with self.lock:
-            return [(k, self._heap.priority(k)) for k in self._keys]
+        return [(k, self._heap.priority(k)) for k in self._keys]
 
     def peek_min(self) -> Optional[Tuple[int, Any]]:
         """(key, payload) of the least-important resident, or ``None``
@@ -184,12 +165,11 @@ class ImportanceCache:
         Degraded-mode serving uses this as a deterministic last-resort
         substitute source when the remote tier is down.
         """
-        with self.lock:
-            if not self._heap:
-                return None
-            _, key = self._heap.peek()
-            payload = self.store.peek(key)
-            return None if payload is None else (key, payload)
+        if not self._heap:
+            return None
+        _, key = self._heap.peek()
+        payload = self.store.peek(key)
+        return None if payload is None else (key, payload)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
@@ -199,33 +179,31 @@ class ImportanceCache:
         keeps its array layout and tie-break counters so eviction order
         after a restore matches an uninterrupted run bit-for-bit.
         """
-        with self.lock:
-            keys = list(self._keys)
-            if keys:
-                payloads = np.stack(
-                    [np.asarray(p) for p in self.store.export(keys)]
-                )
-            else:
-                payloads = np.empty((0,))
-            return {
-                "capacity": self.capacity,
-                "keys": np.asarray(keys, dtype=np.int64),
-                "payloads": payloads,
-                "heap": self._heap.state_dict(),
-                "stats": self.stats.state_dict(),
-            }
+        keys = list(self._keys)
+        if keys:
+            payloads = np.stack(
+                [np.asarray(p) for p in self.store.export(keys)]
+            )
+        else:
+            payloads = np.empty((0,))
+        return {
+            "capacity": self.capacity,
+            "keys": np.asarray(keys, dtype=np.int64),
+            "payloads": payloads,
+            "heap": self._heap.state_dict(),
+            "stats": self.stats.state_dict(),
+        }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`state_dict` snapshot."""
-        with self.lock:
-            self.capacity = int(state["capacity"])
-            keys = [int(k) for k in np.asarray(state["keys"], dtype=np.int64)]
-            payloads = state["payloads"]
-            self._heap.load_state_dict(state["heap"])
-            if set(self._heap.keys()) != set(keys):
-                raise ValueError("importance-cache snapshot heap/value mismatch")
-            self._keys = dict.fromkeys(keys)
-            self.store.load(
-                {k: np.asarray(payloads[i]) for i, k in enumerate(keys)}
-            )
-            self.stats.load_state_dict(state["stats"])
+        self.capacity = int(state["capacity"])
+        keys = [int(k) for k in np.asarray(state["keys"], dtype=np.int64)]
+        payloads = state["payloads"]
+        self._heap.load_state_dict(state["heap"])
+        if set(self._heap.keys()) != set(keys):
+            raise ValueError("importance-cache snapshot heap/value mismatch")
+        self._keys = dict.fromkeys(keys)
+        self.store.load(
+            {k: np.asarray(payloads[i]) for i, k in enumerate(keys)}
+        )
+        self.stats.load_state_dict(state["stats"])

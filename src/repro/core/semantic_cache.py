@@ -25,7 +25,6 @@ miss or drop an admit.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from math import floor
@@ -132,12 +131,8 @@ class SemanticCache:
     ``imp_ratio`` splits ``total_capacity`` between the layers; the Elastic
     Cache Manager adjusts it at runtime via :meth:`set_imp_ratio`.
 
-    Thread-safety is lock-striped: each layer owns a re-entrant lock
-    guarding its heap/FIFO and per-layer stats, and this composite adds a
-    third stripe for the aggregate counters (``stats``/``degraded``). A
-    fetch never holds two stripes at once; the elastic resize acquires
-    both layer stripes in a fixed order (importance → homophily), so the
-    lock graph is acyclic and deadlock-free.
+    Not thread-safe, like everything in ``repro``: one thread drives a
+    run, and the layers take no locks.
     """
 
     def __init__(self, total_capacity: int, imp_ratio: float = 0.9) -> None:
@@ -153,7 +148,6 @@ class SemanticCache:
             self.total_capacity - imp_cap, self._payload_store("hom")
         )
         self.stats = CacheStats()  # aggregate over both layers
-        self._stats_lock = threading.Lock()  # aggregate-counter stripe
         # Degraded-mode serving: exception types from ``remote_get`` that
         # trigger widened substitution instead of propagating. Empty by
         # default — plain runs keep strict fail-on-error semantics.
@@ -190,19 +184,15 @@ class SemanticCache:
         """
         if not 0.0 <= ratio <= 1.0:
             raise ValueError("imp_ratio must be in [0, 1]")
-        # Hold both layer stripes (fixed order) so a concurrent fetch never
-        # observes the split mid-move and the capacities always sum to the
-        # total budget.
-        with self.importance.lock, self.homophily.lock:
-            self._imp_ratio = float(ratio)
-            imp_cap = split_capacity(self.total_capacity, ratio)
-            hom_cap = self.total_capacity - imp_cap
-            if imp_cap < self.importance.capacity:
-                self.importance.shrink_to(imp_cap)
-                self.homophily.grow_to(hom_cap)
-            elif imp_cap > self.importance.capacity:
-                self.homophily.shrink_to(hom_cap)
-                self.importance.grow_to(imp_cap)
+        self._imp_ratio = float(ratio)
+        imp_cap = split_capacity(self.total_capacity, ratio)
+        hom_cap = self.total_capacity - imp_cap
+        if imp_cap < self.importance.capacity:
+            self.importance.shrink_to(imp_cap)
+            self.homophily.grow_to(hom_cap)
+        elif imp_cap > self.importance.capacity:
+            self.homophily.shrink_to(hom_cap)
+            self.importance.grow_to(imp_cap)
 
     # ------------------------------------------------------------------
     def fetch(
@@ -220,8 +210,7 @@ class SemanticCache:
         obs = self._obs
         payload = self.importance.get(index)
         if payload is not None:
-            with self._stats_lock:
-                self.stats.hits += 1
+            self.stats.hits += 1
             if obs.active:
                 obs.on_fetch(index, index, FetchSource.IMPORTANCE)
             return FetchOutcome(index, index, payload, FetchSource.IMPORTANCE)
@@ -229,11 +218,10 @@ class SemanticCache:
         sub = self.homophily.lookup(index)
         if sub is not None:
             node_key, node_payload = sub
-            with self._stats_lock:
-                if node_key == index:
-                    self.stats.hits += 1
-                else:
-                    self.stats.substitute_hits += 1
+            if node_key == index:
+                self.stats.hits += 1
+            else:
+                self.stats.substitute_hits += 1
             if obs.active:
                 obs.on_fetch(index, node_key, FetchSource.HOMOPHILY)
             return FetchOutcome(index, node_key, node_payload, FetchSource.HOMOPHILY)
@@ -241,11 +229,9 @@ class SemanticCache:
         try:
             payload = remote_get(index)
         except self.degrade_on:
-            with self._stats_lock:
-                self.degraded.errors_absorbed += 1
+            self.degraded.errors_absorbed += 1
             return self._degraded_fetch(index)
-        with self._stats_lock:
-            self.stats.misses += 1
+        self.stats.misses += 1
         if obs.active:
             obs.on_fetch(index, index, FetchSource.REMOTE)
         self.importance.admit(index, payload, score)
@@ -302,9 +288,8 @@ class SemanticCache:
         node = self.homophily.newest_entry()
         if node is not None:
             key, payload = node
-            with self._stats_lock:
-                self.stats.degraded_serves += 1
-                self.degraded.substituted_homophily += 1
+            self.stats.degraded_serves += 1
+            self.degraded.substituted_homophily += 1
             if obs.active:
                 obs.on_fetch(index, key, FetchSource.DEGRADED)
                 obs.on_audit(
@@ -315,9 +300,8 @@ class SemanticCache:
         resident = self.importance.peek_min()
         if resident is not None:
             key, payload = resident
-            with self._stats_lock:
-                self.stats.degraded_serves += 1
-                self.degraded.substituted_importance += 1
+            self.stats.degraded_serves += 1
+            self.degraded.substituted_importance += 1
             if obs.active:
                 obs.on_fetch(index, key, FetchSource.DEGRADED)
                 obs.on_audit(
@@ -326,9 +310,8 @@ class SemanticCache:
                     requested_id=index, reason="degraded",
                 )
             return FetchOutcome(index, key, payload, FetchSource.DEGRADED)
-        with self._stats_lock:
-            self.stats.misses += 1
-            self.degraded.skipped += 1
+        self.stats.misses += 1
+        self.degraded.skipped += 1
         if obs.active:
             obs.on_fetch(index, index, FetchSource.SKIPPED)
         return FetchOutcome(index, index, None, FetchSource.SKIPPED)

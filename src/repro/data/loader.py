@@ -8,7 +8,6 @@ into arrays for the model.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -63,10 +62,7 @@ class DataLoader:
         self.batch_size = int(batch_size)
         # Samples dropped by degraded-mode serving (payload-less outcomes
         # with source SKIPPED); batches shrink rather than the run crashing.
-        # The ``+=`` below is a read-modify-write — guarded so collates
-        # on several threads can't lose updates.
         self.skipped_count = 0
-        self._skip_lock = threading.Lock()
 
     def collate(self, ids: np.ndarray) -> Optional[Batch]:
         """Fetch and collate one batch worth of sample ids.
@@ -86,8 +82,7 @@ class DataLoader:
         kept = [o for o in outcomes if o.payload is not None]
         skipped = len(outcomes) - len(kept)
         if skipped:
-            with self._skip_lock:
-                self.skipped_count += skipped
+            self.skipped_count += skipped
         if not kept:
             return None
         served = np.asarray([o.served_id for o in kept], dtype=np.int64)

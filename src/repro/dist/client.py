@@ -52,8 +52,8 @@ to a ring of the new size (see :mod:`repro.dist.migration`) and
 faulty channel — interruptible, idempotent, and verified by
 :meth:`ShardedCacheClient.verify_placement`.
 
-The client is driven by one thread — the epoch loop collates every
-rank's batch in turn — so the layer locks it inherits are uncontended.
+The client is driven by one thread: the epoch loop collates every
+rank's batch in turn.
 """
 
 from __future__ import annotations
@@ -708,7 +708,7 @@ class ShardedCacheClient(SemanticCache):
         """Per-batch Homophily Cache refresh, inside a ``put`` span."""
         obs = self._obs
         span = (
-            obs.span_start("put", self.clock.total_seconds, key=int(node_key))
+            obs.span_start("put", self.clock.total_seconds)
             if obs.active else None
         )
         ok = super().update_homophily(node_key, payload, neighbor_ids)

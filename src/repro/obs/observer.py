@@ -148,9 +148,9 @@ class Observer:
         """Emit one flat trace event stamped with the current epoch.
 
         With span tracing enabled, every event is additionally stamped
-        with the trace ID and the innermost open span on the calling
-        thread — the correlation that ties breaker trips and audit
-        decisions back to the request causing them.
+        with the trace ID and the innermost open span — the correlation
+        that ties breaker trips and audit decisions back to the request
+        causing them.
 
         This is the cold path (a kwargs dict per event): the hooks whose
         volume grows with the number of requests go through
@@ -172,7 +172,7 @@ class Observer:
     def _emit_row(self, row: Tuple[Any, ...]) -> None:
         """Hand the (enabled) recorder one per-request row, stamped like
         :meth:`emit` stamps a flat event: the current epoch, the trace
-        ID, and the innermost open span *on the calling thread*."""
+        ID, and the innermost open span."""
         tracker = self.spans
         if tracker is None:
             self.recorder.emit_row(self.epoch, None, None, row)
@@ -196,7 +196,7 @@ class Observer:
         return self.spans
 
     def span_start(self, name: str, t0_s: float,
-                   key: Optional[int] = None, **attrs: Any) -> Optional[Span]:
+                   **attrs: Any) -> Optional[Span]:
         """Open a child span; ``None`` when span tracing is disabled.
 
         Call sites keep the uniform shape
@@ -207,7 +207,7 @@ class Observer:
         tracker = self.spans
         if tracker is None:
             return None
-        return tracker.start(name, t0_s, key=key, **attrs)
+        return tracker.start(name, t0_s, **attrs)
 
     def span_end(self, span: Optional[Span], t1_s: float,
                  **attrs: Any) -> None:
@@ -221,12 +221,12 @@ class Observer:
         )
 
     def span_record(self, name: str, t0_s: float, t1_s: float,
-                    key: Optional[int] = None, **attrs: Any) -> None:
+                    **attrs: Any) -> None:
         """Emit an already-measured leaf span (no-op when disabled)."""
         tracker = self.spans
         if tracker is None:
             return
-        tracker.record(name, t0_s, t1_s, key=key, **attrs)
+        tracker.record(name, t0_s, t1_s, **attrs)
         self._span_histogram[name].observe(
             max(0.0, float(t1_s) - float(t0_s))
         )

@@ -11,11 +11,10 @@ fetch missed or an RPC failed; spans say *where inside which request*:
 Design constraints, in order:
 
 * **Determinism.** Trace and span IDs are minted from the run seed via
-  the same splitmix64 finalizer the consistent-hash ring uses, so two
-  runs of the same configuration emit byte-identical span events. A
-  sequential counter feeds the single-threaded paths; call sites inside
-  worker threads pass a stable ``key`` (e.g. the sample index) so IDs
-  never depend on thread interleaving.
+  the same splitmix64 finalizer the consistent-hash ring uses, over a
+  sequential counter, so two runs of the same configuration emit
+  byte-identical span events and no two spans of one trace segment share
+  an ID. One thread drives a run, so the counter needs no lock.
 * **Zero cost when off.** The tracker only exists when the observer was
   built with a ``span_seed``; ``NULL_OBSERVER`` and metrics-only
   observers allocate no span objects at all (asserted by tests).
@@ -33,13 +32,12 @@ Span event schema (see README "Observability" for the full table)::
 :class:`SpanTracker` also stamps the ambient span onto every *flat*
 event the observer emits (``trace``/``span`` fields), which is what
 correlates breaker trips, audit decisions, and RPC counters back to the
-request that caused them. The stamp is the innermost open span *on the
-emitting thread* (:meth:`SpanTracker.current_id`; the stacks are
-per-thread, so a thread with no open span emits no ``span``), for
-per-request rows exactly as for flat events. That stamp is also the
-JSONL sink's block boundary — a row whose stamp differs from the open
-block's closes it — so opening or finishing a span needs no hook into
-the sink: the next row simply arrives under another span.
+request that caused them. The stamp is the innermost open span
+(:meth:`SpanTracker.current_id`; with no open span an event carries no
+``span``), for per-request rows exactly as for flat events. That stamp
+is also the JSONL sink's block boundary — a row whose stamp differs
+from the open block's closes it — so opening or finishing a span needs
+no hook into the sink: the next row simply arrives under another span.
 
 Reconstruction helpers (:func:`build_span_forest`, :func:`find_spans`,
 :func:`format_span_tree`) turn a trace back into navigable trees; the
@@ -48,7 +46,6 @@ critical-path analyzer in :mod:`repro.obs.critpath` consumes them.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -66,7 +63,6 @@ _MASK = (1 << 64) - 1
 #: Salt separating the trace-ID domain from the ring's vnode hashes
 #: (both use splitmix64 over small integers).
 _TRACE_SALT = 0x5350414E_54524143  # "SPANTRAC"
-_KEY_SALT = 0x6B65795F_73616C74  # "key_salt"
 
 
 def _splitmix64(x: int) -> int:
@@ -113,7 +109,7 @@ class Span:
 
 
 class SpanTracker:
-    """Mints deterministic span IDs and tracks the per-thread open stack.
+    """Mints deterministic span IDs and tracks the open-span stack.
 
     Parameters
     ----------
@@ -130,50 +126,24 @@ class SpanTracker:
         self.trace_id = format(self._trace_seed, "016x")
         self._emit = emit
         self._seq = 0
-        self._seq_lock = threading.Lock()
-        self._local = threading.local()
+        self._stack: List[Span] = []
 
     # -- identity ------------------------------------------------------
-    def _mint(self, key: Optional[int]) -> str:
-        """A 16-hex span ID: counter-based, or stable under ``key``.
-
-        Counter IDs are deterministic only on single-threaded paths;
-        worker-pool call sites must pass a stable ``key`` (the IDs then
-        depend on the keys alone, not on thread interleaving).
-        """
-        if key is not None:
-            h = _splitmix64(self._trace_seed ^ _splitmix64(int(key) ^ _KEY_SALT))
-        else:
-            with self._seq_lock:
-                self._seq += 1
-                h = _splitmix64(self._trace_seed ^ self._seq)
-        return format(h, "016x")
-
-    def _stack(self) -> List[Span]:
-        """This thread's open-span stack (created on first use)."""
-        st = getattr(self._local, "stack", None)
-        if st is None:
-            st = self._local.stack = []
-        return st
+    def _mint(self) -> str:
+        """The next 16-hex span ID of this trace's counter."""
+        self._seq += 1
+        return format(_splitmix64(self._trace_seed ^ self._seq), "016x")
 
     def current_id(self) -> Optional[str]:
-        """The innermost open span's ID on this thread, or ``None``."""
-        st = getattr(self._local, "stack", None)
-        return st[-1].span_id if st else None
+        """The innermost open span's ID, or ``None``."""
+        stack = self._stack
+        return stack[-1].span_id if stack else None
 
     # -- lifecycle -----------------------------------------------------
-    def start(
-        self,
-        name: str,
-        t0_s: float,
-        key: Optional[int] = None,
-        **attrs: Any,
-    ) -> Span:
-        """Open a span as a child of this thread's innermost open span."""
-        stack = self._stack()
-        parent = stack[-1].span_id if stack else None
-        span = Span(self._mint(key), parent, name, float(t0_s), attrs)
-        stack.append(span)
+    def start(self, name: str, t0_s: float, **attrs: Any) -> Span:
+        """Open a span as a child of the innermost open span."""
+        span = Span(self._mint(), self.current_id(), name, float(t0_s), attrs)
+        self._stack.append(span)
         return span
 
     def finish(self, span: Span, t1_s: float, **attrs: Any) -> None:
@@ -183,7 +153,7 @@ class SpanTracker:
         are closed at the same instant) so error paths can finish an
         outer span without unwinding inner bookkeeping first.
         """
-        stack = self._stack()
+        stack = self._stack
         while stack:
             top = stack.pop()
             if top is span:
@@ -191,26 +161,17 @@ class SpanTracker:
             self._emit_span(top, float(t1_s))
         self._emit_span(span, float(t1_s), **attrs)
 
-    def record(
-        self,
-        name: str,
-        t0_s: float,
-        t1_s: float,
-        key: Optional[int] = None,
-        **attrs: Any,
-    ) -> None:
+    def record(self, name: str, t0_s: float, t1_s: float, **attrs: Any) -> None:
         """Emit an already-finished span (no Span allocation, no stack).
 
         The cheap form for leaf intervals measured inline — RPC
         attempts, backoff sleeps, anti-entropy flushes.
         """
-        stack = getattr(self._local, "stack", None)
-        parent = stack[-1].span_id if stack else None
         self._emit(
             "span",
             trace=self.trace_id,
-            id=self._mint(key),
-            parent=parent,
+            id=self._mint(),
+            parent=self.current_id(),
             name=name,
             t0_s=float(t0_s),
             t1_s=float(t1_s),

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import atexit
 import json
-import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -223,7 +222,7 @@ class JsonlRecorder(TraceRecorder):
     the same ``(epoch, trace, span)`` stamp — on the training path, one
     block per batch. The open block is closed, in order, by the next
     cold event, by a row with a different stamp (a span opened or
-    closed, the epoch advanced, another thread emitted), by
+    closed, the epoch advanced), by
     :meth:`close`, or at interpreter exit; a line is one C-encoder call
     and a closed block / cold event is one ``flush``.
 
@@ -253,24 +252,21 @@ class JsonlRecorder(TraceRecorder):
         self.path = Path(path)
         self._fh = None
         self.emitted = 0
-        # Rows arrive from whichever thread served the request.
-        self._lock = threading.RLock()
         self._stamp: Optional[Tuple[int, Optional[str], Optional[str]]] = None
         self._rows: List[Tuple[Any, ...]] = []
 
     def emit(self, event: Dict[str, Any]) -> None:
         """Write the open row block, then ``event``; flush once."""
-        with self._lock:
-            lines = []
-            if self._fh is None:
-                lines.append({"kind": SEGMENT_KIND, "resumed": self._open()})
-            block = self._take_block()
-            if block is not None:
-                lines.append(block)
-            lines.append(event)
-            self._fh.write("".join([_encode(e) + "\n" for e in lines]))
-            self._fh.flush()
-            self.emitted += len(lines)
+        lines = []
+        if self._fh is None:
+            lines.append({"kind": SEGMENT_KIND, "resumed": self._open()})
+        block = self._take_block()
+        if block is not None:
+            lines.append(block)
+        lines.append(event)
+        self._fh.write("".join([_encode(e) + "\n" for e in lines]))
+        self._fh.flush()
+        self.emitted += len(lines)
 
     def emit_row(
         self, epoch: int, trace: Optional[str], span: Optional[str],
@@ -280,13 +276,12 @@ class JsonlRecorder(TraceRecorder):
         stamp changed (worst case a block of one row, never a row under
         another request's stamp)."""
         stamp = (epoch, trace, span)
-        with self._lock:
+        rows = self._rows
+        if stamp != self._stamp or len(rows) >= _MAX_BLOCK_ROWS:
+            self._close_block()
+            self._stamp = stamp
             rows = self._rows
-            if stamp != self._stamp or len(rows) >= _MAX_BLOCK_ROWS:
-                self._close_block()
-                self._stamp = stamp
-                rows = self._rows
-            rows.append(row)
+        rows.append(row)
 
     def _take_block(self) -> Optional[Dict[str, Any]]:
         """The open block as its line (and a fresh buffer), or ``None``."""
@@ -324,12 +319,11 @@ class JsonlRecorder(TraceRecorder):
 
     def close(self) -> None:
         """Write the open block and close the file (idempotent)."""
-        with self._lock:
-            self._close_block()
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-                atexit.unregister(self.close)
+        self._close_block()
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+            atexit.unregister(self.close)
 
     def __enter__(self) -> "JsonlRecorder":
         """Context-manager entry: returns self."""

@@ -5,20 +5,15 @@ Computation (Fig. 2) and later Stage1 / Stage2 / IS (§5). ``SimClock``
 accumulates simulated seconds per named stage so experiments can report both
 breakdowns (Fig. 3(a), Table 1) and end-to-end totals (Table 4).
 
-Thread-safety: the clock is shared by every component of a run — the
-remote store charges it from whatever thread performs a fetch — so every
-read-modify-write on the per-stage totals is guarded by a lock
-(``advance``'s unguarded ``+=`` was a lost-update race;
-``tests/concurrency`` replays it deterministically).
-
-Concurrent loader processes are modelled by the epoch loop, not here: the
-``data_load`` stage total is divided by ``io_workers`` when an epoch closes
+The clock is shared by every component of a run and, like them, is
+driven by one thread. Concurrent loader processes are modelled by the
+epoch loop, not here: the ``data_load`` stage total is divided by
+``io_workers`` when an epoch closes
 (:func:`repro.train.metrics.data_load_seconds`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import defaultdict
 from typing import Dict
@@ -31,31 +26,26 @@ class SimClock:
 
     def __init__(self) -> None:
         self._stage_s: Dict[str, float] = defaultdict(float)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def advance(self, stage: str, seconds: float) -> None:
         """Charge ``seconds`` of simulated time to ``stage``."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        with self._lock:
-            self._stage_s[stage] += seconds
+        self._stage_s[stage] += seconds
 
     # ------------------------------------------------------------------
     def stage_seconds(self, stage: str) -> float:
         """Accumulated seconds for one stage (0 if never charged)."""
-        with self._lock:
-            return self._stage_s.get(stage, 0.0)
+        return self._stage_s.get(stage, 0.0)
 
     @property
     def total_seconds(self) -> float:
-        with self._lock:
-            return sum(self._stage_s.values())
+        return sum(self._stage_s.values())
 
     def breakdown(self) -> Dict[str, float]:
         """Copy of per-stage totals."""
-        with self._lock:
-            return dict(self._stage_s)
+        return dict(self._stage_s)
 
     def fractions(self) -> Dict[str, float]:
         """Per-stage fraction of total time (empty dict if nothing elapsed)."""
@@ -67,8 +57,7 @@ class SimClock:
 
     def reset(self) -> None:
         """Zero all stages."""
-        with self._lock:
-            self._stage_s.clear()
+        self._stage_s.clear()
 
     def state_dict(self) -> Dict[str, float]:
         """Serializable snapshot of per-stage totals (for checkpoints)."""
@@ -76,17 +65,15 @@ class SimClock:
 
     def load_state_dict(self, state: Dict[str, float]) -> None:
         """Replace accumulated time with a :meth:`state_dict` snapshot."""
-        with self._lock:
-            self._stage_s.clear()
-            for stage, secs in state.items():
-                self._stage_s[str(stage)] = float(secs)
+        self._stage_s.clear()
+        for stage, secs in state.items():
+            self._stage_s[str(stage)] = float(secs)
 
     def merge(self, other: "SimClock") -> None:
         """Add another clock's accumulated time into this one."""
         snap = other.breakdown()
-        with self._lock:
-            for stage, secs in snap.items():
-                self._stage_s[stage] += secs
+        for stage, secs in snap.items():
+            self._stage_s[stage] += secs
 
 
 class WallClock:
@@ -111,7 +98,6 @@ class WallClock:
     def __init__(self) -> None:
         self._t0 = time.perf_counter()
         self._stage_s: Dict[str, float] = defaultdict(float)
-        self._lock = threading.Lock()
 
     @property
     def total_seconds(self) -> float:
@@ -127,21 +113,17 @@ class WallClock:
         """Record (not sleep) ``seconds`` already spent against ``stage``."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        with self._lock:
-            self._stage_s[stage] += seconds
+        self._stage_s[stage] += seconds
 
     def stage_seconds(self, stage: str) -> float:
         """Seconds explicitly recorded against one stage (not elapsed wall)."""
-        with self._lock:
-            return self._stage_s.get(stage, 0.0)
+        return self._stage_s.get(stage, 0.0)
 
     def breakdown(self) -> Dict[str, float]:
         """Copy of explicitly recorded per-stage totals."""
-        with self._lock:
-            return dict(self._stage_s)
+        return dict(self._stage_s)
 
     def reset(self) -> None:
         """Re-zero the epoch: elapsed time restarts from now."""
-        with self._lock:
-            self._t0 = time.perf_counter()
-            self._stage_s.clear()
+        self._t0 = time.perf_counter()
+        self._stage_s.clear()

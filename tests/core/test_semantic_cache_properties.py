@@ -72,6 +72,9 @@ def test_property_semantic_cache_invariants(ops, capacity, start_ratio):
     imp = cache.importance
     assert imp.stats.insertions - imp.stats.evictions == len(imp)
     snapshot = imp.scores_snapshot()
+    # Heap keys are exactly the resident keys (the snapshot walks the
+    # residents, so ask the heap itself).
+    assert sorted(imp._heap.keys()) == sorted(imp.keys())
     assert imp.min_score() == (
         min(score for _, score in snapshot) if snapshot else None
     )

@@ -97,3 +97,21 @@ def test_collate_calls_the_batch_entry_once_per_batch():
     batches = _batches(dl, np.arange(10))
     assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     np.testing.assert_array_equal(batches[2].served, [8, 9])
+
+
+def test_skipped_count_accumulates_across_collates():
+    """Every payload-less outcome is counted once, over any number of
+    collates, fully skipped batches included."""
+
+    def fetch(i):
+        if i % 3 == 0:
+            return FetchOutcome(i, i, None, FetchSource.SKIPPED)
+        return FetchOutcome(i, i, np.full(2, float(i)), FetchSource.REMOTE)
+
+    dl = DataLoader(np.zeros(30, dtype=np.int64), fetch, batch_size=4)
+    order = np.arange(30)
+    batches = _batches(dl, order)
+    assert dl.skipped_count == 10  # ids 0, 3, ..., 27
+    assert sum(len(b) for b in batches if b is not None) == 20
+    assert dl.collate(np.array([0, 3, 6])) is None
+    assert dl.skipped_count == 13

@@ -1,7 +1,8 @@
 """Span tracker determinism and trace-reconstruction tests."""
 
-import threading
+from collections import Counter
 
+from repro.cli import main
 from repro.obs import (
     InMemoryRecorder,
     MetricsRegistry,
@@ -10,6 +11,7 @@ from repro.obs import (
     build_span_forest,
     find_spans,
     format_span_tree,
+    read_jsonl,
 )
 from repro.obs.spans import span_seed_from
 
@@ -89,51 +91,6 @@ def test_out_of_order_finish_closes_descendants():
     assert all(e["t1_s"] == 2.0 for e in events)
     assert tracker.current_id() is None
     assert mid.span_id == events[1]["id"]
-
-
-def test_key_minting_is_thread_stable():
-    """IDs of keyed spans depend on the key alone, not interleaving."""
-    tracker, _ = _tracker(7)
-    baseline = {k: tracker._mint(k) for k in range(32)}
-
-    tracker2, _ = _tracker(7)
-    results = {}
-    lock = threading.Lock()
-
-    def worker(keys):
-        for k in keys:
-            sid = tracker2._mint(k)
-            with lock:
-                results[k] = sid
-
-    threads = [
-        threading.Thread(target=worker, args=(range(i, 32, 4),))
-        for i in range(4)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results == baseline
-
-
-def test_stacks_are_per_thread():
-    tracker, events = _tracker()
-    outer = tracker.start("run", 0.0)
-    seen = {}
-
-    def worker():
-        # A worker thread starts from an empty stack: no implicit parent.
-        span = tracker.start("fetch", 0.1, key=42)
-        seen["parent"] = span.parent_id
-        tracker.finish(span, 0.2)
-
-    t = threading.Thread(target=worker)
-    t.start()
-    t.join()
-    assert seen["parent"] is None
-    tracker.finish(outer, 1.0)
-    assert [e["name"] for e in events] == ["fetch", "run"]
 
 
 def test_build_span_forest_links_any_order():
@@ -217,3 +174,24 @@ def test_observer_without_span_seed_allocates_no_tracker():
     obs.span_end(None, 1.0)  # no-op
     obs.span_record("x", 0.0, 1.0)  # no-op
     assert obs.metrics.snapshot()["histograms"] == {}
+
+
+def test_sharded_run_span_ids_are_unique_and_parents_resolve(tmp_path):
+    """A node the homophily layer evicted is put again, and each ``put``
+    span still gets its own ID, so no span drops out of the forest and
+    every child hangs under exactly one parent."""
+    assert main([
+        "train", "--policy", "spidercache", "--samples", "120",
+        "--epochs", "3", "--batch-size", "32", "--seed", "7",
+        "--world-size", "2", "--shared-cache", "--cache-shards", "2",
+        "--trace-dir", str(tmp_path),
+    ]) == 0
+    events = read_jsonl(tmp_path / "trace.jsonl")
+    inserted = Counter(e["key"] for e in events
+                       if e["kind"] == "homophily_insert")
+    assert max(inserted.values()) > 1  # the recipe re-puts a node
+    spans = [e for e in events if e["kind"] == "span"]
+    ids = Counter(e["id"] for e in spans)
+    assert [i for i, n in ids.items() if n > 1] == []
+    parents = [e["parent"] for e in spans if e["parent"] is not None]
+    assert parents and all(ids[p] == 1 for p in parents)

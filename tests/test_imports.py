@@ -141,3 +141,23 @@ def test_every_module_has_an_importer_or_a_written_reason():
         "in KEPT_WITHOUT_SRC_IMPORTER; entries that gained an importer "
         "must leave it"
     )
+
+
+# -- the single-threaded rule ---------------------------------------------
+# One thread drives a run, so nothing in src/ takes a lock or starts a
+# thread. Shard servers are separate single-threaded processes
+# (``multiprocessing`` in repro.dist.transport), which this rule allows.
+THREAD_MODULES = {"threading", "_thread", "concurrent.futures"}
+
+
+def test_no_module_imports_threads():
+    offenders = []
+    for module, (path, _) in _module_sources().items():
+        for target, name in _imports(ast.parse(path.read_text())):
+            dotted = target if name is None else f"{target}.{name}"
+            if any(dotted == m or dotted.startswith(m + ".")
+                   for m in THREAD_MODULES):
+                offenders.append(f"{module} imports {dotted}")
+    assert offenders == [], (
+        "src/ is single-threaded by contract: " + "; ".join(offenders)
+    )
