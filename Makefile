@@ -6,6 +6,8 @@ PYTHON ?= python
 
 # Where `make report` writes (and reads back) its traced demo run.
 REPORT_DIR ?= results/traced-run
+# Where `make transport` writes its smoke run, once per transport.
+TRANSPORT_DIR ?= results/transport-smoke
 
 install:
 	$(PYTHON) setup.py develop
@@ -63,15 +65,22 @@ dist:
 		--world-size 2 --shared-cache --cache-shards 2 \
 		--resize-shards-at 1:4
 
-# Wall-clock transport suite (-m wallclock: sim/real parity oracle +
+# Real-process transport suite (-m wallclock: sim/real parity oracle +
 # real-process chaos) with a hard timeout and NO retries — these tests
 # spawn real worker processes, and a flake here is a bug, not weather.
-# Plus a real-transport train smoke with a live ring resize.
+# Plus a train smoke with a live ring resize on both transports: RPC
+# time is modelled on both, so the two epochs.jsonl must be identical.
 transport:
 	timeout 300 $(PYTHON) -m pytest -m wallclock -p no:cacheprovider
 	timeout 120 $(PYTHON) -m repro train --policy spidercache --samples 600 \
 		--epochs 2 --world-size 2 --shared-cache --cache-shards 2 \
-		--resize-shards-at 1:4 --transport real
+		--resize-shards-at 1:4 --transport real \
+		--trace-dir $(TRANSPORT_DIR)/real
+	timeout 120 $(PYTHON) -m repro train --policy spidercache --samples 600 \
+		--epochs 2 --world-size 2 --shared-cache --cache-shards 2 \
+		--resize-shards-at 1:4 --transport sim \
+		--trace-dir $(TRANSPORT_DIR)/sim
+	cmp $(TRANSPORT_DIR)/sim/epochs.jsonl $(TRANSPORT_DIR)/real/epochs.jsonl
 
 # Tier-2 fault-injection suite plus the scenario sweep CLI.
 faults:

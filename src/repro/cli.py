@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--transport", choices=("sim", "real"), default="sim",
         help="shard-tier transport: 'sim' (simulated RPC channel, "
              "deterministic; default) or 'real' (shard servers in worker "
-             "processes, RPC time measured, not modelled); 'real' requires "
+             "processes, same modelled RPC time); 'real' requires "
              "--cache-shards",
     )
     train_p.add_argument(

@@ -24,7 +24,7 @@ Modules:
   simulated :class:`SimRpcChannel` with per-call deadlines, fault-plan
   outage/brownout injection, and timeout-vs-outage error classification;
 * :mod:`~repro.dist.transport` — :class:`RealRpcTransport`, the
-  wall-clock backend running shard servers in real worker processes
+  real-process backend running shard servers in worker processes
   behind a length-prefixed ``multiprocessing.connection`` protocol;
 * :mod:`~repro.dist.retry` — seeded-jitter capped exponential backoff
   with a per-request retry budget;

@@ -12,8 +12,9 @@ which keeps them on :class:`~repro.dist.server.CacheShardServer`
 partitions reached over a deadline-enforcing
 :class:`~repro.dist.rpc.Transport` — the simulated, fault-injected
 :class:`~repro.dist.rpc.SimRpcChannel` (deterministic oracle) or the
-wall-clock :class:`~repro.dist.transport.RealRpcTransport` (servers in
-real worker processes), selected by the ``transport`` parameter.
+real-process :class:`~repro.dist.transport.RealRpcTransport` (servers in
+worker processes), selected by the ``transport`` parameter; both charge
+the same modelled RPC time to the run's clock.
 Consequences:
 
 * a fault-free sharded run is **bit-identical** (same served stream,
@@ -265,16 +266,16 @@ class ShardedCacheClient(SemanticCache):
         servers, simulated clock, fault injection; the deterministic
         oracle. ``"real"`` builds a
         :class:`~repro.dist.transport.RealRpcTransport` — servers in
-        real worker processes on a wall clock (``latency`` /
-        ``fault_plans`` are rejected; chaos uses the transport's
+        real worker processes, charging the same modelled time
+        (``fault_plans`` are rejected; chaos uses the transport's
         ``kill_shard``). A prebuilt :class:`~repro.dist.rpc.Transport`
         instance is also accepted; it already owns its clock, latency
         model and fault plans, so passing any of those alongside it is
         an error.
     clock / latency / deadline_s / fault_plans:
         Forwarded to the transport built here (shared clock, per-call
-        latency model — sim only, per-call deadline, per-shard fault
-        schedules — sim only).
+        latency model, per-call deadline, per-shard fault schedules —
+        sim only).
     retry:
         :class:`RetryPolicy` for every cache-protocol call; default
         policy retries twice with seeded-jitter exponential backoff.
@@ -337,20 +338,15 @@ class ShardedCacheClient(SemanticCache):
                     fault_plans=fault_plans,
                 )
             elif transport == "real":
-                if latency is not None:
-                    raise ValueError(
-                        "latency models are a simulation feature; the real "
-                        "transport has real latency"
-                    )
                 if fault_plans:
                     raise ValueError(
                         "fault plans are a simulation feature; use the real "
-                        "transport's kill_shard for wall-clock chaos"
+                        "transport's kill_shard for real-process chaos"
                     )
                 from repro.dist.transport import RealRpcTransport
 
                 self.transport = RealRpcTransport(
-                    clock=clock, deadline_s=deadline_s
+                    clock=clock, latency=latency, deadline_s=deadline_s
                 )
             else:
                 raise ValueError(

@@ -1,9 +1,11 @@
-"""Simulated RPC channel with deadlines and fault injection.
+"""RPC transports with modelled latency, deadlines and fault injection.
 
-Every cache-protocol call crosses :class:`SimRpcChannel`, which charges
-per-call latency to the shared :class:`~repro.storage.clock.SimClock`'s
-``"rpc"`` stage and enforces a **per-call deadline**. Failures are
-*classified* — the retry and breaker layers treat them differently:
+Every cache-protocol call crosses a :class:`Transport`, which charges
+modelled per-call latency to the shared
+:class:`~repro.storage.clock.SimClock`'s ``"rpc"`` stage and enforces a
+**per-call deadline**. :class:`SimRpcChannel` is the in-process
+transport; it alone injects faults. Failures are *classified* — the
+retry and breaker layers treat them differently:
 
 * :class:`ShardOutageError` — the target shard is inside a
   :class:`~repro.resilience.faults.FaultPlan` outage window. The request
@@ -76,8 +78,13 @@ class Transport(abc.ABC):
       fault injection; the differential-testing oracle.
     * :class:`~repro.dist.transport.RealRpcTransport` (``name="real"``) —
       servers in real worker processes behind a length-prefixed
-      ``multiprocessing.connection`` protocol on a
-      :class:`~repro.storage.clock.WallClock`.
+      ``multiprocessing.connection`` protocol.
+
+    Both charge the same modelled time: :meth:`call` samples
+    ``latency`` for every attempt and charges the :attr:`STAGE` stage of
+    ``clock`` ``deadline_s`` for a timed-out attempt and
+    ``min(latency, deadline_s)`` for any other, so a fault-free run
+    reads the same clock on either transport.
 
     Error classification is shared (and parity-tested): a call either
     returns, raises :class:`ShardOutageError` (definitely never
@@ -92,15 +99,19 @@ class Transport(abc.ABC):
     #: Clock stage charged per attempt.
     STAGE = "rpc"
 
-    clock: Any  # SimClock / WallClock every attempt is charged to
-    calls: int
-    failures: int
-    timeouts: int
-    per_shard_calls: Counter
-    per_shard_failures: Counter
-    per_shard_timeouts: Counter
-
-    def _init_stats(self) -> None:
+    def __init__(
+        self,
+        clock: Optional[SimClock],
+        latency: Optional[LatencyModel],
+        deadline_s: float,
+    ) -> None:
+        if deadline_s <= 0:
+            raise ValueError("deadline_s must be positive")
+        self.clock = clock if clock is not None else SimClock()
+        self.latency = latency if latency is not None else ConstantLatency(
+            base_s=2e-4, bandwidth_bps=10e9
+        )
+        self.deadline_s = float(deadline_s)
         self.calls = 0
         self.failures = 0  # outage-classified attempts
         self.timeouts = 0  # deadline-classified attempts
@@ -143,7 +154,15 @@ class Transport(abc.ABC):
         self.calls += 1
         self.per_shard_calls[shard] += 1
         now = self.clock.total_seconds
-        outcome, elapsed = self._attempt(shard, method, args, int(nbytes), now)
+        outcome, latency_s = self._attempt(
+            shard, method, args,
+            self.latency.sample(int(nbytes) + RPC_OVERHEAD_NBYTES), now,
+        )
+        if isinstance(outcome, RpcTimeoutError):
+            elapsed = self.deadline_s
+        else:
+            elapsed = min(latency_s, self.deadline_s)
+        self.clock.advance(self.STAGE, elapsed)
         error = None
         if isinstance(outcome, ShardOutageError):
             error = "outage"
@@ -167,14 +186,15 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def _attempt(
-        self, shard: int, method: str, args: Tuple[Any, ...], nbytes: int,
-        now: float,
+        self, shard: int, method: str, args: Tuple[Any, ...],
+        latency_s: float, now: float,
     ) -> Tuple[Any, float]:
         """Carry one attempt to a provisioned ``shard`` at clock time ``now``.
 
-        Returns ``(outcome, elapsed_s)`` after charging ``elapsed_s`` to
-        the clock's :attr:`STAGE`. ``outcome`` is the server method's
-        result, or — *returned, not raised* — the
+        ``latency_s`` is the attempt's modelled latency. Returns
+        ``(outcome, latency_s)``, the latency possibly inflated by an
+        injected brownout; :meth:`call` charges it. ``outcome`` is the
+        server method's result, or — *returned, not raised* — the
         :class:`ShardOutageError` / :class:`RpcTimeoutError` the attempt
         ended in, so :meth:`call` can account for it before raising.
         """
@@ -251,7 +271,6 @@ class SimRpcChannel(Transport):
         brownout windows, evaluated against the shared clock.
     """
 
-    STAGE = "rpc"
     name = "sim"
 
     def __init__(
@@ -262,16 +281,9 @@ class SimRpcChannel(Transport):
         deadline_s: float = 0.01,
         fault_plans: Optional[Dict[int, FaultPlan]] = None,
     ) -> None:
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
+        super().__init__(clock, latency, deadline_s)
         self.servers = servers if servers is not None else {}
-        self.clock = clock if clock is not None else SimClock()
-        self.latency = latency if latency is not None else ConstantLatency(
-            base_s=2e-4, bandwidth_bps=10e9
-        )
-        self.deadline_s = float(deadline_s)
         self.fault_plans: Dict[int, FaultPlan] = dict(fault_plans or {})
-        self._init_stats()
 
     # -- shard lifecycle -----------------------------------------------
     def add_shard(self, shard: int) -> None:
@@ -307,32 +319,27 @@ class SimRpcChannel(Transport):
             self.fault_plans[int(shard)] = plan
 
     def _attempt(
-        self, shard: int, method: str, args: Tuple[Any, ...], nbytes: int,
-        now: float,
+        self, shard: int, method: str, args: Tuple[Any, ...],
+        latency_s: float, now: float,
     ) -> Tuple[Any, float]:
         server = self.servers[shard]
         plan = self.fault_plans.get(shard)
-        lat = self.latency.sample(nbytes + RPC_OVERHEAD_NBYTES)
         if plan is not None:
             if plan.outage_active(now):
                 # Connection refused: pay the (capped) round trip, no
                 # server-side effect.
-                charged = min(lat, self.deadline_s)
-                self.clock.advance(self.STAGE, charged)
                 return ShardOutageError(
                     shard, method, f"outage at t={now:.3f}s"
-                ), charged
-            lat *= plan.latency_multiplier(now)
-        if lat > self.deadline_s:
+                ), latency_s
+            latency_s *= plan.latency_multiplier(now)
+        if latency_s > self.deadline_s:
             # The caller abandons the call at the deadline, but the
             # request reached the server: it executes anyway (ambiguous
             # timeout — the result is simply lost).
-            self.clock.advance(self.STAGE, self.deadline_s)
             getattr(server, method)(*args)
             return RpcTimeoutError(
                 shard, method,
-                f"latency {lat * 1e3:.2f}ms exceeded deadline "
+                f"latency {latency_s * 1e3:.2f}ms exceeded deadline "
                 f"{self.deadline_s * 1e3:.2f}ms",
-            ), self.deadline_s
-        self.clock.advance(self.STAGE, lat)
-        return getattr(server, method)(*args), lat
+            ), latency_s
+        return getattr(server, method)(*args), latency_s

@@ -1,4 +1,4 @@
-"""Wall-clock RPC transport: shard servers in real worker processes.
+"""Real-process RPC transport: shard servers in real worker processes.
 
 :class:`RealRpcTransport` implements the :class:`~repro.dist.rpc.Transport`
 interface with one OS process per shard. Each worker runs a stock
@@ -20,7 +20,14 @@ keys off it:
   call, mirroring the sim channel's "executes anyway, result lost"
   ambiguous timeout.
 
-Fault *injection* is a simulation feature; wall-clock chaos is made with
+Time is modelled exactly as on the sim channel: :meth:`Transport.call`
+charges each attempt's modelled latency (or, for a timeout, the deadline)
+to the run's :class:`~repro.storage.clock.SimClock`, so a fault-free real
+run reads the same clock as a sim run. Wall time only decides whether a
+reply missed its deadline — a hung worker can only be detected in wall
+time.
+
+Fault *injection* is a simulation feature; real-process chaos is made with
 :meth:`RealRpcTransport.kill_shard` (SIGKILL the worker) and
 :meth:`RealRpcTransport.restart_shard` (fresh, empty server — cache
 payloads are soft state).
@@ -35,7 +42,8 @@ from typing import Any, List, Optional, Tuple
 
 from repro.dist.rpc import RpcError, RpcTimeoutError, ShardOutageError, Transport
 from repro.dist.server import CacheShardServer
-from repro.storage.clock import WallClock
+from repro.storage.clock import SimClock
+from repro.storage.latency import LatencyModel
 
 __all__ = ["RealRpcTransport", "shard_worker_main"]
 
@@ -165,21 +173,23 @@ class _ShardWorker:
 
 
 class RealRpcTransport(Transport):
-    """Shard servers in real worker processes; time is wall time.
+    """Shard servers in real worker processes; time is modelled.
 
     Parameters
     ----------
     shard_ids:
         Shards to provision eagerly (the client normally provisions its
         own via :meth:`add_shard`).
-    clock:
-        Defaults to a fresh :class:`~repro.storage.clock.WallClock`. The
-        retry layer's backoff charges become real sleeps; breaker
-        cooldowns are real seconds.
+    clock, latency:
+        As on :class:`~repro.dist.rpc.SimRpcChannel`: each attempt
+        charges its modelled latency to ``clock``'s ``"rpc"`` stage, so
+        retry backoffs and breaker cool-downs elapse in simulated
+        seconds, as they do in sim.
     deadline_s:
-        Per-call reply deadline. Real IPC has genuine latency jitter, so
-        wall-clock runs want a *much* looser deadline than the simulated
-        0.01 s default (the CLI uses 1 s).
+        Per-call reply deadline in wall seconds; a reply that misses it
+        is a timeout and charges ``deadline_s``. Real IPC has genuine
+        latency jitter, so real runs want a *much* looser deadline than
+        the simulated 0.01 s default (the CLI uses 1 s).
     mp_context:
         ``multiprocessing`` context; defaults to ``fork`` where available
         (fast worker start) else the platform default.
@@ -190,22 +200,19 @@ class RealRpcTransport(Transport):
     def __init__(
         self,
         shard_ids: Tuple[int, ...] = (),
-        clock: Optional[Any] = None,
+        clock: Optional[SimClock] = None,
+        latency: Optional[LatencyModel] = None,
         deadline_s: float = 1.0,
         mp_context: Optional[Any] = None,
     ) -> None:
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
+        super().__init__(clock, latency, deadline_s)
         if mp_context is None:
             try:
                 mp_context = mp.get_context("fork")
             except ValueError:  # pragma: no cover — non-fork platforms
                 mp_context = mp.get_context()
         self._ctx = mp_context
-        self.clock = clock if clock is not None else WallClock()
-        self.deadline_s = float(deadline_s)
         self._workers: dict = {}
-        self._init_stats()
         for sid in shard_ids:
             self.add_shard(sid)
 
@@ -251,18 +258,14 @@ class RealRpcTransport(Transport):
 
     # -- data plane -----------------------------------------------------
     def _attempt(
-        self, shard: int, method: str, args: Tuple[Any, ...], nbytes: int,
-        now: float,
+        self, shard: int, method: str, args: Tuple[Any, ...],
+        latency_s: float, now: float,
     ) -> Tuple[Any, float]:
         try:
             outcome = self._workers[shard].request(method, args, self.deadline_s)
         except (ShardOutageError, RpcTimeoutError) as exc:
             outcome = exc
-        elapsed = max(self.clock.total_seconds - now, 0.0)
-        # Record (without sleeping) the measured attempt time against the
-        # rpc stage so breakdowns stay comparable with sim runs.
-        self.clock.record(self.STAGE, elapsed)
-        return outcome, elapsed
+        return outcome, latency_s
 
     def peek(self, shard: int, method: str, *args: Any) -> Any:
         """Control-plane read: same wire, but no stats and a generous

@@ -33,7 +33,7 @@ from repro.storage.latency import LatencyModel
 from repro.train.metrics import TrainResult
 from repro.train.policy_base import TrainingPolicy
 from repro.train.trainer import (
-    RPC_STAGE, UNSHARDED_REAL, EpochRunner, TrainerConfig, WorkerState,
+    UNSHARDED_REAL, EpochRunner, TrainerConfig, WorkerState,
 )
 from repro.utils.rng import RngLike
 
@@ -154,21 +154,15 @@ class DataParallelTrainer(EpochRunner):
                 "--cache-shards or repair the installation"
             ) from exc
         cfg = self.config
-        if cfg.clock_mode == "real":
-            # Wall-clock tier: shard servers in real worker processes on
-            # their own WallClock (RPC time is measured, not charged to
-            # the run's simulated clock; breaker cooldowns and retry
-            # backoffs become real seconds).
-            carrier = {"transport": "real"}
-        else:
-            carrier = {"clock": self._shared_clock, "latency": self._rpc_latency}
         return ShardedCacheClient(
             capacity,
             imp_ratio=imp_ratio,
             n_shards=self.cache_shards,
+            transport=cfg.clock_mode,
+            clock=self._shared_clock,
+            latency=self._rpc_latency,
             deadline_s=cfg.rpc_deadline_s,
             retry=RetryPolicy(max_attempts=cfg.rpc_retry_budget),
-            **carrier,
         )
 
     def _shared_client(self):
@@ -209,14 +203,6 @@ class DataParallelTrainer(EpochRunner):
         if client is not None and self.observer.active:
             self.observer.on_shards(client.shard_snapshots())
 
-    def _rpc_seconds(self) -> float:
-        # In wall-clock mode cache RPCs are measured on the client's own
-        # WallClock, not charged to the shared simulated clock.
-        client = self._shared_client()
-        if client is not None and self.config.clock_mode == "real":
-            return client.clock.stage_seconds(RPC_STAGE)
-        return super()._rpc_seconds()
-
     def _run_meta(self, result: TrainResult) -> dict:
         return {
             **super()._run_meta(result),
@@ -251,10 +237,8 @@ class DataParallelTrainer(EpochRunner):
             self.close()
 
     def close(self) -> None:
-        """Release wall-clock resources — the real transport's shard
-        worker processes. No-op (and idempotent) for simulated runs."""
-        if self.config.clock_mode != "real":
-            return
+        """Release the real transport's shard worker processes
+        (idempotent; a no-op for simulated runs)."""
         client = self._shared_client()
         if client is not None and hasattr(client, "close"):
             client.close()

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: SimClock stage the cache-protocol RPC tier charges. Mirrors
-#: ``repro.dist.rpc.SimRpcChannel.STAGE`` without importing it — the
+#: ``repro.dist.rpc.Transport.STAGE`` without importing it — the
 #: trainers must stay importable when the dist tier is absent or broken
 #: (``repro.dist`` is only imported lazily, at shard-client construction).
 RPC_STAGE = "rpc"
@@ -72,11 +72,12 @@ class TrainerConfig:
     epochs: int = 30
     batch_size: int = 128
     # Shard-tier transport. "sim" (default): shard RPCs cross the
-    # simulated channel on SimClock time; every run is bit-reproducible.
-    # "real": the shard servers run in worker processes behind
-    # RealRpcTransport and RPC time is measured, not modelled. Only a
-    # sharded cache (cache_shards > 0) has a transport to select, so
-    # "real" without one is rejected.
+    # in-process simulated channel. "real": the shard servers run in
+    # worker processes behind RealRpcTransport. Both charge the same
+    # modelled RPC time to the run's SimClock, so a fault-free run's
+    # metrics are identical either way. Only a sharded cache
+    # (cache_shards > 0) has a transport to select, so "real" without
+    # one is rejected.
     clock_mode: str = "sim"
     lr: float = 0.05
     momentum: float = 0.9
@@ -265,15 +266,13 @@ class EpochRunner:
 
     # -- seams a topology may override ---------------------------------------
     def _on_epoch_start(self, epoch: int) -> None:
-        """After ``before_epoch``, before the epoch's accounting snapshot
-        (skipped, like ``before_epoch``, when an epoch is resumed)."""
+        """After ``before_epoch`` and the epoch's accounting snapshot, so
+        the RPC time it charges (a live resize's key migration) counts in
+        the epoch it opens; skipped, like ``before_epoch``, when an epoch
+        is resumed."""
 
     def _on_epoch_end(self, epoch: int) -> None:
         """After the epoch's metrics are recorded."""
-
-    def _rpc_seconds(self) -> float:
-        """Cache-protocol RPC time charged so far."""
-        return self.workers[0].clock.stage_seconds(RPC_STAGE)
 
     def _run_meta(self, result: TrainResult) -> dict:
         """The run configuration the trace's ``run_start`` event records
@@ -371,6 +370,14 @@ class EpochRunner:
         if orders is None:
             for policy in policies:
                 policy.before_epoch(epoch)
+        if acc is None:
+            acc = EpochAccumulator(
+                hits=[0] * len(workers),
+                load_before_s=[c.stage_seconds(RemoteStore.STAGE) for c in clocks],
+                rpc_before_s=clock.stage_seconds(RPC_STAGE),
+                stats_before=tuple(self._request_counts().tolist()),
+            )
+        if orders is None:
             self._on_epoch_start(epoch)
             # Ranks sharing a policy split its one global importance order
             # round-robin.
@@ -380,13 +387,6 @@ class EpochRunner:
                 order = policy.epoch_order(epoch)
                 for j, rank in enumerate(ranks):
                     orders[rank] = order[j :: len(ranks)]
-        if acc is None:
-            acc = EpochAccumulator(
-                hits=[0] * len(workers),
-                load_before_s=[c.stage_seconds(RemoteStore.STAGE) for c in clocks],
-                rpc_before_s=self._rpc_seconds(),
-                stats_before=tuple(self._request_counts().tolist()),
-            )
 
         n_slots = max(w.loader.n_batches(o) for w, o in zip(workers, orders))
         for slot in range(start_batch, n_slots):
@@ -518,7 +518,7 @@ class EpochRunner:
             )
             for c, before in zip(clocks, acc.load_before_s)
         ]
-        rpc_s = self._rpc_seconds() - acc.rpc_before_s
+        rpc_s = first.clock.stage_seconds(RPC_STAGE) - acc.rpc_before_s
         # A clock shared by m ranks holds their serial sum and they load in
         # parallel (divide by m); the step waits for the slowest clock.
         data_load_s = max(loads) / (k // len(clocks)) + rpc_s / k

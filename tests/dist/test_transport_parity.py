@@ -6,7 +6,8 @@ anti-entropy decision lives in :class:`ShardedCacheClient`, so swapping
 real worker processes, length-prefixed pipes, pickled frames) must not
 change a single observable bit of a fault-free run — same served
 stream, same ``state_dict`` (heap tiebreaks included), same RPC call
-counts, same clean ``verify_placement`` — for any shard count and
+counts, same modelled RPC time on the clock, same clean
+``verify_placement`` — for any shard count and
 across a live mid-run resize. Hypothesis drives random workloads over
 every mutator in the shared API — single fetches and ``fetch_many``
 batches (multi-key read frames, deletes riding other frames) alike — to
@@ -53,7 +54,8 @@ def make_sim(n_shards):
 def make_real(n_shards):
     return ShardedCacheClient(
         TOTAL, imp_ratio=0.8, n_shards=n_shards, transport="real",
-        deadline_s=REAL_DEADLINE_S, retry=RetryPolicy(jitter=0.0),
+        clock=SimClock(), latency=FAST, deadline_s=REAL_DEADLINE_S,
+        retry=RetryPolicy(jitter=0.0),
     )
 
 
@@ -105,8 +107,10 @@ def deep_equal(a, b, path=""):
 
 
 def assert_transports_agree(sim, real):
-    """Everything observable, both layers: cache policy and RPC ledger."""
+    """Everything observable, both layers: cache policy, RPC ledger and
+    the clock the RPCs were charged to."""
     deep_equal(sim.state_dict(), real.state_dict())
+    assert sim.clock.breakdown() == real.clock.breakdown()
     assert sim.hit_ratio == real.hit_ratio
     assert len(sim) == len(real)
     for cli in (sim, real):

@@ -14,8 +14,8 @@ State dicts are deliberately NOT compared here — a dead shard's payloads
 are lost, so ``state_dict`` would (correctly) have to degrade; the
 contract under faults is about the *ledger*, not the bytes.
 
-Real processes + real clock => ``wallclock`` marker; CI runs these with
-a hard timeout and retries=0.
+Real processes => ``wallclock`` marker; CI runs these with a hard
+timeout and retries=0.
 """
 
 import numpy as np
@@ -35,8 +35,7 @@ FAST = ConstantLatency(base_s=1e-4, bandwidth_bps=1e15)
 OUTAGE = FaultPlan(outages=[OutageWindow(0.0, 1e9)])
 TOTAL = 40
 # Long enough that neither twin's breaker re-arms mid-test: the
-# trajectory must be closed -> open on both, with no half-open probes
-# racing the wall clock.
+# trajectory must be closed -> open on both, with no half-open probes.
 COOLDOWN_S = 1000.0
 
 
@@ -52,8 +51,8 @@ def make_twins():
         breaker_failure_threshold=5, breaker_cooldown_s=COOLDOWN_S,
     )
     sim = ShardedCacheClient(TOTAL, clock=SimClock(), latency=FAST, **kw)
-    real = ShardedCacheClient(TOTAL, transport="real", deadline_s=30.0,
-                              **kw)
+    real = ShardedCacheClient(TOTAL, transport="real", clock=SimClock(),
+                              latency=FAST, deadline_s=30.0, **kw)
     return sim, real
 
 
@@ -79,7 +78,7 @@ def run_traffic(cli):
 
 
 def ledger(cli):
-    """Every degradation-visible counter, minus wall-time artifacts."""
+    """Every degradation-visible counter and the clock's stage totals."""
     snaps = [
         {k: v for k, v in s.items()}
         for s in cli.shard_snapshots()
@@ -97,6 +96,7 @@ def ledger(cli):
         "len": len(cli),
         "breakers": [b.state.value for b in cli.breakers.values()],
         "snapshots": snaps,
+        "clock": cli.clock.breakdown(),
     }
 
 
@@ -140,8 +140,8 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges():
         real.transport.restart_shard(0)
         assert real.transport.peek(0, "keys", "imp") == []  # fresh server
         lost_hom = {k for k, s in real._hom_loc.items() if s == 0}
-        # Let the breaker cooldown elapse on the client's wall clock so
-        # the half-open probe is allowed through.
+        # Let the breaker cooldown elapse on the client's clock so the
+        # half-open probe is allowed through.
         real.breakers[0].cooldown_s = 0.05
         real.clock.advance("compute", 0.1)
 
