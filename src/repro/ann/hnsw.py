@@ -11,11 +11,13 @@ layers, then runs a beam search (width ``ef``) at layer 0.
 
 Storage layout: vectors live in one contiguous ``(capacity, dim)`` float64
 matrix with cached squared norms, and adjacency lists hold *row* indices
-into that matrix — every hop's distance block is one fancy-index + GEMV
-(``||v-q||^2 = ||v||^2 - 2 v·q + ||q||^2`` with ``||v||^2`` precomputed)
-instead of re-stacking per-node vectors. An id→row map keeps the public
-API keyed by stable external ids. Reverse-edge sets mirror the forward
-lists, so detaching a node on dynamic ``update``/``remove`` is O(degree).
+into that matrix. Each layer's lists are mirrored in place into one padded
+``(capacity, M0 or M)`` int32 matrix (``-1`` after a list's end), so a hop
+gathers the adjacency of many nodes with one fancy-index. Distances use
+``||v-q||^2 = ||v||^2 - 2 v·q + ||q||^2`` with ``||v||^2`` precomputed. An
+id→row map keeps the public API keyed by stable external ids. Reverse-edge
+sets mirror the forward lists, so detaching a node on dynamic
+``update``/``remove`` is O(degree).
 
 :meth:`HNSWIndex.reorder` relabels rows — BFS from the entry point or by
 descending layer-0 degree — so graph-adjacent nodes become memory-adjacent
@@ -28,11 +30,14 @@ re-linking: ``update`` detaches the node from all its neighbors and
 re-inserts it with its new vector, preserving its id.
 
 Queries have one path: a single ``search`` / ``neighbors_within`` is a batch
-of one over the lockstep layer-0 beam. Range queries (``neighbors_within*``,
-the scorer's only question) run that beam with a radius: ``ef_search`` wide
-while the beam's worst member is outside the radius, then as large as the
-in-radius set it finds (see :meth:`HNSWIndex._search_layer_batch`), so the
-nodes visited follow the size of the answer rather than ``max_neighbors``.
+of one over the lockstep beam, whose state is arrays — per query, members
+sorted by ``(distance, id)`` with an expanded flag — and whose every hop
+expands up to ``_EXPAND`` nearest unexpanded members of every query at once.
+Range queries (``neighbors_within*``, the scorer's only question) run that
+beam with a radius: ``ef_search`` wide while the beam's worst member is
+outside the radius, then as large as the in-radius set it finds (see
+:meth:`HNSWIndex._search_layer_batch`), so the nodes visited follow the size
+of the answer rather than ``max_neighbors``.
 Insertion runs on the same beam: :meth:`HNSWIndex.add_batch` searches a whole
 batch in lockstep, adds the batch's other members as exact candidates (and an
 update's old neighbours), and one kernel, :meth:`HNSWIndex._select_many`,
@@ -44,7 +49,6 @@ level-draw rng included, so a restored index continues exactly as the original.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -58,8 +62,19 @@ __all__ = ["HNSWIndex"]
 
 _FREE = -1  # sentinel in _id_of for rows on the free list
 _INSERT_CHUNK = 64  # most ids per insertion pass: bounds its B×B distance block
-# Bytes of one lockstep pass's (queries, rows) visited matrix.
+# Members one beam hop expands per query. One per hop took 441 hops per
+# range pass on train_hnsw's scorer stream. perfbench train_hnsw, seeds
+# 0-1, 2-vCPU host: 1 / 8 / 16 / 32 / unbounded ran 297-354 / 635-674 /
+# 706-730 / 815-825 / 218-232 samples/s, all at 55.7-62.0 MiB peak RSS
+# (the hop's temporaries are bounded by _HOP_BYTES).
+_EXPAND = 8
+# Bytes of one lockstep pass's state: its (queries, rows) int32 stamp
+# matrix plus its beam arrays.
 _VISITED_BYTES = 32 << 20
+# Bytes of a beam slot: squared distance, row and expanded flag.
+_SLOT_BYTES = 17
+# Gathered vectors + queries per distance block of a beam hop.
+_HOP_BYTES = 1 << 20
 # Gathered vectors + cross distances per _select_many block.
 _BLOCK_BYTES = 2 << 20
 
@@ -120,10 +135,9 @@ class HNSWIndex:
         self._free: List[int] = []  # vacated rows available for reuse
         self._entry: Optional[int] = None  # external id of the entry point
         self._max_level = -1
-        # (row, layer) -> adjacency as an int64 array. A mutation drops
-        # exactly the lists it changed, so queries and the insertion
-        # searches between mutations materialize each list once.
-        self._adj_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        # layer -> (capacity, M0 or M) int32 copy of the out-lists, -1 after
+        # each list's end; every write to ``_out`` writes its row here too.
+        self._adj: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -182,10 +196,40 @@ class HNSWIndex:
         norms = np.empty(new_cap, dtype=np.float64)
         norms[:used] = self._norms[:used]
         self._norms = norms
+        for layer, mat in enumerate(self._adj):
+            grown_adj = np.full((new_cap, mat.shape[1]), -1, dtype=np.int32)
+            grown_adj[:used] = mat[:used]
+            self._adj[layer] = grown_adj
+
+    def _add_layers(self, level: int) -> None:
+        """Padded adjacency matrices for every layer up to ``level``."""
+        while len(self._adj) <= level:
+            width = self.M0 if not self._adj else self.M
+            self._adj.append(
+                np.full((self._vectors.shape[0], width), -1, dtype=np.int32)
+            )
+
+    def _sync_adj(self, layer: int, rows: List[int]) -> None:
+        """Copy the out-lists of ``rows`` at ``layer`` into its matrix."""
+        if rows:
+            width = self._adj[layer].shape[1]
+            self._adj[layer][rows] = [
+                adj + [-1] * (width - len(adj))
+                for adj in (self._out[row][layer] for row in rows)
+            ]
+
+    def _rebuild_adj(self) -> None:
+        """The padded matrices from ``_out`` (after a relabel or a load)."""
+        self._adj = []
+        self._add_layers(max(self._levels, default=-1))
+        for layer in range(len(self._adj)):
+            rows = [row for row, lists in enumerate(self._out) if len(lists) > layer]
+            self._sync_adj(layer, rows)
 
     def _alloc_row(self, item_id: int, level: int) -> int:
         """An edgeless row for ``item_id`` (reusing freed rows first); the
         caller stores its vector and maps the id to it."""
+        self._add_layers(level)
         if self._free:
             row = self._free.pop()
             self._id_of[row] = item_id
@@ -231,11 +275,38 @@ class HNSWIndex:
     def _rows_array(rows: Sequence[int]) -> np.ndarray:
         return np.fromiter(rows, dtype=np.int64, count=len(rows))
 
-    @staticmethod
-    def _lockstep_chunk(most: int, n_rows: int) -> int:
-        """Queries per lockstep pass: ``most``, fewer if needed for the
-        ``(queries, n_rows)`` visited matrix to fit ``_VISITED_BYTES``."""
-        return max(1, min(most, _VISITED_BYTES // max(n_rows, 1)))
+    def _hop_dists(
+        self, queries: np.ndarray, qq: np.ndarray, qs: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """*Squared* distances from ``queries[qs[j]]`` to stored row
+        ``rows[j]``, pair by pair: the one distance call of a beam hop.
+
+        Same expansion as :meth:`_dists_rows`, as a gather + row-wise
+        einsum, in blocks whose gathered vectors and queries stay within
+        ``_HOP_BYTES``.
+        """
+        sq = np.empty(rows.shape[0])
+        step = max(1, _HOP_BYTES // (16 * self.dim))
+        for start in range(0, rows.shape[0], step):
+            r, q = rows[start : start + step], qs[start : start + step]
+            block = sq[start : start + step]
+            np.einsum(
+                "ij,ij->i",
+                self._vectors.take(r, axis=0),
+                queries.take(q, axis=0),
+                out=block,
+            )
+            block *= -2.0
+            block += self._norms.take(r)
+            block += qq.take(q)
+        return sq
+
+    def _lockstep_chunk(self, most: int, n_rows: int, cap: int) -> int:
+        """Queries per lockstep pass: ``most``, fewer if needed for the pass
+        to fit ``_VISITED_BYTES`` — per query, a 4-byte stamp per row and a
+        beam ``cap`` plus one hop's ``_EXPAND * M0`` candidates wide."""
+        per_query = 4 * n_rows + _SLOT_BYTES * (cap + _EXPAND * self.M0)
+        return max(1, min(most, _VISITED_BYTES // per_query))
 
     @staticmethod
     def _padded(lists: List[List[int]]) -> np.ndarray:
@@ -244,21 +315,6 @@ class HNSWIndex:
         for g, rows in enumerate(lists):
             out[g, : len(rows)] = rows
         return out
-
-    def _adj_rows(self, row: int, layer: int) -> np.ndarray:
-        """Adjacency of ``(row, layer)`` as a cached int64 row array.
-
-        Every write to ``_out[row][layer]`` pops that entry (``reorder``
-        relabels all rows and clears the lot), so an entry always equals
-        its list — :meth:`validate_invariants` checks it — and a list is
-        rebuilt only after it changed, not on every hop.
-        """
-        key = (row, layer)
-        arr = self._adj_cache.get(key)
-        if arr is None:
-            arr = np.array(self._out[row][layer], dtype=np.int64)
-            self._adj_cache[key] = arr
-        return arr
 
     # ------------------------------------------------------------------
     # Core search
@@ -279,7 +335,7 @@ class HNSWIndex:
             improved = True
             while improved:
                 improved = False
-                neigh = self._adj_rows(current, layer)
+                neigh = self._adj[layer][current, : len(self._out[current][layer])]
                 if not neigh.size:
                     continue
                 dists = self._dists_rows(query, neigh, qq)
@@ -299,105 +355,124 @@ class HNSWIndex:
         efs: np.ndarray,
         caps: np.ndarray,
         sq_radius: float,
-    ) -> List[List[Tuple[float, int, int]]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lockstep beam search at ``layer`` for a chunk of queries, each
-        from its ``(row, squared dist)`` entry; returns one beam per query
-        as ``(squared dist, id, row)`` triples sorted ascending by
-        ``(dist, id)``.
+        from its ``(row, squared dist)`` entry. Returns ``(dists, rows,
+        sizes)``: query ``i``'s beam is ``rows[i, :sizes[i]]`` at squared
+        distances ``dists[i, :sizes[i]]``, sorted ascending by ``(dist,
+        id)``; the rest of a line is ``inf`` / ``-1``.
 
-        A query's beam holds ``ef`` members and its search stops when the
-        nearest unexpanded candidate is farther than the beam's worst.
-        ``sq_radius`` (squared) makes that a range query: a member inside
-        the radius is never evicted for width, only once the beam reaches
-        ``cap``, so the beam is ``ef`` wide while its worst lies outside the
-        radius and otherwise as large as the in-radius set it has found.
-        Below ``cap`` every in-radius candidate is still a member, hence no
-        farther than the worst, hence expanded: the stop rule reads
-        ``max(worst, radius)``. ``-inf`` is plain k-NN — with ``cap = ef``
-        the textbook beam insertion runs; ``inf`` is a plain beam of width
-        ``cap``. Heap ties break on the external id (never the row), so
-        results are invariant under :meth:`reorder`.
+        A beam is arrays: per query, members as (squared distance, row,
+        expanded) in ``(dist, id)`` order. Each hop expands up to
+        ``_EXPAND`` nearest unexpanded members of every query at once:
+        their adjacency is one gather from the layer's padded matrix, a
+        per-pass stamp matrix keeps the rows no hop of this query has seen
+        (each once, however many of the hop's members list it), and one
+        :meth:`_hop_dists` call measures them. The query then keeps the
+        ``max(ef, min(cap, #in-radius))`` nearest of its members and the
+        new rows, and stops when it has no unexpanded member. ``sq_radius``
+        (squared) makes that a range query: the beam is ``ef`` wide while
+        its worst lies outside the radius, and otherwise as large as the
+        in-radius set it has found, up to ``cap``. ``-inf`` is plain k-NN —
+        with ``cap = ef`` the textbook beam; ``inf`` is a plain beam of
+        width ``cap``. Ties break on the external id (never the row), so
+        results are invariant under :meth:`reorder`, and ``_EXPAND``
+        counts per query, so a batch of N is N batches of one.
         """
-        nq = queries.shape[0]
-        id_of = self._id_of
-        push, pop = heapq.heappush, heapq.heappop
-        ef_of = efs.tolist()
-        cap_of = caps.tolist()
-        visited = np.zeros((nq, len(id_of)), dtype=bool)
-        candidates: List[List[Tuple[float, int, int]]] = []
-        results: List[List[Tuple[float, int, int]]] = []
-        for i, (row, d) in enumerate(entries):
-            nid = id_of[row]
-            visited[i, row] = True
-            candidates.append([(d, nid, row)])
-            results.append([(-d, nid, row)])
-        bound_of = np.empty(nq)
-        active = list(range(nq))
-        while active:
-            popped_q: List[int] = []
-            popped_rows: List[int] = []
-            for i in active:
-                cand = candidates[i]
-                if not cand:
-                    continue
-                d, _, row = pop(cand)
-                res = results[i]
-                if len(res) >= ef_of[i] and d > -res[0][0]:
-                    continue
-                popped_q.append(i)
-                popped_rows.append(row)
-            active = popped_q
-            if not popped_q:
+        nq = len(entries)
+        adj = self._adj[layer]
+        ids = np.asarray(self._id_of, dtype=np.int64)
+        each = np.arange(nq)
+        dists = np.asarray([[d] for _, d in entries], dtype=np.float64)
+        rows = np.asarray([[r] for r, _ in entries], dtype=np.int64)
+        done = np.zeros((nq, 1), dtype=bool)  # expanded; padding counts as done
+        sizes = np.ones(nq, dtype=np.int64)
+        # stamp[i, row] != 0 once query i has measured row, read flat at
+        # i * n1 + row. Its last column is always set: a -1 (padding) slot
+        # reads the line before's, so it never counts as fresh. Tags only
+        # grow, so a tag written this hop marks this hop's copy; they stay
+        # below queries * rows * _EXPAND, within int32 by the chunk.
+        n1 = len(ids) + 1
+        stamp = np.zeros(nq * n1, dtype=np.int32)
+        stamp[n1 - 1 :: n1] = 1
+        stamp[each * n1 + rows[:, 0]] = 1
+        tag = 1
+        while True:
+            # Up to _EXPAND nearest unexpanded members of every open query.
+            open_ = ~done
+            active = np.flatnonzero(open_.any(axis=1))
+            if not active.size:
                 break
-            adjs = [self._adj_rows(r, layer) for r in popped_rows]
-            lens = [a.size for a in adjs]
-            if not any(lens):
+            pick = open_[active]
+            pick &= np.cumsum(pick, axis=1) <= _EXPAND
+            qi, col = np.nonzero(pick)
+            q_sel = active[qi]
+            done[q_sel, col] = True
+            cells = adj[rows[q_sel, col]] + (q_sel * n1)[:, None]
+            cells = cells[stamp[cells] == 0]
+            if not cells.size:
                 continue
-            rows_all = np.concatenate(adjs)
-            qarr = np.repeat(np.asarray(popped_q, dtype=np.int64), lens)
-            fresh = ~visited[qarr, rows_all]
-            if not fresh.any():
-                continue
-            rows_f = rows_all[fresh]
-            q_f = qarr[fresh]
-            visited[q_f, rows_f] = True
-            gathered = self._vectors[rows_f]
-            sq = self._norms[rows_f] - 2.0 * np.einsum(
-                "ij,ij->i", gathered, queries[q_f]
+            tags = np.arange(tag + 1, tag + 1 + cells.size, dtype=np.int32)
+            tag += cells.size
+            stamp[cells] = tags
+            cells = cells[stamp[cells] == tags]
+            new_q, new_rows = np.divmod(cells, n1)
+            sq = self._hop_dists(queries, qq, new_q, new_rows)
+            # Drop what no beam can keep: past its worst member once it is
+            # ef wide, and past the radius too once it is cap wide.
+            worst = dists[each, sizes - 1]
+            bound = np.where(
+                sizes < efs,
+                np.inf,
+                np.where(sizes < caps, np.maximum(worst, sq_radius), worst),
             )
-            sq += qq[q_f]
-            # Bulk drop of what no beam can admit (a superset of the exact
-            # per-item rule below, which settles ties with the worst).
-            for i in popped_q:
-                res = results[i]
-                size = len(res)
-                if size < ef_of[i]:
-                    bound_of[i] = np.inf
-                elif size < cap_of[i]:
-                    bound_of[i] = max(-res[0][0], sq_radius)
-                else:
-                    bound_of[i] = -res[0][0]
-            keep = sq <= bound_of[q_f]
-            if not keep.all():
-                rows_f = rows_f[keep]
-                q_f = q_f[keep]
-                sq = sq[keep]
-            for i, row, nd in zip(q_f.tolist(), rows_f.tolist(), sq.tolist()):
-                res = results[i]
-                size = len(res)
-                if (
-                    size < ef_of[i]
-                    or nd < -res[0][0]
-                    or (nd <= sq_radius and size < cap_of[i])
-                ):
-                    nid = id_of[row]
-                    push(candidates[i], (nd, nid, row))
-                    push(res, (-nd, nid, row))
-                    if size >= ef_of[i] and (
-                        size >= cap_of[i] or -res[0][0] > sq_radius
-                    ):
-                        pop(res)
-        return [sorted((-d, i, r) for d, i, r in res) for res in results]
+            keep = sq <= bound[new_q]
+            if not keep.any():
+                continue
+            sq, new_rows, new_q = sq[keep], new_rows[keep], new_q[keep]
+            # new_q is ascending (nonzero is row-major): one line per query.
+            per_query = np.bincount(new_q, minlength=nq)
+            qs = np.flatnonzero(per_query)
+            counts = per_query[qs]
+            line = (np.cumsum(per_query > 0) - 1)[new_q]
+            slot = np.arange(new_q.size) - (np.cumsum(per_query) - per_query)[new_q]
+            add_d = np.full((qs.size, counts.max()), np.inf)
+            add_d[line, slot] = sq
+            add_r = np.full(add_d.shape, -1, dtype=np.int64)
+            add_r[line, slot] = new_rows
+            cat_d = np.concatenate((dists[qs], add_d), axis=1)
+            cat_r = np.concatenate((rows[qs], add_r), axis=1)
+            cat_e = np.concatenate((done[qs], add_r < 0), axis=1)
+            # Members are sorted, so a stable sort is a merge; a line with an
+            # exact tie between distinct members re-sorts on the id.
+            # Orders as flat indices into the (lines, cat width) blocks.
+            line_start = (np.arange(qs.size) * cat_d.shape[1])[:, None]
+            order = np.argsort(cat_d, axis=1, kind="stable") + line_start
+            merged = cat_d.take(order)
+            tie = (merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] < np.inf)
+            tied = np.flatnonzero(tie.any(axis=1))
+            if tied.size:
+                redo = np.lexsort((ids[cat_r[tied]], cat_d[tied]))
+                order[tied] = redo + line_start[tied]
+                merged[tied] = cat_d.take(order[tied])
+            cat_d = merged
+            cat_r = cat_r.take(order)
+            cat_e = cat_e.take(order)
+            n = sizes[qs] + counts
+            n_in = np.minimum((cat_d <= sq_radius).sum(axis=1), n)
+            kept = np.minimum(n, np.maximum(efs[qs], np.minimum(caps[qs], n_in)))
+            sizes[qs] = kept
+            width = max(dists.shape[1], int(kept.max()))
+            if width > dists.shape[1]:
+                grow = width - dists.shape[1]
+                dists = np.concatenate((dists, np.full((nq, grow), np.inf)), axis=1)
+                rows = np.concatenate((rows, np.full((nq, grow), -1)), axis=1)
+                done = np.concatenate((done, np.ones((nq, grow), dtype=bool)), axis=1)
+            cut = np.arange(width) >= kept[:, None]
+            dists[qs] = np.where(cut, np.inf, cat_d[:, :width])
+            rows[qs] = np.where(cut, -1, cat_r[:, :width])
+            done[qs] = cut | cat_e[:, :width]
+        return dists, rows, sizes
 
     # ------------------------------------------------------------------
     # Neighbor selection (simple heuristic from the paper's Algorithm 4)
@@ -483,7 +558,7 @@ class HNSWIndex:
         its level once, in first-occurrence order: the rng use of one
         :meth:`add` per row. Ids then go through :meth:`_insert_batch` in
         the order of their last rows, ``_INSERT_CHUNK`` at a time (fewer once
-        the rows outgrow the visited-matrix bound queries use).
+        the rows outgrow the pass-state bound queries use).
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         item_ids = [int(i) for i in np.asarray(item_ids).ravel().tolist()]
@@ -502,7 +577,9 @@ class HNSWIndex:
         # Rows needed: the live ones plus the new ids (an update keeps its row).
         self._grow(len(self._row_of) + len(levels))
         order = sorted(last.values())
-        step = self._lockstep_chunk(_INSERT_CHUNK, len(self._id_of) + len(levels))
+        step = self._lockstep_chunk(
+            _INSERT_CHUNK, len(self._id_of) + len(levels), self.ef_construction
+        )
         for start in range(0, len(order), step):
             chunk = order[start : start + step]
             self._insert_batch([item_ids[i] for i in chunk], vectors[chunk], levels)
@@ -542,7 +619,12 @@ class HNSWIndex:
             self._row_of[iid] = row
         levels_of = [self._levels[row] for row in rows]
         qq = self._norms[rows]
-        near = (qq[:, None] + qq[None, :] - 2.0 * (vectors @ vectors.T)).tolist()
+        near = qq[:, None] + qq[None, :] - 2.0 * (vectors @ vectors.T)
+        batch_rows = self._rows_array(rows)
+        # A member is not its own candidate.
+        np.fill_diagonal(near, np.inf)
+        batch_rows_of = np.where(np.eye(len(rows), dtype=bool), -1, batch_rows)
+        ids = np.asarray(self._id_of, dtype=np.int64)
         starts: List[Tuple[int, float]] = []
         if entry is not None:
             starts = [
@@ -553,31 +635,40 @@ class HNSWIndex:
         top = max(levels_of)
         for layer in range(top, -1, -1):
             members = [i for i, lv in enumerate(levels_of) if lv >= layer]
-            beams: List[List[Tuple[float, int, int]]] = [[] for _ in members]
+            # Candidates per member, padded with (inf, -1): the batch's other
+            # members on this layer, its beam's, an update's old list minus
+            # both of those.
+            pool_d = [near[np.ix_(members, members)]]
+            pool_r = [batch_rows_of[np.ix_(members, members)]]
+            old = self._padded([prior[i][layer] for i in members])
+            old[np.isin(old, batch_rows)] = -1
             if layer <= graph_top:
                 efs = np.full(len(members), ef, dtype=np.int64)
-                beams = self._search_layer_batch(
+                beam_d, beam_r, _ = self._search_layer_batch(
                     vectors[members], qq[members], [starts[i] for i in members],
                     layer, efs, efs, -math.inf,
                 )
-                for i, beam in zip(members, beams):
-                    starts[i] = (beam[0][2], beam[0][0])
-            pools = []
-            for i, beam in zip(members, beams):
-                dist = near[i]
-                pool = beam + [(dist[j], item_ids[j], rows[j]) for j in members if j != i]
-                seen = {r for _, _, r in pool}
-                old = [r for r in prior[i][layer] if r not in seen]
-                if old:
-                    sq = self._dists_rows(vectors[i], self._rows_array(old), qq[i])
-                    pool += zip(sq.tolist(), (self._id_of[r] for r in old), old)
-                pools.append([row for _, _, row in sorted(pool)[:ef]])
-            member_rows = [rows[i] for i in members]
+                for j, i in enumerate(members):
+                    starts[i] = (int(beam_r[j, 0]), float(beam_d[j, 0]))
+                pool_d.append(beam_d)
+                pool_r.append(beam_r)
+                old[(old[:, :, None] == beam_r[:, None, :]).any(axis=2)] = -1
+            old_d = np.full(old.shape, np.inf)
+            for j in np.flatnonzero((old >= 0).any(axis=1)).tolist():
+                have = old[j] >= 0
+                i = members[j]
+                old_d[j, have] = self._dists_rows(vectors[i], old[j, have], qq[i])
+            pool_d.append(old_d)
+            pool_r.append(old)
+            cand_d = np.concatenate(pool_d, axis=1)
+            cand_r = np.concatenate(pool_r, axis=1)
+            nearest = np.lexsort((ids[cand_r], cand_d))[:, :ef]
             limit = self.M0 if layer == 0 else self.M
+            member_rows = batch_rows[members]
             chosen = self._select_many(
-                self._rows_array(member_rows), self._padded(pools), limit
+                member_rows, np.take_along_axis(cand_r, nearest, axis=1), limit
             )
-            self._link(layer, member_rows, chosen)
+            self._link(layer, member_rows.tolist(), chosen)
         if top > graph_top:
             self._entry = item_ids[levels_of.index(top)]
             self._max_level = top
@@ -587,13 +678,16 @@ class HNSWIndex:
         ``layer``, link each neighbour back, and prune every list that the
         back-links push over its limit."""
         limit = self.M0 if layer == 0 else self.M
-        out, into, cache = self._out, self._in, self._adj_cache
+        out, into = self._out, self._in
         for row, sel in zip(rows, chosen):
             out[row][layer] = sel
-            cache.pop((row, layer), None)
             for other in sel:
                 into[other][layer].add(row)
+        self._sync_adj(layer, rows)
         overfull: Dict[int, None] = {}
+        at: List[int] = []  # (row, slot) <- value of each back-link that fits
+        slot: List[int] = []
+        value: List[int] = []
         for row, sel in zip(rows, chosen):
             back = into[row][layer]
             for other in sel:
@@ -602,9 +696,13 @@ class HNSWIndex:
                 adj = out[other][layer]
                 adj.append(row)
                 back.add(other)
-                cache.pop((other, layer), None)
                 if len(adj) > limit:
-                    overfull[other] = None
+                    overfull[other] = None  # its prune writes the whole row
+                else:
+                    at.append(other)
+                    slot.append(len(adj) - 1)
+                    value.append(row)
+        self._adj[layer][at, slot] = value
         if not overfull:
             return
         full = list(overfull)
@@ -614,7 +712,7 @@ class HNSWIndex:
             for other in set(adj).difference(kept):
                 into[other][layer].discard(row)
             out[row][layer] = kept
-            cache.pop((row, layer), None)
+        self._sync_adj(layer, full)
 
     def _unlink(self, row: int) -> None:
         """Remove every edge touching ``row``.
@@ -625,12 +723,12 @@ class HNSWIndex:
         for layer in range(self._levels[row] + 1):
             for other in self._out[row][layer]:
                 self._in[other][layer].discard(row)
-            for other in self._in[row][layer]:
+            linked = list(self._in[row][layer])
+            for other in linked:
                 self._out[other][layer].remove(row)
-                self._adj_cache.pop((other, layer), None)
             self._out[row][layer] = []
             self._in[row][layer] = set()
-            self._adj_cache.pop((row, layer), None)
+            self._sync_adj(layer, linked + [row])
 
     def _repair_entry(self) -> None:
         """Re-pick the entry point once its id is no longer mapped: the
@@ -701,7 +799,8 @@ class HNSWIndex:
         caps = efs + (cap - width)
         qq = np.einsum("ij,ij->i", queries, queries)
         entry_row = self._row_of[self._entry]
-        chunk = self._lockstep_chunk(256, len(self._id_of))
+        row_ids = np.asarray(self._id_of, dtype=np.int64)
+        chunk = self._lockstep_chunk(256, len(self._id_of), int(caps.max()))
         found: List[Tuple[np.ndarray, np.ndarray]] = []
         for start in range(0, nq, chunk):
             stop = min(nq, start + chunk)
@@ -711,19 +810,19 @@ class HNSWIndex:
                 )
                 for i in range(start, stop)
             ]
-            beams = self._search_layer_batch(
+            sq, rows, sizes = self._search_layer_batch(
                 queries[start:stop], qq[start:stop], entries, 0,
                 efs[start:stop], caps[start:stop], sq_radius,
             )
-            for qi, beam in enumerate(beams, start):
-                if exclude is not None and exclude[qi] >= 0:
-                    excl = int(exclude[qi])
-                    beam = [t for t in beam if t[1] != excl]
-                ids = np.asarray([i for _, i, _ in beam[:k]], dtype=np.int64)
-                # Traversal works in squared L2; convert once, here.
-                sq = np.asarray([d for d, _, _ in beam[:k]], dtype=np.float64)
-                np.maximum(sq, 0.0, out=sq)
-                found.append((ids, np.sqrt(sq)))
+            ids = row_ids[rows]
+            keep = np.arange(rows.shape[1]) < sizes[:, None]
+            if exclude is not None:
+                excl = exclude[start:stop, None]
+                keep &= (ids != excl) | (excl < 0)
+            keep &= np.cumsum(keep, axis=1) <= k
+            # Traversal works in squared L2; convert once, here.
+            dists = np.sqrt(np.maximum(sq, 0.0))
+            found.extend((i[m], d[m]) for i, d, m in zip(ids, dists, keep))
         return found
 
     def search(
@@ -753,12 +852,12 @@ class HNSWIndex:
         padded with ``-1``/``inf``. ``exclude`` and ``radius`` as in
         :meth:`_query`.
 
-        The layer-0 beams run in *lockstep*: every macro-hop pops one
-        candidate per still-active query, concatenates their frontier
-        adjacencies, and scores them in a single gather + einsum call —
-        amortizing the per-hop numpy dispatch overhead over the whole
-        batch. Queries are independent, so lockstep is pure scheduling: a
-        batch of N is N batches of one.
+        The layer-0 beams run in *lockstep*: every hop expands up to
+        ``_EXPAND`` members of every still-active query, gathers their
+        adjacency rows from one padded matrix, and scores the fresh ones
+        in a single gather + einsum call — amortizing the per-hop numpy
+        dispatch overhead over the whole batch. Queries are independent,
+        so lockstep is pure scheduling: a batch of N is N batches of one.
         """
         k = int(k)
         found = self._query(queries, k, ef, exclude, radius)
@@ -875,7 +974,7 @@ class HNSWIndex:
         self._vectors = vectors
         self._norms = norms
         self._free = []
-        self._adj_cache.clear()
+        self._rebuild_adj()
         return np.asarray(self._id_of, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -950,7 +1049,7 @@ class HNSWIndex:
         self._entry = None if entry is None else int(entry)
         self._max_level = int(state["max_level"])
         self._rng.bit_generator.state = state["rng"]
-        self._adj_cache.clear()
+        self._rebuild_adj()
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -971,8 +1070,10 @@ class HNSWIndex:
 
         Checks the id↔row bijection, the forward/reverse edge mirror, edge
         endpoints' liveness and layer bounds, list lengths against ``M0`` /
-        ``M``, the entry point's level, and that no cached adjacency array
-        is stale. Intended for tests; O(edges).
+        ``M``, the entry point's level, and that the padded adjacency
+        matrices mirror the lists: as many rows as the vector matrix, a live
+        row's out-list then ``-1``, and ``-1`` only on free and unused rows
+        and on layers above a row's level. Intended for tests; O(edges).
         """
         live_rows = set(self._row_of.values())
         assert len(live_rows) == len(self._row_of), "row map is not injective"
@@ -1002,7 +1103,14 @@ class HNSWIndex:
             assert self._levels[entry_row] == self._max_level, (
                 "entry level != max_level"
             )
-        for (row, layer), cached in self._adj_cache.items():
-            assert layer < len(self._out[row]) and (
-                cached.tolist() == self._out[row][layer]
-            ), f"stale adjacency cache at row {row}, layer {layer}"
+        assert len(self._adj) > self._max_level, "missing adjacency matrix"
+        for layer, mat in enumerate(self._adj):
+            assert mat.shape == (
+                self._vectors.shape[0], self.M0 if layer == 0 else self.M
+            ), f"layer {layer} matrix shape {mat.shape}"
+            want = np.full(mat.shape, -1, dtype=np.int32)
+            for row in live_rows:
+                if layer <= self._levels[row]:
+                    adj = self._out[row][layer]
+                    want[row, : len(adj)] = adj
+            assert np.array_equal(mat, want), f"stale adjacency matrix at layer {layer}"

@@ -15,9 +15,12 @@ excluded id.
   ``radius=inf``, agrees between the single and the batched entry point,
   and keeps recall against the exact backend through update churn and a
   batched build; the selection kernel it inserts with equals a scalar
-  Algorithm 4.
+  Algorithm 4. Its beam expands up to ``_EXPAND`` members per query per
+  hop, and a pass's temporaries stay within a few MiB.
 """
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -410,6 +413,71 @@ def test_single_and_batched_range_query_agree(pair, radius, max_neighbors):
         np.testing.assert_allclose(dists, s_dists, rtol=1e-12, atol=1e-6)
 
 
+def test_the_beam_expands_several_members_per_hop(pair, monkeypatch):
+    """A hop expands up to ``_EXPAND`` members of every query, so a range
+    pass takes about ``answer / _EXPAND`` hops, not one per member.
+
+    Hops are counted as calls of the beam's one distance helper, as
+    ``test_the_screen_still_screens`` counts the exact scan's."""
+    hnsw, _, data = pair
+    hops = []
+    real = HNSWIndex._hop_dists
+    monkeypatch.setattr(
+        HNSWIndex, "_hop_dists", lambda self, *a: hops.append(1) or real(self, *a)
+    )
+    result = hnsw.neighbors_within_batch(data[:30], 6.0, max_neighbors=500)
+    biggest = max(ids.size for ids, _ in result)
+    assert biggest > 100
+    assert len(hops) <= math.ceil(biggest / hnsw_module._EXPAND) + 10
+
+
+def test_pass_temporaries_stay_bounded():
+    """Peak traced allocation of one 64-query, cap-500 range pass and of
+    one 64-id update pass on a 3 000-row, 64-dim index: the stamp matrix,
+    the beam arrays and the hop's distance blocks stay within a few MiB
+    however many members a hop expands."""
+    rng = np.random.default_rng(0)
+    n, dim = 3000, 64
+    centers = rng.normal(0.0, 1.0, (10, dim))
+    data = centers[rng.integers(10, size=n)] + rng.normal(0.0, 0.6, (n, dim))
+    index = HNSWIndex(dim, rng=0, capacity=n)
+    for start in range(0, n, 64):
+        index.add_batch(np.arange(start, min(start + 64, n)), data[start : start + 64])
+    queries = data[:64]
+    radius = np.quantile(np.linalg.norm(queries[:, None] - data[None, :500], axis=2), 0.1)
+
+    tracemalloc.start()
+    try:
+        result = index.neighbors_within_batch(queries, radius, np.arange(64), 500)
+        query_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ids.size > 100 * 64  # a wide pass: ~300 answers a query
+    assert query_peak <= 6 << 20
+
+    moved = rng.choice(n, size=64, replace=False)
+    tracemalloc.start()
+    try:
+        index.add_batch(moved, data[moved] + rng.normal(0.0, 0.1, (64, dim)))
+        update_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert update_peak <= 8 << 20
+    index.validate_invariants()
+
+
+def test_validate_invariants_catches_a_stale_adjacency_matrix():
+    """The padded matrices are a second copy of the out-lists; a write
+    that reaches one and not the other is caught."""
+    index = HNSWIndex(HDIM, rng=0)
+    index.add_batch(np.arange(50), _clustered(50, np.random.default_rng(3)))
+    index.validate_invariants()
+    row = index._row_of[7]
+    index._adj[0][row, index.degree(7) - 1] = -1  # the list's last edge
+    with pytest.raises(AssertionError, match="stale adjacency matrix"):
+        index.validate_invariants()
+
+
 def _range_recall(hnsw, brute, queries, radius, exclude, max_neighbors):
     found = expected = 0
     approx = hnsw.neighbors_within_batch(
@@ -530,3 +598,68 @@ def test_select_many_equals_scalar_algorithm_4(monkeypatch):
         with monkeypatch.context() as patch:  # three nodes per block
             patch.setattr(hnsw_module, "_BLOCK_BYTES", 3 * 8 * width * (dim + width))
             assert index._select_many(owners, cands, limit) == want
+
+
+def beam_reference(index, query, entry, layer, ef, cap, sq_radius):
+    """The array beam's rule for one query, a member at a time: expand the
+    ``_EXPAND`` nearest unexpanded members (by (distance, id)), measure
+    the rows they list that the query has not seen, keep the
+    ``max(ef, min(cap, #in-radius))`` nearest, until none is unexpanded."""
+    vec, ids = index._vectors, index._id_of
+
+    def sq(row):
+        return float(np.sum((vec[row] - query) ** 2))
+
+    def nearest_first(rows):
+        return sorted(rows, key=lambda r: (members[r], ids[r]))
+
+    members = {entry: sq(entry)}
+    seen, expanded = {entry}, set()
+    while True:
+        todo = [r for r in nearest_first(members) if r not in expanded]
+        if not todo:
+            break
+        for row in todo[: hnsw_module._EXPAND]:
+            expanded.add(row)
+            for other in index._out[row][layer]:
+                if other not in seen:
+                    seen.add(other)
+                    members[other] = sq(other)
+        order = nearest_first(members)
+        inside = sum(members[r] <= sq_radius for r in order)
+        members = {r: members[r] for r in order[: max(ef, min(cap, inside))]}
+    return [(members[r], r) for r in nearest_first(members)]
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_array_beam_equals_scalar_beam(layer):
+    """The lockstep array beam is the one-query rule above, query for
+    query. Coordinates in -2..2 make every distance exact, so ties are
+    exact and fall to the id (not the row order here); widths, caps and
+    radii differ per query and between calls, and layer 1 reads the
+    upper-layer matrix."""
+    rng = np.random.default_rng(1)
+    n, dim = 300, 3
+    index = HNSWIndex(dim, M=4, ef_construction=16, rng=0, capacity=n)
+    ids = rng.permutation(10 * n)[:n]
+    for start in range(0, n, 50):
+        index.add_batch(ids[start : start + 50], rng.integers(-2, 3, (50, dim)))
+    on_layer = [r for r in index._row_of.values() if index._levels[r] >= layer]
+    queries = rng.integers(-2, 3, (24, dim)).astype(np.float64)
+    qq = np.einsum("ij,ij->i", queries, queries)
+    for sq_radius in (-np.inf, 1.0, 4.0, np.inf):
+        efs = rng.integers(1, 12, size=len(queries))
+        caps = efs + rng.integers(0, 30, size=len(queries))
+        entries = []
+        for q in queries:
+            row = int(rng.choice(on_layer))
+            entries.append((row, float(np.sum((index._vectors[row] - q) ** 2))))
+        dists, rows, sizes = index._search_layer_batch(
+            queries, qq, entries, layer, efs, caps, sq_radius
+        )
+        for i, q in enumerate(queries):
+            want = beam_reference(
+                index, q, entries[i][0], layer, efs[i], caps[i], sq_radius
+            )
+            got = list(zip(dists[i, : sizes[i]].tolist(), rows[i, : sizes[i]].tolist()))
+            assert got == want
