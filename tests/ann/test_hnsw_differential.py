@@ -1,4 +1,4 @@
-"""Differential HNSW tests: vs brute force, across reorder, batch vs single.
+"""Differential HNSW tests: vs brute force, batch vs single.
 
 These pin the tentpole's behavioral contracts:
 
@@ -6,8 +6,6 @@ These pin the tentpole's behavioral contracts:
   elements are indexed (the widened-beam regression fix).
 * Recall vs the exact backend stays high through dynamic update/remove
   churn (the re-link path keeps the graph navigable).
-* :meth:`HNSWIndex.reorder` (both strategies) changes storage rows only:
-  search results are bit-identical before and after.
 * ``search_batch`` / ``neighbors_within_batch`` (the lockstep path) return
   the same ids as per-query ``search`` calls, with distances equal up to
   the fused kernel's floating-point summation order.
@@ -85,36 +83,6 @@ def test_recall_after_update_remove_churn(built):
         hits += len(set(h_ids) & set(b_ids))
         total += 10
     assert hits / total >= 0.9
-
-
-@pytest.mark.parametrize("strategy", ["bfs", "degree"])
-def test_reorder_preserves_results_bitwise(built, strategy):
-    """Row relabeling must not change any search output: all traversal
-    ordering keys on (distance, external id), never on the row."""
-    idx, _, data, rng = built
-    # Mutation history first so the free list is non-trivial.
-    for i in range(20):
-        idx.remove(i)
-    queries = _clustered(30, rng)
-    before = [idx.search(q, k=8, ef=40) for q in queries]
-    order = idx.reorder(strategy=strategy)
-    idx.validate_invariants()
-    assert len(order) == len(idx)
-    after = [idx.search(q, k=8, ef=40) for q in queries]
-    for (ib, db), (ia, da) in zip(before, after):
-        np.testing.assert_array_equal(ib, ia)
-        np.testing.assert_array_equal(db, da)
-
-
-def test_reorder_then_mutate_stays_consistent(built):
-    idx, _, data, rng = built
-    idx.reorder(strategy="bfs")
-    for i in range(10):
-        idx.update(i, data[i] + 0.1)
-    idx.remove(11)
-    idx.validate_invariants()
-    ids, _ = idx.search(data[0], k=5)
-    assert len(ids) == 5
 
 
 def test_search_batch_matches_single(built):

@@ -38,6 +38,19 @@ def _restored(idx, path=None, **kwargs):
     return loaded
 
 
+def _assert_same_state(got, want):
+    """Every ``state_dict`` entry alike, arrays byte for byte (dtype
+    included), rng state too."""
+    want, got = want.state_dict(), got.state_dict()
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype, key
+            assert got[key].tobytes() == value.tobytes(), key
+        else:
+            assert got[key] == value, key
+
+
 def test_roundtrip_identical_search(tmp_path):
     idx, data = _build()
     loaded = _restored(idx, tmp_path / "index.npz")
@@ -109,13 +122,7 @@ def test_snapshot_between_two_batches_continues_like_its_twin(tmp_path):
         twin.add_batch(ids, rows)
         loaded.add_batch(ids, rows)
     loaded.validate_invariants()
-    want, got = twin.state_dict(), loaded.state_dict()
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        if isinstance(value, np.ndarray):
-            assert got[key].tobytes() == value.tobytes(), key
-        else:
-            assert got[key] == value, key
+    _assert_same_state(loaded, twin)
     queries = rng.normal(size=(20, 6))
     for a, b in zip(loaded.search_batch(queries, k=5), twin.search_batch(queries, k=5)):
         np.testing.assert_array_equal(a, b)
@@ -165,7 +172,7 @@ def test_mid_sequence_snapshot_continues_like_its_twin(before, after, seed, on_d
 
     loaded.validate_invariants()
     assert loaded.ids == twin.ids
-    assert loaded._out == twin._out
+    _assert_same_state(loaded, twin)
     assert loaded._free == twin._free
     assert loaded.max_level == twin.max_level
     queries = np.asarray([vec for _, _, vec in after])

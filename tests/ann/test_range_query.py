@@ -15,12 +15,15 @@ excluded id.
   ``radius=inf``, agrees between the single and the batched entry point,
   and keeps recall against the exact backend through update churn and a
   batched build; the selection kernel it inserts with equals a scalar
-  Algorithm 4. Its beam expands up to ``_EXPAND`` members per query per
-  hop, and a pass's temporaries stay within a few MiB.
+  Algorithm 4, and its array edits (link, back-link, prune, detach) and
+  lockstep greedy descent equal a list-and-set reference. Its beam
+  expands up to ``_EXPAND`` members per query per hop, and a pass's
+  temporaries stay within a few MiB.
 """
 
 import math
 import tracemalloc
+from collections import defaultdict
 import warnings
 
 import numpy as np
@@ -466,16 +469,32 @@ def test_pass_temporaries_stay_bounded():
     index.validate_invariants()
 
 
-def test_validate_invariants_catches_a_stale_adjacency_matrix():
-    """The padded matrices are a second copy of the out-lists; a write
-    that reaches one and not the other is caught."""
-    index = HNSWIndex(HDIM, rng=0)
-    index.add_batch(np.arange(50), _clustered(50, np.random.default_rng(3)))
+def test_validate_invariants_catches_a_broken_adjacency_row():
+    """The padded matrices are the graph; each way a row can break it is
+    caught: a hole before a list's end, a repeated entry, an edge to a
+    free row or above its target's level, and edges on a free row."""
+    index = HNSWIndex(HDIM, M=4, rng=0)
+    index.add_batch(np.arange(60), _clustered(60, np.random.default_rng(3)))
+    index.remove(59)
     index.validate_invariants()
-    row = index._row_of[7]
-    index._adj[0][row, index.degree(7) - 1] = -1  # the list's last edge
-    with pytest.raises(AssertionError, match="stale adjacency matrix"):
+    state = index.state_dict()
+    row, free = index._row_of[7], index._free[0]
+    low = next(r for r in index._row_of.values() if index._levels[r] == 0)
+    high = next(r for r in index._row_of.values() if index._levels[r] >= 1)
+    assert index.degree(7) >= 2 and index.degree(index._id_of[high], 1) >= 1
+    corruptions = [  # (message, layer, row, slot, value written there)
+        ("-1 before a list's end", 0, row, 0, -1),
+        ("duplicate out-edge", 0, row, 1, index._adj[0][row, 0]),
+        ("edge to dead row", 0, row, 0, free),
+        ("edge above target level", 1, high, 0, low),
+        ("free or unused row", 0, free, 0, row),
+    ]
+    for message, layer, at, slot, value in corruptions:
+        index.load_state_dict(state)
         index.validate_invariants()
+        index._adj[layer][at, slot] = value
+        with pytest.raises(AssertionError, match=message):
+            index.validate_invariants()
 
 
 def _range_recall(hnsw, brute, queries, radius, exclude, max_neighbors):
@@ -571,6 +590,16 @@ def select_reference(index, owner, cands, limit):
     return (kept + skipped)[:limit]
 
 
+def adjacency_lists(matrix, width):
+    """A ``-1``-padded adjacency matrix as lists, checking the padding
+    only ever follows a row's entries."""
+    assert matrix.shape[1] == width
+    lists = [[r for r in row if r >= 0] for row in matrix.tolist()]
+    for row, got in zip(matrix.tolist(), lists):
+        assert row == got + [-1] * (width - len(got))
+    return lists
+
+
 def test_select_many_equals_scalar_algorithm_4(monkeypatch):
     """The one kernel that picks new nodes' neighbours and prunes overfull
     lists is the scalar rule, node for node. Coordinates in -2..2 make
@@ -594,10 +623,11 @@ def test_select_many_equals_scalar_algorithm_4(monkeypatch):
             select_reference(index, o, cand.tolist(), limit)
             for o, cand in zip(owners, lists)
         ]
-        assert index._select_many(owners, cands, limit) == want
+        assert adjacency_lists(index._select_many(owners, cands, limit), limit) == want
         with monkeypatch.context() as patch:  # three nodes per block
             patch.setattr(hnsw_module, "_BLOCK_BYTES", 3 * 8 * width * (dim + width))
-            assert index._select_many(owners, cands, limit) == want
+            got = index._select_many(owners, cands, limit)
+            assert adjacency_lists(got, limit) == want
 
 
 def beam_reference(index, query, entry, layer, ef, cap, sq_radius):
@@ -621,8 +651,8 @@ def beam_reference(index, query, entry, layer, ef, cap, sq_radius):
             break
         for row in todo[: hnsw_module._EXPAND]:
             expanded.add(row)
-            for other in index._out[row][layer]:
-                if other not in seen:
+            for other in index._adj[layer][row].tolist():
+                if other >= 0 and other not in seen:
                     seen.add(other)
                     members[other] = sq(other)
         order = nearest_first(members)
@@ -655,7 +685,8 @@ def test_array_beam_equals_scalar_beam(layer):
             row = int(rng.choice(on_layer))
             entries.append((row, float(np.sum((index._vectors[row] - q) ** 2))))
         dists, rows, sizes = index._search_layer_batch(
-            queries, qq, entries, layer, efs, caps, sq_radius
+            queries, qq, np.asarray([r for r, _ in entries]),
+            np.asarray([d for _, d in entries]), layer, efs, caps, sq_radius,
         )
         for i, q in enumerate(queries):
             want = beam_reference(
@@ -663,3 +694,168 @@ def test_array_beam_equals_scalar_beam(layer):
             )
             got = list(zip(dists[i, : sizes[i]].tolist(), rows[i, : sizes[i]].tolist()))
             assert got == want
+
+
+class ListGraph:
+    """The graph as out-lists and reverse-edge sets, edited one edge at a
+    time: the rule the index's array edits must reproduce. ``unlink`` is
+    one node's detach; ``link`` gives new nodes their chosen lists, links
+    each neighbour back in loop order (skipping a new node that chose this
+    one too) and prunes every list pushed over its limit with
+    :func:`select_reference`."""
+
+    def __init__(self, index):
+        self.index = index
+        self.out = defaultdict(list)  # (row, layer) -> rows, in list order
+        self.into = defaultdict(set)  # (row, layer) -> rows listing it
+        self.mutual = self.pruned = 0
+
+    def unlink(self, row):
+        for layer in range(len(self.index._adj)):
+            for other in self.out.pop((row, layer), []):
+                self.into[other, layer].discard(row)
+            for other in self.into.pop((row, layer), set()):
+                self.out[other, layer].remove(row)
+
+    def link(self, layer, rows, chosen):
+        limit = self.index._adj[layer].shape[1]
+        for row, sel in zip(rows, chosen):
+            self.out[row, layer] = list(sel)
+            for other in sel:
+                self.into[other, layer].add(row)
+        overfull = {}
+        for row, sel in zip(rows, chosen):
+            back = self.into[row, layer]
+            for other in sel:
+                if other in back:
+                    self.mutual += 1
+                    continue
+                self.out[other, layer].append(row)
+                back.add(other)
+                if len(self.out[other, layer]) > limit:
+                    overfull[other] = None
+        for row in overfull:
+            adj = self.out[row, layer]
+            kept = select_reference(self.index, row, adj, limit)
+            for other in set(adj).difference(kept):
+                self.into[other, layer].discard(row)
+            self.out[row, layer] = kept
+            self.pruned += 1
+
+    def assert_matches(self):
+        n = len(self.index._id_of)
+        for layer, mat in enumerate(self.index._adj):
+            want = np.full(mat.shape, -1, dtype=np.int32)
+            for row in range(n):
+                adj = self.out.get((row, layer), [])
+                want[row, : len(adj)] = adj
+            np.testing.assert_array_equal(mat, want, err_msg=f"layer {layer}")
+
+
+def test_link_and_detach_equal_list_reference(monkeypatch):
+    """Every detach and every link pass leaves each layer's matrix equal to
+    the list-and-set reference fed the same rows and chosen lists. Integer
+    coordinates in -2..2 make every distance exact, so prunes tie and fall
+    to the id. The traffic covers lists the back-links overfill, batch
+    members that chose each other, updates with prior neighbours,
+    ``remove`` and a freed row reused at a lower level."""
+    rng = np.random.default_rng(5)
+    index = HNSWIndex(3, M=3, ef_construction=8, rng=1, capacity=4)
+    ref = ListGraph(index)
+    real_link, real_detach = HNSWIndex._link, HNSWIndex._detach
+
+    def link(self, layer, rows, chosen):
+        ref.link(layer, rows.tolist(), adjacency_lists(chosen, chosen.shape[1]))
+        real_link(self, layer, rows, chosen)
+        ref.assert_matches()
+
+    def detach(self, rows):
+        for row in rows.tolist():
+            ref.unlink(row)
+        real_detach(self, rows)
+        ref.assert_matches()
+
+    monkeypatch.setattr(HNSWIndex, "_link", link)
+    monkeypatch.setattr(HNSWIndex, "_detach", detach)
+    updated = reused_lower = 0
+    next_id = 0
+    for step in range(24):
+        live = index.ids
+        if step % 3 == 2 and len(live) > 12:
+            for item in rng.choice(live, size=6, replace=False).tolist():
+                index.remove(item)
+            continue
+        freed = {row: index._levels[row] for row in index._free}
+        moved = rng.choice(live, size=min(len(live), 10), replace=False).tolist()
+        updated += sum(index.degree(item) > 0 for item in moved)
+        fresh = list(range(next_id, next_id + 14))
+        next_id += 14
+        batch = moved + fresh + moved[:2]  # a repeated id keeps its last row
+        index.add_batch(np.asarray(batch), rng.integers(-2, 3, (len(batch), 3)))
+        reused_lower += sum(
+            index._levels[row] < level
+            for row, level in freed.items()
+            if index._id_of[row] >= 0
+        )
+        index.add(next_id, rng.integers(-2, 3, 3))  # a batch of one
+        next_id += 1
+    index.validate_invariants()
+    assert ref.mutual and ref.pruned and updated and reused_lower
+
+
+def descend_reference(index, query, start, top, stop):
+    """The scalar greedy descent: on each layer from ``top`` down to
+    ``stop + 1``, move to the nearest listed row (the first listed on
+    equal distances) while it is strictly nearer. Returns the ``(row,
+    squared distance)`` reached on each of those layers."""
+
+    def sq(row):
+        return float(np.sum((index._vectors[row] - query) ** 2))
+
+    current, cur_dist = start, sq(start)
+    path = []
+    for layer in range(top, stop, -1):
+        improved = True
+        while improved:
+            improved = False
+            neigh = [r for r in index._adj[layer][current].tolist() if r >= 0]
+            if not neigh:
+                continue
+            dists = [sq(r) for r in neigh]
+            best = int(np.argmin(dists))
+            if dists[best] < cur_dist:
+                current, cur_dist = neigh[best], dists[best]
+                improved = True
+        path.append((current, cur_dist))
+    return path
+
+
+def test_lockstep_descent_equals_greedy():
+    """The lockstep descent is the scalar greedy rule, query for query:
+    stopped at every layer from the top down to 1, and with a different
+    stop per query in one call, it reaches the same ``(row, squared
+    distance)`` the scalar rule reaches on that layer. Coordinates in
+    -2..2 make distances exact, so equal-distance moves are common."""
+    rng = np.random.default_rng(2)
+    n, dim = 400, 3
+    index = HNSWIndex(dim, M=3, ef_construction=12, rng=3, capacity=n)
+    ids = rng.permutation(10 * n)[:n]
+    for start in range(0, n, 40):
+        index.add_batch(ids[start : start + 40], rng.integers(-2, 3, (40, dim)))
+    top = index.max_level
+    assert top >= 3
+    entry = index._row_of[index._entry]
+    queries = rng.integers(-3, 4, (60, dim)).astype(np.float64)
+    qq = np.einsum("ij,ij->i", queries, queries)
+    want = [descend_reference(index, q, entry, top, 0) for q in queries]
+    for stop in range(top):
+        rows, dists = index._descend(queries, qq, entry, top, np.full(60, stop))
+        got = list(zip(rows.tolist(), dists.tolist()))
+        assert got == [path[top - 1 - stop] for path in want]
+    stops = rng.integers(0, top + 1, size=60)
+    rows, dists = index._descend(queries, qq, entry, top, stops)
+    for i, stop in enumerate(stops.tolist()):
+        reached = want[i][top - 1 - stop] if stop < top else (
+            entry, float(np.sum((index._vectors[entry] - queries[i]) ** 2))
+        )
+        assert (rows[i], dists[i]) == reached
