@@ -16,7 +16,6 @@ from repro.cache.lru import LRUCache
 from repro.core.graph_is import GraphImportanceScorer
 from repro.core.importance_cache import ImportanceCache
 from repro.core.semantic_cache import SemanticCache
-from repro.utils.heap import IndexedMinHeap
 
 N = 2000
 DIM = 64
@@ -29,18 +28,18 @@ def vectors():
     return centers[rng.integers(10, size=N)] + rng.normal(0, 1, (N, DIM))
 
 
-def test_heap_push_pop(benchmark):
+def test_importance_cache_heap(benchmark):
+    """Admit, rescore half the residents in one batch call, evict all."""
     rng = np.random.default_rng(1)
     priorities = rng.random(1000)
+    halves = np.arange(0, 1000, 2)
 
     def run():
-        h = IndexedMinHeap()
-        for i, p in enumerate(priorities):
-            h.push(i, float(p))
-        for i in range(0, 1000, 2):
-            h.update(i, float(priorities[i] * 2))
-        while len(h):
-            h.pop()
+        c = ImportanceCache(1000)
+        for i, p in enumerate(priorities.tolist()):
+            c.admit(i, i, p)
+        c.update_scores(halves, priorities[halves] * 2)
+        c.shrink_to(0)
 
     benchmark(run)
 

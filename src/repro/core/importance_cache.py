@@ -9,22 +9,33 @@ score beats the current minimum (Fig. 9 cases 2 vs 4).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import heapq
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.core.payload_store import LocalPayloadStore, PayloadStore
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.utils.heap import IndexedMinHeap
 
 __all__ = ["ImportanceCache"]
 
+#: Stale heap entries tolerated beyond one per resident before a rebuild.
+_SLACK = 64
+
 
 class ImportanceCache:
-    """Score-ordered cache over an indexed min-heap.
+    """Score-ordered cache over a lazily invalidated ``heapq`` min-heap.
 
-    The layer owns the decisions and the metadata (heap, resident-key
+    Every resident has one live priority ``(score, tiebreak)``, the
+    tiebreak being its admission count, so equal scores evict the
+    earliest admitted first. The heap holds ``(score, tiebreak, key)``
+    entries: a priority change pushes a new entry, the superseded one is
+    skipped when it surfaces, and the heap is rebuilt from the live
+    priorities once its length passes twice the residents plus
+    ``_SLACK``. Scores must be finite.
+
+    The layer owns the decisions and the metadata (priorities, resident
     order, stats); payload bytes live in ``store``
     (:class:`~repro.core.payload_store.PayloadStore`, default an
     in-process dict). Writes are *payload first*: an admission changes
@@ -38,8 +49,10 @@ class ImportanceCache:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
         self.store: PayloadStore = LocalPayloadStore() if store is None else store
-        self._heap = IndexedMinHeap()
-        self._keys: Dict[int, None] = {}  # residents, admission order
+        # resident -> live (score, tiebreak), in admission order
+        self._live: Dict[int, Tuple[float, int]] = {}
+        self._heap: List[Tuple[float, int, int]] = []
+        self._counter = 0  # next admission's tiebreak
         self.stats = CacheStats()
         self._obs = NULL_OBSERVER
 
@@ -48,10 +61,10 @@ class ImportanceCache:
         self._obs = observer
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._live)
 
     def __contains__(self, key: int) -> bool:
-        return key in self._keys
+        return key in self._live
 
     def get(self, key: int) -> Optional[Any]:
         """Cached payload or ``None`` (records hit/miss)."""
@@ -62,11 +75,40 @@ class ImportanceCache:
             self.stats.hits += 1
         return value
 
+    # ------------------------------------------------------------------
+    def _min(self) -> Tuple[float, int, int]:
+        """The least live ``(score, tiebreak, key)``; call when non-empty.
+        Stale entries above it are dropped on the way."""
+        heap, live = self._heap, self._live
+        while live.get(heap[0][2]) != heap[0][:2]:
+            heapq.heappop(heap)
+        return heap[0]
+
+    def _pop(self) -> Tuple[float, int]:
+        """Remove the least-important resident: ``(score, key)``."""
+        score, _, key = self._min()
+        heapq.heappop(self._heap)
+        del self._live[key]
+        return score, key
+
+    def _push(self, key: int, score: float, tiebreak: int) -> None:
+        """Set ``key``'s live priority (its admission order is kept)."""
+        self._live[key] = (score, tiebreak)
+        heapq.heappush(self._heap, (score, tiebreak, key))
+        self._compact()
+
+    def _entries(self) -> List[Tuple[float, int, int]]:
+        """Live ``(score, tiebreak, key)`` in eviction order (a valid heap)."""
+        return sorted((s, t, k) for k, (s, t) in self._live.items())
+
+    def _compact(self) -> None:
+        if len(self._heap) > 2 * len(self._live) + _SLACK:
+            self._heap = self._entries()
+
+    # ------------------------------------------------------------------
     def min_score(self) -> Optional[float]:
         """Score of the least-important resident, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap.min_priority()
+        return self._min()[0] if self._live else None
 
     def admit(self, key: int, value: Any, score: float) -> bool:
         """Offer a freshly fetched sample (Fig. 9 cases 2/4).
@@ -78,32 +120,30 @@ class ImportanceCache:
         obs = self._obs
         if self.capacity == 0:
             return False
-        if key in self._keys:
+        if key in self._live:
             # Already resident: refresh payload and score.
             if not self.store.put(key, value):
                 return False
-            self._heap.update(key, score)
+            self.update_score(key, score)
             return True
-        full = len(self._keys) >= self.capacity
-        if full and score <= self._heap.min_priority():
+        full = len(self._live) >= self.capacity
+        if full and score <= self._min()[0]:
             if obs.active:
                 obs.on_admit(key, score, False, None)
                 obs.on_audit(
                     "drop", key, "importance", score=score,
-                    threshold=self._heap.min_priority(),
-                    reason="below_min_score",
+                    threshold=self._min()[0], reason="below_min_score",
                 )
             return False
         if not self.store.put(key, value):
             return False
         ev_score = evicted = None
         if full:
-            ev_score, evicted = self._heap.pop()
-            del self._keys[evicted]
+            ev_score, evicted = self._pop()
             self.stats.evictions += 1
             self.store.delete(evicted)
-        self._heap.push(key, score)
-        self._keys[key] = None
+        self._push(key, score, self._counter)
+        self._counter += 1
         self.stats.insertions += 1
         if obs.active:
             obs.on_admit(key, score, True, evicted)
@@ -114,14 +154,22 @@ class ImportanceCache:
                 )
         return True
 
-    def update_score(self, key: int, score: float) -> None:
-        """Refresh a resident's priority after a global-score update.
+    def update_scores(self, keys: Sequence[int], scores: Sequence[float]) -> None:
+        """Refresh residents' priorities after a global-score update.
 
-        No-op for absent keys (scores update for many samples per batch,
-        only some of which are cached).
+        Absent keys are skipped (a batch rescores many samples, only some
+        of which are cached); a resident keeps its admission tiebreak.
         """
-        if key in self._keys:
-            self._heap.update(key, score)
+        live = self._live
+        for key, score in zip(np.asarray(keys).tolist(),
+                              np.asarray(scores, dtype=np.float64).tolist()):
+            entry = live.get(key)
+            if entry is not None and score != entry[0]:
+                self._push(key, score, entry[1])
+
+    def update_score(self, key: int, score: float) -> None:
+        """:meth:`update_scores` for one key."""
+        self.update_scores((key,), (score,))
 
     def shrink_to(self, capacity: int) -> List[int]:
         """Reduce capacity, evicting least-important residents first.
@@ -133,14 +181,14 @@ class ImportanceCache:
             raise ValueError("capacity must be non-negative")
         obs = self._obs
         evicted = []
-        while len(self._keys) > capacity:
-            _, key = self._heap.pop()
-            del self._keys[key]
+        while len(self._live) > capacity:
+            _, key = self._pop()
             self.stats.evictions += 1
             if obs.active:
                 obs.on_evict("importance", key, "shrink")
             self.store.delete(key)
             evicted.append(key)
+        self._compact()
         self.capacity = capacity
         return evicted
 
@@ -152,11 +200,11 @@ class ImportanceCache:
 
     def keys(self) -> List[int]:
         """Resident sample ids in admission order."""
-        return list(self._keys)
+        return list(self._live)
 
     def scores_snapshot(self) -> List[Tuple[int, float]]:
         """(key, score) for all residents (diagnostics)."""
-        return [(k, self._heap.priority(k)) for k in self._keys]
+        return [(k, s) for k, (s, _) in self._live.items()]
 
     def peek_min(self) -> Optional[Tuple[int, Any]]:
         """(key, payload) of the least-important resident, or ``None``
@@ -165,21 +213,35 @@ class ImportanceCache:
         Degraded-mode serving uses this as a deterministic last-resort
         substitute source when the remote tier is down.
         """
-        if not self._heap:
+        if not self._live:
             return None
-        _, key = self._heap.peek()
+        key = self._min()[2]
         payload = self.store.peek(key)
         return None if payload is None else (key, payload)
 
+    def check_invariants(self) -> None:
+        """Assert that the heap describes the residents (for tests): a
+        valid heap holding every live priority, unique admission
+        tiebreaks below the counter, and at most twice the residents
+        plus ``_SLACK`` entries."""
+        heap, live = self._heap, self._live
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+        assert set(self._entries()) <= set(heap)
+        tiebreaks = {t for _, t in live.values()}
+        assert len(tiebreaks) == len(live)
+        assert max(tiebreaks, default=-1) < self._counter
+        assert len(heap) <= 2 * len(live) + _SLACK
+
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Exact snapshot: payloads, heap layout, stats.
+        """Exact snapshot: payloads, live priorities, stats.
 
-        Residents are recorded in admission order; the heap snapshot
-        keeps its array layout and tie-break counters so eviction order
-        after a restore matches an uninterrupted run bit-for-bit.
+        Residents are recorded in admission order, the priorities in
+        eviction order with their tiebreaks and the admission counter, so
+        eviction order after a restore matches an uninterrupted run
+        bit-for-bit.
         """
-        keys = list(self._keys)
+        keys = list(self._live)
         if keys:
             payloads = np.stack(
                 [np.asarray(p) for p in self.store.export(keys)]
@@ -190,19 +252,25 @@ class ImportanceCache:
             "capacity": self.capacity,
             "keys": np.asarray(keys, dtype=np.int64),
             "payloads": payloads,
-            "heap": self._heap.state_dict(),
+            "heap": {
+                "entries": [[s, t, k] for s, t, k in self._entries()],
+                "counter": self._counter,
+            },
             "stats": self.stats.state_dict(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
+        """Restore a :meth:`state_dict` snapshot (heap entries in any
+        order)."""
         self.capacity = int(state["capacity"])
         keys = [int(k) for k in np.asarray(state["keys"], dtype=np.int64)]
         payloads = state["payloads"]
-        self._heap.load_state_dict(state["heap"])
-        if set(self._heap.keys()) != set(keys):
+        live = {int(k): (float(s), int(t)) for s, t, k in state["heap"]["entries"]}
+        if set(live) != set(keys):
             raise ValueError("importance-cache snapshot heap/value mismatch")
-        self._keys = dict.fromkeys(keys)
+        self._live = {k: live[k] for k in keys}
+        self._heap = self._entries()
+        self._counter = int(state["heap"]["counter"])
         self.store.load(
             {k: np.asarray(payloads[i]) for i, k in enumerate(keys)}
         )

@@ -1,8 +1,16 @@
-"""SpiderCachePolicy: Algorithm 1 end to end.
+"""The importance-sampling policy skeleton, and SpiderCache: Algorithm 1
+end to end.
 
-Ties together the graph-based IS algorithm (§4.1), the semantic-aware
-two-layer cache (§4.2), and the elastic cache manager (§4.3) behind the
-trainer's policy protocol:
+:class:`ISPolicy` is what every IS policy shares (SpiderCache here, SHADE,
+gradient-norm IS and iCache in :mod:`repro.baselines.loss_is`): a global
+score table, the multinomial epoch sampler over it, Algorithm 1's
+per-batch score update into the table and the cache, the per-epoch score
+dispersion snapshot, and their checkpoint halves. Subclasses supply how a
+batch becomes scores, the cache, and the sampling weights.
+
+:class:`SpiderCachePolicy` ties together the graph-based IS algorithm
+(§4.1), the semantic-aware two-layer cache (§4.2), and the elastic cache
+manager (§4.3) behind the trainer's policy protocol:
 
 * ``epoch_order`` — multinomial draw over global importance scores
   (Alg. 1's ``torch.multinomial`` sampling);
@@ -17,23 +25,119 @@ trainer's policy protocol:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.core.elastic import ElasticCacheManager
-from repro.core.graph_is import GraphImportanceScorer
+from repro.core.graph_is import GraphImportanceScorer, NodeScore
 from repro.core.sampler import MultinomialSampler
 from repro.core.scores import GlobalScoreTable, last_occurrences
 from repro.core.semantic_cache import FetchOutcome, SemanticCache
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.utils.rng import RngLike
 
-__all__ = ["SpiderCachePolicy"]
+__all__ = ["ISPolicy", "SpiderCachePolicy"]
 
 
-class SpiderCachePolicy(TrainingPolicy):
+class ISPolicy(TrainingPolicy):
+    """Importance sampling over a global score table and a score-ordered
+    cache.
+
+    Owns the :class:`GlobalScoreTable`, the :class:`MultinomialSampler`
+    drawing each epoch from :meth:`_sampling_weights`, and the cache
+    :meth:`_build_cache` returns (anything with ``update_scores`` and
+    ``state_dict``). :meth:`after_batch` keeps each served id's last
+    occurrence, scores the batch with :meth:`_score_batch`, and writes the
+    scores to the table and to the cache in one call each.
+    """
+
+    def __init__(self, cache_fraction: float = 0.2, rng: RngLike = None) -> None:
+        super().__init__(rng=rng)
+        if not 0.0 <= cache_fraction <= 1.0:
+            raise ValueError("cache_fraction must be in [0, 1]")
+        self.cache_fraction = float(cache_fraction)
+        # Built in setup():
+        self.score_table: Optional[GlobalScoreTable] = None
+        self.cache: Any = None
+        self.sampler: Optional[MultinomialSampler] = None
+
+    def _build_cache(self, capacity: int) -> Any:
+        """The policy's cache, sized to ``capacity`` items."""
+        raise NotImplementedError
+
+    def _sampling_weights(self) -> np.ndarray:
+        """Per-sample weights of the next epoch's draw."""
+        assert self.score_table is not None
+        return self.score_table.sampling_weights()
+
+    def _score_batch(
+        self, served: np.ndarray, keep: np.ndarray, losses: np.ndarray,
+        embeddings: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, scores)`` of one trained batch; ``keep`` holds the
+        positions of each served id's last occurrence."""
+        raise NotImplementedError
+
+    def setup(self, ctx: PolicyContext) -> None:
+        super().setup(ctx)
+        n = ctx.num_samples
+        self.score_table = GlobalScoreTable(n)
+        self.cache = self._build_cache(int(round(self.cache_fraction * n)))
+        self.sampler = MultinomialSampler(
+            n, weight_fn=self._sampling_weights, rng=self._rng
+        )
+
+    def epoch_order(self, epoch: int) -> np.ndarray:
+        assert self.sampler is not None
+        return self.sampler.epoch_order(epoch)
+
+    def after_batch(
+        self,
+        requested: np.ndarray,
+        served: np.ndarray,
+        losses: np.ndarray,
+        embeddings: np.ndarray,
+        epoch: int,
+    ) -> None:
+        assert self.score_table is not None and self.cache is not None
+        # With-replacement sampling can repeat an id within a batch; its
+        # last occurrence is the one scored.
+        served = np.asarray(served, dtype=np.int64)
+        ids, scores = self._score_batch(
+            served, last_occurrences(served), losses, embeddings
+        )
+        self.score_table.update(ids, scores)
+        self.cache.update_scores(ids, scores)
+
+    def after_epoch(self, epoch: int, val_accuracy: float) -> None:
+        assert self.score_table is not None
+        self.score_table.snapshot_std()
+
+    def state_dict(self) -> dict:
+        """The sampling RNG, the score table and the cache."""
+        assert self.score_table is not None and self.cache is not None
+        state = super().state_dict()
+        state.update(
+            score_table=self.score_table.state_dict(),
+            cache=self.cache.state_dict(),
+        )
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (call after ``setup``)."""
+        assert self.score_table is not None and self.cache is not None
+        super().load_state_dict(state)
+        self.score_table.load_state_dict(state["score_table"])
+        self.cache.load_state_dict(state["cache"])
+
+    def stats(self) -> CacheStats:
+        assert self.cache is not None
+        return self.cache.stats
+
+
+class SpiderCachePolicy(ISPolicy):
     """The full SpiderCache strategy.
 
     Parameters
@@ -101,14 +205,11 @@ class SpiderCachePolicy(TrainingPolicy):
         cache_factory=None,
         rng: RngLike = None,
     ) -> None:
-        super().__init__(rng=rng)
-        if not 0.0 <= cache_fraction <= 1.0:
-            raise ValueError("cache_fraction must be in [0, 1]")
+        super().__init__(cache_fraction, rng=rng)
         if hom_neighbor_limit < 1:
             raise ValueError("hom_neighbor_limit must be >= 1")
         if not 0.0 <= uniform_mix <= 1.0:
             raise ValueError("uniform_mix must be in [0, 1]")
-        self.cache_fraction = float(cache_fraction)
         if not 0.0 < hom_radius_scale <= 1.0:
             raise ValueError("hom_radius_scale must be in (0, 1]")
         # Substitution safety: a Homophily entry only covers its *closest*
@@ -159,16 +260,22 @@ class SpiderCachePolicy(TrainingPolicy):
         self.cache_factory = cache_factory
         # Built in setup():
         self.scorer: Optional[GraphImportanceScorer] = None
-        self.score_table: Optional[GlobalScoreTable] = None
-        self.cache: Optional[SemanticCache] = None
         self.manager: Optional[ElasticCacheManager] = None
-        self.sampler: Optional[MultinomialSampler] = None
+        # The last scored batch's top-degree node (Alg. 1 lines 18-20).
+        self._top: Optional[NodeScore] = None
 
     # ------------------------------------------------------------------
+    def _build_cache(self, capacity: int) -> SemanticCache:
+        if self.cache_factory is not None:
+            cache = self.cache_factory(capacity, self.r_start)
+        else:
+            cache = SemanticCache(capacity, imp_ratio=self.r_start)
+        if self.degraded_mode:
+            cache.enable_degraded_mode()
+        return cache
+
     def setup(self, ctx: PolicyContext) -> None:
         super().setup(ctx)
-        n = ctx.num_samples
-        self.score_table = GlobalScoreTable(n)
         self.scorer = GraphImportanceScorer(
             dim=ctx.embedding_dim,
             labels=ctx.dataset.y,
@@ -181,21 +288,11 @@ class SpiderCachePolicy(TrainingPolicy):
             # backend must not even advance the spawn counter.
             rng=self._rng.spawn(1)[0] if self.backend == "hnsw" else None,
         )
-        capacity = int(round(self.cache_fraction * n))
-        if self.cache_factory is not None:
-            self.cache = self.cache_factory(capacity, self.r_start)
-        else:
-            self.cache = SemanticCache(capacity, imp_ratio=self.r_start)
-        if self.degraded_mode:
-            self.cache.enable_degraded_mode()
         self.manager = ElasticCacheManager(
             total_epochs=ctx.total_epochs,
             r_start=self.r_start,
             r_end=self.r_end,
             gamma=self.gamma,
-        )
-        self.sampler = MultinomialSampler(
-            n, weight_fn=self._mixed_weights, rng=self._rng
         )
 
     def attach_observer(self, observer) -> None:
@@ -223,6 +320,8 @@ class SpiderCachePolicy(TrainingPolicy):
             return np.full(scores.shape[0], 1.0 / scores.shape[0])
         w = floored / total
         return self.uniform_mix / w.shape[0] + (1.0 - self.uniform_mix) * w
+
+    _sampling_weights = _mixed_weights
 
     # ------------------------------------------------------------------
     def before_epoch(self, epoch: int) -> None:
@@ -264,10 +363,6 @@ class SpiderCachePolicy(TrainingPolicy):
             else:
                 break
 
-    def epoch_order(self, epoch: int) -> np.ndarray:
-        assert self.sampler is not None
-        return self.sampler.epoch_order(epoch)
-
     def fetch(self, index: int) -> FetchOutcome:
         assert self.cache is not None and self.score_table is not None
         ctx = self._require_ctx()
@@ -280,8 +375,21 @@ class SpiderCachePolicy(TrainingPolicy):
         ctx = self._require_ctx()
         ids = [int(i) for i in indices]
         return self.cache.fetch_many(
-            ids, [self.score_table.get(i) for i in ids], ctx.store.get
+            ids, self.score_table.scores[ids].tolist(), ctx.store.get
         )
+
+    def _score_batch(
+        self, served: np.ndarray, keep: np.ndarray, losses: np.ndarray,
+        embeddings: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Graph-based scores (Alg. 1 lines 15-21). Embeddings describe the
+        samples actually trained on (homophily substitutions replace the
+        payload, so index under the served id)."""
+        assert self.scorer is not None
+        scores = self.scorer.score_batch(served[keep], embeddings[keep])
+        # Range rows are read before the index changes again.
+        self._top = self.scorer.top_degree_node(scores)
+        return scores.indices, scores.scores
 
     def after_batch(
         self,
@@ -291,21 +399,12 @@ class SpiderCachePolicy(TrainingPolicy):
         embeddings: np.ndarray,
         epoch: int,
     ) -> None:
-        assert self.scorer is not None and self.score_table is not None
-        assert self.cache is not None
+        """The shared score update, then the batch's top-degree node
+        enters the Homophily Cache (Alg. 1 line 22)."""
+        super().after_batch(requested, served, losses, embeddings, epoch)
+        assert self.scorer is not None and self.cache is not None
         ctx = self._require_ctx()
-        # Embeddings describe the samples actually trained on (homophily
-        # substitutions replace the payload, so index under the served id).
-        # With-replacement sampling can repeat an id within a batch; keep the
-        # last occurrence of each.
-        served = np.asarray(served, dtype=np.int64)
-        pos = last_occurrences(served)
-        scores = self.scorer.score_batch(served[pos], embeddings[pos])
-        self.score_table.update(scores.indices, scores.scores)
-        for index, score in zip(scores.indices.tolist(), scores.scores.tolist()):
-            self.cache.update_score(index, score)
-
-        top = self.scorer.top_degree_node(scores)
+        top, self._top = self._top, None
         if top is not None and top.degree > 0 and top.index not in self.cache.homophily:
             neigh = top.neighbor_ids
             # Near-duplicates only: inside a fraction of the edge radius...
@@ -323,11 +422,13 @@ class SpiderCachePolicy(TrainingPolicy):
                 self.cache.update_homophily(top.index, payload, neigh.tolist())
 
     def after_epoch(self, epoch: int, val_accuracy: float) -> None:
+        super().after_epoch(epoch, val_accuracy)
         assert self.score_table is not None and self.manager is not None
-        assert self.cache is not None
-        std = self.score_table.snapshot_std()
         if self.elastic:
-            self.manager.coordinate(epoch, std, val_accuracy, [self.cache])
+            self.manager.coordinate(
+                epoch, self.score_table.std_history[-1], val_accuracy,
+                [self.cache],
+            )
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -340,12 +441,9 @@ class SpiderCachePolicy(TrainingPolicy):
         importance-sampling distribution exactly on the uninterrupted
         trajectory.
         """
-        assert self.cache is not None and self.score_table is not None
         assert self.manager is not None and self.scorer is not None
         state = super().state_dict()
         state.update(
-            score_table=self.score_table.state_dict(),
-            cache=self.cache.state_dict(),
             manager=self.manager.state_dict(),
             scorer=self.scorer.state_dict(),
             prefetch_count=self.prefetch_count,
@@ -354,20 +452,13 @@ class SpiderCachePolicy(TrainingPolicy):
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (call after ``setup``)."""
-        assert self.cache is not None and self.score_table is not None
         assert self.manager is not None and self.scorer is not None
         super().load_state_dict(state)
-        self.score_table.load_state_dict(state["score_table"])
-        self.cache.load_state_dict(state["cache"])
         self.manager.load_state_dict(state["manager"])
         self.scorer.load_state_dict(state["scorer"])
         self.prefetch_count = int(state["prefetch_count"])
 
     # ------------------------------------------------------------------
-    def stats(self) -> CacheStats:
-        assert self.cache is not None
-        return self.cache.stats
-
     def counters(self) -> Dict[str, int]:
         """Prefetch reads under the metrics name."""
         return {"cache.prefetches": self.prefetch_count}

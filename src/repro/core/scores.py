@@ -62,11 +62,23 @@ class GlobalScoreTable:
         return float(self._scores[index])
 
     def update(self, indices: np.ndarray, scores: np.ndarray) -> None:
-        """Write new scores for the given samples."""
+        """Write new scores for the given samples.
+
+        Scores must be finite and non-negative: a NaN (a diverged model's
+        loss) would otherwise reach the sampling weights and the cache
+        heap, and surface epochs later far from its cause.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         scores = np.asarray(scores, dtype=np.float64)
         if indices.shape != scores.shape:
             raise ValueError("indices and scores must align")
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"importance score of sample {indices[i]} is not finite "
+                f"({scores[i]})"
+            )
         if np.any(scores < 0):
             raise ValueError("importance scores must be non-negative")
         self._scores[indices] = scores

@@ -322,9 +322,14 @@ class SemanticCache:
         """Per-batch Homophily Cache refresh with the top-degree node."""
         return self.homophily.update(node_key, payload, neighbor_ids)
 
+    def update_scores(self, indices: Sequence[int], scores: Sequence[float]) -> None:
+        """Propagate one batch's global-score changes to the Importance
+        Cache heap."""
+        self.importance.update_scores(indices, scores)
+
     def update_score(self, index: int, score: float) -> None:
-        """Propagate a global-score change to the Importance Cache heap."""
-        self.importance.update_score(index, score)
+        """:meth:`update_scores` for one sample."""
+        self.update_scores((index,), (score,))
 
     # ------------------------------------------------------------------
     @property

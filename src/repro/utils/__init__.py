@@ -1,6 +1,5 @@
-"""Shared low-level utilities: indexed heap, RNG plumbing."""
+"""Shared low-level utilities: RNG plumbing."""
 
-from repro.utils.heap import IndexedMinHeap
 from repro.utils.rng import resolve_rng
 
-__all__ = ["IndexedMinHeap", "resolve_rng"]
+__all__ = ["resolve_rng"]

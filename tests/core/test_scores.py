@@ -79,3 +79,14 @@ def test_last_occurrences_keeps_the_last_of_each_id_in_id_order():
     np.testing.assert_array_equal(pos, [4, 3, 5])  # ids 2, 5, 7
     np.testing.assert_array_equal(ids[pos], [2, 5, 7])
     assert last_occurrences(np.array([], dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(bad):
+    """A diverged model's NaN/inf loss is refused at the write, naming the
+    first offending sample, and leaves the table untouched."""
+    t = GlobalScoreTable(5)
+    with pytest.raises(ValueError, match="sample 3 is not finite"):
+        t.update(np.array([1, 3, 4]), np.array([0.5, bad, bad]))
+    np.testing.assert_array_equal(t.scores, np.ones(5))
+    assert t.coverage == 0.0

@@ -127,7 +127,10 @@ def test_update_score_propagates(cache):
     get = _remote({i: i for i in range(30)}, [])
     cache.fetch(1, 0.5, get)
     cache.update_score(1, 0.05)
-    assert cache.importance._heap.priority(1) == 0.05
+    assert cache.importance.scores_snapshot() == [(1, 0.05)]
+    cache.update_scores(np.array([7, 1]), np.array([0.9, 0.2]))  # 7 absent
+    assert cache.importance.scores_snapshot() == [(1, 0.2)]
+    cache.importance.check_invariants()
 
 
 def test_hit_ratio_aggregate(cache):

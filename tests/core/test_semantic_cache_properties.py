@@ -56,7 +56,8 @@ def test_property_semantic_cache_invariants(ops, capacity, start_ratio):
             _, ratio, _ = op
             cache.set_imp_ratio(ratio)
 
-        # Budget invariants hold after every operation.
+        # Budget and heap invariants hold after every operation.
+        cache.importance.check_invariants()
         assert len(cache.importance) <= cache.importance.capacity
         assert len(cache.homophily) <= cache.homophily.capacity
         assert (cache.importance.capacity + cache.homophily.capacity
@@ -72,9 +73,6 @@ def test_property_semantic_cache_invariants(ops, capacity, start_ratio):
     imp = cache.importance
     assert imp.stats.insertions - imp.stats.evictions == len(imp)
     snapshot = imp.scores_snapshot()
-    # Heap keys are exactly the resident keys (the snapshot walks the
-    # residents, so ask the heap itself).
-    assert sorted(imp._heap.keys()) == sorted(imp.keys())
     assert imp.min_score() == (
         min(score for _, score in snapshot) if snapshot else None
     )

@@ -54,8 +54,8 @@ def check_invariants(cli):
     assert len(cli) <= cli.total_capacity
     assert len(cli.importance) <= cli.importance.capacity
     assert len(cli.homophily) <= cli.homophily.capacity
-    assert len(cli.importance._heap) == len(cli._imp_loc)
-    assert set(cli.importance._heap.keys()) == set(cli._imp_loc)
+    cli.importance.check_invariants()
+    assert set(cli.importance.keys()) == set(cli._imp_loc)
     assert set(cli.homophily.keys()) == set(cli._hom_loc)
     snaps = cli.shard_snapshots()
     assert sum(s["imp_len"] for s in snaps) == len(cli._imp_loc)
