@@ -1,10 +1,12 @@
 """Graph-based importance scoring (paper §4.1, Eq. 1-4).
 
 Each sample is a graph node; an edge connects samples whose embedding
-similarity ``sim(x,y) = exp(-lambda * ||x-y||)`` exceeds threshold ``alpha``.
-Equivalently — and this is how we search — an edge exists iff the Euclidean
-distance is below ``radius = -ln(alpha) / lambda``, so neighbor enumeration
-is a single range query against the ANN index.
+similarity ``sim(x,y) = exp(-lambda * d(x,y))`` exceeds threshold ``alpha``.
+Equivalently — and this is how we search — an edge exists iff ``d`` is below
+``-ln(alpha) / lambda``, so neighbor enumeration is a single range query
+against the ANN index. ``d`` is in units of the calibrated distance scale
+(:attr:`GraphImportanceScorer.radius`); :data:`DEFAULT_LAM` puts the edge at
+0.85 units for the default ``alpha = 0.1``.
 
 For node x with ``x_same`` same-class and ``x_other`` other-class neighbors:
 
@@ -47,9 +49,16 @@ __all__ = [
     "NodeScore",
     "importance_score",
     "edge_radius",
+    "DEFAULT_LAM",
 ]
 
 IndexBackend = Union[BruteForceIndex, HNSWIndex]
+
+#: Default lambda: with the default ``alpha = 0.1`` the edge radius is
+#: exactly 0.85 calibrated distance units.
+DEFAULT_LAM = -math.log(0.1) / 0.85
+#: Weight of the old value in the distance-scale EMA's per-batch update.
+EMA_DECAY = 0.9
 
 
 def edge_radius(lam: float, alpha: float) -> float:
@@ -136,7 +145,9 @@ class GraphImportanceScorer:
         Full label array, indexed by sample id; neighbor class comparison
         is a lookup into it (the number of classes is never needed).
     lam, alpha:
-        Similarity decay and edge threshold (Eq. 2-3).
+        Similarity decay, per unit of the calibrated distance scale, and
+        edge threshold (Eq. 2-3): the edge radius is ``-ln(alpha)/lam``
+        scale units.
     neighbormax:
         Part-2 normalizer; "usually set to 500 in the HNSW default setting".
         Also caps how many neighbors a range query may return.
@@ -152,36 +163,18 @@ class GraphImportanceScorer:
         self,
         dim: int,
         labels: np.ndarray,
-        lam: float = 1.0,
+        lam: float = DEFAULT_LAM,
         alpha: float = 0.1,
         neighbormax: int = 500,
         backend: str = "exact",
         zero_same_part1: float = 2.0,
-        auto_calibrate: bool = True,
-        radius_scale: float = 0.85,
-        ema_decay: float = 0.9,
         hnsw_kwargs: Optional[dict] = None,
         rng: RngLike = None,
     ) -> None:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.lam = float(lam)
         self.alpha = float(alpha)
-        self._fixed_radius = edge_radius(lam, alpha)
-        # Auto-calibration: the paper tunes lambda offline per model/dataset
-        # so the edge radius sits inside the intra-class distance scale.
-        # Embedding norms here vary with architecture and training progress,
-        # so by default we track the batch *median* pairwise distance with an
-        # EMA and set radius = radius_scale * median. The median-relative
-        # radius is deliberately non-stationary: an untrained net's distances
-        # concentrate tightly around the median, so a half-median radius
-        # captures almost no pairs (near-edgeless graph, near-uniform scores
-        # — the low-dispersion start of Fig. 6(c)); as class structure forms,
-        # within-cluster pairs fall under the radius and score dispersion
-        # rises, then falls again at convergence.
-        # ``auto_calibrate=False`` restores strict fixed-lambda Eq. 2-3.
-        self.auto_calibrate = bool(auto_calibrate)
-        self.radius_scale = float(radius_scale)
-        self.ema_decay = float(ema_decay)
+        edge_radius(self.lam, self.alpha)  # rejects lam <= 0, alpha outside (0, 1)
         self._dist_ema: Optional[float] = None
         # np.triu_indices per batch size seen (at most batch_size entries).
         self._pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -203,17 +196,22 @@ class GraphImportanceScorer:
     # ------------------------------------------------------------------
     @property
     def radius(self) -> float:
-        """Current edge radius: ``radius_scale`` times the EMA of the batch
-        distance scale when auto-calibrating, the fixed ``-ln(alpha)/lam``
-        otherwise and until the first batch has been observed."""
-        if self.auto_calibrate and self._dist_ema is not None:
-            return self.radius_scale * self._dist_ema
-        return self._fixed_radius
+        """Current edge radius: Eq. 3's ``-ln(alpha)/lam`` times the EMA of
+        the batch distance scale (1.0 until a batch has been observed).
 
-    @property
-    def effective_lam(self) -> float:
-        """The lambda implied by the current radius (Eq. 2-3 equivalence)."""
-        return -math.log(self.alpha) / self.radius
+        The paper tunes lambda offline per model/dataset so the edge radius
+        sits inside the intra-class distance scale. Embedding norms here
+        vary with architecture and training progress, so the scale is
+        tracked online and lambda is read per unit of it. The
+        median-relative radius is deliberately non-stationary: an untrained
+        net's distances concentrate tightly around the median, so a
+        half-median radius captures almost no pairs (near-edgeless graph,
+        near-uniform scores — the low-dispersion start of Fig. 6(c)); as
+        class structure forms, within-cluster pairs fall under the radius
+        and score dispersion rises, then falls again at convergence.
+        """
+        scale = 1.0 if self._dist_ema is None else self._dist_ema
+        return edge_radius(self.lam, self.alpha) * scale
 
     def _observe_scale(
         self, embeddings: np.ndarray, batch_labels: Optional[np.ndarray] = None
@@ -245,14 +243,7 @@ class GraphImportanceScorer:
         if self._dist_ema is None:
             self._dist_ema = scale
         else:
-            self._dist_ema = (
-                self.ema_decay * self._dist_ema + (1 - self.ema_decay) * scale
-            )
-
-    def similarity(self, d: np.ndarray) -> np.ndarray:
-        """Eq. 2: exponential-decay similarity from distances, using the
-        effective (possibly auto-calibrated) lambda."""
-        return np.exp(-self.effective_lam * np.asarray(d, dtype=np.float64))
+            self._dist_ema = EMA_DECAY * self._dist_ema + (1 - EMA_DECAY) * scale
 
     def update_embeddings(self, indices: Sequence[int], embeddings: np.ndarray) -> None:
         """Algorithm 1 line 15: push the batch's fresh embeddings into the
@@ -274,8 +265,7 @@ class GraphImportanceScorer:
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         if indices.shape[0] != embeddings.shape[0]:
             raise ValueError("indices and embeddings must align")
-        if self.auto_calibrate:
-            self._observe_scale(embeddings, self.labels[indices])
+        self._observe_scale(embeddings, self.labels[indices])
         self.update_embeddings(indices, embeddings)
         neighbors = self.index.neighbors_within_batch(
             embeddings, self.radius, exclude=indices, max_neighbors=self.neighbormax

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.core.elastic import ElasticCacheManager
-from repro.core.graph_is import GraphImportanceScorer, NodeScore
+from repro.core.graph_is import DEFAULT_LAM, GraphImportanceScorer, NodeScore
 from repro.core.sampler import MultinomialSampler
 from repro.core.scores import GlobalScoreTable, last_occurrences
 from repro.core.semantic_cache import FetchOutcome, SemanticCache
@@ -145,8 +145,11 @@ class SpiderCachePolicy(ISPolicy):
     cache_fraction:
         Total cache budget as a fraction of the dataset (paper uses 10-75%).
         ``0`` disables caching entirely (the Fig. 13 IS-only configuration).
-    lam, alpha, neighbormax:
-        Graph-construction hyperparameters (Eq. 2-4).
+    lam, alpha:
+        Eq. 2-3: an edge joins samples closer than ``-ln(alpha)/lam`` units
+        of the calibrated same-class distance scale (0.85 by default).
+    neighbormax:
+        Eq. 4's Part-2 normalizer and the cap on one range query's answer.
     r_start, r_end:
         Elastic imp-ratio endpoints; paper recommends 0.9 -> 0.8. Setting
         ``elastic=False`` pins the ratio at ``r_start`` (the static
@@ -187,7 +190,7 @@ class SpiderCachePolicy(ISPolicy):
     def __init__(
         self,
         cache_fraction: float = 0.2,
-        lam: float = 1.0,
+        lam: float = DEFAULT_LAM,
         alpha: float = 0.1,
         neighbormax: int = 500,
         r_start: float = 0.9,
@@ -212,6 +215,10 @@ class SpiderCachePolicy(ISPolicy):
             raise ValueError("uniform_mix must be in [0, 1]")
         if not 0.0 < hom_radius_scale <= 1.0:
             raise ValueError("hom_radius_scale must be in (0, 1]")
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
         # Substitution safety: a Homophily entry only covers its *closest*
         # ``hom_neighbor_limit`` neighbors, only same-class ones (by
         # default), and only those within ``hom_radius_scale`` of the edge
@@ -244,8 +251,8 @@ class SpiderCachePolicy(ISPolicy):
         # down — circuit breaker open, or a fetch fails outright — serve a
         # widened substitute / skip the sample instead of crashing the run.
         self.degraded_mode = bool(degraded_mode)
-        self.lam = lam
-        self.alpha = alpha
+        self.lam = float(lam)
+        self.alpha = float(alpha)
         self.neighbormax = neighbormax
         self.r_start = r_start
         self.r_end = r_end

@@ -1,4 +1,4 @@
-"""Auto-calibration internals of the graph scorer."""
+"""Distance-scale calibration internals of the graph scorer."""
 
 import numpy as np
 import pytest
@@ -19,37 +19,30 @@ def _clustered(seed=0, n=32, d=8, sep=5.0):
 def test_fixed_radius_before_first_batch():
     labels, _ = _clustered()
     s = GraphImportanceScorer(8, labels, lam=2.0, alpha=0.2)
-    # No EMA yet: radius falls back to -ln(alpha)/lam.
+    # No EMA yet: the scale is 1.0, so the radius is -ln(alpha)/lam.
     assert s.radius == pytest.approx(-np.log(0.2) / 2.0)
 
 
 def test_ema_updates_with_decay():
     labels, emb = _clustered()
-    s = GraphImportanceScorer(8, labels, ema_decay=0.5)
+    s = GraphImportanceScorer(8, labels)
     s.score_batch(np.arange(32), emb)
     first = s._dist_ema
-    # Second batch at 10x the scale: EMA moves halfway-ish toward it.
+    # Second batch at 10x the scale: the EMA moves a tenth of the way.
     s.score_batch(np.arange(32), emb * 10)
-    assert s._dist_ema > first
-    assert s._dist_ema < 10 * first
+    assert s._dist_ema == pytest.approx(0.9 * first + 0.1 * 10 * first)
 
 
 def test_radius_scale_proportional():
+    """The calibrated radius is proportional to -ln(alpha)/lam."""
     labels, emb = _clustered()
-    a = GraphImportanceScorer(8, labels, radius_scale=0.5)
-    b = GraphImportanceScorer(8, labels, radius_scale=1.0)
-    a.score_batch(np.arange(32), emb)
-    b.score_batch(np.arange(32), emb)
+    a = GraphImportanceScorer(8, labels, lam=2.0, alpha=0.1)
+    b = GraphImportanceScorer(8, labels, lam=1.0, alpha=0.1)
+    c = GraphImportanceScorer(8, labels, lam=2.0, alpha=0.01)
+    for s in (a, b, c):
+        s.score_batch(np.arange(32), emb)
     assert b.radius == pytest.approx(2 * a.radius)
-
-
-def test_auto_calibrate_off_keeps_fixed():
-    labels, emb = _clustered()
-    s = GraphImportanceScorer(8, labels, lam=1.0, alpha=0.1,
-                              auto_calibrate=False)
-    r0 = s.radius
-    s.score_batch(np.arange(32), emb * 100)
-    assert s.radius == r0
+    assert c.radius == pytest.approx(b.radius)  # -ln(0.01) = 2 * -ln(0.1)
 
 
 def test_single_class_batch_uses_same_class_median():

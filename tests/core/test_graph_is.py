@@ -15,7 +15,7 @@ from repro.core.graph_is import (
 
 
 # ----------------------------------------------------------------------
-# Eq. 2-3: similarity / edge radius
+# Eq. 2-3: edge radius
 # ----------------------------------------------------------------------
 def test_edge_radius_equivalence():
     lam, alpha = 2.0, 0.3
@@ -31,15 +31,6 @@ def test_edge_radius_invalid():
         edge_radius(1.0, 1.0)
     with pytest.raises(ValueError):
         edge_radius(1.0, 0.0)
-
-
-def test_similarity_monotone_decreasing():
-    s = GraphImportanceScorer(4, np.zeros(4, dtype=int), auto_calibrate=False)
-    d = np.array([0.0, 1.0, 2.0])
-    sim = s.similarity(d)
-    assert sim[0] == 1.0
-    assert np.all(np.diff(sim) < 0)
-    assert np.all((sim >= 0) & (sim <= 1))
 
 
 # ----------------------------------------------------------------------
@@ -100,16 +91,15 @@ def test_property_score_monotonicity(same, other):
 # ----------------------------------------------------------------------
 # GraphImportanceScorer end-to-end
 # ----------------------------------------------------------------------
-def _two_cluster_scorer(auto=False):
-    """20 points in two tight, well-separated clusters."""
+def _two_cluster_scorer():
+    """20 points in two tight, well-separated clusters; lam = 0.25 puts the
+    edge at ~9 same-class median distances (~2.4), inside the gap."""
     rng = np.random.default_rng(0)
     labels = np.array([0] * 10 + [1] * 10)
     emb = np.concatenate(
         [rng.normal(0, 0.1, (10, 4)), rng.normal(5, 0.1, (10, 4)) ]
     )
-    s = GraphImportanceScorer(
-        4, labels, lam=1.0, alpha=0.1, auto_calibrate=auto
-    )
+    s = GraphImportanceScorer(4, labels, lam=0.25, alpha=0.1)
     return s, emb, labels
 
 
@@ -119,7 +109,7 @@ def test_score_batch_clusters():
     assert len(results) == 20
     for ns in results:
         # Tight clusters: every point sees its 9 same-class mates within
-        # radius 2.3 and no other-class points.
+        # the radius and no other-class points.
         assert ns.x_same == 9
         assert ns.x_other == 0
 
@@ -163,18 +153,12 @@ def test_dynamic_update_changes_counts():
 
 
 def test_auto_calibration_adapts_radius():
-    s, emb, _ = _two_cluster_scorer(auto=True)
-    fixed_r = s._fixed_radius
+    s, emb, _ = _two_cluster_scorer()
+    unit_r = edge_radius(s.lam, s.alpha)
+    assert s.radius == unit_r  # no batch observed: scale 1.0
     s.score_batch(np.arange(20), emb * 100)  # huge scale
-    assert s.radius != fixed_r
-    assert s.radius > fixed_r  # scaled up with the data
-
-
-def test_effective_lam_consistent():
-    s, emb, _ = _two_cluster_scorer(auto=True)
-    s.score_batch(np.arange(20), emb)
-    r = s.radius
-    assert edge_radius(s.effective_lam, s.alpha) == pytest.approx(r)
+    assert s.radius != unit_r
+    assert s.radius > unit_r  # scaled up with the data
 
 
 def test_hnsw_backend_equivalent_on_clusters():
@@ -183,9 +167,9 @@ def test_hnsw_backend_equivalent_on_clusters():
     emb = np.concatenate(
         [rng.normal(0, 0.1, (15, 4)), rng.normal(5, 0.1, (15, 4))]
     )
-    exact = GraphImportanceScorer(4, labels, auto_calibrate=False)
+    exact = GraphImportanceScorer(4, labels, lam=0.25)
     hnsw = GraphImportanceScorer(
-        4, labels, auto_calibrate=False, backend="hnsw",
+        4, labels, lam=0.25, backend="hnsw",
         hnsw_kwargs={"rng": 0, "ef_search": 64},
     )
     re = exact.score_batch(np.arange(30), emb)
@@ -212,7 +196,8 @@ def test_score_batch_counts_with_isolated_samples():
     the zero-same cap and do not shift the other samples' counts."""
     labels = np.array([0, 1, 1, 0, 0, 0])
     emb = np.array([[50.0], [0.0], [0.1], [90.0], [0.2], [70.0]])
-    s = GraphImportanceScorer(1, labels, lam=1.0, alpha=0.5, auto_calibrate=False)
+    # Same-class median distance 40: lam = 40 puts the edge at ln 2 ~ 0.69.
+    s = GraphImportanceScorer(1, labels, lam=40.0, alpha=0.5)
     results = s.score_batch(np.arange(6), emb)
     assert [(ns.x_same, ns.x_other) for ns in results] == [
         (0, 0), (1, 1), (1, 1), (0, 0), (0, 2), (0, 0),
@@ -226,7 +211,8 @@ def test_neighbormax_caps_range_results():
     rng = np.random.default_rng(2)
     labels = np.zeros(50, dtype=int)
     emb = rng.normal(0, 0.01, (50, 4))  # all mutually close
-    s = GraphImportanceScorer(4, labels, neighbormax=10, auto_calibrate=False)
+    # ~9 median distances: every pair is an edge.
+    s = GraphImportanceScorer(4, labels, lam=0.25, neighbormax=10)
     results = s.score_batch(np.arange(50), emb)
     for ns in results:
         assert len(ns.neighbor_ids) <= 10
@@ -242,9 +228,10 @@ def test_score_batch_matches_per_query_range_search(backend):
     labels = rng.integers(3, size=24)
     emb = rng.normal(0.0, 1.0, (24, 4))
     kwargs = {"hnsw_kwargs": {"rng": 0, "ef_search": 64}} if backend == "hnsw" else {}
+    # ~0.74 same-class median distances: a radius of ~2.0, between the
+    # nearest and the farthest pairs.
     s = GraphImportanceScorer(
-        4, labels, lam=0.8, alpha=0.2, auto_calibrate=False,
-        backend=backend, **kwargs,
+        4, labels, lam=2.16, alpha=0.2, backend=backend, **kwargs,
     )
     results = s.score_batch(np.arange(24), emb)
     for ns in results:

@@ -27,6 +27,12 @@ def test_invalid_knobs():
         SpiderCachePolicy(hom_radius_scale=0.0)
     with pytest.raises(ValueError):
         SpiderCachePolicy(hom_radius_scale=1.5)
+    with pytest.raises(ValueError, match="lam"):
+        SpiderCachePolicy(lam=0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        SpiderCachePolicy(alpha=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        SpiderCachePolicy(alpha=0.0)
 
 
 def test_mixed_weights_sum_to_near_one():
@@ -99,7 +105,9 @@ def test_neighbor_dists_sorted_and_within_radius():
     rng = np.random.default_rng(0)
     labels = np.zeros(30, dtype=int)
     emb = np.concatenate([rng.normal(0, 0.1, (15, 4)), rng.normal(4, 0.1, (15, 4))])
-    s = GraphImportanceScorer(4, labels, auto_calibrate=False)
+    # All one class, so the median pair spans the clusters (~7.8): lam = 8
+    # puts the edge at ~2.2, inside the gap.
+    s = GraphImportanceScorer(4, labels, lam=8.0)
     for ns in s.score_batch(np.arange(30), emb):
         assert len(ns.neighbor_dists) == len(ns.neighbor_ids)
         assert np.all(np.diff(ns.neighbor_dists) >= 0)
