@@ -57,13 +57,12 @@ class ClassicCachePolicy(TrainingPolicy):
     def fetch(self, index: int) -> FetchOutcome:
         """Serve from the cache, demand-filling from storage on miss."""
         assert self.cache is not None
-        ctx = self._require_ctx()
         payload = self.cache.get(index)
         if payload is not None:
-            return FetchOutcome(index, index, payload, FetchSource.IMPORTANCE)
-        payload = ctx.store.get(index)
+            return self._served(index, index, payload, FetchSource.IMPORTANCE)
+        payload = self._require_ctx().store.get(index)
         self.cache.put(index, payload)
-        return FetchOutcome(index, index, payload, FetchSource.REMOTE)
+        return self._served(index, index, payload, FetchSource.REMOTE)
 
     def state_dict(self) -> dict:
         """The shuffle RNG and the cache, eviction order included."""

@@ -15,19 +15,21 @@ Two cache variants match the paper's §6.3 split:
   served a *random cached L-sample instead* (a substitute hit). This pushes
   the hit ratio above SHADE's but "significantly degrades the model's final
   accuracy" (Fig. 6(b)) because the substitutes are arbitrary, not similar.
+
+Both serve through the Fig. 9 cache every IS policy shares, sized to the
+H-section in the full variant; the L-section sits in front of its misses.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.baselines.loss_is import LossISPolicy
 from repro.cache.base import CacheStats
 from repro.cache.random_replacement import RandomReplacementCache
-from repro.core.semantic_cache import FetchOutcome, FetchSource
-from repro.train.policy_base import PolicyContext
+from repro.core.semantic_cache import FetchOutcome, FetchSource, SemanticCache
 from repro.utils.rng import RngLike
 
 __all__ = ["ICacheImpPolicy", "ICacheFullPolicy"]
@@ -85,10 +87,10 @@ class ICacheImpPolicy(LossISPolicy):
 class ICacheFullPolicy(ICacheImpPolicy):
     """Full iCache: H/L sample split with random L-replacement.
 
-    ``h_fraction`` of the cache budget holds H-samples (the importance
-    cache); the rest is the L-section, a random-replacement cache. An
-    L-sample request that misses is served a random resident L-sample with
-    probability ``substitute_prob``.
+    ``h_fraction`` of the cache budget holds H-samples (the Fig. 9 cache's
+    importance layer); the rest is the L-section, a random-replacement
+    cache. An L-sample request that misses is served a random resident
+    L-sample with probability ``substitute_prob``.
     """
 
     name = "icache"
@@ -111,47 +113,58 @@ class ICacheFullPolicy(ICacheImpPolicy):
         self.substitute_prob = float(substitute_prob)
         self.l_section: Optional[RandomReplacementCache] = None
 
-    def setup(self, ctx: PolicyContext) -> None:
-        super().setup(ctx)
-        assert self.cache is not None
-        # The budget the base sized the (still empty) importance cache to
-        # splits into the H-section and the L-section.
-        total = self.cache.capacity
-        h_cap = int(round(total * self.h_fraction))
-        self.cache.shrink_to(h_cap)
-        self.l_section = RandomReplacementCache(total - h_cap, rng=self._rng)
+    def _build_cache(self, capacity: int) -> SemanticCache:
+        """The budget splits into the H-section, which the Fig. 9 cache
+        holds, and the L-section."""
+        h_cap = int(round(capacity * self.h_fraction))
+        self.l_section = RandomReplacementCache(capacity - h_cap, rng=self._rng)
+        return super()._build_cache(h_cap)
 
     def _h_threshold(self) -> float:
         """Score above which a sample counts as an H-sample: the importance
-        cache's own admission bar (its current minimum)."""
+        layer's own admission bar (its current minimum)."""
         assert self.cache is not None
-        m = self.cache.min_score()
+        m = self.cache.importance.min_score()
         return m if m is not None else 0.0
 
-    def _fetch_miss(self, index: int) -> FetchOutcome:
-        """L-section exact hit, else a random L-resident for a sample at or
-        below the H threshold (with ``substitute_prob``), else remote; a
-        sample the H-section refuses enters the L-section."""
+    def fetch(self, index: int) -> FetchOutcome:
+        """An H-section miss tries the L-section: an exact hit, else a
+        random L-resident for a sample at or below the H threshold (with
+        ``substitute_prob``). Only then the Fig. 9 cache serves; a sample
+        its importance layer refuses enters the L-section."""
         assert self.cache is not None and self.score_table is not None
-        l_section = self.l_section
+        imp, l_section = self.cache.importance, self.l_section
         assert l_section is not None
-        if index in l_section:
-            return FetchOutcome(
-                index, index, l_section.get(index), FetchSource.HOMOPHILY
-            )
-        if (
-            len(l_section)
-            and self.score_table.get(index) <= self._h_threshold()
-            and self._rng.random() < self.substitute_prob
-        ):
-            sub, payload = l_section.choice()
-            l_section.stats.substitute_hits += 1
-            return FetchOutcome(index, sub, payload, FetchSource.HOMOPHILY)
-        l_section.stats.misses += 1
-        outcome = super()._fetch_miss(index)
-        if index not in self.cache:
+        if index not in imp:
+            if index in l_section:
+                return self._served(
+                    index, index, l_section.get(index), FetchSource.HOMOPHILY
+                )
+            if (
+                len(l_section)
+                and self.score_table.get(index) <= self._h_threshold()
+                and self._rng.random() < self.substitute_prob
+            ):
+                sub, payload = l_section.choice()
+                l_section.stats.substitute_hits += 1
+                return self._served(index, sub, payload, FetchSource.HOMOPHILY)
+        outcome = super().fetch(index)
+        if index not in imp:
             l_section.put(index, outcome.payload)
         return outcome
+
+    def attach_observer(self, observer) -> None:
+        """The base cascade, and register :meth:`counters`."""
+        super().attach_observer(observer)
+        observer.register(self)
+
+    def counters(self) -> Dict[str, int]:
+        """L-section serves under the metrics names (the observer adds
+        them to the cache's own)."""
+        assert self.l_section is not None
+        stats = self.l_section.stats
+        served = stats.hits + stats.substitute_hits
+        return {"cache.fetches": served, "cache.fetch.homophily": served}
 
     def state_dict(self) -> dict:
         """The base snapshot plus the L-section."""
@@ -167,11 +180,8 @@ class ICacheFullPolicy(ICacheImpPolicy):
         self.l_section.load_state_dict(state["l_section"])
 
     def stats(self) -> CacheStats:
-        assert self.cache is not None and self.l_section is not None
-        agg = CacheStats()
-        agg.merge(self.cache.stats)
+        """The Fig. 9 cache's counts plus the L-section's serves."""
+        assert self.l_section is not None
+        agg = super().stats()
         agg.merge(self.l_section.stats)
-        # ImportanceCache.get counts a miss for every probe that falls
-        # through to the L-section; those requests are re-counted there.
-        agg.misses -= self.l_section.stats.requests
         return agg

@@ -3,10 +3,11 @@ end to end.
 
 :class:`ISPolicy` is what every IS policy shares (SpiderCache here, SHADE,
 gradient-norm IS and iCache in :mod:`repro.baselines.loss_is`): a global
-score table, the multinomial epoch sampler over it, Algorithm 1's
-per-batch score update into the table and the cache, the per-epoch score
-dispersion snapshot, and their checkpoint halves. Subclasses supply how a
-batch becomes scores, the cache, and the sampling weights.
+score table, the multinomial epoch sampler over it, the Fig. 9 fetch
+through a :class:`SemanticCache`, Algorithm 1's per-batch score update
+into the table and the cache, the per-epoch score dispersion snapshot,
+and their checkpoint halves. Subclasses supply how a batch becomes
+scores and the sampling weights, and may size or split the cache.
 
 :class:`SpiderCachePolicy` ties together the graph-based IS algorithm
 (§4.1), the semantic-aware two-layer cache (§4.2), and the elastic cache
@@ -25,7 +26,8 @@ manager (§4.3) behind the trainer's policy protocol:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,13 +44,13 @@ __all__ = ["ISPolicy", "SpiderCachePolicy"]
 
 
 class ISPolicy(TrainingPolicy):
-    """Importance sampling over a global score table and a score-ordered
+    """Importance sampling over a global score table and the Fig. 9
     cache.
 
     Owns the :class:`GlobalScoreTable`, the :class:`MultinomialSampler`
-    drawing each epoch from :meth:`_sampling_weights`, and the cache
-    :meth:`_build_cache` returns (anything with ``update_scores`` and
-    ``state_dict``). :meth:`after_batch` keeps each served id's last
+    drawing each epoch from :meth:`_sampling_weights`, and the
+    :class:`SemanticCache` :meth:`_build_cache` returns, which serves
+    every :meth:`fetch`. :meth:`after_batch` keeps each served id's last
     occurrence, scores the batch with :meth:`_score_batch`, and writes the
     scores to the table and to the cache in one call each.
     """
@@ -60,12 +62,13 @@ class ISPolicy(TrainingPolicy):
         self.cache_fraction = float(cache_fraction)
         # Built in setup():
         self.score_table: Optional[GlobalScoreTable] = None
-        self.cache: Any = None
+        self.cache: Optional[SemanticCache] = None
         self.sampler: Optional[MultinomialSampler] = None
 
-    def _build_cache(self, capacity: int) -> Any:
-        """The policy's cache, sized to ``capacity`` items."""
-        raise NotImplementedError
+    def _build_cache(self, capacity: int) -> SemanticCache:
+        """The policy's cache, sized to ``capacity`` items: by default the
+        importance layer alone (the homophily layer gets no capacity)."""
+        return SemanticCache(capacity, imp_ratio=1.0)
 
     def _sampling_weights(self) -> np.ndarray:
         """Per-sample weights of the next epoch's draw."""
@@ -89,9 +92,24 @@ class ISPolicy(TrainingPolicy):
             n, weight_fn=self._sampling_weights, rng=self._rng
         )
 
+    def attach_observer(self, observer) -> None:
+        """Cascade the run observer into the cache (call after ``setup``)."""
+        super().attach_observer(observer)
+        if self.cache is not None:
+            self.cache.attach_observer(observer)
+
     def epoch_order(self, epoch: int) -> np.ndarray:
         assert self.sampler is not None
         return self.sampler.epoch_order(epoch)
+
+    def fetch(self, index: int) -> FetchOutcome:
+        """Fig. 9: importance layer, homophily layer, else remote, offered
+        for admission at the sample's global score."""
+        assert self.cache is not None and self.score_table is not None
+        ctx = self._require_ctx()
+        return self.cache.fetch(
+            int(index), self.score_table.get(int(index)), ctx.store.get
+        )
 
     def after_batch(
         self,
@@ -133,8 +151,14 @@ class ISPolicy(TrainingPolicy):
         self.cache.load_state_dict(state["cache"])
 
     def stats(self) -> CacheStats:
+        """The cache's request counts, with admissions and evictions summed
+        over its layers."""
         assert self.cache is not None
-        return self.cache.stats
+        stats = dataclasses.replace(self.cache.stats)
+        layers = (self.cache.importance.stats, self.cache.homophily.stats)
+        stats.insertions = sum(s.insertions for s in layers)
+        stats.evictions = sum(s.evictions for s in layers)
+        return stats
 
 
 class SpiderCachePolicy(ISPolicy):
@@ -307,8 +331,6 @@ class SpiderCachePolicy(ISPolicy):
         manager (call after ``setup``); register :meth:`counters`."""
         super().attach_observer(observer)
         observer.register(self)
-        if self.cache is not None:
-            self.cache.attach_observer(observer)
         if self.manager is not None:
             self.manager.attach_observer(observer)
 
@@ -369,13 +391,6 @@ class SpiderCachePolicy(ISPolicy):
                 fetched += 1
             else:
                 break
-
-    def fetch(self, index: int) -> FetchOutcome:
-        assert self.cache is not None and self.score_table is not None
-        ctx = self._require_ctx()
-        return self.cache.fetch(
-            int(index), self.score_table.get(int(index)), ctx.store.get
-        )
 
     def fetch_many(self, indices: Sequence[int]) -> List[FetchOutcome]:
         assert self.cache is not None and self.score_table is not None

@@ -9,11 +9,11 @@ into arrays for the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.semantic_cache import FetchOutcome, FetchSource
+from repro.core.semantic_cache import FetchSource
 
 __all__ = ["Batch", "DataLoader"]
 
@@ -33,32 +33,28 @@ class Batch:
 
 
 class DataLoader:
-    """Batches an epoch order through a fetch function.
+    """Batches an epoch order through a batch fetch function.
 
     Parameters
     ----------
     labels:
         Full label array; served ids are labeled from it (a substitute
         sample trains under its *own* label).
-    fetch_fn:
-        ``index -> FetchOutcome`` (a policy's ``fetch``).
-    batch_size:
-        Mini-batch size; the final short batch is kept (not dropped).
-    fetch_many_fn:
+    fetch_many:
         ``ids -> [FetchOutcome]`` in request order (a policy's
         ``fetch_many``): the batch entry :meth:`collate` calls once per
-        batch. Without one a batch is ``fetch_fn`` per id.
+        batch.
+    batch_size:
+        Mini-batch size; the final short batch is kept (not dropped).
     """
 
     def __init__(
-        self, labels: np.ndarray, fetch_fn, batch_size: int = 128,
-        fetch_many_fn=None,
+        self, labels: np.ndarray, fetch_many, batch_size: int = 128,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.fetch_fn = fetch_fn
-        self.fetch_many_fn = fetch_many_fn
+        self.fetch_many = fetch_many
         self.batch_size = int(batch_size)
         # Samples dropped by degraded-mode serving (payload-less outcomes
         # with source SKIPPED); batches shrink rather than the run crashing.
@@ -70,15 +66,7 @@ class DataLoader:
         Outcomes without a payload (degraded-mode skips) are dropped; a
         batch whose every sample was skipped collates to ``None``.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        if self.fetch_many_fn is not None:
-            outcomes = self.fetch_many_fn(ids)
-        else:
-            outcomes = [self.fetch_fn(int(i)) for i in ids]
-        return self._collate_outcomes(outcomes)
-
-    def _collate_outcomes(self, outcomes: Sequence["FetchOutcome"]) -> Optional[Batch]:
-        """Drop payload-less outcomes, count skips, stack the rest."""
+        outcomes = self.fetch_many(np.asarray(ids, dtype=np.int64))
         kept = [o for o in outcomes if o.payload is not None]
         skipped = len(outcomes) - len(kept)
         if skipped:

@@ -250,7 +250,8 @@ class Observer:
 
     # -- cache hierarchy -------------------------------------------------
     def on_fetch(self, requested_id: int, served_id: int, source: Any) -> None:
-        """One request went through ``SemanticCache.fetch``.
+        """One request was served: by ``SemanticCache.fetch`` or a
+        policy's own serve path, after any store read.
 
         ``source`` is a :class:`~repro.core.semantic_cache.FetchSource`;
         remote fetches attach the store latency accumulated since the

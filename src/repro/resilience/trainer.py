@@ -37,12 +37,17 @@ import numpy as np
 
 from repro.resilience.errors import PreemptionError
 from repro.resilience.preemption import PreemptionSchedule
-from repro.resilience.state import load_state, save_state
+from repro.resilience.state import CheckpointError, load_state, save_state
 from repro.storage.wrappers import StoreWrapper
 from repro.train.metrics import EpochMetrics, TrainResult
 from repro.train.trainer import EpochAccumulator, Trainer
 
 __all__ = ["ResilientTrainer", "RecoveryStats", "RECOVERY_STAGE"]
+
+#: Version of the checkpoint tree :class:`ResilientTrainer` writes; a
+#: restore refuses any other (format 3: loss-IS policies checkpoint their
+#: ``cache`` as a ``SemanticCache`` snapshot).
+CHECKPOINT_FORMAT = 3
 
 #: SimClock stage that restart penalties are charged to, kept separate from
 #: the Fig.-2 pipeline stages so recovery overhead is reportable on its own.
@@ -68,8 +73,7 @@ class ResilientTrainer(Trainer):
         Directory for ``ckpt-NNNNNN.npz`` archives (created on demand).
     checkpoint_every_batches:
         Auto-checkpoint cadence in batch slots; ``0`` disables the
-        mid-epoch cadence (epoch-boundary checkpoints still happen unless
-        ``checkpoint_at_epoch_end`` is also off).
+        mid-epoch cadence (epoch-boundary checkpoints still happen).
     preemptions:
         Optional :class:`PreemptionSchedule`; each trigger kills the run
         once, after which the trainer restores and replays.
@@ -90,7 +94,6 @@ class ResilientTrainer(Trainer):
         *args,
         checkpoint_dir: Union[str, Path],
         checkpoint_every_batches: int = 25,
-        checkpoint_at_epoch_end: bool = True,
         preemptions: Optional[PreemptionSchedule] = None,
         restart_penalty_s: float = 0.0,
         max_restarts: int = 16,
@@ -101,7 +104,6 @@ class ResilientTrainer(Trainer):
         super().__init__(*args, **kwargs)
         self.checkpoint_dir = Path(checkpoint_dir)
         self.checkpoint_every_batches = int(checkpoint_every_batches)
-        self.checkpoint_at_epoch_end = bool(checkpoint_at_epoch_end)
         self.preemptions = preemptions
         self.restart_penalty_s = float(restart_penalty_s)
         self.max_restarts = int(max_restarts)
@@ -165,9 +167,7 @@ class ResilientTrainer(Trainer):
             self.checkpoint_every_batches > 0
             and self._batches_since_ckpt >= self.checkpoint_every_batches
         )
-        if self.checkpoint_at_epoch_end and slot + 1 == self.loader.n_batches(order):
-            due = True
-        if due:
+        if due or slot + 1 == self.loader.n_batches(order):
             self._write_checkpoint(order=order, acc=acc)
 
     # ------------------------------------------------------------------
@@ -183,7 +183,7 @@ class ResilientTrainer(Trainer):
         epoch, batch = self._cursor
         base = self._base_store()
         state = {
-            "format": 2,
+            "format": CHECKPOINT_FORMAT,
             "cursor": [int(epoch), int(batch)],
             "order": None if order is None else np.asarray(order, dtype=np.int64),
             "acc": None if acc is None else dataclasses.asdict(acc),
@@ -220,6 +220,11 @@ class ResilientTrainer(Trainer):
 
     def _restore(self, path: Union[str, Path]) -> None:
         state = load_state(path)
+        if state.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(
+                f"checkpoint {path} has format {state.get('format')!r}; "
+                f"this trainer reads format {CHECKPOINT_FORMAT}"
+            )
         epoch, batch = state["cursor"]
         self._cursor = (int(epoch), int(batch))
         self._pending_order = state["order"]

@@ -5,7 +5,7 @@ are hardware-independent; end-to-end *time* shape only needs miss-count x
 fetch-latency vs per-batch compute cost, which these models provide.
 """
 
-from repro.storage.backends import InMemoryStore, RemoteStore
+from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.flaky import TransientFetchError
 from repro.storage.latency import ConstantLatency, LatencyModel
@@ -14,7 +14,6 @@ from repro.storage.wrappers import StoreWrapper
 __all__ = [
     "StoreWrapper",
     "RemoteStore",
-    "InMemoryStore",
     "SimClock",
     "LatencyModel",
     "ConstantLatency",

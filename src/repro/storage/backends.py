@@ -1,9 +1,8 @@
-"""Storage backends serving sample payloads by index.
+"""Storage backend serving sample payloads by index.
 
 ``RemoteStore`` is the simulated NFS/cloud tier: every ``get`` charges
 latency to a :class:`~repro.storage.clock.SimClock` and increments fetch
-counters. ``InMemoryStore`` is the zero-cost local tier used by tests and by
-IS-only experiments where caching is disabled but I/O time is irrelevant.
+counters.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency, LatencyModel
 
-__all__ = ["RemoteStore", "InMemoryStore"]
+__all__ = ["RemoteStore"]
 
 
 class RemoteStore:
@@ -101,46 +100,5 @@ class RemoteStore:
 
     def reset_counters(self) -> None:
         """Zero the fetch counters (the clock is left untouched)."""
-        self.fetch_count = 0
-        self.bytes_fetched = 0
-
-
-class InMemoryStore:
-    """Zero-latency store with the same interface as :class:`RemoteStore`."""
-
-    def __init__(self, payloads: np.ndarray) -> None:
-        self._payloads = payloads
-        self.fetch_count = 0
-        self.bytes_fetched = 0
-        self.clock = SimClock()
-        self._obs = NULL_OBSERVER
-
-    # The remote tier's counters and observer wiring (zero latency here).
-    attach_observer = RemoteStore.attach_observer
-    counters = RemoteStore.counters
-
-    def __len__(self) -> int:
-        return self._payloads.shape[0]
-
-    def size_of(self, index: int) -> int:
-        """In-memory payload size in bytes (no simulated on-storage size)."""
-        return int(np.asarray(self._payloads[index]).nbytes)
-
-    def get(self, index: int) -> np.ndarray:
-        """Fetch one payload (free: no simulated latency)."""
-        if not 0 <= index < len(self):
-            raise IndexError(f"sample index {index} out of range")
-        self.fetch_count += 1
-        self.bytes_fetched += self.size_of(index)
-        if self._obs.active:
-            self._obs.on_store_fetch(0.0)
-        return self._payloads[index]
-
-    def peek(self, index: int) -> np.ndarray:
-        """Read a payload without counting a fetch."""
-        return self._payloads[index]
-
-    def reset_counters(self) -> None:
-        """Zero the fetch counters."""
         self.fetch_count = 0
         self.bytes_fetched = 0

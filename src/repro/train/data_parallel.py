@@ -124,10 +124,7 @@ class DataParallelTrainer(EpochRunner):
                             "cache_factory hook"
                         )
                     policy.cache_factory = self._make_shard_client
-                store = self._setup_policy(
-                    policy, model, dataset, batch_size, latency, clock,
-                    self._rng.spawn(1)[0],
-                )
+                store = self._setup_policy(policy, model, dataset, latency, clock)
             self._add_replica(shard, model, policy, store, dataset.y, batch_size)
 
         # Broadcast worker 0's weights so every replica starts identical

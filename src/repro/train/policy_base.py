@@ -32,10 +32,8 @@ class PolicyContext:
 
     dataset: SyntheticDataset
     store: RemoteStore
-    batch_size: int
     total_epochs: int
     embedding_dim: int
-    rng: np.random.Generator
 
     @property
     def num_samples(self) -> int:
@@ -79,11 +77,18 @@ class TrainingPolicy:
         """Sample ids to visit this epoch (default: random permutation)."""
         return self._rng.permutation(self._require_ctx().num_samples)
 
+    def _served(
+        self, index: int, served_id: int, payload, source: FetchSource
+    ) -> FetchOutcome:
+        """The outcome of one request, published to the observer."""
+        if self._obs.active:
+            self._obs.on_fetch(index, served_id, source)
+        return FetchOutcome(index, served_id, payload, source)
+
     def fetch(self, index: int) -> FetchOutcome:
         """Serve one sample request (default: always remote)."""
-        ctx = self._require_ctx()
-        payload = ctx.store.get(index)
-        return FetchOutcome(index, index, payload, FetchSource.REMOTE)
+        payload = self._require_ctx().store.get(index)
+        return self._served(index, index, payload, FetchSource.REMOTE)
 
     def fetch_many(self, indices: Sequence[int]) -> List[FetchOutcome]:
         """Serve one batch of requests, in order (the loaders' entry;

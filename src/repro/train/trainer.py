@@ -188,8 +188,7 @@ class EpochRunner:
     # -- topology ----------------------------------------------------------
     def _setup_policy(
         self, policy: TrainingPolicy, model: Model, dataset: SyntheticDataset,
-        batch_size: int, latency: Optional[LatencyModel], clock: SimClock,
-        rng: np.random.Generator,
+        latency: Optional[LatencyModel], clock: SimClock,
     ) -> RemoteStore:
         """Bind ``policy`` to a new remote store over ``dataset``."""
         store = RemoteStore(
@@ -197,9 +196,8 @@ class EpochRunner:
             latency=latency or ConstantLatency(), clock=clock,
         )
         policy.setup(PolicyContext(
-            dataset=dataset, store=store, batch_size=batch_size,
-            total_epochs=self.config.epochs,
-            embedding_dim=model.embedding_dim, rng=rng,
+            dataset=dataset, store=store, total_epochs=self.config.epochs,
+            embedding_dim=model.embedding_dim,
         ))
         return store
 
@@ -213,10 +211,7 @@ class EpochRunner:
             model.params(), lr=cfg.lr, momentum=cfg.momentum,
             weight_decay=cfg.weight_decay, schedule=cfg.build_schedule(),
         )
-        loader = DataLoader(
-            labels, policy.fetch, batch_size=batch_size,
-            fetch_many_fn=policy.fetch_many,
-        )
+        loader = DataLoader(labels, policy.fetch_many, batch_size=batch_size)
         self.workers.append(WorkerState(
             len(self.workers), shard, model, policy, store, store.clock,
             loader, optimizer,
@@ -602,9 +597,7 @@ class Trainer(EpochRunner):
             )
         if cfg.clock_mode == "real":
             raise ValueError(UNSHARDED_REAL)
-        store = self._setup_policy(
-            policy, model, train_set, cfg.batch_size, latency, SimClock(), self._rng
-        )
+        store = self._setup_policy(policy, model, train_set, latency, SimClock())
         self._add_replica(
             np.arange(len(train_set)), model, policy, store, train_set.y,
             cfg.batch_size,

@@ -13,10 +13,7 @@ from repro.train.policy_base import PolicyContext
 def _ctx(n=100, seed=0):
     ds = make_clustered_dataset(n, n_classes=4, dim=8, rng=seed)
     store = RemoteStore(ds.X)
-    return PolicyContext(
-        dataset=ds, store=store, batch_size=16, total_epochs=5,
-        embedding_dim=8, rng=np.random.default_rng(1),
-    )
+    return PolicyContext(dataset=ds, store=store, total_epochs=5, embedding_dim=8)
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +73,7 @@ def test_full_sections_split_budget():
     p = ICacheFullPolicy(cache_fraction=0.4, h_fraction=0.7, rng=0)
     ctx = _ctx(n=100)
     p.setup(ctx)
-    assert p.cache.capacity == 28
+    assert p.cache.importance.capacity == 28
     assert p.l_section.capacity == 12
 
 

@@ -14,10 +14,7 @@ from repro.train.policy_base import PolicyContext
 def _ctx(n=200, classes=4, seed=0):
     ds = make_clustered_dataset(n, n_classes=classes, dim=8, rng=seed)
     store = RemoteStore(ds.X, item_nbytes=ds.item_nbytes)
-    return PolicyContext(
-        dataset=ds, store=store, batch_size=32, total_epochs=10,
-        embedding_dim=16, rng=np.random.default_rng(1),
-    )
+    return PolicyContext(dataset=ds, store=store, total_epochs=10, embedding_dim=16)
 
 
 def _setup_policy(**kw):
@@ -62,6 +59,19 @@ def test_fetch_miss_then_hit():
     o2 = p.fetch(3)
     assert o2.source == FetchSource.IMPORTANCE
     np.testing.assert_array_equal(o2.payload, ctx.dataset.X[3])
+
+
+def test_stats_admissions_and_evictions_are_the_layer_sums():
+    p, ctx = _setup_policy(cache_fraction=0.05)
+    p.score_table.update(np.arange(30), np.linspace(1.0, 2.0, 30))
+    for i in range(30):  # each score beats the resident minimum
+        p.fetch(i)
+    p.cache.update_homophily(100, ctx.dataset.X[100], [101])
+    counts, stats = p.cache.counters(), p.stats()
+    assert stats.insertions == (
+        counts["importance.admitted"] + counts["homophily.insertions"]
+    ) == 31
+    assert stats.evictions == counts["importance.evictions"] > 0
 
 
 def test_after_batch_updates_scores():

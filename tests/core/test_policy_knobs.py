@@ -12,10 +12,7 @@ from repro.train.policy_base import PolicyContext
 def _ctx(n=200, classes=4, seed=0):
     ds = make_clustered_dataset(n, n_classes=classes, dim=8, rng=seed)
     store = RemoteStore(ds.X, item_nbytes=ds.item_nbytes)
-    return PolicyContext(
-        dataset=ds, store=store, batch_size=32, total_epochs=10,
-        embedding_dim=16, rng=np.random.default_rng(1),
-    )
+    return PolicyContext(dataset=ds, store=store, total_epochs=10, embedding_dim=16)
 
 
 def test_invalid_knobs():

@@ -14,10 +14,7 @@ from repro.train.trainer import Trainer, TrainerConfig
 def _ctx(n=200, seed=0):
     ds = make_clustered_dataset(n, n_classes=4, dim=8, rng=seed)
     store = RemoteStore(ds.X, item_nbytes=ds.item_nbytes)
-    return PolicyContext(
-        dataset=ds, store=store, batch_size=32, total_epochs=10,
-        embedding_dim=16, rng=np.random.default_rng(1),
-    )
+    return PolicyContext(dataset=ds, store=store, total_epochs=10, embedding_dim=16)
 
 
 def test_invalid_fraction():

@@ -12,11 +12,16 @@ def _batches(dl, order):
     return [dl.collate(dl.batch_ids(order, s)) for s in range(dl.n_batches(order))]
 
 
+def _per_id(fetch):
+    """A batch entry that serves each id through ``fetch``."""
+    return lambda ids: [fetch(int(i)) for i in ids]
+
+
 def _identity_fetch(payloads):
     def fetch(i):
         return FetchOutcome(i, i, payloads[i], FetchSource.REMOTE)
 
-    return fetch
+    return _per_id(fetch)
 
 
 def test_batching_sizes():
@@ -47,7 +52,7 @@ def test_substitution_labels_follow_served():
         served = i - 1 if i % 2 else i
         return FetchOutcome(i, served, payloads[served], FetchSource.HOMOPHILY)
 
-    dl = DataLoader(labels, fetch, batch_size=4)
+    dl = DataLoader(labels, _per_id(fetch), batch_size=4)
     (b,) = _batches(dl, np.array([1, 2, 3, 4]))
     np.testing.assert_array_equal(b.served, [0, 2, 2, 4])
     np.testing.assert_array_equal(b.y, [0, 20, 20, 40])
@@ -56,7 +61,7 @@ def test_substitution_labels_follow_served():
 
 def test_invalid_batch_size():
     with pytest.raises(ValueError):
-        DataLoader(np.zeros(2, dtype=int), lambda i: None, batch_size=0)
+        DataLoader(np.zeros(2, dtype=int), lambda ids: [], batch_size=0)
 
 
 def test_sources_recorded():
@@ -66,7 +71,7 @@ def test_sources_recorded():
         src = FetchSource.IMPORTANCE if i < 2 else FetchSource.REMOTE
         return FetchOutcome(i, i, payloads[i], src)
 
-    dl = DataLoader(np.zeros(4, dtype=int), fetch, batch_size=4)
+    dl = DataLoader(np.zeros(4, dtype=int), _per_id(fetch), batch_size=4)
     (b,) = _batches(dl, np.arange(4))
     assert b.sources == [
         FetchSource.IMPORTANCE,
@@ -77,7 +82,7 @@ def test_sources_recorded():
 
 
 def test_empty_order_yields_nothing():
-    dl = DataLoader(np.zeros(4, dtype=int), lambda i: None, batch_size=2)
+    dl = DataLoader(np.zeros(4, dtype=int), lambda ids: [], batch_size=2)
     assert _batches(dl, np.array([], dtype=int)) == []
 
 
@@ -85,15 +90,12 @@ def test_collate_calls_the_batch_entry_once_per_batch():
     payloads = np.arange(10.0)[:, None]
     seen = []
 
-    def per_id(i):
-        raise AssertionError("the batch entry replaces the per-id loop")
-
     def fetch_many(ids):
         seen.append([int(i) for i in ids])
         return [FetchOutcome(int(i), int(i), payloads[i], FetchSource.REMOTE)
                 for i in ids]
 
-    dl = DataLoader(np.arange(10), per_id, batch_size=4, fetch_many_fn=fetch_many)
+    dl = DataLoader(np.arange(10), fetch_many, batch_size=4)
     batches = _batches(dl, np.arange(10))
     assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     np.testing.assert_array_equal(batches[2].served, [8, 9])
@@ -108,7 +110,7 @@ def test_skipped_count_accumulates_across_collates():
             return FetchOutcome(i, i, None, FetchSource.SKIPPED)
         return FetchOutcome(i, i, np.full(2, float(i)), FetchSource.REMOTE)
 
-    dl = DataLoader(np.zeros(30, dtype=np.int64), fetch, batch_size=4)
+    dl = DataLoader(np.zeros(30, dtype=np.int64), _per_id(fetch), batch_size=4)
     order = np.arange(30)
     batches = _batches(dl, order)
     assert dl.skipped_count == 10  # ids 0, 3, ..., 27

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.baselines import POLICIES
 from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.nn.models import build_model
@@ -108,6 +109,31 @@ def test_render_report_consistency_ok(traced_run):
     assert "trace vs per-epoch metrics: OK" in text
     assert "stage totals:" in text
     assert "counters:" in text
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_every_policys_trace_reconciles(name, tmp_path):
+    """Every registry policy publishes one fetch row per request it
+    serves, so a traced run's report reconciles whatever the policy, and
+    a cache that counts its fetches counts every row."""
+    from repro.obs import read_jsonl
+
+    ds = make_clustered_dataset(400, n_classes=4, dim=16, rng=0)
+    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    observer = Observer(recorder=recorder)
+    trainer = Trainer(
+        build_model("resnet18", train.dim, train.num_classes, rng=2),
+        train, test, POLICIES[name](0.2, 3),
+        TrainerConfig(epochs=2, batch_size=64), observer=observer, rng=4,
+    )
+    result = trainer.run()
+    recorder.close()
+    write_run_artifacts(result, tmp_path)
+    assert "trace vs per-epoch metrics: OK over 2 epoch(s)" in render_report(tmp_path)
+    rows = sum(e["kind"] == "fetch" for e in read_jsonl(tmp_path / TRACE_FILE))
+    assert rows == len(train) * 2
+    assert observer.snapshot()["counters"].get("cache.fetches", rows) == rows
 
 
 def test_render_report_missing_dir(tmp_path):

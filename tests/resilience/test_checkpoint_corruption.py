@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.resilience import ResilientTrainer
 from repro.resilience.state import CheckpointError, load_state, save_state
+from repro.resilience.trainer import CHECKPOINT_FORMAT
 
 
 def test_state_archive_garbage_raises(tmp_path):
@@ -45,3 +47,23 @@ def test_checkpoint_error_is_also_value_error():
     # Pre-CheckpointError callers caught ValueError; keep that working.
     assert issubclass(CheckpointError, ValueError)
     assert issubclass(CheckpointError, RuntimeError)
+
+
+def test_restore_refuses_another_checkpoint_format(build_run, tmp_path):
+    """An archive another format wrote fails naming the file and both
+    formats, instead of loading a state tree this trainer misreads."""
+    ckpts = tmp_path / "ckpts"
+    trainer, _, _ = build_run(ResilientTrainer, epochs=1, checkpoint_dir=ckpts)
+    trainer.run()
+    path = trainer.latest_checkpoint()
+    state = load_state(path)
+    state["format"] = CHECKPOINT_FORMAT - 1
+    save_state(path, state)
+    resumed, _, _ = build_run(
+        ResilientTrainer, epochs=1, checkpoint_dir=ckpts, resume=True
+    )
+    with pytest.raises(CheckpointError) as err:
+        resumed.run()
+    assert str(path) in str(err.value)
+    assert f"format {CHECKPOINT_FORMAT - 1}" in str(err.value)
+    assert f"format {CHECKPOINT_FORMAT}" in str(err.value)

@@ -89,7 +89,7 @@ def test_loader_drops_skipped_samples():
             return FetchOutcome(i, i, None, FetchSource.SKIPPED)
         return FetchOutcome(i, i, np.full(4, float(i)), FetchSource.REMOTE)
 
-    loader = DataLoader(labels, fetch, batch_size=4)
+    loader = DataLoader(labels, lambda ids: [fetch(int(i)) for i in ids], batch_size=4)
     batch = loader.collate(np.arange(4))
     assert len(batch) == 2  # ids 1, 3 kept
     assert loader.skipped_count == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage.backends import InMemoryStore, RemoteStore
+from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
@@ -54,23 +54,6 @@ def test_peek_free(store):
 
 def test_len(store):
     assert len(store) == 20
-
-
-def test_in_memory_store_no_latency():
-    s = InMemoryStore(np.arange(5.0)[:, None])
-    np.testing.assert_array_equal(s.get(2), [2.0])
-    assert s.clock.total_seconds == 0.0
-    assert s.fetch_count == 1
-    with pytest.raises(IndexError):
-        s.get(10)
-
-
-def test_in_memory_store_counts_the_bytes_it_serves():
-    s = InMemoryStore(np.arange(10.0).reshape(5, 2))
-    s.get(1)
-    s.get(3)
-    assert s.bytes_fetched == 2 * s.size_of(0) == 32
-    assert s.counters() == {"store.fetches": 2, "store.bytes_fetched": 32}
 
 
 def test_default_clock_created():

@@ -13,10 +13,7 @@ from repro.train.policy_base import PolicyContext, TrainingPolicy
 def _ctx(n=50):
     ds = make_clustered_dataset(n, n_classes=4, dim=8, rng=0)
     store = RemoteStore(ds.X)
-    return PolicyContext(
-        dataset=ds, store=store, batch_size=16, total_epochs=3,
-        embedding_dim=8, rng=np.random.default_rng(1),
-    )
+    return PolicyContext(dataset=ds, store=store, total_epochs=3, embedding_dim=8)
 
 
 def test_unbound_policy_raises():

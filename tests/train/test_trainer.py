@@ -93,8 +93,7 @@ def test_loader_is_wired_to_the_policys_batch_entry(data):
     model = build_model("resnet18", train.dim, train.num_classes, rng=2)
     cfg = TrainerConfig(epochs=1, batch_size=64)
     trainer = Trainer(model, train, test, policy, cfg)
-    assert trainer.loader.fetch_many_fn == policy.fetch_many
-    assert trainer.loader.fetch_fn == policy.fetch
+    assert trainer.loader.fetch_many == policy.fetch_many
 
 
 def test_latency_model_injected(data):
