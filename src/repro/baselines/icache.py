@@ -34,6 +34,15 @@ from repro.utils.rng import RngLike
 
 __all__ = ["ICacheImpPolicy", "ICacheFullPolicy"]
 
+#: Compute-bound IS still forward-passes (hence fetches) nearly every
+#: sample — its savings come from skipping backprop, not I/O. The sampler
+#: therefore stays mostly uniform, with only a mild loss bias:
+#: p = UNIFORM_MIX * uniform + (1 - UNIFORM_MIX) * loss-weighted. This is
+#: why iCache-imp's hit ratio lands below SHADE's (paper §6.3).
+UNIFORM_MIX = 0.7
+#: Share of the full variant's cache budget that holds H-samples.
+H_FRACTION = 0.7
+
 
 class ICacheImpPolicy(LossISPolicy):
     """Importance-cache-only iCache with compute-bound loss IS.
@@ -48,25 +57,16 @@ class ICacheImpPolicy(LossISPolicy):
         self,
         cache_fraction: float = 0.2,
         skip_quantile: float = 0.3,
-        uniform_mix: float = 0.7,
         rng: RngLike = None,
     ) -> None:
         super().__init__(cache_fraction, rng=rng)
         if not 0.0 <= skip_quantile < 1.0:
             raise ValueError("skip_quantile must be in [0, 1)")
-        if not 0.0 <= uniform_mix <= 1.0:
-            raise ValueError("uniform_mix must be in [0, 1]")
         self.skip_quantile = float(skip_quantile)
-        # Compute-bound IS still forward-passes (hence fetches) nearly every
-        # sample — its savings come from skipping backprop, not I/O. The
-        # sampler therefore stays mostly uniform, with only a mild loss bias:
-        # p = uniform_mix * uniform + (1 - uniform_mix) * loss-weighted.
-        # This is why iCache-imp's hit ratio lands below SHADE's (paper §6.3).
-        self.uniform_mix = float(uniform_mix)
 
     def _sampling_weights(self) -> np.ndarray:
         w = super()._sampling_weights()
-        return self.uniform_mix / w.shape[0] + (1.0 - self.uniform_mix) * w
+        return UNIFORM_MIX / w.shape[0] + (1.0 - UNIFORM_MIX) * w
 
     def batch_scores(self, losses: np.ndarray) -> np.ndarray:
         # Raw losses as scores — the compute-bound IS choice the paper
@@ -87,8 +87,8 @@ class ICacheImpPolicy(LossISPolicy):
 class ICacheFullPolicy(ICacheImpPolicy):
     """Full iCache: H/L sample split with random L-replacement.
 
-    ``h_fraction`` of the cache budget holds H-samples (the Fig. 9 cache's
-    importance layer); the rest is the L-section, a random-replacement
+    :data:`H_FRACTION` of the cache budget holds H-samples (the Fig. 9
+    cache's importance layer); the rest is the L-section, a random-replacement
     cache. An L-sample request that misses is served a random resident
     L-sample with probability ``substitute_prob``.
     """
@@ -99,24 +99,19 @@ class ICacheFullPolicy(ICacheImpPolicy):
         self,
         cache_fraction: float = 0.2,
         skip_quantile: float = 0.3,
-        h_fraction: float = 0.7,
         substitute_prob: float = 0.3,
-        uniform_mix: float = 0.7,
         rng: RngLike = None,
     ) -> None:
-        super().__init__(cache_fraction, skip_quantile, uniform_mix, rng=rng)
-        if not 0.0 <= h_fraction <= 1.0:
-            raise ValueError("h_fraction must be in [0, 1]")
+        super().__init__(cache_fraction, skip_quantile, rng=rng)
         if not 0.0 <= substitute_prob <= 1.0:
             raise ValueError("substitute_prob must be in [0, 1]")
-        self.h_fraction = float(h_fraction)
         self.substitute_prob = float(substitute_prob)
         self.l_section: Optional[RandomReplacementCache] = None
 
     def _build_cache(self, capacity: int) -> SemanticCache:
         """The budget splits into the H-section, which the Fig. 9 cache
         holds, and the L-section."""
-        h_cap = int(round(capacity * self.h_fraction))
+        h_cap = int(round(capacity * H_FRACTION))
         self.l_section = RandomReplacementCache(capacity - h_cap, rng=self._rng)
         return super()._build_cache(h_cap)
 

@@ -97,12 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rpc-deadline-ms", type=float, default=None,
         help="per-call deadline for cache-protocol RPCs (sharded service); "
              "default 10 with --transport sim, 1000 with --transport real "
-             "(real IPC has genuine latency jitter)",
+             "(real IPC has genuine latency jitter); another value "
+             "requires --cache-shards",
     )
     train_p.add_argument(
         "--rpc-retry-budget", type=int, default=3,
         help="total attempts per cache-protocol request, first included "
-             "(1 disables retries)",
+             "(1 disables retries); another value than 3 requires "
+             "--cache-shards",
     )
     add_common(train_p)
 
@@ -178,17 +180,13 @@ def _build_parts(args, policy_name: str):
     return train, test, make_model, make_policy
 
 
-def _make_run(args, policy_name: str, observer=None):
+def _make_run(args, policy_name: str, observer=None, config=None):
     train, test, make_model, make_policy = _build_parts(args, policy_name)
     model = make_model()
     policy = make_policy()
     trainer = Trainer(
         model, train, test, policy,
-        TrainerConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            clock_mode=getattr(args, "transport", "sim"),
-        ),
+        config or TrainerConfig(epochs=args.epochs, batch_size=args.batch_size),
         observer=observer,
     )
     return trainer, policy, train
@@ -210,7 +208,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _make_dp_run(args, policy_name: str, observer=None):
+def _make_dp_run(args, policy_name: str, config, observer=None):
     """Build a DataParallelTrainer for ``--world-size > 1`` (or any
     shared-cache-tier flag) train invocations."""
     from repro.train.data_parallel import DataParallelTrainer
@@ -224,16 +222,7 @@ def _make_dp_run(args, policy_name: str, observer=None):
     return DataParallelTrainer(
         make_model, train, test, policy_factory,
         world_size=args.world_size,
-        config=TrainerConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            clock_mode=args.transport,
-            shared_cache=args.shared_cache,
-            cache_shards=args.cache_shards,
-            rpc_deadline_s=args.rpc_deadline_ms / 1e3,
-            rpc_retry_budget=args.rpc_retry_budget,
-            resize_shards_at=_parse_resize_at(args.resize_shards_at),
-        ),
+        config=config,
         observer=observer,
         rng=args.seed + 4,
     )
@@ -294,11 +283,21 @@ def _cmd_train(args) -> int:
         args.shared_cache or args.cache_shards
         or args.resize_shards_at is not None
     )
+    config = TrainerConfig(
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        clock_mode=args.transport,
+        shared_cache=args.shared_cache,
+        cache_shards=args.cache_shards,
+        rpc_deadline_s=args.rpc_deadline_ms / 1e3,
+        rpc_retry_budget=args.rpc_retry_budget,
+        resize_shards_at=_parse_resize_at(args.resize_shards_at),
+    )
     try:
         if args.world_size > 1 or shared_tier:
-            trainer = _make_dp_run(args, args.policy, observer=observer)
+            trainer = _make_dp_run(args, args.policy, config, observer=observer)
         else:
-            trainer, _, _ = _make_run(args, args.policy, observer=observer)
+            trainer, _, _ = _make_run(args, args.policy, observer, config)
     except ValueError as exc:
         return _reject(exc)
     result = trainer.run()

@@ -42,6 +42,18 @@ from repro.utils.rng import RngLike
 
 __all__ = ["ISPolicy", "SpiderCachePolicy"]
 
+#: Sampling temper: p = UNIFORM_MIX * uniform + (1 - UNIFORM_MIX) * score-
+#: weighted. Keeps per-epoch coverage high so importance sampling's focus
+#: on hard samples doesn't starve the easy majority (standard IS
+#: variance-control practice; the paper's torch.multinomial call leaves the
+#: weighting to the scores, which Eq. 4's log already tempers on the
+#: 50k-sample datasets it was tuned for).
+UNIFORM_MIX = 0.1
+#: Relative score floor: no sample is drawn less than SCORE_FLOOR x as
+#: often as the current maximum, which bounds the oversampling ratio (the
+#: variance-control role SHADE's rank floor plays).
+SCORE_FLOOR = 0.1
+
 
 class ISPolicy(TrainingPolicy):
     """Importance sampling over a global score table and the Fig. 9
@@ -184,33 +196,6 @@ class SpiderCachePolicy(ISPolicy):
 
     name = "spidercache"
 
-    #: §6.5: "the Imp-Ratio is adjustable, allowing users to prioritize
-    #: accuracy with a higher ratio or speed with a lower one."
-    GOALS = {
-        "accuracy": dict(r_start=0.9, r_end=0.9, elastic=False,
-                         hom_neighbor_limit=8, hom_radius_scale=0.5),
-        "balanced": dict(r_start=0.9, r_end=0.8, elastic=True),
-        "speed": dict(r_start=0.9, r_end=0.5, elastic=True,
-                      hom_neighbor_limit=32, hom_radius_scale=0.9),
-    }
-
-    @classmethod
-    def from_goal(cls, goal: str, cache_fraction: float = 0.2,
-                  rng: RngLike = None, **overrides) -> "SpiderCachePolicy":
-        """Build a policy tuned for a user goal.
-
-        ``goal`` is ``"accuracy"`` (static high imp-ratio, conservative
-        substitution), ``"balanced"`` (the paper's recommended 90%->80%
-        annealing), or ``"speed"`` (aggressive 90%->50% annealing with a
-        larger, looser homophily section). Keyword overrides win over the
-        preset.
-        """
-        if goal not in cls.GOALS:
-            raise KeyError(f"unknown goal {goal!r}; choose from {sorted(cls.GOALS)}")
-        kwargs = dict(cls.GOALS[goal])
-        kwargs.update(overrides)
-        return cls(cache_fraction=cache_fraction, rng=rng, **kwargs)
-
     def __init__(
         self,
         cache_fraction: float = 0.2,
@@ -225,18 +210,13 @@ class SpiderCachePolicy(ISPolicy):
         hom_neighbor_limit: int = 16,
         hom_same_class_only: bool = True,
         hom_radius_scale: float = 0.75,
-        uniform_mix: float = 0.1,
-        score_floor: float = 0.1,
         prefetch_fraction: float = 0.0,
-        degraded_mode: bool = False,
         cache_factory=None,
         rng: RngLike = None,
     ) -> None:
         super().__init__(cache_fraction, rng=rng)
         if hom_neighbor_limit < 1:
             raise ValueError("hom_neighbor_limit must be >= 1")
-        if not 0.0 <= uniform_mix <= 1.0:
-            raise ValueError("uniform_mix must be in [0, 1]")
         if not 0.0 < hom_radius_scale <= 1.0:
             raise ValueError("hom_radius_scale must be in (0, 1]")
         if lam <= 0:
@@ -252,16 +232,6 @@ class SpiderCachePolicy(ISPolicy):
         self.hom_neighbor_limit = int(hom_neighbor_limit)
         self.hom_same_class_only = bool(hom_same_class_only)
         self.hom_radius_scale = float(hom_radius_scale)
-        # Sampling temper: p = uniform_mix * uniform + (1-mix) * score-
-        # weighted. Keeps per-epoch coverage high so importance sampling's
-        # focus on hard samples doesn't starve the easy majority (standard
-        # IS variance-control practice; the paper's torch.multinomial call
-        # leaves the weighting to the scores, which Eq. 4's log already
-        # tempers on the 50k-sample datasets it was tuned for).
-        self.uniform_mix = float(uniform_mix)
-        if not 0.0 <= score_floor <= 1.0:
-            raise ValueError("score_floor must be in [0, 1]")
-        self.score_floor = float(score_floor)
         # Prefetching (paper §4.2: "Eviction and prefetching are driven by
         # sample importance scores"): at each epoch start, up to this
         # fraction of the Importance Cache's capacity is refilled with the
@@ -271,10 +241,6 @@ class SpiderCachePolicy(ISPolicy):
             raise ValueError("prefetch_fraction must be in [0, 1]")
         self.prefetch_fraction = float(prefetch_fraction)
         self.prefetch_count = 0
-        # Degraded-mode serving (resilience layer): when the remote tier is
-        # down — circuit breaker open, or a fetch fails outright — serve a
-        # widened substitute / skip the sample instead of crashing the run.
-        self.degraded_mode = bool(degraded_mode)
         self.lam = float(lam)
         self.alpha = float(alpha)
         self.neighbormax = neighbormax
@@ -298,12 +264,8 @@ class SpiderCachePolicy(ISPolicy):
     # ------------------------------------------------------------------
     def _build_cache(self, capacity: int) -> SemanticCache:
         if self.cache_factory is not None:
-            cache = self.cache_factory(capacity, self.r_start)
-        else:
-            cache = SemanticCache(capacity, imp_ratio=self.r_start)
-        if self.degraded_mode:
-            cache.enable_degraded_mode()
-        return cache
+            return self.cache_factory(capacity, self.r_start)
+        return SemanticCache(capacity, imp_ratio=self.r_start)
 
     def setup(self, ctx: PolicyContext) -> None:
         super().setup(ctx)
@@ -336,19 +298,16 @@ class SpiderCachePolicy(ISPolicy):
 
     def _mixed_weights(self) -> np.ndarray:
         assert self.score_table is not None
-        # Relative floor bounds the oversampling ratio: no sample is drawn
-        # less than score_floor x as often as the current maximum. Plays the
-        # same variance-control role as SHADE's rank floor.
         scores = np.asarray(self.score_table.scores, dtype=np.float64)
-        floored = np.maximum(scores, self.score_floor * scores.max())
+        floored = np.maximum(scores, SCORE_FLOOR * scores.max())
         total = floored.sum()
         if not np.isfinite(total) or total <= 0:
-            # Every score is zero (possible with score_floor=0 after a
-            # degenerate update): dividing would yield NaN weights and
-            # poison the multinomial draw. Fall back to uniform.
+            # Every score is zero (a relative floor of a zero maximum is
+            # zero): dividing would yield NaN weights and poison the
+            # multinomial draw. Fall back to uniform.
             return np.full(scores.shape[0], 1.0 / scores.shape[0])
         w = floored / total
-        return self.uniform_mix / w.shape[0] + (1.0 - self.uniform_mix) * w
+        return UNIFORM_MIX / w.shape[0] + (1.0 - UNIFORM_MIX) * w
 
     _sampling_weights = _mixed_weights
 

@@ -264,10 +264,6 @@ class SemanticCache:
             errors = (DegradedModeError, TransientFetchError)
         self.degrade_on = tuple(errors)
 
-    def disable_degraded_mode(self) -> None:
-        """Restore strict fail-on-error fetch semantics."""
-        self.degrade_on = ()
-
     def _degraded_fetch(self, index: int) -> FetchOutcome:
         """Close-enough-beats-nothing serving while the remote tier is down.
 

@@ -9,16 +9,6 @@ points, and mislabeled points, in controllable proportions.
 from repro.data.images import ProceduralImageDataset, make_image_dataset
 from repro.data.loader import Batch, DataLoader
 from repro.data.registry import DATASET_PRESETS, make_dataset
-from repro.data.transforms import (
-    Compose,
-    FeatureDropout,
-    GaussianNoise,
-    HorizontalFlipImage,
-    Normalize,
-    RandomScale,
-    RandomShiftImage,
-    Transform,
-)
 from repro.data.synthetic import (
     KIND_BOUNDARY,
     KIND_ISOLATED,
@@ -43,12 +33,4 @@ __all__ = [
     "KIND_BOUNDARY",
     "KIND_ISOLATED",
     "KIND_MISLABELED",
-    "Transform",
-    "Compose",
-    "Normalize",
-    "GaussianNoise",
-    "FeatureDropout",
-    "RandomScale",
-    "RandomShiftImage",
-    "HorizontalFlipImage",
 ]

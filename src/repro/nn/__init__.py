@@ -20,7 +20,7 @@ from repro.nn.layers import (
 )
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.models import MODEL_ZOO, Model, ModelSpec, build_model
-from repro.nn.optim import SGD, ConstantLR, CosineLR, StepLR
+from repro.nn.optim import SGD, ConstantLR, CosineLR
 
 __all__ = [
     "Layer",
@@ -35,7 +35,6 @@ __all__ = [
     "SoftmaxCrossEntropy",
     "SGD",
     "ConstantLR",
-    "StepLR",
     "CosineLR",
     "he_init",
     "xavier_init",

@@ -7,7 +7,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["SGD", "ConstantLR", "StepLR", "CosineLR"]
+__all__ = ["SGD", "ConstantLR", "CosineLR"]
 
 
 class _LRSchedule:
@@ -28,20 +28,6 @@ class ConstantLR(_LRSchedule):
 
     def lr_at(self, epoch: int) -> float:
         return self.lr
-
-
-class StepLR(_LRSchedule):
-    """Multiply the base LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, lr: float, step_size: int = 30, gamma: float = 0.1) -> None:
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.lr = lr
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def lr_at(self, epoch: int) -> float:
-        return self.lr * self.gamma ** (epoch // self.step_size)
 
 
 class CosineLR(_LRSchedule):

@@ -104,7 +104,7 @@ class Observer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.active = bool(active)
         self.epoch = -1  # current trainer epoch; -1 outside a run
-        self.hit_latency_s = 0.0  # set by the trainer from its config
+        self.hit_latency_s = 0.0  # set by the trainer (HIT_LATENCY_S)
         self._pending_store_latency_s = 0.0
         self.spans: Optional[SpanTracker] = None
         if span_seed is not None:
@@ -419,10 +419,10 @@ class Observer:
         size: int,
         trained_fraction: float,
         compute_s: float,
-        preprocess_s: float,
         is_visible_s: float,
     ) -> None:
-        """One (non-empty) batch finished training."""
+        """One (non-empty) batch finished training (``preprocess_s`` stays
+        in the event, always 0.0, for the record format)."""
         m = self.metrics
         m.counter("train.batches").inc()
         m.counter("train.samples").inc(size)
@@ -432,7 +432,7 @@ class Observer:
             size=int(size),
             trained_fraction=float(trained_fraction),
             compute_s=float(compute_s),
-            preprocess_s=float(preprocess_s),
+            preprocess_s=0.0,
             is_visible_s=float(is_visible_s),
         )
 

@@ -45,9 +45,10 @@ from repro.train.trainer import EpochAccumulator, Trainer
 __all__ = ["ResilientTrainer", "RecoveryStats", "RECOVERY_STAGE"]
 
 #: Version of the checkpoint tree :class:`ResilientTrainer` writes; a
-#: restore refuses any other (format 3: loss-IS policies checkpoint their
-#: ``cache`` as a ``SemanticCache`` snapshot).
-CHECKPOINT_FORMAT = 3
+#: restore refuses any other (format 4: the accumulator has no
+#: ``preprocess_s`` and no ``val_accuracy`` is carried, since every epoch
+#: evaluates).
+CHECKPOINT_FORMAT = 4
 
 #: SimClock stage that restart penalties are charged to, kept separate from
 #: the Fig.-2 pipeline stages so recovery overhead is reportable on its own.
@@ -187,7 +188,6 @@ class ResilientTrainer(Trainer):
             "cursor": [int(epoch), int(batch)],
             "order": None if order is None else np.asarray(order, dtype=np.int64),
             "acc": None if acc is None else dataclasses.asdict(acc),
-            "val_accuracy": float(self._val_accuracy),
             "model": {k: np.asarray(v) for k, v in self.model.state_dict().items()},
             "optim": {
                 "velocity": [np.asarray(v) for v in self.optimizer._velocity],
@@ -231,7 +231,6 @@ class ResilientTrainer(Trainer):
         self._pending_acc = (
             None if state["acc"] is None else EpochAccumulator(**state["acc"])
         )
-        self._val_accuracy = float(state["val_accuracy"])
         self.model.load_state_dict(state["model"])
         velocity = state["optim"]["velocity"]
         if len(velocity) != len(self.optimizer._velocity):

@@ -88,8 +88,10 @@ class DataParallelTrainer(EpochRunner):
             raise ValueError("cache_shards requires shared_cache=True")
         if cfg.resize_shards_at is not None and not cfg.cache_shards:
             raise ValueError("resize_shards_at requires cache_shards > 0")
-        if cfg.clock_mode == "real" and not cfg.cache_shards:
-            raise ValueError(UNSHARDED_REAL)
+        if not cfg.cache_shards:
+            if cfg.clock_mode == "real":
+                raise ValueError(UNSHARDED_REAL)
+            cfg.reject_unsharded_rpc()
         self.world_size = int(world_size)
         self.cache_shards = int(cfg.cache_shards)
         self.shared_cache = bool(cfg.shared_cache)

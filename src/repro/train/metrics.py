@@ -9,6 +9,11 @@ import numpy as np
 
 __all__ = ["EpochMetrics", "TrainResult", "data_load_seconds"]
 
+#: Concurrent loader processes sharing one clock's remote fetch time.
+IO_WORKERS = 4
+#: Simulated cost of serving one sample from the in-memory cache.
+HIT_LATENCY_S = 20e-6
+
 
 def data_load_seconds(
     remote_s: float, hit_serves: int, io_workers: int, hit_latency_s: float
@@ -18,7 +23,9 @@ def data_load_seconds(
     sample served from memory.
 
     The one formula behind ``EpochMetrics.data_load_s`` (per clock, in the
-    epoch loop) and the trace report's per-epoch aggregate.
+    epoch loop, with :data:`IO_WORKERS` and :data:`HIT_LATENCY_S`) and the
+    trace report's per-epoch aggregate (with the values ``run_start``
+    recorded).
     """
     return remote_s / io_workers + hit_serves * hit_latency_s
 
@@ -39,6 +46,7 @@ class EpochMetrics:
     epoch_time_s: float
     imp_ratio: Optional[float] = None
     score_std: Optional[float] = None
+    # No stage charges preprocessing; the field keeps the record format.
     preprocess_s: float = 0.0
     comm_s: float = 0.0  # gradient all-reduce (zero for one replica)
 

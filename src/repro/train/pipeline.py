@@ -18,6 +18,10 @@ from repro.nn.models import MODEL_ZOO, ModelSpec
 
 __all__ = ["StageCostModel", "PipelineSimulator", "ScheduledInterval"]
 
+#: Batch size the Table-1 millisecond costs assume; a batch of ``n`` costs
+#: ``n / REFERENCE_BATCH`` of them.
+REFERENCE_BATCH = 128
+
 OverlapMode = Literal["none", "stage2", "stage2+next_stage1"]
 
 

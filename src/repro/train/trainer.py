@@ -8,15 +8,15 @@ them, and ``world_size=1`` is the same arithmetic term for term. DESIGN.md
 §3.3 has the step order and the stage formula per topology. In short,
 simulated time follows the Fig.-2 pipeline: **data_load** (remote misses,
 charged by :class:`~repro.storage.backends.RemoteStore` and divided by
-``io_workers``, plus ``hit_latency_s`` per cache hit; a step waits for its
+``IO_WORKERS``, plus ``HIT_LATENCY_S`` per cache hit; a step waits for its
 slowest rank), **compute** (``stage1 + stage2 * trained_fraction`` ms from
 the model spec — selective backprop shrinks Stage2, iCache's compute win),
 **is_visible** (the slice of the policy's IS cost the Fig. 12 overlap does
-not hide), **preprocess** and, for several replicas, **comm**.
+not hide) and, for several replicas, **comm**.
 
 Real wall-clock time is spent doing genuine forward/backward math — the
 learning dynamics are real; only I/O and GPU-relative speeds are simulated.
-Compute, IS and preprocess are charged to the clock *per step* so simulated
+Compute and IS are charged to the clock *per step* so simulated
 time advances mid-epoch — outage windows end and circuit-breaker cool-downs
 elapse between batches. The loop is resumable: :meth:`EpochRunner._run_epochs`
 starts from an ``(epoch, batch slot)`` cursor with pre-drawn orders and a
@@ -37,13 +37,15 @@ from repro.core.semantic_cache import FetchSource
 from repro.data.loader import Batch, DataLoader
 from repro.data.synthetic import SyntheticDataset
 from repro.nn.models import Model
-from repro.nn.optim import SGD, CosineLR, StepLR
+from repro.nn.optim import SGD, CosineLR
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency, LatencyModel
-from repro.train.metrics import EpochMetrics, TrainResult, data_load_seconds
-from repro.train.pipeline import StageCostModel
+from repro.train.metrics import (
+    HIT_LATENCY_S, IO_WORKERS, EpochMetrics, TrainResult, data_load_seconds,
+)
+from repro.train.pipeline import REFERENCE_BATCH, StageCostModel
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.utils.rng import RngLike, resolve_rng
 
@@ -80,26 +82,16 @@ class TrainerConfig:
     # one is rejected.
     clock_mode: str = "sim"
     lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    # LR schedule: None (constant), "cosine", "step", or a ready
-    # schedule object from repro.nn.optim.
-    lr_schedule: Optional[object] = None
-    # Optional per-batch preprocessing/augmentation (repro.data.transforms);
-    # its declared per-item cost is charged to the "preprocess" stage.
-    transform: Optional[object] = None
-    io_workers: int = 4  # concurrent loader processes dividing fetch latency
-    hit_latency_s: float = 20e-6  # in-memory cache hit cost
-    eval_every: int = 1
-    reference_batch: int = 128  # batch size the Table-1 ms costs assume
+    # LR schedule: None (constant) or "cosine".
+    lr_schedule: Optional[str] = None
     # Multi-worker cache topology (DataParallelTrainer only): one shared
     # logical cache instead of per-worker caches, optionally partitioned
     # across `cache_shards` shard servers behind simulated RPC.
     shared_cache: bool = False
     cache_shards: int = 0
-    # Sharded-service fault-tolerance knobs (ignored when cache_shards=0):
-    # per-call RPC deadline and total attempts per logical request (1
-    # disables retries); backoff/jitter shape lives in
+    # Sharded-service fault-tolerance knobs (rejected off their defaults
+    # when cache_shards=0): per-call RPC deadline and total attempts per
+    # logical request (1 disables retries); backoff/jitter shape lives in
     # repro.dist.retry.RetryPolicy defaults.
     rpc_deadline_s: float = 0.01
     rpc_retry_budget: int = 3
@@ -114,11 +106,20 @@ class TrainerConfig:
             return None
         if self.lr_schedule == "cosine":
             return CosineLR(self.lr, total_epochs=self.epochs)
-        if self.lr_schedule == "step":
-            return StepLR(self.lr, step_size=max(1, self.epochs // 3))
-        if isinstance(self.lr_schedule, str):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        return self.lr_schedule
+        raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+
+    def reject_unsharded_rpc(self) -> None:
+        """Refuse RPC knobs off their defaults: a run without a shard tier
+        (``cache_shards == 0``) makes no cache-protocol RPCs."""
+        for name, flag in (
+            ("rpc_deadline_s", "--rpc-deadline-ms"),
+            ("rpc_retry_budget", "--rpc-retry-budget"),
+        ):
+            if getattr(self, name) != getattr(TrainerConfig, name):
+                raise ValueError(
+                    f"{name} configures the shard tier's RPCs and needs "
+                    f"cache_shards > 0 ({flag} needs --cache-shards)"
+                )
 
 
 @dataclass
@@ -149,7 +150,6 @@ class EpochAccumulator:
     n_seen: int = 0
     n_batches: int = 0  # steps in which at least one rank trained
     compute_s: float = 0.0
-    preprocess_s: float = 0.0
     hits: List[int] = field(default_factory=list)  # per rank: cache serves
     # Per distinct clock: the raw data_load stage total at epoch start.
     load_before_s: List[float] = field(default_factory=list)
@@ -162,9 +162,9 @@ class EpochRunner:
 
     Subclasses build the topology (:meth:`_setup_policy` then
     :meth:`_add_replica` per rank) and may override the epoch-boundary seams
-    below. The test set is evaluated on rank 0 every ``eval_every`` epochs;
-    policies receive the latest accuracy in ``after_epoch`` (the Elastic
-    Cache Manager's Accuracy Monitor input).
+    below. The test set is evaluated on rank 0 every epoch; policies
+    receive the accuracy in ``after_epoch`` (the Elastic Cache Manager's
+    Accuracy Monitor input).
     """
 
     def __init__(
@@ -179,7 +179,6 @@ class EpochRunner:
         self.comm_ms_per_step = float(comm_ms_per_step)
         self.workers: List[WorkerState] = []
         self._rng = resolve_rng(rng)
-        self._val_accuracy = 0.0
         if cfg.clock_mode not in ("sim", "real"):
             raise ValueError(
                 f"clock_mode must be 'sim' or 'real', got {cfg.clock_mode!r}"
@@ -208,8 +207,8 @@ class EpochRunner:
         """Append the next rank; its optimizer and loader follow the config."""
         cfg = self.config
         optimizer = SGD(
-            model.params(), lr=cfg.lr, momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay, schedule=cfg.build_schedule(),
+            model.params(), lr=cfg.lr, momentum=0.9,
+            schedule=cfg.build_schedule(),
         )
         loader = DataLoader(labels, policy.fetch_many, batch_size=batch_size)
         self.workers.append(WorkerState(
@@ -226,7 +225,7 @@ class EpochRunner:
         obs = self.observer
         if not obs.active:
             return
-        obs.hit_latency_s = self.config.hit_latency_s
+        obs.hit_latency_s = HIT_LATENCY_S
         for store in _unique(w.store for w in self.workers):
             while True:
                 # Duck-typed walk (isinstance on resilience types would cycle
@@ -261,7 +260,7 @@ class EpochRunner:
 
     # -- seams a topology may override ---------------------------------------
     def _on_epoch_start(self, epoch: int) -> None:
-        """After ``before_epoch`` and the epoch's accounting snapshot, so
+        """After the epoch's accounting snapshot and ``before_epoch``, so
         the RPC time it charges (a live resize's key migration) counts in
         the epoch it opens; skipped, like ``before_epoch``, when an epoch
         is resumed."""
@@ -277,8 +276,8 @@ class EpochRunner:
         return {
             "policy": self.workers[0].policy.name, "model": result.model_name,
             "dataset": result.dataset_name, "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size, "io_workers": cfg.io_workers,
-            "hit_latency_s": cfg.hit_latency_s,
+            "batch_size": cfg.batch_size, "io_workers": IO_WORKERS,
+            "hit_latency_s": HIT_LATENCY_S,
         }
 
     def _new_result(self) -> TrainResult:
@@ -362,9 +361,6 @@ class EpochRunner:
             epoch_span = obs.span_start("epoch", clock.total_seconds)
         for w in workers:
             w.optimizer.set_epoch(epoch)
-        if orders is None:
-            for policy in policies:
-                policy.before_epoch(epoch)
         if acc is None:
             acc = EpochAccumulator(
                 hits=[0] * len(workers),
@@ -373,6 +369,10 @@ class EpochRunner:
                 stats_before=tuple(self._request_counts().tolist()),
             )
         if orders is None:
+            # After the snapshot: a prefetch's reads count in the epoch
+            # they warm, the one the trace stamps them with.
+            for policy in policies:
+                policy.before_epoch(epoch)
             self._on_epoch_start(epoch)
             # Ranks sharing a policy split its one global importance order
             # round-robin.
@@ -432,36 +432,31 @@ class EpochRunner:
     ) -> None:
         """The live ranks' forward/backward, one synchronized update, one
         charge per clock."""
-        cfg, workers, obs = self.config, self.workers, self.observer
+        workers, obs = self.workers, self.observer
         for w in workers:
             w.optimizer.zero_grad()
         # Ranks run in parallel: the step costs what its slowest rank costs.
-        compute_s = preprocess_s = 0.0
+        compute_s = 0.0
         size = trained = 0
         for w, batch in live:
-            x, n = batch.X, len(batch)
-            if cfg.transform is not None:
-                x = cfg.transform(x, training=True)
-                preprocess_s = max(
-                    preprocess_s, cfg.transform.cost_us_per_item * n / 1e6
-                )
+            n = len(batch)
             # One forward/backward pass; policies that mask backprop (iCache)
             # need the losses first, so their path re-runs the pass with the
             # per-sample weights applied.
             n_trained = n
-            losses, emb = w.model.train_batch(x, batch.y)
+            losses, emb = w.model.train_batch(batch.X, batch.y)
             mask = w.policy.backprop_mask(batch.served, losses)
             if mask is not None:
                 # Re-run with weights (the probe above already consumed the
                 # layer caches, so gradients must be rebuilt).
                 w.optimizer.zero_grad()
-                losses, emb = w.model.train_batch(x, batch.y, mask)
+                losses, emb = w.model.train_batch(batch.X, batch.y, mask)
                 n_trained = int(np.count_nonzero(mask > 0))
             w.policy.after_batch(batch.requested, batch.served, losses, emb, epoch)
             acc.loss += float(losses.sum())
             acc.n_seen += n
             acc.hits[w.rank] += n - batch.sources.count(FetchSource.REMOTE)
-            scale = n / cfg.reference_batch
+            scale = n / REFERENCE_BATCH
             rank_compute_s = (
                 costs.stage1_ms + costs.stage2_ms * (n_trained / n)
             ) / 1e3 * scale
@@ -476,40 +471,32 @@ class EpochRunner:
         is_visible_s = costs.visible_is_ms(costs.recommended_mode()) / 1e3
         acc.n_batches += 1
         acc.compute_s += compute_s
-        acc.preprocess_s += preprocess_s
         t0 = workers[0].clock.total_seconds if obs.active else 0.0
         for c in self._clocks():
             c.advance("compute", compute_s)
             c.advance("is_visible", is_visible_s)
-            if preprocess_s:
-                c.advance("preprocess", preprocess_s)
         if obs.active:
             # The advance amounts are known, so stage span bounds are
             # derived arithmetically from one clock read.
             t1 = t0 + compute_s
-            t2 = t1 + is_visible_s
             obs.span_record("compute", t0, t1, slot=slot)
-            obs.span_record("is_visible", t1, t2, slot=slot)
-            if preprocess_s:
-                obs.span_record("preprocess", t2, t2 + preprocess_s, slot=slot)
-            obs.on_batch(
-                slot, size, trained / size, compute_s, preprocess_s, is_visible_s
-            )
+            obs.span_record("is_visible", t1, t1 + is_visible_s, slot=slot)
+            obs.on_batch(slot, size, trained / size, compute_s, is_visible_s)
 
     def _epoch_metrics(
         self, epoch: int, acc: EpochAccumulator, costs: StageCostModel
     ) -> EpochMetrics:
-        """Close the epoch: the stage accounting (compute/IS/preprocess were
+        """Close the epoch: the stage accounting (compute and IS were
         already charged to the clocks per step), evaluation, the policies'
         ``after_epoch``, hit ratios."""
-        cfg, policies, clocks = self.config, self._policies(), self._clocks()
+        policies, clocks = self._policies(), self._clocks()
         first = self.workers[0]
         k = len(self.workers)
         loads = [
             data_load_seconds(
                 c.stage_seconds(RemoteStore.STAGE) - before,
                 sum(acc.hits[w.rank] for w in self.workers if w.clock is c),
-                cfg.io_workers, cfg.hit_latency_s,
+                IO_WORKERS, HIT_LATENCY_S,
             )
             for c, before in zip(clocks, acc.load_before_s)
         ]
@@ -522,12 +509,9 @@ class EpochRunner:
         )
         comm_s = acc.n_batches * self.comm_ms_per_step / 1e3 * (2 * (k - 1) / k)
 
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            self._val_accuracy, _ = first.model.evaluate(
-                self.test_set.X, self.test_set.y
-            )
+        val_accuracy, _ = first.model.evaluate(self.test_set.X, self.test_set.y)
         for policy in policies:
-            policy.after_epoch(epoch, self._val_accuracy)
+            policy.after_epoch(epoch, val_accuracy)
 
         d_req, d_hit, d_exact, d_sub = (
             self._request_counts() - acc.stats_before
@@ -539,20 +523,16 @@ class EpochRunner:
         return EpochMetrics(
             epoch=epoch,
             train_loss=acc.loss / max(acc.n_seen, 1),
-            val_accuracy=self._val_accuracy,
+            val_accuracy=val_accuracy,
             hit_ratio=d_hit / d_req if d_req else 0.0,
             exact_hit_ratio=d_exact / d_req if d_req else 0.0,
             substitute_ratio=d_sub / d_req if d_req else 0.0,
             data_load_s=data_load_s,
             compute_s=acc.compute_s,
             is_visible_s=is_visible_s,
-            epoch_time_s=(
-                data_load_s + acc.compute_s + is_visible_s
-                + acc.preprocess_s + comm_s
-            ),
+            epoch_time_s=data_load_s + acc.compute_s + is_visible_s + comm_s,
             imp_ratio=first.policy.imp_ratio,
             score_std=score_std,
-            preprocess_s=acc.preprocess_s,
             comm_s=comm_s,
         )
 
@@ -597,6 +577,7 @@ class Trainer(EpochRunner):
             )
         if cfg.clock_mode == "real":
             raise ValueError(UNSHARDED_REAL)
+        cfg.reject_unsharded_rpc()
         store = self._setup_policy(policy, model, train_set, latency, SimClock())
         self._add_replica(
             np.arange(len(train_set)), model, policy, store, train_set.y,

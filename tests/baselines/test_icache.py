@@ -64,13 +64,11 @@ def test_imp_fetch_hit_miss():
 # ----------------------------------------------------------------------
 def test_full_invalid_params():
     with pytest.raises(ValueError):
-        ICacheFullPolicy(h_fraction=1.5)
-    with pytest.raises(ValueError):
         ICacheFullPolicy(substitute_prob=-0.1)
 
 
 def test_full_sections_split_budget():
-    p = ICacheFullPolicy(cache_fraction=0.4, h_fraction=0.7, rng=0)
+    p = ICacheFullPolicy(cache_fraction=0.4, rng=0)  # 70 % H-section
     ctx = _ctx(n=100)
     p.setup(ctx)
     assert p.cache.importance.capacity == 28
@@ -78,14 +76,13 @@ def test_full_sections_split_budget():
 
 
 def test_full_l_section_exact_hit():
-    p = ICacheFullPolicy(cache_fraction=0.4, h_fraction=0.5,
-                         substitute_prob=0.0, rng=0)
+    p = ICacheFullPolicy(cache_fraction=0.4, substitute_prob=0.0, rng=0)
     p.setup(_ctx())
     # Prime scores so sample 1 is low-importance.
     p.score_table.update(np.arange(100), np.full(100, 0.001))
-    # Fill the H cache with higher-importance items first.
+    # Fill the H cache (capacity 28) with higher-importance items first.
     p.score_table.update(np.arange(50, 80), np.full(30, 10.0))
-    for i in range(50, 70):
+    for i in range(50, 78):
         p.fetch(i)
     o = p.fetch(1)  # low score -> lands in L section
     assert o.source == FetchSource.REMOTE
@@ -96,12 +93,11 @@ def test_full_l_section_exact_hit():
 
 def test_full_random_substitution():
     """Low-importance misses get served arbitrary cached L-samples."""
-    p = ICacheFullPolicy(cache_fraction=0.4, h_fraction=0.5,
-                         substitute_prob=1.0, rng=0)
+    p = ICacheFullPolicy(cache_fraction=0.4, substitute_prob=1.0, rng=0)
     p.setup(_ctx())
     p.score_table.update(np.arange(100), np.full(100, 0.001))
     p.score_table.update(np.arange(50, 80), np.full(30, 10.0))
-    for i in range(50, 70):  # fill H
+    for i in range(50, 78):  # fill H
         p.fetch(i)
     p.fetch(1)  # seeds the L section
     o = p.fetch(2)  # L miss -> substituted by the only L resident (1)
@@ -111,8 +107,7 @@ def test_full_random_substitution():
 
 
 def test_full_substitution_never_for_h_samples():
-    p = ICacheFullPolicy(cache_fraction=0.2, h_fraction=0.5,
-                         substitute_prob=1.0, rng=0)
+    p = ICacheFullPolicy(cache_fraction=0.2, substitute_prob=1.0, rng=0)
     p.setup(_ctx())
     p.fetch(1)  # first fetch: H cache not full, 1 admitted to H
     o = p.fetch(2)
@@ -130,14 +125,13 @@ def test_full_stats_request_count_consistent():
 
 
 def test_full_random_replacement_evicts():
-    p = ICacheFullPolicy(cache_fraction=0.1, h_fraction=0.5,
-                         substitute_prob=0.0, rng=0)
-    p.setup(_ctx(n=100))  # L capacity = 5
+    p = ICacheFullPolicy(cache_fraction=0.1, substitute_prob=0.0, rng=0)
+    p.setup(_ctx(n=100))  # L capacity = 3
     p.score_table.update(np.arange(100), np.full(100, 0.001))
     p.score_table.update(np.arange(50, 60), np.full(10, 5.0))
-    for i in range(50, 55):  # fill H (capacity 5)
+    for i in range(50, 57):  # fill H (capacity 7)
         p.fetch(i)
     for i in range(20):  # churn L
         p.fetch(i)
-    assert len(p.l_section) <= 5
+    assert len(p.l_section) <= 3
     assert p.l_section.stats.evictions > 0

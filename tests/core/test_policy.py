@@ -185,10 +185,10 @@ def test_is_only_mode_zero_cache():
 
 
 def test_mixed_weights_all_zero_scores_uniform_fallback():
-    """Regression: all-zero scores with score_floor=0 made
+    """Regression: all-zero scores (whose relative floor is zero) made
     ``_mixed_weights`` divide by zero and poison the multinomial draw
     with NaNs."""
-    p, ctx = _setup_policy(score_floor=0.0)
+    p, ctx = _setup_policy()
     n = ctx.num_samples
     p.score_table.update(np.arange(n), np.zeros(n))
     w = p._mixed_weights()

@@ -80,13 +80,6 @@ def _covered(run):
     return sum(len(hom.neighbor_list(k)) for k in hom.keys())
 
 
-def _uniform_weights(run, base):
-    def spread(r):
-        return np.ptp(r.policy._sampling_weights())
-
-    return spread(run) == 0 and spread(base) > 0
-
-
 def _monitor_inactive(run, base):
     return all(
         r.policy.manager.importance_monitor.activation_epoch is None
@@ -130,18 +123,11 @@ CONTRACT = {
         False, lambda run, base: _covered(run) != _covered(base)
     ),
     "hom_radius_scale": Row(0.1, lambda run, base: _covered(run) < _covered(base)),
-    "uniform_mix": Row(1.0, _uniform_weights),
-    "score_floor": Row(1.0, _uniform_weights),
     "prefetch_fraction": Row(
         0.5,
         lambda run, base: run.policy.prefetch_count > 0
         and base.policy.prefetch_count == 0,
     ),
-    "degraded_mode": Row(True, inert=Inert(
-        "no fault is injected (every remote read succeeds)",
-        lambda run, base: run.policy.cache.degraded.errors_absorbed == 0,
-        lambda run: run.policy.cache.degrade_on != (),
-    )),
     "cache_factory": Row(
         lambda capacity, imp_ratio: TaggedCache(capacity, imp_ratio=imp_ratio),
         lambda run, base: isinstance(run.policy.cache, TaggedCache)

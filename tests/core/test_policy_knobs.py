@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.policy import SpiderCachePolicy
+from repro.core.policy import SCORE_FLOOR, UNIFORM_MIX, SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset
 from repro.storage.backends import RemoteStore
 from repro.train.policy_base import PolicyContext
@@ -17,10 +17,6 @@ def _ctx(n=200, classes=4, seed=0):
 
 def test_invalid_knobs():
     with pytest.raises(ValueError):
-        SpiderCachePolicy(uniform_mix=1.5)
-    with pytest.raises(ValueError):
-        SpiderCachePolicy(score_floor=-0.1)
-    with pytest.raises(ValueError):
         SpiderCachePolicy(hom_radius_scale=0.0)
     with pytest.raises(ValueError):
         SpiderCachePolicy(hom_radius_scale=1.5)
@@ -33,7 +29,7 @@ def test_invalid_knobs():
 
 
 def test_mixed_weights_sum_to_near_one():
-    p = SpiderCachePolicy(uniform_mix=0.3, rng=0)
+    p = SpiderCachePolicy(rng=0)
     p.setup(_ctx())
     w = p._mixed_weights()
     assert w.shape == (200,)
@@ -41,34 +37,27 @@ def test_mixed_weights_sum_to_near_one():
     assert np.all(w > 0)
 
 
-def test_uniform_mix_one_is_uniform():
-    p = SpiderCachePolicy(uniform_mix=1.0, rng=0)
+def test_uniform_mix_floors_every_weight():
+    p = SpiderCachePolicy(rng=0)
     p.setup(_ctx())
-    # Skew the scores heavily; mix=1.0 must ignore them.
+    # Skew the scores heavily; the uniform share still reaches every sample.
     p.score_table.update(np.array([0]), np.array([100.0]))
     w = p._mixed_weights()
-    np.testing.assert_allclose(w, 1.0 / 200, atol=1e-12)
+    assert w.min() >= UNIFORM_MIX / 200 - 1e-12
+    assert w.max() <= UNIFORM_MIX / 200 + (1 - UNIFORM_MIX) + 1e-12
 
 
 def test_score_floor_bounds_oversampling():
-    p = SpiderCachePolicy(uniform_mix=0.0, score_floor=0.1, rng=0)
+    p = SpiderCachePolicy(rng=0)
     p.setup(_ctx())
     scores = np.full(200, 0.001)
     scores[0] = 1.0
     p.score_table.update(np.arange(200), scores)
     w = p._mixed_weights()
-    # Floor guarantees max/min ratio <= 1/score_floor.
-    assert w.max() / w.min() <= 1.0 / 0.1 + 1e-9
-
-
-def test_score_floor_zero_keeps_raw_ratio():
-    p = SpiderCachePolicy(uniform_mix=0.0, score_floor=0.0, rng=0)
-    p.setup(_ctx())
-    scores = np.full(200, 0.001)
-    scores[0] = 1.0
-    p.score_table.update(np.arange(200), scores)
-    w = p._mixed_weights()
-    assert w.max() / w.min() > 100
+    # The floor alone caps the max/min ratio at 1/SCORE_FLOOR (10); the
+    # uniform share only narrows it.
+    ratio = w.max() / w.min()
+    assert 1.0 < ratio <= 1.0 / SCORE_FLOOR + 1e-9
 
 
 def test_hom_radius_scale_gates_neighbors():
@@ -138,12 +127,10 @@ def test_elastic_monotone_clamp():
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
 
-def test_icache_uniform_mix_validation():
+def test_icache_uniform_mix_bounds_weights():
     from repro.baselines.icache import ICacheImpPolicy
 
-    with pytest.raises(ValueError):
-        ICacheImpPolicy(uniform_mix=-0.1)
-    p = ICacheImpPolicy(uniform_mix=0.7, rng=0)
+    p = ICacheImpPolicy(rng=0)
     p.setup(_ctx())
     w = p._sampling_weights()
     assert w.sum() == pytest.approx(1.0, abs=1e-9)

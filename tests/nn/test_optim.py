@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, ConstantLR, CosineLR, StepLR
+from repro.nn.optim import SGD, ConstantLR, CosineLR
 
 
 def _param(value=1.0):
@@ -70,14 +70,6 @@ def test_constant_lr():
         ConstantLR(0.0)
 
 
-def test_step_lr():
-    s = StepLR(1.0, step_size=10, gamma=0.1)
-    assert s.lr_at(0) == 1.0
-    assert s.lr_at(9) == 1.0
-    assert s.lr_at(10) == pytest.approx(0.1)
-    assert s.lr_at(25) == pytest.approx(0.01)
-
-
 def test_cosine_lr_endpoints():
     c = CosineLR(1.0, total_epochs=100, min_lr=0.1)
     assert c.lr_at(0) == pytest.approx(1.0)
@@ -93,7 +85,7 @@ def test_cosine_monotone_decreasing():
 
 def test_schedule_drives_optimizer():
     p, g = _param(0.0)
-    opt = SGD([(p, g)], lr=1.0, schedule=StepLR(1.0, step_size=1, gamma=0.5))
+    opt = SGD([(p, g)], lr=1.0, schedule=CosineLR(1.0, total_epochs=4))
     assert opt.current_lr == 1.0
     opt.set_epoch(2)
-    assert opt.current_lr == pytest.approx(0.25)
+    assert opt.current_lr == pytest.approx(0.5)

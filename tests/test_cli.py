@@ -1,10 +1,17 @@
 """CLI tests (fast settings)."""
 
+import argparse
+import dataclasses
+import json
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
+
 import pytest
 
 from repro import baselines
-from repro.cli import POLICIES, main
+from repro.cli import POLICIES, _build_parser, main
 from repro.resilience.campaign import DEFAULT_SCENARIOS
+from repro.train.trainer import EpochRunner
 
 FAST = ["--samples", "300", "--epochs", "2", "--batch-size", "64"]
 
@@ -106,6 +113,11 @@ def test_train_with_trace_dir_and_report(tmp_path, capsys):
         (["--resize-shards-at", "1:4"], "resize_shards_at requires cache_shards"),
         (["--transport", "real"], "needs cache_shards > 0"),
         (["--world-size", "2", "--transport", "real"], "needs cache_shards > 0"),
+        (["--rpc-retry-budget", "9", "--rpc-deadline-ms", "3"],
+         "needs --cache-shards"),
+        (["--rpc-retry-budget", "9"], "--rpc-retry-budget needs --cache-shards"),
+        (["--world-size", "2", "--shared-cache", "--rpc-deadline-ms", "3"],
+         "--rpc-deadline-ms needs --cache-shards"),
     ],
 )
 def test_train_shard_tier_rejections_come_from_the_constructor(
@@ -174,3 +186,137 @@ def test_metrics_command_training_run(tmp_path, capsys):
 def test_metrics_command_without_snapshot(tmp_path, capsys):
     assert main(["metrics", str(tmp_path)]) == 2
     assert "no metrics snapshot" in capsys.readouterr().err
+
+
+# -- repro train: every flag's contract ---------------------------------
+@dataclasses.dataclass
+class Run:
+    code: int
+    out: str
+    err: str
+    trainer: object  # the trainer `main` ran, or None
+    trace_dir: Path
+
+
+@dataclasses.dataclass
+class Flag:
+    """One ``repro train`` option: ``argv`` sets it (with any flag it
+    needs, ``{dir}`` standing for a fresh directory) and ``holds(run,
+    base)`` names what it moves against the run of ``base`` alone — or
+    ``rejected`` is the exit-2 message it gets."""
+
+    argv: List[str]
+    holds: Optional[Callable[[Run, Run], bool]] = None
+    base: Tuple[str, ...] = ()
+    rejected: Optional[str] = None
+
+
+def _stdout_moves(run, base):
+    return run.out != base.out
+
+
+def _summary(run):
+    return json.loads((run.trace_dir / "summary.json").read_text())
+
+
+def _client(run):
+    return run.trainer.workers[0].policy.cache
+
+
+SHARED_TIER = ("--shared-cache", "--cache-shards", "2")
+TRACED = ("--trace-dir", "{dir}")
+
+TRAIN_FLAGS = {
+    "--policy": Flag(["--policy", "shade"], _stdout_moves),
+    "--trace-dir": Flag(["--trace-dir", "{dir}"], lambda run, base: (
+        "run artifacts written" in run.out
+        and all((run.trace_dir / f).is_file()
+                for f in ("trace.jsonl", "epochs.jsonl", "summary.json"))
+    )),
+    "--world-size": Flag(["--world-size", "2"], lambda run, base: (
+        run.trainer.world_size == 2 and _stdout_moves(run, base)
+    )),
+    "--shared-cache": Flag(
+        ["--world-size", "2", "--shared-cache"], _stdout_moves,
+        base=("--world-size", "2"),
+    ),
+    # Shard RPCs are counted in the exported metrics.
+    "--cache-shards": Flag(
+        [*SHARED_TIER, *TRACED], lambda run, base: (
+            _summary(run)["metrics"]["counters"]["rpc.shard1.calls"] > 0
+        ),
+    ),
+    "--resize-shards-at": Flag(
+        [*SHARED_TIER, *TRACED, "--resize-shards-at", "1:3"],
+        lambda run, base: (
+            _summary(run)["metrics"]["counters"]["resize.started"] == 1
+            and _summary(run)["metrics"]["counters"]["rpc.shard2.calls"] > 0
+        ),
+        base=SHARED_TIER,
+    ),
+    "--transport": Flag(["--transport", "real"], rejected="needs cache_shards > 0"),
+    # A fault-free run makes no retry and meets every deadline, so the RPC
+    # knobs leave the output alone; they reach the shard client.
+    "--rpc-deadline-ms": Flag(
+        [*SHARED_TIER, "--rpc-deadline-ms", "3"], lambda run, base: (
+            _client(run).transport.deadline_s == 0.003 and run.out == base.out
+        ),
+        base=SHARED_TIER,
+    ),
+    "--rpc-retry-budget": Flag(
+        [*SHARED_TIER, "--rpc-retry-budget", "5"], lambda run, base: (
+            _client(run).retry.max_attempts == 5 and run.out == base.out
+        ),
+        base=SHARED_TIER,
+    ),
+    "--preset": Flag(["--preset", "cifar100-like"], _stdout_moves),
+    "--model": Flag(["--model", "alexnet"], _stdout_moves),
+    "--samples": Flag(["--samples", "200"], _stdout_moves),
+    "--epochs": Flag(["--epochs", "3"], lambda run, base: (
+        run.out.count("\n") == base.out.count("\n") + 1
+    )),
+    "--batch-size": Flag(["--batch-size", "32"], _stdout_moves),
+    "--cache-fraction": Flag(["--cache-fraction", "0.5"], _stdout_moves),
+    "--seed": Flag(["--seed", "1"], _stdout_moves),
+}
+
+
+def _train_options():
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[-1] for a in sub.choices["train"]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+def _train(argv, tmp_path, capsys, monkeypatch):
+    """``repro train`` at FAST settings (later flags win), capturing the
+    trainer it builds."""
+    trainers = []
+    run = EpochRunner.run
+    monkeypatch.setattr(
+        EpochRunner, "run", lambda self: trainers.append(self) or run(self)
+    )
+    trace_dir = tmp_path / "run"
+    argv = [str(trace_dir) if a == "{dir}" else a for a in argv]
+    code = main(["train"] + FAST + argv)
+    out, err = capsys.readouterr()
+    return Run(code, out, err, trainers[0] if trainers else None, trace_dir)
+
+
+def test_every_train_flag_row_is_an_option():
+    assert set(TRAIN_FLAGS) <= set(_train_options())
+
+
+@pytest.mark.parametrize("flag", _train_options())
+def test_train_flag_moves_its_output_or_is_rejected(
+    flag, tmp_path, capsys, monkeypatch
+):
+    assert flag in TRAIN_FLAGS, f"repro train {flag} has no contract row"
+    row = TRAIN_FLAGS[flag]
+    run = _train(row.argv, tmp_path, capsys, monkeypatch)
+    if row.rejected is not None:
+        assert run.code == 2 and row.rejected in run.err
+        return
+    assert run.code == 0, run.err
+    base = _train(list(row.base), tmp_path, capsys, monkeypatch)
+    assert row.holds(run, base), f"{flag} {row.argv} moved nothing"

@@ -77,8 +77,6 @@ KEPT_WITHOUT_SRC_IMPORTER = {
         "Table 2's PQ codec (benchmarks/test_table2_index_storage.py)",
     "repro.data.images":
         "E-CNN (benchmarks/test_cnn_image_path.py, tests/test_integration.py)",
-    "repro.data.transforms":
-        "TrainerConfig.transform (tests/train/test_config_contract.py row)",
 }
 
 

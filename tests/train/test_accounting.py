@@ -1,36 +1,42 @@
-"""Stage-accounting invariants for clean and fault-recovered runs.
+"""Stage-accounting invariants for clean, prefetching and fault-recovered
+runs.
 
 The per-epoch identity (``epoch_time_s`` is exactly the sum of its five
 stage components) and the run-level consistency between
 ``TrainResult.stage_totals()`` and the trainers' ``SimClock`` breakdown
 are what every time-related figure rests on — they must hold at every
-topology the one epoch loop runs, and for a ``ResilientTrainer`` that
+topology the one epoch loop runs, with the remote reads an importance
+prefetch makes between epochs, and for a ``ResilientTrainer`` that
 restored mid-epoch.
 """
 
-import numpy as np
+import functools
+
 import pytest
 
 from repro.core.policy import SpiderCachePolicy
-from repro.data.transforms import Compose, GaussianNoise
 from repro.nn.models import build_model
+from repro.obs import JsonlRecorder, Observer, render_report, write_run_artifacts
+from repro.obs.report import TRACE_FILE
 from repro.resilience.preemption import PreemptionSchedule
 from repro.resilience.trainer import ResilientTrainer
 from repro.storage.backends import RemoteStore
+from repro.train.metrics import HIT_LATENCY_S, IO_WORKERS
 from repro.train.trainer import RPC_STAGE, Trainer, TrainerConfig
 from tests.train import topologies
 
+PREFETCHING = functools.partial(SpiderCachePolicy, prefetch_fraction=0.5)
 
-def _build(cls=Trainer, epochs=3, transform=None, **kw):
+
+def _build(cls=Trainer, epochs=3, policy_cls=SpiderCachePolicy, **kw):
     train, test = topologies.dataset()
     model = build_model("resnet18", train.dim, train.num_classes, rng=2)
-    policy = SpiderCachePolicy(cache_fraction=0.25, rng=3)
-    cfg = TrainerConfig(epochs=epochs, batch_size=32, transform=transform)
+    policy = policy_cls(cache_fraction=0.25, rng=3)
+    cfg = TrainerConfig(epochs=epochs, batch_size=32)
     return cls(model, train, test, policy, cfg, **kw)
 
 
 def _assert_invariants(trainer, result):
-    cfg = trainer.config
     workers = trainer.workers
     k = len(workers)
     for e in result.epochs:
@@ -44,8 +50,8 @@ def _assert_invariants(trainer, result):
     assert set(totals) == {
         "data_load_s", "compute_s", "is_visible_s", "preprocess_s", "comm_s"
     }
-    # Run totals reconcile with every replica's simulated clock: compute,
-    # IS and preprocess are charged per step as-is.
+    # Run totals reconcile with every replica's simulated clock: compute
+    # and IS are charged per step as-is, and nothing charges preprocess.
     for w in workers:
         for stage in ("compute", "is_visible", "preprocess"):
             assert totals[f"{stage}_s"] == pytest.approx(
@@ -58,8 +64,8 @@ def _assert_invariants(trainer, result):
         stats = w.policy.stats()
         hits = stats.hits + stats.substitute_hits + stats.degraded_serves
         per_clock[id(w.clock)] = (
-            w.clock.stage_seconds(RemoteStore.STAGE) / cfg.io_workers
-            + hits * cfg.hit_latency_s
+            w.clock.stage_seconds(RemoteStore.STAGE) / IO_WORKERS
+            + hits * HIT_LATENCY_S
             + w.clock.stage_seconds(RPC_STAGE)
         )
     loads = list(per_clock.values())
@@ -76,13 +82,13 @@ def _assert_invariants(trainer, result):
 
 @pytest.mark.parametrize("topology", topologies.TOPOLOGIES)
 def test_stage_accounting_invariants_at_every_topology(topology):
-    transform = Compose([GaussianNoise(0.05, rng=5)])
+    """With an importance prefetch: its reads count in the epoch they warm."""
     trainer = topologies.build(
-        topology, topologies.dataset(),
-        TrainerConfig(epochs=3, batch_size=32, transform=transform),
+        topology, topologies.dataset(), TrainerConfig(epochs=3, batch_size=32),
+        policy_cls=PREFETCHING,
     )
     result = trainer.run()
-    assert all(e.preprocess_s > 0 for e in result.epochs)
+    assert all(w.policy.prefetch_count > 0 for w in trainer.workers)
     assert all(e.score_std is not None for e in result.epochs)
     _assert_invariants(trainer, result)
 
@@ -93,12 +99,18 @@ def test_trainer_stage_accounting_invariants():
     _assert_invariants(trainer, result)
 
 
-def test_trainer_accounting_with_preprocess_stage():
-    transform = Compose([GaussianNoise(0.05, rng=5)])
-    trainer = _build(epochs=2, transform=transform)
+def test_traced_prefetch_run_reconciles_with_its_report(tmp_path):
+    """The report stamps a ``prefetch`` row with the epoch it warms; the
+    epoch's metrics must count its remote time there too."""
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    trainer = _build(
+        epochs=3, policy_cls=PREFETCHING, observer=Observer(recorder=recorder)
+    )
     result = trainer.run()
-    assert all(e.preprocess_s > 0 for e in result.epochs)
-    _assert_invariants(trainer, result)
+    recorder.close()
+    write_run_artifacts(result, tmp_path)
+    assert trainer.policy.prefetch_count > 0
+    assert "trace vs per-epoch metrics: OK over 3 epoch(s)" in render_report(tmp_path)
 
 
 @pytest.mark.resilience

@@ -80,8 +80,7 @@ def test_data_load_seconds_is_what_the_loop_and_the_report_both_use(monkeypatch)
     result = trainer.Trainer(
         build_model("resnet18", train.dim, train.num_classes, rng=2),
         train, test, SpiderCachePolicy(cache_fraction=0.3, rng=3),
-        trainer.TrainerConfig(epochs=2, batch_size=32, io_workers=3,
-                              hit_latency_s=1e-3),
+        trainer.TrainerConfig(epochs=2, batch_size=32),
         observer=Observer(recorder=recorder), rng=4,
     ).run()
     aggs = report.aggregate_trace(recorder.events)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.nn.models import build_model
-from repro.nn.optim import CosineLR
 from repro.train.policy_base import TrainingPolicy
 from repro.train.trainer import Trainer, TrainerConfig
 
@@ -32,20 +31,6 @@ def test_cosine_string(data):
     t = _trainer(data, lr_schedule="cosine")
     t.optimizer.set_epoch(4)
     assert t.optimizer.current_lr == pytest.approx(0.0, abs=1e-12)
-
-
-def test_step_string(data):
-    t = _trainer(data, lr_schedule="step")
-    t.optimizer.set_epoch(0)
-    lr0 = t.optimizer.current_lr
-    t.optimizer.set_epoch(3)
-    assert t.optimizer.current_lr < lr0
-
-
-def test_schedule_object_passthrough(data):
-    sched = CosineLR(0.2, total_epochs=4)
-    t = _trainer(data, lr=0.2, lr_schedule=sched)
-    assert t.optimizer.schedule is sched
 
 
 def test_unknown_string_rejected(data):

@@ -1,4 +1,4 @@
-"""Time-to-accuracy metric and user-goal preset tests."""
+"""Time-to-accuracy metric and the imp-ratio accuracy/speed trade-off."""
 
 import numpy as np
 import pytest
@@ -49,40 +49,20 @@ def test_tta_invalid_threshold():
 
 
 # ----------------------------------------------------------------------
-# SpiderCachePolicy.from_goal
+# The accuracy / speed trade-off of the imp-ratio and substitution knobs
 # ----------------------------------------------------------------------
-def test_goal_accuracy_static_high_ratio():
-    p = SpiderCachePolicy.from_goal("accuracy", rng=0)
-    assert p.r_start == p.r_end == 0.9
-    assert not p.elastic
-    assert p.hom_radius_scale == 0.5
-
-
-def test_goal_balanced_matches_paper_recommendation():
-    p = SpiderCachePolicy.from_goal("balanced", rng=0)
-    assert (p.r_start, p.r_end) == (0.9, 0.8)
-    assert p.elastic
-
-
-def test_goal_speed_aggressive():
-    p = SpiderCachePolicy.from_goal("speed", rng=0)
-    assert p.r_end == 0.5
-    assert p.hom_neighbor_limit > SpiderCachePolicy.GOALS["accuracy"]["hom_neighbor_limit"]
-
-
-def test_goal_overrides_win():
-    p = SpiderCachePolicy.from_goal("speed", cache_fraction=0.4, r_end=0.6, rng=0)
-    assert p.r_end == 0.6
-    assert p.cache_fraction == 0.4
-
-
-def test_unknown_goal():
-    with pytest.raises(KeyError):
-        SpiderCachePolicy.from_goal("turbo")
+#: §6.5: "the Imp-Ratio is adjustable, allowing users to prioritize
+#: accuracy with a higher ratio or speed with a lower one."
+GOALS = {
+    "accuracy": dict(r_start=0.9, r_end=0.9, elastic=False,
+                     hom_neighbor_limit=8, hom_radius_scale=0.5),
+    "speed": dict(r_start=0.9, r_end=0.5, elastic=True,
+                  hom_neighbor_limit=32, hom_radius_scale=0.9),
+}
 
 
 def test_goals_end_to_end_tradeoff():
-    """Speed goal yields higher hit ratio than accuracy goal."""
+    """The speed settings yield a higher hit ratio than the accuracy ones."""
     from repro.data.synthetic import make_clustered_dataset, train_test_split
     from repro.nn.models import build_model
     from repro.train.trainer import Trainer, TrainerConfig
@@ -92,7 +72,7 @@ def test_goals_end_to_end_tradeoff():
     results = {}
     for goal in ["accuracy", "speed"]:
         model = build_model("resnet18", train.dim, train.num_classes, rng=2)
-        policy = SpiderCachePolicy.from_goal(goal, rng=3)
+        policy = SpiderCachePolicy(rng=3, **GOALS[goal])
         results[goal] = Trainer(model, train, test, policy,
                                 TrainerConfig(epochs=8, batch_size=64)).run()
     assert results["speed"].mean_hit_ratio > results["accuracy"].mean_hit_ratio
