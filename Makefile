@@ -58,12 +58,15 @@ report:
 
 # Sharded cache-service suite — every dist-marked test (differential
 # oracle, retry/backoff, migration, chaos) under the increased
-# Hypothesis budget, plus a sharded smoke run with a live ring resize.
+# Hypothesis budget, plus a sharded smoke run with a live ring resize for
+# one policy per cache-layer stack.
 dist:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -m dist
-	$(PYTHON) -m repro train --policy spidercache --samples 600 --epochs 3 \
-		--world-size 2 --shared-cache --cache-shards 2 \
-		--resize-shards-at 1:4
+	for policy in spidercache baseline icache shade; do \
+		$(PYTHON) -m repro train --policy $$policy --samples 600 --epochs 3 \
+			--world-size 2 --shared-cache --cache-shards 2 \
+			--resize-shards-at 1:4 || exit 1; \
+	done
 
 # Real-process transport suite (-m wallclock: sim/real parity oracle +
 # real-process chaos) with a hard timeout and NO retries — these tests

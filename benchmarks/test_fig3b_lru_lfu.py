@@ -26,8 +26,8 @@ def _sweep():
             cache = cls(cap)
             for _ in range(EPOCHS):
                 for i in rng.permutation(N):
-                    if cache.get(int(i)) is None:
-                        cache.put(int(i), i)
+                    if cache.lookup(int(i)) is None:
+                        cache.admit(int(i), 0.0, i)
             results[name] = cache.stats.hit_ratio
         rows.append(
             (f"{frac:.0%}", f"{results['LRU']:.3f}", f"{results['LFU']:.3f}")

@@ -37,9 +37,9 @@ def test_importance_cache_heap(benchmark):
     def run():
         c = ImportanceCache(1000)
         for i, p in enumerate(priorities.tolist()):
-            c.admit(i, i, p)
+            c.admit(i, p, i)
         c.update_scores(halves, priorities[halves] * 2)
-        c.shrink_to(0)
+        c.resize(0)
 
     benchmark(run)
 
@@ -51,8 +51,8 @@ def test_lru_get_put(benchmark):
     def run():
         c = LRUCache(200)
         for k in keys:
-            if c.get(int(k)) is None:
-                c.put(int(k), k)
+            if c.lookup(int(k)) is None:
+                c.admit(int(k), 0.0, k)
 
     benchmark(run)
 
@@ -64,7 +64,7 @@ def test_importance_cache_admit(benchmark):
     def run():
         c = ImportanceCache(300)
         for i, s in enumerate(scores):
-            c.admit(i, i, float(s))
+            c.admit(i, float(s), i)
 
     benchmark(run)
 

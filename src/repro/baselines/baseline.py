@@ -14,21 +14,21 @@ beat.
 
 from __future__ import annotations
 
-from typing import Type
+from typing import List, Type
 
-from repro.cache.base import Cache, CacheStats
+from repro.cache.base import Cache
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
-from repro.core.semantic_cache import FetchOutcome, FetchSource
-from repro.train.policy_base import PolicyContext, TrainingPolicy
+from repro.train.policy_base import TrainingPolicy
 from repro.utils.rng import RngLike
 
 __all__ = ["ClassicCachePolicy", "LRUBaselinePolicy", "LFUPolicy", "CoorDLPolicy"]
 
 
 class ClassicCachePolicy(TrainingPolicy):
-    """Random sampling + a pluggable classic cache (demand-fill on miss)."""
+    """Random sampling + a pluggable classic cache (demand-fill on miss),
+    the one layer of the policy's cache."""
 
     def __init__(
         self,
@@ -41,46 +41,14 @@ class ClassicCachePolicy(TrainingPolicy):
             raise ValueError("cache_fraction must be in [0, 1]")
         self.cache_cls = cache_cls
         self.cache_fraction = float(cache_fraction)
-        self.cache: Cache | None = None
 
     @property
     def name(self) -> str:
         """Derived from the cache class; subclasses name themselves."""
         return f"{self.cache_cls.__name__.replace('Cache', '').lower()}-baseline"
 
-    def setup(self, ctx: PolicyContext) -> None:
-        """Build the cache sized to ``cache_fraction`` of the dataset."""
-        super().setup(ctx)
-        capacity = int(round(self.cache_fraction * ctx.num_samples))
-        self.cache = self.cache_cls(capacity)
-
-    def fetch(self, index: int) -> FetchOutcome:
-        """Serve from the cache, demand-filling from storage on miss."""
-        assert self.cache is not None
-        payload = self.cache.get(index)
-        if payload is not None:
-            return self._served(index, index, payload, FetchSource.IMPORTANCE)
-        payload = self._require_ctx().store.get(index)
-        self.cache.put(index, payload)
-        return self._served(index, index, payload, FetchSource.REMOTE)
-
-    def state_dict(self) -> dict:
-        """The shuffle RNG and the cache, eviction order included."""
-        assert self.cache is not None
-        state = super().state_dict()
-        state["cache"] = self.cache.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (call after ``setup``)."""
-        assert self.cache is not None
-        super().load_state_dict(state)
-        self.cache.load_state_dict(state["cache"])
-
-    def stats(self) -> CacheStats:
-        """The underlying cache's counters."""
-        assert self.cache is not None
-        return self.cache.stats
+    def _cache_layers(self, capacity: int) -> List[Cache]:
+        return [self.cache_cls(capacity)]
 
 
 class LRUBaselinePolicy(ClassicCachePolicy):

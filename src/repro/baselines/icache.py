@@ -16,23 +16,26 @@ Two cache variants match the paper's §6.3 split:
   the hit ratio above SHADE's but "significantly degrades the model's final
   accuracy" (Fig. 6(b)) because the substitutes are arbitrary, not similar.
 
-Both serve through the Fig. 9 cache every IS policy shares, sized to the
-H-section in the full variant; the L-section sits in front of its misses.
+Both serve through the one :class:`~repro.core.semantic_cache.SemanticCache`
+every policy shares: the importance layer, sized to the H-section in the
+full variant, then the :class:`LSection` layer, which serves under its own
+source (:attr:`~repro.cache.base.FetchSource.L_SECTION`) and takes every
+miss the importance layer refuses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.loss_is import LossISPolicy
-from repro.cache.base import CacheStats
+from repro.cache.base import Cache, FetchSource
 from repro.cache.random_replacement import RandomReplacementCache
-from repro.core.semantic_cache import FetchOutcome, FetchSource, SemanticCache
+from repro.core.importance_cache import ImportanceCache
 from repro.utils.rng import RngLike
 
-__all__ = ["ICacheImpPolicy", "ICacheFullPolicy"]
+__all__ = ["ICacheImpPolicy", "ICacheFullPolicy", "LSection"]
 
 #: Compute-bound IS still forward-passes (hence fetches) nearly every
 #: sample — its savings come from skipping backprop, not I/O. The sampler
@@ -84,13 +87,50 @@ class ICacheImpPolicy(LossISPolicy):
         return (losses > threshold).astype(np.float64)
 
 
+class LSection(RandomReplacementCache):
+    """iCache's L-section as a cache layer.
+
+    An exact hit serves the resident. Otherwise a request for an L-sample
+    — its score at or below the H threshold, the importance layer's own
+    admission bar (its current minimum) — is served a random resident with
+    probability ``substitute_prob``. It keeps every miss offered to it.
+    """
+
+    name = "lsec"
+    source = FetchSource.L_SECTION
+
+    def __init__(
+        self, capacity: int, rng: np.random.Generator,
+        importance: ImportanceCache, substitute_prob: float,
+    ) -> None:
+        super().__init__(capacity, rng)
+        self._importance = importance
+        self.substitute_prob = substitute_prob
+
+    def lookup(self, index: int, score: float = 0.0) -> Optional[Tuple[int, Any]]:
+        if index in self._items:
+            return super().lookup(index, score)
+        floor = self._importance.min_score()
+        if (
+            self._items
+            and score <= (floor if floor is not None else 0.0)
+            and self._rng.random() < self.substitute_prob
+        ):
+            sub, payload = self.choice()
+            if payload is not None:
+                self.stats.substitute_hits += 1
+                return sub, payload
+        self.stats.misses += 1
+        return None
+
+
 class ICacheFullPolicy(ICacheImpPolicy):
     """Full iCache: H/L sample split with random L-replacement.
 
-    :data:`H_FRACTION` of the cache budget holds H-samples (the Fig. 9
-    cache's importance layer); the rest is the L-section, a random-replacement
-    cache. An L-sample request that misses is served a random resident
-    L-sample with probability ``substitute_prob``.
+    :data:`H_FRACTION` of the cache budget holds H-samples (the importance
+    layer); the rest is the :class:`LSection` behind it. An L-sample
+    request that misses is served a random resident L-sample with
+    probability ``substitute_prob``.
     """
 
     name = "icache"
@@ -106,77 +146,13 @@ class ICacheFullPolicy(ICacheImpPolicy):
         if not 0.0 <= substitute_prob <= 1.0:
             raise ValueError("substitute_prob must be in [0, 1]")
         self.substitute_prob = float(substitute_prob)
-        self.l_section: Optional[RandomReplacementCache] = None
 
-    def _build_cache(self, capacity: int) -> SemanticCache:
-        """The budget splits into the H-section, which the Fig. 9 cache
-        holds, and the L-section."""
+    def _cache_layers(self, capacity: int) -> List[Cache]:
+        """The budget splits into the H-section (the importance layer)
+        and the L-section."""
         h_cap = int(round(capacity * H_FRACTION))
-        self.l_section = RandomReplacementCache(capacity - h_cap, rng=self._rng)
-        return super()._build_cache(h_cap)
-
-    def _h_threshold(self) -> float:
-        """Score above which a sample counts as an H-sample: the importance
-        layer's own admission bar (its current minimum)."""
-        assert self.cache is not None
-        m = self.cache.importance.min_score()
-        return m if m is not None else 0.0
-
-    def fetch(self, index: int) -> FetchOutcome:
-        """An H-section miss tries the L-section: an exact hit, else a
-        random L-resident for a sample at or below the H threshold (with
-        ``substitute_prob``). Only then the Fig. 9 cache serves; a sample
-        its importance layer refuses enters the L-section."""
-        assert self.cache is not None and self.score_table is not None
-        imp, l_section = self.cache.importance, self.l_section
-        assert l_section is not None
-        if index not in imp:
-            if index in l_section:
-                return self._served(
-                    index, index, l_section.get(index), FetchSource.HOMOPHILY
-                )
-            if (
-                len(l_section)
-                and self.score_table.get(index) <= self._h_threshold()
-                and self._rng.random() < self.substitute_prob
-            ):
-                sub, payload = l_section.choice()
-                l_section.stats.substitute_hits += 1
-                return self._served(index, sub, payload, FetchSource.HOMOPHILY)
-        outcome = super().fetch(index)
-        if index not in imp:
-            l_section.put(index, outcome.payload)
-        return outcome
-
-    def attach_observer(self, observer) -> None:
-        """The base cascade, and register :meth:`counters`."""
-        super().attach_observer(observer)
-        observer.register(self)
-
-    def counters(self) -> Dict[str, int]:
-        """L-section serves under the metrics names (the observer adds
-        them to the cache's own)."""
-        assert self.l_section is not None
-        stats = self.l_section.stats
-        served = stats.hits + stats.substitute_hits
-        return {"cache.fetches": served, "cache.fetch.homophily": served}
-
-    def state_dict(self) -> dict:
-        """The base snapshot plus the L-section."""
-        assert self.l_section is not None
-        state = super().state_dict()
-        state["l_section"] = self.l_section.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (call after ``setup``)."""
-        assert self.l_section is not None
-        super().load_state_dict(state)
-        self.l_section.load_state_dict(state["l_section"])
-
-    def stats(self) -> CacheStats:
-        """The Fig. 9 cache's counts plus the L-section's serves."""
-        assert self.l_section is not None
-        agg = super().stats()
-        agg.merge(self.l_section.stats)
-        return agg
+        (imp,) = super()._cache_layers(h_cap)
+        return [
+            imp,
+            LSection(capacity - h_cap, self._rng, imp, self.substitute_prob),
+        ]

@@ -14,8 +14,8 @@ offered to the min-heap admission rule (Fig. 9 cases 1/2/4, as in
 SpiderCache).
 
 Subclasses supply :meth:`LossISPolicy.batch_scores`; iCache also reshapes
-the sampling weights and serves importance-cache misses from its
-L-section first.
+the sampling weights and stacks its L-section behind the importance
+layer.
 """
 
 from __future__ import annotations

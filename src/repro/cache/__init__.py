@@ -1,11 +1,12 @@
-"""Generic cache substrate + classic eviction policies.
+"""The cache-layer protocol + classic eviction policies.
 
-LRU/LFU are the Fig. 3(b) baselines the paper shows failing under random
-sampling; MinIO is CoorDL's never-evict cache; random replacement is
-iCache's L-section.
+Every layer a :class:`~repro.core.semantic_cache.SemanticCache` stacks
+is a :class:`Cache`. LRU/LFU are the Fig. 3(b) baselines the
+paper shows failing under random sampling; MinIO is CoorDL's never-evict
+cache; random replacement is iCache's L-section.
 """
 
-from repro.cache.base import Cache, CacheStats
+from repro.cache.base import Cache, CacheStats, FetchSource
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
@@ -15,6 +16,7 @@ from repro.cache.trace import AccessTrace, belady_hit_ratio, record_trace, repla
 __all__ = [
     "Cache",
     "CacheStats",
+    "FetchSource",
     "LRUCache",
     "LFUCache",
     "MinIOCache",

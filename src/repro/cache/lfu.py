@@ -10,6 +10,7 @@ from collections import OrderedDict, defaultdict
 from typing import Any, Dict, Optional
 
 from repro.cache.base import Cache
+from repro.cache.payload_store import PayloadStore
 
 __all__ = ["LFUCache"]
 
@@ -17,13 +18,13 @@ __all__ = ["LFUCache"]
 class LFUCache(Cache):
     """Least-frequently-used cache with O(1) operations."""
 
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
+    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
+        super().__init__(capacity, store)
         self._freq: Dict[Any, int] = {}
         self._buckets: Dict[int, OrderedDict] = defaultdict(OrderedDict)
         self._min_freq = 0
 
-    def _bump(self, key: Any) -> None:
+    def _touch(self, key: Any) -> None:
         f = self._freq[key]
         del self._buckets[f][key]
         if not self._buckets[f]:
@@ -33,18 +34,8 @@ class LFUCache(Cache):
         self._freq[key] = f + 1
         self._buckets[f + 1][key] = None
 
-    def _lookup(self, key: Any) -> Optional[Any]:
-        if key not in self._items:
-            return None
-        self._bump(key)
-        return self._items[key]
-
-    def _insert(self, key: Any, value: Any) -> None:
-        if key in self._items:
-            self._items[key] = value
-            self._bump(key)
-            return
-        self._items[key] = value
+    def _insert(self, key: Any) -> None:
+        self._items[key] = None
         self._freq[key] = 1
         self._buckets[1][key] = None
         self._min_freq = 1
@@ -54,6 +45,7 @@ class LFUCache(Cache):
         key, _ = bucket.popitem(last=False)
         if not bucket:
             del self._buckets[self._min_freq]
+            self._min_freq = min(self._buckets, default=0)
         del self._items[key]
         del self._freq[key]
         return key

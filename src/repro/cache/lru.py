@@ -6,6 +6,7 @@ from collections import OrderedDict
 from typing import Any, Optional
 
 from repro.cache.base import Cache
+from repro.cache.payload_store import PayloadStore
 
 __all__ = ["LRUCache"]
 
@@ -13,19 +14,15 @@ __all__ = ["LRUCache"]
 class LRUCache(Cache):
     """Classic LRU over an ordered dict (most recent at the end)."""
 
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._items: OrderedDict[Any, Any] = OrderedDict()
+    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
+        super().__init__(capacity, store)
+        self._items: OrderedDict[Any, None] = OrderedDict()
 
-    def _lookup(self, key: Any) -> Optional[Any]:
-        if key not in self._items:
-            return None
+    def _touch(self, key: Any) -> None:
         self._items.move_to_end(key)
-        return self._items[key]
 
-    def _insert(self, key: Any, value: Any) -> None:
-        self._items[key] = value
-        self._items.move_to_end(key)
+    def _insert(self, key: Any) -> None:
+        self._items[key] = None
 
     def _evict_one(self) -> Any:
         key, _ = self._items.popitem(last=False)

@@ -9,7 +9,7 @@ items that were just used). MinIO therefore fills once and never evicts.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.cache.base import Cache
 
@@ -19,20 +19,18 @@ __all__ = ["MinIOCache"]
 class MinIOCache(Cache):
     """Insert-until-full, never evict, never replace."""
 
-    def _lookup(self, key: Any) -> Optional[Any]:
-        return self._items.get(key)
+    def _insert(self, key: Any) -> None:
+        self._items[key] = None
 
-    def _insert(self, key: Any, value: Any) -> None:
-        self._items[key] = value
+    def _evict_one(self) -> Any:
+        """Only an explicit :meth:`resize` below the occupancy evicts:
+        the newest resident goes first, keeping the earliest fill."""
+        key, _ = self._items.popitem()
+        return key
 
-    def _evict_one(self) -> Any:  # pragma: no cover - unreachable by design
-        raise RuntimeError("MinIO never evicts")
-
-    def put(self, key: Any, value: Any) -> None:
-        """Insert only while below capacity; drops once full (no eviction)."""
-        if self.capacity == 0 or key in self._items:
-            return
-        if len(self._items) >= self.capacity:
-            return
-        self._items[key] = value
-        self.stats.insertions += 1
+    def admit(self, key: Any, score: float, payload: Any) -> bool:
+        """Keep only while below capacity; drops once full (no eviction)
+        and never replaces a resident."""
+        if key in self._items or len(self._items) >= self.capacity:
+            return False
+        return super().admit(key, score, payload)

@@ -15,6 +15,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.base import Cache
+from repro.cache.payload_store import PayloadStore
 
 __all__ = ["RandomReplacementCache"]
 
@@ -22,37 +23,47 @@ __all__ = ["RandomReplacementCache"]
 class RandomReplacementCache(Cache):
     """Evict a uniformly random resident; serve random residents on demand."""
 
-    def __init__(self, capacity: int, rng: np.random.Generator) -> None:
-        super().__init__(capacity)
+    def __init__(
+        self, capacity: int, rng: np.random.Generator,
+        store: Optional[PayloadStore] = None,
+    ) -> None:
+        super().__init__(capacity, store)
         self._rng = rng
         self._slots: List[Any] = []  # residents; every draw indexes this
         self._free: Optional[int] = None  # slot the last eviction vacated
 
-    def _lookup(self, key: Any) -> Optional[Any]:
-        return self._items.get(key)
-
-    def _insert(self, key: Any, value: Any) -> None:
-        if key not in self._items:
-            if self._free is None:
-                self._slots.append(key)
-            else:
-                self._slots[self._free] = key
-                self._free = None
-        self._items[key] = value
+    def _insert(self, key: Any) -> None:
+        if self._free is None:
+            self._slots.append(key)
+        else:
+            self._slots[self._free] = key
+            self._free = None
+        self._items[key] = None
 
     def _evict_one(self) -> Any:
+        if self._free is not None:  # a resize: the last victim's slot is empty
+            del self._slots[self._free]
         self._free = int(self._rng.integers(len(self._slots)))
         victim = self._slots[self._free]
         del self._items[victim]
         return victim
 
+    def resize(self, capacity: int) -> List[Any]:
+        evicted = super().resize(capacity)
+        if self._free is not None:  # no newcomer takes the last victim's slot
+            del self._slots[self._free]
+            self._free = None
+        return evicted
+
     def choice(self) -> Tuple[Any, Any]:
-        """A uniformly random resident ``(key, value)``; stats untouched."""
+        """A uniformly random resident ``(key, payload)``; stats untouched
+        (``None`` payload if the store lost it)."""
         key = self._slots[int(self._rng.integers(len(self._slots)))]
-        return key, self._items[key]
+        return key, self.store.get(key, substitute=True)
 
     def _order_state(self) -> List[Any]:
         return list(self._slots)
 
     def _load_order(self, state: List[Any]) -> None:
         self._slots = list(state)
+        self._free = None

@@ -5,11 +5,14 @@ access traces. This module provides:
 
 * :class:`AccessTrace` — an ordered record of sample requests with epoch
   boundaries, recordable from any sampler;
-* :func:`replay` — run a trace through any :class:`~repro.cache.base.Cache`
-  and return its stats (orders of magnitude faster than re-training);
+* :func:`replay` — run a trace through any cache layer (the
+  :class:`~repro.cache.base.Cache` protocol every policy serves through)
+  and return its stats (orders of magnitude faster than
+  re-training);
 * :func:`belady_hit_ratio` — Belady's MIN/OPT oracle (evict the resident
   whose next use is farthest in the future), the theoretical upper bound
-  on exact-hit ratio for any eviction policy at a given capacity.
+  on exact-hit ratio for any eviction policy at a given capacity, replayed
+  as one more layer.
 
 The OPT bound contextualizes the paper's Fig.-14 numbers: under a random
 permutation trace even the clairvoyant optimum is weak, while an
@@ -87,62 +90,69 @@ def record_trace(
 
 
 def replay(trace: AccessTrace, cache: Cache) -> CacheStats:
-    """Replay a trace through a cache with demand-fill on miss.
+    """Replay a trace through one cache layer with demand-fill on miss:
+    ``lookup`` every request, ``admit`` every miss (its id as payload).
 
     The cache's own stats object is used and returned (reset first).
     """
     cache.stats.reset()
     for i in trace.requests:
         key = int(i)
-        if cache.get(key) is None:
-            cache.put(key, key)
+        if cache.lookup(key) is None:
+            cache.admit(key, 0.0, key)
     return cache.stats
 
 
-def belady_hit_ratio(trace: AccessTrace, capacity: int) -> float:
-    """Hit ratio of Belady's clairvoyant MIN algorithm.
+class _Clairvoyant(Cache):
+    """Belady's MIN as a cache layer: it knows the trace it is replayed
+    on, counts the requests its ``lookup`` sees, and evicts the resident
+    whose next use is farthest in the future. Lazy heap entries (stale
+    next-use values) are skipped on pop by cross-checking the
+    authoritative ``_resident_next`` map."""
 
-    Classic implementation: precompute each access's *next* use index, keep
-    residents in a max-heap keyed by next use, evict the farthest-future
-    resident on a full miss. Lazy heap entries (stale next-use values) are
-    skipped on pop by cross-checking the authoritative ``next_use`` map.
+    def __init__(self, capacity: int, requests: np.ndarray) -> None:
+        super().__init__(capacity)
+        n = requests.shape[0]
+        # _next[i] = index of the next access of requests[i] after i.
+        self._next = np.full(n, n + 1, dtype=np.int64)
+        last_seen: dict = {}
+        for i in range(n - 1, -1, -1):
+            key = int(requests[i])
+            self._next[i] = last_seen.get(key, n + 1)
+            last_seen[key] = i
+        self._t = -1  # position of the request being served
+        self._resident_next: dict = {}  # key -> authoritative next use
+        self._heap: List = []  # (-next_use, key) lazy max-heap
+
+    def lookup(self, index, score: float = 0.0):
+        self._t += 1
+        return super().lookup(index, score)
+
+    def _touch(self, key) -> None:
+        nxt = int(self._next[self._t])
+        self._resident_next[key] = nxt
+        heapq.heappush(self._heap, (-nxt, key))
+
+    def _insert(self, key) -> None:
+        self._items[key] = None
+        self._touch(key)
+
+    def _evict_one(self):
+        while True:
+            neg_nxt, victim = heapq.heappop(self._heap)
+            if self._resident_next.get(victim) == -neg_nxt:
+                break
+        del self._resident_next[victim]
+        del self._items[victim]
+        return victim
+
+
+def belady_hit_ratio(trace: AccessTrace, capacity: int) -> float:
+    """Hit ratio of Belady's clairvoyant MIN algorithm: :func:`replay`
+    through a layer that evicts the resident used farthest in the future.
     """
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    requests = trace.requests
-    n = requests.shape[0]
-    if n == 0:
+    if len(trace) == 0 or capacity == 0:
         return 0.0
-    if capacity == 0:
-        return 0.0
-
-    INF = n + 1
-    # next_occurrence[i] = index of the next access of requests[i] after i.
-    next_occurrence = np.full(n, INF, dtype=np.int64)
-    last_seen: dict = {}
-    for i in range(n - 1, -1, -1):
-        key = int(requests[i])
-        next_occurrence[i] = last_seen.get(key, INF)
-        last_seen[key] = i
-
-    resident_next: dict = {}  # key -> authoritative next use
-    heap: List = []  # (-next_use, key) lazy max-heap
-    hits = 0
-    for i in range(n):
-        key = int(requests[i])
-        nxt = int(next_occurrence[i])
-        if key in resident_next:
-            hits += 1
-            resident_next[key] = nxt
-            heapq.heappush(heap, (-nxt, key))
-            continue
-        if len(resident_next) >= capacity:
-            # Evict the resident with the farthest next use (skip stale).
-            while True:
-                neg_nxt, victim = heapq.heappop(heap)
-                if victim in resident_next and resident_next[victim] == -neg_nxt:
-                    del resident_next[victim]
-                    break
-        resident_next[key] = nxt
-        heapq.heappush(heap, (-nxt, key))
-    return hits / n
+    return replay(trace, _Clairvoyant(capacity, trace.requests)).hit_ratio

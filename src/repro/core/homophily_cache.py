@@ -18,78 +18,68 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.cache.base import CacheStats
-from repro.core.payload_store import LocalPayloadStore, PayloadStore
-from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.cache.base import Cache, FetchSource
+from repro.cache.payload_store import PayloadStore
 
 __all__ = ["HomophilyCache"]
 
 
-class HomophilyCache:
+class HomophilyCache(Cache):
     """FIFO cache of (high-degree node, payload, neighbor-ID list).
 
     The layer owns the FIFO order, the neighbor lists, and the cover map;
     node payloads live in ``store``
-    (:class:`~repro.core.payload_store.PayloadStore`, default an
+    (:class:`~repro.cache.payload_store.PayloadStore`, default an
     in-process dict). Inserts are *payload first* (a failed ``store.put``
     changes nothing), and a cached node whose payload the store cannot
     produce is served as a miss.
+
+    It admits nothing on a miss: it is filled once per batch through
+    :meth:`update`.
     """
 
+    name = "hom"
+    source = FetchSource.HOMOPHILY
+
     def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = int(capacity)
-        self.store: PayloadStore = LocalPayloadStore() if store is None else store
+        super().__init__(capacity, store)
         # key -> neighbor id tuple; OrderedDict gives FIFO order.
-        self._entries: OrderedDict[int, Tuple[int, ...]] = OrderedDict()
+        self._items: OrderedDict[int, Tuple[int, ...]] = OrderedDict()
         # neighbor id -> set of cached node keys listing it.
         self._neighbor_of: Dict[int, Set[int]] = {}
         # key -> insertion counter (FIFO position without walking the
         # FIFO): the newest of a request's covers is the max over them.
         self._seq: Dict[int, int] = {}
         self._next_seq = 0
-        self.stats = CacheStats()
-        self._obs = NULL_OBSERVER
-
-    def attach_observer(self, observer: Observer) -> None:
-        """Publish insert/evict activity to ``observer``."""
-        self._obs = observer
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._entries
 
     # ------------------------------------------------------------------
     def covers(self, index: int) -> bool:
         """True if ``index`` appears in any cached node's neighbor list
         (Alg. 1 line 7: ``neighbor_list.contains(index)``)."""
-        return index in self._neighbor_of or index in self._entries
+        return index in self._neighbor_of or index in self._items
 
-    def cover_key(self, index: int) -> Optional[int]:
+    def serve_key(self, index: int) -> Optional[int]:
         """Key of the entry a request for ``index`` would be served from:
         ``index`` itself when it is a cached node, else the *most recently
         inserted* node listing it — its embedding neighborhood is the
         freshest — else ``None``. Pure metadata: no payload read, no stats.
         """
-        if index in self._entries:
+        if index in self._items:
             return index
         covers = self._neighbor_of.get(index)
         if not covers:
             return None
         return max(covers, key=self._seq.__getitem__)
 
-    def lookup(self, index: int) -> Optional[Tuple[int, Any]]:
+    def lookup(self, index: int, score: float = 0.0) -> Optional[Tuple[int, Any]]:
         """Serve ``index`` by substitution (Fig. 9 case 3).
 
-        Returns ``(node_key, payload)`` of :meth:`cover_key`'s entry, or
+        Returns ``(node_key, payload)`` of :meth:`serve_key`'s entry, or
         ``None``. Records an exact hit (the high-degree node itself was
         requested), a substitute hit, or a miss; a cover whose payload the
         store cannot produce is a miss.
         """
-        key = self.cover_key(index)
+        key = self.serve_key(index)
         substitute = key != index
         payload = (
             None if key is None
@@ -109,6 +99,10 @@ class HomophilyCache:
             self.stats.hits += 1
         return key, payload
 
+    def admit(self, key: int, score: float, payload: Any) -> bool:
+        """Refuse: a remote read never enters the Homophily Cache."""
+        return False
+
     # ------------------------------------------------------------------
     def update(self, key: int, payload: Any, neighbor_ids: List[int]) -> bool:
         """Insert the batch's top-degree node (Alg. 1 line 22), FIFO-evicting.
@@ -120,14 +114,14 @@ class HomophilyCache:
         if self.capacity == 0:
             return False
         key = int(key)
-        if key in self._entries:
+        if key in self._items:
             return False
         if not self.store.put(key, payload):
             return False
-        while len(self._entries) >= self.capacity:
-            self._evict_oldest("fifo")
+        while len(self._items) >= self.capacity:
+            self._evict("fifo")
         neigh = tuple(int(n) for n in neighbor_ids)
-        self._entries[key] = neigh
+        self._items[key] = neigh
         self._seq[key] = self._next_seq
         self._next_seq += 1
         for n in neigh:
@@ -137,8 +131,8 @@ class HomophilyCache:
             self._obs.on_homophily_insert(key, len(neigh))
         return True
 
-    def _evict_oldest(self, reason: str = "fifo") -> int:
-        key, neigh = self._entries.popitem(last=False)
+    def _evict_one(self) -> int:
+        key, neigh = self._items.popitem(last=False)
         del self._seq[key]
         for n in neigh:
             owners = self._neighbor_of.get(n)
@@ -146,42 +140,25 @@ class HomophilyCache:
                 owners.discard(key)
                 if not owners:
                     del self._neighbor_of[n]
-        self.stats.evictions += 1
-        if self._obs.active:
-            self._obs.on_evict("homophily", key, reason)
-        self.store.delete(key)
         return key
 
-    def shrink_to(self, capacity: int) -> List[int]:
-        """Reduce capacity, evicting oldest entries first."""
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        evicted = []
-        while len(self._entries) > capacity:
-            evicted.append(self._evict_oldest("shrink"))
-        self.capacity = capacity
-        return evicted
-
-    def grow_to(self, capacity: int) -> None:
-        """Raise capacity (no eviction needed)."""
-        if capacity < self.capacity:
-            raise ValueError("grow_to cannot shrink; use shrink_to")
-        self.capacity = capacity
+    def counters(self) -> Dict[str, int]:
+        """Insertions and evictions under the metrics names."""
+        return {
+            "homophily.insertions": self.stats.insertions,
+            "homophily.evictions": self.stats.evictions,
+        }
 
     # ------------------------------------------------------------------
-    def keys(self) -> List[int]:
-        """Cached high-degree node ids in FIFO order."""
-        return list(self._entries.keys())
-
     def neighbor_list(self, key: int) -> Tuple[int, ...]:
         """Neighbor IDs stored with a cached node (KeyError if absent)."""
-        return self._entries[key]
+        return self._items[key]
 
     @property
     def covered_count(self) -> int:
         """Number of distinct sample ids currently servable (nodes + neighbors)."""
         covered = set(self._neighbor_of)
-        covered.update(self._entries)
+        covered.update(self._items)
         return len(covered)
 
     def newest_entry(self) -> Optional[Tuple[int, Any]]:
@@ -192,7 +169,7 @@ class HomophilyCache:
         stand-in when degraded mode must serve *something* for an uncovered
         request.
         """
-        for key in reversed(self._entries):
+        for key in reversed(self._items):
             payload = self.store.peek(key)
             if payload is not None:
                 return key, payload
@@ -201,7 +178,7 @@ class HomophilyCache:
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """Exact snapshot: FIFO order, payloads, neighbor lists, stats."""
-        keys = list(self._entries)
+        keys = list(self._items)
         if keys:
             payloads = np.stack(
                 [np.asarray(p) for p in self.store.export(keys)]
@@ -212,7 +189,7 @@ class HomophilyCache:
             "capacity": self.capacity,
             "keys": np.asarray(keys, dtype=np.int64),
             "payloads": payloads,
-            "neighbors": [list(self._entries[k]) for k in keys],
+            "neighbors": [list(self._items[k]) for k in keys],
             "stats": self.stats.state_dict(),
         }
 
@@ -224,14 +201,14 @@ class HomophilyCache:
         neighbors = state["neighbors"]
         if len(keys) != len(neighbors):
             raise ValueError("homophily snapshot keys/neighbors mismatch")
-        self._entries = OrderedDict()
+        self._items = OrderedDict()
         self._neighbor_of = {}
         for i, k in enumerate(keys):
             neigh = tuple(int(n) for n in neighbors[i])
-            self._entries[int(k)] = neigh
+            self._items[int(k)] = neigh
             for n in neigh:
                 self._neighbor_of.setdefault(n, set()).add(int(k))
-        self._seq = {k: i for i, k in enumerate(self._entries)}
+        self._seq = {k: i for i, k in enumerate(self._items)}
         self._next_seq = len(self._seq)
         self.store.load(
             {int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)}

@@ -14,9 +14,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.base import CacheStats
-from repro.core.payload_store import LocalPayloadStore, PayloadStore
-from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.cache.base import Cache, FetchSource
+from repro.cache.payload_store import PayloadStore
 
 __all__ = ["ImportanceCache"]
 
@@ -24,7 +23,7 @@ __all__ = ["ImportanceCache"]
 _SLACK = 64
 
 
-class ImportanceCache:
+class ImportanceCache(Cache):
     """Score-ordered cache over a lazily invalidated ``heapq`` min-heap.
 
     Every resident has one live priority ``(score, tiebreak)``, the
@@ -35,82 +34,68 @@ class ImportanceCache:
     priorities once its length passes twice the residents plus
     ``_SLACK``. Scores must be finite.
 
-    The layer owns the decisions and the metadata (priorities, resident
-    order, stats); payload bytes live in ``store``
-    (:class:`~repro.core.payload_store.PayloadStore`, default an
+    The layer owns the decisions and the metadata (``_items``: each
+    resident's live priority, in admission order; stats); payload bytes
+    live in ``store``
+    (:class:`~repro.cache.payload_store.PayloadStore`, default an
     in-process dict). Writes are *payload first*: an admission changes
     metadata only after ``store.put`` landed, so a failing store can drop
     an admit but never corrupt the heap, and a resident whose payload the
     store cannot produce is served as a miss.
+
+    The first layer of every IS policy's cache.
     """
 
+    name = "imp"
+    source = FetchSource.IMPORTANCE
+
     def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = int(capacity)
-        self.store: PayloadStore = LocalPayloadStore() if store is None else store
-        # resident -> live (score, tiebreak), in admission order
-        self._live: Dict[int, Tuple[float, int]] = {}
+        super().__init__(capacity, store)
+        self._items: Dict[int, Tuple[float, int]] = {}
         self._heap: List[Tuple[float, int, int]] = []
         self._counter = 0  # next admission's tiebreak
-        self.stats = CacheStats()
-        self._obs = NULL_OBSERVER
-
-    def attach_observer(self, observer: Observer) -> None:
-        """Publish admission/rejection/eviction activity to ``observer``."""
-        self._obs = observer
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._live
-
-    def get(self, key: int) -> Optional[Any]:
-        """Cached payload or ``None`` (records hit/miss)."""
-        value = self.store.get(key)  # non-residents were never put
-        if value is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return value
 
     # ------------------------------------------------------------------
     def _min(self) -> Tuple[float, int, int]:
         """The least live ``(score, tiebreak, key)``; call when non-empty.
         Stale entries above it are dropped on the way."""
-        heap, live = self._heap, self._live
+        heap, live = self._heap, self._items
         while live.get(heap[0][2]) != heap[0][:2]:
             heapq.heappop(heap)
         return heap[0]
+
+    def _evict_one(self) -> int:
+        key = self._pop()[1]
+        self._compact()
+        return key
 
     def _pop(self) -> Tuple[float, int]:
         """Remove the least-important resident: ``(score, key)``."""
         score, _, key = self._min()
         heapq.heappop(self._heap)
-        del self._live[key]
+        del self._items[key]
         return score, key
 
     def _push(self, key: int, score: float, tiebreak: int) -> None:
         """Set ``key``'s live priority (its admission order is kept)."""
-        self._live[key] = (score, tiebreak)
+        self._items[key] = (score, tiebreak)
         heapq.heappush(self._heap, (score, tiebreak, key))
         self._compact()
 
     def _entries(self) -> List[Tuple[float, int, int]]:
         """Live ``(score, tiebreak, key)`` in eviction order (a valid heap)."""
-        return sorted((s, t, k) for k, (s, t) in self._live.items())
+        return sorted((s, t, k) for k, (s, t) in self._items.items())
 
     def _compact(self) -> None:
-        if len(self._heap) > 2 * len(self._live) + _SLACK:
+        if len(self._heap) > 2 * len(self._items) + _SLACK:
             self._heap = self._entries()
 
     # ------------------------------------------------------------------
     def min_score(self) -> Optional[float]:
         """Score of the least-important resident, or ``None`` when empty."""
-        return self._min()[0] if self._live else None
+        return self._min()[0] if self._items else None
 
-    def admit(self, key: int, value: Any, score: float) -> bool:
+    def admit(self, key: int, score: float, value: Any) -> bool:
         """Offer a freshly fetched sample (Fig. 9 cases 2/4).
 
         Returns True if the sample was cached (possibly evicting the current
@@ -120,13 +105,13 @@ class ImportanceCache:
         obs = self._obs
         if self.capacity == 0:
             return False
-        if key in self._live:
+        if key in self._items:
             # Already resident: refresh payload and score.
             if not self.store.put(key, value):
                 return False
             self.update_score(key, score)
             return True
-        full = len(self._live) >= self.capacity
+        full = len(self._items) >= self.capacity
         if full and score <= self._min()[0]:
             if obs.active:
                 obs.on_admit(key, score, False, None)
@@ -160,7 +145,7 @@ class ImportanceCache:
         Absent keys are skipped (a batch rescores many samples, only some
         of which are cached); a resident keeps its admission tiebreak.
         """
-        live = self._live
+        live = self._items
         for key, score in zip(np.asarray(keys).tolist(),
                               np.asarray(scores, dtype=np.float64).tolist()):
             entry = live.get(key)
@@ -171,40 +156,9 @@ class ImportanceCache:
         """:meth:`update_scores` for one key."""
         self.update_scores((key,), (score,))
 
-    def shrink_to(self, capacity: int) -> List[int]:
-        """Reduce capacity, evicting least-important residents first.
-
-        Returns evicted keys (the Elastic Cache Manager reallocates their
-        space to the Homophily Cache).
-        """
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        obs = self._obs
-        evicted = []
-        while len(self._live) > capacity:
-            _, key = self._pop()
-            self.stats.evictions += 1
-            if obs.active:
-                obs.on_evict("importance", key, "shrink")
-            self.store.delete(key)
-            evicted.append(key)
-        self._compact()
-        self.capacity = capacity
-        return evicted
-
-    def grow_to(self, capacity: int) -> None:
-        """Raise capacity (no eviction needed)."""
-        if capacity < self.capacity:
-            raise ValueError("grow_to cannot shrink; use shrink_to")
-        self.capacity = capacity
-
-    def keys(self) -> List[int]:
-        """Resident sample ids in admission order."""
-        return list(self._live)
-
     def scores_snapshot(self) -> List[Tuple[int, float]]:
         """(key, score) for all residents (diagnostics)."""
-        return [(k, s) for k, (s, _) in self._live.items()]
+        return [(k, s) for k, (s, _) in self._items.items()]
 
     def peek_min(self) -> Optional[Tuple[int, Any]]:
         """(key, payload) of the least-important resident, or ``None``
@@ -213,7 +167,7 @@ class ImportanceCache:
         Degraded-mode serving uses this as a deterministic last-resort
         substitute source when the remote tier is down.
         """
-        if not self._live:
+        if not self._items:
             return None
         key = self._min()[2]
         payload = self.store.peek(key)
@@ -224,7 +178,7 @@ class ImportanceCache:
         valid heap holding every live priority, unique admission
         tiebreaks below the counter, and at most twice the residents
         plus ``_SLACK`` entries."""
-        heap, live = self._heap, self._live
+        heap, live = self._heap, self._items
         assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
         assert set(self._entries()) <= set(heap)
         tiebreaks = {t for _, t in live.values()}
@@ -241,7 +195,7 @@ class ImportanceCache:
         eviction order after a restore matches an uninterrupted run
         bit-for-bit.
         """
-        keys = list(self._live)
+        keys = list(self._items)
         if keys:
             payloads = np.stack(
                 [np.asarray(p) for p in self.store.export(keys)]
@@ -268,7 +222,7 @@ class ImportanceCache:
         live = {int(k): (float(s), int(t)) for s, t, k in state["heap"]["entries"]}
         if set(live) != set(keys):
             raise ValueError("importance-cache snapshot heap/value mismatch")
-        self._live = {k: live[k] for k in keys}
+        self._items = {k: live[k] for k in keys}
         self._heap = self._entries()
         self._counter = int(state["heap"]["counter"])
         self.store.load(

@@ -26,17 +26,17 @@ manager (§4.3) behind the trainer's policy protocol:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.base import CacheStats
+from repro.cache.base import Cache
 from repro.core.elastic import ElasticCacheManager
 from repro.core.graph_is import DEFAULT_LAM, GraphImportanceScorer, NodeScore
 from repro.core.sampler import MultinomialSampler
 from repro.core.scores import GlobalScoreTable, last_occurrences
-from repro.core.semantic_cache import FetchOutcome, SemanticCache
+from repro.core.importance_cache import ImportanceCache
+from repro.core.semantic_cache import SemanticCache
 from repro.train.policy_base import PolicyContext, TrainingPolicy
 from repro.utils.rng import RngLike
 
@@ -59,12 +59,12 @@ class ISPolicy(TrainingPolicy):
     """Importance sampling over a global score table and the Fig. 9
     cache.
 
-    Owns the :class:`GlobalScoreTable`, the :class:`MultinomialSampler`
-    drawing each epoch from :meth:`_sampling_weights`, and the
-    :class:`SemanticCache` :meth:`_build_cache` returns, which serves
-    every :meth:`fetch`. :meth:`after_batch` keeps each served id's last
-    occurrence, scores the batch with :meth:`_score_batch`, and writes the
-    scores to the table and to the cache in one call each.
+    Owns the :class:`GlobalScoreTable`, whose scores every fetch hands
+    the cache's layers, and the :class:`MultinomialSampler` drawing each
+    epoch from :meth:`_sampling_weights`. :meth:`after_batch` keeps each
+    served id's last occurrence, scores the batch with
+    :meth:`_score_batch`, and writes the scores to the table and to the
+    cache in one call each.
     """
 
     def __init__(self, cache_fraction: float = 0.2, rng: RngLike = None) -> None:
@@ -74,13 +74,15 @@ class ISPolicy(TrainingPolicy):
         self.cache_fraction = float(cache_fraction)
         # Built in setup():
         self.score_table: Optional[GlobalScoreTable] = None
-        self.cache: Optional[SemanticCache] = None
         self.sampler: Optional[MultinomialSampler] = None
 
-    def _build_cache(self, capacity: int) -> SemanticCache:
-        """The policy's cache, sized to ``capacity`` items: by default the
-        importance layer alone (the homophily layer gets no capacity)."""
-        return SemanticCache(capacity, imp_ratio=1.0)
+    def _cache_layers(self, capacity: int) -> List[Cache]:
+        """By default the importance layer alone."""
+        return [ImportanceCache(capacity)]
+
+    def _scores(self, ids: List[int]) -> List[float]:
+        assert self.score_table is not None
+        return self.score_table.scores[ids].tolist()
 
     def _sampling_weights(self) -> np.ndarray:
         """Per-sample weights of the next epoch's draw."""
@@ -99,29 +101,13 @@ class ISPolicy(TrainingPolicy):
         super().setup(ctx)
         n = ctx.num_samples
         self.score_table = GlobalScoreTable(n)
-        self.cache = self._build_cache(int(round(self.cache_fraction * n)))
         self.sampler = MultinomialSampler(
             n, weight_fn=self._sampling_weights, rng=self._rng
         )
 
-    def attach_observer(self, observer) -> None:
-        """Cascade the run observer into the cache (call after ``setup``)."""
-        super().attach_observer(observer)
-        if self.cache is not None:
-            self.cache.attach_observer(observer)
-
     def epoch_order(self, epoch: int) -> np.ndarray:
         assert self.sampler is not None
         return self.sampler.epoch_order(epoch)
-
-    def fetch(self, index: int) -> FetchOutcome:
-        """Fig. 9: importance layer, homophily layer, else remote, offered
-        for admission at the sample's global score."""
-        assert self.cache is not None and self.score_table is not None
-        ctx = self._require_ctx()
-        return self.cache.fetch(
-            int(index), self.score_table.get(int(index)), ctx.store.get
-        )
 
     def after_batch(
         self,
@@ -146,31 +132,17 @@ class ISPolicy(TrainingPolicy):
         self.score_table.snapshot_std()
 
     def state_dict(self) -> dict:
-        """The sampling RNG, the score table and the cache."""
-        assert self.score_table is not None and self.cache is not None
+        """The sampling RNG, the cache and the score table."""
+        assert self.score_table is not None
         state = super().state_dict()
-        state.update(
-            score_table=self.score_table.state_dict(),
-            cache=self.cache.state_dict(),
-        )
+        state["score_table"] = self.score_table.state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (call after ``setup``)."""
-        assert self.score_table is not None and self.cache is not None
+        assert self.score_table is not None
         super().load_state_dict(state)
         self.score_table.load_state_dict(state["score_table"])
-        self.cache.load_state_dict(state["cache"])
-
-    def stats(self) -> CacheStats:
-        """The cache's request counts, with admissions and evictions summed
-        over its layers."""
-        assert self.cache is not None
-        stats = dataclasses.replace(self.cache.stats)
-        layers = (self.cache.importance.stats, self.cache.homophily.stats)
-        stats.insertions = sum(s.insertions for s in layers)
-        stats.evictions = sum(s.evictions for s in layers)
-        return stats
 
 
 class SpiderCachePolicy(ISPolicy):
@@ -249,12 +221,10 @@ class SpiderCachePolicy(ISPolicy):
         self.elastic = elastic
         self.gamma = gamma
         self.backend = backend
-        # Cache construction hook: ``cache_factory(capacity, imp_ratio)``
-        # may return any SemanticCache-compatible tier — the data-parallel
-        # trainer injects a shared ShardedCacheClient here so every worker
-        # policy drives one logical cache. ``None`` builds the in-process
-        # monolithic cache.
-        self.cache_factory = cache_factory
+        # ``cache_factory(capacity, imp_ratio)`` replaces the in-process
+        # cache (see TrainingPolicy); ``None`` keeps it.
+        if cache_factory is not None:
+            self.cache_factory = cache_factory
         # Built in setup():
         self.scorer: Optional[GraphImportanceScorer] = None
         self.manager: Optional[ElasticCacheManager] = None
@@ -263,9 +233,8 @@ class SpiderCachePolicy(ISPolicy):
 
     # ------------------------------------------------------------------
     def _build_cache(self, capacity: int) -> SemanticCache:
-        if self.cache_factory is not None:
-            return self.cache_factory(capacity, self.r_start)
-        return SemanticCache(capacity, imp_ratio=self.r_start)
+        """The Fig. 9 pair, split at ``r_start``."""
+        return self.cache_factory(capacity, self.r_start)
 
     def setup(self, ctx: PolicyContext) -> None:
         super().setup(ctx)
@@ -343,21 +312,13 @@ class SpiderCachePolicy(ISPolicy):
                 self.cache.degraded.errors_absorbed += 1
                 break
             self.prefetch_count += 1
-            admitted = imp.admit(idx, payload, score)
+            admitted = imp.admit(idx, score, payload)
             if self._obs.active:
                 self._obs.on_prefetch(idx, admitted)
             if admitted:
                 fetched += 1
             else:
                 break
-
-    def fetch_many(self, indices: Sequence[int]) -> List[FetchOutcome]:
-        assert self.cache is not None and self.score_table is not None
-        ctx = self._require_ctx()
-        ids = [int(i) for i in indices]
-        return self.cache.fetch_many(
-            ids, self.score_table.scores[ids].tolist(), ctx.store.get
-        )
 
     def _score_batch(
         self, served: np.ndarray, keep: np.ndarray, losses: np.ndarray,

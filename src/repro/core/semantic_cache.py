@@ -1,39 +1,44 @@
-"""Semantic-aware Cache Mechanism (paper §4.2, Fig. 9).
+"""Semantic-aware Cache Mechanism (paper §4.2, Fig. 9) — the one serve
+path of every policy.
 
-Composes the Importance Cache and the Homophily Cache behind one fetch
-protocol. The two layers are exclusive — no data exchange between them —
-and lookups follow Fig. 9(b):
+A :class:`SemanticCache` is an ordered list of cache layers (the
+:class:`~repro.cache.base.Cache` protocol). A request is offered to
+the layers in order; the first that serves it names the
+:class:`FetchSource`. A miss in every layer is read from remote storage
+and offered to the layers in order for admission, until one keeps it.
+SpiderCache's layers follow Fig. 9(b):
 
 1. probe the Importance Cache (case 1: exact hit);
 2. probe the Homophily Cache neighbor lists (case 3: substitute hit);
 3. fetch from remote storage, then offer the sample to the Importance
    Cache, which admits it iff its importance beats the current minimum
-   (cases 2 and 4).
+   (cases 2 and 4); the Homophily Cache refuses every offer.
 
 The Homophily Cache is refreshed separately, once per batch, with the
-batch's top-degree node (:meth:`update_homophily`).
+batch's top-degree node (:meth:`update_homophily`). The loss-IS baselines
+stack the Importance Cache alone, iCache adds its L-section behind it
+(the importance layer refuses a low-score miss, the L-section accepts),
+and the classic baselines stack one LRU / LFU / MinIO cache.
 
-This is the *only* implementation of that protocol. The layers decide
-and keep the metadata; payload bytes sit behind the
-:class:`~repro.core.payload_store.PayloadStore` each layer is built over
+The layers decide and keep the metadata; payload bytes sit behind the
+:class:`~repro.cache.payload_store.PayloadStore` each layer is given
 (:meth:`SemanticCache._payload_store`). The sharded tier
 (:class:`~repro.dist.client.ShardedCacheClient`) is this class over a
 store that keeps payloads on remote shards, so it makes the same
-decisions by construction; a store failure can only turn a hit into a
-miss or drop an admit.
+decisions by construction, for any policy; a store failure can only turn
+a hit into a miss or drop an admit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import floor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.cache.base import CacheStats
+from repro.cache.base import Cache, CacheStats, FetchSource
+from repro.cache.payload_store import LocalPayloadStore, PayloadStore
 from repro.core.homophily_cache import HomophilyCache
 from repro.core.importance_cache import ImportanceCache
-from repro.core.payload_store import LocalPayloadStore, PayloadStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 __all__ = ["SemanticCache", "FetchSource", "FetchOutcome", "DegradedStats", "split_capacity"]
@@ -49,21 +54,6 @@ def split_capacity(total: int, ratio: float) -> int:
     into a sawtooth. Half-up is deterministic and monotone.
     """
     return int(floor(total * ratio + 0.5))
-
-
-class FetchSource(str, Enum):
-    """Where a request was served from."""
-
-    IMPORTANCE = "importance"
-    HOMOPHILY = "homophily"
-    REMOTE = "remote"
-    #: Degraded-mode substitute: the remote tier was down and the request
-    #: missed both layers, so a *widened* substitution served whatever
-    #: semantically-nearby payload was resident.
-    DEGRADED = "degraded"
-    #: Degraded-mode skip: remote down and nothing cached at all; the
-    #: sample is dropped from its batch instead of crashing the run.
-    SKIPPED = "skipped"
 
 
 @dataclass
@@ -111,8 +101,8 @@ class DegradedStats:
 class FetchOutcome:
     """Result of one sample fetch through the cache hierarchy.
 
-    ``served_id`` differs from ``requested_id`` only on homophily
-    substitutions (case 3).
+    ``served_id`` differs from ``requested_id`` only on substitutions
+    (homophily case 3, an iCache random L-sample, degraded serving).
     """
 
     requested_id: int
@@ -126,28 +116,46 @@ class FetchOutcome:
 
 
 class SemanticCache:
-    """Two-layer semantic cache with a total item budget.
+    """An ordered list of cache layers with a total item budget.
 
-    ``imp_ratio`` splits ``total_capacity`` between the layers; the Elastic
-    Cache Manager adjusts it at runtime via :meth:`set_imp_ratio`.
+    ``layers`` default to the Fig. 9 pair, the Importance and Homophily
+    caches, with ``imp_ratio`` splitting ``total_capacity`` between them;
+    the Elastic Cache Manager adjusts it at runtime via
+    :meth:`set_imp_ratio`. ``importance`` / ``homophily`` name those layers
+    where the cache has them (``None`` otherwise). Given layers are
+    adopted empty: each gets its payload store from
+    :meth:`_payload_store`.
 
     Not thread-safe, like everything in ``repro``: one thread drives a
     run, and the layers take no locks.
     """
 
-    def __init__(self, total_capacity: int, imp_ratio: float = 0.9) -> None:
+    def __init__(
+        self, total_capacity: int, imp_ratio: float = 0.9,
+        layers: Optional[Sequence[Cache]] = None,
+    ) -> None:
         if total_capacity < 0:
             raise ValueError("total_capacity must be non-negative")
         if not 0.0 <= imp_ratio <= 1.0:
             raise ValueError("imp_ratio must be in [0, 1]")
         self.total_capacity = int(total_capacity)
         self._imp_ratio = float(imp_ratio)
-        imp_cap = split_capacity(self.total_capacity, imp_ratio)
-        self.importance = ImportanceCache(imp_cap, self._payload_store("imp"))
-        self.homophily = HomophilyCache(
-            self.total_capacity - imp_cap, self._payload_store("hom")
+        if layers is None:
+            imp_cap = split_capacity(self.total_capacity, imp_ratio)
+            layers = (
+                ImportanceCache(imp_cap),
+                HomophilyCache(self.total_capacity - imp_cap),
+            )
+        self.layers: List[Cache] = list(layers)
+        for layer in self.layers:
+            layer.store = self._payload_store(layer.name)
+        self.importance: Optional[ImportanceCache] = next(
+            (l for l in self.layers if isinstance(l, ImportanceCache)), None
         )
-        self.stats = CacheStats()  # aggregate over both layers
+        self.homophily: Optional[HomophilyCache] = next(
+            (l for l in self.layers if isinstance(l, HomophilyCache)), None
+        )
+        self.stats = CacheStats()  # aggregate over the layers
         # Degraded-mode serving: exception types from ``remote_get`` that
         # trigger widened substitution instead of propagating. Empty by
         # default — plain runs keep strict fail-on-error semantics.
@@ -156,20 +164,20 @@ class SemanticCache:
         self._obs = NULL_OBSERVER
 
     def _payload_store(self, layer: str) -> PayloadStore:
-        """Where the ``"imp"`` / ``"hom"`` layer keeps its payload bytes
+        """Where the layer named ``layer`` keeps its payload bytes
         (called once per layer at construction; subclasses override)."""
         return LocalPayloadStore()
 
     def attach_observer(self, observer: Observer) -> None:
         """Publish fetch/admission/eviction activity to ``observer``.
 
-        Cascades to both layers and registers :meth:`counters`. Observer
+        Cascades to the layers and registers :meth:`counters`. Observer
         wiring is runtime-only state — it is never part of :meth:`state_dict`.
         """
         self._obs = observer
         observer.register(self)
-        self.importance.attach_observer(observer)
-        self.homophily.attach_observer(observer)
+        for layer in self.layers:
+            layer.attach_observer(observer)
 
     # ------------------------------------------------------------------
     @property
@@ -188,11 +196,11 @@ class SemanticCache:
         imp_cap = split_capacity(self.total_capacity, ratio)
         hom_cap = self.total_capacity - imp_cap
         if imp_cap < self.importance.capacity:
-            self.importance.shrink_to(imp_cap)
-            self.homophily.grow_to(hom_cap)
+            self.importance.resize(imp_cap)
+            self.homophily.resize(hom_cap)
         elif imp_cap > self.importance.capacity:
-            self.homophily.shrink_to(hom_cap)
-            self.importance.grow_to(imp_cap)
+            self.homophily.resize(hom_cap)
+            self.importance.resize(imp_cap)
 
     # ------------------------------------------------------------------
     def fetch(
@@ -201,30 +209,25 @@ class SemanticCache:
         score: float,
         remote_get: Callable[[int], Any],
     ) -> FetchOutcome:
-        """Serve one sample request per the Fig. 9 protocol.
+        """Serve one sample request: the first layer that serves it, else
+        ``remote_get`` (invoked only on a miss in every layer), offered to
+        the layers in order for admission.
 
         ``score`` is the requester's current global importance score, used
-        for the admission decision on a full miss. ``remote_get`` is invoked
-        only on a miss in both layers.
+        by the layers' lookup and admission decisions.
         """
         obs = self._obs
-        payload = self.importance.get(index)
-        if payload is not None:
-            self.stats.hits += 1
-            if obs.active:
-                obs.on_fetch(index, index, FetchSource.IMPORTANCE)
-            return FetchOutcome(index, index, payload, FetchSource.IMPORTANCE)
-
-        sub = self.homophily.lookup(index)
-        if sub is not None:
-            node_key, node_payload = sub
-            if node_key == index:
-                self.stats.hits += 1
-            else:
-                self.stats.substitute_hits += 1
-            if obs.active:
-                obs.on_fetch(index, node_key, FetchSource.HOMOPHILY)
-            return FetchOutcome(index, node_key, node_payload, FetchSource.HOMOPHILY)
+        for layer in self.layers:
+            hit = layer.lookup(index, score)
+            if hit is not None:
+                key, payload = hit
+                if key == index:
+                    self.stats.hits += 1
+                else:
+                    self.stats.substitute_hits += 1
+                if obs.active:
+                    obs.on_fetch(index, key, layer.source)
+                return FetchOutcome(index, key, payload, layer.source)
 
         try:
             payload = remote_get(index)
@@ -234,7 +237,9 @@ class SemanticCache:
         self.stats.misses += 1
         if obs.active:
             obs.on_fetch(index, index, FetchSource.REMOTE)
-        self.importance.admit(index, payload, score)
+        for layer in self.layers:
+            if layer.admit(index, score, payload):
+                break
         return FetchOutcome(index, index, payload, FetchSource.REMOTE)
 
     def fetch_many(
@@ -267,7 +272,7 @@ class SemanticCache:
     def _degraded_fetch(self, index: int) -> FetchOutcome:
         """Close-enough-beats-nothing serving while the remote tier is down.
 
-        Substitution is *widened* beyond the Fig. 9 protocol: any resident
+        Substitution is *widened* beyond the layers' own lookups: any resident
         homophily node (freshest first, skipping nodes whose payload the
         store cannot produce) may stand in for the request, and failing
         that, the least-important Importance-Cache resident. Only when
@@ -281,7 +286,9 @@ class SemanticCache:
         fault-campaign hit ratios incomparable to clean runs.
         """
         obs = self._obs
-        node = self.homophily.newest_entry()
+        node = (
+            self.homophily.newest_entry() if self.homophily is not None else None
+        )
         if node is not None:
             key, payload = node
             self.stats.degraded_serves += 1
@@ -293,7 +300,9 @@ class SemanticCache:
                     requested_id=index, reason="degraded",
                 )
             return FetchOutcome(index, key, payload, FetchSource.DEGRADED)
-        resident = self.importance.peek_min()
+        resident = (
+            self.importance.peek_min() if self.importance is not None else None
+        )
         if resident is not None:
             key, payload = resident
             self.stats.degraded_serves += 1
@@ -334,47 +343,47 @@ class SemanticCache:
         return self.stats.hit_ratio
 
     def __len__(self) -> int:
-        return len(self.importance) + len(self.homophily)
+        return sum(len(layer) for layer in self.layers)
 
     def counters(self) -> Dict[str, int]:
         """Requests by where they were served, and each layer's admissions
         and evictions, under the metrics names (read by
         :meth:`~repro.obs.observer.Observer.snapshot`)."""
         stats, degraded = self.stats, self.degraded
-        imp, hom = self.importance.stats, self.homophily.stats
-        return {
+        counters = {
             "cache.fetches": stats.requests + stats.degraded_serves,
-            "cache.fetch.importance": imp.hits,
-            "cache.fetch.homophily": hom.hits + hom.substitute_hits,
             "cache.fetch.remote": stats.misses - degraded.skipped,
             "cache.fetch.degraded": degraded.substituted,
             "cache.fetch.skipped": degraded.skipped,
             "degraded.substituted": degraded.substituted,
             "degraded.skipped": degraded.skipped,
-            "importance.admitted": imp.insertions,
-            "importance.evictions": imp.evictions,
-            "homophily.insertions": hom.insertions,
-            "homophily.evictions": hom.evictions,
         }
+        for layer in self.layers:
+            served = layer.stats.hits + layer.stats.substitute_hits
+            counters[f"cache.fetch.{layer.source.value}"] = served
+            counters.update(layer.counters())
+        return counters
 
     def reset_stats(self) -> None:
         """Zero the aggregate and per-layer counters."""
         self.stats.reset()
         self.degraded.reset()
-        self.importance.stats.reset()
-        self.homophily.stats.reset()
+        for layer in self.layers:
+            layer.stats.reset()
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Exact snapshot of both layers, the split, and all counters."""
-        return {
+        """Exact snapshot of every layer (keyed by its source), the split,
+        and all counters."""
+        state = {
             "total_capacity": self.total_capacity,
             "imp_ratio": self._imp_ratio,
             "stats": self.stats.state_dict(),
             "degraded": self.degraded.state_dict(),
-            "importance": self.importance.state_dict(),
-            "homophily": self.homophily.state_dict(),
         }
+        for layer in self.layers:
+            state[layer.source.value] = layer.state_dict()
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot.
@@ -387,5 +396,5 @@ class SemanticCache:
         self._imp_ratio = float(state["imp_ratio"])
         self.stats.load_state_dict(state["stats"])
         self.degraded.load_state_dict(state["degraded"])
-        self.importance.load_state_dict(state["importance"])
-        self.homophily.load_state_dict(state["homophily"])
+        for layer in self.layers:
+            layer.load_state_dict(state[layer.source.value])

@@ -1,13 +1,15 @@
 """Fault-tolerant sharded cache client: the shard tier under the one
-Fig. 9 policy.
+serve path of every policy.
 
 :class:`ShardedCacheClient` *is* a
 :class:`~repro.core.semantic_cache.SemanticCache`: the same ``fetch``,
-the same :class:`~repro.core.importance_cache.ImportanceCache` and
-:class:`~repro.core.homophily_cache.HomophilyCache` objects making every
+the same layer objects (SpiderCache's
+:class:`~repro.core.importance_cache.ImportanceCache` and
+:class:`~repro.core.homophily_cache.HomophilyCache`, iCache's L-section, a
+classic LRU / LFU / MinIO cache) making every
 admission/eviction/substitution decision and holding all metadata (heap,
 FIFO, cover map, stats). The only thing this module changes is where the
-payload *bytes* live: each layer is built over a :class:`ShardStore`,
+payload *bytes* live: each layer is given a :class:`ShardStore`,
 which keeps them on :class:`~repro.dist.server.CacheShardServer`
 partitions reached over a deadline-enforcing
 :class:`~repro.dist.rpc.Transport` — the simulated, fault-injected
@@ -64,7 +66,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.payload_store import PayloadStore
+from repro.cache.base import Cache
+from repro.cache.payload_store import PayloadStore
 from repro.core.semantic_cache import FetchOutcome, SemanticCache
 from repro.dist.migration import (
     DEFAULT_BATCH_SIZE,
@@ -97,12 +100,10 @@ _DEGRADE_ERRORS = (RpcError, CircuitOpenError)
 #: Single-attempt channel failures (retried / parked by the layers above).
 _ATTEMPT_ERRORS = (ShardOutageError, RpcTimeoutError)
 
-_LAYER_NAMES = {"imp": "importance", "hom": "homophily"}
-
 
 class ShardStore(PayloadStore):
     """One cache layer's payloads on the shard tier
-    (:class:`~repro.core.payload_store.PayloadStore` over RPC).
+    (:class:`~repro.cache.payload_store.PayloadStore` over RPC).
 
     ``loc`` maps each key whose payload was put to the shard holding it;
     a key absent from it costs no RPC. Every failure mode of the tier
@@ -120,7 +121,7 @@ class ShardStore(PayloadStore):
         self, tier: "ShardedCacheClient", layer: str, loc: Dict[int, int]
     ) -> None:
         self._tier = tier
-        self._layer = layer  # "imp" / "hom": the server-method prefix
+        self._layer = layer  # the layer's name: its key on the servers
         self.loc = loc
         self.ahead: Dict[int, Any] = {}
         self.unread: Set[int] = set()  # buffered keys no get() has served
@@ -137,7 +138,7 @@ class ShardStore(PayloadStore):
             self.unread.discard(key)
         else:
             try:
-                payload = tier._call_with_retries(shard, f"{layer}_get", key)
+                payload = tier._call_with_retries(shard, "get", layer, key)
             except _DEGRADE_ERRORS:
                 payload = None
             if payload is None:
@@ -172,14 +173,14 @@ class ShardStore(PayloadStore):
         nbytes = int(np.asarray(value).nbytes)
         try:
             tier._call_with_retries(
-                shard, f"{layer}_put", key, value, nbytes=nbytes
+                shard, "put", layer, key, value, nbytes=nbytes
             )
         except _DEGRADE_ERRORS:
             tier._shard_stats[shard]["dropped_admits"] += 1
             tier._pending_deletes.setdefault(shard, []).append((layer, key))
             if tier._obs.active:
                 tier._obs.on_audit(
-                    "drop", key, _LAYER_NAMES[layer], reason="rpc_failed"
+                    "drop", key, tier._sources[layer], reason="rpc_failed"
                 )
             return False
         self.loc[key] = shard
@@ -257,8 +258,9 @@ class ShardedCacheClient(SemanticCache):
 
     Parameters
     ----------
-    total_capacity / imp_ratio:
-        Item budget and importance split — exactly as the monolith.
+    total_capacity / imp_ratio / layers:
+        Item budget, importance split and layers — exactly as the
+        monolith.
     n_shards:
         Initial shard-server count (consistent-hash ring size).
     transport:
@@ -317,14 +319,15 @@ class ShardedCacheClient(SemanticCache):
         vnodes: int = 64,
         seed: int = DEFAULT_SEED,
         migration_batch_size: int = DEFAULT_BATCH_SIZE,
+        layers: Optional[Sequence[Cache]] = None,
     ) -> None:
-        # key -> shard holding the payload, per layer; owned here (the
-        # ring, anti-entropy and migration all read them), written by
-        # the layers' stores.
-        self._imp_loc: Dict[int, int] = {}
-        self._hom_loc: Dict[int, int] = {}
-        self._loc = {"imp": self._imp_loc, "hom": self._hom_loc}
-        super().__init__(total_capacity, imp_ratio)
+        # layer name -> (key -> shard holding the payload); owned here
+        # (the ring, anti-entropy and migration all read them), written
+        # by the layers' stores.
+        self._loc: Dict[str, Dict[int, int]] = {}
+        super().__init__(total_capacity, imp_ratio, layers)
+        # layer name -> the source it serves as (audit events name it).
+        self._sources = {l.name: l.source.value for l in self.layers}
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = int(n_shards)
@@ -393,7 +396,7 @@ class ShardedCacheClient(SemanticCache):
         self.completed_resizes = 0
 
     def _payload_store(self, layer: str) -> ShardStore:
-        return ShardStore(self, layer, self._loc[layer])
+        return ShardStore(self, layer, self._loc.setdefault(layer, {}))
 
     @property
     def dropped_admits(self) -> int:
@@ -529,7 +532,7 @@ class ShardedCacheClient(SemanticCache):
         if self._parked is not None:
             self._parked.setdefault(shard, []).append(entry)
         else:
-            self._delete_once(shard, [entry], f"{layer}_delete", int(key))
+            self._delete_once(shard, [entry], "delete", layer, int(key))
 
     def _delete_once(
         self, shard: int, entries: List[Tuple[str, int]], method: str, *args: Any
@@ -652,7 +655,7 @@ class ShardedCacheClient(SemanticCache):
             obs.span_start("fetch_batch", self.clock.total_seconds, n=len(indices))
             if obs.active else None
         )
-        stores = {"imp": self.importance.store, "hom": self.homophily.store}
+        stores = {layer.name: layer.store for layer in self.layers}
         frames = prefetched = 0
         self._parked = {}
         try:
@@ -686,16 +689,18 @@ class ShardedCacheClient(SemanticCache):
         self, indices: Sequence[int]
     ) -> Dict[int, List[Tuple[str, int]]]:
         """``{shard: [(layer, key), ...]}``: from metadata alone, the
-        payload each request would read if served now — its importance
-        entry, else the homophily entry covering it."""
+        payload each request would read if served now — the first layer
+        that names a key it holds a payload for. A request a layer would
+        answer with a random draw is planned no further; it takes the
+        per-key path."""
         plan: Dict[int, Dict[Tuple[str, int], None]] = {}
         for index in indices:
-            layer, key = "imp", index
-            if key not in self._imp_loc:
-                layer, key = "hom", self.homophily.cover_key(index)
-            shard = self._loc[layer].get(key)
-            if shard is not None:
-                plan.setdefault(shard, {})[layer, key] = None
+            for layer in self.layers:
+                key = layer.serve_key(index)
+                shard = None if key is None else self._loc[layer.name].get(key)
+                if shard is not None:
+                    plan.setdefault(shard, {})[layer.name, key] = None
+                    break
         return {shard: list(entries) for shard, entries in plan.items()}
 
     def update_homophily(
@@ -743,7 +748,7 @@ class ShardedCacheClient(SemanticCache):
         state = plan_migration(
             old_n,
             self.ring.spawn(new_n),
-            {"imp": dict(self._imp_loc), "hom": dict(self._hom_loc)},
+            {layer: dict(loc) for layer, loc in self._loc.items()},
             batch_size=self.migration_batch_size,
         )
         self.migration = state
@@ -885,30 +890,27 @@ class ShardedCacheClient(SemanticCache):
         """Per-shard service snapshot (pure-local: no RPCs, so snapshots
         work even mid-outage). Consumed by ``Observer.on_shards`` and the
         report's shards table."""
-        imp_occ = Counter(self._imp_loc.values())
-        hom_occ = Counter(self._hom_loc.values())
+        occ = {layer: Counter(loc.values()) for layer, loc in self._loc.items()}
         ch = self.transport
         snaps = []
         for sid in sorted(ch.shard_ids):
             ss = self._shard_stats[sid]
-            snaps.append(
-                {
-                    "shard": sid,
-                    "imp_len": imp_occ.get(sid, 0),
-                    "hom_len": hom_occ.get(sid, 0),
-                    "imp_hits": ss["imp_hits"],
-                    "hom_hits": ss["hom_hits"],
-                    "hom_substitute_hits": ss["hom_substitute_hits"],
-                    "rpc_calls": ch.per_shard_calls.get(sid, 0),
-                    "rpc_failures": ch.per_shard_failures.get(sid, 0)
-                    + ch.per_shard_timeouts.get(sid, 0),
-                    "rpc_timeouts": ch.per_shard_timeouts.get(sid, 0),
-                    "rpc_retries": ss["rpc_retries"],
-                    "rpc_fast_failures": self.breakers[sid].fast_failures,
-                    "dropped_admits": ss["dropped_admits"],
-                    "breaker": self.breakers[sid].state.value,
-                }
+            snap: Dict[str, Any] = {"shard": sid}
+            for layer in self._loc:
+                snap[f"{layer}_len"] = occ[layer].get(sid, 0)
+                snap[f"{layer}_hits"] = ss[f"{layer}_hits"]
+                snap[f"{layer}_substitute_hits"] = ss[f"{layer}_substitute_hits"]
+            snap.update(
+                rpc_calls=ch.per_shard_calls.get(sid, 0),
+                rpc_failures=ch.per_shard_failures.get(sid, 0)
+                + ch.per_shard_timeouts.get(sid, 0),
+                rpc_timeouts=ch.per_shard_timeouts.get(sid, 0),
+                rpc_retries=ss["rpc_retries"],
+                rpc_fast_failures=self.breakers[sid].fast_failures,
+                dropped_admits=ss["dropped_admits"],
+                breaker=self.breakers[sid].state.value,
             )
+            snaps.append(snap)
         return snaps
 
     def close(self) -> None:

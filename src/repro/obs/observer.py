@@ -253,7 +253,7 @@ class Observer:
         """One request was served: by ``SemanticCache.fetch`` or a
         policy's own serve path, after any store read.
 
-        ``source`` is a :class:`~repro.core.semantic_cache.FetchSource`;
+        ``source`` is a :class:`~repro.cache.base.FetchSource`;
         remote fetches attach the store latency accumulated since the
         last consume, cache serves attach the configured hit latency.
         """
@@ -371,8 +371,9 @@ class Observer:
         m = self.metrics
         for snap in snapshots:
             sid = int(snap["shard"])
-            m.gauge(f"shard{sid}.imp_len").set(snap["imp_len"])
-            m.gauge(f"shard{sid}.hom_len").set(snap["hom_len"])
+            for name, value in snap.items():
+                if name.endswith("_len"):  # one occupancy per cache layer
+                    m.gauge(f"shard{sid}.{name}").set(value)
         self.emit("shards", shards=list(snapshots))
 
     # -- resilience ------------------------------------------------------

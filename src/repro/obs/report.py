@@ -136,7 +136,7 @@ def aggregate_trace(
             if src == "importance":
                 a.exact_hits += 1
                 a.hit_serves += 1
-            elif src == "homophily":
+            elif src in ("homophily", "l_section"):
                 if ev["served_id"] == ev["requested_id"]:
                     a.exact_hits += 1
                 else:
@@ -297,6 +297,14 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
     if degraded or skipped:
         lines.append(f"degraded serving: {degraded} substituted, {skipped} skipped "
                      "(excluded from hit ratios)")
+    l_section = [
+        e for e in events
+        if e.get("kind") == "fetch" and e.get("source") == "l_section"
+    ]
+    if l_section:
+        random = sum(e["served_id"] != e["requested_id"] for e in l_section)
+        lines.append(f"l-section serves: {len(l_section) - random} exact, "
+                     f"{random} random substitutes")
     audits = [e for e in events if e.get("kind") == "audit"]
     if audits:
         by_action: Dict[str, int] = {}

@@ -45,10 +45,11 @@ from repro.train.trainer import EpochAccumulator, Trainer
 __all__ = ["ResilientTrainer", "RecoveryStats", "RECOVERY_STAGE"]
 
 #: Version of the checkpoint tree :class:`ResilientTrainer` writes; a
-#: restore refuses any other (format 4: the accumulator has no
-#: ``preprocess_s`` and no ``val_accuracy`` is carried, since every epoch
-#: evaluates).
-CHECKPOINT_FORMAT = 4
+#: restore refuses any other (format 5: every policy's ``cache`` is a
+#: ``SemanticCache`` snapshot with one entry per layer, keyed by the
+#: layer's source; format 4 dropped the accumulator's ``preprocess_s``
+#: and the carried ``val_accuracy``).
+CHECKPOINT_FORMAT = 5
 
 #: SimClock stage that restart penalties are charged to, kept separate from
 #: the Fig.-2 pipeline stages so recovery overhead is reportable on its own.

@@ -120,11 +120,6 @@ class DataParallelTrainer(EpochRunner):
                     # Swap the policy's cache tier for the sharded service:
                     # one logical cache, N shard servers, RPCs charged to
                     # the shared clock.
-                    if not hasattr(policy, "cache_factory"):
-                        raise ValueError(
-                            "cache_shards requires a policy with a "
-                            "cache_factory hook"
-                        )
                     policy.cache_factory = self._make_shard_client
                 store = self._setup_policy(policy, model, dataset, latency, clock)
             self._add_replica(shard, model, policy, store, dataset.y, batch_size)
@@ -137,7 +132,9 @@ class DataParallelTrainer(EpochRunner):
         self._attach_observer()
 
     # ------------------------------------------------------------------
-    def _make_shard_client(self, capacity: int, imp_ratio: float):
+    def _make_shard_client(
+        self, capacity: int, imp_ratio: float = 0.9, layers=None
+    ):
         """Cache-factory hook injected into the rank-0 policy.
 
         Imports :mod:`repro.dist` lazily so plain (non-sharded) runs and
@@ -156,6 +153,7 @@ class DataParallelTrainer(EpochRunner):
         return ShardedCacheClient(
             capacity,
             imp_ratio=imp_ratio,
+            layers=layers,
             n_shards=self.cache_shards,
             transport=cfg.clock_mode,
             clock=self._shared_clock,

@@ -26,7 +26,7 @@ def test_lru_baseline_name_and_cache():
     p = LRUBaselinePolicy(cache_fraction=0.3, rng=0)
     p.setup(_ctx())
     assert p.name == "baseline-lru"
-    assert p.cache.capacity == 30
+    assert p.cache.total_capacity == 30
 
 
 def test_classic_policy_custom_cache():
@@ -87,7 +87,7 @@ def test_coordl_steady_state_hit_equals_fraction():
     # Warm epoch.
     for i in p.epoch_order(0):
         p.fetch(int(i))
-    p.stats().reset()
+    p.cache.reset_stats()
     for epoch in range(1, 4):
         for i in p.epoch_order(epoch):
             p.fetch(int(i))

@@ -72,7 +72,7 @@ def test_full_sections_split_budget():
     ctx = _ctx(n=100)
     p.setup(ctx)
     assert p.cache.importance.capacity == 28
-    assert p.l_section.capacity == 12
+    assert p.cache.layers[-1].capacity == 12
 
 
 def test_full_l_section_exact_hit():
@@ -87,7 +87,7 @@ def test_full_l_section_exact_hit():
     o = p.fetch(1)  # low score -> lands in L section
     assert o.source == FetchSource.REMOTE
     o2 = p.fetch(1)
-    assert o2.source == FetchSource.HOMOPHILY  # L exact hit
+    assert o2.source == FetchSource.L_SECTION  # L exact hit
     assert not o2.substituted
 
 
@@ -113,7 +113,8 @@ def test_full_substitution_never_for_h_samples():
     o = p.fetch(2)
     # Score of 2 (default 1.0) > H threshold once H below capacity... the
     # key invariant: an H-grade sample is never substituted.
-    assert o.requested_id == o.served_id or p.score_table.get(2) <= p._h_threshold()
+    h_threshold = p.cache.importance.min_score()
+    assert o.requested_id == o.served_id or p.score_table.get(2) <= h_threshold
 
 
 def test_full_stats_request_count_consistent():
@@ -133,5 +134,6 @@ def test_full_random_replacement_evicts():
         p.fetch(i)
     for i in range(20):  # churn L
         p.fetch(i)
-    assert len(p.l_section) <= 3
-    assert p.l_section.stats.evictions > 0
+    l_section = p.cache.layers[-1]
+    assert len(l_section) <= 3
+    assert l_section.stats.evictions > 0

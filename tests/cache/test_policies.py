@@ -1,4 +1,5 @@
-"""Classic cache policy tests: LRU, LFU, MinIO + shared stats."""
+"""Classic cache policy tests: LRU, LFU, MinIO + shared stats, driven
+through the cache-layer protocol (``lookup`` / ``admit``)."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.random_replacement import RandomReplacementCache
 from repro.resilience.state import load_state, save_state
+
+
+def put(c, key, value):
+    """Offer ``key`` for admission, as a cache does after a miss."""
+    return c.admit(key, 0.0, value)
+
+
+def get(c, key):
+    """The payload ``lookup`` serves for ``key``, or ``None``."""
+    hit = c.lookup(key)
+    return None if hit is None else hit[1]
 
 
 # ----------------------------------------------------------------------
@@ -41,33 +53,33 @@ def test_stats_merge_and_reset():
 # ----------------------------------------------------------------------
 def test_lru_evicts_least_recent():
     c = LRUCache(2)
-    c.put("a", 1)
-    c.put("b", 2)
-    c.get("a")  # refresh a
-    c.put("c", 3)  # evicts b
+    put(c, "a", 1)
+    put(c, "b", 2)
+    get(c, "a")  # refresh a
+    put(c, "c", 3)  # evicts b
     assert "a" in c and "c" in c and "b" not in c
 
 
 def test_lru_get_miss_counts():
     c = LRUCache(2)
-    assert c.get("x") is None
+    assert get(c, "x") is None
     assert c.stats.misses == 1
-    c.put("x", 1)
-    assert c.get("x") == 1
+    put(c, "x", 1)
+    assert get(c, "x") == 1
     assert c.stats.hits == 1
 
 
 def test_lru_refresh_existing_key():
     c = LRUCache(2)
-    c.put("a", 1)
-    c.put("a", 2)
-    assert c.get("a") == 2
+    put(c, "a", 1)
+    put(c, "a", 2)
+    assert get(c, "a") == 2
     assert len(c) == 1
 
 
 def test_lru_zero_capacity_drops():
     c = LRUCache(0)
-    c.put("a", 1)
+    put(c, "a", 1)
     assert len(c) == 0
 
 
@@ -78,8 +90,8 @@ def test_lru_negative_capacity():
 
 def test_lru_eviction_count():
     c = LRUCache(1)
-    c.put("a", 1)
-    c.put("b", 2)
+    put(c, "a", 1)
+    put(c, "b", 2)
     assert c.stats.evictions == 1
 
 
@@ -88,27 +100,27 @@ def test_lru_eviction_count():
 # ----------------------------------------------------------------------
 def test_lfu_evicts_least_frequent():
     c = LFUCache(2)
-    c.put("a", 1)
-    c.put("b", 2)
-    c.get("a")
-    c.get("a")
-    c.put("c", 3)  # evicts b (freq 1 < a's 3)
+    put(c, "a", 1)
+    put(c, "b", 2)
+    get(c, "a")
+    get(c, "a")
+    put(c, "c", 3)  # evicts b (freq 1 < a's 3)
     assert "a" in c and "c" in c and "b" not in c
 
 
 def test_lfu_tie_broken_lru():
     c = LFUCache(2)
-    c.put("a", 1)
-    c.put("b", 2)
-    c.put("c", 3)  # a and b tied at freq 1; a was inserted first
+    put(c, "a", 1)
+    put(c, "b", 2)
+    put(c, "c", 3)  # a and b tied at freq 1; a was inserted first
     assert "a" not in c and "b" in c
 
 
 def test_lfu_frequency_accessor():
     c = LFUCache(3)
-    c.put("a", 1)
-    c.get("a")
-    c.get("a")
+    put(c, "a", 1)
+    get(c, "a")
+    get(c, "a")
     assert c.frequency("a") == 3  # insert + two hits
     with pytest.raises(KeyError):
         c.frequency("zzz")
@@ -116,9 +128,9 @@ def test_lfu_frequency_accessor():
 
 def test_lfu_update_refreshes_value_and_freq():
     c = LFUCache(2)
-    c.put("a", 1)
-    c.put("a", 5)
-    assert c.get("a") == 5
+    put(c, "a", 1)
+    put(c, "a", 5)
+    assert get(c, "a") == 5
     assert c.frequency("a") >= 2
 
 
@@ -127,25 +139,25 @@ def test_lfu_update_refreshes_value_and_freq():
 # ----------------------------------------------------------------------
 def test_minio_never_evicts():
     c = MinIOCache(2)
-    c.put("a", 1)
-    c.put("b", 2)
-    c.put("c", 3)  # dropped, not inserted
+    put(c, "a", 1)
+    put(c, "b", 2)
+    put(c, "c", 3)  # dropped, not inserted
     assert "a" in c and "b" in c and "c" not in c
     assert c.stats.evictions == 0
 
 
 def test_minio_hit_after_fill():
     c = MinIOCache(1)
-    c.put("a", 1)
-    assert c.get("a") == 1
-    assert c.get("b") is None
+    put(c, "a", 1)
+    assert get(c, "a") == 1
+    assert get(c, "b") is None
 
 
 def test_minio_no_replacement_of_existing():
     c = MinIOCache(2)
-    c.put("a", 1)
-    c.put("a", 99)  # MinIO never replaces
-    assert c.get("a") == 1
+    put(c, "a", 1)
+    put(c, "a", 99)  # MinIO never replaces
+    assert get(c, "a") == 1
 
 
 def test_minio_steady_state_hit_ratio():
@@ -155,13 +167,13 @@ def test_minio_steady_state_hit_ratio():
     c = MinIOCache(cap)
     # Fill epoch.
     for i in rng.permutation(n):
-        if c.get(int(i)) is None:
-            c.put(int(i), i)
+        if get(c, int(i)) is None:
+            put(c, int(i), i)
     c.stats.reset()
     for _ in range(3):
         for i in rng.permutation(n):
-            if c.get(int(i)) is None:
-                c.put(int(i), i)
+            if get(c, int(i)) is None:
+                put(c, int(i), i)
     assert c.stats.hit_ratio == pytest.approx(cap / n, abs=0.001)
 
 
@@ -171,9 +183,9 @@ def test_minio_steady_state_hit_ratio():
 def test_random_replacement_newcomer_takes_the_victims_slot():
     c = RandomReplacementCache(3, rng=np.random.default_rng(0))
     for k in "abc":
-        c.put(k, k)
+        put(c, k, k)
     victim_slot = int(np.random.default_rng(0).integers(3))
-    c.put("d", "d")
+    put(c, "d", "d")
     assert len(c) == 3 and "d" in c
     assert c._slots[victim_slot] == "d"
     assert sorted(c.keys()) == sorted(c._slots)
@@ -183,7 +195,7 @@ def test_random_replacement_newcomer_takes_the_victims_slot():
 def test_random_replacement_choice_draws_a_resident_without_counting():
     c = RandomReplacementCache(4, rng=np.random.default_rng(1))
     for k in range(4):
-        c.put(k, k * 10)
+        put(c, k, k * 10)
     draws = {c.choice() for _ in range(50)}
     assert draws == {(k, k * 10) for k in range(4)}
     assert c.stats.requests == 0
@@ -217,9 +229,9 @@ def test_property_restored_cache_continues_identically(cls, ops, cut):
 
     def step(c, is_put, key):
         if is_put:
-            c.put(key, np.full(2, key))
+            put(c, key, np.full(2, key))
         else:
-            c.get(key)
+            get(c, key)
 
     for is_put, key in ops[:cut]:
         step(original, is_put, key)
@@ -231,7 +243,7 @@ def test_property_restored_cache_continues_identically(cls, ops, cut):
         step(restored, is_put, key)
     assert restored.keys() == original.keys()
     for k in original.keys():
-        np.testing.assert_array_equal(restored._items[k], original._items[k])
+        np.testing.assert_array_equal(restored.store.peek(k), original.store.peek(k))
     assert restored.stats == original.stats
     assert restored._order_state() == original._order_state()
 
@@ -240,8 +252,8 @@ def test_property_restored_cache_continues_identically(cls, ops, cut):
 def test_cache_state_survives_the_checkpoint_archive(cls, tmp_path):
     c = _make(cls)
     for k in [3, 1, 3, 7, 9, 1, 11, 3]:
-        if c.get(k) is None:
-            c.put(k, np.arange(3.0) + k)
+        if get(c, k) is None:
+            put(c, k, np.arange(3.0) + k)
     path = save_state(tmp_path / "cache.npz", c.state_dict())
     restored = _make(cls)
     restored.load_state_dict(load_state(path))
@@ -249,7 +261,7 @@ def test_cache_state_survives_the_checkpoint_archive(cls, tmp_path):
     assert restored.capacity == c.capacity and restored.stats == c.stats
     assert restored._order_state() == c._order_state()
     for k in c.keys():
-        np.testing.assert_array_equal(restored._items[k], c._items[k])
+        np.testing.assert_array_equal(restored.store.peek(k), c.store.peek(k))
 
 
 def test_empty_cache_round_trips():
@@ -270,9 +282,9 @@ def test_property_capacity_never_exceeded(cls, ops, cap):
     c = cls(cap)
     for is_put, key in ops:
         if is_put:
-            c.put(key, key)
+            put(c, key, key)
         else:
-            c.get(key)
+            get(c, key)
         assert len(c) <= cap
 
 
@@ -285,7 +297,7 @@ def test_property_get_after_put_consistent(cls, keys):
     stored = {}
     for k in keys:
         if k not in c:
-            c.put(k, k * 2)
+            put(c, k, k * 2)
         if k in c:
-            v = c.get(k)
+            v = get(c, k)
             assert v == k * 2

@@ -84,16 +84,15 @@ def test_shrink_and_grow():
     c = HomophilyCache(3)
     for i in range(3):
         c.update(i, f"p{i}", [100 + i])
-    evicted = c.shrink_to(1)
+    evicted = c.resize(1)
     assert evicted == [0, 1]  # oldest first
     assert c.capacity == 1
     assert 2 in c
-    c.grow_to(5)
+    c.resize(5)
     assert c.capacity == 5
+    assert c.resize(2) == [] and 2 in c  # below capacity, above occupancy
     with pytest.raises(ValueError):
-        c.grow_to(2)
-    with pytest.raises(ValueError):
-        c.shrink_to(-1)
+        c.resize(-1)
 
 
 def test_zero_capacity_rejects():
@@ -126,12 +125,12 @@ def test_keys_in_fifo_order():
 
 
 def newest_cover_by_walking_the_fifo(cache, index):
-    """The rule ``cover_key`` replaces, kept as its reference: the node
+    """The rule ``serve_key`` replaces, kept as its reference: the node
     itself, else the first cover met walking the FIFO newest-first."""
-    if index in cache._entries:
+    if index in cache._items:
         return index
     covers = cache._neighbor_of.get(index, ())
-    return next((k for k in reversed(cache._entries) if k in covers), None)
+    return next((k for k in reversed(cache._items) if k in covers), None)
 
 
 _key = st.integers(0, 11)
@@ -155,9 +154,9 @@ def test_cover_key_is_the_newest_cover_of_the_fifo_walk(ops):
         if op[0] == "update":
             c.update(op[1], np.full(2, float(op[1])), op[2])
         elif op[0] == "shrink":
-            c.shrink_to(op[1])
+            c.resize(op[1])
         elif op[0] == "grow":
-            c.grow_to(max(op[1], c.capacity))
+            c.resize(max(op[1], c.capacity))
         else:
             state = c.state_dict()
             assert set(state) == \
@@ -166,6 +165,6 @@ def test_cover_key_is_the_newest_cover_of_the_fifo_walk(ops):
             c.load_state_dict(state)
         for index in range(12):
             want = newest_cover_by_walking_the_fifo(c, index)
-            assert c.cover_key(index) == want
+            assert c.serve_key(index) == want
             served = c.lookup(index)
             assert (served[0] if served else None) == want

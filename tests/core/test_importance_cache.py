@@ -10,9 +10,9 @@ from repro.core.importance_cache import ImportanceCache
 
 def test_admit_until_full():
     c = ImportanceCache(3)
-    assert c.admit(1, "a", 0.5)
-    assert c.admit(2, "b", 0.1)
-    assert c.admit(3, "c", 0.9)
+    assert c.admit(1, 0.5, "a")
+    assert c.admit(2, 0.1, "b")
+    assert c.admit(3, 0.9, "c")
     assert len(c) == 3
     assert c.min_score() == 0.1
     # Peeking at the minimum does not remove it.
@@ -24,9 +24,9 @@ def test_admit_until_full():
 def test_admit_rejects_below_minimum():
     """Fig. 9 case 2: incoming score below heap minimum is rejected."""
     c = ImportanceCache(2)
-    c.admit(1, "a", 0.5)
-    c.admit(2, "b", 0.3)
-    assert not c.admit(3, "c", 0.2)
+    c.admit(1, 0.5, "a")
+    c.admit(2, 0.3, "b")
+    assert not c.admit(3, 0.2, "c")
     assert 3 not in c
     assert len(c) == 2
 
@@ -34,9 +34,9 @@ def test_admit_rejects_below_minimum():
 def test_admit_evicts_minimum():
     """Fig. 9 case 4: higher score evicts the current minimum."""
     c = ImportanceCache(2)
-    c.admit(1, "a", 0.5)
-    c.admit(2, "b", 0.3)
-    assert c.admit(3, "c", 0.6)
+    c.admit(1, 0.5, "a")
+    c.admit(2, 0.3, "b")
+    assert c.admit(3, 0.6, "c")
     assert 2 not in c
     assert 1 in c and 3 in c
     assert c.stats.evictions == 1
@@ -44,40 +44,40 @@ def test_admit_evicts_minimum():
 
 def test_admit_equal_score_rejected():
     c = ImportanceCache(1)
-    c.admit(1, "a", 0.3)
-    assert not c.admit(2, "b", 0.3)  # strict inequality required
+    c.admit(1, 0.3, "a")
+    assert not c.admit(2, 0.3, "b")  # strict inequality required
 
 
 def test_get_hit_miss_stats():
     c = ImportanceCache(2)
-    c.admit(1, "a", 0.5)
-    assert c.get(1) == "a"
-    assert c.get(2) is None
+    c.admit(1, 0.5, "a")
+    assert c.lookup(1) == (1, "a")
+    assert c.lookup(2) is None
     assert c.stats.hits == 1
     assert c.stats.misses == 1
 
 
 def test_admit_existing_refreshes():
     c = ImportanceCache(2)
-    c.admit(1, "a", 0.5)
-    assert c.admit(1, "a2", 0.7)
-    assert c.get(1) == "a2"
+    c.admit(1, 0.5, "a")
+    assert c.admit(1, 0.7, "a2")
+    assert c.lookup(1) == (1, "a2")
     assert len(c) == 1
     # A refresh re-scores the one entry, up or down, never duplicates it.
-    assert c.admit(1, "a3", 0.2)
+    assert c.admit(1, 0.2, "a3")
     assert len(c) == 1 and c.scores_snapshot() == [(1, 0.2)]
     c.check_invariants()
 
 
 def test_zero_capacity():
     c = ImportanceCache(0)
-    assert not c.admit(1, "a", 1.0)
+    assert not c.admit(1, 1.0, "a")
     assert c.min_score() is None
     # An empty cache with room: no minimum, nothing to evict.
     c = ImportanceCache(3)
     assert len(c) == 0 and 1 not in c
     assert c.min_score() is None and c.peek_min() is None
-    assert c.shrink_to(2) == []
+    assert c.resize(2) == []
     c.check_invariants()
 
 
@@ -88,21 +88,21 @@ def test_negative_capacity():
 
 def test_update_score_changes_eviction_order():
     c = ImportanceCache(2)
-    c.admit(1, "a", 0.5)
-    c.admit(2, "b", 0.6)
+    c.admit(1, 0.5, "a")
+    c.admit(2, 0.6, "b")
     c.update_score(2, 0.1)  # now 2 is least important
-    c.admit(3, "c", 0.4)
+    c.admit(3, 0.4, "c")
     assert 2 not in c
     assert 1 in c
     # Down: a deep resident moves to the top; up: it sinks below the rest.
     c = ImportanceCache(10)
     for i in range(10):
-        c.admit(i, i, float(i + 10))
+        c.admit(i, float(i + 10), i)
     c.update_score(9, 0.5)
     assert c.peek_min() == (9, 9)
     c.update_score(9, 100.0)
     assert c.peek_min() == (0, 0)
-    assert c.shrink_to(1) == list(range(9))
+    assert c.resize(1) == list(range(9))
     c.check_invariants()
 
 
@@ -115,35 +115,35 @@ def test_update_score_absent_noop():
 def test_shrink_evicts_least_important():
     c = ImportanceCache(4)
     for i, s in enumerate([0.4, 0.1, 0.9, 0.5]):
-        c.admit(i, i, s)
-    evicted = c.shrink_to(2)
+        c.admit(i, s, i)
+    evicted = c.resize(2)
     assert evicted == [1, 0]  # lowest scores out first
     assert c.capacity == 2
     assert 2 in c and 3 in c
-    assert c.shrink_to(0) == [3, 2]
+    assert c.resize(0) == [3, 2]
     # Equal scores leave in admission order, whatever order they were
     # last rescored in.
     c = ImportanceCache(3)
     for key, score in [("first", 0.5), ("second", 0.6), ("third", 0.7)]:
-        c.admit(key, key, score)
+        c.admit(key, score, key)
     c.update_scores(["third", "second", "first"], [0.5, 0.5, 0.5])
-    assert c.shrink_to(0) == ["first", "second", "third"]
+    assert c.resize(0) == ["first", "second", "third"]
 
 
 def test_grow_after_shrink():
     c = ImportanceCache(2)
-    c.admit(1, "a", 0.5)
-    c.shrink_to(1)
-    c.grow_to(3)
+    c.admit(1, 0.5, "a")
+    c.resize(1)
+    c.resize(3)
     assert c.capacity == 3
     with pytest.raises(ValueError):
-        c.grow_to(1)
+        c.resize(-1)
 
 
 def test_scores_snapshot():
     c = ImportanceCache(2)
-    c.admit(1, "a", 0.5)
-    c.admit(2, "b", 0.3)
+    c.admit(1, 0.5, "a")
+    c.admit(2, 0.3, "b")
     snap = dict(c.scores_snapshot())
     assert snap == {1: 0.5, 2: 0.3}
     assert 1 in c and 3 not in c
@@ -163,7 +163,7 @@ def test_property_resident_scores_dominate(ops, cap):
     final admission attempt, and size never exceeds capacity."""
     c = ImportanceCache(cap)
     for key, score in ops:
-        c.admit(key, key, score)
+        c.admit(key, score, key)
         assert len(c) <= cap
         c.check_invariants()
         if len(c) == cap:
@@ -236,16 +236,16 @@ def test_property_eviction_order_matches_reference(ops, cap):
     c, ref = ImportanceCache(cap), _Reference(cap)
     for op, a, b in ops:
         if op == "admit":
-            assert c.admit(a, a, b) == ref.admit(a, b)
+            assert c.admit(a, b, a) == ref.admit(a, b)
         elif op == "update":
             keys, scores = [k for k, _ in a], [s for _, s in a]
             c.update_scores(keys, scores)
             ref.update_scores(keys, scores)
         elif op == "shrink":
             a = min(a, c.capacity)
-            assert c.shrink_to(a) == ref.shrink_to(a)
+            assert c.resize(a) == ref.shrink_to(a)
         elif op == "grow":
-            c.grow_to(c.capacity + a)
+            c.resize(c.capacity + a)
             ref.capacity += a
         else:
             restored = ImportanceCache(0)
@@ -255,7 +255,7 @@ def test_property_eviction_order_matches_reference(ops, cap):
         assert c.keys() == list(ref.live)
         assert c.scores_snapshot() == [(k, s) for k, (s, _) in ref.live.items()]
         assert c.min_score() == (ref.live[ref.order()[0]][0] if ref.live else None)
-    assert c.shrink_to(0) == ref.order()
+    assert c.resize(0) == ref.order()
 
 
 def test_heap_entries_stay_bounded_under_rescoring():
@@ -264,23 +264,23 @@ def test_heap_entries_stay_bounded_under_rescoring():
     rng = np.random.default_rng(0)
     c = ImportanceCache(50)
     for key in range(50):
-        c.admit(key, key, float(rng.random()))
+        c.admit(key, float(rng.random()), key)
     for _ in range(10_000):
         keys = rng.choice(50, size=4, replace=False)
         c.update_scores(keys, rng.random(4))
     c.check_invariants()
     assert len(c) == 50
     before = sorted(c.scores_snapshot(), key=lambda kv: kv[1])
-    assert c.shrink_to(0) == [k for k, _ in before]
+    assert c.resize(0) == [k for k, _ in before]
     c.check_invariants()
     # Rescoring downwards leaves every stale entry above the residents,
     # where evicting them all does not reach; the shrink drops them.
     c = ImportanceCache(64)
     for key in range(64):
-        c.admit(key, key, 2000.0 + key)
+        c.admit(key, 2000.0 + key, key)
     c.update_scores(np.arange(64), 1000.0 + np.arange(64))
     c.update_scores(np.arange(64), np.arange(64, dtype=float))
-    assert c.shrink_to(0) == list(range(64))
+    assert c.resize(0) == list(range(64))
     c.check_invariants()
 
 
@@ -301,8 +301,8 @@ def test_restores_a_snapshot_in_heap_array_order():
     c.load_state_dict(state)
     c.check_invariants()
     assert c.keys() == [1, 2, 3, 4]
-    assert c.get(4) == 40
+    assert c.lookup(4) == (4, 40)
     # A new admission gets tiebreak 4: it outlives the old ties at 0.3.
-    c.grow_to(5)
-    assert c.admit(5, 50, 0.3)
-    assert c.shrink_to(0) == [2, 4, 5, 1, 3]
+    c.resize(5)
+    assert c.admit(5, 0.3, 50)
+    assert c.resize(0) == [2, 4, 5, 1, 3]

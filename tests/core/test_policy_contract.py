@@ -5,7 +5,9 @@ observable it moves against the default run of one small ``Trainer``. A
 parameter without a row fails. A parameter that cannot move a short
 fault-free run names the condition that keeps it inert; its row checks that
 the condition held, that the run is the default's, and that the value
-reached the component it configures. Out-of-range values are
+reached the component it configures — and, in a second run long enough
+for the condition to lapse (``LONG``), that the value moves its
+observable. Out-of-range values are
 ``test_policy_knobs.py::test_invalid_knobs``'s.
 """
 
@@ -25,6 +27,8 @@ from repro.train.trainer import Trainer, TrainerConfig
 from tests.train import topologies
 
 CONFIG = TrainerConfig(epochs=3, batch_size=32)
+#: Long enough for the importance monitor to activate (at epoch 4).
+LONG = TrainerConfig(epochs=8, batch_size=32)
 PARAMETERS = [
     name for name in inspect.signature(SpiderCachePolicy.__init__).parameters
     if name != "self"
@@ -39,12 +43,14 @@ class Run(NamedTuple):
 @dataclasses.dataclass
 class Inert:
     """Why a value cannot move a run: ``condition`` names it, ``holds(run,
-    base)`` checks it, and ``reached(run)`` that the value got where it
-    would act once the condition lapses."""
+    base)`` checks it, ``reached(run)`` that the value got where it would
+    act once the condition lapses, and ``moves(run, base)`` that it acts
+    then (both runs ``LONG``)."""
 
     condition: str
     holds: Callable[[Run, Run], bool]
     reached: Callable[[Run], bool]
+    moves: Callable[[Run, Run], bool]
 
 
 @dataclasses.dataclass
@@ -89,6 +95,14 @@ def _monitor_inactive(run, base):
 
 MONITOR_INACTIVE = "the importance monitor has not activated (Eq. 5's beta is 0)"
 
+
+def _imp_ratio(run):
+    return run.policy.cache.imp_ratio
+
+
+def _penalties(run):
+    return [d.u for d in run.policy.manager.history]
+
 CONTRACT = {
     "cache_fraction": Row(
         0.5,
@@ -105,14 +119,18 @@ CONTRACT = {
     "r_end": Row(0.5, inert=Inert(
         MONITOR_INACTIVE, _monitor_inactive,
         lambda run: run.policy.manager.controller.r_end == 0.5,
+        lambda run, base: _imp_ratio(run) < _imp_ratio(base) < 0.9,
     )),
     "elastic": Row(False, inert=Inert(
         MONITOR_INACTIVE, _monitor_inactive,
         lambda run: run.policy.manager.history == [],
+        lambda run, base: _imp_ratio(run) == 0.9 > _imp_ratio(base),
     )),
     "gamma": Row(1.0, inert=Inert(
         MONITOR_INACTIVE, _monitor_inactive,
         lambda run: run.policy.manager.accuracy_monitor.gamma == 1.0,
+        lambda run, base: _penalties(run) != _penalties(base)
+        and _imp_ratio(run) != _imp_ratio(base),
     )),
     "backend": Row("hnsw", lambda run, base: (
         isinstance(run.policy.scorer.index, HNSWIndex)
@@ -142,17 +160,22 @@ def data():
     return topologies.dataset()
 
 
-def _run(data, **knobs):
+def _run(data, config=CONFIG, **knobs):
     train, test = data
     model = build_model("resnet18", train.dim, train.num_classes, rng=2)
     policy = SpiderCachePolicy(**{"cache_fraction": 0.25, "rng": 3, **knobs})
-    result = Trainer(model, train, test, policy, CONFIG, rng=4).run()
+    result = Trainer(model, train, test, policy, config, rng=4).run()
     return Run(policy, result)
 
 
 @pytest.fixture(scope="module")
 def base(data):
     return _run(data)
+
+
+@pytest.fixture(scope="module")
+def long_base(data):
+    return _run(data, config=LONG)
 
 
 def test_every_parameter_has_a_row():
@@ -175,3 +198,14 @@ def test_parameter_is_honoured(name, data, base):
     assert run.result.epochs == base.result.epochs
     assert np.array_equal(_scores(run), _scores(base))
     assert row.inert.reached(run), f"{name}={row.value!r} never reached its component"
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, row in CONTRACT.items() if row.inert is not None]
+)
+def test_inert_parameter_moves_once_its_condition_lapses(name, data, long_base):
+    row = CONTRACT[name]
+    run = _run(data, config=LONG, **{name: row.value})
+    assert long_base.policy.manager.importance_monitor.activation_epoch is not None
+    assert not row.inert.holds(run, long_base), f"{name}: {row.inert.condition}"
+    assert row.inert.moves(run, long_base), f"{name}={row.value!r} moved nothing"

@@ -55,16 +55,16 @@ def check_invariants(cli):
     assert len(cli.importance) <= cli.importance.capacity
     assert len(cli.homophily) <= cli.homophily.capacity
     cli.importance.check_invariants()
-    assert set(cli.importance.keys()) == set(cli._imp_loc)
-    assert set(cli.homophily.keys()) == set(cli._hom_loc)
+    assert set(cli.importance.keys()) == set(cli._loc["imp"])
+    assert set(cli.homophily.keys()) == set(cli._loc["hom"])
     snaps = cli.shard_snapshots()
-    assert sum(s["imp_len"] for s in snaps) == len(cli._imp_loc)
+    assert sum(s["imp_len"] for s in snaps) == len(cli._loc["imp"])
     assert sum(s["hom_len"] for s in snaps) == len(cli.homophily)
     # FIFO order, insertion counters and cover map describe one set.
     hom = cli.homophily
-    assert sorted(hom._seq, key=hom._seq.get) == list(hom._entries)
+    assert sorted(hom._seq, key=hom._seq.get) == list(hom._items)
     cover = {}
-    for key, neigh in hom._entries.items():
+    for key, neigh in hom._items.items():
         for n in neigh:
             cover.setdefault(n, set()).add(key)
     assert hom._neighbor_of == cover
@@ -137,7 +137,7 @@ def test_outage_during_migration_stalls_then_completes():
         cli.fetch(k, float(k + 1), payload)
     assert not any(cli._pending_deletes.values())
     for sid, server in cli.servers.items():
-        for layer, loc in (("imp", cli._imp_loc), ("hom", cli._hom_loc)):
+        for layer, loc in (("imp", cli._loc["imp"]), ("hom", cli._loc["hom"])):
             owned = {k for k, s in loc.items() if s == sid}
             assert set(server.keys(layer)) == owned
 
@@ -146,7 +146,7 @@ def test_admits_during_outage_are_dropped_not_corrupting():
     cli = make_client(breaker_failure_threshold=1000)
     populate(cli)
     before_len = len(cli)
-    before_keys = set(cli._imp_loc) | set(cli.homophily.keys())
+    before_keys = set(cli._loc["imp"]) | set(cli.homophily.keys())
     cli.set_fault_plan(0, OUTAGE)
     cli.set_fault_plan(1, OUTAGE)
     for k in range(100, 140):
@@ -154,7 +154,7 @@ def test_admits_during_outage_are_dropped_not_corrupting():
         cli.update_homophily(3000 + k, payload(k), [k])
     assert cli.dropped_admits == 80
     assert len(cli) == before_len  # metadata untouched
-    assert set(cli._imp_loc) | set(cli.homophily.keys()) == before_keys
+    assert set(cli._loc["imp"]) | set(cli.homophily.keys()) == before_keys
     check_invariants(cli)
     # Recovery: the cache works again and can admit.
     cli.set_fault_plan(0, None)
@@ -183,12 +183,12 @@ def test_brownout_timeouts_leave_shards_consistent():
     # Past the window (clock advanced via charged deadlines/backoffs),
     # traffic is clean again; drain the repair queues.
     assert cli.clock.total_seconds > 0.15
-    for k in list(cli._imp_loc)[:10]:
+    for k in list(cli._loc["imp"])[:10]:
         assert cli.fetch(k, 1000.0, payload).payload is not None
     for sid in cli.servers:
         cli._flush_pending(sid)
     for sid, server in cli.servers.items():
-        for layer, loc in (("imp", cli._imp_loc), ("hom", cli._hom_loc)):
+        for layer, loc in (("imp", cli._loc["imp"]), ("hom", cli._loc["hom"])):
             owned = {k for k, s in loc.items() if s == sid}
             # No payload the metadata owns may be missing; orphans from
             # ambiguous timeouts have been repaired away.

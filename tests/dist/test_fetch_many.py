@@ -187,7 +187,7 @@ def test_repeats_and_a_shared_cover_cost_one_read_each(n_shards):
     outs = client.fetch_many([7, 7, 31, 32, 33, 30, 7], [1.0] * 7, payload)
     assert [o.served_id for o in outs] == [7, 7, 30, 30, 30, 30, 7]
     # Two keys, hence at most two frames (one when they share a shard).
-    frames = len({client._imp_loc[7], client._hom_loc[30]})
+    frames = len({client._loc["imp"][7], client._loc["hom"][30]})
     assert client.transport.calls - before == frames
     totals = np.sum(hit_counters(client), axis=0)
     assert list(totals[2:5]) == [3, 1, 3]  # imp / hom exact / hom subst

@@ -105,7 +105,7 @@ def test_moved_payloads_are_deleted_from_their_source_shard():
     cli = populate(make_client(n_shards=2))
     cli.resize(4)
     for sid, server in cli.servers.items():
-        for layer, loc in (("imp", cli._imp_loc), ("hom", cli._hom_loc)):
+        for layer, loc in (("imp", cli._loc["imp"]), ("hom", cli._loc["hom"])):
             owned = {k for k, s in loc.items() if s == sid}
             assert set(server.keys(layer)) == owned  # no stale copies
 
@@ -150,7 +150,7 @@ def test_new_admits_mid_migration_land_on_the_target_ring():
     target = cli.migration.target_ring
     new_key = 777
     cli.fetch(new_key, 99.0, payload)
-    assert cli._imp_loc[new_key] == target.shard_for(new_key)
+    assert cli._loc["imp"][new_key] == target.shard_for(new_key)
     cli.continue_migration()
     assert cli.verify_placement() == []
 
@@ -215,14 +215,14 @@ def test_migrate_in_survives_a_delete_queued_on_its_target():
     cli = make_client(n_shards=1, total=4)
     key = next(k for k in range(100) if cli.ring.spawn(2).shard_for(k) == 1)
     cli.fetch(key, 1.0, payload)
-    assert cli._imp_loc[key] == 0
+    assert cli._loc["imp"][key] == 0
     cli.resize(2, drain=False)
     cli.set_fault_plan(0, OUTAGE)
-    cli.importance.shrink_to(0)  # the delete on shard 0 fails: queued
+    cli.importance.resize(0)  # the delete on shard 0 fails: queued
     assert ("imp", key) in cli._pending_deletes[0]
-    cli.importance.grow_to(2)
+    cli.importance.resize(2)
     cli.fetch(key, 1.0, payload)  # re-admitted on the target ring's shard 1
-    assert cli._imp_loc[key] == 1
+    assert cli._loc["imp"][key] == 1
     cli.continue_migration()  # the key's batch is void: nothing left on 0
     assert cli.migration is None and cli.n_shards == 2
 

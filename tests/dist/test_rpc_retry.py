@@ -53,7 +53,7 @@ def make_client(**kw):
 # ----------------------------------------------------------------------
 def test_successful_call_charges_sampled_latency_to_rpc_stage():
     ch = make_channel()
-    ch.call(0, "imp_put", 1, [1.0], nbytes=0)
+    ch.call(0, "put", "imp", 1, [1.0], nbytes=0)
     assert ch.clock.stage_seconds("rpc") == pytest.approx(
         FAST.sample(RPC_OVERHEAD_NBYTES)
     )
@@ -63,7 +63,7 @@ def test_successful_call_charges_sampled_latency_to_rpc_stage():
 def test_outage_never_executes_and_charges_capped_roundtrip():
     ch = make_channel(fault_plans={0: OUTAGE})
     with pytest.raises(ShardOutageError):
-        ch.call(0, "imp_put", 1, [1.0])
+        ch.call(0, "put", "imp", 1, [1.0])
     assert ch.servers[0].occupancy("imp") == 0  # definitely not executed
     assert ch.clock.stage_seconds("rpc") == pytest.approx(1e-3)
     assert (ch.failures, ch.timeouts) == (1, 0)
@@ -73,7 +73,7 @@ def test_outage_never_executes_and_charges_capped_roundtrip():
 def test_outage_roundtrip_is_capped_at_the_deadline():
     ch = make_channel(deadline_s=5e-4, fault_plans={0: OUTAGE})
     with pytest.raises(ShardOutageError):
-        ch.call(0, "imp_get", 1)
+        ch.call(0, "get", "imp", 1)
     assert ch.clock.stage_seconds("rpc") == pytest.approx(5e-4)
 
 
@@ -82,7 +82,7 @@ def test_timeout_charges_deadline_and_executes_server_side():
     lands anyway — why every server mutation must be idempotent."""
     ch = make_channel(deadline_s=5e-4)  # below FAST's 1 ms
     with pytest.raises(RpcTimeoutError):
-        ch.call(0, "imp_put", 7, [1.0])
+        ch.call(0, "put", "imp", 7, [1.0])
     assert ch.servers[0].occupancy("imp") == 1  # it DID execute
     assert ch.clock.stage_seconds("rpc") == pytest.approx(5e-4)
     assert (ch.failures, ch.timeouts) == (0, 1)
@@ -93,7 +93,7 @@ def test_brownout_inflates_latency_into_a_timeout_not_an_outage():
                                                latency_multiplier=100.0)])
     ch = make_channel(fault_plans={0: plan})
     with pytest.raises(RpcTimeoutError):
-        ch.call(0, "imp_get", 1)
+        ch.call(0, "get", "imp", 1)
     assert ch.timeouts == 1 and ch.failures == 0
 
 
@@ -101,7 +101,7 @@ def test_brownout_below_deadline_still_succeeds():
     plan = FaultPlan(brownouts=[BrownoutWindow(0.0, 1e9,
                                                latency_multiplier=5.0)])
     ch = make_channel(fault_plans={0: plan})
-    assert ch.call(0, "imp_get", 1) is None  # absent key, but call OK
+    assert ch.call(0, "get", "imp", 1) is None  # absent key, but call OK
     assert ch.clock.stage_seconds("rpc") == pytest.approx(
         5.0 * FAST.sample(RPC_OVERHEAD_NBYTES)
     )
@@ -110,13 +110,13 @@ def test_brownout_below_deadline_still_succeeds():
 def test_unknown_shard_is_a_plain_rpc_error():
     ch = make_channel()
     with pytest.raises(RpcError):
-        ch.call(7, "imp_get", 1)
+        ch.call(7, "get", "imp", 1)
 
 
 def test_set_fault_plan_clears_with_none():
     ch = make_channel(fault_plans={0: OUTAGE})
     ch.set_fault_plan(0, None)
-    assert ch.call(0, "imp_get", 1) is None  # healthy again
+    assert ch.call(0, "get", "imp", 1) is None  # healthy again
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_burned_budget_charges_attempts_plus_backoffs():
     before = cli.clock.stage_seconds("rpc")
     cli.fetch(1, 5.0, lambda i: [float(i)])
     spent = cli.clock.stage_seconds("rpc") - before
-    # Two logical requests (imp_get probe + imp_put refresh), each:
+    # Two logical requests (get probe + put refresh), each:
     # 3 outage attempts at 1 ms + backoffs 1 ms + 2 ms.
     per_request = 3 * 1e-3 + 1e-3 + 2e-3
     assert spent == pytest.approx(2 * per_request)

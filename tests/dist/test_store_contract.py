@@ -1,7 +1,7 @@
 """Payload-store contract: what the cache layers may assume of a store.
 
 The Fig. 9 policy exists once (``repro.core``) and talks to payload bytes
-through :class:`~repro.core.payload_store.PayloadStore`. Bit-identity of
+through :class:`~repro.cache.payload_store.PayloadStore`. Bit-identity of
 the sharded tier then rests on two things: the layers *are* the
 monolith's classes (checked at the bottom), and every store honours this
 contract — checked here for the in-process dict and for the shard-tier
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.homophily_cache import HomophilyCache
 from repro.core.importance_cache import ImportanceCache
-from repro.core.payload_store import LocalPayloadStore
+from repro.cache.payload_store import LocalPayloadStore
 from repro.core.semantic_cache import SemanticCache
 from repro.dist.client import ShardedCacheClient, ShardStore
 from repro.dist.retry import RetryPolicy
@@ -176,8 +176,8 @@ def test_sharded_client_runs_the_monoliths_policy_objects():
     assert type(client.homophily) is HomophilyCache
     assert isinstance(client.importance.store, ShardStore)
     assert isinstance(client.homophily.store, ShardStore)
-    assert client.importance.store.loc is client._imp_loc
-    assert client.homophily.store.loc is client._hom_loc
+    assert client.importance.store.loc is client._loc["imp"]
+    assert client.homophily.store.loc is client._loc["hom"]
     # The decisions are inherited, not retyped.
     for name in ("set_imp_ratio", "update_score", "_degraded_fetch",
                  "enable_degraded_mode", "state_dict", "load_state_dict",

@@ -184,8 +184,8 @@ def test_real_shard_contents_match_client_metadata():
         for k in range(5):
             real.update_homophily(2000 + k, payload(2000 + k), [k, k + 1])
         for sid in real.transport.shard_ids:
-            for layer, loc in (("imp", real._imp_loc),
-                               ("hom", real._hom_loc)):
+            for layer, loc in (("imp", real._loc["imp"]),
+                               ("hom", real._loc["hom"])):
                 owned = {k for k, s in loc.items() if s == sid}
                 held = set(real.transport.peek(sid, "keys", layer))
                 assert held == owned, (sid, layer)

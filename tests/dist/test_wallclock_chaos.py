@@ -91,7 +91,7 @@ def ledger(cli):
         "rpc_timeouts": cli.transport.timeouts,
         "per_shard_calls": dict(cli.transport.per_shard_calls),
         "per_shard_failures": dict(cli.transport.per_shard_failures),
-        "imp_keys": sorted(cli._imp_loc),
+        "imp_keys": sorted(cli._loc["imp"]),
         "hom_keys": sorted(cli.homophily.keys()),
         "len": len(cli),
         "breakers": [b.state.value for b in cli.breakers.values()],
@@ -139,7 +139,7 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges():
 
         real.transport.restart_shard(0)
         assert real.transport.peek(0, "keys", "imp") == []  # fresh server
-        lost_hom = {k for k, s in real._hom_loc.items() if s == 0}
+        lost_hom = {k for k, s in real._loc["hom"].items() if s == 0}
         # Let the breaker cooldown elapse on the client's clock so the
         # half-open probe is allowed through.
         real.breakers[0].cooldown_s = 0.05
@@ -153,7 +153,7 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges():
         # Importance payloads reconverge: a degraded read falls through
         # to the remote tier and the re-admit refreshes the shard copy.
         for sid in real.transport.shard_ids:
-            owned = {k for k, s in real._imp_loc.items() if s == sid}
+            owned = {k for k, s in real._loc["imp"].items() if s == sid}
             held = set(real.transport.peek(sid, "keys", "imp"))
             assert held == owned, sid
         # Homophily payloads are soft state with no refresh path for a
@@ -216,7 +216,7 @@ def test_kill_during_resize_stalls_then_completes_after_restart():
         # And every importance key is genuinely servable again, no
         # degraded reads left.
         degraded_before = real.degraded_lookups
-        for k in list(real._imp_loc)[:10]:
+        for k in list(real._loc["imp"])[:10]:
             assert real.fetch(k, 1000.0, payload).payload is not None
         assert real.degraded_lookups == degraded_before
     finally:

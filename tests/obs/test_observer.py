@@ -59,7 +59,7 @@ def test_cache_hit_uses_hit_latency():
     obs.hit_latency_s = 1e-5
     cache = SemanticCache(total_capacity=8, imp_ratio=1.0)
     cache.attach_observer(obs)
-    cache.importance.admit(3, np.zeros(2), score=1.0)
+    cache.importance.admit(3, 1.0, np.zeros(2))
     out = cache.fetch(3, 1.0, lambda i: np.zeros(2))
     assert out.source is FetchSource.IMPORTANCE
     (ev,) = rec.of_kind("fetch")
@@ -73,9 +73,9 @@ def test_importance_admission_events():
     cache.attach_observer(obs)
     imp = cache.importance
     for k in range(4):
-        imp.admit(k, np.zeros(2), score=float(k + 1))
-    imp.admit(9, np.zeros(2), score=0.1)   # below min: rejected
-    imp.admit(10, np.zeros(2), score=9.0)  # evicts the min
+        imp.admit(k, float(k + 1), np.zeros(2))
+    imp.admit(9, 0.1, np.zeros(2))   # below min: rejected
+    imp.admit(10, 9.0, np.zeros(2))  # evicts the min
     admits = rec.of_kind("importance_admit")
     assert len(admits) == 6
     assert admits[4]["admitted"] is False

@@ -136,6 +136,69 @@ def test_every_policys_trace_reconciles(name, tmp_path):
     assert observer.snapshot()["counters"].get("cache.fetches", rows) == rows
 
 
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("name", POLICIES)
+def test_every_policy_reconciles_on_every_topology(name, topology, tmp_path):
+    """Every registry policy runs on every topology, the sharded one
+    included, and its trace reconciles: the report prints ``OK`` where it
+    checks (one replica); a multi-worker run's report skips the stage-time
+    check by design, so there the trace's hit ratios are checked against
+    the per-epoch metrics here."""
+    from repro.obs import read_jsonl
+
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    trainer = topologies.build(
+        topology, topologies.dataset(),
+        policy_cls=lambda cache_fraction, rng: POLICIES[name](cache_fraction, rng),
+        observer=Observer(recorder=recorder),
+    )
+    result = trainer.run()
+    recorder.close()
+    write_run_artifacts(result, tmp_path)
+    text = render_report(tmp_path)
+    assert "MISMATCH" not in text
+    if len(trainer.workers) == 1:
+        assert "trace vs per-epoch metrics: OK over 2 epoch(s)" in text
+        return
+    assert "consistency check skipped: multi-worker run" in text
+    aggs = aggregate_trace(read_jsonl(tmp_path / TRACE_FILE))
+    assert [a.n_samples for a in aggs] == [len(trainer.train_set)] * 2
+    for a, em in zip(aggs, result.epochs):
+        assert a.hit_ratio == pytest.approx(em.hit_ratio, abs=1e-12)
+        assert a.substitute_ratio == pytest.approx(em.substitute_ratio, abs=1e-12)
+
+
+def test_icache_l_section_serves_are_their_own_rows(tmp_path):
+    """iCache's L-section serves — exact hits and random substitutes —
+    are published under their own source and metrics name; the homophily
+    rows and counter count none of them."""
+    from repro.obs import read_jsonl
+
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    observer = Observer(recorder=recorder)
+    trainer = topologies.build(
+        "trainer", topologies.dataset(),
+        policy_cls=lambda cache_fraction, rng: POLICIES["icache"](cache_fraction, rng),
+        observer=observer, epochs=3,
+    )
+    result = trainer.run()
+    recorder.close()
+    write_run_artifacts(result, tmp_path, observer.snapshot())
+    fetches = [e for e in read_jsonl(tmp_path / TRACE_FILE) if e["kind"] == "fetch"]
+    sources = {e["source"] for e in fetches}
+    assert "homophily" not in sources
+    l_rows = [e for e in fetches if e["source"] == "l_section"]
+    random = sum(e["served_id"] != e["requested_id"] for e in l_rows)
+    assert random > 0 and len(l_rows) > random
+    counters = observer.snapshot()["counters"]
+    assert "cache.fetch.homophily" not in counters
+    assert counters["cache.fetch.l_section"] == len(l_rows)
+    text = render_report(tmp_path)
+    assert (f"l-section serves: {len(l_rows) - random} exact, "
+            f"{random} random substitutes") in text
+    assert "trace vs per-epoch metrics: OK over 3 epoch(s)" in text
+
+
 def test_render_report_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         render_report(tmp_path / "nope")

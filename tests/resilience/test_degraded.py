@@ -56,8 +56,8 @@ def test_degraded_serves_newest_homophily_entry():
 
 def test_degraded_falls_back_to_importance_min():
     cache = SemanticCache(total_capacity=4, imp_ratio=1.0)
-    cache.importance.admit(1, np.full(4, 1.0), score=5.0)
-    cache.importance.admit(2, np.full(4, 2.0), score=1.0)
+    cache.importance.admit(1, 5.0, np.full(4, 1.0))
+    cache.importance.admit(2, 1.0, np.full(4, 2.0))
     cache.enable_degraded_mode()
     out = cache.fetch(99, 1.0, _boom)
     assert out.source is FetchSource.DEGRADED

@@ -32,9 +32,13 @@ def dataset():
     return train_test_split(ds, test_fraction=0.25, rng=1)
 
 
-def build(topology, data, config=None, policy_cls=SpiderCachePolicy, **overrides):
+def build(
+    topology, data, config=None, policy_cls=SpiderCachePolicy, observer=None,
+    **overrides,
+):
     """The trainer for ``topology`` over ``data``: ``config`` with the
-    topology's fields set, then ``overrides`` (``TrainerConfig`` fields)."""
+    topology's fields set, then ``overrides`` (``TrainerConfig`` fields);
+    ``observer`` observes the run."""
     world_size, topo_fields = TOPOLOGIES[topology]
     config = dataclasses.replace(
         config or TrainerConfig(epochs=2, batch_size=32),
@@ -50,8 +54,11 @@ def build(topology, data, config=None, policy_cls=SpiderCachePolicy, **overrides
         return policy_cls(cache_fraction=0.25, rng=seed)
 
     if world_size is None:
-        return Trainer(make_model(), train, test, make_policy(), config, rng=4)
+        return Trainer(
+            make_model(), train, test, make_policy(), config, rng=4,
+            observer=observer,
+        )
     return DataParallelTrainer(
         make_model, train, test, make_policy, world_size=world_size,
-        config=config, rng=4,
+        config=config, observer=observer, rng=4,
     )

@@ -15,7 +15,7 @@ from repro.core.importance_cache import ImportanceCache
 def _filled(scores, capacity=None):
     c = ImportanceCache(len(scores) if capacity is None else capacity)
     for key, score in scores:
-        assert c.admit(key, f"v{key}", score)
+        assert c.admit(key, score, f"v{key}")
     return c
 
 
@@ -25,26 +25,26 @@ def test_empty_heap():
     assert 7 not in c
     assert c.min_score() is None
     assert c.peek_min() is None
-    assert c.shrink_to(0) == []
+    assert c.resize(0) == []
     c.check_invariants()
 
 
 def test_push_pop_ordering():
     c = _filled([(10, 3.0), (11, 1.0), (12, 2.0)])
-    assert c.shrink_to(2) == [11]
+    assert c.resize(2) == [11]
     assert c.min_score() == 2.0
-    assert c.shrink_to(0) == [12, 10]
+    assert c.resize(0) == [12, 10]
 
 
 def test_duplicate_key_rejected():
     """Re-admitting a resident never adds a second entry for it."""
     c = ImportanceCache(3)
-    c.admit(1, "a", 1.0)
-    assert c.admit(1, "a2", 2.0)
+    c.admit(1, 1.0, "a")
+    assert c.admit(1, 2.0, "a2")
     assert len(c) == 1
     assert c.scores_snapshot() == [(1, 2.0)]
     c.check_invariants()
-    assert c.shrink_to(0) == [1]
+    assert c.resize(0) == [1]
 
 
 def test_peek_does_not_remove():
@@ -79,14 +79,14 @@ def test_update_increase_moves_down():
     # The updated key is still resident with its new score.
     assert dict(c.scores_snapshot())[0] == 100.0
     c.check_invariants()
-    assert c.shrink_to(0) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]
+    assert c.resize(0) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]
 
 
 def test_push_or_update():
     """Admitting a resident updates it; rescoring a non-resident is a no-op."""
     c = ImportanceCache(3)
-    c.admit(1, "a", 2.0)
-    c.admit(1, "a", 1.0)
+    c.admit(1, 2.0, "a")
+    c.admit(1, 1.0, "a")
     assert len(c) == 1
     assert c.min_score() == 1.0
     c.update_scores([2], [0.5])
@@ -96,19 +96,19 @@ def test_push_or_update():
 
 def test_ties_broken_by_insertion_order():
     c = _filled([(1, 1.0), (2, 1.0)])
-    assert c.shrink_to(1) == [1]
-    assert c.shrink_to(0) == [2]
+    assert c.resize(1) == [1]
+    assert c.resize(0) == [2]
     # A rescored resident keeps its admission order for ties.
     c = _filled([(1, 1.0), (2, 1.0)])
     c.update_score(1, 5.0)
     c.update_score(1, 1.0)
-    assert c.shrink_to(0) == [1, 2]
+    assert c.resize(0) == [1, 2]
 
 
 def test_clear_and_keys():
     c = _filled([(1, 1.0), (2, 2.0)])
     assert c.keys() == [1, 2]
-    c.shrink_to(0)
+    c.resize(0)
     assert len(c) == 0
     assert c.keys() == []
     c.check_invariants()
@@ -135,15 +135,15 @@ def test_property_invariants_under_mixed_ops(ops):
     for op, key, score in ops:
         if op == "admit":
             if key not in model:
-                assert c.admit(key, key, score)
+                assert c.admit(key, score, key)
                 model[key] = score
         elif op == "pop":
             if model:
                 lowest = min(model.values())
                 assert c.min_score() == lowest
-                (k,) = c.shrink_to(len(model) - 1)
+                (k,) = c.resize(len(model) - 1)
                 assert model.pop(k) == lowest
-                c.grow_to(25)
+                c.resize(25)
         else:  # update
             c.update_scores([key], [score])
             if key in model:
