@@ -59,13 +59,19 @@ report:
 # Sharded cache-service suite — every dist-marked test (differential
 # oracle, retry/backoff, migration, chaos) under the increased
 # Hypothesis budget, plus a sharded smoke run with a live ring resize for
-# one policy per cache-layer stack.
+# one policy per cache-layer stack, whose report must reconcile (hit and
+# substitute ratios) and count every request.
+DIST_DIR ?= results/dist-smoke
 dist:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -m dist
 	for policy in spidercache baseline icache shade; do \
 		$(PYTHON) -m repro train --policy $$policy --samples 600 --epochs 3 \
 			--world-size 2 --shared-cache --cache-shards 2 \
-			--resize-shards-at 1:4 || exit 1; \
+			--resize-shards-at 1:4 --trace-dir $(DIST_DIR)/$$policy || exit 1; \
+		$(PYTHON) -m repro report $(DIST_DIR)/$$policy > $(DIST_DIR)/$$policy.txt || exit 1; \
+		grep -q "trace vs per-epoch metrics: OK" $(DIST_DIR)/$$policy.txt || exit 1; \
+		if grep -q "MISMATCH\| rows=" $(DIST_DIR)/$$policy.txt; then exit 1; fi; \
+		grep -q " fetch=1350," $(DIST_DIR)/$$policy.txt || exit 1; \
 	done
 
 # Real-process transport suite (-m wallclock: sim/real parity oracle +

@@ -33,7 +33,7 @@ per query, members sorted by ``(distance, id)`` with an expanded flag — and
 whose every hop expands up to ``_EXPAND`` nearest unexpanded members of
 every query at once. Every traversal orders ties by ``(distance, external
 id)``, never by row. Range queries (``neighbors_within*``, the scorer's
-only question) run that beam with a radius: ``ef_search`` wide while the
+only question) run that beam with a radius: ``EF_SEARCH`` wide while the
 beam's worst member is outside the radius, then as large as the in-radius
 set it finds (see :meth:`HNSWIndex._search_layer_batch`), so the nodes
 visited follow the size of the answer rather than ``max_neighbors``.
@@ -58,6 +58,8 @@ from repro.utils.rng import RngLike, resolve_rng
 
 __all__ = ["HNSWIndex"]
 
+#: Beam width of a query that names no ``ef``.
+EF_SEARCH = 50
 _FREE = -1  # sentinel in _id_of for rows on the free list
 _INSERT_CHUNK = 64  # most ids per insertion pass: bounds its B×B distance block
 # Members one beam hop expands per query. One per hop took 441 hops per
@@ -91,9 +93,8 @@ class HNSWIndex:
         property of the *similarity graph* built on top of this index, not
         of HNSW's ``M``.
     ef_construction:
-        Beam width during insertion.
-    ef_search:
-        Default beam width during queries (can be overridden per call).
+        Beam width during insertion. Queries use :data:`EF_SEARCH` unless
+        the call names its own ``ef``.
     rng:
         Seed / generator for the level draws (determinism in tests).
     capacity:
@@ -106,7 +107,6 @@ class HNSWIndex:
         dim: int,
         M: int = 16,
         ef_construction: int = 100,
-        ef_search: int = 50,
         rng: RngLike = None,
         capacity: int = 1024,
     ) -> None:
@@ -120,7 +120,6 @@ class HNSWIndex:
         self.M = int(M)
         self.M0 = 2 * int(M)
         self.ef_construction = max(int(ef_construction), M)
-        self.ef_search = int(ef_search)
         self._mL = 1.0 / math.log(M)
         self._rng = resolve_rng(rng)
         # Flat storage: row-indexed vector matrix + cached squared norms.
@@ -761,7 +760,7 @@ class HNSWIndex:
             return [(np.empty(0, dtype=np.int64), np.empty(0)) for _ in range(nq)]
         if queries.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {queries.shape[1]}")
-        width = int(ef if ef is not None else self.ef_search)
+        width = int(ef if ef is not None else EF_SEARCH)
         if radius is None:
             width = cap = max(width, k)
             sq_radius = -math.inf
@@ -915,7 +914,6 @@ class HNSWIndex:
             "dim": self.dim,
             "M": self.M,
             "ef_construction": self.ef_construction,
-            "ef_search": self.ef_search,
             "vectors": self._vectors[:n].copy(),
             "row_ids": np.asarray(self._id_of, dtype=np.int64),
             "live_rows": np.asarray(list(self._row_of.values()), dtype=np.int64),
@@ -946,7 +944,6 @@ class HNSWIndex:
         self.M0 = 2 * self.M
         self._mL = 1.0 / math.log(self.M)
         self.ef_construction = int(state["ef_construction"])
-        self.ef_search = int(state["ef_search"])
         self._id_of = []  # the old contents go: growing carries nothing over
         self._adj = []
         self._grow(n)

@@ -18,6 +18,12 @@ from dataclasses import dataclass
 __all__ = ["IndexStorageModel", "estimate_index_size_bytes", "DATASET_CATALOG"]
 
 
+#: Bytes per neighbor link (uint32 ids).
+ID_BYTES = 4
+#: Per-element bookkeeping bytes (level, offsets).
+METADATA_BYTES = 16
+
+
 @dataclass(frozen=True)
 class IndexStorageModel:
     """Per-element byte accounting for an HNSW+PQ index.
@@ -26,25 +32,23 @@ class IndexStorageModel:
 
     * ``pq_code_bytes`` — bytes per PQ code (``m`` subquantizers, 8 bits each)
     * ``M`` — HNSW out-degree parameter; layer 0 stores up to ``2*M`` links
-    * ``id_bytes`` — bytes per neighbor link (4 for uint32 ids)
-    * ``level_overhead`` — expected extra links from upper layers; with
-      ``mL = 1/ln(M)``, the expected number of layers per node is
-      ``1/(1 - 1/M)`` ≈ 1 + 1/M, so upper layers add ~``M/ M`` links/node
-    * ``metadata_bytes`` — per-element bookkeeping (level, offsets)
+
+    Each link costs :data:`ID_BYTES` and each element
+    :data:`METADATA_BYTES` of bookkeeping. With ``mL = 1/ln(M)`` the
+    expected number of layers per node is ``1/(1 - 1/M)`` ≈ 1 + 1/M, so
+    upper layers add ~``M/(M-1)`` links per node.
     """
 
     pq_code_bytes: int = 32
     M: int = 16
-    id_bytes: int = 4
-    metadata_bytes: int = 16
 
     def bytes_per_element(self) -> float:
         """Expected index bytes attributable to one element."""
         # Layer 0: up to 2*M links; upper layers: a geometric tail of nodes
         # (fraction ~1/M at each level) each adding up to M links.
-        layer0 = 2 * self.M * self.id_bytes
-        upper = (1.0 / (self.M - 1)) * self.M * self.id_bytes
-        return self.pq_code_bytes + layer0 + upper + self.metadata_bytes
+        layer0 = 2 * self.M * ID_BYTES
+        upper = (1.0 / (self.M - 1)) * self.M * ID_BYTES
+        return self.pq_code_bytes + layer0 + upper + METADATA_BYTES
 
     def index_size_bytes(self, n_elements: int) -> float:
         """Total expected index size for ``n_elements``."""

@@ -142,11 +142,11 @@ class Cache:
     name = "imp"
     source = FetchSource.IMPORTANCE
 
-    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
-        self.store: PayloadStore = LocalPayloadStore() if store is None else store
+        self.store: PayloadStore = LocalPayloadStore()
         self.stats = CacheStats()
         self._items: Dict[Any, Any] = {}
         self._obs = NULL_OBSERVER

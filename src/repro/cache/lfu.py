@@ -7,10 +7,9 @@ broken LRU-first, matching common LFU implementations.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.cache.base import Cache
-from repro.cache.payload_store import PayloadStore
 
 __all__ = ["LFUCache"]
 
@@ -18,8 +17,8 @@ __all__ = ["LFUCache"]
 class LFUCache(Cache):
     """Least-frequently-used cache with O(1) operations."""
 
-    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
-        super().__init__(capacity, store)
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
         self._freq: Dict[Any, int] = {}
         self._buckets: Dict[int, OrderedDict] = defaultdict(OrderedDict)
         self._min_freq = 0

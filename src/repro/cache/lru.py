@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any
 
 from repro.cache.base import Cache
-from repro.cache.payload_store import PayloadStore
 
 __all__ = ["LRUCache"]
 
@@ -14,8 +13,8 @@ __all__ = ["LRUCache"]
 class LRUCache(Cache):
     """Classic LRU over an ordered dict (most recent at the end)."""
 
-    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
-        super().__init__(capacity, store)
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
         self._items: OrderedDict[Any, None] = OrderedDict()
 
     def _touch(self, key: Any) -> None:

@@ -15,7 +15,6 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.base import Cache
-from repro.cache.payload_store import PayloadStore
 
 __all__ = ["RandomReplacementCache"]
 
@@ -23,11 +22,8 @@ __all__ = ["RandomReplacementCache"]
 class RandomReplacementCache(Cache):
     """Evict a uniformly random resident; serve random residents on demand."""
 
-    def __init__(
-        self, capacity: int, rng: np.random.Generator,
-        store: Optional[PayloadStore] = None,
-    ) -> None:
-        super().__init__(capacity, store)
+    def __init__(self, capacity: int, rng: np.random.Generator) -> None:
+        super().__init__(capacity)
         self._rng = rng
         self._slots: List[Any] = []  # residents; every draw indexes this
         self._free: Optional[int] = None  # slot the last eviction vacated

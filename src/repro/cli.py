@@ -26,12 +26,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from repro.baselines import POLICIES
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
-from repro.cache.trace import AccessTrace, belady_hit_ratio, replay
+from repro.cache.trace import belady_hit_ratio, record_trace, replay
 from repro.data.registry import DATASET_PRESETS, make_dataset
 from repro.data.synthetic import train_test_split
 from repro.nn.models import MODEL_ZOO, build_model
@@ -392,12 +390,7 @@ def _cmd_trace(args) -> int:
     # sampling distribution; the recorded trace then reflects real access
     # behaviour rather than the cold uniform start.
     trainer.run()
-    orders = []
-    for epoch in range(args.epochs):
-        orders.append(np.asarray(policy.epoch_order(epoch), dtype=np.int64))
-    trace = AccessTrace(
-        np.concatenate(orders), list(np.cumsum([len(o) for o in orders]))
-    )
+    trace = record_trace(policy.epoch_order, args.epochs)
     cap = int(args.capacity * len(train))
     lru = replay(trace, LRUCache(cap)).hit_ratio
     minio = replay(trace, MinIOCache(cap)).hit_ratio

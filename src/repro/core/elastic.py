@@ -20,7 +20,7 @@ users can trade accuracy (higher ratio) for hit rate (lower).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -36,6 +36,16 @@ __all__ = [
     "ElasticCacheManager",
 ]
 
+#: Eq. 6's growth-rate window ``m``: the paper fixes it at 5 epochs.
+GROWTH_WINDOW = 5
+#: Eq. 7's penalty threshold ``gamma``.
+GAMMA = 0.01
+#: Epochs of score std whose slope Eq. 5's activation reads.
+SLOPE_WINDOW = 5
+#: Savitzky-Golay filter (window, polynomial order) over the accuracy series.
+SAVGOL_WINDOW = 5
+SAVGOL_POLYORDER = 2
+
 
 class ImportanceMonitor:
     """Eq. 5: activation factor from the importance-score std trajectory.
@@ -45,10 +55,7 @@ class ImportanceMonitor:
     annealing never reverses.
     """
 
-    def __init__(self, slope_window: int = 5) -> None:
-        if slope_window < 2:
-            raise ValueError("slope_window must be >= 2")
-        self.slope_window = slope_window
+    def __init__(self) -> None:
         self.std_history: List[float] = []
         self._activated = False
         self.activation_epoch: Optional[int] = None
@@ -58,8 +65,8 @@ class ImportanceMonitor:
         if std < 0:
             raise ValueError("standard deviation cannot be negative")
         self.std_history.append(float(std))
-        if not self._activated and len(self.std_history) >= self.slope_window:
-            recent = self.std_history[-self.slope_window :]
+        if not self._activated and len(self.std_history) >= SLOPE_WINDOW:
+            recent = self.std_history[-SLOPE_WINDOW:]
             if slope(recent) < 0:
                 self._activated = True
                 self.activation_epoch = len(self.std_history) - 1
@@ -73,31 +80,7 @@ class ImportanceMonitor:
 class AccuracyMonitor:
     """Eq. 6-7: penalty factor from the smoothed accuracy growth rate."""
 
-    def __init__(
-        self,
-        m: int = 5,
-        gamma: float = 0.01,
-        savgol_window: int = 5,
-        savgol_polyorder: int = 2,
-    ) -> None:
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        # Validate the filter configuration up front: an even window (or a
-        # polyorder >= window) used to slip through construction and only
-        # blow up inside savgol_coefficients at the first growth_rate()
-        # call — epoch m+1, mid-training.
-        if savgol_window % 2 == 0 or savgol_window < 1:
-            raise ValueError("savgol_window must be a positive odd integer")
-        if savgol_polyorder < 0:
-            raise ValueError("savgol_polyorder must be non-negative")
-        if savgol_polyorder >= savgol_window:
-            raise ValueError("savgol_polyorder must be less than savgol_window")
-        self.m = m
-        self.gamma = gamma
-        self.savgol_window = savgol_window
-        self.savgol_polyorder = savgol_polyorder
+    def __init__(self) -> None:
         self.accuracy_history: List[float] = []
 
     def observe(self, accuracy: float) -> float:
@@ -107,14 +90,14 @@ class AccuracyMonitor:
 
     def growth_rate(self) -> float:
         """Delta_t over the smoothed series; 0 before enough history."""
-        if len(self.accuracy_history) < self.m + 1:
+        if len(self.accuracy_history) < GROWTH_WINDOW + 1:
             return 0.0
         smoothed = savgol_smooth(
             np.asarray(self.accuracy_history),
-            window=self.savgol_window,
-            polyorder=self.savgol_polyorder,
+            window=SAVGOL_WINDOW,
+            polyorder=SAVGOL_POLYORDER,
         )
-        return mean_growth_rate(smoothed, window=self.m)
+        return mean_growth_rate(smoothed, window=GROWTH_WINDOW)
 
     def penalty(self) -> float:
         """Eq. 7, clamped to [0, 1].
@@ -125,7 +108,7 @@ class AccuracyMonitor:
         delta = self.growth_rate()
         if delta <= 0:
             return 0.0
-        return float(delta / (self.gamma + delta))
+        return float(delta / (GAMMA + delta))
 
 
 class RatioController:
@@ -174,12 +157,9 @@ class ElasticCacheManager:
         total_epochs: int,
         r_start: float = 0.9,
         r_end: float = 0.8,
-        gamma: float = 0.01,
-        m: int = 5,
-        slope_window: int = 5,
     ) -> None:
-        self.importance_monitor = ImportanceMonitor(slope_window=slope_window)
-        self.accuracy_monitor = AccuracyMonitor(m=m, gamma=gamma)
+        self.importance_monitor = ImportanceMonitor()
+        self.accuracy_monitor = AccuracyMonitor()
         self.controller = RatioController(r_start, r_end, total_epochs)
         self.history: List[ElasticDecision] = []
         # Annealing time starts when beta activates, not at epoch 0: Eq. 8's

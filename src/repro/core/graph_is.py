@@ -168,7 +168,6 @@ class GraphImportanceScorer:
         neighbormax: int = 500,
         backend: str = "exact",
         zero_same_part1: float = 2.0,
-        hnsw_kwargs: Optional[dict] = None,
         rng: RngLike = None,
     ) -> None:
         self.labels = np.asarray(labels, dtype=np.int64)
@@ -183,12 +182,11 @@ class GraphImportanceScorer:
         if backend == "exact":
             self.index: IndexBackend = BruteForceIndex(dim, capacity=len(self.labels))
         elif backend == "hnsw":
-            kw = dict(hnsw_kwargs or {})
             # Pre-size the flat vector matrix to the dataset so the index
             # never pays doubling-regrowth copies mid-training.
-            kw.setdefault("capacity", max(len(self.labels), 64))
-            kw.setdefault("rng", rng)
-            self.index = HNSWIndex(dim, **kw)
+            self.index = HNSWIndex(
+                dim, capacity=max(len(self.labels), 64), rng=rng
+            )
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend

@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.cache.base import Cache, FetchSource
-from repro.cache.payload_store import PayloadStore
 
 __all__ = ["HomophilyCache"]
 
@@ -41,8 +40,8 @@ class HomophilyCache(Cache):
     name = "hom"
     source = FetchSource.HOMOPHILY
 
-    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
-        super().__init__(capacity, store)
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
         # key -> neighbor id tuple; OrderedDict gives FIFO order.
         self._items: OrderedDict[int, Tuple[int, ...]] = OrderedDict()
         # neighbor id -> set of cached node keys listing it.

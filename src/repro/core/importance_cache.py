@@ -15,7 +15,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.base import Cache, FetchSource
-from repro.cache.payload_store import PayloadStore
 
 __all__ = ["ImportanceCache"]
 
@@ -49,8 +48,8 @@ class ImportanceCache(Cache):
     name = "imp"
     source = FetchSource.IMPORTANCE
 
-    def __init__(self, capacity: int, store: Optional[PayloadStore] = None) -> None:
-        super().__init__(capacity, store)
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
         self._items: Dict[int, Tuple[float, int]] = {}
         self._heap: List[Tuple[float, int, int]] = []
         self._counter = 0  # next admission's tiebreak
@@ -95,6 +94,14 @@ class ImportanceCache(Cache):
         """Score of the least-important resident, or ``None`` when empty."""
         return self._min()[0] if self._items else None
 
+    def refuses(self, score: float) -> bool:
+        """Whether :meth:`admit` turns a new key away at ``score``: the
+        layer is full and ``score`` does not beat its minimum (a tie
+        stays out)."""
+        if len(self._items) < self.capacity:
+            return False
+        return not self._items or score <= self._min()[0]
+
     def admit(self, key: int, score: float, value: Any) -> bool:
         """Offer a freshly fetched sample (Fig. 9 cases 2/4).
 
@@ -112,7 +119,7 @@ class ImportanceCache(Cache):
             self.update_score(key, score)
             return True
         full = len(self._items) >= self.capacity
-        if full and score <= self._min()[0]:
+        if self.refuses(score):
             if obs.active:
                 obs.on_admit(key, score, False, None)
                 obs.on_audit(

@@ -177,13 +177,11 @@ class SpiderCachePolicy(ISPolicy):
         r_start: float = 0.9,
         r_end: float = 0.8,
         elastic: bool = True,
-        gamma: float = 0.01,
         backend: str = "exact",
         hom_neighbor_limit: int = 16,
         hom_same_class_only: bool = True,
         hom_radius_scale: float = 0.75,
         prefetch_fraction: float = 0.0,
-        cache_factory=None,
         rng: RngLike = None,
     ) -> None:
         super().__init__(cache_fraction, rng=rng)
@@ -219,12 +217,7 @@ class SpiderCachePolicy(ISPolicy):
         self.r_start = r_start
         self.r_end = r_end
         self.elastic = elastic
-        self.gamma = gamma
         self.backend = backend
-        # ``cache_factory(capacity, imp_ratio)`` replaces the in-process
-        # cache (see TrainingPolicy); ``None`` keeps it.
-        if cache_factory is not None:
-            self.cache_factory = cache_factory
         # Built in setup():
         self.scorer: Optional[GraphImportanceScorer] = None
         self.manager: Optional[ElasticCacheManager] = None
@@ -254,7 +247,6 @@ class SpiderCachePolicy(ISPolicy):
             total_epochs=ctx.total_epochs,
             r_start=self.r_start,
             r_end=self.r_end,
-            gamma=self.gamma,
         )
 
     def attach_observer(self, observer) -> None:
@@ -300,8 +292,7 @@ class SpiderCachePolicy(ISPolicy):
             if idx in imp:
                 continue
             score = self.score_table.get(idx)
-            floor = imp.min_score()
-            if len(imp) >= imp.capacity and floor is not None and score <= floor:
+            if imp.refuses(score):
                 break  # remaining candidates score even lower
             try:
                 payload = ctx.store.get(idx)  # real I/O, charges latency

@@ -10,7 +10,7 @@ permutation in :meth:`TrainingPolicy.epoch_order` directly.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,26 +24,24 @@ class MultinomialSampler:
 
     ``weight_fn`` is called once per epoch and must return an unnormalized
     non-negative weight vector of length ``n_samples`` (e.g.
-    :meth:`GlobalScoreTable.sampling_weights`). ``epoch_size`` defaults to
-    the dataset size, matching one-pass epochs.
+    :meth:`GlobalScoreTable.sampling_weights`). An epoch draws as many ids
+    as the dataset has samples, matching one-pass epochs.
     """
 
     def __init__(
         self,
         n_samples: int,
         weight_fn: Callable[[], np.ndarray],
-        epoch_size: Optional[int] = None,
         rng: RngLike = None,
     ) -> None:
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
         self.n_samples = int(n_samples)
-        self.epoch_size = int(epoch_size) if epoch_size else int(n_samples)
         self.weight_fn = weight_fn
         self._rng = resolve_rng(rng)
 
     def epoch_order(self, epoch: int) -> np.ndarray:
-        """Draw ``epoch_size`` ids with replacement, weighted."""
+        """Draw ``n_samples`` ids with replacement, weighted."""
         w = np.asarray(self.weight_fn(), dtype=np.float64)
         if w.shape[0] != self.n_samples:
             raise ValueError("weight_fn returned wrong length")
@@ -55,4 +53,4 @@ class MultinomialSampler:
             p = np.full(self.n_samples, 1.0 / self.n_samples)
         else:
             p = w / total
-        return self._rng.choice(self.n_samples, size=self.epoch_size, replace=True, p=p)
+        return self._rng.choice(self.n_samples, size=self.n_samples, replace=True, p=p)

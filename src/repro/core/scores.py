@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = ["GlobalScoreTable", "last_occurrences"]
 
+#: Every sample's score before its first update.
+INITIAL_SCORE = 1.0
+
 
 def last_occurrences(ids: np.ndarray) -> np.ndarray:
     """Positions of each distinct id's last occurrence, in ascending id order.
@@ -31,19 +34,17 @@ def last_occurrences(ids: np.ndarray) -> np.ndarray:
 class GlobalScoreTable:
     """Per-sample importance scores.
 
-    Scores start at ``initial_score`` (> 0 so unseen samples still get
+    Scores start at :data:`INITIAL_SCORE` (> 0 so unseen samples still get
     sampled; the paper's IS "does not update every sample's score in each
     epoch"). ``snapshot_std`` records the dispersion of the current scores —
     called once per epoch, this produces the Fig. 6(c) std trajectory.
     """
 
-    def __init__(self, n_samples: int, initial_score: float = 1.0) -> None:
+    def __init__(self, n_samples: int) -> None:
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
-        if initial_score <= 0:
-            raise ValueError("initial_score must be positive for sampling")
         self.n_samples = int(n_samples)
-        self._scores = np.full(n_samples, float(initial_score))
+        self._scores = np.full(n_samples, INITIAL_SCORE)
         self._ever_updated = np.zeros(n_samples, dtype=bool)
         self.std_history: List[float] = []
 

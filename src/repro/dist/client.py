@@ -69,13 +69,9 @@ import numpy as np
 from repro.cache.base import Cache
 from repro.cache.payload_store import PayloadStore
 from repro.core.semantic_cache import FetchOutcome, SemanticCache
-from repro.dist.migration import (
-    DEFAULT_BATCH_SIZE,
-    MigrationState,
-    plan_migration,
-)
+from repro.dist.migration import MigrationState, plan_migration
 from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
-from repro.dist.ring import DEFAULT_SEED, ConsistentHashRing
+from repro.dist.ring import ConsistentHashRing
 from repro.dist.rpc import (
     RpcError,
     RpcTimeoutError,
@@ -88,7 +84,6 @@ from repro.obs.observer import Observer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import CircuitOpenError
 from repro.storage.clock import SimClock
-from repro.storage.latency import LatencyModel
 
 __all__ = ["ShardedCacheClient", "ShardStore"]
 
@@ -99,6 +94,9 @@ _DEGRADE_ERRORS = (RpcError, CircuitOpenError)
 
 #: Single-attempt channel failures (retried / parked by the layers above).
 _ATTEMPT_ERRORS = (ShardOutageError, RpcTimeoutError)
+
+#: Simulated seconds a shard's open breaker waits before its half-open probe.
+BREAKER_COOLDOWN_S = 0.05
 
 
 class ShardStore(PayloadStore):
@@ -268,27 +266,20 @@ class ShardedCacheClient(SemanticCache):
         servers, simulated clock, fault injection; the deterministic
         oracle. ``"real"`` builds a
         :class:`~repro.dist.transport.RealRpcTransport` — servers in
-        real worker processes, charging the same modelled time
-        (``fault_plans`` are rejected; chaos uses the transport's
-        ``kill_shard``). A prebuilt :class:`~repro.dist.rpc.Transport`
-        instance is also accepted; it already owns its clock, latency
-        model and fault plans, so passing any of those alongside it is
-        an error.
-    clock / latency / deadline_s / fault_plans:
+        real worker processes, charging the same modelled time (chaos
+        uses the transport's ``kill_shard``). A prebuilt
+        :class:`~repro.dist.rpc.Transport` instance is also accepted; it
+        already owns its clock, so passing one alongside it is an error.
+        Fault plans are installed with :meth:`set_fault_plan`.
+    clock / deadline_s:
         Forwarded to the transport built here (shared clock, per-call
-        latency model, per-call deadline, per-shard fault schedules —
-        sim only).
+        deadline).
     retry:
         :class:`RetryPolicy` for every cache-protocol call; default
         policy retries twice with seeded-jitter exponential backoff.
-    breaker_failure_threshold / breaker_cooldown_s / breaker_close_threshold:
-        Per-shard :class:`CircuitBreaker` parameters (every shard gets
-        its own breaker; new shards added by :meth:`resize` inherit
-        them).
-    vnodes / seed:
-        Consistent-hash ring geometry (see :mod:`repro.dist.ring`).
-    migration_batch_size:
-        Keys per migration transfer batch during a live resize.
+
+    Every shard, including one a :meth:`resize` adds, gets its own
+    :class:`CircuitBreaker` with a :data:`BREAKER_COOLDOWN_S` cool-down.
 
     Attributes
     ----------
@@ -309,16 +300,8 @@ class ShardedCacheClient(SemanticCache):
         n_shards: int = 1,
         transport: Any = "sim",
         clock: Optional[SimClock] = None,
-        latency: Optional[LatencyModel] = None,
         deadline_s: float = 0.01,
         retry: Optional[RetryPolicy] = None,
-        fault_plans: Optional[Dict[int, Any]] = None,
-        breaker_failure_threshold: int = 3,
-        breaker_cooldown_s: float = 0.05,
-        breaker_close_threshold: int = 1,
-        vnodes: int = 64,
-        seed: int = DEFAULT_SEED,
-        migration_batch_size: int = DEFAULT_BATCH_SIZE,
         layers: Optional[Sequence[Cache]] = None,
     ) -> None:
         # layer name -> (key -> shard holding the payload); owned here
@@ -331,25 +314,17 @@ class ShardedCacheClient(SemanticCache):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = int(n_shards)
-        self.ring = ConsistentHashRing(self.n_shards, vnodes=vnodes, seed=seed)
+        self.ring = ConsistentHashRing(self.n_shards)
         if isinstance(transport, str):
             if transport == "sim":
                 self.transport: Transport = SimRpcChannel(
-                    clock=clock,
-                    latency=latency,
-                    deadline_s=deadline_s,
-                    fault_plans=fault_plans,
+                    clock=clock, deadline_s=deadline_s
                 )
             elif transport == "real":
-                if fault_plans:
-                    raise ValueError(
-                        "fault plans are a simulation feature; use the real "
-                        "transport's kill_shard for real-process chaos"
-                    )
                 from repro.dist.transport import RealRpcTransport
 
                 self.transport = RealRpcTransport(
-                    clock=clock, latency=latency, deadline_s=deadline_s
+                    clock=clock, deadline_s=deadline_s
                 )
             else:
                 raise ValueError(
@@ -357,28 +332,19 @@ class ShardedCacheClient(SemanticCache):
                     "'real', or a Transport instance"
                 )
         else:
-            for name, value in (
-                ("clock", clock), ("latency", latency),
-                ("fault_plans", fault_plans),
-            ):
-                if value is not None:
-                    raise ValueError(
-                        f"{name}= would be ignored: a prebuilt Transport "
-                        "instance already carries its own; configure it there"
-                    )
+            if clock is not None:
+                raise ValueError(
+                    "clock= would be ignored: a prebuilt Transport "
+                    "instance already carries its own; configure it there"
+                )
             self.transport = transport
         for sid in range(self.n_shards):
             if not self.transport.has_shard(sid):
                 self.transport.add_shard(sid)
         self.clock = self.transport.clock
         self.retry = retry if retry is not None else RetryPolicy()
-        self._breaker_kwargs = dict(
-            failure_threshold=int(breaker_failure_threshold),
-            cooldown_s=float(breaker_cooldown_s),
-            close_threshold=int(breaker_close_threshold),
-        )
         self.breakers: Dict[int, CircuitBreaker] = {
-            sid: CircuitBreaker(**self._breaker_kwargs)
+            sid: CircuitBreaker(cooldown_s=BREAKER_COOLDOWN_S)
             for sid in range(self.n_shards)
         }
 
@@ -391,7 +357,6 @@ class ShardedCacheClient(SemanticCache):
         self.degraded_lookups = 0
         self._rpc_seq = 0  # deterministic per-request id for jitter
 
-        self.migration_batch_size = int(migration_batch_size)
         self.migration: Optional[MigrationState] = None
         self.completed_resizes = 0
 
@@ -742,14 +707,13 @@ class ShardedCacheClient(SemanticCache):
             return None
         for sid in range(old_n, new_n):
             self.transport.add_shard(sid)
-            breaker = CircuitBreaker(**self._breaker_kwargs)
+            breaker = CircuitBreaker(cooldown_s=BREAKER_COOLDOWN_S)
             breaker.attach_observer(self._obs, label=f"shard{sid}")
             self.breakers[sid] = breaker
         state = plan_migration(
             old_n,
             self.ring.spawn(new_n),
             {layer: dict(loc) for layer, loc in self._loc.items()},
-            batch_size=self.migration_batch_size,
         )
         self.migration = state
         if self._obs.active:

@@ -3,7 +3,7 @@
 A :class:`RetryPolicy` gives every logical request a bounded **retry
 budget** and a **capped exponential backoff** schedule with *seeded*
 jitter: the jitter for attempt ``a`` of request ``r`` is a pure function
-of ``(seed, r, a)`` via splitmix64, so retry timing is fully
+of ``(JITTER_SEED, r, a)`` via splitmix64, so retry timing is fully
 deterministic per run — the property the differential oracle and the
 backoff-schedule tests rely on — while still decorrelating concurrent
 retriers the way random jitter does in production systems.
@@ -23,6 +23,17 @@ from repro.dist.ring import splitmix64
 from repro.dist.rpc import RpcError
 
 __all__ = ["RetryPolicy", "RetryBudgetExhausted"]
+
+#: Attempt ``a`` (0-based) waits ``min(BACKOFF_CAP_S, BACKOFF_BASE_S *
+#: BACKOFF_MULTIPLIER**a)`` before attempt ``a+1``, scaled by jitter.
+BACKOFF_BASE_S = 1e-3
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP_S = 0.05
+#: Fraction of each wait that is randomized: the wait is drawn uniformly
+#: from ``[(1 - JITTER) * d, d]``.
+JITTER = 0.5
+#: Jitter-stream seed.
+JITTER_SEED = 0
 
 
 class RetryBudgetExhausted(RpcError):
@@ -47,51 +58,26 @@ class RetryPolicy:
     max_attempts:
         Total attempts per logical request, the first included (so the
         retry budget is ``max_attempts - 1``). ``1`` disables retries.
-    backoff_base_s / backoff_multiplier / backoff_cap_s:
-        Attempt ``a`` (0-based) waits
-        ``min(cap, base * multiplier**a)`` before attempt ``a+1``,
-        scaled by jitter.
-    jitter:
-        Fraction of each wait that is randomized: the wait is drawn
-        uniformly from ``[(1 - jitter) * d, d]``. ``0`` disables jitter.
-    seed:
-        Jitter-stream seed; same seed => same schedule, bit for bit.
     """
 
     max_attempts: int = 3
-    backoff_base_s: float = 1e-3
-    backoff_multiplier: float = 2.0
-    backoff_cap_s: float = 0.05
-    jitter: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff times must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
     # ------------------------------------------------------------------
     def backoff_s(self, request_id: int, attempt: int) -> float:
         """Wait before retrying ``attempt + 1`` of request ``request_id``.
 
-        Deterministic: a pure function of ``(seed, request_id, attempt)``.
+        Deterministic: a pure function of ``(request_id, attempt)``.
         """
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        raw = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * self.backoff_multiplier ** attempt,
-        )
-        if self.jitter == 0.0 or raw == 0.0:
-            return raw
-        h = splitmix64(splitmix64(self.seed ^ int(request_id)) ^ int(attempt))
+        raw = min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** attempt)
+        h = splitmix64(splitmix64(JITTER_SEED ^ int(request_id)) ^ int(attempt))
         u = h / float(1 << 64)  # uniform in [0, 1)
-        return raw * (1.0 - self.jitter * u)
+        return raw * (1.0 - JITTER * u)
 
     def schedule(self, request_id: int) -> List[float]:
         """The full backoff schedule one request would follow if every

@@ -1,8 +1,8 @@
 """Consistent-hash ring mapping sample keys to shard servers.
 
 splitmix64-hashed virtual nodes on a 64-bit ring. Each shard owns
-``vnodes`` points whose positions depend only on ``(shard_id, replica,
-seed)`` — *not* on the shard count — so growing the ring from K to K+1
+:data:`VNODES` points whose positions depend only on ``(shard_id, replica,
+SEED)`` — *not* on the shard count — so growing the ring from K to K+1
 shards leaves every surviving shard's points in place and only the keys
 that land in the new shard's arcs move (the classic minimal-disruption
 property the live-resize migration relies on).
@@ -16,9 +16,12 @@ from typing import Dict, Iterable, List, Tuple
 __all__ = ["splitmix64", "ConsistentHashRing", "ring_diff"]
 
 _MASK = (1 << 64) - 1
-#: Default hash-domain seed; any fixed value works, but every participant
-#: of one cache service must agree on it.
-DEFAULT_SEED = 0x5D15C0DE
+#: Hash-domain seed; any fixed value works, but every participant of one
+#: cache service must agree on it.
+SEED = 0x5D15C0DE
+#: Virtual nodes per shard; more balance at the cost of a larger sorted
+#: point array.
+VNODES = 64
 
 
 def splitmix64(x: int) -> int:
@@ -35,30 +38,18 @@ class ConsistentHashRing:
     Parameters
     ----------
     n_shards:
-        Number of shard servers (ids ``0..n_shards-1``).
-    vnodes:
-        Virtual nodes per shard; more vnodes = better balance at the cost
-        of a larger sorted point array.
-    seed:
-        Hash-domain seed; rings with equal ``(vnodes, seed)`` and
-        different shard counts share the surviving shards' points.
+        Number of shard servers (ids ``0..n_shards-1``). Rings of
+        different sizes share the surviving shards' points.
     """
 
-    def __init__(self, n_shards: int, vnodes: int = 64,
-                 seed: int = DEFAULT_SEED) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.n_shards = int(n_shards)
-        self.vnodes = int(vnodes)
-        self.seed = int(seed)
         points: List[Tuple[int, int]] = []
         for shard in range(self.n_shards):
-            for replica in range(self.vnodes):
-                h = splitmix64(
-                    (shard << 32) ^ replica ^ self.seed
-                )
+            for replica in range(VNODES):
+                h = splitmix64((shard << 32) ^ replica ^ SEED)
                 points.append((h, shard))
         points.sort()
         self._hashes = [p[0] for p in points]
@@ -67,7 +58,7 @@ class ConsistentHashRing:
     # ------------------------------------------------------------------
     def shard_for(self, key: int) -> int:
         """Owning shard of ``key`` (deterministic)."""
-        h = splitmix64(int(key) ^ self.seed)
+        h = splitmix64(int(key) ^ SEED)
         i = bisect_right(self._hashes, h)
         if i == len(self._hashes):
             i = 0  # wrap around the ring
@@ -82,18 +73,15 @@ class ConsistentHashRing:
 
     def spawn(self, n_shards: int) -> "ConsistentHashRing":
         """A ring of a different size over the same hash domain."""
-        return ConsistentHashRing(n_shards, vnodes=self.vnodes, seed=self.seed)
+        return ConsistentHashRing(n_shards)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConsistentHashRing):
             return NotImplemented
-        return (self.n_shards, self.vnodes, self.seed) == (
-            other.n_shards, other.vnodes, other.seed
-        )
+        return self.n_shards == other.n_shards
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ConsistentHashRing(n_shards={self.n_shards}, "
-                f"vnodes={self.vnodes})")
+        return f"ConsistentHashRing(n_shards={self.n_shards})"
 
 
 def ring_diff(

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.resilience.faults import FaultPlan
 from repro.storage.clock import SimClock
-from repro.storage.latency import ConstantLatency, LatencyModel
+from repro.storage.latency import ConstantLatency
 
 __all__ = [
     "RpcError",
@@ -46,6 +46,9 @@ __all__ = [
 #: Simulated bytes of framing/headers added to every call's payload when
 #: sampling its latency.
 RPC_OVERHEAD_NBYTES = 256
+#: Modelled latency of one attempt over its payload size: a
+#: datacenter-RPC-like ~0.2 ms per call.
+RPC_LATENCY = ConstantLatency(base_s=2e-4, bandwidth_bps=10e9)
 
 
 class RpcError(RuntimeError):
@@ -81,7 +84,7 @@ class Transport(abc.ABC):
       ``multiprocessing.connection`` protocol.
 
     Both charge the same modelled time: :meth:`call` samples
-    ``latency`` for every attempt and charges the :attr:`STAGE` stage of
+    :data:`RPC_LATENCY` for every attempt and charges the :attr:`STAGE` stage of
     ``clock`` ``deadline_s`` for a timed-out attempt and
     ``min(latency, deadline_s)`` for any other, so a fault-free run
     reads the same clock on either transport.
@@ -102,15 +105,12 @@ class Transport(abc.ABC):
     def __init__(
         self,
         clock: Optional[SimClock],
-        latency: Optional[LatencyModel],
         deadline_s: float,
     ) -> None:
         if deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         self.clock = clock if clock is not None else SimClock()
-        self.latency = latency if latency is not None else ConstantLatency(
-            base_s=2e-4, bandwidth_bps=10e9
-        )
+        self.latency = RPC_LATENCY
         self.deadline_s = float(deadline_s)
         self.calls = 0
         self.failures = 0  # outage-classified attempts
@@ -250,40 +250,30 @@ class SimRpcChannel(Transport):
     :mod:`repro.dist.retry` / the client); the channel models exactly one
     attempt: latency, deadline, and fault injection.
 
+    ``servers`` is the ``{shard_id: CacheShardServer}`` dict, mutated on
+    ring resizes (tests reach into live servers through it);
+    ``fault_plans`` maps shard ids to the :class:`FaultPlan` s
+    :meth:`set_fault_plan` installed: per-shard outage and brownout
+    windows, evaluated against the shared clock.
+
     Parameters
     ----------
-    servers:
-        Optional seed ``{shard_id: CacheShardServer}``; the dict is owned
-        by the channel afterwards and mutated on ring resizes (it stays
-        visible to callers that keep a reference — tests reach into
-        live servers through it).
     clock:
         Shared simulated clock; every attempt (including failed ones)
         charges the :attr:`STAGE` stage.
-    latency:
-        Per-call latency model over the payload size; defaults to a
-        datacenter-RPC-like constant (~0.2 ms per call).
     deadline_s:
         Per-call deadline. Calls whose sampled latency exceeds it charge
         exactly ``deadline_s`` and raise :class:`RpcTimeoutError`.
-    fault_plans:
-        Optional ``{shard_id: FaultPlan}`` injecting per-shard outage and
-        brownout windows, evaluated against the shared clock.
     """
 
     name = "sim"
 
     def __init__(
-        self,
-        servers: Optional[Dict[int, Any]] = None,
-        clock: Optional[SimClock] = None,
-        latency: Optional[LatencyModel] = None,
-        deadline_s: float = 0.01,
-        fault_plans: Optional[Dict[int, FaultPlan]] = None,
+        self, clock: Optional[SimClock] = None, deadline_s: float = 0.01
     ) -> None:
-        super().__init__(clock, latency, deadline_s)
-        self.servers = servers if servers is not None else {}
-        self.fault_plans: Dict[int, FaultPlan] = dict(fault_plans or {})
+        super().__init__(clock, deadline_s)
+        self.servers: Dict[int, Any] = {}
+        self.fault_plans: Dict[int, FaultPlan] = {}
 
     # -- shard lifecycle -----------------------------------------------
     def add_shard(self, shard: int) -> None:

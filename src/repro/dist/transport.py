@@ -43,7 +43,6 @@ from typing import Any, List, Optional, Tuple
 from repro.dist.rpc import RpcError, RpcTimeoutError, ShardOutageError, Transport
 from repro.dist.server import CacheShardServer
 from repro.storage.clock import SimClock
-from repro.storage.latency import LatencyModel
 
 __all__ = ["RealRpcTransport", "shard_worker_main"]
 
@@ -175,12 +174,13 @@ class _ShardWorker:
 class RealRpcTransport(Transport):
     """Shard servers in real worker processes; time is modelled.
 
+    Shards are provisioned with :meth:`add_shard` (the client provisions
+    its own), each a worker started from a ``fork`` context where the
+    platform has one (fast worker start), else the platform default.
+
     Parameters
     ----------
-    shard_ids:
-        Shards to provision eagerly (the client normally provisions its
-        own via :meth:`add_shard`).
-    clock, latency:
+    clock:
         As on :class:`~repro.dist.rpc.SimRpcChannel`: each attempt
         charges its modelled latency to ``clock``'s ``"rpc"`` stage, so
         retry backoffs and breaker cool-downs elapse in simulated
@@ -190,31 +190,19 @@ class RealRpcTransport(Transport):
         is a timeout and charges ``deadline_s``. Real IPC has genuine
         latency jitter, so real runs want a *much* looser deadline than
         the simulated 0.01 s default (the CLI uses 1 s).
-    mp_context:
-        ``multiprocessing`` context; defaults to ``fork`` where available
-        (fast worker start) else the platform default.
     """
 
     name = "real"
 
     def __init__(
-        self,
-        shard_ids: Tuple[int, ...] = (),
-        clock: Optional[SimClock] = None,
-        latency: Optional[LatencyModel] = None,
-        deadline_s: float = 1.0,
-        mp_context: Optional[Any] = None,
+        self, clock: Optional[SimClock] = None, deadline_s: float = 1.0
     ) -> None:
-        super().__init__(clock, latency, deadline_s)
-        if mp_context is None:
-            try:
-                mp_context = mp.get_context("fork")
-            except ValueError:  # pragma: no cover — non-fork platforms
-                mp_context = mp.get_context()
-        self._ctx = mp_context
+        super().__init__(clock, deadline_s)
+        try:
+            self._ctx = mp.get_context("fork")
+        except ValueError:  # pragma: no cover — non-fork platforms
+            self._ctx = mp.get_context()
         self._workers: dict = {}
-        for sid in shard_ids:
-            self.add_shard(sid)
 
     # -- shard lifecycle -----------------------------------------------
     def add_shard(self, shard: int) -> None:

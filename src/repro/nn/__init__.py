@@ -10,7 +10,6 @@ from repro.nn.init import he_init, xavier_init
 from repro.nn.layers import (
     BatchNorm1d,
     Conv2d,
-    Dropout,
     Flatten,
     Layer,
     Linear,
@@ -29,7 +28,6 @@ __all__ = [
     "Conv2d",
     "MaxPool2d",
     "BatchNorm1d",
-    "Dropout",
     "Flatten",
     "Sequential",
     "SoftmaxCrossEntropy",

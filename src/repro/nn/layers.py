@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.init import he_init
-from repro.utils.rng import RngLike, resolve_rng
+from repro.utils.rng import RngLike
 
 __all__ = [
     "Layer",
@@ -22,7 +22,6 @@ __all__ = [
     "Conv2d",
     "MaxPool2d",
     "BatchNorm1d",
-    "Dropout",
     "Flatten",
     "Sequential",
 ]
@@ -217,16 +216,15 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Max pooling with square window; stride defaults to window size."""
+    """Max pooling over non-overlapping square windows (stride = window)."""
 
-    def __init__(self, kernel_size: int = 2, stride: Optional[int] = None) -> None:
+    def __init__(self, kernel_size: int = 2) -> None:
         self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], int, int]] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
+        k = s = self.kernel_size
         oh = (h - k) // s + 1
         ow = (w - k) // s + 1
         st = x.strides
@@ -248,7 +246,7 @@ class MaxPool2d(Layer):
             raise RuntimeError("backward called before a training forward")
         arg, x_shape, oh, ow = self._cache
         n, c, h, w = x_shape
-        k, s = self.kernel_size, self.stride
+        k = s = self.kernel_size
         dx = np.zeros(x_shape)
         # Scatter each output gradient to its argmax position.
         oi, oj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
@@ -264,29 +262,32 @@ class MaxPool2d(Layer):
         return dx
 
 
+#: Running-statistics decay and variance floor of :class:`BatchNorm1d`.
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 class BatchNorm1d(Layer):
     """Batch normalization over feature vectors (n, d)."""
 
-    def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
+    def __init__(self, num_features: int) -> None:
         self.gamma = np.ones(num_features)
         self.beta = np.zeros(num_features)
         self.dgamma = np.zeros(num_features)
         self.dbeta = np.zeros(num_features)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self.momentum = momentum
-        self.eps = eps
         self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         else:
             mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x - mean) * inv_std
         if training:
             self._cache = (x_hat, inv_std, x - mean)
@@ -314,30 +315,6 @@ class BatchNorm1d(Layer):
             "running_mean": self.running_mean,
             "running_var": self.running_var,
         }
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at eval time."""
-
-    def __init__(self, p: float = 0.5, rng: RngLike = None) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError("p must be in [0, 1)")
-        self.p = p
-        self._rng = resolve_rng(rng)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
 
 
 class Flatten(Layer):

@@ -17,7 +17,7 @@ IS algorithm, Fig. 7) are available from every forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +53,6 @@ class ModelSpec:
     stage1_ms: float
     stage2_ms: float
     is_ms: float
-    use_batchnorm: bool = True
 
     @property
     def compute_ms(self) -> float:
@@ -210,8 +209,7 @@ def build_model(
     width = input_dim
     for h in spec.hidden:
         layers.append(Linear(width, h, rng=gen))
-        if spec.use_batchnorm:
-            layers.append(BatchNorm1d(h))
+        layers.append(BatchNorm1d(h))
         layers.append(ReLU())
         width = h
     layers.append(Linear(width, spec.embedding_dim, rng=gen))

@@ -31,22 +31,21 @@ class ConstantLR(_LRSchedule):
 
 
 class CosineLR(_LRSchedule):
-    """Cosine annealing from ``lr`` to ``min_lr`` over ``total_epochs``."""
+    """Cosine annealing from ``lr`` to zero over ``total_epochs``."""
 
-    def __init__(self, lr: float, total_epochs: int, min_lr: float = 0.0) -> None:
+    def __init__(self, lr: float, total_epochs: int) -> None:
         if total_epochs <= 0:
             raise ValueError("total_epochs must be positive")
         self.lr = lr
         self.total_epochs = total_epochs
-        self.min_lr = min_lr
 
     def lr_at(self, epoch: int) -> float:
         t = min(epoch, self.total_epochs) / self.total_epochs
-        return self.min_lr + 0.5 * (self.lr - self.min_lr) * (1 + math.cos(math.pi * t))
+        return 0.5 * self.lr * (1 + math.cos(math.pi * t))
 
 
 class SGD:
-    """Stochastic gradient descent with momentum and weight decay.
+    """Stochastic gradient descent with momentum.
 
     Operates on the ``(param, grad)`` pairs a :class:`~repro.nn.layers.Layer`
     exposes; updates are in place so layers see new weights immediately.
@@ -57,7 +56,6 @@ class SGD:
         params: List[Tuple[np.ndarray, np.ndarray]],
         lr: float = 0.01,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
         schedule: _LRSchedule | None = None,
     ) -> None:
         if lr <= 0:
@@ -67,7 +65,6 @@ class SGD:
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.schedule = schedule or ConstantLR(lr)
         self._velocity = [np.zeros_like(p) for p, _ in params]
         self.epoch = 0
@@ -85,8 +82,6 @@ class SGD:
         lr = self.current_lr
         for (p, g), v in zip(self.params, self._velocity):
             upd = g
-            if self.weight_decay:
-                upd = upd + self.weight_decay * p
             if self.momentum:
                 v *= self.momentum
                 v += upd

@@ -6,12 +6,12 @@ converts that into fail-fast rejections the semantic cache can absorb in
 degraded mode:
 
 * **closed** — requests pass through; consecutive failures are counted;
-* **open** — after ``failure_threshold`` consecutive failures, requests are
+* **open** — after :data:`FAILURE_THRESHOLD` consecutive failures, requests are
   rejected immediately with
   :class:`~repro.resilience.errors.CircuitOpenError` until ``cooldown_s``
   of *simulated* time elapses;
 * **half-open** — after the cool-down, probe requests pass through;
-  ``close_threshold`` consecutive successes re-close the breaker, any
+  :data:`CLOSE_THRESHOLD` consecutive successes re-close the breaker, any
   failure re-opens it (fresh cool-down).
 
 All timing uses the wrapped store's :class:`~repro.storage.clock.SimClock`,
@@ -32,6 +32,11 @@ from repro.storage.flaky import TransientFetchError
 from repro.storage.wrappers import StoreWrapper
 
 __all__ = ["BreakerState", "BreakerEvent", "CircuitBreaker", "CircuitBreakerStore"]
+
+#: Consecutive failures that open a closed breaker.
+FAILURE_THRESHOLD = 3
+#: Consecutive half-open successes that re-close it.
+CLOSE_THRESHOLD = 1
 
 
 class BreakerState(str, Enum):
@@ -54,21 +59,10 @@ class BreakerEvent:
 class CircuitBreaker:
     """Closed -> open -> half-open state machine on a simulated clock."""
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_s: float = 1.0,
-        close_threshold: int = 1,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
+    def __init__(self, cooldown_s: float = 1.0) -> None:
         if cooldown_s < 0:
             raise ValueError("cooldown_s must be non-negative")
-        if close_threshold < 1:
-            raise ValueError("close_threshold must be >= 1")
-        self.failure_threshold = int(failure_threshold)
         self.cooldown_s = float(cooldown_s)
-        self.close_threshold = int(close_threshold)
         self.state = BreakerState.CLOSED
         self.events: List[BreakerEvent] = []
         self.opens = 0
@@ -130,7 +124,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
             self._half_open_successes += 1
-            if self._half_open_successes >= self.close_threshold:
+            if self._half_open_successes >= CLOSE_THRESHOLD:
                 self._transition(BreakerState.CLOSED, now)
 
     def record_failure(self, now: float) -> bool:
@@ -139,7 +133,7 @@ class CircuitBreaker:
             self._open(now)
             return True
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self.failure_threshold:
+        if self._consecutive_failures >= FAILURE_THRESHOLD:
             self._open(now)
             return True
         return False

@@ -33,6 +33,9 @@ __all__ = [
     "DEFAULT_SCENARIOS",
 ]
 
+#: The store breaker's cool-down, as a fraction of the clean run's duration.
+BREAKER_COOLDOWN_FRAC = 0.02
+
 
 @dataclass(frozen=True)
 class FaultScenario:
@@ -49,8 +52,6 @@ class FaultScenario:
     brownouts: Tuple[Tuple[float, float, float], ...] = ()
     preempt_at: Tuple[Tuple[int, int], ...] = ()
     restart_penalty_s: float = 0.0
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_frac: float = 0.02  # of the clean run's duration
 
     def build_plan(self, total_s: float) -> FaultPlan:
         """Resolve fractional windows against the clean run's duration."""
@@ -151,12 +152,11 @@ class FaultCampaign:
 
     # ------------------------------------------------------------------
     def _instrument(
-        self, trainer: ResilientTrainer, plan: FaultPlan, scenario: FaultScenario
+        self, trainer: ResilientTrainer, plan: FaultPlan
     ) -> Tuple[FaultInjectingStore, CircuitBreaker]:
         faulty = FaultInjectingStore(trainer.store, plan)
         breaker = CircuitBreaker(
-            failure_threshold=scenario.breaker_failure_threshold,
-            cooldown_s=scenario.breaker_cooldown_frac * self._clean_time_s,
+            cooldown_s=BREAKER_COOLDOWN_FRAC * self._clean_time_s
         )
         guarded = CircuitBreakerStore(faulty, breaker)
         trainer.store = guarded
@@ -216,7 +216,7 @@ class FaultCampaign:
             preemptions=schedule,
             restart_penalty_s=scenario.restart_penalty_s,
         )
-        faulty, breaker = self._instrument(trainer, plan, scenario)
+        faulty, breaker = self._instrument(trainer, plan)
         report = ScenarioReport(scenario=scenario.name, completed=False)
         try:
             run = trainer.run()

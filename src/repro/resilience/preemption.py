@@ -3,7 +3,7 @@
 The paper motivates SpiderCache with training on "low-cost GPU Spot VMs
 ... prone to termination". This module injects those terminations
 reproducibly: a :class:`PreemptionSchedule` fires at exact ``(epoch,
-batch)`` slots and/or at simulated-clock instants, raising
+batch)`` slots, raising
 :class:`~repro.resilience.errors.PreemptionError` from the trainer's
 per-batch hook. Each trigger fires exactly once — after the resilient
 trainer restores from a checkpoint and replays, the same slot passes
@@ -21,29 +21,20 @@ __all__ = ["PreemptionSchedule"]
 
 
 class PreemptionSchedule:
-    """Kill points for a training run, keyed to slots or simulated time.
+    """Kill points for a training run, keyed to batch slots.
 
     Parameters
     ----------
     at:
         ``(epoch, batch)`` pairs; the run is killed *after* that batch
         slot finishes (mid-epoch, so replay is observable).
-    at_times_s:
-        Simulated-clock instants; the run is killed at the first batch
-        boundary where ``clock.total_seconds`` has passed the instant.
     """
 
-    def __init__(
-        self,
-        at: Optional[Iterable[Tuple[int, int]]] = None,
-        at_times_s: Optional[Iterable[float]] = None,
-    ) -> None:
+    def __init__(self, at: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         self._points: List[Tuple[int, int]] = sorted(
             {(int(e), int(b)) for e, b in (at or [])}
         )
-        self._times: List[float] = sorted(float(t) for t in (at_times_s or []))
         self._fired_points: Set[Tuple[int, int]] = set()
-        self._fired_times: Set[float] = set()
 
     # ------------------------------------------------------------------
     def check(self, epoch: int, batch: int, now_s: float) -> None:
@@ -52,21 +43,15 @@ class PreemptionSchedule:
         if key in self._points and key not in self._fired_points:
             self._fired_points.add(key)
             raise PreemptionError(epoch, batch, now_s)
-        for t in self._times:
-            if t in self._fired_times:
-                continue
-            if now_s >= t:
-                self._fired_times.add(t)
-                raise PreemptionError(epoch, batch, now_s)
 
     # ------------------------------------------------------------------
     @property
     def total(self) -> int:
-        return len(self._points) + len(self._times)
+        return len(self._points)
 
     @property
     def fired(self) -> int:
-        return len(self._fired_points) + len(self._fired_times)
+        return len(self._fired_points)
 
     @property
     def pending(self) -> int:
@@ -74,6 +59,6 @@ class PreemptionSchedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PreemptionSchedule(points={self._points}, times={self._times}, "
+            f"PreemptionSchedule(points={self._points}, "
             f"fired={self.fired}/{self.total})"
         )

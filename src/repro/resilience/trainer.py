@@ -45,11 +45,15 @@ from repro.train.trainer import EpochAccumulator, Trainer
 __all__ = ["ResilientTrainer", "RecoveryStats", "RECOVERY_STAGE"]
 
 #: Version of the checkpoint tree :class:`ResilientTrainer` writes; a
-#: restore refuses any other (format 5: every policy's ``cache`` is a
+#: restore refuses any other (format 6: the HNSW snapshot no longer
+#: carries ``ef_search``; format 5: every policy's ``cache`` is a
 #: ``SemanticCache`` snapshot with one entry per layer, keyed by the
 #: layer's source; format 4 dropped the accumulator's ``preprocess_s``
 #: and the carried ``val_accuracy``).
-CHECKPOINT_FORMAT = 5
+CHECKPOINT_FORMAT = 6
+
+#: Checkpoint archives retained; older ones are pruned.
+KEEP_LAST = 3
 
 #: SimClock stage that restart penalties are charged to, kept separate from
 #: the Fig.-2 pipeline stages so recovery overhead is reportable on its own.
@@ -84,8 +88,6 @@ class ResilientTrainer(Trainer):
         (VM re-acquisition + environment spin-up).
     max_restarts:
         Hard cap; exceeding it re-raises the :class:`PreemptionError`.
-    keep_last:
-        How many checkpoint archives to retain (older ones are pruned).
     resume:
         When true, ``run()`` first restores the newest archive already in
         ``checkpoint_dir`` — fresh-process resume after a real kill.
@@ -99,7 +101,6 @@ class ResilientTrainer(Trainer):
         preemptions: Optional[PreemptionSchedule] = None,
         restart_penalty_s: float = 0.0,
         max_restarts: int = 16,
-        keep_last: int = 3,
         resume: bool = False,
         **kwargs,
     ) -> None:
@@ -109,7 +110,6 @@ class ResilientTrainer(Trainer):
         self.preemptions = preemptions
         self.restart_penalty_s = float(restart_penalty_s)
         self.max_restarts = int(max_restarts)
-        self.keep_last = max(1, int(keep_last))
         self.recovery = RecoveryStats()
         self._resume = bool(resume)
         self._cursor = (0, 0)  # (epoch, next batch slot)
@@ -276,5 +276,5 @@ class ResilientTrainer(Trainer):
 
     def _prune(self) -> None:
         paths = self.checkpoints()
-        for stale in paths[: -self.keep_last]:
+        for stale in paths[:-KEEP_LAST]:
             stale.unlink()

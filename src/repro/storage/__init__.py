@@ -8,14 +8,13 @@ fetch-latency vs per-batch compute cost, which these models provide.
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.flaky import TransientFetchError
-from repro.storage.latency import ConstantLatency, LatencyModel
+from repro.storage.latency import ConstantLatency
 from repro.storage.wrappers import StoreWrapper
 
 __all__ = [
     "StoreWrapper",
     "RemoteStore",
     "SimClock",
-    "LatencyModel",
     "ConstantLatency",
     "TransientFetchError",
 ]

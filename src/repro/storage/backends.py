@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.storage.clock import SimClock
-from repro.storage.latency import ConstantLatency, LatencyModel
+from repro.storage.latency import ConstantLatency
 
 __all__ = ["RemoteStore"]
 
@@ -26,9 +26,8 @@ class RemoteStore:
     payloads:
         ``(n, ...)`` array; row ``i`` is sample ``i``'s raw data.
     item_nbytes:
-        Simulated on-storage size per item (drives the bandwidth term).
-    latency:
-        Latency model; defaults to datacenter-NFS-like constants.
+        Simulated on-storage size per item (drives the bandwidth term of
+        the datacenter-NFS-like :class:`ConstantLatency`).
     clock:
         Stage clock to charge fetch time to (stage name ``"data_load"``).
     """
@@ -39,23 +38,12 @@ class RemoteStore:
         self,
         payloads: np.ndarray,
         item_nbytes: int = 3 * 1024,
-        latency: Optional[LatencyModel] = None,
         clock: Optional[SimClock] = None,
-        item_sizes: Optional[np.ndarray] = None,
     ) -> None:
         self._payloads = payloads
         self.item_nbytes = int(item_nbytes)
-        self.latency = latency or ConstantLatency()
+        self.latency = ConstantLatency()
         self.clock = clock if clock is not None else SimClock()
-        # Optional per-item sizes (e.g. variable JPEG sizes); overrides the
-        # uniform ``item_nbytes`` in latency and byte accounting.
-        if item_sizes is not None:
-            item_sizes = np.asarray(item_sizes, dtype=np.int64)
-            if item_sizes.shape[0] != payloads.shape[0]:
-                raise ValueError("item_sizes must match payload count")
-            if np.any(item_sizes < 0):
-                raise ValueError("item_sizes must be non-negative")
-        self.item_sizes = item_sizes
         self.fetch_count = 0
         self.bytes_fetched = 0
         self._obs = NULL_OBSERVER
@@ -75,17 +63,11 @@ class RemoteStore:
     def __len__(self) -> int:
         return self._payloads.shape[0]
 
-    def size_of(self, index: int) -> int:
-        """Simulated on-storage size of one item in bytes."""
-        if self.item_sizes is not None:
-            return int(self.item_sizes[index])
-        return self.item_nbytes
-
     def get(self, index: int) -> np.ndarray:
         """Fetch one payload, charging simulated latency."""
         if not 0 <= index < len(self):
             raise IndexError(f"sample index {index} out of range")
-        nbytes = self.size_of(index)
+        nbytes = self.item_nbytes
         self.fetch_count += 1
         self.bytes_fetched += nbytes
         latency_s = self.latency.sample(nbytes)

@@ -10,17 +10,7 @@ the Fig. 3(a) regime where data loading dominates compute.
 
 from __future__ import annotations
 
-from typing import Protocol
-
-__all__ = ["LatencyModel", "ConstantLatency"]
-
-
-class LatencyModel(Protocol):
-    """Maps one fetch of ``nbytes`` to simulated seconds."""
-
-    def sample(self, nbytes: int) -> float:
-        """Simulated seconds to fetch ``nbytes``."""
-        ...
+__all__ = ["ConstantLatency"]
 
 
 class ConstantLatency:

@@ -3,8 +3,7 @@
 Store wrappers (fault windows, circuit breakers) stack:
 ``CircuitBreakerStore(FaultInjectingStore(remote, plan))`` is the
 resilient read path ``repro faults`` builds. Every wrapper must expose the
-full store interface — ``__len__``, ``get``, ``peek``, ``size_of``,
-``clock``, ``fetch_count``, ``bytes_fetched``, ``reset_counters`` — plus
+full store interface — ``__len__``, ``get``, ``peek``, ``clock``, ``fetch_count``, ``bytes_fetched``, ``reset_counters`` — plus
 whatever counters *inner* wrappers accumulate (``outage_failures``,
 ``brownout_fetches``, ...), otherwise wrapped stacks silently under-report
 I/O accounting. :class:`StoreWrapper` centralizes the forwarding so each
@@ -50,10 +49,6 @@ class StoreWrapper:
     @property
     def bytes_fetched(self) -> int:
         return self.inner.bytes_fetched
-
-    def size_of(self, index: int) -> int:
-        """Simulated on-storage size of one item in bytes."""
-        return self.inner.size_of(index)
 
     def __getattr__(self, name: str) -> Any:
         # Only called when normal lookup fails: forward inner wrappers'

@@ -29,7 +29,6 @@ from repro.data.synthetic import SyntheticDataset
 from repro.nn.models import Model
 from repro.obs.observer import Observer
 from repro.storage.clock import SimClock
-from repro.storage.latency import LatencyModel
 from repro.train.metrics import TrainResult
 from repro.train.policy_base import TrainingPolicy
 from repro.train.trainer import (
@@ -52,8 +51,6 @@ class DataParallelTrainer(EpochRunner):
         ``(rank) -> TrainingPolicy``; each worker gets its own cache over
         its shard (per-worker caches), or rank 0's policy serves every
         worker (``shared_cache=True``).
-    comm_ms_per_step:
-        All-reduce cost at 2 workers; scaled by ``2 (K-1)/K``.
 
     The cache topology comes from the config: with ``shared_cache=True``
     and ``cache_shards > 0``, the shared tier becomes a
@@ -70,17 +67,12 @@ class DataParallelTrainer(EpochRunner):
         policy_factory: Callable[[int], TrainingPolicy],
         world_size: int = 2,
         config: Optional[TrainerConfig] = None,
-        latency: Optional[LatencyModel] = None,
-        comm_ms_per_step: float = 8.0,
-        rpc_latency: Optional[LatencyModel] = None,
         observer: Optional[Observer] = None,
         rng: RngLike = None,
     ) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
-        super().__init__(
-            train_set, test_set, config, observer, rng, comm_ms_per_step
-        )
+        super().__init__(train_set, test_set, config, observer, rng)
         cfg = self.config
         if cfg.cache_shards < 0:
             raise ValueError("cache_shards must be non-negative")
@@ -96,7 +88,6 @@ class DataParallelTrainer(EpochRunner):
         self.cache_shards = int(cfg.cache_shards)
         self.shared_cache = bool(cfg.shared_cache)
         self._shared_clock = SimClock()
-        self._rpc_latency = rpc_latency
 
         n = len(train_set)
         batch_size = max(1, cfg.batch_size // world_size)
@@ -121,7 +112,7 @@ class DataParallelTrainer(EpochRunner):
                     # one logical cache, N shard servers, RPCs charged to
                     # the shared clock.
                     policy.cache_factory = self._make_shard_client
-                store = self._setup_policy(policy, model, dataset, latency, clock)
+                store = self._setup_policy(policy, model, dataset, clock)
             self._add_replica(shard, model, policy, store, dataset.y, batch_size)
 
         # Broadcast worker 0's weights so every replica starts identical
@@ -157,7 +148,6 @@ class DataParallelTrainer(EpochRunner):
             n_shards=self.cache_shards,
             transport=cfg.clock_mode,
             clock=self._shared_clock,
-            latency=self._rpc_latency,
             deadline_s=cfg.rpc_deadline_s,
             retry=RetryPolicy(max_attempts=cfg.rpc_retry_budget),
         )

@@ -41,7 +41,6 @@ from repro.nn.optim import SGD, CosineLR
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
-from repro.storage.latency import ConstantLatency, LatencyModel
 from repro.train.metrics import (
     HIT_LATENCY_S, IO_WORKERS, EpochMetrics, TrainResult, data_load_seconds,
 )
@@ -167,16 +166,19 @@ class EpochRunner:
     Accuracy Monitor input).
     """
 
+    #: All-reduce cost per step at 2 workers (ms); the loop scales it by
+    #: ``2 (K-1)/K``, so a single worker pays nothing.
+    comm_ms_per_step = 8.0
+
     def __init__(
         self, train_set: SyntheticDataset, test_set: SyntheticDataset,
         config: Optional[TrainerConfig], observer: Optional[Observer],
-        rng: RngLike, comm_ms_per_step: float = 0.0,
+        rng: RngLike,
     ) -> None:
         self.train_set = train_set
         self.test_set = test_set
         self.config = cfg = config or TrainerConfig()
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self.comm_ms_per_step = float(comm_ms_per_step)
         self.workers: List[WorkerState] = []
         self._rng = resolve_rng(rng)
         if cfg.clock_mode not in ("sim", "real"):
@@ -187,13 +189,10 @@ class EpochRunner:
     # -- topology ----------------------------------------------------------
     def _setup_policy(
         self, policy: TrainingPolicy, model: Model, dataset: SyntheticDataset,
-        latency: Optional[LatencyModel], clock: SimClock,
+        clock: SimClock,
     ) -> RemoteStore:
         """Bind ``policy`` to a new remote store over ``dataset``."""
-        store = RemoteStore(
-            dataset.X, item_nbytes=dataset.item_nbytes,
-            latency=latency or ConstantLatency(), clock=clock,
-        )
+        store = RemoteStore(dataset.X, item_nbytes=dataset.item_nbytes, clock=clock)
         policy.setup(PolicyContext(
             dataset=dataset, store=store, total_epochs=self.config.epochs,
             embedding_dim=model.embedding_dim,
@@ -563,7 +562,6 @@ class Trainer(EpochRunner):
         test_set: SyntheticDataset,
         policy: TrainingPolicy,
         config: Optional[TrainerConfig] = None,
-        latency: Optional[LatencyModel] = None,
         rng: RngLike = None,
         observer: Optional[Observer] = None,
     ) -> None:
@@ -578,7 +576,7 @@ class Trainer(EpochRunner):
         if cfg.clock_mode == "real":
             raise ValueError(UNSHARDED_REAL)
         cfg.reject_unsharded_rpc()
-        store = self._setup_policy(policy, model, train_set, latency, SimClock())
+        store = self._setup_policy(policy, model, train_set, SimClock())
         self._add_replica(
             np.arange(len(train_set)), model, policy, store, train_set.y,
             cfg.batch_size,

@@ -59,7 +59,7 @@ def test_self_query_returns_self():
 
 def test_recall_vs_brute_force():
     """HNSW recall@10 should be high on clustered data."""
-    idx, data = _build(300, dim=8, ef_construction=150, ef_search=80)
+    idx, data = _build(300, dim=8, ef_construction=150)
     brute = BruteForceIndex(8)
     brute.add_batch(np.arange(300), data)
     rng = np.random.default_rng(42)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.ann.brute import BruteForceIndex
+from repro.ann import hnsw
 from repro.ann.hnsw import HNSWIndex
 
 DIM = 16
@@ -27,11 +28,11 @@ def _clustered(n, rng, dim=DIM, centers=6):
 
 
 @pytest.fixture
-def built():
+def built(monkeypatch):
+    monkeypatch.setattr(hnsw, "EF_SEARCH", 32)
     rng = np.random.default_rng(7)
     data = _clustered(400, rng)
-    idx = HNSWIndex(DIM, M=8, ef_construction=64, ef_search=32, rng=0,
-                    capacity=400)
+    idx = HNSWIndex(DIM, M=8, ef_construction=64, rng=0, capacity=400)
     idx.add_batch(np.arange(400), data)
     brute = BruteForceIndex(DIM, capacity=400)
     brute.add_batch(np.arange(400), data)

@@ -98,10 +98,10 @@ def test_empty_index_roundtrip(tmp_path):
 
 
 def test_params_preserved(tmp_path):
-    idx = HNSWIndex(5, M=7, ef_construction=33, ef_search=21, rng=0)
+    idx = HNSWIndex(5, M=7, ef_construction=33, rng=0)
     idx.add(0, np.zeros(5))
     loaded = _restored(idx, tmp_path / "p.npz")
-    assert (loaded.dim, loaded.M, loaded.M0, loaded.ef_search) == (5, 7, 14, 21)
+    assert (loaded.dim, loaded.M, loaded.M0) == (5, 7, 14)
     assert loaded.ef_construction == 33
     with pytest.raises(ValueError, match="dim"):
         HNSWIndex(6).load_state_dict(idx.state_dict())

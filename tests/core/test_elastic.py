@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import elastic
 from repro.core.elastic import (
     AccuracyMonitor,
     ElasticCacheManager,
@@ -14,14 +15,16 @@ from repro.core.elastic import (
 # ----------------------------------------------------------------------
 # ImportanceMonitor (Eq. 5)
 # ----------------------------------------------------------------------
-def test_beta_zero_while_rising():
-    m = ImportanceMonitor(slope_window=3)
+def test_beta_zero_while_rising(monkeypatch):
+    monkeypatch.setattr(elastic, "SLOPE_WINDOW", 3)
+    m = ImportanceMonitor()
     for std in [0.1, 0.2, 0.3, 0.4]:
         assert m.observe(std) == 0
 
 
-def test_beta_latches_on_decline():
-    m = ImportanceMonitor(slope_window=3)
+def test_beta_latches_on_decline(monkeypatch):
+    monkeypatch.setattr(elastic, "SLOPE_WINDOW", 3)
+    m = ImportanceMonitor()
     for std in [0.1, 0.3, 0.5]:
         m.observe(std)
     assert m.observe(0.4) == 0 or True  # slope may still be positive
@@ -36,7 +39,8 @@ def test_beta_latches_on_decline():
 
 
 def test_beta_needs_window():
-    m = ImportanceMonitor(slope_window=5)
+    assert elastic.SLOPE_WINDOW == 5
+    m = ImportanceMonitor()
     for std in [0.5, 0.4, 0.3, 0.2]:  # only 4 points
         assert m.observe(std) == 0
 
@@ -46,82 +50,62 @@ def test_negative_std_rejected():
         ImportanceMonitor().observe(-0.1)
 
 
-def test_invalid_window():
-    with pytest.raises(ValueError):
-        ImportanceMonitor(slope_window=1)
-
-
 # ----------------------------------------------------------------------
 # AccuracyMonitor (Eq. 6-7)
 # ----------------------------------------------------------------------
 def test_penalty_zero_before_history():
-    m = AccuracyMonitor(m=5)
+    assert elastic.GROWTH_WINDOW == 5  # Eq. 6's m, as the paper fixes it
+    m = AccuracyMonitor()
     for a in [0.1, 0.2, 0.3]:
         assert m.observe(a) == 0.0
 
 
-def test_penalty_near_one_when_growing_fast():
-    m = AccuracyMonitor(m=5, gamma=0.001)
+def test_penalty_near_one_when_growing_fast(monkeypatch):
+    monkeypatch.setattr(elastic, "GAMMA", 0.001)
+    m = AccuracyMonitor()
     for a in np.linspace(0.1, 0.9, 10):
         u = m.observe(a)
     assert u > 0.9
 
 
 def test_penalty_near_zero_on_plateau():
-    m = AccuracyMonitor(m=5, gamma=0.01)
+    m = AccuracyMonitor()
     for a in [0.5, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]:
         u = m.observe(a)
     assert u < 0.1
 
 
 def test_penalty_zero_on_regression():
-    m = AccuracyMonitor(m=5, gamma=0.01)
+    m = AccuracyMonitor()
     for a in np.linspace(0.9, 0.1, 10):
         u = m.observe(a)
     assert u == 0.0
 
 
-def test_penalty_bounded():
-    m = AccuracyMonitor(m=3, gamma=0.001)
+def test_penalty_bounded(monkeypatch):
+    monkeypatch.setattr(elastic, "GROWTH_WINDOW", 3)
+    monkeypatch.setattr(elastic, "GAMMA", 0.001)
+    m = AccuracyMonitor()
     rng = np.random.default_rng(0)
     for a in rng.random(30):
         u = m.observe(a)
         assert 0.0 <= u <= 1.0
 
 
-def test_growth_rate_telescoping():
-    m = AccuracyMonitor(m=5, savgol_window=1, savgol_polyorder=0)
+def test_growth_rate_telescoping(monkeypatch):
+    monkeypatch.setattr(elastic, "SAVGOL_WINDOW", 1)
+    monkeypatch.setattr(elastic, "SAVGOL_POLYORDER", 0)
+    m = AccuracyMonitor()
     # With no smoothing (window 1) the growth rate is (a_t - a_{t-m}) / m.
     for a in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]:
         m.observe(a)
     assert m.growth_rate() == pytest.approx(0.1)
 
 
-def test_invalid_params():
-    with pytest.raises(ValueError):
-        AccuracyMonitor(m=0)
-    with pytest.raises(ValueError):
-        AccuracyMonitor(gamma=0.0)
-
-
-def test_savgol_config_validated_at_construction():
-    """Regression: a bad filter config used to pass ``__init__`` and only
-    blow up inside ``growth_rate()`` at epoch m+1, mid-training."""
-    with pytest.raises(ValueError, match="odd"):
-        AccuracyMonitor(savgol_window=4)  # even window
-    with pytest.raises(ValueError, match="odd"):
-        AccuracyMonitor(savgol_window=0)
-    with pytest.raises(ValueError, match="non-negative"):
-        AccuracyMonitor(savgol_polyorder=-1)
-    with pytest.raises(ValueError, match="less than"):
-        AccuracyMonitor(savgol_window=5, savgol_polyorder=5)
-    with pytest.raises(ValueError, match="less than"):
-        AccuracyMonitor(savgol_window=3, savgol_polyorder=4)
-
-
-def test_savgol_valid_config_survives_long_history():
-    """A constructor-accepted config never fails later in the run."""
-    m = AccuracyMonitor(m=3, savgol_window=5, savgol_polyorder=2)
+def test_savgol_valid_config_survives_long_history(monkeypatch):
+    """The filter never fails later in the run."""
+    monkeypatch.setattr(elastic, "GROWTH_WINDOW", 3)
+    m = AccuracyMonitor()
     for i in range(20):
         m.observe(0.1 + 0.02 * i)  # must not raise at any epoch
     assert m.growth_rate() > 0.0
@@ -205,13 +189,14 @@ def test_manager_history_recorded():
     assert mgr.history[2].epoch == 2
 
 
-def test_manager_annealing_time_starts_at_activation():
+def test_manager_annealing_time_starts_at_activation(monkeypatch):
     """Eq. 8's t/T counts from activation, not epoch 0: two managers whose
     std peaks at different epochs should track the same post-activation
     trajectory."""
+    monkeypatch.setattr(elastic, "SLOPE_WINDOW", 3)
+
     def run(peak):
-        mgr = ElasticCacheManager(total_epochs=30, r_start=0.9, r_end=0.8,
-                                  slope_window=3)
+        mgr = ElasticCacheManager(total_epochs=30, r_start=0.9, r_end=0.8)
         stds = np.concatenate([
             np.linspace(0.1, 0.5, peak), np.linspace(0.5, 0.1, 30 - peak)
         ])

@@ -8,6 +8,8 @@ any accuracy series, and :meth:`coordinate` pushes one global decision to
 every cache tier (monolithic and sharded alike).
 """
 
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import elastic
 from repro.core.elastic import (
     AccuracyMonitor,
     ElasticCacheManager,
@@ -47,8 +50,9 @@ def test_ratio_clamped_and_monotone_nonincreasing(endpoints, traj):
 @given(traj=st.lists(_std, min_size=2, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_beta_latches_one_way(traj):
-    mon = ImportanceMonitor(slope_window=3)
-    betas = [mon.observe(s) for s in traj]
+    mon = ImportanceMonitor()
+    with mock.patch.object(elastic, "SLOPE_WINDOW", 3):
+        betas = [mon.observe(s) for s in traj]
     assert all(b in (0, 1) for b in betas)
     # Once 1, never back to 0.
     assert all(a <= b for a, b in zip(betas, betas[1:]))
@@ -60,10 +64,11 @@ def test_beta_latches_one_way(traj):
        gamma=st.floats(1e-4, 1.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_penalty_always_in_unit_interval(series, gamma):
-    mon = AccuracyMonitor(gamma=gamma)
-    for a in series:
-        u = mon.observe(a)
-        assert 0.0 <= u <= 1.0
+    mon = AccuracyMonitor()
+    with mock.patch.object(elastic, "GAMMA", gamma):
+        for a in series:
+            u = mon.observe(a)
+            assert 0.0 <= u <= 1.0
 
 
 @given(t=st.integers(-5, 200), beta=st.sampled_from([0, 1]),

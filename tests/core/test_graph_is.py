@@ -169,8 +169,7 @@ def test_hnsw_backend_equivalent_on_clusters():
     )
     exact = GraphImportanceScorer(4, labels, lam=0.25)
     hnsw = GraphImportanceScorer(
-        4, labels, lam=0.25, backend="hnsw",
-        hnsw_kwargs={"rng": 0, "ef_search": 64},
+        4, labels, lam=0.25, backend="hnsw", rng=0,
     )
     re = exact.score_batch(np.arange(30), emb)
     rh = hnsw.score_batch(np.arange(30), emb)
@@ -227,7 +226,7 @@ def test_score_batch_matches_per_query_range_search(backend):
     rng = np.random.default_rng(4)
     labels = rng.integers(3, size=24)
     emb = rng.normal(0.0, 1.0, (24, 4))
-    kwargs = {"hnsw_kwargs": {"rng": 0, "ef_search": 64}} if backend == "hnsw" else {}
+    kwargs = {"rng": 0} if backend == "hnsw" else {}
     # ~0.74 same-class median distances: a radius of ~2.0, between the
     # nearest and the farthest pairs.
     s = GraphImportanceScorer(

@@ -21,7 +21,6 @@ import pytest
 from repro.ann.hnsw import HNSWIndex
 from repro.core.graph_is import DEFAULT_LAM
 from repro.core.policy import SpiderCachePolicy
-from repro.core.semantic_cache import SemanticCache
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
 from tests.train import topologies
@@ -64,10 +63,6 @@ class Row:
     inert: Optional[Inert] = None
 
 
-class TaggedCache(SemanticCache):
-    """A cache ``cache_factory`` builds, told apart by its type."""
-
-
 def _scores(run):
     return run.policy.score_table.scores
 
@@ -100,9 +95,6 @@ def _imp_ratio(run):
     return run.policy.cache.imp_ratio
 
 
-def _penalties(run):
-    return [d.u for d in run.policy.manager.history]
-
 CONTRACT = {
     "cache_fraction": Row(
         0.5,
@@ -126,12 +118,6 @@ CONTRACT = {
         lambda run: run.policy.manager.history == [],
         lambda run, base: _imp_ratio(run) == 0.9 > _imp_ratio(base),
     )),
-    "gamma": Row(1.0, inert=Inert(
-        MONITOR_INACTIVE, _monitor_inactive,
-        lambda run: run.policy.manager.accuracy_monitor.gamma == 1.0,
-        lambda run, base: _penalties(run) != _penalties(base)
-        and _imp_ratio(run) != _imp_ratio(base),
-    )),
     "backend": Row("hnsw", lambda run, base: (
         isinstance(run.policy.scorer.index, HNSWIndex)
         and not isinstance(base.policy.scorer.index, HNSWIndex)
@@ -145,11 +131,6 @@ CONTRACT = {
         0.5,
         lambda run, base: run.policy.prefetch_count > 0
         and base.policy.prefetch_count == 0,
-    ),
-    "cache_factory": Row(
-        lambda capacity, imp_ratio: TaggedCache(capacity, imp_ratio=imp_ratio),
-        lambda run, base: isinstance(run.policy.cache, TaggedCache)
-        and not isinstance(base.policy.cache, TaggedCache),
     ),
     "rng": Row(7, _scores_move),
 }

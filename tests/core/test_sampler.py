@@ -8,13 +8,13 @@ from repro.core.sampler import MultinomialSampler
 
 def test_multinomial_respects_weights():
     """High-weight samples appear far more often (the Fig. 5 skew)."""
-    n = 100
+    n = 2000
     w = np.ones(n)
-    w[:10] = 50.0
-    s = MultinomialSampler(n, weight_fn=lambda: w, epoch_size=20000, rng=0)
+    w[:200] = 50.0
+    s = MultinomialSampler(n, weight_fn=lambda: w, rng=0)
     order = s.epoch_order(0)
     counts = np.bincount(order, minlength=n)
-    assert counts[:10].mean() > 20 * counts[10:].mean()
+    assert counts[:200].mean() > 20 * counts[200:].mean()
 
 
 def test_multinomial_epoch_size_default():
@@ -25,15 +25,15 @@ def test_multinomial_epoch_size_default():
 def test_multinomial_with_replacement():
     w = np.zeros(10)
     w[3] = 1.0
-    s = MultinomialSampler(10, weight_fn=lambda: w, epoch_size=5, rng=0)
-    np.testing.assert_array_equal(s.epoch_order(0), [3] * 5)
+    s = MultinomialSampler(10, weight_fn=lambda: w, rng=0)
+    np.testing.assert_array_equal(s.epoch_order(0), [3] * 10)
 
 
 def test_multinomial_degenerate_weights_uniform():
-    s = MultinomialSampler(20, weight_fn=lambda: np.zeros(20), epoch_size=1000, rng=0)
+    s = MultinomialSampler(1000, weight_fn=lambda: np.zeros(1000), rng=0)
     order = s.epoch_order(0)
-    counts = np.bincount(order, minlength=20)
-    assert counts.min() > 10  # every sample drawn
+    # Uniform with replacement reaches ~1 - 1/e of the samples.
+    assert 550 < len(np.unique(order)) < 710
 
 
 def test_multinomial_negative_weights_rejected():
@@ -50,7 +50,7 @@ def test_multinomial_wrong_length_rejected():
 
 def test_multinomial_weights_reread_each_epoch():
     state = {"w": np.ones(10)}
-    s = MultinomialSampler(10, weight_fn=lambda: state["w"], epoch_size=500, rng=0)
+    s = MultinomialSampler(10, weight_fn=lambda: state["w"], rng=0)
     s.epoch_order(0)
     state["w"] = np.zeros(10)
     state["w"][0] = 1.0

@@ -21,8 +21,7 @@ def _scorer(backend):
     rng = np.random.default_rng(8)
     labels = rng.integers(3, size=40)
     emb = rng.normal(0.0, 1.0, (40, 6)) + 3.0 * labels[:, None]
-    kwargs = {"hnsw_kwargs": {"ef_search": 64}} if backend == "hnsw" else {}
-    return GraphImportanceScorer(6, labels, backend=backend, rng=0, **kwargs), emb
+    return GraphImportanceScorer(6, labels, backend=backend, rng=0), emb
 
 
 @pytest.mark.parametrize("backend", ["exact", "hnsw"])

@@ -7,7 +7,7 @@ from repro.core.scores import GlobalScoreTable, last_occurrences
 
 
 def test_initial_scores_uniform():
-    t = GlobalScoreTable(10, initial_score=1.0)
+    t = GlobalScoreTable(10)
     assert len(t) == 10
     np.testing.assert_array_equal(t.scores, np.ones(10))
     assert t.coverage == 0.0
@@ -16,8 +16,6 @@ def test_initial_scores_uniform():
 def test_invalid_init():
     with pytest.raises(ValueError):
         GlobalScoreTable(0)
-    with pytest.raises(ValueError):
-        GlobalScoreTable(5, initial_score=0.0)
 
 
 def test_update_and_get():

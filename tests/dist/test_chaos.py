@@ -18,12 +18,13 @@ import pytest
 from repro.dist.client import ShardedCacheClient
 from repro.dist.retry import RetryPolicy
 from repro.obs.observer import Observer
+from repro.resilience import breaker
 from repro.resilience.breaker import BreakerState
 from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
-pytestmark = pytest.mark.dist
+pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 
 FAST = ConstantLatency(base_s=1e-3, bandwidth_bps=1e15)
 OUTAGE = FaultPlan(outages=[OutageWindow(0.0, 1e9)])
@@ -35,11 +36,15 @@ def payload(i):
 
 
 def make_client(**kw):
-    kw.setdefault("latency", FAST)
-    kw.setdefault("retry", RetryPolicy(jitter=0.0))
-    kw.setdefault("breaker_cooldown_s", 0.05)
-    return ShardedCacheClient(TOTAL, imp_ratio=0.5, n_shards=2,
-                              clock=SimClock(), **kw)
+    cli = ShardedCacheClient(TOTAL, imp_ratio=0.5, n_shards=2,
+                             clock=SimClock(), **kw)
+    cli.transport.latency = FAST
+    return cli
+
+
+@pytest.fixture
+def breakers_never_open(monkeypatch):
+    monkeypatch.setattr(breaker, "FAILURE_THRESHOLD", 1000)
 
 
 def populate(cli, n_imp=20, n_hom=5):
@@ -142,8 +147,8 @@ def test_outage_during_migration_stalls_then_completes():
             assert set(server.keys(layer)) == owned
 
 
-def test_admits_during_outage_are_dropped_not_corrupting():
-    cli = make_client(breaker_failure_threshold=1000)
+def test_admits_during_outage_are_dropped_not_corrupting(breakers_never_open):
+    cli = make_client()
     populate(cli)
     before_len = len(cli)
     before_keys = set(cli._loc["imp"]) | set(cli.homophily.keys())
@@ -164,12 +169,11 @@ def test_admits_during_outage_are_dropped_not_corrupting():
     assert 500 in cli.importance
 
 
-def test_brownout_timeouts_leave_shards_consistent():
+def test_brownout_timeouts_leave_shards_consistent(breakers_never_open):
     """Brownout-induced timeouts are ambiguous — the mutation lands even
     though the caller saw a failure. Idempotent servers + anti-entropy
     must still converge shard contents to the metadata."""
-    cli = make_client(breaker_failure_threshold=1000,
-                      retry=RetryPolicy(max_attempts=2, jitter=0.0))
+    cli = make_client(retry=RetryPolicy(max_attempts=2))
     populate(cli)
     # 20x latency pushes every call over the 10 ms deadline for a while.
     plan = FaultPlan(brownouts=[BrownoutWindow(0.0, 0.15,
@@ -196,13 +200,13 @@ def test_brownout_timeouts_leave_shards_consistent():
     check_invariants(cli)
 
 
-def test_total_blackout_degrades_every_stage_and_recovers():
+def test_total_blackout_degrades_every_stage_and_recovers(breakers_never_open):
     """Remote tier AND all shards down: degraded mode keeps serving
     substitutes from whatever payloads are still reachable — here none —
     so every request skips, and nothing corrupts."""
     from repro.resilience.errors import DegradedModeError
 
-    cli = make_client(breaker_failure_threshold=1000)
+    cli = make_client()
     populate(cli)
     cli.enable_degraded_mode((DegradedModeError,))
 

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core.semantic_cache import SemanticCache
 from repro.dist.client import ShardedCacheClient
-from repro.dist.retry import RetryPolicy
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
-pytestmark = pytest.mark.dist
+pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 
 FAST = ConstantLatency(base_s=1e-4, bandwidth_bps=1e15)
 TOTAL = 24
@@ -33,10 +32,11 @@ def payload(i):
 
 
 def make_client(n_shards):
-    return ShardedCacheClient(
-        TOTAL, imp_ratio=0.8, n_shards=n_shards, clock=SimClock(),
-        latency=FAST, retry=RetryPolicy(jitter=0.0),
+    cli = ShardedCacheClient(
+        TOTAL, imp_ratio=0.8, n_shards=n_shards, clock=SimClock()
     )
+    cli.transport.latency = FAST
+    return cli
 
 
 _idx = st.integers(0, 59)

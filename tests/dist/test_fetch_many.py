@@ -23,13 +23,12 @@ from hypothesis import strategies as st
 
 from repro.core.semantic_cache import SemanticCache
 from repro.dist.client import ShardedCacheClient
-from repro.dist.retry import RetryPolicy
 from repro.obs.observer import Observer
 from repro.obs.trace import InMemoryRecorder
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
-pytestmark = pytest.mark.dist
+pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 
 FAST = ConstantLatency(base_s=1e-4, bandwidth_bps=1e15)
 TOTAL = 8
@@ -45,10 +44,11 @@ def make_cache(n_shards, total=TOTAL, imp_ratio=0.8):
     """The monolith for ``n_shards == 0``, else a sim-transport client."""
     if n_shards == 0:
         return SemanticCache(total, imp_ratio=imp_ratio)
-    return ShardedCacheClient(
-        total, imp_ratio=imp_ratio, n_shards=n_shards, clock=SimClock(),
-        latency=FAST, retry=RetryPolicy(jitter=0.0),
+    cli = ShardedCacheClient(
+        total, imp_ratio=imp_ratio, n_shards=n_shards, clock=SimClock()
     )
+    cli.transport.latency = FAST
+    return cli
 
 
 _idx = st.integers(0, 15)

@@ -1,17 +1,20 @@
 """Live ring resizing: planning, draining, interruption, verification."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.dist import client as client_module
 from repro.dist.client import ShardedCacheClient
 from repro.dist.migration import plan_migration
-from repro.dist.retry import RetryPolicy
 from repro.dist.ring import ConsistentHashRing, ring_diff
+from repro.resilience import breaker
 from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
-pytestmark = pytest.mark.dist
+pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 
 FAST = ConstantLatency(base_s=1e-3, bandwidth_bps=1e15)
 OUTAGE = FaultPlan(outages=[OutageWindow(0.0, 1e9)])
@@ -21,11 +24,18 @@ def payload(i):
     return np.full(4, float(i), dtype=np.float32)
 
 
-def make_client(n_shards=2, total=40, **kw):
-    kw.setdefault("latency", FAST)
-    kw.setdefault("retry", RetryPolicy(jitter=0.0))
-    return ShardedCacheClient(total, imp_ratio=0.5, n_shards=n_shards,
-                              clock=SimClock(), **kw)
+def make_client(n_shards=2, total=40):
+    cli = ShardedCacheClient(total, imp_ratio=0.5, n_shards=n_shards,
+                             clock=SimClock())
+    cli.transport.latency = FAST
+    return cli
+
+
+def migrate_in_batches_of(monkeypatch, size):
+    """Resizes plan transfer batches of ``size`` keys (the program's is
+    the migration module's ``DEFAULT_BATCH_SIZE``)."""
+    monkeypatch.setattr(client_module, "plan_migration",
+                        functools.partial(plan_migration, batch_size=size))
 
 
 def populate(cli, n_imp=20, n_hom=5):
@@ -126,8 +136,9 @@ def test_noop_and_conflicting_resizes():
 # ----------------------------------------------------------------------
 # incremental / interrupted drains
 # ----------------------------------------------------------------------
-def test_incremental_drain_serves_lookups_mid_migration():
-    cli = populate(make_client(n_shards=2, migration_batch_size=4))
+def test_incremental_drain_serves_lookups_mid_migration(monkeypatch):
+    migrate_in_batches_of(monkeypatch, 4)
+    cli = populate(make_client(n_shards=2))
     state = cli.resize(5, drain=False)
     total_batches = len(state.pending)
     assert total_batches > 2
@@ -144,8 +155,9 @@ def test_incremental_drain_serves_lookups_mid_migration():
     assert cli.n_shards == 5
 
 
-def test_new_admits_mid_migration_land_on_the_target_ring():
-    cli = populate(make_client(n_shards=2, migration_batch_size=4))
+def test_new_admits_mid_migration_land_on_the_target_ring(monkeypatch):
+    migrate_in_batches_of(monkeypatch, 4)
+    cli = populate(make_client(n_shards=2))
     cli.resize(5, drain=False)
     target = cli.migration.target_ring
     new_key = 777
@@ -155,8 +167,9 @@ def test_new_admits_mid_migration_land_on_the_target_ring():
     assert cli.verify_placement() == []
 
 
-def test_keys_evicted_mid_migration_are_skipped():
-    cli = make_client(n_shards=2, total=8, migration_batch_size=2)
+def test_keys_evicted_mid_migration_are_skipped(monkeypatch):
+    migrate_in_batches_of(monkeypatch, 2)
+    cli = make_client(n_shards=2, total=8)
     for k in range(4):
         cli.fetch(k, float(k + 1), payload)
     state = cli.resize(4, drain=False)
@@ -172,9 +185,10 @@ def test_keys_evicted_mid_migration_are_skipped():
     assert cli.verify_placement() == []
 
 
-def test_failed_batches_rotate_and_replay_after_recovery():
-    cli = populate(make_client(n_shards=2, migration_batch_size=4,
-                               breaker_failure_threshold=1000))
+def test_failed_batches_rotate_and_replay_after_recovery(monkeypatch):
+    migrate_in_batches_of(monkeypatch, 4)
+    monkeypatch.setattr(breaker, "FAILURE_THRESHOLD", 1000)
+    cli = populate(make_client(n_shards=2))
     # Shard 1 is down: batches touching it fail and stay pending.
     cli.set_fault_plan(1, OUTAGE)
     state = cli.resize(4, drain=False)

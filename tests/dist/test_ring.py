@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dist import ring as ring_module
 from repro.dist.ring import ConsistentHashRing, ring_diff, splitmix64
 
 pytestmark = pytest.mark.dist
@@ -36,7 +37,7 @@ def test_partition_groups_every_key_exactly_once():
 
 
 def test_balance_is_reasonable_with_default_vnodes():
-    ring = ConsistentHashRing(4, vnodes=64)
+    ring = ConsistentHashRing(4)
     counts = {s: len(ks) for s, ks in ring.partition(KEYS).items()}
     mean = len(KEYS) / 4
     # Consistent hashing is not perfectly uniform; 64 vnodes should keep
@@ -66,22 +67,24 @@ def test_shrinking_only_moves_keys_from_retired_shards():
 
 
 def test_spawn_preserves_geometry_and_eq():
-    ring = ConsistentHashRing(2, vnodes=16, seed=99)
+    ring = ConsistentHashRing(2)
     grown = ring.spawn(4)
-    assert grown.vnodes == 16 and grown.seed == 99
-    assert ring == ConsistentHashRing(2, vnodes=16, seed=99)
+    assert grown.n_shards == 4
+    assert all(grown.shard_for(k) in (ring.shard_for(k), 2, 3) for k in KEYS)
+    assert ring == ConsistentHashRing(2)
     assert ring != grown
     assert ring.__eq__(object()) is NotImplemented
 
 
-def test_different_seeds_give_different_placements():
-    a = ConsistentHashRing(4, seed=1)
-    b = ConsistentHashRing(4, seed=2)
-    assert any(a.shard_for(k) != b.shard_for(k) for k in KEYS[:200])
+def test_different_seeds_give_different_placements(monkeypatch):
+    def owners(seed):
+        monkeypatch.setattr(ring_module, "SEED", seed)
+        ring = ConsistentHashRing(4)
+        return [ring.shard_for(k) for k in KEYS[:200]]
+
+    assert owners(1) != owners(2)
 
 
 def test_validation():
     with pytest.raises(ValueError):
         ConsistentHashRing(0)
-    with pytest.raises(ValueError):
-        ConsistentHashRing(2, vnodes=0)

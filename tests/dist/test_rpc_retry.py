@@ -8,6 +8,7 @@ burned retry budget charges ``attempts x cost + sum(backoffs)``.
 
 import pytest
 
+from repro.dist import retry as retry_module
 from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
 from repro.dist.rpc import (
     RPC_OVERHEAD_NBYTES,
@@ -16,14 +17,14 @@ from repro.dist.rpc import (
     ShardOutageError,
     SimRpcChannel,
 )
-from repro.dist.server import CacheShardServer
 from repro.dist.client import ShardedCacheClient
+from repro.resilience import breaker as breaker_module
 from repro.resilience.breaker import BreakerState
 from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
-pytestmark = pytest.mark.dist
+pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 
 #: Deterministic sub-deadline per-call latency (bandwidth term ~0).
 FAST = ConstantLatency(base_s=1e-3, bandwidth_bps=1e15)
@@ -31,21 +32,27 @@ OUTAGE = FaultPlan(outages=[OutageWindow(0.0, 1e9)])
 
 
 def make_channel(deadline_s=0.01, fault_plans=None, n_shards=1):
-    servers = {i: CacheShardServer(i) for i in range(n_shards)}
-    return SimRpcChannel(
-        servers,
-        clock=SimClock(),
-        latency=FAST,
-        deadline_s=deadline_s,
-        fault_plans=fault_plans,
-    )
+    ch = SimRpcChannel(clock=SimClock(), deadline_s=deadline_s)
+    ch.latency = FAST
+    for shard in range(n_shards):
+        ch.add_shard(shard)
+    for shard, plan in (fault_plans or {}).items():
+        ch.set_fault_plan(shard, plan)
+    return ch
 
 
 def make_client(**kw):
-    kw.setdefault("latency", FAST)
-    kw.setdefault("retry", RetryPolicy(jitter=0.0))
-    return ShardedCacheClient(8, imp_ratio=0.5, n_shards=1, clock=SimClock(),
-                              **kw)
+    cli = ShardedCacheClient(8, imp_ratio=0.5, n_shards=1, clock=SimClock(),
+                             **kw)
+    cli.transport.latency = FAST
+    return cli
+
+
+def set_backoff(monkeypatch, base_s, multiplier, cap_s):
+    for name, value in (("BACKOFF_BASE_S", base_s),
+                        ("BACKOFF_MULTIPLIER", multiplier),
+                        ("BACKOFF_CAP_S", cap_s)):
+        monkeypatch.setattr(retry_module, name, value)
 
 
 # ----------------------------------------------------------------------
@@ -122,38 +129,36 @@ def test_set_fault_plan_clears_with_none():
 # ----------------------------------------------------------------------
 # retry policy: deterministic backoff schedules
 # ----------------------------------------------------------------------
-def test_backoff_schedule_without_jitter_is_exact():
-    p = RetryPolicy(max_attempts=4, backoff_base_s=1e-3,
-                    backoff_multiplier=2.0, backoff_cap_s=3e-3, jitter=0.0)
+def test_backoff_schedule_without_jitter_is_exact(monkeypatch):
+    set_backoff(monkeypatch, 1e-3, 2.0, 3e-3)
+    p = RetryPolicy(max_attempts=4)
     assert p.schedule(0) == pytest.approx([1e-3, 2e-3, 3e-3])  # capped
     assert p.schedule(123) == p.schedule(0)  # jitter off => id-independent
 
 
-def test_jittered_backoff_is_deterministic_and_bounded():
-    p = RetryPolicy(max_attempts=5, jitter=0.5, seed=42)
-    q = RetryPolicy(max_attempts=5, jitter=0.5, seed=42)
+def test_jittered_backoff_is_deterministic_and_bounded(monkeypatch):
+    monkeypatch.setattr(retry_module, "JITTER", 0.5)
+    p = RetryPolicy(max_attempts=5)
+    q = RetryPolicy(max_attempts=5)
     for rid in (0, 1, 999):
         sched = p.schedule(rid)
         assert sched == q.schedule(rid)  # same seed => bit-identical
         for a, wait in enumerate(sched):
-            raw = min(p.backoff_cap_s,
-                      p.backoff_base_s * p.backoff_multiplier ** a)
-            assert (1.0 - p.jitter) * raw <= wait <= raw
+            raw = min(retry_module.BACKOFF_CAP_S,
+                      retry_module.BACKOFF_BASE_S
+                      * retry_module.BACKOFF_MULTIPLIER ** a)
+            assert 0.5 * raw <= wait <= raw
     # Different request ids decorrelate.
     assert p.schedule(0) != p.schedule(1)
     # Different seeds give different schedules.
-    assert p.schedule(0) != RetryPolicy(max_attempts=5, seed=7).schedule(0)
+    first = p.schedule(0)
+    monkeypatch.setattr(retry_module, "JITTER_SEED", 7)
+    assert p.schedule(0) != first
 
 
 def test_retry_policy_validation():
-    for bad in (
-        dict(max_attempts=0),
-        dict(backoff_base_s=-1.0),
-        dict(backoff_multiplier=0.5),
-        dict(jitter=1.5),
-    ):
-        with pytest.raises(ValueError):
-            RetryPolicy(**bad)
+    with pytest.raises(ValueError):
+        RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
         RetryPolicy().backoff_s(0, -1)
 
@@ -177,10 +182,10 @@ def test_budget_exhaustion_surfaces_as_degraded_miss_not_exception():
     assert cli.stats.misses == 2 and cli.stats.hits == 0  # both were misses
 
 
-def test_burned_budget_charges_attempts_plus_backoffs():
-    retry = RetryPolicy(max_attempts=3, backoff_base_s=1e-3,
-                        backoff_multiplier=2.0, backoff_cap_s=1.0, jitter=0.0)
-    cli = make_client(retry=retry, breaker_failure_threshold=100)
+def test_burned_budget_charges_attempts_plus_backoffs(monkeypatch):
+    set_backoff(monkeypatch, 1e-3, 2.0, 1.0)
+    monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 100)
+    cli = make_client(retry=RetryPolicy(max_attempts=3))
     cli.fetch(1, 5.0, lambda i: [float(i)])
     cli.set_fault_plan(0, OUTAGE)
     before = cli.clock.stage_seconds("rpc")
@@ -193,12 +198,11 @@ def test_burned_budget_charges_attempts_plus_backoffs():
     assert cli.rpc_retries == 4  # 2 per logical request
 
 
-def test_retries_recover_from_a_transient_outage_window():
+def test_retries_recover_from_a_transient_outage_window(monkeypatch):
     """An outage shorter than the backoff schedule is ridden out: the
     final attempt lands after the window closes."""
-    retry = RetryPolicy(max_attempts=3, backoff_base_s=2e-3,
-                        backoff_multiplier=2.0, backoff_cap_s=1.0, jitter=0.0)
-    cli = make_client(retry=retry)
+    set_backoff(monkeypatch, 2e-3, 2.0, 1.0)
+    cli = make_client(retry=RetryPolicy(max_attempts=3))
     # Window [0, 4ms): attempt 1 at t=0 fails (+1ms rpc, +2ms backoff),
     # attempt 2 at t=3ms fails (+1ms, +4ms backoff), attempt 3 at t=8ms OK.
     cli.set_fault_plan(0, FaultPlan(outages=[OutageWindow(0.0, 0.004)]))
@@ -213,8 +217,7 @@ def test_retries_recover_from_a_transient_outage_window():
 # client: per-shard circuit breakers
 # ----------------------------------------------------------------------
 def test_breaker_opens_after_threshold_and_fails_fast_without_time():
-    cli = make_client(breaker_failure_threshold=3,
-                      breaker_cooldown_s=0.05)
+    cli = make_client()  # 3 failures open a breaker; 0.05 s cool-down
     cli.fetch(1, 5.0, lambda i: [float(i)])
     cli.set_fault_plan(0, OUTAGE)
     cli.fetch(1, 5.0, lambda i: [float(i)])  # 3 failed attempts -> open
@@ -228,8 +231,7 @@ def test_breaker_opens_after_threshold_and_fails_fast_without_time():
 
 
 def test_breaker_half_open_probe_then_close_on_recovery():
-    cli = make_client(breaker_failure_threshold=3, breaker_cooldown_s=0.05,
-                      breaker_close_threshold=1)
+    cli = make_client()
     cli.fetch(1, 5.0, lambda i: [float(i)])
     cli.set_fault_plan(0, OUTAGE)
     cli.fetch(1, 5.0, lambda i: [float(i)])
@@ -252,7 +254,7 @@ def test_breaker_half_open_probe_then_close_on_recovery():
 
 
 def test_half_open_failure_reopens_with_fresh_cooldown():
-    cli = make_client(breaker_failure_threshold=3, breaker_cooldown_s=0.05)
+    cli = make_client()
     cli.fetch(1, 5.0, lambda i: [float(i)])
     cli.set_fault_plan(0, OUTAGE)
     cli.fetch(1, 5.0, lambda i: [float(i)])
@@ -266,11 +268,12 @@ def test_half_open_failure_reopens_with_fresh_cooldown():
     ]
 
 
-def test_anti_entropy_flush_drains_parked_repairs_after_recovery():
+def test_anti_entropy_flush_drains_parked_repairs_after_recovery(monkeypatch):
     """A put that failed during an outage may still have executed
     server-side (ambiguous timeout); the queued orphan repair is replayed
     on the next successful call to that shard."""
-    cli = make_client(breaker_failure_threshold=100)
+    monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 100)
+    cli = make_client()
     # Fill the 4-slot importance layer.
     for k in range(4):
         cli.fetch(k, float(k + 1), lambda i: [float(i)])

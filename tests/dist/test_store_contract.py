@@ -185,15 +185,8 @@ def test_sharded_client_runs_the_monoliths_policy_objects():
         assert getattr(ShardedCacheClient, name) is getattr(SemanticCache, name)
 
 
-@pytest.mark.parametrize("ignored", ["clock", "latency", "fault_plans"])
+@pytest.mark.parametrize("ignored", ["clock"])
 def test_prebuilt_transport_rejects_arguments_it_would_ignore(ignored):
-    from repro.storage.latency import ConstantLatency
-
-    value = {
-        "clock": SimClock(),
-        "latency": ConstantLatency(base_s=1e-4, bandwidth_bps=1e9),
-        "fault_plans": {0: OUTAGE},
-    }[ignored]
     with pytest.raises(ValueError, match=ignored):
-        ShardedCacheClient(8, transport=SimRpcChannel(), **{ignored: value})
+        ShardedCacheClient(8, transport=SimRpcChannel(), **{ignored: SimClock()})
     ShardedCacheClient(8, transport=SimRpcChannel())  # alone it is fine

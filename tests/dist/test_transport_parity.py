@@ -27,11 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist.client import ShardedCacheClient
-from repro.dist.retry import RetryPolicy
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
-pytestmark = [pytest.mark.dist, pytest.mark.wallclock]
+pytestmark = [
+    pytest.mark.dist, pytest.mark.wallclock, pytest.mark.usefixtures("no_jitter"),
+]
 
 FAST = ConstantLatency(base_s=1e-4, bandwidth_bps=1e15)
 TOTAL = 24
@@ -45,18 +46,20 @@ def payload(i):
 
 
 def make_sim(n_shards):
-    return ShardedCacheClient(
-        TOTAL, imp_ratio=0.8, n_shards=n_shards, clock=SimClock(),
-        latency=FAST, retry=RetryPolicy(jitter=0.0),
+    cli = ShardedCacheClient(
+        TOTAL, imp_ratio=0.8, n_shards=n_shards, clock=SimClock()
     )
+    cli.transport.latency = FAST
+    return cli
 
 
 def make_real(n_shards):
-    return ShardedCacheClient(
+    cli = ShardedCacheClient(
         TOTAL, imp_ratio=0.8, n_shards=n_shards, transport="real",
-        clock=SimClock(), latency=FAST, deadline_s=REAL_DEADLINE_S,
-        retry=RetryPolicy(jitter=0.0),
+        clock=SimClock(), deadline_s=REAL_DEADLINE_S,
     )
+    cli.transport.latency = FAST
+    return cli
 
 
 _idx = st.integers(0, 59)

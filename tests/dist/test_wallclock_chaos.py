@@ -24,12 +24,16 @@ import pytest
 from repro.dist.client import ShardedCacheClient
 from repro.dist.retry import RetryPolicy
 from repro.dist.rpc import ShardOutageError
+from repro.dist import client as client_module
+from repro.resilience import breaker
 from repro.resilience.breaker import BreakerState
 from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
-pytestmark = [pytest.mark.dist, pytest.mark.wallclock]
+pytestmark = [
+    pytest.mark.dist, pytest.mark.wallclock, pytest.mark.usefixtures("no_jitter"),
+]
 
 FAST = ConstantLatency(base_s=1e-4, bandwidth_bps=1e15)
 OUTAGE = FaultPlan(outages=[OutageWindow(0.0, 1e9)])
@@ -43,16 +47,16 @@ def payload(i):
     return np.full(4, float(i), dtype=np.float32)
 
 
-def make_twins():
+def make_twins(monkeypatch):
     """A sim client and a real-process client with identical policy."""
-    kw = dict(
-        imp_ratio=0.5, n_shards=2,
-        retry=RetryPolicy(max_attempts=2, jitter=0.0),
-        breaker_failure_threshold=5, breaker_cooldown_s=COOLDOWN_S,
-    )
-    sim = ShardedCacheClient(TOTAL, clock=SimClock(), latency=FAST, **kw)
+    monkeypatch.setattr(breaker, "FAILURE_THRESHOLD", 5)
+    monkeypatch.setattr(client_module, "BREAKER_COOLDOWN_S", COOLDOWN_S)
+    kw = dict(imp_ratio=0.5, n_shards=2, retry=RetryPolicy(max_attempts=2))
+    sim = ShardedCacheClient(TOTAL, clock=SimClock(), **kw)
     real = ShardedCacheClient(TOTAL, transport="real", clock=SimClock(),
-                              latency=FAST, deadline_s=30.0, **kw)
+                              deadline_s=30.0, **kw)
+    for cli in (sim, real):
+        cli.transport.latency = FAST
     return sim, real
 
 
@@ -100,8 +104,8 @@ def ledger(cli):
     }
 
 
-def test_killed_worker_degrades_exactly_like_sim_outage():
-    sim, real = make_twins()
+def test_killed_worker_degrades_exactly_like_sim_outage(monkeypatch):
+    sim, real = make_twins(monkeypatch)
     try:
         populate(sim)
         populate(real)
@@ -125,12 +129,12 @@ def test_killed_worker_degrades_exactly_like_sim_outage():
         real.close()
 
 
-def test_restarted_worker_rejoins_and_anti_entropy_reconverges():
+def test_restarted_worker_rejoins_and_anti_entropy_reconverges(monkeypatch):
     """Kill, then restart: the replacement worker comes back *empty*
     (payloads are soft state), pending anti-entropy deletes flush, and
     ordinary traffic repopulates the shard until its contents match the
     client's placement metadata again."""
-    _, real = make_twins()
+    _, real = make_twins(monkeypatch)
     try:
         populate(real)
         real.transport.kill_shard(0)
@@ -166,12 +170,12 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges():
         real.close()
 
 
-def test_kill_during_resize_stalls_then_completes_after_restart():
+def test_kill_during_resize_stalls_then_completes_after_restart(monkeypatch):
     """The sim chaos suite's migration-stall scenario, on real pipes:
     a worker dies mid-drain, batches touching it stall without
     half-applying, and the drain completes after the worker is
     replaced."""
-    _, real = make_twins()
+    _, real = make_twins(monkeypatch)
     try:
         populate(real)
         state = real.resize(4, drain=False)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.nn import layers
 from repro.nn.layers import (
     BatchNorm1d,
     Conv2d,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2d,
@@ -204,8 +204,9 @@ def test_batchnorm_normalizes():
     np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
 
-def test_batchnorm_eval_uses_running_stats():
-    bn = BatchNorm1d(2, momentum=0.0)  # running stats = last batch
+def test_batchnorm_eval_uses_running_stats(monkeypatch):
+    monkeypatch.setattr(layers, "BN_MOMENTUM", 0.0)  # running stats = last batch
+    bn = BatchNorm1d(2)
     x = np.random.default_rng(9).normal(5.0, 3.0, size=(128, 2))
     bn.forward(x, training=True)
     out = bn.forward(x, training=False)
@@ -222,36 +223,6 @@ def test_batchnorm_param_grads():
     bn = BatchNorm1d(3)
     x = np.random.default_rng(11).normal(size=(5, 3))
     check_param_grads(bn, x, rtol=1e-4, atol=1e-6)
-
-
-# ----------------------------------------------------------------------
-# Dropout
-# ----------------------------------------------------------------------
-def test_dropout_eval_identity():
-    d = Dropout(0.5, rng=0)
-    x = np.ones((4, 4))
-    np.testing.assert_array_equal(d.forward(x, training=False), x)
-
-
-def test_dropout_preserves_expectation():
-    d = Dropout(0.5, rng=0)
-    x = np.ones((200, 200))
-    out = d.forward(x, training=True)
-    assert abs(out.mean() - 1.0) < 0.05
-
-
-def test_dropout_invalid_p():
-    with pytest.raises(ValueError):
-        Dropout(1.0)
-
-
-def test_dropout_backward_masks():
-    d = Dropout(0.5, rng=0)
-    x = np.ones((10, 10))
-    out = d.forward(x, training=True)
-    g = d.backward(np.ones_like(x))
-    # Gradient passes exactly where the forward pass did.
-    np.testing.assert_array_equal((g != 0), (out != 0))
 
 
 # ----------------------------------------------------------------------

@@ -103,9 +103,12 @@ def test_degraded_serve_events():
     assert obs.snapshot()["counters"]["degraded.substituted"] == 1
 
 
-def test_breaker_transition_events():
+def test_breaker_transition_events(monkeypatch):
+    from repro.resilience import breaker
+
+    monkeypatch.setattr(breaker, "FAILURE_THRESHOLD", 2)
     obs, rec, _ = _observer()
-    br = CircuitBreaker(failure_threshold=2, cooldown_s=1.0)
+    br = CircuitBreaker(cooldown_s=1.0)
     br.attach_observer(obs)
     br.record_failure(0.0)
     br.record_failure(0.1)  # opens

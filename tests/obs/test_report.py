@@ -140,12 +140,9 @@ def test_every_policys_trace_reconciles(name, tmp_path):
 @pytest.mark.parametrize("name", POLICIES)
 def test_every_policy_reconciles_on_every_topology(name, topology, tmp_path):
     """Every registry policy runs on every topology, the sharded one
-    included, and its trace reconciles: the report prints ``OK`` where it
-    checks (one replica); a multi-worker run's report skips the stage-time
-    check by design, so there the trace's hit ratios are checked against
-    the per-epoch metrics here."""
-    from repro.obs import read_jsonl
-
+    included, and its trace reconciles: the report prints ``OK``, over
+    every stage on one replica and over the hit and substitute ratios on
+    a multi-worker run (whose stage times are divided across workers)."""
     recorder = JsonlRecorder(tmp_path / TRACE_FILE)
     trainer = topologies.build(
         topology, topologies.dataset(),
@@ -157,15 +154,36 @@ def test_every_policy_reconciles_on_every_topology(name, topology, tmp_path):
     write_run_artifacts(result, tmp_path)
     text = render_report(tmp_path)
     assert "MISMATCH" not in text
+    line = "trace vs per-epoch metrics: OK over 2 epoch(s)"
     if len(trainer.workers) == 1:
-        assert "trace vs per-epoch metrics: OK over 2 epoch(s)" in text
-        return
-    assert "consistency check skipped: multi-worker run" in text
-    aggs = aggregate_trace(read_jsonl(tmp_path / TRACE_FILE))
-    assert [a.n_samples for a in aggs] == [len(trainer.train_set)] * 2
-    for a, em in zip(aggs, result.epochs):
-        assert a.hit_ratio == pytest.approx(em.hit_ratio, abs=1e-12)
-        assert a.substitute_ratio == pytest.approx(em.substitute_ratio, abs=1e-12)
+        assert line + "\n" in text + "\n"
+    else:
+        assert line + " (hit and substitute ratios; stage times skipped" in text
+
+
+def test_shards_table_shows_every_layer(tmp_path):
+    """The final shard table has a column group per cache layer: an
+    iCache run on the shard tier shows its L-section's occupancy and
+    hits, which sum to what the layer itself counted."""
+    from repro.cli import main
+
+    out = tmp_path / "run"
+    assert main([
+        "train", "--policy", "icache", "--samples", "400", "--epochs", "2",
+        "--world-size", "2", "--shared-cache", "--cache-shards", "2",
+        "--trace-dir", str(out),
+    ]) == 0
+    text = render_report(out)
+    table = text.split("shards (final state):\n")[1].splitlines()
+    header = table[0].split()
+    assert header[:7] == ["shard", "imp", "imp_hit", "imp_sub",
+                          "lsec", "lsec_hit", "lsec_sub"]
+    rows = [row.split() for row in table[1:3]]
+    lsec = sum(int(row[4]) for row in rows)
+    hits = sum(int(row[5]) + int(row[6]) for row in rows)
+    assert lsec > 0 and hits > 0
+    counters = json.loads((out / SUMMARY_FILE).read_text())["metrics"]["counters"]
+    assert hits == counters["cache.fetch.l_section"]
 
 
 def test_icache_l_section_serves_are_their_own_rows(tmp_path):

@@ -39,7 +39,8 @@ def test_golden_fixture_consistency_check_passes():
 def test_report_cli_matches_golden_shard_fixture(capsys):
     """Sharded-run fixture (``--world-size 2 --shared-cache --cache-shards
     2``, same seed recipe; see EXPERIMENTS.md for regeneration) renders
-    the shards section and the multi-worker consistency skip."""
+    the shards section and the multi-worker consistency check (ratios
+    only)."""
     assert main(["report", str(FIXTURES / "golden-shard-run")]) == 0
     out = capsys.readouterr().out
     golden = (FIXTURES / "golden-shard-report.txt").read_text()
@@ -49,5 +50,6 @@ def test_report_cli_matches_golden_shard_fixture(capsys):
 def test_golden_shard_fixture_has_shard_section():
     golden = (FIXTURES / "golden-shard-report.txt").read_text()
     assert "shards (final state):" in golden
-    assert "consistency check skipped: multi-worker run" in golden
+    assert ("trace vs per-epoch metrics: OK over 2 epoch(s) (hit and "
+            "substitute ratios; stage times skipped") in golden
     assert "cache_shards=2" in golden

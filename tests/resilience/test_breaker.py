@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.resilience import breaker
 from repro.resilience.breaker import (
     BreakerState,
     CircuitBreaker,
@@ -16,14 +17,22 @@ from repro.storage.latency import ConstantLatency
 
 
 def _store(n=20):
-    return RemoteStore(
-        np.arange(float(n))[:, None], item_nbytes=512,
-        latency=ConstantLatency(base_s=1e-3), clock=SimClock(),
+    store = RemoteStore(
+        np.arange(float(n))[:, None], item_nbytes=512, clock=SimClock()
     )
+    store.latency = ConstantLatency(base_s=1e-3)
+    return store
 
 
-def test_opens_after_consecutive_failures():
-    br = CircuitBreaker(failure_threshold=3, cooldown_s=1.0)
+def _breaker(monkeypatch, failure_threshold=3, cooldown_s=1.0, close_threshold=1):
+    """A breaker with the given thresholds set on the module constants."""
+    monkeypatch.setattr(breaker, "FAILURE_THRESHOLD", failure_threshold)
+    monkeypatch.setattr(breaker, "CLOSE_THRESHOLD", close_threshold)
+    return CircuitBreaker(cooldown_s=cooldown_s)
+
+
+def test_opens_after_consecutive_failures(monkeypatch):
+    br = _breaker(monkeypatch, failure_threshold=3, cooldown_s=1.0)
     assert not br.record_failure(0.0)
     assert not br.record_failure(0.1)
     assert br.record_failure(0.2)
@@ -32,16 +41,16 @@ def test_opens_after_consecutive_failures():
     assert not br.allow(0.5)  # cooling down
 
 
-def test_success_resets_failure_streak():
-    br = CircuitBreaker(failure_threshold=2)
+def test_success_resets_failure_streak(monkeypatch):
+    br = _breaker(monkeypatch, failure_threshold=2)
     br.record_failure(0.0)
     br.record_success(0.1)
     assert not br.record_failure(0.2)  # streak restarted
     assert br.state is BreakerState.CLOSED
 
 
-def test_half_open_after_cooldown_then_closes():
-    br = CircuitBreaker(failure_threshold=1, cooldown_s=1.0, close_threshold=2)
+def test_half_open_after_cooldown_then_closes(monkeypatch):
+    br = _breaker(monkeypatch, failure_threshold=1, cooldown_s=1.0, close_threshold=2)
     br.record_failure(0.0)
     assert not br.allow(0.5)
     assert br.allow(1.0)  # cooldown elapsed -> half-open probe
@@ -52,8 +61,8 @@ def test_half_open_after_cooldown_then_closes():
     assert br.state is BreakerState.CLOSED
 
 
-def test_half_open_failure_reopens():
-    br = CircuitBreaker(failure_threshold=1, cooldown_s=1.0)
+def test_half_open_failure_reopens(monkeypatch):
+    br = _breaker(monkeypatch, failure_threshold=1, cooldown_s=1.0)
     br.record_failure(0.0)
     assert br.allow(1.5)
     assert br.record_failure(1.6)
@@ -63,8 +72,8 @@ def test_half_open_failure_reopens():
     assert br.allow(2.7)
 
 
-def test_events_and_recovery_pairs():
-    br = CircuitBreaker(failure_threshold=1, cooldown_s=1.0)
+def test_events_and_recovery_pairs(monkeypatch):
+    br = _breaker(monkeypatch, failure_threshold=1, cooldown_s=1.0)
     br.record_failure(0.0)
     br.allow(1.0)
     br.record_success(1.1)
@@ -74,13 +83,13 @@ def test_events_and_recovery_pairs():
     assert br.reopen_close_pairs()[-1] == (2.0, None)
 
 
-def test_breaker_store_trips_then_fails_fast_then_recloses():
+def test_breaker_store_trips_then_fails_fast_then_recloses(monkeypatch):
     store = _store()
     clock = store.clock
     faulty = FaultInjectingStore(
         store, FaultPlan(outages=[OutageWindow(0.0, 1.0)])
     )
-    br = CircuitBreaker(failure_threshold=2, cooldown_s=0.5)
+    br = _breaker(monkeypatch, failure_threshold=2, cooldown_s=0.5)
     guarded = CircuitBreakerStore(faulty, br)
 
     # Below threshold: the original outage error propagates.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.resilience import campaign as campaign_module
 from repro.resilience import (
     DEFAULT_SCENARIOS,
     FaultCampaign,
@@ -13,14 +14,17 @@ pytestmark = pytest.mark.resilience
 
 
 SMALL_SCENARIOS = (
-    FaultScenario("outage", outages=((0.05, 0.10),), breaker_cooldown_frac=0.01),
+    FaultScenario("outage", outages=((0.05, 0.10),)),
     FaultScenario("brownout", brownouts=((0.10, 0.40, 6.0),)),
     FaultScenario("preempt", preempt_at=((1, 2),), restart_penalty_s=2.0),
 )
 
 
 @pytest.fixture
-def campaign(build_run, tmp_path):
+def campaign(build_run, tmp_path, monkeypatch):
+    # A short cool-down, so the outage's breaker re-closes inside the run.
+    monkeypatch.setattr(campaign_module, "BREAKER_COOLDOWN_FRAC", 0.01)
+
     def make_trainer(**kw):
         trainer, _, _ = build_run(
             ResilientTrainer, epochs=2, n_samples=96,

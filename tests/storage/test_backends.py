@@ -11,11 +11,9 @@ from repro.storage.latency import ConstantLatency
 @pytest.fixture
 def store():
     payloads = np.arange(20.0)[:, None]
-    return RemoteStore(
-        payloads, item_nbytes=1024,
-        latency=ConstantLatency(base_s=1e-3, bandwidth_bps=1e6),
-        clock=SimClock(),
-    )
+    store = RemoteStore(payloads, item_nbytes=1024, clock=SimClock())
+    store.latency = ConstantLatency(base_s=1e-3, bandwidth_bps=1e6)
+    return store
 
 
 def test_get_returns_payload(store):

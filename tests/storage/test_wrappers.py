@@ -18,10 +18,11 @@ from repro.storage.wrappers import StoreWrapper
 
 
 def _store(n=50):
-    return RemoteStore(
-        np.arange(float(n))[:, None], item_nbytes=1024,
-        latency=ConstantLatency(base_s=1e-3), clock=SimClock(),
+    store = RemoteStore(
+        np.arange(float(n))[:, None], item_nbytes=1024, clock=SimClock()
     )
+    store.latency = ConstantLatency(base_s=1e-3)
+    return store
 
 
 def test_wrapper_forwards_core_interface():
@@ -29,7 +30,6 @@ def test_wrapper_forwards_core_interface():
     w = StoreWrapper(base)
     assert len(w) == len(base)
     assert w.clock is base.clock
-    assert w.size_of(3) == base.size_of(3)
     np.testing.assert_array_equal(w.get(7), base.peek(7))
     np.testing.assert_array_equal(w.peek(7), base.peek(7))
 
@@ -37,7 +37,7 @@ def test_wrapper_forwards_core_interface():
 def _stack(base, plan=None):
     """The read path ``repro faults`` composes: breaker over fault plan."""
     faulty = FaultInjectingStore(base, plan or FaultPlan())
-    breaker = CircuitBreaker(failure_threshold=100)
+    breaker = CircuitBreaker()
     return CircuitBreakerStore(faulty, breaker), faulty
 
 
@@ -92,8 +92,7 @@ def test_unknown_attribute_raises():
         w.no_such_attribute
 
 
-def test_size_of_forwards_and_len():
+def test_len_forwards_through_the_stack():
     base = _store(17)
     w, _ = _stack(base)
     assert len(w) == 17
-    assert w.size_of(0) == base.size_of(0)

@@ -110,8 +110,9 @@ def test_latency_model_injected(data):
     slow = Trainer(
         model, train, test, TrainingPolicy(rng=3),
         TrainerConfig(epochs=1, batch_size=64),
-        latency=ConstantLatency(base_s=0.01),
-    ).run()
+    )
+    slow.store.latency = ConstantLatency(base_s=0.01)
+    slow = slow.run()
     assert slow.epochs[0].data_load_s > fast.epochs[0].data_load_s
 
 
