@@ -60,7 +60,8 @@ report:
 # oracle, retry/backoff, migration, chaos) under the increased
 # Hypothesis budget, plus a sharded smoke run with a live ring resize for
 # one policy per cache-layer stack, whose report must reconcile (hit and
-# substitute ratios) and count every request.
+# substitute ratios) and count every request, and a one-worker run on the
+# shard tier whose report reconciles every stage time.
 DIST_DIR ?= results/dist-smoke
 dist:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -m dist
@@ -73,6 +74,12 @@ dist:
 		if grep -q "MISMATCH\| rows=" $(DIST_DIR)/$$policy.txt; then exit 1; fi; \
 		grep -q " fetch=1350," $(DIST_DIR)/$$policy.txt || exit 1; \
 	done
+	$(PYTHON) -m repro train --policy spidercache --samples 600 --epochs 3 \
+		--world-size 1 --shared-cache --cache-shards 2 \
+		--resize-shards-at 1:4 --trace-dir $(DIST_DIR)/one-worker
+	$(PYTHON) -m repro report $(DIST_DIR)/one-worker > $(DIST_DIR)/one-worker.txt
+	grep -q "trace vs per-epoch metrics: OK over 3 epoch(s)$$" $(DIST_DIR)/one-worker.txt
+	grep -q " fetch=1350," $(DIST_DIR)/one-worker.txt
 
 # Real-process transport suite (-m wallclock: sim/real parity oracle +
 # real-process chaos) with a hard timeout and NO retries — these tests

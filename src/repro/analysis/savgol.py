@@ -14,33 +14,24 @@ import numpy as np
 __all__ = ["savgol_coefficients", "savgol_smooth"]
 
 
-def savgol_coefficients(window: int, polyorder: int, deriv: int = 0) -> np.ndarray:
-    """Convolution coefficients for a centered Savitzky-Golay filter.
+def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
+    """Convolution coefficients for a centered Savitzky-Golay smoother.
 
-    ``window`` must be odd and > ``polyorder``. ``deriv`` selects the
-    smoothed ``deriv``-th derivative (0 = smoothing).
+    ``window`` must be odd and > ``polyorder``.
     """
     if window % 2 == 0 or window < 1:
         raise ValueError("window must be a positive odd integer")
     if polyorder >= window:
         raise ValueError("polyorder must be less than window")
-    if deriv > polyorder:
-        raise ValueError("deriv must not exceed polyorder")
     half = window // 2
     # Vandermonde of offsets -half..half.
     x = np.arange(-half, half + 1, dtype=np.float64)
     A = np.vander(x, polyorder + 1, increasing=True)  # (window, polyorder+1)
-    # Least-squares fit evaluated at 0: coefficients are row `deriv` of the
-    # pseudo-inverse times deriv!.
-    pinv = np.linalg.pinv(A)
-    from math import factorial
-
-    return pinv[deriv] * factorial(deriv)
+    # Least-squares fit evaluated at 0: row 0 of the pseudo-inverse.
+    return np.linalg.pinv(A)[0]
 
 
-def savgol_smooth(
-    y: np.ndarray, window: int = 5, polyorder: int = 2, deriv: int = 0
-) -> np.ndarray:
+def savgol_smooth(y: np.ndarray, window: int = 5, polyorder: int = 2) -> np.ndarray:
     """Apply a Savitzky-Golay filter along a 1-D series.
 
     Edges use polynomial fits over the first/last window (same strategy as
@@ -56,11 +47,9 @@ def savgol_smooth(
         order = min(polyorder, n - 1)
         x = np.arange(n, dtype=np.float64)
         coeffs = np.polynomial.polynomial.polyfit(x, y, order)
-        if deriv > 0:
-            coeffs = np.polynomial.polynomial.polyder(coeffs, deriv)
         return np.polynomial.polynomial.polyval(x, coeffs)
 
-    kernel = savgol_coefficients(window, polyorder, deriv)
+    kernel = savgol_coefficients(window, polyorder)
     half = window // 2
     # Interior: correlation with the center-evaluated kernel (correlate does
     # NOT flip its second argument, so kernel[k] multiplies y[n+k] — the
@@ -73,8 +62,6 @@ def savgol_smooth(
     x_win = np.arange(window, dtype=np.float64)
     for sl, offset in ((slice(0, window), 0), (slice(n - window, n), n - window)):
         coeffs = np.polynomial.polynomial.polyfit(x_win, y[sl], polyorder)
-        if deriv > 0:
-            coeffs = np.polynomial.polynomial.polyder(coeffs, deriv)
         if offset == 0:
             out[:half] = np.polynomial.polynomial.polyval(x_win[:half], coeffs)
         else:

@@ -1,12 +1,12 @@
-"""Trend statistics: slopes, growth rates, rolling dispersion."""
+"""Trend statistics: slopes and growth rates."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["slope", "mean_growth_rate", "rolling_std"]
+__all__ = ["slope", "mean_growth_rate"]
 
 
 def slope(y: Sequence[float]) -> float:
@@ -31,18 +31,3 @@ def mean_growth_rate(y: Sequence[float], window: int = 5) -> float:
     if y.shape[0] < window + 1:
         raise ValueError(f"need at least {window + 1} points")
     return float((y[-1] - y[-1 - window]) / window)
-
-
-def rolling_std(y: Sequence[float], window: int) -> np.ndarray:
-    """Rolling standard deviation; positions with incomplete windows are NaN."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n = y.shape[0]
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    out = np.full(n, np.nan)
-    if n < window:
-        return out
-    # Vectorized via sliding windows.
-    windows = np.lib.stride_tricks.sliding_window_view(y, window)
-    out[window - 1 :] = windows.std(axis=1)
-    return out

@@ -8,13 +8,12 @@ scratch plus an exact brute-force oracle used for recall validation.
 
 from repro.ann.brute import BruteForceIndex
 from repro.ann.distance import (
-    cosine_distance_matrix,
     l2_distance_matrix,
     l2_distances,
     pairwise_l2,
 )
 from repro.ann.hnsw import HNSWIndex
-from repro.ann.index_stats import IndexStorageModel, estimate_index_size_bytes
+from repro.ann.index_stats import IndexStorageModel
 from repro.ann.pq import ProductQuantizer
 from repro.ann.range_result import RangeResult
 
@@ -24,9 +23,7 @@ __all__ = [
     "RangeResult",
     "ProductQuantizer",
     "IndexStorageModel",
-    "estimate_index_size_bytes",
     "l2_distances",
     "l2_distance_matrix",
     "pairwise_l2",
-    "cosine_distance_matrix",
 ]

@@ -59,7 +59,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.ann.distance import (
-    l2_distance_matrix,
     l2_distances,
     paired_l2,
     squared_norms,
@@ -219,53 +218,17 @@ class BruteForceIndex:
         self._version += 1
 
     # ------------------------------------------------------------------
-    def search(
-        self, query: np.ndarray, k: int, exclude: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact k-NN search.
-
-        Returns ``(ids, distances)`` sorted ascending by distance. ``exclude``
-        drops one id from the results (typically the query point itself when
-        searching for a stored sample's neighbors).
-        """
+    def search(self, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact k-NN search: ``(ids, distances)`` sorted ascending by
+        distance."""
         n = len(self)
         if n == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
         dists = l2_distances(query, self._data[:n])
         order = np.argsort(dists, kind="stable")
         ids = self._ids[:n][order]
-        dists = dists[order]
-        if exclude is not None:
-            keep = ids != int(exclude)
-            ids, dists = ids[keep], dists[keep]
         k = min(int(k), len(ids))
-        return ids[:k], dists[:k]
-
-    def search_batch(
-        self, queries: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact k-NN for many queries at once (one GEMM).
-
-        Returns ``(ids, dists)`` of shape ``(n_queries, k)``; rows are padded
-        with ``-1``/``inf`` when fewer than ``k`` points are stored.
-        """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        nq = queries.shape[0]
-        n = len(self)
-        k = int(k)
-        out_ids = np.full((nq, k), -1, dtype=np.int64)
-        out_d = np.full((nq, k), np.inf)
-        if n == 0:
-            return out_ids, out_d
-        dmat = l2_distance_matrix(queries, self._data[:n])
-        kk = min(k, n)
-        part = np.argpartition(dmat, kk - 1, axis=1)[:, :kk]
-        pd = np.take_along_axis(dmat, part, axis=1)
-        order = np.argsort(pd, axis=1, kind="stable")
-        sorted_idx = np.take_along_axis(part, order, axis=1)
-        out_ids[:, :kk] = self._ids[:n][sorted_idx]
-        out_d[:, :kk] = np.take_along_axis(dmat, sorted_idx, axis=1)
-        return out_ids, out_d
+        return ids[:k], dists[order][:k]
 
     def neighbors_within_batch(
         self,
@@ -415,16 +378,3 @@ class BruteForceIndex:
         dists = paired_l2(queries[i], self._data[row])
         order = np.argsort(dists, kind="stable")
         return self._ids[row[order]], dists[order]
-
-    def neighbors_within(
-        self,
-        query: np.ndarray,
-        radius: float,
-        exclude: Optional[int] = None,
-        max_neighbors: int = 512,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All stored points with distance <= ``radius`` from ``query``: the
-        one-row case of :meth:`neighbors_within_batch`."""
-        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        excl = None if exclude is None else np.asarray([exclude])
-        return self.neighbors_within_batch(query, radius, excl, max_neighbors)[0]

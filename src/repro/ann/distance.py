@@ -21,7 +21,6 @@ __all__ = [
     "l2_distance_matrix",
     "paired_l2",
     "pairwise_l2",
-    "cosine_distance_matrix",
 ]
 
 
@@ -92,20 +91,3 @@ def pairwise_l2(points: np.ndarray) -> np.ndarray:
     # Enforce exact zeros on the diagonal (fp noise otherwise).
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine distance (1 - cosine similarity) matrix.
-
-    Zero vectors are treated as maximally distant (distance 1) rather than
-    raising, so degenerate embeddings early in training don't crash scoring.
-    """
-    a, b = _as_2d(a), _as_2d(b)
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    denom = np.outer(na, nb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sim = (a @ b.T) / denom
-    sim = np.where(denom > 0, sim, 0.0)
-    np.clip(sim, -1.0, 1.0, out=sim)
-    return 1.0 - sim

@@ -94,7 +94,7 @@ class HNSWIndex:
         of HNSW's ``M``.
     ef_construction:
         Beam width during insertion. Queries use :data:`EF_SEARCH` unless
-        the call names its own ``ef``.
+        a k-NN :meth:`search` names its own ``ef``.
     rng:
         Seed / generator for the level draws (determinism in tests).
     capacity:
@@ -162,9 +162,9 @@ class HNSWIndex:
         """Top layer assigned to a node."""
         return self._levels[self._row_of[int(item_id)]]
 
-    def degree(self, item_id: int, layer: int = 0) -> int:
-        """Out-degree of a node at ``layer`` (0 = base proximity graph)."""
-        return len(self.graph_neighbors(item_id, layer))
+    def degree(self, item_id: int) -> int:
+        """Out-degree of a node in the base proximity graph (layer 0)."""
+        return len(self.graph_neighbors(item_id))
 
     def graph_neighbors(self, item_id: int, layer: int = 0) -> List[int]:
         """Adjacency list of a node at ``layer`` (copies, safe to mutate)."""
@@ -749,6 +749,13 @@ class HNSWIndex:
         filters the rest. ``exclude[i]`` (ids, ``-1`` = none) drops one id
         from query ``i``'s results; that query's beam is widened by one slot
         so the exclusion cannot under-fill the ``k`` requested results.
+
+        The layer-0 beams run in *lockstep*: every hop expands up to
+        ``_EXPAND`` members of every still-active query, gathers their
+        adjacency rows from one padded matrix, and scores the fresh ones
+        in a single gather + einsum call — amortizing the per-hop numpy
+        dispatch overhead over the whole batch. Queries are independent,
+        so lockstep is pure scheduling: a batch of N is N batches of one.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         nq = queries.shape[0]
@@ -802,61 +809,11 @@ class HNSWIndex:
         return found
 
     def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: Optional[int] = None,
-        exclude: Optional[int] = None,
-        radius: Optional[float] = None,
+        self, query: np.ndarray, k: int, ef: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate k-NN. Returns ``(ids, distances)`` ascending: the
-        one-row case of :meth:`search_batch`, without the padding."""
+        """Approximate k-NN: up to ``k`` ``(ids, distances)`` ascending."""
         query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        excl = None if exclude is None else np.asarray([exclude])
-        return self._query(query, int(k), ef, excl, radius)[0]
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        ef: Optional[int] = None,
-        exclude: Optional[np.ndarray] = None,
-        radius: Optional[float] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """k-NN for many queries; same contract as brute-force
-        ``search_batch``: ``(ids, dists)`` of shape ``(n_queries, k)``, rows
-        padded with ``-1``/``inf``. ``exclude`` and ``radius`` as in
-        :meth:`_query`.
-
-        The layer-0 beams run in *lockstep*: every hop expands up to
-        ``_EXPAND`` members of every still-active query, gathers their
-        adjacency rows from one padded matrix, and scores the fresh ones
-        in a single gather + einsum call — amortizing the per-hop numpy
-        dispatch overhead over the whole batch. Queries are independent,
-        so lockstep is pure scheduling: a batch of N is N batches of one.
-        """
-        k = int(k)
-        found = self._query(queries, k, ef, exclude, radius)
-        out_ids = np.full((len(found), k), -1, dtype=np.int64)
-        out_d = np.full((len(found), k), np.inf)
-        for qi, (ids, dists) in enumerate(found):
-            out_ids[qi, : ids.shape[0]] = ids
-            out_d[qi, : ids.shape[0]] = dists
-        return out_ids, out_d
-
-    def neighbors_within(
-        self,
-        query: np.ndarray,
-        radius: float,
-        ef: Optional[int] = None,
-        exclude: Optional[int] = None,
-        max_neighbors: int = 512,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate range query: the one-row case of
-        :meth:`neighbors_within_batch`."""
-        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        excl = None if exclude is None else np.asarray([exclude])
-        return self.neighbors_within_batch(query, radius, excl, max_neighbors, ef)[0]
+        return self._query(query, int(k), ef, None, None)[0]
 
     def neighbors_within_batch(
         self,
@@ -864,7 +821,6 @@ class HNSWIndex:
         radius: float,
         exclude: Optional[np.ndarray] = None,
         max_neighbors: int = 512,
-        ef: Optional[int] = None,
     ) -> RangeResult:
         """Batched range query with the brute-force backend's signature and
         result type.
@@ -879,7 +835,7 @@ class HNSWIndex:
         later writes to the index.
         """
         within = []
-        for ids, dists in self._query(queries, int(max_neighbors), ef, exclude, radius):
+        for ids, dists in self._query(queries, int(max_neighbors), None, exclude, radius):
             keep = dists <= radius
             within.append((ids[keep], dists[keep]))
         sizes = [ids.size for ids, _ in within]

@@ -13,42 +13,37 @@ regenerate the table rows, and validates it against a real in-memory
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["IndexStorageModel", "estimate_index_size_bytes", "DATASET_CATALOG"]
+__all__ = ["IndexStorageModel", "DATASET_CATALOG"]
 
 
 #: Bytes per neighbor link (uint32 ids).
 ID_BYTES = 4
 #: Per-element bookkeeping bytes (level, offsets).
 METADATA_BYTES = 16
+#: Bytes per PQ code (``m`` subquantizers, 8 bits each).
+PQ_CODE_BYTES = 32
+#: HNSW out-degree parameter ``M`` (hnswlib's default); layer 0 stores up
+#: to ``2*M`` links.
+HNSW_M = 16
 
 
-@dataclass(frozen=True)
 class IndexStorageModel:
     """Per-element byte accounting for an HNSW+PQ index.
 
-    Parameters mirror hnswlib defaults plus a PQ codec:
-
-    * ``pq_code_bytes`` — bytes per PQ code (``m`` subquantizers, 8 bits each)
-    * ``M`` — HNSW out-degree parameter; layer 0 stores up to ``2*M`` links
-
-    Each link costs :data:`ID_BYTES` and each element
-    :data:`METADATA_BYTES` of bookkeeping. With ``mL = 1/ln(M)`` the
+    Each element stores a :data:`PQ_CODE_BYTES` code and
+    :data:`METADATA_BYTES` of bookkeeping; each link costs
+    :data:`ID_BYTES`. With ``M =`` :data:`HNSW_M` and ``mL = 1/ln(M)`` the
     expected number of layers per node is ``1/(1 - 1/M)`` ≈ 1 + 1/M, so
     upper layers add ~``M/(M-1)`` links per node.
     """
-
-    pq_code_bytes: int = 32
-    M: int = 16
 
     def bytes_per_element(self) -> float:
         """Expected index bytes attributable to one element."""
         # Layer 0: up to 2*M links; upper layers: a geometric tail of nodes
         # (fraction ~1/M at each level) each adding up to M links.
-        layer0 = 2 * self.M * ID_BYTES
-        upper = (1.0 / (self.M - 1)) * self.M * ID_BYTES
-        return self.pq_code_bytes + layer0 + upper + METADATA_BYTES
+        layer0 = 2 * HNSW_M * ID_BYTES
+        upper = (1.0 / (HNSW_M - 1)) * HNSW_M * ID_BYTES
+        return PQ_CODE_BYTES + layer0 + upper + METADATA_BYTES
 
     def index_size_bytes(self, n_elements: int) -> float:
         """Total expected index size for ``n_elements``."""
@@ -62,15 +57,6 @@ class IndexStorageModel:
         if idx <= 0:
             raise ValueError("index size must be positive")
         return raw_bytes / idx
-
-
-def estimate_index_size_bytes(
-    n_elements: int, pq_code_bytes: int = 32, M: int = 16
-) -> float:
-    """Convenience wrapper around :class:`IndexStorageModel`."""
-    return IndexStorageModel(pq_code_bytes=pq_code_bytes, M=M).index_size_bytes(
-        n_elements
-    )
 
 
 # Paper Table 2 rows: (name, image count, raw size in bytes, reported index size).

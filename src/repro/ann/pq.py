@@ -19,12 +19,14 @@ from repro.utils.rng import RngLike, resolve_rng
 
 __all__ = ["ProductQuantizer"]
 
+#: Lloyd iterations per subspace codebook (fewer when the centroids settle).
+KMEANS_ITERS = 20
+
 
 def _kmeans(
     data: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    iters: int = 20,
     init: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Plain Lloyd's k-means returning centroids of shape ``(k, d)``.
@@ -60,7 +62,7 @@ def _kmeans(
             d = np.sum((data - centroids[j]) ** 2, axis=1)
             np.minimum(closest_sq, d, out=closest_sq)
 
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = l2_distance_matrix(data, centroids)
         assign = np.argmin(d2, axis=1)
         moved = False
@@ -118,17 +120,8 @@ class ProductQuantizer:
         self.dsub = dim // m
         self.codebooks: Optional[np.ndarray] = None  # (m, ksub, dsub)
 
-    @property
-    def is_trained(self) -> bool:
-        return self.codebooks is not None
-
-    @property
-    def code_size_bytes(self) -> int:
-        """Bytes per encoded vector."""
-        return self.m  # one uint8 per subspace (nbits <= 8)
-
     # ------------------------------------------------------------------
-    def train(self, data: np.ndarray, rng: RngLike = None, iters: int = 20) -> None:
+    def train(self, data: np.ndarray, rng: RngLike = None) -> None:
         """Learn per-subspace codebooks from training vectors."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
         if data.shape[1] != self.dim:
@@ -137,7 +130,7 @@ class ProductQuantizer:
         books = np.zeros((self.m, self.ksub, self.dsub))
         for j in range(self.m):
             sub = data[:, j * self.dsub : (j + 1) * self.dsub]
-            cents = _kmeans(sub, self.ksub, gen, iters=iters)
+            cents = _kmeans(sub, self.ksub, gen)
             books[j, : cents.shape[0]] = cents
             if cents.shape[0] < self.ksub:
                 # Fewer training points than centroids: repeat the last one so

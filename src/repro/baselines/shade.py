@@ -21,12 +21,16 @@ from repro.baselines.loss_is import LossISPolicy
 
 __all__ = ["ShadePolicy", "loss_rank_scores"]
 
+#: Rank score of a batch's lowest-loss sample (floored above zero so
+#: low-rank samples keep a nonzero sampling probability).
+RANK_FLOOR = 0.05
 
-def loss_rank_scores(losses: np.ndarray, eps: float = 0.05) -> np.ndarray:
-    """Within-batch rank scores in ``[eps, 1]``.
 
-    Highest loss -> 1.0, lowest -> ``eps`` (floored so low-rank samples keep
-    nonzero sampling probability). Ties share ranks by stable ordering.
+def loss_rank_scores(losses: np.ndarray) -> np.ndarray:
+    """Within-batch rank scores in ``[RANK_FLOOR, 1]``.
+
+    Highest loss -> 1.0, lowest -> :data:`RANK_FLOOR`. Ties share ranks by
+    stable ordering.
     """
     losses = np.asarray(losses, dtype=np.float64).ravel()
     n = losses.shape[0]
@@ -35,7 +39,7 @@ def loss_rank_scores(losses: np.ndarray, eps: float = 0.05) -> np.ndarray:
     if n == 1:
         return np.ones(1)
     order = np.argsort(np.argsort(losses, kind="stable"), kind="stable")
-    return eps + (1.0 - eps) * order / (n - 1)
+    return RANK_FLOOR + (1.0 - RANK_FLOOR) * order / (n - 1)
 
 
 class ShadePolicy(LossISPolicy):

@@ -92,11 +92,6 @@ class CacheStats:
         for f in dataclasses.fields(self):
             setattr(self, f.name, 0)
 
-    def merge(self, other: "CacheStats") -> None:
-        """Add another stats object's counters into this one."""
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def state_dict(self) -> dict:
         """Serializable counter snapshot."""
         return dataclasses.asdict(self)

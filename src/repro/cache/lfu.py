@@ -66,7 +66,3 @@ class LFUCache(Cache):
             self._freq[key] = int(f)
             self._buckets[int(f)][key] = None
         self._min_freq = int(state["min_freq"])
-
-    def frequency(self, key: Any) -> int:
-        """Current access count of a cached key (KeyError if absent)."""
-        return self._freq[key]

@@ -56,15 +56,6 @@ class AccessTrace:
     def unique_count(self) -> int:
         return int(np.unique(self.requests).size)
 
-    def epoch_slice(self, epoch: int) -> np.ndarray:
-        """Requests belonging to one epoch."""
-        if not self.epoch_bounds:
-            if epoch != 0:
-                raise IndexError("trace has a single unnamed epoch")
-            return self.requests
-        start = 0 if epoch == 0 else self.epoch_bounds[epoch - 1]
-        return self.requests[start : self.epoch_bounds[epoch]]
-
     def frequency_histogram(self, n_samples: Optional[int] = None) -> np.ndarray:
         """Per-sample access counts."""
         n = n_samples if n_samples is not None else int(self.requests.max()) + 1

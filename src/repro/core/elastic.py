@@ -192,12 +192,6 @@ class ElasticCacheManager:
             self._obs.on_elastic(epoch, beta, u, ratio)
         return ratio
 
-    @property
-    def current_ratio(self) -> float:
-        if not self.history:
-            return self.controller.r_start
-        return self.history[-1].imp_ratio
-
     def coordinate(self, epoch: int, score_std: float, accuracy: float,
                    caches) -> float:
         """One global split decision applied to every cache tier.

@@ -289,10 +289,6 @@ class GraphImportanceScorer:
             return None
         return scores[int(np.argmax(scores.x_same + scores.x_other))]
 
-    @property
-    def indexed_count(self) -> int:
-        return len(self.index)
-
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Exact snapshot: calibration EMA plus the ANN index's own

@@ -149,17 +149,6 @@ class HomophilyCache(Cache):
         }
 
     # ------------------------------------------------------------------
-    def neighbor_list(self, key: int) -> Tuple[int, ...]:
-        """Neighbor IDs stored with a cached node (KeyError if absent)."""
-        return self._items[key]
-
-    @property
-    def covered_count(self) -> int:
-        """Number of distinct sample ids currently servable (nodes + neighbors)."""
-        covered = set(self._neighbor_of)
-        covered.update(self._items)
-        return len(covered)
-
     def newest_entry(self) -> Optional[Tuple[int, Any]]:
         """(key, payload) of the most recently inserted node whose payload
         is retrievable, or ``None``.

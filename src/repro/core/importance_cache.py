@@ -163,10 +163,6 @@ class ImportanceCache(Cache):
         """:meth:`update_scores` for one key."""
         self.update_scores((key,), (score,))
 
-    def scores_snapshot(self) -> List[Tuple[int, float]]:
-        """(key, score) for all residents (diagnostics)."""
-        return [(k, s) for k, (s, _) in self._items.items()]
-
     def peek_min(self) -> Optional[Tuple[int, Any]]:
         """(key, payload) of the least-important resident, or ``None``
         when empty or its payload is unavailable.

@@ -18,6 +18,8 @@ __all__ = ["GlobalScoreTable", "last_occurrences"]
 
 #: Every sample's score before its first update.
 INITIAL_SCORE = 1.0
+#: Least multinomial weight a sample gets, so that no sample starves.
+WEIGHT_FLOOR = 1e-6
 
 
 def last_occurrences(ids: np.ndarray) -> np.ndarray:
@@ -85,14 +87,9 @@ class GlobalScoreTable:
         self._scores[indices] = scores
         self._ever_updated[indices] = True
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of samples whose score has ever been computed."""
-        return float(self._ever_updated.mean())
-
-    def sampling_weights(self, floor: float = 1e-6) -> np.ndarray:
-        """Normalized multinomial weights (floored so no sample starves)."""
-        w = np.maximum(self._scores, floor)
+    def sampling_weights(self) -> np.ndarray:
+        """Normalized multinomial weights (floored at :data:`WEIGHT_FLOOR`)."""
+        w = np.maximum(self._scores, WEIGHT_FLOOR)
         return w / w.sum()
 
     def snapshot_std(self) -> float:

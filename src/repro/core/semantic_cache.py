@@ -252,22 +252,16 @@ class SemanticCache:
         return [self.fetch(i, s, remote_get) for i, s in zip(indices, scores)]
 
     # ------------------------------------------------------------------
-    def enable_degraded_mode(
-        self, errors: Optional[Tuple[Type[BaseException], ...]] = None
-    ) -> None:
-        """Serve degraded instead of raising when ``remote_get`` fails.
-
-        ``errors`` are the exception types to absorb; the default covers
-        breaker rejections (:class:`~repro.resilience.errors.DegradedModeError`)
-        and raw transient fetch failures, so an un-broken flaky store
+    def enable_degraded_mode(self) -> None:
+        """Serve degraded instead of raising when ``remote_get`` fails with
+        a breaker rejection (:class:`~repro.resilience.errors.DegradedModeError`)
+        or a raw transient fetch failure, so an un-broken flaky store
         degrades too rather than crashing the epoch.
         """
-        if errors is None:
-            from repro.resilience.errors import DegradedModeError
-            from repro.storage.flaky import TransientFetchError
+        from repro.resilience.errors import DegradedModeError
+        from repro.storage.flaky import TransientFetchError
 
-            errors = (DegradedModeError, TransientFetchError)
-        self.degrade_on = tuple(errors)
+        self.degrade_on = (DegradedModeError, TransientFetchError)
 
     def _degraded_fetch(self, index: int) -> FetchOutcome:
         """Close-enough-beats-nothing serving while the remote tier is down.
@@ -363,13 +357,6 @@ class SemanticCache:
             counters[f"cache.fetch.{layer.source.value}"] = served
             counters.update(layer.counters())
         return counters
-
-    def reset_stats(self) -> None:
-        """Zero the aggregate and per-layer counters."""
-        self.stats.reset()
-        self.degraded.reset()
-        for layer in self.layers:
-            layer.stats.reset()
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

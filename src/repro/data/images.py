@@ -17,6 +17,11 @@ from repro.utils.rng import RngLike, resolve_rng
 
 __all__ = ["ProceduralImageDataset", "make_image_dataset"]
 
+#: Colour channels per image.
+CHANNELS = 1
+#: Largest circular shift of a sample off its class template, in pixels.
+MAX_SHIFT = 2
+
 
 @dataclass
 class ProceduralImageDataset:
@@ -38,10 +43,6 @@ class ProceduralImageDataset:
     @property
     def num_classes(self) -> int:
         return self.templates.shape[0]
-
-    def get_item(self, index: int) -> Tuple[np.ndarray, int]:
-        """One sample as ``(image, label)``."""
-        return self.X[index], int(self.y[index])
 
 
 def _class_template(
@@ -65,36 +66,33 @@ def make_image_dataset(
     n_samples: int,
     n_classes: int = 10,
     image_size: int = 12,
-    channels: int = 1,
     noise_std: float = 0.35,
-    max_shift: int = 2,
-    name: str = "proc-images",
     rng: RngLike = None,
 ) -> ProceduralImageDataset:
     """Generate ``n_samples`` images from per-class templates.
 
     Each sample is its class template circularly shifted by up to
-    ``max_shift`` pixels plus Gaussian pixel noise.
+    :data:`MAX_SHIFT` pixels plus Gaussian pixel noise.
     """
     if image_size < 4:
         raise ValueError("image_size must be >= 4")
     gen = resolve_rng(rng)
     templates = np.stack(
-        [_class_template(channels, image_size, image_size, gen) for _ in range(n_classes)]
+        [_class_template(CHANNELS, image_size, image_size, gen) for _ in range(n_classes)]
     )
     labels = np.tile(np.arange(n_classes), n_samples // n_classes + 1)[:n_samples]
     gen.shuffle(labels)
-    X = np.empty((n_samples, channels, image_size, image_size))
-    shifts = gen.integers(-max_shift, max_shift + 1, size=(n_samples, 2))
+    X = np.empty((n_samples, CHANNELS, image_size, image_size))
+    shifts = gen.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=(n_samples, 2))
     noise = gen.normal(0.0, noise_std, size=X.shape)
     for i in range(n_samples):
         img = templates[labels[i]]
         img = np.roll(img, shift=(int(shifts[i, 0]), int(shifts[i, 1])), axis=(1, 2))
         X[i] = img + noise[i]
     return ProceduralImageDataset(
-        name=name,
+        name="proc-images",
         X=X,
         y=labels.astype(np.int64),
         templates=templates,
-        item_nbytes=channels * image_size * image_size * 8,
+        item_nbytes=CHANNELS * image_size * image_size * 8,
     )

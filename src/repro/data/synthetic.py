@@ -83,10 +83,6 @@ class SyntheticDataset:
     def num_classes(self) -> int:
         return self.centers.shape[0]
 
-    def get_item(self, index: int) -> Tuple[np.ndarray, int]:
-        """One sample as ``(features, label)``."""
-        return self.X[index], int(self.y[index])
-
     def kind_fractions(self) -> Dict[str, float]:
         """Observed fraction of each sample kind."""
         n = len(self)

@@ -98,6 +98,10 @@ _ATTEMPT_ERRORS = (ShardOutageError, RpcTimeoutError)
 #: Simulated seconds a shard's open breaker waits before its half-open probe.
 BREAKER_COOLDOWN_S = 0.05
 
+#: Pending batches one migration drain attempts at most (unbounded: each
+#: pending batch once).
+MAX_DRAIN_BATCHES = float("inf")
+
 
 class ShardStore(PayloadStore):
     """One cache layer's payloads on the shard tier
@@ -270,7 +274,7 @@ class ShardedCacheClient(SemanticCache):
         uses the transport's ``kill_shard``). A prebuilt
         :class:`~repro.dist.rpc.Transport` instance is also accepted; it
         already owns its clock, so passing one alongside it is an error.
-        Fault plans are installed with :meth:`set_fault_plan`.
+        Fault plans go in the sim transport's ``fault_plans``.
     clock / deadline_s:
         Forwarded to the transport built here (shared clock, per-call
         deadline).
@@ -389,10 +393,6 @@ class ShardedCacheClient(SemanticCache):
         """In-process server dict (sim transport only; the real
         transport's servers live in other processes)."""
         return self.transport.servers
-
-    def set_fault_plan(self, shard: int, plan: Optional[Any]) -> None:
-        """Install (or clear) one shard's fault schedule."""
-        self.transport.set_fault_plan(shard, plan)
 
     def _placement_ring(self) -> ConsistentHashRing:
         """Ring governing *new* placements: the migration target while a
@@ -722,12 +722,11 @@ class ShardedCacheClient(SemanticCache):
             self.continue_migration()
         return state
 
-    def continue_migration(
-        self, max_batches: Optional[int] = None
-    ) -> Optional[MigrationState]:
-        """Drain (part of) the in-flight migration.
+    def continue_migration(self) -> Optional[MigrationState]:
+        """Drain the in-flight migration.
 
-        Attempts each pending batch at most once per call; batches that
+        Attempts each pending batch at most once per call (and at most
+        :data:`MAX_DRAIN_BATCHES` of them); batches that
         fail (outage, open breaker, burned retry budget) rotate to the
         back and stay pending, so a dead shard stalls only its own keys.
         Batch keys are re-validated against live metadata at execution —
@@ -737,9 +736,7 @@ class ShardedCacheClient(SemanticCache):
         state = self.migration
         if state is None:
             return None
-        budget = len(state.pending)
-        if max_batches is not None:
-            budget = min(budget, int(max_batches))
+        budget = min(len(state.pending), MAX_DRAIN_BATCHES)
         obs = self._obs
         span = (
             obs.span_start(

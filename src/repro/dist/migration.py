@@ -36,8 +36,8 @@ from repro.dist.ring import ConsistentHashRing
 
 __all__ = ["MigrationBatch", "MigrationState", "plan_migration"]
 
-#: Default keys per migration transfer batch.
-DEFAULT_BATCH_SIZE = 32
+#: Keys per migration transfer batch.
+BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -72,33 +72,20 @@ class MigrationState:
         """True once every planned batch has been applied (or voided)."""
         return not self.pending
 
-    def progress(self) -> Dict[str, int]:
-        """Counters for logs/observability."""
-        return {
-            "old_n_shards": self.old_n_shards,
-            "new_n_shards": self.new_n_shards,
-            "planned_moves": self.planned_moves,
-            "moved_keys": self.moved_keys,
-            "pending_batches": len(self.pending),
-            "failed_batches": self.failed_batches,
-        }
-
 
 def plan_migration(
     old_n_shards: int,
     target_ring: ConsistentHashRing,
     locations: Dict[str, Dict[int, int]],
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> MigrationState:
     """Plan the batched transfers for a resize.
 
     ``locations`` maps layer name (``"imp"``/``"hom"``) to the client's
     authoritative ``{key: current_shard}`` map. Keys already on their
     target shard are skipped; the rest are grouped by
-    ``(layer, src, dst)`` and chunked into :class:`MigrationBatch` es.
+    ``(layer, src, dst)`` and chunked into :class:`MigrationBatch` es of
+    :data:`BATCH_SIZE` keys.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     state = MigrationState(
         old_n_shards=int(old_n_shards),
         new_n_shards=target_ring.n_shards,
@@ -112,8 +99,8 @@ def plan_migration(
                 groups.setdefault((layer, src, dst), []).append(int(key))
     for (layer, src, dst), keys in sorted(groups.items()):
         state.planned_moves += len(keys)
-        for i in range(0, len(keys), batch_size):
+        for i in range(0, len(keys), BATCH_SIZE):
             state.pending.append(
-                MigrationBatch(layer, src, dst, tuple(keys[i : i + batch_size]))
+                MigrationBatch(layer, src, dst, tuple(keys[i : i + BATCH_SIZE]))
             )
     return state

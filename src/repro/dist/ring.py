@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Tuple
 
-__all__ = ["splitmix64", "ConsistentHashRing", "ring_diff"]
+__all__ = ["splitmix64", "ConsistentHashRing"]
 
 _MASK = (1 << 64) - 1
 #: Hash-domain seed; any fixed value works, but every participant of one
@@ -82,22 +82,3 @@ class ConsistentHashRing:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConsistentHashRing(n_shards={self.n_shards})"
-
-
-def ring_diff(
-    old: ConsistentHashRing,
-    new: ConsistentHashRing,
-    keys: Iterable[int],
-) -> Dict[int, Tuple[int, int]]:
-    """Keys whose owner changes between two rings.
-
-    Returns ``{key: (old_shard, new_shard)}`` for exactly the keys that
-    must migrate when the ring is resized from ``old`` to ``new``.
-    """
-    moves: Dict[int, Tuple[int, int]] = {}
-    for k in keys:
-        src = old.shard_for(k)
-        dst = new.shard_for(k)
-        if src != dst:
-            moves[int(k)] = (src, dst)
-    return moves

@@ -225,14 +225,6 @@ class Transport(abc.ABC):
     def shard_ids(self) -> List[int]:
         """Sorted ids of all provisioned shards."""
 
-    # -- optional features ---------------------------------------------
-    def set_fault_plan(self, shard: int, plan: Optional[FaultPlan]) -> None:
-        """Install a fault-injection plan (simulated transports only)."""
-        raise NotImplementedError(
-            f"{self.name!r} transport does not support fault plans; "
-            "injected faults are a simulation feature"
-        )
-
     def close(self) -> None:
         """Release transport resources (worker processes, sockets)."""
 
@@ -252,9 +244,9 @@ class SimRpcChannel(Transport):
 
     ``servers`` is the ``{shard_id: CacheShardServer}`` dict, mutated on
     ring resizes (tests reach into live servers through it);
-    ``fault_plans`` maps shard ids to the :class:`FaultPlan` s
-    :meth:`set_fault_plan` installed: per-shard outage and brownout
-    windows, evaluated against the shared clock.
+    ``fault_plans`` maps shard ids to their :class:`FaultPlan` (``None``
+    or absent = healthy): per-shard outage and brownout windows, evaluated
+    against the shared clock.
 
     Parameters
     ----------
@@ -273,7 +265,7 @@ class SimRpcChannel(Transport):
     ) -> None:
         super().__init__(clock, deadline_s)
         self.servers: Dict[int, Any] = {}
-        self.fault_plans: Dict[int, FaultPlan] = {}
+        self.fault_plans: Dict[int, Optional[FaultPlan]] = {}
 
     # -- shard lifecycle -----------------------------------------------
     def add_shard(self, shard: int) -> None:
@@ -301,13 +293,6 @@ class SimRpcChannel(Transport):
         return getattr(server, method)(*args)
 
     # ------------------------------------------------------------------
-    def set_fault_plan(self, shard: int, plan: Optional[FaultPlan]) -> None:
-        """Install (or clear, with ``None``) one shard's fault plan."""
-        if plan is None:
-            self.fault_plans.pop(int(shard), None)
-        else:
-            self.fault_plans[int(shard)] = plan
-
     def _attempt(
         self, shard: int, method: str, args: Tuple[Any, ...],
         latency_s: float, now: float,

@@ -20,8 +20,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 __all__ = ["CacheShardServer"]
 
 
@@ -84,17 +82,6 @@ class CacheShardServer:
             store[int(k)] = payload
 
     # -- introspection ----------------------------------------------------
-    def occupancy(self, layer: str) -> int:
-        """Number of payloads resident in one layer."""
-        return len(self._stores[layer])
-
     def keys(self, layer: str) -> List[int]:
         """Resident keys of one layer (insertion order)."""
         return list(self._stores[layer].keys())
-
-    def payload_nbytes(self, layer: str, key: int) -> int:
-        """Simulated size of one payload (0 if absent)."""
-        payload = self._stores[layer].get(int(key))
-        if payload is None:
-            return 0
-        return int(np.asarray(payload).nbytes)

@@ -6,7 +6,7 @@ penultimate-layer embeddings, and genuine learning dynamics — all provided
 by these hand-rolled layers with explicit forward/backward passes.
 """
 
-from repro.nn.init import he_init, xavier_init
+from repro.nn.init import he_init
 from repro.nn.layers import (
     BatchNorm1d,
     Conv2d,
@@ -35,7 +35,6 @@ __all__ = [
     "ConstantLR",
     "CosineLR",
     "he_init",
-    "xavier_init",
     "Model",
     "ModelSpec",
     "MODEL_ZOO",

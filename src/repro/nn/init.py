@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.utils.rng import RngLike, resolve_rng
 
-__all__ = ["he_init", "xavier_init"]
+__all__ = ["he_init"]
 
 
 def he_init(shape: tuple, fan_in: int, rng: RngLike = None) -> np.ndarray:
@@ -15,12 +15,3 @@ def he_init(shape: tuple, fan_in: int, rng: RngLike = None) -> np.ndarray:
         raise ValueError("fan_in must be positive")
     gen = resolve_rng(rng)
     return gen.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def xavier_init(shape: tuple, fan_in: int, fan_out: int, rng: RngLike = None) -> np.ndarray:
-    """Xavier/Glorot-uniform initialization; for linear/tanh layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    gen = resolve_rng(rng)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return gen.uniform(-limit, limit, size=shape)

@@ -58,11 +58,6 @@ class SoftmaxCrossEntropy:
         return grad
 
     @staticmethod
-    def predict(logits: np.ndarray) -> np.ndarray:
-        """Argmax class predictions."""
-        return np.argmax(logits, axis=1)
-
-    @staticmethod
     def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
         """Top-1 accuracy in [0, 1]."""
         preds = np.argmax(np.atleast_2d(logits), axis=1)

@@ -37,6 +37,9 @@ from repro.utils.rng import RngLike, resolve_rng
 
 __all__ = ["ModelSpec", "Model", "MODEL_ZOO", "build_model", "build_cnn_model"]
 
+#: Samples per forward pass when :meth:`Model.evaluate` scores a dataset.
+EVAL_BATCH_SIZE = 256
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -53,11 +56,6 @@ class ModelSpec:
     stage1_ms: float
     stage2_ms: float
     is_ms: float
-
-    @property
-    def compute_ms(self) -> float:
-        """Pure compute per mini-batch (forward + backward), excluding I/O."""
-        return self.stage1_ms + self.stage2_ms
 
 
 # Embedding dims keep the paper's ordering (alexnet/vgg16 largest); Table-1
@@ -138,16 +136,15 @@ class Model:
         self.features.backward(grad)
         return losses, emb
 
-    def evaluate(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int = 256
-    ) -> Tuple[float, float]:
-        """Return ``(accuracy, mean_loss)`` over a dataset, mini-batched."""
+    def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+        """Return ``(accuracy, mean_loss)`` over a dataset, in mini-batches
+        of :data:`EVAL_BATCH_SIZE`."""
         n = x.shape[0]
         correct = 0
         total_loss = 0.0
-        for start in range(0, n, batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
+        for start in range(0, n, EVAL_BATCH_SIZE):
+            xb = x[start : start + EVAL_BATCH_SIZE]
+            yb = y[start : start + EVAL_BATCH_SIZE]
             logits, _ = self.forward(xb, training=False)
             losses = SoftmaxCrossEntropy().forward(logits, yb)
             total_loss += float(losses.sum())

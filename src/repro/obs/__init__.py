@@ -37,8 +37,6 @@ from repro.obs.spans import (
     SpanNode,
     SpanTracker,
     build_span_forest,
-    find_spans,
-    format_span_tree,
 )
 from repro.obs.trace import (
     SEGMENT_KIND,
@@ -70,8 +68,6 @@ __all__ = [
     "SpanNode",
     "SpanTracker",
     "build_span_forest",
-    "find_spans",
-    "format_span_tree",
     "critical_path",
     "critpath_lines",
     "self_time_breakdown",

@@ -28,6 +28,11 @@ __all__ = [
     "critpath_lines",
 ]
 
+#: Names shown per breakdown before the rest are counted as ``+N more``.
+TOP_NAMES = 4
+#: Group rows shown before the rest are counted as ``... N more``.
+MAX_ROWS = 8
+
 #: One critical-path segment: (span, seg_start_s, seg_end_s). The span is
 #: the deepest node whose own execution bounds that interval.
 Segment = Tuple[SpanNode, float, float]
@@ -78,22 +83,18 @@ def self_time_breakdown(segments: Iterable[Segment]) -> Dict[str, float]:
     return dict(sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _fmt_breakdown(total: float, breakdown: Dict[str, float], top: int) -> str:
+def _fmt_breakdown(total: float, breakdown: Dict[str, float]) -> str:
     parts = []
-    for name, secs in list(breakdown.items())[:top]:
+    for name, secs in list(breakdown.items())[:TOP_NAMES]:
         pct = 100.0 * secs / total if total > 0 else 0.0
         parts.append("%s %.4fs (%.0f%%)" % (name, secs, pct))
-    rest = list(breakdown.items())[top:]
+    rest = list(breakdown.items())[TOP_NAMES:]
     if rest:
         parts.append("+%d more" % len(rest))
     return ", ".join(parts) if parts else "(empty)"
 
 
-def critpath_lines(
-    events: Iterable[Dict],
-    top: int = 4,
-    max_rows: int = 8,
-) -> List[str]:
+def critpath_lines(events: Iterable[Dict]) -> List[str]:
     """The ``repro report`` critical-path section body (no header).
 
     One row per ``epoch`` span plus an all-epochs aggregate; a trace
@@ -113,7 +114,7 @@ def critpath_lines(
     lines: List[str] = []
     combined: Dict[str, float] = {}
     combined_total = 0.0
-    n_shown = len(groups) if len(groups) <= max_rows else max_rows
+    n_shown = min(len(groups), MAX_ROWS)
     for i, g in enumerate(groups):
         segs = critical_path(g)
         breakdown = self_time_breakdown(segs)
@@ -124,7 +125,7 @@ def critpath_lines(
             idx = g.event.get(g.name, i)  # e.g. {"epoch": 0}
             lines.append(
                 "  %s %-3s %.4fs: %s"
-                % (g.name, idx, g.dur_s, _fmt_breakdown(g.dur_s, breakdown, top))
+                % (g.name, idx, g.dur_s, _fmt_breakdown(g.dur_s, breakdown))
             )
     if len(groups) > n_shown:
         lines.append("  ... %d more" % (len(groups) - n_shown))
@@ -136,7 +137,7 @@ def critpath_lines(
                 len(groups),
                 group_name,
                 combined_total,
-                _fmt_breakdown(combined_total, ordered, top),
+                _fmt_breakdown(combined_total, ordered),
             )
         )
     return lines

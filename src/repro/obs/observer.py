@@ -323,7 +323,7 @@ class Observer:
         (e.g. the importance heap's current minimum). With span tracing
         on, events carry the trace/span of the request that forced the
         decision — the per-decision dataset the calibrated-substitution
-        work (ROADMAP item 3) consumes.
+        work (ROADMAP item 5) consumes.
         """
         self._audit_action[action].inc()
         if self.recorder.enabled:
@@ -401,10 +401,9 @@ class Observer:
     def on_restore(self, path: str, epoch: int, batch: int) -> None:
         """Training state was restored from a checkpoint archive.
 
-        Fetch/batch events between this event and the preceding
-        checkpoint event are replays — aggregators counting a faulted
-        run's trace must deduplicate on (epoch, batch) or treat the
-        journal as history, not tally.
+        Events between the ``checkpoint`` event whose ``path`` this one
+        names and this event are replayed from that checkpoint;
+        :func:`~repro.obs.report.aggregate_trace` drops them.
         """
         self.metrics.counter("checkpoint.restored").inc()
         self.emit("restore", path=path, at_epoch=int(epoch), batch=int(batch))

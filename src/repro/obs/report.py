@@ -3,11 +3,12 @@
 Three layers:
 
 * :func:`aggregate_trace` folds a trace's ``fetch``/``prefetch``/``batch``
-  events into per-epoch totals that reproduce the trainer's
+  events and RPC spans into per-epoch totals that reproduce the trainer's
   :class:`~repro.train.metrics.EpochMetrics` numbers exactly (hit ratios
   from fetch sources; stage times from per-batch costs, and ``data_load``
   from the trainer's own :func:`~repro.train.metrics.data_load_seconds`
-  over the ``io_workers``/``hit_latency_s`` recorded in ``run_start``);
+  over the ``io_workers``/``hit_latency_s`` recorded in ``run_start``,
+  plus the RPC time shared by its ``world_size`` workers);
 * :func:`write_run_artifacts` exports a finished run as ``epochs.jsonl``
   (one JSON object per epoch) and ``summary.json`` (run summary + metrics
   registry snapshot + provenance metadata) next to the optional
@@ -40,6 +41,10 @@ __all__ = [
     "SUMMARY_FILE",
 ]
 
+#: Spans whose time the shard tier charges to the RPC stage: every
+#: attempt, and every retry backoff between attempts.
+RPC_SPANS = ("rpc_attempt", "backoff")
+
 TRACE_FILE = "trace.jsonl"
 EPOCHS_FILE = "epochs.jsonl"
 SUMMARY_FILE = "summary.json"
@@ -66,6 +71,7 @@ class EpochAggregate:
     n_samples: int = 0
     remote_latency_s: float = 0.0
     hit_serves: int = 0  # serves charged the in-memory hit latency
+    rpc_s: float = 0.0  # shard-tier RPC time, summed over workers
     compute_s: float = 0.0
     preprocess_s: float = 0.0
     is_visible_s: float = 0.0
@@ -100,20 +106,37 @@ class EpochAggregate:
         return self.data_load_s + self.compute_s + self.is_visible_s + self.preprocess_s
 
 
+def _replay_free(events: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The journal without replayed work: each ``restore`` event drops
+    the events after the ``checkpoint`` event whose ``path`` it names
+    (the run replays them from that checkpoint), and itself."""
+    journal: List[Dict[str, Any]] = []
+    for ev in events:
+        if ev.get("kind") != "restore":
+            journal.append(ev)
+            continue
+        saved = [
+            i for i, e in enumerate(journal)
+            if e.get("kind") == "checkpoint" and e.get("path") == ev.get("path")
+        ]
+        if saved:
+            del journal[saved[-1] + 1:]
+    return journal
+
+
 def aggregate_trace(
     events: Union[str, Path, Iterable[Dict[str, Any]]],
-    io_workers: Optional[int] = None,
-    hit_latency_s: Optional[float] = None,
 ) -> List[EpochAggregate]:
     """Fold trace events into per-epoch aggregates, ordered by epoch.
 
-    ``io_workers``/``hit_latency_s`` default to the values in the trace's
-    ``run_start`` event (and to ``1``/``0.0`` if neither source has
-    them). Traces containing ``restore`` events re-count replayed batches
-    — aggregate clean runs, or dedupe first.
+    ``io_workers``, ``hit_latency_s`` and ``world_size`` come from the
+    trace's ``run_start`` event (``1`` / ``0.0`` / ``1`` without one).
+    Replayed work after a checkpoint restore counts once
+    (:func:`_replay_free`).
     """
     if isinstance(events, (str, Path)):
         events = read_jsonl(events)
+    io_workers, hit_latency_s, world_size = 1, 0.0, 1
     per_epoch: Dict[int, EpochAggregate] = {}
 
     def agg(epoch: int) -> EpochAggregate:
@@ -122,13 +145,12 @@ def aggregate_trace(
             a = per_epoch[epoch] = EpochAggregate(epoch=epoch)
         return a
 
-    for ev in events:
+    for ev in _replay_free(events):
         kind = ev.get("kind")
         if kind == "run_start":
-            if io_workers is None and "io_workers" in ev:
-                io_workers = int(ev["io_workers"])
-            if hit_latency_s is None and "hit_latency_s" in ev:
-                hit_latency_s = float(ev["hit_latency_s"])
+            io_workers = int(ev.get("io_workers", io_workers))
+            hit_latency_s = float(ev.get("hit_latency_s", hit_latency_s))
+            world_size = int(ev.get("world_size", world_size))
             continue
         a = agg(int(ev.get("epoch", -1)))
         if kind == "fetch":
@@ -160,13 +182,14 @@ def aggregate_trace(
             a.compute_s += float(ev.get("compute_s", 0.0))
             a.preprocess_s += float(ev.get("preprocess_s", 0.0))
             a.is_visible_s += float(ev.get("is_visible_s", 0.0))
+        elif kind == "span" and ev.get("name") in RPC_SPANS:
+            a.rpc_s += float(ev["t1_s"]) - float(ev["t0_s"])
 
     out = [per_epoch[e] for e in sorted(per_epoch) if e >= 0]
     for a in out:
         a.data_load_s = data_load_seconds(
-            a.remote_latency_s, a.hit_serves, io_workers or 1,
-            hit_latency_s or 0.0,
-        )
+            a.remote_latency_s, a.hit_serves, io_workers, hit_latency_s,
+        ) + a.rpc_s / world_size
     return out
 
 
@@ -359,18 +382,18 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
     if not epochs:
         return lines  # no per-epoch metrics to check against
 
-    restores = by_kind.get("restore", 0)
-    if restores:
-        lines.append(f"consistency check skipped: {restores} restore event(s) — "
-                     "replayed batches appear twice in the journal")
-        return lines
-
     # A multi-worker run divides its stage times across workers, so only
-    # the ratios are derivable from the flat fetch stream there.
-    run_start = next((e for e in events if e.get("kind") == "run_start"), None)
-    ratios_only = run_start is not None and int(run_start.get("world_size", 1)) > 1
+    # the ratios are derivable from the flat fetch stream there; a shard
+    # tier's RPC time is in its spans alone.
+    run_start = next((e for e in events if e.get("kind") == "run_start"), {})
+    if int(run_start.get("world_size", 1)) > 1:
+        scope = "a multi-worker run divides them across workers"
+    elif run_start.get("cache_shards") and not by_kind.get("span"):
+        scope = "a shard-tier trace without span events holds no RPC time"
+    else:
+        scope = None
     fields = ["hit_ratio", "substitute_ratio"]
-    if not ratios_only:
+    if scope is None:
         fields += ["data_load_s", "compute_s", "is_visible_s", "epoch_time_s"]
     aggs = {a.epoch: a for a in aggregate_trace(events)}
     worst = 0.0
@@ -384,12 +407,12 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
             if e.get(name) is not None:
                 worst = max(worst, abs(getattr(a, name) - float(e[name])))
     status = "OK" if worst < 1e-6 else f"MISMATCH (max abs err {worst:.3e})"
-    scope = (
-        " (hit and substitute ratios; stage times skipped: a multi-worker "
-        "run divides them across workers)" if ratios_only else ""
+    note = (
+        "" if scope is None
+        else f" (hit and substitute ratios; stage times skipped: {scope})"
     )
     lines.append(
-        f"trace vs per-epoch metrics: {status} over {checked} epoch(s){scope}"
+        f"trace vs per-epoch metrics: {status} over {checked} epoch(s){note}"
     )
     return lines
 

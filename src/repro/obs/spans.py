@@ -39,8 +39,7 @@ is also the JSONL sink's block boundary — a row whose stamp differs
 from the open block's closes it — so opening or finishing a span needs
 no hook into the sink: the next row simply arrives under another span.
 
-Reconstruction helpers (:func:`build_span_forest`, :func:`find_spans`,
-:func:`format_span_tree`) turn a trace back into navigable trees; the
+:func:`build_span_forest` turns a trace back into navigable trees; the
 critical-path analyzer in :mod:`repro.obs.critpath` consumes them.
 """
 
@@ -53,8 +52,6 @@ __all__ = [
     "SpanTracker",
     "SpanNode",
     "build_span_forest",
-    "find_spans",
-    "format_span_tree",
     "span_seed_from",
 ]
 
@@ -234,17 +231,6 @@ class SpanNode:
     def dur_s(self) -> float:
         return max(0.0, self.t1_s - self.t0_s)
 
-    def attrs(self) -> Dict[str, Any]:
-        """Kind-specific attributes (everything outside the schema core)."""
-        core = {"kind", "epoch", "trace", "id", "parent", "name", "t0_s", "t1_s"}
-        return {k: v for k, v in self.event.items() if k not in core}
-
-    def walk(self) -> Iterable["SpanNode"]:
-        """This node and every descendant, depth-first pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 def build_span_forest(
     events: Iterable[Dict[str, Any]],
@@ -271,50 +257,3 @@ def build_span_forest(
         node.children.sort(key=lambda n: (n.t0_s, n.t1_s, n.span_id))
     roots.sort(key=lambda n: (n.t0_s, n.t1_s, n.span_id))
     return roots, by_id
-
-
-def find_spans(
-    roots: Iterable[SpanNode],
-    name: Optional[str] = None,
-    **attrs: Any,
-) -> List[SpanNode]:
-    """All spans (from the given roots down) matching name and attrs.
-
-    ``attrs`` match against the raw event dict, so e.g.
-    ``find_spans(roots, "fetch", requested_id=17)`` pinpoints one
-    request's tree in a sharded run.
-    """
-    out: List[SpanNode] = []
-    for root in roots:
-        for node in root.walk():
-            if name is not None and node.name != name:
-                continue
-            if all(node.event.get(k) == v for k, v in attrs.items()):
-                out.append(node)
-    return out
-
-
-def format_span_tree(node: SpanNode, max_attrs: int = 4) -> str:
-    """Render one span tree as an indented text block.
-
-    The human-readable form of the acceptance criterion: a request's
-    full causal story (every stage, every RPC attempt, its error) as a
-    tree.
-    """
-    lines: List[str] = []
-
-    def fmt(n: SpanNode, depth: int) -> None:
-        attrs = n.attrs()
-        shown = sorted(attrs.items())[:max_attrs]
-        suffix = (
-            " [" + " ".join(f"{k}={v}" for k, v in shown) + "]" if shown else ""
-        )
-        lines.append(
-            "%s%s %.6fs (t=%.6f..%.6f)%s"
-            % ("  " * depth, n.name, n.dur_s, n.t0_s, n.t1_s, suffix)
-        )
-        for child in n.children:
-            fmt(child, depth + 1)
-
-    fmt(node, 0)
-    return "\n".join(lines)

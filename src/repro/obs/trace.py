@@ -165,10 +165,6 @@ class InMemoryRecorder(TraceRecorder):
         """Append the event to the in-memory list."""
         self.events.append(event)
 
-    def of_kind(self, kind: str) -> List[Dict[str, Any]]:
-        """All recorded events of one kind, in emission order."""
-        return [e for e in self.events if e.get("kind") == kind]
-
     def clear(self) -> None:
         """Drop all recorded events."""
         self.events.clear()

@@ -44,10 +44,6 @@ class OutageWindow:
         """Is simulated time ``t`` inside the window?"""
         return self.start_s <= t < self.end_s
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 @dataclass(frozen=True)
 class BrownoutWindow:
@@ -87,18 +83,6 @@ class FaultPlan:
                 mult *= w.latency_multiplier
         return mult
 
-    def next_clear_time(self, t: float) -> float:
-        """Earliest time >= ``t`` outside every outage window."""
-        clear = t
-        for w in sorted(self.outages, key=lambda w: w.start_s):
-            if w.active(clear):
-                clear = w.end_s
-        return clear
-
-    @property
-    def total_outage_s(self) -> float:
-        return sum(w.duration_s for w in self.outages)
-
 
 class FaultInjectingStore(StoreWrapper):
     """Enforces a :class:`FaultPlan` in front of any store.
@@ -136,8 +120,3 @@ class FaultInjectingStore(StoreWrapper):
             self.brownout_extra_s += extra
         self.brownout_fetches += 1
         return payload
-
-    def _reset_own_counters(self) -> None:
-        self.outage_failures = 0
-        self.brownout_fetches = 0
-        self.brownout_extra_s = 0.0

@@ -79,8 +79,3 @@ class RemoteStore:
     def peek(self, index: int) -> np.ndarray:
         """Read a payload without charging latency (test/diagnostic use)."""
         return self._payloads[index]
-
-    def reset_counters(self) -> None:
-        """Zero the fetch counters (the clock is left untouched)."""
-        self.fetch_count = 0
-        self.bytes_fetched = 0

@@ -50,14 +50,6 @@ class SimClock:
         """Copy of per-stage totals."""
         return dict(self._stage_s)
 
-    def fractions(self) -> Dict[str, float]:
-        """Per-stage fraction of total time (empty dict if nothing elapsed)."""
-        snap = self.breakdown()
-        total = sum(snap.values())
-        if total <= 0:
-            return {}
-        return {k: v / total for k, v in snap.items()}
-
     def reset(self) -> None:
         """Zero all stages."""
         self._stage_s.clear()
@@ -71,10 +63,3 @@ class SimClock:
         self._stage_s.clear()
         for stage, secs in state.items():
             self._stage_s[str(stage)] = float(secs)
-
-    def merge(self, other: "SimClock") -> None:
-        """Add another clock's accumulated time into this one."""
-        snap = other.breakdown()
-        for stage, secs in snap.items():
-            self._stage_s[stage] += secs
-

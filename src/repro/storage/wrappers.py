@@ -3,7 +3,7 @@
 Store wrappers (fault windows, circuit breakers) stack:
 ``CircuitBreakerStore(FaultInjectingStore(remote, plan))`` is the
 resilient read path ``repro faults`` builds. Every wrapper must expose the
-full store interface — ``__len__``, ``get``, ``peek``, ``clock``, ``fetch_count``, ``bytes_fetched``, ``reset_counters`` — plus
+full store interface — ``__len__``, ``get``, ``peek``, ``clock``, ``fetch_count``, ``bytes_fetched`` — plus
 whatever counters *inner* wrappers accumulate (``outage_failures``,
 ``brownout_fetches``, ...), otherwise wrapped stacks silently under-report
 I/O accounting. :class:`StoreWrapper` centralizes the forwarding so each
@@ -66,14 +66,6 @@ class StoreWrapper:
     def peek(self, index: int) -> np.ndarray:
         """Free read from the wrapped store (never injected with faults)."""
         return self.inner.peek(index)
-
-    def reset_counters(self) -> None:
-        """Zero this wrapper's counters, then cascade to the inner store."""
-        self._reset_own_counters()
-        self.inner.reset_counters()
-
-    def _reset_own_counters(self) -> None:
-        """Hook for subclasses with counters of their own."""
 
     # -- introspection --------------------------------------------------
     def unwrap(self) -> Any:

@@ -86,22 +86,6 @@ class TrainResult:
         """Extract one per-epoch attribute as an array (for plotting)."""
         return np.asarray([getattr(e, attr) for e in self.epochs], dtype=np.float64)
 
-    def time_to_accuracy(self, threshold: float) -> Optional[float]:
-        """Simulated seconds until validation accuracy first reaches
-        ``threshold`` (SHADE's time-to-accuracy metric).
-
-        Returns ``None`` if the run never reaches the threshold. Time is
-        accumulated through the end of the first qualifying epoch.
-        """
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        elapsed = 0.0
-        for e in self.epochs:
-            elapsed += e.epoch_time_s
-            if e.val_accuracy >= threshold:
-                return elapsed
-        return None
-
     def stage_totals(self) -> Dict[str, float]:
         """Summed per-stage simulated time across the run."""
         return {

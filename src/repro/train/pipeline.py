@@ -12,7 +12,7 @@ measurements show is fully hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Tuple
+from typing import List, Literal, Tuple
 
 from repro.nn.models import MODEL_ZOO, ModelSpec
 
@@ -41,11 +41,6 @@ class StageCostModel:
     def for_model(cls, name: str) -> "StageCostModel":
         return cls.from_spec(MODEL_ZOO[name])
 
-    @property
-    def serial_ms(self) -> float:
-        """Per-batch time with no overlap at all."""
-        return self.stage1_ms + self.stage2_ms + self.is_ms
-
     def recommended_mode(self) -> OverlapMode:
         """Paper's rule: overlap Stage2 only when IS fits inside it;
         otherwise extend into the next batch's Stage1 (Fig. 12(b))."""
@@ -71,10 +66,6 @@ class ScheduledInterval:
     stage: str  # "stage1" | "stage2" | "is"
     start_ms: float
     end_ms: float
-
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
 
 
 class PipelineSimulator:
@@ -144,13 +135,3 @@ class PipelineSimulator:
     def per_batch_visible_ms(self, n_batches: int = 64) -> float:
         """Amortized visible IS cost per batch."""
         return self.visible_overhead_ms(n_batches) / n_batches
-
-    def stage_table(self) -> Dict[str, float]:
-        """Table-1-style row for this cost model."""
-        return {
-            "stage1_ms": self.costs.stage1_ms,
-            "stage2_ms": self.costs.stage2_ms,
-            "is_ms": self.costs.is_ms,
-            "mode": self.mode,
-            "visible_is_ms": self.costs.visible_is_ms(self.mode),
-        }

@@ -21,18 +21,11 @@ def test_coefficients_sum_to_one():
         assert savgol_coefficients(w, p).sum() == pytest.approx(1.0)
 
 
-def test_derivative_coefficients_kill_constants():
-    c = savgol_coefficients(5, 2, deriv=1)
-    assert c.sum() == pytest.approx(0.0, abs=1e-12)
-
-
 def test_invalid_params():
     with pytest.raises(ValueError):
         savgol_coefficients(4, 2)  # even window
     with pytest.raises(ValueError):
         savgol_coefficients(5, 5)  # polyorder >= window
-    with pytest.raises(ValueError):
-        savgol_coefficients(5, 2, deriv=3)
 
 
 def test_smooth_matches_scipy_interior():
@@ -75,9 +68,3 @@ def test_output_length_preserved():
     for n in [5, 6, 20, 101]:
         y = np.random.default_rng(n).random(n)
         assert savgol_smooth(y, window=5, polyorder=2).shape == (n,)
-
-
-def test_derivative_of_line():
-    y = 3.0 * np.arange(20, dtype=float)
-    d = savgol_smooth(y, window=5, polyorder=2, deriv=1)
-    np.testing.assert_allclose(d, 3.0, atol=1e-9)

@@ -1,9 +1,8 @@
 """Trend statistic tests."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.trends import mean_growth_rate, rolling_std, slope
+from repro.analysis.trends import mean_growth_rate, slope
 
 
 def test_slope_of_line():
@@ -29,21 +28,3 @@ def test_mean_growth_validation():
         mean_growth_rate([1.0, 2.0], window=5)
     with pytest.raises(ValueError):
         mean_growth_rate([1.0, 2.0, 3.0], window=0)
-
-
-def test_rolling_std_values():
-    y = np.array([1.0, 1.0, 1.0, 5.0, 5.0])
-    r = rolling_std(y, window=2)
-    assert np.isnan(r[0])
-    assert r[1] == pytest.approx(0.0)
-    assert r[3] == pytest.approx(2.0)
-
-
-def test_rolling_std_short_series():
-    r = rolling_std([1.0, 2.0], window=5)
-    assert np.isnan(r).all()
-
-
-def test_rolling_std_invalid_window():
-    with pytest.raises(ValueError):
-        rolling_std([1.0], window=0)

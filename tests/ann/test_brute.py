@@ -63,12 +63,6 @@ def test_search_sorted(idx):
     assert np.all(np.diff(dists) >= 0)
 
 
-def test_search_exclude(idx):
-    q = idx.vector(10)
-    ids, _ = idx.search(q, k=5, exclude=10)
-    assert 10 not in ids
-
-
 def test_search_k_exceeds_size():
     idx = BruteForceIndex(dim=2)
     idx.add(0, np.zeros(2))
@@ -98,31 +92,12 @@ def test_remove_missing_raises(idx):
 
 def test_neighbors_within_radius(idx):
     q = np.zeros(4)
-    ids, dists = idx.neighbors_within(q, radius=1.5)
+    ids, dists = idx.neighbors_within_batch(q[None], radius=1.5)[0]
     assert np.all(dists <= 1.5)
     # Verify completeness against search.
     all_ids, all_d = idx.search(q, k=30)
     expected = set(all_ids[all_d <= 1.5].tolist())
     assert set(ids.tolist()) == expected
-
-
-def test_search_batch_matches_single(idx):
-    rng = np.random.default_rng(1)
-    queries = rng.normal(size=(5, 4))
-    bids, bd = idx.search_batch(queries, k=7)
-    for qi in range(5):
-        sids, sd = idx.search(queries[qi], k=7)
-        np.testing.assert_array_equal(bids[qi], sids)
-        np.testing.assert_allclose(bd[qi], sd, atol=1e-10)
-
-
-def test_search_batch_padding():
-    idx = BruteForceIndex(dim=2)
-    idx.add(0, np.zeros(2))
-    ids, d = idx.search_batch(np.zeros((1, 2)), k=4)
-    assert ids[0, 0] == 0
-    assert np.all(ids[0, 1:] == -1)
-    assert np.all(np.isinf(d[0, 1:]))
 
 
 def test_neighbors_within_batch_excludes_self(idx):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.ann.distance import (
-    cosine_distance_matrix,
     l2_distance_matrix,
     l2_distances,
     pairwise_l2,
@@ -54,25 +53,6 @@ def test_pairwise_zero_diagonal():
 def test_identical_points_zero_distance():
     p = np.ones((3, 4))
     assert np.allclose(pairwise_l2(p), 0.0)
-
-
-def test_cosine_identity_and_orthogonal():
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    d = cosine_distance_matrix(a, a)
-    np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-12)
-    np.testing.assert_allclose(d[0, 1], 1.0, atol=1e-12)
-
-
-def test_cosine_opposite_vectors():
-    a = np.array([[1.0, 0.0]])
-    b = np.array([[-1.0, 0.0]])
-    np.testing.assert_allclose(cosine_distance_matrix(a, b), [[2.0]], atol=1e-12)
-
-
-def test_cosine_zero_vector_max_distance():
-    a = np.zeros((1, 3))
-    b = np.ones((1, 3))
-    assert cosine_distance_matrix(a, b)[0, 0] == 1.0
 
 
 def test_1d_inputs_accepted():

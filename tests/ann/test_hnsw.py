@@ -80,7 +80,10 @@ def test_search_results_sorted():
 
 def test_exclude_self():
     idx, data = _build(80)
-    ids, _ = idx.search(data[5], k=5, exclude=5)
+    ids, _ = idx.neighbors_within_batch(
+        data[5][None], np.inf, exclude=np.array([5]), max_neighbors=5
+    )[0]
+    assert len(ids) == 5
     assert 5 not in ids
 
 
@@ -129,12 +132,14 @@ def test_remove_entry_point_repairs():
 def test_degree_bounded():
     idx, _ = _build(300, ef_construction=100)
     for i in idx.ids:
-        assert idx.degree(i, layer=0) <= idx.M0
+        assert idx.degree(i) <= idx.M0
 
 
 def test_neighbors_within_filters_radius():
     idx, data = _build(150)
-    ids, d = idx.neighbors_within(data[0], radius=2.0, ef=100, exclude=0)
+    ids, d = idx.neighbors_within_batch(
+        data[0][None], radius=2.0, exclude=np.array([0])
+    )[0]
     assert np.all(d <= 2.0)
     assert 0 not in ids
 

@@ -2,13 +2,13 @@
 
 These pin the tentpole's behavioral contracts:
 
-* ``search(..., exclude=)`` returns exactly ``k`` results whenever ``k+1``
+* An excluding query returns exactly ``k`` results whenever ``k+1``
   elements are indexed (the widened-beam regression fix).
 * Recall vs the exact backend stays high through dynamic update/remove
   churn (the re-link path keeps the graph navigable).
-* ``search_batch`` / ``neighbors_within_batch`` (the lockstep path) return
-  the same ids as per-query ``search`` calls, with distances equal up to
-  the fused kernel's floating-point summation order.
+* ``neighbors_within_batch`` (the lockstep path) returns the same ids as
+  one-row batches, with distances equal up to the fused kernel's
+  floating-point summation order.
 * ``validate_invariants`` holds after arbitrary mutation sequences.
 """
 
@@ -39,25 +39,34 @@ def built(monkeypatch):
     return idx, brute, data, rng
 
 
-def test_exclude_returns_exactly_k(built):
+def _nearest_excluding(idx, query, k, exclude):
+    """The ``k`` nearest ids but ``exclude``: an unbounded range query."""
+    return idx.neighbors_within_batch(
+        query[None], np.inf, exclude=np.array([exclude]), max_neighbors=k
+    )[0]
+
+
+def test_exclude_returns_exactly_k(built, monkeypatch):
     """With k+1 elements indexed, exclusion must not under-fill the k
     results — even at the tightest beam (ef == k)."""
     idx, _, data, _ = built
     for qi in (0, 17, 203):
         for k in (1, 5, 10):
-            ids, dists = idx.search(data[qi], k=k, ef=k, exclude=qi)
+            monkeypatch.setattr(hnsw, "EF_SEARCH", k)
+            ids, dists = _nearest_excluding(idx, data[qi], k, qi)
             assert len(ids) == k
             assert qi not in ids
             assert np.all(np.diff(dists) >= 0)
 
 
-def test_exclude_minimal_index():
+def test_exclude_minimal_index(monkeypatch):
     """k+1 indexed, exclude one: exactly k must come back."""
+    monkeypatch.setattr(hnsw, "EF_SEARCH", 3)
     idx = HNSWIndex(DIM, M=4, ef_construction=16, rng=0)
     rng = np.random.default_rng(1)
     vecs = rng.normal(size=(4, DIM))
     idx.add_batch(np.arange(4), vecs)
-    ids, _ = idx.search(vecs[0], k=3, ef=3, exclude=0)
+    ids, _ = _nearest_excluding(idx, vecs[0], 3, 0)
     assert len(ids) == 3
     assert 0 not in ids
 
@@ -86,46 +95,25 @@ def test_recall_after_update_remove_churn(built):
     assert hits / total >= 0.9
 
 
-def test_search_batch_matches_single(built):
-    """The lockstep batched beam returns per-query search's results (ids
-    exactly; distances up to kernel summation order)."""
-    idx, _, data, rng = built
-    queries = _clustered(40, rng)
-    bi, bd = idx.search_batch(queries, k=7)
-    assert bi.shape == (40, 7) and bd.shape == (40, 7)
-    for qi in range(40):
-        si, sd = idx.search(queries[qi], k=7)
-        np.testing.assert_array_equal(bi[qi, : len(si)], si)
-        np.testing.assert_allclose(bd[qi, : len(sd)], sd, rtol=1e-12, atol=1e-6)
-
-
-def test_search_batch_exclude_matches_single(built):
+def test_batch_exclude_matches_single(built):
     """Per-query exclusion (mixed with -1 = none) keeps bit-parity: the
     beam widening applies only to rows that actually exclude."""
     idx, _, data, rng = built
     queries = data[:30]
     exclude = np.where(np.arange(30) % 2 == 0, np.arange(30), -1)
-    bi, bd = idx.search_batch(queries, k=6, exclude=exclude)
-    for qi in range(30):
-        excl = int(exclude[qi]) if exclude[qi] >= 0 else None
-        si, sd = idx.search(queries[qi], k=6, exclude=excl)
-        np.testing.assert_array_equal(bi[qi, : len(si)], si)
-        np.testing.assert_allclose(bd[qi, : len(sd)], sd, rtol=1e-12, atol=1e-6)
-        if excl is not None:
-            assert excl not in bi[qi]
-
-
-def test_search_batch_padding_contract():
-    """Fewer elements than k: rows pad with -1 ids and inf distances,
-    matching the brute-force backend's contract."""
-    idx = HNSWIndex(DIM, M=4, ef_construction=16, rng=0)
-    rng = np.random.default_rng(3)
-    vecs = rng.normal(size=(3, DIM))
-    idx.add_batch(np.arange(3), vecs)
-    ids, dists = idx.search_batch(vecs, k=5)
-    assert ids.shape == (3, 5)
-    assert np.all(ids[:, 3:] == -1)
-    assert np.all(np.isinf(dists[:, 3:]))
+    batched = idx.neighbors_within_batch(
+        queries, np.inf, exclude=exclude, max_neighbors=6
+    )
+    for qi, (bi, bd) in enumerate(batched):
+        si, sd = idx.neighbors_within_batch(
+            queries[qi : qi + 1], np.inf, exclude=exclude[qi : qi + 1],
+            max_neighbors=6,
+        )[0]
+        assert len(bi) == 6
+        np.testing.assert_array_equal(bi, si)
+        np.testing.assert_allclose(bd, sd, rtol=1e-12, atol=1e-6)
+        if exclude[qi] >= 0:
+            assert exclude[qi] not in bi
 
 
 def test_neighbors_within_batch_matches_single(built):
@@ -137,9 +125,10 @@ def test_neighbors_within_batch_matches_single(built):
         queries, radius, exclude=exclude, max_neighbors=64
     )
     for qi, (ids, dists) in enumerate(batched):
-        s_ids, s_dists = idx.neighbors_within(
-            queries[qi], radius, exclude=int(exclude[qi]), max_neighbors=64
-        )
+        s_ids, s_dists = idx.neighbors_within_batch(
+            queries[qi : qi + 1], radius, exclude=exclude[qi : qi + 1],
+            max_neighbors=64,
+        )[0]
         np.testing.assert_array_equal(ids, s_ids)
         np.testing.assert_allclose(dists, s_dists, rtol=1e-12, atol=1e-6)
         assert exclude[qi] not in ids

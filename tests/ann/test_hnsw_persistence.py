@@ -124,8 +124,9 @@ def test_snapshot_between_two_batches_continues_like_its_twin(tmp_path):
     loaded.validate_invariants()
     _assert_same_state(loaded, twin)
     queries = rng.normal(size=(20, 6))
-    for a, b in zip(loaded.search_batch(queries, k=5), twin.search_batch(queries, k=5)):
-        np.testing.assert_array_equal(a, b)
+    for q in queries:
+        for a, b in zip(loaded.search(q, k=5), twin.search(q, k=5)):
+            np.testing.assert_array_equal(a, b)
 
 
 operation = st.tuples(
@@ -176,10 +177,9 @@ def test_mid_sequence_snapshot_continues_like_its_twin(before, after, seed, on_d
     assert loaded._free == twin._free
     assert loaded.max_level == twin.max_level
     queries = np.asarray([vec for _, _, vec in after])
-    for got, want in zip(
-        loaded.search_batch(queries, k=4), twin.search_batch(queries, k=4)
-    ):
-        np.testing.assert_array_equal(got, want)
+    for q in queries:
+        for got, want in zip(loaded.search(q, k=4), twin.search(q, k=4)):
+            np.testing.assert_array_equal(got, want)
     for got, want in zip(
         loaded.neighbors_within_batch(queries, 3.0),
         twin.neighbors_within_batch(queries, 3.0),

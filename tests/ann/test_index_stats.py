@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.ann.index_stats import (
-    DATASET_CATALOG,
-    IndexStorageModel,
-    estimate_index_size_bytes,
-)
+from repro.ann import index_stats
+from repro.ann.index_stats import DATASET_CATALOG, IndexStorageModel
 
 
 def test_bytes_per_element_positive():
@@ -42,14 +39,12 @@ def test_catalog_rows_match_order_of_magnitude():
         assert est / reported_idx < 20 and reported_idx / est < 20, name
 
 
-def test_larger_M_bigger_index():
-    small = IndexStorageModel(M=8).index_size_bytes(1000)
-    big = IndexStorageModel(M=32).index_size_bytes(1000)
+def test_larger_M_bigger_index(monkeypatch):
+    monkeypatch.setattr(index_stats, "HNSW_M", 8)
+    small = IndexStorageModel().index_size_bytes(1000)
+    monkeypatch.setattr(index_stats, "HNSW_M", 32)
+    big = IndexStorageModel().index_size_bytes(1000)
     assert big > small
-
-
-def test_estimate_helper():
-    assert estimate_index_size_bytes(1000) == IndexStorageModel().index_size_bytes(1000)
 
 
 def test_zero_elements():

@@ -28,7 +28,7 @@ def test_untrained_raises():
     pq = ProductQuantizer(dim=8, m=2)
     with pytest.raises(RuntimeError):
         pq.encode(np.zeros((1, 8)))
-    assert not pq.is_trained
+    assert pq.codebooks is None
 
 
 def test_code_shape_and_dtype(trained_pq):
@@ -37,10 +37,6 @@ def test_code_shape_and_dtype(trained_pq):
     assert codes.shape == (10, 4)
     assert codes.dtype == np.uint8
     assert codes.max() < pq.ksub
-
-
-def test_code_size_bytes():
-    assert ProductQuantizer(dim=32, m=8).code_size_bytes == 8
 
 
 def test_decode_approximates(trained_pq):
@@ -113,17 +109,19 @@ def test_identical_data_zero_error():
     assert pq.quantization_error(data) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_kmeans_reseeds_empty_clusters_distinctly():
+def test_kmeans_reseeds_empty_clusters_distinctly(monkeypatch):
     """Two clusters seeded on the same far-away point both go empty on the
     first assignment; the re-seed path must give them *distinct* centroids
     (distances recomputed per seed, chosen points knocked out) instead of
     landing both on the same stale-farthest sample."""
+    from repro.ann import pq
     from repro.ann.pq import _kmeans
 
+    monkeypatch.setattr(pq, "KMEANS_ITERS", 5)
     rng = np.random.default_rng(0)
     data = rng.normal(0.0, 0.1, size=(40, 2))  # tight blob near the origin
     far = np.array([[100.0, 100.0], [100.0, 100.0], [0.0, 0.0]])
-    centroids = _kmeans(data, k=3, rng=rng, iters=5, init=far)
+    centroids = _kmeans(data, k=3, rng=rng, init=far)
     assert centroids.shape == (3, 2)
     # All three centroids pairwise distinct ...
     for a in range(3):

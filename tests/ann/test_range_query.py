@@ -161,13 +161,13 @@ def check_against_reference(index, model, query):
         ids, data, queries, query["radius"], exclude, query["max_neighbors"]
     )
     assert_same_bytes(got, want)
-    # The single-query entry point is the one-row case of the same scan.
-    one = index.neighbors_within(
-        queries[0], query["radius"],
-        exclude=None if exclude is None else int(exclude[0]),
+    # A one-row batch is the one-row case of the same scan.
+    one = index.neighbors_within_batch(
+        queries[:1], query["radius"],
+        exclude=None if exclude is None else exclude[:1],
         max_neighbors=query["max_neighbors"],
     )
-    assert_same_bytes([one], reference_range_query(
+    assert_same_bytes(one, reference_range_query(
         ids, data, queries[:1], query["radius"],
         None if exclude is None else exclude[:1], query["max_neighbors"],
     ))
@@ -383,20 +383,16 @@ def pair():
 @pytest.mark.parametrize("max_neighbors", [10, 80, 500])
 def test_infinite_radius_is_the_plain_beam(pair, max_neighbors):
     """``radius=inf`` never evicts for width and never stops early: the
-    beam is exactly ``search_batch(k=max_neighbors)``'s."""
+    beam is exactly the k-NN beam's at ``k=max_neighbors``."""
     hnsw, _, data = pair
     queries, exclude = data[:40], np.arange(40)
-    plain_ids, plain_d = hnsw.search_batch(queries, max_neighbors, exclude=exclude)
-    wide_ids, wide_d = hnsw.search_batch(
-        queries, max_neighbors, exclude=exclude, radius=np.inf
-    )
-    np.testing.assert_array_equal(wide_ids, plain_ids)
-    np.testing.assert_array_equal(wide_d, plain_d)
+    plain = hnsw._query(queries, max_neighbors, None, exclude, None)
     ranged = hnsw.neighbors_within_batch(
         queries, np.inf, exclude=exclude, max_neighbors=max_neighbors
     )
-    for qi, (ids, _) in enumerate(ranged):
-        np.testing.assert_array_equal(ids, plain_ids[qi][plain_ids[qi] >= 0])
+    for (ids, dists), (plain_ids, plain_d) in zip(ranged, plain):
+        np.testing.assert_array_equal(ids, plain_ids)
+        np.testing.assert_array_equal(dists, plain_d)
 
 
 @pytest.mark.parametrize("radius,max_neighbors", [(3.0, 500), (4.5, 500), (6.0, 25)])
@@ -408,10 +404,10 @@ def test_single_and_batched_range_query_agree(pair, radius, max_neighbors):
         queries, radius, exclude=exclude, max_neighbors=max_neighbors
     )
     for qi, (ids, dists) in enumerate(batched):
-        s_ids, s_dists = hnsw.neighbors_within(
-            queries[qi], radius, max_neighbors=max_neighbors,
-            exclude=int(exclude[qi]) if exclude[qi] >= 0 else None,
-        )
+        s_ids, s_dists = hnsw.neighbors_within_batch(
+            queries[qi : qi + 1], radius, exclude=exclude[qi : qi + 1],
+            max_neighbors=max_neighbors,
+        )[0]
         np.testing.assert_array_equal(ids, s_ids)
         np.testing.assert_allclose(dists, s_dists, rtol=1e-12, atol=1e-6)
 
@@ -481,7 +477,7 @@ def test_validate_invariants_catches_a_broken_adjacency_row():
     row, free = index._row_of[7], index._free[0]
     low = next(r for r in index._row_of.values() if index._levels[r] == 0)
     high = next(r for r in index._row_of.values() if index._levels[r] >= 1)
-    assert index.degree(7) >= 2 and index.degree(index._id_of[high], 1) >= 1
+    assert index.degree(7) >= 2 and len(index.graph_neighbors(index._id_of[high], 1)) >= 1
     corruptions = [  # (message, layer, row, slot, value written there)
         ("-1 before a list's end", 0, row, 0, -1),
         ("duplicate out-edge", 0, row, 1, index._adj[0][row, 0]),
@@ -564,8 +560,8 @@ def test_knn_recall_after_batched_build_and_a_drift_pass():
     brute = BruteForceIndex(HDIM, capacity=600)
     brute.add_batch(np.arange(600), data)
     queries = data[:100] + rng.normal(0.0, 0.3, (100, HDIM))
-    got, _ = hnsw.search_batch(queries, 10)
-    want, _ = brute.search_batch(queries, 10)
+    got = [hnsw.search(q, 10)[0] for q in queries]
+    want = [brute.search(q, 10)[0] for q in queries]
     recall = np.mean([np.intersect1d(g, w).size / 10 for g, w in zip(got, want)])
     assert recall >= 0.99
 

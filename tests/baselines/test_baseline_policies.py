@@ -87,7 +87,7 @@ def test_coordl_steady_state_hit_equals_fraction():
     # Warm epoch.
     for i in p.epoch_order(0):
         p.fetch(int(i))
-    p.cache.reset_stats()
+    p.cache.stats.reset()
     for epoch in range(1, 4):
         for i in p.epoch_order(epoch):
             p.fetch(int(i))

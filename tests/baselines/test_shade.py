@@ -27,7 +27,7 @@ def test_rank_scores_order():
 
 
 def test_rank_scores_bounds():
-    s = loss_rank_scores(np.random.default_rng(0).random(50), eps=0.05)
+    s = loss_rank_scores(np.random.default_rng(0).random(50))
     assert s.min() == pytest.approx(0.05)
     assert s.max() == pytest.approx(1.0)
 

@@ -18,20 +18,11 @@ def test_trace_basic():
     assert len(t) == 4
     assert t.n_epochs == 2
     assert t.unique_count == 3
-    np.testing.assert_array_equal(t.epoch_slice(0), [0, 1])
-    np.testing.assert_array_equal(t.epoch_slice(1), [2, 0])
 
 
 def test_trace_2d_rejected():
     with pytest.raises(ValueError):
         AccessTrace(np.zeros((2, 2)))
-
-
-def test_trace_single_epoch_slice():
-    t = AccessTrace(np.array([1, 2, 3]))
-    np.testing.assert_array_equal(t.epoch_slice(0), [1, 2, 3])
-    with pytest.raises(IndexError):
-        t.epoch_slice(1)
 
 
 def test_frequency_histogram():

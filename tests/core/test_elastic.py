@@ -170,7 +170,7 @@ def test_manager_full_trajectory():
     assert mgr.importance_monitor.beta == 1
     assert ratios[-1] < 0.9
     assert all(r >= 0.8 for r in ratios)
-    assert mgr.current_ratio == ratios[-1]
+    assert mgr.history[-1].imp_ratio == ratios[-1]
 
 
 def test_manager_never_activates_on_rising_std():
@@ -209,8 +209,3 @@ def test_manager_annealing_time_starts_at_activation(monkeypatch):
     assert a1 < a2
     # Same offset from activation -> same ratio.
     assert r1[a1 + 3] == pytest.approx(r2[a2 + 3], abs=1e-6)
-
-
-def test_manager_current_ratio_default():
-    mgr = ElasticCacheManager(total_epochs=10)
-    assert mgr.current_ratio == 0.9

@@ -44,7 +44,7 @@ def test_ratio_clamped_and_monotone_nonincreasing(endpoints, traj):
     ratios = [mgr.step(e, std, acc) for e, (std, acc) in enumerate(traj)]
     assert all(r_end - 1e-12 <= r <= r_start + 1e-12 for r in ratios)
     assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
-    assert mgr.current_ratio == ratios[-1]
+    assert mgr.history[-1].imp_ratio == ratios[-1]
 
 
 @given(traj=st.lists(_std, min_size=2, max_size=40))
@@ -131,7 +131,7 @@ def test_coordinate_mid_resize_keeps_tiers_in_lockstep(traj):
         client.fetch(k, float(k + 1), payload)
 
     # Start growing the ring; shard 0's batches stall on an outage.
-    client.set_fault_plan(0, FaultPlan(outages=[OutageWindow(0.0, 1e9)]))
+    client.transport.fault_plans[0] = FaultPlan(outages=[OutageWindow(0.0, 1e9)])
     client.resize(4, drain=False)
     client.continue_migration()
 
@@ -144,7 +144,7 @@ def test_coordinate_mid_resize_keeps_tiers_in_lockstep(traj):
 
     # Recovery: drain with compute time passing between passes (breaker
     # cooldowns only elapse when the clock moves).
-    client.set_fault_plan(0, None)
+    client.transport.fault_plans[0] = None
     for _ in range(50):
         if client.migration is None:
             break

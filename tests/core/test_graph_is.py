@@ -234,10 +234,10 @@ def test_score_batch_matches_per_query_range_search(backend):
     )
     results = s.score_batch(np.arange(24), emb)
     for ns in results:
-        ids, dists = s.index.neighbors_within(
-            emb[ns.index], s.radius, exclude=ns.index,
+        ids, dists = s.index.neighbors_within_batch(
+            emb[ns.index][None], s.radius, exclude=np.array([ns.index]),
             max_neighbors=s.neighbormax,
-        )
+        )[0]
         np.testing.assert_array_equal(np.sort(ns.neighbor_ids), np.sort(ids))
         same = int(np.sum(labels[ids] == labels[ns.index])) if ids.size else 0
         assert ns.x_same == same

@@ -101,22 +101,6 @@ def test_zero_capacity_rejects():
     assert c.lookup(2) is None
 
 
-def test_neighbor_list_accessor():
-    c = HomophilyCache(2)
-    c.update(1, "a", [5, 6])
-    assert c.neighbor_list(1) == (5, 6)
-    with pytest.raises(KeyError):
-        c.neighbor_list(99)
-
-
-def test_covered_count():
-    c = HomophilyCache(2)
-    c.update(1, "a", [5, 6])
-    c.update(2, "b", [6, 7])
-    # nodes {1,2} + neighbors {5,6,7}
-    assert c.covered_count == 5
-
-
 def test_keys_in_fifo_order():
     c = HomophilyCache(3)
     c.update(3, "x", [1])

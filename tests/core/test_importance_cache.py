@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from repro.core.importance_cache import ImportanceCache
 
 
+def _scores(cache):
+    """``(key, score)`` of every resident, in residence order."""
+    return [(k, s) for k, (s, _) in cache._items.items()]
+
+
 def test_admit_until_full():
     c = ImportanceCache(3)
     assert c.admit(1, 0.5, "a")
@@ -65,7 +70,7 @@ def test_admit_existing_refreshes():
     assert len(c) == 1
     # A refresh re-scores the one entry, up or down, never duplicates it.
     assert c.admit(1, 0.2, "a3")
-    assert len(c) == 1 and c.scores_snapshot() == [(1, 0.2)]
+    assert len(c) == 1 and _scores(c) == [(1, 0.2)]
     c.check_invariants()
 
 
@@ -144,7 +149,7 @@ def test_scores_snapshot():
     c = ImportanceCache(2)
     c.admit(1, 0.5, "a")
     c.admit(2, 0.3, "b")
-    snap = dict(c.scores_snapshot())
+    snap = dict(_scores(c))
     assert snap == {1: 0.5, 2: 0.3}
     assert 1 in c and 3 not in c
     assert c.keys() == [1, 2]  # admission order
@@ -169,7 +174,7 @@ def test_property_resident_scores_dominate(ops, cap):
         if len(c) == cap:
             m = c.min_score()
             # Heap minimum is really the minimum.
-            assert all(s >= m for _, s in c.scores_snapshot())
+            assert all(s >= m for _, s in _scores(c))
 
 
 class _Reference:
@@ -253,7 +258,7 @@ def test_property_eviction_order_matches_reference(ops, cap):
             c = restored
         c.check_invariants()
         assert c.keys() == list(ref.live)
-        assert c.scores_snapshot() == [(k, s) for k, (s, _) in ref.live.items()]
+        assert _scores(c) == [(k, s) for k, (s, _) in ref.live.items()]
         assert c.min_score() == (ref.live[ref.order()[0]][0] if ref.live else None)
     assert c.resize(0) == ref.order()
 
@@ -270,7 +275,7 @@ def test_heap_entries_stay_bounded_under_rescoring():
         c.update_scores(keys, rng.random(4))
     c.check_invariants()
     assert len(c) == 50
-    before = sorted(c.scores_snapshot(), key=lambda kv: kv[1])
+    before = sorted(_scores(c), key=lambda kv: kv[1])
     assert c.resize(0) == [k for k, _ in before]
     c.check_invariants()
     # Rescoring downwards leaves every stale entry above the residents,

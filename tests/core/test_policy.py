@@ -80,8 +80,8 @@ def test_after_batch_updates_scores():
     emb = np.random.default_rng(3).normal(size=(32, 16))
     losses = np.ones(32)
     p.after_batch(ids, ids, losses, emb, epoch=0)
-    assert p.score_table.coverage > 0
-    assert p.scorer.indexed_count == 32
+    assert p.score_table._ever_updated.mean() > 0
+    assert len(p.scorer.index) == 32
 
 
 def test_after_batch_duplicate_served_ids():
@@ -90,7 +90,7 @@ def test_after_batch_duplicate_served_ids():
     ids = np.array([1, 2, 1, 3, 2, 1])
     emb = np.random.default_rng(4).normal(size=(6, 16))
     p.after_batch(ids, ids, np.ones(6), emb, epoch=0)
-    assert p.scorer.indexed_count == 3
+    assert len(p.scorer.index) == 3
 
 
 def test_homophily_updated_with_top_degree_node():
@@ -117,7 +117,7 @@ def test_homophily_neighbor_class_filter():
     emb = np.random.default_rng(6).normal(0, 0.01, size=(20, 16))
     p.after_batch(ids, ids, np.ones(20), emb, epoch=0)
     for key in p.cache.homophily.keys():
-        for n in p.cache.homophily.neighbor_list(key):
+        for n in p.cache.homophily._items[key]:
             assert labels[n] == labels[key]
 
 
@@ -128,7 +128,7 @@ def test_hom_neighbor_limit_respected():
     emb = np.random.default_rng(7).normal(0, 0.01, size=(30, 16))
     p.after_batch(ids, ids, np.ones(30), emb, epoch=0)
     for key in p.cache.homophily.keys():
-        assert len(p.cache.homophily.neighbor_list(key)) <= 3
+        assert len(p.cache.homophily._items[key]) <= 3
 
 
 def test_after_epoch_elastic_adjusts():

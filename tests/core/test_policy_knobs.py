@@ -79,7 +79,7 @@ def test_hom_radius_scale_gates_neighbors():
         p.after_batch(ids, ids, np.ones(20), emb, epoch=0)
     def covered(p):
         return sum(
-            len(p.cache.homophily.neighbor_list(k))
+            len(p.cache.homophily._items[k])
             for k in p.cache.homophily.keys()
         )
     assert covered(loose) >= covered(tight)

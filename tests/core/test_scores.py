@@ -10,7 +10,7 @@ def test_initial_scores_uniform():
     t = GlobalScoreTable(10)
     assert len(t) == 10
     np.testing.assert_array_equal(t.scores, np.ones(10))
-    assert t.coverage == 0.0
+    assert t._ever_updated.mean() == 0.0
 
 
 def test_invalid_init():
@@ -24,7 +24,7 @@ def test_update_and_get():
     assert t.get(1) == 0.5
     assert t.get(3) == 2.0
     assert t.get(0) == 1.0
-    assert t.coverage == pytest.approx(0.4)
+    assert t._ever_updated.mean() == pytest.approx(0.4)
 
 
 def test_update_shape_mismatch():
@@ -57,7 +57,7 @@ def test_sampling_weights_normalized():
 def test_sampling_weights_floor():
     t = GlobalScoreTable(3)
     t.update(np.array([0]), np.array([0.0]))
-    w = t.sampling_weights(floor=1e-6)
+    w = t.sampling_weights()
     assert w[0] > 0
 
 
@@ -87,4 +87,4 @@ def test_non_finite_scores_rejected(bad):
     with pytest.raises(ValueError, match="sample 3 is not finite"):
         t.update(np.array([1, 3, 4]), np.array([0.5, bad, bad]))
     np.testing.assert_array_equal(t.scores, np.ones(5))
-    assert t.coverage == 0.0
+    assert t._ever_updated.mean() == 0.0

@@ -6,6 +6,11 @@ import pytest
 from repro.core.semantic_cache import FetchSource, SemanticCache
 
 
+def _scores(cache):
+    """``(key, score)`` of every resident, in residence order."""
+    return [(k, s) for k, (s, _) in cache._items.items()]
+
+
 def _remote(payloads, calls):
     def get(i):
         calls.append(i)
@@ -127,9 +132,9 @@ def test_update_score_propagates(cache):
     get = _remote({i: i for i in range(30)}, [])
     cache.fetch(1, 0.5, get)
     cache.update_score(1, 0.05)
-    assert cache.importance.scores_snapshot() == [(1, 0.05)]
+    assert _scores(cache.importance) == [(1, 0.05)]
     cache.update_scores(np.array([7, 1]), np.array([0.9, 0.2]))  # 7 absent
-    assert cache.importance.scores_snapshot() == [(1, 0.2)]
+    assert _scores(cache.importance) == [(1, 0.2)]
     cache.importance.check_invariants()
 
 
@@ -143,14 +148,11 @@ def test_hit_ratio_aggregate(cache):
     assert cache.hit_ratio == pytest.approx(2 / 3)
 
 
-def test_len_and_reset(cache):
+def test_len_counts_both_layers(cache):
     get = _remote({i: i for i in range(30)}, [])
     cache.fetch(1, 0.5, get)
     cache.update_homophily(10, "x", [7])
     assert len(cache) == 2
-    cache.reset_stats()
-    assert cache.stats.requests == 0
-    assert cache.importance.stats.requests == 0
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from repro.core.semantic_cache import FetchSource, SemanticCache
 
+
+def _scores(cache):
+    """``(key, score)`` of every resident, in residence order."""
+    return [(k, s) for k, (s, _) in cache._items.items()]
+
 KEYS = st.integers(0, 40)
 
 
@@ -72,7 +77,7 @@ def test_property_semantic_cache_invariants(ops, capacity, start_ratio):
     # evictions, and its minimum is the true minimum resident score.
     imp = cache.importance
     assert imp.stats.insertions - imp.stats.evictions == len(imp)
-    snapshot = imp.scores_snapshot()
+    snapshot = _scores(imp)
     assert imp.min_score() == (
         min(score for _, score in snapshot) if snapshot else None
     )

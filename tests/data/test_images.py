@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.data import images
 from repro.data.images import make_image_dataset
 
 
 def test_shapes():
-    ds = make_image_dataset(100, n_classes=5, image_size=12, channels=1, rng=0)
+    ds = make_image_dataset(100, n_classes=5, image_size=12, rng=0)
     assert ds.X.shape == (100, 1, 12, 12)
     assert ds.y.shape == (100,)
     assert ds.templates.shape == (5, 1, 12, 12)
@@ -16,8 +17,9 @@ def test_shapes():
     assert len(ds) == 100
 
 
-def test_multichannel():
-    ds = make_image_dataset(20, n_classes=2, image_size=8, channels=3, rng=1)
+def test_multichannel(monkeypatch):
+    monkeypatch.setattr(images, "CHANNELS", 3)
+    ds = make_image_dataset(20, n_classes=2, image_size=8, rng=1)
     assert ds.X.shape == (20, 3, 8, 8)
 
 
@@ -26,11 +28,12 @@ def test_all_classes_present():
     assert len(np.unique(ds.y)) == 10
 
 
-def test_samples_correlate_with_own_template():
+def test_samples_correlate_with_own_template(monkeypatch):
     """A sample should correlate more with its own class template than with
     the average foreign template."""
+    monkeypatch.setattr(images, "MAX_SHIFT", 0)
     ds = make_image_dataset(60, n_classes=4, image_size=12, noise_std=0.2,
-                            max_shift=0, rng=3)
+                            rng=3)
     own, other = [], []
     for i in range(len(ds)):
         x = ds.X[i].ravel()
@@ -45,13 +48,6 @@ def test_deterministic():
     a = make_image_dataset(30, rng=5)
     b = make_image_dataset(30, rng=5)
     np.testing.assert_array_equal(a.X, b.X)
-
-
-def test_get_item():
-    ds = make_image_dataset(10, rng=0)
-    x, y = ds.get_item(3)
-    np.testing.assert_array_equal(x, ds.X[3])
-    assert y == ds.y[3]
 
 
 def test_too_small_image():

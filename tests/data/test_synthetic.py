@@ -142,12 +142,6 @@ def test_invalid_fractions():
         make_clustered_dataset(3, n_classes=10)
 
 
-def test_get_item(ds):
-    x, y = ds.get_item(10)
-    np.testing.assert_array_equal(x, ds.X[10])
-    assert y == ds.y[10]
-
-
 def test_subset_preserves_fields(ds):
     sub = ds.subset(np.arange(50))
     assert len(sub) == 50

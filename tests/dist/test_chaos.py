@@ -94,7 +94,7 @@ def test_outage_during_migration_stalls_then_completes():
     state = cli.resize(4, drain=False)
     assert state.planned_moves > 0
 
-    cli.set_fault_plan(0, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
     cli.continue_migration()
     assert not state.done  # batches touching shard 0 stalled
     assert state.failed_batches > 0
@@ -120,7 +120,7 @@ def test_outage_during_migration_stalls_then_completes():
     assert cli.clock.total_seconds == before
 
     # Recovery: clear the fault, let cooldowns elapse between drains.
-    cli.set_fault_plan(0, None)
+    cli.transport.fault_plans[0] = None
     cli.clock.advance("compute", 0.1)
     drain(cli)
     assert cli.migration is None and cli.n_shards == 4
@@ -152,8 +152,8 @@ def test_admits_during_outage_are_dropped_not_corrupting(breakers_never_open):
     populate(cli)
     before_len = len(cli)
     before_keys = set(cli._loc["imp"]) | set(cli.homophily.keys())
-    cli.set_fault_plan(0, OUTAGE)
-    cli.set_fault_plan(1, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
+    cli.transport.fault_plans[1] = OUTAGE
     for k in range(100, 140):
         cli.fetch(k, float(k), payload)  # every admit put fails
         cli.update_homophily(3000 + k, payload(k), [k])
@@ -162,8 +162,8 @@ def test_admits_during_outage_are_dropped_not_corrupting(breakers_never_open):
     assert set(cli._loc["imp"]) | set(cli.homophily.keys()) == before_keys
     check_invariants(cli)
     # Recovery: the cache works again and can admit.
-    cli.set_fault_plan(0, None)
-    cli.set_fault_plan(1, None)
+    cli.transport.fault_plans[0] = None
+    cli.transport.fault_plans[1] = None
     cli.clock.advance("compute", 1.0)
     cli.fetch(500, 500.0, payload)
     assert 500 in cli.importance
@@ -178,8 +178,8 @@ def test_brownout_timeouts_leave_shards_consistent(breakers_never_open):
     # 20x latency pushes every call over the 10 ms deadline for a while.
     plan = FaultPlan(brownouts=[BrownoutWindow(0.0, 0.15,
                                                latency_multiplier=20.0)])
-    cli.set_fault_plan(0, plan)
-    cli.set_fault_plan(1, plan)
+    cli.transport.fault_plans[0] = plan
+    cli.transport.fault_plans[1] = plan
     for k in range(20, 60):
         cli.fetch(k, float(k + 1), payload)
     assert cli.transport.timeouts > 0  # the window did bite
@@ -208,19 +208,19 @@ def test_total_blackout_degrades_every_stage_and_recovers(breakers_never_open):
 
     cli = make_client()
     populate(cli)
-    cli.enable_degraded_mode((DegradedModeError,))
+    cli.enable_degraded_mode()
 
     def dead_remote(i):
         raise DegradedModeError("remote tier down")
 
-    cli.set_fault_plan(0, OUTAGE)
-    cli.set_fault_plan(1, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
+    cli.transport.fault_plans[1] = OUTAGE
     outcomes = [cli.fetch(k, float(k + 1), dead_remote) for k in range(30)]
     assert all(o.source.value in ("degraded", "skipped") for o in outcomes)
     assert cli.degraded.skipped + cli.degraded.substituted == 30
     check_invariants(cli)
-    cli.set_fault_plan(0, None)
-    cli.set_fault_plan(1, None)
+    cli.transport.fault_plans[0] = None
+    cli.transport.fault_plans[1] = None
     cli.clock.advance("compute", 1.0)
     out = cli.fetch(0, 1.0, payload)
     assert out.payload is not None and out.source.value == "importance"
@@ -256,7 +256,7 @@ def assert_reconverges(cli):
     exactly the payloads the metadata places there — no victim delete
     was lost on the way, no owned payload destroyed."""
     for sid in cli.servers:
-        cli.set_fault_plan(sid, None)
+        cli.transport.fault_plans[sid] = None
     cli.clock.advance("compute", 1.0)
     for sid in cli.servers:
         cli._flush_pending(sid)
@@ -279,11 +279,11 @@ def test_fetch_many_under_a_shard_fault(fault, when):
     def remote(i):
         remote_calls.append(i)
         if when == "mid" and len(remote_calls) == 2:
-            cli.set_fault_plan(0, FAULTS[fault])
+            cli.transport.fault_plans[0] = FAULTS[fault]
         return payload(i)
 
     if when == "before":
-        cli.set_fault_plan(0, FAULTS[fault])
+        cli.transport.fault_plans[0] = FAULTS[fault]
     outs = cli.fetch_many(BATCH, [float(i + 1) for i in BATCH], remote)
 
     # Every request is served, by the next Fig. 9 stage if need be, with

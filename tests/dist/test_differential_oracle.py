@@ -20,6 +20,7 @@ from repro.core.semantic_cache import SemanticCache
 from repro.dist.client import ShardedCacheClient
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
+from tests.dist.helpers import drain
 
 pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 
@@ -117,7 +118,7 @@ def test_bit_identical_across_live_resize(ops, n_before, n_after,
         if i == at and n_after != cli.n_shards:
             cli.resize(n_after, drain=False)
         if cli.migration is not None and i % drain_every == 0:
-            cli.continue_migration(max_batches=1)
+            drain(cli, 1)
         assert apply_op(mono, op) == apply_op(cli, op)
     while cli.migration is not None:
         cli.continue_migration()

@@ -1,18 +1,17 @@
 """Live ring resizing: planning, draining, interruption, verification."""
 
-import functools
-
 import numpy as np
 import pytest
 
-from repro.dist import client as client_module
 from repro.dist.client import ShardedCacheClient
 from repro.dist.migration import plan_migration
-from repro.dist.ring import ConsistentHashRing, ring_diff
+from repro.dist import migration
+from repro.dist.ring import ConsistentHashRing
 from repro.resilience import breaker
 from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
+from tests.dist.helpers import drain, ring_moves
 
 pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 
@@ -33,9 +32,8 @@ def make_client(n_shards=2, total=40):
 
 def migrate_in_batches_of(monkeypatch, size):
     """Resizes plan transfer batches of ``size`` keys (the program's is
-    the migration module's ``DEFAULT_BATCH_SIZE``)."""
-    monkeypatch.setattr(client_module, "plan_migration",
-                        functools.partial(plan_migration, batch_size=size))
+    the migration module's ``BATCH_SIZE``)."""
+    monkeypatch.setattr(migration, "BATCH_SIZE", size)
 
 
 def populate(cli, n_imp=20, n_hom=5):
@@ -49,13 +47,14 @@ def populate(cli, n_imp=20, n_hom=5):
 # ----------------------------------------------------------------------
 # planning
 # ----------------------------------------------------------------------
-def test_plan_groups_by_layer_src_dst_and_chunks():
+def test_plan_groups_by_layer_src_dst_and_chunks(monkeypatch):
+    migrate_in_batches_of(monkeypatch, 16)
     target = ConsistentHashRing(4)
     old = ConsistentHashRing(2)
     keys = list(range(200))
     locations = {"imp": {k: old.shard_for(k) for k in keys}, "hom": {}}
-    state = plan_migration(2, target, locations, batch_size=16)
-    moves = ring_diff(old, target, keys)
+    state = plan_migration(2, target, locations)
+    moves = ring_moves(old, target, keys)
     assert state.planned_moves == len(moves)
     planned = {}
     for b in state.pending:
@@ -74,11 +73,6 @@ def test_plan_skips_keys_already_on_their_target():
                  "hom": {}}
     state = plan_migration(2, target, locations)
     assert state.planned_moves == 0 and state.done
-
-
-def test_plan_validates_batch_size():
-    with pytest.raises(ValueError):
-        plan_migration(1, ConsistentHashRing(2), {"imp": {}}, batch_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +118,7 @@ def test_noop_and_conflicting_resizes():
     cli = make_client(n_shards=2)
     assert cli.resize(2) is None
     populate(cli)
-    cli.set_fault_plan(1, OUTAGE)
+    cli.transport.fault_plans[1] = OUTAGE
     state = cli.resize(4, drain=False)
     assert state is not None and not state.done
     with pytest.raises(RuntimeError):
@@ -142,7 +136,7 @@ def test_incremental_drain_serves_lookups_mid_migration(monkeypatch):
     state = cli.resize(5, drain=False)
     total_batches = len(state.pending)
     assert total_batches > 2
-    cli.continue_migration(max_batches=1)
+    drain(cli, 1)
     assert len(state.pending) == total_batches - 1
     # Location maps stay authoritative: every key still serves.
     for k in range(20):
@@ -150,7 +144,7 @@ def test_incremental_drain_serves_lookups_mid_migration(monkeypatch):
     # Mid-migration violations are exactly the not-yet-moved keys.
     assert len(cli.verify_placement()) > 0
     while cli.migration is not None:
-        cli.continue_migration(max_batches=2)
+        drain(cli, 2)
     assert cli.verify_placement() == []
     assert cli.n_shards == 5
 
@@ -190,7 +184,7 @@ def test_failed_batches_rotate_and_replay_after_recovery(monkeypatch):
     monkeypatch.setattr(breaker, "FAILURE_THRESHOLD", 1000)
     cli = populate(make_client(n_shards=2))
     # Shard 1 is down: batches touching it fail and stay pending.
-    cli.set_fault_plan(1, OUTAGE)
+    cli.transport.fault_plans[1] = OUTAGE
     state = cli.resize(4, drain=False)
     cli.continue_migration()
     assert state.failed_batches > 0
@@ -198,7 +192,7 @@ def test_failed_batches_rotate_and_replay_after_recovery(monkeypatch):
     stalled = len(state.pending)
     cli.continue_migration()  # still down: each batch attempted once more
     assert len(state.pending) == stalled
-    cli.set_fault_plan(1, None)
+    cli.transport.fault_plans[1] = None
     cli.continue_migration()
     assert cli.migration is None
     assert cli.verify_placement() == []
@@ -231,7 +225,7 @@ def test_migrate_in_survives_a_delete_queued_on_its_target():
     cli.fetch(key, 1.0, payload)
     assert cli._loc["imp"][key] == 0
     cli.resize(2, drain=False)
-    cli.set_fault_plan(0, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
     cli.importance.resize(0)  # the delete on shard 0 fails: queued
     assert ("imp", key) in cli._pending_deletes[0]
     cli.importance.resize(2)
@@ -243,7 +237,7 @@ def test_migrate_in_survives_a_delete_queued_on_its_target():
     cli.resize(1, drain=False)
     cli.continue_migration()  # shard 0 still down: the batch fails...
     assert ("imp", key) in cli._pending_deletes[0]  # ...and keeps its repair
-    cli.set_fault_plan(0, None)
+    cli.transport.fault_plans[0] = None
     cli.clock.advance("compute", 1.0)  # past shard 0's breaker cool-down
     cli.continue_migration()  # moves the key back onto shard 0
     assert cli.migration is None

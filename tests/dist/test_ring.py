@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dist import ring as ring_module
-from repro.dist.ring import ConsistentHashRing, ring_diff, splitmix64
+from repro.dist.ring import ConsistentHashRing, splitmix64
+from tests.dist.helpers import ring_moves
 
 pytestmark = pytest.mark.dist
 
@@ -51,7 +52,7 @@ def test_growing_the_ring_only_moves_keys_to_new_shards():
     a key either stays put or lands on a *new* shard."""
     old = ConsistentHashRing(3)
     new = old.spawn(5)
-    moves = ring_diff(old, new, KEYS)
+    moves = ring_moves(old, new, KEYS)
     assert moves  # growth must claim some keys
     assert all(dst in (3, 4) for _, dst in moves.values())
     # And far from all keys move.
@@ -61,7 +62,7 @@ def test_growing_the_ring_only_moves_keys_to_new_shards():
 def test_shrinking_only_moves_keys_from_retired_shards():
     old = ConsistentHashRing(5)
     new = old.spawn(3)
-    moves = ring_diff(old, new, KEYS)
+    moves = ring_moves(old, new, KEYS)
     assert all(src in (3, 4) for src, _ in moves.values())
     assert all(dst in (0, 1, 2) for _, dst in moves.values())
 

@@ -37,7 +37,7 @@ def make_channel(deadline_s=0.01, fault_plans=None, n_shards=1):
     for shard in range(n_shards):
         ch.add_shard(shard)
     for shard, plan in (fault_plans or {}).items():
-        ch.set_fault_plan(shard, plan)
+        ch.fault_plans[shard] = plan
     return ch
 
 
@@ -71,7 +71,7 @@ def test_outage_never_executes_and_charges_capped_roundtrip():
     ch = make_channel(fault_plans={0: OUTAGE})
     with pytest.raises(ShardOutageError):
         ch.call(0, "put", "imp", 1, [1.0])
-    assert ch.servers[0].occupancy("imp") == 0  # definitely not executed
+    assert ch.servers[0].keys("imp") == []  # definitely not executed
     assert ch.clock.stage_seconds("rpc") == pytest.approx(1e-3)
     assert (ch.failures, ch.timeouts) == (1, 0)
     assert ch.per_shard_failures[0] == 1
@@ -90,7 +90,7 @@ def test_timeout_charges_deadline_and_executes_server_side():
     ch = make_channel(deadline_s=5e-4)  # below FAST's 1 ms
     with pytest.raises(RpcTimeoutError):
         ch.call(0, "put", "imp", 7, [1.0])
-    assert ch.servers[0].occupancy("imp") == 1  # it DID execute
+    assert len(ch.servers[0].keys("imp")) == 1  # it DID execute
     assert ch.clock.stage_seconds("rpc") == pytest.approx(5e-4)
     assert (ch.failures, ch.timeouts) == (0, 1)
 
@@ -118,12 +118,6 @@ def test_unknown_shard_is_a_plain_rpc_error():
     ch = make_channel()
     with pytest.raises(RpcError):
         ch.call(7, "get", "imp", 1)
-
-
-def test_set_fault_plan_clears_with_none():
-    ch = make_channel(fault_plans={0: OUTAGE})
-    ch.set_fault_plan(0, None)
-    assert ch.call(0, "get", "imp", 1) is None  # healthy again
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +166,7 @@ def test_budget_exhaustion_surfaces_as_degraded_miss_not_exception():
     cli = make_client()
     cli.fetch(1, 5.0, lambda i: [float(i)])  # miss -> admitted to shard 0
     assert 1 in cli.importance
-    cli.set_fault_plan(0, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
     out = cli.fetch(1, 5.0, lambda i: [float(i)])
     assert out.payload == [1.0]  # served, from remote
     assert out.source.value == "remote"
@@ -187,7 +181,7 @@ def test_burned_budget_charges_attempts_plus_backoffs(monkeypatch):
     monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 100)
     cli = make_client(retry=RetryPolicy(max_attempts=3))
     cli.fetch(1, 5.0, lambda i: [float(i)])
-    cli.set_fault_plan(0, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
     before = cli.clock.stage_seconds("rpc")
     cli.fetch(1, 5.0, lambda i: [float(i)])
     spent = cli.clock.stage_seconds("rpc") - before
@@ -205,7 +199,7 @@ def test_retries_recover_from_a_transient_outage_window(monkeypatch):
     cli = make_client(retry=RetryPolicy(max_attempts=3))
     # Window [0, 4ms): attempt 1 at t=0 fails (+1ms rpc, +2ms backoff),
     # attempt 2 at t=3ms fails (+1ms, +4ms backoff), attempt 3 at t=8ms OK.
-    cli.set_fault_plan(0, FaultPlan(outages=[OutageWindow(0.0, 0.004)]))
+    cli.transport.fault_plans[0] = FaultPlan(outages=[OutageWindow(0.0, 0.004)])
     out = cli.fetch(1, 5.0, lambda i: [float(i)])
     assert out.source.value == "remote"
     assert cli.dropped_admits == 0 and 1 in cli.importance
@@ -219,7 +213,7 @@ def test_retries_recover_from_a_transient_outage_window(monkeypatch):
 def test_breaker_opens_after_threshold_and_fails_fast_without_time():
     cli = make_client()  # 3 failures open a breaker; 0.05 s cool-down
     cli.fetch(1, 5.0, lambda i: [float(i)])
-    cli.set_fault_plan(0, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
     cli.fetch(1, 5.0, lambda i: [float(i)])  # 3 failed attempts -> open
     br = cli.breakers[0]
     assert br.state is BreakerState.OPEN
@@ -233,10 +227,10 @@ def test_breaker_opens_after_threshold_and_fails_fast_without_time():
 def test_breaker_half_open_probe_then_close_on_recovery():
     cli = make_client()
     cli.fetch(1, 5.0, lambda i: [float(i)])
-    cli.set_fault_plan(0, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
     cli.fetch(1, 5.0, lambda i: [float(i)])
     assert cli.breakers[0].state is BreakerState.OPEN
-    cli.set_fault_plan(0, None)  # shard recovers...
+    cli.transport.fault_plans[0] = None  # shard recovers...
     cli.fetch(1, 5.0, lambda i: [float(i)])  # ...but cooldown not elapsed
     assert cli.breakers[0].state is BreakerState.OPEN
     # Simulated time passes (the trainer's compute between epochs).
@@ -256,7 +250,7 @@ def test_breaker_half_open_probe_then_close_on_recovery():
 def test_half_open_failure_reopens_with_fresh_cooldown():
     cli = make_client()
     cli.fetch(1, 5.0, lambda i: [float(i)])
-    cli.set_fault_plan(0, OUTAGE)
+    cli.transport.fault_plans[0] = OUTAGE
     cli.fetch(1, 5.0, lambda i: [float(i)])
     cli.clock.advance("compute", 0.1)  # cooldown elapses, outage persists
     cli.fetch(1, 5.0, lambda i: [float(i)])  # probe fails -> reopen
@@ -277,12 +271,12 @@ def test_anti_entropy_flush_drains_parked_repairs_after_recovery(monkeypatch):
     # Fill the 4-slot importance layer.
     for k in range(4):
         cli.fetch(k, float(k + 1), lambda i: [float(i)])
-    assert cli.servers[0].occupancy("imp") == 4
-    cli.set_fault_plan(0, OUTAGE)
+    assert len(cli.servers[0].keys("imp")) == 4
+    cli.transport.fault_plans[0] = OUTAGE
     cli.fetch(9, 9.0, lambda i: [float(i)])  # put dropped, nothing evicted
     assert cli.dropped_admits == 1
     assert 9 not in cli.importance and 0 in cli.importance  # put-first rule
     assert any(cli._pending_deletes.values())  # orphan-put repair queued
-    cli.set_fault_plan(0, None)
+    cli.transport.fault_plans[0] = None
     cli.fetch(0, 1.0, lambda i: [float(i)])  # hit: successful call flushes
     assert not any(cli._pending_deletes.values())

@@ -132,14 +132,14 @@ def test_get_after_a_failed_put_is_none(n_shards):
     st = client.importance.store
     assert st.put(1, payload(1))
     for sid in range(n_shards):
-        client.set_fault_plan(sid, OUTAGE)
+        client.transport.fault_plans[sid] = OUTAGE
     assert st.put(2, payload(2)) is False
     assert client.dropped_admits == 1 and 2 not in st.loc
     assert st.get(2) is None and st.peek(2) is None
     assert st.put(1, payload(10)) is False  # failed overwrite keeps its home
     assert 1 in st.loc
     for sid in range(n_shards):
-        client.set_fault_plan(sid, None)
+        client.transport.fault_plans[sid] = None
     client.clock.advance("compute", 1.0)  # let the breakers cool down
     assert st.get(2) is None
     np.testing.assert_array_equal(st.get(1), payload(1))
@@ -153,11 +153,11 @@ def test_put_after_a_failed_put_of_the_same_key_keeps_its_payload(n_shards):
     client = make_client("sim", n_shards)
     st = client.importance.store
     for sid in range(n_shards):
-        client.set_fault_plan(sid, OUTAGE)
+        client.transport.fault_plans[sid] = OUTAGE
     assert st.put(5, payload(5)) is False
     assert sum(map(len, client._pending_deletes.values())) == 1
     for sid in range(n_shards):
-        client.set_fault_plan(sid, None)
+        client.transport.fault_plans[sid] = None
     client.clock.advance("compute", 1.0)  # let the breakers cool down
     assert st.put(5, payload(5)) is True
     np.testing.assert_array_equal(st.get(5), payload(5))
@@ -180,8 +180,7 @@ def test_sharded_client_runs_the_monoliths_policy_objects():
     assert client.homophily.store.loc is client._loc["hom"]
     # The decisions are inherited, not retyped.
     for name in ("set_imp_ratio", "update_score", "_degraded_fetch",
-                 "enable_degraded_mode", "state_dict", "load_state_dict",
-                 "reset_stats"):
+                 "enable_degraded_mode", "state_dict", "load_state_dict"):
         assert getattr(ShardedCacheClient, name) is getattr(SemanticCache, name)
 
 

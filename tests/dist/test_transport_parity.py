@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.dist.client import ShardedCacheClient
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
+from tests.dist.helpers import drain
 
 pytestmark = [
     pytest.mark.dist, pytest.mark.wallclock, pytest.mark.usefixtures("no_jitter"),
@@ -164,8 +165,8 @@ def test_parity_holds_across_live_resize(ops, n_before, n_after,
                 sim.resize(n_after, drain=False)
                 real.resize(n_after, drain=False)
             if real.migration is not None and i % drain_every == 0:
-                sim.continue_migration(max_batches=1)
-                real.continue_migration(max_batches=1)
+                drain(sim, 1)
+                drain(real, 1)
             assert apply_op(sim, op) == apply_op(real, op)
         while real.migration is not None:
             sim.continue_migration()

@@ -110,7 +110,7 @@ def test_killed_worker_degrades_exactly_like_sim_outage(monkeypatch):
         populate(sim)
         populate(real)
 
-        sim.set_fault_plan(0, OUTAGE)
+        sim.transport.fault_plans[0] = OUTAGE
         real.transport.kill_shard(0)
         # The raw transports agree on what a dead shard *is*.
         with pytest.raises(ShardOutageError):

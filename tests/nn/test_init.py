@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.init import he_init, xavier_init
+from repro.nn.init import he_init
 
 
 def test_he_std():
@@ -19,14 +19,3 @@ def test_he_deterministic():
 def test_he_invalid_fan_in():
     with pytest.raises(ValueError):
         he_init((2, 2), 0)
-
-
-def test_xavier_bounds():
-    w = xavier_init((1000, 50), fan_in=50, fan_out=50, rng=0)
-    limit = np.sqrt(6 / 100)
-    assert w.min() >= -limit and w.max() <= limit
-
-
-def test_xavier_invalid():
-    with pytest.raises(ValueError):
-        xavier_init((2, 2), -1, 2)

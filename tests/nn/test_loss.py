@@ -76,10 +76,8 @@ def test_label_out_of_range():
         SoftmaxCrossEntropy().forward(np.zeros((2, 3)), np.array([-1, 0]))
 
 
-def test_predict_and_accuracy():
+def test_accuracy():
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 0.0]])
-    preds = SoftmaxCrossEntropy.predict(logits)
-    np.testing.assert_array_equal(preds, [0, 1, 0])
     acc = SoftmaxCrossEntropy.accuracy(logits, np.array([0, 1, 1]))
     assert acc == pytest.approx(2 / 3)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import models
 from repro.nn.layers import Linear, Sequential
 from repro.nn.models import MODEL_ZOO, Model, build_cnn_model, build_model
 from repro.nn.optim import SGD
@@ -107,12 +108,14 @@ def test_model_learns_separable_data():
     assert acc > 0.95
 
 
-def test_evaluate_batched_consistency():
+def test_evaluate_batched_consistency(monkeypatch):
     m = build_model("resnet18", 8, 3, rng=0)
     x = np.random.default_rng(5).normal(size=(50, 8))
     y = np.random.default_rng(6).integers(0, 3, 50)
-    a1 = m.evaluate(x, y, batch_size=7)
-    a2 = m.evaluate(x, y, batch_size=50)
+    monkeypatch.setattr(models, "EVAL_BATCH_SIZE", 7)
+    a1 = m.evaluate(x, y)
+    monkeypatch.setattr(models, "EVAL_BATCH_SIZE", 50)
+    a2 = m.evaluate(x, y)
     assert a1[0] == a2[0]
     assert a1[1] == pytest.approx(a2[1])
 

@@ -124,7 +124,7 @@ def test_critpath_lines_caps_rows():
         events.append(
             _span(f"e{i}", "r", "epoch", float(i), float(i + 1), epoch=i)
         )
-    lines = critpath_lines(events, max_rows=8)
+    lines = critpath_lines(events)
     assert lines[8] == "  ... 8 more"
     assert lines[9].startswith("  total 16 epoch(s)")
 

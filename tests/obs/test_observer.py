@@ -43,7 +43,7 @@ def test_store_latency_consumed_by_fetch_event():
 
     out = cache.fetch(1, 1.0, store.get)
     assert out.source is FetchSource.REMOTE
-    (ev,) = rec.of_kind("fetch")
+    (ev,) = [e for e in rec.events if e["kind"] == "fetch"]
     assert ev["requested_id"] == 1
     assert ev["source"] == "remote"
     assert ev["latency_s"] > 0
@@ -62,7 +62,7 @@ def test_cache_hit_uses_hit_latency():
     cache.importance.admit(3, 1.0, np.zeros(2))
     out = cache.fetch(3, 1.0, lambda i: np.zeros(2))
     assert out.source is FetchSource.IMPORTANCE
-    (ev,) = rec.of_kind("fetch")
+    (ev,) = [e for e in rec.events if e["kind"] == "fetch"]
     assert ev["source"] == "importance"
     assert ev["latency_s"] == pytest.approx(1e-5)
 
@@ -76,7 +76,7 @@ def test_importance_admission_events():
         imp.admit(k, float(k + 1), np.zeros(2))
     imp.admit(9, 0.1, np.zeros(2))   # below min: rejected
     imp.admit(10, 9.0, np.zeros(2))  # evicts the min
-    admits = rec.of_kind("importance_admit")
+    admits = [e for e in rec.events if e["kind"] == "importance_admit"]
     assert len(admits) == 6
     assert admits[4]["admitted"] is False
     assert admits[5]["admitted"] is True and admits[5]["evicted_key"] is not None
@@ -98,7 +98,7 @@ def test_degraded_serve_events():
 
     out = cache.fetch(99, 1.0, boom)
     assert out.source is FetchSource.DEGRADED
-    (ev,) = rec.of_kind("fetch")
+    (ev,) = [e for e in rec.events if e["kind"] == "fetch"]
     assert ev["source"] == "degraded"
     assert obs.snapshot()["counters"]["degraded.substituted"] == 1
 
@@ -114,7 +114,7 @@ def test_breaker_transition_events(monkeypatch):
     br.record_failure(0.1)  # opens
     assert br.allow(2.0)    # half-open probe
     br.record_success(2.1)  # closes (close_threshold=1)
-    kinds = [(e["old"], e["new"]) for e in rec.of_kind("breaker")]
+    kinds = [(e["old"], e["new"]) for e in [e for e in rec.events if e["kind"] == "breaker"]]
     assert kinds == [
         ("closed", "open"), ("open", "half_open"), ("half_open", "closed")
     ]
@@ -182,10 +182,10 @@ def test_elastic_decision_events():
     mgr.attach_observer(obs)
     for epoch in range(3):
         mgr.step(epoch, accuracy=0.5 + 0.01 * epoch, score_std=0.5)
-    evs = rec.of_kind("elastic")
+    evs = [e for e in rec.events if e["kind"] == "elastic"]
     assert [e["decision_epoch"] for e in evs] == [0, 1, 2]
     assert reg.gauge("elastic.imp_ratio").value == pytest.approx(
-        mgr.current_ratio
+        mgr.history[-1].imp_ratio
     )
 
 

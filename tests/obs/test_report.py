@@ -19,6 +19,7 @@ from repro.obs import (
     MetricsRegistry,
     Observer,
     aggregate_trace,
+    read_jsonl,
     render_report,
     write_run_artifacts,
 )
@@ -49,8 +50,6 @@ def traced_run(tmp_path_factory):
         result, out, metrics_snapshot=observer.snapshot(),
         meta={"seed": 0},
     )
-    from repro.obs import read_jsonl
-
     return result, read_jsonl(out / TRACE_FILE), observer, out
 
 
@@ -116,8 +115,6 @@ def test_every_policys_trace_reconciles(name, tmp_path):
     """Every registry policy publishes one fetch row per request it
     serves, so a traced run's report reconciles whatever the policy, and
     a cache that counts its fetches counts every row."""
-    from repro.obs import read_jsonl
-
     ds = make_clustered_dataset(400, n_classes=4, dim=16, rng=0)
     train, test = train_test_split(ds, test_fraction=0.25, rng=1)
     recorder = JsonlRecorder(tmp_path / TRACE_FILE)
@@ -190,8 +187,6 @@ def test_icache_l_section_serves_are_their_own_rows(tmp_path):
     """iCache's L-section serves — exact hits and random substitutes —
     are published under their own source and metrics name; the homophily
     rows and counter count none of them."""
-    from repro.obs import read_jsonl
-
     recorder = JsonlRecorder(tmp_path / TRACE_FILE)
     observer = Observer(recorder=recorder)
     trainer = topologies.build(
@@ -222,14 +217,16 @@ def test_render_report_missing_dir(tmp_path):
         render_report(tmp_path / "nope")
 
 
-def test_aggregate_explicit_params_override():
+def test_aggregate_reads_data_load_inputs_from_run_start():
     events = [
+        {"kind": "run_start", "epoch": -1, "io_workers": 4,
+         "hit_latency_s": 1e-5},
         {"kind": "fetch", "epoch": 0, "requested_id": 1, "served_id": 1,
          "source": "remote", "latency_s": 8.0},
         {"kind": "fetch", "epoch": 0, "requested_id": 2, "served_id": 2,
          "source": "importance", "latency_s": 1e-5},
     ]
-    (a,) = aggregate_trace(events, io_workers=4, hit_latency_s=1e-5)
+    (a,) = aggregate_trace(events)
     assert a.misses == 1 and a.exact_hits == 1
     assert a.data_load_s == pytest.approx(8.0 / 4 + 1e-5)
 
@@ -243,39 +240,78 @@ def test_aggregate_degraded_excluded_from_hit_ratio():
         {"kind": "fetch", "epoch": 0, "requested_id": 3, "served_id": None
          or 0, "source": "skipped", "latency_s": 0.0},
     ]
-    (a,) = aggregate_trace(events, io_workers=1, hit_latency_s=0.0)
+    (a,) = aggregate_trace(events)
     assert a.degraded_serves == 1
     assert a.requests == 2  # remote + skipped; degraded excluded
     assert a.hit_ratio == 0.0
     assert a.skipped == 1
 
 
-def test_report_skips_consistency_check_after_restore(tmp_path):
-    (tmp_path / EPOCHS_FILE).write_text(
-        json.dumps({"epoch": 0, "policy": "p", "model": "m", "dataset": "d",
-                    "val_accuracy": 0.5, "hit_ratio": 0.0,
-                    "exact_hit_ratio": 0.0, "substitute_ratio": 0.0,
-                    "data_load_s": 1.0, "compute_s": 1.0,
-                    "is_visible_s": 0.0, "epoch_time_s": 2.0}) + "\n"
+@pytest.mark.parametrize(
+    "resize", [[], ["--resize-shards-at", "1:4"]], ids=["fixed", "resize"]
+)
+def test_one_worker_sharded_run_reconciles(resize, tmp_path):
+    """One worker on the shard tier: its data-load time includes the RPC
+    stage, which the trace holds as ``rpc_attempt`` / ``backoff`` spans,
+    so every stage time reconciles. Without those spans the trace holds
+    no RPC time, and the check says it covers the ratios only."""
+    from repro.cli import main
+
+    out = tmp_path / "run"
+    assert main([
+        "train", "--policy", "spidercache", "--samples", "400", "--epochs",
+        "2", "--world-size", "1", "--shared-cache", "--cache-shards", "2",
+        *resize, "--trace-dir", str(out),
+    ]) == 0
+    text = render_report(out)
+    assert "trace vs per-epoch metrics: OK over 2 epoch(s)\n" in text + "\n"
+    events = read_jsonl(out / TRACE_FILE)
+    with (out / TRACE_FILE).open("w") as fh:
+        for ev in events:
+            if ev["kind"] != "span":
+                fh.write(json.dumps(ev) + "\n")
+    assert (
+        "trace vs per-epoch metrics: OK over 2 epoch(s) (hit and substitute "
+        "ratios; stage times skipped: a shard-tier trace without span events "
+        "holds no RPC time)"
+    ) in render_report(out)
+
+
+def test_checkpoint_resumed_run_reconciles(tmp_path):
+    """A preempted ``ResilientTrainer`` replays the batches after its last
+    checkpoint; the report drops the replayed journal at each ``restore``
+    and reconciles every stage, while the event census counts every
+    line."""
+    from repro.resilience import PreemptionSchedule, ResilientTrainer
+
+    ds = make_clustered_dataset(160, n_classes=4, dim=16, rng=0)
+    train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+    recorder = JsonlRecorder(tmp_path / TRACE_FILE)
+    trainer = ResilientTrainer(
+        build_model("resnet18", train.dim, train.num_classes, rng=2),
+        train, test, SpiderCachePolicy(cache_fraction=0.2, rng=3),
+        TrainerConfig(epochs=3, batch_size=16),
+        observer=Observer(recorder=recorder, span_seed=0),
+        checkpoint_dir=tmp_path / "ckpts", checkpoint_every_batches=2,
+        preemptions=PreemptionSchedule(at=[(1, 2)]),
     )
-    trace = [
-        {"kind": "restore", "epoch": 0, "path": "x", "at_epoch": 0, "batch": 3},
-        {"kind": "fetch", "epoch": 0, "requested_id": 0, "served_id": 0,
-         "source": "remote", "latency_s": 1.0},
-    ]
-    with (tmp_path / TRACE_FILE).open("w") as fh:
-        for ev in trace:
-            fh.write(json.dumps(ev) + "\n")
+    result = trainer.run()
+    recorder.close()
+    write_run_artifacts(result, tmp_path)
+    events = read_jsonl(tmp_path / TRACE_FILE)
+    assert sum(e["kind"] == "restore" for e in events) == 1
+    batches = sum(e["kind"] == "batch" for e in events)
+    # The journal holds the one batch replayed after the restore.
+    assert batches == sum(a.n_batches for a in aggregate_trace(events)) + 1
     text = render_report(tmp_path)
-    assert "consistency check skipped" in text
-    assert "restore" in text
+    assert f"batch={batches}" in text
+    assert "trace vs per-epoch metrics: OK over 3 epoch(s)\n" in text + "\n"
 
 
 def test_resilient_trainer_report_is_consistent_without_preemptions(tmp_path):
     """A traced ``ResilientTrainer`` goes through ``EpochRunner.run``: one
     ``run_start`` (the report reads ``io_workers`` / ``hit_latency_s`` from
     it) and one ``run`` span, so a clean run checks out like ``Trainer``'s."""
-    from repro.obs import read_jsonl
     from repro.resilience import ResilientTrainer
 
     ds = make_clustered_dataset(600, n_classes=4, dim=16, rng=0)

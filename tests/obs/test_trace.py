@@ -30,7 +30,7 @@ def test_in_memory_recorder_accumulates():
     rec.emit({"kind": "batch", "epoch": 0})
     rec.emit({"kind": "fetch", "epoch": 1})
     assert len(rec.events) == 3
-    assert [e["epoch"] for e in rec.of_kind("fetch")] == [0, 1]
+    assert [e["epoch"] for e in rec.events if e["kind"] == "fetch"] == [0, 1]
     rec.clear()
     assert rec.events == []
 

@@ -207,7 +207,7 @@ def test_blocks_equal_flat_on_a_load_replay(faulted, tmp_path):
     clock = SimClock()
     client = ShardedCacheClient(128, imp_ratio=0.8, n_shards=2, clock=clock)
     if faulted:
-        client.set_fault_plan(0, FaultPlan([OutageWindow(start_s=0.1, end_s=3.0)]))
+        client.transport.fault_plans[0] = FaultPlan([OutageWindow(start_s=0.1, end_s=3.0)])
     client.attach_observer(Observer(tee, MetricsRegistry(), span_seed=7))
     n_keys = 300
 

@@ -39,7 +39,6 @@ def test_window_active_is_half_open_interval():
     assert w.active(1.0)
     assert w.active(1.999)
     assert not w.active(2.0)
-    assert w.duration_s == pytest.approx(1.0)
 
 
 def test_plan_latency_multiplier_composes():
@@ -51,13 +50,6 @@ def test_plan_latency_multiplier_composes():
     assert plan.latency_multiplier(7.0) == pytest.approx(6.0)
     assert plan.latency_multiplier(12.0) == pytest.approx(3.0)
     assert plan.latency_multiplier(20.0) == pytest.approx(1.0)
-
-
-def test_plan_next_clear_time_chains_overlapping_outages():
-    plan = FaultPlan(outages=[OutageWindow(1.0, 3.0), OutageWindow(2.5, 5.0)])
-    assert plan.next_clear_time(0.0) == pytest.approx(0.0)
-    assert plan.next_clear_time(1.5) == pytest.approx(5.0)
-    assert plan.total_outage_s == pytest.approx(4.5)
 
 
 def test_outage_raises_and_counts():
@@ -105,13 +97,3 @@ def test_brownout_outside_window_is_free():
     assert store.clock.stage_seconds("data_load") == pytest.approx(
         clean.clock.stage_seconds("data_load"), rel=1e-12
     )
-
-
-def test_fault_counters_reset_through_wrapper():
-    store = _store()
-    faulty = FaultInjectingStore(store, FaultPlan(outages=[OutageWindow(0.0, 1.0)]))
-    with pytest.raises(StorageOutageError):
-        faulty.get(0)
-    faulty.reset_counters()
-    assert faulty.outage_failures == 0
-    assert store.fetch_count == 0

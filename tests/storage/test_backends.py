@@ -33,8 +33,6 @@ def test_counters(store):
     store.get(1)
     assert store.fetch_count == 2
     assert store.bytes_fetched == 2048
-    store.reset_counters()
-    assert store.fetch_count == 0
 
 
 def test_out_of_range(store):

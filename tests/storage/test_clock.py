@@ -23,34 +23,11 @@ def test_negative_rejected():
         SimClock().advance("x", -1.0)
 
 
-def test_fractions():
-    c = SimClock()
-    c.advance("a", 3.0)
-    c.advance("b", 1.0)
-    f = c.fractions()
-    assert f["a"] == pytest.approx(0.75)
-    assert f["b"] == pytest.approx(0.25)
-
-
-def test_fractions_empty():
-    assert SimClock().fractions() == {}
-
-
 def test_reset():
     c = SimClock()
     c.advance("a", 1.0)
     c.reset()
     assert c.total_seconds == 0.0
-
-
-def test_merge():
-    a, b = SimClock(), SimClock()
-    a.advance("x", 1.0)
-    b.advance("x", 2.0)
-    b.advance("y", 3.0)
-    a.merge(b)
-    assert a.stage_seconds("x") == 3.0
-    assert a.stage_seconds("y") == 3.0
 
 
 def test_breakdown_is_copy():

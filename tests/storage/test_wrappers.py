@@ -65,21 +65,6 @@ def test_counters_visible_through_stack():
     assert guarded.bytes_fetched == base.bytes_fetched == 10 * 1024
 
 
-def test_reset_counters_cascades():
-    base = _store()
-    guarded, faulty = _stack(
-        base, FaultPlan(brownouts=[BrownoutWindow(0.0, 1.0)])
-    )
-    for i in range(5):
-        guarded.get(i)
-    assert faulty.brownout_fetches == 5
-    guarded.reset_counters()
-    assert faulty.brownout_fetches == 0
-    assert faulty.brownout_extra_s == 0.0
-    assert base.fetch_count == 0
-    assert base.bytes_fetched == 0
-
-
 def test_unwrap_returns_base_store():
     base = _store()
     guarded, _ = _stack(base)

@@ -1,51 +1,8 @@
-"""Time-to-accuracy metric and the imp-ratio accuracy/speed trade-off."""
+"""The imp-ratio accuracy/speed trade-off."""
 
 import numpy as np
-import pytest
 
 from repro.core.policy import SpiderCachePolicy
-from repro.train.metrics import EpochMetrics, TrainResult
-
-
-def _result(accs, time_per_epoch=2.0):
-    r = TrainResult("p", "m", "d")
-    for e, a in enumerate(accs):
-        r.epochs.append(EpochMetrics(
-            epoch=e, train_loss=0.0, val_accuracy=a, hit_ratio=0.0,
-            exact_hit_ratio=0.0, substitute_ratio=0.0,
-            data_load_s=time_per_epoch, compute_s=0.0, is_visible_s=0.0,
-            epoch_time_s=time_per_epoch,
-        ))
-    return r
-
-
-# ----------------------------------------------------------------------
-# time_to_accuracy
-# ----------------------------------------------------------------------
-def test_tta_first_crossing():
-    r = _result([0.3, 0.5, 0.7, 0.9])
-    assert r.time_to_accuracy(0.6) == pytest.approx(6.0)  # end of epoch 2
-
-
-def test_tta_immediate():
-    r = _result([0.8, 0.9])
-    assert r.time_to_accuracy(0.5) == pytest.approx(2.0)
-
-
-def test_tta_never_reached():
-    r = _result([0.3, 0.4])
-    assert r.time_to_accuracy(0.9) is None
-
-
-def test_tta_not_fooled_by_regression():
-    """The first crossing counts even if accuracy later dips below."""
-    r = _result([0.3, 0.7, 0.4, 0.8])
-    assert r.time_to_accuracy(0.6) == pytest.approx(4.0)
-
-
-def test_tta_invalid_threshold():
-    with pytest.raises(ValueError):
-        _result([0.5]).time_to_accuracy(1.5)
 
 
 # ----------------------------------------------------------------------

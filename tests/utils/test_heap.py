@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from repro.core.importance_cache import ImportanceCache
 
 
+def _scores(cache):
+    """``(key, score)`` of every resident, in residence order."""
+    return [(k, s) for k, (s, _) in cache._items.items()]
+
+
 def _filled(scores, capacity=None):
     c = ImportanceCache(len(scores) if capacity is None else capacity)
     for key, score in scores:
@@ -42,7 +47,7 @@ def test_duplicate_key_rejected():
     c.admit(1, 1.0, "a")
     assert c.admit(1, 2.0, "a2")
     assert len(c) == 1
-    assert c.scores_snapshot() == [(1, 2.0)]
+    assert _scores(c) == [(1, 2.0)]
     c.check_invariants()
     assert c.resize(0) == [1]
 
@@ -58,9 +63,9 @@ def test_peek_does_not_remove():
 def test_contains_and_priority():
     c = _filled([(5, 7.5)], capacity=2)
     assert 5 in c
-    assert dict(c.scores_snapshot())[5] == 7.5
+    assert dict(_scores(c))[5] == 7.5
     assert 6 not in c
-    assert 6 not in dict(c.scores_snapshot())
+    assert 6 not in dict(_scores(c))
 
 
 def test_update_decrease_moves_to_top():
@@ -77,7 +82,7 @@ def test_update_increase_moves_down():
     assert c.peek_min() == (1, "v1")
     assert c.min_score() == 1.0
     # The updated key is still resident with its new score.
-    assert dict(c.scores_snapshot())[0] == 100.0
+    assert dict(_scores(c))[0] == 100.0
     c.check_invariants()
     assert c.resize(0) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]
 
@@ -117,7 +122,7 @@ def test_clear_and_keys():
 def test_iteration_yields_all_keys():
     c = _filled([(i, float(-i)) for i in range(5)])
     assert sorted(c.keys()) == [0, 1, 2, 3, 4]
-    assert sorted(k for k, _ in c.scores_snapshot()) == [0, 1, 2, 3, 4]
+    assert sorted(k for k, _ in _scores(c)) == [0, 1, 2, 3, 4]
 
 
 @given(
@@ -150,4 +155,4 @@ def test_property_invariants_under_mixed_ops(ops):
                 model[key] = score
         c.check_invariants()
         assert len(c) == len(model)
-    assert dict(c.scores_snapshot()) == model
+    assert dict(_scores(c)) == model
