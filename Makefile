@@ -57,9 +57,8 @@ report:
 	$(PYTHON) -m repro report $(REPORT_DIR)
 
 # Sharded cache-service suite — every dist-marked test (differential
-# oracle, retry/backoff, migration, chaos) under the increased
-# Hypothesis budget, plus a sharded smoke run with a live ring resize for
-# one policy per cache-layer stack, whose report must reconcile (hit and
+# oracle, retry/backoff, chaos) under the increased Hypothesis budget,
+# plus a sharded smoke run for one policy per cache-layer stack, whose report must reconcile (hit and
 # substitute ratios) and count every request, and a one-worker run on the
 # shard tier whose report reconciles every stage time.
 DIST_DIR ?= results/dist-smoke
@@ -68,7 +67,7 @@ dist:
 	for policy in spidercache baseline icache shade; do \
 		$(PYTHON) -m repro train --policy $$policy --samples 600 --epochs 3 \
 			--world-size 2 --shared-cache --cache-shards 2 \
-			--resize-shards-at 1:4 --trace-dir $(DIST_DIR)/$$policy || exit 1; \
+			--trace-dir $(DIST_DIR)/$$policy || exit 1; \
 		$(PYTHON) -m repro report $(DIST_DIR)/$$policy > $(DIST_DIR)/$$policy.txt || exit 1; \
 		grep -q "trace vs per-epoch metrics: OK" $(DIST_DIR)/$$policy.txt || exit 1; \
 		if grep -q "MISMATCH\| rows=" $(DIST_DIR)/$$policy.txt; then exit 1; fi; \
@@ -76,7 +75,7 @@ dist:
 	done
 	$(PYTHON) -m repro train --policy spidercache --samples 600 --epochs 3 \
 		--world-size 1 --shared-cache --cache-shards 2 \
-		--resize-shards-at 1:4 --trace-dir $(DIST_DIR)/one-worker
+		--trace-dir $(DIST_DIR)/one-worker
 	$(PYTHON) -m repro report $(DIST_DIR)/one-worker > $(DIST_DIR)/one-worker.txt
 	grep -q "trace vs per-epoch metrics: OK over 3 epoch(s)$$" $(DIST_DIR)/one-worker.txt
 	grep -q " fetch=1350," $(DIST_DIR)/one-worker.txt
@@ -84,17 +83,17 @@ dist:
 # Real-process transport suite (-m wallclock: sim/real parity oracle +
 # real-process chaos) with a hard timeout and NO retries — these tests
 # spawn real worker processes, and a flake here is a bug, not weather.
-# Plus a train smoke with a live ring resize on both transports: RPC
-# time is modelled on both, so the two epochs.jsonl must be identical.
+# Plus a sharded train smoke on both transports: RPC time is modelled
+# on both, so the two epochs.jsonl must be identical.
 transport:
 	timeout 300 $(PYTHON) -m pytest -m wallclock -p no:cacheprovider
 	timeout 120 $(PYTHON) -m repro train --policy spidercache --samples 600 \
 		--epochs 2 --world-size 2 --shared-cache --cache-shards 2 \
-		--resize-shards-at 1:4 --transport real \
+		--transport real \
 		--trace-dir $(TRANSPORT_DIR)/real
 	timeout 120 $(PYTHON) -m repro train --policy spidercache --samples 600 \
 		--epochs 2 --world-size 2 --shared-cache --cache-shards 2 \
-		--resize-shards-at 1:4 --transport sim \
+		--transport sim \
 		--trace-dir $(TRANSPORT_DIR)/sim
 	cmp $(TRANSPORT_DIR)/sim/epochs.jsonl $(TRANSPORT_DIR)/real/epochs.jsonl
 

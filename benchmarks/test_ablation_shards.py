@@ -9,8 +9,6 @@ servers behind simulated RPC. The shapes asserted:
   of the same total budget at every world size (no duplicated entries);
 * sharding is behaviour-preserving — hit ratio and accuracy match the
   shared monolith exactly, only simulated RPC time is added;
-* a *live ring resize* mid-run (2 -> 4 shards at an epoch boundary, key
-  migration over the same RPC tier) is behaviour-preserving too;
 * the added RPC stall is visible but does not dominate the epoch.
 """
 
@@ -23,19 +21,17 @@ from repro.train.trainer import TrainerConfig
 from repro.nn.models import build_model
 
 WORLD_SIZES = [2, 4]
-# (label, shared_cache, cache_shards, resize_shards_at)
+# (label, shared_cache, cache_shards)
 TOPOLOGIES = [
-    ("per-worker", False, 0, None),
-    ("shared-mono", True, 0, None),
-    ("shared-2shard", True, 2, None),
-    ("shared-4shard", True, 4, None),
-    ("shared-2to4", True, 2, (2, 4)),  # live resize at epoch 2
+    ("per-worker", False, 0),
+    ("shared-mono", True, 0),
+    ("shared-2shard", True, 2),
+    ("shared-4shard", True, 4),
 ]
 EPOCHS = 5
 
 
-def _run(train, test, world_size, shared_cache, cache_shards,
-         resize_shards_at=None):
+def _run(train, test, world_size, shared_cache, cache_shards):
     dp = DataParallelTrainer(
         model_factory=lambda: build_model("resnet18", train.dim,
                                           train.num_classes, rng=7),
@@ -50,8 +46,7 @@ def _run(train, test, world_size, shared_cache, cache_shards,
         world_size=world_size,
         config=TrainerConfig(epochs=EPOCHS, batch_size=64,
                              shared_cache=shared_cache,
-                             cache_shards=cache_shards,
-                             resize_shards_at=resize_shards_at),
+                             cache_shards=cache_shards),
         rng=5,
     )
     res = dp.run()
@@ -63,8 +58,8 @@ def _measure():
     train, test = make_split("cifar10-like", 1200, seed=0)
     out = {}
     for k in WORLD_SIZES:
-        for label, shared, shards, resize_at in TOPOLOGIES:
-            res = _run(train, test, k, shared, shards, resize_at)
+        for label, shared, shards in TOPOLOGIES:
+            res = _run(train, test, k, shared, shards)
             out[(label, k)] = {
                 "hit_ratio": float(np.mean([e.hit_ratio for e in res.epochs])),
                 "data_load_s": float(np.sum([e.data_load_s for e in res.epochs])),
@@ -83,7 +78,7 @@ def test_ablation_shard_topology(once, benchmark):
          f"{out[(label, k)]['epoch_time_s']:.2f}s",
          f"{out[(label, k)]['accuracy']:.3f}")
         for k in WORLD_SIZES
-        for label, _, _, _ in TOPOLOGIES
+        for label, _, _ in TOPOLOGIES
     ]
     print_table(
         "Ablation: cache topology across data-parallel workers",
@@ -97,9 +92,9 @@ def test_ablation_shard_topology(once, benchmark):
         # The headline claim: one shared cache strictly beats per-worker
         # caches of the same aggregate budget.
         assert mono["hit_ratio"] > out[("per-worker", k)]["hit_ratio"], k
-        for label in ("shared-2shard", "shared-4shard", "shared-2to4"):
+        for label in ("shared-2shard", "shared-4shard"):
             sharded = out[(label, k)]
-            # Sharding — and live resizing — preserves behaviour bit-for-bit...
+            # Sharding preserves behaviour bit-for-bit...
             assert sharded["hit_ratio"] == mono["hit_ratio"], (label, k)
             assert sharded["accuracy"] == mono["accuracy"], (label, k)
             # ...and only adds simulated RPC time to the load stage:

@@ -6,7 +6,7 @@ Data Loading alone above 60% on all four models.
 
 from conftest import make_split, print_table
 
-from repro.nn.models import MODEL_ZOO, build_model
+from repro.nn.models import build_model
 from repro.train.policy_base import TrainingPolicy
 from repro.train.trainer import Trainer, TrainerConfig
 

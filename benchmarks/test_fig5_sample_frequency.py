@@ -10,7 +10,6 @@ from conftest import make_split, print_table
 
 from repro.core.policy import SpiderCachePolicy
 from repro.nn.models import build_model
-from repro.train.policy_base import TrainingPolicy
 from repro.train.trainer import Trainer, TrainerConfig
 
 EPOCH_MARKS = [1, 3, 6]

@@ -4,8 +4,6 @@ Reproduces the paper's storage table from the byte-accounting model and
 validates the model against an actually-constructed small index + PQ codec.
 """
 
-import sys
-
 import numpy as np
 from conftest import print_table
 

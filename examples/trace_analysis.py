@@ -14,7 +14,7 @@ Run:  python examples/trace_analysis.py
 import numpy as np
 
 from repro import SpiderCachePolicy, Trainer, TrainerConfig
-from repro.cache import AccessTrace, LRUCache, MinIOCache, belady_hit_ratio, record_trace, replay
+from repro.cache import LRUCache, MinIOCache, belady_hit_ratio, record_trace, replay
 from repro.data import make_dataset, train_test_split
 from repro.nn import build_model
 

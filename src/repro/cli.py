@@ -79,12 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "behind simulated RPC (requires --shared-cache)",
     )
     train_p.add_argument(
-        "--resize-shards-at", default=None, metavar="EPOCH:COUNT",
-        help="live-resize the shard ring to COUNT shards at the start of "
-             "EPOCH, migrating cached keys over the RPC channel "
-             "(requires --cache-shards)",
-    )
-    train_p.add_argument(
         "--transport", choices=("sim", "real"), default="sim",
         help="shard-tier transport: 'sim' (simulated RPC channel, "
              "deterministic; default) or 'real' (shard servers in worker "
@@ -226,24 +220,6 @@ def _make_dp_run(args, policy_name: str, config, observer=None):
     )
 
 
-def _parse_resize_at(spec):
-    """``EPOCH:COUNT`` -> (epoch, count), or None."""
-    if spec is None:
-        return None
-    try:
-        epoch_s, count_s = str(spec).split(":", 1)
-        epoch, count = int(epoch_s), int(count_s)
-    except ValueError:
-        print(f"--resize-shards-at expects EPOCH:COUNT (got {spec!r})",
-              file=sys.stderr)
-        raise SystemExit(2)
-    if epoch < 0 or count < 1:
-        print("--resize-shards-at needs EPOCH >= 0 and COUNT >= 1",
-              file=sys.stderr)
-        raise SystemExit(2)
-    return epoch, count
-
-
 def _reject(exc: ValueError) -> int:
     """A configuration the constructors refused: message on stderr, exit 2."""
     print(exc, file=sys.stderr)
@@ -277,10 +253,7 @@ def _cmd_train(args) -> int:
         observer = Observer(recorder=recorder, span_seed=args.seed)
     # Any shared-cache-tier flag goes to the builder that owns those knobs,
     # so its constructor is what rejects a combination it cannot honour.
-    shared_tier = (
-        args.shared_cache or args.cache_shards
-        or args.resize_shards_at is not None
-    )
+    shared_tier = args.shared_cache or args.cache_shards
     config = TrainerConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -289,7 +262,6 @@ def _cmd_train(args) -> int:
         cache_shards=args.cache_shards,
         rpc_deadline_s=args.rpc_deadline_ms / 1e3,
         rpc_retry_budget=args.rpc_retry_budget,
-        resize_shards_at=_parse_resize_at(args.resize_shards_at),
     )
     try:
         if args.world_size > 1 or shared_tier:

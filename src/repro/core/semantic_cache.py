@@ -73,13 +73,6 @@ class DegradedStats:
     def total(self) -> int:
         return self.substituted + self.skipped
 
-    def reset(self) -> None:
-        """Zero all degraded-mode counters."""
-        self.substituted_homophily = 0
-        self.substituted_importance = 0
-        self.skipped = 0
-        self.errors_absorbed = 0
-
     def state_dict(self) -> dict:
         """Serializable snapshot of the counters."""
         return {

@@ -9,7 +9,7 @@ separable, but noise/shift levels create genuinely hard samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -19,7 +19,7 @@ cover map, capacity split) stays local, which is what makes the service
 Modules:
 
 * :mod:`~repro.dist.ring` — splitmix64 consistent-hash ring (virtual
-  nodes, minimal disruption on resize);
+  nodes, fixed size);
 * :mod:`~repro.dist.rpc` — the :class:`Transport` interface and the
   simulated :class:`SimRpcChannel` with per-call deadlines, fault-plan
   outage/brownout injection, and timeout-vs-outage error classification;
@@ -29,13 +29,10 @@ Modules:
 * :mod:`~repro.dist.retry` — seeded-jitter capped exponential backoff
   with a per-request retry budget;
 * :mod:`~repro.dist.server` — idempotent shard partition servers;
-* :mod:`~repro.dist.client` — the breaker-guarded coordinating client;
-* :mod:`~repro.dist.migration` — live ring resizing with retry-safe,
-  interruptible, batched key migration.
+* :mod:`~repro.dist.client` — the breaker-guarded coordinating client.
 """
 
 from repro.dist.client import ShardedCacheClient
-from repro.dist.migration import MigrationState
 from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
 from repro.dist.ring import ConsistentHashRing
 from repro.dist.rpc import (
@@ -55,7 +52,6 @@ __all__ = [
     "SimRpcChannel",
     "RealRpcTransport",
     "ShardedCacheClient",
-    "MigrationState",
     "RetryPolicy",
     "RetryBudgetExhausted",
     "RpcError",

@@ -20,10 +20,10 @@ the same modelled RPC time to the run's clock.
 Consequences:
 
 * a fault-free sharded run is **bit-identical** (same served stream,
-  ``state_dict``, stats) to a monolithic run for any shard count and
-  across live ring resizes *by construction* — there is no second copy
-  of the policy to drift; the differential oracle in ``tests/dist``
-  checks that placement never leaks into it;
+  ``state_dict``, stats) to a monolithic run for any shard count *by
+  construction* — there is no second copy of the policy to drift; the
+  differential oracle in ``tests/dist`` checks that placement never
+  leaks into it;
 * an RPC failure can only lose *payload availability*, never corrupt
   policy state: a failed read makes the layer see a miss (the next
   protocol stage serves, counted in ``degraded_lookups``), a failed put
@@ -46,14 +46,8 @@ runs that same per-request protocol after one multi-key read frame per
 shard has put the payloads it will ask for into the stores' read-ahead
 buffers, and lets the batch's victim deletes ride later frames (deletes
 first, then the frame's own put/read). Both are batch-scoped — nothing
-outlives the call — so single ``fetch``, ``update_homophily``, migration
-and replays issue the per-key RPC sequence unchanged.
-
-Live resizing: :meth:`ShardedCacheClient.resize` plans a key migration
-to a ring of the new size (see :mod:`repro.dist.migration`) and
-:meth:`ShardedCacheClient.continue_migration` drains it over the same
-faulty channel — interruptible, idempotent, and verified by
-:meth:`ShardedCacheClient.verify_placement`.
+outlives the call — so single ``fetch``, ``update_homophily`` and
+replays issue the per-key RPC sequence unchanged.
 
 The client is driven by one thread: the epoch loop collates every
 rank's batch in turn.
@@ -69,7 +63,6 @@ import numpy as np
 from repro.cache.base import Cache
 from repro.cache.payload_store import PayloadStore
 from repro.core.semantic_cache import FetchOutcome, SemanticCache
-from repro.dist.migration import MigrationState, plan_migration
 from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
 from repro.dist.ring import ConsistentHashRing
 from repro.dist.rpc import (
@@ -97,10 +90,6 @@ _ATTEMPT_ERRORS = (ShardOutageError, RpcTimeoutError)
 
 #: Simulated seconds a shard's open breaker waits before its half-open probe.
 BREAKER_COOLDOWN_S = 0.05
-
-#: Pending batches one migration drain attempts at most (unbounded: each
-#: pending batch once).
-MAX_DRAIN_BATCHES = float("inf")
 
 
 class ShardStore(PayloadStore):
@@ -156,8 +145,8 @@ class ShardStore(PayloadStore):
     def put(self, key: int, value: Any) -> bool:
         """Payload put with retries; a failure is a *dropped admit*.
 
-        New keys land on the placement ring's shard, resident ones are
-        overwritten in place. An ambiguously timed-out put may have
+        New keys land on the ring's shard, resident ones are overwritten
+        in place. An ambiguously timed-out put may have
         executed server-side; the orphan payload is queued for
         anti-entropy deletion so shard contents reconverge with the
         metadata. The put supersedes deletes of its own key still queued
@@ -168,7 +157,7 @@ class ShardStore(PayloadStore):
         self.ahead.pop(key, None)
         shard = self.loc.get(key)
         if shard is None:
-            shard = tier._placement_ring().shard_for(key)
+            shard = tier.ring.shard_for(key)
         queue = tier._pending_deletes.get(shard)
         if queue and (layer, key) in queue:
             queue[:] = [e for e in queue if e != (layer, key)]
@@ -197,33 +186,34 @@ class ShardStore(PayloadStore):
             self._tier._best_effort_delete(shard, self._layer, key)
 
     def peek(self, key: int) -> Optional[Any]:
-        """Payload read that moves no hit counter (uses the read-only
-        ``migrate_out`` export); None on failure."""
+        """Payload read that moves no hit counter (one ``get_many``
+        frame); None on failure."""
         shard = self.loc.get(key)
         if shard is None:
             return None
         try:
-            out = self._tier._call_with_retries(
-                shard, "migrate_out", self._layer, [key]
+            (payload,) = self._tier._call_with_retries(
+                shard, "get_many", [(self._layer, key)]
             )
         except _DEGRADE_ERRORS:
             self._tier.degraded_lookups += 1
             return None
-        return out.get(key)
+        return payload
 
     def export(self, keys: Sequence[int]) -> List[Any]:
-        """Payloads of ``keys`` via batched read-only exports, grouped per
-        owning shard. Raises on RPC failure or a missing payload — a
-        checkpoint must be exact or not taken at all."""
+        """Payloads of ``keys``, one ``get_many`` frame per owning shard.
+        Raises on RPC failure or a missing payload — a checkpoint must be
+        exact or not taken at all."""
         by_shard: Dict[int, List[int]] = {}
         for k in keys:
             by_shard.setdefault(self.loc[k], []).append(k)
         out: Dict[int, Any] = {}
         for shard, ks in by_shard.items():
+            payloads = self._tier._call_with_retries(
+                shard, "get_many", [(self._layer, k) for k in ks]
+            )
             out.update(
-                self._tier._call_with_retries(
-                    shard, "migrate_out", self._layer, ks
-                )
+                (k, p) for k, p in zip(ks, payloads) if p is not None
             )
         missing = [k for k in keys if k not in out]
         if missing:
@@ -246,13 +236,12 @@ class ShardStore(PayloadStore):
         for shard, dead in stale.items():
             tier._bulk_delete(shard, dead)
         self.loc.clear()
-        ring = tier._placement_ring()
         placed: Dict[int, Dict[int, Any]] = {}
         for k, payload in entries.items():
-            shard = self.loc[k] = ring.shard_for(k)
+            shard = self.loc[k] = tier.ring.shard_for(k)
             placed.setdefault(shard, {})[k] = payload
         for shard, part in placed.items():
-            tier._call_with_retries(shard, "migrate_in", layer, part)
+            tier._call_with_retries(shard, "put_many", layer, part)
 
 
 class ShardedCacheClient(SemanticCache):
@@ -264,7 +253,7 @@ class ShardedCacheClient(SemanticCache):
         Item budget, importance split and layers — exactly as the
         monolith.
     n_shards:
-        Initial shard-server count (consistent-hash ring size).
+        Shard-server count (the consistent-hash ring's fixed size).
     transport:
         ``"sim"`` (default) builds a :class:`SimRpcChannel` — in-process
         servers, simulated clock, fault injection; the deterministic
@@ -282,16 +271,14 @@ class ShardedCacheClient(SemanticCache):
         :class:`RetryPolicy` for every cache-protocol call; default
         policy retries twice with seeded-jitter exponential backoff.
 
-    Every shard, including one a :meth:`resize` adds, gets its own
-    :class:`CircuitBreaker` with a :data:`BREAKER_COOLDOWN_S` cool-down.
+    Every shard gets its own :class:`CircuitBreaker` with a
+    :data:`BREAKER_COOLDOWN_S` cool-down.
 
     Attributes
     ----------
     transport / ring / breakers:
-        The RPC carrier, the active consistent-hash ring, and the
+        The RPC carrier, the consistent-hash ring, and the
         ``{shard: CircuitBreaker}`` map.
-    migration:
-        The in-flight resize's :class:`MigrationState`, or ``None``.
     dropped_admits / degraded_lookups / rpc_retries:
         Failed payload puts (metadata untouched), failed payload reads
         served as misses, and retried attempts.
@@ -309,16 +296,13 @@ class ShardedCacheClient(SemanticCache):
         layers: Optional[Sequence[Cache]] = None,
     ) -> None:
         # layer name -> (key -> shard holding the payload); owned here
-        # (the ring, anti-entropy and migration all read them), written
+        # (placement, anti-entropy and the audit read them), written
         # by the layers' stores.
         self._loc: Dict[str, Dict[int, int]] = {}
         super().__init__(total_capacity, imp_ratio, layers)
         # layer name -> the source it serves as (audit events name it).
         self._sources = {l.name: l.source.value for l in self.layers}
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = int(n_shards)
-        self.ring = ConsistentHashRing(self.n_shards)
+        self.ring = ConsistentHashRing(n_shards)
         if isinstance(transport, str):
             if transport == "sim":
                 self.transport: Transport = SimRpcChannel(
@@ -342,14 +326,14 @@ class ShardedCacheClient(SemanticCache):
                     "instance already carries its own; configure it there"
                 )
             self.transport = transport
-        for sid in range(self.n_shards):
+        for sid in range(self.ring.n_shards):
             if not self.transport.has_shard(sid):
                 self.transport.add_shard(sid)
         self.clock = self.transport.clock
         self.retry = retry if retry is not None else RetryPolicy()
         self.breakers: Dict[int, CircuitBreaker] = {
             sid: CircuitBreaker(cooldown_s=BREAKER_COOLDOWN_S)
-            for sid in range(self.n_shards)
+            for sid in range(self.ring.n_shards)
         }
 
         # -- fault-tolerance bookkeeping ---------------------------------
@@ -361,16 +345,12 @@ class ShardedCacheClient(SemanticCache):
         self.degraded_lookups = 0
         self._rpc_seq = 0  # deterministic per-request id for jitter
 
-        self.migration: Optional[MigrationState] = None
-        self.completed_resizes = 0
-
     def _payload_store(self, layer: str) -> ShardStore:
         return ShardStore(self, layer, self._loc.setdefault(layer, {}))
 
     @property
     def dropped_admits(self) -> int:
-        """Failed payload puts: the per-shard ledger's sum (never pruned,
-        so retired shards still count)."""
+        """Failed payload puts: the per-shard ledger's sum."""
         return sum(ss["dropped_admits"] for ss in self._shard_stats.values())
 
     @property
@@ -393,14 +373,6 @@ class ShardedCacheClient(SemanticCache):
         """In-process server dict (sim transport only; the real
         transport's servers live in other processes)."""
         return self.transport.servers
-
-    def _placement_ring(self) -> ConsistentHashRing:
-        """Ring governing *new* placements: the migration target while a
-        resize is in flight (so fresh admits land where they will end
-        up), the active ring otherwise."""
-        if self.migration is not None:
-            return self.migration.target_ring
-        return self.ring
 
     # ------------------------------------------------------------------
     # RPC machinery
@@ -492,8 +464,6 @@ class ShardedCacheClient(SemanticCache):
         instead and rides the shard's next frame."""
         shard = int(shard)
         entry = (layer, int(key))
-        if not self.transport.has_shard(shard):
-            return  # shard retired by a shrink resize; nothing to repair
         if self._parked is not None:
             self._parked.setdefault(shard, []).append(entry)
         else:
@@ -506,20 +476,17 @@ class ShardedCacheClient(SemanticCache):
         park them in the shard's repair queue (a timed-out delete
         *executed* server-side; re-queueing is harmless because deletes
         are idempotent)."""
-        breaker = self.breakers.get(shard)
-        now = self.clock.total_seconds
-        if breaker is not None and not breaker.allow(now):
+        breaker = self.breakers[shard]
+        if not breaker.allow(self.clock.total_seconds):
             self._pending_deletes.setdefault(shard, []).extend(entries)
             return
         try:
             self.transport.call(shard, method, *args)
         except _ATTEMPT_ERRORS:
-            if breaker is not None:
-                breaker.record_failure(self.clock.total_seconds)
+            breaker.record_failure(self.clock.total_seconds)
             self._pending_deletes.setdefault(shard, []).extend(entries)
         else:
-            if breaker is not None:
-                breaker.record_success(self.clock.total_seconds)
+            breaker.record_success(self.clock.total_seconds)
 
     def _bulk_delete(self, shard: int, entries: List[Tuple[str, int]]) -> None:
         """Drop ``(layer, key)`` payloads nothing references any more:
@@ -682,146 +649,14 @@ class ShardedCacheClient(SemanticCache):
             obs.span_end(span, self.clock.total_seconds, ok=ok)
         return ok
 
-    # ------------------------------------------------------------------
-    # live ring resize + key migration
-    # ------------------------------------------------------------------
-    def resize(
-        self, new_shard_count: int, drain: bool = True
-    ) -> Optional[MigrationState]:
-        """Resize the ring to ``new_shard_count``, migrating keys.
-
-        Grows spin up fresh servers/breakers immediately; the old ring
-        stays authoritative for existing keys until their batch lands
-        (new admits already target the new ring). With ``drain=True``
-        (default) the whole migration runs now; otherwise call
-        :meth:`continue_migration` — e.g. once per epoch boundary — to
-        drain incrementally. Returns the :class:`MigrationState`, or
-        ``None`` for a no-op resize."""
-        new_n = int(new_shard_count)
-        if new_n < 1:
-            raise ValueError("new_shard_count must be >= 1")
-        if self.migration is not None and not self.migration.done:
-            raise RuntimeError("a ring resize is already in progress")
-        old_n = self.ring.n_shards
-        if new_n == old_n:
-            return None
-        for sid in range(old_n, new_n):
-            self.transport.add_shard(sid)
-            breaker = CircuitBreaker(cooldown_s=BREAKER_COOLDOWN_S)
-            breaker.attach_observer(self._obs, label=f"shard{sid}")
-            self.breakers[sid] = breaker
-        state = plan_migration(
-            old_n,
-            self.ring.spawn(new_n),
-            {layer: dict(loc) for layer, loc in self._loc.items()},
-        )
-        self.migration = state
-        if self._obs.active:
-            self._obs.on_resize(old_n, new_n, state.planned_moves)
-        if drain:
-            self.continue_migration()
-        return state
-
-    def continue_migration(self) -> Optional[MigrationState]:
-        """Drain the in-flight migration.
-
-        Attempts each pending batch at most once per call (and at most
-        :data:`MAX_DRAIN_BATCHES` of them); batches that
-        fail (outage, open breaker, burned retry budget) rotate to the
-        back and stay pending, so a dead shard stalls only its own keys.
-        Batch keys are re-validated against live metadata at execution —
-        keys evicted or relocated since planning are silently skipped.
-        Finalizes the resize (ring swap, retired-server teardown) once
-        the queue is empty. Safe to call when no migration is active."""
-        state = self.migration
-        if state is None:
-            return None
-        budget = min(len(state.pending), MAX_DRAIN_BATCHES)
-        obs = self._obs
-        span = (
-            obs.span_start(
-                "migration_drain", self.clock.total_seconds,
-                pending=len(state.pending),
-            )
-            if obs.active and budget > 0 else None
-        )
-        moved_before = state.moved_keys
-        while state.pending and budget > 0:
-            budget -= 1
-            batch = state.pending[0]
-            loc = self._loc[batch.layer]
-            live = [k for k in batch.keys if loc.get(k) == batch.src]
-            if not live:
-                state.pending.popleft()  # fully voided by eviction/churn
-                continue
-            try:
-                payloads = self._call_with_retries(
-                    batch.src, "migrate_out", batch.layer, live
-                )
-                entries = {k: payloads[k] for k in live if k in payloads}
-                if entries:
-                    nbytes = sum(
-                        int(np.asarray(v).nbytes) for v in entries.values()
-                    )
-                    # The put's rule: landing payloads supersede dst's queued
-                    # deletes of them (kept if the batch fails).
-                    queue = self._pending_deletes.setdefault(batch.dst, [])
-                    held = [e for e in queue
-                            if e[0] == batch.layer and e[1] in entries]
-                    queue[:] = [e for e in queue if e not in held]
-                    try:
-                        self._call_with_retries(
-                            batch.dst, "migrate_in", batch.layer, entries,
-                            nbytes=nbytes,
-                        )
-                    except _DEGRADE_ERRORS:
-                        self._pending_deletes[batch.dst].extend(held)
-                        raise
-            except _DEGRADE_ERRORS:
-                state.failed_batches += 1
-                state.pending.rotate(-1)
-                continue
-            state.pending.popleft()
-            for k in entries:
-                loc[k] = batch.dst  # point of no return: reads move over
-            state.moved_keys += len(entries)
-            if entries:
-                self._bulk_delete(
-                    batch.src, [(batch.layer, k) for k in entries]
-                )
-        if span is not None:
-            obs.span_end(
-                span, self.clock.total_seconds,
-                moved=state.moved_keys - moved_before,
-                remaining=len(state.pending),
-            )
-        if state.done:
-            self._finalize_migration(state)
-        return state
-
-    def _finalize_migration(self, state: MigrationState) -> None:
-        old_n = self.ring.n_shards
-        self.ring = state.target_ring
-        self.n_shards = self.ring.n_shards
-        for sid in range(self.n_shards, old_n):
-            # Retired shards hold no referenced payloads any more; their
-            # queued repairs die with them.
-            self.transport.remove_shard(sid)
-            self.breakers.pop(sid, None)
-            self._pending_deletes.pop(sid, None)
-        self.completed_resizes += 1
-        self.migration = None
-
     def verify_placement(self) -> List[Tuple[str, int, int, Optional[int]]]:
-        """Rebalance-correctness oracle; returns violations (empty = OK).
+        """Placement-correctness oracle; returns violations (empty = OK).
 
         Each violation is ``(layer, key, located_shard, expected_shard)``
-        for a key whose location disagrees with the placement ring, or
+        for a key whose location disagrees with the ring, or
         ``(layer, key, located_shard, None)`` for a key whose payload is
-        missing from the shard its metadata points at. While a migration
-        is in flight, not-yet-moved keys legitimately appear as
-        ring-disagreement entries."""
-        ring = self._placement_ring()
+        missing from the shard its metadata points at."""
+        ring = self.ring
         resident: Dict[Tuple[int, str], Set[int]] = {}
         for sid in self.transport.shard_ids:
             for layer in self._loc:

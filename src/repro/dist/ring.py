@@ -2,16 +2,14 @@
 
 splitmix64-hashed virtual nodes on a 64-bit ring. Each shard owns
 :data:`VNODES` points whose positions depend only on ``(shard_id, replica,
-SEED)`` — *not* on the shard count — so growing the ring from K to K+1
-shards leaves every surviving shard's points in place and only the keys
-that land in the new shard's arcs move (the classic minimal-disruption
-property the live-resize migration relies on).
+SEED)``, so a key's shard is a pure function of the key and the shard
+count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["splitmix64", "ConsistentHashRing"]
 
@@ -38,8 +36,7 @@ class ConsistentHashRing:
     Parameters
     ----------
     n_shards:
-        Number of shard servers (ids ``0..n_shards-1``). Rings of
-        different sizes share the surviving shards' points.
+        Number of shard servers (ids ``0..n_shards-1``).
     """
 
     def __init__(self, n_shards: int) -> None:
@@ -63,22 +60,6 @@ class ConsistentHashRing:
         if i == len(self._hashes):
             i = 0  # wrap around the ring
         return self._shards[i]
-
-    def partition(self, keys: Iterable[int]) -> Dict[int, List[int]]:
-        """Group ``keys`` by owning shard (shards with no keys omitted)."""
-        out: Dict[int, List[int]] = {}
-        for k in keys:
-            out.setdefault(self.shard_for(k), []).append(k)
-        return out
-
-    def spawn(self, n_shards: int) -> "ConsistentHashRing":
-        """A ring of a different size over the same hash domain."""
-        return ConsistentHashRing(n_shards)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConsistentHashRing):
-            return NotImplemented
-        return self.n_shards == other.n_shards
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConsistentHashRing(n_shards={self.n_shards})"

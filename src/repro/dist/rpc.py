@@ -127,7 +127,7 @@ class Transport(abc.ABC):
 
     def counters(self) -> Dict[str, int]:
         """Attempts and failed attempts — fleet-wide, by classification,
-        per shard (retired ones too) — under the metrics names."""
+        per shard — under the metrics names."""
         failed = self.per_shard_failures + self.per_shard_timeouts
         return {
             "rpc.calls": self.calls,
@@ -213,10 +213,6 @@ class Transport(abc.ABC):
         """Provision an (empty) server for ``shard``; idempotent."""
 
     @abc.abstractmethod
-    def remove_shard(self, shard: int) -> None:
-        """Decommission ``shard``'s server; unknown ids are a no-op."""
-
-    @abc.abstractmethod
     def has_shard(self, shard: int) -> bool:
         """Whether ``shard`` currently has a (possibly dead) server."""
 
@@ -242,8 +238,8 @@ class SimRpcChannel(Transport):
     :mod:`repro.dist.retry` / the client); the channel models exactly one
     attempt: latency, deadline, and fault injection.
 
-    ``servers`` is the ``{shard_id: CacheShardServer}`` dict, mutated on
-    ring resizes (tests reach into live servers through it);
+    ``servers`` is the ``{shard_id: CacheShardServer}`` dict (tests
+    reach into live servers through it);
     ``fault_plans`` maps shard ids to their :class:`FaultPlan` (``None``
     or absent = healthy): per-shard outage and brownout windows, evaluated
     against the shared clock.
@@ -274,9 +270,6 @@ class SimRpcChannel(Transport):
         shard = int(shard)
         if shard not in self.servers:
             self.servers[shard] = CacheShardServer(shard)
-
-    def remove_shard(self, shard: int) -> None:
-        self.servers.pop(int(shard), None)
 
     def has_shard(self, shard: int) -> bool:
         return int(shard) in self.servers

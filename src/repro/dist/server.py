@@ -9,10 +9,10 @@ cache layers of the :class:`~repro.dist.client.ShardedCacheClient`; the
 server is a keyed payload store. It keeps no hit counters: what a read
 *served* is known only to the client, which may read ahead and discard.
 
-Every mutating method is **idempotent** — puts overwrite, deletes of
-absent keys are no-ops, migration imports overwrite — because the RPC
-channel's timeout semantics are ambiguous (a timed-out call may have
-executed) and the retry layer may replay any call.
+Every mutating method is **idempotent** — puts and bulk puts overwrite,
+deletes of absent keys are no-ops — because the RPC channel's timeout
+semantics are ambiguous (a timed-out call may have executed) and the
+retry layer may replay any call.
 """
 
 from __future__ import annotations
@@ -58,25 +58,15 @@ class CacheShardServer:
         self.bulk_delete(deletes)
         return getattr(self, method)(*args)
 
-    # -- bulk / migration ------------------------------------------------
+    # -- bulk ----------------------------------------------------------
     def bulk_delete(self, entries: Iterable[Tuple[str, int]]) -> None:
         """Anti-entropy repair: drop ``(layer, key)`` pairs (idempotent)."""
         for layer, key in entries:
             self.delete(layer, key)
 
-    def migrate_out(self, layer: str, keys: Iterable[int]) -> Dict[int, Any]:
-        """Read-only export of the requested keys that are present."""
-        store = self._stores[layer]
-        out: Dict[int, Any] = {}
-        for k in keys:
-            payload = store.get(int(k))
-            if payload is not None:
-                out[int(k)] = payload
-        return out
-
-    def migrate_in(self, layer: str, entries: Dict[int, Any]) -> None:
-        """Import migrated entries, overwriting any stale copies
-        (idempotent — safe to replay after an ambiguous timeout)."""
+    def put_many(self, layer: str, entries: Dict[int, Any]) -> None:
+        """Insert or overwrite every entry of one layer (idempotent —
+        safe to replay after an ambiguous timeout)."""
         store = self._stores[layer]
         for k, payload in entries.items():
             store[int(k)] = payload

@@ -210,11 +210,6 @@ class RealRpcTransport(Transport):
         if shard not in self._workers:
             self._workers[shard] = _ShardWorker(shard, self._ctx)
 
-    def remove_shard(self, shard: int) -> None:
-        worker = self._workers.pop(int(shard), None)
-        if worker is not None:
-            worker.shutdown()
-
     def has_shard(self, shard: int) -> bool:
         return int(shard) in self._workers
 

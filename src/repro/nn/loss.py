@@ -7,8 +7,6 @@ losses, not just the batch mean.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 __all__ = ["SoftmaxCrossEntropy", "softmax"]

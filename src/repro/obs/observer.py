@@ -73,7 +73,7 @@ class Observer:
     uninterrupted one would. What stays live in the registry is a
     *journal tally* that includes replayed work after a restore:
     ``importance.rejected``, ``audit.*``, ``train.*``, ``prefetch.*``,
-    ``checkpoint.*``, ``resize.*``, and every gauge and histogram.
+    ``checkpoint.*``, and every gauge and histogram.
 
     Parameters
     ----------
@@ -354,17 +354,6 @@ class Observer:
         with span tracing enabled records a per-attempt ``rpc_attempt``
         span — flat per-call trace events would dwarf the fetch stream)."""
         self._histogram["rpc.latency_s"].observe(float(latency_s))
-
-    def on_resize(self, old_n: int, new_n: int, planned_moves: int) -> None:
-        """A live ring resize began (key migration planned)."""
-        m = self.metrics
-        m.counter("resize.started").inc()
-        m.counter("resize.planned_moves").inc(planned_moves)
-        m.gauge("resize.n_shards").set(new_n)
-        self.emit(
-            "resize", old_n_shards=int(old_n), new_n_shards=int(new_n),
-            planned_moves=int(planned_moves),
-        )
 
     def on_shards(self, snapshots: List[Dict[str, Any]]) -> None:
         """Per-epoch shard-service snapshot (occupancy, stats, breakers)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -343,16 +343,6 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
     if cp:
         lines.append("critical path (per-group self-time):")
         lines.extend(cp)
-
-    resizes = [e for e in events if e.get("kind") == "resize"]
-    if resizes:
-        lines.append("ring resizes:")
-        for ev in resizes:
-            lines.append(
-                f"  epoch {ev.get('epoch', '?'):>3}: "
-                f"{ev['old_n_shards']} -> {ev['new_n_shards']} shards "
-                f"({ev['planned_moves']} key move(s) planned)"
-            )
 
     shard_events = [e for e in events if e.get("kind") == "shards"]
     if shard_events:

@@ -53,10 +53,6 @@ class PreemptionSchedule:
     def fired(self) -> int:
         return len(self._fired_points)
 
-    @property
-    def pending(self) -> int:
-        return self.total - self.fired
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PreemptionSchedule(points={self._points}, "

@@ -50,10 +50,6 @@ class SimClock:
         """Copy of per-stage totals."""
         return dict(self._stage_s)
 
-    def reset(self) -> None:
-        """Zero all stages."""
-        self._stage_s.clear()
-
     def state_dict(self) -> Dict[str, float]:
         """Serializable snapshot of per-stage totals (for checkpoints)."""
         return self.breakdown()

@@ -78,8 +78,6 @@ class DataParallelTrainer(EpochRunner):
             raise ValueError("cache_shards must be non-negative")
         if cfg.cache_shards and not cfg.shared_cache:
             raise ValueError("cache_shards requires shared_cache=True")
-        if cfg.resize_shards_at is not None and not cfg.cache_shards:
-            raise ValueError("resize_shards_at requires cache_shards > 0")
         if not cfg.cache_shards:
             if cfg.clock_mode == "real":
                 raise ValueError(UNSHARDED_REAL)
@@ -165,26 +163,6 @@ class DataParallelTrainer(EpochRunner):
         return cache if hasattr(cache, "shard_snapshots") else None
 
     # -- the epoch loop's topology seams ---------------------------------
-    def _on_epoch_start(self, epoch: int) -> None:
-        """Epoch-boundary live-resize driver.
-
-        At the configured trigger epoch the client plans the migration;
-        every epoch boundary after that drains as many pending batches
-        as the (possibly faulted) shard tier will take, so a stalled
-        migration simply resumes next epoch once outages end and breaker
-        cool-downs elapse. ``cache_shards`` tracks the client's live
-        shard count once the ring swap lands.
-        """
-        client = self._shared_client()
-        if client is None:
-            return
-        at = self.config.resize_shards_at
-        if at is not None and epoch == int(at[0]):
-            client.resize(int(at[1]), drain=False)
-        if client.migration is not None:
-            client.continue_migration()
-        self.cache_shards = client.n_shards
-
     def _on_epoch_end(self, epoch: int) -> None:
         client = self._shared_client()
         if client is not None and self.observer.active:

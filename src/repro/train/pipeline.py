@@ -12,7 +12,7 @@ measurements show is fully hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Tuple
+from typing import List, Literal
 
 from repro.nn.models import MODEL_ZOO, ModelSpec
 

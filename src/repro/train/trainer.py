@@ -94,10 +94,6 @@ class TrainerConfig:
     # repro.dist.retry.RetryPolicy defaults.
     rpc_deadline_s: float = 0.01
     rpc_retry_budget: int = 3
-    # Live ring resize: (epoch, new_shard_count) — at that epoch boundary
-    # the shared client re-rings and migrates keys, draining incrementally
-    # at each subsequent boundary if shards are faulting.
-    resize_shards_at: Optional[Tuple[int, int]] = None
 
     def build_schedule(self):
         """Resolve ``lr_schedule`` into a schedule object (or None)."""
@@ -258,12 +254,6 @@ class EpochRunner:
         ], axis=0)
 
     # -- seams a topology may override ---------------------------------------
-    def _on_epoch_start(self, epoch: int) -> None:
-        """After the epoch's accounting snapshot and ``before_epoch``, so
-        the RPC time it charges (a live resize's key migration) counts in
-        the epoch it opens; skipped, like ``before_epoch``, when an epoch
-        is resumed."""
-
     def _on_epoch_end(self, epoch: int) -> None:
         """After the epoch's metrics are recorded."""
 
@@ -372,7 +362,6 @@ class EpochRunner:
             # they warm, the one the trace stamps them with.
             for policy in policies:
                 policy.before_epoch(epoch)
-            self._on_epoch_start(epoch)
             # Ranks sharing a policy split its one global importance order
             # round-robin.
             orders = [np.empty(0, dtype=np.int64)] * len(workers)
@@ -567,9 +556,9 @@ class Trainer(EpochRunner):
     ) -> None:
         super().__init__(train_set, test_set, config, observer, rng)
         cfg = self.config
-        if cfg.shared_cache or cfg.cache_shards or cfg.resize_shards_at:
+        if cfg.shared_cache or cfg.cache_shards:
             raise ValueError(
-                "shared_cache / cache_shards / resize_shards_at configure a "
+                "shared_cache / cache_shards configure a "
                 "shared cache tier; use DataParallelTrainer(world_size=1, "
                 "...), which honours them"
             )

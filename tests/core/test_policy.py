@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.policy import SpiderCachePolicy
 from repro.core.semantic_cache import FetchSource
-from repro.data.synthetic import make_clustered_dataset, train_test_split
-from repro.nn.models import build_model
+from repro.data.synthetic import make_clustered_dataset
 from repro.storage.backends import RemoteStore
 from repro.train.policy_base import PolicyContext
 

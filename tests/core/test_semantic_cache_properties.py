@@ -1,7 +1,5 @@
 """Property-based tests for the SemanticCache protocol invariants."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.semantic_cache import FetchOutcome, FetchSource
-from repro.data.loader import Batch, DataLoader
+from repro.data.loader import DataLoader
 
 
 def _batches(dl, order):

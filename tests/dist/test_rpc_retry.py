@@ -9,7 +9,7 @@ burned retry budget charges ``attempts x cost + sum(backoffs)``.
 import pytest
 
 from repro.dist import retry as retry_module
-from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
+from repro.dist.retry import RetryPolicy
 from repro.dist.rpc import (
     RPC_OVERHEAD_NBYTES,
     RpcError,

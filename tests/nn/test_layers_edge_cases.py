@@ -1,15 +1,9 @@
 """Edge-case layer tests beyond the main gradient checks."""
 
 import numpy as np
-import pytest
 
 from repro.nn import layers
-from repro.nn.layers import (
-    BatchNorm1d,
-    Conv2d,
-    MaxPool2d,
-    Sequential,
-)
+from repro.nn.layers import BatchNorm1d, Conv2d, Sequential
 
 
 def test_conv_stride2_gradient():

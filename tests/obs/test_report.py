@@ -14,7 +14,6 @@ from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.nn.models import build_model
 from repro.obs import (
-    InMemoryRecorder,
     JsonlRecorder,
     MetricsRegistry,
     Observer,
@@ -247,10 +246,7 @@ def test_aggregate_degraded_excluded_from_hit_ratio():
     assert a.skipped == 1
 
 
-@pytest.mark.parametrize(
-    "resize", [[], ["--resize-shards-at", "1:4"]], ids=["fixed", "resize"]
-)
-def test_one_worker_sharded_run_reconciles(resize, tmp_path):
+def test_one_worker_sharded_run_reconciles(tmp_path):
     """One worker on the shard tier: its data-load time includes the RPC
     stage, which the trace holds as ``rpc_attempt`` / ``backoff`` spans,
     so every stage time reconciles. Without those spans the trace holds
@@ -261,7 +257,7 @@ def test_one_worker_sharded_run_reconciles(resize, tmp_path):
     assert main([
         "train", "--policy", "spidercache", "--samples", "400", "--epochs",
         "2", "--world-size", "1", "--shared-cache", "--cache-shards", "2",
-        *resize, "--trace-dir", str(out),
+        "--trace-dir", str(out),
     ]) == 0
     text = render_report(out)
     assert "trace vs per-epoch metrics: OK over 2 epoch(s)\n" in text + "\n"

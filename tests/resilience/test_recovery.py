@@ -72,7 +72,7 @@ def test_schedule_fires_each_point_once():
     assert (ei.value.epoch, ei.value.batch) == (1, 3)
     assert ei.value.at_s == pytest.approx(2.5)
     sched.check(1, 3, 2.6)  # replay passes through
-    assert sched.fired == 1 and sched.pending == 0
+    assert sched.fired == sched.total == 1
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ def test_negative_rejected():
         SimClock().advance("x", -1.0)
 
 
-def test_reset():
+def test_load_state_dict_replaces_every_stage():
     c = SimClock()
     c.advance("a", 1.0)
-    c.reset()
+    c.load_state_dict({"b": 0.5})
+    assert c.breakdown() == {"b": 0.5}
+    c.load_state_dict({})
     assert c.total_seconds == 0.0
 
 

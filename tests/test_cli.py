@@ -110,7 +110,7 @@ def test_train_with_trace_dir_and_report(tmp_path, capsys):
         (["--cache-shards", "2"], "cache_shards requires shared_cache"),
         (["--world-size", "2", "--cache-shards", "2"],
          "cache_shards requires shared_cache"),
-        (["--resize-shards-at", "1:4"], "resize_shards_at requires cache_shards"),
+        (["--shared-cache", "--transport", "real"], "needs cache_shards > 0"),
         (["--transport", "real"], "needs cache_shards > 0"),
         (["--world-size", "2", "--transport", "real"], "needs cache_shards > 0"),
         (["--rpc-retry-budget", "9", "--rpc-deadline-ms", "3"],
@@ -245,14 +245,6 @@ TRAIN_FLAGS = {
         [*SHARED_TIER, *TRACED], lambda run, base: (
             _summary(run)["metrics"]["counters"]["rpc.shard1.calls"] > 0
         ),
-    ),
-    "--resize-shards-at": Flag(
-        [*SHARED_TIER, *TRACED, "--resize-shards-at", "1:3"],
-        lambda run, base: (
-            _summary(run)["metrics"]["counters"]["resize.started"] == 1
-            and _summary(run)["metrics"]["counters"]["rpc.shard2.calls"] > 0
-        ),
-        base=SHARED_TIER,
     ),
     "--transport": Flag(["--transport", "real"], rejected="needs cache_shards > 0"),
     # A fault-free run makes no retry and meets every deadline, so the RPC

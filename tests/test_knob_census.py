@@ -33,6 +33,11 @@ parameter to ``super().name(...)`` only forwards it: the parameter is the
 base's knob. Matching is by name, so a homonym is credited too: that can
 keep unused code, never delete used code.
 
+**Imports.** Every name a module in ``src/``, ``tests/``,
+``benchmarks/``, ``examples/`` or ``perfbench/`` imports is read in that
+module, or listed in its ``__all__``. An import kept for its side effect
+says so with ``# noqa: F401`` on the statement.
+
 A constructor value no caller sets becomes a module constant at its
 default, or goes on ``ALLOWLIST`` with its reason. State records — classes
 whose fields are results or running counts, built with their defaults and
@@ -55,6 +60,8 @@ import repro
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src", "benchmarks", "perfbench", "examples")
+#: Where the unused-import check looks: the program callers and the tests.
+IMPORTERS = (*CALLERS, "tests")
 
 #: Knobs kept settable although no program caller sets them yet.
 ALLOWLIST = {
@@ -79,7 +86,7 @@ CALLABLE_ALLOWLIST = {
     "ImportanceCache.check_invariants": "the heap / payload invariants "
     "the cache tests check",
     "ShardedCacheClient.verify_placement": "the placement oracle of the "
-    "sharded-cache differential and migration tests",
+    "sharded-cache differential, parity and chaos tests",
     "RealRpcTransport.kill_shard": "SIGKILLs a real shard worker in the "
     "wall-clock chaos suite",
     "RealRpcTransport.restart_shard": "restarts a killed worker in the "
@@ -90,7 +97,6 @@ CALLABLE_ALLOWLIST = {
 STATE_RECORDS = {
     "CacheStats": "a cache layer's hit / miss / eviction counters",
     "DegradedStats": "what degraded-mode serving absorbed",
-    "MigrationState": "a live resize's progress",
     "EpochAggregate": "one epoch's totals re-aggregated from a trace",
     "EpochAccumulator": "an epoch's running sums inside the loop",
     "EpochMetrics": "one epoch's measured row",
@@ -294,17 +300,22 @@ def _callables(trees) -> dict:
     return out
 
 
+def _all_nodes(tree):
+    """Every AST node inside the module's ``__all__ = ...`` values."""
+    return (
+        node
+        for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+        if any(getattr(t, "id", None) == "__all__" for t in assign.targets)
+        for node in ast.walk(assign.value)
+    )
+
+
 def _references(trees) -> dict:
     """``{name: [(path, line)]}``: every name or attribute read and every
     string literal, outside imports and ``__all__``."""
     refs = defaultdict(list)
     for path, tree in trees:
-        exported = {
-            id(node)
-            for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
-            if any(getattr(t, "id", None) == "__all__" for t in assign.targets)
-            for node in ast.walk(assign.value)
-        }
+        exported = {id(node) for node in _all_nodes(tree)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
@@ -457,6 +468,54 @@ def test_callable_allowlist_names_real_unreferenced_callables():
 def test_state_records_name_real_classes():
     classes = _classes()
     assert set(STATE_RECORDS) <= set(classes)
+
+
+def unused_imports(source: str) -> list:
+    """``[(line, name)]``: the names ``source`` imports and never reads
+    nor lists in ``__all__`` (``__future__`` and ``# noqa: F401``
+    statements excepted)."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+            "noqa: F401" in line
+            for line in lines[node.lineno - 1:node.end_lineno]
+        ):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read.update(
+        node.value for node in _all_nodes(tree)
+        if isinstance(node, ast.Constant)
+    )
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_every_import_is_used():
+    unused = {
+        str(path.relative_to(ROOT)): found
+        for top in IMPORTERS
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if (found := unused_imports(path.read_text()))
+    }
+    assert unused == {}, (
+        f"unused imports {unused}: delete each, or mark a side-effect "
+        "import with # noqa: F401"
+    )
+
+
+def test_unused_import_check_sees_what_it_should():
+    assert unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") \
+        == [(1, "os")]
+    assert unused_imports("import os  # noqa: F401\n") == []
+    assert unused_imports("from a import (\n    b,  # noqa: F401\n)\n") == []
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    assert unused_imports("import os.path\nos.sep\n") == []
 
 
 def _unset_in(source: str) -> list:

@@ -65,7 +65,7 @@ CONTRACT = {
         rejected_at=("trainer",),
     ),
     "cache_shards": Row(
-        3, lambda run, base: _cache(run[0]).n_shards == 3,
+        3, lambda run, base: _cache(run[0]).ring.n_shards == 3,
         rejected_at=("trainer", "dp1", "dp2-per-worker"),
     ),
     # Without a shard tier there are no RPCs to configure.
@@ -75,10 +75,6 @@ CONTRACT = {
     ),
     "rpc_retry_budget": Row(
         5, lambda run, base: _cache(run[0]).retry.max_attempts == 5,
-        rejected_at=UNSHARDED,
-    ),
-    "resize_shards_at": Row(
-        (1, 4), lambda run, base: _cache(run[0]).n_shards == 4,
         rejected_at=UNSHARDED,
     ),
 }

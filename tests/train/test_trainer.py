@@ -1,6 +1,5 @@
 """Trainer tests: time accounting, policy integration, learning."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.baseline import CoorDLPolicy, LRUBaselinePolicy

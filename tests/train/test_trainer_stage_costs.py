@@ -44,8 +44,6 @@ def test_no_cache_policy_zero_is(data):
 def test_custom_model_fallback_costs(data):
     train, test = data
 
-    import numpy as np
-
     class Flat:
         def __init__(self, inner):
             self.inner = inner

@@ -1,7 +1,5 @@
 """The imp-ratio accuracy/speed trade-off."""
 
-import numpy as np
-
 from repro.core.policy import SpiderCachePolicy
 
 
