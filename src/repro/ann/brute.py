@@ -128,10 +128,6 @@ class BruteForceIndex:
     def ids(self) -> List[int]:
         return self._ids[: len(self)].tolist()
 
-    def vector(self, item_id: int) -> np.ndarray:
-        """Return a copy of the stored vector for ``item_id``."""
-        return self._data[self._slot_of[int(item_id)]].copy()
-
     # ------------------------------------------------------------------
     def _resize(self, capacity: int, n: int) -> None:
         """Reallocate the slot arrays, keeping their first ``n`` slots."""

@@ -154,17 +154,9 @@ class HNSWIndex:
         """Top layer of the current entry point (-1 when empty)."""
         return self._max_level
 
-    def vector(self, item_id: int) -> np.ndarray:
-        """Copy of a stored vector."""
-        return self._vectors[self._row_of[int(item_id)]].copy()
-
     def node_level(self, item_id: int) -> int:
         """Top layer assigned to a node."""
         return self._levels[self._row_of[int(item_id)]]
-
-    def degree(self, item_id: int) -> int:
-        """Out-degree of a node in the base proximity graph (layer 0)."""
-        return len(self.graph_neighbors(item_id))
 
     def graph_neighbors(self, item_id: int, layer: int = 0) -> List[int]:
         """Adjacency list of a node at ``layer`` (copies, safe to mutate)."""

@@ -79,14 +79,6 @@ class CacheStats:
             return 0.0
         return (self.hits + self.substitute_hits) / req
 
-    @property
-    def exact_hit_ratio(self) -> float:
-        """Hit ratio counting only exact (non-substitute) hits."""
-        req = self.requests
-        if req == 0:
-            return 0.0
-        return self.hits / req
-
     def reset(self) -> None:
         """Zero every counter."""
         for f in dataclasses.fields(self):
@@ -180,10 +172,6 @@ class Cache:
 
     def __contains__(self, key: Any) -> bool:
         return key in self._items
-
-    def keys(self) -> List[Any]:
-        """Resident keys in ``_items`` order (LRU: least recent first)."""
-        return list(self._items)
 
     def lookup(self, index: Any, score: float = 0.0) -> Optional[Tuple[Any, Any]]:
         """``(index, payload)`` on an exact hit, else ``None``; counts

@@ -52,11 +52,6 @@ class HomophilyCache(Cache):
         self._next_seq = 0
 
     # ------------------------------------------------------------------
-    def covers(self, index: int) -> bool:
-        """True if ``index`` appears in any cached node's neighbor list
-        (Alg. 1 line 7: ``neighbor_list.contains(index)``)."""
-        return index in self._neighbor_of or index in self._items
-
     def serve_key(self, index: int) -> Optional[int]:
         """Key of the entry a request for ``index`` would be served from:
         ``index`` itself when it is a cached node, else the *most recently

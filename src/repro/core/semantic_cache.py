@@ -69,10 +69,6 @@ class DegradedStats:
     def substituted(self) -> int:
         return self.substituted_homophily + self.substituted_importance
 
-    @property
-    def total(self) -> int:
-        return self.substituted + self.skipped
-
     def state_dict(self) -> dict:
         """Serializable snapshot of the counters."""
         return {
@@ -102,10 +98,6 @@ class FetchOutcome:
     served_id: int
     payload: Any
     source: FetchSource
-
-    @property
-    def substituted(self) -> bool:
-        return self.served_id != self.requested_id
 
 
 class SemanticCache:
@@ -324,11 +316,6 @@ class SemanticCache:
         self.update_scores((index,), (score,))
 
     # ------------------------------------------------------------------
-    @property
-    def hit_ratio(self) -> float:
-        """Total hit ratio including homophily substitutions."""
-        return self.stats.hit_ratio
-
     def __len__(self) -> int:
         return sum(len(layer) for layer in self.layers)
 

@@ -17,7 +17,6 @@ exactly the stall the circuit breaker exists to cut short.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.dist.ring import splitmix64
 from repro.dist.rpc import RpcError
@@ -78,10 +77,3 @@ class RetryPolicy:
         h = splitmix64(splitmix64(JITTER_SEED ^ int(request_id)) ^ int(attempt))
         u = h / float(1 << 64)  # uniform in [0, 1)
         return raw * (1.0 - JITTER * u)
-
-    def schedule(self, request_id: int) -> List[float]:
-        """The full backoff schedule one request would follow if every
-        attempt failed (``max_attempts - 1`` waits)."""
-        return [
-            self.backoff_s(request_id, a) for a in range(self.max_attempts - 1)
-        ]

@@ -89,12 +89,6 @@ class EpochAggregate:
         return (self.exact_hits + self.substitute_hits) / req if req else 0.0
 
     @property
-    def exact_hit_ratio(self) -> float:
-        """Exact-hit fraction of requests."""
-        req = self.requests
-        return self.exact_hits / req if req else 0.0
-
-    @property
     def substitute_ratio(self) -> float:
         """Substitution fraction of requests."""
         req = self.requests

@@ -6,22 +6,21 @@ deployment a first-class, *simulatable* part of the reproduction:
 
 * :mod:`~repro.resilience.faults` — deterministic fail-stop outage and
   latency-brownout windows on the simulated clock;
-* :mod:`~repro.resilience.breaker` — a circuit breaker over the remote
-  read path (closed / open / half-open, simulated-clock cool-down);
+* :mod:`~repro.resilience.breaker` — a circuit breaker for a remote read
+  path (closed / open / half-open, simulated-clock cool-down);
 * :mod:`~repro.resilience.preemption` — spot-VM kill schedules;
 * :mod:`~repro.resilience.trainer` — checkpoint-restart training with
   bit-exact resume;
 * :mod:`~repro.resilience.campaign` — scenario sweeps reporting recovery
   cost, degraded-serving counts, and accuracy deltas (the ``repro
   faults`` CLI).
+
+The remote store enforces a fault plan and a breaker itself, once a
+campaign assigns them to its ``fault_plan`` and ``breaker``
+(:meth:`~repro.storage.backends.RemoteStore.get`).
 """
 
-from repro.resilience.breaker import (
-    BreakerEvent,
-    BreakerState,
-    CircuitBreaker,
-    CircuitBreakerStore,
-)
+from repro.resilience.breaker import BreakerEvent, BreakerState, CircuitBreaker
 from repro.resilience.campaign import (
     DEFAULT_SCENARIOS,
     CampaignResult,
@@ -35,12 +34,7 @@ from repro.resilience.errors import (
     PreemptionError,
     StorageOutageError,
 )
-from repro.resilience.faults import (
-    BrownoutWindow,
-    FaultInjectingStore,
-    FaultPlan,
-    OutageWindow,
-)
+from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.resilience.preemption import PreemptionSchedule
 from repro.resilience.state import CheckpointError, load_state, save_state
 from repro.resilience.trainer import RECOVERY_STAGE, RecoveryStats, ResilientTrainer
@@ -49,7 +43,6 @@ __all__ = [
     "BreakerEvent",
     "BreakerState",
     "CircuitBreaker",
-    "CircuitBreakerStore",
     "CampaignResult",
     "DEFAULT_SCENARIOS",
     "FaultCampaign",
@@ -60,7 +53,6 @@ __all__ = [
     "PreemptionError",
     "StorageOutageError",
     "BrownoutWindow",
-    "FaultInjectingStore",
     "FaultPlan",
     "OutageWindow",
     "PreemptionSchedule",

@@ -1,4 +1,4 @@
-"""Circuit breaker over the remote-storage read path.
+"""Circuit breaker over a remote read path.
 
 During a fail-stop outage, every fetch burns its full retry budget before
 failing — the loader stalls on a tier that is known-down. The breaker
@@ -14,8 +14,11 @@ degraded mode:
   :data:`CLOSE_THRESHOLD` consecutive successes re-close the breaker, any
   failure re-opens it (fresh cool-down).
 
-All timing uses the wrapped store's :class:`~repro.storage.clock.SimClock`,
-so breaker trajectories are deterministic per run.
+A breaker holds no clock: its owner passes simulated time in — the
+remote store its own :class:`~repro.storage.clock.SimClock` (the breaker
+assigned to ``RemoteStore.breaker``), the shard client its transport's
+(one breaker per shard) — so breaker trajectories are deterministic per
+run.
 """
 
 from __future__ import annotations
@@ -24,14 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List
 
-import numpy as np
-
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.resilience.errors import CircuitOpenError
-from repro.storage.flaky import TransientFetchError
-from repro.storage.wrappers import StoreWrapper
 
-__all__ = ["BreakerState", "BreakerEvent", "CircuitBreaker", "CircuitBreakerStore"]
+__all__ = ["BreakerState", "BreakerEvent", "CircuitBreaker"]
 
 #: Consecutive failures that open a closed breaker.
 FAILURE_THRESHOLD = 3
@@ -161,38 +159,3 @@ class CircuitBreaker:
         if opened_at is not None:
             pairs.append((opened_at, None))
         return pairs
-
-
-class CircuitBreakerStore(StoreWrapper):
-    """Guards a store stack with a :class:`CircuitBreaker`.
-
-    Failures of the wrapped ``get`` (any
-    :class:`~repro.storage.flaky.TransientFetchError`, outage errors
-    included) feed the breaker. The failure that *trips* it — and every
-    rejected request while it cools down — surfaces as
-    :class:`~repro.resilience.errors.CircuitOpenError`, the signal the
-    semantic cache's degraded mode catches.
-    """
-
-    def __init__(self, inner, breaker: CircuitBreaker) -> None:
-        super().__init__(inner)
-        self.breaker = breaker
-
-    def get(self, index: int) -> np.ndarray:
-        now = self.clock.total_seconds
-        if not self.breaker.allow(now):
-            self.breaker.fast_failures += 1
-            raise CircuitOpenError(
-                f"circuit open at t={now:.3f}s; rejecting fetch of {index}"
-            )
-        try:
-            payload = self.inner.get(index)
-        except TransientFetchError as exc:
-            opened = self.breaker.record_failure(self.clock.total_seconds)
-            if opened:
-                raise CircuitOpenError(
-                    f"circuit opened at t={now:.3f}s fetching {index}"
-                ) from exc
-            raise
-        self.breaker.record_success(self.clock.total_seconds)
-        return payload

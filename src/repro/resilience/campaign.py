@@ -3,8 +3,9 @@
 A campaign first runs the configuration *clean* (no faults) to establish
 the accuracy/time baseline and the run's simulated duration, then replays
 it under each :class:`FaultScenario` with the fault machinery engaged:
-the store is wrapped in a :class:`~repro.resilience.faults.FaultInjectingStore`
-plus a :class:`~repro.resilience.breaker.CircuitBreakerStore`, degraded-mode
+the trainer's remote store gets the scenario's
+:class:`~repro.resilience.faults.FaultPlan` and a
+:class:`~repro.resilience.breaker.CircuitBreaker`, degraded-mode
 serving is enabled on the policy's semantic cache, and preemptions are
 driven by a :class:`~repro.resilience.preemption.PreemptionSchedule`
 through a :class:`~repro.resilience.trainer.ResilientTrainer`.
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Sequence, Tuple
 
-from repro.resilience.breaker import CircuitBreaker, CircuitBreakerStore
-from repro.resilience.faults import BrownoutWindow, FaultInjectingStore, FaultPlan, OutageWindow
+from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.resilience.preemption import PreemptionSchedule
 from repro.resilience.trainer import RECOVERY_STAGE, ResilientTrainer
 
@@ -151,24 +152,16 @@ class FaultCampaign:
         self.scenarios = list(scenarios)
 
     # ------------------------------------------------------------------
-    def _instrument(
-        self, trainer: ResilientTrainer, plan: FaultPlan
-    ) -> Tuple[FaultInjectingStore, CircuitBreaker]:
-        faulty = FaultInjectingStore(trainer.store, plan)
-        breaker = CircuitBreaker(
+    def _instrument(self, trainer: ResilientTrainer, plan: FaultPlan) -> None:
+        trainer.store.fault_plan = plan
+        trainer.store.breaker = CircuitBreaker(
             cooldown_s=BREAKER_COOLDOWN_FRAC * self._clean_time_s
         )
-        guarded = CircuitBreakerStore(faulty, breaker)
-        trainer.store = guarded
-        trainer.policy.ctx.store = guarded
-        cache = getattr(trainer.policy, "cache", None)
-        if cache is not None and hasattr(cache, "enable_degraded_mode"):
-            cache.enable_degraded_mode()
-        return faulty, breaker
+        trainer.policy.cache.enable_degraded_mode()
 
     def run(self, verbose: bool = False, log=print) -> CampaignResult:
         """Run the clean baseline, then every scenario; returns all reports."""
-        # Clean baseline: no fault wrappers at all.
+        # Clean baseline: no fault plan, no breaker.
         clean = self.make_trainer(
             checkpoint_dir=self.checkpoint_root / "clean",
             preemptions=None,
@@ -216,7 +209,7 @@ class FaultCampaign:
             preemptions=schedule,
             restart_penalty_s=scenario.restart_penalty_s,
         )
-        faulty, breaker = self._instrument(trainer, plan)
+        self._instrument(trainer, plan)
         report = ScenarioReport(scenario=scenario.name, completed=False)
         try:
             run = trainer.run()
@@ -234,11 +227,12 @@ class FaultCampaign:
         report.replayed_batches = trainer.recovery.replayed_batches
         report.lost_s = trainer.recovery.lost_s
         report.checkpoints_written = trainer.recovery.checkpoints_written
-        cache = getattr(trainer.policy, "cache", None)
-        if cache is not None and hasattr(cache, "degraded"):
-            report.degraded_substituted = cache.degraded.substituted
-            report.degraded_skipped = cache.degraded.skipped
-            report.errors_absorbed = cache.degraded.errors_absorbed
+        degraded = trainer.policy.cache.degraded
+        report.degraded_substituted = degraded.substituted
+        report.degraded_skipped = degraded.skipped
+        report.errors_absorbed = degraded.errors_absorbed
+        store = trainer.store
+        breaker = store.breaker
         report.breaker_opens = breaker.opens
         report.breaker_fast_failures = breaker.fast_failures
         report.breaker_open_s = sum(
@@ -246,6 +240,6 @@ class FaultCampaign:
             for opened, closed in breaker.reopen_close_pairs()
             if closed is not None
         )
-        report.outage_failures = faulty.outage_failures
-        report.brownout_extra_s = faulty.brownout_extra_s
+        report.outage_failures = store.outage_failures
+        report.brownout_extra_s = store.brownout_extra_s
         return report

@@ -12,8 +12,10 @@ reproducible:
 * :class:`BrownoutWindow` — latency spike: fetches succeed but cost a
   multiple of their normal simulated latency (congestion, degraded NIC).
 
-:class:`FaultPlan` composes any number of windows, and
-:class:`FaultInjectingStore` enforces the plan in front of any store.
+:class:`FaultPlan` composes any number of windows. The remote store
+enforces the plan assigned to its ``fault_plan``
+(:meth:`~repro.storage.backends.RemoteStore.get`), and the shard tier's
+simulated transport the plans in its ``fault_plans``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
-from repro.resilience.errors import StorageOutageError
-from repro.storage.wrappers import StoreWrapper
-
-__all__ = ["OutageWindow", "BrownoutWindow", "FaultPlan", "FaultInjectingStore"]
+__all__ = ["OutageWindow", "BrownoutWindow", "FaultPlan"]
 
 
 @dataclass(frozen=True)
@@ -82,41 +79,3 @@ class FaultPlan:
             if w.active(t):
                 mult *= w.latency_multiplier
         return mult
-
-
-class FaultInjectingStore(StoreWrapper):
-    """Enforces a :class:`FaultPlan` in front of any store.
-
-    The plan is evaluated against the store's own simulated clock, so a
-    given training configuration always hits the same faults at the same
-    points — runs stay reproducible, which the recovery tests rely on.
-    """
-
-    STAGE = "data_load"
-
-    def __init__(self, inner, plan: FaultPlan) -> None:
-        super().__init__(inner)
-        self.plan = plan
-        self.outage_failures = 0
-        self.brownout_fetches = 0
-        self.brownout_extra_s = 0.0
-
-    def get(self, index: int) -> np.ndarray:
-        now = self.clock.total_seconds
-        if self.plan.outage_active(now):
-            self.outage_failures += 1
-            raise StorageOutageError(
-                f"storage outage at t={now:.3f}s fetching {index}"
-            )
-        mult = self.plan.latency_multiplier(now)
-        if mult == 1.0:
-            return self.inner.get(index)
-        before = self.clock.stage_seconds(self.STAGE)
-        payload = self.inner.get(index)
-        base = self.clock.stage_seconds(self.STAGE) - before
-        extra = (mult - 1.0) * base
-        if extra > 0:
-            self.clock.advance(self.STAGE, extra)
-            self.brownout_extra_s += extra
-        self.brownout_fetches += 1
-        return payload

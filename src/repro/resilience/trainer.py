@@ -38,7 +38,6 @@ import numpy as np
 from repro.resilience.errors import PreemptionError
 from repro.resilience.preemption import PreemptionSchedule
 from repro.resilience.state import CheckpointError, load_state, save_state
-from repro.storage.wrappers import StoreWrapper
 from repro.train.metrics import EpochMetrics, TrainResult
 from repro.train.trainer import EpochAccumulator, Trainer
 
@@ -173,17 +172,12 @@ class ResilientTrainer(Trainer):
             self._write_checkpoint(order=order, acc=acc)
 
     # ------------------------------------------------------------------
-    def _base_store(self):
-        store = self.store
-        return store.unwrap() if isinstance(store, StoreWrapper) else store
-
     def _write_checkpoint(
         self,
         order: Optional[np.ndarray] = None,
         acc: Optional[EpochAccumulator] = None,
     ) -> Path:
         epoch, batch = self._cursor
-        base = self._base_store()
         state = {
             "format": CHECKPOINT_FORMAT,
             "cursor": [int(epoch), int(batch)],
@@ -197,8 +191,8 @@ class ResilientTrainer(Trainer):
             "policy": self.policy.state_dict(),
             "clock": self.clock.state_dict(),
             "store": {
-                "fetch_count": int(base.fetch_count),
-                "bytes_fetched": int(base.bytes_fetched),
+                "fetch_count": int(self.store.fetch_count),
+                "bytes_fetched": int(self.store.bytes_fetched),
             },
             "loader_skipped": int(self.loader.skipped_count),
             "trainer_rng": self._rng.bit_generator.state,
@@ -241,9 +235,8 @@ class ResilientTrainer(Trainer):
         self.optimizer.set_epoch(int(state["optim"]["epoch"]))
         self.policy.load_state_dict(state["policy"])
         self.clock.load_state_dict(state["clock"])
-        base = self._base_store()
-        base.fetch_count = int(state["store"]["fetch_count"])
-        base.bytes_fetched = int(state["store"]["bytes_fetched"])
+        self.store.fetch_count = int(state["store"]["fetch_count"])
+        self.store.bytes_fetched = int(state["store"]["bytes_fetched"])
         self.loader.skipped_count = int(state["loader_skipped"])
         self._rng.bit_generator.state = state["trainer_rng"]
         if self._result is not None:

@@ -25,7 +25,3 @@ class ConstantLatency:
     def sample(self, nbytes: int) -> float:
         """Fetch time for ``nbytes`` (deterministic)."""
         return self.base_s + nbytes / self.bandwidth_bps
-
-    def mean(self, nbytes: int) -> float:
-        """Expected fetch time (same as :meth:`sample` here)."""
-        return self.sample(nbytes)

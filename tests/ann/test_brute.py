@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ann.brute import BruteForceIndex
+from tests.ann import stored_vector
 
 
 @pytest.fixture
@@ -26,16 +27,16 @@ def test_vector_roundtrip():
     idx = BruteForceIndex(dim=3)
     v = np.array([1.0, 2.0, 3.0])
     idx.add(7, v)
-    np.testing.assert_array_equal(idx.vector(7), v)
-    # Returned vector is a copy.
-    idx.vector(7)[0] = 99.0
-    assert idx.vector(7)[0] == 1.0
+    np.testing.assert_array_equal(stored_vector(idx, 7), v)
+    # The index keeps its own copy.
+    v[0] = 99.0
+    assert stored_vector(idx, 7)[0] == 1.0
 
 
 def test_add_overwrites(idx):
     idx.add(3, np.zeros(4))
     assert len(idx) == 30
-    np.testing.assert_array_equal(idx.vector(3), np.zeros(4))
+    np.testing.assert_array_equal(stored_vector(idx, 3), np.zeros(4))
 
 
 def test_wrong_dim_rejected():
@@ -50,7 +51,7 @@ def test_bad_dim_init():
 
 
 def test_search_exact(idx):
-    q = idx.vector(10)
+    q = stored_vector(idx, 10)
     ids, dists = idx.search(q, k=1)
     assert ids[0] == 10
     # GEMM-expansion distance has ~1e-8 abs error at true zero.
@@ -101,7 +102,7 @@ def test_neighbors_within_radius(idx):
 
 
 def test_neighbors_within_batch_excludes_self(idx):
-    queries = np.stack([idx.vector(i) for i in [0, 1, 2]])
+    queries = np.stack([stored_vector(idx, i) for i in [0, 1, 2]])
     res = idx.neighbors_within_batch(queries, radius=10.0, exclude=np.array([0, 1, 2]))
     for qi, (ids, dists) in enumerate(res):
         assert qi not in ids
@@ -124,4 +125,4 @@ def test_capacity_growth():
     for i in range(10):
         idx.add(i, np.full(2, float(i)))
     assert len(idx) == 10
-    np.testing.assert_array_equal(idx.vector(9), [9.0, 9.0])
+    np.testing.assert_array_equal(stored_vector(idx, 9), [9.0, 9.0])

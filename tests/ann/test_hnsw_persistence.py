@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.ann.hnsw import HNSWIndex
 from repro.resilience.state import load_state, save_state
+from tests.ann import stored_vector
 
 DIM = 4
 
@@ -70,7 +71,7 @@ def test_roundtrip_vectors_exact(tmp_path):
     idx, data = _build(n=30)
     loaded = _restored(idx, tmp_path / "i.npz")
     for i in range(30):
-        np.testing.assert_array_equal(loaded.vector(i), idx.vector(i))
+        np.testing.assert_array_equal(stored_vector(loaded, i), stored_vector(idx, i))
 
 
 def test_loaded_index_accepts_mutations(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.ann.brute import BruteForceIndex
 from repro.ann.hnsw import HNSWIndex
+from tests.ann import stored_vector
 
 DIM = 4
 
@@ -51,7 +52,7 @@ def test_property_hnsw_mirrors_reference_set(ops, seed):
     assert len(hnsw) == len(reference)
     assert set(hnsw.ids) == set(reference)
     for key, v in reference.items():
-        np.testing.assert_array_equal(hnsw.vector(key), v)
+        np.testing.assert_array_equal(stored_vector(hnsw, key), v)
     # Search sanity: querying each stored vector finds *something*, and
     # the stored id (or a twin at the same position) whenever every node
     # reaches it at layer 0: a beam wider than the index explores all its
@@ -106,8 +107,8 @@ def test_one_add_per_row_can_lose_a_node(seed, lost, rows):
         hnsw.add(key, np.asarray(v, dtype=np.float64))
     hnsw.validate_invariants()
     assert not any(lost in hnsw.graph_neighbors(k) for k in hnsw.ids)
-    ids, _ = hnsw.search(hnsw.vector(lost), k=5, ef=64)
-    twins = [k for k in hnsw.ids if np.array_equal(hnsw.vector(k), hnsw.vector(lost))]
+    ids, _ = hnsw.search(stored_vector(hnsw, lost), k=5, ef=64)
+    twins = [k for k in hnsw.ids if np.array_equal(stored_vector(hnsw, k), stored_vector(hnsw, lost))]
     assert twins == [lost] and lost not in ids
 
 

@@ -44,9 +44,9 @@ def test_fetch_demand_fills():
     p = LRUBaselinePolicy(cache_fraction=0.5, rng=0)
     ctx = _ctx()
     p.setup(ctx)
-    o1 = p.fetch(7)
+    o1 = p.fetch_many([7])[0]
     assert o1.source == FetchSource.REMOTE
-    o2 = p.fetch(7)
+    o2 = p.fetch_many([7])[0]
     assert o2.source == FetchSource.IMPORTANCE
     np.testing.assert_array_equal(o2.payload, ctx.dataset.X[7])
 
@@ -67,7 +67,7 @@ def test_lru_low_hit_rate_under_random_sampling():
     p.setup(ctx)
     for epoch in range(5):
         for i in p.epoch_order(epoch):
-            p.fetch(int(i))
+            p.fetch_many([int(i)])
     assert p.stats().hit_ratio < 0.1
 
 
@@ -75,8 +75,8 @@ def test_lfu_policy():
     p = LFUPolicy(cache_fraction=0.2, rng=0)
     p.setup(_ctx())
     assert p.name == "lfu"
-    p.fetch(0)
-    assert p.fetch(0) is not None
+    p.fetch_many([0])
+    assert p.fetch_many([0])[0] is not None
 
 
 def test_coordl_steady_state_hit_equals_fraction():
@@ -86,11 +86,11 @@ def test_coordl_steady_state_hit_equals_fraction():
     p.setup(ctx)
     # Warm epoch.
     for i in p.epoch_order(0):
-        p.fetch(int(i))
+        p.fetch_many([int(i)])
     p.cache.stats.reset()
     for epoch in range(1, 4):
         for i in p.epoch_order(epoch):
-            p.fetch(int(i))
+            p.fetch_many([int(i)])
     assert p.stats().hit_ratio == pytest.approx(0.25, abs=0.005)
 
 
@@ -102,7 +102,7 @@ def test_coordl_beats_lru():
     coordl.setup(ctx_b)
     for epoch in range(4):
         for i in lru.epoch_order(epoch):
-            lru.fetch(int(i))
+            lru.fetch_many([int(i)])
         for i in coordl.epoch_order(epoch):
-            coordl.fetch(int(i))
+            coordl.fetch_many([int(i)])
     assert coordl.stats().hit_ratio > lru.stats().hit_ratio

@@ -40,8 +40,8 @@ def test_scores_saturate():
 def test_policy_fetch_and_cache():
     p = GradNormISPolicy(cache_fraction=0.5, rng=0)
     p.setup(_ctx())
-    assert p.fetch(3).source == FetchSource.REMOTE
-    assert p.fetch(3).source == FetchSource.IMPORTANCE
+    assert p.fetch_many([3])[0].source == FetchSource.REMOTE
+    assert p.fetch_many([3])[0].source == FetchSource.IMPORTANCE
 
 
 def test_policy_score_updates():

@@ -55,8 +55,8 @@ def test_imp_raw_losses_as_scores():
 def test_imp_fetch_hit_miss():
     p = ICacheImpPolicy(cache_fraction=0.5, rng=0)
     p.setup(_ctx())
-    assert p.fetch(1).source == FetchSource.REMOTE
-    assert p.fetch(1).source == FetchSource.IMPORTANCE
+    assert p.fetch_many([1])[0].source == FetchSource.REMOTE
+    assert p.fetch_many([1])[0].source == FetchSource.IMPORTANCE
 
 
 # ----------------------------------------------------------------------
@@ -83,12 +83,12 @@ def test_full_l_section_exact_hit():
     # Fill the H cache (capacity 28) with higher-importance items first.
     p.score_table.update(np.arange(50, 80), np.full(30, 10.0))
     for i in range(50, 78):
-        p.fetch(i)
-    o = p.fetch(1)  # low score -> lands in L section
+        p.fetch_many([i])
+    o = p.fetch_many([1])[0]  # low score -> lands in L section
     assert o.source == FetchSource.REMOTE
-    o2 = p.fetch(1)
+    o2 = p.fetch_many([1])[0]
     assert o2.source == FetchSource.L_SECTION  # L exact hit
-    assert not o2.substituted
+    assert o2.served_id == o2.requested_id
 
 
 def test_full_random_substitution():
@@ -98,10 +98,10 @@ def test_full_random_substitution():
     p.score_table.update(np.arange(100), np.full(100, 0.001))
     p.score_table.update(np.arange(50, 80), np.full(30, 10.0))
     for i in range(50, 78):  # fill H
-        p.fetch(i)
-    p.fetch(1)  # seeds the L section
-    o = p.fetch(2)  # L miss -> substituted by the only L resident (1)
-    assert o.substituted
+        p.fetch_many([i])
+    p.fetch_many([1])  # seeds the L section
+    o = p.fetch_many([2])[0]  # L miss -> substituted by the only L resident (1)
+    assert o.served_id != o.requested_id
     assert o.served_id == 1
     assert p.stats().substitute_hits >= 1
 
@@ -109,8 +109,8 @@ def test_full_random_substitution():
 def test_full_substitution_never_for_h_samples():
     p = ICacheFullPolicy(cache_fraction=0.2, substitute_prob=1.0, rng=0)
     p.setup(_ctx())
-    p.fetch(1)  # first fetch: H cache not full, 1 admitted to H
-    o = p.fetch(2)
+    p.fetch_many([1])  # first fetch: H cache not full, 1 admitted to H
+    o = p.fetch_many([2])[0]
     # Score of 2 (default 1.0) > H threshold once H below capacity... the
     # key invariant: an H-grade sample is never substituted.
     h_threshold = p.cache.importance.min_score()
@@ -121,7 +121,7 @@ def test_full_stats_request_count_consistent():
     p = ICacheFullPolicy(cache_fraction=0.3, rng=0)
     p.setup(_ctx())
     for i in range(50):
-        p.fetch(i % 20)
+        p.fetch_many([i % 20])
     assert p.stats().requests == 50
 
 
@@ -131,9 +131,9 @@ def test_full_random_replacement_evicts():
     p.score_table.update(np.arange(100), np.full(100, 0.001))
     p.score_table.update(np.arange(50, 60), np.full(10, 5.0))
     for i in range(50, 57):  # fill H (capacity 7)
-        p.fetch(i)
+        p.fetch_many([i])
     for i in range(20):  # churn L
-        p.fetch(i)
+        p.fetch_many([i])
     l_section = p.cache.layers[-1]
     assert len(l_section) <= 3
     assert l_section.stats.evictions > 0

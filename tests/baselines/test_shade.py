@@ -50,9 +50,9 @@ def test_rank_scores_scale_invariant():
 def test_setup_and_fetch():
     p = ShadePolicy(cache_fraction=0.5, rng=0)
     p.setup(_ctx())
-    o1 = p.fetch(3)
+    o1 = p.fetch_many([3])[0]
     assert o1.source == FetchSource.REMOTE
-    o2 = p.fetch(3)
+    o2 = p.fetch_many([3])[0]
     assert o2.source == FetchSource.IMPORTANCE
 
 

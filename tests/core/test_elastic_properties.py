@@ -151,4 +151,4 @@ def test_coordinate_under_a_shard_outage_keeps_tiers_in_lockstep(traj):
         owned = {k for k, s in client._loc["imp"].items() if s == sid}
         assert set(server.keys("imp")) == owned
     assert mono.importance.capacity == client.importance.capacity
-    assert sorted(mono.importance.keys()) == sorted(client.importance.keys())
+    assert sorted(mono.importance._items) == sorted(client.importance._items)

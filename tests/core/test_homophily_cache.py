@@ -11,8 +11,8 @@ from repro.core.homophily_cache import HomophilyCache
 def test_update_and_cover():
     c = HomophilyCache(2)
     assert c.update(10, "payload10", [1, 2, 3])
-    assert c.covers(1) and c.covers(2) and c.covers(10)
-    assert not c.covers(99)
+    assert all(c.serve_key(i) is not None for i in (1, 2, 10))
+    assert c.serve_key(99) is None
 
 
 def test_lookup_substitute():
@@ -47,8 +47,8 @@ def test_fifo_eviction():
     c.update(2, "b", [20])
     c.update(3, "c", [30])  # evicts 1
     assert 1 not in c
-    assert not c.covers(10)
-    assert c.covers(20) and c.covers(30)
+    assert c.serve_key(10) is None
+    assert c.serve_key(20) is not None and c.serve_key(30) is not None
     assert c.stats.evictions == 1
 
 
@@ -59,7 +59,7 @@ def test_duplicate_node_skipped():
     assert not c.update(1, "a2", [99])
     key, payload = c.lookup(10)
     assert payload == "a"
-    assert not c.covers(99)
+    assert c.serve_key(99) is None
 
 
 def test_most_recent_cover_wins():
@@ -75,7 +75,7 @@ def test_eviction_cleans_neighbor_map():
     c.update(1, "a", [10, 11])
     c.update(2, "b", [10])
     # 1 evicted: 11 uncovered, 10 still covered by 2.
-    assert not c.covers(11)
+    assert c.serve_key(11) is None
     key, _ = c.lookup(10)
     assert key == 2
 
@@ -105,7 +105,7 @@ def test_keys_in_fifo_order():
     c = HomophilyCache(3)
     c.update(3, "x", [1])
     c.update(1, "y", [2])
-    assert c.keys() == [3, 1]
+    assert list(c._items) == [3, 1]
 
 
 def newest_cover_by_walking_the_fifo(cache, index):

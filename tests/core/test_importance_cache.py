@@ -152,7 +152,7 @@ def test_scores_snapshot():
     snap = dict(_scores(c))
     assert snap == {1: 0.5, 2: 0.3}
     assert 1 in c and 3 not in c
-    assert c.keys() == [1, 2]  # admission order
+    assert list(c._items) == [1, 2]  # admission order
 
 
 @given(
@@ -257,7 +257,7 @@ def test_property_eviction_order_matches_reference(ops, cap):
             restored.load_state_dict(c.state_dict())
             c = restored
         c.check_invariants()
-        assert c.keys() == list(ref.live)
+        assert list(c._items) == list(ref.live)
         assert _scores(c) == [(k, s) for k, (s, _) in ref.live.items()]
         assert c.min_score() == (ref.live[ref.order()[0]][0] if ref.live else None)
     assert c.resize(0) == ref.order()
@@ -305,7 +305,7 @@ def test_restores_a_snapshot_in_heap_array_order():
     c = ImportanceCache(0)
     c.load_state_dict(state)
     c.check_invariants()
-    assert c.keys() == [1, 2, 3, 4]
+    assert list(c._items) == [1, 2, 3, 4]
     assert c.lookup(4) == (4, 40)
     # A new admission gets tiebreak 4: it outlives the old ties at 0.3.
     c.resize(5)

@@ -53,9 +53,9 @@ def test_epoch_order_length_and_range():
 
 def test_fetch_miss_then_hit():
     p, ctx = _setup_policy(cache_fraction=0.5)
-    o1 = p.fetch(3)
+    o1 = p.fetch_many([3])[0]
     assert o1.source == FetchSource.REMOTE
-    o2 = p.fetch(3)
+    o2 = p.fetch_many([3])[0]
     assert o2.source == FetchSource.IMPORTANCE
     np.testing.assert_array_equal(o2.payload, ctx.dataset.X[3])
 
@@ -64,7 +64,7 @@ def test_stats_admissions_and_evictions_are_the_layer_sums():
     p, ctx = _setup_policy(cache_fraction=0.05)
     p.score_table.update(np.arange(30), np.linspace(1.0, 2.0, 30))
     for i in range(30):  # each score beats the resident minimum
-        p.fetch(i)
+        p.fetch_many([i])
     p.cache.update_homophily(100, ctx.dataset.X[100], [101])
     counts, stats = p.cache.counters(), p.stats()
     assert stats.insertions == (
@@ -115,8 +115,8 @@ def test_homophily_neighbor_class_filter():
     ids = np.arange(20)
     emb = np.random.default_rng(6).normal(0, 0.01, size=(20, 16))
     p.after_batch(ids, ids, np.ones(20), emb, epoch=0)
-    for key in p.cache.homophily.keys():
-        for n in p.cache.homophily._items[key]:
+    for key, neighbors in p.cache.homophily._items.items():
+        for n in neighbors:
             assert labels[n] == labels[key]
 
 
@@ -126,8 +126,8 @@ def test_hom_neighbor_limit_respected():
     ids = np.arange(30)
     emb = np.random.default_rng(7).normal(0, 0.01, size=(30, 16))
     p.after_batch(ids, ids, np.ones(30), emb, epoch=0)
-    for key in p.cache.homophily.keys():
-        assert len(p.cache.homophily._items[key]) <= 3
+    for neighbors in p.cache.homophily._items.values():
+        assert len(neighbors) <= 3
 
 
 def test_after_epoch_elastic_adjusts():
@@ -152,8 +152,8 @@ def test_elastic_disabled_keeps_ratio():
 
 def test_stats_delegates_to_cache():
     p, ctx = _setup_policy(cache_fraction=0.5)
-    p.fetch(0)
-    p.fetch(0)
+    p.fetch_many([0])
+    p.fetch_many([0])
     s = p.stats()
     assert s.requests == 2
     assert s.hits == 1
@@ -164,21 +164,21 @@ def test_fetch_many_is_the_fetch_loop():
     ids = np.random.default_rng(0).integers(0, 40, size=120)
     one, _ = _setup_policy(cache_fraction=0.1)
     many, _ = _setup_policy(cache_fraction=0.1)
-    want = [one.fetch(int(i)) for i in ids]
+    want = [one.fetch_many([int(i)])[0] for i in ids]
     got = []
     for start in range(0, len(ids), 16):
         got.extend(many.fetch_many(ids[start:start + 16]))
     assert [(o.requested_id, o.served_id, o.source) for o in got] == \
         [(o.requested_id, o.served_id, o.source) for o in want]
     assert many.stats() == one.stats()
-    assert many.cache.importance.keys() == one.cache.importance.keys()
+    assert list(many.cache.importance._items) == list(one.cache.importance._items)
 
 
 def test_is_only_mode_zero_cache():
     p, ctx = _setup_policy(cache_fraction=0.0)
-    out = p.fetch(5)
+    out = p.fetch_many([5])[0]
     assert out.source == FetchSource.REMOTE
-    out = p.fetch(5)
+    out = p.fetch_many([5])[0]
     assert out.source == FetchSource.REMOTE  # nothing cached
     assert p.stats().hit_ratio == 0.0
 

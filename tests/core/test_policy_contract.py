@@ -78,7 +78,7 @@ def _radius_and_scores_move(run, base):
 
 def _covered(run):
     hom = run.policy.cache.homophily
-    return sum(len(hom._items[k]) for k in hom.keys())
+    return sum(len(v) for v in hom._items.values())
 
 
 def _monitor_inactive(run, base):

@@ -78,10 +78,7 @@ def test_hom_radius_scale_gates_neighbors():
         p.setup(_ctx())
         p.after_batch(ids, ids, np.ones(20), emb, epoch=0)
     def covered(p):
-        return sum(
-            len(p.cache.homophily._items[k])
-            for k in p.cache.homophily.keys()
-        )
+        return sum(len(v) for v in p.cache.homophily._items.values())
     assert covered(loose) >= covered(tight)
 
 

@@ -42,7 +42,7 @@ def test_prefetch_fills_with_top_scores():
     assert len(imp) == imp.capacity
     # The cached set is exactly the top-capacity scored samples.
     expected = set(range(200 - imp.capacity, 200))
-    assert set(imp.keys()) == expected
+    assert set(imp._items) == expected
     assert p.prefetch_count == imp.capacity
     assert ctx.store.fetch_count == imp.capacity  # prefetches are real I/O
 
@@ -61,7 +61,7 @@ def test_prefetch_skips_resident_samples():
     ctx = _ctx()
     p.setup(ctx)
     p.score_table.update(np.arange(200), np.linspace(0.01, 1.0, 200))
-    p.fetch(199)  # already resident with top score
+    p.fetch_many([199])  # already resident with top score
     before = ctx.store.fetch_count
     p.before_epoch(1)
     assert 199 in p.cache.importance

@@ -45,7 +45,7 @@ def test_case1_importance_hit(cache):
     out = cache.fetch(1, 0.4, get)
     assert out.source == FetchSource.IMPORTANCE
     assert out.payload == "p1"
-    assert not out.substituted
+    assert out.served_id == out.requested_id
     assert calls == [1]  # remote touched only once
 
 
@@ -69,7 +69,7 @@ def test_case3_homophily_substitution(cache):
     assert out.source == FetchSource.HOMOPHILY
     assert out.served_id == 10
     assert out.payload == "p10"
-    assert out.substituted
+    assert out.served_id != out.requested_id
     assert calls == []  # no remote fetch
     assert cache.stats.substitute_hits == 1
 
@@ -98,7 +98,7 @@ def test_homophily_node_exact_hit_counts_as_hit(cache):
     cache.update_homophily(10, "p10", [5])
     out = cache.fetch(10, 0.1, get)
     assert out.source == FetchSource.HOMOPHILY
-    assert not out.substituted
+    assert out.served_id == out.requested_id
     assert cache.stats.hits == 1
 
 
@@ -145,7 +145,7 @@ def test_hit_ratio_aggregate(cache):
     cache.update_homophily(10, "x", [7])
     cache.fetch(7, 0.1, get)   # substitute hit
     assert cache.stats.requests == 3
-    assert cache.hit_ratio == pytest.approx(2 / 3)
+    assert cache.stats.hit_ratio == pytest.approx(2 / 3)
 
 
 def test_len_counts_both_layers(cache):

@@ -99,4 +99,4 @@ def test_property_importance_only_matches_reference(keys, capacity):
             assert out.source == FetchSource.REMOTE
             if len(resident) < capacity:
                 resident.add(k)
-    assert set(cache.importance.keys()) == resident
+    assert set(cache.importance._items) == resident

@@ -56,8 +56,8 @@ def check_invariants(cli):
     assert len(cli.importance) <= cli.importance.capacity
     assert len(cli.homophily) <= cli.homophily.capacity
     cli.importance.check_invariants()
-    assert set(cli.importance.keys()) == set(cli._loc["imp"])
-    assert set(cli.homophily.keys()) == set(cli._loc["hom"])
+    assert set(cli.importance._items) == set(cli._loc["imp"])
+    assert set(cli.homophily._items) == set(cli._loc["hom"])
     snaps = cli.shard_snapshots()
     assert sum(s["imp_len"] for s in snaps) == len(cli._loc["imp"])
     assert sum(s["hom_len"] for s in snaps) == len(cli.homophily)
@@ -75,7 +75,7 @@ def test_admits_during_outage_are_dropped_not_corrupting(breakers_never_open):
     cli = make_client()
     populate(cli)
     before_len = len(cli)
-    before_keys = set(cli._loc["imp"]) | set(cli.homophily.keys())
+    before_keys = set(cli._loc["imp"]) | set(cli.homophily._items)
     cli.transport.fault_plans[0] = OUTAGE
     cli.transport.fault_plans[1] = OUTAGE
     for k in range(100, 140):
@@ -83,7 +83,7 @@ def test_admits_during_outage_are_dropped_not_corrupting(breakers_never_open):
         cli.update_homophily(3000 + k, payload(k), [k])
     assert cli.dropped_admits == 80
     assert len(cli) == before_len  # metadata untouched
-    assert set(cli._loc["imp"]) | set(cli.homophily.keys()) == before_keys
+    assert set(cli._loc["imp"]) | set(cli.homophily._items) == before_keys
     check_invariants(cli)
     # Recovery: the cache works again and can admit.
     cli.transport.fault_plans[0] = None

@@ -81,7 +81,7 @@ def deep_equal(a, b, path=""):
 
 def assert_bit_identical(mono, cli):
     deep_equal(mono.state_dict(), cli.state_dict())
-    assert mono.hit_ratio == cli.hit_ratio
+    assert mono.stats.hit_ratio == cli.stats.hit_ratio
     assert len(mono) == len(cli)
     assert cli.dropped_admits == 0 and cli.degraded_lookups == 0
 

@@ -172,7 +172,7 @@ def test_in_batch_eviction_makes_the_later_request_a_miss(n_shards):
     outs = client.fetch_many([2, 0], [10.0, 20.0], payload)
     assert [(o.served_id, o.source.value) for o in outs] == \
         [(2, "remote"), (0, "remote")]
-    assert sorted(client.importance.keys()) == [0, 2]  # 1 went for 0
+    assert sorted(client.importance._items) == [0, 2]  # 1 went for 0
     last = spans(recorder, "fetch_batch")[-1]
     assert (last["n"], last["prefetched"], last["unused"]) == (2, 1, 1)
     assert_quiescent(client)
@@ -252,5 +252,5 @@ def test_victim_deletes_ride_the_next_frame_to_their_shard():
     # 3 puts (two carrying the previous victim) + 1 closing bulk_delete;
     # the per-request path takes 3 puts + 3 deletes.
     assert client.transport.calls - before == 4
-    assert sorted(client.importance.keys()) == [3, 10, 11, 12]
+    assert sorted(client.importance._items) == [3, 10, 11, 12]
     assert_quiescent(client)

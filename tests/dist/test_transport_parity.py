@@ -113,7 +113,7 @@ def assert_transports_agree(sim, real):
     the clock the RPCs were charged to."""
     deep_equal(sim.state_dict(), real.state_dict())
     assert sim.clock.breakdown() == real.clock.breakdown()
-    assert sim.hit_ratio == real.hit_ratio
+    assert sim.stats.hit_ratio == real.stats.hit_ratio
     assert len(sim) == len(real)
     for cli in (sim, real):
         assert cli.dropped_admits == 0 and cli.degraded_lookups == 0

@@ -96,7 +96,7 @@ def ledger(cli):
         "per_shard_calls": dict(cli.transport.per_shard_calls),
         "per_shard_failures": dict(cli.transport.per_shard_failures),
         "imp_keys": sorted(cli._loc["imp"]),
-        "hom_keys": sorted(cli.homophily.keys()),
+        "hom_keys": sorted(cli.homophily._items),
         "len": len(cli),
         "breakers": [b.state.value for b in cli.breakers.values()],
         "snapshots": snaps,

@@ -1,16 +1,12 @@
-"""Circuit-breaker state machine and store-guard tests."""
+"""Circuit-breaker state machine, and the remote store it guards."""
 
 import numpy as np
 import pytest
 
 from repro.resilience import breaker
-from repro.resilience.breaker import (
-    BreakerState,
-    CircuitBreaker,
-    CircuitBreakerStore,
-)
+from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.errors import CircuitOpenError, StorageOutageError
-from repro.resilience.faults import FaultInjectingStore, FaultPlan, OutageWindow
+from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
@@ -86,48 +82,44 @@ def test_events_and_recovery_pairs(monkeypatch):
 def test_breaker_store_trips_then_fails_fast_then_recloses(monkeypatch):
     store = _store()
     clock = store.clock
-    faulty = FaultInjectingStore(
-        store, FaultPlan(outages=[OutageWindow(0.0, 1.0)])
-    )
-    br = _breaker(monkeypatch, failure_threshold=2, cooldown_s=0.5)
-    guarded = CircuitBreakerStore(faulty, br)
+    store.fault_plan = FaultPlan(outages=[OutageWindow(0.0, 1.0)])
+    br = store.breaker = _breaker(monkeypatch, failure_threshold=2, cooldown_s=0.5)
 
     # Below threshold: the original outage error propagates.
     with pytest.raises(StorageOutageError):
-        guarded.get(0)
+        store.get(0)
     # Threshold reached: the breaker trips, surfacing CircuitOpenError.
     with pytest.raises(CircuitOpenError):
-        guarded.get(1)
+        store.get(1)
     assert br.state is BreakerState.OPEN
 
-    # While open: fail-fast without touching the inner store.
-    failures_before = faulty.outage_failures
+    # While open: fail-fast before the fault plan is consulted.
+    failures_before = store.outage_failures
     with pytest.raises(CircuitOpenError):
-        guarded.get(2)
-    assert faulty.outage_failures == failures_before
+        store.get(2)
+    assert store.outage_failures == failures_before
     assert br.fast_failures == 1
 
     # Cooldown elapses but the outage persists: the half-open probe fails
     # and the breaker reopens.
     clock.advance("data_load", 0.6)
     with pytest.raises(CircuitOpenError):
-        guarded.get(3)
+        store.get(3)
     assert br.state is BreakerState.OPEN
     assert br.opens == 2
 
     # Outage over + cooldown over: the probe succeeds and the breaker
     # re-closes.
     clock.advance("data_load", 1.0)
-    np.testing.assert_array_equal(guarded.get(4), store.peek(4))
+    np.testing.assert_array_equal(store.get(4), store.peek(4))
     assert br.state is BreakerState.CLOSED
-    assert guarded.fetch_count == 1  # counters forward through the stack
+    assert store.fetch_count == 1
 
 
 def test_breaker_store_passthrough_when_healthy():
     store = _store()
-    guarded = CircuitBreakerStore(store, CircuitBreaker())
+    store.breaker = CircuitBreaker()
     for i in range(5):
-        guarded.get(i)
-    assert guarded.breaker.state is BreakerState.CLOSED
-    assert guarded.fetch_count == 5
-    assert guarded.unwrap() is store
+        store.get(i)
+    assert store.breaker.state is BreakerState.CLOSED
+    assert store.fetch_count == 5

@@ -8,7 +8,6 @@ from repro.storage.latency import ConstantLatency
 def test_constant_formula():
     lat = ConstantLatency(base_s=1e-3, bandwidth_bps=1e6)
     assert lat.sample(1000) == pytest.approx(1e-3 + 1e-3)
-    assert lat.mean(1000) == lat.sample(1000)
 
 
 def test_constant_monotone_in_size():

@@ -2,8 +2,9 @@
 
 Every ``make <target>`` is a Makefile target, every ``python -m repro
 <cmd>`` is a parser subcommand, every ``benchmarks/*.py`` /
-``tests/**/*.py`` path is a file. Docs outlive the code they describe
-unless something fails when they do.
+``tests/**/*.py`` path is a file, and every bare ``test_*.py`` name is
+exactly one file under ``tests/`` or ``benchmarks/``. Docs outlive the
+code they describe unless something fails when they do.
 """
 
 import re
@@ -50,3 +51,13 @@ def test_test_and_bench_paths_exist():
     mentions = _mentions(r"\b((?:benchmarks|tests)/[\w/.-]*\.py)")
     assert mentions
     assert not [m for m in mentions if not (ROOT / m[1]).is_file()]
+
+
+def test_bare_test_file_names_resolve():
+    mentions = _mentions(r"(?<![\w/.-])(test_\w+\.py)")
+    assert mentions
+    files = [
+        path.name for top in ("tests", "benchmarks")
+        for path in (ROOT / top).rglob("test_*.py")
+    ]
+    assert not [m for m in mentions if files.count(m[1]) != 1]

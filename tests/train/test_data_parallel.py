@@ -97,7 +97,7 @@ def test_spider_policy_per_worker_caches(data):
     # Each worker's cache only holds ids from its own shard space.
     for w in dp.workers:
         local_n = len(w.shard)
-        for key in w.policy.cache.importance.keys():
+        for key in w.policy.cache.importance._items:
             assert 0 <= key < local_n
 
 

@@ -21,7 +21,7 @@ def test_unbound_policy_raises():
     with pytest.raises(RuntimeError):
         p.epoch_order(0)
     with pytest.raises(RuntimeError):
-        p.fetch(0)
+        p.fetch_many([0])
 
 
 def test_default_epoch_order_permutation():
@@ -37,7 +37,7 @@ def test_default_fetch_always_remote():
     ctx = _ctx()
     p.setup(ctx)
     for _ in range(3):
-        out = p.fetch(7)
+        out = p.fetch_many([7])[0]
         assert out.source == FetchSource.REMOTE
         assert out.served_id == 7
     assert ctx.store.fetch_count == 3
