@@ -89,17 +89,13 @@ class CacheStats:
         return dataclasses.asdict(self)
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot.
-
-        Snapshots written before degraded serves got a dedicated counter
-        lack the key; they load as zero.
-        """
+        """Restore a :meth:`state_dict` snapshot."""
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])
         self.substitute_hits = int(state["substitute_hits"])
         self.evictions = int(state["evictions"])
         self.insertions = int(state["insertions"])
-        self.degraded_serves = int(state.get("degraded_serves", 0))
+        self.degraded_serves = int(state["degraded_serves"])
 
 
 class Cache:

@@ -377,6 +377,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_faults(args) -> int:
+    import contextlib
     import tempfile
     from pathlib import Path
 
@@ -393,10 +394,6 @@ def _cmd_faults(args) -> int:
             return 2
         scenarios = [by_name[n] for n in args.scenarios]
 
-    root = Path(args.checkpoint_dir) if args.checkpoint_dir else Path(
-        tempfile.mkdtemp(prefix="repro-faults-")
-    )
-
     def make_trainer(checkpoint_dir, preemptions, restart_penalty_s):
         train, test, make_model, make_policy = _build_parts(args, args.policy)
         model = make_model()
@@ -409,9 +406,15 @@ def _cmd_faults(args) -> int:
             restart_penalty_s=restart_penalty_s,
         )
 
-    campaign = FaultCampaign(make_trainer, root, scenarios)
-    result = campaign.run(verbose=True,
-                          log=lambda m: print(m, file=sys.stderr))
+    # Without --checkpoint-dir the checkpoints live only as long as the run.
+    checkpoints = (
+        contextlib.nullcontext(args.checkpoint_dir) if args.checkpoint_dir
+        else tempfile.TemporaryDirectory(prefix="repro-faults-")
+    )
+    with checkpoints as root:
+        campaign = FaultCampaign(make_trainer, Path(root), scenarios)
+        result = campaign.run(verbose=True,
+                              log=lambda m: print(m, file=sys.stderr))
     print(result.format_table())
     return 0
 

@@ -294,13 +294,12 @@ class SpiderCachePolicy(ISPolicy):
             score = self.score_table.get(idx)
             if imp.refuses(score):
                 break  # remaining candidates score even lower
-            try:
-                payload = ctx.store.get(idx)  # real I/O, charges latency
-            except self.cache.degrade_on:
+            payload = ctx.store.get(idx)  # real I/O, charges latency
+            if payload is None:
                 # Remote tier down mid-prefetch: stop topping up the cache
                 # rather than aborting the epoch. Training proceeds with
                 # whatever is already resident.
-                self.cache.degraded.errors_absorbed += 1
+                self.cache.errors_absorbed += 1
                 break
             self.prefetch_count += 1
             admitted = imp.admit(idx, score, payload)

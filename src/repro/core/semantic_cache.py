@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cache.base import Cache, CacheStats, FetchSource
 from repro.cache.payload_store import LocalPayloadStore, PayloadStore
@@ -41,7 +41,7 @@ from repro.core.homophily_cache import HomophilyCache
 from repro.core.importance_cache import ImportanceCache
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-__all__ = ["SemanticCache", "FetchSource", "FetchOutcome", "DegradedStats", "split_capacity"]
+__all__ = ["SemanticCache", "FetchSource", "FetchOutcome", "split_capacity"]
 
 
 def split_capacity(total: int, ratio: float) -> int:
@@ -54,36 +54,6 @@ def split_capacity(total: int, ratio: float) -> int:
     into a sawtooth. Half-up is deterministic and monotone.
     """
     return int(floor(total * ratio + 0.5))
-
-
-@dataclass
-class DegradedStats:
-    """Counters for degraded-mode serving (remote tier unavailable)."""
-
-    substituted_homophily: int = 0  # widened homophily substitutions
-    substituted_importance: int = 0  # last-resort importance-cache serves
-    skipped: int = 0  # nothing resident; sample dropped
-    errors_absorbed: int = 0  # remote failures converted to degraded serves
-
-    @property
-    def substituted(self) -> int:
-        return self.substituted_homophily + self.substituted_importance
-
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the counters."""
-        return {
-            "substituted_homophily": self.substituted_homophily,
-            "substituted_importance": self.substituted_importance,
-            "skipped": self.skipped,
-            "errors_absorbed": self.errors_absorbed,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        self.substituted_homophily = int(state["substituted_homophily"])
-        self.substituted_importance = int(state["substituted_importance"])
-        self.skipped = int(state["skipped"])
-        self.errors_absorbed = int(state["errors_absorbed"])
 
 
 @dataclass
@@ -141,11 +111,11 @@ class SemanticCache:
             (l for l in self.layers if isinstance(l, HomophilyCache)), None
         )
         self.stats = CacheStats()  # aggregate over the layers
-        # Degraded-mode serving: exception types from ``remote_get`` that
-        # trigger widened substitution instead of propagating. Empty by
-        # default — plain runs keep strict fail-on-error semantics.
-        self.degrade_on: Tuple[Type[BaseException], ...] = ()
-        self.degraded = DegradedStats()
+        # Degraded serving (remote tier unreachable): requests dropped for
+        # want of any resident stand-in, and unreachable reads absorbed
+        # (by a fetch or by the importance prefetch).
+        self.skipped = 0
+        self.errors_absorbed = 0
         self._obs = NULL_OBSERVER
 
     def _payload_store(self, layer: str) -> PayloadStore:
@@ -196,7 +166,8 @@ class SemanticCache:
     ) -> FetchOutcome:
         """Serve one sample request: the first layer that serves it, else
         ``remote_get`` (invoked only on a miss in every layer), offered to
-        the layers in order for admission.
+        the layers in order for admission. A ``remote_get`` that answers
+        ``None`` (the remote tier is unreachable) is served degraded.
 
         ``score`` is the requester's current global importance score, used
         by the layers' lookup and admission decisions.
@@ -214,10 +185,9 @@ class SemanticCache:
                     obs.on_fetch(index, key, layer.source)
                 return FetchOutcome(index, key, payload, layer.source)
 
-        try:
-            payload = remote_get(index)
-        except self.degrade_on:
-            self.degraded.errors_absorbed += 1
+        payload = remote_get(index)
+        if payload is None:
+            self.errors_absorbed += 1
             return self._degraded_fetch(index)
         self.stats.misses += 1
         if obs.active:
@@ -237,17 +207,6 @@ class SemanticCache:
         return [self.fetch(i, s, remote_get) for i, s in zip(indices, scores)]
 
     # ------------------------------------------------------------------
-    def enable_degraded_mode(self) -> None:
-        """Serve degraded instead of raising when ``remote_get`` fails with
-        a breaker rejection (:class:`~repro.resilience.errors.DegradedModeError`)
-        or a raw transient fetch failure, so an un-broken flaky store
-        degrades too rather than crashing the epoch.
-        """
-        from repro.resilience.errors import DegradedModeError
-        from repro.storage.flaky import TransientFetchError
-
-        self.degrade_on = (DegradedModeError, TransientFetchError)
-
     def _degraded_fetch(self, index: int) -> FetchOutcome:
         """Close-enough-beats-nothing serving while the remote tier is down.
 
@@ -258,9 +217,9 @@ class SemanticCache:
         neither layer can serve is the sample skipped — the loader drops it
         from the batch rather than aborting training.
 
-        Accounting: degraded serves go to :class:`DegradedStats` and the
-        dedicated ``stats.degraded_serves`` counter only. They do *not*
-        count as ``substitute_hits`` — folding them in silently inflated
+        Accounting: degraded serves go to the dedicated
+        ``stats.degraded_serves`` counter only, skips to ``skipped``. They do
+        *not* count as ``substitute_hits`` — folding them in silently inflated
         ``hit_ratio``/``exact_hit_ratio`` during outages, making
         fault-campaign hit ratios incomparable to clean runs.
         """
@@ -271,7 +230,6 @@ class SemanticCache:
         if node is not None:
             key, payload = node
             self.stats.degraded_serves += 1
-            self.degraded.substituted_homophily += 1
             if obs.active:
                 obs.on_fetch(index, key, FetchSource.DEGRADED)
                 obs.on_audit(
@@ -285,7 +243,6 @@ class SemanticCache:
         if resident is not None:
             key, payload = resident
             self.stats.degraded_serves += 1
-            self.degraded.substituted_importance += 1
             if obs.active:
                 obs.on_fetch(index, key, FetchSource.DEGRADED)
                 obs.on_audit(
@@ -295,7 +252,7 @@ class SemanticCache:
                 )
             return FetchOutcome(index, key, payload, FetchSource.DEGRADED)
         self.stats.misses += 1
-        self.degraded.skipped += 1
+        self.skipped += 1
         if obs.active:
             obs.on_fetch(index, index, FetchSource.SKIPPED)
         return FetchOutcome(index, index, None, FetchSource.SKIPPED)
@@ -323,14 +280,12 @@ class SemanticCache:
         """Requests by where they were served, and each layer's admissions
         and evictions, under the metrics names (read by
         :meth:`~repro.obs.observer.Observer.snapshot`)."""
-        stats, degraded = self.stats, self.degraded
+        stats = self.stats
         counters = {
             "cache.fetches": stats.requests + stats.degraded_serves,
-            "cache.fetch.remote": stats.misses - degraded.skipped,
-            "cache.fetch.degraded": degraded.substituted,
-            "cache.fetch.skipped": degraded.skipped,
-            "degraded.substituted": degraded.substituted,
-            "degraded.skipped": degraded.skipped,
+            "cache.fetch.remote": stats.misses - self.skipped,
+            "cache.fetch.degraded": stats.degraded_serves,
+            "cache.fetch.skipped": self.skipped,
         }
         for layer in self.layers:
             served = layer.stats.hits + layer.stats.substitute_hits
@@ -346,7 +301,8 @@ class SemanticCache:
             "total_capacity": self.total_capacity,
             "imp_ratio": self._imp_ratio,
             "stats": self.stats.state_dict(),
-            "degraded": self.degraded.state_dict(),
+            "skipped": self.skipped,
+            "errors_absorbed": self.errors_absorbed,
         }
         for layer in self.layers:
             state[layer.source.value] = layer.state_dict()
@@ -362,6 +318,7 @@ class SemanticCache:
             raise ValueError("semantic-cache snapshot capacity mismatch")
         self._imp_ratio = float(state["imp_ratio"])
         self.stats.load_state_dict(state["stats"])
-        self.degraded.load_state_dict(state["degraded"])
+        self.skipped = int(state["skipped"])
+        self.errors_absorbed = int(state["errors_absorbed"])
         for layer in self.layers:
             layer.load_state_dict(state[layer.source.value])

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dist.ring import splitmix64
 from repro.dist.rpc import RpcError
+from repro.utils.hashing import splitmix64
 
 __all__ = ["RetryPolicy", "RetryBudgetExhausted"]
 

@@ -11,23 +11,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Tuple
 
-__all__ = ["splitmix64", "ConsistentHashRing"]
+from repro.utils.hashing import splitmix64
 
-_MASK = (1 << 64) - 1
+__all__ = ["ConsistentHashRing"]
+
 #: Hash-domain seed; any fixed value works, but every participant of one
 #: cache service must agree on it.
 SEED = 0x5D15C0DE
 #: Virtual nodes per shard; more balance at the cost of a larger sorted
 #: point array.
 VNODES = 64
-
-
-def splitmix64(x: int) -> int:
-    """One splitmix64 finalizer round — a cheap, well-mixed 64-bit hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return (z ^ (z >> 31)) & _MASK
 
 
 class ConsistentHashRing:

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.utils.hashing import splitmix64
+
 __all__ = [
     "Span",
     "SpanTracker",
@@ -62,23 +64,9 @@ _MASK = (1 << 64) - 1
 _TRACE_SALT = 0x5350414E_54524143  # "SPANTRAC"
 
 
-def _splitmix64(x: int) -> int:
-    """splitmix64 finalizer (mirrors ``repro.dist.ring.splitmix64``).
-
-    Duplicated rather than imported: ``repro.obs`` is the bottom of the
-    dependency stack and must not pull in ``repro.dist`` (whose modules
-    import the observer).
-    """
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
-
-
 def span_seed_from(seed: int) -> int:
     """Fold an arbitrary run seed into the 64-bit trace-ID domain."""
-    return _splitmix64((int(seed) ^ _TRACE_SALT) & _MASK)
+    return splitmix64((int(seed) ^ _TRACE_SALT) & _MASK)
 
 
 class Span:
@@ -129,7 +117,7 @@ class SpanTracker:
     def _mint(self) -> str:
         """The next 16-hex span ID of this trace's counter."""
         self._seq += 1
-        return format(_splitmix64(self._trace_seed ^ self._seq), "016x")
+        return format(splitmix64(self._trace_seed ^ self._seq), "016x")
 
     def current_id(self) -> Optional[str]:
         """The innermost open span's ID, or ``None``."""

@@ -17,7 +17,8 @@ deployment a first-class, *simulatable* part of the reproduction:
 
 The remote store enforces a fault plan and a breaker itself, once a
 campaign assigns them to its ``fault_plan`` and ``breaker``
-(:meth:`~repro.storage.backends.RemoteStore.get`).
+(:meth:`~repro.storage.backends.RemoteStore.get`); while the tier is
+unreachable it answers ``None`` and the semantic cache serves degraded.
 """
 
 from repro.resilience.breaker import BreakerEvent, BreakerState, CircuitBreaker
@@ -28,12 +29,7 @@ from repro.resilience.campaign import (
     FaultScenario,
     ScenarioReport,
 )
-from repro.resilience.errors import (
-    CircuitOpenError,
-    DegradedModeError,
-    PreemptionError,
-    StorageOutageError,
-)
+from repro.resilience.errors import CircuitOpenError, PreemptionError
 from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.resilience.preemption import PreemptionSchedule
 from repro.resilience.state import CheckpointError, load_state, save_state
@@ -49,9 +45,7 @@ __all__ = [
     "FaultScenario",
     "ScenarioReport",
     "CircuitOpenError",
-    "DegradedModeError",
     "PreemptionError",
-    "StorageOutageError",
     "BrownoutWindow",
     "FaultPlan",
     "OutageWindow",

@@ -2,14 +2,14 @@
 
 During a fail-stop outage, every fetch burns its full retry budget before
 failing — the loader stalls on a tier that is known-down. The breaker
-converts that into fail-fast rejections the semantic cache can absorb in
-degraded mode:
+converts that into fail-fast rejections the semantic cache serves
+degraded:
 
 * **closed** — requests pass through; consecutive failures are counted;
 * **open** — after :data:`FAILURE_THRESHOLD` consecutive failures, requests are
-  rejected immediately with
-  :class:`~repro.resilience.errors.CircuitOpenError` until ``cooldown_s``
-  of *simulated* time elapses;
+  rejected immediately (the remote store answers ``None``, the shard
+  client raises :class:`~repro.resilience.errors.CircuitOpenError`
+  internally) until ``cooldown_s`` of *simulated* time elapses;
 * **half-open** — after the cool-down, probe requests pass through;
   :data:`CLOSE_THRESHOLD` consecutive successes re-close the breaker, any
   failure re-opens it (fresh cool-down).
@@ -88,7 +88,7 @@ class CircuitBreaker:
     def counters(self) -> Dict[str, int]:
         """Transitions, and those into open, under the metrics names."""
         return {
-            "breaker.opens": sum(e.new is BreakerState.OPEN for e in self.events),
+            "breaker.opens": self.opens,
             "breaker.transitions": len(self.events),
         }
 

@@ -5,10 +5,11 @@ the accuracy/time baseline and the run's simulated duration, then replays
 it under each :class:`FaultScenario` with the fault machinery engaged:
 the trainer's remote store gets the scenario's
 :class:`~repro.resilience.faults.FaultPlan` and a
-:class:`~repro.resilience.breaker.CircuitBreaker`, degraded-mode
-serving is enabled on the policy's semantic cache, and preemptions are
-driven by a :class:`~repro.resilience.preemption.PreemptionSchedule`
-through a :class:`~repro.resilience.trainer.ResilientTrainer`.
+:class:`~repro.resilience.breaker.CircuitBreaker` (the policy's semantic
+cache serves degraded whenever the store answers ``None``), and
+preemptions are driven by a
+:class:`~repro.resilience.preemption.PreemptionSchedule` through a
+:class:`~repro.resilience.trainer.ResilientTrainer`.
 
 Scenario windows are expressed as *fractions* of the clean run's simulated
 duration, so one scenario set works across datasets, models, and epoch
@@ -157,7 +158,6 @@ class FaultCampaign:
         trainer.store.breaker = CircuitBreaker(
             cooldown_s=BREAKER_COOLDOWN_FRAC * self._clean_time_s
         )
-        trainer.policy.cache.enable_degraded_mode()
 
     def run(self, verbose: bool = False, log=print) -> CampaignResult:
         """Run the clean baseline, then every scenario; returns all reports."""
@@ -227,10 +227,10 @@ class FaultCampaign:
         report.replayed_batches = trainer.recovery.replayed_batches
         report.lost_s = trainer.recovery.lost_s
         report.checkpoints_written = trainer.recovery.checkpoints_written
-        degraded = trainer.policy.cache.degraded
-        report.degraded_substituted = degraded.substituted
-        report.degraded_skipped = degraded.skipped
-        report.errors_absorbed = degraded.errors_absorbed
+        cache = trainer.policy.cache
+        report.degraded_substituted = cache.stats.degraded_serves
+        report.degraded_skipped = cache.skipped
+        report.errors_absorbed = cache.errors_absorbed
         store = trainer.store
         breaker = store.breaker
         report.breaker_opens = breaker.opens

@@ -1,43 +1,22 @@
-"""Failure taxonomy for the fault-tolerant training runtime.
+"""The two failures the fault-tolerant runtime raises.
 
-Three failure families matter for spot-VM training over remote storage:
+An unreachable remote read path is not one of them: the remote store and
+the shard store answer ``None`` and the cache serves degraded. What is
+left to raise:
 
-* *transient* fetch errors (:class:`~repro.storage.flaky.TransientFetchError`)
-  — retrying may succeed;
-* *availability* errors (:class:`DegradedModeError` and subclasses) — the
-  remote tier is known-down right now; retrying is pointless and the cache
-  should serve degraded (substitute or skip) instead of crashing;
-* *preemption* (:class:`PreemptionError`) — the VM itself is terminated;
-  only a checkpoint restart recovers.
+* :class:`CircuitOpenError` — an open per-shard breaker's fail-fast
+  rejection, raised and caught inside the shard client;
+* :class:`PreemptionError` — the VM itself is terminated; only a
+  checkpoint restart recovers.
 """
 
 from __future__ import annotations
 
-from repro.storage.flaky import TransientFetchError
-
-__all__ = [
-    "DegradedModeError",
-    "CircuitOpenError",
-    "StorageOutageError",
-    "PreemptionError",
-]
+__all__ = ["CircuitOpenError", "PreemptionError"]
 
 
-class DegradedModeError(RuntimeError):
-    """The remote tier is unavailable; serve degraded instead of retrying."""
-
-
-class CircuitOpenError(DegradedModeError):
+class CircuitOpenError(RuntimeError):
     """Fail-fast rejection: the circuit breaker is open (cooling down)."""
-
-
-class StorageOutageError(TransientFetchError):
-    """Fail-stop outage window: every fetch fails until the window closes.
-
-    Subclasses :class:`TransientFetchError` so retry layers treat it like
-    any other transient failure (retries burn out during a real outage,
-    which is exactly what trips the circuit breaker).
-    """
 
 
 class PreemptionError(RuntimeError):

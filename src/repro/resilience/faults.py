@@ -6,9 +6,8 @@ about, both driven by the run's own
 :class:`~repro.storage.clock.SimClock` so fault timing is deterministic and
 reproducible:
 
-* :class:`OutageWindow` — fail-stop: every fetch inside the window raises
-  :class:`~repro.resilience.errors.StorageOutageError` (NFS server down,
-  S3 region incident);
+* :class:`OutageWindow` — fail-stop: every fetch inside the window finds
+  the tier unreachable (NFS server down, S3 region incident);
 * :class:`BrownoutWindow` — latency spike: fetches succeed but cost a
   multiple of their normal simulated latency (congestion, degraded NIC).
 

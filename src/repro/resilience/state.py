@@ -24,13 +24,12 @@ _ARRAY_KEY = "__ndarray__"
 _TUPLE_KEY = "__tuple__"
 
 
-class CheckpointError(RuntimeError, ValueError):
+class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable or malformed.
 
     Raised with a message naming the file and the specific defect
     (truncated archive, missing or undecodable state tree) so operators can
-    tell a corrupt checkpoint from a code bug. Subclasses ``ValueError`` too
-    for callers that predate the dedicated type.
+    tell a corrupt checkpoint from a code bug.
     """
 
 

@@ -44,12 +44,14 @@ from repro.train.trainer import EpochAccumulator, Trainer
 __all__ = ["ResilientTrainer", "RecoveryStats", "RECOVERY_STAGE"]
 
 #: Version of the checkpoint tree :class:`ResilientTrainer` writes; a
-#: restore refuses any other (format 6: the HNSW snapshot no longer
+#: restore refuses any other (format 7: the cache snapshot keeps
+#: ``skipped`` and ``errors_absorbed`` at its top level instead of a
+#: ``degraded`` record; format 6: the HNSW snapshot no longer
 #: carries ``ef_search``; format 5: every policy's ``cache`` is a
 #: ``SemanticCache`` snapshot with one entry per layer, keyed by the
 #: layer's source; format 4 dropped the accumulator's ``preprocess_s``
 #: and the carried ``val_accuracy``).
-CHECKPOINT_FORMAT = 6
+CHECKPOINT_FORMAT = 7
 
 #: Checkpoint archives retained; older ones are pruned.
 KEEP_LAST = 3

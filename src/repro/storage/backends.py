@@ -3,7 +3,8 @@
 ``RemoteStore`` is the simulated NFS/cloud tier: every ``get`` charges
 latency to a :class:`~repro.storage.clock.SimClock` and increments fetch
 counters. A fault campaign assigns it a fault plan and a circuit breaker
-(:mod:`repro.resilience`), and ``get`` enforces both itself.
+(:mod:`repro.resilience`), and ``get`` enforces both itself: while the
+tier is unreachable it answers ``None``, as every remote read path does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.storage.clock import SimClock
-from repro.storage.flaky import TransientFetchError
 from repro.storage.latency import ConstantLatency
 
 __all__ = ["RemoteStore"]
@@ -77,54 +77,40 @@ class RemoteStore:
     def __len__(self) -> int:
         return self._payloads.shape[0]
 
-    def get(self, index: int) -> np.ndarray:
-        """Fetch one payload, charging simulated latency.
+    def get(self, index: int) -> Optional[np.ndarray]:
+        """Fetch one payload, charging simulated latency; ``None`` when the
+        tier is unreachable.
 
-        With a breaker assigned, an open breaker rejects the fetch with
-        :class:`~repro.resilience.errors.CircuitOpenError`; a failed fetch
-        (any :class:`TransientFetchError`, outages included) counts
-        against it, and the failure that trips it surfaces as
-        ``CircuitOpenError`` too, the signal degraded serving catches.
+        With a breaker assigned, an open breaker rejects the fetch
+        (counted in its ``fast_failures``); a failed fetch counts against
+        it. Either way the answer is ``None``, which the semantic cache
+        serves degraded.
         """
         breaker = self.breaker
         if breaker is None:
             return self._fetch(index)
-        # Not at module top: importing repro.resilience imports this module.
-        from repro.resilience.errors import CircuitOpenError
-
-        now = self.clock.total_seconds
-        if not breaker.allow(now):
+        if not breaker.allow(self.clock.total_seconds):
             breaker.fast_failures += 1
-            raise CircuitOpenError(
-                f"circuit open at t={now:.3f}s; rejecting fetch of {index}"
-            )
-        try:
-            payload = self._fetch(index)
-        except TransientFetchError as exc:
-            if breaker.record_failure(self.clock.total_seconds):
-                raise CircuitOpenError(
-                    f"circuit opened at t={now:.3f}s fetching {index}"
-                ) from exc
-            raise
-        breaker.record_success(self.clock.total_seconds)
+            return None
+        payload = self._fetch(index)
+        if payload is None:
+            breaker.record_failure(self.clock.total_seconds)
+        else:
+            breaker.record_success(self.clock.total_seconds)
         return payload
 
-    def _fetch(self, index: int) -> np.ndarray:
-        """One read under the fault plan: inside an outage window it raises
-        :class:`~repro.resilience.errors.StorageOutageError`; inside a
-        brownout it costs the product of the active multipliers times the
-        normal latency, the extra charged and reported with the fetch."""
+    def _fetch(self, index: int) -> Optional[np.ndarray]:
+        """One read under the fault plan: inside an outage window it
+        answers ``None``; inside a brownout it costs the product of the
+        active multipliers times the normal latency, the extra charged and
+        reported with the fetch."""
         plan = self.fault_plan
         mult = 1.0
         if plan is not None:
             now = self.clock.total_seconds
             if plan.outage_active(now):
                 self.outage_failures += 1
-                from repro.resilience.errors import StorageOutageError
-
-                raise StorageOutageError(
-                    f"storage outage at t={now:.3f}s fetching {index}"
-                )
+                return None
             mult = plan.latency_multiplier(now)
         if not 0 <= index < len(self):
             raise IndexError(f"sample index {index} out of range")

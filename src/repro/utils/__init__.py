@@ -1,4 +1,4 @@
-"""Shared low-level utilities: RNG plumbing."""
+"""Shared low-level utilities: RNG plumbing and the splitmix64 hash."""
 
 from repro.utils.rng import resolve_rng
 

@@ -128,20 +128,17 @@ def test_total_blackout_degrades_every_stage_and_recovers(breakers_never_open):
     """Remote tier AND all shards down: degraded mode keeps serving
     substitutes from whatever payloads are still reachable — here none —
     so every request skips, and nothing corrupts."""
-    from repro.resilience.errors import DegradedModeError
-
     cli = make_client()
     populate(cli)
-    cli.enable_degraded_mode()
 
     def dead_remote(i):
-        raise DegradedModeError("remote tier down")
+        return None  # remote tier unreachable
 
     cli.transport.fault_plans[0] = OUTAGE
     cli.transport.fault_plans[1] = OUTAGE
     outcomes = [cli.fetch(k, float(k + 1), dead_remote) for k in range(30)]
     assert all(o.source.value in ("degraded", "skipped") for o in outcomes)
-    assert cli.degraded.skipped + cli.degraded.substituted == 30
+    assert cli.skipped + cli.stats.degraded_serves == 30
     check_invariants(cli)
     cli.transport.fault_plans[0] = None
     cli.transport.fault_plans[1] = None

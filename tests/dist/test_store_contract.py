@@ -180,7 +180,7 @@ def test_sharded_client_runs_the_monoliths_policy_objects():
     assert client.homophily.store.loc is client._loc["hom"]
     # The decisions are inherited, not retyped.
     for name in ("set_imp_ratio", "update_score", "_degraded_fetch",
-                 "enable_degraded_mode", "state_dict", "load_state_dict"):
+                 "state_dict", "load_state_dict"):
         assert getattr(ShardedCacheClient, name) is getattr(SemanticCache, name)
 
 

@@ -7,7 +7,6 @@ from repro.core.elastic import ElasticCacheManager
 from repro.core.semantic_cache import FetchSource, SemanticCache
 from repro.obs import NULL_OBSERVER, InMemoryRecorder, MetricsRegistry, Observer
 from repro.resilience import CircuitBreaker
-from repro.resilience.errors import DegradedModeError
 from repro.storage.backends import RemoteStore
 from repro.train.trainer import TrainerConfig
 
@@ -91,16 +90,11 @@ def test_degraded_serve_events():
     cache = SemanticCache(total_capacity=10, imp_ratio=0.5)
     cache.attach_observer(obs)
     cache.update_homophily(3, np.full(4, 3.0), [30])
-    cache.enable_degraded_mode()
-
-    def boom(index):
-        raise DegradedModeError("down")
-
-    out = cache.fetch(99, 1.0, boom)
+    out = cache.fetch(99, 1.0, lambda index: None)  # remote tier unreachable
     assert out.source is FetchSource.DEGRADED
     (ev,) = [e for e in rec.events if e["kind"] == "fetch"]
     assert ev["source"] == "degraded"
-    assert obs.snapshot()["counters"]["degraded.substituted"] == 1
+    assert obs.snapshot()["counters"]["cache.fetch.degraded"] == 1
 
 
 def test_breaker_transition_events(monkeypatch):

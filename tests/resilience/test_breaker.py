@@ -1,11 +1,9 @@
 """Circuit-breaker state machine, and the remote store it guards."""
 
 import numpy as np
-import pytest
 
 from repro.resilience import breaker
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.errors import CircuitOpenError, StorageOutageError
 from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
@@ -85,28 +83,27 @@ def test_breaker_store_trips_then_fails_fast_then_recloses(monkeypatch):
     store.fault_plan = FaultPlan(outages=[OutageWindow(0.0, 1.0)])
     br = store.breaker = _breaker(monkeypatch, failure_threshold=2, cooldown_s=0.5)
 
-    # Below threshold: the original outage error propagates.
-    with pytest.raises(StorageOutageError):
-        store.get(0)
-    # Threshold reached: the breaker trips, surfacing CircuitOpenError.
-    with pytest.raises(CircuitOpenError):
-        store.get(1)
+    # Below threshold: the outage answers None and counts one failure.
+    assert store.get(0) is None
+    assert br.state is BreakerState.CLOSED
+    # Threshold reached: the failure trips the breaker.
+    assert store.get(1) is None
     assert br.state is BreakerState.OPEN
+    assert store.outage_failures == 2
 
     # While open: fail-fast before the fault plan is consulted.
-    failures_before = store.outage_failures
-    with pytest.raises(CircuitOpenError):
-        store.get(2)
-    assert store.outage_failures == failures_before
+    assert store.get(2) is None
+    assert store.outage_failures == 2
     assert br.fast_failures == 1
 
     # Cooldown elapses but the outage persists: the half-open probe fails
     # and the breaker reopens.
     clock.advance("data_load", 0.6)
-    with pytest.raises(CircuitOpenError):
-        store.get(3)
+    assert store.get(3) is None
     assert br.state is BreakerState.OPEN
     assert br.opens == 2
+    assert store.outage_failures == 3
+    assert br.fast_failures == 1
 
     # Outage over + cooldown over: the probe succeeds and the breaker
     # re-closes.

@@ -43,12 +43,6 @@ def test_missing_file_still_raises_file_not_found(tmp_path):
         load_state(tmp_path / "nope.npz")
 
 
-def test_checkpoint_error_is_also_value_error():
-    # Pre-CheckpointError callers caught ValueError; keep that working.
-    assert issubclass(CheckpointError, ValueError)
-    assert issubclass(CheckpointError, RuntimeError)
-
-
 def test_restore_refuses_another_checkpoint_format(build_run, tmp_path):
     """An archive another format wrote fails naming the file and both
     formats, instead of loading a state tree this trainer misreads."""

@@ -1,8 +1,10 @@
-"""Degraded-mode serving: widened substitution instead of crashing.
+"""Degraded serving: widened substitution instead of crashing.
 
-Includes the graceful-degradation acceptance test: a run whose remote
-tier fails for a whole outage window completes training without raising,
-serves degraded, and the breaker re-closes once the outage clears.
+A ``remote_get`` that answers ``None`` (the remote tier is unreachable)
+is served degraded, with no setup call. Includes the graceful-degradation
+acceptance test: a run whose remote tier fails for a whole outage window
+completes training without raising, serves degraded, and the breaker
+re-closes once the outage clears.
 """
 
 import numpy as np
@@ -11,62 +13,50 @@ import pytest
 from repro.core.semantic_cache import FetchSource, SemanticCache
 from repro.data.loader import DataLoader
 from repro.resilience import BreakerState, CircuitBreaker, FaultPlan, OutageWindow
-from repro.resilience.errors import DegradedModeError
-from repro.storage.flaky import TransientFetchError
 from repro.train.trainer import Trainer
 
 
-def _boom(index):
-    raise DegradedModeError("remote down")
+def _unreachable(index):
+    return None
 
 
-def test_strict_mode_propagates_errors():
-    cache = SemanticCache(total_capacity=4)
-    with pytest.raises(DegradedModeError):
-        cache.fetch(0, 1.0, _boom)
+def test_none_from_remote_serves_degraded_with_no_setup():
+    empty = SemanticCache(total_capacity=4)
+    assert empty.fetch(0, 1.0, _unreachable).source is FetchSource.SKIPPED
+    warm = SemanticCache(total_capacity=4, imp_ratio=1.0)
+    warm.importance.admit(1, 5.0, np.full(4, 1.0))
+    out = warm.fetch(99, 1.0, _unreachable)
+    assert out.source is FetchSource.DEGRADED
+    assert out.payload is not None
 
 
 def test_degraded_skip_when_both_layers_empty():
     cache = SemanticCache(total_capacity=4)
-    cache.enable_degraded_mode()
-    out = cache.fetch(0, 1.0, _boom)
+    out = cache.fetch(0, 1.0, _unreachable)
     assert out.source is FetchSource.SKIPPED
     assert out.payload is None
-    assert cache.degraded.skipped == 1
-    assert cache.degraded.errors_absorbed == 1
+    assert cache.skipped == 1
+    assert cache.errors_absorbed == 1
 
 
 def test_degraded_serves_newest_homophily_entry():
     cache = SemanticCache(total_capacity=10, imp_ratio=0.5)
     cache.update_homophily(3, np.full(4, 3.0), [30, 31])
     cache.update_homophily(7, np.full(4, 7.0), [70])
-    cache.enable_degraded_mode()
-    out = cache.fetch(99, 1.0, _boom)  # 99 is nobody's neighbor
+    out = cache.fetch(99, 1.0, _unreachable)  # 99 is nobody's neighbor
     assert out.source is FetchSource.DEGRADED
     assert out.served_id == 7  # freshest resident node stands in
-    assert cache.degraded.substituted_homophily == 1
+    assert cache.stats.degraded_serves == 1
 
 
 def test_degraded_falls_back_to_importance_min():
     cache = SemanticCache(total_capacity=4, imp_ratio=1.0)
     cache.importance.admit(1, 5.0, np.full(4, 1.0))
     cache.importance.admit(2, 1.0, np.full(4, 2.0))
-    cache.enable_degraded_mode()
-    out = cache.fetch(99, 1.0, _boom)
+    out = cache.fetch(99, 1.0, _unreachable)
     assert out.source is FetchSource.DEGRADED
     assert out.served_id == 2  # least-important resident
-    assert cache.degraded.substituted_importance == 1
-
-
-def test_degraded_mode_default_errors_cover_transient():
-    cache = SemanticCache(total_capacity=4)
-    cache.enable_degraded_mode()
-
-    def flaky(index):
-        raise TransientFetchError("blip")
-
-    out = cache.fetch(0, 1.0, flaky)
-    assert out.source is FetchSource.SKIPPED
+    assert cache.stats.degraded_serves == 1
 
 
 def test_loader_drops_skipped_samples():
@@ -104,16 +94,15 @@ def test_graceful_degradation_acceptance(build_run):
     store = trainer.store
     store.fault_plan = FaultPlan(outages=[OutageWindow(0.05 * total, 0.10 * total)])
     breaker = store.breaker = CircuitBreaker(cooldown_s=0.01 * total)
-    policy.cache.enable_degraded_mode()
 
     result = trainer.run()  # must not raise
 
     assert len(result.epochs) == 3
     # The outage actually hit and the cache served degraded.
     assert store.outage_failures > 0
-    degraded = policy.cache.degraded
-    assert degraded.substituted + degraded.skipped > 0
-    assert degraded.errors_absorbed > 0
+    cache = policy.cache
+    assert cache.stats.degraded_serves + cache.skipped > 0
+    assert cache.errors_absorbed > 0
     # The breaker opened during the outage and re-closed after it.
     assert breaker.opens > 0
     assert breaker.state is BreakerState.CLOSED
@@ -130,14 +119,12 @@ def test_graceful_degradation_acceptance(build_run):
 def test_degraded_serves_not_counted_as_substitute_hits():
     cache = SemanticCache(total_capacity=10, imp_ratio=0.5)
     cache.update_homophily(3, np.full(4, 3.0), [30])
-    cache.enable_degraded_mode()
     before = cache.stats.requests
     for i in range(5):
-        out = cache.fetch(90 + i, 1.0, _boom)
+        out = cache.fetch(90 + i, 1.0, _unreachable)
         assert out.source is FetchSource.DEGRADED
     assert cache.stats.substitute_hits == 0
     assert cache.stats.degraded_serves == 5
-    assert cache.degraded.substituted == 5
     # Degraded serves stay out of the hit-ratio denominator entirely.
     assert cache.stats.requests == before
     assert cache.stats.hit_ratio == 0.0
@@ -146,18 +133,17 @@ def test_degraded_serves_not_counted_as_substitute_hits():
 def test_degraded_hit_ratio_unaffected_by_outage():
     """Hit ratio over mixed traffic counts only real cache activity."""
     cache = SemanticCache(total_capacity=10, imp_ratio=1.0)
-    cache.enable_degraded_mode()
     payloads = {i: np.full(4, float(i)) for i in range(20)}
     # Two clean misses (admitted), then two importance hits: ratio 2/4.
     for i in (0, 1):
         cache.fetch(i, 5.0, payloads.__getitem__)
     for i in (0, 1):
-        out = cache.fetch(i, 5.0, _boom)  # served from cache, not remote
+        out = cache.fetch(i, 5.0, _unreachable)  # served from cache, not remote
         assert out.source is FetchSource.IMPORTANCE
     assert cache.stats.hit_ratio == pytest.approx(0.5)
     # An outage burst served degraded must leave the ratio untouched.
     for i in range(10, 15):
-        assert cache.fetch(i, 1.0, _boom).source is FetchSource.DEGRADED
+        assert cache.fetch(i, 1.0, _unreachable).source is FetchSource.DEGRADED
     assert cache.stats.hit_ratio == pytest.approx(0.5)
     assert cache.stats.degraded_serves == 5
 
@@ -165,14 +151,9 @@ def test_degraded_hit_ratio_unaffected_by_outage():
 def test_degraded_serves_round_trip_state_dict():
     cache = SemanticCache(total_capacity=10, imp_ratio=0.5)
     cache.update_homophily(3, np.full(4, 3.0), [30])
-    cache.enable_degraded_mode()
-    cache.fetch(99, 1.0, _boom)
+    cache.fetch(99, 1.0, _unreachable)
     state = cache.stats.state_dict()
     assert state["degraded_serves"] == 1
     fresh = SemanticCache(total_capacity=10, imp_ratio=0.5)
     fresh.stats.load_state_dict(state)
     assert fresh.stats.degraded_serves == 1
-    # Old snapshots without the counter still load (backward compat).
-    del state["degraded_serves"]
-    fresh.stats.load_state_dict(state)
-    assert fresh.stats.degraded_serves == 0

@@ -10,11 +10,9 @@ from repro.data.synthetic import train_test_split
 from repro.nn.models import build_model
 from repro.obs import JsonlRecorder, Observer, write_run_artifacts
 from repro.obs.report import TRACE_FILE
-from repro.resilience.errors import StorageOutageError
 from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
-from repro.storage.flaky import TransientFetchError
 from repro.storage.latency import ConstantLatency
 from repro.train.trainer import Trainer, TrainerConfig
 
@@ -56,16 +54,13 @@ def test_plan_latency_multiplier_composes():
     assert plan.latency_multiplier(20.0) == pytest.approx(1.0)
 
 
-def test_outage_raises_and_counts():
+def test_outage_answers_none_and_counts():
     store = _store(plan=FaultPlan(outages=[OutageWindow(0.0, 1.0)]))
-    with pytest.raises(StorageOutageError):
-        store.get(0)
-    # Outage errors are transient (retry layers and the breaker both see
-    # the same taxonomy).
-    with pytest.raises(TransientFetchError):
-        store.get(1)
+    assert store.get(0) is None
+    assert store.get(1) is None
     assert store.outage_failures == 2
     assert store.fetch_count == 0  # no read was charged
+    assert store.clock.total_seconds == 0.0
 
     # Past the window the store works again.
     store.clock.advance("data_load", 1.0)
@@ -109,8 +104,7 @@ def test_fault_counters_are_store_attributes():
     )
     store = _store(n=50, plan=plan, item_nbytes=1024)
     for _ in range(2):
-        with pytest.raises(StorageOutageError):
-            store.get(0)
+        assert store.get(0) is None
     store.clock.advance("compute", 0.002)
     for i in range(10):
         store.get(i)

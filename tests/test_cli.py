@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -45,6 +46,15 @@ def test_faults_preemption_costs_only_the_restart_penalty(tmp_path, capsys):
     assert ok == "y"
     assert d_acc == "+0.000"
     assert d_time == f"{preempt.restart_penalty_s:+.1f}s" == "+5.0s"
+
+
+def test_faults_leaves_no_checkpoint_dir_behind(tmp_path, monkeypatch):
+    """Without --checkpoint-dir the campaign checkpoints into a temporary
+    directory that is gone once the command returns."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main(["faults", "--scenarios", "preempt",
+                 "--samples", "96", "--epochs", "2"]) == 0
+    assert list(tmp_path.glob("repro-faults-*")) == []
 
 
 def test_train_command(capsys):

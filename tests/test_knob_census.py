@@ -96,7 +96,6 @@ CALLABLE_ALLOWLIST = {
 #: Classes whose fields are outcomes or running counts, not settings.
 STATE_RECORDS = {
     "CacheStats": "a cache layer's hit / miss / eviction counters",
-    "DegradedStats": "what degraded-mode serving absorbed",
     "EpochAggregate": "one epoch's totals re-aggregated from a trace",
     "EpochAccumulator": "an epoch's running sums inside the loop",
     "EpochMetrics": "one epoch's measured row",
