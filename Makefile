@@ -2,6 +2,9 @@
 
 PYTHON ?= python
 
+# Every target runs from the source tree, installed or not.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test coverage shapes bench perfbench perfbench-compare perfbench-selftest examples smoke faults dist transport report all
 
 # Where `make report` writes (and reads back) its traced demo run.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.data.registry import make_dataset
 from repro.data.synthetic import train_test_split
 from repro.nn.models import build_model

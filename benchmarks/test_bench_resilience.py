@@ -16,7 +16,8 @@ from repro.core.policy import SpiderCachePolicy
 from repro.data.registry import make_dataset
 from repro.data.synthetic import train_test_split
 from repro.nn.models import build_model
-from repro.resilience import DEFAULT_SCENARIOS, FaultCampaign, ResilientTrainer
+from repro.resilience.campaign import DEFAULT_SCENARIOS, FaultCampaign
+from repro.resilience.trainer import ResilientTrainer
 from repro.train.trainer import TrainerConfig
 
 

@@ -9,7 +9,7 @@ SHADE; CoorDL tracks the cache fraction; LRU is worst.
 import numpy as np
 from conftest import make_split, print_table
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
 

@@ -13,7 +13,7 @@ near-optimal, so CoorDL lands within noise of the IS methods rather than
 import numpy as np
 from conftest import make_split, print_table
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
 

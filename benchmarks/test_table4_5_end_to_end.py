@@ -9,7 +9,7 @@ iCache faster than SHADE but loses accuracy; CoorDL and Baseline slowest.
 import numpy as np
 from conftest import make_split, print_table
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.nn.models import build_model
 from repro.train.trainer import Trainer, TrainerConfig
 

@@ -13,12 +13,10 @@ import time
 
 import numpy as np
 
-from repro.ann import (
-    BruteForceIndex,
-    HNSWIndex,
-    IndexStorageModel,
-    ProductQuantizer,
-)
+from repro.ann.brute import BruteForceIndex
+from repro.ann.hnsw import HNSWIndex
+from repro.ann.index_stats import IndexStorageModel
+from repro.ann.pq import ProductQuantizer
 
 
 def main() -> None:

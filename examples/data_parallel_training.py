@@ -18,11 +18,13 @@ Run:  python examples/data_parallel_training.py
 from pathlib import Path
 import tempfile
 
-from repro import SpiderCachePolicy, TrainerConfig
-from repro.data import make_dataset, train_test_split
-from repro.nn import build_model
-from repro.resilience import load_state, save_state
-from repro.train import DataParallelTrainer
+from repro.core.policy import SpiderCachePolicy
+from repro.data.registry import make_dataset
+from repro.data.synthetic import train_test_split
+from repro.nn.models import build_model
+from repro.resilience.state import load_state, save_state
+from repro.train.data_parallel import DataParallelTrainer
+from repro.train.trainer import TrainerConfig
 
 WORLD_SIZE = 4
 EPOCHS = 6

@@ -12,9 +12,11 @@ Run:  python examples/elastic_tuning.py
 
 import numpy as np
 
-from repro import SpiderCachePolicy, Trainer, TrainerConfig
-from repro.data import make_dataset, train_test_split
-from repro.nn import build_model
+from repro.core.policy import SpiderCachePolicy
+from repro.data.registry import make_dataset
+from repro.data.synthetic import train_test_split
+from repro.nn.models import build_model
+from repro.train.trainer import Trainer, TrainerConfig
 
 STRATEGIES = [
     ("accuracy-first (static 90%)", dict(r_start=0.9, r_end=0.9, elastic=False)),

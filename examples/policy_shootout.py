@@ -8,15 +8,14 @@ and simulated training time — the three axes of Fig. 1.
 Run:  python examples/policy_shootout.py
 """
 
-from repro import SpiderCachePolicy, Trainer, TrainerConfig
-from repro.baselines import (
-    CoorDLPolicy,
-    ICacheFullPolicy,
-    LRUBaselinePolicy,
-    ShadePolicy,
-)
-from repro.data import make_dataset, train_test_split
-from repro.nn import build_model
+from repro.baselines.baseline import CoorDLPolicy, LRUBaselinePolicy
+from repro.baselines.icache import ICacheFullPolicy
+from repro.baselines.shade import ShadePolicy
+from repro.core.policy import SpiderCachePolicy
+from repro.data.registry import make_dataset
+from repro.data.synthetic import train_test_split
+from repro.nn.models import build_model
+from repro.train.trainer import Trainer, TrainerConfig
 
 CACHE_FRACTION = 0.2
 EPOCHS = 12

@@ -10,9 +10,11 @@ imp-ratio.
 Run:  python examples/quickstart.py
 """
 
-from repro import SpiderCachePolicy, Trainer, TrainerConfig
-from repro.data import make_dataset, train_test_split
-from repro.nn import build_model
+from repro.core.policy import SpiderCachePolicy
+from repro.data.registry import make_dataset
+from repro.data.synthetic import train_test_split
+from repro.nn.models import build_model
+from repro.train.trainer import Trainer, TrainerConfig
 
 
 def main() -> None:

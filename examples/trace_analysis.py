@@ -13,10 +13,14 @@ Run:  python examples/trace_analysis.py
 
 import numpy as np
 
-from repro import SpiderCachePolicy, Trainer, TrainerConfig
-from repro.cache import LRUCache, MinIOCache, belady_hit_ratio, record_trace, replay
-from repro.data import make_dataset, train_test_split
-from repro.nn import build_model
+from repro.cache.lru import LRUCache
+from repro.cache.minio import MinIOCache
+from repro.cache.trace import belady_hit_ratio, record_trace, replay
+from repro.core.policy import SpiderCachePolicy
+from repro.data.registry import make_dataset
+from repro.data.synthetic import train_test_split
+from repro.nn.models import build_model
+from repro.train.trainer import Trainer, TrainerConfig
 
 EPOCHS = 6
 CAPACITY_FRACTION = 0.2

@@ -6,11 +6,14 @@ evaluation depends on: a NumPy DNN training stack, an HNSW ANN index with
 Product Quantization, a remote-storage simulator, classic cache policies,
 and the SHADE / iCache / CoorDL comparator systems.
 
-Quickstart::
+Every package is a namespace: import a name from the module that
+defines it. Quickstart::
 
-    from repro import SpiderCachePolicy, Trainer, TrainerConfig
-    from repro.data import make_dataset, train_test_split
-    from repro.nn import build_model
+    from repro.core.policy import SpiderCachePolicy
+    from repro.data.registry import make_dataset
+    from repro.data.synthetic import train_test_split
+    from repro.nn.models import build_model
+    from repro.train.trainer import Trainer, TrainerConfig
 
     data = make_dataset("cifar10-like", rng=0)
     train, test = train_test_split(data, rng=1)
@@ -20,18 +23,3 @@ Quickstart::
                      TrainerConfig(epochs=20)).run()
     print(result.summary())
 """
-
-from repro.core.policy import SpiderCachePolicy
-from repro.train.metrics import EpochMetrics, TrainResult
-from repro.train.trainer import Trainer, TrainerConfig
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "SpiderCachePolicy",
-    "Trainer",
-    "TrainerConfig",
-    "TrainResult",
-    "EpochMetrics",
-    "__version__",
-]

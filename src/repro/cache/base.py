@@ -242,6 +242,6 @@ class Cache:
         """Restore a :meth:`state_dict` snapshot."""
         self.capacity = int(state["capacity"])
         self._items = type(self._items)((k, None) for k in state["keys"])
-        self.store.load(dict(zip(state["keys"], state["values"])))
         self._load_order(state["order"])
+        self.store.load(dict(zip(state["keys"], state["values"])))
         self.stats.load_state_dict(state["stats"])

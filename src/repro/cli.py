@@ -26,7 +26,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.trace import belady_hit_ratio, record_trace, replay
@@ -241,8 +241,9 @@ def _cmd_train(args) -> int:
     if args.trace_dir is not None:
         from pathlib import Path
 
-        from repro.obs import JsonlRecorder, Observer
+        from repro.obs.observer import Observer
         from repro.obs.report import TRACE_FILE
+        from repro.obs.trace import JsonlRecorder
 
         out = Path(args.trace_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -280,7 +281,7 @@ def _cmd_train(args) -> int:
           f"mean hit {s['mean_hit_ratio']:.3f}, "
           f"simulated time {s['total_time_s']:.1f}s")
     if observer is not None:
-        from repro.obs import write_run_artifacts
+        from repro.obs.report import write_run_artifacts
 
         recorder.close()
         write_run_artifacts(
@@ -308,7 +309,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.obs import render_report
+    from repro.obs.report import render_report
 
     try:
         print(render_report(args.run_dir))
@@ -322,7 +323,7 @@ def _cmd_metrics(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs import render_prometheus
+    from repro.obs.metrics import render_prometheus
     from repro.obs.report import SUMMARY_FILE
 
     run_dir = Path(args.run_dir)

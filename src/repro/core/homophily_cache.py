@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.cache.base import Cache, FetchSource
 
 __all__ = ["HomophilyCache"]
@@ -159,41 +157,21 @@ class HomophilyCache(Cache):
         return None
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Exact snapshot: FIFO order, payloads, neighbor lists, stats."""
-        keys = list(self._items)
-        if keys:
-            payloads = np.stack(
-                [np.asarray(p) for p in self.store.export(keys)]
-            )
-        else:
-            payloads = np.empty((0,))
-        return {
-            "capacity": self.capacity,
-            "keys": np.asarray(keys, dtype=np.int64),
-            "payloads": payloads,
-            "neighbors": [list(self._items[k]) for k in keys],
-            "stats": self.stats.state_dict(),
-        }
+    def _order_state(self) -> List[List[int]]:
+        # Each resident's neighbor list, in FIFO order; the cover map and
+        # the insertion counters are rebuilt from them.
+        return [list(neigh) for neigh in self._items.values()]
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` snapshot (rebuilds the cover map)."""
-        self.capacity = int(state["capacity"])
-        keys = np.asarray(state["keys"], dtype=np.int64)
-        payloads = state["payloads"]
-        neighbors = state["neighbors"]
-        if len(keys) != len(neighbors):
+    def _load_order(self, neighbors: List[List[int]]) -> None:
+        if len(neighbors) != len(self._items):
             raise ValueError("homophily snapshot keys/neighbors mismatch")
-        self._items = OrderedDict()
+        self._items = OrderedDict(
+            (int(k), tuple(int(n) for n in neigh))
+            for k, neigh in zip(self._items, neighbors)
+        )
         self._neighbor_of = {}
-        for i, k in enumerate(keys):
-            neigh = tuple(int(n) for n in neighbors[i])
-            self._items[int(k)] = neigh
+        for k, neigh in self._items.items():
             for n in neigh:
-                self._neighbor_of.setdefault(n, set()).add(int(k))
+                self._neighbor_of.setdefault(n, set()).add(k)
         self._seq = {k: i for i, k in enumerate(self._items)}
         self._next_seq = len(self._seq)
-        self.store.load(
-            {int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)}
-        )
-        self.stats.load_state_dict(state["stats"])

@@ -190,45 +190,22 @@ class ImportanceCache(Cache):
         assert len(heap) <= 2 * len(live) + _SLACK
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Exact snapshot: payloads, live priorities, stats.
-
-        Residents are recorded in admission order, the priorities in
-        eviction order with their tiebreaks and the admission counter, so
-        eviction order after a restore matches an uninterrupted run
-        bit-for-bit.
-        """
-        keys = list(self._items)
-        if keys:
-            payloads = np.stack(
-                [np.asarray(p) for p in self.store.export(keys)]
-            )
-        else:
-            payloads = np.empty((0,))
+    def _order_state(self) -> Dict[str, Any]:
+        # The live priorities in eviction order, with their tiebreaks and
+        # the admission counter: eviction after a restore matches an
+        # uninterrupted run bit for bit.
         return {
-            "capacity": self.capacity,
-            "keys": np.asarray(keys, dtype=np.int64),
-            "payloads": payloads,
-            "heap": {
-                "entries": [[s, t, k] for s, t, k in self._entries()],
-                "counter": self._counter,
-            },
-            "stats": self.stats.state_dict(),
+            "entries": [[s, t, k] for s, t, k in self._entries()],
+            "counter": self._counter,
         }
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` snapshot (heap entries in any
-        order)."""
-        self.capacity = int(state["capacity"])
-        keys = [int(k) for k in np.asarray(state["keys"], dtype=np.int64)]
-        payloads = state["payloads"]
-        live = {int(k): (float(s), int(t)) for s, t, k in state["heap"]["entries"]}
+    def _load_order(self, state: Dict[str, Any]) -> None:
+        # Entries in any order: older snapshots list them in heap-array
+        # order.
+        live = {int(k): (float(s), int(t)) for s, t, k in state["entries"]}
+        keys = [int(k) for k in self._items]
         if set(live) != set(keys):
-            raise ValueError("importance-cache snapshot heap/value mismatch")
+            raise ValueError("importance-cache snapshot heap/keys mismatch")
         self._items = {k: live[k] for k in keys}
         self._heap = self._entries()
-        self._counter = int(state["heap"]["counter"])
-        self.store.load(
-            {k: np.asarray(payloads[i]) for i, k in enumerate(keys)}
-        )
-        self.stats.load_state_dict(state["stats"])
+        self._counter = int(state["counter"])

@@ -31,30 +31,3 @@ Modules:
 * :mod:`~repro.dist.server` — idempotent shard partition servers;
 * :mod:`~repro.dist.client` — the breaker-guarded coordinating client.
 """
-
-from repro.dist.client import ShardedCacheClient
-from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
-from repro.dist.ring import ConsistentHashRing
-from repro.dist.rpc import (
-    RpcError,
-    RpcTimeoutError,
-    ShardOutageError,
-    SimRpcChannel,
-    Transport,
-)
-from repro.dist.server import CacheShardServer
-from repro.dist.transport import RealRpcTransport
-
-__all__ = [
-    "ConsistentHashRing",
-    "CacheShardServer",
-    "Transport",
-    "SimRpcChannel",
-    "RealRpcTransport",
-    "ShardedCacheClient",
-    "RetryPolicy",
-    "RetryBudgetExhausted",
-    "RpcError",
-    "RpcTimeoutError",
-    "ShardOutageError",
-]

@@ -34,7 +34,9 @@ Consequences:
 What lives here is the shard tier proper: the consistent-hash ring and
 the per-key location maps, one logical request = breaker gate + retries
 with the seeded-jitter backoff of :class:`~repro.dist.retry.RetryPolicy`
-(:meth:`ShardedCacheClient._call_with_retries`), a
+(:meth:`ShardedCacheClient._call_with_retries`, which answers a value,
+never raises, when the breaker rejects the request or the retries run
+out — as the remote store answers ``None``), a
 :class:`~repro.resilience.breaker.CircuitBreaker` per shard, and
 anti-entropy. Write ordering is *payload first* (the layers put before
 touching metadata); victim deletes afterwards are best-effort — failures
@@ -63,10 +65,9 @@ import numpy as np
 from repro.cache.base import Cache
 from repro.cache.payload_store import PayloadStore
 from repro.core.semantic_cache import FetchOutcome, SemanticCache
-from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
+from repro.dist.retry import RetryPolicy
 from repro.dist.ring import ConsistentHashRing
 from repro.dist.rpc import (
-    RpcError,
     RpcTimeoutError,
     ShardOutageError,
     SimRpcChannel,
@@ -75,15 +76,14 @@ from repro.dist.rpc import (
 from repro.dist.server import CacheShardServer
 from repro.obs.observer import Observer
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.errors import CircuitOpenError
 from repro.storage.clock import SimClock
 
 __all__ = ["ShardedCacheClient", "ShardStore"]
 
-#: Failures after which a shard interaction degrades instead of raising:
-#: a burned retry budget (an ``RpcError`` subclass) or a fail-fast
-#: rejection from an open per-shard breaker.
-_DEGRADE_ERRORS = (RpcError, CircuitOpenError)
+#: What :meth:`ShardedCacheClient._call_with_retries` answers when the
+#: shard is unreachable: its breaker rejected the request, or every
+#: attempt failed. Callers degrade on it; a checkpoint raises.
+_UNREACHABLE = object()
 
 #: Single-attempt channel failures (retried / parked by the layers above).
 _ATTEMPT_ERRORS = (ShardOutageError, RpcTimeoutError)
@@ -128,11 +128,8 @@ class ShardStore(PayloadStore):
         if payload is not None:
             self.unread.discard(key)
         else:
-            try:
-                payload = tier._call_with_retries(shard, "get", layer, key)
-            except _DEGRADE_ERRORS:
-                payload = None
-            if payload is None:
+            payload = tier._call_with_retries(shard, "get", layer, key)
+            if payload is None or payload is _UNREACHABLE:
                 # Unreachable — or the shard lost a payload the metadata
                 # owns (only after external interference); either way a
                 # miss.
@@ -162,11 +159,10 @@ class ShardStore(PayloadStore):
         if queue and (layer, key) in queue:
             queue[:] = [e for e in queue if e != (layer, key)]
         nbytes = int(np.asarray(value).nbytes)
-        try:
-            tier._call_with_retries(
-                shard, "put", layer, key, value, nbytes=nbytes
-            )
-        except _DEGRADE_ERRORS:
+        put = tier._call_with_retries(
+            shard, "put", layer, key, value, nbytes=nbytes
+        )
+        if put is _UNREACHABLE:
             tier._shard_stats[shard]["dropped_admits"] += 1
             tier._pending_deletes.setdefault(shard, []).append((layer, key))
             if tier._obs.active:
@@ -191,25 +187,24 @@ class ShardStore(PayloadStore):
         shard = self.loc.get(key)
         if shard is None:
             return None
-        try:
-            (payload,) = self._tier._call_with_retries(
-                shard, "get_many", [(self._layer, key)]
-            )
-        except _DEGRADE_ERRORS:
+        frame = self._tier._call_with_retries(
+            shard, "get_many", [(self._layer, key)]
+        )
+        if frame is _UNREACHABLE:
             self._tier.degraded_lookups += 1
             return None
-        return payload
+        return frame[0]
 
     def export(self, keys: Sequence[int]) -> List[Any]:
         """Payloads of ``keys``, one ``get_many`` frame per owning shard.
-        Raises on RPC failure or a missing payload — a checkpoint must be
-        exact or not taken at all."""
+        Raises on an unreachable shard or a missing payload — a
+        checkpoint must be exact or not taken at all."""
         by_shard: Dict[int, List[int]] = {}
         for k in keys:
             by_shard.setdefault(self.loc[k], []).append(k)
         out: Dict[int, Any] = {}
         for shard, ks in by_shard.items():
-            payloads = self._tier._call_with_retries(
+            payloads = self._tier._call_or_raise(
                 shard, "get_many", [(self._layer, k) for k in ks]
             )
             out.update(
@@ -241,7 +236,7 @@ class ShardStore(PayloadStore):
             shard = self.loc[k] = tier.ring.shard_for(k)
             placed.setdefault(shard, {})[k] = payload
         for shard, part in placed.items():
-            tier._call_with_retries(shard, "put_many", layer, part)
+            tier._call_or_raise(shard, "put_many", layer, part)
 
 
 class ShardedCacheClient(SemanticCache):
@@ -383,22 +378,21 @@ class ShardedCacheClient(SemanticCache):
         """One logical request: breaker gate, then up to
         ``retry.max_attempts`` channel attempts with seeded backoff.
 
-        Raises :class:`CircuitOpenError` (fail-fast) or
-        :class:`RetryBudgetExhausted`; callers degrade on both. Victim
-        deletes parked for ``shard`` leave in the same frame, executed
-        *before* ``method``; if the request fails they move to the
-        shard's repair queue.
+        Answers ``method``'s reply, or :data:`_UNREACHABLE` when the
+        breaker rejects the request (fail-fast) or every attempt fails;
+        callers degrade on it. Victim deletes parked for ``shard`` leave
+        in the same frame, executed *before* ``method``; if the request
+        fails they move to the shard's repair queue.
         """
         shard = int(shard)
         parked = self._parked.pop(shard, None) if self._parked else None
         if parked:
-            try:
-                return self._call_with_retries(
-                    shard, "after_deletes", parked, method, *args, nbytes=nbytes
-                )
-            except _DEGRADE_ERRORS:
+            reply = self._call_with_retries(
+                shard, "after_deletes", parked, method, *args, nbytes=nbytes
+            )
+            if reply is _UNREACHABLE:
                 self._pending_deletes.setdefault(shard, []).extend(parked)
-                raise
+            return reply
         breaker = self.breakers[shard]
         clock = self.clock
         obs = self._obs
@@ -411,7 +405,6 @@ class ShardedCacheClient(SemanticCache):
             )
             if obs.active else None
         )
-        last: Optional[RpcError] = None
         for attempt in range(self.retry.max_attempts):
             now = clock.total_seconds
             if not breaker.allow(now):
@@ -421,14 +414,10 @@ class ShardedCacheClient(SemanticCache):
                         span, now, ok=False, error="circuit_open",
                         attempts=attempt,
                     )
-                raise CircuitOpenError(
-                    f"shard {shard} circuit open at t={now:.3f}s; "
-                    f"rejecting {method}"
-                )
+                return _UNREACHABLE
             try:
                 result = self.transport.call(shard, method, *args, nbytes=nbytes)
-            except _ATTEMPT_ERRORS as exc:
-                last = exc
+            except _ATTEMPT_ERRORS:
                 breaker.record_failure(clock.total_seconds)
                 if attempt + 1 < self.retry.max_attempts:
                     self._shard_stats[shard]["rpc_retries"] += 1
@@ -456,7 +445,18 @@ class ShardedCacheClient(SemanticCache):
                 span, clock.total_seconds, ok=False,
                 error="retry_exhausted", attempts=self.retry.max_attempts,
             )
-        raise RetryBudgetExhausted(shard, method, self.retry.max_attempts, last)
+        return _UNREACHABLE
+
+    def _call_or_raise(self, shard: int, method: str, *args: Any) -> Any:
+        """:meth:`_call_with_retries` for a checkpoint: an unreachable
+        shard raises, because a snapshot or restore must be exact."""
+        reply = self._call_with_retries(shard, method, *args)
+        if reply is _UNREACHABLE:
+            raise RuntimeError(
+                f"shard {shard} unreachable for {method}; a checkpoint "
+                "must be exact or not taken"
+            )
+        return reply
 
     def _best_effort_delete(self, shard: int, layer: str, key: int) -> None:
         """Victim/anti-entropy delete: single attempt, never raises.
@@ -593,9 +593,8 @@ class ShardedCacheClient(SemanticCache):
         try:
             for shard, entries in self._plan_reads(indices).items():
                 frames += 1
-                try:
-                    payloads = self._call_with_retries(shard, "get_many", entries)
-                except _DEGRADE_ERRORS:
+                payloads = self._call_with_retries(shard, "get_many", entries)
+                if payloads is _UNREACHABLE:
                     continue
                 for (layer, key), payload in zip(entries, payloads):
                     if payload is not None:  # a lost one: per-key path

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dist.rpc import RpcError
 from repro.utils.hashing import splitmix64
 
-__all__ = ["RetryPolicy", "RetryBudgetExhausted"]
+__all__ = ["RetryPolicy"]
 
 #: Attempt ``a`` (0-based) waits ``min(BACKOFF_CAP_S, BACKOFF_BASE_S *
 #: BACKOFF_MULTIPLIER**a)`` before attempt ``a+1``, scaled by jitter.
@@ -33,19 +32,6 @@ BACKOFF_CAP_S = 0.05
 JITTER = 0.5
 #: Jitter-stream seed.
 JITTER_SEED = 0
-
-
-class RetryBudgetExhausted(RpcError):
-    """Every attempt of a logical request failed; the caller degrades."""
-
-    def __init__(self, shard: int, method: str, attempts: int,
-                 last: RpcError) -> None:
-        super().__init__(
-            shard, method,
-            f"retry budget exhausted after {attempts} attempt(s): {last}",
-        )
-        self.attempts = int(attempts)
-        self.last = last
 
 
 @dataclass(frozen=True)

@@ -10,69 +10,11 @@ per-epoch numbers the trainer reported — the consistency check behind
 ``repro report``.
 """
 
-from repro.obs.critpath import (
-    critical_path,
-    critpath_lines,
-    self_time_breakdown,
-)
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_S,
-    SPAN_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    log_buckets,
-    render_prometheus,
-)
-from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.report import (
-    EpochAggregate,
-    aggregate_trace,
-    render_report,
-    write_run_artifacts,
-)
-from repro.obs.spans import (
-    Span,
-    SpanNode,
-    SpanTracker,
-    build_span_forest,
-)
-from repro.obs.trace import (
-    SEGMENT_KIND,
-    InMemoryRecorder,
-    JsonlRecorder,
-    NullRecorder,
-    TraceRecorder,
-    read_jsonl,
-)
+# The one package that imports anything: the benchmark harness imports
+# these three names from ``repro.obs``. All three sit below the report
+# and the critical-path analysis, so importing ``repro.obs`` loads neither.
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
+from repro.obs.trace import JsonlRecorder
 
-__all__ = [
-    "Observer",
-    "NULL_OBSERVER",
-    "TraceRecorder",
-    "NullRecorder",
-    "InMemoryRecorder",
-    "JsonlRecorder",
-    "SEGMENT_KIND",
-    "read_jsonl",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LATENCY_BUCKETS_S",
-    "SPAN_BUCKETS_S",
-    "log_buckets",
-    "render_prometheus",
-    "Span",
-    "SpanNode",
-    "SpanTracker",
-    "build_span_forest",
-    "critical_path",
-    "critpath_lines",
-    "self_time_breakdown",
-    "EpochAggregate",
-    "aggregate_trace",
-    "write_run_artifacts",
-    "render_report",
-]
+__all__ = ["JsonlRecorder", "MetricsRegistry", "Observer"]

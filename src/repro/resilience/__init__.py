@@ -20,40 +20,3 @@ campaign assigns them to its ``fault_plan`` and ``breaker``
 (:meth:`~repro.storage.backends.RemoteStore.get`); while the tier is
 unreachable it answers ``None`` and the semantic cache serves degraded.
 """
-
-from repro.resilience.breaker import BreakerEvent, BreakerState, CircuitBreaker
-from repro.resilience.campaign import (
-    DEFAULT_SCENARIOS,
-    CampaignResult,
-    FaultCampaign,
-    FaultScenario,
-    ScenarioReport,
-)
-from repro.resilience.errors import CircuitOpenError, PreemptionError
-from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
-from repro.resilience.preemption import PreemptionSchedule
-from repro.resilience.state import CheckpointError, load_state, save_state
-from repro.resilience.trainer import RECOVERY_STAGE, RecoveryStats, ResilientTrainer
-
-__all__ = [
-    "BreakerEvent",
-    "BreakerState",
-    "CircuitBreaker",
-    "CampaignResult",
-    "DEFAULT_SCENARIOS",
-    "FaultCampaign",
-    "FaultScenario",
-    "ScenarioReport",
-    "CircuitOpenError",
-    "PreemptionError",
-    "BrownoutWindow",
-    "FaultPlan",
-    "OutageWindow",
-    "PreemptionSchedule",
-    "CheckpointError",
-    "load_state",
-    "save_state",
-    "RECOVERY_STAGE",
-    "RecoveryStats",
-    "ResilientTrainer",
-]

@@ -7,9 +7,9 @@ degraded:
 
 * **closed** — requests pass through; consecutive failures are counted;
 * **open** — after :data:`FAILURE_THRESHOLD` consecutive failures, requests are
-  rejected immediately (the remote store answers ``None``, the shard
-  client raises :class:`~repro.resilience.errors.CircuitOpenError`
-  internally) until ``cooldown_s`` of *simulated* time elapses;
+  rejected immediately (the remote store and the shard client both
+  answer "unreachable" and the caller degrades) until ``cooldown_s`` of
+  *simulated* time elapses;
 * **half-open** — after the cool-down, probe requests pass through;
   :data:`CLOSE_THRESHOLD` consecutive successes re-close the breaker, any
   failure re-opens it (fresh cool-down).

@@ -3,8 +3,7 @@
 The paper motivates SpiderCache with training on "low-cost GPU Spot VMs
 ... prone to termination". This module injects those terminations
 reproducibly: a :class:`PreemptionSchedule` fires at exact ``(epoch,
-batch)`` slots, raising
-:class:`~repro.resilience.errors.PreemptionError` from the trainer's
+batch)`` slots, raising :class:`PreemptionError` from the trainer's
 per-batch hook. Each trigger fires exactly once — after the resilient
 trainer restores from a checkpoint and replays, the same slot passes
 through without re-firing, which is what lets a run with a finite
@@ -15,9 +14,20 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.resilience.errors import PreemptionError
+__all__ = ["PreemptionError", "PreemptionSchedule"]
 
-__all__ = ["PreemptionSchedule"]
+
+class PreemptionError(RuntimeError):
+    """The (simulated) spot VM was terminated mid-training; only a
+    checkpoint restart recovers."""
+
+    def __init__(self, epoch: int, batch: int, at_s: float) -> None:
+        super().__init__(
+            f"preempted at epoch {epoch}, batch {batch} (t={at_s:.3f}s)"
+        )
+        self.epoch = int(epoch)
+        self.batch = int(batch)
+        self.at_s = float(at_s)
 
 
 class PreemptionSchedule:

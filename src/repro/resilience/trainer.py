@@ -11,7 +11,7 @@ spot-VM survival kit:
   clock, store counters, and the mid-epoch cursor (epoch, next batch
   slot, order array, running accumulators);
 * **preemption recovery** — a :class:`~repro.resilience.preemption.PreemptionSchedule`
-  raises :class:`~repro.resilience.errors.PreemptionError` from the
+  raises :class:`~repro.resilience.preemption.PreemptionError` from the
   per-batch hook; the trainer catches it, restores the latest checkpoint,
   optionally charges a ``restart_penalty_s`` to a dedicated ``recovery``
   clock stage, and replays from the cursor;
@@ -35,8 +35,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.resilience.errors import PreemptionError
-from repro.resilience.preemption import PreemptionSchedule
+from repro.resilience.preemption import PreemptionError, PreemptionSchedule
 from repro.resilience.state import CheckpointError, load_state, save_state
 from repro.train.metrics import EpochMetrics, TrainResult
 from repro.train.trainer import EpochAccumulator, Trainer
@@ -44,14 +43,16 @@ from repro.train.trainer import EpochAccumulator, Trainer
 __all__ = ["ResilientTrainer", "RecoveryStats", "RECOVERY_STAGE"]
 
 #: Version of the checkpoint tree :class:`ResilientTrainer` writes; a
-#: restore refuses any other (format 7: the cache snapshot keeps
-#: ``skipped`` and ``errors_absorbed`` at its top level instead of a
-#: ``degraded`` record; format 6: the HNSW snapshot no longer
+#: restore refuses any other (format 8: the importance and homophily
+#: layers snapshot through ``Cache.state_dict`` like every layer, their
+#: heap entries and neighbor lists under ``order``; format 7: the cache
+#: snapshot keeps ``skipped`` and ``errors_absorbed`` at its top level
+#: instead of a ``degraded`` record; format 6: the HNSW snapshot no longer
 #: carries ``ef_search``; format 5: every policy's ``cache`` is a
 #: ``SemanticCache`` snapshot with one entry per layer, keyed by the
 #: layer's source; format 4 dropped the accumulator's ``preprocess_s``
 #: and the carried ``val_accuracy``).
-CHECKPOINT_FORMAT = 7
+CHECKPOINT_FORMAT = 8
 
 #: Checkpoint archives retained; older ones are pruned.
 KEEP_LAST = 3

@@ -25,7 +25,7 @@ from repro.core.elastic import (
     RatioController,
 )
 from repro.core.semantic_cache import SemanticCache
-from repro.dist import ShardedCacheClient
+from repro.dist.client import ShardedCacheClient
 
 _std = st.floats(0.0, 10.0, allow_nan=False)
 _acc = st.floats(0.0, 1.0, allow_nan=False)

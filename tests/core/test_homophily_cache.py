@@ -144,7 +144,7 @@ def test_cover_key_is_the_newest_cover_of_the_fifo_walk(ops):
         else:
             state = c.state_dict()
             assert set(state) == \
-                {"capacity", "keys", "payloads", "neighbors", "stats"}
+                {"capacity", "keys", "values", "order", "stats"}
             c = HomophilyCache(4)
             c.load_state_dict(state)
         for index in range(12):

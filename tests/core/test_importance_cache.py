@@ -296,10 +296,10 @@ def test_restores_a_snapshot_in_heap_array_order():
     state = {
         "capacity": 4,
         "keys": np.array([1, 2, 3, 4]),
-        "payloads": np.array([10, 20, 30, 40]),
+        "values": np.array([10, 20, 30, 40]),
         # [score, admission tiebreak, key], as a heap array
-        "heap": {"entries": [[0.1, 1, 2], [0.5, 0, 1], [0.3, 3, 4],
-                             [0.9, 2, 3]], "counter": 4},
+        "order": {"entries": [[0.1, 1, 2], [0.5, 0, 1], [0.3, 3, 4],
+                              [0.9, 2, 3]], "counter": 4},
         "stats": ImportanceCache(0).stats.state_dict(),
     }
     c = ImportanceCache(0)

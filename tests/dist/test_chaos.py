@@ -230,8 +230,9 @@ def test_fetch_many_under_a_shard_fault(fault, when):
 
 
 def test_fetch_many_that_raises_leaves_nothing_behind():
-    """A strict-mode remote failure mid-batch propagates; the read-ahead
-    buffers are dropped and the victims parked so far still leave."""
+    """A ``remote_get`` that raises mid-batch propagates (only a ``None``
+    answer is served degraded); the read-ahead buffers are dropped and
+    the victims parked so far still leave."""
     cli = make_client()
     populate(cli)
 

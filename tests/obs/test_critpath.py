@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.obs import build_span_forest, critical_path, critpath_lines
-from repro.obs.critpath import self_time_breakdown
+from repro.obs.critpath import (
+    critical_path,
+    critpath_lines,
+    self_time_breakdown,
+)
+from repro.obs.spans import build_span_forest
 
 
 def _span(sid, parent, name, t0, t1, **attrs):

@@ -19,8 +19,10 @@ import repro
 from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.nn.models import build_model
-from repro.obs import InMemoryRecorder, MetricsRegistry, Observer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from repro.obs.observer import Observer as _ObserverClass
+from repro.obs.trace import InMemoryRecorder
 from repro.train.trainer import Trainer, TrainerConfig
 
 SRC_ROOT = Path(repro.__file__).resolve().parent

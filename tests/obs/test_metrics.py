@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 def test_counter_monotone():

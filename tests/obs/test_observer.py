@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.elastic import ElasticCacheManager
 from repro.core.semantic_cache import FetchSource, SemanticCache
-from repro.obs import NULL_OBSERVER, InMemoryRecorder, MetricsRegistry, Observer
-from repro.resilience import CircuitBreaker
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.trace import InMemoryRecorder
+from repro.resilience.breaker import CircuitBreaker
 from repro.storage.backends import RemoteStore
 from repro.train.trainer import TrainerConfig
 
@@ -201,9 +203,9 @@ def test_metrics_only_observer_skips_trace():
 def test_observation_does_not_perturb_training():
     """A traced run and an untraced run are bit-identical: observation is
     read-only and the null path costs nothing but an attribute check."""
+    from repro.core.policy import SpiderCachePolicy
     from repro.data.synthetic import make_clustered_dataset, train_test_split
     from repro.nn.models import build_model
-    from repro.core.policy import SpiderCachePolicy
     from repro.train.trainer import Trainer, TrainerConfig
 
     def run(observer):

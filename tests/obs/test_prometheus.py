@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs import (
+from repro.obs.metrics import (
     SPAN_BUCKETS_S,
     MetricsRegistry,
     log_buckets,

@@ -9,20 +9,21 @@ import json
 
 import pytest
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.nn.models import build_model
-from repro.obs import (
-    JsonlRecorder,
-    MetricsRegistry,
-    Observer,
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
+from repro.obs.report import (
+    EPOCHS_FILE,
+    SUMMARY_FILE,
+    TRACE_FILE,
     aggregate_trace,
-    read_jsonl,
     render_report,
     write_run_artifacts,
 )
-from repro.obs.report import EPOCHS_FILE, SUMMARY_FILE, TRACE_FILE
+from repro.obs.trace import JsonlRecorder, read_jsonl
 from repro.train.trainer import Trainer, TrainerConfig
 from tests.train import topologies
 from tests.train.topologies import TOPOLOGIES
@@ -278,7 +279,8 @@ def test_checkpoint_resumed_run_reconciles(tmp_path):
     checkpoint; the report drops the replayed journal at each ``restore``
     and reconciles every stage, while the event census counts every
     line."""
-    from repro.resilience import PreemptionSchedule, ResilientTrainer
+    from repro.resilience.preemption import PreemptionSchedule
+    from repro.resilience.trainer import ResilientTrainer
 
     ds = make_clustered_dataset(160, n_classes=4, dim=16, rng=0)
     train, test = train_test_split(ds, test_fraction=0.25, rng=1)
@@ -308,7 +310,7 @@ def test_resilient_trainer_report_is_consistent_without_preemptions(tmp_path):
     """A traced ``ResilientTrainer`` goes through ``EpochRunner.run``: one
     ``run_start`` (the report reads ``io_workers`` / ``hit_latency_s`` from
     it) and one ``run`` span, so a clean run checks out like ``Trainer``'s."""
-    from repro.resilience import ResilientTrainer
+    from repro.resilience.trainer import ResilientTrainer
 
     ds = make_clustered_dataset(600, n_classes=4, dim=16, rng=0)
     train, test = train_test_split(ds, test_fraction=0.25, rng=1)

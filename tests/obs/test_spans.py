@@ -3,15 +3,10 @@
 from collections import Counter
 
 from repro.cli import main
-from repro.obs import (
-    InMemoryRecorder,
-    MetricsRegistry,
-    Observer,
-    SpanTracker,
-    build_span_forest,
-    read_jsonl,
-)
-from repro.obs.spans import span_seed_from
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
+from repro.obs.spans import SpanTracker, build_span_forest, span_seed_from
+from repro.obs.trace import InMemoryRecorder, read_jsonl
 
 
 def _tracker(seed=7):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.obs import (
+from repro.obs.trace import (
     SEGMENT_KIND,
     InMemoryRecorder,
     JsonlRecorder,

@@ -20,19 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dist.client import ShardedCacheClient
-from repro.obs import (
-    InMemoryRecorder,
-    JsonlRecorder,
-    MetricsRegistry,
-    Observer,
-    read_jsonl,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from repro.obs.trace import (
     ROW_SCHEMA,
     ROWS_KIND,
     SEGMENT_KIND,
+    InMemoryRecorder,
+    JsonlRecorder,
     TraceRecorder,
     expand_row,
+    read_jsonl,
 )
 from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.clock import SimClock

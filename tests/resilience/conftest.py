@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.core.policy import SpiderCachePolicy
 from repro.data.registry import make_dataset
 from repro.data.synthetic import train_test_split

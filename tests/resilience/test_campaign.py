@@ -3,12 +3,12 @@
 import pytest
 
 from repro.resilience import campaign as campaign_module
-from repro.resilience import (
+from repro.resilience.campaign import (
     DEFAULT_SCENARIOS,
     FaultCampaign,
     FaultScenario,
-    ResilientTrainer,
 )
+from repro.resilience.trainer import ResilientTrainer
 
 pytestmark = pytest.mark.resilience
 

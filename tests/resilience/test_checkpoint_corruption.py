@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.resilience import ResilientTrainer
 from repro.resilience.state import CheckpointError, load_state, save_state
-from repro.resilience.trainer import CHECKPOINT_FORMAT
+from repro.resilience.trainer import CHECKPOINT_FORMAT, ResilientTrainer
 
 
 def test_state_archive_garbage_raises(tmp_path):

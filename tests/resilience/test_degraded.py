@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.semantic_cache import FetchSource, SemanticCache
 from repro.data.loader import DataLoader
-from repro.resilience import BreakerState, CircuitBreaker, FaultPlan, OutageWindow
+from repro.resilience.breaker import BreakerState, CircuitBreaker
+from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.train.trainer import Trainer
 
 

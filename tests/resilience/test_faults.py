@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from repro.data.registry import make_dataset
 from repro.data.synthetic import train_test_split
 from repro.nn.models import build_model
-from repro.obs import JsonlRecorder, Observer, write_run_artifacts
-from repro.obs.report import TRACE_FILE
+from repro.obs.observer import Observer
+from repro.obs.report import TRACE_FILE, write_run_artifacts
+from repro.obs.trace import JsonlRecorder
 from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock

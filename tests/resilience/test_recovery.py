@@ -8,15 +8,10 @@ epoch metrics, and simulated clock as a run that was never interrupted.
 import numpy as np
 import pytest
 
-from repro.obs import Observer
-from repro.resilience import (
-    PreemptionError,
-    PreemptionSchedule,
-    ResilientTrainer,
-    load_state,
-    save_state,
-)
-from repro.resilience.trainer import KEEP_LAST
+from repro.obs.observer import Observer
+from repro.resilience.preemption import PreemptionError, PreemptionSchedule
+from repro.resilience.state import load_state, save_state
+from repro.resilience.trainer import KEEP_LAST, ResilientTrainer
 from repro.train.trainer import Trainer
 from tests.resilience.conftest import POLICY_CASES
 

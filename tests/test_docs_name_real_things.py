@@ -3,10 +3,14 @@
 Every ``make <target>`` is a Makefile target, every ``python -m repro
 <cmd>`` is a parser subcommand, every ``benchmarks/*.py`` /
 ``tests/**/*.py`` path is a file, and every bare ``test_*.py`` name is
-exactly one file under ``tests/`` or ``benchmarks/``. Docs outlive the
-code they describe unless something fails when they do.
+exactly one file under ``tests/`` or ``benchmarks/``, and every
+``from repro... import name`` in a fenced ``python`` block imports a
+module that has that name. Docs outlive the code they describe unless
+something fails when they do.
 """
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -61,3 +65,21 @@ def test_bare_test_file_names_resolve():
         for path in (ROOT / top).rglob("test_*.py")
     ]
     assert not [m for m in mentions if files.count(m[1]) != 1]
+
+
+def test_doc_code_imports_resolve():
+    imports = [
+        (doc, node.module, alias.name)
+        for doc, block in _mentions(r"(?s)^```python\n(.*?)^```")
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom)
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [
+        f"{doc}: from {module} import {name}"
+        for doc, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, missing

@@ -3,9 +3,14 @@
 The whole suite once failed *collection* because a deleted subpackage
 was still imported at module scope by its consumers — an error no unit
 test caught, because no unit test imports everything. This walk does:
-any module whose import raises (missing sibling, stale re-export,
+any module whose import raises (missing sibling, stale import,
 syntax error) fails here with the module named, instead of surfacing as
 dozens of opaque collection errors.
+
+Packages are namespaces: a package ``__init__`` imports nothing, so
+every name has one import path (the module that defines it) and
+importing a module loads only what it imports, plus its empty parent
+packages. A fresh interpreter checks the second half.
 
 The same tree is then held to the dead-code rule: a module no other
 ``src/`` module imports is deleted, or kept with its reason written down.
@@ -13,7 +18,11 @@ The same tree is then held to the dead-code rule: a module no other
 
 import ast
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,12 +56,6 @@ def test_module_imports_cleanly(name):
     importlib.import_module(name)
 
 
-def test_dist_package_reexports_its_public_api():
-    dist = importlib.import_module("repro.dist")
-    for symbol in dist.__all__:
-        assert getattr(dist, symbol) is not None
-
-
 def test_train_package_imports_without_dist():
     """The trainers must not require repro.dist at import time — sharded
     mode lazy-imports it so a single-worker install works without the
@@ -66,10 +69,76 @@ def test_train_package_imports_without_dist():
     assert "import repro.dist" not in head
 
 
+# -- packages are namespaces ---------------------------------------------
+# The one exception: the benchmark harness imports these three names from
+# ``repro.obs``, and all three sit below the report and critpath layers.
+PACKAGE_IMPORTS = {
+    "repro.obs": {
+        ("repro.obs.metrics", "MetricsRegistry"),
+        ("repro.obs.observer", "Observer"),
+        ("repro.obs.trace", "JsonlRecorder"),
+    },
+}
+
+
+def test_package_inits_import_nothing():
+    found = {}
+    for module, (path, is_init) in _module_sources().items():
+        if is_init:
+            imports = set(_imports(ast.parse(path.read_text())))
+            if imports:
+                found[module] = imports
+    assert found == PACKAGE_IMPORTS, (
+        "a package __init__ keeps its docstring and imports nothing; "
+        "import each name from the module that defines it"
+    )
+
+
+def _loaded_by(module: str) -> set:
+    """The ``repro`` modules a fresh interpreter holds after
+    ``import module``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        f"import json, sys; import {module}; print(json.dumps(sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'repro')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    return set(json.loads(out))
+
+
+#: What importing each module must not load: it imports none of these.
+LOADS_NOTHING_ELSE = {
+    "repro.utils.hashing": lambda m: m not in (
+        "repro", "repro.utils", "repro.utils.hashing",
+    ),
+    "repro.core.semantic_cache": lambda m: (
+        f"{m}.".startswith(("repro.train.", "repro.ann."))
+        or m in ("repro.obs.report", "repro.obs.critpath")
+    ),
+    "repro.train.trainer": lambda m: m in (
+        "repro.train.data_parallel", "repro.obs.report", "repro.ann.pq",
+        "repro.cache.trace",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADS_NOTHING_ELSE))
+def test_importing_a_module_loads_only_what_it_imports(module):
+    strays = sorted(filter(LOADS_NOTHING_ELSE[module], _loaded_by(module)))
+    assert strays == [], f"importing {module} loads {strays}"
+
+
 # -- the dead-code rule ---------------------------------------------------
-# A module stays only if some other src/ module imports it (its own
-# package __init__ re-exporting it does not count) or a paper figure /
-# contract row listed here needs it. One line per survivor, with the reason.
+# A module stays only if some other src/ module imports it or a paper
+# figure / contract row listed here needs it. One line per survivor, with
+# the reason.
 KEPT_WITHOUT_SRC_IMPORTER = {
     "repro.ann.index_stats":
         "Table 2 (benchmarks/test_table2_index_storage.py)",
@@ -103,24 +172,13 @@ def _imports(tree):
 
 
 def _importers():
-    """``{module: set of src/ modules that import it}`` — directly, as
-    ``from pkg import module``, or through a name ``pkg`` re-exports."""
+    """``{module: set of src/ modules that import it}`` — directly or as
+    ``from pkg import module``."""
     sources = _module_sources()
-    trees = {m: ast.parse(p.read_text()) for m, (p, _) in sources.items()}
-    reexports = {}  # package -> {name: defining module}
-    for module, (_, is_init) in sources.items():
-        if is_init:
-            reexports[module] = {
-                name: target
-                for target, name in _imports(trees[module])
-                if name and target in sources and target != module
-            }
     importers = {m: set() for m in sources}
-    for module in sources:
-        for target, name in _imports(trees[module]):
-            hits = {target, f"{target}.{name}",
-                    reexports.get(target, {}).get(name)}
-            for hit in hits & importers.keys():
+    for module, (path, _) in sources.items():
+        for target, name in _imports(ast.parse(path.read_text())):
+            for hit in {target, f"{target}.{name}"} & importers.keys():
                 importers[hit].add(module)
     return sources, importers
 
@@ -131,8 +189,7 @@ def test_every_module_has_an_importer_or_a_written_reason():
     for module, (_, is_init) in sources.items():
         if is_init or module.endswith(".__main__"):
             continue
-        own_package = module.rpartition(".")[0]
-        if not importers[module] - {module, own_package}:
+        if not importers[module] - {module}:
             orphans.append(module)
     assert sorted(orphans) == sorted(KEPT_WITHOUT_SRC_IMPORTER), (
         "modules nothing in src/ imports must be deleted or given a reason "

@@ -16,8 +16,9 @@ import pytest
 
 from repro.core.policy import SpiderCachePolicy
 from repro.nn.models import build_model
-from repro.obs import JsonlRecorder, Observer, render_report, write_run_artifacts
-from repro.obs.report import TRACE_FILE
+from repro.obs.observer import Observer
+from repro.obs.report import TRACE_FILE, render_report, write_run_artifacts
+from repro.obs.trace import JsonlRecorder
 from repro.resilience.preemption import PreemptionSchedule
 from repro.resilience.trainer import ResilientTrainer
 from repro.storage.backends import RemoteStore

@@ -61,7 +61,8 @@ def test_data_load_seconds_is_what_the_loop_and_the_report_both_use(monkeypatch)
     from repro.core.policy import SpiderCachePolicy
     from repro.data.synthetic import make_clustered_dataset, train_test_split
     from repro.nn.models import build_model
-    from repro.obs import InMemoryRecorder, Observer
+    from repro.obs.observer import Observer
+    from repro.obs.trace import InMemoryRecorder
 
     returned = {"loop": [], "report": []}
 

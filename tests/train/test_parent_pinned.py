@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import POLICIES
+from repro.baselines.registry import POLICIES
 from tests.train import topologies
 
 FIXTURE = Path(__file__).parent / "fixtures" / "pinned_runs.json"
