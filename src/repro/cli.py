@@ -17,7 +17,7 @@ run artifacts); ``compare`` runs several policies on the identical
 dataset/model and prints the Fig.-1 triangle (hit ratio / accuracy /
 time); ``trace`` records the policy's access trace and reports LRU /
 MinIO / Belady-OPT hit ratios on it; ``report`` renders the tables for
-an exported run directory and ``metrics`` exports its metrics snapshot.
+an exported run directory.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.data.synthetic import train_test_split
 from repro.nn.models import MODEL_ZOO, build_model
 from repro.train.trainer import Trainer, TrainerConfig
 
-__all__ = ["main", "POLICIES"]
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,19 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report_p.add_argument(
         "run_dir", help="directory written by `repro train --trace-dir`"
-    )
-
-    metrics_p = sub.add_parser(
-        "metrics",
-        help="export a run directory's metrics snapshot as Prometheus "
-             "text-format exposition",
-    )
-    metrics_p.add_argument(
-        "run_dir", help="directory written by `repro train --trace-dir`"
-    )
-    metrics_p.add_argument(
-        "--prefix", default="repro_",
-        help="metric-name prefix (default: repro_)",
     )
 
     cmp_p = sub.add_parser("compare", help="run several policies")
@@ -201,8 +188,8 @@ def _cmd_info(args) -> int:
 
 
 def _make_dp_run(args, policy_name: str, config, observer=None):
-    """Build a DataParallelTrainer for ``--world-size > 1`` (or any
-    shared-cache-tier flag) train invocations."""
+    """Build a DataParallelTrainer for ``--world-size`` other than 1 (or
+    any shared-cache-tier flag) train invocations."""
     from repro.train.data_parallel import DataParallelTrainer
 
     train, test, make_model, make_policy = _build_parts(args, policy_name)
@@ -252,8 +239,9 @@ def _cmd_train(args) -> int:
         (out / TRACE_FILE).unlink(missing_ok=True)
         recorder = JsonlRecorder(out / TRACE_FILE)
         observer = Observer(recorder=recorder, span_seed=args.seed)
-    # Any shared-cache-tier flag goes to the builder that owns those knobs,
-    # so its constructor is what rejects a combination it cannot honour.
+    # Any world size but 1 and any shared-cache-tier flag go to the builder
+    # that owns those knobs, so its constructor is what rejects a value or
+    # a combination it cannot honour.
     shared_tier = args.shared_cache or args.cache_shards
     config = TrainerConfig(
         epochs=args.epochs,
@@ -265,7 +253,7 @@ def _cmd_train(args) -> int:
         rpc_retry_budget=args.rpc_retry_budget,
     )
     try:
-        if args.world_size > 1 or shared_tier:
+        if args.world_size != 1 or shared_tier:
             trainer = _make_dp_run(args, args.policy, config, observer=observer)
         else:
             trainer, _, _ = _make_run(args, args.policy, observer, config)
@@ -316,29 +304,6 @@ def _cmd_report(args) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    return 0
-
-
-def _cmd_metrics(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs.metrics import render_prometheus
-    from repro.obs.report import SUMMARY_FILE
-
-    run_dir = Path(args.run_dir)
-    path = run_dir / SUMMARY_FILE
-    snapshot = None
-    if path.is_file():
-        snapshot = json.loads(path.read_text()).get("metrics")
-    if snapshot is None:
-        print(
-            f"no metrics snapshot found under {run_dir}/ — run "
-            "`repro train --trace-dir` first",
-            file=sys.stderr,
-        )
-        return 2
-    sys.stdout.write(render_prometheus(snapshot, prefix=args.prefix))
     return 0
 
 
@@ -430,7 +395,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "faults": _cmd_faults,
         "report": _cmd_report,
-        "metrics": _cmd_metrics,
     }[args.command](args)
 
 

@@ -41,7 +41,7 @@ from repro.core.homophily_cache import HomophilyCache
 from repro.core.importance_cache import ImportanceCache
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-__all__ = ["SemanticCache", "FetchSource", "FetchOutcome", "split_capacity"]
+__all__ = ["SemanticCache", "FetchOutcome", "split_capacity"]
 
 
 def split_capacity(total: int, ratio: float) -> int:

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.semantic_cache import FetchSource
+from repro.cache.base import FetchSource
 
 __all__ = ["Batch", "DataLoader"]
 

@@ -173,7 +173,6 @@ class Transport(abc.ABC):
             self.timeouts += 1
             self.per_shard_timeouts[shard] += 1
         if self._obs.active:
-            self._obs.on_rpc(elapsed)
             self._obs.span_record(
                 "rpc_attempt", now, now + elapsed,
                 shard=shard, method=method, ok=error is None,

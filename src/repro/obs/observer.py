@@ -20,8 +20,8 @@ immediately, the JSONL sink packs rows into block lines.
 Counts are kept once, by their owner: a component that already counts
 (cache, policy, store, transport, breaker) registers itself on attach,
 and :meth:`Observer.snapshot` reads its ``counters()``. Hooks feed the
-:class:`~repro.obs.metrics.MetricsRegistry` only what no owner keeps,
-binding each instrument on first use.
+:class:`~repro.obs.metrics.MetricsRegistry` only the counts no owner
+keeps.
 
 The observer also carries the little cross-component context the event
 schema needs: the trainer's current epoch, the configured cache-hit
@@ -31,37 +31,13 @@ latency, and the simulated latency of the most recent remote store fetch
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import LATENCY_BUCKETS_S, SPAN_BUCKETS_S, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanTracker
 from repro.obs.trace import NullRecorder, TraceRecorder
 
 __all__ = ["Observer", "NULL_OBSERVER"]
-
-#: Bucket bounds of the histograms that do not use the I/O-latency default.
-_HISTOGRAM_BOUNDS = {
-    "rpc.latency_s": (1e-5, 1e-4, 1e-3, 1e-2, 1e-1),
-    "train.epoch_time_s": (0.1, 1.0, 10.0, 60.0, 600.0, 3600.0),
-}
-
-
-class _Bound(dict):
-    """Instrument handles by key, each made on first use and then kept.
-
-    ``bound[key]`` is one dict subscript once the handle exists;
-    ``make(key)`` — a registry get-or-create — runs on the first miss
-    only, so binding never creates an instrument before the first event
-    that touches it.
-    """
-
-    def __init__(self, make: Callable[[Any], Any]) -> None:
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key: Any) -> Any:
-        handle = self[key] = self._make(key)
-        return handle
 
 
 class Observer:
@@ -72,8 +48,7 @@ class Observer:
     owners' own state, so a checkpoint-resumed run exports what an
     uninterrupted one would. What stays live in the registry is a
     *journal tally* that includes replayed work after a restore:
-    ``importance.rejected``, ``audit.*``, ``train.*``, ``prefetch.*``,
-    ``checkpoint.*``, and every gauge and histogram.
+    ``importance.rejected``, ``audit.*``, ``train.*`` and ``checkpoint.*``.
 
     Parameters
     ----------
@@ -111,18 +86,6 @@ class Observer:
             self.enable_spans(span_seed)
         # Components whose counters() the snapshot reads, by identity.
         self._owners: Dict[int, Any] = {}
-        # Instruments bound on first use (see the module docstring);
-        # keyed by full name, or by the part of the name a hook varies.
-        m = self.metrics
-        self._histogram = _Bound(
-            lambda name: m.histogram(
-                name, bounds=_HISTOGRAM_BOUNDS.get(name, LATENCY_BUCKETS_S)
-            )
-        )
-        self._span_histogram = _Bound(
-            lambda name: m.histogram(f"span.{name}_s", bounds=SPAN_BUCKETS_S)
-        )
-        self._audit_action = _Bound(lambda action: m.counter(f"audit.{action}"))
 
     # ------------------------------------------------------------------
     def register(self, owner: Any) -> None:
@@ -216,9 +179,6 @@ class Observer:
         if tracker is None or span is None:
             return
         tracker.finish(span, t1_s, **attrs)
-        self._span_histogram[span.name].observe(
-            max(0.0, float(t1_s) - span.t0_s)
-        )
 
     def span_record(self, name: str, t0_s: float, t1_s: float,
                     **attrs: Any) -> None:
@@ -227,9 +187,6 @@ class Observer:
         if tracker is None:
             return
         tracker.record(name, t0_s, t1_s, **attrs)
-        self._span_histogram[name].observe(
-            max(0.0, float(t1_s) - float(t0_s))
-        )
 
     # -- store ----------------------------------------------------------
     def on_store_fetch(self, latency_s: float) -> None:
@@ -239,7 +196,6 @@ class Observer:
         prefetch) consumes it, so retry stacks charging multiple inner
         fetches per logical request aggregate correctly.
         """
-        self._histogram["store.fetch_latency_s"].observe(latency_s)
         self._pending_store_latency_s += latency_s
 
     def take_store_latency(self) -> float:
@@ -264,7 +220,6 @@ class Observer:
             latency_s = 0.0
         else:
             latency_s = self.hit_latency_s
-        self._histogram["cache.fetch_latency_s"].observe(latency_s)
         if self.recorder.enabled:
             self._emit_row(
                 ("fetch", int(requested_id), int(served_id), src, latency_s)
@@ -325,7 +280,7 @@ class Observer:
         decision — the per-decision dataset the calibrated-substitution
         work (ROADMAP item 5) consumes.
         """
-        self._audit_action[action].inc()
+        self.metrics.counter(f"audit.{action}").inc()
         if self.recorder.enabled:
             self._emit_row((
                 "audit", action, int(key), layer,
@@ -338,31 +293,14 @@ class Observer:
     # -- elastic manager -------------------------------------------------
     def on_elastic(self, epoch: int, beta: int, u: float, imp_ratio: float) -> None:
         """The Elastic Cache Manager produced one epoch's decision."""
-        m = self.metrics
-        m.gauge("elastic.beta").set(beta)
-        m.gauge("elastic.u").set(u)
-        m.gauge("elastic.imp_ratio").set(imp_ratio)
         self.emit(
             "elastic", decision_epoch=int(epoch), beta=int(beta),
             u=float(u), imp_ratio=float(imp_ratio),
         )
 
     # -- sharded cache service -------------------------------------------
-    def on_rpc(self, latency_s: float) -> None:
-        """One cache-protocol RPC attempt finished (its latency histogram
-        only: the transport counts attempts and their classification, and
-        with span tracing enabled records a per-attempt ``rpc_attempt``
-        span — flat per-call trace events would dwarf the fetch stream)."""
-        self._histogram["rpc.latency_s"].observe(float(latency_s))
-
     def on_shards(self, snapshots: List[Dict[str, Any]]) -> None:
         """Per-epoch shard-service snapshot (occupancy, stats, breakers)."""
-        m = self.metrics
-        for snap in snapshots:
-            sid = int(snap["shard"])
-            for name, value in snap.items():
-                if name.endswith("_len"):  # one occupancy per cache layer
-                    m.gauge(f"shard{sid}.{name}").set(value)
         self.emit("shards", shards=list(snapshots))
 
     # -- resilience ------------------------------------------------------
@@ -427,13 +365,6 @@ class Observer:
 
     def on_epoch_metrics(self, metrics: Dict[str, Any]) -> None:
         """An epoch completed; ``metrics`` is the EpochMetrics as a dict."""
-        m = self.metrics
-        self._histogram["train.epoch_time_s"].observe(
-            float(metrics.get("epoch_time_s", 0.0))
-        )
-        for key in ("val_accuracy", "hit_ratio", "train_loss"):
-            if metrics.get(key) is not None:
-                m.gauge(f"train.{key}").set(float(metrics[key]))
         self.emit("epoch", **metrics)
 
 

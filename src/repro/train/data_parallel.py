@@ -31,12 +31,10 @@ from repro.obs.observer import Observer
 from repro.storage.clock import SimClock
 from repro.train.metrics import TrainResult
 from repro.train.policy_base import TrainingPolicy
-from repro.train.trainer import (
-    UNSHARDED_REAL, EpochRunner, TrainerConfig, WorkerState,
-)
+from repro.train.trainer import UNSHARDED_REAL, EpochRunner, TrainerConfig
 from repro.utils.rng import RngLike
 
-__all__ = ["DataParallelTrainer", "WorkerState"]
+__all__ = ["DataParallelTrainer"]
 
 
 class DataParallelTrainer(EpochRunner):

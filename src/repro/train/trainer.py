@@ -33,7 +33,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.semantic_cache import FetchSource
+from repro.cache.base import FetchSource
 from repro.data.loader import Batch, DataLoader
 from repro.data.synthetic import SyntheticDataset
 from repro.nn.models import Model

@@ -9,8 +9,8 @@ from repro.baselines.baseline import (
     LFUPolicy,
     LRUBaselinePolicy,
 )
+from repro.cache.base import FetchSource
 from repro.cache.minio import MinIOCache
-from repro.core.semantic_cache import FetchSource
 from repro.data.synthetic import make_clustered_dataset
 from repro.storage.backends import RemoteStore
 from repro.train.policy_base import PolicyContext

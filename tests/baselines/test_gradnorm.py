@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.gradnorm import GradNormISPolicy, gradnorm_scores
-from repro.core.semantic_cache import FetchSource
+from repro.cache.base import FetchSource
 from repro.data.synthetic import make_clustered_dataset
 from repro.storage.backends import RemoteStore
 from repro.train.policy_base import PolicyContext

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cache.base import FetchSource
 from repro.core.policy import SpiderCachePolicy
-from repro.core.semantic_cache import FetchSource
 from repro.data.synthetic import make_clustered_dataset
 from repro.storage.backends import RemoteStore
 from repro.train.policy_base import PolicyContext

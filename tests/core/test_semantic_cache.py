@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.semantic_cache import FetchSource, SemanticCache
+from repro.cache.base import FetchSource
+from repro.core.semantic_cache import SemanticCache
 
 
 def _scores(cache):

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.semantic_cache import FetchSource, SemanticCache
+from repro.cache.base import FetchSource
+from repro.core.semantic_cache import SemanticCache
 
 
 def _scores(cache):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.semantic_cache import FetchOutcome, FetchSource
+from repro.cache.base import FetchSource
+from repro.core.semantic_cache import FetchOutcome
 from repro.data.loader import DataLoader
 
 

@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from repro.dist import ring as ring_module
-from repro.dist.ring import ConsistentHashRing, splitmix64
+from repro.dist.ring import ConsistentHashRing
+from repro.utils.hashing import splitmix64
 
 pytestmark = pytest.mark.dist
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cache.base import FetchSource
 from repro.core.elastic import ElasticCacheManager
-from repro.core.semantic_cache import FetchSource, SemanticCache
+from repro.core.semantic_cache import SemanticCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.trace import InMemoryRecorder
@@ -173,16 +174,14 @@ def test_no_hook_counts_what_an_owner_keeps():
 
 
 def test_elastic_decision_events():
-    obs, rec, reg = _observer()
+    obs, rec, _ = _observer()
     mgr = ElasticCacheManager(r_start=0.9, r_end=0.3, total_epochs=10)
     mgr.attach_observer(obs)
     for epoch in range(3):
         mgr.step(epoch, accuracy=0.5 + 0.01 * epoch, score_std=0.5)
     evs = [e for e in rec.events if e["kind"] == "elastic"]
     assert [e["decision_epoch"] for e in evs] == [0, 1, 2]
-    assert reg.gauge("elastic.imp_ratio").value == pytest.approx(
-        mgr.history[-1].imp_ratio
-    )
+    assert evs[-1]["imp_ratio"] == pytest.approx(mgr.history[-1].imp_ratio)
 
 
 def test_events_stamped_with_epoch():
@@ -195,8 +194,8 @@ def test_events_stamped_with_epoch():
 def test_metrics_only_observer_skips_trace():
     reg = MetricsRegistry()
     obs = Observer(metrics=reg)  # NullRecorder by default
-    obs.on_fetch(0, 0, FetchSource.REMOTE)
-    assert reg.snapshot()["histograms"]["cache.fetch_latency_s"]["count"] == 1
+    obs.on_admit(0, 0.5, admitted=False, evicted_key=None)
+    assert reg.snapshot()["counters"] == {"importance.rejected": 1}
     assert obs.recorder.enabled is False
 
 

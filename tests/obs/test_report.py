@@ -24,6 +24,7 @@ from repro.obs.report import (
     write_run_artifacts,
 )
 from repro.obs.trace import JsonlRecorder, read_jsonl
+from repro.storage.backends import RemoteStore
 from repro.train.trainer import Trainer, TrainerConfig
 from tests.train import topologies
 from tests.train.topologies import TOPOLOGIES
@@ -31,7 +32,8 @@ from tests.train.topologies import TOPOLOGIES
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """One traced SpiderCache run: (result, events, observer, run_dir)."""
+    """One traced SpiderCache run: (result, events, observer, clock,
+    run_dir)."""
     out = tmp_path_factory.mktemp("traced-run")
     ds = make_clustered_dataset(400, n_classes=4, dim=16, rng=0)
     train, test = train_test_split(ds, test_fraction=0.25, rng=1)
@@ -50,11 +52,12 @@ def traced_run(tmp_path_factory):
         result, out, metrics_snapshot=observer.snapshot(),
         meta={"seed": 0},
     )
-    return result, read_jsonl(out / TRACE_FILE), observer, out
+    clock = trainer.workers[0].clock
+    return result, read_jsonl(out / TRACE_FILE), observer, clock, out
 
 
 def test_trace_aggregation_reproduces_epoch_metrics(traced_run):
-    result, events, _, _ = traced_run
+    result, events, _, _, _ = traced_run
     aggs = aggregate_trace(events)
     assert len(aggs) == len(result.epochs)
     for a, em in zip(aggs, result.epochs):
@@ -69,26 +72,27 @@ def test_trace_aggregation_reproduces_epoch_metrics(traced_run):
 
 
 def test_trace_fetch_counts_match_metrics(traced_run):
-    _, events, observer, _ = traced_run
+    _, events, observer, clock, _ = traced_run
     fetches = [e for e in events if e["kind"] == "fetch"]
-    full = observer.snapshot()
-    snap = full["counters"]
+    snap = observer.snapshot()["counters"]
     assert len(fetches) == snap["cache.fetches"]
     remote = sum(1 for e in fetches if e["source"] == "remote")
     assert remote == snap["cache.fetch.remote"]
-    # Every remote store fetch is attributed to a fetch or prefetch event.
+    # Every remote store fetch is attributed to a fetch or prefetch event:
+    # the store is the only charger of its clock stage.
     traced_latency = sum(
         e.get("latency_s", 0.0) for e in events
         if e["kind"] in ("fetch", "prefetch") and e.get("source") != "importance"
         and e.get("source") != "homophily" and e.get("source") != "degraded"
         and e.get("source") != "skipped"
     )
-    hist = full["histograms"]["store.fetch_latency_s"]
-    assert traced_latency == pytest.approx(hist["total"], abs=1e-9)
+    assert traced_latency == pytest.approx(
+        clock.stage_seconds(RemoteStore.STAGE), abs=1e-9
+    )
 
 
 def test_artifacts_written(traced_run):
-    _, _, _, out = traced_run
+    _, _, _, _, out = traced_run
     assert (out / EPOCHS_FILE).is_file()
     assert (out / SUMMARY_FILE).is_file()
     rows = [json.loads(l) for l in (out / EPOCHS_FILE).read_text().splitlines()]
@@ -102,7 +106,7 @@ def test_artifacts_written(traced_run):
 
 
 def test_render_report_consistency_ok(traced_run):
-    _, _, _, out = traced_run
+    _, _, _, _, out = traced_run
     text = render_report(out)
     assert "policy=spidercache" in text
     assert "trace vs per-epoch metrics: OK" in text

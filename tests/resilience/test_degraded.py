@@ -10,7 +10,8 @@ re-closes once the outage clears.
 import numpy as np
 import pytest
 
-from repro.core.semantic_cache import FetchSource, SemanticCache
+from repro.cache.base import FetchSource
+from repro.core.semantic_cache import SemanticCache
 from repro.data.loader import DataLoader
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.faults import FaultPlan, OutageWindow

@@ -9,8 +9,8 @@ from typing import Callable, List, Optional, Tuple
 
 import pytest
 
-from repro.baselines import registry
-from repro.cli import POLICIES, _build_parser, main
+from repro.baselines.registry import POLICIES
+from repro.cli import _build_parser, main
 from repro.resilience.campaign import DEFAULT_SCENARIOS
 from repro.train.trainer import EpochRunner
 
@@ -28,8 +28,11 @@ def test_info(capsys):
 def test_policies_registry_complete():
     assert {"spidercache", "shade", "icache", "icache-imp", "coordl",
             "baseline", "lfu", "spidercache-imp"} <= set(POLICIES)
-    # One table: the CLI serves the registry itself.
-    assert POLICIES is registry.POLICIES
+    # One table: every --policy option offers exactly the registry.
+    for command in ("train", "trace", "faults"):
+        (policy,) = [a for a in _subcommands()[command]._actions
+                     if a.dest == "policy"]
+        assert policy.choices == sorted(POLICIES)
 
 
 def test_faults_preemption_costs_only_the_restart_penalty(tmp_path, capsys):
@@ -128,6 +131,7 @@ def test_train_with_trace_dir_and_report(tmp_path, capsys):
         (["--rpc-retry-budget", "9"], "--rpc-retry-budget needs --cache-shards"),
         (["--world-size", "2", "--shared-cache", "--rpc-deadline-ms", "3"],
          "--rpc-deadline-ms needs --cache-shards"),
+        (["--world-size", "0"], "world_size must be >= 1"),
     ],
 )
 def test_train_shard_tier_rejections_come_from_the_constructor(
@@ -148,54 +152,6 @@ def test_train_shared_cache_on_one_worker(capsys):
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nothing")]) == 2
     assert "not found" in capsys.readouterr().err
-
-
-# -- repro metrics ------------------------------------------------------
-SHARDED = ["--world-size", "2", "--shared-cache", "--cache-shards", "2"]
-
-
-def test_metrics_command_exports_prometheus_text(tmp_path, capsys):
-    run_dir = tmp_path / "shard-run"
-    assert main(["train", "--trace-dir", str(run_dir)] + SHARDED + FAST) == 0
-    capsys.readouterr()
-    assert main(["metrics", str(run_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE repro_rpc_calls_total counter" in out
-    assert 'repro_rpc_latency_s_bucket{le="+Inf"}' in out
-    assert "repro_train_batches_total 8" in out
-    assert out.endswith("\n")
-    # Every sample line parses as `name value`.
-    for line in out.splitlines():
-        if line and not line.startswith("#"):
-            float(line.rsplit(" ", 1)[1])
-
-
-def test_metrics_command_custom_prefix(tmp_path, capsys):
-    run_dir = tmp_path / "shard-run"
-    assert main(["train", "--trace-dir", str(run_dir)] + SHARDED + FAST) == 0
-    capsys.readouterr()
-    assert main(["metrics", str(run_dir), "--prefix", "spider_"]) == 0
-    out = capsys.readouterr().out
-    assert "spider_rpc_calls_total" in out
-    assert "repro_" not in out
-
-
-def test_metrics_command_training_run(tmp_path, capsys):
-    run_dir = tmp_path / "train-run"
-    assert main(
-        ["train", "--policy", "spidercache", "--trace-dir", str(run_dir)]
-        + FAST
-    ) == 0
-    capsys.readouterr()
-    assert main(["metrics", str(run_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "repro_cache_fetches_total" in out
-    assert "# TYPE repro_train_epoch_time_s histogram" in out
-
-
-def test_metrics_command_without_snapshot(tmp_path, capsys):
-    assert main(["metrics", str(tmp_path)]) == 2
-    assert "no metrics snapshot" in capsys.readouterr().err
 
 
 # -- repro train: every flag's contract ---------------------------------
@@ -283,10 +239,14 @@ TRAIN_FLAGS = {
 }
 
 
-def _train_options():
+def _subcommands():
     (sub,) = [a for a in _build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    return [a.option_strings[-1] for a in sub.choices["train"]._actions
+    return sub.choices
+
+
+def _train_options():
+    return [a.option_strings[-1] for a in _subcommands()["train"]._actions
             if a.option_strings and a.dest != "help"]
 
 

@@ -94,6 +94,60 @@ def test_package_inits_import_nothing():
     )
 
 
+ROOT = Path(repro.__file__).resolve().parents[2]
+IMPORTING_TREES = ("src", "tests", "benchmarks", "examples")
+
+
+def _top_level_names(tree) -> set:
+    """The names a module's top level defines: defs, classes and
+    assignment targets."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(
+                n.id for target in targets for n in ast.walk(target)
+                if isinstance(n, ast.Name)
+            )
+    return names
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    """``from repro.m import n`` names the module whose top level defines
+    ``n``, or imports the submodule ``repro.m.n`` — never a module that
+    merely imported ``n`` itself. ``repro.obs``'s three names are the one
+    exception (see :data:`PACKAGE_IMPORTS`)."""
+    sources = _module_sources()
+    defined = {}
+    strays = []
+    for top in IMPORTING_TREES:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                        and node.module.split(".")[0] == "repro"):
+                    continue
+                module = node.module
+                if module not in defined:
+                    defined[module] = _top_level_names(
+                        ast.parse(sources[module][0].read_text())
+                    ) | {n for _, n in PACKAGE_IMPORTS.get(module, ())}
+                for alias in node.names:
+                    name = alias.name
+                    if name not in defined[module] and (
+                        f"{module}.{name}" not in sources
+                    ):
+                        rel = path.relative_to(ROOT)
+                        strays.append(f"{rel}:{node.lineno} {module}.{name}")
+    assert strays == [], (
+        "import each name from the module that defines it:\n  "
+        + "\n  ".join(strays)
+    )
+
+
 def _loaded_by(module: str) -> set:
     """The ``repro`` modules a fresh interpreter holds after
     ``import module``."""

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache.base import CacheStats
-from repro.core.semantic_cache import FetchSource
+from repro.cache.base import CacheStats, FetchSource
 from repro.data.synthetic import make_clustered_dataset
 from repro.storage.backends import RemoteStore
 from repro.train.policy_base import PolicyContext, TrainingPolicy
