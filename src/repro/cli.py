@@ -232,12 +232,9 @@ def _cmd_train(args) -> int:
         from repro.obs.report import TRACE_FILE
         from repro.obs.trace import JsonlRecorder
 
-        out = Path(args.trace_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # Fresh run: drop any stale journal (the recorder appends so a
-        # checkpoint-resumed run can extend it; a new run must not).
-        (out / TRACE_FILE).unlink(missing_ok=True)
-        recorder = JsonlRecorder(out / TRACE_FILE)
+        trace = Path(args.trace_dir) / TRACE_FILE
+        trace.parent.mkdir(parents=True, exist_ok=True)
+        recorder = JsonlRecorder(trace)
         observer = Observer(recorder=recorder, span_seed=args.seed)
     # Any world size but 1 and any shared-cache-tier flag go to the builder
     # that owns those knobs, so its constructor is what rejects a value or
@@ -259,6 +256,12 @@ def _cmd_train(args) -> int:
             trainer, _, _ = _make_run(args, args.policy, observer, config)
     except ValueError as exc:
         return _reject(exc)
+    if recorder is not None:
+        # Fresh run: drop the previous run's journal (the recorder opens
+        # its file on the first event, in append mode, so a
+        # checkpoint-resumed run can extend it; a new run must not). Only
+        # now: a rejected command leaves it as it was.
+        trace.unlink(missing_ok=True)
     result = trainer.run()
     print(f"{'epoch':>5} {'acc':>7} {'hit':>6} {'subst':>6} {'time':>7}")
     for e in result.epochs:

@@ -37,19 +37,22 @@ with the seeded-jitter backoff of :class:`~repro.dist.retry.RetryPolicy`
 (:meth:`ShardedCacheClient._call_with_retries`, which answers a value,
 never raises, when the breaker rejects the request or the retries run
 out — as the remote store answers ``None``), a
-:class:`~repro.resilience.breaker.CircuitBreaker` per shard, and
-anti-entropy. Write ordering is *payload first* (the layers put before
-touching metadata); victim deletes afterwards are best-effort — failures
-park in a per-shard repair queue, flushed opportunistically after the
-next successful call to that shard.
+:class:`~repro.resilience.breaker.CircuitBreaker` per shard, and one
+delete queue per shard. Write ordering is *payload first* (the layers
+put before touching metadata). Every payload no metadata owns any more —
+an evicted victim's, an orphan of a failed put, a restore's stale
+residents — is queued for its shard; every frame to that shard carries
+the queue (deletes first, then the frame's own put/read) and puts it
+back if the frame fails, and :meth:`ShardedCacheClient._flush` sends
+what is left as one ``bulk_delete``.
 
 The loaders enter through :meth:`ShardedCacheClient.fetch_many`, which
 runs that same per-request protocol after one multi-key read frame per
 shard has put the payloads it will ask for into the stores' read-ahead
-buffers, and lets the batch's victim deletes ride later frames (deletes
-first, then the frame's own put/read). Both are batch-scoped — nothing
-outlives the call — so single ``fetch``, ``update_homophily`` and
-replays issue the per-key RPC sequence unchanged.
+buffers, and flushes the queues only when the call ends, so the batch's
+victim deletes ride its later frames. Outside such a call a victim's
+delete is flushed at once, so single ``fetch``, ``update_homophily`` and
+replays issue the per-key RPC sequence.
 
 The client is driven by one thread: the epoch loop collates every
 rank's batch in turn.
@@ -144,27 +147,23 @@ class ShardStore(PayloadStore):
 
         New keys land on the ring's shard, resident ones are overwritten
         in place. An ambiguously timed-out put may have
-        executed server-side; the orphan payload is queued for
-        anti-entropy deletion so shard contents reconverge with the
-        metadata. The put supersedes deletes of its own key still queued
-        for that shard: flushed after it, they would destroy the payload
-        that just landed."""
+        executed server-side; the orphan payload is queued for deletion
+        so shard contents reconverge with the metadata. A delete of the
+        key still queued for that shard rides this put's frame and runs
+        before it, so it never destroys the payload that lands."""
         tier, layer = self._tier, self._layer
         key = int(key)
         self.ahead.pop(key, None)
         shard = self.loc.get(key)
         if shard is None:
             shard = tier.ring.shard_for(key)
-        queue = tier._pending_deletes.get(shard)
-        if queue and (layer, key) in queue:
-            queue[:] = [e for e in queue if e != (layer, key)]
         nbytes = int(np.asarray(value).nbytes)
         put = tier._call_with_retries(
             shard, "put", layer, key, value, nbytes=nbytes
         )
         if put is _UNREACHABLE:
             tier._shard_stats[shard]["dropped_admits"] += 1
-            tier._pending_deletes.setdefault(shard, []).append((layer, key))
+            tier._deletes.setdefault(shard, []).append((layer, key))
             if tier._obs.active:
                 tier._obs.on_audit(
                     "drop", key, tier._sources[layer], reason="rpc_failed"
@@ -174,12 +173,16 @@ class ShardStore(PayloadStore):
         return True
 
     def delete(self, key: int) -> None:
-        """Forget ``key`` and delete its payload (single attempt; a
-        failure parks in the shard's repair queue)."""
+        """Forget ``key`` and queue its payload's delete — flushed now
+        outside a :meth:`ShardedCacheClient.fetch_many` call, riding
+        the shard's next frame inside one."""
+        tier = self._tier
         self.ahead.pop(key, None)
         shard = self.loc.pop(key, None)
         if shard is not None:
-            self._tier._best_effort_delete(shard, self._layer, key)
+            tier._deletes.setdefault(shard, []).append((self._layer, int(key)))
+            if not tier._batch_open:
+                tier._flush(shard)
 
     def peek(self, key: int) -> Optional[Any]:
         """Payload read that moves no hit counter (one ``get_many``
@@ -219,18 +222,17 @@ class ShardStore(PayloadStore):
         return [out[k] for k in keys]
 
     def load(self, entries: Dict[int, Any]) -> None:
-        """Replace the layer's payloads: drop current residents
-        (best-effort; leftovers become orphans that anti-entropy or
-        overwrites clean up), then place every entry per the current
-        ring. Raises if the shard tier is unreachable — a restore must
-        be complete or not happen."""
+        """Replace the layer's payloads: queue and flush the current
+        residents' deletes (what fails stays queued for the next
+        frame), then place every entry per the current ring. Raises if
+        the shard tier is unreachable — a restore must be complete or
+        not happen."""
         tier, layer = self._tier, self._layer
-        stale: Dict[int, List[Tuple[str, int]]] = {}
         for k, shard in self.loc.items():
-            stale.setdefault(shard, []).append((layer, k))
-        for shard, dead in stale.items():
-            tier._bulk_delete(shard, dead)
-        self.loc.clear()
+            tier._deletes.setdefault(shard, []).append((layer, k))
+        self.loc.clear()  # first: _take drops keys the map still places
+        for shard in list(tier._deletes):
+            tier._flush(shard)
         placed: Dict[int, Dict[int, Any]] = {}
         for k, payload in entries.items():
             shard = self.loc[k] = tier.ring.shard_for(k)
@@ -255,13 +257,10 @@ class ShardedCacheClient(SemanticCache):
         oracle. ``"real"`` builds a
         :class:`~repro.dist.transport.RealRpcTransport` — servers in
         real worker processes, charging the same modelled time (chaos
-        uses the transport's ``kill_shard``). A prebuilt
-        :class:`~repro.dist.rpc.Transport` instance is also accepted; it
-        already owns its clock, so passing one alongside it is an error.
-        Fault plans go in the sim transport's ``fault_plans``.
+        uses the transport's ``kill_shard``). Fault plans go in the sim
+        transport's ``fault_plans``.
     clock / deadline_s:
-        Forwarded to the transport built here (shared clock, per-call
-        deadline).
+        Forwarded to the transport (shared clock, per-call deadline).
     retry:
         :class:`RetryPolicy` for every cache-protocol call; default
         policy retries twice with seeded-jitter exponential backoff.
@@ -284,43 +283,32 @@ class ShardedCacheClient(SemanticCache):
         total_capacity: int,
         imp_ratio: float = 0.9,
         n_shards: int = 1,
-        transport: Any = "sim",
+        transport: str = "sim",
         clock: Optional[SimClock] = None,
         deadline_s: float = 0.01,
         retry: Optional[RetryPolicy] = None,
         layers: Optional[Sequence[Cache]] = None,
     ) -> None:
         # layer name -> (key -> shard holding the payload); owned here
-        # (placement, anti-entropy and the audit read them), written
+        # (placement, the delete queues and the audit read them), written
         # by the layers' stores.
         self._loc: Dict[str, Dict[int, int]] = {}
         super().__init__(total_capacity, imp_ratio, layers)
         # layer name -> the source it serves as (audit events name it).
         self._sources = {l.name: l.source.value for l in self.layers}
         self.ring = ConsistentHashRing(n_shards)
-        if isinstance(transport, str):
-            if transport == "sim":
-                self.transport: Transport = SimRpcChannel(
-                    clock=clock, deadline_s=deadline_s
-                )
-            elif transport == "real":
-                from repro.dist.transport import RealRpcTransport
+        if transport == "sim":
+            self.transport: Transport = SimRpcChannel(
+                clock=clock, deadline_s=deadline_s
+            )
+        elif transport == "real":
+            from repro.dist.transport import RealRpcTransport
 
-                self.transport = RealRpcTransport(
-                    clock=clock, deadline_s=deadline_s
-                )
-            else:
-                raise ValueError(
-                    f"unknown transport {transport!r}; expected 'sim', "
-                    "'real', or a Transport instance"
-                )
+            self.transport = RealRpcTransport(clock=clock, deadline_s=deadline_s)
         else:
-            if clock is not None:
-                raise ValueError(
-                    "clock= would be ignored: a prebuilt Transport "
-                    "instance already carries its own; configure it there"
-                )
-            self.transport = transport
+            raise ValueError(
+                f"unknown transport {transport!r}; expected 'sim' or 'real'"
+            )
         for sid in range(self.ring.n_shards):
             if not self.transport.has_shard(sid):
                 self.transport.add_shard(sid)
@@ -332,10 +320,10 @@ class ShardedCacheClient(SemanticCache):
         }
 
         # -- fault-tolerance bookkeeping ---------------------------------
-        self._pending_deletes: Dict[int, List[Tuple[str, int]]] = {}
-        # shard -> victim deletes parked while a fetch_many call is open
-        # (None outside one); they ride that shard's next frame.
-        self._parked: Optional[Dict[int, List[Tuple[str, int]]]] = None
+        # shard -> (layer, key) deletes queued for it, in queueing order;
+        # a shard is absent while its queue is empty.
+        self._deletes: Dict[int, List[Tuple[str, int]]] = {}
+        self._batch_open = False  # inside a fetch_many call
         self._shard_stats: Dict[int, Counter] = defaultdict(Counter)
         self.degraded_lookups = 0
         self._rpc_seq = 0  # deterministic per-request id for jitter
@@ -380,19 +368,14 @@ class ShardedCacheClient(SemanticCache):
 
         Answers ``method``'s reply, or :data:`_UNREACHABLE` when the
         breaker rejects the request (fail-fast) or every attempt fails;
-        callers degrade on it. Victim deletes parked for ``shard`` leave
-        in the same frame, executed *before* ``method``; if the request
-        fails they move to the shard's repair queue.
+        callers degrade on it. The deletes queued for ``shard`` leave in
+        the same frame (``after_deletes``), executed *before* ``method``;
+        if the request fails they go back in the queue.
         """
         shard = int(shard)
-        parked = self._parked.pop(shard, None) if self._parked else None
-        if parked:
-            reply = self._call_with_retries(
-                shard, "after_deletes", parked, method, *args, nbytes=nbytes
-            )
-            if reply is _UNREACHABLE:
-                self._pending_deletes.setdefault(shard, []).extend(parked)
-            return reply
+        carried = self._take(shard)
+        if carried:
+            method, args = "after_deletes", (carried, method, *args)
         breaker = self.breakers[shard]
         clock = self.clock
         obs = self._obs
@@ -405,16 +388,12 @@ class ShardedCacheClient(SemanticCache):
             )
             if obs.active else None
         )
+        error, attempts = "retry_exhausted", self.retry.max_attempts
         for attempt in range(self.retry.max_attempts):
-            now = clock.total_seconds
-            if not breaker.allow(now):
+            if not breaker.allow(clock.total_seconds):
                 breaker.fast_failures += 1
-                if span is not None:
-                    obs.span_end(
-                        span, now, ok=False, error="circuit_open",
-                        attempts=attempt,
-                    )
-                return _UNREACHABLE
+                error, attempts = "circuit_open", attempt
+                break
             try:
                 result = self.transport.call(shard, method, *args, nbytes=nbytes)
             except _ATTEMPT_ERRORS:
@@ -437,14 +416,14 @@ class ShardedCacheClient(SemanticCache):
                 obs.span_end(
                     span, clock.total_seconds, ok=True, attempts=attempt + 1,
                 )
-            if self._pending_deletes.get(shard):
-                self._flush_pending(shard)
             return result
         if span is not None:
             obs.span_end(
-                span, clock.total_seconds, ok=False,
-                error="retry_exhausted", attempts=self.retry.max_attempts,
+                span, clock.total_seconds, ok=False, error=error,
+                attempts=attempts,
             )
+        if carried:
+            self._deletes[shard] = carried  # _take emptied it
         return _UNREACHABLE
 
     def _call_or_raise(self, shard: int, method: str, *args: Any) -> Any:
@@ -458,75 +437,33 @@ class ShardedCacheClient(SemanticCache):
             )
         return reply
 
-    def _best_effort_delete(self, shard: int, layer: str, key: int) -> None:
-        """Victim/anti-entropy delete: single attempt, never raises.
-        While a :meth:`fetch_many` call is open the delete is parked
-        instead and rides the shard's next frame."""
-        shard = int(shard)
-        entry = (layer, int(key))
-        if self._parked is not None:
-            self._parked.setdefault(shard, []).append(entry)
-        else:
-            self._delete_once(shard, [entry], "delete", layer, int(key))
-
-    def _delete_once(
-        self, shard: int, entries: List[Tuple[str, int]], method: str, *args: Any
-    ) -> None:
-        """One breaker-gated delete attempt for ``entries``. Failures
-        park them in the shard's repair queue (a timed-out delete
-        *executed* server-side; re-queueing is harmless because deletes
-        are idempotent)."""
-        breaker = self.breakers[shard]
-        if not breaker.allow(self.clock.total_seconds):
-            self._pending_deletes.setdefault(shard, []).extend(entries)
-            return
-        try:
-            self.transport.call(shard, method, *args)
-        except _ATTEMPT_ERRORS:
-            breaker.record_failure(self.clock.total_seconds)
-            self._pending_deletes.setdefault(shard, []).extend(entries)
-        else:
-            breaker.record_success(self.clock.total_seconds)
-
-    def _bulk_delete(self, shard: int, entries: List[Tuple[str, int]]) -> None:
-        """Drop ``(layer, key)`` payloads nothing references any more:
-        one unguarded attempt; a failure parks them for anti-entropy."""
-        try:
-            self.transport.call(shard, "bulk_delete", entries)
-        except _ATTEMPT_ERRORS:
-            self._pending_deletes.setdefault(shard, []).extend(entries)
-
-    def _flush_pending(self, shard: int) -> None:
-        """Opportunistic anti-entropy: drain a shard's queued deletes
-        after a successful call proved it reachable. Entries whose key
-        has since legitimately re-landed on that shard are dropped —
-        deleting them would destroy a live payload."""
-        queue = self._pending_deletes.get(shard)
-        if not queue:
-            return
-        live = [
-            (layer, key) for layer, key in queue
-            if self._loc[layer].get(key) != shard  # else re-resident here
+    def _take(self, shard: int) -> List[Tuple[str, int]]:
+        """Empty ``shard``'s delete queue and answer what it held, less
+        the keys that have since re-landed on that shard — deleting
+        them would destroy a live payload."""
+        return [
+            (layer, key) for layer, key in self._deletes.pop(shard, ())
+            if self._loc[layer].get(key) != shard
         ]
-        self._pending_deletes[shard] = []
-        if not live:
+
+    def _flush(self, shard: int) -> None:
+        """Send ``shard``'s queued deletes as one ``bulk_delete``: a
+        single breaker-gated attempt, never raises. A failure puts them
+        back in the queue (a timed-out delete may have executed; deletes
+        are idempotent, so repeating it is harmless)."""
+        entries = self._take(shard)
+        if not entries:
             return
-        obs = self._obs
-        span = (
-            obs.span_start(
-                "anti_entropy", self.clock.total_seconds,
-                shard=int(shard), n=len(live),
-            )
-            if obs.active else None
-        )
-        repaired = True
-        try:
-            self.transport.call(shard, "bulk_delete", live)
-        except _ATTEMPT_ERRORS:
-            repaired = False
-            self._pending_deletes[shard] = live + self._pending_deletes[shard]
-        if span is not None:
-            obs.span_end(span, self.clock.total_seconds, ok=repaired)
+        breaker = self.breakers[shard]
+        if breaker.allow(self.clock.total_seconds):
+            try:
+                self.transport.call(shard, "bulk_delete", entries)
+            except _ATTEMPT_ERRORS:
+                breaker.record_failure(self.clock.total_seconds)
+            else:
+                breaker.record_success(self.clock.total_seconds)
+                return
+        self._deletes[shard] = entries  # _take emptied it
 
     # ------------------------------------------------------------------
     # request spans around the inherited protocol
@@ -540,9 +477,8 @@ class ShardedCacheClient(SemanticCache):
         """:meth:`SemanticCache.fetch`, unchanged; under faults,
         unreachable payloads degrade each stage to a miss and the next
         stage takes over. With span tracing enabled the whole request
-        runs inside a ``fetch`` span — every RPC attempt, backoff,
-        breaker rejection, and repair it causes hangs off that span in
-        the trace.
+        runs inside a ``fetch`` span — every RPC attempt, backoff and
+        breaker rejection it causes hangs off that span in the trace.
         """
         index = int(index)
         obs = self._obs
@@ -576,10 +512,11 @@ class ShardedCacheClient(SemanticCache):
         earlier request of the batch evicted is dropped unread, and a
         frame that fails buffers nothing, so its keys take the per-key
         path with its retries, degradation and counters. The batch's
-        victim deletes are parked (see :meth:`_call_with_retries`);
-        leftovers leave as one ``bulk_delete`` per shard. Both buffers
-        are empty again on return *and* on raise; with an observer the
-        whole call is one ``fetch_batch`` span.
+        victim deletes stay queued and ride the shard's later frames
+        (see :meth:`_call_with_retries`); leftovers leave as one
+        ``bulk_delete`` per shard when the call ends. The buffers are
+        empty again on return *and* on raise; with an observer the whole
+        call is one ``fetch_batch`` span.
         """
         indices = [int(i) for i in indices]
         obs = self._obs
@@ -589,7 +526,7 @@ class ShardedCacheClient(SemanticCache):
         )
         stores = {layer.name: layer.store for layer in self.layers}
         frames = prefetched = 0
-        self._parked = {}
+        self._batch_open = True
         try:
             for shard, entries in self._plan_reads(indices).items():
                 frames += 1
@@ -607,9 +544,9 @@ class ShardedCacheClient(SemanticCache):
             for st in stores.values():
                 st.ahead.clear()
                 st.unread.clear()
-            parked, self._parked = self._parked, None
-            for shard, entries in parked.items():
-                self._delete_once(shard, entries, "bulk_delete", entries)
+            self._batch_open = False
+            for shard in list(self._deletes):
+                self._flush(shard)
             if span is not None:
                 obs.span_end(
                     span, self.clock.total_seconds, frames=frames,

@@ -16,8 +16,8 @@ retry and breaker layers treat them differently:
   latency exceeded the deadline. The caller gives up at the deadline but
   the request *did* reach the server and **did execute** — the ambiguous
   failure mode real RPCs have, which is why every shard-server mutation
-  is idempotent and the client enqueues anti-entropy repairs for
-  timed-out writes.
+  is idempotent and the client queues a delete of the orphan a
+  timed-out write may have left.
 
 Brownouts never fail a call by themselves; they multiply its latency,
 which may push it over the deadline (a brownout-induced timeout is still

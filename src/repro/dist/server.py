@@ -39,10 +39,6 @@ class CacheShardServer:
         """Insert or overwrite (idempotent)."""
         self._stores[layer][int(key)] = payload
 
-    def delete(self, layer: str, key: int) -> None:
-        """Remove if present (idempotent)."""
-        self._stores[layer].pop(int(key), None)
-
     # -- multi-key frames -------------------------------------------------
     def get_many(self, entries: Iterable[Tuple[str, int]]) -> List[Optional[Any]]:
         """Read-only: the payload (or ``None``) of each ``(layer, key)``,
@@ -60,9 +56,10 @@ class CacheShardServer:
 
     # -- bulk ----------------------------------------------------------
     def bulk_delete(self, entries: Iterable[Tuple[str, int]]) -> None:
-        """Anti-entropy repair: drop ``(layer, key)`` pairs (idempotent)."""
+        """Drop ``(layer, key)`` pairs if present (idempotent) — the
+        client's only delete."""
         for layer, key in entries:
-            self.delete(layer, key)
+            self._stores[layer].pop(int(key), None)
 
     def put_many(self, layer: str, entries: Dict[int, Any]) -> None:
         """Insert or overwrite every entry of one layer (idempotent —

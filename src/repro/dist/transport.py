@@ -9,7 +9,7 @@ hand-rolled socket protocol would, without a second serializer to test.
 
 The failure classification matches :class:`~repro.dist.rpc.SimRpcChannel`
 exactly (the Hypothesis parity suite in ``tests/dist`` holds the two
-bit-identical), because the retry/breaker/anti-entropy machinery above
+bit-identical), because the retry/breaker/delete-queue machinery above
 keys off it:
 
 * dead worker / broken pipe → :class:`~repro.dist.rpc.ShardOutageError`
@@ -230,7 +230,7 @@ class RealRpcTransport(Transport):
 
     def restart_shard(self, shard: int) -> None:
         """Replace one shard's worker with a fresh, *empty* server —
-        cache payloads are soft state; the client's anti-entropy and
+        cache payloads are soft state; the client's delete queues and
         degraded-read paths tolerate the loss."""
         shard = int(shard)
         worker = self._workers.get(shard)

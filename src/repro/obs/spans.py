@@ -150,7 +150,7 @@ class SpanTracker:
         """Emit an already-finished span (no Span allocation, no stack).
 
         The cheap form for leaf intervals measured inline — RPC
-        attempts, backoff sleeps, anti-entropy flushes.
+        attempts and backoff sleeps.
         """
         self._emit(
             "span",

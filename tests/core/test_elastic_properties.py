@@ -144,8 +144,8 @@ def test_coordinate_under_a_shard_outage_keeps_tiers_in_lockstep(traj):
     client.transport.fault_plans[0] = None
     client.clock.advance("compute", 1.0)
     for sid in client.servers:
-        client._flush_pending(sid)
-    assert not any(client._pending_deletes.values())
+        client._flush(sid)
+    assert not any(client._deletes.values())
     assert client.verify_placement() == []
     for sid, server in client.servers.items():
         owned = {k for k, s in client._loc["imp"].items() if s == sid}

@@ -114,7 +114,7 @@ def test_brownout_timeouts_leave_shards_consistent(breakers_never_open):
     for k in list(cli._loc["imp"])[:10]:
         assert cli.fetch(k, 1000.0, payload).payload is not None
     for sid in cli.servers:
-        cli._flush_pending(sid)
+        cli._flush(sid)
     for sid, server in cli.servers.items():
         for layer, loc in (("imp", cli._loc["imp"]), ("hom", cli._loc["hom"])):
             owned = {k for k, s in loc.items() if s == sid}
@@ -167,7 +167,7 @@ BATCH = [0, 1, 11000, 2, 100, 3, 3, 101, 11001, 1001, 4, 102, 0, 5, 103,
 
 
 def assert_batch_closed(cli):
-    assert cli._parked is None
+    assert not cli._batch_open
     for store in (cli.importance.store, cli.homophily.store):
         assert not store.ahead and not store.unread
 
@@ -180,8 +180,8 @@ def assert_reconverges(cli):
         cli.transport.fault_plans[sid] = None
     cli.clock.advance("compute", 1.0)
     for sid in cli.servers:
-        cli._flush_pending(sid)
-    assert not any(cli._pending_deletes.values())
+        cli._flush(sid)
+    assert not any(cli._deletes.values())
     assert cli.verify_placement() == []
     for sid, server in cli.servers.items():
         for layer, loc in cli._loc.items():

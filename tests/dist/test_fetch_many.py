@@ -120,8 +120,8 @@ def hit_counters(client):
 
 def assert_quiescent(client):
     """What must hold whenever no ``fetch_many`` call is open."""
-    assert client._parked is None
-    assert not any(client._pending_deletes.values())
+    assert not client._batch_open
+    assert not any(client._deletes.values())
     for store in (client.importance.store, client.homophily.store):
         assert not store.ahead and not store.unread
     assert client.dropped_admits == 0 and client.degraded_lookups == 0
@@ -253,4 +253,22 @@ def test_victim_deletes_ride_the_next_frame_to_their_shard():
     # the per-request path takes 3 puts + 3 deletes.
     assert client.transport.calls - before == 4
     assert sorted(client.importance._items) == [3, 10, 11, 12]
+    assert_quiescent(client)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_a_victim_evicted_outside_a_batch_costs_one_bulk_delete(n_shards):
+    """No fetch_many call is open, so nothing would carry the victim's
+    delete: it is flushed at once, as one ``bulk_delete`` after the put
+    that evicted it."""
+    client, recorder = traced_client(n_shards, imp_ratio=0.5)
+    for node in range(4):  # fill the 4-slot homophily layer
+        assert client.update_homophily(100 + node, payload(100 + node), [node])
+    recorder.events.clear()
+    before = client.transport.calls
+    assert client.update_homophily(200, payload(200), [5])
+    assert client.transport.calls - before == 2
+    assert [s["method"] for s in spans(recorder, "rpc_attempt")] == \
+        ["put", "bulk_delete"]
+    assert len(client.homophily) == 4
     assert_quiescent(client)

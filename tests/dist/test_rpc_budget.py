@@ -16,6 +16,7 @@ from repro.data.synthetic import train_test_split
 from repro.nn.models import build_model
 from repro.train.data_parallel import DataParallelTrainer
 from repro.train.trainer import TrainerConfig
+from tests.train import topologies
 
 pytestmark = pytest.mark.dist
 
@@ -51,3 +52,17 @@ def test_sharded_epoch_loop_stays_inside_its_rpc_budget():
     assert calls / requests <= RPC_PER_REQUEST_BUDGET, (calls, requests)
     # The count is a function of the seed: a second execution repeats it.
     assert sharded_run() == (calls, requests, failed)
+
+
+def test_fault_free_topology_run_sends_a_pinned_rpc_sequence():
+    """The ``dp2-shared-2shards`` topology, fault-free: how many RPCs
+    reach each shard is a function of the seed. Queued deletes ride
+    frames that are sent anyway or leave in the one ``bulk_delete`` a
+    victim evicted outside a batch costs, so these counts hold as long
+    as no delete path adds or saves a round trip."""
+    trainer = topologies.build("dp2-shared-2shards", topologies.dataset())
+    trainer.run()
+    transport = trainer.workers[0].policy.cache.transport
+    assert transport.failures == transport.timeouts == 0
+    assert transport.calls == 303
+    assert dict(transport.per_shard_calls) == {0: 175, 1: 128}

@@ -269,10 +269,10 @@ def test_half_open_failure_reopens_with_fresh_cooldown():
     ]
 
 
-def test_anti_entropy_flush_drains_parked_repairs_after_recovery(monkeypatch):
+def test_queued_repair_rides_the_first_frame_after_recovery(monkeypatch):
     """A put that failed during an outage may still have executed
-    server-side (ambiguous timeout); the queued orphan repair is replayed
-    on the next successful call to that shard."""
+    server-side (ambiguous timeout); the queued orphan repair rides the
+    next frame to that shard, costing no RPC of its own."""
     monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 100)
     cli = make_client()
     # Fill the 4-slot importance layer.
@@ -283,7 +283,11 @@ def test_anti_entropy_flush_drains_parked_repairs_after_recovery(monkeypatch):
     cli.fetch(9, 9.0, lambda i: [float(i)])  # put dropped, nothing evicted
     assert cli.dropped_admits == 1
     assert 9 not in cli.importance and 0 in cli.importance  # put-first rule
-    assert any(cli._pending_deletes.values())  # orphan-put repair queued
+    assert any(cli._deletes.values())  # orphan-put repair queued
     cli.transport.fault_plans[0] = None
-    cli.fetch(0, 1.0, lambda i: [float(i)])  # hit: successful call flushes
-    assert not any(cli._pending_deletes.values())
+    before = cli.transport.calls
+    cli.fetch(0, 1.0, lambda i: [float(i)])  # hit: its frame carries it
+    assert cli.transport.calls - before == 1
+    assert not any(cli._deletes.values())
+    assert cli.verify_placement() == []
+    assert sorted(cli.servers[0].keys("imp")) == [0, 1, 2, 3]

@@ -18,7 +18,6 @@ from repro.cache.payload_store import LocalPayloadStore
 from repro.core.semantic_cache import SemanticCache
 from repro.dist.client import ShardedCacheClient, ShardStore
 from repro.dist.retry import RetryPolicy
-from repro.dist.rpc import SimRpcChannel
 from repro.resilience.faults import FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
 
@@ -155,7 +154,7 @@ def test_put_after_a_failed_put_of_the_same_key_keeps_its_payload(n_shards):
     for sid in range(n_shards):
         client.transport.fault_plans[sid] = OUTAGE
     assert st.put(5, payload(5)) is False
-    assert sum(map(len, client._pending_deletes.values())) == 1
+    assert sum(map(len, client._deletes.values())) == 1
     for sid in range(n_shards):
         client.transport.fault_plans[sid] = None
     client.clock.advance("compute", 1.0)  # let the breakers cool down
@@ -163,7 +162,7 @@ def test_put_after_a_failed_put_of_the_same_key_keeps_its_payload(n_shards):
     np.testing.assert_array_equal(st.get(5), payload(5))
     assert client.degraded_lookups == 0
     assert client.verify_placement() == []
-    assert not any(client._pending_deletes.values())
+    assert not any(client._deletes.values())
 
 
 # ----------------------------------------------------------------------
@@ -182,10 +181,3 @@ def test_sharded_client_runs_the_monoliths_policy_objects():
     for name in ("set_imp_ratio", "update_score", "_degraded_fetch",
                  "state_dict", "load_state_dict"):
         assert getattr(ShardedCacheClient, name) is getattr(SemanticCache, name)
-
-
-@pytest.mark.parametrize("ignored", ["clock"])
-def test_prebuilt_transport_rejects_arguments_it_would_ignore(ignored):
-    with pytest.raises(ValueError, match=ignored):
-        ShardedCacheClient(8, transport=SimRpcChannel(), **{ignored: SimClock()})
-    ShardedCacheClient(8, transport=SimRpcChannel())  # alone it is fine

@@ -153,7 +153,7 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges(monkeypatch):
             out = real.fetch(k % 25, float(k + 1), payload)
             assert out.payload is not None
         assert real.breakers[0].state is BreakerState.CLOSED
-        assert not any(real._pending_deletes.values())
+        assert not any(real._deletes.values())
         # Importance payloads reconverge: a degraded read falls through
         # to the remote tier and the re-admit refreshes the shard copy.
         for sid in real.transport.shard_ids:

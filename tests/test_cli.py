@@ -117,6 +117,17 @@ def test_train_with_trace_dir_and_report(tmp_path, capsys):
     assert "trace vs per-epoch metrics: OK" in out
 
 
+def test_rejected_train_leaves_the_previous_trace(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    traced = ["train", "--trace-dir", str(run_dir)] + FAST
+    assert main(traced) == 0
+    before = (run_dir / "trace.jsonl").read_bytes()
+    assert before
+    assert main(traced + ["--world-size", "0"]) == 2
+    assert "world_size must be >= 1" in capsys.readouterr().err
+    assert (run_dir / "trace.jsonl").read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [

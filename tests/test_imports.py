@@ -13,7 +13,9 @@ importing a module loads only what it imports, plus its empty parent
 packages. A fresh interpreter checks the second half.
 
 The same tree is then held to the dead-code rule: a module no other
-``src/`` module imports is deleted, or kept with its reason written down.
+``src/`` module imports is deleted, or kept with its reason written down,
+and to the layer order: a module's top level imports nothing from a
+layer above its own.
 """
 
 import ast
@@ -269,4 +271,77 @@ def test_no_module_imports_threads():
                 offenders.append(f"{module} imports {dotted}")
     assert offenders == [], (
         "src/ is single-threaded by contract: " + "; ".join(offenders)
+    )
+
+
+# -- the layer order --------------------------------------------------------
+# Lowest first. A module belongs to the group of its longest matching
+# entry (the entry itself or a module under it), and its top level may
+# import only from its own group or a lower one; a function-level import
+# (the trainer's lazy ``repro.dist``) is exempt.
+LAYER_ORDER = (
+    # helpers that import nothing of repro
+    ("repro.utils", "repro.analysis"),
+    # recording: metrics, spans, the trace, the observer
+    ("repro.obs",),
+    # substrate: payload stores, clocks, caches, indexes, models, data
+    ("repro.storage", "repro.cache", "repro.ann", "repro.nn", "repro.data"),
+    # the Fig. 9 cache and what it decides with
+    ("repro.core",),
+    # what every training policy shares (it serves through the cache)
+    ("repro.train.policy_base",),
+    # the policies
+    ("repro.core.policy", "repro.baselines"),
+    # the epoch loop
+    ("repro.train",),
+    # reading a finished run
+    ("repro.obs.report", "repro.obs.critpath"),
+    # fault tolerance and the shard tier
+    ("repro.resilience", "repro.dist"),
+    # entry points
+    ("repro.cli", "repro.__main__"),
+)
+
+
+def _layer(module: str):
+    """Index of ``module``'s group in :data:`LAYER_ORDER`, or None."""
+    matches = [
+        (len(entry), i) for i, group in enumerate(LAYER_ORDER)
+        for entry in group
+        if module == entry or module.startswith(entry + ".")
+    ]
+    return max(matches)[1] if matches else None
+
+
+def _module_top_imports(tree):
+    """:func:`_imports` of what runs when the module is imported: every
+    statement outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from _imports(node)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_from_a_layer_above_its_own():
+    sources = _module_sources()
+    unplaced = sorted(m for m in sources if m != "repro" and _layer(m) is None)
+    assert unplaced == [], f"give these a group in LAYER_ORDER: {unplaced}"
+    upward = []
+    for module, (path, _) in sources.items():
+        for target, name in _module_top_imports(ast.parse(path.read_text())):
+            if name is not None and f"{target}.{name}" in sources:
+                target = f"{target}.{name}"
+            if target in sources and target != "repro" and (
+                _layer(target) > _layer(module)
+            ):
+                upward.append(f"{module} imports {target}")
+    assert upward == [], (
+        "a module-top import points up LAYER_ORDER; move the code it "
+        "needs down to a layer the importer may use:\n  "
+        + "\n  ".join(sorted(upward))
     )
