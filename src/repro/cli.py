@@ -313,7 +313,10 @@ def _cmd_report(args) -> int:
 def _cmd_compare(args) -> int:
     results = []
     for name in args.policies:
-        trainer, _, _ = _make_run(args, name)
+        try:
+            trainer, _, _ = _make_run(args, name)
+        except ValueError as exc:
+            return _reject(exc)
         results.append((name, trainer.run()))
         print(f"finished {name}", file=sys.stderr)
     baseline_t = max(r.total_time_s for _, r in results)
@@ -326,7 +329,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    trainer, policy, train = _make_run(args, args.policy)
+    try:
+        trainer, policy, train = _make_run(args, args.policy)
+    except ValueError as exc:
+        return _reject(exc)
     # Train first so importance-driven policies reach their steady-state
     # sampling distribution; the recorded trace then reflects real access
     # behaviour rather than the cold uniform start.
@@ -381,6 +387,12 @@ def _cmd_faults(args) -> int:
         else tempfile.TemporaryDirectory(prefix="repro-faults-")
     )
     with checkpoints as root:
+        try:
+            # The campaign builds its trainers as it goes: let the
+            # constructors refuse the configuration before anything runs.
+            make_trainer(Path(root), None, 0.0)
+        except ValueError as exc:
+            return _reject(exc)
         campaign = FaultCampaign(make_trainer, Path(root), scenarios)
         result = campaign.run(verbose=True,
                               log=lambda m: print(m, file=sys.stderr))

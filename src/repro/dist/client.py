@@ -476,8 +476,8 @@ class ShardedCacheClient(SemanticCache):
     ) -> FetchOutcome:
         """:meth:`SemanticCache.fetch`, unchanged; under faults,
         unreachable payloads degrade each stage to a miss and the next
-        stage takes over. With span tracing enabled the whole request
-        runs inside a ``fetch`` span — every RPC attempt, backoff and
+        stage takes over. On an active observer the whole request runs
+        inside a ``fetch`` span — every RPC attempt, backoff and
         breaker rejection it causes hangs off that span in the trace.
         """
         index = int(index)

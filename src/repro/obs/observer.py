@@ -4,15 +4,18 @@ Instrumented components (:class:`~repro.core.semantic_cache.SemanticCache`,
 the cache layers, :class:`~repro.storage.backends.RemoteStore`, the elastic
 manager, the circuit breaker, both trainers) hold an ``Observer`` reference
 — :data:`NULL_OBSERVER` by default — and guard every hook call with
-``if obs.active:``. The null observer's ``active`` is False, so an
-un-instrumented run pays one attribute read per operation and nothing
-else; no events are built, no metrics are touched.
+``if obs.active:``. An observer is in one of two states. Built without a
+recorder it is off: ``active`` is False, so an un-instrumented run pays
+one attribute read per operation and nothing else; no events are built,
+no metrics are touched, no span tracker exists. Built with a recorder it
+is fully traced: every hook emits its event, stamped with the run's trace
+ID and the innermost open span of its
+:class:`~repro.obs.spans.SpanTracker`.
 
-A hook emits a structured trace event (only when its recorder is
-enabled). The per-request hooks (``fetch``, ``prefetch``,
-``importance_admit``, ``evict``, ``audit`` — the kinds of
-:data:`~repro.obs.trace.ROW_SCHEMA`) hand the sink a positional tuple
-through :meth:`~repro.obs.trace.TraceRecorder.emit_row`; every other hook
+The per-request hooks (``fetch``, ``prefetch``, ``importance_admit``,
+``evict``, ``audit`` — the kinds of :data:`~repro.obs.trace.ROW_SCHEMA`)
+hand the sink a positional tuple through
+:meth:`~repro.obs.trace.TraceRecorder.emit_row`; every other hook
 builds the flat dict in :meth:`Observer.emit`. What a sink does with a
 row is its business: in-memory sinks expand it to the same flat dict
 immediately, the JSONL sink packs rows into block lines.
@@ -35,13 +38,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanTracker
-from repro.obs.trace import NullRecorder, TraceRecorder
+from repro.obs.trace import TraceRecorder
 
 __all__ = ["Observer", "NULL_OBSERVER"]
 
 
 class Observer:
-    """Bundles a :class:`TraceRecorder` and a :class:`MetricsRegistry`.
+    """Bundles a :class:`TraceRecorder`, a :class:`MetricsRegistry` and a
+    :class:`~repro.obs.spans.SpanTracker`.
 
     :meth:`snapshot` is the run's metrics export: the registry merged
     with the counts of every registered owner. Owner counts are the
@@ -53,37 +57,32 @@ class Observer:
     Parameters
     ----------
     recorder:
-        Trace sink; defaults to a :class:`NullRecorder` (metrics-only
-        observation).
+        Trace sink. Given, the observer is active and traced; ``None``
+        (the default) builds an inactive observer with no tracker —
+        instrumented sites check ``active`` before calling any hook.
     metrics:
         Registry to publish into; defaults to a fresh one.
-    active:
-        Master switch. ``False`` builds the shared null observer —
-        instrumented sites check this before calling any hook.
     span_seed:
-        When given, attaches a :class:`~repro.obs.spans.SpanTracker`
-        minting deterministic trace/span IDs from this seed; span hooks
-        become live and every emitted event gains ``trace``/``span``
-        correlation fields. ``None`` (the default) allocates no span
-        machinery at all.
+        Seed of the span tracker's deterministic trace/span IDs; every
+        emitted event carries the ``trace`` stamp and, inside a span,
+        the ``span`` one.
     """
 
     def __init__(
         self,
         recorder: Optional[TraceRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
-        active: bool = True,
-        span_seed: Optional[int] = None,
+        span_seed: int = 0,
     ) -> None:
-        self.recorder = recorder if recorder is not None else NullRecorder()
+        self.recorder = recorder
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.active = bool(active)
+        self.active = recorder is not None
         self.epoch = -1  # current trainer epoch; -1 outside a run
         self.hit_latency_s = 0.0  # set by the trainer (HIT_LATENCY_S)
         self._pending_store_latency_s = 0.0
-        self.spans: Optional[SpanTracker] = None
-        if span_seed is not None:
-            self.enable_spans(span_seed)
+        self.spans: Optional[SpanTracker] = (
+            SpanTracker(span_seed, self.emit) if self.active else None
+        )
         # Components whose counters() the snapshot reads, by identity.
         self._owners: Dict[int, Any] = {}
 
@@ -108,12 +107,10 @@ class Observer:
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: Any) -> None:
-        """Emit one flat trace event stamped with the current epoch.
-
-        With span tracing enabled, every event is additionally stamped
-        with the trace ID and the innermost open span — the correlation
-        that ties breaker trips and audit decisions back to the request
-        causing them.
+        """Emit one flat trace event stamped with the current epoch, the
+        trace ID and the innermost open span — the correlation that ties
+        breaker trips and audit decisions back to the request causing
+        them (a ``span`` event carries its own).
 
         This is the cold path (a kwargs dict per event): the hooks whose
         volume grows with the number of requests go through
@@ -121,28 +118,24 @@ class Observer:
         here, at call time — an external timer may shadow it on the
         instance.
         """
-        if self.recorder.enabled:
-            event: Dict[str, Any] = {"kind": kind, "epoch": self.epoch}
+        event: Dict[str, Any] = {"kind": kind, "epoch": self.epoch}
+        if kind != "span":
             tracker = self.spans
-            if tracker is not None and kind != "span":
-                event["trace"] = tracker.trace_id
-                current = tracker.current_id()
-                if current is not None:
-                    event["span"] = current
-            event.update(fields)
-            self.recorder.emit(event)
+            event["trace"] = tracker.trace_id
+            current = tracker.current_id()
+            if current is not None:
+                event["span"] = current
+        event.update(fields)
+        self.recorder.emit(event)
 
     def _emit_row(self, row: Tuple[Any, ...]) -> None:
-        """Hand the (enabled) recorder one per-request row, stamped like
-        :meth:`emit` stamps a flat event: the current epoch, the trace
-        ID, and the innermost open span."""
+        """Hand the recorder one per-request row, stamped like :meth:`emit`
+        stamps a flat event: the current epoch, the trace ID, and the
+        innermost open span."""
         tracker = self.spans
-        if tracker is None:
-            self.recorder.emit_row(self.epoch, None, None, row)
-        else:
-            self.recorder.emit_row(
-                self.epoch, tracker.trace_id, tracker.current_id(), row
-            )
+        self.recorder.emit_row(
+            self.epoch, tracker.trace_id, tracker.current_id(), row
+        )
 
     def set_epoch(self, epoch: int) -> None:
         """Advance the epoch stamp applied to subsequent events."""
@@ -153,40 +146,23 @@ class Observer:
         self.recorder.close()
 
     # -- spans ----------------------------------------------------------
-    def enable_spans(self, seed: int) -> SpanTracker:
-        """Attach a deterministic span tracker (idempotent per seed)."""
-        self.spans = SpanTracker(seed, self.emit)
-        return self.spans
-
-    def span_start(self, name: str, t0_s: float,
-                   **attrs: Any) -> Optional[Span]:
-        """Open a child span; ``None`` when span tracing is disabled.
+    def span_start(self, name: str, t0_s: float, **attrs: Any) -> Span:
+        """Open a child span of the innermost open one.
 
         Call sites keep the uniform shape
         ``span = obs.span_start(...) if obs.active else None`` and later
-        ``obs.span_end(span, t)`` — both collapse to no-ops (and no
-        allocations) without a tracker.
+        ``if span is not None: obs.span_end(span, t)``.
         """
-        tracker = self.spans
-        if tracker is None:
-            return None
-        return tracker.start(name, t0_s, **attrs)
+        return self.spans.start(name, t0_s, **attrs)
 
-    def span_end(self, span: Optional[Span], t1_s: float,
-                 **attrs: Any) -> None:
-        """Close a span from :meth:`span_start` (no-op on ``None``)."""
-        tracker = self.spans
-        if tracker is None or span is None:
-            return
-        tracker.finish(span, t1_s, **attrs)
+    def span_end(self, span: Span, t1_s: float, **attrs: Any) -> None:
+        """Close a span from :meth:`span_start`."""
+        self.spans.finish(span, t1_s, **attrs)
 
     def span_record(self, name: str, t0_s: float, t1_s: float,
                     **attrs: Any) -> None:
-        """Emit an already-measured leaf span (no-op when disabled)."""
-        tracker = self.spans
-        if tracker is None:
-            return
-        tracker.record(name, t0_s, t1_s, **attrs)
+        """Emit an already-measured leaf span."""
+        self.spans.record(name, t0_s, t1_s, **attrs)
 
     # -- store ----------------------------------------------------------
     def on_store_fetch(self, latency_s: float) -> None:
@@ -220,16 +196,14 @@ class Observer:
             latency_s = 0.0
         else:
             latency_s = self.hit_latency_s
-        if self.recorder.enabled:
-            self._emit_row(
-                ("fetch", int(requested_id), int(served_id), src, latency_s)
-            )
+        self._emit_row(
+            ("fetch", int(requested_id), int(served_id), src, latency_s)
+        )
 
     def on_prefetch(self, index: int, admitted: bool) -> None:
         """An importance-driven prefetch fetched (and possibly admitted)."""
         latency_s = self.take_store_latency()
-        if self.recorder.enabled:
-            self._emit_row(("prefetch", int(index), bool(admitted), latency_s))
+        self._emit_row(("prefetch", int(index), bool(admitted), latency_s))
 
     def on_admit(
         self,
@@ -242,17 +216,15 @@ class Observer:
         (admissions and evictions are the cache's own counts)."""
         if not admitted:
             self.metrics.counter("importance.rejected").inc()
-        if self.recorder.enabled:
-            self._emit_row((
-                "importance_admit", int(key), float(score), bool(admitted),
-                None if evicted_key is None else int(evicted_key),
-            ))
+        self._emit_row((
+            "importance_admit", int(key), float(score), bool(admitted),
+            None if evicted_key is None else int(evicted_key),
+        ))
 
     def on_evict(self, layer: str, key: int, reason: str) -> None:
         """A cache layer evicted a resident outside the admit path
         (FIFO turnover, elastic shrink)."""
-        if self.recorder.enabled:
-            self._emit_row(("evict", layer, int(key), reason))
+        self._emit_row(("evict", layer, int(key), reason))
 
     def on_homophily_insert(self, key: int, n_neighbors: int) -> None:
         """The Homophily Cache inserted a batch's top-degree node."""
@@ -275,20 +247,18 @@ class Observer:
         The audit family records *why*, not just *that*: ``action`` is
         ``"evict"`` / ``"substitute"`` / ``"drop"``, with the ``score``
         the entry held and the ``threshold`` it was measured against
-        (e.g. the importance heap's current minimum). With span tracing
-        on, events carry the trace/span of the request that forced the
-        decision — the per-decision dataset the calibrated-substitution
+        (e.g. the importance heap's current minimum). Events carry the
+        trace/span of the request that forced the decision — the per-decision dataset the calibrated-substitution
         work (ROADMAP item 5) consumes.
         """
         self.metrics.counter(f"audit.{action}").inc()
-        if self.recorder.enabled:
-            self._emit_row((
-                "audit", action, int(key), layer,
-                None if score is None else float(score),
-                None if threshold is None else float(threshold),
-                None if requested_id is None else int(requested_id),
-                reason,
-            ))
+        self._emit_row((
+            "audit", action, int(key), layer,
+            None if score is None else float(score),
+            None if threshold is None else float(threshold),
+            None if requested_id is None else int(requested_id),
+            reason,
+        ))
 
     # -- elastic manager -------------------------------------------------
     def on_elastic(self, epoch: int, beta: int, u: float, imp_ratio: float) -> None:
@@ -310,8 +280,8 @@ class Observer:
         """The circuit breaker changed state.
 
         ``where`` names the guarded resource (e.g. ``"shard3"``) when
-        the owner labeled its breaker; with span tracing on, the emitted
-        event's trace/span stamp ties the trip to the RPC that caused it.
+        the owner labeled its breaker; the emitted event's trace/span
+        stamp ties the trip to the RPC that caused it.
         """
         if where is None:
             self.emit("breaker", old=old, new=new, at_s=float(at_s))
@@ -370,4 +340,4 @@ class Observer:
 
 #: Shared inert observer; ``active`` is False so instrumented sites skip
 #: every hook. Components default to this — never mutate it.
-NULL_OBSERVER = Observer(active=False)
+NULL_OBSERVER = Observer()

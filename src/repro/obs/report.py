@@ -367,17 +367,12 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
         return lines  # no per-epoch metrics to check against
 
     # A multi-worker run divides its stage times across workers, so only
-    # the ratios are derivable from the flat fetch stream there; a shard
-    # tier's RPC time is in its spans alone.
+    # the ratios are derivable from the flat fetch stream there (a shard
+    # tier's RPC time comes from its spans).
     run_start = next((e for e in events if e.get("kind") == "run_start"), {})
-    if int(run_start.get("world_size", 1)) > 1:
-        scope = "a multi-worker run divides them across workers"
-    elif run_start.get("cache_shards") and not by_kind.get("span"):
-        scope = "a shard-tier trace without span events holds no RPC time"
-    else:
-        scope = None
+    multi_worker = int(run_start.get("world_size", 1)) > 1
     fields = ["hit_ratio", "substitute_ratio"]
-    if scope is None:
+    if not multi_worker:
         fields += ["data_load_s", "compute_s", "is_visible_s", "epoch_time_s"]
     aggs = {a.epoch: a for a in aggregate_trace(events)}
     worst = 0.0
@@ -392,8 +387,8 @@ def _trace_section(trace_path: Path, epochs: List[Dict[str, Any]]) -> List[str]:
                 worst = max(worst, abs(getattr(a, name) - float(e[name])))
     status = "OK" if worst < 1e-6 else f"MISMATCH (max abs err {worst:.3e})"
     note = (
-        "" if scope is None
-        else f" (hit and substitute ratios; stage times skipped: {scope})"
+        " (hit and substitute ratios; stage times skipped: a multi-worker "
+        "run divides them across workers)" if multi_worker else ""
     )
     lines.append(
         f"trace vs per-epoch metrics: {status} over {checked} epoch(s){note}"

@@ -15,9 +15,10 @@ Design constraints, in order:
   sequential counter, so two runs of the same configuration emit
   byte-identical span events and no two spans of one trace segment share
   an ID. One thread drives a run, so the counter needs no lock.
-* **Zero cost when off.** The tracker only exists when the observer was
-  built with a ``span_seed``; ``NULL_OBSERVER`` and metrics-only
-  observers allocate no span objects at all (asserted by tests).
+* **Zero cost when off.** Every active observer owns a tracker; an
+  inactive one (``NULL_OBSERVER`` included) has none, and its call
+  sites' ``obs.active`` guards keep a run from allocating a single span
+  object (asserted by tests).
 * **One event per span.** A span is emitted as a single ``kind="span"``
   event when it *finishes* (parents therefore appear after their
   children in the file); reconstruction links ``parent`` -> ``id``

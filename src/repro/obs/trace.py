@@ -2,11 +2,8 @@
 
 A *trace* is an append-only journal of structured events — one dict per
 event — emitted by the cache hierarchy, the stores, the elastic manager,
-the circuit breaker, and the trainer as a run executes. Three sinks:
+the circuit breaker, and the trainer as a run executes. Two sinks:
 
-* :class:`NullRecorder` — the default everywhere; ``enabled`` is False so
-  instrumented call sites skip event construction entirely (zero
-  overhead when tracing is off).
 * :class:`InMemoryRecorder` — keeps events in a list; tests and
   interactive analysis.
 * :class:`JsonlRecorder` — streams events to a file as JSON lines; the
@@ -39,7 +36,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "TraceRecorder",
-    "NullRecorder",
     "InMemoryRecorder",
     "JsonlRecorder",
     "SEGMENT_KIND",
@@ -116,15 +112,11 @@ def expand_row(
 class TraceRecorder:
     """Protocol for trace sinks.
 
-    Subclasses set ``enabled`` and implement :meth:`emit`. Call sites are
-    expected to guard event construction with ``if recorder.enabled:`` so
-    a disabled recorder costs one attribute read per instrumented op.
-    :meth:`emit_row` has a default that keeps any sink flat and
-    immediate; only a sink with a cheaper representation overrides it.
+    Subclasses implement :meth:`emit`; a run with no sink has no
+    recorder at all (its observer is inactive). :meth:`emit_row` has a
+    default that keeps any sink flat and immediate; only a sink with a
+    cheaper representation overrides it.
     """
-
-    #: Whether :meth:`emit` does anything; call sites guard on this.
-    enabled: bool = True
 
     def emit(self, event: Dict[str, Any]) -> None:
         """Record one structured event (a flat JSON-serializable dict)."""
@@ -144,19 +136,8 @@ class TraceRecorder:
         """Flush and release any underlying resources (default: no-op)."""
 
 
-class NullRecorder(TraceRecorder):
-    """Discards everything; ``enabled`` is False so emitters skip work."""
-
-    enabled = False
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        """Drop the event."""
-
-
 class InMemoryRecorder(TraceRecorder):
     """Accumulates events in ``self.events`` (a plain list of dicts)."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
@@ -241,8 +222,6 @@ class JsonlRecorder(TraceRecorder):
     up on the instance at call time, so a wrapper installed over it
     brackets all encoding and I/O. ``emitted`` counts lines written.
     """
-
-    enabled = True
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)

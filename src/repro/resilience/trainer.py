@@ -106,6 +106,11 @@ class ResilientTrainer(Trainer):
         resume: bool = False,
         **kwargs,
     ) -> None:
+        if checkpoint_every_batches < 0:
+            raise ValueError(
+                "checkpoint_every_batches must be >= 0, "
+                f"got {checkpoint_every_batches}"
+            )
         super().__init__(*args, **kwargs)
         self.checkpoint_dir = Path(checkpoint_dir)
         self.checkpoint_every_batches = int(checkpoint_every_batches)

@@ -178,6 +178,8 @@ class EpochRunner:
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.workers: List[WorkerState] = []
         self._rng = resolve_rng(rng)
+        if cfg.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
         if cfg.clock_mode not in ("sim", "real"):
             raise ValueError(
                 f"clock_mode must be 'sim' or 'real', got {cfg.clock_mode!r}"

@@ -129,9 +129,8 @@ def test_inactive_observer_run_emits_nothing_and_allocates_no_spans(
     rec = InMemoryRecorder()
     # Inactive but with a live recorder AND a span tracker attached: only
     # the call-site guards keep this silent.
-    obs = Observer(
-        recorder=rec, metrics=MetricsRegistry(), active=False, span_seed=7
-    )
+    obs = Observer(recorder=rec, metrics=MetricsRegistry(), span_seed=7)
+    obs.active = False
     ds = make_clustered_dataset(200, n_classes=4, dim=16, rng=0)
     train, test = train_test_split(ds, test_fraction=0.25, rng=1)
     model = build_model("resnet18", train.dim, train.num_classes, rng=2)

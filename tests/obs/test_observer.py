@@ -22,7 +22,33 @@ def _observer():
 
 def test_null_observer_inactive():
     assert NULL_OBSERVER.active is False
-    assert NULL_OBSERVER.recorder.enabled is False
+    assert NULL_OBSERVER.recorder is None
+
+
+def test_observer_without_recorder_is_inactive_and_allocates_no_tracker():
+    obs = Observer()
+    assert obs.active is False
+    assert obs.recorder is None and obs.spans is None
+
+
+def test_every_event_an_active_observer_emits_carries_the_trace_stamp():
+    """Flat events, per-request rows and span events alike, inside a span
+    and outside one."""
+    obs, rec, _ = _observer()
+    obs.set_epoch(0)
+    obs.on_breaker("closed", "open", 0.0)
+    span = obs.span_start("batch", 0.0, slot=0)
+    obs.on_fetch(1, 1, FetchSource.REMOTE)
+    obs.on_admit(1, 0.5, admitted=False, evicted_key=None)
+    obs.span_record("compute", 0.0, 0.1, slot=0)
+    obs.span_end(span, 0.2)
+    obs.on_epoch_metrics({"hit_ratio": 0.0})
+    trace = obs.spans.trace_id
+    assert len(rec.events) == 6
+    assert all(e["trace"] == trace for e in rec.events)
+    inside = [e for e in rec.events if e["kind"] in ("fetch", "importance_admit")]
+    assert all(e["span"] == span.span_id for e in inside)
+    assert "span" not in rec.events[0] and "span" not in rec.events[-1]
 
 
 def test_components_default_to_null_observer():
@@ -32,7 +58,7 @@ def test_components_default_to_null_observer():
     assert store._obs is NULL_OBSERVER
     # An un-instrumented fetch works and records nothing anywhere.
     store.get(0)
-    assert NULL_OBSERVER.recorder.enabled is False
+    assert NULL_OBSERVER.recorder is None
 
 
 def test_store_latency_consumed_by_fetch_event():
@@ -189,14 +215,6 @@ def test_events_stamped_with_epoch():
     obs.set_epoch(4)
     obs.emit("fetch", requested_id=0)
     assert rec.events[0]["epoch"] == 4
-
-
-def test_metrics_only_observer_skips_trace():
-    reg = MetricsRegistry()
-    obs = Observer(metrics=reg)  # NullRecorder by default
-    obs.on_admit(0, 0.5, admitted=False, evicted_key=None)
-    assert reg.snapshot()["counters"] == {"importance.rejected": 1}
-    assert obs.recorder.enabled is False
 
 
 def test_observation_does_not_perturb_training():

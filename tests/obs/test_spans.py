@@ -129,15 +129,6 @@ def test_observer_stamps_flat_events_with_ambient_span():
     assert span_ev["id"] == span.span_id
 
 
-def test_observer_without_span_seed_allocates_no_tracker():
-    obs = Observer(recorder=InMemoryRecorder(), metrics=MetricsRegistry())
-    assert obs.spans is None
-    assert obs.span_start("x", 0.0) is None
-    obs.span_end(None, 1.0)  # no-op
-    obs.span_record("x", 0.0, 1.0)  # no-op
-    assert obs.recorder.events == []
-
-
 def test_sharded_run_span_ids_are_unique_and_parents_resolve(tmp_path):
     """A node the homophily layer evicted is put again, and each ``put``
     span still gets its own ID, so no span drops out of the forest and

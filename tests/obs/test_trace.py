@@ -1,4 +1,4 @@
-"""Trace recorder tests: null, in-memory, and JSONL sinks."""
+"""Trace recorder tests: in-memory and JSONL sinks."""
 
 import json
 import signal
@@ -11,21 +11,12 @@ from repro.obs.trace import (
     SEGMENT_KIND,
     InMemoryRecorder,
     JsonlRecorder,
-    NullRecorder,
     read_jsonl,
 )
 
 
-def test_null_recorder_disabled_and_silent():
-    rec = NullRecorder()
-    assert rec.enabled is False
-    rec.emit({"kind": "fetch"})  # no-op, no error
-    rec.close()
-
-
 def test_in_memory_recorder_accumulates():
     rec = InMemoryRecorder()
-    assert rec.enabled is True
     rec.emit({"kind": "fetch", "epoch": 0})
     rec.emit({"kind": "batch", "epoch": 0})
     rec.emit({"kind": "fetch", "epoch": 1})

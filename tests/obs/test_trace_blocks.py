@@ -144,8 +144,6 @@ class TeeRecorder(TraceRecorder):
     """Forwards to a real :class:`JsonlRecorder` and keeps, beside it,
     the flat event of every call as it is made."""
 
-    enabled = True
-
     def __init__(self, path):
         self.sink = JsonlRecorder(path)
         self.flat = []

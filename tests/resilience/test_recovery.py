@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.obs.observer import Observer
+from repro.obs.trace import InMemoryRecorder
 from repro.resilience.preemption import PreemptionError, PreemptionSchedule
 from repro.resilience.state import load_state, save_state
 from repro.resilience.trainer import KEEP_LAST, ResilientTrainer
@@ -129,7 +130,8 @@ def test_resumed_run_exports_the_uninterrupted_runs_counts(build_run, tmp_path):
     """The counts a component keeps are checkpointed with it, so the
     metrics export of a twice-preempted run reads what an uninterrupted
     run reads — replayed batches are not counted twice."""
-    base_obs, resumed_obs = Observer(), Observer()
+    base_obs = Observer(InMemoryRecorder())
+    resumed_obs = Observer(InMemoryRecorder())
     build_run(Trainer, observer=base_obs)[0].run()
     trainer = build_run(
         ResilientTrainer, observer=resumed_obs,

@@ -152,6 +152,31 @@ def test_train_shard_tier_rejections_come_from_the_constructor(
     assert message in capsys.readouterr().err
 
 
+EPOCHS_0 = ("--samples", "200", "--epochs", "0")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--policy", "baseline", *EPOCHS_0], "epochs must be >= 1, got 0"),
+    (["compare", "--policies", "baseline", *EPOCHS_0],
+     "epochs must be >= 1, got 0"),
+    (["trace", *EPOCHS_0], "epochs must be >= 1, got 0"),
+    (["faults", *EPOCHS_0], "epochs must be >= 1, got 0"),
+    (["faults", "--samples", "200", "--epochs", "1", "--scenarios", "preempt",
+      "--checkpoint-every", "-3", "--checkpoint-dir", "{dir}"],
+     "checkpoint_every_batches must be >= 0, got -3"),
+], ids=["train", "compare", "trace", "faults", "faults-cadence"])
+def test_subcommands_reject_what_the_constructors_refuse(
+    argv, message, tmp_path, capsys
+):
+    """Exit 2 with the constructor's message, before anything runs or is
+    written."""
+    ckpts = tmp_path / "ckpts"
+    assert main([str(ckpts) if a == "{dir}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+    assert not ckpts.exists()
+
+
 def test_train_shared_cache_on_one_worker(capsys):
     """``DataParallelTrainer(world_size=1)`` honours a shared, sharded
     cache, so the CLI routes the flags there instead of refusing them."""

@@ -129,6 +129,13 @@ def test_unknown_clock_mode_is_rejected_everywhere(data):
             topologies.build(topology, data, BASE, clock_mode="bogus")
 
 
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_epochs_below_one_is_rejected_everywhere(epochs, data):
+    for topology in TOPOLOGIES:
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            topologies.build(topology, data, BASE, epochs=epochs)
+
+
 # -- the policy-side knobs the loop reads ---------------------------------
 class MaskedSlowISPolicy(SpiderCachePolicy):
     """SpiderCache (so the sharded tier can host it) with iCache's selective
