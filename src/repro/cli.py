@@ -329,6 +329,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if not 0.0 <= args.capacity <= 1.0:  # NaN fails too
+        return _reject(ValueError(
+            f"--capacity must be a dataset fraction in [0, 1], "
+            f"got {args.capacity}"
+        ))
     try:
         trainer, policy, train = _make_run(args, args.policy)
     except ValueError as exc:
@@ -390,9 +395,20 @@ def _cmd_faults(args) -> int:
         try:
             # The campaign builds its trainers as it goes: let the
             # constructors refuse the configuration before anything runs.
-            make_trainer(Path(root), None, 0.0)
+            probe = make_trainer(Path(root), None, 0.0)
         except ValueError as exc:
             return _reject(exc)
+        # A kill point outside the run would never fire, and the scenario
+        # would read as a preemption survived.
+        n_batches = probe.loader.n_batches(probe.train_set.y)
+        for scenario in scenarios:
+            for epoch, batch in scenario.preempt_at:
+                if not (0 <= epoch < args.epochs and 0 <= batch < n_batches):
+                    return _reject(ValueError(
+                        f"scenario {scenario.name!r} preempts at (epoch "
+                        f"{epoch}, batch {batch}), outside the run "
+                        f"({args.epochs} epoch(s) of {n_batches} batch(es))"
+                    ))
         campaign = FaultCampaign(make_trainer, Path(root), scenarios)
         result = campaign.run(verbose=True,
                               log=lambda m: print(m, file=sys.stderr))

@@ -13,8 +13,11 @@ cover map, capacity split) stays local, which is what makes the service
   faults fire (by construction; the Hypothesis differential oracle in
   ``tests/dist`` guards placement independence), and
 * **gracefully degraded** when shards do fail: lookups become misses,
-  admits become counted ``dropped_admits``, and the global
-  capacity/eviction/FIFO invariants are never corrupted.
+  while every admit and eviction is still decided as the monolith
+  decides it — its write waits in the shard's write queue, served from
+  there, until a frame lands it — so the global capacity/eviction/FIFO
+  invariants are never corrupted, and once the faults end and the
+  queues drain every shard holds exactly what the metadata owns.
 
 Modules:
 
@@ -28,6 +31,7 @@ Modules:
   behind a length-prefixed ``multiprocessing.connection`` protocol;
 * :mod:`~repro.dist.retry` — seeded-jitter capped exponential backoff
   with a per-request retry budget;
-* :mod:`~repro.dist.server` — idempotent shard partition servers;
+* :mod:`~repro.dist.server` — idempotent shard partition servers
+  (reads, and ``(layer, key, payload)`` writes);
 * :mod:`~repro.dist.client` — the breaker-guarded coordinating client.
 """

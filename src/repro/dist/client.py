@@ -24,12 +24,13 @@ Consequences:
   construction* — there is no second copy of the policy to drift; the
   differential oracle in ``tests/dist`` checks that placement never
   leaks into it;
-* an RPC failure can only lose *payload availability*, never corrupt
-  policy state: a failed read makes the layer see a miss (the next
-  protocol stage serves, counted in ``degraded_lookups``), a failed put
-  is a ``dropped_admits`` the layer leaves its metadata untouched for,
-  so capacity/eviction/FIFO invariants hold through arbitrary
-  outage/brownout schedules.
+* an RPC failure can only lose *payload availability* for a while,
+  never corrupt policy state or change a decision: a failed read makes
+  the layer see a miss (the next protocol stage serves, counted in
+  ``degraded_lookups``), and a write never fails — a put is queued and
+  lands with a later frame — so every layer decides at request time
+  exactly as the monolith does, and capacity/eviction/FIFO invariants
+  hold through arbitrary outage/brownout schedules.
 
 What lives here is the shard tier proper: the consistent-hash ring and
 the per-key location maps, one logical request = breaker gate + retries
@@ -38,21 +39,24 @@ with the seeded-jitter backoff of :class:`~repro.dist.retry.RetryPolicy`
 never raises, when the breaker rejects the request or the retries run
 out — as the remote store answers ``None``), a
 :class:`~repro.resilience.breaker.CircuitBreaker` per shard, and one
-delete queue per shard. Write ordering is *payload first* (the layers
-put before touching metadata). Every payload no metadata owns any more —
-an evicted victim's, an orphan of a failed put, a restore's stale
-residents — is queued for its shard; every frame to that shard carries
-the queue (deletes first, then the frame's own put/read) and puts it
-back if the frame fails, and :meth:`ShardedCacheClient._flush` sends
-what is left as one ``bulk_delete``.
+write queue per shard. A key's shard is a pure function of the key, so
+the queue is keyed by ``(layer, key)`` and holds the newest write of
+each key: a payload (a put) or ``None`` (a delete — an evicted victim,
+a restore's stale resident). A put sets the key's location and queues
+the payload; until it leaves, :meth:`ShardStore.get` and
+:meth:`ShardStore.peek` serve it from the queue with no RPC. Every frame
+to a shard carries that shard's queue (``after_writes``: the writes
+first, then the frame's own read) and puts it back if the frame fails,
+so a write is never dropped; once faults end and the queues drain,
+every shard holds exactly the payloads its metadata owns.
 
 The loaders enter through :meth:`ShardedCacheClient.fetch_many`, which
-runs that same per-request protocol after one multi-key read frame per
-shard has put the payloads it will ask for into the stores' read-ahead
-buffers, and flushes the queues only when the call ends, so the batch's
-victim deletes ride its later frames. Outside such a call a victim's
-delete is flushed at once, so single ``fetch``, ``update_homophily`` and
-replays issue the per-key RPC sequence.
+opens with one frame per shard that has planned reads or queued writes
+— a multi-key ``get_many`` that fills the stores' read-ahead buffers,
+or a bare ``bulk_write`` — and then runs the same per-request protocol.
+The batch's admits and victims, and the Homophily refresh that follows
+it, stay queued until the next batch's opening frames, so no write
+waits longer than one batch and none costs a round trip of its own.
 
 The client is driven by one thread: the epoch loop collates every
 rank's batch in turn.
@@ -99,16 +103,18 @@ class ShardStore(PayloadStore):
     """One cache layer's payloads on the shard tier
     (:class:`~repro.cache.payload_store.PayloadStore` over RPC).
 
-    ``loc`` maps each key whose payload was put to the shard holding it;
-    a key absent from it costs no RPC. Every failure mode of the tier
-    surfaces as the port's soft answers — ``None`` / ``False`` — after
-    being counted on the client.
+    ``loc`` maps each key whose payload was put to the shard holding it
+    (or about to: the put may still be queued); a key absent from it
+    costs no RPC. A read's failure modes surface as the port's soft
+    answer, ``None``, after being counted on the client; a put always
+    lands, in the client's write queue first.
 
     ``ahead`` is the read-ahead buffer: payloads
-    :meth:`ShardedCacheClient.fetch_many` already read for the batch it
-    is serving, empty outside such a call. :meth:`get` serves from it
-    after the ``loc`` check, a ``put`` / ``delete`` of the key drops the
-    entry, so a buffered payload is always the one the shard holds.
+    :meth:`ShardedCacheClient.fetch_many` read, or wrote, with its
+    opening frames for the batch it is serving, empty outside such a
+    call. :meth:`get` serves from it after the write queue, and a
+    ``put`` / ``delete`` of the key drops the entry, so a buffered
+    payload is always the one the shard holds.
     """
 
     def __init__(
@@ -118,78 +124,67 @@ class ShardStore(PayloadStore):
         self._layer = layer  # the layer's name: its key on the servers
         self.loc = loc
         self.ahead: Dict[int, Any] = {}
-        self.unread: Set[int] = set()  # buffered keys no get() has served
+        self.unread: Set[int] = set()  # keys read ahead no get() has served
+
+    def _queued(self, shard: int, key: int) -> Optional[Any]:
+        """The payload a still-queued put of ``key`` carries, else None."""
+        queue = self._tier._writes.get(shard)
+        return None if queue is None else queue.get((self._layer, key))
 
     def get(self, key: int, substitute: bool = False) -> Optional[Any]:
-        """Payload read — read-ahead buffer, else one RPC with retries;
-        unreachable or lost is ``None``."""
+        """Payload read — write queue, read-ahead buffer, else one RPC
+        with retries; unreachable or lost is ``None``."""
         shard = self.loc.get(key)
         if shard is None:
             return None
         tier, layer = self._tier, self._layer
-        payload = self.ahead.get(key)
-        if payload is not None:
-            self.unread.discard(key)
-        else:
-            payload = tier._call_with_retries(shard, "get", layer, key)
-            if payload is None or payload is _UNREACHABLE:
-                # Unreachable — or the shard lost a payload the metadata
-                # owns (only after external interference); either way a
-                # miss.
-                tier.degraded_lookups += 1
-                return None
+        payload = self._queued(shard, key)
+        if payload is None:
+            payload = self.ahead.get(key)
+            if payload is not None:
+                self.unread.discard(key)
+            else:
+                payload = tier._call_with_retries(shard, "get", layer, key)
+                if payload is None or payload is _UNREACHABLE:
+                    # Unreachable — or the shard lost a payload the
+                    # metadata owns (only after external interference);
+                    # either way a miss.
+                    tier.degraded_lookups += 1
+                    return None
         kind = "substitute_hits" if substitute else "hits"
         tier._shard_stats[shard][f"{layer}_{kind}"] += 1
         return payload
 
     def put(self, key: int, value: Any) -> bool:
-        """Payload put with retries; a failure is a *dropped admit*.
-
-        New keys land on the ring's shard, resident ones are overwritten
-        in place. An ambiguously timed-out put may have
-        executed server-side; the orphan payload is queued for deletion
-        so shard contents reconverge with the metadata. A delete of the
-        key still queued for that shard rides this put's frame and runs
-        before it, so it never destroys the payload that lands."""
-        tier, layer = self._tier, self._layer
+        """Place ``key`` on its ring shard and queue the payload there;
+        the shard's next frame carries it. Always ``True``: the write
+        stays queued until a frame lands it."""
         key = int(key)
         self.ahead.pop(key, None)
         shard = self.loc.get(key)
         if shard is None:
-            shard = tier.ring.shard_for(key)
-        nbytes = int(np.asarray(value).nbytes)
-        put = tier._call_with_retries(
-            shard, "put", layer, key, value, nbytes=nbytes
-        )
-        if put is _UNREACHABLE:
-            tier._shard_stats[shard]["dropped_admits"] += 1
-            tier._deletes.setdefault(shard, []).append((layer, key))
-            if tier._obs.active:
-                tier._obs.on_audit(
-                    "drop", key, tier._sources[layer], reason="rpc_failed"
-                )
-            return False
-        self.loc[key] = shard
+            shard = self.loc[key] = self._tier.ring.shard_for(key)
+        self._tier._writes.setdefault(shard, {})[self._layer, key] = value
         return True
 
     def delete(self, key: int) -> None:
-        """Forget ``key`` and queue its payload's delete — flushed now
-        outside a :meth:`ShardedCacheClient.fetch_many` call, riding
-        the shard's next frame inside one."""
-        tier = self._tier
+        """Forget ``key`` and queue its payload's delete for the shard's
+        next frame."""
+        key = int(key)
         self.ahead.pop(key, None)
         shard = self.loc.pop(key, None)
         if shard is not None:
-            tier._deletes.setdefault(shard, []).append((self._layer, int(key)))
-            if not tier._batch_open:
-                tier._flush(shard)
+            self._tier._writes.setdefault(shard, {})[self._layer, key] = None
 
     def peek(self, key: int) -> Optional[Any]:
-        """Payload read that moves no hit counter (one ``get_many``
-        frame); None on failure."""
+        """Payload read that moves no hit counter (the write queue, else
+        one ``get_many`` frame); None on failure."""
         shard = self.loc.get(key)
         if shard is None:
             return None
+        payload = self._queued(shard, key)
+        if payload is not None:
+            return payload
         frame = self._tier._call_with_retries(
             shard, "get_many", [(self._layer, key)]
         )
@@ -199,9 +194,10 @@ class ShardStore(PayloadStore):
         return frame[0]
 
     def export(self, keys: Sequence[int]) -> List[Any]:
-        """Payloads of ``keys``, one ``get_many`` frame per owning shard.
-        Raises on an unreachable shard or a missing payload — a
-        checkpoint must be exact or not taken at all."""
+        """Payloads of ``keys``, one ``get_many`` frame per owning shard
+        (it lands the shard's queued writes first). Raises on an
+        unreachable shard or a missing payload — a checkpoint must be
+        exact or not taken at all."""
         by_shard: Dict[int, List[int]] = {}
         for k in keys:
             by_shard.setdefault(self.loc[k], []).append(k)
@@ -222,23 +218,18 @@ class ShardStore(PayloadStore):
         return [out[k] for k in keys]
 
     def load(self, entries: Dict[int, Any]) -> None:
-        """Replace the layer's payloads: queue and flush the current
-        residents' deletes (what fails stays queued for the next
-        frame), then place every entry per the current ring. Raises if
-        the shard tier is unreachable — a restore must be complete or
-        not happen."""
-        tier, layer = self._tier, self._layer
-        for k, shard in self.loc.items():
-            tier._deletes.setdefault(shard, []).append((layer, k))
-        self.loc.clear()  # first: _take drops keys the map still places
-        for shard in list(tier._deletes):
-            tier._flush(shard)
-        placed: Dict[int, Dict[int, Any]] = {}
-        for k, payload in entries.items():
-            shard = self.loc[k] = tier.ring.shard_for(k)
-            placed.setdefault(shard, {})[k] = payload
-        for shard, part in placed.items():
-            tier._call_or_raise(shard, "put_many", layer, part)
+        """Replace the layer's payloads: queue the current residents'
+        deletes and every entry's put (per the ring), then flush every
+        shard's queue. Raises if a shard is unreachable — a restore
+        must be complete or not happen (what did not leave stays
+        queued)."""
+        tier = self._tier
+        for key in list(self.loc):
+            self.delete(key)
+        for key, payload in entries.items():
+            self.put(key, payload)
+        for shard in sorted(tier._writes):
+            tier._call_or_raise(shard, "bulk_write")
 
 
 class ShardedCacheClient(SemanticCache):
@@ -273,9 +264,8 @@ class ShardedCacheClient(SemanticCache):
     transport / ring / breakers:
         The RPC carrier, the consistent-hash ring, and the
         ``{shard: CircuitBreaker}`` map.
-    dropped_admits / degraded_lookups / rpc_retries:
-        Failed payload puts (metadata untouched), failed payload reads
-        served as misses, and retried attempts.
+    degraded_lookups / rpc_retries:
+        Failed payload reads served as misses, and retried attempts.
     """
 
     def __init__(
@@ -290,12 +280,10 @@ class ShardedCacheClient(SemanticCache):
         layers: Optional[Sequence[Cache]] = None,
     ) -> None:
         # layer name -> (key -> shard holding the payload); owned here
-        # (placement, the delete queues and the audit read them), written
-        # by the layers' stores.
+        # (placement, the read plan and the audit read them), written by
+        # the layers' stores.
         self._loc: Dict[str, Dict[int, int]] = {}
         super().__init__(total_capacity, imp_ratio, layers)
-        # layer name -> the source it serves as (audit events name it).
-        self._sources = {l.name: l.source.value for l in self.layers}
         self.ring = ConsistentHashRing(n_shards)
         if transport == "sim":
             self.transport: Transport = SimRpcChannel(
@@ -320,10 +308,10 @@ class ShardedCacheClient(SemanticCache):
         }
 
         # -- fault-tolerance bookkeeping ---------------------------------
-        # shard -> (layer, key) deletes queued for it, in queueing order;
-        # a shard is absent while its queue is empty.
-        self._deletes: Dict[int, List[Tuple[str, int]]] = {}
-        self._batch_open = False  # inside a fetch_many call
+        # shard -> {(layer, key): payload, or None for a delete}: the
+        # newest write of each key not yet sent; a shard is absent while
+        # its queue is empty.
+        self._writes: Dict[int, Dict[Tuple[str, int], Any]] = {}
         self._shard_stats: Dict[int, Counter] = defaultdict(Counter)
         self.degraded_lookups = 0
         self._rpc_seq = 0  # deterministic per-request id for jitter
@@ -333,8 +321,10 @@ class ShardedCacheClient(SemanticCache):
 
     @property
     def dropped_admits(self) -> int:
-        """Failed payload puts: the per-shard ledger's sum."""
-        return sum(ss["dropped_admits"] for ss in self._shard_stats.values())
+        """Admits the tier failed to keep: always 0, since a put is
+        queued until a frame lands it. Kept for the callers that still
+        count it among failed operations."""
+        return 0
 
     @property
     def rpc_retries(self) -> int:
@@ -368,14 +358,24 @@ class ShardedCacheClient(SemanticCache):
 
         Answers ``method``'s reply, or :data:`_UNREACHABLE` when the
         breaker rejects the request (fail-fast) or every attempt fails;
-        callers degrade on it. The deletes queued for ``shard`` leave in
-        the same frame (``after_deletes``), executed *before* ``method``;
-        if the request fails they go back in the queue.
+        callers degrade on it. The writes queued for ``shard`` leave in
+        the same frame (``after_writes``), applied *before* ``method``,
+        and their payloads count in the frame's ``nbytes``; a
+        ``bulk_write`` request carries them alone. If the request fails
+        they go back in the queue.
         """
         shard = int(shard)
-        carried = self._take(shard)
-        if carried:
-            method, args = "after_deletes", (carried, method, *args)
+        writes = self._writes.pop(shard, None)
+        if writes:
+            carried = [(layer, key, p) for (layer, key), p in writes.items()]
+            nbytes += sum(
+                int(np.asarray(p).nbytes) for p in writes.values()
+                if p is not None
+            )
+            if method == "bulk_write":
+                args = (carried,)
+            else:
+                method, args = "after_writes", (carried, method, *args)
         breaker = self.breakers[shard]
         clock = self.clock
         obs = self._obs
@@ -422,8 +422,11 @@ class ShardedCacheClient(SemanticCache):
                 span, clock.total_seconds, ok=False, error=error,
                 attempts=attempts,
             )
-        if carried:
-            self._deletes[shard] = carried  # _take emptied it
+        if writes:
+            # Nothing queued for the shard since the pop: the put-back
+            # keeps each key's newest write. A timed-out frame may have
+            # applied them already; writes are idempotent.
+            self._writes[shard] = writes
         return _UNREACHABLE
 
     def _call_or_raise(self, shard: int, method: str, *args: Any) -> Any:
@@ -437,33 +440,13 @@ class ShardedCacheClient(SemanticCache):
             )
         return reply
 
-    def _take(self, shard: int) -> List[Tuple[str, int]]:
-        """Empty ``shard``'s delete queue and answer what it held, less
-        the keys that have since re-landed on that shard — deleting
-        them would destroy a live payload."""
-        return [
-            (layer, key) for layer, key in self._deletes.pop(shard, ())
-            if self._loc[layer].get(key) != shard
-        ]
-
-    def _flush(self, shard: int) -> None:
-        """Send ``shard``'s queued deletes as one ``bulk_delete``: a
-        single breaker-gated attempt, never raises. A failure puts them
-        back in the queue (a timed-out delete may have executed; deletes
-        are idempotent, so repeating it is harmless)."""
-        entries = self._take(shard)
-        if not entries:
-            return
-        breaker = self.breakers[shard]
-        if breaker.allow(self.clock.total_seconds):
-            try:
-                self.transport.call(shard, "bulk_delete", entries)
-            except _ATTEMPT_ERRORS:
-                breaker.record_failure(self.clock.total_seconds)
-            else:
-                breaker.record_success(self.clock.total_seconds)
-                return
-        self._deletes[shard] = entries  # _take emptied it
+    def _flush(self, shard: int) -> Any:
+        """Send ``shard``'s queued writes as one ``bulk_write`` request
+        (:meth:`_call_with_retries`: a failure puts them back); answers
+        its reply, ``None`` when nothing is queued."""
+        if shard not in self._writes:
+            return None
+        return self._call_with_retries(shard, "bulk_write")
 
     # ------------------------------------------------------------------
     # request spans around the inherited protocol
@@ -506,17 +489,20 @@ class ShardedCacheClient(SemanticCache):
         remote_get: Callable[[int], Any],
     ) -> List[FetchOutcome]:
         """:meth:`SemanticCache.fetch_many` (:meth:`fetch` per request —
-        that stays the definition) after reading ahead, in one
-        ``get_many`` frame per shard, what those requests would read one
-        RPC each. Purely an accelerator: a buffered payload whose key an
-        earlier request of the batch evicted is dropped unread, and a
-        frame that fails buffers nothing, so its keys take the per-key
-        path with its retries, degradation and counters. The batch's
-        victim deletes stay queued and ride the shard's later frames
-        (see :meth:`_call_with_retries`); leftovers leave as one
-        ``bulk_delete`` per shard when the call ends. The buffers are
-        empty again on return *and* on raise; with an observer the whole
-        call is one ``fetch_batch`` span.
+        that stays the definition) after one opening frame per shard
+        that has planned reads or queued writes: a ``get_many`` of what
+        those requests would read one RPC each, or a bare
+        ``bulk_write``. Either carries the shard's queued writes, so the
+        previous batch's admits and victims land here. What a frame read
+        or wrote goes into the read-ahead buffers. Purely an
+        accelerator: a buffered payload whose key an earlier request of
+        the batch evicted is dropped unread, and a frame that fails
+        buffers nothing, so its keys take the per-key path with its
+        retries, degradation and counters (its writes stay queued and
+        are served from there). This batch's own writes stay queued for
+        the next one. The buffers are empty again on return *and* on
+        raise; with an observer the whole call is one ``fetch_batch``
+        span.
         """
         indices = [int(i) for i in indices]
         obs = self._obs
@@ -526,14 +512,22 @@ class ShardedCacheClient(SemanticCache):
         )
         stores = {layer.name: layer.store for layer in self.layers}
         frames = prefetched = 0
-        self._batch_open = True
         try:
-            for shard, entries in self._plan_reads(indices).items():
+            plan = self._plan_reads(indices)
+            for shard in sorted(plan.keys() | self._writes.keys()):
                 frames += 1
-                payloads = self._call_with_retries(shard, "get_many", entries)
-                if payloads is _UNREACHABLE:
+                writes = self._writes.get(shard, {})
+                entries = plan.get(shard, [])
+                reply = (
+                    self._call_with_retries(shard, "get_many", entries)
+                    if entries else self._flush(shard)
+                )
+                if reply is _UNREACHABLE:
                     continue
-                for (layer, key), payload in zip(entries, payloads):
+                for (layer, key), payload in writes.items():
+                    if payload is not None:  # landed: the shard holds it
+                        stores[layer].ahead[key] = payload
+                for (layer, key), payload in zip(entries, reply or ()):
                     if payload is not None:  # a lost one: per-key path
                         stores[layer].ahead[key] = payload
                         stores[layer].unread.add(key)
@@ -544,9 +538,6 @@ class ShardedCacheClient(SemanticCache):
             for st in stores.values():
                 st.ahead.clear()
                 st.unread.clear()
-            self._batch_open = False
-            for shard in list(self._deletes):
-                self._flush(shard)
             if span is not None:
                 obs.span_end(
                     span, self.clock.total_seconds, frames=frames,
@@ -557,17 +548,20 @@ class ShardedCacheClient(SemanticCache):
         self, indices: Sequence[int]
     ) -> Dict[int, List[Tuple[str, int]]]:
         """``{shard: [(layer, key), ...]}``: from metadata alone, the
-        payload each request would read if served now — the first layer
-        that names a key it holds a payload for. A request a layer would
-        answer with a random draw is planned no further; it takes the
-        per-key path."""
+        payload each request would read from a shard if served now — the
+        first layer that names a key it holds a payload for, unless that
+        payload is still queued (it is served from the queue). A request
+        a layer would answer with a random draw is planned no further;
+        it takes the per-key path."""
         plan: Dict[int, Dict[Tuple[str, int], None]] = {}
+        writes = self._writes
         for index in indices:
             for layer in self.layers:
                 key = layer.serve_key(index)
                 shard = None if key is None else self._loc[layer.name].get(key)
                 if shard is not None:
-                    plan.setdefault(shard, {})[layer.name, key] = None
+                    if (layer.name, key) not in writes.get(shard, ()):
+                        plan.setdefault(shard, {})[layer.name, key] = None
                     break
         return {shard: list(entries) for shard, entries in plan.items()}
 
@@ -591,7 +585,8 @@ class ShardedCacheClient(SemanticCache):
         Each violation is ``(layer, key, located_shard, expected_shard)``
         for a key whose location disagrees with the ring, or
         ``(layer, key, located_shard, None)`` for a key whose payload is
-        missing from the shard its metadata points at."""
+        missing from the shard its metadata points at. A queued put
+        counts as present there, a queued delete as absent."""
         ring = self.ring
         resident: Dict[Tuple[int, str], Set[int]] = {}
         for sid in self.transport.shard_ids:
@@ -605,6 +600,13 @@ class ShardedCacheClient(SemanticCache):
                     # payload it held is reported lost, which is true.
                     keys = ()
                 resident[(sid, layer)] = set(keys)
+        for sid, writes in self._writes.items():  # as they will land
+            for (layer, key), payload in writes.items():
+                keys = resident.setdefault((sid, layer), set())
+                if payload is None:
+                    keys.discard(key)
+                else:
+                    keys.add(key)
         bad: List[Tuple[str, int, int, Optional[int]]] = []
         for layer, loc in self._loc.items():
             for key, shard in loc.items():
@@ -639,7 +641,6 @@ class ShardedCacheClient(SemanticCache):
                 rpc_timeouts=ch.per_shard_timeouts.get(sid, 0),
                 rpc_retries=ss["rpc_retries"],
                 rpc_fast_failures=self.breakers[sid].fast_failures,
-                dropped_admits=ss["dropped_admits"],
                 breaker=self.breakers[sid].state.value,
             )
             snaps.append(snap)

@@ -9,10 +9,11 @@ cache layers of the :class:`~repro.dist.client.ShardedCacheClient`; the
 server is a keyed payload store. It keeps no hit counters: what a read
 *served* is known only to the client, which may read ahead and discard.
 
-Every mutating method is **idempotent** — puts and bulk puts overwrite,
-deletes of absent keys are no-ops — because the RPC channel's timeout
-semantics are ambiguous (a timed-out call may have executed) and the
-retry layer may replay any call.
+Every mutation is a write of ``(layer, key, payload)`` — a ``None``
+payload deletes — and is **idempotent** (writes overwrite, deletes of
+absent keys are no-ops), because the RPC channel's timeout semantics are
+ambiguous (a timed-out call may have executed) and the client puts a
+failed frame's writes back in its queue to send again.
 """
 
 from __future__ import annotations
@@ -35,38 +36,29 @@ class CacheShardServer:
         a lost entry and degrades to a miss)."""
         return self._stores[layer].get(int(key))
 
-    def put(self, layer: str, key: int, payload: Any) -> None:
-        """Insert or overwrite (idempotent)."""
-        self._stores[layer][int(key)] = payload
-
     # -- multi-key frames -------------------------------------------------
     def get_many(self, entries: Iterable[Tuple[str, int]]) -> List[Optional[Any]]:
         """Read-only: the payload (or ``None``) of each ``(layer, key)``,
         in order, across layers."""
         return [self.get(layer, key) for layer, key in entries]
 
-    def after_deletes(
-        self, deletes: Iterable[Tuple[str, int]], method: str, *args: Any
+    def bulk_write(self, writes: Iterable[Tuple[str, int, Any]]) -> None:
+        """Apply ``(layer, key, payload)`` writes in order: store the
+        payload, or drop the key when it is ``None`` (idempotent)."""
+        for layer, key, payload in writes:
+            if payload is None:
+                self._stores[layer].pop(int(key), None)
+            else:
+                self._stores[layer][int(key)] = payload
+
+    def after_writes(
+        self, writes: Iterable[Tuple[str, int, Any]], method: str, *args: Any
     ) -> Any:
-        """One frame, explicit order: drop ``deletes``, *then* run
-        ``method(*args)`` — a put riding with the delete of its own key
-        survives. Idempotent when ``method`` is."""
-        self.bulk_delete(deletes)
+        """One frame, explicit order: apply ``writes``, *then* run
+        ``method(*args)`` — a read riding with the write of its own key
+        sees the payload just written. Idempotent when ``method`` is."""
+        self.bulk_write(writes)
         return getattr(self, method)(*args)
-
-    # -- bulk ----------------------------------------------------------
-    def bulk_delete(self, entries: Iterable[Tuple[str, int]]) -> None:
-        """Drop ``(layer, key)`` pairs if present (idempotent) — the
-        client's only delete."""
-        for layer, key in entries:
-            self._stores[layer].pop(int(key), None)
-
-    def put_many(self, layer: str, entries: Dict[int, Any]) -> None:
-        """Insert or overwrite every entry of one layer (idempotent —
-        safe to replay after an ambiguous timeout)."""
-        store = self._stores[layer]
-        for k, payload in entries.items():
-            store[int(k)] = payload
 
     # -- introspection ----------------------------------------------------
     def keys(self, layer: str) -> List[int]:

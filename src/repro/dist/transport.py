@@ -230,7 +230,7 @@ class RealRpcTransport(Transport):
 
     def restart_shard(self, shard: int) -> None:
         """Replace one shard's worker with a fresh, *empty* server —
-        cache payloads are soft state; the client's delete queues and
+        cache payloads are soft state; the client's write queues and
         degraded-read paths tolerate the loss."""
         shard = int(shard)
         worker = self._workers.get(shard)

@@ -116,9 +116,9 @@ def test_coordinate_applies_one_ratio_to_every_tier(traj):
 @settings(max_examples=15, deadline=None)
 def test_coordinate_under_a_shard_outage_keeps_tiers_in_lockstep(traj):
     """The elastic decision lands while one shard of the sharded client
-    is down (its victim deletes park for anti-entropy): the split must
-    still apply identically to both tiers, and the repair after recovery
-    must not disturb it."""
+    is down (its victim deletes wait in the write queue): the split must
+    still apply identically to both tiers, and landing the queue after
+    recovery must not disturb it."""
     import numpy as np
 
     from repro.resilience.faults import FaultPlan, OutageWindow
@@ -140,12 +140,12 @@ def test_coordinate_under_a_shard_outage_keeps_tiers_in_lockstep(traj):
         assert len(client.importance) <= client.importance.capacity
 
     # Recovery: breaker cooldowns only elapse when the clock moves; then
-    # anti-entropy drains the parked deletes.
+    # the write queues drain.
     client.transport.fault_plans[0] = None
     client.clock.advance("compute", 1.0)
     for sid in client.servers:
         client._flush(sid)
-    assert not any(client._deletes.values())
+    assert not client._writes
     assert client.verify_placement() == []
     for sid, server in client.servers.items():
         owned = {k for k, s in client._loc["imp"].items() if s == sid}

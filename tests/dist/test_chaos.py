@@ -2,8 +2,9 @@
 
 The scenarios here drive the whole fault surface at once and assert the
 system's load-bearing promises: no exception escapes, capacity/metadata
-invariants hold, dropped admits leave metadata untouched, and the
-anti-entropy queues reconverge shard contents with client metadata.
+invariants hold, an admit during an outage is decided as the monolith
+decides it and its payload waits in the write queue, and the queues
+reconverge shard contents with client metadata once they drain.
 
 Timing note: breaker fail-fast paths advance *zero* simulated time, so
 recovery must advance the clock (the real trainer's compute time) or
@@ -13,6 +14,7 @@ cooldowns never elapse.
 import numpy as np
 import pytest
 
+from repro.core.semantic_cache import SemanticCache
 from repro.dist.client import ShardedCacheClient
 from repro.dist.retry import RetryPolicy
 from repro.resilience import breaker
@@ -50,6 +52,14 @@ def populate(cli, n_imp=20, n_hom=5):
         cli.update_homophily(k, payload(k), [k + 10000])
 
 
+def land(cli):
+    """Send every shard's queued writes: later reads then cross the
+    (faulty) channel instead of being served from the queue."""
+    for sid in cli.servers:
+        cli._flush(sid)
+    assert not cli._writes
+
+
 def check_invariants(cli):
     """The promises no fault schedule may break."""
     assert len(cli) <= cli.total_capacity
@@ -71,24 +81,56 @@ def check_invariants(cli):
     assert hom._neighbor_of == cover
 
 
-def test_admits_during_outage_are_dropped_not_corrupting(breakers_never_open):
-    cli = make_client()
-    populate(cli)
-    before_len = len(cli)
-    before_keys = set(cli._loc["imp"]) | set(cli.homophily._items)
+def test_admits_during_outage_are_queued_not_dropped(breakers_never_open):
+    """Every shard down: each admit, Homophily refresh and eviction is
+    decided exactly as the monolith decides it, and the payloads wait in
+    the write queue, served from there. A read that does cross the
+    channel fails, and its frame puts back the writes it carried; after
+    the outage the queues drain and the shards hold what the metadata
+    owns."""
+    cli, mono = make_client(), SemanticCache(TOTAL, imp_ratio=0.5)
+    for cache in (cli, mono):
+        populate(cache)
+    land(cli)
+    calls = cli.transport.calls
     cli.transport.fault_plans[0] = OUTAGE
     cli.transport.fault_plans[1] = OUTAGE
-    for k in range(100, 140):
-        cli.fetch(k, float(k), payload)  # every admit put fails
-        cli.update_homophily(3000 + k, payload(k), [k])
-    assert cli.dropped_admits == 80
-    assert len(cli) == before_len  # metadata untouched
-    assert set(cli._loc["imp"]) | set(cli.homophily._items) == before_keys
+    for k in range(100, 110):  # misses and refreshes: decided, queued
+        for cache in (cli, mono):
+            assert cache.fetch(k, float(k), payload).source.value == "remote"
+            assert cache.update_homophily(3000 + k, payload(k), [k])
+    assert cli.transport.calls == calls  # not one frame was needed
+    assert cli.dropped_admits == 0
+    assert list(cli.importance._items) == list(mono.importance._items)
+    assert cli.homophily._items == mono.homophily._items
+    assert cli.importance.stats == mono.importance.stats
+    assert cli.homophily.stats == mono.homophily.stats
     check_invariants(cli)
-    # Recovery: the cache works again and can admit.
+    # Ten admits, their ten victims' deletes, ten Homophily puts.
+    assert sum(map(len, cli._writes.values())) == 30
+    # A queued payload is served with no RPC while its shard is down...
+    out = cli.fetch(109, 109.0, payload)
+    assert out.source.value == "importance" and cli.transport.calls == calls
+    np.testing.assert_array_equal(out.payload, payload(109))
+    # ...a landed one is not: the read fails and its frame puts the
+    # writes it carried back, next to the refresh the miss admitted.
+    shard = cli._loc["imp"][15]
+    carried = dict(cli._writes[shard])
+    assert cli.fetch(15, 16.0, payload).source.value == "remote"
+    assert cli.degraded_lookups == 1 and cli.transport.failures > 0
+    assert all(cli._writes[shard][k] is v for k, v in carried.items())
+    assert set(cli._writes[shard]) == set(carried) | {("imp", 15)}
+    check_invariants(cli)
+    # Recovery: one frame per shard lands everything; nothing was lost.
     cli.transport.fault_plans[0] = None
     cli.transport.fault_plans[1] = None
     cli.clock.advance("compute", 1.0)
+    land(cli)
+    assert cli.verify_placement() == []
+    for sid, server in cli.servers.items():
+        for layer, loc in cli._loc.items():
+            assert set(server.keys(layer)) == \
+                {k for k, s in loc.items() if s == sid}
     cli.fetch(500, 500.0, payload)
     assert 500 in cli.importance
 
@@ -99,27 +141,28 @@ def test_brownout_timeouts_leave_shards_consistent(breakers_never_open):
     must still converge shard contents to the metadata."""
     cli = make_client(retry=RetryPolicy(max_attempts=2))
     populate(cli)
+    land(cli)
     # 20x latency pushes every call over the 10 ms deadline for a while.
     plan = FaultPlan(brownouts=[BrownoutWindow(0.0, 0.15,
                                                latency_multiplier=20.0)])
     cli.transport.fault_plans[0] = plan
     cli.transport.fault_plans[1] = plan
-    for k in range(20, 60):
+    for k in range(60):  # reads of residents carry the queued writes
         cli.fetch(k, float(k + 1), payload)
     assert cli.transport.timeouts > 0  # the window did bite
     check_invariants(cli)
     # Past the window (clock advanced via charged deadlines/backoffs),
-    # traffic is clean again; drain the repair queues.
+    # traffic is clean again; drain the write queues.
     assert cli.clock.total_seconds > 0.15
     for k in list(cli._loc["imp"])[:10]:
         assert cli.fetch(k, 1000.0, payload).payload is not None
-    for sid in cli.servers:
-        cli._flush(sid)
+    land(cli)
     for sid, server in cli.servers.items():
         for layer, loc in (("imp", cli._loc["imp"]), ("hom", cli._loc["hom"])):
             owned = {k for k, s in loc.items() if s == sid}
-            # No payload the metadata owns may be missing; orphans from
-            # ambiguous timeouts have been repaired away.
+            # No payload the metadata owns may be missing, none it
+            # dropped may linger: a timed-out frame's writes, applied
+            # anyway and sent again, are idempotent.
             assert set(server.keys(layer)) == owned
     check_invariants(cli)
 
@@ -130,6 +173,7 @@ def test_total_blackout_degrades_every_stage_and_recovers(breakers_never_open):
     so every request skips, and nothing corrupts."""
     cli = make_client()
     populate(cli)
+    land(cli)
 
     def dead_remote(i):
         return None  # remote tier unreachable
@@ -167,21 +211,19 @@ BATCH = [0, 1, 11000, 2, 100, 3, 3, 101, 11001, 1001, 4, 102, 0, 5, 103,
 
 
 def assert_batch_closed(cli):
-    assert not cli._batch_open
     for store in (cli.importance.store, cli.homophily.store):
         assert not store.ahead and not store.unread
 
 
 def assert_reconverges(cli):
-    """Faults over, breakers cooled, anti-entropy run: every shard holds
-    exactly the payloads the metadata places there — no victim delete
-    was lost on the way, no owned payload destroyed."""
+    """Faults over, breakers cooled, write queues drained: every shard
+    holds exactly the payloads the metadata places there — no write was
+    lost on the way, no owned payload destroyed."""
     for sid in cli.servers:
         cli.transport.fault_plans[sid] = None
     cli.clock.advance("compute", 1.0)
-    for sid in cli.servers:
-        cli._flush(sid)
-    assert not any(cli._deletes.values())
+    assert cli.verify_placement() == []  # queued writes counted
+    land(cli)
     assert cli.verify_placement() == []
     for sid, server in cli.servers.items():
         for layer, loc in cli._loc.items():
@@ -192,8 +234,13 @@ def assert_reconverges(cli):
 @pytest.mark.parametrize("when", ["before", "mid"])
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fetch_many_under_a_shard_fault(fault, when):
+    """Two batches. A fault from the start fails the first batch's
+    opening frame; one that starts mid-batch meets no frame in that
+    batch (its writes are queued) and fails the second batch's, which
+    carries them."""
     cli = make_client()
     populate(cli)
+    land(cli)
     served_before = cli.stats.requests
     remote_calls = []
 
@@ -205,26 +252,27 @@ def test_fetch_many_under_a_shard_fault(fault, when):
 
     if when == "before":
         cli.transport.fault_plans[0] = FAULTS[fault]
-    outs = cli.fetch_many(BATCH, [float(i + 1) for i in BATCH], remote)
-
-    # Every request is served, by the next Fig. 9 stage if need be, with
-    # the bytes that belong to the id it reports.
-    assert [o.requested_id for o in outs] == BATCH
-    for o in outs:
-        np.testing.assert_array_equal(o.payload, payload(o.served_id))
+    scores = [float(i + 1) for i in BATCH]
+    for batch in (1, 2):
+        outs = cli.fetch_many(BATCH, scores, remote)
+        # Every request is served, by the next Fig. 9 stage if need be,
+        # with the bytes that belong to the id it reports.
+        assert [o.requested_id for o in outs] == BATCH
+        for o in outs:
+            np.testing.assert_array_equal(o.payload, payload(o.served_id))
+        failed = cli.transport.failures + cli.transport.timeouts
+        if fault == "brownout":
+            assert failed == 0 and cli.degraded_lookups == 0
+        elif when == "before":  # the frame failed: its keys fell back
+            assert failed > 0 and cli.degraded_lookups > 0
+        else:
+            assert (failed > 0) == (batch == 2)
+        assert_batch_closed(cli)
+        check_invariants(cli)
     st = cli.stats
     assert st.hits + st.substitute_hits + st.misses + st.degraded_serves \
-        == served_before + len(BATCH)
+        == served_before + 2 * len(BATCH)
     assert st.misses - 20 == len(remote_calls)  # populate() missed 20x
-    if fault == "brownout":
-        assert cli.transport.failures == cli.transport.timeouts == 0
-        assert cli.degraded_lookups == cli.dropped_admits == 0
-    else:
-        assert cli.transport.failures + cli.transport.timeouts > 0
-        if when == "before":  # the frame failed: its keys fell back
-            assert cli.degraded_lookups > 0
-    assert_batch_closed(cli)
-    check_invariants(cli)
     assert_reconverges(cli)
     check_invariants(cli)
 
@@ -232,7 +280,7 @@ def test_fetch_many_under_a_shard_fault(fault, when):
 def test_fetch_many_that_raises_leaves_nothing_behind():
     """A ``remote_get`` that raises mid-batch propagates (only a ``None``
     answer is served degraded); the read-ahead buffers are dropped and
-    the victims parked so far still leave."""
+    the writes queued so far still leave."""
     cli = make_client()
     populate(cli)
 

@@ -5,6 +5,11 @@ All policy state lives client-side, so a fault-free sharded run must be
 served stream, same stats, same ``state_dict`` (heap tiebreaks included)
 — for any shard count. Hypothesis drives random workloads over every
 mutator in the shared API to prove it.
+
+Under faults the served stream may differ (a failed read is a miss), but
+placement may not drift: whatever frames failed, once the faults end and
+the write queues drain, every shard holds exactly the payloads the
+metadata places there.
 """
 
 import numpy as np
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.semantic_cache import SemanticCache
 from repro.dist.client import ShardedCacheClient
+from repro.resilience.faults import BrownoutWindow, FaultPlan, OutageWindow
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency
 
@@ -55,6 +61,10 @@ def apply_op(cache, op):
     if kind == "fetch":
         out = cache.fetch(op[1], op[2], payload)
         return (out.requested_id, out.served_id, out.source.value)
+    if kind == "batch":
+        outs = cache.fetch_many([i for i, _ in op[1]], [s for _, s in op[1]],
+                                payload)
+        return [(o.requested_id, o.served_id, o.source.value) for o in outs]
     if kind == "hom":
         return cache.update_homophily(op[1] + 1000, payload(op[1] + 1000),
                                       [n + 500 for n in op[2]])
@@ -83,7 +93,7 @@ def assert_bit_identical(mono, cli):
     deep_equal(mono.state_dict(), cli.state_dict())
     assert mono.stats.hit_ratio == cli.stats.hit_ratio
     assert len(mono) == len(cli)
-    assert cli.dropped_admits == 0 and cli.degraded_lookups == 0
+    assert cli.degraded_lookups == 0
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
@@ -116,3 +126,52 @@ def test_state_roundtrip_onto_another_shard_count():
     mono = SemanticCache(TOTAL, imp_ratio=0.8)
     mono.load_state_dict(snap)
     deep_equal(mono.state_dict(), other.state_dict())
+
+
+# ----------------------------------------------------------------------
+# partial-failure frames
+# ----------------------------------------------------------------------
+# (start, length) within the few simulated milliseconds such a run spans.
+_span = st.tuples(st.floats(0.0, 0.001), st.floats(0.0, 0.004))
+# An outage window and a brownout window per shard: at x3 a call is slow
+# but lands, at x200 it times out (and still executes server-side).
+_plan = st.builds(
+    lambda out, brown, mult: FaultPlan(
+        outages=[OutageWindow(out[0], out[0] + out[1])],
+        brownouts=[BrownoutWindow(brown[0], brown[0] + brown[1], mult)],
+    ),
+    _span, _span, st.sampled_from([3.0, 200.0]),
+)
+_faulty_workload = st.lists(st.one_of(
+    _op,
+    st.tuples(st.just("batch"),
+              st.lists(st.tuples(_idx, _score), min_size=1, max_size=12)),
+), min_size=10, max_size=80)
+
+
+@pytest.mark.parametrize("n_shards", [2, 4])
+@given(ops=_faulty_workload, plans=st.lists(_plan, min_size=4, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_placement_reconverges_after_partial_failure_frames(
+    n_shards, ops, plans
+):
+    cli = make_client(n_shards)
+    for sid in range(n_shards):
+        cli.transport.fault_plans[sid] = plans[sid]
+    for op in ops:
+        apply_op(cli, op)
+    cli.importance.check_invariants()
+    assert len(cli.importance) <= cli.importance.capacity
+    assert len(cli.homophily) <= cli.homophily.capacity
+    assert cli.dropped_admits == 0
+    for sid in range(n_shards):
+        cli.transport.fault_plans[sid] = None
+    cli.clock.advance("compute", 1.0)  # past every window and cool-down
+    for sid in cli.servers:
+        cli._flush(sid)
+    assert not cli._writes
+    assert cli.verify_placement() == []
+    for sid, server in cli.servers.items():  # nothing lost, no orphan
+        for layer, loc in cli._loc.items():
+            assert set(server.keys(layer)) == \
+                {k for k, s in loc.items() if s == sid}

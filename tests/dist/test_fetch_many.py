@@ -2,7 +2,8 @@
 
 The batch entry decides nothing: ``SemanticCache.fetch_many`` *is*
 ``[fetch(i) for i in ids]`` and the sharded client only reads ahead the
-payloads those fetches would read anyway. So a fault-free run through
+payloads those fetches would read anyway, in opening frames that also
+land the writes queued since the last batch. So a fault-free run through
 the batch entry must be indistinguishable from the per-request run —
 served stream, ``state_dict`` (heap tiebreaks and every ``CacheStats``
 included), per-shard hit counters, shard contents — for the monolith and
@@ -10,7 +11,8 @@ for any shard count. Hypothesis drives random streams (no RPC count is
 asserted there: a payload read ahead and then evicted in-batch is a
 wasted read); the directed cases pin the situations the read-ahead buffer
 could get wrong (an in-batch eviction, repeats, a shared cover, a re-put
-of a buffered key). Fault behaviour is in ``test_chaos.py``.
+of a buffered key) and when a write leaves. Fault behaviour is in
+``test_chaos.py``.
 """
 
 import numpy as np
@@ -33,7 +35,7 @@ pytestmark = [pytest.mark.dist, pytest.mark.usefixtures("no_jitter")]
 FAST = ConstantLatency(base_s=1e-4, bandwidth_bps=1e15)
 TOTAL = 8
 HIT_COUNTERS = ("imp_len", "hom_len", "imp_hits", "hom_hits",
-                "hom_substitute_hits", "dropped_admits")
+                "hom_substitute_hits")
 
 
 def payload(i):
@@ -118,14 +120,22 @@ def hit_counters(client):
     return [[s[c] for c in HIT_COUNTERS] for s in client.shard_snapshots()]
 
 
+def land(client):
+    """Send every shard's queued writes (one ``bulk_write`` each)."""
+    for sid in client.servers:
+        client._flush(sid)
+    assert not client._writes
+
+
 def assert_quiescent(client):
-    """What must hold whenever no ``fetch_many`` call is open."""
-    assert not client._batch_open
-    assert not any(client._deletes.values())
+    """What must hold whenever no ``fetch_many`` call is open: empty
+    buffers, a placement that holds with the queued writes counted, and
+    once they land, shards that hold exactly what the metadata owns."""
     for store in (client.importance.store, client.homophily.store):
         assert not store.ahead and not store.unread
-    assert client.dropped_admits == 0 and client.degraded_lookups == 0
+    assert client.degraded_lookups == 0
     assert client.verify_placement() == []
+    land(client)
     for sid, server in client.servers.items():  # no orphan, none lost
         for layer, loc in client._loc.items():
             assert set(server.keys(layer)) == \
@@ -169,6 +179,7 @@ def test_in_batch_eviction_makes_the_later_request_a_miss(n_shards):
     loop — the payload read ahead for it is dropped unread."""
     client, recorder = traced_client(n_shards, total=2, imp_ratio=1.0)
     client.fetch_many([0, 1], [1.0, 5.0], payload)
+    land(client)  # on the shards, so the next batch reads 0 ahead
     outs = client.fetch_many([2, 0], [10.0, 20.0], payload)
     assert [(o.served_id, o.source.value) for o in outs] == \
         [(2, "remote"), (0, "remote")]
@@ -186,7 +197,8 @@ def test_repeats_and_a_shared_cover_cost_one_read_each(n_shards):
     before = client.transport.calls
     outs = client.fetch_many([7, 7, 31, 32, 33, 30, 7], [1.0] * 7, payload)
     assert [o.served_id for o in outs] == [7, 7, 30, 30, 30, 30, 7]
-    # Two keys, hence at most two frames (one when they share a shard).
+    # Two keys, both still queued: the frames that land them buffer them
+    # — at most two (one when they share a shard), and no read.
     frames = len({client._loc["imp"][7], client._loc["hom"][30]})
     assert client.transport.calls - before == frames
     totals = np.sum(hit_counters(client), axis=0)
@@ -196,24 +208,28 @@ def test_repeats_and_a_shared_cover_cost_one_read_each(n_shards):
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_a_key_re_put_while_buffered_is_never_served_stale(n_shards):
-    """0 is read ahead, evicted by the miss on 2, fetched again (the
-    remote tier now has a newer version) and re-admitted: the third
-    request must get the version just put, not the buffered one."""
-    version = [0.0]
+    """0 is buffered — read ahead, or written by the batch's opening
+    frame — evicted by the miss on 2, fetched again (the remote tier now
+    has a newer version) and re-admitted: the third request must get the
+    version just put, not the buffered one."""
+    for buffered_by in ("read", "write"):
+        version = [0.0]
 
-    def remote(i):
-        return payload(i) + version[0]
+        def remote(i):
+            return payload(i) + version[0]
 
-    client = make_cache(n_shards, total=2, imp_ratio=1.0)
-    client.fetch_many([0, 1], [1.0, 5.0], remote)
-    version[0] = 0.5
-    outs = client.fetch_many([2, 0, 0], [10.0, 20.0, 20.0], remote)
-    assert [o.source.value for o in outs] == \
-        ["remote", "remote", "importance"]
-    np.testing.assert_array_equal(outs[2].payload, payload(0) + 0.5)
-    np.testing.assert_array_equal(client.importance.store.peek(0),
-                                  payload(0) + 0.5)
-    assert_quiescent(client)
+        client = make_cache(n_shards, total=2, imp_ratio=1.0)
+        client.fetch_many([0, 1], [1.0, 5.0], remote)
+        if buffered_by == "read":
+            land(client)
+        version[0] = 0.5
+        outs = client.fetch_many([2, 0, 0], [10.0, 20.0, 20.0], remote)
+        assert [o.source.value for o in outs] == \
+            ["remote", "remote", "importance"]
+        np.testing.assert_array_equal(outs[2].payload, payload(0) + 0.5)
+        np.testing.assert_array_equal(client.importance.store.peek(0),
+                                      payload(0) + 0.5)
+        assert_quiescent(client)
 
 
 def test_put_and_delete_drop_the_buffered_entry():
@@ -230,6 +246,7 @@ def test_put_and_delete_drop_the_buffered_entry():
 def test_fetch_batch_span_parents_the_frames_and_the_requests():
     client, recorder = traced_client(2, total=24)
     client.fetch_many(list(range(12)), [1.0] * 12, payload)
+    land(client)
     recorder.events.clear()
     client.fetch_many(list(range(12)), [1.0] * 12, payload)
     (batch,) = spans(recorder, "fetch_batch")
@@ -243,32 +260,41 @@ def test_fetch_batch_span_parents_the_frames_and_the_requests():
 
 
 def test_victim_deletes_ride_the_next_frame_to_their_shard():
-    """One shard, a full cache, a batch of misses: each admit's victim
-    delete leaves with the next put instead of costing a round trip."""
+    """One shard, a full cache, a batch of misses: the batch sends one
+    frame, which lands the previous batch's admits; its own admits and
+    their victims' deletes wait for the next batch's frame instead of
+    costing round trips (the per-request path took 3 puts + 3 deletes)."""
     client = make_cache(1, total=4, imp_ratio=1.0)
     client.fetch_many([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0], payload)
-    before = client.transport.calls
+    assert client.transport.calls == 0  # nothing to read, nothing queued
     client.fetch_many([10, 11, 12], [10.0, 11.0, 12.0], payload)
-    # 3 puts (two carrying the previous victim) + 1 closing bulk_delete;
-    # the per-request path takes 3 puts + 3 deletes.
-    assert client.transport.calls - before == 4
+    assert client.transport.calls == 1
+    assert sorted(client.servers[0].keys("imp")) == [0, 1, 2, 3]
+    assert {k for _, k in client._writes[0]} == {0, 1, 2, 10, 11, 12}
+    outs = client.fetch_many([3, 10], [4.0, 10.0], payload)
+    assert [o.source.value for o in outs] == ["importance"] * 2
+    assert client.transport.calls == 2  # one get_many carrying all six
     assert sorted(client.importance._items) == [3, 10, 11, 12]
+    assert sorted(client.servers[0].keys("imp")) == [3, 10, 11, 12]
     assert_quiescent(client)
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_a_victim_evicted_outside_a_batch_costs_one_bulk_delete(n_shards):
-    """No fetch_many call is open, so nothing would carry the victim's
-    delete: it is flushed at once, as one ``bulk_delete`` after the put
-    that evicted it."""
+def test_a_victim_evicted_outside_a_batch_waits_for_the_next_frame(n_shards):
+    """No ``fetch_many`` call is open, yet the Homophily refresh and its
+    FIFO victim's delete cost no RPC: they stay queued, are served from
+    the queue, and leave with the shard's next frame — here one
+    ``bulk_write`` per shard they touch."""
     client, recorder = traced_client(n_shards, imp_ratio=0.5)
     for node in range(4):  # fill the 4-slot homophily layer
         assert client.update_homophily(100 + node, payload(100 + node), [node])
-    recorder.events.clear()
-    before = client.transport.calls
     assert client.update_homophily(200, payload(200), [5])
-    assert client.transport.calls - before == 2
-    assert [s["method"] for s in spans(recorder, "rpc_attempt")] == \
-        ["put", "bulk_delete"]
+    assert client.transport.calls == 0
     assert len(client.homophily) == 4
+    assert client.fetch(5, 1.0, payload).served_id == 200  # from the queue
+    assert client.transport.calls == 0
+    shards = sorted(client._writes)
     assert_quiescent(client)
+    assert [s["method"] for s in spans(recorder, "rpc_attempt")] == \
+        ["bulk_write"] * len(shards)
+    assert client.servers[client._loc["hom"][200]].keys("hom")

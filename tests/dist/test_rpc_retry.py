@@ -48,6 +48,17 @@ def make_client(**kw):
     return cli
 
 
+def landed_client(**kw):
+    """A client whose 4-slot importance layer holds keys 0-3, their
+    payloads landed on the shard (so reading one crosses the channel)."""
+    cli = make_client(**kw)
+    for k in range(4):
+        cli.fetch(k, float(k + 1), lambda i: [float(i)])
+    cli._flush(0)
+    assert sorted(cli.servers[0].keys("imp")) == [0, 1, 2, 3]
+    return cli
+
+
 def set_backoff(monkeypatch, base_s, multiplier, cap_s):
     for name, value in (("BACKOFF_BASE_S", base_s),
                         ("BACKOFF_MULTIPLIER", multiplier),
@@ -60,7 +71,7 @@ def set_backoff(monkeypatch, base_s, multiplier, cap_s):
 # ----------------------------------------------------------------------
 def test_successful_call_charges_sampled_latency_to_rpc_stage():
     ch = make_channel()
-    ch.call(0, "put", "imp", 1, [1.0], nbytes=0)
+    ch.call(0, "bulk_write", [("imp", 1, [1.0])], nbytes=0)
     assert ch.clock.stage_seconds("rpc") == pytest.approx(
         FAST.sample(RPC_OVERHEAD_NBYTES)
     )
@@ -70,7 +81,7 @@ def test_successful_call_charges_sampled_latency_to_rpc_stage():
 def test_outage_never_executes_and_charges_capped_roundtrip():
     ch = make_channel(fault_plans={0: OUTAGE})
     with pytest.raises(ShardOutageError):
-        ch.call(0, "put", "imp", 1, [1.0])
+        ch.call(0, "bulk_write", [("imp", 1, [1.0])])
     assert ch.servers[0].keys("imp") == []  # definitely not executed
     assert ch.clock.stage_seconds("rpc") == pytest.approx(1e-3)
     assert (ch.failures, ch.timeouts) == (1, 0)
@@ -89,7 +100,7 @@ def test_timeout_charges_deadline_and_executes_server_side():
     lands anyway — why every server mutation must be idempotent."""
     ch = make_channel(deadline_s=5e-4)  # below FAST's 1 ms
     with pytest.raises(RpcTimeoutError):
-        ch.call(0, "put", "imp", 7, [1.0])
+        ch.call(0, "bulk_write", [("imp", 7, [1.0])])
     assert len(ch.servers[0].keys("imp")) == 1  # it DID execute
     assert ch.clock.stage_seconds("rpc") == pytest.approx(5e-4)
     assert (ch.failures, ch.timeouts) == (0, 1)
@@ -170,46 +181,45 @@ def test_retry_policy_validation():
 def test_budget_exhaustion_surfaces_as_degraded_miss_not_exception():
     """A cached key whose shard is down must degrade to a miss — the
     fetch protocol re-fetches from the remote tier instead of raising."""
-    cli = make_client()
-    cli.fetch(1, 5.0, lambda i: [float(i)])  # miss -> admitted to shard 0
-    assert 1 in cli.importance
+    cli = landed_client()
     cli.transport.fault_plans[0] = OUTAGE
     out = cli.fetch(1, 5.0, lambda i: [float(i)])
     assert out.payload == [1.0]  # served, from remote
     assert out.source.value == "remote"
     assert cli.degraded_lookups == 1  # the imp probe degraded
-    assert cli.dropped_admits == 1  # the re-admit put failed too
-    assert 1 in cli.importance  # metadata untouched by the failed refresh
-    assert cli.stats.misses == 2 and cli.stats.hits == 0  # both were misses
+    assert cli.dropped_admits == 0
+    assert cli._writes == {0: {("imp", 1): [1.0]}}  # the refresh waits
+    assert 1 in cli.importance
+    assert cli.stats.misses == 5 and cli.stats.hits == 0  # 4 cold + 1
 
 
 def test_burned_budget_charges_attempts_plus_backoffs(monkeypatch):
     set_backoff(monkeypatch, 1e-3, 2.0, 1.0)
     monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 100)
-    cli = make_client(retry=RetryPolicy(max_attempts=3))
-    cli.fetch(1, 5.0, lambda i: [float(i)])
+    cli = landed_client(retry=RetryPolicy(max_attempts=3))
     cli.transport.fault_plans[0] = OUTAGE
     before = cli.clock.stage_seconds("rpc")
     cli.fetch(1, 5.0, lambda i: [float(i)])
     spent = cli.clock.stage_seconds("rpc") - before
-    # Two logical requests (get probe + put refresh), each:
+    # One logical request (the get probe; the refresh put is queued):
     # 3 outage attempts at 1 ms + backoffs 1 ms + 2 ms.
-    per_request = 3 * 1e-3 + 1e-3 + 2e-3
-    assert spent == pytest.approx(2 * per_request)
-    assert cli.rpc_retries == 4  # 2 per logical request
+    assert spent == pytest.approx(3 * 1e-3 + 1e-3 + 2e-3)
+    assert cli.rpc_retries == 2
 
 
 def test_retries_recover_from_a_transient_outage_window(monkeypatch):
     """An outage shorter than the backoff schedule is ridden out: the
-    final attempt lands after the window closes."""
+    final attempt of the write frame lands after the window closes."""
     set_backoff(monkeypatch, 2e-3, 2.0, 1.0)
     cli = make_client(retry=RetryPolicy(max_attempts=3))
+    cli.transport.fault_plans[0] = FaultPlan(outages=[OutageWindow(0.0, 0.004)])
+    out = cli.fetch(1, 5.0, lambda i: [float(i)])  # a miss: put queued
+    assert out.source.value == "remote" and cli.transport.calls == 0
     # Window [0, 4ms): attempt 1 at t=0 fails (+1ms rpc, +2ms backoff),
     # attempt 2 at t=3ms fails (+1ms, +4ms backoff), attempt 3 at t=8ms OK.
-    cli.transport.fault_plans[0] = FaultPlan(outages=[OutageWindow(0.0, 0.004)])
-    out = cli.fetch(1, 5.0, lambda i: [float(i)])
-    assert out.source.value == "remote"
-    assert cli.dropped_admits == 0 and 1 in cli.importance
+    cli._flush(0)
+    assert cli.servers[0].keys("imp") == [1] and not cli._writes
+    assert 1 in cli.importance
     assert cli.rpc_retries == 2
     assert cli.transport.failures == 2
 
@@ -218,31 +228,29 @@ def test_retries_recover_from_a_transient_outage_window(monkeypatch):
 # client: per-shard circuit breakers
 # ----------------------------------------------------------------------
 def test_breaker_opens_after_threshold_and_fails_fast_without_time():
-    cli = make_client()  # 3 failures open a breaker; 0.05 s cool-down
-    cli.fetch(1, 5.0, lambda i: [float(i)])
+    cli = landed_client()  # 3 failures open a breaker; 0.05 s cool-down
     cli.transport.fault_plans[0] = OUTAGE
     cli.fetch(1, 5.0, lambda i: [float(i)])  # 3 failed attempts -> open
     br = cli.breakers[0]
     assert br.state is BreakerState.OPEN
     before = cli.clock.total_seconds
-    cli.fetch(1, 5.0, lambda i: [float(i)])  # rejected at the breaker
+    cli.fetch(2, 5.0, lambda i: [float(i)])  # rejected at the breaker
     assert cli.clock.total_seconds == before  # fail-fast: zero time
-    assert br.fast_failures >= 2  # imp probe + admit put both rejected
+    assert br.fast_failures == 1  # the imp probe; the refresh is queued
     assert cli.shard_snapshots()[0]["breaker"] == "open"
 
 
 def test_breaker_half_open_probe_then_close_on_recovery():
-    cli = make_client()
-    cli.fetch(1, 5.0, lambda i: [float(i)])
+    cli = landed_client()
     cli.transport.fault_plans[0] = OUTAGE
     cli.fetch(1, 5.0, lambda i: [float(i)])
     assert cli.breakers[0].state is BreakerState.OPEN
     cli.transport.fault_plans[0] = None  # shard recovers...
-    cli.fetch(1, 5.0, lambda i: [float(i)])  # ...but cooldown not elapsed
+    cli.fetch(2, 5.0, lambda i: [float(i)])  # ...but cooldown not elapsed
     assert cli.breakers[0].state is BreakerState.OPEN
     # Simulated time passes (the trainer's compute between epochs).
     cli.clock.advance("compute", 0.1)
-    out = cli.fetch(1, 5.0, lambda i: [float(i)])  # half-open probe passes
+    out = cli.fetch(3, 5.0, lambda i: [float(i)])  # half-open probe passes
     assert out.source.value == "importance"
     br = cli.breakers[0]
     assert br.state is BreakerState.CLOSED
@@ -255,12 +263,11 @@ def test_breaker_half_open_probe_then_close_on_recovery():
 
 
 def test_half_open_failure_reopens_with_fresh_cooldown():
-    cli = make_client()
-    cli.fetch(1, 5.0, lambda i: [float(i)])
+    cli = landed_client()
     cli.transport.fault_plans[0] = OUTAGE
     cli.fetch(1, 5.0, lambda i: [float(i)])
     cli.clock.advance("compute", 0.1)  # cooldown elapses, outage persists
-    cli.fetch(1, 5.0, lambda i: [float(i)])  # probe fails -> reopen
+    cli.fetch(2, 5.0, lambda i: [float(i)])  # probe fails -> reopen
     br = cli.breakers[0]
     assert br.state is BreakerState.OPEN
     assert br.opens == 2
@@ -270,24 +277,26 @@ def test_half_open_failure_reopens_with_fresh_cooldown():
 
 
 def test_queued_repair_rides_the_first_frame_after_recovery(monkeypatch):
-    """A put that failed during an outage may still have executed
-    server-side (ambiguous timeout); the queued orphan repair rides the
-    next frame to that shard, costing no RPC of its own."""
+    """Writes queued during an outage — an admit, its victim's delete,
+    the refresh of a key whose read failed — survive the frame that
+    failed carrying them and ride the first frame after recovery,
+    costing no RPC of their own."""
     monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 100)
-    cli = make_client()
-    # Fill the 4-slot importance layer.
-    for k in range(4):
-        cli.fetch(k, float(k + 1), lambda i: [float(i)])
-    assert len(cli.servers[0].keys("imp")) == 4
+    cli = landed_client()
     cli.transport.fault_plans[0] = OUTAGE
-    cli.fetch(9, 9.0, lambda i: [float(i)])  # put dropped, nothing evicted
-    assert cli.dropped_admits == 1
-    assert 9 not in cli.importance and 0 in cli.importance  # put-first rule
-    assert any(cli._deletes.values())  # orphan-put repair queued
+    cli.fetch(9, 9.0, lambda i: [float(i)])  # admitted, evicting 0
+    assert 9 in cli.importance and 0 not in cli.importance
+    queued = dict(cli._writes[0])
+    assert queued == {("imp", 9): [9.0], ("imp", 0): None}
+    cli.fetch(1, 1.0, lambda i: [float(i)])  # its read fails, and the frame
+    assert cli.transport.failures > 0  # that carried the writes put them back
+    assert cli._writes[0] == {**queued, ("imp", 1): [1.0]}
+    assert sorted(cli.servers[0].keys("imp")) == [0, 1, 2, 3]  # not yet
+    assert cli.verify_placement() == []  # counting the queue
     cli.transport.fault_plans[0] = None
     before = cli.transport.calls
-    cli.fetch(0, 1.0, lambda i: [float(i)])  # hit: its frame carries it
+    cli.fetch(2, 1.0, lambda i: [float(i)])  # hit: its frame carries them
     assert cli.transport.calls - before == 1
-    assert not any(cli._deletes.values())
+    assert not cli._writes
     assert cli.verify_placement() == []
-    assert sorted(cli.servers[0].keys("imp")) == [0, 1, 2, 3]
+    assert sorted(cli.servers[0].keys("imp")) == [1, 2, 3, 9]

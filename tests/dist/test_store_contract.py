@@ -123,46 +123,78 @@ def test_load_replaces_the_contents(store):
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_get_after_a_failed_put_is_none(n_shards):
-    """A put the tier could not land reports False, leaves no location
-    behind, and is counted; the key reads as absent even after the
-    outage ends."""
+def test_a_queued_put_is_served_with_no_rpc(n_shards):
+    """A put only queues its payload: ``get`` and ``peek`` serve it from
+    the queue, costing no RPC and needing no reachable shard."""
+    client = make_client("sim", n_shards)
+    st = client.importance.store
+    for sid in range(n_shards):
+        client.transport.fault_plans[sid] = OUTAGE
+    for k in range(8):
+        assert st.put(k, payload(k)) is True
+    assert set(st.loc) == set(range(8))
+    for k in range(8):
+        np.testing.assert_array_equal(st.get(k), payload(k))
+        np.testing.assert_array_equal(st.peek(k), payload(k))
+    assert client.transport.calls == 0
+    assert client.importance.store.loc == {
+        k: client.ring.shard_for(k) for k in range(8)
+    }
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_a_put_whose_frame_failed_lands_with_the_next_one(n_shards):
+    """A put is never a dropped admit: the frame that fails carrying it
+    puts it back, it is served from the queue meanwhile, and the first
+    frame to its shard after the outage lands it."""
     client = make_client("sim", n_shards)
     st = client.importance.store
     assert st.put(1, payload(1))
     for sid in range(n_shards):
         client.transport.fault_plans[sid] = OUTAGE
-    assert st.put(2, payload(2)) is False
-    assert client.dropped_admits == 1 and 2 not in st.loc
-    assert st.get(2) is None and st.peek(2) is None
-    assert st.put(1, payload(10)) is False  # failed overwrite keeps its home
-    assert 1 in st.loc
+    shard = st.loc[1]
+    assert client._flush(shard) is not None  # unreachable
+    assert st.put(2, payload(2)) is True
+    assert client.dropped_admits == 0 and {1, 2} <= set(st.loc)
+    np.testing.assert_array_equal(st.get(2), payload(2))
+    assert st.put(1, payload(10)) is True  # the newest write wins
+    np.testing.assert_array_equal(st.peek(1), payload(10))
     for sid in range(n_shards):
         client.transport.fault_plans[sid] = None
     client.clock.advance("compute", 1.0)  # let the breakers cool down
-    assert st.get(2) is None
-    np.testing.assert_array_equal(st.get(1), payload(1))
+    for sid in range(n_shards):
+        client._flush(sid)
+    assert not client._writes and client.verify_placement() == []
+    assert client.transport.peek(shard, "get", "imp", 1)[0] == 10.0
+    np.testing.assert_array_equal(st.get(1), payload(10))
+    assert client.degraded_lookups == 0
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_put_after_a_failed_put_of_the_same_key_keeps_its_payload(n_shards):
-    """The failed put queues an orphan delete for its key; the put that
-    follows supersedes it — flushed after that put landed, the delete
-    would destroy the live payload."""
+    """A delete queued for a key whose frame then failed is superseded
+    by the put that follows: one entry per key, the newest — landed
+    after it, the delete would destroy the live payload."""
     client = make_client("sim", n_shards)
     st = client.importance.store
+    assert st.put(5, payload(5))
+    shard = st.loc[5]
+    client._flush(shard)
     for sid in range(n_shards):
         client.transport.fault_plans[sid] = OUTAGE
-    assert st.put(5, payload(5)) is False
-    assert sum(map(len, client._deletes.values())) == 1
+    st.delete(5)
+    assert client._flush(shard) is not None  # failed: the delete stays
+    assert client._writes == {shard: {("imp", 5): None}}
+    assert st.put(5, payload(50)) is True
+    assert client._writes == {shard: {("imp", 5): st.peek(5)}}
     for sid in range(n_shards):
         client.transport.fault_plans[sid] = None
     client.clock.advance("compute", 1.0)  # let the breakers cool down
-    assert st.put(5, payload(5)) is True
-    np.testing.assert_array_equal(st.get(5), payload(5))
+    client._flush(shard)
+    np.testing.assert_array_equal(st.get(5), payload(50))
     assert client.degraded_lookups == 0
     assert client.verify_placement() == []
-    assert not any(client._deletes.values())
+    assert not client._writes
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ stream, same ``state_dict`` (heap tiebreaks included), same RPC call
 counts, same modelled RPC time on the clock, same clean
 ``verify_placement`` — for any shard count. Hypothesis drives random
 workloads over every mutator in the shared API — single fetches and
-``fetch_many`` batches (multi-key read frames, deletes riding other
-frames) alike — to prove it.
+``fetch_many`` batches (multi-key read frames, queued writes riding
+other frames) alike — to prove it.
 
 These tests spawn real processes and poll real pipes, so they carry the
 ``wallclock`` marker alongside ``dist``; CI runs them with a hard
@@ -80,7 +80,7 @@ def apply_op(cache, op):
     if kind == "fetch":
         out = cache.fetch(op[1], op[2], payload)
         return (out.requested_id, out.served_id, out.source.value)
-    if kind == "batch":  # the loaders' entry: read-ahead + parked deletes
+    if kind == "batch":  # the loaders' entry: read-ahead + queued writes
         outs = cache.fetch_many([i for i, _ in op[1]], [s for _, s in op[1]],
                                 payload)
         return [(o.requested_id, o.served_id, o.source.value) for o in outs]
@@ -116,7 +116,7 @@ def assert_transports_agree(sim, real):
     assert sim.stats.hit_ratio == real.stats.hit_ratio
     assert len(sim) == len(real)
     for cli in (sim, real):
-        assert cli.dropped_admits == 0 and cli.degraded_lookups == 0
+        assert cli.degraded_lookups == 0
         assert cli.transport.failures == 0 and cli.transport.timeouts == 0
     # The data-plane RPC ledger must match call for call: same workload,
     # same placement math, no retries -> identical per-shard counters.
@@ -152,6 +152,8 @@ def test_real_shard_contents_match_client_metadata():
             real.fetch(int(k), float(rng.random() * 10 + 0.1), payload)
         for k in range(5):
             real.update_homophily(2000 + k, payload(2000 + k), [k, k + 1])
+        for sid in real.transport.shard_ids:  # land the queued writes
+            real._flush(sid)
         for sid in real.transport.shard_ids:
             for layer, loc in (("imp", real._loc["imp"]),
                                ("hom", real._loc["hom"])):

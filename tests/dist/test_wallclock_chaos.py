@@ -5,7 +5,7 @@ The simulated fault plans model a dead shard as a permanent
 The real transport models it by actually SIGKILLing the worker process.
 These tests drive the *same* post-fault workload through both and assert
 the degradation ledger is identical — same served-outcome stream, same
-``dropped_admits`` / ``degraded_lookups``, same breaker trajectory, same
+``degraded_lookups``, same write queues, same breaker trajectory, same
 per-shard RPC counters. That is the claim that makes the simulator an
 oracle: a chaos scenario rehearsed in sim is exactly what production
 would do.
@@ -61,10 +61,14 @@ def make_twins(monkeypatch):
 
 
 def populate(cli, n_imp=20, n_hom=5):
+    """Fill both layers and land the payloads on the shards."""
     for k in range(n_imp):
         cli.fetch(k, float(k + 1), payload)
     for k in range(1000, 1000 + n_hom):
         cli.update_homophily(k, payload(k), [k + 10000])
+    for sid in cli.transport.shard_ids:
+        cli._flush(sid)
+    assert not cli._writes
 
 
 def run_traffic(cli):
@@ -88,8 +92,8 @@ def ledger(cli):
         for s in cli.shard_snapshots()
     ]
     return {
-        "dropped_admits": cli.dropped_admits,
         "degraded_lookups": cli.degraded_lookups,
+        "queued": {sid: sorted(w) for sid, w in cli._writes.items()},
         "rpc_calls": cli.transport.calls,
         "rpc_failures": cli.transport.failures,
         "rpc_timeouts": cli.transport.timeouts,
@@ -122,7 +126,7 @@ def test_killed_worker_degrades_exactly_like_sim_outage(monkeypatch):
         assert ledger(sim) == ledger(real)
         # The fault did bite, on both, identically.
         assert real.degraded_lookups > 0
-        assert real.dropped_admits > 0
+        assert real._writes[0]  # shard 0's writes wait, none dropped
         assert real.breakers[0].state is BreakerState.OPEN
         assert real.breakers[1].state is BreakerState.CLOSED
     finally:
@@ -131,9 +135,9 @@ def test_killed_worker_degrades_exactly_like_sim_outage(monkeypatch):
 
 def test_restarted_worker_rejoins_and_anti_entropy_reconverges(monkeypatch):
     """Kill, then restart: the replacement worker comes back *empty*
-    (payloads are soft state), pending anti-entropy deletes flush, and
-    ordinary traffic repopulates the shard until its contents match the
-    client's placement metadata again."""
+    (payloads are soft state), the writes queued for it land with the
+    first frame, and ordinary traffic repopulates the shard until its
+    contents match the client's placement metadata again."""
     _, real = make_twins(monkeypatch)
     try:
         populate(real)
@@ -143,17 +147,23 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges(monkeypatch):
 
         real.transport.restart_shard(0)
         assert real.transport.peek(0, "keys", "imp") == []  # fresh server
-        lost_hom = {k for k, s in real._loc["hom"].items() if s == 0}
+        # Lost: what the dead worker held and no queued write replaces.
+        queued = set(real._writes.get(0, ()))
+        lost_hom = {k for k, s in real._loc["hom"].items()
+                    if s == 0 and ("hom", k) not in queued}
         # Let the breaker cooldown elapse on the client's clock so the
         # half-open probe is allowed through.
         real.breakers[0].cooldown_s = 0.05
         real.clock.advance("compute", 0.1)
 
+        real._flush(0)  # the half-open probe, carrying the queued writes
+        assert real.breakers[0].state is BreakerState.CLOSED
         for k in range(40):
             out = real.fetch(k % 25, float(k + 1), payload)
             assert out.payload is not None
-        assert real.breakers[0].state is BreakerState.CLOSED
-        assert not any(real._deletes.values())
+        for sid in real.transport.shard_ids:
+            real._flush(sid)
+        assert not real._writes
         # Importance payloads reconverge: a degraded read falls through
         # to the remote tier and the re-admit refreshes the shard copy.
         for sid in real.transport.shard_ids:

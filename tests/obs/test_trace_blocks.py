@@ -196,9 +196,10 @@ def test_blocks_equal_flat_on_every_topology(topology, tmp_path):
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "outage"])
 def test_blocks_equal_flat_on_a_load_replay(faulted, tmp_path):
-    """A seeded request stream straight at a sim ``ShardedCacheClient``:
-    rows interleave with RPC spans and, under an outage on shard 0, with
-    breaker trips."""
+    """A seeded request stream straight at a sim ``ShardedCacheClient``,
+    in loader-sized batches (whose opening frames carry the queued
+    writes): rows interleave with RPC spans and, under an outage on
+    shard 0, with breaker trips."""
     tee = TeeRecorder(tmp_path / "trace.jsonl")
     clock = SimClock()
     client = ShardedCacheClient(128, imp_ratio=0.8, n_shards=2, clock=clock)
@@ -212,12 +213,17 @@ def test_blocks_equal_flat_on_a_load_replay(faulted, tmp_path):
         return np.full(16, float(key), dtype=np.float32)
 
     rng = np.random.default_rng(7)
+    batch, scores = [], []
     for key in (rng.zipf(1.1, size=1500) % n_keys).tolist():
         if rng.random() < 0.05:
             neighbors = [(key + j) % n_keys for j in (1, 2, 3)]
             client.update_homophily(key, remote_get(key), neighbors)
         else:
-            client.fetch(key, float(rng.random()), remote_get)
+            batch.append(key)
+            scores.append(float(rng.random()))
+        if len(batch) == 16:
+            client.fetch_many(batch, scores, remote_get)
+            batch, scores = [], []
     client.close()
     loaded = _assert_blocks_equal_flat(tee)
     opens = [e for e in loaded if e["kind"] == "breaker" and e["new"] == "open"]

@@ -107,7 +107,7 @@ def test_cli_faults_subcommand(build_run, capsys, tmp_path):
     from repro.cli import main
 
     main([
-        "faults", "--samples", "96", "--epochs", "2",
+        "faults", "--samples", "200", "--epochs", "2",
         "--scenarios", "preempt",
         "--checkpoint-dir", str(tmp_path),
     ])

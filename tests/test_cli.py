@@ -56,7 +56,7 @@ def test_faults_leaves_no_checkpoint_dir_behind(tmp_path, monkeypatch):
     directory that is gone once the command returns."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert main(["faults", "--scenarios", "preempt",
-                 "--samples", "96", "--epochs", "2"]) == 0
+                 "--samples", "200", "--epochs", "2"]) == 0
     assert list(tmp_path.glob("repro-faults-*")) == []
 
 
@@ -164,7 +164,23 @@ EPOCHS_0 = ("--samples", "200", "--epochs", "0")
     (["faults", "--samples", "200", "--epochs", "1", "--scenarios", "preempt",
       "--checkpoint-every", "-3", "--checkpoint-dir", "{dir}"],
      "checkpoint_every_batches must be >= 0, got -3"),
-], ids=["train", "compare", "trace", "faults", "faults-cadence"])
+    (["trace", "--samples", "200", "--epochs", "1", "--capacity", "-1"],
+     "--capacity must be a dataset fraction in [0, 1], got -1.0"),
+    (["trace", "--samples", "200", "--epochs", "1", "--capacity", "nan"],
+     "--capacity must be a dataset fraction in [0, 1], got nan"),
+    # preempt kills after (epoch 1, batch 2): one epoch never reaches it,
+    # nor do epochs of 72 training samples (two batches of 64).
+    (["faults", "--samples", "200", "--epochs", "1", "--scenarios", "preempt",
+      "--checkpoint-dir", "{dir}"],
+     "scenario 'preempt' preempts at (epoch 1, batch 2), outside the run "
+     "(1 epoch(s) of 3 batch(es))"),
+    (["faults", "--samples", "96", "--epochs", "2",
+      "--scenarios", "outage", "preempt", "--checkpoint-dir", "{dir}"],
+     "scenario 'preempt' preempts at (epoch 1, batch 2), outside the run "
+     "(2 epoch(s) of 2 batch(es))"),
+], ids=["train", "compare", "trace", "faults", "faults-cadence",
+        "trace-capacity-negative", "trace-capacity-nan",
+        "faults-preempt-epoch", "faults-preempt-batch"])
 def test_subcommands_reject_what_the_constructors_refuse(
     argv, message, tmp_path, capsys
 ):
